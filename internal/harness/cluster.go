@@ -81,17 +81,10 @@ func BuildCluster(nshards int, assignments map[string]uint32, pm Params) (*Clust
 // prefixed "shard<i>/" so per-shard hot spots stay visible in one
 // timeline — the measurement the load-driven rebalancing work consumes.
 func (cw *ClusterWorld) StartSampler(interval sim.Duration, capacity int) *tsdb.Sampler {
-	smp := tsdb.NewSampler(capacity)
-	smp.LimitSeries(SamplerSeriesBudget)
+	smp := newSampler(cw.K, interval, capacity)
 	for i, sh := range cw.Cluster.Shards() {
 		smp.Watch(fmt.Sprintf("shard%d/", i), sh.Metrics)
 	}
-	cw.K.Go("tsdb-sampler", func(p *sim.Proc) {
-		for {
-			p.Sleep(interval)
-			smp.Sample(p.Now())
-		}
-	})
 	return smp
 }
 

@@ -5,7 +5,6 @@ import (
 
 	"spritelynfs/internal/client"
 	"spritelynfs/internal/metrics"
-	"spritelynfs/internal/rpc"
 	"spritelynfs/internal/sim"
 	"spritelynfs/internal/simnet"
 	"spritelynfs/internal/vfs"
@@ -47,25 +46,20 @@ func (o *FleetOptions) fill() {
 	}
 }
 
-// FleetClient is one lightweight client stack: an event-mode RPC
-// endpoint (zero parked goroutines), a small-cache protocol client with
-// every per-client daemon disabled, and a namespace rooted at the
-// export. The stack's steady-state cost is memory only; goroutines are
-// borrowed from the fleet's shared executor for exactly the duration of
-// each blocking operation.
+// FleetClient is one lightweight client stack: an RPC endpoint served
+// from the fleet's executor, a small-cache protocol client with every
+// per-client daemon disabled, and a namespace rooted at the export. The
+// stack's steady-state cost is memory only; goroutines are borrowed from
+// the shared executor for exactly the duration of each blocking
+// operation.
 type FleetClient struct {
 	Name simnet.Addr
 	NS   *vfs.Namespace
 	NFS  *client.NFSClient  // set when Proto == NFS
 	SNFS *client.SNFSClient // set when Proto == SNFS
-}
 
-// base returns the protocol-independent client machinery.
-func (fc *FleetClient) base() *client.Base {
-	if fc.NFS != nil {
-		return fc.NFS.Base
-	}
-	return fc.SNFS.Base
+	base *client.Base
+	fs   vfs.FS // the protocol client, unwrapped
 }
 
 // Fleet is a World scaled out: one server and network shared by N
@@ -81,7 +75,6 @@ type Fleet struct {
 	// goroutine footprint.
 	Exec    *sim.Executor
 	Clients []*FleetClient
-	opts    FleetOptions
 }
 
 // NewFleet attaches a fleet of opt.Clients light client stacks to an
@@ -93,47 +86,22 @@ func NewFleet(w *World, opt FleetOptions) *Fleet {
 		W:       w,
 		Exec:    sim.NewExecutor(w.K, "fleet"),
 		Clients: make([]*FleetClient, 0, opt.Clients),
-		opts:    opt,
 	}
-	root := w.rootHandle()
+	// Every per-client daemon stays off: delayed writes are flushed by
+	// the shared sweep below, and a fleet run never exercises crash
+	// recovery per client.
+	so := w.params.SNFS
+	so.UpdateInterval = 0
+	so.KeepaliveInterval = 0
 	for i := 0; i < opt.Clients; i++ {
 		name := simnet.Addr(fmt.Sprintf("c%04d", i))
-		ep := rpc.NewEndpoint(w.K, w.Net, name, rpc.Options{Exec: f.Exec})
-		ep.Spans = w.Spans
-		cfg := client.Config{
-			Server:     "server",
-			Root:       root,
-			BlockSize:  w.params.TransferSize,
-			CacheBytes: opt.CacheBytes,
-			ReadAhead:  opt.ReadAhead,
-
-			UnstableWrites: w.params.UnstableWrites,
-			AttrPiggyback:  w.params.AttrPiggyback,
-			LookupPath:     w.params.LookupPath,
-		}
-		fc := &FleetClient{Name: name, NS: &vfs.Namespace{}}
-		var fs vfs.FS
-		switch opt.Proto {
-		case SNFS:
-			// Every per-client daemon stays off: delayed writes are
-			// flushed by the shared sweep below, and a fleet run never
-			// exercises crash recovery per client.
-			so := w.params.SNFS
-			so.UpdateInterval = 0
-			so.KeepaliveInterval = 0
-			fc.SNFS = client.NewSNFS(w.K, ep, cfg, so)
-			fc.SNFS.SetSpans(w.Spans)
-			fs = fc.SNFS
-			if opt.Audit && w.Auditor != nil {
-				fs = w.Auditor.WrapFS(fc.SNFS)
-			}
-		default:
-			fc.NFS = client.NewNFS(w.K, ep, cfg, w.params.NFS)
-			fc.NFS.SetSpans(w.Spans)
-			fs = fc.NFS
-		}
-		fc.NS.Mount("/", w.spanMount(fs, string(name)))
-		f.Clients = append(f.Clients, fc)
+		st := w.newClient(clientSpec{
+			name: name, proto: opt.Proto, cacheBytes: opt.CacheBytes, readAhead: opt.ReadAhead,
+			exec: f.Exec, nfs: w.params.NFS, snfs: so, audit: opt.Audit,
+		})
+		f.Clients = append(f.Clients, &FleetClient{
+			Name: name, NS: st.ns, NFS: st.nfs, SNFS: st.snfs, base: st.base, fs: st.fs,
+		})
 	}
 	if opt.Proto == SNFS && opt.SyncInterval > 0 {
 		f.startSyncSweep(opt.SyncInterval)
@@ -182,7 +150,7 @@ type FleetStats struct {
 func (f *Fleet) Stats() FleetStats {
 	var s FleetStats
 	for _, fc := range f.Clients {
-		b := fc.base()
+		b := fc.base
 		es := b.Endpoint().Stats()
 		s.CallsSent += es.CallsSent
 		s.Retransmits += es.Retransmits
@@ -227,12 +195,7 @@ func (f *Fleet) EnableMetrics(r *metrics.Registry) {
 // reaches the server before the world stops.
 func (f *Fleet) SyncAllClients(p *sim.Proc) {
 	for _, fc := range f.Clients {
-		if fc.SNFS != nil {
-			fc.SNFS.SyncAll(p)
-		}
-		if fc.NFS != nil {
-			fc.NFS.SyncAll(p)
-		}
+		fc.fs.SyncAll(p)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+	"time"
 
 	"spritelynfs/internal/metrics"
 	"spritelynfs/internal/sim"
@@ -47,7 +48,7 @@ func TestFleetServesOps(t *testing.T) {
 
 // TestFleetCrossClientConsistency: SNFS fleet clients see each other's
 // writes — the write-shared detection and callback path works through
-// event-mode endpoints and pooled service processes.
+// endpoints served from the shared executor.
 func TestFleetCrossClientConsistency(t *testing.T) {
 	pm := Default()
 	f := BuildFleet(SNFS, pm, FleetOptions{Clients: 2})
@@ -81,7 +82,7 @@ func TestFleetGoroutineFootprint(t *testing.T) {
 	// Run a trickle of work so the executor spawns what it needs.
 	err := f.W.Run(func(p *sim.Proc) error {
 		for i := 0; i < 10; i++ {
-			if err := f.Client(i * 100).NS.WriteFile(p, fmt.Sprintf("/data/g%d", i), 4096, 4096); err != nil {
+			if err := f.Client(i*100).NS.WriteFile(p, fmt.Sprintf("/data/g%d", i), 4096, 4096); err != nil {
 				return err
 			}
 		}
@@ -102,6 +103,39 @@ func TestFleetGoroutineFootprint(t *testing.T) {
 	}
 	if sp := f.Exec.Spawned(); sp > 50 {
 		t.Errorf("executor spawned %d workers for a sequential trickle", sp)
+	}
+}
+
+// TestEndpointsParkNoProcess: an RPC endpoint owns no process until a
+// call arrives, so a world's goroutine count does not depend on the size
+// of its server pool and attaching a thousand idle clients adds none.
+func TestEndpointsParkNoProcess(t *testing.T) {
+	// Let processes still unwinding from an earlier test's kernel exit
+	// before counting.
+	for n := -1; n != runtime.NumGoroutine(); {
+		n = runtime.NumGoroutine()
+		time.Sleep(5 * time.Millisecond)
+	}
+	build := func(workers int) (*World, int) {
+		before := runtime.NumGoroutine()
+		pm := Default()
+		pm.ServerWorkers = workers
+		w := Build(SNFS, true, pm)
+		return w, runtime.NumGoroutine() - before
+	}
+	small, smallCost := build(4)
+	big, bigCost := build(64)
+	if smallCost != bigCost {
+		t.Errorf("world costs %d goroutines with 4 server threads, %d with 64", smallCost, bigCost)
+	}
+	before := runtime.NumGoroutine()
+	NewFleet(big, FleetOptions{Proto: SNFS, Clients: 1000})
+	if grew := runtime.NumGoroutine() - before; grew != 0 {
+		t.Errorf("1000 idle fleet clients parked %d goroutines", grew)
+	}
+	for _, w := range []*World{small, big} {
+		w.K.Stop()
+		w.K.Run() // unwind the worlds' daemons
 	}
 }
 

@@ -45,21 +45,12 @@ func ProbeSweep(pm Params) (*stats.Table, error) {
 }
 
 func probeRun(pr Proto, pm Params) (probes int64, stale, fresh int, err error) {
-	w := Build(pr, true, pm)
-	var readerNS *vfs.Namespace
-	var readerOps func(string) int64
-	switch pr {
-	case NFS:
-		c, ns := w.AddNFSClient("reader", pm.NFS)
-		readerNS = ns
-		readerOps = c.Ops().Get
-	case SNFS:
-		c, ns := w.AddSNFSClient("reader", pm.SNFS)
-		readerNS = ns
-		readerOps = c.Ops().Get
-	default:
+	if pr != NFS && pr != SNFS {
 		return 0, 0, 0, fmt.Errorf("probe sweep needs a remote protocol")
 	}
+	w := Build(pr, true, pm)
+	reader := w.addClient("reader", pr, pm.NFS, pm.SNFS)
+	readerNS, readerOps := reader.ns, reader.base.Ops().Get
 
 	err = w.Run(func(p *sim.Proc) error {
 		// Writer initializes and keeps updating a version stamp.

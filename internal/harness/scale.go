@@ -137,19 +137,12 @@ func RunScale(pr Proto, nclients int, pm Params) (ScalePoint, error) {
 	opsTotal := func() int64 { return w.ClientOps().Total() }
 	extraOps := []func() int64{}
 	for i := 1; i < nclients; i++ {
-		name := simnet.Addr(fmt.Sprintf("client%d", i))
-		switch pr {
-		case NFS:
-			c, ns := w.AddNFSClient(name, pm.NFS)
-			namespaces = append(namespaces, ns)
-			extraOps = append(extraOps, c.Ops().Total)
-		case SNFS:
-			c, ns := w.AddSNFSClient(name, pm.SNFS)
-			namespaces = append(namespaces, ns)
-			extraOps = append(extraOps, c.Ops().Total)
-		default:
+		if pr != NFS && pr != SNFS {
 			return pt, fmt.Errorf("scale experiment needs a remote protocol")
 		}
+		st := w.addClient(simnet.Addr(fmt.Sprintf("client%d", i)), pr, pm.NFS, pm.SNFS)
+		namespaces = append(namespaces, st.ns)
+		extraOps = append(extraOps, st.base.Ops().Total)
 	}
 
 	if pm.SampleInterval > 0 {

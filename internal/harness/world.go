@@ -10,7 +10,6 @@ import (
 	"spritelynfs/internal/localfs"
 	"spritelynfs/internal/localmount"
 	"spritelynfs/internal/metrics"
-	"spritelynfs/internal/proto"
 	"spritelynfs/internal/rpc"
 	"spritelynfs/internal/server"
 	"spritelynfs/internal/sim"
@@ -62,6 +61,10 @@ type World struct {
 	// assemble into a single cross-host tree.
 	Spans *span.Recorder
 
+	// srv and cli are the protocol-independent halves of whichever
+	// server and measurement client run (nil for Local).
+	srv    *server.Base
+	cli    *client.Base
 	params Params
 }
 
@@ -71,46 +74,26 @@ func (w *World) spanMount(fs vfs.FS, host string) vfs.FS {
 	return spanfs.WrapFS(w.Spans, host, fs)
 }
 
-// srvBase returns the running server's shared base, or nil.
-func (w *World) srvBase() *server.Base {
-	if w.NFSSrv != nil {
-		return w.NFSSrv.Base
-	}
-	if w.SNFSSrv != nil {
-		return w.SNFSSrv.Base
-	}
-	if w.RFSSrv != nil {
-		return w.RFSSrv.Base
-	}
-	return nil
-}
-
 // ClientOps returns the client's RPC counters (empty for Local).
 func (w *World) ClientOps() *stats.Ops {
-	if w.NFSCli != nil {
-		return w.NFSCli.Ops()
-	}
-	if w.SNFSCli != nil {
-		return w.SNFSCli.Ops()
-	}
-	if w.RFSCli != nil {
-		return w.RFSCli.Ops()
+	if w.cli != nil {
+		return w.cli.Ops()
 	}
 	return stats.NewOps()
 }
 
 // EnableSeries starts recording the server time series for the figures.
 func (w *World) EnableSeries(bucket sim.Duration) *server.Series {
-	if b := w.srvBase(); b != nil {
-		return b.EnableSeries(bucket)
+	if w.srv != nil {
+		return w.srv.EnableSeries(bucket)
 	}
 	return nil
 }
 
 // ServerCPUUtilization reports cumulative server CPU utilization.
 func (w *World) ServerCPUUtilization() float64 {
-	if b := w.srvBase(); b != nil {
-		return b.CPU().Utilization()
+	if w.srv != nil {
+		return w.srv.CPU().Utilization()
 	}
 	return 0
 }
@@ -119,24 +102,14 @@ func (w *World) ServerCPUUtilization() float64 {
 // endpoints, the server, its state table, and the client) and returns it.
 func (w *World) EnableTrace(capacity int) *trace.Tracer {
 	tr := trace.New(w.K.Now, capacity)
-	if b := w.srvBase(); b != nil {
-		b.SetTracer(tr)
-		b.Endpoint().Tracer = tr
+	if w.srv != nil {
+		w.srv.SetTracer(tr)
+		w.srv.Endpoint().Tracer = tr
+		w.cli.SetTracer(tr)
+		w.cli.Endpoint().Tracer = tr
 	}
 	if w.SNFSSrv != nil {
 		w.SNFSSrv.Table().Tracer = tr
-	}
-	if w.NFSCli != nil {
-		w.NFSCli.SetTracer(tr)
-		w.NFSCli.Endpoint().Tracer = tr
-	}
-	if w.SNFSCli != nil {
-		w.SNFSCli.SetTracer(tr)
-		w.SNFSCli.Endpoint().Tracer = tr
-	}
-	if w.RFSCli != nil {
-		w.RFSCli.SetTracer(tr)
-		w.RFSCli.Endpoint().Tracer = tr
 	}
 	return tr
 }
@@ -150,17 +123,11 @@ func (w *World) EnableMetrics() *metrics.Registry {
 	r := metrics.New()
 	if w.SNFSSrv != nil {
 		w.SNFSSrv.EnableMetrics(r)
-	} else if b := w.srvBase(); b != nil {
-		b.EnableMetrics(r)
+	} else if w.srv != nil {
+		w.srv.EnableMetrics(r)
 	}
-	if w.NFSCli != nil {
-		w.NFSCli.EnableMetrics(r)
-	}
-	if w.SNFSCli != nil {
-		w.SNFSCli.EnableMetrics(r)
-	}
-	if w.RFSCli != nil {
-		w.RFSCli.EnableMetrics(r)
+	if w.cli != nil {
+		w.cli.EnableMetrics(r)
 	}
 	// With spans armed, root-span latency histograms (with op-ID
 	// exemplars) join the registry.
@@ -171,33 +138,9 @@ func (w *World) EnableMetrics() *metrics.Registry {
 // InvalidateClientCache drops the remote client's block cache (to start
 // a measurement cold). No-op for the Local protocol.
 func (w *World) InvalidateClientCache() {
-	if w.NFSCli != nil {
-		w.NFSCli.Cache().InvalidateAll()
+	if w.cli != nil {
+		w.cli.Cache().InvalidateAll()
 	}
-	if w.SNFSCli != nil {
-		w.SNFSCli.Cache().InvalidateAll()
-	}
-	if w.RFSCli != nil {
-		w.RFSCli.Cache().InvalidateAll()
-	}
-}
-
-// AddRFSClient attaches another RFS client host to a remote world.
-func (w *World) AddRFSClient(name simnet.Addr) (*client.RFSClient, *vfs.Namespace) {
-	ep := rpc.NewEndpoint(w.K, w.Net, name, rpc.Options{Workers: 4})
-	cfg := client.Config{
-		Server:     "server",
-		Root:       w.rootHandle(),
-		BlockSize:  w.params.TransferSize,
-		CacheBytes: w.params.ClientCacheBytes,
-		ReadAhead:  true,
-	}
-	c := client.NewRFS(w.K, ep, cfg)
-	ep.Spans = w.Spans
-	c.SetSpans(w.Spans)
-	ns := &vfs.Namespace{}
-	ns.Mount("/", w.spanMount(c, string(name)))
-	return c, ns
 }
 
 // ServerDiskStats reports the server disk counters.
@@ -277,41 +220,13 @@ func BuildOpt(pr Proto, tmpRemote bool, pm Params, opt BuildOptions) *World {
 		w.SrvMedia.Gather = pm.UnstableWrites
 		mkdirs(sst, "data", "tmp", "usr/tmp")
 
-		cep := rpc.NewEndpoint(k, w.Net, "client", rpc.Options{Workers: 4})
-		cep.Spans = w.Spans
-		readAhead := true
-		if opt.ReadAhead != nil {
-			readAhead = *opt.ReadAhead
-		}
 		switch pr {
 		case NFS:
 			w.NFSSrv = server.NewNFS(k, sep, w.SrvMedia, pm.Server)
-			cfg := client.Config{
-				Server:     "server",
-				Root:       w.NFSSrv.RootHandle(),
-				BlockSize:  pm.TransferSize,
-				CacheBytes: pm.ClientCacheBytes,
-				ReadAhead:  readAhead,
-
-				UnstableWrites: pm.UnstableWrites,
-				AttrPiggyback:  pm.AttrPiggyback,
-				LookupPath:     pm.LookupPath,
-			}
-			w.NFSCli = client.NewNFS(k, cep, cfg, pm.NFS)
-			w.NFSCli.SetSpans(w.Spans)
-			w.NS.Mount("/", w.spanMount(w.NFSCli, "client"))
+			w.srv = w.NFSSrv.Base
 		case RFS:
 			w.RFSSrv = server.NewRFS(k, sep, w.SrvMedia, pm.Server)
-			cfg := client.Config{
-				Server:     "server",
-				Root:       w.RFSSrv.RootHandle(),
-				BlockSize:  pm.TransferSize,
-				CacheBytes: pm.ClientCacheBytes,
-				ReadAhead:  readAhead,
-			}
-			w.RFSCli = client.NewRFS(k, cep, cfg)
-			w.RFSCli.SetSpans(w.Spans)
-			w.NS.Mount("/", w.spanMount(w.RFSCli, "client"))
+			w.srv = w.RFSSrv.Base
 		case SNFS:
 			srvOpts := server.SNFSOptions{}
 			if opt.Server != nil {
@@ -321,35 +236,27 @@ func BuildOpt(pr Proto, tmpRemote bool, pm Params, opt BuildOptions) *World {
 				srvOpts.NameCacheProtocol = true
 			}
 			w.SNFSSrv = server.NewSNFS(k, sep, w.SrvMedia, pm.Server, srvOpts)
-			cfg := client.Config{
-				Server:     "server",
-				Root:       w.SNFSSrv.RootHandle(),
-				BlockSize:  pm.TransferSize,
-				CacheBytes: pm.ClientCacheBytes,
-				ReadAhead:  readAhead,
-
-				UnstableWrites: pm.UnstableWrites,
-				AttrPiggyback:  pm.AttrPiggyback,
-				LookupPath:     pm.LookupPath,
-			}
-			w.SNFSCli = client.NewSNFS(k, cep, cfg, pm.SNFS)
-			w.SNFSCli.SetSpans(w.Spans)
+			w.srv = w.SNFSSrv.Base
 			if pm.Audit {
 				w.Auditor = audit.New(k, pm.AuditSink)
 				w.SNFSSrv.SetAuditor(w.Auditor)
-				w.NS.Mount("/", w.spanMount(w.Auditor.WrapFS(w.SNFSCli), "client"))
-			} else {
-				w.NS.Mount("/", w.spanMount(w.SNFSCli, "client"))
 			}
 		}
-		if b := w.srvBase(); b != nil && w.Spans != nil {
-			b.SetSpans(w.Spans)
+		w.srv.SetSpans(w.Spans)
+
+		readAhead := true
+		if opt.ReadAhead != nil {
+			readAhead = *opt.ReadAhead
 		}
+		st := w.newClient(clientSpec{
+			name: "client", proto: pr, cacheBytes: pm.ClientCacheBytes, readAhead: readAhead,
+			nfs: pm.NFS, snfs: pm.SNFS, audit: true,
+		})
+		w.cli, w.NS = st.base, st.ns
+		w.NFSCli, w.SNFSCli, w.RFSCli = st.nfs, st.snfs, st.rfs
 		if pm.FlightCapacity > 0 {
 			w.Flight = tsdb.NewFlightRecorder(k.Now, pm.FlightCapacity)
-			if b := w.srvBase(); b != nil {
-				b.SetFlight(w.Flight)
-			}
+			w.srv.SetFlight(w.Flight)
 			if w.Auditor != nil && pm.FlightSink != nil {
 				wireFlightDump(w.Auditor, w.Flight, pm.FlightSink)
 			}
@@ -373,68 +280,105 @@ func BuildOpt(pr Proto, tmpRemote bool, pm Params, opt BuildOptions) *World {
 	return w
 }
 
-// rootHandle returns the export root of whichever server runs.
-func (w *World) rootHandle() proto.Handle {
-	if w.NFSSrv != nil {
-		return w.NFSSrv.RootHandle()
+// clientSpec says how one client host differs from another; the rest of a
+// stack's configuration comes from the world's Params.
+type clientSpec struct {
+	name       simnet.Addr
+	proto      Proto
+	cacheBytes int64
+	readAhead  bool
+	// exec is the pool that serves the host's callback RPCs: nil gives it
+	// four threads of its own, a fleet passes its shared executor.
+	exec *sim.Executor
+	// nfs and snfs are the client policies; only proto's is read. A fleet
+	// passes them with the per-client daemons switched off.
+	nfs  client.NFSOptions
+	snfs client.SNFSOptions
+	// audit mounts an SNFS client through the world's auditor, if armed.
+	audit bool
+}
+
+// clientStack is one assembled client host. fs is the protocol client
+// itself, beneath whatever wrappers its mount in ns goes through; exactly
+// one of nfs, snfs and rfs is set.
+type clientStack struct {
+	base *client.Base
+	fs   vfs.FS
+	ns   *vfs.Namespace
+	nfs  *client.NFSClient
+	snfs *client.SNFSClient
+	rfs  *client.RFSClient
+}
+
+// newClient is the only place a client stack is built: an RPC endpoint on
+// the world's network, the protocol client over it, the span recorder on
+// both, and a namespace with the (audit- and span-wrapped) client at "/".
+func (w *World) newClient(s clientSpec) clientStack {
+	ep := rpc.NewEndpoint(w.K, w.Net, s.name, rpc.Options{Workers: 4, Exec: s.exec})
+	ep.Spans = w.Spans
+	cfg := client.Config{
+		Server:     "server",
+		Root:       w.srv.RootHandle(),
+		BlockSize:  w.params.TransferSize,
+		CacheBytes: s.cacheBytes,
+		ReadAhead:  s.readAhead,
 	}
-	if w.SNFSSrv != nil {
-		return w.SNFSSrv.RootHandle()
+	if s.proto != RFS {
+		// The post-1989 extensions are NFS and SNFS features; RFS runs
+		// as §2.5 describes it.
+		cfg.UnstableWrites = w.params.UnstableWrites
+		cfg.AttrPiggyback = w.params.AttrPiggyback
+		cfg.LookupPath = w.params.LookupPath
 	}
-	if w.RFSSrv != nil {
-		return w.RFSSrv.RootHandle()
+	var st clientStack
+	switch s.proto {
+	case NFS:
+		st.nfs = client.NewNFS(w.K, ep, cfg, s.nfs)
+		st.base, st.fs = st.nfs.Base, st.nfs
+	case SNFS:
+		st.snfs = client.NewSNFS(w.K, ep, cfg, s.snfs)
+		st.base, st.fs = st.snfs.Base, st.snfs
+	case RFS:
+		st.rfs = client.NewRFS(w.K, ep, cfg)
+		st.base, st.fs = st.rfs.Base, st.rfs
 	}
-	return proto.Handle{}
+	st.base.SetSpans(w.Spans)
+	mount := st.fs
+	if s.audit && st.snfs != nil && w.Auditor != nil {
+		mount = w.Auditor.WrapFS(mount)
+	}
+	st.ns = &vfs.Namespace{}
+	st.ns.Mount("/", w.spanMount(mount, string(s.name)))
+	return st
+}
+
+// addClient attaches another full-size client host (the measurement
+// client's cache and read-ahead) to a remote world.
+func (w *World) addClient(name simnet.Addr, pr Proto, nfs client.NFSOptions, snfs client.SNFSOptions) clientStack {
+	return w.newClient(clientSpec{
+		name: name, proto: pr, cacheBytes: w.params.ClientCacheBytes, readAhead: true,
+		nfs: nfs, snfs: snfs, audit: true,
+	})
 }
 
 // AddNFSClient attaches another NFS client host to a remote world and
 // returns it with a namespace rooted at the export.
 func (w *World) AddNFSClient(name simnet.Addr, opts client.NFSOptions) (*client.NFSClient, *vfs.Namespace) {
-	ep := rpc.NewEndpoint(w.K, w.Net, name, rpc.Options{Workers: 4})
-	cfg := client.Config{
-		Server:     "server",
-		Root:       w.rootHandle(),
-		BlockSize:  w.params.TransferSize,
-		CacheBytes: w.params.ClientCacheBytes,
-		ReadAhead:  true,
-
-		UnstableWrites: w.params.UnstableWrites,
-		AttrPiggyback:  w.params.AttrPiggyback,
-		LookupPath:     w.params.LookupPath,
-	}
-	c := client.NewNFS(w.K, ep, cfg, opts)
-	ep.Spans = w.Spans
-	c.SetSpans(w.Spans)
-	ns := &vfs.Namespace{}
-	ns.Mount("/", w.spanMount(c, string(name)))
-	return c, ns
+	st := w.addClient(name, NFS, opts, client.SNFSOptions{})
+	return st.nfs, st.ns
 }
 
 // AddSNFSClient attaches another SNFS client host to a remote world and
 // returns it with a namespace rooted at the export.
 func (w *World) AddSNFSClient(name simnet.Addr, opts client.SNFSOptions) (*client.SNFSClient, *vfs.Namespace) {
-	ep := rpc.NewEndpoint(w.K, w.Net, name, rpc.Options{Workers: 4})
-	cfg := client.Config{
-		Server:     "server",
-		Root:       w.rootHandle(),
-		BlockSize:  w.params.TransferSize,
-		CacheBytes: w.params.ClientCacheBytes,
-		ReadAhead:  true,
+	st := w.addClient(name, SNFS, client.NFSOptions{}, opts)
+	return st.snfs, st.ns
+}
 
-		UnstableWrites: w.params.UnstableWrites,
-		AttrPiggyback:  w.params.AttrPiggyback,
-		LookupPath:     w.params.LookupPath,
-	}
-	c := client.NewSNFS(w.K, ep, cfg, opts)
-	ep.Spans = w.Spans
-	c.SetSpans(w.Spans)
-	ns := &vfs.Namespace{}
-	if w.Auditor != nil {
-		ns.Mount("/", w.spanMount(w.Auditor.WrapFS(c), string(name)))
-	} else {
-		ns.Mount("/", w.spanMount(c, string(name)))
-	}
-	return c, ns
+// AddRFSClient attaches another RFS client host to a remote world.
+func (w *World) AddRFSClient(name simnet.Addr) (*client.RFSClient, *vfs.Namespace) {
+	st := w.addClient(name, RFS, client.NFSOptions{}, client.SNFSOptions{})
+	return st.rfs, st.ns
 }
 
 // wireFlightDump arranges for the first audit violation to dump the
@@ -459,20 +403,28 @@ func wireFlightDump(a *audit.Auditor, fr *tsdb.FlightRecorder, sink io.Writer) {
 // drop count surfaces in timeline.json as dropped_series).
 const SamplerSeriesBudget = 2048
 
-// StartSampler arms the time-series sampler on a running world: reg is
-// sampled on the sim clock every interval (for the life of the world)
-// into a timeline with the given per-series capacity. Call it with the
-// registry EnableMetrics returned, at measurement start.
-func (w *World) StartSampler(reg *metrics.Registry, interval sim.Duration, capacity int) *tsdb.Sampler {
+// newSampler returns a budget-capped sampler that a "tsdb-sampler"
+// process on k drives every interval for the life of the kernel; the
+// caller points it at registries with Watch.
+func newSampler(k *sim.Kernel, interval sim.Duration, capacity int) *tsdb.Sampler {
 	smp := tsdb.NewSampler(capacity)
 	smp.LimitSeries(SamplerSeriesBudget)
-	smp.Watch("", reg)
-	w.K.Go("tsdb-sampler", func(p *sim.Proc) {
+	k.Go("tsdb-sampler", func(p *sim.Proc) {
 		for {
 			p.Sleep(interval)
 			smp.Sample(p.Now())
 		}
 	})
+	return smp
+}
+
+// StartSampler arms the time-series sampler on a running world: reg is
+// sampled on the sim clock every interval (for the life of the world)
+// into a timeline with the given per-series capacity. Call it with the
+// registry EnableMetrics returned, at measurement start.
+func (w *World) StartSampler(reg *metrics.Registry, interval sim.Duration, capacity int) *tsdb.Sampler {
+	smp := newSampler(w.K, interval, capacity)
+	smp.Watch("", reg)
 	return smp
 }
 

@@ -38,22 +38,8 @@ func RunWriteShare(pr Proto, pm Params) (WriteShareResult, error) {
 	}
 	w := Build(pr, true, pm)
 
-	var readerNS *vfs.Namespace
-	var readerOps func() int64
-	switch pr {
-	case NFS:
-		c, ns := w.AddNFSClient("reader", pm.NFS)
-		readerNS = ns
-		readerOps = c.Ops().Total
-	case SNFS:
-		c, ns := w.AddSNFSClient("reader", pm.SNFS)
-		readerNS = ns
-		readerOps = c.Ops().Total
-	case RFS:
-		c, ns := w.AddRFSClient("reader")
-		readerNS = ns
-		readerOps = c.Ops().Total
-	}
+	reader := w.addClient("reader", pr, pm.NFS, pm.SNFS)
+	readerNS, readerOps := reader.ns, reader.base.Ops().Total
 
 	const (
 		polls       = 50

@@ -1,9 +1,15 @@
 // Package rpc provides the remote-procedure-call layer beneath NFS and
 // Spritely NFS: an ONC-RPC-style message format (xid-matched call/reply),
 // a client path with timeout and retransmission, a server path with a
-// bounded worker pool, and a duplicate-request cache so retransmitted
+// bounded service pool, and a duplicate-request cache so retransmitted
 // non-idempotent operations are answered from their recorded replies
 // (the fix Juszczak describes and the paper cites).
+//
+// An Endpoint owns no process. Its port hands each arriving message to
+// handleMsg at the delivery instant; a call that passes the duplicate
+// cache is run on a process borrowed from a sim.Executor, and calls beyond
+// the pool bound wait in a FIFO backlog that a finishing process drains
+// before it parks.
 //
 // Two transports implement the layer: the simulated network (this file,
 // used by all experiments) and a real TCP transport (tcp.go, used by the
@@ -14,7 +20,7 @@
 // The paper's deadlock rule — with N server threads at most N−1 may issue
 // callbacks concurrently, so one can always service the resulting
 // write-backs — is enforced by the SNFS server on top of this package's
-// worker pool.
+// pool bound (Options.Workers).
 package rpc
 
 import (
@@ -103,7 +109,9 @@ type Handler func(p *sim.Proc, from simnet.Addr, proc uint32, args []byte) ([]by
 // Options configures an Endpoint.
 type Options struct {
 	// Workers is the size of the service thread pool (the paper's "N
-	// threads"). Zero means 4.
+	// threads"): at most Workers calls are in service at once on the
+	// endpoint's own pool, the rest wait their turn in arrival order.
+	// Zero means 4.
 	Workers int
 	// CallTimeout is the per-attempt reply timeout. Zero means 1 s.
 	CallTimeout sim.Duration
@@ -124,16 +132,11 @@ type Options struct {
 	// Zero (the default) keeps the schedule fully deterministic, which
 	// the paper-fidelity runs depend on.
 	BackoffJitter float64
-	// Exec, when set, puts the endpoint in event mode: incoming messages
-	// are dispatched at their delivery instant by a port callback instead
-	// of a dedicated dispatcher process, and calls are serviced by pooled
-	// processes borrowed from this (typically shared) executor instead of
-	// a per-endpoint worker pool. An event-mode endpoint parks zero
-	// goroutines of its own — the property that lets a fleet run
-	// thousands of client endpoints — at identical virtual timing: both
-	// modes hand work off at the delivery instant through the event heap.
-	// Workers is ignored in event mode; concurrency is bounded by the
-	// executor's pool.
+	// Exec says whose pool the service processes come from. Nil gives the
+	// endpoint a private executor held to Workers concurrent calls. A
+	// caller-supplied (typically shared) executor is not held to Workers:
+	// its owner sized it for the whole fleet, and a thousand light clients
+	// then share a few dozen processes instead of parking Workers each.
 	Exec *sim.Executor
 }
 
@@ -173,7 +176,7 @@ type request struct {
 	vers uint32
 	proc uint32
 	op   uint64   // causal operation ID carried in the call header
-	enq  sim.Time // when dispatch queued it (for the srv-queue span)
+	enq  sim.Time // when handleMsg accepted it (for the srv-queue span)
 	args []byte
 }
 
@@ -183,7 +186,7 @@ type reply struct {
 }
 
 // Endpoint is a host's RPC attachment to the simulated network: it issues
-// calls, matches replies, and services incoming calls with a worker pool.
+// calls, matches replies, and services incoming calls on pooled processes.
 type Endpoint struct {
 	k       *sim.Kernel
 	net     *simnet.Network
@@ -193,7 +196,10 @@ type Endpoint struct {
 	nextXID uint32
 	pending map[uint32]*sim.Signal
 	progs   map[uint32]Handler
-	workQ   *sim.Queue[request]
+	exec    *sim.Executor
+	limit   int       // calls in service at once; 0 = unbounded (shared pool)
+	serving int       // calls in service now
+	backlog []request // accepted calls waiting for a slot, FIFO
 	dup     *dupCache
 	stats   Stats
 	stopped bool
@@ -306,8 +312,9 @@ func (m *epMetrics) observeServe(prog, proc uint32, d sim.Duration, op uint64) {
 	h.ObserveOp(int64(d), op)
 }
 
-// NewEndpoint attaches addr to net and starts its dispatcher and worker
-// processes on kernel k.
+// NewEndpoint attaches addr to net. It starts no process: service
+// processes are created on demand by the executor, up to the peak number
+// of calls ever in service together.
 func NewEndpoint(k *sim.Kernel, net *simnet.Network, addr simnet.Addr, opts Options) *Endpoint {
 	opts.fill()
 	e := &Endpoint{
@@ -318,17 +325,13 @@ func NewEndpoint(k *sim.Kernel, net *simnet.Network, addr simnet.Addr, opts Opti
 		opts:    opts,
 		pending: make(map[uint32]*sim.Signal),
 		progs:   make(map[uint32]Handler),
-		workQ:   sim.NewQueue[request](k),
+		exec:    opts.Exec,
+	}
+	if e.exec == nil {
+		e.exec, e.limit = sim.NewExecutor(k, string(addr)+"/rpc"), opts.Workers
 	}
 	e.dup = newDupCache(opts.DupCacheSize, &e.stats.DupEvictions)
-	if opts.Exec != nil {
-		e.port.SetHandler(e.handleMsg)
-		return e
-	}
-	k.Go(string(addr)+"/rpc-dispatch", e.dispatch)
-	for i := 0; i < opts.Workers; i++ {
-		k.Go(fmt.Sprintf("%s/rpc-worker%d", addr, i), e.worker)
-	}
+	e.port.SetHandler(e.handleMsg)
 	return e
 }
 
@@ -344,16 +347,21 @@ func (e *Endpoint) Workers() int { return e.opts.Workers }
 // Register installs h as the handler for program prog.
 func (e *Endpoint) Register(prog uint32, h Handler) { e.progs[prog] = h }
 
-// Stop detaches the endpoint from the network: subsequent messages to it
-// are dropped, simulating a crashed host. Worker and dispatcher processes
-// remain blocked and are reclaimed when the kernel shuts down.
+// Stop detaches the endpoint from the network, simulating a crashed host:
+// subsequent messages to it are dropped, and so are calls that were
+// accepted but not yet in service (the socket buffer dies with the host).
+// Handlers already running are not interrupted; they finish, and their
+// replies go out, as the simulation has no way to unwind them mid-call.
 func (e *Endpoint) Stop() {
 	e.stopped = true
 	e.net.Unlisten(e.addr)
+	e.backlog = nil
 }
 
 // Restart reattaches a stopped endpoint, simulating reboot. Pending state
 // (the duplicate cache, in-flight calls) is discarded, as a reboot would.
+// The pool is the same one: handlers that were running at Stop and have
+// not finished still count against Workers.
 func (e *Endpoint) Restart() {
 	if !e.stopped {
 		return
@@ -362,14 +370,7 @@ func (e *Endpoint) Restart() {
 	e.port = e.net.Listen(e.addr)
 	e.pending = make(map[uint32]*sim.Signal)
 	e.dup = newDupCache(e.opts.DupCacheSize, &e.stats.DupEvictions)
-	if e.opts.Exec != nil {
-		e.port.SetHandler(e.handleMsg)
-		return
-	}
-	e.k.Go(string(e.addr)+"/rpc-dispatch", e.dispatch)
-	for i := 0; i < e.opts.Workers; i++ {
-		e.k.Go(fmt.Sprintf("%s/rpc-worker%d", e.addr, i), e.worker)
-	}
+	e.port.SetHandler(e.handleMsg)
 }
 
 // Call issues an RPC to program prog procedure proc at to, retransmitting
@@ -566,21 +567,10 @@ func (c *Pending) wait(p *sim.Proc) ([]byte, error) {
 	return nil, fmt.Errorf("%w: %s -> %s prog %d proc %d", ErrTimeout, e.addr, c.to, c.prog, c.proc)
 }
 
-// dispatch routes incoming messages: replies to their waiting callers,
-// calls through the duplicate cache to the worker queue. It is the
-// queue-mode receive loop; event-mode endpoints route each message
-// through handleMsg at its delivery instant instead.
-func (e *Endpoint) dispatch(p *sim.Proc) {
-	for {
-		e.handleMsg(e.port.Recv(p))
-	}
-}
-
-// handleMsg routes one incoming message. It never blocks, so it runs
-// either on the dispatch process (queue mode) or directly in scheduler
-// context at the message's delivery instant (event mode); both paths
-// hand further work off through the event heap at the same virtual
-// time, so the two modes are timing-identical.
+// handleMsg routes one incoming message: a reply to its waiting caller, a
+// call through the duplicate cache to a service process or the backlog.
+// It is the port's delivery callback, so it runs in scheduler context at
+// the message's delivery instant and never blocks.
 func (e *Endpoint) handleMsg(m simnet.Message) {
 	// Zero-copy views into the payload are sound here: the simulated
 	// network hands over a GC-owned buffer it never reuses, so a
@@ -626,25 +616,32 @@ func (e *Endpoint) handleMsg(m simnet.Message) {
 		default:
 			e.dup.start(m.From, xid)
 			req := request{from: m.From, xid: xid, prog: prog, vers: vers, proc: proc, op: op, enq: e.k.Now(), args: args}
-			if e.opts.Exec != nil {
-				e.opts.Exec.Submit(req.op, func(p *sim.Proc) { e.serveOne(p, req) }, nil)
-			} else {
-				e.workQ.Put(req)
+			if e.limit > 0 && e.serving == e.limit {
+				e.backlog = append(e.backlog, req)
+				return
 			}
+			e.serving++
+			e.exec.Submit(req.op, func(p *sim.Proc) { e.serve(p, req) }, nil)
 		}
 	}
 }
 
-// worker services one call at a time from the shared queue.
-func (e *Endpoint) worker(p *sim.Proc) {
+// serve runs req and then, without yielding, whatever has queued behind it:
+// a process that finishes a call takes the head of the backlog at that
+// same instant, and only gives its slot back when the backlog is empty.
+func (e *Endpoint) serve(p *sim.Proc, req request) {
 	for {
-		e.serveOne(p, e.workQ.Get(p))
+		e.serveOne(p, req)
+		if len(e.backlog) == 0 {
+			e.serving--
+			return
+		}
+		req, e.backlog = e.backlog[0], e.backlog[1:]
 	}
 }
 
 // serveOne runs one call through its handler and sends the reply. p is a
-// dedicated worker in queue mode or a pooled executor process in event
-// mode; either way it may block (disk access, nested RPCs).
+// pooled executor process; it may block (disk access, nested RPCs).
 func (e *Endpoint) serveOne(p *sim.Proc, req request) {
 	e.stats.CallsServed++
 	start := e.k.Now()

@@ -29,26 +29,44 @@ func echoHandler(p *sim.Proc, from simnet.Addr, proc uint32, args []byte) ([]byt
 	return e.Bytes(), StatusOK
 }
 
+// pools are the two places an endpoint's service processes can come from:
+// its own executor held to Workers, or one the caller shares out.
+var pools = []struct {
+	name string
+	exec func(*sim.Kernel) *sim.Executor
+}{
+	{"own", func(*sim.Kernel) *sim.Executor { return nil }},
+	{"shared", func(k *sim.Kernel) *sim.Executor { return sim.NewExecutor(k, "shared") }},
+}
+
 func TestCallReply(t *testing.T) {
-	k := sim.NewKernel(1)
-	client, server := newPair(k, simnet.Config{PropDelay: sim.Millisecond}, Options{})
-	server.Register(testProg, echoHandler)
-	var got []byte
-	var err error
-	k.Go("caller", func(p *sim.Proc) {
-		got, err = client.Call(p, "server", testProg, 1, 7, []byte("abcd"))
-		k.Stop()
-	})
-	k.Run()
-	if err != nil {
-		t.Fatalf("call failed: %v", err)
-	}
-	d := xdr.NewDecoder(got)
-	if d.Uint32() != 7 || string(d.FixedOpaque(4)) != "abcd" {
-		t.Errorf("bad reply %x", got)
-	}
-	if client.Stats().CallsSent != 1 || server.Stats().CallsServed != 1 {
-		t.Errorf("stats client %+v server %+v", client.Stats(), server.Stats())
+	for _, pool := range pools {
+		t.Run(pool.name, func(t *testing.T) {
+			k := sim.NewKernel(1)
+			ex := pool.exec(k)
+			client, server := newPair(k, simnet.Config{PropDelay: sim.Millisecond}, Options{Exec: ex})
+			server.Register(testProg, echoHandler)
+			var got []byte
+			var err error
+			k.Go("caller", func(p *sim.Proc) {
+				got, err = client.Call(p, "server", testProg, 1, 7, []byte("abcd"))
+				k.Stop()
+			})
+			k.Run()
+			if err != nil {
+				t.Fatalf("call failed: %v", err)
+			}
+			d := xdr.NewDecoder(got)
+			if d.Uint32() != 7 || string(d.FixedOpaque(4)) != "abcd" {
+				t.Errorf("bad reply %x", got)
+			}
+			if client.Stats().CallsSent != 1 || server.Stats().CallsServed != 1 {
+				t.Errorf("stats client %+v server %+v", client.Stats(), server.Stats())
+			}
+			if ex != nil && ex.Jobs() != 1 {
+				t.Errorf("shared executor ran %d jobs, want the one call", ex.Jobs())
+			}
+		})
 	}
 }
 
@@ -276,7 +294,10 @@ func TestUnregisteredProgram(t *testing.T) {
 	}
 }
 
-func TestWorkerPoolLimitsConcurrency(t *testing.T) {
+// peakInService fires six concurrent calls at a Workers: 2 server whose
+// handler holds its thread for 10 ms, optionally crashing and rebooting
+// the server first, and returns the most handlers ever running at once.
+func peakInService(t *testing.T, reboot bool) int {
 	k := sim.NewKernel(1)
 	client, server := newPair(k, simnet.Config{}, Options{Workers: 2, CallTimeout: 10 * sim.Second})
 	inside, maxInside := 0, 0
@@ -289,51 +310,106 @@ func TestWorkerPoolLimitsConcurrency(t *testing.T) {
 		inside--
 		return nil, StatusOK
 	})
+	if reboot {
+		server.Stop()
+		server.Restart()
+	}
 	wg := sim.NewWaitGroup(k, 6)
 	for i := 0; i < 6; i++ {
 		k.Go("caller", func(p *sim.Proc) {
-			client.Call(p, "server", testProg, 1, 1, nil)
+			if _, err := client.Call(p, "server", testProg, 1, 1, nil); err != nil {
+				t.Errorf("call: %v", err)
+			}
 			wg.Done()
 		})
 	}
 	k.Go("join", func(p *sim.Proc) { wg.Wait(p); k.Stop() })
 	k.Run()
-	if maxInside != 2 {
-		t.Errorf("max handler concurrency %d, want 2", maxInside)
+	return maxInside
+}
+
+func TestWorkerPoolLimitsConcurrency(t *testing.T) {
+	if peak := peakInService(t, false); peak != 2 {
+		t.Errorf("max handler concurrency %d, want 2", peak)
+	}
+}
+
+// TestRestartKeepsPoolSize: a rebooted server still has N threads, not
+// the N it crashed with plus N more.
+func TestRestartKeepsPoolSize(t *testing.T) {
+	if peak := peakInService(t, true); peak != 2 {
+		t.Errorf("max handler concurrency after Stop/Restart %d, want 2", peak)
+	}
+}
+
+// TestStopDiscardsQueuedCalls: a crash loses the calls that were waiting
+// for a thread along with the socket buffer they sat in; the one already
+// in its handler runs to completion.
+func TestStopDiscardsQueuedCalls(t *testing.T) {
+	k := sim.NewKernel(1)
+	client, server := newPair(k, simnet.Config{},
+		Options{Workers: 1, CallTimeout: 100 * sim.Millisecond, MaxRetries: 1})
+	server.Register(testProg, func(p *sim.Proc, from simnet.Addr, proc uint32, args []byte) ([]byte, Status) {
+		p.Sleep(10 * sim.Millisecond)
+		return nil, StatusOK
+	})
+	wg := sim.NewWaitGroup(k, 3)
+	for i := 0; i < 3; i++ {
+		k.Go("caller", func(p *sim.Proc) {
+			client.Call(p, "server", testProg, 1, 1, nil)
+			wg.Done()
+		})
+	}
+	k.Go("crash", func(p *sim.Proc) {
+		p.Sleep(5 * sim.Millisecond) // one call in service, two queued behind it
+		server.Stop()
+		wg.Wait(p)
+		k.Stop()
+	})
+	k.Run()
+	if served := server.Stats().CallsServed; served != 1 {
+		t.Errorf("served %d calls, want only the one running at the crash", served)
 	}
 }
 
 func TestCallbackFromServerToClient(t *testing.T) {
 	// The SNFS shape: while servicing a call, the server issues a nested
 	// RPC back to the client, which must service it (the client is also
-	// an RPC server) before the original call completes.
-	k := sim.NewKernel(1)
-	client, server := newPair(k, simnet.Config{PropDelay: sim.Millisecond}, Options{Workers: 2, CallTimeout: sim.Second})
-	const callbackProg = 200
-	callbackServed := false
-	client.Register(callbackProg, func(p *sim.Proc, from simnet.Addr, proc uint32, args []byte) ([]byte, Status) {
-		callbackServed = true
-		return []byte("cb-ok"), StatusOK
-	})
-	server.Register(testProg, func(p *sim.Proc, from simnet.Addr, proc uint32, args []byte) ([]byte, Status) {
-		body, err := server.Call(p, from, callbackProg, 1, 1, nil)
-		if err != nil || string(body) != "cb-ok" {
-			return nil, StatusSystemErr
-		}
-		return []byte("done"), StatusOK
-	})
-	var err error
-	var body []byte
-	k.Go("caller", func(p *sim.Proc) {
-		body, err = client.Call(p, "server", testProg, 1, 1, nil)
-		k.Stop()
-	})
-	k.Run()
-	if err != nil || string(body) != "done" {
-		t.Fatalf("call = %q, %v", body, err)
-	}
-	if !callbackServed {
-		t.Error("callback never reached the client")
+	// an RPC server) before the original call completes. A fleet client
+	// serves its callbacks from the shared pool.
+	for _, pool := range pools {
+		t.Run(pool.name, func(t *testing.T) {
+			k := sim.NewKernel(1)
+			n := simnet.New(k, simnet.Config{PropDelay: sim.Millisecond})
+			client := NewEndpoint(k, n, "client", Options{Workers: 2, Exec: pool.exec(k)})
+			server := NewEndpoint(k, n, "server", Options{Workers: 2})
+			const callbackProg = 200
+			callbackServed := false
+			client.Register(callbackProg, func(p *sim.Proc, from simnet.Addr, proc uint32, args []byte) ([]byte, Status) {
+				callbackServed = true
+				return []byte("cb-ok"), StatusOK
+			})
+			server.Register(testProg, func(p *sim.Proc, from simnet.Addr, proc uint32, args []byte) ([]byte, Status) {
+				body, err := server.Call(p, from, callbackProg, 1, 1, nil)
+				if err != nil || string(body) != "cb-ok" {
+					return nil, StatusSystemErr
+				}
+				return []byte("done"), StatusOK
+			})
+			var err error
+			var body []byte
+			k.Go("caller", func(p *sim.Proc) {
+				body, err = client.Call(p, "server", testProg, 1, 1, nil)
+				k.Stop()
+			})
+			k.Run()
+			if err != nil || string(body) != "done" {
+				t.Fatalf("call = %q, %v", body, err)
+			}
+			if !callbackServed {
+				t.Error("callback never reached the client")
+			}
+		})
 	}
 }
 
@@ -356,6 +432,98 @@ func TestStopAndRestartEndpoint(t *testing.T) {
 	}
 	if errUp != nil {
 		t.Errorf("call after restart: %v", errUp)
+	}
+}
+
+// TestRetransmitBridgesOutage: a call issued while the server is down is
+// answered by a retransmission that lands after Restart re-armed the port.
+func TestRetransmitBridgesOutage(t *testing.T) {
+	for _, pool := range pools {
+		t.Run(pool.name, func(t *testing.T) {
+			k := sim.NewKernel(1)
+			n := simnet.New(k, simnet.Config{PropDelay: sim.Millisecond})
+			client := NewEndpoint(k, n, "client", Options{CallTimeout: 100 * sim.Millisecond, MaxRetries: 8})
+			server := NewEndpoint(k, n, "server", Options{Exec: pool.exec(k)})
+			server.Register(testProg, echoHandler)
+			k.Go("crash", func(p *sim.Proc) {
+				p.Sleep(10 * sim.Millisecond)
+				server.Stop()
+				p.Sleep(300 * sim.Millisecond)
+				server.Restart()
+			})
+			var err error
+			k.Go("caller", func(p *sim.Proc) {
+				p.Sleep(20 * sim.Millisecond) // issue while the server is down
+				_, err = client.Call(p, "server", testProg, 1, 7, []byte("x"))
+				k.Stop()
+			})
+			k.Run()
+			if err != nil {
+				t.Fatalf("call across restart failed: %v", err)
+			}
+		})
+	}
+}
+
+// TestServiceTiming pins the service discipline to literal instants: N
+// threads, FIFO, a freed thread taking the next call at the instant it
+// finishes. The instants (µs) were recorded from the dispatcher-process
+// and worker-pool implementation this package had before it served calls
+// from an executor; caller i sends 256 bytes to a handler that holds its
+// thread for i ms.
+func TestServiceTiming(t *testing.T) {
+	for _, c := range []struct {
+		callers, workers int
+		want             []sim.Time
+	}{
+		{4, 4, []sim.Time{3525, 4795, 6065, 7335}},
+		// Beyond Workers: calls 3..6 each wait for the earlier of the two
+		// running handlers to finish.
+		{6, 2, []sim.Time{3525, 4795, 6525, 8795, 11525, 14795}},
+	} {
+		t.Run(fmt.Sprintf("%dcallers_%dworkers", c.callers, c.workers), func(t *testing.T) {
+			k := sim.NewKernel(1)
+			n := simnet.New(k, simnet.Config{PropDelay: sim.Millisecond, BytesPerSec: 1 << 20})
+			client := NewEndpoint(k, n, "client", Options{})
+			server := NewEndpoint(k, n, "server", Options{Workers: c.workers})
+			var order []uint32
+			inside, peak := 0, 0
+			server.Register(testProg, func(p *sim.Proc, from simnet.Addr, proc uint32, args []byte) ([]byte, Status) {
+				order = append(order, proc)
+				inside++
+				if inside > peak {
+					peak = inside
+				}
+				p.Sleep(sim.Duration(proc) * sim.Millisecond)
+				inside--
+				return args, StatusOK
+			})
+			var times []sim.Time
+			wg := sim.NewWaitGroup(k, c.callers)
+			for i := 1; i <= c.callers; i++ {
+				proc := uint32(i)
+				k.Go("caller", func(p *sim.Proc) {
+					if _, err := client.Call(p, "server", testProg, 1, proc, make([]byte, 256)); err != nil {
+						t.Errorf("proc %d: %v", proc, err)
+					}
+					times = append(times, k.Now())
+					wg.Done()
+				})
+			}
+			k.Go("join", func(p *sim.Proc) { wg.Wait(p); k.Stop() })
+			k.Run()
+			if fmt.Sprint(times) != fmt.Sprint(c.want) {
+				t.Errorf("completion instants %v, want %v", times, c.want)
+			}
+			for i, proc := range order {
+				if proc != uint32(i+1) {
+					t.Fatalf("service order %v, want arrival order", order)
+				}
+			}
+			if peak != c.workers {
+				t.Errorf("peak handler concurrency %d, want %d", peak, c.workers)
+			}
+		})
 	}
 }
 
