@@ -219,22 +219,22 @@ func main() {
 				}
 			}
 			if len(spansDoc) > 0 {
-				if err := writeSpansFile(w, "spans-scale.json", spansDoc); err != nil {
+				if err := writeOutput(w, "span breakdown", "spans-scale.json", asJSON(spansDoc)); err != nil {
 					return err
 				}
 			}
 			if tl := lastTimeline(out[harness.SNFS]); tl != nil {
-				if err := writeTimelineFile(w, "timeline.json", tl); err != nil {
+				if err := writeOutput(w, "timeline", "timeline.json", tl.WriteJSON); err != nil {
 					return err
 				}
 			}
 			if tl := lastTimeline(out[harness.NFS]); tl != nil {
-				if err := writeTimelineFile(w, "timeline-nfs.json", tl); err != nil {
+				if err := writeOutput(w, "timeline", "timeline-nfs.json", tl.WriteJSON); err != nil {
 					return err
 				}
 			}
 			if csvOut {
-				if err := writeCSVFile(w, "scale.csv", func(f io.Writer) error {
+				if err := writeOutput(w, "\nCSV", "scale.csv", func(f io.Writer) error {
 					if _, err := fmt.Fprintln(f, harness.ScaleCSVHeader); err != nil {
 						return err
 					}
@@ -245,7 +245,7 @@ func main() {
 				}); err != nil {
 					return err
 				}
-				return writeCSVFile(w, "BENCH_scale.json", func(f io.Writer) error {
+				return writeOutput(w, "\nCSV", "BENCH_scale.json", func(f io.Writer) error {
 					return writeScaleJSON(f, out)
 				})
 			}
@@ -333,20 +333,7 @@ func latencyExperiment(w io.Writer, pm harness.Params) error {
 			path = filepath.Join(outDir, "andrew-trace.json")
 		}
 	}
-	if dir := filepath.Dir(path); dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
-		}
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := tr.WriteChrome(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
+	if err := writeFile(path, tr.WriteChrome); err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "\nChrome trace written to %s (%d events recorded, %d dropped)\n",
@@ -354,29 +341,14 @@ func latencyExperiment(w io.Writer, pm harness.Params) error {
 	if run.Spans != nil {
 		fmt.Fprintln(w)
 		run.Spans.Render(w)
-		if err := writeSpansFile(w, "spans-latency.json", run.Spans); err != nil {
+		if err := writeOutput(w, "span breakdown", "spans-latency.json", asJSON(run.Spans)); err != nil {
 			return err
 		}
 		// The captured trees also export as a nested Chrome trace: each
 		// slow op becomes a process track with one row per tree depth.
-		dir := outDir
-		if dir == "" {
-			dir = "results"
-		}
-		spath := filepath.Join(dir, "andrew-spans-trace.json")
-		sf, err := os.Create(spath)
-		if err != nil {
-			return err
-		}
-		if err := trace.WriteChromeSpans(sf, run.Spans.SlowOps); err != nil {
-			sf.Close()
-			return err
-		}
-		if err := sf.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "nested span trace written to %s\n", spath)
-		return nil
+		return writeOutput(w, "nested span trace", "andrew-spans-trace.json", func(f io.Writer) error {
+			return trace.WriteChromeSpans(f, run.Spans.SlowOps)
+		})
 	}
 	return nil
 }
@@ -461,30 +433,45 @@ func writeScaleJSON(f io.Writer, out map[harness.Proto][]harness.ScalePoint) err
 	return enc.Encode(doc)
 }
 
-// writeCSVFile creates name under -o (default results/), fills it via
-// fn, and notes the path on the experiment's output.
-func writeCSVFile(w io.Writer, name string, fn func(f io.Writer) error) error {
-	dir := outDir
-	if dir == "" {
-		dir = "results"
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+// writeFile creates path (and its directory), fills it via fill, and
+// closes it.
+func writeFile(path string, fill func(f io.Writer) error) error {
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return err
 	}
-	path := filepath.Join(dir, name)
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := fn(f); err != nil {
+	if err := fill(f); err != nil {
 		f.Close()
 		return err
 	}
-	if err := f.Close(); err != nil {
+	return f.Close()
+}
+
+// writeOutput creates name under -o (default results/), fills it via
+// fill, and notes "<what> written to <path>" on the experiment's output.
+func writeOutput(w io.Writer, what, name string, fill func(f io.Writer) error) error {
+	dir := outDir
+	if dir == "" {
+		dir = "results"
+	}
+	path := filepath.Join(dir, name)
+	if err := writeFile(path, fill); err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "\nCSV written to %s\n", path)
+	fmt.Fprintf(w, "%s written to %s\n", what, path)
 	return nil
+}
+
+// asJSON fills a file with v as indented JSON.
+func asJSON(v any) func(f io.Writer) error {
+	return func(f io.Writer) error {
+		enc := json.NewEncoder(f)
+		enc.SetIndent("", "  ")
+		return enc.Encode(v)
+	}
 }
 
 // rpcMinReduction is the acceptance floor for the attribute-piggybacking
@@ -583,24 +570,20 @@ func rpcExperiment(w io.Writer, pm harness.Params) error {
 				100*pj.Reduction, 100*rpcMinReduction)
 		}
 		if pr == harness.SNFS && arun.Timeline != nil {
-			if err := writeTimelineFile(w, "timeline-rpc.json", arun.Timeline); err != nil {
+			if err := writeOutput(w, "timeline", "timeline-rpc.json", arun.Timeline.WriteJSON); err != nil {
 				return err
 			}
 		}
 		if pr == harness.SNFS && arun.Spans != nil {
 			fmt.Fprintf(w, "\narmed %s run:\n", pr)
 			arun.Spans.Render(w)
-			if err := writeSpansFile(w, "spans-rpc.json", arun.Spans); err != nil {
+			if err := writeOutput(w, "span breakdown", "spans-rpc.json", asJSON(arun.Spans)); err != nil {
 				return err
 			}
 		}
 	}
 	fmt.Fprintf(w, "\narmed SNFS run audited: zero protocol violations\n")
-	return writeCSVFile(w, "BENCH_rpc.json", func(f io.Writer) error {
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		return enc.Encode(doc)
-	})
+	return writeOutput(w, "\nCSV", "BENCH_rpc.json", asJSON(doc))
 }
 
 // clusterScaleExperiment sweeps client counts across the -shards shard
@@ -629,12 +612,12 @@ func clusterScaleExperiment(w io.Writer, pm harness.Params) error {
 		prev = n
 	}
 	if tl := lastTimeline(out[shardCounts[len(shardCounts)-1]]); tl != nil {
-		if err := writeTimelineFile(w, "timeline-cluster.json", tl); err != nil {
+		if err := writeOutput(w, "timeline", "timeline-cluster.json", tl.WriteJSON); err != nil {
 			return err
 		}
 	}
 	if csvOut {
-		return writeCSVFile(w, "cluster-scale.csv", func(f io.Writer) error {
+		return writeOutput(w, "\nCSV", "cluster-scale.csv", func(f io.Writer) error {
 			if _, err := fmt.Fprintln(f, harness.ScaleCSVHeader); err != nil {
 				return err
 			}
@@ -668,60 +651,6 @@ func lastSpans(pts []harness.ScalePoint) *span.Summary {
 			return pts[i].Spans
 		}
 	}
-	return nil
-}
-
-// writeSpansFile writes a span summary document as JSON under -o
-// (default results/).
-func writeSpansFile(w io.Writer, name string, v any) error {
-	dir := outDir
-	if dir == "" {
-		dir = "results"
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	path := filepath.Join(dir, name)
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "span breakdown written to %s\n", path)
-	return nil
-}
-
-// writeTimelineFile writes a sampled timeline as JSON under -o (default
-// results/).
-func writeTimelineFile(w io.Writer, name string, tl *tsdb.Timeline) error {
-	dir := outDir
-	if dir == "" {
-		dir = "results"
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	path := filepath.Join(dir, name)
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := tl.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "timeline written to %s\n", path)
 	return nil
 }
 
@@ -932,25 +861,19 @@ func failoverExperiment(w io.Writer, pm harness.Params) error {
 	fmt.Fprintln(w, "audit clean: zero protocol violations across all shards")
 
 	if outDir != "" {
-		if err := os.MkdirAll(outDir, 0o755); err != nil {
+		if err := writeOutput(w, "viewservice transition log", "view.log", func(f io.Writer) error {
+			_, err := io.WriteString(f, viewLog.String())
+			return err
+		}); err != nil {
 			return err
 		}
-		path := filepath.Join(outDir, "view.log")
-		if err := os.WriteFile(path, []byte(viewLog.String()), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "viewservice transition log written to %s\n", path)
 		if pt.Flight != nil {
-			fpath := filepath.Join(outDir, "failover-flight.txt")
-			f, err := os.Create(fpath)
-			if err != nil {
+			if err := writeOutput(w, "killed shard's flight dump", "failover-flight.txt", func(f io.Writer) error {
+				pt.Flight.WriteText(f, "failover")
+				return nil
+			}); err != nil {
 				return err
 			}
-			pt.Flight.WriteText(f, "failover")
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "killed shard's flight dump written to %s\n", fpath)
 		}
 	}
 	doc := failoverJSON{
@@ -968,11 +891,7 @@ func failoverExperiment(w io.Writer, pm harness.Params) error {
 		HealBoundS:   failoverHealBound,
 		Redirects:    pt.Redirects,
 	}
-	return writeCSVFile(w, "BENCH_failover.json", func(f io.Writer) error {
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		return enc.Encode(doc)
-	})
+	return writeOutput(w, "\nCSV", "BENCH_failover.json", asJSON(doc))
 }
 
 // traceDemo runs the sequential write-sharing scenario with full tracing

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -167,9 +166,5 @@ func scenarioExperiment(w io.Writer, pm harness.Params) error {
 			pr, pj.SustainableClients, scenarioKnee, counts[0])
 	}
 
-	return writeCSVFile(w, "BENCH_scenario.json", func(f io.Writer) error {
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		return enc.Encode(doc)
-	})
+	return writeOutput(w, "\nCSV", "BENCH_scenario.json", asJSON(doc))
 }

@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -230,9 +229,5 @@ func wireExperiment(w io.Writer) error {
 		return fmt.Errorf("wire: depth-8 pipelining only %.2fx over lockstep, want >= %.1fx",
 			doc.Pipeline.Speedup8, wireMinSpeedup)
 	}
-	return writeCSVFile(w, "BENCH_wire.json", func(f io.Writer) error {
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		return enc.Encode(doc)
-	})
+	return writeOutput(w, "\nCSV", "BENCH_wire.json", asJSON(doc))
 }

@@ -14,9 +14,9 @@ const (
 	// an adaptive window after the last server fetch — one tenth of the
 	// file's age, clamped to [ProbeMin, ProbeMax] — then re-probed.
 	attrPolicyProbe attrPolicy = iota
-	// attrPolicyProtocol is the Spritely rule: the consistency protocol
-	// keeps cached attributes valid exactly while caching is enabled for
-	// the file; no timer is involved.
+	// attrPolicyProtocol is the Spritely rule, which RFS follows too: the
+	// consistency protocol keeps cached attributes valid exactly while
+	// caching is enabled for the file; no timer is involved.
 	attrPolicyProtocol
 )
 

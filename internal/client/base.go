@@ -1,5 +1,7 @@
-// Package client implements the two client file systems the paper
-// compares:
+// Package client implements the client file systems the paper compares.
+// Base is the one client file system — name translation, the namespace
+// operations, the block cache and both write pipelines; each protocol
+// adds only its consistency policy:
 //
 //   - NFSClient: the Ultrix-vintage reference-port behaviour — periodic
 //     attribute probes (adaptive 3–150 s), a getattr consistency check on
@@ -15,7 +17,14 @@
 //     uncachable (write-shared) files, callback service, and the §6.2
 //     delayed-close extension plus crash recovery as options.
 //
-// Both implement vfs.FS, so workloads run identically over either.
+//   - RFSClient: the §2.5 comparison point — SNFS's open/close RPCs and
+//     version validation with NFS's write-through, kept consistent by
+//     the server's invalidate-on-write callbacks.
+//
+// All implement vfs.FS, so workloads run identically over any of them.
+// Every vfs.FS and vfs.File entry point mints one causal op ID
+// (sim.Proc.BeginOp) as its first act, so each syscall is one chain in
+// traces, spans and the audit journal.
 package client
 
 import (
@@ -37,7 +46,7 @@ import (
 	"spritelynfs/internal/xdr"
 )
 
-// Config holds client parameters shared by both protocols.
+// Config holds client parameters shared by all protocols.
 type Config struct {
 	// Server is the file server's network address.
 	Server simnet.Addr
@@ -120,7 +129,9 @@ type node struct {
 	rec core.FileRecord
 }
 
-// Base is the machinery shared by both clients.
+// Base is the client file system all three protocols share. It carries no
+// protocol identity: what a protocol adds inside a shared operation is a
+// field its constructor sets once.
 type Base struct {
 	k     *sim.Kernel
 	ep    *rpc.Endpoint
@@ -146,8 +157,19 @@ type Base struct {
 
 	// nameGet/namePut, when set (the SNFS §7 name-cache extension),
 	// serve and record name translations around the lookup RPC.
-	nameGet func(dir proto.Handle, name string) (proto.Handle, bool)
-	namePut func(p *sim.Proc, dir proto.Handle, name string, h proto.Handle)
+	// nameSet records this client's own namespace change (a zero handle
+	// means the name is gone) and nameForget drops every translation
+	// cached under a directory; the shared namespace operations call
+	// them after the server accepts the change.
+	nameGet    func(dir proto.Handle, name string) (proto.Handle, bool)
+	namePut    func(p *sim.Proc, dir proto.Handle, name string, h proto.Handle)
+	nameSet    func(dir proto.Handle, name string, h proto.Handle)
+	nameForget func(dir proto.Handle)
+	// cancelOnRemove is set by a client that delays writes: removing a
+	// file's last link cancels its delayed writes (§4.2.3), and does so
+	// before the remove RPC so that a racing update-daemon pass cannot
+	// resurrect them.
+	cancelOnRemove bool
 
 	tracer *trace.Tracer
 
@@ -548,16 +570,17 @@ func (b *Base) walkParent(p *sim.Proc, rel string) (proto.Handle, string, error)
 	return dir, comps[len(comps)-1], nil
 }
 
-// sortedNodeInos returns the known file inos in ascending order: map
+// sortedNodes returns the known files in ascending ino order: map
 // iteration order is randomized, and the order RPCs are issued in moves
-// the simulated clock, so deterministic runs need a stable order.
-func (b *Base) sortedNodeInos() []uint64 {
-	inos := make([]uint64, 0, len(b.nodes))
-	for ino := range b.nodes {
-		inos = append(inos, ino)
+// the simulated clock, so every loop that talks to the network per node
+// needs a stable order.
+func (b *Base) sortedNodes() []*node {
+	nodes := make([]*node, 0, len(b.nodes))
+	for _, n := range b.nodes {
+		nodes = append(nodes, n)
 	}
-	sort.Slice(inos, func(i, j int) bool { return inos[i] < inos[j] })
-	return inos
+	sort.Slice(nodes, func(i, j int) bool { return nodes[i].h.Ino < nodes[j].h.Ino })
+	return nodes
 }
 
 // key builds the cache key for a block of a file.
@@ -921,11 +944,387 @@ func (b *Base) writeToCache(p *sim.Proc, n *node, off int64, data []byte, markDi
 	return touched, nil
 }
 
-// linkOps implements the vfs Link/Symlink/Readlink surface shared by all
-// three client protocols (plain namespace mutations, like mkdir).
+// flushBlockSync writes one dirty block back synchronously.
+func (b *Base) flushBlockSync(p *sim.Proc, n *node, blk int64) error {
+	key := b.key(n.h.Ino, blk)
+	cb, ok := b.cache.Lookup(key)
+	if !ok || !cb.Dirty {
+		return nil
+	}
+	off := blk * int64(b.cfg.BlockSize)
+	attr, err := b.writeBack(p, n, off, cb.Data[:cb.Len])
+	if err != nil {
+		return err
+	}
+	b.cache.MarkClean(key)
+	b.attrs.ingestOwn(n, attr, p.Now())
+	return nil
+}
+
+// pushBlockAsync hands a completed block to a biod (write-through without
+// blocking the application); with no biod free the caller writes
+// synchronously, as Unix did.
+func (b *Base) pushBlockAsync(p *sim.Proc, n *node, blk int64) error {
+	key := b.key(n.h.Ino, blk)
+	cb, ok := b.cache.Lookup(key)
+	if !ok || !cb.Dirty {
+		return nil
+	}
+	if !b.biods.TryAcquire() {
+		return b.flushBlockSync(p, n, blk)
+	}
+	n.pending.Add(1)
+	data := make([]byte, cb.Len)
+	copy(data, cb.Data[:cb.Len])
+	b.cache.MarkClean(key)
+	off := blk * int64(b.cfg.BlockSize)
+	op := p.Op()
+	b.k.Go("biod-w", func(wp *sim.Proc) {
+		if b.spans != nil {
+			// Tag the biod with the pushing syscall's op so its
+			// write-back traces under that op (or as background
+			// once the syscall has finished). Only when spans are
+			// armed — untagged runs stay byte-identical.
+			wp.SetOp(op)
+		}
+		defer b.biods.Release()
+		defer n.pending.Done()
+		attr, err := b.writeBack(wp, n, off, data)
+		if err != nil {
+			n.werr = err
+			return
+		}
+		b.attrs.ingestOwn(n, attr, wp.Now())
+	})
+	return nil
+}
+
+// writeThrough is the write policy NFS and RFS share (§2.1 and footnote
+// 4): the data lands in the cache and every block the write completed
+// goes to the server through the biods. A partial tail block stays
+// delayed until it fills or the file is synced — unless eagerTail sends
+// it synchronously now.
+func (b *Base) writeThrough(p *sim.Proc, n *node, off int64, data []byte, eagerTail bool) (int, error) {
+	touched, err := b.writeToCache(p, n, off, data, true)
+	if err != nil {
+		return 0, err
+	}
+	for _, blk := range touched {
+		cb, ok := b.cache.Lookup(b.key(n.h.Ino, blk))
+		if !ok || !cb.Dirty {
+			continue
+		}
+		if cb.Len == b.cfg.BlockSize {
+			err = b.pushBlockAsync(p, n, blk)
+		} else if eagerTail {
+			err = b.flushBlockSync(p, n, blk)
+		}
+		if err != nil {
+			return 0, err
+		}
+	}
+	return len(data), nil
+}
+
+// syncFile finishes n's write-through, as close and fsync must (§2.1):
+// the delayed partial blocks go out synchronously, the biods drain, one
+// COMMIT covers everything that went out unstable — the whole file
+// reaches the disk in gathered arm operations — and the first
+// asynchronous write error surfaces. what names the biod-wait span.
+func (b *Base) syncFile(p *sim.Proc, n *node, what string) error {
+	var err error
+	for _, blk := range b.cache.DirtyBlocks(b.cfg.Root.FSID, n.h.Ino) {
+		if e := b.flushBlockSync(p, n, blk.Key.Block); e != nil && err == nil {
+			err = e
+		}
+	}
+	bw := b.span(p, span.BiodWait, what)
+	n.pending.Wait(p)
+	bw.End()
+	if e := b.commit(p, n); e != nil && err == nil {
+		err = e
+	}
+	if n.werr != nil && err == nil {
+		err = n.werr
+		n.werr = nil
+	}
+	return err
+}
+
+// flushBlocks is one update pass over the given dirty blocks: each
+// streams to the server, then one COMMIT per touched file lands them in
+// gathered arm operations. Every block is re-validated immediately
+// before its write — a callback or a delete arriving while an earlier
+// write was in flight may have cancelled it — and a block whose write
+// fails stays dirty for the next pass.
+func (b *Base) flushBlocks(p *sim.Proc, blocks []*cache.Block) {
+	var flushed []*node
+	for _, blk := range blocks {
+		cur, ok := b.cache.Lookup(blk.Key)
+		if !ok || !cur.Dirty {
+			continue
+		}
+		n, ok := b.nodes[blk.Key.Ino]
+		if !ok {
+			b.cache.MarkClean(blk.Key)
+			continue
+		}
+		off := blk.Key.Block * int64(b.cfg.BlockSize)
+		if _, err := b.writeBack(p, n, off, cur.Data[:cur.Len]); err != nil {
+			continue
+		}
+		// blocks arrive in file order, so one file's are adjacent.
+		if len(flushed) == 0 || flushed[len(flushed)-1] != n {
+			flushed = append(flushed, n)
+		}
+		b.cache.MarkClean(blk.Key)
+	}
+	for _, n := range flushed {
+		b.commit(p, n)
+	}
+}
+
+// SyncAll implements vfs.FS as one explicit update pass over every dirty
+// block. (NFS overrides it: its blocks are mostly in flight on the biods,
+// not dirty in the cache.)
+func (b *Base) SyncAll(p *sim.Proc) {
+	p.BeginOp()
+	b.flushBlocks(p, b.cache.AllDirty())
+}
+
+// fileAttr returns an open file's attributes through the attribute
+// cache, with the length this client's own unflushed writes have reached
+// (never for a write-shared file, whose length other writers move).
+func (b *Base) fileAttr(p *sim.Proc, n *node) (proto.Fattr, error) {
+	a, _, err := b.attrs.get(p, n, false)
+	if err != nil {
+		return proto.Fattr{}, err
+	}
+	if n.size > a.Size && !b.attrs.writeShared(n) {
+		a.Size = n.size
+	}
+	return a, nil
+}
+
+// closeRPC reports a close to a server that tracks opens.
+func (b *Base) closeRPC(p *sim.Proc, h proto.Handle, write bool) error {
+	body, err := b.call(p, proto.ProcClose, &proto.CloseArgs{
+		Handle: h, WriteMode: write, WantAttr: b.cfg.AttrPiggyback,
+	})
+	if err != nil {
+		return err
+	}
+	return b.decodeWcc(p, body).Err()
+}
+
+// list fetches a directory's entries with one RPC: READDIRPLUS-style when
+// piggybacking is armed (priming the attribute cache for the stats that
+// typically follow a listing), the plain readdir otherwise.
+func (b *Base) list(p *sim.Proc, h proto.Handle) ([]proto.DirEntry, error) {
+	if b.cfg.AttrPiggyback {
+		return b.readdirAttrs(p, h)
+	}
+	body, err := b.call(p, proto.ProcReaddir, &proto.HandleArgs{Handle: h})
+	if err != nil {
+		return nil, err
+	}
+	r := proto.DecodeReaddirReply(xdr.NewDecoder(body))
+	if r.Status != proto.OK {
+		return nil, r.Status.Err()
+	}
+	return r.Entries, nil
+}
+
+// listOpened lists rel as a server that tracks opens sees it: the GFS
+// layer opens directories like files, so open and close RPCs bracket the
+// listing — the source of SNFS's small ScanDir handicap in Table 5-1.
+// open is the caller's open RPC.
+func (b *Base) listOpened(p *sim.Proc, rel string, open func(p *sim.Proc, n *node, write bool) error) ([]proto.DirEntry, error) {
+	h, err := b.walkNoAttr(p, rel)
+	if err != nil {
+		return nil, err
+	}
+	n := b.getNode(h)
+	if err := open(p, n, false); err != nil {
+		return nil, err
+	}
+	entries, err := b.list(p, h)
+	n.rec.Close(false)
+	if cerr := b.closeRPC(p, h, false); cerr != nil && err == nil {
+		err = cerr
+	}
+	return entries, err
+}
+
+// create is the create arm of an open; it returns the file's node.
+func (b *Base) create(p *sim.Proc, rel string, mode uint32) (*node, error) {
+	dir, name, err := b.walkParent(p, rel)
+	if err != nil {
+		return nil, err
+	}
+	body, err := b.call(p, proto.ProcCreate, &proto.CreateArgs{Dir: dir, Name: name, Mode: mode})
+	if err != nil {
+		return nil, err
+	}
+	r := proto.DecodeHandleReply(xdr.NewDecoder(body))
+	if r.Status != proto.OK {
+		return nil, r.Status.Err()
+	}
+	n := b.getNode(r.Handle)
+	// The server's create truncates a file that already exists.
+	b.emptied(p, n, r.Attr)
+	if b.nameSet != nil {
+		b.nameSet(dir, name, r.Handle)
+	}
+	return n, nil
+}
+
+// truncate is the truncate arm of an open.
+func (b *Base) truncate(p *sim.Proc, n *node) error {
+	body, err := b.call(p, proto.ProcSetattr, &proto.SetattrArgs{Handle: n.h, SetSize: true, Size: 0})
+	if err != nil {
+		return err
+	}
+	r := proto.DecodeAttrReply(xdr.NewDecoder(body))
+	if r.Status != proto.OK {
+		return r.Status.Err()
+	}
+	b.emptied(p, n, r.Attr)
+	return nil
+}
+
+// emptied records that the server just cut n to zero length at this
+// client's request: everything cached for it is obsolete, delayed writes
+// included (InvalidateFile drops and counts them as cancelled), and the
+// local length restarts at zero.
+func (b *Base) emptied(p *sim.Proc, n *node, attr proto.Fattr) {
+	b.cache.InvalidateFile(b.cfg.Root.FSID, n.h.Ino)
+	b.attrs.ingestOwn(n, attr, p.Now())
+	n.size = 0
+}
+
+// The namespace operations of vfs.FS, promoted to every client.
+
+// Mkdir implements vfs.FS.
+func (b *Base) Mkdir(p *sim.Proc, rel string, mode uint32) error {
+	p.BeginOp()
+	dir, name, err := b.walkParent(p, rel)
+	if err != nil {
+		return err
+	}
+	body, err := b.call(p, proto.ProcMkdir, &proto.CreateArgs{Dir: dir, Name: name, Mode: mode})
+	if err != nil {
+		return err
+	}
+	r := proto.DecodeHandleReply(xdr.NewDecoder(body))
+	if r.Status == proto.OK && b.nameSet != nil {
+		b.nameSet(dir, name, r.Handle)
+	}
+	return r.Status.Err()
+}
+
+// Remove implements vfs.FS. Writes already sent to the server cannot be
+// recalled; what the client still holds for a file whose last link goes
+// is dropped — the temp-file optimization the sort benchmark turns on
+// when those are delayed writes (§4.2.3).
+func (b *Base) Remove(p *sim.Proc, rel string) error {
+	p.BeginOp()
+	dir, name, err := b.walkParent(p, rel)
+	if err != nil {
+		return err
+	}
+	// The final component is looked up without following symlinks
+	// (unlink removes the name, not the target) and with attributes,
+	// because a hard-linked inode (nlink > 1) survives the unlink and
+	// keeps its cache and its delayed writes.
+	h, attr, err := b.lookupRPC(p, dir, name)
+	if err != nil {
+		return err
+	}
+	lastLink := attr.Nlink <= 1
+	if lastLink && b.cancelOnRemove {
+		b.cache.CancelDirty(b.cfg.Root.FSID, h.Ino)
+	}
+	body, err := b.call(p, proto.ProcRemove, &proto.DirOpArgs{
+		Dir: dir, Name: name, WantAttr: b.cfg.AttrPiggyback,
+	})
+	if err != nil {
+		return err
+	}
+	if st := b.decodeWcc(p, body); st != proto.OK {
+		return st.Err()
+	}
+	if b.nameSet != nil {
+		b.nameSet(dir, name, proto.Handle{})
+	}
+	if lastLink {
+		b.cache.InvalidateFile(b.cfg.Root.FSID, h.Ino)
+		delete(b.nodes, h.Ino)
+		if b.nameForget != nil {
+			b.nameForget(h) // in case it was a cached directory handle
+		}
+	}
+	return nil
+}
+
+// Rmdir implements vfs.FS.
+func (b *Base) Rmdir(p *sim.Proc, rel string) error {
+	p.BeginOp()
+	dir, name, err := b.walkParent(p, rel)
+	if err != nil {
+		return err
+	}
+	body, err := b.call(p, proto.ProcRmdir, &proto.DirOpArgs{Dir: dir, Name: name})
+	if err != nil {
+		return err
+	}
+	b.invalidateDirCache()
+	st := proto.DecodeStatusReply(xdr.NewDecoder(body)).Status
+	if st == proto.OK && b.nameSet != nil {
+		b.nameSet(dir, name, proto.Handle{})
+	}
+	return st.Err()
+}
+
+// Rename implements vfs.FS.
+func (b *Base) Rename(p *sim.Proc, oldrel, newrel string) error {
+	p.BeginOp()
+	sdir, sname, err := b.walkParent(p, oldrel)
+	if err != nil {
+		return err
+	}
+	ddir, dname, err := b.walkParent(p, newrel)
+	if err != nil {
+		return err
+	}
+	body, err := b.call(p, proto.ProcRename, &proto.RenameArgs{
+		SrcDir: sdir, SrcName: sname, DstDir: ddir, DstName: dname,
+		WantAttr: b.cfg.AttrPiggyback,
+	})
+	if err != nil {
+		return err
+	}
+	b.invalidateDirCache()
+	st := b.decodeWcc(p, body)
+	if st == proto.OK && b.nameForget != nil {
+		// Conservative: forget both directories' translations rather
+		// than compute the moved handle.
+		b.nameForget(sdir)
+		b.nameForget(ddir)
+	}
+	return st.Err()
+}
+
+// Stat implements vfs.FS: path resolution alone delivers attributes.
+func (b *Base) Stat(p *sim.Proc, rel string) (proto.Fattr, error) {
+	p.BeginOp()
+	_, attr, err := b.walk(p, rel)
+	return attr, err
+}
 
 // Link creates a hard link newrel to the file at oldrel.
 func (b *Base) Link(p *sim.Proc, oldrel, newrel string) error {
+	p.BeginOp()
 	from, _, err := b.walk(p, oldrel)
 	if err != nil {
 		return err
@@ -943,6 +1342,7 @@ func (b *Base) Link(p *sim.Proc, oldrel, newrel string) error {
 
 // Symlink creates a symbolic link at linkrel pointing to target.
 func (b *Base) Symlink(p *sim.Proc, target, linkrel string) error {
+	p.BeginOp()
 	dir, name, err := b.walkParent(p, linkrel)
 	if err != nil {
 		return err
@@ -957,6 +1357,7 @@ func (b *Base) Symlink(p *sim.Proc, target, linkrel string) error {
 // Readlink returns the target of the symlink at rel (final component not
 // followed).
 func (b *Base) Readlink(p *sim.Proc, rel string) (string, error) {
+	p.BeginOp()
 	dir, name, err := b.walkParent(p, rel)
 	if err != nil {
 		return "", err

@@ -6,7 +6,6 @@ import (
 	"spritelynfs/internal/sim"
 	"spritelynfs/internal/span"
 	"spritelynfs/internal/vfs"
-	"spritelynfs/internal/xdr"
 )
 
 // NFSOptions tunes the NFS client's consistency behaviour.
@@ -59,186 +58,68 @@ func (c *NFSClient) revalidate(p *sim.Proc, n *node, force bool) error {
 	return err
 }
 
-// walkChecked reports whether the walk's final-lookup attributes already
-// performed the §2.1 open-time consistency check: with piggybacking
-// armed, the lookup reply's attributes are exactly as server-fresh as
-// the getattr the check would send, and Base.lookup ingested them (with
-// the mtime-invalidate rule) moments ago. Root walks synthesize
-// attributes locally and so still need the real check.
-func (c *NFSClient) walkChecked(n *node, wattr proto.Fattr) bool {
-	return c.cfg.AttrPiggyback && n.attrInit && wattr.Fileid == n.h.Ino && n.h != c.cfg.Root
-}
-
 // Open implements vfs.FS.
 func (c *NFSClient) Open(p *sim.Proc, rel string, flags vfs.Flags, mode uint32) (vfs.File, error) {
 	p.BeginOp()
 	var n *node
 	if flags&vfs.Create != 0 {
-		dir, name, err := c.walkParent(p, rel)
-		if err != nil {
+		var err error
+		if n, err = c.create(p, rel, mode); err != nil {
 			return nil, err
 		}
-		body, err := c.call(p, proto.ProcCreate, &proto.CreateArgs{Dir: dir, Name: name, Mode: mode})
-		if err != nil {
-			return nil, err
-		}
-		r := proto.DecodeHandleReply(xdr.NewDecoder(body))
-		if r.Status != proto.OK {
-			return nil, r.Status.Err()
-		}
-		n = c.getNode(r.Handle)
-		// A truncating re-create obsoletes anything cached.
-		c.cache.InvalidateFile(c.cfg.Root.FSID, r.Handle.Ino)
-		c.attrs.ingestOwn(n, r.Attr, p.Now())
-		n.size = r.Attr.Size
 	} else {
 		h, wattr, err := c.walk(p, rel)
 		if err != nil {
 			return nil, err
 		}
 		n = c.getNode(h)
-		// The consistency check made each time a file is opened (§2.1).
-		// When the walk's lookup attributes already served as the
-		// check, the getattr is pure chatter — the reduction this PR's
-		// RPC-count benchmark tracks.
-		if !c.walkChecked(n, wattr) {
-			if err := c.revalidate(p, n, true); err != nil {
-				return nil, err
-			}
+		if err := c.openCheck(p, n, wattr); err != nil {
+			return nil, err
 		}
 		if flags&vfs.Truncate != 0 && !n.attr.IsDir() {
-			body, err := c.call(p, proto.ProcSetattr, &proto.SetattrArgs{Handle: h, SetSize: true, Size: 0})
-			if err != nil {
+			if err := c.truncate(p, n); err != nil {
 				return nil, err
 			}
-			r := proto.DecodeAttrReply(xdr.NewDecoder(body))
-			if r.Status != proto.OK {
-				return nil, r.Status.Err()
-			}
-			c.cache.InvalidateFile(c.cfg.Root.FSID, h.Ino)
-			c.attrs.ingestOwn(n, r.Attr, p.Now())
-			n.size = 0
 		}
 	}
 	n.opens++
 	return &nfsFile{c: c, n: n, writing: flags.Writing()}, nil
 }
 
-// Mkdir implements vfs.FS.
-func (c *NFSClient) Mkdir(p *sim.Proc, rel string, mode uint32) error {
-	dir, name, err := c.walkParent(p, rel)
-	if err != nil {
-		return err
+// openCheck is the consistency check made each time a file is opened
+// (§2.1): a getattr, unless the walk's final-lookup attributes already
+// performed it. With piggybacking armed the lookup reply's attributes are
+// exactly as server-fresh as the getattr would be, and Base.lookup
+// ingested them (with the mtime-invalidate rule) moments ago, so the
+// getattr is pure chatter — the reduction the RPC-count experiment
+// tracks. Root walks synthesize attributes locally and so still need the
+// real check.
+func (c *NFSClient) openCheck(p *sim.Proc, n *node, wattr proto.Fattr) error {
+	if c.cfg.AttrPiggyback && n.attrInit && wattr.Fileid == n.h.Ino && n.h != c.cfg.Root {
+		return nil
 	}
-	body, err := c.call(p, proto.ProcMkdir, &proto.CreateArgs{Dir: dir, Name: name, Mode: mode})
-	if err != nil {
-		return err
-	}
-	return proto.DecodeHandleReply(xdr.NewDecoder(body)).Status.Err()
-}
-
-// Remove implements vfs.FS. NFS cannot cancel writes already sent to the
-// server; only locally delayed partial blocks are dropped.
-func (c *NFSClient) Remove(p *sim.Proc, rel string) error {
-	dir, name, err := c.walkParent(p, rel)
-	if err != nil {
-		return err
-	}
-	// No-follow final lookup; a hard-linked inode outlives the unlink
-	// and keeps its cache.
-	h, attr, err := c.lookupRPC(p, dir, name)
-	if err != nil {
-		return err
-	}
-	body, err := c.call(p, proto.ProcRemove,
-		&proto.DirOpArgs{Dir: dir, Name: name, WantAttr: c.cfg.AttrPiggyback})
-	if err != nil {
-		return err
-	}
-	if st := c.decodeWcc(p, body); st != proto.OK {
-		return st.Err()
-	}
-	if attr.Nlink <= 1 {
-		c.cache.InvalidateFile(c.cfg.Root.FSID, h.Ino)
-		delete(c.nodes, h.Ino)
-	}
-	return nil
-}
-
-// Rmdir implements vfs.FS.
-func (c *NFSClient) Rmdir(p *sim.Proc, rel string) error {
-	dir, name, err := c.walkParent(p, rel)
-	if err != nil {
-		return err
-	}
-	body, err := c.call(p, proto.ProcRmdir, &proto.DirOpArgs{Dir: dir, Name: name})
-	if err != nil {
-		return err
-	}
-	c.invalidateDirCache()
-	return proto.DecodeStatusReply(xdr.NewDecoder(body)).Status.Err()
-}
-
-// Rename implements vfs.FS.
-func (c *NFSClient) Rename(p *sim.Proc, oldrel, newrel string) error {
-	sdir, sname, err := c.walkParent(p, oldrel)
-	if err != nil {
-		return err
-	}
-	ddir, dname, err := c.walkParent(p, newrel)
-	if err != nil {
-		return err
-	}
-	body, err := c.call(p, proto.ProcRename, &proto.RenameArgs{
-		SrcDir: sdir, SrcName: sname, DstDir: ddir, DstName: dname,
-		WantAttr: c.cfg.AttrPiggyback,
-	})
-	if err != nil {
-		return err
-	}
-	c.invalidateDirCache()
-	return c.decodeWcc(p, body).Err()
-}
-
-// Stat implements vfs.FS: path resolution alone delivers attributes.
-func (c *NFSClient) Stat(p *sim.Proc, rel string) (proto.Fattr, error) {
-	_, attr, err := c.walk(p, rel)
-	return attr, err
+	return c.revalidate(p, n, true)
 }
 
 // Readdir implements vfs.FS: the GFS open of the directory triggers the
-// usual open-time getattr check, then one readdir call (READDIRPLUS-
-// style when piggybacking is armed, priming the attribute cache for the
-// stats that typically follow a listing).
+// usual open-time check, then one readdir call.
 func (c *NFSClient) Readdir(p *sim.Proc, rel string) ([]proto.DirEntry, error) {
+	p.BeginOp()
 	h, wattr, err := c.walk(p, rel)
 	if err != nil {
 		return nil, err
 	}
-	n := c.getNode(h)
-	if !c.walkChecked(n, wattr) {
-		if err := c.revalidate(p, n, true); err != nil {
-			return nil, err
-		}
-	}
-	if c.cfg.AttrPiggyback {
-		return c.readdirAttrs(p, h)
-	}
-	body, err := c.call(p, proto.ProcReaddir, &proto.HandleArgs{Handle: h})
-	if err != nil {
+	if err := c.openCheck(p, c.getNode(h), wattr); err != nil {
 		return nil, err
 	}
-	r := proto.DecodeReaddirReply(xdr.NewDecoder(body))
-	if r.Status != proto.OK {
-		return nil, r.Status.Err()
-	}
-	return r.Entries, nil
+	return c.list(p, h)
 }
 
 // SyncAll implements vfs.FS: flush delayed partial blocks, wait for the
 // biods, then one COMMIT per file with unstable data outstanding —
 // instead of the N synchronous waits the stable pipeline pays.
 func (c *NFSClient) SyncAll(p *sim.Proc) {
+	p.BeginOp()
 	for _, blk := range c.cache.AllDirty() {
 		n, ok := c.nodes[blk.Key.Ino]
 		if !ok {
@@ -247,71 +128,15 @@ func (c *NFSClient) SyncAll(p *sim.Proc) {
 		}
 		c.flushBlockSync(p, n, blk.Key.Block)
 	}
-	for _, n := range c.nodes {
+	nodes := c.sortedNodes()
+	for _, n := range nodes {
 		sp := c.span(p, span.BiodWait, "syncall")
 		n.pending.Wait(p)
 		sp.End()
 	}
-	for _, ino := range c.sortedNodeInos() {
-		if n := c.nodes[ino]; n != nil {
-			c.commit(p, n)
-		}
+	for _, n := range nodes {
+		c.commit(p, n)
 	}
-}
-
-// flushBlockSync writes one dirty block back synchronously.
-func (c *NFSClient) flushBlockSync(p *sim.Proc, n *node, blk int64) error {
-	key := c.key(n.h.Ino, blk)
-	cb, ok := c.cache.Lookup(key)
-	if !ok || !cb.Dirty {
-		return nil
-	}
-	off := blk * int64(c.cfg.BlockSize)
-	attr, err := c.writeBack(p, n, off, cb.Data[:cb.Len])
-	if err != nil {
-		return err
-	}
-	c.cache.MarkClean(key)
-	c.attrs.ingestOwn(n, attr, p.Now())
-	return nil
-}
-
-// pushBlockAsync hands a completed block to a biod (write-through without
-// blocking the application); with no biod free the caller writes
-// synchronously, as Unix did.
-func (c *NFSClient) pushBlockAsync(p *sim.Proc, n *node, blk int64) error {
-	key := c.key(n.h.Ino, blk)
-	cb, ok := c.cache.Lookup(key)
-	if !ok || !cb.Dirty {
-		return nil
-	}
-	if c.biods.TryAcquire() {
-		n.pending.Add(1)
-		data := make([]byte, cb.Len)
-		copy(data, cb.Data[:cb.Len])
-		c.cache.MarkClean(key)
-		off := blk * int64(c.cfg.BlockSize)
-		op := p.Op()
-		c.k.Go("biod-w", func(wp *sim.Proc) {
-			if c.spans != nil {
-				// Tag the biod with the pushing syscall's op so its
-				// write-back traces under that op (or as background
-				// once the syscall has finished). Only when spans are
-				// armed — untagged runs stay byte-identical.
-				wp.SetOp(op)
-			}
-			defer c.biods.Release()
-			defer n.pending.Done()
-			attr, err := c.writeBack(wp, n, off, data)
-			if err != nil {
-				n.werr = err
-				return
-			}
-			c.attrs.ingestOwn(n, attr, wp.Now())
-		})
-		return nil
-	}
-	return c.flushBlockSync(p, n, blk)
 }
 
 // nfsFile is an open NFS file.
@@ -334,56 +159,23 @@ func (f *nfsFile) ReadAt(p *sim.Proc, off int64, count int) ([]byte, error) {
 	return f.c.assembleRead(p, f.n, off, count, f.c.cfg.ReadAhead)
 }
 
-// WriteAt implements vfs.File: write-through, with completed blocks
-// pushed immediately through the biods and the partial tail block delayed
-// until it fills or the file closes (§2.1 and footnote 4).
+// WriteAt implements vfs.File: write-through, the partial tail block
+// delayed until it fills or the file closes.
 func (f *nfsFile) WriteAt(p *sim.Proc, off int64, data []byte) (int, error) {
 	p.BeginOp()
-	touched, err := f.c.writeToCache(p, f.n, off, data, true)
-	if err != nil {
-		return 0, err
-	}
-	for _, blk := range touched {
-		cb, ok := f.c.cache.Lookup(f.c.key(f.n.h.Ino, blk))
-		if !ok || !cb.Dirty {
-			continue
-		}
-		if cb.Len == f.c.cfg.BlockSize {
-			if err := f.c.pushBlockAsync(p, f.n, blk); err != nil {
-				return 0, err
-			}
-		}
-	}
-	return len(data), nil
+	return f.c.writeThrough(p, f.n, off, data, false)
 }
 
 // Close implements vfs.File: all pending write-throughs finish
 // synchronously before close returns (§2.1), and — when the measured
 // bug is enabled — the data cache is invalidated.
 func (f *nfsFile) Close(p *sim.Proc) error {
+	p.BeginOp()
 	if f.closed {
 		return nil
 	}
 	f.closed = true
-	var err error
-	for _, blk := range f.c.cache.DirtyBlocks(f.c.cfg.Root.FSID, f.n.h.Ino) {
-		if e := f.c.flushBlockSync(p, f.n, blk.Key.Block); e != nil && err == nil {
-			err = e
-		}
-	}
-	bw := f.c.span(p, span.BiodWait, "close")
-	f.n.pending.Wait(p)
-	bw.End()
-	// One COMMIT covers everything the biods sent unstable — the whole
-	// file reaches the disk in gathered arm operations, replacing the
-	// per-block synchronous waits of the stable pipeline (§2.1).
-	if e := f.c.commit(p, f.n); e != nil && err == nil {
-		err = e
-	}
-	if f.n.werr != nil && err == nil {
-		err = f.n.werr
-		f.n.werr = nil
-	}
+	err := f.c.syncFile(p, f.n, "close")
 	f.n.opens--
 	if f.c.opts.InvalidateOnClose && f.n.opens <= 0 {
 		f.c.cache.InvalidateFile(f.c.cfg.Root.FSID, f.n.h.Ino)
@@ -393,25 +185,12 @@ func (f *nfsFile) Close(p *sim.Proc) error {
 
 // Sync implements vfs.File.
 func (f *nfsFile) Sync(p *sim.Proc) error {
-	for _, blk := range f.c.cache.DirtyBlocks(f.c.cfg.Root.FSID, f.n.h.Ino) {
-		if err := f.c.flushBlockSync(p, f.n, blk.Key.Block); err != nil {
-			return err
-		}
-	}
-	bw := f.c.span(p, span.BiodWait, "sync")
-	f.n.pending.Wait(p)
-	bw.End()
-	return f.c.commit(p, f.n)
+	p.BeginOp()
+	return f.c.syncFile(p, f.n, "sync")
 }
 
 // Attr implements vfs.File.
 func (f *nfsFile) Attr(p *sim.Proc) (proto.Fattr, error) {
-	if err := f.c.revalidate(p, f.n, false); err != nil {
-		return proto.Fattr{}, err
-	}
-	a := f.n.attr
-	if f.n.size > a.Size {
-		a.Size = f.n.size
-	}
-	return a, nil
+	p.BeginOp()
+	return f.c.fileAttr(p, f.n)
 }

@@ -25,6 +25,8 @@ type RFSClient struct {
 // NewRFS creates an RFS client talking to cfg.Server through ep.
 func NewRFS(k *sim.Kernel, ep *rpc.Endpoint, cfg Config) *RFSClient {
 	c := &RFSClient{Base: newBase(k, ep, cfg)}
+	// No probes: cached attributes hold until a callback clears them.
+	c.attrs.policy = attrPolicyProtocol
 	ep.Register(proto.ProgCallback, c.serveCallback)
 	return c
 }
@@ -76,35 +78,16 @@ func (c *RFSClient) openRPC(p *sim.Proc, n *node, write bool) error {
 	return nil
 }
 
-func (c *RFSClient) closeRPC(p *sim.Proc, h proto.Handle, write bool) error {
-	body, err := c.call(p, proto.ProcClose, &proto.CloseArgs{Handle: h, WriteMode: write})
-	if err != nil {
-		return err
-	}
-	return proto.DecodeStatusReply(xdr.NewDecoder(body)).Status.Err()
-}
-
 // Open implements vfs.FS.
 func (c *RFSClient) Open(p *sim.Proc, rel string, flags vfs.Flags, mode uint32) (vfs.File, error) {
+	p.BeginOp()
 	write := flags.Writing()
 	var n *node
 	if flags&vfs.Create != 0 {
-		dir, name, err := c.walkParent(p, rel)
-		if err != nil {
+		var err error
+		if n, err = c.create(p, rel, mode); err != nil {
 			return nil, err
 		}
-		body, err := c.call(p, proto.ProcCreate, &proto.CreateArgs{Dir: dir, Name: name, Mode: mode})
-		if err != nil {
-			return nil, err
-		}
-		r := proto.DecodeHandleReply(xdr.NewDecoder(body))
-		if r.Status != proto.OK {
-			return nil, r.Status.Err()
-		}
-		n = c.getNode(r.Handle)
-		c.cache.InvalidateFile(c.cfg.Root.FSID, r.Handle.Ino)
-		c.setAttr(n, r.Attr, p.Now())
-		n.size = 0
 	} else {
 		h, err := c.walkNoAttr(p, rel)
 		if err != nil {
@@ -116,194 +99,19 @@ func (c *RFSClient) Open(p *sim.Proc, rel string, flags vfs.Flags, mode uint32) 
 		return nil, err
 	}
 	if flags&vfs.Truncate != 0 && flags&vfs.Create == 0 {
-		body, err := c.call(p, proto.ProcSetattr, &proto.SetattrArgs{Handle: n.h, SetSize: true, Size: 0})
-		if err != nil {
+		if err := c.truncate(p, n); err != nil {
 			return nil, err
 		}
-		r := proto.DecodeAttrReply(xdr.NewDecoder(body))
-		if r.Status != proto.OK {
-			return nil, r.Status.Err()
-		}
-		c.cache.InvalidateFile(c.cfg.Root.FSID, n.h.Ino)
-		c.setAttr(n, r.Attr, p.Now())
-		n.size = 0
 	}
 	n.opens++
 	return &rfsFile{c: c, n: n, write: write}, nil
 }
 
-// Mkdir implements vfs.FS.
-func (c *RFSClient) Mkdir(p *sim.Proc, rel string, mode uint32) error {
-	dir, name, err := c.walkParent(p, rel)
-	if err != nil {
-		return err
-	}
-	body, err := c.call(p, proto.ProcMkdir, &proto.CreateArgs{Dir: dir, Name: name, Mode: mode})
-	if err != nil {
-		return err
-	}
-	return proto.DecodeHandleReply(xdr.NewDecoder(body)).Status.Err()
-}
-
-// Remove implements vfs.FS. Like NFS, RFS writes through, so there is
-// nothing to cancel beyond locally delayed partial blocks.
-func (c *RFSClient) Remove(p *sim.Proc, rel string) error {
-	dir, name, err := c.walkParent(p, rel)
-	if err != nil {
-		return err
-	}
-	// No-follow final lookup; a hard-linked inode outlives the unlink.
-	h, attr, err := c.lookupRPC(p, dir, name)
-	if err != nil {
-		return err
-	}
-	body, err := c.call(p, proto.ProcRemove, &proto.DirOpArgs{Dir: dir, Name: name})
-	if err != nil {
-		return err
-	}
-	if st := proto.DecodeStatusReply(xdr.NewDecoder(body)).Status; st != proto.OK {
-		return st.Err()
-	}
-	if attr.Nlink <= 1 {
-		c.cache.InvalidateFile(c.cfg.Root.FSID, h.Ino)
-		delete(c.nodes, h.Ino)
-	}
-	return nil
-}
-
-// Rmdir implements vfs.FS.
-func (c *RFSClient) Rmdir(p *sim.Proc, rel string) error {
-	dir, name, err := c.walkParent(p, rel)
-	if err != nil {
-		return err
-	}
-	body, err := c.call(p, proto.ProcRmdir, &proto.DirOpArgs{Dir: dir, Name: name})
-	if err != nil {
-		return err
-	}
-	c.invalidateDirCache()
-	return proto.DecodeStatusReply(xdr.NewDecoder(body)).Status.Err()
-}
-
-// Rename implements vfs.FS.
-func (c *RFSClient) Rename(p *sim.Proc, oldrel, newrel string) error {
-	sdir, sname, err := c.walkParent(p, oldrel)
-	if err != nil {
-		return err
-	}
-	ddir, dname, err := c.walkParent(p, newrel)
-	if err != nil {
-		return err
-	}
-	body, err := c.call(p, proto.ProcRename, &proto.RenameArgs{
-		SrcDir: sdir, SrcName: sname, DstDir: ddir, DstName: dname,
-	})
-	if err != nil {
-		return err
-	}
-	c.invalidateDirCache()
-	return proto.DecodeStatusReply(xdr.NewDecoder(body)).Status.Err()
-}
-
-// Stat implements vfs.FS.
-func (c *RFSClient) Stat(p *sim.Proc, rel string) (proto.Fattr, error) {
-	_, attr, err := c.walk(p, rel)
-	return attr, err
-}
-
 // Readdir implements vfs.FS (the GFS layer opens directories, so RFS
 // pays open/close like SNFS).
 func (c *RFSClient) Readdir(p *sim.Proc, rel string) ([]proto.DirEntry, error) {
-	h, err := c.walkNoAttr(p, rel)
-	if err != nil {
-		return nil, err
-	}
-	n := c.getNode(h)
-	if err := c.openRPC(p, n, false); err != nil {
-		return nil, err
-	}
-	body, err := c.call(p, proto.ProcReaddir, &proto.HandleArgs{Handle: h})
-	var entries []proto.DirEntry
-	if err == nil {
-		r := proto.DecodeReaddirReply(xdr.NewDecoder(body))
-		if r.Status != proto.OK {
-			err = r.Status.Err()
-		} else {
-			entries = r.Entries
-		}
-	}
-	n.rec.Close(false)
-	if cerr := c.closeRPC(p, h, false); cerr != nil && err == nil {
-		err = cerr
-	}
-	return entries, err
-}
-
-// SyncAll implements vfs.FS: flush the delayed partial-block tails,
-// re-validating each block at write time (an invalidation may cancel
-// blocks while an earlier write is in flight).
-func (c *RFSClient) SyncAll(p *sim.Proc) {
-	for _, blk := range c.cache.AllDirty() {
-		cur, ok := c.cache.Lookup(blk.Key)
-		if !ok || !cur.Dirty {
-			continue
-		}
-		n, ok := c.nodes[blk.Key.Ino]
-		if !ok {
-			c.cache.MarkClean(blk.Key)
-			continue
-		}
-		off := blk.Key.Block * int64(c.cfg.BlockSize)
-		if _, err := c.writeRPC(p, n.h, off, cur.Data[:cur.Len]); err != nil {
-			continue
-		}
-		c.cache.MarkClean(blk.Key)
-	}
-}
-
-// flushBlockSync writes one dirty block back synchronously.
-func (c *RFSClient) flushBlockSync(p *sim.Proc, n *node, blk int64) error {
-	key := c.key(n.h.Ino, blk)
-	cb, ok := c.cache.Lookup(key)
-	if !ok || !cb.Dirty {
-		return nil
-	}
-	off := blk * int64(c.cfg.BlockSize)
-	attr, err := c.writeRPC(p, n.h, off, cb.Data[:cb.Len])
-	if err != nil {
-		return err
-	}
-	c.cache.MarkClean(key)
-	c.setAttr(n, attr, p.Now())
-	return nil
-}
-
-// pushBlockAsync hands a completed block to a biod, NFS-style.
-func (c *RFSClient) pushBlockAsync(p *sim.Proc, n *node, blk int64) error {
-	key := c.key(n.h.Ino, blk)
-	cb, ok := c.cache.Lookup(key)
-	if !ok || !cb.Dirty {
-		return nil
-	}
-	if c.biods.TryAcquire() {
-		n.pending.Add(1)
-		data := make([]byte, cb.Len)
-		copy(data, cb.Data[:cb.Len])
-		c.cache.MarkClean(key)
-		off := blk * int64(c.cfg.BlockSize)
-		c.k.Go("rfs-biod-w", func(wp *sim.Proc) {
-			defer c.biods.Release()
-			defer n.pending.Done()
-			attr, err := c.writeRPC(wp, n.h, off, data)
-			if err != nil {
-				n.werr = err
-				return
-			}
-			c.setAttr(n, attr, wp.Now())
-		})
-		return nil
-	}
-	return c.flushBlockSync(p, n, blk)
+	p.BeginOp()
+	return c.listOpened(p, rel, c.openRPC)
 }
 
 // rfsFile is an open RFS file.
@@ -318,12 +126,9 @@ type rfsFile struct {
 // invalidations keep the cache honest. After an invalidation the
 // attributes (hence the size bound for reads) are refetched once.
 func (f *rfsFile) ReadAt(p *sim.Proc, off int64, count int) ([]byte, error) {
-	if !f.n.attrInit {
-		attr, err := f.c.getattrRPC(p, f.n.h)
-		if err != nil {
-			return nil, err
-		}
-		f.c.setAttr(f.n, attr, p.Now())
+	p.BeginOp()
+	if _, _, err := f.c.attrs.get(p, f.n, false); err != nil {
+		return nil, err
 	}
 	return f.c.assembleRead(p, f.n, off, count, f.c.cfg.ReadAhead)
 }
@@ -335,44 +140,19 @@ func (f *rfsFile) ReadAt(p *sim.Proc, off int64, count int) ([]byte, error) {
 // than lingering, because the server's invalidate-on-write depends on
 // writes actually arriving.
 func (f *rfsFile) WriteAt(p *sim.Proc, off int64, data []byte) (int, error) {
-	touched, err := f.c.writeToCache(p, f.n, off, data, true)
-	if err != nil {
-		return 0, err
-	}
-	for _, blk := range touched {
-		cb, ok := f.c.cache.Lookup(f.c.key(f.n.h.Ino, blk))
-		if !ok || !cb.Dirty {
-			continue
-		}
-		if cb.Len == f.c.cfg.BlockSize {
-			if err := f.c.pushBlockAsync(p, f.n, blk); err != nil {
-				return 0, err
-			}
-		} else if err := f.c.flushBlockSync(p, f.n, blk); err != nil {
-			return 0, err
-		}
-	}
-	return len(data), nil
+	p.BeginOp()
+	return f.c.writeThrough(p, f.n, off, data, true)
 }
 
 // Close implements vfs.File: flush pending writes synchronously (the NFS
 // policy), then report the close; the read cache is retained.
 func (f *rfsFile) Close(p *sim.Proc) error {
+	p.BeginOp()
 	if f.closed {
 		return nil
 	}
 	f.closed = true
-	var err error
-	for _, blk := range f.c.cache.DirtyBlocks(f.c.cfg.Root.FSID, f.n.h.Ino) {
-		if e := f.c.flushBlockSync(p, f.n, blk.Key.Block); e != nil && err == nil {
-			err = e
-		}
-	}
-	f.n.pending.Wait(p)
-	if f.n.werr != nil && err == nil {
-		err = f.n.werr
-		f.n.werr = nil
-	}
+	err := f.c.syncFile(p, f.n, "close")
 	f.n.opens--
 	f.n.rec.Close(f.write)
 	if cerr := f.c.closeRPC(p, f.n.h, f.write); cerr != nil && err == nil {
@@ -383,28 +163,13 @@ func (f *rfsFile) Close(p *sim.Proc) error {
 
 // Sync implements vfs.File.
 func (f *rfsFile) Sync(p *sim.Proc) error {
-	for _, blk := range f.c.cache.DirtyBlocks(f.c.cfg.Root.FSID, f.n.h.Ino) {
-		if err := f.c.flushBlockSync(p, f.n, blk.Key.Block); err != nil {
-			return err
-		}
-	}
-	f.n.pending.Wait(p)
-	return nil
+	p.BeginOp()
+	return f.c.syncFile(p, f.n, "sync")
 }
 
 // Attr implements vfs.File: cached attributes, refreshed when an
 // invalidation clears them.
 func (f *rfsFile) Attr(p *sim.Proc) (proto.Fattr, error) {
-	if !f.n.attrInit {
-		attr, err := f.c.getattrRPC(p, f.n.h)
-		if err != nil {
-			return proto.Fattr{}, err
-		}
-		f.c.setAttr(f.n, attr, p.Now())
-	}
-	a := f.n.attr
-	if f.n.size > a.Size {
-		a.Size = f.n.size
-	}
-	return a, nil
+	p.BeginOp()
+	return f.c.fileAttr(p, f.n)
 }

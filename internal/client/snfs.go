@@ -1,6 +1,8 @@
 package client
 
 import (
+	"sort"
+
 	"spritelynfs/internal/proto"
 	"spritelynfs/internal/rpc"
 	"spritelynfs/internal/sim"
@@ -119,10 +121,13 @@ func NewSNFS(k *sim.Kernel, ep *rpc.Endpoint, cfg Config, opts SNFSOptions) *SNF
 		names: make(map[proto.Handle]*dirNames),
 	}
 	c.attrs.policy = attrPolicyProtocol
+	c.cancelOnRemove = true
 	ep.Register(proto.ProgCallback, c.serveCallback)
 	if opts.NameCache {
 		c.nameGet = c.nameCacheGet
 		c.namePut = c.nameCachePut
+		c.nameSet = c.nameCacheSet
+		c.nameForget = c.nameCacheForget
 	}
 	if opts.UpdateInterval > 0 {
 		k.Go(string(ep.Addr())+"/update", c.updateDaemon)
@@ -222,19 +227,23 @@ func (c *SNFSClient) nameCachePut(p *sim.Proc, dir proto.Handle, name string, h 
 	dn.entries[name] = h
 }
 
-// nameCacheUpdate applies a local namespace mutation to our own cache
-// (the server's invalidation excludes the mutating client).
-func (c *SNFSClient) nameCacheUpdate(dir proto.Handle, name string, h proto.Handle, remove bool) {
+// nameCacheSet applies a local namespace mutation to our own cache (the
+// server's invalidation excludes the mutating client); a zero handle
+// means the name was removed.
+func (c *SNFSClient) nameCacheSet(dir proto.Handle, name string, h proto.Handle) {
 	dn, ok := c.names[dir]
 	if !ok || !dn.leased {
 		return
 	}
-	if remove {
+	if h.IsZero() {
 		delete(dn.entries, name)
 	} else {
 		dn.entries[name] = h
 	}
 }
+
+// nameCacheForget drops everything cached under dir.
+func (c *SNFSClient) nameCacheForget(dir proto.Handle) { delete(c.names, dir) }
 
 // revokeLease ends a directory lease, remembering the owed close.
 func (c *SNFSClient) revokeLease(dir proto.Handle) {
@@ -251,7 +260,17 @@ func (c *SNFSClient) revokeLease(dir proto.Handle) {
 
 // settleLeases sends the balancing closes for revoked leases.
 func (c *SNFSClient) settleLeases(p *sim.Proc) {
-	for dir, dn := range c.names {
+	dirs := make([]proto.Handle, 0, len(c.names))
+	for dir := range c.names {
+		dirs = append(dirs, dir)
+	}
+	// The closes go out in handle order, not map order (see sortedNodes).
+	sort.Slice(dirs, func(i, j int) bool { return dirs[i].Less(dirs[j]) })
+	for _, dir := range dirs {
+		dn, ok := c.names[dir]
+		if !ok {
+			continue // forgotten while an earlier close was in flight
+		}
 		for dn.oweClose > 0 {
 			if err := c.closeRPC(p, dir, false); err != nil {
 				break
@@ -312,37 +331,11 @@ func (c *SNFSClient) SyncPass(p *sim.Proc) {
 	if c.opts.AgeBased {
 		cutoff = cutoff.Add(-c.opts.UpdateInterval)
 	}
-	var flushed []*node
-	seen := make(map[uint64]bool)
-	for _, blk := range c.cache.DirtyOlderThan(cutoff) {
-		// Re-validate: a callback or delete during an earlier write
-		// may have cancelled this block.
-		cur, ok := c.cache.Lookup(blk.Key)
-		if !ok || !cur.Dirty {
-			continue
-		}
-		n, ok := c.nodes[blk.Key.Ino]
-		if !ok {
-			c.cache.MarkClean(blk.Key)
-			continue
-		}
-		off := blk.Key.Block * int64(c.cfg.BlockSize)
-		if _, err := c.writeBack(p, n, off, cur.Data[:cur.Len]); err != nil {
-			continue
-		}
-		if !seen[blk.Key.Ino] {
-			seen[blk.Key.Ino] = true
-			flushed = append(flushed, n)
-		}
-		c.cache.MarkClean(blk.Key)
-	}
-	// One COMMIT per file the pass touched makes the aged delayed
-	// writes durable (the update daemon's contract).
-	for _, n := range flushed {
-		c.commit(p, n)
-	}
+	// The aged delayed writes become durable (the update daemon's
+	// contract).
+	c.flushBlocks(p, c.cache.DirtyOlderThan(cutoff))
 	if c.opts.DelayedClose {
-		for _, n := range c.nodes {
+		for _, n := range c.sortedNodes() {
 			if n.rec.DelayedClose && p.Now().Sub(sim.Time(n.rec.ClosedAt)) > c.opts.DelayedCloseIdle {
 				n.rec.DelayedClose = false
 				c.closeRPC(p, n.h, n.rec.DelayedWriteMode)
@@ -381,7 +374,7 @@ func (c *SNFSClient) recover(p *sim.Proc) {
 	defer sp.End()
 	// Directory leases died with the server's state; start cold.
 	c.dropNameCache()
-	for _, n := range c.nodes {
+	for _, n := range c.sortedNodes() {
 		if len(n.unstable) > 0 {
 			// Unstable writes acked by the dead incarnation: this
 			// COMMIT sees the new verifier and redrives them.
@@ -507,42 +500,16 @@ func (c *SNFSClient) openRPC(p *sim.Proc, n *node, write bool) error {
 	return nil
 }
 
-func (c *SNFSClient) closeRPC(p *sim.Proc, h proto.Handle, write bool) error {
-	body, err := c.call(p, proto.ProcClose, &proto.CloseArgs{
-		Handle: h, WriteMode: write, WantAttr: c.cfg.AttrPiggyback,
-	})
-	if err != nil {
-		return err
-	}
-	return c.decodeWcc(p, body).Err()
-}
-
 // Open implements vfs.FS.
 func (c *SNFSClient) Open(p *sim.Proc, rel string, flags vfs.Flags, mode uint32) (vfs.File, error) {
 	p.BeginOp()
 	write := flags.Writing()
 	var n *node
 	if flags&vfs.Create != 0 {
-		dir, name, err := c.walkParent(p, rel)
-		if err != nil {
+		var err error
+		if n, err = c.create(p, rel, mode); err != nil {
 			return nil, err
 		}
-		body, err := c.call(p, proto.ProcCreate, &proto.CreateArgs{Dir: dir, Name: name, Mode: mode})
-		if err != nil {
-			return nil, err
-		}
-		r := proto.DecodeHandleReply(xdr.NewDecoder(body))
-		if r.Status != proto.OK {
-			return nil, r.Status.Err()
-		}
-		n = c.getNode(r.Handle)
-		// Truncating create: cancel any delayed writes for the old
-		// contents.
-		c.cache.CancelDirty(c.cfg.Root.FSID, r.Handle.Ino)
-		c.cache.InvalidateFile(c.cfg.Root.FSID, r.Handle.Ino)
-		c.attrs.ingestOwn(n, r.Attr, p.Now())
-		n.size = 0
-		c.nameCacheUpdate(dir, name, r.Handle, false)
 	} else {
 		h, err := c.walkNoAttr(p, rel)
 		if err != nil {
@@ -571,202 +538,18 @@ func (c *SNFSClient) Open(p *sim.Proc, rel string, flags vfs.Flags, mode uint32)
 		return nil, err
 	}
 	if flags&vfs.Truncate != 0 && flags&vfs.Create == 0 {
-		body, err := c.call(p, proto.ProcSetattr, &proto.SetattrArgs{Handle: n.h, SetSize: true, Size: 0})
-		if err != nil {
+		if err := c.truncate(p, n); err != nil {
 			return nil, err
 		}
-		r := proto.DecodeAttrReply(xdr.NewDecoder(body))
-		if r.Status != proto.OK {
-			return nil, r.Status.Err()
-		}
-		c.cache.CancelDirty(c.cfg.Root.FSID, n.h.Ino)
-		c.cache.InvalidateFile(c.cfg.Root.FSID, n.h.Ino)
-		c.attrs.ingestOwn(n, r.Attr, p.Now())
-		n.size = 0
 	}
 	n.opens++
 	return &snfsFile{c: c, n: n, write: write}, nil
 }
 
-// Mkdir implements vfs.FS.
-func (c *SNFSClient) Mkdir(p *sim.Proc, rel string, mode uint32) error {
-	p.BeginOp()
-	dir, name, err := c.walkParent(p, rel)
-	if err != nil {
-		return err
-	}
-	body, err := c.call(p, proto.ProcMkdir, &proto.CreateArgs{Dir: dir, Name: name, Mode: mode})
-	if err != nil {
-		return err
-	}
-	r := proto.DecodeHandleReply(xdr.NewDecoder(body))
-	if r.Status == proto.OK {
-		c.nameCacheUpdate(dir, name, r.Handle, false)
-	}
-	return r.Status.Err()
-}
-
-// Remove implements vfs.FS. Deleting a file cancels its delayed writes
-// (§4.2.3): data that never reached the server never will, which is the
-// temp-file optimization the sort benchmark turns on.
-func (c *SNFSClient) Remove(p *sim.Proc, rel string) error {
-	p.BeginOp()
-	dir, name, err := c.walkParent(p, rel)
-	if err != nil {
-		return err
-	}
-	// The final component is looked up without following symlinks
-	// (unlink removes the name, not the target) and with attributes,
-	// because a hard-linked inode (nlink > 1) survives the unlink and
-	// its delayed writes must NOT be cancelled.
-	h, attr, err := c.lookupRPC(p, dir, name)
-	if err != nil {
-		return err
-	}
-	lastLink := attr.Nlink <= 1
-	if lastLink {
-		// Cancel before the remove RPC so a racing update-daemon
-		// pass cannot resurrect the writes.
-		c.cache.CancelDirty(c.cfg.Root.FSID, h.Ino)
-		c.cache.InvalidateFile(c.cfg.Root.FSID, h.Ino)
-	}
-	body, err := c.call(p, proto.ProcRemove, &proto.DirOpArgs{
-		Dir: dir, Name: name, WantAttr: c.cfg.AttrPiggyback,
-	})
-	if err != nil {
-		return err
-	}
-	if st := c.decodeWcc(p, body); st != proto.OK {
-		return st.Err()
-	}
-	c.nameCacheUpdate(dir, name, proto.Handle{}, true)
-	if lastLink {
-		delete(c.nodes, h.Ino)
-		delete(c.names, h) // in case it was a cached directory handle
-	}
-	return nil
-}
-
-// Rmdir implements vfs.FS.
-func (c *SNFSClient) Rmdir(p *sim.Proc, rel string) error {
-	p.BeginOp()
-	dir, name, err := c.walkParent(p, rel)
-	if err != nil {
-		return err
-	}
-	body, err := c.call(p, proto.ProcRmdir, &proto.DirOpArgs{Dir: dir, Name: name})
-	if err != nil {
-		return err
-	}
-	c.invalidateDirCache()
-	st := proto.DecodeStatusReply(xdr.NewDecoder(body)).Status
-	if st == proto.OK {
-		c.nameCacheUpdate(dir, name, proto.Handle{}, true)
-	}
-	return st.Err()
-}
-
-// Rename implements vfs.FS.
-func (c *SNFSClient) Rename(p *sim.Proc, oldrel, newrel string) error {
-	p.BeginOp()
-	sdir, sname, err := c.walkParent(p, oldrel)
-	if err != nil {
-		return err
-	}
-	ddir, dname, err := c.walkParent(p, newrel)
-	if err != nil {
-		return err
-	}
-	body, err := c.call(p, proto.ProcRename, &proto.RenameArgs{
-		SrcDir: sdir, SrcName: sname, DstDir: ddir, DstName: dname,
-		WantAttr: c.cfg.AttrPiggyback,
-	})
-	if err != nil {
-		return err
-	}
-	c.invalidateDirCache()
-	st := c.decodeWcc(p, body)
-	if st == proto.OK {
-		// Conservative: forget both directories' translations rather
-		// than compute the moved handle.
-		delete(c.names, sdir)
-		delete(c.names, ddir)
-	}
-	return st.Err()
-}
-
-// Stat implements vfs.FS.
-func (c *SNFSClient) Stat(p *sim.Proc, rel string) (proto.Fattr, error) {
-	p.BeginOp()
-	_, attr, err := c.walk(p, rel)
-	return attr, err
-}
-
-// Readdir implements vfs.FS: the GFS layer opens directories like files,
-// so SNFS sends open and close RPCs around the listing — the source of
-// its small ScanDir handicap in Table 5-1.
+// Readdir implements vfs.FS.
 func (c *SNFSClient) Readdir(p *sim.Proc, rel string) ([]proto.DirEntry, error) {
 	p.BeginOp()
-	h, err := c.walkNoAttr(p, rel)
-	if err != nil {
-		return nil, err
-	}
-	n := c.getNode(h)
-	if err := c.openRPC(p, n, false); err != nil {
-		return nil, err
-	}
-	var entries []proto.DirEntry
-	if c.cfg.AttrPiggyback {
-		entries, err = c.readdirAttrs(p, h)
-	} else {
-		var body []byte
-		body, err = c.call(p, proto.ProcReaddir, &proto.HandleArgs{Handle: h})
-		if err == nil {
-			r := proto.DecodeReaddirReply(xdr.NewDecoder(body))
-			if r.Status != proto.OK {
-				err = r.Status.Err()
-			} else {
-				entries = r.Entries
-			}
-		}
-	}
-	n.rec.Close(false)
-	if cerr := c.closeRPC(p, n.h, false); cerr != nil && err == nil {
-		err = cerr
-	}
-	return entries, err
-}
-
-// SyncAll implements vfs.FS (one explicit update pass): all dirty
-// blocks stream to the server, then one COMMIT per touched file lands
-// them in gathered arm operations.
-func (c *SNFSClient) SyncAll(p *sim.Proc) {
-	p.BeginOp()
-	var flushed []*node
-	seen := make(map[uint64]bool)
-	for _, blk := range c.cache.AllDirty() {
-		cur, ok := c.cache.Lookup(blk.Key)
-		if !ok || !cur.Dirty {
-			continue
-		}
-		n, ok := c.nodes[blk.Key.Ino]
-		if !ok {
-			c.cache.MarkClean(blk.Key)
-			continue
-		}
-		off := blk.Key.Block * int64(c.cfg.BlockSize)
-		if _, err := c.writeBack(p, n, off, cur.Data[:cur.Len]); err != nil {
-			continue
-		}
-		if !seen[blk.Key.Ino] {
-			seen[blk.Key.Ino] = true
-			flushed = append(flushed, n)
-		}
-		c.cache.MarkClean(blk.Key)
-	}
-	for _, n := range flushed {
-		c.commit(p, n)
-	}
+	return c.listOpened(p, rel, c.openRPC)
 }
 
 // snfsFile is an open SNFS file.
@@ -850,16 +633,7 @@ func (f *snfsFile) Sync(p *sim.Proc) error {
 // (§4.2.1 — the cache's policy enforces this).
 func (f *snfsFile) Attr(p *sim.Proc) (proto.Fattr, error) {
 	p.BeginOp()
-	a, cached, err := f.c.attrs.get(p, f.n, false)
-	if err != nil {
-		return proto.Fattr{}, err
-	}
-	if cached && f.n.size > a.Size {
-		// Our cached view (delayed writes) is ahead of the last
-		// attributes the server sent.
-		a.Size = f.n.size
-	}
-	return a, nil
+	return f.c.fileAttr(p, f.n)
 }
 
 // Epoch returns the last server epoch observed by the keepalive daemon.

@@ -203,16 +203,21 @@ func (r *Router) shard(path string) int {
 	return id
 }
 
-// do runs op against path's home shard, healing ErrNotHome by refetching
-// the map and retrying, up to maxRedirects. A first ESTALE is healed by
-// dropping the shard client's directory cache and retrying — a cached
-// parent handle of a migrated subtree fails that way, and the fresh
-// walk from the root turns it into ErrNotHome (or succeeds).
-func (r *Router) do(p *sim.Proc, path string, op func(fs vfs.FS) error) error {
+// route runs op against the shard home names, healing ErrNotHome by
+// refetching the map and retrying, up to maxRedirects. A first ESTALE is
+// healed by dropping the shard client's directory cache and retrying — a
+// cached parent handle of a migrated subtree fails that way, and the
+// fresh walk from the root turns it into ErrNotHome (or succeeds). home
+// is asked again on every attempt, under the map as refetched; what names
+// the operand in a redirect-loop error.
+func (r *Router) route(p *sim.Proc, what string, home func() (int, error), op func(fs vfs.FS) error) error {
 	staleTried := false
 	for attempt := 0; ; attempt++ {
-		sh := r.shard(path)
-		err := op(r.fss[sh])
+		sh, err := home()
+		if err != nil {
+			return err
+		}
+		err = op(r.fss[sh])
 		if proto.StatusOf(err) == proto.ErrStale && !staleTried {
 			staleTried = true
 			r.cls[sh].DropDirCache()
@@ -223,7 +228,7 @@ func (r *Router) do(p *sim.Proc, path string, op func(fs vfs.FS) error) error {
 		}
 		if attempt >= maxRedirects {
 			return fmt.Errorf("%w: %q still not home after %d redirects (map v%d)",
-				ErrRedirectLoop, path, attempt, r.m.Version)
+				ErrRedirectLoop, what, attempt, r.m.Version)
 		}
 		r.redirects.Add(1)
 		if rerr := r.refreshMap(p, sh); rerr != nil {
@@ -232,34 +237,22 @@ func (r *Router) do(p *sim.Proc, path string, op func(fs vfs.FS) error) error {
 	}
 }
 
-// doPair is do for two-path namespace ops (rename, link): both paths
-// must resolve to the same shard — otherwise the op is refused with
-// ErrXDev before any server sees it.
+// do routes a one-path op to path's home shard.
+func (r *Router) do(p *sim.Proc, path string, op func(fs vfs.FS) error) error {
+	return r.route(p, path, func() (int, error) { return r.shard(path), nil }, op)
+}
+
+// doPair routes a two-path namespace op (rename, link): both paths must
+// resolve to the same shard — otherwise the op is refused with ErrXDev
+// before any server sees it.
 func (r *Router) doPair(p *sim.Proc, oldpath, newpath string, op func(fs vfs.FS) error) error {
-	staleTried := false
-	for attempt := 0; ; attempt++ {
+	return r.route(p, oldpath+" -> "+newpath, func() (int, error) {
 		so, sn := r.shard(oldpath), r.shard(newpath)
 		if so != sn {
-			return proto.ErrXDev.Err()
+			return 0, proto.ErrXDev.Err()
 		}
-		err := op(r.fss[so])
-		if proto.StatusOf(err) == proto.ErrStale && !staleTried {
-			staleTried = true
-			r.cls[so].DropDirCache()
-			continue
-		}
-		if proto.StatusOf(err) != proto.ErrNotHome {
-			return err
-		}
-		if attempt >= maxRedirects {
-			return fmt.Errorf("%w: %q -> %q still not home after %d redirects (map v%d)",
-				ErrRedirectLoop, oldpath, newpath, attempt, r.m.Version)
-		}
-		r.redirects.Add(1)
-		if rerr := r.refreshMap(p, so); rerr != nil {
-			return rerr
-		}
-	}
+		return so, nil
+	}, op)
 }
 
 func (r *Router) Open(p *sim.Proc, path string, flags vfs.Flags, mode uint32) (vfs.File, error) {

@@ -54,11 +54,15 @@ func (m *modelFS) read(name string, off, n int) []byte {
 	return f[off:end]
 }
 
-func runModelCheck(t *testing.T, pr Proto, seed int64, steps int) {
+// runModelCheck drives steps random operations through two hosts of
+// protocol pr. nameCache arms the §7 name-cache extension on both sides
+// (SNFS only), so the same namespace churn also exercises lease upkeep.
+func runModelCheck(t *testing.T, pr Proto, seed int64, steps int, nameCache bool) {
 	t.Helper()
 	pm := fastParams()
 	pm.SNFS.UpdateInterval = 5 * sim.Second // exercise the update daemon
-	w := Build(pr, true, pm)
+	pm.SNFS.NameCache = nameCache
+	w := BuildOpt(pr, true, pm, BuildOptions{NameCacheServer: nameCache})
 
 	var namespaces []*vfs.Namespace
 	namespaces = append(namespaces, w.NS)
@@ -75,6 +79,7 @@ func runModelCheck(t *testing.T, pr Proto, seed int64, steps int) {
 	}
 
 	model := newModelFS()
+	dirs := map[string]bool{}
 	rng := rand.New(rand.NewSource(seed))
 	names := []string{"a", "b", "c", "d"}
 
@@ -83,11 +88,11 @@ func runModelCheck(t *testing.T, pr Proto, seed int64, steps int) {
 			ns := namespaces[rng.Intn(len(namespaces))]
 			name := names[rng.Intn(len(names))]
 			path := "/data/" + name
-			switch rng.Intn(10) {
+			_, exists := model.files[name]
+			switch rng.Intn(14) {
 			case 0, 1, 2: // write (create or overwrite a range)
 				size := 1 + rng.Intn(20000)
 				off := 0
-				_, exists := model.files[name]
 				if exists && rng.Intn(2) == 0 {
 					off = rng.Intn(len(model.files[name]) + 1)
 				}
@@ -120,7 +125,7 @@ func runModelCheck(t *testing.T, pr Proto, seed int64, steps int) {
 				}
 				model.files[name] = nil
 			case 4: // remove
-				if _, exists := model.files[name]; exists {
+				if exists {
 					if err := ns.Remove(p, path); err != nil {
 						return fmt.Errorf("step %d remove %s: %w", step, path, err)
 					}
@@ -128,16 +133,52 @@ func runModelCheck(t *testing.T, pr Proto, seed int64, steps int) {
 				}
 			case 5: // idle (lets daemons run)
 				p.Sleep(sim.Duration(rng.Intn(8)) * sim.Second)
+			case 6: // mkdir, or rmdir if it is there (made by either host)
+				dir := "/data/dir" + name
+				if dirs[dir] {
+					if err := ns.Rmdir(p, dir); err != nil {
+						return fmt.Errorf("step %d rmdir %s: %w", step, dir, err)
+					}
+				} else if err := ns.Mkdir(p, dir, 0o755); err != nil {
+					return fmt.Errorf("step %d mkdir %s: %w", step, dir, err)
+				}
+				dirs[dir] = !dirs[dir]
+			case 7: // rename, replacing whatever the new name held
+				to := names[rng.Intn(len(names))]
+				if exists && to != name {
+					if err := ns.Rename(p, path, "/data/"+to); err != nil {
+						return fmt.Errorf("step %d rename %s -> %s: %w", step, path, to, err)
+					}
+					model.files[to] = model.files[name]
+					delete(model.files, name)
+				}
+			case 8: // link, then remove the old name: the inode lives on
+				// (nlink > 1), so its cache and delayed writes must too
+				to := names[rng.Intn(len(names))]
+				if _, taken := model.files[to]; exists && !taken {
+					if err := ns.Link(p, path, "/data/"+to); err != nil {
+						return fmt.Errorf("step %d link %s -> %s: %w", step, path, to, err)
+					}
+					if err := ns.Remove(p, path); err != nil {
+						return fmt.Errorf("step %d remove linked %s: %w", step, path, err)
+					}
+					model.files[to] = model.files[name]
+					delete(model.files, name)
+				}
 			default: // read a range and check against the model
-				if _, exists := model.files[name]; !exists {
+				f, err := ns.Open(p, path, vfs.ReadOnly, 0)
+				if !exists {
+					if err == nil {
+						f.Close(p)
+						return fmt.Errorf("step %d: opened absent file %s", step, path)
+					}
 					continue
 				}
-				off := rng.Intn(len(model.files[name]) + 1)
-				n := 1 + rng.Intn(20000)
-				f, err := ns.Open(p, path, vfs.ReadOnly, 0)
 				if err != nil {
 					return fmt.Errorf("step %d open-read %s: %w", step, path, err)
 				}
+				off := rng.Intn(len(model.files[name]) + 1)
+				n := 1 + rng.Intn(20000)
 				got, err := f.ReadAt(p, int64(off), n)
 				if err != nil {
 					f.Close(p)
@@ -175,105 +216,30 @@ func firstDiff(a, b []byte) int {
 
 func TestModelCheckSNFS(t *testing.T) {
 	for seed := int64(1); seed <= 10; seed++ {
-		runModelCheck(t, SNFS, seed, 200)
+		runModelCheck(t, SNFS, seed, 200, false)
 	}
 }
 
 func TestModelCheckNFS(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
-		runModelCheck(t, NFS, seed, 150)
+		runModelCheck(t, NFS, seed, 150, false)
 	}
 }
 
 func TestModelCheckRFS(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
-		runModelCheck(t, RFS, seed, 150)
+		runModelCheck(t, RFS, seed, 150, false)
 	}
 }
 
 func TestModelCheckLocal(t *testing.T) {
-	runModelCheck(t, Local, 1, 200)
+	runModelCheck(t, Local, 1, 200, false)
 }
 
 // TestModelCheckSNFSWithNameCache exercises the §7 extension under the
 // random workload (namespace churn through two clients).
 func TestModelCheckSNFSWithNameCache(t *testing.T) {
 	for seed := int64(10); seed <= 17; seed++ {
-		runModelCheckOpts(t, seed, 200)
-	}
-}
-
-func runModelCheckOpts(t *testing.T, seed int64, steps int) {
-	t.Helper()
-	// Same as runModelCheck(SNFS) but with the name-cache protocol on
-	// both sides.
-	pm := fastParams()
-	pm.SNFS.UpdateInterval = 5 * sim.Second
-	pm.SNFS.NameCache = true
-	w := BuildOpt(SNFS, true, pm, BuildOptions{NameCacheServer: true})
-	_, ns2 := w.AddSNFSClient("second", pm.SNFS)
-	namespaces := []*vfs.Namespace{w.NS, ns2}
-
-	model := newModelFS()
-	rng := rand.New(rand.NewSource(seed))
-	names := []string{"a", "b", "c"}
-	err := w.Run(func(p *sim.Proc) error {
-		for step := 0; step < steps; step++ {
-			ns := namespaces[rng.Intn(len(namespaces))]
-			name := names[rng.Intn(len(names))]
-			path := "/data/" + name
-			switch rng.Intn(6) {
-			case 0, 1:
-				data := make([]byte, 1+rng.Intn(9000))
-				for i := range data {
-					data[i] = byte(step + i)
-				}
-				f, err := ns.Open(p, path, vfs.WriteOnly|vfs.Create|vfs.Truncate, 0o644)
-				if err != nil {
-					return fmt.Errorf("step %d create: %w", step, err)
-				}
-				if _, err := f.WriteAt(p, 0, data); err != nil {
-					return err
-				}
-				if err := f.Close(p); err != nil {
-					return err
-				}
-				model.files[name] = append([]byte(nil), data...)
-			case 2:
-				if _, ok := model.files[name]; ok {
-					if err := ns.Remove(p, path); err != nil {
-						return fmt.Errorf("step %d remove: %w", step, err)
-					}
-					delete(model.files, name)
-				}
-			default:
-				_, exists := model.files[name]
-				f, err := ns.Open(p, path, vfs.ReadOnly, 0)
-				if !exists {
-					if err == nil {
-						f.Close(p)
-						return fmt.Errorf("step %d: opened removed file %s", step, path)
-					}
-					continue
-				}
-				if err != nil {
-					return fmt.Errorf("step %d open %s: %w", step, path, err)
-				}
-				got, err := f.ReadAt(p, 0, 20000)
-				if err != nil {
-					f.Close(p)
-					return err
-				}
-				f.Close(p)
-				if !bytes.Equal(got, model.files[name]) {
-					return fmt.Errorf("step %d: %s content mismatch (%d vs %d bytes)",
-						step, path, len(got), len(model.files[name]))
-				}
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("seed %d: %v", seed, err)
+		runModelCheck(t, SNFS, seed, 200, true)
 	}
 }

@@ -389,6 +389,18 @@ type Handle struct {
 // IsZero reports whether h is the zero handle.
 func (h Handle) IsZero() bool { return h == Handle{} }
 
+// Less orders handles by (FSID, Ino, Gen): the stable order for loops
+// that walk a handle-keyed map and talk to the network per entry.
+func (h Handle) Less(o Handle) bool {
+	if h.FSID != o.FSID {
+		return h.FSID < o.FSID
+	}
+	if h.Ino != o.Ino {
+		return h.Ino < o.Ino
+	}
+	return h.Gen < o.Gen
+}
+
 func (h Handle) String() string { return fmt.Sprintf("fh(%d:%d.%d)", h.FSID, h.Ino, h.Gen) }
 
 // Encode writes h.

@@ -469,12 +469,7 @@ func (s *SNFSServer) Promote(p *sim.Proc, m proto.ShardMap, viewNum uint64) {
 	for h := range s.mirror {
 		handles = append(handles, h)
 	}
-	sort.Slice(handles, func(i, j int) bool {
-		if handles[i].Ino != handles[j].Ino {
-			return handles[i].Ino < handles[j].Ino
-		}
-		return handles[i].Gen < handles[j].Gen
-	})
+	sort.Slice(handles, func(i, j int) bool { return handles[i].Less(handles[j]) })
 	for _, h := range handles {
 		ent := s.mirror[h]
 		if ent.lastWriter != "" {

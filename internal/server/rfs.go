@@ -1,6 +1,8 @@
 package server
 
 import (
+	"sort"
+
 	"spritelynfs/internal/core"
 	"spritelynfs/internal/localfs"
 	"spritelynfs/internal/proto"
@@ -186,9 +188,18 @@ func (s *RFSServer) invalidateForWrite(p *sim.Proc, from simnet.Addr, args []byt
 		return
 	}
 	writer := core.ClientID(from)
+	// Callbacks block, so they go out in client order, not map order:
+	// the order moves the simulated clock.
+	cids := make([]core.ClientID, 0, len(e.cached))
 	for cid := range e.cached {
-		if cid == writer {
-			continue
+		if cid != writer {
+			cids = append(cids, cid)
+		}
+	}
+	sort.Slice(cids, func(i, j int) bool { return cids[i] < cids[j] })
+	for _, cid := range cids {
+		if !e.cached[cid] {
+			continue // invalidated by a concurrent write meanwhile
 		}
 		s.cbSem.Acquire(p)
 		s.ops.Inc("callback")
