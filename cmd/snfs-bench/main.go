@@ -12,7 +12,7 @@
 //	snfs-bench -run clusterscale -shards 1,2,4 -csv -o results/
 //	snfs-bench -run clustersmoke -audit -o results/
 //	snfs-bench -run failover -o results/
-//	snfs-bench -run scale,rpc,latency -spans -o results/
+//	snfs-bench -run scale,clusterscale,rpc,latency -spans -o results/
 //	snfs-bench -run trace
 //
 // Absolute times are simulated; the shapes (who wins, by what factor,
@@ -62,7 +62,7 @@ func main() {
 	flag.StringVar(&shardsFlag, "shards", "1,2,4", "shard counts for the clusterscale experiment")
 	flag.StringVar(&scenarioClientsFlag, "scenario-clients", "16,1000,2000,4000", "client populations for the scenario knee sweep")
 	timelineFlag := flag.Bool("timeline", false, "sample metric timelines on the sim clock (500ms) during the scale, clusterscale, and rpc experiments; written as timeline*.json under -o (default results/)")
-	spansFlag := flag.Bool("spans", false, "arm causal span tracing during the scale, rpc, and latency experiments; critical-path breakdowns are printed and written as spans*.json under -o (default results/)")
+	spansFlag := flag.Bool("spans", false, "arm causal span tracing during the scale, clusterscale, rpc, and latency experiments; critical-path breakdowns are printed and written as spans*.json under -o (default results/)")
 	flag.Parse()
 
 	pm := harness.Default()
@@ -611,8 +611,16 @@ func clusterScaleExperiment(w io.Writer, pm harness.Params) error {
 		}
 		prev = n
 	}
-	if tl := lastTimeline(out[shardCounts[len(shardCounts)-1]]); tl != nil {
+	most := out[shardCounts[len(shardCounts)-1]]
+	if tl := lastTimeline(most); tl != nil {
 		if err := writeOutput(w, "timeline", "timeline-cluster.json", tl.WriteJSON); err != nil {
+			return err
+		}
+	}
+	if s := lastSpans(most); s != nil {
+		fmt.Fprintf(w, "\n%d shards, largest point (%d clients):\n", shardCounts[len(shardCounts)-1], s.Clients)
+		s.Render(w)
+		if err := writeOutput(w, "span breakdown", "spans-cluster.json", asJSON(s)); err != nil {
 			return err
 		}
 	}
@@ -708,22 +716,9 @@ func clusterSmoke(w io.Writer, pm harness.Params) error {
 		return nil
 	}
 	phase := func(p *sim.Proc, name string) error {
-		wg := sim.NewWaitGroup(cw.K, len(dirs))
-		errs := make([]error, len(dirs))
-		for i := range dirs {
-			i := i
-			cw.K.Go(fmt.Sprintf("smoke-%s-%d", name, i), func(cp *sim.Proc) {
-				defer wg.Done()
-				errs[i] = work(cp, namespaces[i], dirs[i], name)
-			})
-		}
-		wg.Wait(p)
-		for _, e := range errs {
-			if e != nil {
-				return e
-			}
-		}
-		return nil
+		return cw.RunEach(p, len(dirs), "smoke-"+name+"-", func(cp *sim.Proc, i int) error {
+			return work(cp, namespaces[i], dirs[i], name)
+		})
 	}
 	err = cw.Run(func(p *sim.Proc) error {
 		for i, dir := range dirs {
@@ -759,7 +754,7 @@ func clusterSmoke(w io.Writer, pm harness.Params) error {
 		nshards, m.Version, cw.Redirects())
 	for _, sh := range cw.Cluster.Shards() {
 		fmt.Fprintf(w, "  shard %d: %d RPCs served, %d state-table entries\n",
-			sh.ID, sh.Server.Ops().Total(), sh.Server.Table().Len())
+			sh.ID, sh.Base.Ops().Total(), sh.SNFS.Table().Len())
 	}
 	if outDir != "" {
 		blob, err := json.MarshalIndent(m, "", "  ")
@@ -900,9 +895,7 @@ func failoverExperiment(w io.Writer, pm harness.Params) error {
 func traceDemo(w io.Writer, pm harness.Params) error {
 	world := harness.Build(harness.SNFS, true, pm)
 	tr := world.EnableTrace(0)
-	readerCli, readerNS := world.AddSNFSClient("reader", pm.SNFS)
-	readerCli.SetTracer(tr)
-	readerCli.Endpoint().Tracer = tr
+	_, readerNS := world.AddSNFSClient("reader", pm.SNFS)
 	err := world.Run(func(p *sim.Proc) error {
 		if err := world.NS.WriteFile(p, "/data/shared.txt", 24*1024, 8192); err != nil {
 			return err

@@ -1,7 +1,7 @@
 // Command snfsd is a standalone Spritely NFS (or plain NFS) server
-// daemon: the same protocol stack the experiments measure, served over
-// real TCP. Each connection becomes a client host; SNFS callbacks travel
-// back over the same connection.
+// daemon: the same server host the experiments measure
+// (cluster.NewServerHost), served over real TCP. Each connection becomes
+// a client host; SNFS callbacks travel back over the same connection.
 //
 // Usage:
 //
@@ -45,8 +45,6 @@ import (
 
 	"spritelynfs/internal/audit"
 	"spritelynfs/internal/cluster"
-	"spritelynfs/internal/disk"
-	"spritelynfs/internal/localfs"
 	"spritelynfs/internal/metrics"
 	"spritelynfs/internal/proto"
 	"spritelynfs/internal/rpc"
@@ -87,36 +85,32 @@ func main() {
 		}
 	}
 
+	pr, ok := map[string]cluster.Proto{"snfs": cluster.SNFS, "nfs": cluster.NFS, "rfs": cluster.RFS}[*protoFlag]
+	if !ok {
+		fmt.Fprintf(os.Stderr, "snfsd: unknown protocol %q\n", *protoFlag)
+		os.Exit(2)
+	}
+
 	k := sim.NewKernel(1)
 	network := simnet.New(k, simnet.Config{}) // zero-latency internal fabric
-	ep := rpc.NewEndpoint(k, network, "server", rpc.Options{Workers: *workers})
-	store := localfs.NewStore(k.Now, 4096)
-	// The daemon's "disk" is free: real I/O time is real already.
-	d0 := disk.New(k, "d0", disk.Params{})
-	media := localfs.NewMedia(store, d0, 1, 0)
 
 	reg := metrics.New()
-	var spans *span.Recorder
+	in := cluster.Instruments{Metrics: reg}
 	if *spansCap > 0 {
-		spans = span.NewRecorder(k.Now, *spansCap)
-		spans.EnableMetrics(reg)
-		ep.Spans = spans
-		d0.Spans = spans
+		in.Spans = span.NewRecorder(k.Now, *spansCap)
+		in.Spans.EnableMetrics(reg)
 	}
-	var tr *trace.Tracer
 	if *traceCap > 0 {
-		tr = trace.New(k.Now, *traceCap)
-		ep.Tracer = tr
+		in.Tracer = trace.New(k.Now, *traceCap)
 	}
-	var flight *tsdb.FlightRecorder
 	if *flightCap > 0 {
-		flight = tsdb.NewFlightRecorder(k.Now, *flightCap)
+		in.Flight = tsdb.NewFlightRecorder(k.Now, *flightCap)
 	}
 	// dumpFlight writes the black box to -flight-dump (or stderr), once
 	// per trigger. Flight dumps are whole documents, so a file sink is
 	// recreated each time: the file always holds the latest dump.
 	dumpFlight := func(trigger string) {
-		if flight == nil {
+		if in.Flight == nil {
 			log.Printf("snfsd: no flight recorder (-flight 0); dump for %q skipped", trigger)
 			return
 		}
@@ -131,9 +125,8 @@ func main() {
 			sink = f
 			log.Printf("snfsd: flight dump (%s) -> %s", trigger, *flightDump)
 		}
-		flight.WriteText(sink, trigger)
+		in.Flight.WriteText(sink, trigger)
 	}
-	var auditor *audit.Auditor
 	if *auditJournal != "" {
 		sink := os.Stderr
 		if *auditJournal != "-" {
@@ -144,71 +137,30 @@ func main() {
 			defer f.Close()
 			sink = f
 		}
-		auditor = audit.New(k, sink)
-		auditor.EnableMetrics(reg)
-	}
-	var rootInfo string
-	var base *server.Base
-	switch *protoFlag {
-	case "snfs":
-		s := server.NewSNFS(k, ep, media, server.Config{FSID: 1, CPUPerOp: 1, CPUPerKB: 0}, server.SNFSOptions{})
-		s.EnableMetrics(reg)
-		if tr != nil {
-			s.SetTracer(tr)
-			s.Table().Tracer = tr
-		}
-		if auditor != nil {
-			s.SetAuditor(auditor)
-		}
-		rootInfo = s.RootHandle().String()
-		base = s.Base
-	case "nfs":
-		s := server.NewNFS(k, ep, media, server.Config{FSID: 1, CPUPerOp: 1, CPUPerKB: 0})
-		s.EnableMetrics(reg)
-		if tr != nil {
-			s.SetTracer(tr)
-		}
-		rootInfo = s.RootHandle().String()
-		base = s.Base
-	case "rfs":
-		s := server.NewRFS(k, ep, media, server.Config{FSID: 1, CPUPerOp: 1, CPUPerKB: 0})
-		s.EnableMetrics(reg)
-		if tr != nil {
-			s.SetTracer(tr)
-		}
-		rootInfo = s.RootHandle().String()
-		base = s.Base
-	default:
-		fmt.Fprintf(os.Stderr, "snfsd: unknown protocol %q\n", *protoFlag)
-		os.Exit(2)
-	}
-	if flight != nil {
-		base.SetFlight(flight)
-	}
-	if spans != nil {
-		base.SetSpans(spans)
-	}
-	if auditor != nil && flight != nil {
-		// First violation dumps the black box: the protocol history that
-		// led to it matters more than any later violation's.
-		var dumped atomic.Bool
-		auditor.OnViolation = func(v audit.Violation) {
-			if dumped.Swap(true) {
-				return
-			}
-			dumpFlight(fmt.Sprintf("audit violation op=%d %s: %s", v.Op, v.Invariant, v.Detail))
+		in.Auditor = audit.New(k, sink)
+		in.Auditor.EnableMetrics(reg)
+		if pr != cluster.SNFS {
+			log.Printf("snfsd: -audit-journal only audits the snfs protocol; journal will stay empty")
 		}
 	}
+	// First violation dumps the black box: the protocol history that led
+	// to it matters more than any later violation's.
+	in.FlightDumpOnViolation(dumpFlight)
+	// The daemon's "disk" is free: real I/O time is real already.
+	host := cluster.NewServerHost(k, network, cluster.ServerSpec{
+		Proto:   pr,
+		Addr:    "server",
+		Workers: *workers,
+		Config:  server.Config{FSID: 1, CPUPerOp: 1, CPUPerKB: 0},
+	}, in)
+	store := host.Media.Store()
 	if !smap.IsZero() {
 		if *protoFlag == "rfs" {
 			log.Fatalf("snfsd: -shard-map is not supported for rfs")
 		}
-		base.SetShardMap(smap, uint32(*shardID))
+		host.Base.SetShardMap(smap, uint32(*shardID))
 		log.Printf("snfsd: shard %d of %d (map v%d, %d assignments)",
 			*shardID, len(smap.Servers), smap.Version, len(smap.Assignments))
-	}
-	if auditor != nil && *protoFlag != "snfs" {
-		log.Printf("snfsd: -audit-journal only audits the snfs protocol; journal will stay empty")
 	}
 
 	if *populate {
@@ -232,7 +184,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("snfsd: %v", err)
 	}
-	log.Printf("snfsd: serving %s on %s (root %s, %d workers)", *protoFlag, ln.Addr(), rootInfo, *workers)
+	log.Printf("snfsd: serving %s on %s (root %s, %d workers)", *protoFlag, ln.Addr(), host.Base.RootHandle(), *workers)
 
 	gw := rpc.NewGateway(k, network, "server")
 	go func() {
@@ -264,8 +216,8 @@ func main() {
 		plane := tsdb.NewHandler(tsdb.PlaneOptions{
 			Registry: reg,
 			Sampler:  smp,
-			Flight:   flight,
-			Spans:    spans,
+			Flight:   in.Flight,
+			Spans:    in.Spans,
 			ShardMap: func() any {
 				if smap.IsZero() {
 					return nil
@@ -320,7 +272,7 @@ func main() {
 				dumpFlight("SIGUSR2")
 				continue
 			}
-			sink := io.Writer(os.Stderr)
+			sink := os.Stderr
 			if *metricsDump != "" {
 				f, err := os.Create(*metricsDump)
 				if err != nil {
@@ -333,14 +285,14 @@ func main() {
 				log.Printf("snfsd: metrics dump (SIGUSR1)")
 			}
 			reg.WriteProm(sink)
-			if tr != nil {
-				tr.Dump(sink)
+			if in.Tracer != nil {
+				in.Tracer.Dump(sink)
 			}
-			if auditor != nil {
-				fmt.Fprint(sink, auditor.Summary())
+			if in.Auditor != nil {
+				fmt.Fprint(sink, in.Auditor.Summary())
 			}
-			if c, ok := sink.(io.Closer); ok {
-				c.Close()
+			if sink != os.Stderr { // stderr stays open: the log goes there
+				sink.Close()
 			}
 		}
 	}()
@@ -358,7 +310,7 @@ func main() {
 	k.RunRealtime(stop)
 	log.Printf("snfsd: final metrics")
 	reg.WriteProm(os.Stderr)
-	if auditor != nil {
-		fmt.Fprint(os.Stderr, auditor.Summary())
+	if in.Auditor != nil {
+		fmt.Fprint(os.Stderr, in.Auditor.Summary())
 	}
 }

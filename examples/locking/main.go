@@ -17,7 +17,6 @@ import (
 
 	snfs "spritelynfs"
 	"spritelynfs/internal/client"
-	"spritelynfs/internal/sim"
 )
 
 const perClient = 15
@@ -53,30 +52,17 @@ func runRace(useLock bool) (final int, err error) {
 			return err
 		}
 		world.SNFSCli.SyncPass(p)
-		wg := sim.NewWaitGroup(world.K, 2)
-		var errA, errB error
-		world.K.Go("incrA", func(cp *snfs.Proc) {
-			defer wg.Done()
-			for i := 0; i < perClient; i++ {
-				if errA = increment(cp, world.SNFSCli, useLock); errA != nil {
-					return
+		hosts := []*client.SNFSClient{world.SNFSCli, b}
+		err := world.RunEach(p, len(hosts), "incr", func(cp *snfs.Proc, i int) error {
+			for n := 0; n < perClient; n++ {
+				if err := increment(cp, hosts[i], useLock); err != nil {
+					return err
 				}
 			}
+			return nil
 		})
-		world.K.Go("incrB", func(cp *snfs.Proc) {
-			defer wg.Done()
-			for i := 0; i < perClient; i++ {
-				if errB = increment(cp, b, useLock); errB != nil {
-					return
-				}
-			}
-		})
-		wg.Wait(p)
-		if errA != nil {
-			return errA
-		}
-		if errB != nil {
-			return errB
+		if err != nil {
+			return err
 		}
 		f, err := world.NS.Open(p, "/data/counter", snfs.ReadOnly, 0)
 		if err != nil {

@@ -33,6 +33,9 @@ type Block struct {
 	Data    []byte
 	Dirty   bool
 	DirtyAt sim.Time // when the block was first dirtied since last clean
+	// Gen counts the writes into the block (MarkDirty calls): a write-back
+	// cleans only the generation it sent (MarkCleanIf).
+	Gen uint64
 	// Len is the number of valid bytes (blocks at end-of-file may be
 	// partial; the write policy for partial blocks differs from full
 	// ones in the NFS client).
@@ -153,6 +156,7 @@ func (c *Cache) MarkDirty(key Key, now sim.Time) bool {
 		return false
 	}
 	b := el.Value.(*Block)
+	b.Gen++
 	if !b.Dirty {
 		b.Dirty = true
 		b.DirtyAt = now
@@ -169,6 +173,15 @@ func (c *Cache) MarkClean(key Key) {
 			b.Dirty = false
 			c.ndirty--
 		}
+	}
+}
+
+// MarkCleanIf is MarkClean for a write-back that blocked: the block
+// stays dirty if it was written again after generation gen was sent, for
+// that newer data is still owed to the server.
+func (c *Cache) MarkCleanIf(key Key, gen uint64) {
+	if el, ok := c.blocks[key]; ok && el.Value.(*Block).Gen == gen {
+		c.MarkClean(key)
 	}
 }
 

@@ -167,6 +167,3 @@ func (ac *attrCache) observedChange(n *node, a proto.Fattr) {
 
 // Stats returns a copy of the attribute-cache counters.
 func (ac *attrCache) Stats() AttrCacheStats { return ac.stats }
-
-// AttrCacheStats exposes the attribute-cache counters (tests, snfscli).
-func (b *Base) AttrCacheStats() AttrCacheStats { return b.attrs.Stats() }

@@ -240,9 +240,6 @@ func (b *Base) Tracer() *trace.Tracer { return b.tracer }
 // owning operation's trace.
 func (b *Base) SetSpans(r *span.Recorder) { b.spans = r }
 
-// Spans returns the attached span recorder (possibly nil).
-func (b *Base) Spans() *span.Recorder { return b.spans }
-
 // span opens a child span of p's current operation (no-op when spans
 // are off).
 func (b *Base) span(p *sim.Proc, kind span.Kind, name string) span.Handle {
@@ -951,12 +948,12 @@ func (b *Base) flushBlockSync(p *sim.Proc, n *node, blk int64) error {
 	if !ok || !cb.Dirty {
 		return nil
 	}
-	off := blk * int64(b.cfg.BlockSize)
+	off, gen := blk*int64(b.cfg.BlockSize), cb.Gen
 	attr, err := b.writeBack(p, n, off, cb.Data[:cb.Len])
 	if err != nil {
 		return err
 	}
-	b.cache.MarkClean(key)
+	b.cache.MarkCleanIf(key, gen)
 	b.attrs.ingestOwn(n, attr, p.Now())
 	return nil
 }
@@ -1069,7 +1066,7 @@ func (b *Base) flushBlocks(p *sim.Proc, blocks []*cache.Block) {
 			b.cache.MarkClean(blk.Key)
 			continue
 		}
-		off := blk.Key.Block * int64(b.cfg.BlockSize)
+		off, gen := blk.Key.Block*int64(b.cfg.BlockSize), cur.Gen
 		if _, err := b.writeBack(p, n, off, cur.Data[:cur.Len]); err != nil {
 			continue
 		}
@@ -1077,7 +1074,7 @@ func (b *Base) flushBlocks(p *sim.Proc, blocks []*cache.Block) {
 		if len(flushed) == 0 || flushed[len(flushed)-1] != n {
 			flushed = append(flushed, n)
 		}
-		b.cache.MarkClean(blk.Key)
+		b.cache.MarkCleanIf(blk.Key, gen)
 	}
 	for _, n := range flushed {
 		b.commit(p, n)

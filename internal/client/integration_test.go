@@ -1209,3 +1209,40 @@ func TestSymlinkConsistencyAcrossClients(t *testing.T) {
 		}
 	})
 }
+
+// TestSNFSRewriteDuringWritebackIsNotLost: a block written again while
+// the update daemon's write-back of it is on the wire still owes the
+// server its newer bytes — the returning write-back must not mark it
+// clean. (Found by the harness model check, SNFS seed 9.)
+func TestSNFSRewriteDuringWritebackIsNotLost(t *testing.T) {
+	w := newWorld(1, true, 4, server.SNFSOptions{})
+	c := w.addSNFS("clientA", client.SNFSOptions{})
+	run(t, w.k, func(p *sim.Proc) {
+		f, err := c.Open(p, "f.dat", vfs.WriteOnly|vfs.Create, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.WriteAt(p, 0, fill(4096, 'a'))
+		pass := sim.NewWaitGroup(w.k, 1)
+		w.k.Go("update", func(dp *sim.Proc) {
+			defer pass.Done()
+			c.SyncPass(dp)
+		})
+		p.Sleep(sim.Millisecond) // the write RPC is in flight
+		if got := c.Ops().Get("write"); got != 1 {
+			t.Fatalf("%d writes on the wire 1 ms into the pass, want 1", got)
+		}
+		f.WriteAt(p, 0, fill(4096, 'b'))
+		pass.Wait(p)
+		c.SyncPass(p)
+		st := w.media.Store()
+		a, err := st.Lookup(st.Root(), "f.dat")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := st.ReadAt(a.Ino, 0, 4096); !bytes.Equal(got, fill(4096, 'b')) {
+			t.Errorf("server holds %q… after two passes, want the rewrite", got[:4])
+		}
+		f.Close(p)
+	})
+}

@@ -300,11 +300,11 @@ func (c *SNFSClient) flushFile(p *sim.Proc, n *node) error {
 		if !ok || !cur.Dirty {
 			continue
 		}
-		off := blk.Key.Block * int64(c.cfg.BlockSize)
+		off, gen := blk.Key.Block*int64(c.cfg.BlockSize), cur.Gen
 		if _, err := c.writeBack(p, n, off, cur.Data[:cur.Len]); err != nil {
 			return err
 		}
-		c.cache.MarkClean(blk.Key)
+		c.cache.MarkCleanIf(blk.Key, gen)
 	}
 	// One COMMIT settles the whole write-back: the server lands the
 	// blocks in gathered arm operations instead of one per block.
@@ -638,10 +638,6 @@ func (f *snfsFile) Attr(p *sim.Proc) (proto.Fattr, error) {
 
 // Epoch returns the last server epoch observed by the keepalive daemon.
 func (c *SNFSClient) Epoch() uint64 { return c.epoch }
-
-// ForceRecover runs a recovery pass immediately (tests drive this instead
-// of waiting for the keepalive period).
-func (c *SNFSClient) ForceRecover(p *sim.Proc) { c.recover(p) }
 
 // Lock acquires an advisory whole-file lock on rel (the §2.2 mechanism
 // for serializing write-shared access), polling with backoff until

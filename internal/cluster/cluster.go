@@ -23,8 +23,6 @@ import (
 	"strings"
 
 	"spritelynfs/internal/audit"
-	"spritelynfs/internal/client"
-	"spritelynfs/internal/disk"
 	"spritelynfs/internal/localfs"
 	"spritelynfs/internal/metrics"
 	"spritelynfs/internal/proto"
@@ -32,13 +30,14 @@ import (
 	"spritelynfs/internal/server"
 	"spritelynfs/internal/sim"
 	"spritelynfs/internal/simnet"
+	"spritelynfs/internal/span"
 	"spritelynfs/internal/tsdb"
 	"spritelynfs/internal/view"
 )
 
-// Config sizes a cluster and its per-shard servers. Every shard gets the
-// same cost model; FSIDs are assigned per shard (1+id) so handles and
-// client cache keys never collide across shards.
+// Config sizes a cluster. Every shard is built from one server spec and
+// every router client from one client spec; FSIDs are assigned per shard
+// (1+id) so handles and client cache keys never collide across shards.
 type Config struct {
 	// Shards is the number of servers (≥ 1).
 	Shards int
@@ -46,34 +45,26 @@ type Config struct {
 	// Root-level names not listed belong to shard 0.
 	Assignments map[string]uint32
 
-	// Server is the per-shard cost model (FSID is overridden).
-	Server server.Config
-	// ServerOpts configures each shard's SNFS machinery.
-	ServerOpts server.SNFSOptions
-	// ServerWorkers is each shard's nfsd pool.
-	ServerWorkers int
-	// ServerCacheBytes and ServerBlockSize size each shard's media.
-	ServerCacheBytes int64
-	ServerBlockSize  int
-	// Disk is the per-shard drive model.
-	Disk disk.Params
-
-	// ClientConfig is the template for the router's per-shard clients
-	// (Server and Root are filled per shard).
-	ClientConfig client.Config
-	// ClientOpts configures the router's per-shard SNFS clients.
-	ClientOpts client.SNFSOptions
+	// Server is the spec of every shard host. Proto, Addr, Store and
+	// Config.FSID are set per host; the rest is the shared cost model.
+	Server ServerSpec
+	// Client is the spec of the router's per-shard clients (Proto, Name
+	// and Config.Server/Root are set per client).
+	Client ClientSpec
 
 	// Audit arms one protocol auditor per shard.
 	Audit bool
 	// AuditSinkFor, when set with Audit, supplies each shard's journal
 	// sink (nil entries are fine).
 	AuditSinkFor func(shard int) io.Writer
-
 	// FlightCapacity, when > 0, arms a flight recorder per shard: each
 	// server's recent RPC/state/callback events are kept in a bounded
 	// ring for post-mortem dumps (see Shard.Flight).
 	FlightCapacity int
+	// Spans, when set, is the world's span recorder: every server and
+	// router client reports to it, so an operation's spans assemble into
+	// one tree across hosts and shards.
+	Spans *span.Recorder
 
 	// Backups arms primary/backup replication: each shard gets a standby
 	// server (sharing the primary's store — the durable bytes are a
@@ -91,26 +82,19 @@ type Config struct {
 	ViewLog io.Writer
 }
 
-// Shard is one member server and its backing pieces.
+// Shard is one member of the federation: the primary host as built (its
+// auditor shadows only this shard's state table and clients, its flight
+// ring and registry are the shard's own) and, with Config.Backups, the
+// standby.
 type Shard struct {
-	ID      uint32
-	Addr    simnet.Addr
-	FSID    uint32
-	Server  *server.SNFSServer
-	Media   *localfs.Media
-	Metrics *metrics.Registry
-	// Auditor is the shard's protocol auditor (nil when auditing is
-	// off). It shadows only this shard's state table and clients.
-	Auditor *audit.Auditor
-	// Flight is the shard's black-box event ring (nil unless
-	// Config.FlightCapacity is set).
-	Flight *tsdb.FlightRecorder
-
-	// Backup is the shard's standby server (nil without Config.Backups).
-	// It shares the primary's Store and auditor but nothing volatile.
-	Backup      *server.SNFSServer
-	BackupAddr  simnet.Addr
-	BackupMedia *localfs.Media
+	ID   uint32
+	FSID uint32
+	*ServerHost
+	// Backup is the standby host (nil without Config.Backups). It shares
+	// the primary's Store, auditor and flight ring — one shadow and one
+	// black box per shard, whichever replica serves it — but nothing
+	// volatile.
+	Backup *ServerHost
 	// Repl is the primary's replication stream to Backup (nil without
 	// Config.Backups).
 	Repl *server.Replicator
@@ -125,6 +109,7 @@ type Cluster struct {
 	cfg Config
 
 	shards []*Shard
+	hosts  []*ServerHost
 	m      proto.ShardMap
 
 	view     *view.Service
@@ -142,12 +127,8 @@ func New(k *sim.Kernel, net *simnet.Network, cfg Config) (*Cluster, error) {
 	if cfg.Shards < 1 {
 		return nil, fmt.Errorf("cluster: need at least one shard")
 	}
-	if cfg.ServerWorkers == 0 {
-		cfg.ServerWorkers = 8
-	}
-	if cfg.ServerBlockSize == 0 {
-		cfg.ServerBlockSize = 4 * 1024
-	}
+	// The control plane (Expel, replication, promotion) is SNFS's.
+	cfg.Server.Proto, cfg.Client.Proto = SNFS, SNFS
 	c := &Cluster{k: k, net: net, cfg: cfg}
 
 	m := proto.ShardMap{Version: 1}
@@ -164,28 +145,19 @@ func New(k *sim.Kernel, net *simnet.Network, cfg Config) (*Cluster, error) {
 	c.m = m
 
 	for i := 0; i < cfg.Shards; i++ {
-		sh := &Shard{ID: uint32(i), Addr: ShardAddr(i), FSID: uint32(1 + i)}
-		ep := rpc.NewEndpoint(k, net, sh.Addr, rpc.Options{Workers: cfg.ServerWorkers})
-		st := localfs.NewStore(k.Now, cfg.ServerBlockSize)
-		d := disk.New(k, string(sh.Addr)+"-disk", cfg.Disk)
-		sh.Media = localfs.NewMedia(st, d, sh.FSID, cfg.ServerCacheBytes)
-		scfg := cfg.Server
-		scfg.FSID = sh.FSID
-		sh.Server = server.NewSNFS(k, ep, sh.Media, scfg, cfg.ServerOpts)
-		sh.Metrics = metrics.New()
-		sh.Server.EnableMetrics(sh.Metrics)
+		in := Instruments{Spans: cfg.Spans}
 		if cfg.FlightCapacity > 0 {
-			sh.Flight = tsdb.NewFlightRecorder(k.Now, cfg.FlightCapacity)
-			sh.Server.SetFlight(sh.Flight)
+			in.Flight = tsdb.NewFlightRecorder(k.Now, cfg.FlightCapacity)
 		}
 		if cfg.Audit {
 			var sink io.Writer
 			if cfg.AuditSinkFor != nil {
 				sink = cfg.AuditSinkFor(i)
 			}
-			sh.Auditor = audit.New(k, sink)
-			sh.Server.SetAuditor(sh.Auditor)
+			in.Auditor = audit.New(k, sink)
 		}
+		sh := &Shard{ID: uint32(i), FSID: uint32(1 + i)}
+		sh.ServerHost = c.newHost(sh, ShardAddr(i), nil, in)
 		c.shards = append(c.shards, sh)
 	}
 	if cfg.Backups {
@@ -193,6 +165,36 @@ func New(k *sim.Kernel, net *simnet.Network, cfg Config) (*Cluster, error) {
 	}
 	c.push()
 	return c, nil
+}
+
+// newHost builds one of sh's replicas from the cluster's server spec.
+func (c *Cluster) newHost(sh *Shard, addr simnet.Addr, store *localfs.Store, in Instruments) *ServerHost {
+	spec := c.cfg.Server
+	spec.Addr, spec.Store, spec.Config.FSID = addr, store, sh.FSID
+	h := NewServerHost(c.k, c.net, spec, in)
+	c.hosts = append(c.hosts, h)
+	return h
+}
+
+// EnableMetrics gives every server host a registry of its own — a
+// server's series carry no shard label, so two hosts cannot share one —
+// and, on replicated shards, exports the view number and replication lag
+// beside the primary's series.
+func (c *Cluster) EnableMetrics() {
+	for _, sh := range c.shards {
+		sh := sh
+		sh.Attach(Instruments{Metrics: metrics.New()})
+		if sh.Backup == nil {
+			continue
+		}
+		sh.Backup.Attach(Instruments{Metrics: metrics.New()})
+		sh.Metrics.GaugeFunc("snfs_shard_view_num",
+			func() float64 { return float64(c.view.View(sh.ID).Num) })
+		sh.Metrics.Help("snfs_shard_view_num", "Current view number for this shard.")
+		sh.Metrics.GaugeFunc("snfs_shard_repl_lag",
+			func() float64 { return float64(sh.Repl.Lag()) })
+		sh.Metrics.Help("snfs_shard_repl_lag", "Replication records assigned but not yet confirmed by the backup.")
+	}
 }
 
 // buildBackups arms the failover plane: one standby server per shard, a
@@ -205,24 +207,11 @@ func (c *Cluster) buildBackups() {
 		interval = 100 * sim.Millisecond
 	}
 	for _, sh := range c.shards {
-		sh := sh
-		sh.BackupAddr = BackupAddr(int(sh.ID))
-		bep := rpc.NewEndpoint(c.k, c.net, sh.BackupAddr, rpc.Options{Workers: cfg.ServerWorkers})
-		bd := disk.New(c.k, string(sh.BackupAddr)+"-disk", cfg.Disk)
-		// Same Store as the primary — the durable bytes survive either
-		// machine — but a private cache and disk model.
-		sh.BackupMedia = localfs.NewMedia(sh.Media.Store(), bd, sh.FSID, cfg.ServerCacheBytes)
-		scfg := cfg.Server
-		scfg.FSID = sh.FSID
-		sh.Backup = server.NewSNFS(c.k, bep, sh.BackupMedia, scfg, cfg.ServerOpts)
-		if sh.Flight != nil {
-			sh.Backup.SetFlight(sh.Flight)
-		}
-		if sh.Auditor != nil {
-			// One auditor shadows the shard regardless of which replica
-			// serves it; Promote resets it like a reboot.
-			sh.Backup.SetAuditor(sh.Auditor)
-		}
+		// The primary's spec with the primary's Store — the durable bytes
+		// survive either machine — and its auditor and flight ring;
+		// Promote resets the auditor like a reboot.
+		sh.Backup = c.newHost(sh, BackupAddr(int(sh.ID)), sh.Media.Store(),
+			Instruments{Spans: sh.Spans, Flight: sh.Flight, Auditor: sh.Auditor})
 	}
 	c.viewAddr = "viewsvc"
 	vep := rpc.NewEndpoint(c.k, c.net, c.viewAddr, rpc.Options{Workers: 2})
@@ -234,18 +223,19 @@ func (c *Cluster) buildBackups() {
 	})
 	for _, sh := range c.shards {
 		sh := sh
-		sh.Repl = sh.Server.StartReplication(sh.BackupAddr, nil)
-		c.view.Register(sh.ID, string(sh.Addr), string(sh.BackupAddr))
-		view.StartPinger(c.k, sh.Server.Endpoint(), view.PingerConfig{
+		backup := sh.Backup.SNFS
+		sh.Repl = sh.SNFS.StartReplication(sh.Backup.Addr, nil)
+		c.view.Register(sh.ID, string(sh.Addr), string(sh.Backup.Addr))
+		view.StartPinger(c.k, sh.Base.Endpoint(), view.PingerConfig{
 			Shard: sh.ID, Self: sh.Addr, Service: c.viewAddr, Interval: interval,
-			Crashed: sh.Server.Crashed,
+			Crashed: sh.SNFS.Crashed,
 			Status:  sh.Repl.Status,
 			OnView: func(p *sim.Proc, v proto.View, m proto.ShardMap) bool {
 				if v.Primary != string(sh.Addr) {
 					// Deposed while partitioned from our backup's
 					// ErrDemoted path: adopt the newer map so ownerCheck
 					// bounces our clients to the real primary.
-					sh.Server.SetShardMap(m, sh.ID)
+					sh.SNFS.SetShardMap(m, sh.ID)
 					sh.Repl.Stop()
 					return true
 				}
@@ -261,26 +251,20 @@ func (c *Cluster) buildBackups() {
 				return sh.Repl.Sync(p)
 			},
 		})
-		view.StartPinger(c.k, sh.Backup.Endpoint(), view.PingerConfig{
-			Shard: sh.ID, Self: sh.BackupAddr, Service: c.viewAddr, Interval: interval,
-			Crashed: sh.Backup.Crashed,
-			Status:  func() (bool, uint32) { return sh.Backup.ReplSynced(), 0 },
+		view.StartPinger(c.k, backup.Endpoint(), view.PingerConfig{
+			Shard: sh.ID, Self: sh.Backup.Addr, Service: c.viewAddr, Interval: interval,
+			Crashed: backup.Crashed,
+			Status:  func() (bool, uint32) { return backup.ReplSynced(), 0 },
 			OnView: func(p *sim.Proc, v proto.View, m proto.ShardMap) bool {
-				if v.Primary == string(sh.BackupAddr) {
+				if v.Primary == string(sh.Backup.Addr) {
 					// Normally a no-op: onViewEvent promoted us
 					// synchronously with the map change. This is the
 					// belt-and-suspenders path.
-					sh.Backup.Promote(p, m, v.Num)
+					backup.Promote(p, m, v.Num)
 				}
 				return true
 			},
 		})
-		sh.Metrics.GaugeFunc("snfs_shard_view_num",
-			func() float64 { return float64(c.view.View(sh.ID).Num) })
-		sh.Metrics.Help("snfs_shard_view_num", "Current view number for this shard.")
-		sh.Metrics.GaugeFunc("snfs_shard_repl_lag",
-			func() float64 { return float64(sh.Repl.Lag()) })
-		sh.Metrics.Help("snfs_shard_repl_lag", "Replication records assigned but not yet confirmed by the backup.")
 	}
 }
 
@@ -297,8 +281,8 @@ func (c *Cluster) onViewEvent(p *sim.Proc, shard uint32, v proto.View, reason st
 		shard, v.Num, v.Primary, v.Backup, reason)
 	switch reason {
 	case "primary-dead":
-		if p != nil && sh.Backup != nil && v.Primary == string(sh.BackupAddr) {
-			sh.Backup.Promote(p, c.Map(), v.Num)
+		if p != nil && sh.Backup != nil && v.Primary == string(sh.Backup.Addr) {
+			sh.Backup.SNFS.Promote(p, c.Map(), v.Num)
 		}
 	case "backup-dead":
 		if sh.Repl != nil {
@@ -309,9 +293,6 @@ func (c *Cluster) onViewEvent(p *sim.Proc, shard uint32, v proto.View, reason st
 
 // ViewService returns the cluster's viewservice (nil without Backups).
 func (c *Cluster) ViewService() *view.Service { return c.view }
-
-// ViewAddr returns the viewservice's network address ("" without Backups).
-func (c *Cluster) ViewAddr() simnet.Addr { return c.viewAddr }
 
 // SetPrimary implements view.MapStore: rewrite one shard's primary
 // address under a version bump and push the map to every server except
@@ -354,16 +335,20 @@ func (c *Cluster) push() { c.pushExcept("") }
 func (c *Cluster) pushExcept(skip string) {
 	for _, sh := range c.shards {
 		if string(sh.Addr) != skip {
-			sh.Server.SetShardMap(cloneMap(c.m), sh.ID)
+			sh.SNFS.SetShardMap(cloneMap(c.m), sh.ID)
 		}
-		if sh.Backup != nil && string(sh.BackupAddr) != skip {
-			sh.Backup.SetShardMap(cloneMap(c.m), sh.ID)
+		if sh.Backup != nil && string(sh.Backup.Addr) != skip {
+			sh.Backup.SNFS.SetShardMap(cloneMap(c.m), sh.ID)
 		}
 	}
 }
 
 // Shards returns the member servers.
 func (c *Cluster) Shards() []*Shard { return c.shards }
+
+// Hosts returns every server host in build order: the primaries by
+// shard, then the backups.
+func (c *Cluster) Hosts() []*ServerHost { return c.hosts }
 
 // Map returns a copy of the authoritative shard map.
 func (c *Cluster) Map() proto.ShardMap { return cloneMap(c.m) }
@@ -449,7 +434,7 @@ func (c *Cluster) expelTree(p *sim.Proc, sh *Shard, a localfs.Attr) {
 			}
 		}
 	}
-	sh.Server.Expel(p, proto.Handle{FSID: sh.FSID, Ino: a.Ino, Gen: a.Gen})
+	sh.SNFS.Expel(p, proto.Handle{FSID: sh.FSID, Ino: a.Ino, Gen: a.Gen})
 }
 
 // copyTree replicates src:(sdir)/name into dst:(ddir)/name.

@@ -22,15 +22,15 @@ func testCluster(t *testing.T, shards int, assign map[string]uint32) (*sim.Kerne
 	c, err := New(k, net, Config{
 		Shards:      shards,
 		Assignments: assign,
-		Server:      server.Config{CPUPerOp: 2 * sim.Millisecond, CPUPerKB: 150 * sim.Microsecond},
-		Disk:        disk.RA81(),
-		ClientConfig: client.Config{
-			BlockSize:  8 * 1024,
-			CacheBytes: 16 << 20,
-			ReadAhead:  true,
+		Server: ServerSpec{
+			Config: server.Config{CPUPerOp: 2 * sim.Millisecond, CPUPerKB: 150 * sim.Microsecond},
+			Disk:   disk.RA81(),
 		},
-		ClientOpts: client.SNFSOptions{UpdateInterval: 30 * sim.Second},
-		Audit:      true,
+		Client: ClientSpec{
+			Config: client.Config{BlockSize: 8 * 1024, CacheBytes: 16 << 20, ReadAhead: true},
+			SNFS:   client.SNFSOptions{UpdateInterval: 30 * sim.Second},
+		},
+		Audit: true,
 	})
 	if err != nil {
 		t.Fatalf("cluster: %v", err)
@@ -112,7 +112,7 @@ func TestClusterRoutesByPrefix(t *testing.T) {
 		// The partition really partitioned: each shard served writes,
 		// and neither holds the other's subtree.
 		for i, sh := range c.Shards() {
-			if got := sh.Server.Ops().Get("write"); got == 0 {
+			if got := sh.Base.Ops().Get("write"); got == 0 {
 				t.Errorf("shard %d served no writes", i)
 			}
 		}
@@ -261,8 +261,8 @@ func TestRedirectLoopCaps(t *testing.T) {
 	m1 := c.Map()
 	m1.Version = 9
 	m1.Assignments = []proto.ShardAssignment{{Prefix: "/x", Shard: 0}}
-	c.Shards()[0].Server.SetShardMap(m0, 0)
-	c.Shards()[1].Server.SetShardMap(m1, 1)
+	c.Shards()[0].Base.SetShardMap(m0, 0)
+	c.Shards()[1].Base.SetShardMap(m1, 1)
 	var err error
 	k.Go("workload", func(p *sim.Proc) {
 		defer k.Stop()

@@ -5,12 +5,9 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"spritelynfs/internal/client"
 	"spritelynfs/internal/proto"
-	"spritelynfs/internal/rpc"
 	"spritelynfs/internal/sim"
 	"spritelynfs/internal/simnet"
-	"spritelynfs/internal/stats"
 	"spritelynfs/internal/vfs"
 	"spritelynfs/internal/xdr"
 )
@@ -27,8 +24,8 @@ const maxRedirects = 4
 var ErrRedirectLoop = errors.New("cluster: shard redirect loop")
 
 // Router is the client side of the federation: a vfs.FS that owns one
-// SNFS client per shard (each on its own endpoint — callback service is
-// per-endpoint) and routes every path to its home shard through a cached
+// SNFS client host per shard (each on its own endpoint — callback service
+// is per-endpoint) and routes every path to its home shard through a cached
 // copy of the shard map.
 //
 // Staleness is handled by redirect, never by silence: a server that is
@@ -49,39 +46,30 @@ type Router struct {
 
 	m     proto.ShardMap
 	addrs []simnet.Addr
-	eps   []*rpc.Endpoint
-	cls   []*client.SNFSClient
-	fss   []vfs.FS // the shard clients, audit-wrapped when auditing is on
+	hosts []*ClientHost // one per shard; ops go through each host's Mount
 
 	viewsvc simnet.Addr // viewservice address ("" without Backups)
 
 	redirects atomic.Int64
-	refreshes atomic.Int64
 }
 
 var _ vfs.FS = (*Router)(nil)
 
-// NewRouter builds a client host routing into the cluster: one endpoint
-// and SNFS client per shard (addressed host.s<id>), primed with the
-// current map. When shard auditors run, each client is wrapped by its
-// shard's auditor so every syscall is witnessed by the right shadow.
+// NewRouter builds a client host routing into the cluster: one client
+// host per shard (addressed host.s<id>) from the cluster's client spec,
+// primed with the current map. When shard auditors run, each client is
+// mounted through its shard's auditor so every syscall is witnessed by
+// the right shadow.
 func (c *Cluster) NewRouter(host simnet.Addr) *Router {
 	r := &Router{k: c.k, host: host, m: c.Map()}
 	for _, sh := range c.shards {
-		ep := rpc.NewEndpoint(c.k, c.net, simnet.Addr(fmt.Sprintf("%s.s%d", host, sh.ID)),
-			rpc.Options{Workers: 4})
-		cfg := c.cfg.ClientConfig
-		cfg.Server = sh.Addr
-		cfg.Root = sh.Server.RootHandle()
-		cl := client.NewSNFS(c.k, ep, cfg, c.cfg.ClientOpts)
-		var fs vfs.FS = cl
-		if sh.Auditor != nil {
-			fs = sh.Auditor.WrapFS(cl)
-		}
+		spec := c.cfg.Client
+		spec.Name = simnet.Addr(fmt.Sprintf("%s.s%d", host, sh.ID))
+		spec.Config.Server = sh.Addr
+		spec.Config.Root = sh.Base.RootHandle()
 		r.addrs = append(r.addrs, sh.Addr)
-		r.eps = append(r.eps, ep)
-		r.cls = append(r.cls, cl)
-		r.fss = append(r.fss, fs)
+		r.hosts = append(r.hosts, NewClientHost(c.k, c.net, spec,
+			Instruments{Spans: c.cfg.Spans, Auditor: sh.Auditor}))
 	}
 	if c.view != nil {
 		r.enableFailover(c.viewAddr, c.cfg.ViewInterval)
@@ -99,9 +87,9 @@ func (r *Router) enableFailover(viewsvc simnet.Addr, interval sim.Duration) {
 		interval = 100 * sim.Millisecond
 	}
 	r.viewsvc = viewsvc
-	for i := range r.eps {
+	for i, h := range r.hosts {
 		i := i
-		r.eps[i].Reroute = func(simnet.Addr) simnet.Addr { return r.addrs[i] }
+		h.Base.Endpoint().Reroute = func(simnet.Addr) simnet.Addr { return r.addrs[i] }
 	}
 	r.k.Go(string(r.host)+"/view-refresh", func(p *sim.Proc) {
 		for {
@@ -114,7 +102,7 @@ func (r *Router) enableFailover(viewsvc simnet.Addr, interval sim.Duration) {
 // refreshFromView pulls the current map from the viewservice. Errors are
 // ignored: the next poll, or the Reroute/ErrNotHome machinery, retries.
 func (r *Router) refreshFromView(p *sim.Proc) {
-	body, err := r.eps[0].CallMsgEx(p, r.viewsvc, proto.ProgView, 1, proto.ViewProcGet,
+	body, err := r.hosts[0].Base.Endpoint().CallMsgEx(p, r.viewsvc, proto.ProgView, 1, proto.ViewProcGet,
 		&proto.ViewGetArgs{}, 500*sim.Millisecond, 0)
 	if err != nil {
 		return
@@ -134,11 +122,10 @@ func (r *Router) InstallMap(m proto.ShardMap) bool {
 		return false
 	}
 	r.m = m
-	r.refreshes.Add(1)
 	for i := range r.addrs {
 		if i < len(m.Servers) && string(r.addrs[i]) != m.Servers[i] {
 			r.addrs[i] = simnet.Addr(m.Servers[i])
-			r.cls[i].Retarget(r.addrs[i])
+			r.hosts[i].Base.Retarget(r.addrs[i])
 		}
 	}
 	return true
@@ -147,41 +134,26 @@ func (r *Router) InstallMap(m proto.ShardMap) bool {
 // Redirects returns how many ErrNotHome bounces this router has healed.
 func (r *Router) Redirects() int64 { return r.redirects.Load() }
 
-// Refreshes returns how many map refetches actually advanced the version.
-func (r *Router) Refreshes() int64 { return r.refreshes.Load() }
-
 // MapVersion returns the cached map's version.
 func (r *Router) MapVersion() uint32 { return r.m.Version }
 
-// Clients returns the per-shard SNFS clients (for stats and sync).
-func (r *Router) Clients() []*client.SNFSClient { return r.cls }
+// Hosts returns the per-shard client hosts (for stats and instruments).
+func (r *Router) Hosts() []*ClientHost { return r.hosts }
 
 // TotalOps sums RPCs issued across all shard clients.
 func (r *Router) TotalOps() int64 {
 	var n int64
-	for _, cl := range r.cls {
-		n += cl.Ops().Total()
+	for _, h := range r.hosts {
+		n += h.Base.Ops().Total()
 	}
 	return n
-}
-
-// OpsMerged merges per-procedure RPC counts across shard clients.
-func (r *Router) OpsMerged() *stats.Ops {
-	out := stats.NewOps()
-	for _, cl := range r.cls {
-		ops := cl.Ops()
-		for _, name := range ops.Names() {
-			out.Add(name, ops.Get(name))
-		}
-	}
-	return out
 }
 
 // refreshMap refetches the shard map from the shard that bounced us (it
 // answered ErrNotHome, so it holds a newer map than ours). The map is
 // only replaced by a strictly newer version.
 func (r *Router) refreshMap(p *sim.Proc, via int) error {
-	body, err := r.eps[via].Call(p, r.addrs[via], proto.ProgNFS, proto.VersNFS,
+	body, err := r.hosts[via].Base.Endpoint().Call(p, r.addrs[via], proto.ProgNFS, proto.VersNFS,
 		proto.ProcShardMap, proto.Marshal(&proto.ShardMapArgs{}))
 	if err != nil {
 		return fmt.Errorf("cluster: shard map refetch from %s: %w", r.addrs[via], err)
@@ -197,7 +169,7 @@ func (r *Router) refreshMap(p *sim.Proc, via int) error {
 // shard resolves a path to its home shard under the cached map.
 func (r *Router) shard(path string) int {
 	id := int(r.m.Lookup(path))
-	if id >= len(r.fss) {
+	if id >= len(r.hosts) {
 		id = 0
 	}
 	return id
@@ -217,10 +189,10 @@ func (r *Router) route(p *sim.Proc, what string, home func() (int, error), op fu
 		if err != nil {
 			return err
 		}
-		err = op(r.fss[sh])
+		err = op(r.hosts[sh].Mount)
 		if proto.StatusOf(err) == proto.ErrStale && !staleTried {
 			staleTried = true
-			r.cls[sh].DropDirCache()
+			r.hosts[sh].SNFS.DropDirCache()
 			continue
 		}
 		if proto.StatusOf(err) != proto.ErrNotHome {
@@ -330,8 +302,8 @@ func (r *Router) Readdir(p *sim.Proc, path string) ([]proto.DirEntry, error) {
 	}
 	seen := make(map[string]bool)
 	var out []proto.DirEntry
-	for _, fs := range r.fss {
-		ents, err := fs.Readdir(p, path)
+	for _, h := range r.hosts {
+		ents, err := h.Mount.Readdir(p, path)
 		if err != nil {
 			return nil, err
 		}
@@ -347,8 +319,8 @@ func (r *Router) Readdir(p *sim.Proc, path string) ([]proto.DirEntry, error) {
 
 // SyncAll pushes delayed writes on every shard.
 func (r *Router) SyncAll(p *sim.Proc) {
-	for _, fs := range r.fss {
-		fs.SyncAll(p)
+	for _, h := range r.hosts {
+		h.Mount.SyncAll(p)
 	}
 }
 

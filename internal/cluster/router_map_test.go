@@ -54,13 +54,13 @@ func TestRouterNeverInstallsOlderMap(t *testing.T) {
 	if r.MapVersion() != 3 {
 		t.Fatalf("map version %d, want 3", r.MapVersion())
 	}
-	if got := r.cls[0].Server(); string(got) != "shard0b" {
+	if got := r.hosts[0].Base.Server(); string(got) != "shard0b" {
 		t.Fatalf("shard 0 client targets %q after v3 install, want shard0b", got)
 	}
 	if r.InstallMap(mapAt(2, "shard0")) {
 		t.Fatal("router accepted an older map")
 	}
-	if got := r.cls[0].Server(); string(got) != "shard0b" {
+	if got := r.hosts[0].Base.Server(); string(got) != "shard0b" {
 		t.Fatalf("older map regressed shard 0 target to %q", got)
 	}
 
@@ -84,7 +84,7 @@ func TestRouterNeverInstallsOlderMap(t *testing.T) {
 	if r.MapVersion() != 9 {
 		t.Fatalf("after concurrent installs map version %d, want 9", r.MapVersion())
 	}
-	if got := r.cls[0].Server(); string(got) != "addr-v9" {
+	if got := r.hosts[0].Base.Server(); string(got) != "addr-v9" {
 		t.Fatalf("shard 0 client targets %q, want addr-v9", got)
 	}
 }

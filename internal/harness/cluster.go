@@ -4,12 +4,11 @@ import (
 	"fmt"
 	"io"
 
-	"spritelynfs/internal/client"
 	"spritelynfs/internal/cluster"
 	"spritelynfs/internal/sim"
 	"spritelynfs/internal/simnet"
+	"spritelynfs/internal/span"
 	"spritelynfs/internal/stats"
-	"spritelynfs/internal/tsdb"
 	"spritelynfs/internal/vfs"
 )
 
@@ -20,44 +19,31 @@ import (
 // works in its own root-level directory, assigned round-robin to shards,
 // so the partition is balanced and no write sharing crosses shards.
 
-// ClusterWorld is an assembled federation testbed: the shard servers
-// plus one Router per client host.
-type ClusterWorld struct {
-	K       *sim.Kernel
-	Cluster *cluster.Cluster
-	Routers []*cluster.Router
-	NSs     []*vfs.Namespace
-}
-
 // BuildCluster assembles an nshards-server federation under the given
 // namespace partition, using the same calibrated cost model as the
 // single-server worlds (every shard is a full Titan-class server with
-// its own RA81 and nfsd pool).
-func BuildCluster(nshards int, assignments map[string]uint32, pm Params) (*ClusterWorld, error) {
+// its own RA81 and nfsd pool, every router client a full-size SNFS
+// client host). Client hosts join through AddRouter.
+func BuildCluster(nshards int, assignments map[string]uint32, pm Params) (*World, error) {
 	k := sim.NewKernel(pm.Seed)
-	net := simnet.New(k, pm.Net)
+	w := &World{K: k, NS: &vfs.Namespace{}, Proto: SNFS, TmpRemote: true, Net: simnet.New(k, pm.Net), params: pm}
+	if pm.Spans {
+		w.Spans = span.NewRecorder(k.Now, pm.SpanTopK)
+	}
 	sinkFor := pm.AuditSinkFor
 	if sinkFor == nil && pm.AuditSink != nil {
 		shared := pm.AuditSink
 		sinkFor = func(int) io.Writer { return shared }
 	}
-	c, err := cluster.New(k, net, cluster.Config{
-		Shards:           nshards,
-		Assignments:      assignments,
-		Server:           pm.Server,
-		ServerWorkers:    pm.ServerWorkers,
-		ServerCacheBytes: pm.ServerCacheBytes,
-		ServerBlockSize:  pm.ServerBlockSize,
-		Disk:             pm.ServerDisk,
-		ClientConfig: client.Config{
-			BlockSize:  pm.TransferSize,
-			CacheBytes: pm.ClientCacheBytes,
-			ReadAhead:  true,
-		},
-		ClientOpts:     pm.SNFS,
+	c, err := cluster.New(k, w.Net, cluster.Config{
+		Shards:         nshards,
+		Assignments:    assignments,
+		Server:         pm.serverHost(SNFS),
+		Client:         pm.clientHost(SNFS),
 		Audit:          pm.Audit,
 		AuditSinkFor:   sinkFor,
 		FlightCapacity: pm.FlightCapacity,
+		Spans:          w.Spans,
 		Backups:        pm.Backups,
 		ViewInterval:   pm.ViewInterval,
 		ViewDeadPings:  pm.ViewDeadPings,
@@ -66,61 +52,35 @@ func BuildCluster(nshards int, assignments map[string]uint32, pm Params) (*Clust
 	if err != nil {
 		return nil, err
 	}
-	if pm.FlightCapacity > 0 && pm.FlightSink != nil {
-		for _, sh := range c.Shards() {
-			if sh.Auditor != nil {
-				wireFlightDump(sh.Auditor, sh.Flight, pm.FlightSink)
-			}
-		}
+	for _, sh := range c.Shards() {
+		pm.dumpFlightOnViolation(sh.Instruments)
 	}
-	return &ClusterWorld{K: k, Cluster: c}, nil
-}
-
-// StartSampler arms the time-series sampler across the federation: every
-// shard's registry is sampled on the sim clock at interval, its series
-// prefixed "shard<i>/" so per-shard hot spots stay visible in one
-// timeline — the measurement the load-driven rebalancing work consumes.
-func (cw *ClusterWorld) StartSampler(interval sim.Duration, capacity int) *tsdb.Sampler {
-	smp := newSampler(cw.K, interval, capacity)
-	for i, sh := range cw.Cluster.Shards() {
-		smp.Watch(fmt.Sprintf("shard%d/", i), sh.Metrics)
-	}
-	return smp
+	w.Cluster, w.servers = c, c.Hosts()
+	return w, nil
 }
 
 // AddRouter attaches a client host routing into the cluster and returns
 // its namespace.
-func (cw *ClusterWorld) AddRouter(name simnet.Addr) (*cluster.Router, *vfs.Namespace) {
-	r := cw.Cluster.NewRouter(name)
+func (w *World) AddRouter(name simnet.Addr) (*cluster.Router, *vfs.Namespace) {
+	r := w.Cluster.NewRouter(name)
+	for _, h := range r.Hosts() {
+		h.Attach(w.late)
+	}
+	w.clients = append(w.clients, r.Hosts()...)
 	ns := &vfs.Namespace{}
 	ns.Mount("/", r)
-	cw.Routers = append(cw.Routers, r)
-	cw.NSs = append(cw.NSs, ns)
+	w.Routers = append(w.Routers, r)
+	w.NSs = append(w.NSs, ns)
 	return r, ns
 }
 
 // Redirects sums NOTHOME bounces healed across all routers.
-func (cw *ClusterWorld) Redirects() int64 {
+func (w *World) Redirects() int64 {
 	var n int64
-	for _, r := range cw.Routers {
+	for _, r := range w.Routers {
 		n += r.Redirects()
 	}
 	return n
-}
-
-// Run executes fn as the main workload process, failing on workload
-// errors or any shard's audit violations.
-func (cw *ClusterWorld) Run(fn func(p *sim.Proc) error) error {
-	var err error
-	cw.K.Go("workload", func(p *sim.Proc) {
-		defer cw.K.Stop()
-		err = fn(p)
-	})
-	cw.K.Run()
-	if err == nil {
-		err = cw.Cluster.AuditErr()
-	}
-	return err
 }
 
 // clusterAssignments maps client i's directory /u<i> to shard i%M.
@@ -139,38 +99,29 @@ func clusterAssignments(nclients, nshards int) (map[string]uint32, []string) {
 // shard-assigned directory.
 func RunClusterScale(nclients, nshards int, pm Params) (ScalePoint, error) {
 	assign, dirs := clusterAssignments(nclients, nshards)
-	cw, err := BuildCluster(nshards, assign, pm)
+	w, err := BuildCluster(nshards, assign, pm)
 	if err != nil {
 		return ScalePoint{}, err
 	}
 	pt := ScalePoint{Clients: nclients, Shards: nshards}
 	for i := 0; i < nclients; i++ {
-		cw.AddRouter(simnet.Addr(fmt.Sprintf("client%d", i)))
+		w.AddRouter(simnet.Addr(fmt.Sprintf("client%d", i)))
 	}
 	if pm.SampleInterval > 0 {
-		pt.Timeline = cw.StartSampler(pm.SampleInterval, pm.SampleCapacity).Timeline()
+		// Servers only: nclients × nshards client hosts' worth of series
+		// would not fit the sampler's budget.
+		w.Cluster.EnableMetrics()
+		pt.Timeline = w.StartSampler(nil, pm.SampleInterval, pm.SampleCapacity).Timeline()
 	}
 
 	var elapsed sim.Duration
-	err = cw.Run(func(p *sim.Proc) error {
-		wg := sim.NewWaitGroup(cw.K, nclients)
-		errs := make([]error, nclients)
+	err = w.Run(func(p *sim.Proc) error {
 		start := p.Now()
-		for i := range cw.NSs {
-			i := i
-			cw.K.Go(fmt.Sprintf("scale-client%d", i), func(cp *sim.Proc) {
-				defer wg.Done()
-				errs[i] = scaleWorkload(cp, cw.NSs[i], dirs[i], pm)
-			})
-		}
-		wg.Wait(p)
+		err := w.RunEach(p, nclients, "scale-client", func(cp *sim.Proc, i int) error {
+			return scaleWorkload(cp, w.NSs[i], dirs[i], pm)
+		})
 		elapsed = p.Now().Sub(start)
-		for _, e := range errs {
-			if e != nil {
-				return e
-			}
-		}
-		return nil
+		return err
 	})
 	if err != nil {
 		return pt, err
@@ -178,15 +129,16 @@ func RunClusterScale(nclients, nshards int, pm Params) (ScalePoint, error) {
 	pt.Elapsed = elapsed
 	// The cluster's bottleneck is its busiest shard: the knee is set by
 	// the max utilization, not the average.
-	for _, sh := range cw.Cluster.Shards() {
-		if u := sh.Server.Base.CPU().Utilization(); u > pt.ServerCPU {
+	for _, sh := range w.Cluster.Shards() {
+		if u := sh.Base.CPU().Utilization(); u > pt.ServerCPU {
 			pt.ServerCPU = u
 		}
 		if u := sh.Media.Disk().Utilization(); u > pt.ServerDisk {
 			pt.ServerDisk = u
 		}
 	}
-	for _, r := range cw.Routers {
+	pt.Spans = w.spanSummary(elapsed, nclients)
+	for _, r := range w.Routers {
 		pt.TotalRPCs += r.TotalOps()
 	}
 	return pt, nil

@@ -32,7 +32,7 @@ func TestClusterScalePoint(t *testing.T) {
 	}
 }
 
-func TestClusterWorldRedirectsAfterRebalance(t *testing.T) {
+func TestClusterRedirectsAfterRebalance(t *testing.T) {
 	pm := fastParams()
 	pm.Audit = true
 	cw, err := BuildCluster(2, map[string]uint32{"/a": 0, "/b": 1}, pm)

@@ -78,14 +78,7 @@ func RunAndrew(pr Proto, tmpRemote bool, pm Params, withSeries bool) (AndrewRun,
 		run.CPUUtil = w.ServerCPUUtilization()
 		return nil
 	})
-	if w.Spans != nil {
-		// elapsed 0: the summary covers the recorder's whole observed
-		// window (setup through drain), so attribution stays ~100%.
-		run.Spans = w.Spans.Summarize(0, 1)
-		if w.SrvMedia != nil {
-			run.Spans.DiskBusySeconds = w.SrvMedia.Disk().BusyTime().Seconds()
-		}
-	}
+	run.Spans = w.spanSummary(0, 1)
 	run.Series = series
 	return run, err
 }
@@ -291,12 +284,7 @@ func RunAndrewTraced(pr Proto, tmpRemote bool, pm Params) (AndrewRun, *trace.Tra
 		run.CPUUtil = w.ServerCPUUtilization()
 		return nil
 	})
-	if w.Spans != nil {
-		run.Spans = w.Spans.Summarize(0, 1)
-		if w.SrvMedia != nil {
-			run.Spans.DiskBusySeconds = w.SrvMedia.Disk().BusyTime().Seconds()
-		}
-	}
+	run.Spans = w.spanSummary(0, 1)
 	return run, tr, err
 }
 

@@ -56,67 +56,57 @@ type FailoverPoint struct {
 // complete, which the control test asserts.
 func RunClusterFailover(nclients, nshards, killShard int, target string, killAt sim.Duration, pm Params) (FailoverPoint, error) {
 	assign, dirs := clusterAssignments(nclients, nshards)
-	cw, err := BuildCluster(nshards, assign, pm)
+	w, err := BuildCluster(nshards, assign, pm)
 	if err != nil {
 		return FailoverPoint{}, err
 	}
 	pt := FailoverPoint{Clients: nclients, Shards: nshards, KillAt: killAt}
 	for i := 0; i < nclients; i++ {
-		cw.AddRouter(simnet.Addr(fmt.Sprintf("client%d", i)))
+		w.AddRouter(simnet.Addr(fmt.Sprintf("client%d", i)))
 	}
+	sh := w.Cluster.Shards()[killShard]
 
 	var crashedAt sim.Time
-	err = cw.Run(func(p *sim.Proc) error {
+	err = w.Run(func(p *sim.Proc) error {
 		if target != "" {
-			cw.K.Go("killer", func(kp *sim.Proc) {
+			w.K.Go("killer", func(kp *sim.Proc) {
 				kp.Sleep(killAt)
-				sh := cw.Cluster.Shards()[killShard]
 				switch target {
 				case "primary":
-					sh.Server.Crash()
+					sh.SNFS.Crash()
 				case "backup":
 					if sh.Backup != nil {
-						sh.Backup.Crash()
+						sh.Backup.SNFS.Crash()
 					}
 				}
 				crashedAt = kp.Now()
 			})
 		}
-		wg := sim.NewWaitGroup(cw.K, nclients)
-		errs := make([]error, nclients)
 		elapsed := make([]sim.Duration, nclients)
-		for i := range cw.NSs {
-			i := i
-			cw.K.Go(fmt.Sprintf("andrew-client%d", i), func(cp *sim.Proc) {
-				defer wg.Done()
-				start := cp.Now()
-				errs[i] = andrewIn(cp, cw.NSs[i], dirs[i], pm)
-				elapsed[i] = cp.Now().Sub(start)
-			})
-		}
-		wg.Wait(p)
-		for i, e := range errs {
-			if e != nil {
-				return fmt.Errorf("client %d: %w", i, e)
-			}
-			if elapsed[i] > pt.Elapsed {
-				pt.Elapsed = elapsed[i]
+		err := w.RunEach(p, nclients, "andrew-client", func(cp *sim.Proc, i int) error {
+			start := cp.Now()
+			err := andrewIn(cp, w.NSs[i], dirs[i], pm)
+			elapsed[i] = cp.Now().Sub(start)
+			return err
+		})
+		for _, e := range elapsed {
+			if e > pt.Elapsed {
+				pt.Elapsed = e
 			}
 		}
-		return nil
+		return err
 	})
-	pt.Redirects = cw.Redirects()
-	sh := cw.Cluster.Shards()[killShard]
+	pt.Redirects = w.Redirects()
 	pt.Flight = sh.Flight
-	if cw.Cluster.ViewService() != nil {
-		pt.ViewChanges = cw.Cluster.ViewService().Changes(sh.ID)
-		pt.PromotedView = cw.Cluster.ViewService().View(sh.ID).Num
+	if vs := w.Cluster.ViewService(); vs != nil {
+		pt.ViewChanges = vs.Changes(sh.ID)
+		pt.PromotedView = vs.View(sh.ID).Num
 	}
 	if sh.Backup != nil && crashedAt > 0 {
-		if at, ok := sh.Backup.Promoted(); ok {
+		if at, ok := sh.Backup.SNFS.Promoted(); ok {
 			pt.DetectTime = at.Sub(crashedAt)
 		}
-		if at, ok := sh.Backup.HealedAt(); ok {
+		if at, ok := sh.Backup.SNFS.HealedAt(); ok {
 			pt.HealTime = at.Sub(crashedAt)
 		}
 	}

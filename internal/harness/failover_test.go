@@ -86,3 +86,21 @@ func TestClusterFailoverNoBackupControl(t *testing.T) {
 		t.Fatal("workload completed though its shard's only server was dead")
 	}
 }
+
+// TestClusterFailoverUnstableWrites is the kill-primary scenario with the
+// unstable WRITE + COMMIT pipeline armed on every router client and write
+// gathering on every replica: the replication stream now carries COMMIT
+// records, the promoted backup's store must hold what the dead primary
+// acknowledged, and the auditor is the judge.
+func TestClusterFailoverUnstableWrites(t *testing.T) {
+	var viewLog bytes.Buffer
+	pm := failoverParams(&viewLog)
+	pm.UnstableWrites = true
+	pt, err := RunClusterFailover(3, 3, 0, "primary", 30*sim.Second, pm)
+	if err != nil {
+		t.Fatalf("kill-primary run with unstable writes failed: %v", err)
+	}
+	if pt.PromotedView < 2 || pt.HealTime <= 0 {
+		t.Errorf("no takeover: view %d, heal %v", pt.PromotedView, pt.HealTime)
+	}
+}

@@ -3,14 +3,13 @@ package harness
 import (
 	"fmt"
 
-	"spritelynfs/internal/client"
+	"spritelynfs/internal/cluster"
 	"spritelynfs/internal/metrics"
 	"spritelynfs/internal/sim"
 	"spritelynfs/internal/simnet"
-	"spritelynfs/internal/vfs"
 )
 
-// FleetOptions sizes a fleet of lightweight client stacks.
+// FleetOptions sizes a fleet of lightweight client hosts.
 type FleetOptions struct {
 	// Proto selects the client protocol (NFS or SNFS).
 	Proto Proto
@@ -46,21 +45,10 @@ func (o *FleetOptions) fill() {
 	}
 }
 
-// FleetClient is one lightweight client stack: an RPC endpoint served
-// from the fleet's executor, a small-cache protocol client with every
-// per-client daemon disabled, and a namespace rooted at the export. The
-// stack's steady-state cost is memory only; goroutines are borrowed from
-// the shared executor for exactly the duration of each blocking
-// operation.
-type FleetClient struct {
-	Name simnet.Addr
-	NS   *vfs.Namespace
-	NFS  *client.NFSClient  // set when Proto == NFS
-	SNFS *client.SNFSClient // set when Proto == SNFS
-
-	base *client.Base
-	fs   vfs.FS // the protocol client, unwrapped
-}
+// FleetClient is one lightweight client host: an RPC endpoint served from
+// the fleet's executor, a small-cache protocol client with every
+// per-client daemon disabled, and a namespace rooted at the export.
+type FleetClient = cluster.ClientHost
 
 // Fleet is a World scaled out: one server and network shared by N
 // lightweight client stacks. Where World models the paper's measurement
@@ -93,15 +81,12 @@ func NewFleet(w *World, opt FleetOptions) *Fleet {
 	so := w.params.SNFS
 	so.UpdateInterval = 0
 	so.KeepaliveInterval = 0
+	spec := w.params.clientHost(opt.Proto)
+	spec.Config.CacheBytes, spec.Config.ReadAhead = opt.CacheBytes, opt.ReadAhead
+	spec.Exec, spec.SNFS = f.Exec, so
 	for i := 0; i < opt.Clients; i++ {
-		name := simnet.Addr(fmt.Sprintf("c%04d", i))
-		st := w.newClient(clientSpec{
-			name: name, proto: opt.Proto, cacheBytes: opt.CacheBytes, readAhead: opt.ReadAhead,
-			exec: f.Exec, nfs: w.params.NFS, snfs: so, audit: opt.Audit,
-		})
-		f.Clients = append(f.Clients, &FleetClient{
-			Name: name, NS: st.ns, NFS: st.nfs, SNFS: st.snfs, base: st.base, fs: st.fs,
-		})
+		spec.Name = simnet.Addr(fmt.Sprintf("c%04d", i))
+		f.Clients = append(f.Clients, w.newClient(spec, opt.Audit))
 	}
 	if opt.Proto == SNFS && opt.SyncInterval > 0 {
 		f.startSyncSweep(opt.SyncInterval)
@@ -132,9 +117,6 @@ func (f *Fleet) startSyncSweep(interval sim.Duration) {
 // Client returns fleet member i.
 func (f *Fleet) Client(i int) *FleetClient { return f.Clients[i] }
 
-// Size returns the fleet population.
-func (f *Fleet) Size() int { return len(f.Clients) }
-
 // FleetStats aggregates the fleet's client-side counters.
 type FleetStats struct {
 	CallsSent   int64
@@ -150,7 +132,7 @@ type FleetStats struct {
 func (f *Fleet) Stats() FleetStats {
 	var s FleetStats
 	for _, fc := range f.Clients {
-		b := fc.base
+		b := fc.Base
 		es := b.Endpoint().Stats()
 		s.CallsSent += es.CallsSent
 		s.Retransmits += es.Retransmits
@@ -195,7 +177,7 @@ func (f *Fleet) EnableMetrics(r *metrics.Registry) {
 // reaches the server before the world stops.
 func (f *Fleet) SyncAllClients(p *sim.Proc) {
 	for _, fc := range f.Clients {
-		fc.fs.SyncAll(p)
+		fc.FS.SyncAll(p)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"spritelynfs/internal/sim"
 	"spritelynfs/internal/stats"
+	"spritelynfs/internal/trace"
 	"spritelynfs/internal/workload"
 )
 
@@ -379,10 +380,10 @@ func TestTraceCapturesProtocolTimeline(t *testing.T) {
 	if len(tr.Filter()) == 0 {
 		t.Fatal("no events recorded")
 	}
-	if len(tr.Filter(traceState())) == 0 {
+	if len(tr.Filter(trace.State)) == 0 {
 		t.Error("no state transitions recorded")
 	}
-	cbs := tr.Filter(traceCallback())
+	cbs := tr.Filter(trace.Callback)
 	if len(cbs) == 0 {
 		t.Error("no callback recorded for the write-back")
 	}

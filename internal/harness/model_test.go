@@ -56,12 +56,16 @@ func (m *modelFS) read(name string, off, n int) []byte {
 
 // runModelCheck drives steps random operations through two hosts of
 // protocol pr. nameCache arms the §7 name-cache extension on both sides
-// (SNFS only), so the same namespace churn also exercises lease upkeep.
-func runModelCheck(t *testing.T, pr Proto, seed int64, steps int, nameCache bool) {
+// (SNFS only), so the same namespace churn also exercises lease upkeep;
+// armed mounts both hosts through the audit and span wrappers (with the
+// auditor as a second judge on SNFS), so every vfs.FS and vfs.File method
+// of both wrappers carries the same traffic.
+func runModelCheck(t *testing.T, pr Proto, seed int64, steps int, nameCache, armed bool) {
 	t.Helper()
 	pm := fastParams()
 	pm.SNFS.UpdateInterval = 5 * sim.Second // exercise the update daemon
 	pm.SNFS.NameCache = nameCache
+	pm.Audit, pm.Spans = armed, armed
 	w := BuildOpt(pr, true, pm, BuildOptions{NameCacheServer: nameCache})
 
 	var namespaces []*vfs.Namespace
@@ -89,7 +93,7 @@ func runModelCheck(t *testing.T, pr Proto, seed int64, steps int, nameCache bool
 			name := names[rng.Intn(len(names))]
 			path := "/data/" + name
 			_, exists := model.files[name]
-			switch rng.Intn(14) {
+			switch rng.Intn(16) {
 			case 0, 1, 2: // write (create or overwrite a range)
 				size := 1 + rng.Intn(20000)
 				off := 0
@@ -110,6 +114,11 @@ func runModelCheck(t *testing.T, pr Proto, seed int64, steps int, nameCache bool
 				}
 				if _, err := f.WriteAt(p, int64(off), data); err != nil {
 					return fmt.Errorf("step %d write %s: %w", step, path, err)
+				}
+				if step%3 == 0 {
+					if err := f.Sync(p); err != nil {
+						return fmt.Errorf("step %d sync %s: %w", step, path, err)
+					}
 				}
 				if err := f.Close(p); err != nil {
 					return fmt.Errorf("step %d close %s: %w", step, path, err)
@@ -165,6 +174,37 @@ func runModelCheck(t *testing.T, pr Proto, seed int64, steps int, nameCache bool
 					model.files[to] = model.files[name]
 					delete(model.files, name)
 				}
+			case 9: // truncating open of an existing file, then a shorter
+				// write: either host must next see only the short file
+				if exists {
+					data := make([]byte, 1+rng.Intn(len(model.files[name])+1)/2)
+					for i := range data {
+						data[i] = byte(step ^ i)
+					}
+					f, err := ns.Open(p, path, vfs.WriteOnly|vfs.Truncate, 0)
+					if err != nil {
+						return fmt.Errorf("step %d open-truncate %s: %w", step, path, err)
+					}
+					if _, err := f.WriteAt(p, 0, data); err != nil {
+						return fmt.Errorf("step %d write truncated %s: %w", step, path, err)
+					}
+					if err := f.Close(p); err != nil {
+						return fmt.Errorf("step %d close truncated %s: %w", step, path, err)
+					}
+					model.files[name] = data
+				}
+			case 10: // symlink made by one host, read through the other
+				link := "/data/ln" + name
+				if err := ns.Symlink(p, name, link); err != nil {
+					return fmt.Errorf("step %d symlink %s: %w", step, link, err)
+				}
+				other := namespaces[(step+1)%len(namespaces)]
+				if got, err := other.Readlink(p, link); err != nil || got != name {
+					return fmt.Errorf("step %d readlink %s = %q, %v; want %q", step, link, got, err, name)
+				}
+				if err := ns.Remove(p, link); err != nil {
+					return fmt.Errorf("step %d remove %s: %w", step, link, err)
+				}
 			default: // read a range and check against the model
 				f, err := ns.Open(p, path, vfs.ReadOnly, 0)
 				if !exists {
@@ -176,6 +216,10 @@ func runModelCheck(t *testing.T, pr Proto, seed int64, steps int, nameCache bool
 				}
 				if err != nil {
 					return fmt.Errorf("step %d open-read %s: %w", step, path, err)
+				}
+				if fa, err := f.Attr(p); err != nil || int(fa.Size) != len(model.files[name]) {
+					f.Close(p)
+					return fmt.Errorf("step %d attr %s: size %d, %v; want %d", step, path, fa.Size, err, len(model.files[name]))
 				}
 				off := rng.Intn(len(model.files[name]) + 1)
 				n := 1 + rng.Intn(20000)
@@ -216,30 +260,40 @@ func firstDiff(a, b []byte) int {
 
 func TestModelCheckSNFS(t *testing.T) {
 	for seed := int64(1); seed <= 10; seed++ {
-		runModelCheck(t, SNFS, seed, 200, false)
+		runModelCheck(t, SNFS, seed, 200, false, false)
 	}
 }
 
 func TestModelCheckNFS(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
-		runModelCheck(t, NFS, seed, 150, false)
+		runModelCheck(t, NFS, seed, 150, false, false)
 	}
 }
 
 func TestModelCheckRFS(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
-		runModelCheck(t, RFS, seed, 150, false)
+		runModelCheck(t, RFS, seed, 150, false, false)
 	}
 }
 
 func TestModelCheckLocal(t *testing.T) {
-	runModelCheck(t, Local, 1, 200, false)
+	runModelCheck(t, Local, 1, 200, false, false)
 }
 
 // TestModelCheckSNFSWithNameCache exercises the §7 extension under the
 // random workload (namespace churn through two clients).
 func TestModelCheckSNFSWithNameCache(t *testing.T) {
 	for seed := int64(10); seed <= 17; seed++ {
-		runModelCheck(t, SNFS, seed, 200, true)
+		runModelCheck(t, SNFS, seed, 200, true, false)
+	}
+}
+
+// TestModelCheckArmed repeats the check on every protocol with the audit
+// and span wrappers in the mounts.
+func TestModelCheckArmed(t *testing.T) {
+	for _, pr := range []Proto{NFS, SNFS, RFS, Local} {
+		for seed := int64(20); seed <= 22; seed++ {
+			runModelCheck(t, pr, seed, 200, false, true)
+		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"io"
 
 	"spritelynfs/internal/client"
+	"spritelynfs/internal/cluster"
 	"spritelynfs/internal/disk"
 	"spritelynfs/internal/server"
 	"spritelynfs/internal/sim"
@@ -17,30 +18,16 @@ import (
 )
 
 // Proto selects the file system under test.
-type Proto int
+type Proto = cluster.Proto
 
 // The three configurations of Table 5-1/5-3, plus RFS (the §2.5
 // related-work protocol, used by the rfs comparison experiment).
 const (
-	Local Proto = iota
-	NFS
-	SNFS
-	RFS
+	Local = cluster.Local
+	NFS   = cluster.NFS
+	SNFS  = cluster.SNFS
+	RFS   = cluster.RFS
 )
-
-func (p Proto) String() string {
-	switch p {
-	case Local:
-		return "local"
-	case NFS:
-		return "NFS"
-	case SNFS:
-		return "SNFS"
-	case RFS:
-		return "RFS"
-	}
-	return "?"
-}
 
 // Params is the full calibrated cost model and sizing of the testbed:
 // Titan-class client and server, 10 Mbit/s Ethernet, RA81-class disks,
@@ -154,6 +141,52 @@ type Params struct {
 	Spans bool
 	// SpanTopK bounds the slow-op capture (0 = 32).
 	SpanTopK int
+}
+
+// serverHost is the server host every world of pm is built from.
+func (pm Params) serverHost(pr Proto) cluster.ServerSpec {
+	return cluster.ServerSpec{
+		Proto:      pr,
+		Addr:       "server",
+		Workers:    pm.ServerWorkers,
+		BlockSize:  pm.ServerBlockSize,
+		Disk:       pm.ServerDisk,
+		CacheBytes: pm.ServerCacheBytes,
+		// The write-gathering half of the unstable-write pipeline.
+		Gather: pm.UnstableWrites,
+		Config: pm.Server,
+	}
+}
+
+// clientHost is pm's full-size client host: the measurement client's
+// cache, read-ahead and policies. The caller names it.
+func (pm Params) clientHost(pr Proto) cluster.ClientSpec {
+	s := cluster.ClientSpec{
+		Proto: pr,
+		Config: client.Config{
+			BlockSize:  pm.TransferSize,
+			CacheBytes: pm.ClientCacheBytes,
+			ReadAhead:  true,
+		},
+		NFS:  pm.NFS,
+		SNFS: pm.SNFS,
+	}
+	if pr != RFS {
+		// The post-1989 extensions are NFS and SNFS features; RFS runs
+		// as §2.5 describes it.
+		s.Config.UnstableWrites = pm.UnstableWrites
+		s.Config.AttrPiggyback = pm.AttrPiggyback
+		s.Config.LookupPath = pm.LookupPath
+	}
+	return s
+}
+
+// dumpFlightOnViolation makes the first violation in's auditor records
+// dump in's flight ring to pm.FlightSink, when one is configured.
+func (pm Params) dumpFlightOnViolation(in cluster.Instruments) {
+	if pm.FlightSink != nil {
+		in.FlightDumpOnViolation(func(trigger string) { in.Flight.WriteText(pm.FlightSink, trigger) })
+	}
 }
 
 // traceCap returns the effective trace ring capacity.

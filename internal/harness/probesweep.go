@@ -49,8 +49,8 @@ func probeRun(pr Proto, pm Params) (probes int64, stale, fresh int, err error) {
 		return 0, 0, 0, fmt.Errorf("probe sweep needs a remote protocol")
 	}
 	w := Build(pr, true, pm)
-	reader := w.addClient("reader", pr, pm.NFS, pm.SNFS)
-	readerNS, readerOps := reader.ns, reader.base.Ops().Get
+	reader := w.addClient("reader", pm.clientHost(pr))
+	readerNS, readerOps := reader.NS, reader.Base.Ops().Get
 
 	err = w.Run(func(p *sim.Proc) error {
 		// Writer initializes and keeps updating a version stamp.

@@ -134,15 +134,12 @@ func RunScale(pr Proto, nclients int, pm Params) (ScalePoint, error) {
 	// Namespaces for every client host: the world's own client plus
 	// nclients-1 additions.
 	namespaces := []*vfs.Namespace{w.NS}
-	opsTotal := func() int64 { return w.ClientOps().Total() }
-	extraOps := []func() int64{}
 	for i := 1; i < nclients; i++ {
 		if pr != NFS && pr != SNFS {
 			return pt, fmt.Errorf("scale experiment needs a remote protocol")
 		}
-		st := w.addClient(simnet.Addr(fmt.Sprintf("client%d", i)), pr, pm.NFS, pm.SNFS)
-		namespaces = append(namespaces, st.ns)
-		extraOps = append(extraOps, st.base.Ops().Total)
+		h := w.addClient(simnet.Addr(fmt.Sprintf("client%d", i)), pm.clientHost(pr))
+		namespaces = append(namespaces, h.NS)
 	}
 
 	if pm.SampleInterval > 0 {
@@ -155,25 +152,12 @@ func RunScale(pr Proto, nclients int, pm Params) (ScalePoint, error) {
 
 	var elapsed sim.Duration
 	err := w.Run(func(p *sim.Proc) error {
-		wg := sim.NewWaitGroup(w.K, len(namespaces))
-		errs := make([]error, len(namespaces))
 		start := p.Now()
-		for i, ns := range namespaces {
-			i, ns := i, ns
-			dir := fmt.Sprintf("/data/u%02d", i)
-			w.K.Go(fmt.Sprintf("scale-client%d", i), func(cp *sim.Proc) {
-				defer wg.Done()
-				errs[i] = scaleWorkload(cp, ns, dir, pm)
-			})
-		}
-		wg.Wait(p)
+		err := w.RunEach(p, nclients, "scale-client", func(cp *sim.Proc, i int) error {
+			return scaleWorkload(cp, namespaces[i], fmt.Sprintf("/data/u%02d", i), pm)
+		})
 		elapsed = p.Now().Sub(start)
-		for _, e := range errs {
-			if e != nil {
-				return e
-			}
-		}
-		return nil
+		return err
 	})
 	if err != nil {
 		return pt, err
@@ -183,18 +167,9 @@ func RunScale(pr Proto, nclients int, pm Params) (ScalePoint, error) {
 	if w.SrvMedia != nil {
 		pt.ServerDisk = w.SrvMedia.Disk().Utilization()
 	}
-	if w.Spans != nil {
-		s := w.Spans.Summarize(elapsed, nclients)
-		if w.SrvMedia != nil {
-			// Ground truth for the disk share: the arm-busy gauge the
-			// breakdown's disk rows should reconcile against.
-			s.DiskBusySeconds = w.SrvMedia.Disk().BusyTime().Seconds()
-		}
-		pt.Spans = s
-	}
-	pt.TotalRPCs = opsTotal()
-	for _, f := range extraOps {
-		pt.TotalRPCs += f()
+	pt.Spans = w.spanSummary(elapsed, nclients)
+	for _, h := range w.clients {
+		pt.TotalRPCs += h.Base.Ops().Total()
 	}
 	return pt, nil
 }

@@ -2,20 +2,18 @@ package harness
 
 import (
 	"fmt"
-	"io"
 
 	"spritelynfs/internal/audit"
 	"spritelynfs/internal/client"
+	"spritelynfs/internal/cluster"
 	"spritelynfs/internal/disk"
 	"spritelynfs/internal/localfs"
 	"spritelynfs/internal/localmount"
 	"spritelynfs/internal/metrics"
-	"spritelynfs/internal/rpc"
 	"spritelynfs/internal/server"
 	"spritelynfs/internal/sim"
 	"spritelynfs/internal/simnet"
 	"spritelynfs/internal/span"
-	"spritelynfs/internal/spanfs"
 	"spritelynfs/internal/stats"
 	"spritelynfs/internal/trace"
 	"spritelynfs/internal/tsdb"
@@ -24,7 +22,9 @@ import (
 
 // World is one assembled testbed: a client host with a namespace of
 // mounts, and (for the remote protocols) a server host across the
-// simulated Ethernet.
+// simulated Ethernet — or, built by BuildCluster, a federation of shard
+// servers with one Router per client host. Every host in it comes from
+// cluster.NewServerHost or cluster.NewClientHost.
 type World struct {
 	K  *sim.Kernel
 	NS *vfs.Namespace
@@ -61,23 +61,32 @@ type World struct {
 	// assemble into a single cross-host tree.
 	Spans *span.Recorder
 
-	// srv and cli are the protocol-independent halves of whichever
-	// server and measurement client run (nil for Local).
-	srv    *server.Base
-	cli    *client.Base
-	params Params
-}
+	// Cluster is the federation's control plane and Routers/NSs its
+	// client hosts and their namespaces, in AddRouter order (all nil in a
+	// single-server world).
+	Cluster *cluster.Cluster
+	Routers []*cluster.Router
+	NSs     []*vfs.Namespace
 
-// spanMount wraps a to-be-mounted FS so every syscall through it roots a
-// span (identity when spans are off).
-func (w *World) spanMount(fs vfs.FS, host string) vfs.FS {
-	return spanfs.WrapFS(w.Spans, host, fs)
+	// srv and cli are the single server and the measurement client (nil
+	// for Local and in a federation); servers is every server host.
+	srv     *cluster.ServerHost
+	cli     *cluster.ClientHost
+	servers []*cluster.ServerHost
+	// clients are the full-size client hosts — the measurement client,
+	// every Add*Client, every router's per-shard clients — and late the
+	// instruments armed since construction, which a host added afterwards
+	// must get too. Fleet clients are not here: they report through
+	// Fleet.EnableMetrics's constant-cardinality aggregates.
+	clients []*cluster.ClientHost
+	late    cluster.Instruments
+	params  Params
 }
 
 // ClientOps returns the client's RPC counters (empty for Local).
 func (w *World) ClientOps() *stats.Ops {
 	if w.cli != nil {
-		return w.cli.Ops()
+		return w.cli.Base.Ops()
 	}
 	return stats.NewOps()
 }
@@ -85,7 +94,7 @@ func (w *World) ClientOps() *stats.Ops {
 // EnableSeries starts recording the server time series for the figures.
 func (w *World) EnableSeries(bucket sim.Duration) *server.Series {
 	if w.srv != nil {
-		return w.srv.EnableSeries(bucket)
+		return w.srv.Base.EnableSeries(bucket)
 	}
 	return nil
 }
@@ -93,41 +102,61 @@ func (w *World) EnableSeries(bucket sim.Duration) *server.Series {
 // ServerCPUUtilization reports cumulative server CPU utilization.
 func (w *World) ServerCPUUtilization() float64 {
 	if w.srv != nil {
-		return w.srv.CPU().Utilization()
+		return w.srv.Base.CPU().Utilization()
 	}
 	return 0
 }
 
-// EnableTrace attaches one tracer to every component of the world (both
-// endpoints, the server, its state table, and the client) and returns it.
+// spanSummary returns the span recorder's critical-path breakdown over
+// elapsed (0 = the recorder's whole observed window, set-up through
+// drain, so attribution stays ~100%) for nclients client hosts; nil with
+// spans off. DiskBusySeconds is the ground truth for the disk share: the
+// servers' arm-busy gauges the breakdown's disk rows should reconcile
+// against.
+func (w *World) spanSummary(elapsed sim.Duration, nclients int) *span.Summary {
+	if w.Spans == nil {
+		return nil
+	}
+	s := w.Spans.Summarize(elapsed, nclients)
+	for _, h := range w.servers {
+		s.DiskBusySeconds += h.Media.Disk().BusyTime().Seconds()
+	}
+	return s
+}
+
+// EnableTrace attaches one tracer to every host of the world (each
+// server, its endpoint and state table, each full-size client and its
+// endpoint, those added later included) and returns it.
 func (w *World) EnableTrace(capacity int) *trace.Tracer {
 	tr := trace.New(w.K.Now, capacity)
-	if w.srv != nil {
-		w.srv.SetTracer(tr)
-		w.srv.Endpoint().Tracer = tr
-		w.cli.SetTracer(tr)
-		w.cli.Endpoint().Tracer = tr
+	w.late.Tracer = tr
+	for _, h := range w.servers {
+		h.Attach(cluster.Instruments{Tracer: tr})
 	}
-	if w.SNFSSrv != nil {
-		w.SNFSSrv.Table().Tracer = tr
+	for _, c := range w.clients {
+		c.Attach(cluster.Instruments{Tracer: tr})
 	}
 	return tr
 }
 
-// EnableMetrics attaches one metrics registry to every component of the
-// world: both RPC endpoints record per-procedure latency histograms, the
-// server exports CPU and (for SNFS) state-table gauges, and the client
-// exports cache gauges. Call it at measurement start so setup traffic
-// stays out of the distributions.
+// EnableMetrics attaches a metrics registry to every host of the world:
+// every RPC endpoint records per-procedure latency histograms, the
+// server exports CPU and (for SNFS) state-table gauges, and each
+// full-size client, those added later included, exports cache gauges. In
+// a federation each shard host gets a registry of its own (see
+// cluster.EnableMetrics); the one returned holds the client side. Call it
+// at measurement start so setup traffic stays out of the distributions.
 func (w *World) EnableMetrics() *metrics.Registry {
 	r := metrics.New()
-	if w.SNFSSrv != nil {
-		w.SNFSSrv.EnableMetrics(r)
-	} else if w.srv != nil {
-		w.srv.EnableMetrics(r)
+	w.late.Metrics = r
+	if w.srv != nil {
+		w.srv.Attach(cluster.Instruments{Metrics: r})
 	}
-	if w.cli != nil {
-		w.cli.EnableMetrics(r)
+	if w.Cluster != nil {
+		w.Cluster.EnableMetrics()
+	}
+	for _, c := range w.clients {
+		c.Attach(cluster.Instruments{Metrics: r})
 	}
 	// With spans armed, root-span latency histograms (with op-ID
 	// exemplars) join the registry.
@@ -139,7 +168,7 @@ func (w *World) EnableMetrics() *metrics.Registry {
 // a measurement cold). No-op for the Local protocol.
 func (w *World) InvalidateClientCache() {
 	if w.cli != nil {
-		w.cli.Cache().InvalidateAll()
+		w.cli.Base.Cache().InvalidateAll()
 	}
 }
 
@@ -204,66 +233,44 @@ func BuildOpt(pr Proto, tmpRemote bool, pm Params, opt BuildOptions) *World {
 	mkdirs(lst, "data", "tmp", "usr/tmp")
 	w.LocalFS = localmount.New(k, w.LocalMedia)
 
+	local := cluster.Instruments{Spans: w.Spans}.Mount("local", w.LocalFS)
 	if pr == Local {
-		w.NS.Mount("/", w.spanMount(w.LocalFS, "local"))
+		w.NS.Mount("/", local)
 	} else {
 		w.Net = simnet.New(k, pm.Net)
-		sep := rpc.NewEndpoint(k, w.Net, "server", rpc.Options{Workers: pm.ServerWorkers})
-		sep.Spans = w.Spans
-		sst := localfs.NewStore(k.Now, pm.ServerBlockSize)
-		sd := disk.New(k, "server-disk", pm.ServerDisk)
-		sd.Spans = w.Spans
-		w.SrvMedia = localfs.NewMedia(sst, sd, pm.Server.FSID, pm.ServerCacheBytes)
-		// The write-gathering configuration group-commits synchronous
-		// flushes: concurrent COMMIT runs and structural updates share
-		// sorted arm sweeps instead of one random op each.
-		w.SrvMedia.Gather = pm.UnstableWrites
-		mkdirs(sst, "data", "tmp", "usr/tmp")
-
-		switch pr {
-		case NFS:
-			w.NFSSrv = server.NewNFS(k, sep, w.SrvMedia, pm.Server)
-			w.srv = w.NFSSrv.Base
-		case RFS:
-			w.RFSSrv = server.NewRFS(k, sep, w.SrvMedia, pm.Server)
-			w.srv = w.RFSSrv.Base
-		case SNFS:
-			srvOpts := server.SNFSOptions{}
-			if opt.Server != nil {
-				srvOpts = *opt.Server
-			}
-			if opt.NameCacheServer {
-				srvOpts.NameCacheProtocol = true
-			}
-			w.SNFSSrv = server.NewSNFS(k, sep, w.SrvMedia, pm.Server, srvOpts)
-			w.srv = w.SNFSSrv.Base
-			if pm.Audit {
-				w.Auditor = audit.New(k, pm.AuditSink)
-				w.SNFSSrv.SetAuditor(w.Auditor)
-			}
+		in := cluster.Instruments{Spans: w.Spans}
+		if pm.Audit && pr == SNFS {
+			in.Auditor = audit.New(k, pm.AuditSink)
 		}
-		w.srv.SetSpans(w.Spans)
-
-		readAhead := true
-		if opt.ReadAhead != nil {
-			readAhead = *opt.ReadAhead
-		}
-		st := w.newClient(clientSpec{
-			name: "client", proto: pr, cacheBytes: pm.ClientCacheBytes, readAhead: readAhead,
-			nfs: pm.NFS, snfs: pm.SNFS, audit: true,
-		})
-		w.cli, w.NS = st.base, st.ns
-		w.NFSCli, w.SNFSCli, w.RFSCli = st.nfs, st.snfs, st.rfs
 		if pm.FlightCapacity > 0 {
-			w.Flight = tsdb.NewFlightRecorder(k.Now, pm.FlightCapacity)
-			w.srv.SetFlight(w.Flight)
-			if w.Auditor != nil && pm.FlightSink != nil {
-				wireFlightDump(w.Auditor, w.Flight, pm.FlightSink)
-			}
+			in.Flight = tsdb.NewFlightRecorder(k.Now, pm.FlightCapacity)
 		}
+		pm.dumpFlightOnViolation(in)
+		spec := pm.serverHost(pr)
+		if opt.Server != nil {
+			spec.SNFS = *opt.Server
+		}
+		if opt.NameCacheServer {
+			spec.SNFS.NameCacheProtocol = true
+		}
+		w.srv = cluster.NewServerHost(k, w.Net, spec, in)
+		w.servers = []*cluster.ServerHost{w.srv}
+		// The paper workloads' directory layout (a federation's is its
+		// shard map's, the daemon's what -populate makes).
+		mkdirs(w.srv.Media.Store(), "data", "tmp", "usr/tmp")
+		w.NFSSrv, w.SNFSSrv, w.RFSSrv, w.SrvMedia = w.srv.NFS, w.srv.SNFS, w.srv.RFS, w.srv.Media
+		w.Auditor, w.Flight = in.Auditor, in.Flight
+
+		cs := pm.clientHost(pr)
+		if opt.ReadAhead != nil {
+			cs.Config.ReadAhead = *opt.ReadAhead
+		}
+		w.cli = w.addClient("client", cs)
+		w.NS = w.cli.NS
+		w.NFSCli, w.SNFSCli, w.RFSCli = w.cli.NFS, w.cli.SNFS, w.cli.RFS
 		if !tmpRemote {
-			w.NS.Mount("/tmp", w.spanMount(w.LocalFS, "local"))
-			w.NS.Mount("/usr/tmp", w.spanMount(w.LocalFS, "local"))
+			w.NS.Mount("/tmp", local)
+			w.NS.Mount("/usr/tmp", local)
 		}
 	}
 
@@ -280,120 +287,51 @@ func BuildOpt(pr Proto, tmpRemote bool, pm Params, opt BuildOptions) *World {
 	return w
 }
 
-// clientSpec says how one client host differs from another; the rest of a
-// stack's configuration comes from the world's Params.
-type clientSpec struct {
-	name       simnet.Addr
-	proto      Proto
-	cacheBytes int64
-	readAhead  bool
-	// exec is the pool that serves the host's callback RPCs: nil gives it
-	// four threads of its own, a fleet passes its shared executor.
-	exec *sim.Executor
-	// nfs and snfs are the client policies; only proto's is read. A fleet
-	// passes them with the per-client daemons switched off.
-	nfs  client.NFSOptions
-	snfs client.SNFSOptions
-	// audit mounts an SNFS client through the world's auditor, if armed.
-	audit bool
+// newClient builds a client host of the world's server, mounted through
+// the world's span recorder and, when audited, its auditor.
+func (w *World) newClient(s cluster.ClientSpec, audited bool) *cluster.ClientHost {
+	s.Config.Server = w.srv.Addr
+	s.Config.Root = w.srv.Base.RootHandle()
+	in := cluster.Instruments{Spans: w.Spans}
+	if audited {
+		in.Auditor = w.Auditor
+	}
+	return cluster.NewClientHost(w.K, w.Net, s, in)
 }
 
-// clientStack is one assembled client host. fs is the protocol client
-// itself, beneath whatever wrappers its mount in ns goes through; exactly
-// one of nfs, snfs and rfs is set.
-type clientStack struct {
-	base *client.Base
-	fs   vfs.FS
-	ns   *vfs.Namespace
-	nfs  *client.NFSClient
-	snfs *client.SNFSClient
-	rfs  *client.RFSClient
-}
-
-// newClient is the only place a client stack is built: an RPC endpoint on
-// the world's network, the protocol client over it, the span recorder on
-// both, and a namespace with the (audit- and span-wrapped) client at "/".
-func (w *World) newClient(s clientSpec) clientStack {
-	ep := rpc.NewEndpoint(w.K, w.Net, s.name, rpc.Options{Workers: 4, Exec: s.exec})
-	ep.Spans = w.Spans
-	cfg := client.Config{
-		Server:     "server",
-		Root:       w.srv.RootHandle(),
-		BlockSize:  w.params.TransferSize,
-		CacheBytes: s.cacheBytes,
-		ReadAhead:  s.readAhead,
-	}
-	if s.proto != RFS {
-		// The post-1989 extensions are NFS and SNFS features; RFS runs
-		// as §2.5 describes it.
-		cfg.UnstableWrites = w.params.UnstableWrites
-		cfg.AttrPiggyback = w.params.AttrPiggyback
-		cfg.LookupPath = w.params.LookupPath
-	}
-	var st clientStack
-	switch s.proto {
-	case NFS:
-		st.nfs = client.NewNFS(w.K, ep, cfg, s.nfs)
-		st.base, st.fs = st.nfs.Base, st.nfs
-	case SNFS:
-		st.snfs = client.NewSNFS(w.K, ep, cfg, s.snfs)
-		st.base, st.fs = st.snfs.Base, st.snfs
-	case RFS:
-		st.rfs = client.NewRFS(w.K, ep, cfg)
-		st.base, st.fs = st.rfs.Base, st.rfs
-	}
-	st.base.SetSpans(w.Spans)
-	mount := st.fs
-	if s.audit && st.snfs != nil && w.Auditor != nil {
-		mount = w.Auditor.WrapFS(mount)
-	}
-	st.ns = &vfs.Namespace{}
-	st.ns.Mount("/", w.spanMount(mount, string(s.name)))
-	return st
-}
-
-// addClient attaches another full-size client host (the measurement
-// client's cache and read-ahead) to a remote world.
-func (w *World) addClient(name simnet.Addr, pr Proto, nfs client.NFSOptions, snfs client.SNFSOptions) clientStack {
-	return w.newClient(clientSpec{
-		name: name, proto: pr, cacheBytes: w.params.ClientCacheBytes, readAhead: true,
-		nfs: nfs, snfs: snfs, audit: true,
-	})
+// addClient attaches a full-size client host (see Params.clientHost) to a
+// remote world, armed with whatever the world's hosts have been armed
+// with since construction.
+func (w *World) addClient(name simnet.Addr, s cluster.ClientSpec) *cluster.ClientHost {
+	s.Name = name
+	h := w.newClient(s, true)
+	h.Attach(w.late)
+	w.clients = append(w.clients, h)
+	return h
 }
 
 // AddNFSClient attaches another NFS client host to a remote world and
 // returns it with a namespace rooted at the export.
 func (w *World) AddNFSClient(name simnet.Addr, opts client.NFSOptions) (*client.NFSClient, *vfs.Namespace) {
-	st := w.addClient(name, NFS, opts, client.SNFSOptions{})
-	return st.nfs, st.ns
+	s := w.params.clientHost(NFS)
+	s.NFS = opts
+	h := w.addClient(name, s)
+	return h.NFS, h.NS
 }
 
 // AddSNFSClient attaches another SNFS client host to a remote world and
 // returns it with a namespace rooted at the export.
 func (w *World) AddSNFSClient(name simnet.Addr, opts client.SNFSOptions) (*client.SNFSClient, *vfs.Namespace) {
-	st := w.addClient(name, SNFS, client.NFSOptions{}, opts)
-	return st.snfs, st.ns
+	s := w.params.clientHost(SNFS)
+	s.SNFS = opts
+	h := w.addClient(name, s)
+	return h.SNFS, h.NS
 }
 
 // AddRFSClient attaches another RFS client host to a remote world.
 func (w *World) AddRFSClient(name simnet.Addr) (*client.RFSClient, *vfs.Namespace) {
-	st := w.addClient(name, RFS, client.NFSOptions{}, client.SNFSOptions{})
-	return st.rfs, st.ns
-}
-
-// wireFlightDump arranges for the first audit violation to dump the
-// flight recorder to sink, headed by the offending operation ID. The
-// auditor holds its lock during the callback, so the dump only reads
-// the recorder and writes the sink — it never reenters the auditor.
-func wireFlightDump(a *audit.Auditor, fr *tsdb.FlightRecorder, sink io.Writer) {
-	dumped := false
-	a.OnViolation = func(v audit.Violation) {
-		if dumped {
-			return
-		}
-		dumped = true
-		fr.WriteText(sink, fmt.Sprintf("audit violation op=%d %s: %s", v.Op, v.Invariant, v.Detail))
-	}
+	h := w.addClient(name, w.params.clientHost(RFS))
+	return h.RFS, h.NS
 }
 
 // SamplerSeriesBudget caps the timeline of every harness-started
@@ -403,13 +341,24 @@ func wireFlightDump(a *audit.Auditor, fr *tsdb.FlightRecorder, sink io.Writer) {
 // drop count surfaces in timeline.json as dropped_series).
 const SamplerSeriesBudget = 2048
 
-// newSampler returns a budget-capped sampler that a "tsdb-sampler"
-// process on k drives every interval for the life of the kernel; the
-// caller points it at registries with Watch.
-func newSampler(k *sim.Kernel, interval sim.Duration, capacity int) *tsdb.Sampler {
+// StartSampler arms the time-series sampler on a running world: reg
+// (the registry EnableMetrics returned; nil for none) and every server
+// host's registry that is not reg are sampled by a "tsdb-sampler" process
+// on the sim clock every interval, for the life of the world, into a
+// budget-capped timeline with the given per-series capacity. A host's own
+// series are prefixed with its address ("shard<i>/") so per-shard hot
+// spots stay visible in one timeline — the measurement the load-driven
+// rebalancing work consumes. Call it at measurement start.
+func (w *World) StartSampler(reg *metrics.Registry, interval sim.Duration, capacity int) *tsdb.Sampler {
 	smp := tsdb.NewSampler(capacity)
 	smp.LimitSeries(SamplerSeriesBudget)
-	k.Go("tsdb-sampler", func(p *sim.Proc) {
+	smp.Watch("", reg)
+	for _, h := range w.servers {
+		if h.Metrics != reg {
+			smp.Watch(string(h.Addr)+"/", h.Metrics)
+		}
+	}
+	w.K.Go("tsdb-sampler", func(p *sim.Proc) {
 		for {
 			p.Sleep(interval)
 			smp.Sample(p.Now())
@@ -418,19 +367,9 @@ func newSampler(k *sim.Kernel, interval sim.Duration, capacity int) *tsdb.Sample
 	return smp
 }
 
-// StartSampler arms the time-series sampler on a running world: reg is
-// sampled on the sim clock every interval (for the life of the world)
-// into a timeline with the given per-series capacity. Call it with the
-// registry EnableMetrics returned, at measurement start.
-func (w *World) StartSampler(reg *metrics.Registry, interval sim.Duration, capacity int) *tsdb.Sampler {
-	smp := newSampler(w.K, interval, capacity)
-	smp.Watch("", reg)
-	return smp
-}
-
 // Run executes fn as the main workload process and stops the world when
 // it returns, reporting any error fn produced. With auditing armed, any
-// invariant violation the auditor recorded fails the run.
+// invariant violation any server's auditor recorded fails the run.
 func (w *World) Run(fn func(p *sim.Proc) error) error {
 	var err error
 	w.K.Go("workload", func(p *sim.Proc) {
@@ -441,10 +380,30 @@ func (w *World) Run(fn func(p *sim.Proc) error) error {
 	if err == nil {
 		err = w.Auditor.Err()
 	}
+	if err == nil && w.Cluster != nil {
+		err = w.Cluster.AuditErr()
+	}
 	return err
 }
 
-// traceState and traceCallback re-export the kinds used in tests without
-// making the harness API depend on trace's enum directly.
-func traceState() trace.Kind    { return trace.State }
-func traceCallback() trace.Kind { return trace.Callback }
+// RunEach runs fn(cp, i) for every i in [0, n) at once, each on a process
+// of its own named name+i, waits on p for all of them, and returns the
+// lowest-numbered failure.
+func (w *World) RunEach(p *sim.Proc, n int, name string, fn func(cp *sim.Proc, i int) error) error {
+	wg := sim.NewWaitGroup(w.K, n)
+	errs := make([]error, n)
+	for i := 0; i < n; i++ {
+		i := i
+		w.K.Go(fmt.Sprintf("%s%d", name, i), func(cp *sim.Proc) {
+			defer wg.Done()
+			errs[i] = fn(cp, i)
+		})
+	}
+	wg.Wait(p)
+	for i, err := range errs {
+		if err != nil {
+			return fmt.Errorf("%s%d: %w", name, i, err)
+		}
+	}
+	return nil
+}

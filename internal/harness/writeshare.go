@@ -38,8 +38,8 @@ func RunWriteShare(pr Proto, pm Params) (WriteShareResult, error) {
 	}
 	w := Build(pr, true, pm)
 
-	reader := w.addClient("reader", pr, pm.NFS, pm.SNFS)
-	readerNS, readerOps := reader.ns, reader.base.Ops().Total
+	reader := w.addClient("reader", pm.clientHost(pr))
+	readerNS, readerOps := reader.NS, reader.Base.Ops().Total
 
 	const (
 		polls       = 50

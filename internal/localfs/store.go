@@ -116,9 +116,6 @@ func (s *Store) BlockSize() int { return s.blockSize }
 // Root returns the root directory's inode number.
 func (s *Store) Root() uint64 { return s.root }
 
-// NumInodes reports how many inodes exist (including the root).
-func (s *Store) NumInodes() int { return len(s.inodes) }
-
 func (s *Store) alloc(t FileType, mode uint32) *inode {
 	s.nextIno++
 	s.nextGen++

@@ -90,10 +90,6 @@ func (s *SNFSServer) StartReplication(backup simnet.Addr, onDemoted func(proto.S
 	return r
 }
 
-// Replicator returns the attached replication stream (nil when this
-// server has no backup).
-func (b *Base) Replicator() *Replicator { return b.repl }
-
 // enqueue assigns the next sequence number and queues rec. A full queue
 // drops the record but still consumes its sequence number, so the backup
 // detects the hole and reports itself unsynced.
@@ -187,9 +183,6 @@ func (r *Replicator) Lag() int { return int(r.lastSeq - r.acked) }
 
 // Dropped returns how many records overflowed the queue.
 func (r *Replicator) Dropped() int64 { return r.dropped }
-
-// Stopped reports whether the stream has shut down (self-demotion).
-func (r *Replicator) Stopped() bool { return r.stopped }
 
 // Stop shuts the stream down for good: demotion, or the viewservice
 // declaring the backup dead. Queued records are abandoned.
@@ -523,12 +516,6 @@ func (s *SNFSServer) Promoted() (sim.Time, bool) { return s.promotedAt, s.promot
 // HealedAt returns when the first client data RPC after promotion was
 // served (the client-visible end of the failover), if any arrived yet.
 func (s *SNFSServer) HealedAt() (sim.Time, bool) { return s.healedAt, s.healed }
-
-// MirrorLen reports the number of mirrored entries (backup role).
-func (s *SNFSServer) MirrorLen() int { return len(s.mirror) }
-
-// ReplApplied returns the highest replication sequence number applied.
-func (s *SNFSServer) ReplApplied() uint64 { return s.replApplied }
 
 // ReplSynced reports whether the mirrored stream has been gap-free.
 func (s *SNFSServer) ReplSynced() bool { return !s.replGap }

@@ -110,12 +110,6 @@ func (b *Base) SetShardMap(m proto.ShardMap, id uint32) {
 	b.shardID = id
 }
 
-// ShardMap returns the server's current shard map (zero when standalone).
-func (b *Base) ShardMap() proto.ShardMap { return b.shardMap }
-
-// ShardID returns the server's shard id within the cluster.
-func (b *Base) ShardID() uint32 { return b.shardID }
-
 // SetTracer attaches a trace recorder to the server (and, for SNFS, to
 // its state table via EnableTrace on the harness world).
 func (b *Base) SetTracer(t *trace.Tracer) { b.tracer = t }
@@ -131,10 +125,6 @@ func (b *Base) SetFlight(r *tsdb.FlightRecorder) { b.flight = r }
 // into cpu-queue/cpu spans of the serving call's trace (the RPC endpoint
 // and disk carry their own recorder attachments).
 func (b *Base) SetSpans(r *span.Recorder) { b.spans = r }
-
-// Spans returns the attached span recorder (possibly nil; nil records
-// nothing).
-func (b *Base) Spans() *span.Recorder { return b.spans }
 
 // Flight returns the attached flight recorder (possibly nil; nil is
 // recordable).
@@ -215,17 +205,11 @@ func (b *Base) EnableMetrics(r *metrics.Registry) {
 	r.Help("snfs_server_committed_blocks_total", "Blocks made durable by COMMIT.")
 }
 
-// Metrics returns the attached registry (possibly nil; nil is recordable).
-func (b *Base) Metrics() *metrics.Registry { return b.metrics }
-
 // Ops returns the server-side operation counters.
 func (b *Base) Ops() *stats.Ops { return b.ops }
 
 // CPU returns the server CPU resource (for utilization).
 func (b *Base) CPU() *sim.Resource { return b.cpu }
-
-// Disk returns the backing disk.
-func (b *Base) Disk() interface{ Utilization() float64 } { return b.media.Disk() }
 
 // Media returns the backing media layer.
 func (b *Base) Media() *localfs.Media { return b.media }
@@ -247,9 +231,6 @@ func (b *Base) EnableSeries(bucket sim.Duration) *Series {
 	}
 	return b.ser
 }
-
-// Series returns the recording series, if enabled.
-func (b *Base) Series() *Series { return b.ser }
 
 // account records one serviced call for stats and series.
 func (b *Base) account(proc uint32) {

@@ -156,9 +156,6 @@ func (s *SNFSServer) SetAuditor(a *audit.Auditor) {
 	s.table.Observer = s.observeTransition
 }
 
-// Auditor returns the attached auditor (nil when auditing is off).
-func (s *SNFSServer) Auditor() *audit.Auditor { return s.auditor }
-
 // clientDead records the loss of a client everywhere: state table and
 // lock table.
 func (s *SNFSServer) clientDead(c core.ClientID) {

@@ -62,15 +62,6 @@ func (p *Proc) Sleep(d Duration) {
 	p.block()
 }
 
-// SleepUntil suspends the process until virtual instant t (a no-op if t is
-// in the past).
-func (p *Proc) SleepUntil(t Time) {
-	if t <= p.k.now {
-		return
-	}
-	p.Sleep(t.Sub(p.k.now))
-}
-
 // Spawn starts a new process from within this one.
 func (p *Proc) Spawn(name string, fn func(p *Proc)) *Proc {
 	return p.k.Go(name, fn)

@@ -15,8 +15,7 @@ type Resource struct {
 	freeAt Time // instant the resource finishes its current backlog
 
 	// Busy accounting.
-	busy     Duration
-	services int64
+	busy Duration
 
 	// OnBusy, if set, is invoked once per service with the interval
 	// during which the resource was occupied by that request.
@@ -46,7 +45,6 @@ func (r *Resource) Use(p *Proc, d Duration) Duration {
 	end := start.Add(d)
 	r.freeAt = end
 	r.busy += d
-	r.services++
 	if r.OnBusy != nil && d > 0 {
 		r.OnBusy(start, end)
 	}
@@ -69,7 +67,6 @@ func (r *Resource) UseAsync(d Duration, fn func()) Time {
 	end := start.Add(d)
 	r.freeAt = end
 	r.busy += d
-	r.services++
 	if r.OnBusy != nil && d > 0 {
 		r.OnBusy(start, end)
 	}
@@ -81,9 +78,6 @@ func (r *Resource) UseAsync(d Duration, fn func()) Time {
 
 // BusyTime returns the cumulative busy time.
 func (r *Resource) BusyTime() Duration { return r.busy }
-
-// Services returns the number of service completions started.
-func (r *Resource) Services() int64 { return r.services }
 
 // Utilization returns busy time as a fraction of the elapsed time since
 // simulation start (zero if no time has passed).

@@ -70,9 +70,6 @@ type Signal struct {
 // NewSignal returns an unfired signal bound to kernel k.
 func NewSignal(k *Kernel) *Signal { return &Signal{k: k} }
 
-// Fired reports whether the signal has fired.
-func (s *Signal) Fired() bool { return s.fired }
-
 // Fire marks the signal fired with value v and wakes all waiters.
 func (s *Signal) Fire(v any) {
 	if s.fired {
