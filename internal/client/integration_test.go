@@ -13,6 +13,7 @@ import (
 	"spritelynfs/internal/sim"
 	"spritelynfs/internal/simnet"
 	"spritelynfs/internal/vfs"
+	"spritelynfs/internal/xdr"
 )
 
 // world wires a server host and any number of client hosts to a simulated
@@ -380,6 +381,75 @@ func TestSNFSConcurrentWriteSharingIsConsistent(t *testing.T) {
 		}
 		fa.Close(p)
 		fb.Close(p)
+	})
+}
+
+// TestSNFSUncachableReadOwnsItsBytes covers the one place a decoded view
+// of a delivered payload reaches code that may write to it. A write-shared
+// read bypasses the block cache and hands the application the READ
+// reply's data; that reply image is frozen — the server's duplicate cache
+// resends the very buffer — so the result must be the application's own
+// copy. Scribble over it, retransmit the READ by hand, and the replay
+// must still carry the file's bytes.
+func TestSNFSUncachableReadOwnsItsBytes(t *testing.T) {
+	w := newWorld(1, true, 4, server.SNFSOptions{})
+	// The reader reaches the server through a tap that keeps the wire
+	// image of its READ call; replies return to the reader directly.
+	var readCall []byte
+	w.net.Listen("tap").SetHandler(func(m simnet.Message) {
+		d := xdr.NewDecoder(m.Payload)
+		for i := 0; i < 4; i++ {
+			d.Uint32() // xid, call, prog, vers
+		}
+		if d.Uint32() == proto.ProcRead {
+			readCall = m.Payload
+		}
+		w.net.Send(m.From, "server", m.Payload)
+	})
+	ep, cfg := w.clientConfig("clientA")
+	cfg.Server = "tap"
+	a := client.NewSNFS(w.k, ep, cfg, client.SNFSOptions{})
+	b := w.addSNFS("clientB", client.SNFSOptions{})
+	run(t, w.k, func(p *sim.Proc) {
+		want := fill(4096, 'r')
+		writeThrough(t, p, b, "shared", want)
+		fa, err := a.Open(p, "shared", vfs.ReadOnly, 0)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if _, err := b.Open(p, "shared", vfs.ReadWrite, 0); err != nil { // write-shared now
+			t.Error(err)
+			return
+		}
+		got, err := fa.ReadAt(p, 0, 4096)
+		if err != nil || !bytes.Equal(got, want) || readCall == nil {
+			t.Errorf("write-shared read: err=%v, %d bytes, READ seen on the wire: %v", err, len(got), readCall != nil)
+			return
+		}
+		for i := range got {
+			got[i] = 0xff
+		}
+		// Take over the reader's address and retransmit its READ.
+		replay := sim.NewSignal(w.k)
+		w.net.Unlisten("clientA")
+		w.net.Listen("clientA").SetHandler(func(m simnet.Message) { replay.Fire(m.Payload) })
+		w.net.Send("clientA", "server", readCall)
+		v, ok := replay.WaitTimeout(p, sim.Second)
+		if !ok {
+			t.Error("no replayed reply")
+			return
+		}
+		d := xdr.NewDecoder(v.([]byte))
+		d.Uint32() // xid
+		d.Uint32() // reply
+		d.Uint32() // status
+		if r := proto.DecodeReadReply(d); d.Err() != nil || !bytes.Equal(r.Data, want) {
+			t.Errorf("replayed READ reply corrupted by the application writing into its read result (decode err %v)", d.Err())
+		}
+		if hits := w.snfs.Endpoint().Stats().DupHits; hits != 1 {
+			t.Errorf("DupHits = %d, want 1: the retransmission was not answered from the duplicate cache", hits)
+		}
 	})
 }
 

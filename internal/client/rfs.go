@@ -27,14 +27,14 @@ func NewRFS(k *sim.Kernel, ep *rpc.Endpoint, cfg Config) *RFSClient {
 	c := &RFSClient{Base: newBase(k, ep, cfg)}
 	// No probes: cached attributes hold until a callback clears them.
 	c.attrs.policy = attrPolicyProtocol
-	ep.Register(proto.ProgCallback, c.serveCallback)
+	ep.RegisterMsg(proto.ProgCallback, c.serveCallback)
 	return c
 }
 
 // serveCallback handles the server's invalidate-on-write messages.
-func (c *RFSClient) serveCallback(p *sim.Proc, from simnet.Addr, proc uint32, args []byte) ([]byte, rpc.Status) {
+func (c *RFSClient) serveCallback(p *sim.Proc, from simnet.Addr, proc uint32, args []byte) (proto.Message, rpc.Status) {
 	if proc == proto.CbProcNull {
-		return proto.Marshal(&proto.StatusReply{Status: proto.OK}), rpc.StatusOK
+		return &proto.StatusReply{Status: proto.OK}, rpc.StatusOK
 	}
 	if proc != proto.CbProcCallback {
 		return nil, rpc.StatusProcUnavail
@@ -58,7 +58,7 @@ func (c *RFSClient) serveCallback(p *sim.Proc, from simnet.Addr, proc uint32, ar
 		// Attributes may be stale now too.
 		n.attrInit = false
 	}
-	return proto.Marshal(&proto.StatusReply{Status: proto.OK}), rpc.StatusOK
+	return &proto.StatusReply{Status: proto.OK}, rpc.StatusOK
 }
 
 // openRPC registers an open and reconciles the version numbers.

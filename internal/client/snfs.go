@@ -122,7 +122,7 @@ func NewSNFS(k *sim.Kernel, ep *rpc.Endpoint, cfg Config, opts SNFSOptions) *SNF
 	}
 	c.attrs.policy = attrPolicyProtocol
 	c.cancelOnRemove = true
-	ep.Register(proto.ProgCallback, c.serveCallback)
+	ep.RegisterMsg(proto.ProgCallback, c.serveCallback)
 	if opts.NameCache {
 		c.nameGet = c.nameCacheGet
 		c.namePut = c.nameCachePut
@@ -139,9 +139,9 @@ func NewSNFS(k *sim.Kernel, ep *rpc.Endpoint, cfg Config, opts SNFSOptions) *SNF
 }
 
 // serveCallback handles server-to-client consistency requests (§4.2.2).
-func (c *SNFSClient) serveCallback(p *sim.Proc, from simnet.Addr, proc uint32, args []byte) ([]byte, rpc.Status) {
+func (c *SNFSClient) serveCallback(p *sim.Proc, from simnet.Addr, proc uint32, args []byte) (proto.Message, rpc.Status) {
 	if proc == proto.CbProcNull {
-		return proto.Marshal(&proto.StatusReply{Status: proto.OK}), rpc.StatusOK
+		return &proto.StatusReply{Status: proto.OK}, rpc.StatusOK
 	}
 	if proc != proto.CbProcCallback {
 		return nil, rpc.StatusProcUnavail
@@ -156,13 +156,13 @@ func (c *SNFSClient) serveCallback(p *sim.Proc, from simnet.Addr, proc uint32, a
 			c.revokeLease(a.Handle)
 		}
 		// Nothing else cached for that file: success.
-		return proto.Marshal(&proto.StatusReply{Status: proto.OK}), rpc.StatusOK
+		return &proto.StatusReply{Status: proto.OK}, rpc.StatusOK
 	}
 	if a.WriteBack {
 		// The callback must not return until the dirty blocks are
 		// back at the server (§3.2).
 		if err := c.flushFile(p, n); err != nil {
-			return proto.Marshal(&proto.StatusReply{Status: proto.ErrIO}), rpc.StatusOK
+			return &proto.StatusReply{Status: proto.ErrIO}, rpc.StatusOK
 		}
 	}
 	writeBack, invalidate := n.rec.ApplyCallback(a)
@@ -180,7 +180,7 @@ func (c *SNFSClient) serveCallback(p *sim.Proc, from simnet.Addr, proc uint32, a
 		n.rec.DelayedClose = false
 		c.closeRPC(p, n.h, n.rec.DelayedWriteMode)
 	}
-	return proto.Marshal(&proto.StatusReply{Status: proto.OK}), rpc.StatusOK
+	return &proto.StatusReply{Status: proto.OK}, rpc.StatusOK
 }
 
 // nameCacheGet serves a translation from the protocol-protected name
@@ -577,7 +577,9 @@ func (f *snfsFile) ReadAt(p *sim.Proc, off int64, count int) ([]byte, error) {
 	}
 	f.c.attrs.ingest(f.n, attr, p.Now())
 	f.n.size = attr.Size
-	return data, nil
+	// data is a view of the server's frozen reply image, which its
+	// duplicate cache may resend; the application gets bytes of its own.
+	return append([]byte(nil), data...), nil
 }
 
 // WriteAt implements vfs.File. Cachable files use pure delayed write —

@@ -403,8 +403,25 @@ func (s *Store) Rename(srcDir uint64, srcName string, dstDir uint64, dstName str
 	return nil
 }
 
+// grow extends in.data to size bytes, zeros past the old length. Capacity
+// at least doubles when it must move, so a file appended to block by block
+// is copied O(n) bytes in all rather than once per append; a shrink leaves
+// stale bytes inside the capacity, which are cleared as they are re-exposed.
+func (in *inode) grow(size int64) {
+	old := len(in.data)
+	if size <= int64(cap(in.data)) {
+		in.data = in.data[:size]
+		clear(in.data[old:])
+		return
+	}
+	grown := make([]byte, size, max(size, 2*int64(cap(in.data))))
+	copy(grown, in.data)
+	in.data = grown
+}
+
 // ReadAt reads up to n bytes of file ino at offset off. Reads at or past
-// end-of-file return an empty slice.
+// end-of-file return an empty slice. The result is a snapshot the caller
+// owns: the server holds it across the disk wait that follows the read.
 func (s *Store) ReadAt(ino uint64, off int64, n int) ([]byte, error) {
 	in, err := s.get(ino)
 	if err != nil {
@@ -443,9 +460,7 @@ func (s *Store) WriteAt(ino uint64, off int64, data []byte) (Attr, error) {
 	}
 	end := off + int64(len(data))
 	if end > int64(len(in.data)) {
-		grown := make([]byte, end)
-		copy(grown, in.data)
-		in.data = grown
+		in.grow(end)
 	}
 	copy(in.data[off:end], data)
 	if end > in.attr.Size {
@@ -472,9 +487,7 @@ func (s *Store) Truncate(ino uint64, size int64) (Attr, error) {
 	if size <= int64(len(in.data)) {
 		in.data = in.data[:size]
 	} else {
-		grown := make([]byte, size)
-		copy(grown, in.data)
-		in.data = grown
+		in.grow(size)
 	}
 	in.attr.Size = size
 	now := s.clock()

@@ -3,6 +3,7 @@ package localfs
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -202,6 +203,80 @@ func TestTruncate(t *testing.T) {
 	got, _ = s.ReadAt(a.Ino, 0, 100)
 	if !bytes.Equal(got, []byte("hello\x00\x00\x00")) {
 		t.Errorf("after grow: %q", got)
+	}
+}
+
+// TestAppendGrowthIsLinear appends 512 blocks of 8 KiB to one file: file
+// data grows geometrically, so the store allocates a small multiple of the
+// final size in all — not a fresh exact-size array per append, which
+// copies the file 512 times over (~256× the final size).
+func TestAppendGrowthIsLinear(t *testing.T) {
+	const blocks, bs = 512, 8192
+	s, _ := newTestStore()
+	a, _ := s.Create(s.Root(), "f", 0o644)
+	block := bytes.Repeat([]byte{0xa5}, bs)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < blocks; i++ {
+		if _, err := s.WriteAt(a.Ino, int64(i)*bs, block); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(3*blocks*bs); got > limit {
+		t.Errorf("appending %d B in %d B steps allocated %d B, want <= %d", blocks*bs, bs, got, limit)
+	}
+	if na, _ := s.GetAttr(a.Ino); na.Size != blocks*bs {
+		t.Errorf("size %d, want %d", na.Size, blocks*bs)
+	}
+}
+
+// TestShrinkThenGrowExposesZeros covers the hazard geometric growth
+// introduces: a shrink leaves the old bytes inside the capacity, and a
+// later extension — by a write past the end or by Truncate — must expose
+// zeros there, not the stale contents.
+func TestShrinkThenGrowExposesZeros(t *testing.T) {
+	for _, grow := range []struct {
+		name string
+		do   func(s *Store, ino uint64)
+	}{
+		{"WriteAt", func(s *Store, ino uint64) { s.WriteAt(ino, 8192, bytes.Repeat([]byte{0x5a}, 8192)) }},
+		{"Truncate", func(s *Store, ino uint64) { s.Truncate(ino, 16384) }},
+	} {
+		s, _ := newTestStore()
+		a, _ := s.Create(s.Root(), "f", 0o644)
+		s.WriteAt(a.Ino, 0, bytes.Repeat([]byte{0xa5}, 16384))
+		s.Truncate(a.Ino, 100)
+		grow.do(s, a.Ino)
+		got, err := s.ReadAt(a.Ino, 0, 16384)
+		if err != nil || len(got) != 16384 {
+			t.Fatalf("%s: read %d bytes, %v", grow.name, len(got), err)
+		}
+		if !bytes.Equal(got[:100], bytes.Repeat([]byte{0xa5}, 100)) {
+			t.Errorf("%s: the kept prefix changed", grow.name)
+		}
+		if !bytes.Equal(got[100:8192], make([]byte, 8092)) {
+			t.Errorf("%s: bytes 100-8191 are not zero after shrink-then-grow", grow.name)
+		}
+	}
+}
+
+// TestReadAtReturnsSnapshot pins ReadAt's result as the caller's own: the
+// server reads at one instant and holds the bytes across the disk wait
+// that follows, so a later write must not show through them, and writing
+// into them must not reach the file.
+func TestReadAtReturnsSnapshot(t *testing.T) {
+	s, _ := newTestStore()
+	a, _ := s.Create(s.Root(), "f", 0o644)
+	s.WriteAt(a.Ino, 0, []byte("hello world"))
+	got, _ := s.ReadAt(a.Ino, 0, 100)
+	s.WriteAt(a.Ino, 0, []byte("HELLO"))
+	if string(got) != "hello world" {
+		t.Errorf("a write after the read changed its result: %q", got)
+	}
+	copy(got, "XXXXX")
+	if again, _ := s.ReadAt(a.Ino, 0, 100); string(again) != "HELLO world" {
+		t.Errorf("writing into a read result changed the file: %q", again)
 	}
 }
 

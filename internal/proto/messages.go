@@ -236,13 +236,13 @@ func (m *ReadReply) Encode(e *xdr.Encoder) {
 	}
 }
 
-// DecodeReadReply reads a ReadReply. Data is a zero-copy view into the
-// decoder's buffer (xdr.Decoder.OpaqueRef): valid for as long as the
-// reply's wire buffer lives unmodified. On the simulated transport the
-// wire image is GC-owned and never reused, so callers (including the
-// client block cache) may retain the view; a transport that pools or
-// reuses its receive buffers must copy the body before recycling (see
-// DESIGN.md §13).
+// DecodeReadReply reads a ReadReply. Data is a zero-copy, read-only view
+// into the decoder's buffer (xdr.Decoder.OpaqueRef). On the simulated
+// transport the wire image is GC-owned and frozen — the sender's
+// duplicate cache may resend it — so callers may retain the view but
+// must copy what they mean to change or hand to an application; a
+// transport that pools or reuses its receive buffers must copy the body
+// before recycling (see DESIGN.md §13, §14).
 func DecodeReadReply(d *xdr.Decoder) ReadReply {
 	r := ReadReply{Status: Status(d.Uint32())}
 	if r.Status == OK {

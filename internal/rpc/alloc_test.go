@@ -1,0 +1,79 @@
+package rpc
+
+import (
+	"bytes"
+	"testing"
+
+	"spritelynfs/internal/proto"
+	"spritelynfs/internal/sim"
+	"spritelynfs/internal/simnet"
+	"spritelynfs/internal/xdr"
+)
+
+// TestNullRoundTripAllocs budgets one null simulated call/reply exchange —
+// the floor under every server and client operation — with every
+// instrument off: an instrument that is off costs nothing here.
+func TestNullRoundTripAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	const budget = 18 // 16 measured; 26 with the trace arguments boxed
+	for _, pool := range pools {
+		k := sim.NewKernel(1)
+		client, server := newPair(k, simnet.Config{PropDelay: sim.Millisecond}, Options{Exec: pool.exec(k)})
+		server.Register(testProg, func(*sim.Proc, simnet.Addr, uint32, []byte) ([]byte, Status) {
+			return nil, StatusOK
+		})
+		var allocs float64
+		k.Go("caller", func(p *sim.Proc) {
+			defer k.Stop()
+			allocs = testing.AllocsPerRun(200, func() {
+				if _, err := client.Call(p, "server", testProg, 1, 1, nil); err != nil {
+					t.Errorf("call: %v", err)
+				}
+			})
+		})
+		k.Run()
+		if allocs > budget {
+			t.Errorf("%s pool: null round trip allocates %v objects, budget %d", pool.name, allocs, budget)
+		}
+	}
+}
+
+// TestCodecRoundTripAllocs budgets the pooled wire codec: an 8 KiB WRITE
+// through pooled encode, record framing, record reading and zero-copy
+// decode allocates at most 2 objects (DESIGN.md §14).
+func TestCodecRoundTripAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops entries at random under -race")
+	}
+	msg := &proto.WriteArgs{
+		Handle: proto.Handle{Ino: 42, Gen: 7}, Offset: 8192,
+		Data: bytes.Repeat([]byte{0xa5}, 8192), Unstable: true,
+	}
+	var frame bytes.Buffer
+	var br bytes.Reader
+	rr := NewRecordReader(&br)
+	var d xdr.Decoder
+	allocs := testing.AllocsPerRun(200, func() {
+		enc := xdr.GetEncoder()
+		msg.Encode(enc)
+		frame.Reset()
+		if err := WriteRecord(&frame, enc.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+		enc.Release()
+		br.Reset(frame.Bytes())
+		rec, err := rr.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.Reset(rec)
+		if got := proto.DecodeWriteArgs(&d); d.Err() != nil || !bytes.Equal(got.Data, msg.Data) {
+			t.Fatalf("decode: err=%v, %d data bytes", d.Err(), len(got.Data))
+		}
+	})
+	if allocs > 2 {
+		t.Errorf("8 KiB WRITE codec round trip allocates %v objects, budget 2", allocs)
+	}
+}

@@ -56,21 +56,15 @@ func (c *dupCache) start(from simnet.Addr, xid uint32) {
 	c.order = append(c.order, k)
 }
 
-// finish records the completed call's reply wire image. The cache takes
-// a private copy — exactly one, at insertion: the slice handed in is
-// also the transmitted buffer, and a zero-copy decoder on the far side
-// hands out views of it that a client block cache may even mutate in
-// place. Copying here makes the recorded reply immune to anything that
-// later happens to the transmitted bytes. Returns the cache's copy, or
-// nil if the entry was evicted while the call executed.
-func (c *dupCache) finish(from simnet.Addr, xid uint32, wire []byte) []byte {
-	e, ok := c.entries[dupKey{from, xid}]
-	if !ok {
-		return nil
+// finish records the completed call's reply wire image: the transmitted
+// buffer itself, which is frozen once sent (receivers decode read-only
+// views of it and copy what they mean to change), so a replay resends it
+// as is. A no-op if the entry was evicted while the call executed.
+func (c *dupCache) finish(from simnet.Addr, xid uint32, wire []byte) {
+	if e, ok := c.entries[dupKey{from, xid}]; ok {
+		e.state = dupDone
+		e.wire = wire
 	}
-	e.state = dupDone
-	e.wire = append([]byte(nil), wire...)
-	return e.wire
 }
 
 func (c *dupCache) evictIfFull() {

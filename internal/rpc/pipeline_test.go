@@ -95,36 +95,28 @@ func TestCallMsgMatchesMarshalledCall(t *testing.T) {
 	}
 }
 
-// TestDupCacheImmuneToWireMutation models the aliasing hazard zero-copy
-// decoding introduces: the reply body a client receives is a view of the
-// very buffer the server transmitted. If the client mutates it (the
-// block cache patches data in place), a later retransmission of the same
-// xid must still be answered with the original reply — the duplicate
-// cache must hold its own copy, not a reference to the transmitted wire.
-func TestDupCacheImmuneToWireMutation(t *testing.T) {
+// TestDupCacheReplaysRecordedImage pins what the duplicate cache promises
+// now that a transmitted buffer is frozen: a retransmission of a completed
+// call is answered, without re-execution, by resending the very image the
+// first reply went out in — no private copy at finish, none per replay.
+func TestDupCacheReplaysRecordedImage(t *testing.T) {
 	k := sim.NewKernel(1)
 	client, server := newPair(k, simnet.Config{PropDelay: sim.Millisecond}, Options{})
 	payload := []byte("stable reply payload")
 	server.Register(testProg, func(p *sim.Proc, from simnet.Addr, proc uint32, args []byte) ([]byte, Status) {
-		return append([]byte(nil), payload...), StatusOK
+		return payload, StatusOK
 	})
 	k.Go("caller", func(p *sim.Proc) {
+		defer k.Stop()
 		body, err := client.Call(p, "server", testProg, 1, 1, nil) // xid 1
 		if err != nil {
 			t.Errorf("call: %v", err)
-			k.Stop()
 			return
 		}
 		if !bytes.Equal(body, payload) {
 			t.Errorf("first reply %q, want %q", body, payload)
 		}
-		// The client-side view aliases the transmitted reply buffer;
-		// scribble over it the way an in-place block-cache update would.
-		for i := range body {
-			body[i] = 0xff
-		}
-		// Hand-retransmit the same call (same from, same xid): the
-		// server must replay the recorded reply, uncorrupted.
+		// Hand-retransmit the same call (same from, same xid).
 		enc := xdr.NewEncoder()
 		enc.Uint32(1) // xid of the first call
 		enc.Uint32(msgCall)
@@ -138,8 +130,14 @@ func TestDupCacheImmuneToWireMutation(t *testing.T) {
 		v, got := sig.WaitTimeout(p, sim.Second)
 		if !got {
 			t.Error("no replayed reply")
-		} else if r := v.(reply); !bytes.Equal(r.body, payload) {
-			t.Errorf("replayed reply corrupted by wire mutation: %q, want %q", r.body, payload)
+			return
+		}
+		replay := v.(reply).body
+		if !bytes.Equal(replay, payload) {
+			t.Errorf("replayed reply %q, want %q", replay, payload)
+		}
+		if &replay[0] != &body[0] {
+			t.Error("replay is a copy: want the transmitted image recorded and resent as is")
 		}
 		if server.Stats().DupHits != 1 {
 			t.Errorf("DupHits = %d, want 1", server.Stats().DupHits)
@@ -147,25 +145,65 @@ func TestDupCacheImmuneToWireMutation(t *testing.T) {
 		if server.Stats().CallsServed != 1 {
 			t.Errorf("CallsServed = %d, want 1 (replay must not re-execute)", server.Stats().CallsServed)
 		}
-		k.Stop()
 	})
 	k.Run()
 }
 
-// TestDupCacheFinishCopies pins the unit-level contract of finish: the
-// stored reply is a private copy, so mutating the inserted slice cannot
-// corrupt what lookup later returns.
-func TestDupCacheFinishCopies(t *testing.T) {
+// TestDupCacheFinishRecordsImage pins the unit-level contract of finish:
+// it records the slice it is handed — the transmitted image — and
+// allocates nothing doing so.
+func TestDupCacheFinishRecordsImage(t *testing.T) {
 	c := newDupCache(4, nil)
 	c.start("cl", 7)
 	wire := []byte{1, 2, 3, 4}
-	stored := c.finish("cl", 7, wire)
-	if !bytes.Equal(stored, wire) {
-		t.Fatalf("finish returned %x, want %x", stored, wire)
+	if n := testing.AllocsPerRun(100, func() { c.finish("cl", 7, wire) }); n != 0 {
+		t.Errorf("finish allocates %v objects, want 0", n)
 	}
-	wire[0] = 0xee
 	state, cached := c.lookup("cl", 7)
-	if state != dupDone || !bytes.Equal(cached, []byte{1, 2, 3, 4}) {
-		t.Errorf("cached entry corrupted: state=%v wire=%x", state, cached)
+	if state != dupDone || &cached[0] != &wire[0] {
+		t.Errorf("state=%v cached=%x: want done and the recorded slice itself", state, cached)
+	}
+	c.finish("cl", 8, wire) // evicted (never started): a no-op, not a panic
+	if state, _ := c.lookup("cl", 8); state != dupNew {
+		t.Errorf("finish of an unknown entry created one: state=%v", state)
+	}
+}
+
+// TestDrainedBacklogSlotIsCleared: popping the backlog re-slices it, so a
+// consumed slot stays in the backing array until the next reallocation.
+// It must be zeroed, or it keeps the served call's args — a view pinning
+// the whole call wire image, 8 KiB+ for a WRITE — reachable from a server
+// whose backlog is rarely empty for long.
+func TestDrainedBacklogSlotIsCleared(t *testing.T) {
+	k := sim.NewKernel(1)
+	client, server := newPair(k, simnet.Config{PropDelay: sim.Millisecond}, Options{Workers: 1})
+	var slots []request // the backing array, as it stood with two calls queued
+	server.Register(testProg, func(p *sim.Proc, from simnet.Addr, proc uint32, args []byte) ([]byte, Status) {
+		if slots == nil {
+			p.Sleep(10 * sim.Millisecond) // the other two calls queue behind this one
+			slots = server.backlog[:len(server.backlog):len(server.backlog)]
+		}
+		return nil, StatusOK
+	})
+	k.Go("caller", func(p *sim.Proc) {
+		defer k.Stop()
+		var calls [3]*Pending
+		for i := range calls {
+			calls[i], _ = client.Start(p, "server", testProg, 1, 1, &proto.WriteArgs{Data: make([]byte, 8192)})
+		}
+		for i, c := range calls {
+			if _, err := c.Wait(p); err != nil {
+				t.Errorf("call %d: %v", i, err)
+			}
+		}
+	})
+	k.Run()
+	if len(slots) != 2 {
+		t.Fatalf("%d calls queued behind the first, want 2", len(slots))
+	}
+	for i, r := range slots {
+		if r.args != nil {
+			t.Errorf("drained backlog slot %d still holds its request's %d-byte args", i, len(r.args))
+		}
 	}
 }

@@ -97,7 +97,8 @@ func statusErr(s Status) error {
 
 // Caller issues RPCs. Protocol code (NFS and SNFS clients, and the SNFS
 // server's callback path) depends only on this interface, so it runs
-// unchanged over the simulated network or TCP.
+// unchanged over the simulated network or TCP. The returned body may be a
+// view of the delivered reply image: read it, copy what must change.
 type Caller interface {
 	Call(ctx sim.Ctx, to simnet.Addr, prog, vers, proc uint32, args []byte) ([]byte, error)
 }
@@ -105,6 +106,18 @@ type Caller interface {
 // Handler services calls to one program. It runs on a server worker and
 // may itself block (disk access, nested RPCs).
 type Handler func(p *sim.Proc, from simnet.Addr, proc uint32, args []byte) ([]byte, Status)
+
+// MsgHandler is a Handler that returns its reply as a message (nil for an
+// empty body), which the endpoint encodes straight behind the reply
+// header at the instant the handler returns — the reply-side mirror of
+// CallMsg. The wire image is byte-identical to a Handler returning
+// proto.Marshal of the same message.
+type MsgHandler func(p *sim.Proc, from simnet.Addr, proc uint32, args []byte) (proto.Message, Status)
+
+// rawBody is a reply body a Handler already encoded.
+type rawBody []byte
+
+func (b rawBody) Encode(e *xdr.Encoder) { e.Raw(b) }
 
 // Options configures an Endpoint.
 type Options struct {
@@ -195,7 +208,7 @@ type Endpoint struct {
 	opts    Options
 	nextXID uint32
 	pending map[uint32]*sim.Signal
-	progs   map[uint32]Handler
+	progs   map[uint32]MsgHandler
 	exec    *sim.Executor
 	limit   int       // calls in service at once; 0 = unbounded (shared pool)
 	serving int       // calls in service now
@@ -220,9 +233,9 @@ type Endpoint struct {
 	// one server's retry window).
 	Reroute func(to simnet.Addr) simnet.Addr
 	// OnServed, when set, observes every completed handler invocation
-	// with the reply wire image recorded in the duplicate cache. The
-	// replication stream uses it to forward dup entries of
-	// non-idempotent calls to the backup.
+	// with the reply wire image (the one transmitted and recorded in the
+	// duplicate cache: read-only). The replication stream uses it to
+	// forward dup entries of non-idempotent calls to the backup.
 	OnServed func(from simnet.Addr, xid, prog, vers, proc uint32, wire []byte)
 	// met, when set via SetMetrics, records per-procedure latency
 	// histograms. Kept behind one pointer so the disabled hot path pays
@@ -324,7 +337,7 @@ func NewEndpoint(k *sim.Kernel, net *simnet.Network, addr simnet.Addr, opts Opti
 		addr:    addr,
 		opts:    opts,
 		pending: make(map[uint32]*sim.Signal),
-		progs:   make(map[uint32]Handler),
+		progs:   make(map[uint32]MsgHandler),
 		exec:    opts.Exec,
 	}
 	if e.exec == nil {
@@ -344,8 +357,16 @@ func (e *Endpoint) Stats() Stats { return e.stats }
 // Workers returns the service pool size.
 func (e *Endpoint) Workers() int { return e.opts.Workers }
 
-// Register installs h as the handler for program prog.
-func (e *Endpoint) Register(prog uint32, h Handler) { e.progs[prog] = h }
+// RegisterMsg installs h as the handler for program prog.
+func (e *Endpoint) RegisterMsg(prog uint32, h MsgHandler) { e.progs[prog] = h }
+
+// Register installs a handler that encodes its own reply body.
+func (e *Endpoint) Register(prog uint32, h Handler) {
+	e.RegisterMsg(prog, func(p *sim.Proc, from simnet.Addr, proc uint32, args []byte) (proto.Message, Status) {
+		body, st := h(p, from, proc, args)
+		return rawBody(body), st
+	})
+}
 
 // Stop detaches the endpoint from the network, simulating a crashed host:
 // subsequent messages to it are dropped, and so are calls that were
@@ -459,7 +480,8 @@ type Pending struct {
 // image is built in a pooled encoder and copied out exactly once: the
 // simulated network retains payloads until (possibly duplicated)
 // delivery and the retransmit loop resends the same image, so the call's
-// buffer must be GC-owned rather than pool-recycled.
+// buffer must be GC-owned rather than pool-recycled. Once sent it is
+// frozen: nobody writes through it or through a view decoded from it.
 func (e *Endpoint) start(p *sim.Proc, to simnet.Addr, prog, vers, proc uint32, m proto.Message, args []byte, callTimeout sim.Duration, maxRetries int) *Pending {
 	e.nextXID++
 	xid := e.nextXID
@@ -483,8 +505,10 @@ func (e *Endpoint) start(p *sim.Proc, to simnet.Addr, prog, vers, proc uint32, m
 	wire := enc.CopyBytes()
 	enc.Release()
 
-	e.Tracer.RecordOp(string(e.addr), trace.RPCCall, op, "-> %s %s xid=%d (%dB)",
-		to, procTraceName(prog, proc), xid, len(wire)-callHeaderLen)
+	if e.Tracer != nil { // variadic args are boxed even for a nil tracer
+		e.Tracer.RecordOp(string(e.addr), trace.RPCCall, op, "-> %s %s xid=%d (%dB)",
+			to, procTraceName(prog, proc), xid, len(wire)-callHeaderLen)
+	}
 	c := &Pending{
 		e: e, to: to, prog: prog, vers: vers, proc: proc, xid: xid, op: op,
 		sig: sig, wire: wire, timeout: callTimeout, retries: maxRetries,
@@ -575,7 +599,8 @@ func (e *Endpoint) handleMsg(m simnet.Message) {
 	// Zero-copy views into the payload are sound here: the simulated
 	// network hands over a GC-owned buffer it never reuses, so a
 	// handler (or the waiting caller) may retain the view for as
-	// long as it likes. See DESIGN.md §13.
+	// long as it likes — but never write through it: the sender may
+	// resend the same image. See DESIGN.md §13 and §14.
 	var d xdr.Decoder
 	d.Reset(m.Payload)
 	xid := d.Uint32()
@@ -603,12 +628,9 @@ func (e *Endpoint) handleMsg(m simnet.Message) {
 		switch state, cached := e.dup.lookup(m.From, xid); state {
 		case dupDone:
 			// Retransmit of a completed call: resend the
-			// recorded reply without re-executing. A fresh copy
-			// rides the wire — the cache's private image must
-			// never be exposed to receivers that hand out
-			// mutable zero-copy views of delivered payloads.
+			// recorded image, as is, without re-executing.
 			e.stats.DupHits++
-			e.net.Send(e.addr, m.From, append([]byte(nil), cached...))
+			e.net.Send(e.addr, m.From, cached)
 		case dupInProgress:
 			// Still executing; drop and let the client
 			// retry again later.
@@ -636,7 +658,11 @@ func (e *Endpoint) serve(p *sim.Proc, req request) {
 			e.serving--
 			return
 		}
-		req, e.backlog = e.backlog[0], e.backlog[1:]
+		req = e.backlog[0]
+		// The popped slot stays in the backing array until it is
+		// reallocated: clear it, or it pins the call's wire image.
+		e.backlog[0] = request{}
+		e.backlog = e.backlog[1:]
 	}
 }
 
@@ -661,28 +687,27 @@ func (e *Endpoint) serveOne(p *sim.Proc, req request) {
 		sp = e.Spans.Begin(p, string(e.addr), span.Serve, procTraceName(req.prog, req.proc))
 		e.Spans.Add(p, string(e.addr), span.SrvQueue, "queue", req.enq, e.k.Now())
 	}
-	e.Tracer.RecordOp(string(e.addr), trace.RPCServe, req.op, "<- %s %s xid=%d (%dB)",
-		req.from, procTraceName(req.prog, req.proc), req.xid, len(req.args))
+	if e.Tracer != nil {
+		e.Tracer.RecordOp(string(e.addr), trace.RPCServe, req.op, "<- %s %s xid=%d (%dB)",
+			req.from, procTraceName(req.prog, req.proc), req.xid, len(req.args))
+	}
 	h, ok := e.progs[req.prog]
-	var body []byte
+	var body proto.Message
 	status := StatusProgUnavail
 	if ok {
 		body, status = h(p, req.from, req.proc, req.args)
 	}
+	// Encoded with no yield since the handler returned; the transmitted
+	// image is frozen, so the duplicate cache and observers share it.
 	wire := e.sendReply(req.from, req.xid, status, body)
-	// finish stores a private copy of the reply (the transmitted
-	// buffer may be alias-mutated by the client's zero-copy decode);
-	// observers get the stable copy so the replication stream is
-	// immune too.
-	stable := e.dup.finish(req.from, req.xid, wire)
-	if stable == nil {
-		stable = wire // entry evicted mid-execution; nothing retains this
-	}
+	e.dup.finish(req.from, req.xid, wire)
 	if e.OnServed != nil {
-		e.OnServed(req.from, req.xid, req.prog, req.vers, req.proc, stable)
+		e.OnServed(req.from, req.xid, req.prog, req.vers, req.proc, wire)
 	}
-	e.Tracer.RecordOp(string(e.addr), trace.RPCReply, req.op, "-> %s %s xid=%d",
-		req.from, procTraceName(req.prog, req.proc), req.xid)
+	if e.Tracer != nil {
+		e.Tracer.RecordOp(string(e.addr), trace.RPCReply, req.op, "-> %s %s xid=%d",
+			req.from, procTraceName(req.prog, req.proc), req.xid)
+	}
 	sp.End()
 	p.SetOp(0)
 	if e.met != nil {
@@ -707,7 +732,9 @@ func (e *Endpoint) SeedDup(from simnet.Addr, xid uint32, wire []byte) {
 	e.dup.finish(from, xid, wire)
 }
 
-func (e *Endpoint) sendReply(to simnet.Addr, xid uint32, status Status, body []byte) []byte {
+// sendReply encodes header and body into one wire image, transmits it and
+// returns it. From here on the image is frozen (see start).
+func (e *Endpoint) sendReply(to simnet.Addr, xid uint32, status Status, body proto.Message) []byte {
 	// Pooled encoder, one exact-size copy out: the simulated network
 	// retains the payload until delivery, so the transmitted buffer must
 	// be GC-owned — but the encoder's grow-as-you-go scratch space is
@@ -716,7 +743,9 @@ func (e *Endpoint) sendReply(to simnet.Addr, xid uint32, status Status, body []b
 	enc.Uint32(xid)
 	enc.Uint32(msgReply)
 	enc.Uint32(uint32(status))
-	enc.Raw(body)
+	if body != nil {
+		body.Encode(enc)
+	}
 	wire := enc.CopyBytes()
 	enc.Release()
 	e.net.Send(e.addr, to, wire)

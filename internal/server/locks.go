@@ -100,20 +100,20 @@ func (t *lockTable) clientDead(c core.ClientID) {
 func (t *lockTable) drop(h proto.Handle) { delete(t.locks, h) }
 
 // serveLock handles ProcLock and ProcUnlock on the SNFS server.
-func (s *SNFSServer) serveLock(p *sim.Proc, from simnet.Addr, proc uint32, args []byte) ([]byte, rpc.Status) {
+func (s *SNFSServer) serveLock(p *sim.Proc, from simnet.Addr, proc uint32, args []byte) (proto.Message, rpc.Status) {
 	a := proto.DecodeLockArgs(xdr.NewDecoder(args))
 	s.chargeCPU(p, 0)
 	s.account(proc)
 	if _, st := s.handle(a.Handle); st != proto.OK {
-		return proto.Marshal(&proto.LockReply{Status: st}), rpc.StatusOK
+		return &proto.LockReply{Status: st}, rpc.StatusOK
 	}
 	cid := core.ClientID(from)
 	switch proc {
 	case proto.ProcLock:
 		granted := s.locksTab.acquire(a.Handle, cid, a.Exclusive)
-		return proto.Marshal(&proto.LockReply{Status: proto.OK, Granted: granted}), rpc.StatusOK
+		return &proto.LockReply{Status: proto.OK, Granted: granted}, rpc.StatusOK
 	default: // ProcUnlock
 		s.locksTab.release(a.Handle, cid)
-		return proto.Marshal(&proto.LockReply{Status: proto.OK, Granted: true}), rpc.StatusOK
+		return &proto.LockReply{Status: proto.OK, Granted: true}, rpc.StatusOK
 	}
 }

@@ -303,14 +303,14 @@ func (e *mirrorEntry) client(c string) *mirrorClient {
 // server has itself become the shard's primary (per its own, newer map),
 // it refuses with ErrDemoted and returns the map, so a partitioned old
 // primary self-demotes instead of split-braining.
-func (s *SNFSServer) serveReplStream(p *sim.Proc, from simnet.Addr, args []byte) []byte {
+func (s *SNFSServer) serveReplStream(p *sim.Proc, from simnet.Addr, args []byte) proto.Message {
 	a := proto.DecodeReplStreamArgs(xdr.NewDecoder(args))
 	s.chargeCPU(p, 0)
 	s.account(proto.ProcReplStream)
 	if s.isOwner() {
-		return proto.Marshal(&proto.ReplStreamReply{
+		return &proto.ReplStreamReply{
 			Status: proto.ErrDemoted, Applied: s.replApplied, Map: s.shardMap,
-		})
+		}
 	}
 	if a.Epoch > s.primEpoch {
 		s.primEpoch = a.Epoch
@@ -352,21 +352,21 @@ func (s *SNFSServer) serveReplStream(p *sim.Proc, from simnet.Addr, args []byte)
 	for _, ino := range stableInos {
 		s.media.CommitFile(p, ino)
 	}
-	return proto.Marshal(&proto.ReplStreamReply{Status: proto.OK, Applied: s.replApplied})
+	return &proto.ReplStreamReply{Status: proto.OK, Applied: s.replApplied}
 }
 
 // serveReplSync answers the primary's barrier probe.
-func (s *SNFSServer) serveReplSync(p *sim.Proc, from simnet.Addr, args []byte) []byte {
+func (s *SNFSServer) serveReplSync(p *sim.Proc, from simnet.Addr, args []byte) proto.Message {
 	a := proto.DecodeReplSyncArgs(xdr.NewDecoder(args))
 	s.chargeCPU(p, 0)
 	s.account(proto.ProcReplSync)
 	if s.isOwner() {
-		return proto.Marshal(&proto.ReplSyncReply{Status: proto.ErrDemoted, Applied: s.replApplied})
+		return &proto.ReplSyncReply{Status: proto.ErrDemoted, Applied: s.replApplied}
 	}
-	return proto.Marshal(&proto.ReplSyncReply{
+	return &proto.ReplSyncReply{
 		Status: proto.OK, Applied: s.replApplied,
 		Synced: !s.replGap && s.replApplied >= a.Seq,
-	})
+	}
 }
 
 // applyMirror folds one transition record into the mirror.

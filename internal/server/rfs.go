@@ -97,11 +97,11 @@ func NewRFS(k *sim.Kernel, ep *rpc.Endpoint, media *localfs.Media, cfg Config) *
 		cbSem: sim.NewSemaphore(k, maxInt(1, ep.Workers()-1)),
 	}
 	s.onRemoved = func(h proto.Handle) { delete(s.tab.entries, h) }
-	ep.Register(proto.ProgNFS, s.serve)
+	ep.RegisterMsg(proto.ProgNFS, s.serve)
 	return s
 }
 
-func (s *RFSServer) serve(p *sim.Proc, from simnet.Addr, proc uint32, args []byte) ([]byte, rpc.Status) {
+func (s *RFSServer) serve(p *sim.Proc, from simnet.Addr, proc uint32, args []byte) (proto.Message, rpc.Status) {
 	s.recordServe(p, from, proc)
 	switch proc {
 	case proto.ProcOpen:
@@ -127,13 +127,13 @@ func (s *RFSServer) serve(p *sim.Proc, from simnet.Addr, proc uint32, args []byt
 	return body, st
 }
 
-func (s *RFSServer) serveOpen(p *sim.Proc, from simnet.Addr, args []byte) []byte {
+func (s *RFSServer) serveOpen(p *sim.Proc, from simnet.Addr, args []byte) proto.Message {
 	a := proto.DecodeOpenArgs(xdr.NewDecoder(args))
 	s.chargeCPU(p, 0)
 	s.account(proto.ProcOpen)
 	attr, st := s.handle(a.Handle)
 	if st != proto.OK {
-		return proto.Marshal(&proto.OpenReply{Status: st})
+		return &proto.OpenReply{Status: st}
 	}
 	e := s.tab.get(a.Handle)
 	s.tab.nextVer++ // stamp source (cheap monotonic clock)
@@ -151,16 +151,16 @@ func (s *RFSServer) serveOpen(p *sim.Proc, from simnet.Addr, args []byte) []byte
 	e.opens[cid]++
 	e.cached[cid] = true
 	// Every client may cache under RFS; writes are what invalidate.
-	return proto.Marshal(&proto.OpenReply{
+	return &proto.OpenReply{
 		Status:       proto.OK,
 		CacheEnabled: true,
 		Version:      e.version,
 		PrevVersion:  e.prev,
 		Attr:         s.fattr(attr),
-	})
+	}
 }
 
-func (s *RFSServer) serveClose(p *sim.Proc, from simnet.Addr, args []byte) []byte {
+func (s *RFSServer) serveClose(p *sim.Proc, from simnet.Addr, args []byte) proto.Message {
 	a := proto.DecodeCloseArgs(xdr.NewDecoder(args))
 	s.chargeCPU(p, 0)
 	s.account(proto.ProcClose)
@@ -176,7 +176,7 @@ func (s *RFSServer) serveClose(p *sim.Proc, from simnet.Addr, args []byte) []byt
 		// stays set); version validation covers reopen after
 		// eviction of the entry.
 	}
-	return proto.Marshal(&proto.StatusReply{Status: proto.OK})
+	return &proto.StatusReply{Status: proto.OK}
 }
 
 // invalidateForWrite sends invalidate callbacks to every caching client

@@ -307,7 +307,7 @@ type dirName struct {
 // reached through handles that exist only on the owning shard (a
 // migrated subtree's old handles answer ErrStale, sending the client
 // back through a guarded lookup).
-func (b *Base) routeCheck(p *sim.Proc, proc uint32, args []byte) ([]byte, bool) {
+func (b *Base) routeCheck(p *sim.Proc, proc uint32, args []byte) (proto.Message, bool) {
 	if b.shardMap.IsZero() {
 		return nil, false
 	}
@@ -351,7 +351,7 @@ func (b *Base) routeCheck(p *sim.Proc, proc uint32, args []byte) ([]byte, bool) 
 		if b.shardMap.Owner(nm.name) != b.shardID {
 			b.chargeCPU(p, 0)
 			b.account(proc)
-			return proto.Marshal(notHomeReply(proc)), true
+			return notHomeReply(proc), true
 		}
 	}
 	return nil, false
@@ -386,7 +386,7 @@ func (b *Base) isOwner() bool {
 // caller refetches the map and heals onto the real primary. Control and
 // replication procedures pass: they are how the map gets refetched and
 // how the stream keeps flowing.
-func (b *Base) ownerCheck(p *sim.Proc, proc uint32) ([]byte, bool) {
+func (b *Base) ownerCheck(p *sim.Proc, proc uint32) (proto.Message, bool) {
 	if b.isOwner() {
 		return nil, false
 	}
@@ -398,7 +398,7 @@ func (b *Base) ownerCheck(p *sim.Proc, proc uint32) ([]byte, bool) {
 	}
 	b.chargeCPU(p, 0)
 	b.account(proc)
-	return proto.Marshal(notHomeReply(proc)), true
+	return notHomeReply(proc), true
 }
 
 // replWrite forwards one charged write to the backup, if replicating.
@@ -417,7 +417,7 @@ func (b *Base) replCommit(ino uint64) {
 
 // serveCommon executes the NFS file procedures shared by both servers.
 // It reports handled=false for procedures outside the common set.
-func (b *Base) serveCommon(p *sim.Proc, proc uint32, args []byte) (body []byte, st rpc.Status, handled bool) {
+func (b *Base) serveCommon(p *sim.Proc, proc uint32, args []byte) (body proto.Message, st rpc.Status, handled bool) {
 	d := xdr.NewDecoder(args)
 	switch proc {
 	case proto.ProcNull:
@@ -433,7 +433,7 @@ func (b *Base) serveCommon(p *sim.Proc, proc uint32, args []byte) (body []byte, 
 		b.chargeCPU(p, 0)
 		b.account(proc)
 		attr, st := b.handle(a.Handle)
-		return proto.Marshal(&proto.AttrReply{Status: st, Attr: b.fattr(attr)}), rpc.StatusOK, true
+		return &proto.AttrReply{Status: st, Attr: b.fattr(attr)}, rpc.StatusOK, true
 
 	case proto.ProcSetattr:
 		a := proto.DecodeSetattrArgs(d)
@@ -444,7 +444,7 @@ func (b *Base) serveCommon(p *sim.Proc, proc uint32, args []byte) (body []byte, 
 		b.account(proc)
 		attr, st := b.handle(a.Handle)
 		if st != proto.OK {
-			return proto.Marshal(&proto.AttrReply{Status: st}), rpc.StatusOK, true
+			return &proto.AttrReply{Status: st}, rpc.StatusOK, true
 		}
 		store := b.media.Store()
 		var err error
@@ -457,7 +457,7 @@ func (b *Base) serveCommon(p *sim.Proc, proc uint32, args []byte) (body []byte, 
 		if err == nil && a.SetMode {
 			attr, err = store.SetMode(a.Handle.Ino, a.Mode)
 		}
-		return proto.Marshal(&proto.AttrReply{Status: proto.StatusFromErr(err), Attr: b.fattr(attr)}), rpc.StatusOK, true
+		return &proto.AttrReply{Status: proto.StatusFromErr(err), Attr: b.fattr(attr)}, rpc.StatusOK, true
 
 	case proto.ProcLookup:
 		a := proto.DecodeDirOpArgs(d)
@@ -467,15 +467,15 @@ func (b *Base) serveCommon(p *sim.Proc, proc uint32, args []byte) (body []byte, 
 		b.chargeCPU(p, 0)
 		b.account(proc)
 		if _, st := b.handle(a.Dir); st != proto.OK {
-			return proto.Marshal(&proto.HandleReply{Status: st}), rpc.StatusOK, true
+			return &proto.HandleReply{Status: st}, rpc.StatusOK, true
 		}
 		attr, err := b.media.Store().Lookup(a.Dir.Ino, a.Name)
 		if err != nil {
-			return proto.Marshal(&proto.HandleReply{Status: proto.StatusFromErr(err)}), rpc.StatusOK, true
+			return &proto.HandleReply{Status: proto.StatusFromErr(err)}, rpc.StatusOK, true
 		}
-		return proto.Marshal(&proto.HandleReply{
+		return &proto.HandleReply{
 			Status: proto.OK, Handle: b.toHandle(attr), Attr: b.fattr(attr),
-		}), rpc.StatusOK, true
+		}, rpc.StatusOK, true
 
 	case proto.ProcRead:
 		a := proto.DecodeReadArgs(d)
@@ -486,16 +486,16 @@ func (b *Base) serveCommon(p *sim.Proc, proc uint32, args []byte) (body []byte, 
 		b.account(proc)
 		attr, st := b.handle(a.Handle)
 		if st != proto.OK {
-			return proto.Marshal(&proto.ReadReply{Status: st}), rpc.StatusOK, true
+			return &proto.ReadReply{Status: st}, rpc.StatusOK, true
 		}
 		data, err := b.media.Store().ReadAt(a.Handle.Ino, a.Offset, int(a.Count))
 		if err != nil {
-			return proto.Marshal(&proto.ReadReply{Status: proto.StatusFromErr(err)}), rpc.StatusOK, true
+			return &proto.ReadReply{Status: proto.StatusFromErr(err)}, rpc.StatusOK, true
 		}
 		if len(data) > 0 {
 			b.media.ChargeRead(p, a.Handle.Ino, a.Offset, len(data))
 		}
-		return proto.Marshal(&proto.ReadReply{Status: proto.OK, Attr: b.fattr(attr), Data: data}), rpc.StatusOK, true
+		return &proto.ReadReply{Status: proto.OK, Attr: b.fattr(attr), Data: data}, rpc.StatusOK, true
 
 	case proto.ProcWrite:
 		a := proto.DecodeWriteArgs(d)
@@ -505,11 +505,11 @@ func (b *Base) serveCommon(p *sim.Proc, proc uint32, args []byte) (body []byte, 
 		b.chargeCPU(p, len(a.Data))
 		b.account(proc)
 		if _, st := b.handle(a.Handle); st != proto.OK {
-			return proto.Marshal(&proto.WriteReply{Status: st}), rpc.StatusOK, true
+			return &proto.WriteReply{Status: st}, rpc.StatusOK, true
 		}
 		attr, err := b.media.Store().WriteAt(a.Handle.Ino, a.Offset, a.Data)
 		if err != nil {
-			return proto.Marshal(&proto.WriteReply{Status: proto.StatusFromErr(err)}), rpc.StatusOK, true
+			return &proto.WriteReply{Status: proto.StatusFromErr(err)}, rpc.StatusOK, true
 		}
 		if a.Unstable {
 			// NFSv3-style fast path: the data lands dirty in the
@@ -520,17 +520,17 @@ func (b *Base) serveCommon(p *sim.Proc, proc uint32, args []byte) (body []byte, 
 			b.unstableWrites++
 			b.media.ChargeWriteUnstable(p.Now(), a.Handle.Ino, a.Offset, len(a.Data))
 			b.replWrite(a.Handle.Ino, a.Offset, len(a.Data), true)
-			return proto.Marshal(&proto.WriteReply{
+			return &proto.WriteReply{
 				Status: proto.OK, Attr: b.fattr(attr), Committed: false, Verifier: b.verifier,
-			}), rpc.StatusOK, true
+			}, rpc.StatusOK, true
 		}
 		// The defining NFS server property: data reaches stable
 		// storage before the reply (§2.1).
 		b.media.ChargeWriteSync(p, a.Handle.Ino, a.Offset, len(a.Data))
 		b.replWrite(a.Handle.Ino, a.Offset, len(a.Data), false)
-		return proto.Marshal(&proto.WriteReply{
+		return &proto.WriteReply{
 			Status: proto.OK, Attr: b.fattr(attr), Committed: true, Verifier: b.verifier,
-		}), rpc.StatusOK, true
+		}, rpc.StatusOK, true
 
 	case proto.ProcCommit:
 		a := proto.DecodeCommitArgs(d)
@@ -540,12 +540,12 @@ func (b *Base) serveCommon(p *sim.Proc, proc uint32, args []byte) (body []byte, 
 		b.chargeCPU(p, 0)
 		b.account(proc)
 		if _, st := b.handle(a.Handle); st != proto.OK {
-			return proto.Marshal(&proto.CommitReply{Status: st}), rpc.StatusOK, true
+			return &proto.CommitReply{Status: st}, rpc.StatusOK, true
 		}
 		b.commits++
 		b.committedBlocks += int64(b.media.CommitFile(p, a.Handle.Ino))
 		b.replCommit(a.Handle.Ino)
-		return proto.Marshal(&proto.CommitReply{Status: proto.OK, Verifier: b.verifier}), rpc.StatusOK, true
+		return &proto.CommitReply{Status: proto.OK, Verifier: b.verifier}, rpc.StatusOK, true
 
 	case proto.ProcCreate:
 		a := proto.DecodeCreateArgs(d)
@@ -555,16 +555,16 @@ func (b *Base) serveCommon(p *sim.Proc, proc uint32, args []byte) (body []byte, 
 		b.chargeCPU(p, 0)
 		b.account(proc)
 		if _, st := b.handle(a.Dir); st != proto.OK {
-			return proto.Marshal(&proto.HandleReply{Status: st}), rpc.StatusOK, true
+			return &proto.HandleReply{Status: st}, rpc.StatusOK, true
 		}
 		attr, err := b.media.Store().Create(a.Dir.Ino, a.Name, a.Mode)
 		if err != nil {
-			return proto.Marshal(&proto.HandleReply{Status: proto.StatusFromErr(err)}), rpc.StatusOK, true
+			return &proto.HandleReply{Status: proto.StatusFromErr(err)}, rpc.StatusOK, true
 		}
 		b.media.ChargeMeta(p)
-		return proto.Marshal(&proto.HandleReply{
+		return &proto.HandleReply{
 			Status: proto.OK, Handle: b.toHandle(attr), Attr: b.fattr(attr),
-		}), rpc.StatusOK, true
+		}, rpc.StatusOK, true
 
 	case proto.ProcRemove:
 		a := proto.DecodeDirOpArgs(d)
@@ -574,11 +574,11 @@ func (b *Base) serveCommon(p *sim.Proc, proc uint32, args []byte) (body []byte, 
 		}
 		b.chargeCPU(p, 0)
 		b.account(proc)
-		reply := func(st proto.Status) []byte {
+		reply := func(st proto.Status) proto.Message {
 			if wantAttr {
-				return proto.Marshal(b.wccReply(st, a.Dir))
+				return b.wccReply(st, a.Dir)
 			}
-			return proto.Marshal(&proto.StatusReply{Status: st})
+			return &proto.StatusReply{Status: st}
 		}
 		if _, st := b.handle(a.Dir); st != proto.OK {
 			return reply(st), rpc.StatusOK, true
@@ -605,11 +605,11 @@ func (b *Base) serveCommon(p *sim.Proc, proc uint32, args []byte) (body []byte, 
 		}
 		b.chargeCPU(p, 0)
 		b.account(proc)
-		reply := func(st proto.Status) []byte {
+		reply := func(st proto.Status) proto.Message {
 			if wantAttr {
-				return proto.Marshal(b.wccReply(st, a.SrcDir, a.DstDir))
+				return b.wccReply(st, a.SrcDir, a.DstDir)
 			}
-			return proto.Marshal(&proto.StatusReply{Status: st})
+			return &proto.StatusReply{Status: st}
 		}
 		if _, st := b.handle(a.SrcDir); st != proto.OK {
 			return reply(st), rpc.StatusOK, true
@@ -638,16 +638,16 @@ func (b *Base) serveCommon(p *sim.Proc, proc uint32, args []byte) (body []byte, 
 		b.chargeCPU(p, 0)
 		b.account(proc)
 		if _, st := b.handle(a.Dir); st != proto.OK {
-			return proto.Marshal(&proto.HandleReply{Status: st}), rpc.StatusOK, true
+			return &proto.HandleReply{Status: st}, rpc.StatusOK, true
 		}
 		attr, err := b.media.Store().Mkdir(a.Dir.Ino, a.Name, a.Mode)
 		if err != nil {
-			return proto.Marshal(&proto.HandleReply{Status: proto.StatusFromErr(err)}), rpc.StatusOK, true
+			return &proto.HandleReply{Status: proto.StatusFromErr(err)}, rpc.StatusOK, true
 		}
 		b.media.ChargeMeta(p)
-		return proto.Marshal(&proto.HandleReply{
+		return &proto.HandleReply{
 			Status: proto.OK, Handle: b.toHandle(attr), Attr: b.fattr(attr),
-		}), rpc.StatusOK, true
+		}, rpc.StatusOK, true
 
 	case proto.ProcRmdir:
 		a := proto.DecodeDirOpArgs(d)
@@ -657,13 +657,13 @@ func (b *Base) serveCommon(p *sim.Proc, proc uint32, args []byte) (body []byte, 
 		b.chargeCPU(p, 0)
 		b.account(proc)
 		if _, st := b.handle(a.Dir); st != proto.OK {
-			return proto.Marshal(&proto.StatusReply{Status: st}), rpc.StatusOK, true
+			return &proto.StatusReply{Status: st}, rpc.StatusOK, true
 		}
 		err := b.media.Store().Rmdir(a.Dir.Ino, a.Name)
 		if err == nil {
 			b.media.ChargeMeta(p)
 		}
-		return proto.Marshal(&proto.StatusReply{Status: proto.StatusFromErr(err)}), rpc.StatusOK, true
+		return &proto.StatusReply{Status: proto.StatusFromErr(err)}, rpc.StatusOK, true
 
 	case proto.ProcReaddir:
 		a := proto.DecodeHandleArgs(d)
@@ -673,17 +673,17 @@ func (b *Base) serveCommon(p *sim.Proc, proc uint32, args []byte) (body []byte, 
 		b.chargeCPU(p, 0)
 		b.account(proc)
 		if _, st := b.handle(a.Handle); st != proto.OK {
-			return proto.Marshal(&proto.ReaddirReply{Status: st}), rpc.StatusOK, true
+			return &proto.ReaddirReply{Status: st}, rpc.StatusOK, true
 		}
 		ents, err := b.media.Store().Readdir(a.Handle.Ino)
 		if err != nil {
-			return proto.Marshal(&proto.ReaddirReply{Status: proto.StatusFromErr(err)}), rpc.StatusOK, true
+			return &proto.ReaddirReply{Status: proto.StatusFromErr(err)}, rpc.StatusOK, true
 		}
 		out := make([]proto.DirEntry, len(ents))
 		for i, e := range ents {
 			out[i] = proto.DirEntry{Name: e.Name, Fileid: e.Ino}
 		}
-		return proto.Marshal(&proto.ReaddirReply{Status: proto.OK, Entries: out}), rpc.StatusOK, true
+		return &proto.ReaddirReply{Status: proto.OK, Entries: out}, rpc.StatusOK, true
 
 	case proto.ProcLookupPath:
 		a := proto.DecodeLookupPathArgs(d)
@@ -694,7 +694,7 @@ func (b *Base) serveCommon(p *sim.Proc, proc uint32, args []byte) (body []byte, 
 		b.account(proc)
 		dattr, st := b.handle(a.Dir)
 		if st != proto.OK {
-			return proto.Marshal(&proto.LookupPathReply{Status: st}), rpc.StatusOK, true
+			return &proto.LookupPathReply{Status: st}, rpc.StatusOK, true
 		}
 		// Walk as many components as the path allows, stopping early
 		// at a symbolic link: expansion is the client's job (it knows
@@ -705,7 +705,7 @@ func (b *Base) serveCommon(p *sim.Proc, proc uint32, args []byte) (body []byte, 
 		for _, name := range a.Names {
 			next, err := store.Lookup(cur.Ino, name)
 			if err != nil {
-				return proto.Marshal(&proto.LookupPathReply{Status: proto.StatusFromErr(err)}), rpc.StatusOK, true
+				return &proto.LookupPathReply{Status: proto.StatusFromErr(err)}, rpc.StatusOK, true
 			}
 			parent, cur, curAttr = cur, b.toHandle(next), next
 			resolved++
@@ -713,10 +713,10 @@ func (b *Base) serveCommon(p *sim.Proc, proc uint32, args []byte) (body []byte, 
 				break
 			}
 		}
-		return proto.Marshal(&proto.LookupPathReply{
+		return &proto.LookupPathReply{
 			Status: proto.OK, Resolved: resolved,
 			Handle: cur, Parent: parent, Attr: b.fattr(curAttr),
-		}), rpc.StatusOK, true
+		}, rpc.StatusOK, true
 
 	case proto.ProcReaddirAttrs:
 		a := proto.DecodeHandleArgs(d)
@@ -726,11 +726,11 @@ func (b *Base) serveCommon(p *sim.Proc, proc uint32, args []byte) (body []byte, 
 		b.chargeCPU(p, 0)
 		b.account(proc)
 		if _, st := b.handle(a.Handle); st != proto.OK {
-			return proto.Marshal(&proto.ReaddirAttrsReply{Status: st}), rpc.StatusOK, true
+			return &proto.ReaddirAttrsReply{Status: st}, rpc.StatusOK, true
 		}
 		ents, err := b.media.Store().Readdir(a.Handle.Ino)
 		if err != nil {
-			return proto.Marshal(&proto.ReaddirAttrsReply{Status: proto.StatusFromErr(err)}), rpc.StatusOK, true
+			return &proto.ReaddirAttrsReply{Status: proto.StatusFromErr(err)}, rpc.StatusOK, true
 		}
 		out := make([]proto.DirEntryAttrs, 0, len(ents))
 		for _, e := range ents {
@@ -742,7 +742,7 @@ func (b *Base) serveCommon(p *sim.Proc, proc uint32, args []byte) (body []byte, 
 				Name: e.Name, Handle: b.toHandle(ea), Attr: b.fattr(ea),
 			})
 		}
-		return proto.Marshal(&proto.ReaddirAttrsReply{Status: proto.OK, Entries: out}), rpc.StatusOK, true
+		return &proto.ReaddirAttrsReply{Status: proto.OK, Entries: out}, rpc.StatusOK, true
 
 	case proto.ProcReadlink:
 		a := proto.DecodeHandleArgs(d)
@@ -752,13 +752,13 @@ func (b *Base) serveCommon(p *sim.Proc, proc uint32, args []byte) (body []byte, 
 		b.chargeCPU(p, 0)
 		b.account(proc)
 		if _, st := b.handle(a.Handle); st != proto.OK {
-			return proto.Marshal(&proto.ReadlinkReply{Status: st}), rpc.StatusOK, true
+			return &proto.ReadlinkReply{Status: st}, rpc.StatusOK, true
 		}
 		target, err := b.media.Store().Readlink(a.Handle.Ino)
 		if err != nil {
-			return proto.Marshal(&proto.ReadlinkReply{Status: proto.StatusFromErr(err)}), rpc.StatusOK, true
+			return &proto.ReadlinkReply{Status: proto.StatusFromErr(err)}, rpc.StatusOK, true
 		}
-		return proto.Marshal(&proto.ReadlinkReply{Status: proto.OK, Target: target}), rpc.StatusOK, true
+		return &proto.ReadlinkReply{Status: proto.OK, Target: target}, rpc.StatusOK, true
 
 	case proto.ProcLink:
 		a := proto.DecodeLinkArgs(d)
@@ -768,16 +768,16 @@ func (b *Base) serveCommon(p *sim.Proc, proc uint32, args []byte) (body []byte, 
 		b.chargeCPU(p, 0)
 		b.account(proc)
 		if _, st := b.handle(a.From); st != proto.OK {
-			return proto.Marshal(&proto.StatusReply{Status: st}), rpc.StatusOK, true
+			return &proto.StatusReply{Status: st}, rpc.StatusOK, true
 		}
 		if _, st := b.handle(a.ToDir); st != proto.OK {
-			return proto.Marshal(&proto.StatusReply{Status: st}), rpc.StatusOK, true
+			return &proto.StatusReply{Status: st}, rpc.StatusOK, true
 		}
 		_, err := b.media.Store().Link(a.ToDir.Ino, a.ToName, a.From.Ino)
 		if err == nil {
 			b.media.ChargeMeta(p)
 		}
-		return proto.Marshal(&proto.StatusReply{Status: proto.StatusFromErr(err)}), rpc.StatusOK, true
+		return &proto.StatusReply{Status: proto.StatusFromErr(err)}, rpc.StatusOK, true
 
 	case proto.ProcSymlink:
 		a := proto.DecodeSymlinkArgs(d)
@@ -787,39 +787,39 @@ func (b *Base) serveCommon(p *sim.Proc, proc uint32, args []byte) (body []byte, 
 		b.chargeCPU(p, 0)
 		b.account(proc)
 		if _, st := b.handle(a.Dir); st != proto.OK {
-			return proto.Marshal(&proto.HandleReply{Status: st}), rpc.StatusOK, true
+			return &proto.HandleReply{Status: st}, rpc.StatusOK, true
 		}
 		attr, err := b.media.Store().Symlink(a.Dir.Ino, a.Name, a.Target)
 		if err != nil {
-			return proto.Marshal(&proto.HandleReply{Status: proto.StatusFromErr(err)}), rpc.StatusOK, true
+			return &proto.HandleReply{Status: proto.StatusFromErr(err)}, rpc.StatusOK, true
 		}
 		b.media.ChargeMeta(p)
-		return proto.Marshal(&proto.HandleReply{
+		return &proto.HandleReply{
 			Status: proto.OK, Handle: b.toHandle(attr), Attr: b.fattr(attr),
-		}), rpc.StatusOK, true
+		}, rpc.StatusOK, true
 
 	case proto.ProcMountRoot:
 		b.chargeCPU(p, 0)
 		b.account(proc)
 		attr, err := b.media.Store().GetAttr(b.media.Store().Root())
 		if err != nil {
-			return proto.Marshal(&proto.HandleReply{Status: proto.StatusFromErr(err)}), rpc.StatusOK, true
+			return &proto.HandleReply{Status: proto.StatusFromErr(err)}, rpc.StatusOK, true
 		}
-		return proto.Marshal(&proto.HandleReply{
+		return &proto.HandleReply{
 			Status: proto.OK, Handle: b.toHandle(attr), Attr: b.fattr(attr),
-		}), rpc.StatusOK, true
+		}, rpc.StatusOK, true
 
 	case proto.ProcMetrics:
 		b.chargeCPU(p, 0)
 		b.account(proc)
 		var sb strings.Builder
 		b.metrics.WriteProm(&sb)
-		return proto.Marshal(&proto.MetricsReply{Status: proto.OK, Text: sb.String()}), rpc.StatusOK, true
+		return &proto.MetricsReply{Status: proto.OK, Text: sb.String()}, rpc.StatusOK, true
 
 	case proto.ProcShardMap:
 		b.chargeCPU(p, 0)
 		b.account(proc)
-		return proto.Marshal(&proto.ShardMapReply{Status: proto.OK, Map: b.shardMap}), rpc.StatusOK, true
+		return &proto.ShardMapReply{Status: proto.OK, Map: b.shardMap}, rpc.StatusOK, true
 
 	case proto.ProcStatfs:
 		a := proto.DecodeHandleArgs(d)
@@ -829,15 +829,15 @@ func (b *Base) serveCommon(p *sim.Proc, proc uint32, args []byte) (body []byte, 
 		b.chargeCPU(p, 0)
 		b.account(proc)
 		if _, st := b.handle(a.Handle); st != proto.OK {
-			return proto.Marshal(&proto.StatfsReply{Status: st}), rpc.StatusOK, true
+			return &proto.StatfsReply{Status: st}, rpc.StatusOK, true
 		}
 		st := b.media.Store()
-		return proto.Marshal(&proto.StatfsReply{
+		return &proto.StatfsReply{
 			Status:    proto.OK,
 			BlockSize: uint32(st.BlockSize()),
 			Blocks:    1 << 20,
 			BytesUsed: st.TotalBytes(),
-		}), rpc.StatusOK, true
+		}, rpc.StatusOK, true
 	}
 	return nil, rpc.StatusProcUnavail, false
 }
@@ -876,7 +876,7 @@ type NFSServer struct {
 // NewNFS creates an NFS server servicing ProgNFS on ep.
 func NewNFS(k *sim.Kernel, ep *rpc.Endpoint, media *localfs.Media, cfg Config) *NFSServer {
 	s := &NFSServer{Base: newBase(k, ep, media, cfg)}
-	ep.Register(proto.ProgNFS, s.serve)
+	ep.RegisterMsg(proto.ProgNFS, s.serve)
 	return s
 }
 
@@ -910,7 +910,7 @@ func (s *NFSServer) Reboot() {
 	s.flight.Recordf(string(s.ep.Addr()), "crash", 0, "nfs server reboot (verifier %d)", s.verifier)
 }
 
-func (s *NFSServer) serve(p *sim.Proc, from simnet.Addr, proc uint32, args []byte) ([]byte, rpc.Status) {
+func (s *NFSServer) serve(p *sim.Proc, from simnet.Addr, proc uint32, args []byte) (proto.Message, rpc.Status) {
 	s.recordServe(p, from, proc)
 	if body, rejected := s.ownerCheck(p, proc); rejected {
 		return body, rpc.StatusOK

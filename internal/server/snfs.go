@@ -99,7 +99,7 @@ func NewSNFS(k *sim.Kernel, ep *rpc.Endpoint, media *localfs.Media, cfg Config, 
 		s.locksTab.drop(h)
 	}
 	s.table.Observer = s.observeTransition
-	ep.Register(proto.ProgNFS, s.serve)
+	ep.RegisterMsg(proto.ProgNFS, s.serve)
 	return s
 }
 
@@ -229,7 +229,7 @@ func (s *SNFSServer) Reboot() {
 	s.flight.Recordf(string(s.ep.Addr()), "crash", 0, "server reboot (epoch %d)", s.epoch)
 }
 
-func (s *SNFSServer) serve(p *sim.Proc, from simnet.Addr, proc uint32, args []byte) ([]byte, rpc.Status) {
+func (s *SNFSServer) serve(p *sim.Proc, from simnet.Addr, proc uint32, args []byte) (proto.Message, rpc.Status) {
 	s.recordServe(p, from, proc)
 	// The replication stream is handled ahead of the ownership guard: a
 	// backup is by definition not its shard's owner, and a new primary
@@ -254,19 +254,19 @@ func (s *SNFSServer) serve(p *sim.Proc, from simnet.Addr, proc uint32, args []by
 	case proto.ProcServerInfo:
 		s.chargeCPU(p, 0)
 		s.account(proc)
-		return proto.Marshal(&proto.ServerInfoReply{
+		return &proto.ServerInfoReply{
 			Status: proto.OK, Epoch: s.epoch, InGrace: s.InGrace(),
-		}), rpc.StatusOK
+		}, rpc.StatusOK
 	case proto.ProcDumpState:
 		s.chargeCPU(p, 0)
 		s.account(proc)
-		return proto.Marshal(s.dumpState()), rpc.StatusOK
+		return s.dumpState(), rpc.StatusOK
 	case proto.ProcAudit:
 		s.chargeCPU(p, 0)
 		s.account(proc)
-		return proto.Marshal(&proto.AuditReply{
+		return &proto.AuditReply{
 			Status: proto.OK, Text: s.auditor.Summary(),
-		}), rpc.StatusOK
+		}, rpc.StatusOK
 	case proto.ProcLock, proto.ProcUnlock:
 		return s.serveLock(p, from, proc, args)
 	}
@@ -375,15 +375,15 @@ func (s *SNFSServer) truncateOnCreate(p *sim.Proc, from simnet.Addr, args []byte
 	}
 }
 
-func (s *SNFSServer) serveOpen(p *sim.Proc, from simnet.Addr, args []byte) []byte {
+func (s *SNFSServer) serveOpen(p *sim.Proc, from simnet.Addr, args []byte) proto.Message {
 	a := proto.DecodeOpenArgs(xdr.NewDecoder(args))
 	s.chargeCPU(p, 0)
 	s.account(proto.ProcOpen)
 	if _, st := s.handle(a.Handle); st != proto.OK {
-		return proto.Marshal(&proto.OpenReply{Status: st})
+		return &proto.OpenReply{Status: st}
 	}
 	if s.InGrace() {
-		return proto.Marshal(&proto.OpenReply{Status: proto.ErrGrace})
+		return &proto.OpenReply{Status: proto.ErrGrace}
 	}
 	lk := s.lockFor(a.Handle)
 	lk.Lock(p)
@@ -402,7 +402,7 @@ func (s *SNFSServer) serveOpen(p *sim.Proc, from simnet.Addr, args []byte) []byt
 		}
 		res = s.table.Open(a.Handle, cid, a.WriteMode)
 		if res.TableFull {
-			return proto.Marshal(&proto.OpenReply{Status: proto.ErrTableFull})
+			return &proto.OpenReply{Status: proto.ErrTableFull}
 		}
 	}
 	inconsistent := res.Inconsistent
@@ -421,22 +421,22 @@ func (s *SNFSServer) serveOpen(p *sim.Proc, from simnet.Addr, args []byte) []byt
 	// reflected (size, mtime).
 	attr, st := s.handle(a.Handle)
 	if st != proto.OK {
-		return proto.Marshal(&proto.OpenReply{Status: st})
+		return &proto.OpenReply{Status: st}
 	}
 	status := proto.OK
 	if inconsistent {
 		status = proto.ErrInconsistent
 	}
-	return proto.Marshal(&proto.OpenReply{
+	return &proto.OpenReply{
 		Status:       status,
 		CacheEnabled: res.CacheEnabled,
 		Version:      res.Version,
 		PrevVersion:  res.PrevVersion,
 		Attr:         s.fattr(attr),
-	})
+	}
 }
 
-func (s *SNFSServer) serveClose(p *sim.Proc, from simnet.Addr, args []byte) []byte {
+func (s *SNFSServer) serveClose(p *sim.Proc, from simnet.Addr, args []byte) proto.Message {
 	d := xdr.NewDecoder(args)
 	a := proto.DecodeCloseArgs(d)
 	wantAttr := proto.DecodeWantAttr(d)
@@ -450,31 +450,31 @@ func (s *SNFSServer) serveClose(p *sim.Proc, from simnet.Addr, args []byte) []by
 		// Post-op attributes save the getattr that commonly trails a
 		// close; journaled so the audit can correlate client views.
 		s.auditor.NoteEvent(p.Op(), "close-wcc", a.Handle, string(from), "")
-		return proto.Marshal(s.wccReply(proto.OK, a.Handle))
+		return s.wccReply(proto.OK, a.Handle)
 	}
-	return proto.Marshal(&proto.StatusReply{Status: proto.OK})
+	return &proto.StatusReply{Status: proto.OK}
 }
 
-func (s *SNFSServer) serveReopen(p *sim.Proc, from simnet.Addr, args []byte) []byte {
+func (s *SNFSServer) serveReopen(p *sim.Proc, from simnet.Addr, args []byte) proto.Message {
 	a := proto.DecodeReopenArgs(xdr.NewDecoder(args))
 	s.chargeCPU(p, 0)
 	s.account(proto.ProcReopen)
 	attr, st := s.handle(a.Handle)
 	if st != proto.OK {
-		return proto.Marshal(&proto.OpenReply{Status: st})
+		return &proto.OpenReply{Status: st}
 	}
 	lk := s.lockFor(a.Handle)
 	lk.Lock(p)
 	defer lk.Unlock()
 	cid := core.ClientID(from)
 	s.table.Recover(a.Handle, cid, a.Readers, a.Writers, a.Version, a.HasDirty)
-	return proto.Marshal(&proto.OpenReply{
+	return &proto.OpenReply{
 		Status:       proto.OK,
 		CacheEnabled: s.table.CachingFor(a.Handle, cid) || (a.HasDirty && a.Readers == 0 && a.Writers == 0),
 		Version:      s.table.Version(a.Handle),
 		PrevVersion:  s.table.Version(a.Handle),
 		Attr:         s.fattr(attr),
-	})
+	}
 }
 
 // serveHybrid implements §6.1: a data or attribute access from a client
@@ -483,7 +483,7 @@ func (s *SNFSServer) serveReopen(p *sim.Proc, from simnet.Addr, args []byte) []b
 // NFS traffic — and the NFS client sees post-write-back attributes.
 // Writes from a file's last writer (delayed write-back and callback-
 // forced flushes arrive without an open) are exempt.
-func (s *SNFSServer) serveHybrid(p *sim.Proc, from simnet.Addr, proc uint32, args []byte) ([]byte, rpc.Status, bool) {
+func (s *SNFSServer) serveHybrid(p *sim.Proc, from simnet.Addr, proc uint32, args []byte) (proto.Message, rpc.Status, bool) {
 	var h proto.Handle
 	var isWrite bool
 	d := xdr.NewDecoder(args)

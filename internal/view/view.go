@@ -95,7 +95,7 @@ type Service struct {
 func NewService(k *sim.Kernel, ep *rpc.Endpoint, store MapStore, cfg Config) *Service {
 	cfg.fill()
 	s := &Service{k: k, ep: ep, store: store, cfg: cfg, shards: make(map[uint32]*shardState)}
-	ep.Register(proto.ProgView, s.serve)
+	ep.RegisterMsg(proto.ProgView, s.serve)
 	k.Go(string(ep.Addr())+"/view-tick", s.tickDaemon)
 	return s
 }
@@ -155,13 +155,13 @@ func (s *Service) Changes(shard uint32) uint64 {
 }
 
 // serve handles ProgView calls.
-func (s *Service) serve(p *sim.Proc, from simnet.Addr, proc uint32, args []byte) ([]byte, rpc.Status) {
+func (s *Service) serve(p *sim.Proc, from simnet.Addr, proc uint32, args []byte) (proto.Message, rpc.Status) {
 	switch proc {
 	case proto.ViewProcPing:
 		a := proto.DecodeViewPingArgs(xdr.NewDecoder(args))
 		st, ok := s.shards[a.Shard]
 		if !ok {
-			return proto.Marshal(&proto.ViewPingReply{Status: proto.ErrInval}), rpc.StatusOK
+			return &proto.ViewPingReply{Status: proto.ErrInval}, rpc.StatusOK
 		}
 		m, ok := st.members[a.Addr]
 		if !ok {
@@ -175,9 +175,9 @@ func (s *Service) serve(p *sim.Proc, from simnet.Addr, proc uint32, args []byte)
 			st.acked = true
 			s.logf(p, a.Shard, st.cur, "acked")
 		}
-		return proto.Marshal(&proto.ViewPingReply{Status: proto.OK, View: st.cur, Map: s.store.Map()}), rpc.StatusOK
+		return &proto.ViewPingReply{Status: proto.OK, View: st.cur, Map: s.store.Map()}, rpc.StatusOK
 	case proto.ViewProcGet:
-		return proto.Marshal(&proto.ViewGetReply{Status: proto.OK, Views: s.Views(), Map: s.store.Map()}), rpc.StatusOK
+		return &proto.ViewGetReply{Status: proto.OK, Views: s.Views(), Map: s.store.Map()}, rpc.StatusOK
 	}
 	return nil, rpc.StatusProcUnavail
 }
