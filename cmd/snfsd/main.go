@@ -146,7 +146,11 @@ func main() {
 	// First violation dumps the black box: the protocol history that led
 	// to it matters more than any later violation's.
 	in.FlightDumpOnViolation(dumpFlight)
-	// The daemon's "disk" is free: real I/O time is real already.
+	// The daemon's "disk" is free: real I/O time is real already. So is
+	// its CPU: RunRealtime spends every modelled cost as a real wait,
+	// and server.Config takes a stated cost as written, so this is 1 µs
+	// per RPC and nothing per KB — the least a Config can ask for, the
+	// zero Config being the 1989 server.
 	host := cluster.NewServerHost(k, network, cluster.ServerSpec{
 		Proto:   pr,
 		Addr:    "server",

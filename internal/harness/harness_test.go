@@ -21,6 +21,15 @@ func fastParams() Params {
 	return pm
 }
 
+// TestDefaultServerStatesBothCPUCosts keeps the paper's tables off
+// server.Config's defaulting rule: a Config stating one cost reads the
+// other as free, so the calibrated set must state both.
+func TestDefaultServerStatesBothCPUCosts(t *testing.T) {
+	if c := Default().Server; c.CPUPerOp == 0 || c.CPUPerKB == 0 {
+		t.Errorf("Default().Server = %+v: both CPU costs must be stated", c)
+	}
+}
+
 func TestBuildAllProtocols(t *testing.T) {
 	pm := fastParams()
 	for _, pr := range []Proto{Local, NFS, SNFS} {

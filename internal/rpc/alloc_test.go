@@ -40,6 +40,31 @@ func TestNullRoundTripAllocs(t *testing.T) {
 	}
 }
 
+// TestLiveNullRoundTripAllocs budgets the same exchange on the live path:
+// DialTCP, the gateway, Inject, an endpoint under RunRealtime and back,
+// every goroutine's allocations counted. The server half of the
+// simulated exchange is in here, plus the record and the Inject closure
+// at the gateway and the reply channel and TCPPending at the client.
+func TestLiveNullRoundTripAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	const budget = 14 // 13 measured; 21 with the relay process, the copied record and a frame per write
+	c, err := DialTCP(startLive(t, 2, nullProg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	allocs := testing.AllocsPerRun(500, func() {
+		if _, err := c.Call(testProg, 1, 1, nil); err != nil {
+			t.Errorf("call: %v", err)
+		}
+	})
+	if allocs > budget {
+		t.Errorf("live null round trip allocates %v objects, budget %d", allocs, budget)
+	}
+}
+
 // TestCodecRoundTripAllocs budgets the pooled wire codec: an 8 KiB WRITE
 // through pooled encode, record framing, record reading and zero-copy
 // decode allocates at most 2 objects (DESIGN.md §14).

@@ -3,6 +3,8 @@ package rpc
 import (
 	"fmt"
 	"net"
+	"os"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -155,5 +157,76 @@ func BenchmarkTCPRoundTrip8K(b *testing.B) {
 		b.Run(fmt.Sprintf("depth%d", depth), func(b *testing.B) {
 			benchmarkTCPPipelined(b, depth)
 		})
+	}
+}
+
+// ioSyscalls reads this process's count of read- and write-family system
+// calls from /proc/self/io; ok is false where there is no such file.
+func ioSyscalls() (n int64, ok bool) {
+	data, err := os.ReadFile("/proc/self/io")
+	if err != nil {
+		return 0, false
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		var v int64
+		if _, err := fmt.Sscanf(line, "syscr: %d", &v); err == nil {
+			n += v
+		} else if _, err := fmt.Sscanf(line, "syscw: %d", &v); err == nil {
+			n += v
+		}
+	}
+	return n, true
+}
+
+// BenchmarkLiveRoundTrip measures the daemon's whole live path — DialTCP,
+// Gateway, Inject, an endpoint under RunRealtime and back — with depth
+// closed loops sharing one connection, as the benchmark's daemon
+// workload drives it. Both ends are this process, so syscalls/op counts
+// the reads and writes of client and gateway together: four at depth 1
+// (a write and a read at each end), fewer as bursts share them.
+func BenchmarkLiveRoundTrip(b *testing.B) {
+	block := make([]byte, 8192)
+	for _, bc := range []struct {
+		name string
+		proc uint32
+		args []byte
+	}{{"null", 1, nil}, {"read8k", 2, nil}, {"write8k", 1, block}} {
+		for _, depth := range []int{1, 8} {
+			b.Run(fmt.Sprintf("%s/depth%d", bc.name, depth), func(b *testing.B) {
+				addr := startLive(b, 8, func(ep *Endpoint) {
+					ep.Register(testProg, func(_ *sim.Proc, _ simnet.Addr, proc uint32, _ []byte) ([]byte, Status) {
+						if proc == 2 {
+							return block, StatusOK
+						}
+						return nil, StatusOK
+					})
+				})
+				c, err := DialTCP(addr)
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer c.Close()
+				b.ReportAllocs()
+				b.ResetTimer()
+				before, counted := ioSyscalls()
+				var wg sync.WaitGroup
+				for l := 0; l < depth; l++ {
+					wg.Add(1)
+					go func(n int) {
+						defer wg.Done()
+						for i := 0; i < n; i++ {
+							if _, err := c.Call(testProg, 1, bc.proc, bc.args); err != nil {
+								b.Error(err)
+								return
+							}
+						}
+					}((b.N + l) / depth)
+				}
+				wg.Wait()
+				if after, _ := ioSyscalls(); counted {
+					b.ReportMetric(float64(after-before)/float64(b.N), "syscalls/op")
+				}
+			})
+		}
 	}
 }

@@ -27,7 +27,11 @@ import (
 	"spritelynfs/internal/xdr"
 )
 
-// Config holds server cost and sizing parameters.
+// Config holds server cost and sizing parameters. The two CPU costs are
+// one model: a Config that states neither gets the 1989 server's (2 ms
+// per RPC plus 250 µs per KB moved), a Config that states either is
+// taken as written, so a zero beside a stated cost means free — which
+// is how the live daemon says its CPU time is the host's, not a model's.
 type Config struct {
 	// FSID is the exported file system's identifier in handles.
 	FSID uint32
@@ -39,10 +43,8 @@ type Config struct {
 }
 
 func (c *Config) fill() {
-	if c.CPUPerOp == 0 {
+	if c.CPUPerOp == 0 && c.CPUPerKB == 0 {
 		c.CPUPerOp = 2 * sim.Millisecond
-	}
-	if c.CPUPerKB == 0 {
 		c.CPUPerKB = 250 * sim.Microsecond
 	}
 }

@@ -25,6 +25,10 @@ type rig struct {
 }
 
 func newRig(useSNFS bool, opts SNFSOptions) *rig {
+	return newRigWith(Config{FSID: 1}, useSNFS, opts)
+}
+
+func newRigWith(cfg Config, useSNFS bool, opts SNFSOptions) *rig {
 	k := sim.NewKernel(1)
 	net := simnet.New(k, simnet.Config{PropDelay: sim.Millisecond})
 	sep := rpc.NewEndpoint(k, net, "server", rpc.Options{Workers: 4})
@@ -32,9 +36,9 @@ func newRig(useSNFS bool, opts SNFSOptions) *rig {
 	media := localfs.NewMedia(st, disk.New(k, "d", disk.Params{AccessTime: sim.Millisecond}), 1, 1<<20)
 	r := &rig{k: k, net: net}
 	if useSNFS {
-		r.snfs = NewSNFS(k, sep, media, Config{FSID: 1}, opts)
+		r.snfs = NewSNFS(k, sep, media, cfg, opts)
 	} else {
-		r.nfs = NewNFS(k, sep, media, Config{FSID: 1})
+		r.nfs = NewNFS(k, sep, media, cfg)
 	}
 	r.cli = rpc.NewEndpoint(k, net, "cli", rpc.Options{Workers: 2})
 	return r

@@ -34,6 +34,7 @@ type Kernel struct {
 	injectMu sync.Mutex
 	injected []func()
 	injectCh chan struct{}
+	turns    uint64 // RunRealtime loop turns, read by this package's tests
 }
 
 // popEvent removes and returns the earliest event.

@@ -86,3 +86,63 @@ func TestRunRealtimeProcessesInteract(t *testing.T) {
 		t.Fatal("processes never rendezvoused")
 	}
 }
+
+// realtime runs k under RunRealtime and returns the function that stops
+// it and waits for RunRealtime to return.
+func realtime(k *Kernel) (halt func()) {
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		k.RunRealtime(stop)
+	}()
+	return func() {
+		close(stop)
+		<-done
+	}
+}
+
+// TestRunRealtimeWaitsAllocateNothing budgets the loop's own waiting:
+// whether a wait is short enough to be yielded through or long enough
+// to be handed to the host's timer, arming it costs no allocation.
+func TestRunRealtimeWaitsAllocateNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	k := NewKernel(1)
+	defer realtime(k)()
+	for _, d := range []Duration{Microsecond, 4 * Duration(timerResolution/time.Microsecond)} {
+		ran := make(chan struct{}, 1)
+		fire := func() { ran <- struct{}{} }
+		arm := func() { k.After(d, fire) }
+		allocs := testing.AllocsPerRun(100, func() {
+			k.Inject(arm)
+			<-ran
+		})
+		if allocs != 0 {
+			t.Errorf("a %v wait under RunRealtime allocates %v objects, want 0", d, allocs)
+		}
+	}
+}
+
+// TestRunRealtimeIdleLoopBlocks keeps the short-wait yield from becoming
+// a busy loop: with its next event 50 ms away the loop sleeps, taking a
+// couple of turns per event and not one per microsecond.
+func TestRunRealtimeIdleLoopBlocks(t *testing.T) {
+	k := NewKernel(1)
+	fired := 0
+	var tick func()
+	tick = func() {
+		fired++
+		k.After(50*Millisecond, tick)
+	}
+	k.After(50*Millisecond, tick)
+	halt := realtime(k)
+	time.Sleep(220 * time.Millisecond)
+	halt()
+	if fired < 3 {
+		t.Errorf("%d of 4 timers fired in 220 ms", fired)
+	}
+	if k.turns > 100 {
+		t.Errorf("idle loop took %d turns for %d events: it spins instead of blocking", k.turns, fired)
+	}
+}

@@ -24,15 +24,15 @@ type Span struct {
 // SlowOp is one captured operation: the root's identity, its attribution,
 // and the full span tree (retained only for top-K winners).
 type SlowOp struct {
-	Op      uint64             `json:"op"`
-	Trace   uint64             `json:"trace"`
-	Name    string             `json:"name"`
-	Host    string             `json:"host"`
-	Kind    string             `json:"kind"`
-	StartUS int64              `json:"start_us"`
-	DurUS   int64              `json:"dur_us"`
-	CatsUS  map[string]int64   `json:"breakdown_us,omitempty"`
-	Spans   []Span             `json:"spans"`
+	Op      uint64           `json:"op"`
+	Trace   uint64           `json:"trace"`
+	Name    string           `json:"name"`
+	Host    string           `json:"host"`
+	Kind    string           `json:"kind"`
+	StartUS int64            `json:"start_us"`
+	DurUS   int64            `json:"dur_us"`
+	CatsUS  map[string]int64 `json:"breakdown_us,omitempty"`
+	Spans   []Span           `json:"spans"`
 }
 
 // opHeap is a min-heap by duration: the cheapest winner sits at the top,

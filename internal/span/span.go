@@ -132,11 +132,11 @@ type Recorder struct {
 	byOp      map[uint64]*trace
 	nextTrace uint64
 
-	agg                  Agg
-	heap                 opHeap
-	captured             map[uint64]*SlowOp // op → captured winner
-	windowLo, windowHi   sim.Time
-	haveWindow           bool
+	agg                Agg
+	heap               opHeap
+	captured           map[uint64]*SlowOp // op → captured winner
+	windowLo, windowHi sim.Time
+	haveWindow         bool
 
 	reg   *metrics.Registry
 	hists map[string]*metrics.Histogram
