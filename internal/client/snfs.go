@@ -148,8 +148,11 @@ func (c *SNFSClient) serveCallback(p *sim.Proc, from simnet.Addr, proc uint32, a
 	}
 	a := proto.DecodeCallbackArgs(xdr.NewDecoder(args))
 	c.CallbacksServed++
-	c.Tracer().RecordOp(c.host(), trace.Callback, p.Op(), "<- %s writeback=%v invalidate=%v release=%v",
-		a.Handle, a.WriteBack, a.Invalidate, a.Release)
+	tr := c.Tracer()
+	if tr != nil { // variadic args are boxed even for a nil tracer
+		tr.RecordOp(c.host(), trace.Callback, p.Op(), "<- %s writeback=%v invalidate=%v release=%v",
+			a.Handle, a.WriteBack, a.Invalidate, a.Release)
+	}
 	n, ok := c.nodes[a.Handle.Ino]
 	if !ok || n.h != a.Handle {
 		if a.Invalidate {
@@ -169,7 +172,9 @@ func (c *SNFSClient) serveCallback(p *sim.Proc, from simnet.Addr, proc uint32, a
 	_ = writeBack
 	if invalidate {
 		n := c.cache.InvalidateFile(c.cfg.Root.FSID, n.h.Ino)
-		c.Tracer().Record(c.host(), trace.Cache, "invalidated %d blocks of %s", n, a.Handle)
+		if tr != nil {
+			tr.Record(c.host(), trace.Cache, "invalidated %d blocks of %s", n, a.Handle)
+		}
 	}
 	if invalidate {
 		// A directory lease ends when the server invalidates it

@@ -104,12 +104,12 @@ func (f *Fleet) startSyncSweep(interval sim.Duration) {
 	for i, fc := range f.Clients {
 		c := fc.SNFS
 		offset := sim.Duration(int64(interval) * int64(i) / int64(n))
+		// Bound once per client: a pass submits and reschedules the
+		// same three func values for the life of the fleet.
 		var pass func()
-		pass = func() {
-			f.Exec.Submit(0, func(p *sim.Proc) { c.SyncPass(p) }, func() {
-				f.W.K.After(interval, pass)
-			})
-		}
+		job := c.SyncPass
+		again := func() { f.W.K.After(interval, pass) }
+		pass = func() { f.Exec.Submit(0, job, again) }
 		f.W.K.After(offset+interval, pass)
 	}
 }

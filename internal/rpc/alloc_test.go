@@ -12,12 +12,15 @@ import (
 
 // TestNullRoundTripAllocs budgets one null simulated call/reply exchange —
 // the floor under every server and client operation — with every
-// instrument off: an instrument that is off costs nothing here.
+// instrument off: an instrument that is off costs nothing here, and
+// neither does the bookkeeping. What is left is what DESIGN.md §14 says
+// cannot be handed on: the call's wire image, its Pending, the reply's
+// wire image.
 func TestNullRoundTripAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under -race")
 	}
-	const budget = 18 // 16 measured; 26 with the trace arguments boxed
+	const budget = 4 // 3 measured; 16 with a signal, closures and a dup entry per call
 	for _, pool := range pools {
 		k := sim.NewKernel(1)
 		client, server := newPair(k, simnet.Config{PropDelay: sim.Millisecond}, Options{Exec: pool.exec(k)})
@@ -49,7 +52,7 @@ func TestLiveNullRoundTripAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under -race")
 	}
-	const budget = 14 // 13 measured; 21 with the relay process, the copied record and a frame per write
+	const budget = 7 // 6 measured; 13 while the server half allocated its bookkeeping
 	c, err := DialTCP(startLive(t, 2, nullProg))
 	if err != nil {
 		t.Fatal(err)

@@ -41,8 +41,8 @@ func TestDupCacheEvictionUnderXidWraparound(t *testing.T) {
 			t.Errorf("xid %#x: state=%v reply=%q, want done %q", xid, s, w, want)
 		}
 	}
-	if len(c.entries) != cap || len(c.order) != cap {
-		t.Errorf("cache size entries=%d order=%d, want %d", len(c.entries), len(c.order), cap)
+	if len(c.slot) != cap || len(c.ring) != cap {
+		t.Errorf("cache size slot=%d ring=%d, want %d", len(c.slot), len(c.ring), cap)
 	}
 
 	// A retransmission of a live post-wrap xid must not re-enter the

@@ -124,15 +124,14 @@ func TestDupCacheReplaysRecordedImage(t *testing.T) {
 		enc.Uint32(1)
 		enc.Uint32(1)
 		enc.Uint64(0)
-		sig := sim.NewSignal(k)
-		client.pending[1] = sig
+		again := &Pending{e: client}
+		client.pending[1] = again
 		client.net.Send(client.addr, "server", enc.Bytes())
-		v, got := sig.WaitTimeout(p, sim.Second)
-		if !got {
+		if !again.await(p, sim.Second) {
 			t.Error("no replayed reply")
 			return
 		}
-		replay := v.(reply).body
+		replay := again.body
 		if !bytes.Equal(replay, payload) {
 			t.Errorf("replayed reply %q, want %q", replay, payload)
 		}
@@ -169,19 +168,24 @@ func TestDupCacheFinishRecordsImage(t *testing.T) {
 	}
 }
 
-// TestDrainedBacklogSlotIsCleared: popping the backlog re-slices it, so a
-// consumed slot stays in the backing array until the next reallocation.
-// It must be zeroed, or it keeps the served call's args — a view pinning
-// the whole call wire image, 8 KiB+ for a WRITE — reachable from a server
-// whose backlog is rarely empty for long.
+// TestDrainedBacklogSlotIsCleared: taking a call leaves its slot in the
+// queue's ring until the ring comes round to it again. It must be zeroed,
+// or it keeps the served call's args — a view pinning the whole call wire
+// image, 8 KiB+ for a WRITE — reachable from a server whose backlog is
+// rarely empty for long.
 func TestDrainedBacklogSlotIsCleared(t *testing.T) {
 	k := sim.NewKernel(1)
 	client, server := newPair(k, simnet.Config{PropDelay: sim.Millisecond}, Options{Workers: 1})
-	var slots []request // the backing array, as it stood with two calls queued
+	queued := -1 // calls waiting behind the first, once they have had time to arrive
 	server.Register(testProg, func(p *sim.Proc, from simnet.Addr, proc uint32, args []byte) ([]byte, Status) {
-		if slots == nil {
-			p.Sleep(10 * sim.Millisecond) // the other two calls queue behind this one
-			slots = server.backlog[:len(server.backlog):len(server.backlog)]
+		if queued < 0 {
+			p.Sleep(10 * sim.Millisecond)
+			queued = server.queue.n
+			for i := 0; i < queued; i++ {
+				if len(server.queue.at(i).args) < 8192 {
+					t.Errorf("waiting call %d has %d bytes of args", i, len(server.queue.at(i).args))
+				}
+			}
 		}
 		return nil, StatusOK
 	})
@@ -198,12 +202,93 @@ func TestDrainedBacklogSlotIsCleared(t *testing.T) {
 		}
 	})
 	k.Run()
-	if len(slots) != 2 {
-		t.Fatalf("%d calls queued behind the first, want 2", len(slots))
+	if queued != 2 {
+		t.Fatalf("%d calls queued behind the first, want 2", queued)
 	}
-	for i, r := range slots {
+	if server.queue.n != 0 || server.handed != 0 || server.serving != 0 {
+		t.Errorf("after the run: %d queued, %d handed, %d serving, want none", server.queue.n, server.handed, server.serving)
+	}
+	for i, r := range server.queue.buf {
 		if r.args != nil {
-			t.Errorf("drained backlog slot %d still holds its request's %d-byte args", i, len(r.args))
+			t.Errorf("drained queue slot %d still holds its request's %d-byte args", i, len(r.args))
+		}
+	}
+}
+
+// TestPipelinedCallsCollectedOutOfOrder: replies land in whatever order
+// the server finishes, into the Pending of their own xid, whether or not
+// a caller is parked on it yet; Wait may then collect in any order, and a
+// call whose attempt or answer was lost still retransmits from its Wait.
+func TestPipelinedCallsCollectedOutOfOrder(t *testing.T) {
+	const depth = 6
+	for _, order := range [][depth]int{
+		{0, 1, 2, 3, 4, 5}, // parked on the slowest while the others land
+		{5, 4, 3, 2, 1, 0}, // as they land
+		{3, 0, 5, 1, 4, 2},
+	} {
+		k := sim.NewKernel(1)
+		// Every fourth message is lost: call 3 first, then replies.
+		client, server := newPair(k, simnet.Config{PropDelay: sim.Millisecond, DropEvery: 4},
+			Options{Workers: depth, CallTimeout: 50 * sim.Millisecond})
+		server.Register(testProg, func(p *sim.Proc, from simnet.Addr, proc uint32, args []byte) ([]byte, Status) {
+			p.Sleep(sim.Duration(depth-proc) * sim.Millisecond) // the last call answers first
+			return args, StatusOK
+		})
+		k.Go("caller", func(p *sim.Proc) {
+			defer k.Stop()
+			var calls [depth]*Pending
+			for i := range calls {
+				calls[i], _ = client.Start(p, "server", testProg, 1, uint32(i), &proto.StatusReply{Status: proto.Status(100 + i)})
+			}
+			for _, i := range order {
+				body, err := calls[i].Wait(p)
+				if err != nil {
+					t.Errorf("order %v: wait %d: %v", order, i, err)
+					continue
+				}
+				if got := proto.DecodeStatusReply(xdr.NewDecoder(body)).Status; got != proto.Status(100+i) {
+					t.Errorf("order %v: call %d collected the reply to call %d", order, i, got-100)
+				}
+			}
+		})
+		k.Run()
+		if st := client.Stats(); st.Retransmits == 0 || st.Timeouts != 0 || len(client.pending) != 0 {
+			t.Errorf("order %v: %d retransmits, %d timeouts, %d still pending, want some, 0, 0",
+				order, st.Retransmits, st.Timeouts, len(client.pending))
+		}
+	}
+}
+
+// TestRecycledDupSlotDropsImage: a full duplicate cache starts a new call
+// in its oldest slot. The slot must come back empty — the evicted call's
+// reply image, 8 KiB+ for a READ, let go at once and not when the new
+// call finishes, which for a slow handler is much later.
+func TestRecycledDupSlotDropsImage(t *testing.T) {
+	c := newDupCache(2, nil)
+	for xid := uint32(1); xid <= 2; xid++ {
+		c.start("a", xid)
+		c.finish("a", xid, make([]byte, 8192))
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		c.start("a", 3) // recycles xid 1's slot the first time round, then finds itself
+	}); allocs != 0 && !raceEnabled {
+		t.Errorf("starting a call in a full cache allocates %v objects, want 0", allocs)
+	}
+	if len(c.ring) != 2 || len(c.slot) != 2 {
+		t.Fatalf("ring holds %d entries, index %d, want 2 and 2", len(c.ring), len(c.slot))
+	}
+	for i, e := range c.ring {
+		switch e.key.xid {
+		case 3:
+			if e.state != dupInProgress || e.wire != nil {
+				t.Errorf("recycled slot %d: state %v, %d-byte image of the evicted call", i, e.state, len(e.wire))
+			}
+		case 2:
+			if e.state != dupDone || len(e.wire) != 8192 {
+				t.Errorf("slot %d: the surviving call lost its image (state %v, %d bytes)", i, e.state, len(e.wire))
+			}
+		default:
+			t.Errorf("slot %d holds xid %d", i, e.key.xid)
 		}
 	}
 }

@@ -7,9 +7,17 @@
 //
 // An Endpoint owns no process. Its port hands each arriving message to
 // handleMsg at the delivery instant; a call that passes the duplicate
-// cache is run on a process borrowed from a sim.Executor, and calls beyond
-// the pool bound wait in a FIFO backlog that a finishing process drains
-// before it parks.
+// cache joins the endpoint's queue of accepted calls and is run on a
+// process borrowed from a sim.Executor, and calls beyond the pool bound
+// wait in that queue until a finishing process takes them, before it
+// parks.
+//
+// What a round trip leaves behind is its two wire images, the caller's
+// Pending and the handler's own argument and reply structs. The rest of
+// the bookkeeping is kept in objects that already exist: the Pending is
+// the reply slot, the waiter and the timeout event's target; accepted
+// calls and duplicate-cache entries sit by value in rings; the service
+// job is one method value per endpoint. See DESIGN.md §14.
 //
 // Two transports implement the layer: the simulated network (this file,
 // used by all experiments) and a real TCP transport (tcp.go, used by the
@@ -163,7 +171,7 @@ func (o *Options) fill() {
 	if o.MaxRetries == 0 {
 		o.MaxRetries = 4
 	}
-	if o.DupCacheSize == 0 {
+	if o.DupCacheSize <= 0 {
 		o.DupCacheSize = 128
 	}
 	if o.MaxBackoff == 0 {
@@ -207,13 +215,19 @@ type Endpoint struct {
 	addr    simnet.Addr
 	opts    Options
 	nextXID uint32
-	pending map[uint32]*sim.Signal
+	pending map[uint32]*Pending
 	progs   map[uint32]MsgHandler
 	exec    *sim.Executor
-	limit   int       // calls in service at once; 0 = unbounded (shared pool)
-	serving int       // calls in service now
-	backlog []request // accepted calls waiting for a slot, FIFO
-	dup     *dupCache
+	limit   int // calls in service at once; 0 = unbounded (shared pool)
+	serving int // calls in service now, counting the handed ones
+	// queue holds the accepted calls no process has started on, in
+	// arrival order: first the handed ones — a process has been woken
+	// for each and they start in that order — then those waiting for a
+	// slot, which exist only while serving == limit.
+	queue   callQueue
+	handed  int
+	job     func(*sim.Proc) // serve, bound once: every submission is this value
+	dup     dupCache
 	stats   Stats
 	stopped bool
 	// Tracer, when set, records this endpoint's RPC activity.
@@ -336,10 +350,11 @@ func NewEndpoint(k *sim.Kernel, net *simnet.Network, addr simnet.Addr, opts Opti
 		port:    net.Listen(addr),
 		addr:    addr,
 		opts:    opts,
-		pending: make(map[uint32]*sim.Signal),
+		pending: make(map[uint32]*Pending),
 		progs:   make(map[uint32]MsgHandler),
 		exec:    opts.Exec,
 	}
+	e.job = e.serve
 	if e.exec == nil {
 		e.exec, e.limit = sim.NewExecutor(k, string(addr)+"/rpc"), opts.Workers
 	}
@@ -371,12 +386,14 @@ func (e *Endpoint) Register(prog uint32, h Handler) {
 // Stop detaches the endpoint from the network, simulating a crashed host:
 // subsequent messages to it are dropped, and so are calls that were
 // accepted but not yet in service (the socket buffer dies with the host).
-// Handlers already running are not interrupted; they finish, and their
-// replies go out, as the simulation has no way to unwind them mid-call.
+// Handlers already running are not interrupted, nor is a call whose
+// process was woken at this very instant and has yet to start; they
+// finish, and their replies go out, as the simulation has no way to
+// unwind them mid-call.
 func (e *Endpoint) Stop() {
 	e.stopped = true
 	e.net.Unlisten(e.addr)
-	e.backlog = nil
+	e.queue.truncate(e.handed)
 }
 
 // Restart reattaches a stopped endpoint, simulating reboot. Pending state
@@ -389,7 +406,7 @@ func (e *Endpoint) Restart() {
 	}
 	e.stopped = false
 	e.port = e.net.Listen(e.addr)
-	e.pending = make(map[uint32]*sim.Signal)
+	e.pending = make(map[uint32]*Pending)
 	e.dup = newDupCache(e.opts.DupCacheSize, &e.stats.DupEvictions)
 	e.port.SetHandler(e.handleMsg)
 }
@@ -459,7 +476,11 @@ func callSpanKind(prog uint32) span.Kind {
 // vers, proc, op).
 const callHeaderLen = 5*4 + 8
 
-// Pending is one in-flight call issued with Start.
+// Pending is one in-flight call: the handle Start returns, and all the
+// state the call has. It is the entry in the endpoint's xid table, the
+// slot the reply is delivered into, the record of who is parked waiting
+// for it, and the target of the attempt's timeout event, so a call costs
+// this one object beside its wire image. Wait collects a call once.
 type Pending struct {
 	e       *Endpoint
 	to      simnet.Addr
@@ -468,12 +489,22 @@ type Pending struct {
 	proc    uint32
 	xid     uint32
 	op      uint64
-	sig     *sim.Signal
 	wire    []byte
 	timeout sim.Duration
 	retries int
 	issued  sim.Time // when the call was first put on the wire
 	sent    sim.Time // when the current attempt was put on the wire
+
+	// The reply slot, and the wait on it. The kernel's events cannot be
+	// withdrawn, so a call that completes leaves its last timeout event
+	// on the heap, pointing here, until it comes due and finds replied
+	// set; wait therefore drops body and wire as it returns, and the
+	// stale event pins only this struct.
+	replied  bool
+	timedOut bool // this attempt's timeout came due before a reply
+	status   Status
+	waiter   *sim.Proc // the caller, while parked in await
+	body     []byte    // a view of the delivered reply image
 }
 
 // start encodes and transmits the first attempt of a call. The wire
@@ -482,11 +513,10 @@ type Pending struct {
 // delivery and the retransmit loop resends the same image, so the call's
 // buffer must be GC-owned rather than pool-recycled. Once sent it is
 // frozen: nobody writes through it or through a view decoded from it.
+// That image and the Pending are all a call allocates here.
 func (e *Endpoint) start(p *sim.Proc, to simnet.Addr, prog, vers, proc uint32, m proto.Message, args []byte, callTimeout sim.Duration, maxRetries int) *Pending {
 	e.nextXID++
 	xid := e.nextXID
-	sig := sim.NewSignal(e.k)
-	e.pending[xid] = sig
 	e.stats.CallsSent++
 	op := p.Op()
 
@@ -511,11 +541,66 @@ func (e *Endpoint) start(p *sim.Proc, to simnet.Addr, prog, vers, proc uint32, m
 	}
 	c := &Pending{
 		e: e, to: to, prog: prog, vers: vers, proc: proc, xid: xid, op: op,
-		sig: sig, wire: wire, timeout: callTimeout, retries: maxRetries,
+		wire: wire, timeout: callTimeout, retries: maxRetries,
 		issued: e.k.Now(), sent: e.k.Now(),
 	}
+	e.pending[xid] = c
 	e.net.Send(e.addr, to, wire)
 	return c
+}
+
+// deliver fills the reply slot and wakes the caller if it is parked on it.
+// Only the first reply counts: a duplicate made by the network, or the
+// answer to a retransmission that crossed the first answer, finds the slot
+// full and is dropped.
+func (c *Pending) deliver(status Status, body []byte) {
+	if c.replied {
+		return
+	}
+	c.replied, c.status, c.body = true, status, body
+	c.wake()
+}
+
+// wake resumes the caller if it is parked in await.
+func (c *Pending) wake() {
+	if c.waiter != nil {
+		c.waiter.Unpark()
+		c.waiter = nil
+	}
+}
+
+// callTimeout is a Pending standing as its own timeout event. It is a
+// type of its own so that Due is not a method of Pending.
+type callTimeout Pending
+
+// Due ends the attempt await is parked in. At most one timeout event per
+// call is ahead of its attempt — the next is scheduled only after this one
+// came due — so the one way to be stale is to find the call answered, at
+// this instant or long before; what became of the endpoint meanwhile
+// (Stop, Restart) does not matter, the event holds the call itself.
+func (t *callTimeout) Due() {
+	c := (*Pending)(t)
+	if c.replied {
+		return
+	}
+	c.timedOut = true
+	c.wake()
+}
+
+// await parks p until the reply is in the slot or d has passed, and
+// reports whether it is. A reply already delivered (a pipelined call
+// collected late) schedules nothing.
+func (c *Pending) await(p *sim.Proc, d sim.Duration) bool {
+	if c.replied {
+		return true
+	}
+	c.timedOut = false
+	c.e.k.AfterTarget(d, (*callTimeout)(c))
+	for !c.replied && !c.timedOut {
+		c.waiter = p
+		p.Park()
+	}
+	return c.replied
 }
 
 // Wait collects the reply for a call issued with Start, retransmitting
@@ -559,8 +644,7 @@ func (c *Pending) wait(p *sim.Proc) ([]byte, error) {
 			c.sent = e.k.Now()
 			e.net.Send(e.addr, c.to, c.wire)
 		}
-		v, got := c.sig.WaitTimeout(p, timeout)
-		if got {
+		if c.await(p, timeout) {
 			if e.met != nil {
 				var exop uint64
 				if e.Spans != nil {
@@ -568,11 +652,12 @@ func (c *Pending) wait(p *sim.Proc) ([]byte, error) {
 				}
 				e.met.observeCall(c.prog, c.proc, e.k.Now().Sub(c.issued), attempt > 0, exop)
 			}
-			r := v.(reply)
-			if err := statusErr(r.status); err != nil {
+			body := c.body
+			c.body, c.wire = nil, nil
+			if err := statusErr(c.status); err != nil {
 				return nil, err
 			}
-			return r.body, nil
+			return body, nil
 		}
 		// The whole timed-out attempt window is retransmit backoff.
 		e.Spans.Add(p, string(e.addr), span.Retrans, procTraceName(c.prog, c.proc), c.sent, e.k.Now())
@@ -591,10 +676,11 @@ func (c *Pending) wait(p *sim.Proc) ([]byte, error) {
 	return nil, fmt.Errorf("%w: %s -> %s prog %d proc %d", ErrTimeout, e.addr, c.to, c.prog, c.proc)
 }
 
-// handleMsg routes one incoming message: a reply to its waiting caller, a
-// call through the duplicate cache to a service process or the backlog.
-// It is the port's delivery callback, so it runs in scheduler context at
-// the message's delivery instant and never blocks.
+// handleMsg routes one incoming message: a reply into its call's Pending,
+// a call through the duplicate cache into the queue, with a service
+// process woken for it if a slot is free. It is the port's delivery
+// callback, so it runs in scheduler context at the message's delivery
+// instant and never blocks; it allocates nothing of its own.
 func (e *Endpoint) handleMsg(m simnet.Message) {
 	// Zero-copy views into the payload are sound here: the simulated
 	// network hands over a GC-owned buffer it never reuses, so a
@@ -612,8 +698,8 @@ func (e *Endpoint) handleMsg(m simnet.Message) {
 		if d.Err() != nil {
 			return // corrupt reply; let the caller time out
 		}
-		if sig, ok := e.pending[xid]; ok {
-			sig.Fire(reply{status: status, body: body})
+		if c, ok := e.pending[xid]; ok {
+			c.deliver(status, body)
 		}
 	case msgCall:
 		prog := d.Uint32()
@@ -637,32 +723,39 @@ func (e *Endpoint) handleMsg(m simnet.Message) {
 			e.stats.DupInProgress++
 		default:
 			e.dup.start(m.From, xid)
-			req := request{from: m.From, xid: xid, prog: prog, vers: vers, proc: proc, op: op, enq: e.k.Now(), args: args}
+			e.queue.push(request{from: m.From, xid: xid, prog: prog, vers: vers, proc: proc, op: op, enq: e.k.Now(), args: args})
 			if e.limit > 0 && e.serving == e.limit {
-				e.backlog = append(e.backlog, req)
-				return
+				return // it waits for a slot
 			}
+			// No call waits while a slot is free, so this one is
+			// last in the queue and last of the handed ones: it is
+			// at the head when the process woken for it starts,
+			// the executor starting jobs in Submit order.
 			e.serving++
-			e.exec.Submit(req.op, func(p *sim.Proc) { e.serve(p, req) }, nil)
+			e.handed++
+			e.exec.Submit(op, e.job, nil)
 		}
 	}
 }
 
-// serve runs req and then, without yielding, whatever has queued behind it:
-// a process that finishes a call takes the head of the backlog at that
-// same instant, and only gives its slot back when the backlog is empty.
-func (e *Endpoint) serve(p *sim.Proc, req request) {
+// serve is the job every accepted call is submitted as. It runs the call
+// it was woken for — the head of the queue — and then, without yielding,
+// whatever waits for a slot: a process that finishes a call takes the
+// first waiting call at that same instant, and only gives its slot back
+// when none waits. It never takes a handed call, though one may be queued
+// ahead of the waiting ones for an instant: that call's own process is
+// already on the event heap, and running it from here instead would move
+// its handler ahead of every event between the two.
+func (e *Endpoint) serve(p *sim.Proc) {
+	e.handed--
+	req := e.queue.take(0)
 	for {
 		e.serveOne(p, req)
-		if len(e.backlog) == 0 {
+		if e.queue.n == e.handed {
 			e.serving--
 			return
 		}
-		req = e.backlog[0]
-		// The popped slot stays in the backing array until it is
-		// reallocated: clear it, or it pins the call's wire image.
-		e.backlog[0] = request{}
-		e.backlog = e.backlog[1:]
+		req = e.queue.take(e.handed)
 	}
 }
 

@@ -372,6 +372,67 @@ func TestStopDiscardsQueuedCalls(t *testing.T) {
 	}
 }
 
+// TestHandedCallKeepsItsProcess pins a same-instant tie the virtual clock
+// depends on. At 11 ms, in event order: call B arrives and is handed to a
+// newly woken process (one of two slots was free), call C arrives and must
+// wait, and only then does the process serving call A finish. It takes C,
+// the first call waiting for a slot — not B, which is queued ahead of C
+// but belongs to the process already woken for it — so the handlers start
+// in the order A, C, B. A crash between the arrivals and that finish loses
+// C, which was still in the socket buffer, and not B.
+func TestHandedCallKeepsItsProcess(t *testing.T) {
+	for _, crash := range []bool{false, true} {
+		k := sim.NewKernel(1)
+		client, server := newPair(k, simnet.Config{PropDelay: 10 * sim.Millisecond},
+			Options{Workers: 2, CallTimeout: 100 * sim.Millisecond, MaxRetries: 1})
+		var started []string
+		ran := map[string]*sim.Proc{}
+		server.Register(testProg, func(p *sim.Proc, from simnet.Addr, proc uint32, args []byte) ([]byte, Status) {
+			started = append(started, string(args))
+			ran[string(args)] = p
+			p.Sleep(sim.Millisecond)
+			return nil, StatusOK
+		})
+		wg := sim.NewWaitGroup(k, 3)
+		for _, c := range []struct {
+			token string
+			at    sim.Duration
+		}{{"A", 0}, {"B", sim.Millisecond}, {"C", sim.Millisecond}} {
+			k.Go(c.token, func(p *sim.Proc) {
+				p.Sleep(c.at)
+				client.Call(p, "server", testProg, 1, 1, []byte(c.token))
+				wg.Done()
+			})
+		}
+		if crash {
+			k.Go("crash", func(p *sim.Proc) {
+				p.Sleep(2 * sim.Millisecond)
+				// Scheduled after B and C left but before A's handler
+				// went to sleep: it runs between them at 11 ms.
+				p.Sleep(9 * sim.Millisecond)
+				server.Stop()
+			})
+		}
+		k.Go("join", func(p *sim.Proc) { wg.Wait(p); k.Stop() })
+		k.Run()
+		want := "[A C B]"
+		if crash {
+			want = "[A B]"
+		}
+		if fmt.Sprint(started) != want {
+			t.Errorf("crash=%v: handlers started in order %v, want %s", crash, started, want)
+			continue
+		}
+		if !crash && (ran["C"] != ran["A"] || ran["B"] == ran["A"]) {
+			t.Errorf("C ran on %s and B on %s; A's process %s should have taken C and left B",
+				ran["C"].Name(), ran["B"].Name(), ran["A"].Name())
+		}
+		if server.queue.n != 0 || server.handed != 0 || server.serving != 0 {
+			t.Errorf("crash=%v: after the run %d queued, %d handed, %d serving", crash, server.queue.n, server.handed, server.serving)
+		}
+	}
+}
+
 func TestCallbackFromServerToClient(t *testing.T) {
 	// The SNFS shape: while servicing a call, the server issues a nested
 	// RPC back to the client, which must service it (the client is also
@@ -559,7 +620,9 @@ func TestDupCacheKeyedByClient(t *testing.T) {
 }
 
 // TestStressManyClientsWithLoss: 8 clients firing batches of calls over
-// a lossy network must all complete correctly.
+// a lossy network must all complete correctly, each caller collecting the
+// body of its own xid: every call carries a token no other call does, and
+// the reply must bring that token back.
 func TestStressManyClientsWithLoss(t *testing.T) {
 	k := sim.NewKernel(7)
 	n := simnet.New(k, simnet.Config{PropDelay: sim.Millisecond, BytesPerSec: 1_250_000, DropEvery: 17})
@@ -567,6 +630,7 @@ func TestStressManyClientsWithLoss(t *testing.T) {
 	server.Register(testProg, func(p *sim.Proc, from simnet.Addr, proc uint32, args []byte) ([]byte, Status) {
 		e := xdr.NewEncoder()
 		e.Uint32(proc * 3)
+		e.Raw(args)
 		return e.Bytes(), StatusOK
 	})
 	const clients, calls = 8, 40
@@ -579,12 +643,14 @@ func TestStressManyClientsWithLoss(t *testing.T) {
 		k.Go(string(name), func(p *sim.Proc) {
 			defer wg.Done()
 			for i := uint32(1); i <= calls; i++ {
-				body, err := ep.Call(p, "server", testProg, 1, i, nil)
+				token := fmt.Sprintf("%s/%d", name, i)
+				body, err := ep.Call(p, "server", testProg, 1, i, []byte(token))
 				if err != nil {
 					failures++
 					continue
 				}
-				if xdr.NewDecoder(body).Uint32() != i*3 {
+				d := xdr.NewDecoder(body)
+				if d.Uint32() != i*3 || string(d.Raw()) != token {
 					wrong++
 				}
 			}
@@ -594,6 +660,170 @@ func TestStressManyClientsWithLoss(t *testing.T) {
 	k.Run()
 	if failures != 0 || wrong != 0 {
 		t.Errorf("%d failures, %d wrong replies out of %d calls", failures, wrong, clients*calls)
+	}
+	if server.Stats().DupHits == 0 {
+		t.Error("no retransmission was answered from the duplicate cache: the loss pattern no longer exercises it")
+	}
+}
+
+// tokenHandler answers a call with its own arguments.
+func tokenHandler(p *sim.Proc, from simnet.Addr, proc uint32, args []byte) ([]byte, Status) {
+	return args, StatusOK
+}
+
+// TestEveryMessageDuplicated: with the network delivering each message
+// twice, a call still completes once with its own body. The second copy
+// of a call meets the duplicate cache; the second copy of a reply finds
+// its Pending's slot full, or the call collected and gone, and is dropped.
+func TestEveryMessageDuplicated(t *testing.T) {
+	k := sim.NewKernel(1)
+	// The duplicate queues on the link behind the original and so lands
+	// a few dozen microseconds after it.
+	client, server := newPair(k, simnet.Config{PropDelay: sim.Millisecond, BytesPerSec: 1_250_000, DupProb: 1}, Options{})
+	executions := 0
+	server.Register(testProg, func(p *sim.Proc, from simnet.Addr, proc uint32, args []byte) ([]byte, Status) {
+		executions++
+		p.Sleep(sim.Duration(proc) * sim.Millisecond)
+		return args, StatusOK
+	})
+	const calls = 12
+	k.Go("caller", func(p *sim.Proc) {
+		defer k.Stop()
+		for i := 0; i < calls; i++ {
+			token := fmt.Sprintf("call %d", i)
+			// proc 0 replies at once, so the duplicate call finds
+			// the entry done; the others find it in progress.
+			body, err := client.Call(p, "server", testProg, 1, uint32(i%3), []byte(token))
+			if err != nil || string(body) != token {
+				t.Errorf("call %d: body %q, err %v", i, body, err)
+			}
+		}
+		p.Sleep(sim.Second) // the last duplicates land
+	})
+	k.Run()
+	if executions != calls {
+		t.Errorf("%d executions of %d calls", executions, calls)
+	}
+	ss, cs := server.Stats(), client.Stats()
+	if ss.DupHits+ss.DupInProgress != calls || ss.DupHits == 0 || ss.DupInProgress == 0 {
+		t.Errorf("duplicate calls: %d replayed + %d dropped in progress, want %d in all and some of each",
+			ss.DupHits, ss.DupInProgress, calls)
+	}
+	if cs.Retransmits != 0 || len(client.pending) != 0 {
+		t.Errorf("%d retransmits, %d calls still pending, want none", cs.Retransmits, len(client.pending))
+	}
+}
+
+// TestReplyAfterLastTimeout: a reply that arrives when its caller has
+// given up finds no Pending and wakes nobody, and the endpoint's next call
+// is answered with its own body, not the stale one.
+func TestReplyAfterLastTimeout(t *testing.T) {
+	k := sim.NewKernel(1)
+	client, server := newPair(k, simnet.Config{PropDelay: sim.Millisecond},
+		Options{CallTimeout: 10 * sim.Millisecond, MaxRetries: 1})
+	server.Register(testProg, func(p *sim.Proc, from simnet.Addr, proc uint32, args []byte) ([]byte, Status) {
+		p.Sleep(sim.Duration(proc) * sim.Millisecond)
+		return args, StatusOK
+	})
+	k.Go("caller", func(p *sim.Proc) {
+		defer k.Stop()
+		// 10 + 20 ms of patience against a 100 ms handler.
+		if _, err := client.Call(p, "server", testProg, 1, 100, []byte("late")); !errors.Is(err, ErrTimeout) {
+			t.Errorf("slow call: err %v, want timeout", err)
+		}
+		gaveUp := p.Now()
+		// A call in flight while the late reply lands (at ~102 ms).
+		body, err := client.Call(p, "server", testProg, 1, 0, []byte("prompt"))
+		if err != nil || string(body) != "prompt" {
+			t.Errorf("next call: body %q, err %v", body, err)
+		}
+		p.Sleep(200 * sim.Millisecond)
+		if gaveUp != sim.Time(30*sim.Millisecond) {
+			t.Errorf("gave up at %v, want 30ms", gaveUp)
+		}
+	})
+	k.Run()
+	if served := server.Stats().CallsServed; served != 2 {
+		t.Errorf("served %d calls, want 2: the slow one ran to completion", served)
+	}
+	if len(client.pending) != 0 {
+		t.Errorf("%d calls still pending", len(client.pending))
+	}
+}
+
+// TestStaleTimeoutWakesNobody: the kernel cannot withdraw an event, so a
+// call answered in 2 ms leaves its 1 s timeout on the heap. When that
+// comes due the caller is long gone — parked on something else, here —
+// and must be left alone; the completed call meanwhile holds neither its
+// reply nor its wire image, which the stale event would otherwise pin.
+func TestStaleTimeoutWakesNobody(t *testing.T) {
+	k := sim.NewKernel(1)
+	client, server := newPair(k, simnet.Config{PropDelay: sim.Millisecond}, Options{})
+	server.Register(testProg, tokenHandler)
+	resumed := sim.Time(-1)
+	var caller *sim.Proc
+	k.Go("caller", func(p *sim.Proc) {
+		caller = p
+		c, err := client.Start(p, "server", testProg, 1, 1, &proto.WriteArgs{Data: make([]byte, 8192)})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		body, err := c.Wait(p)
+		if err != nil || len(body) < 8192 {
+			t.Errorf("call: %d-byte body, err %v", len(body), err)
+		}
+		if c.body != nil || c.wire != nil || c.waiter != nil {
+			t.Errorf("collected call still holds body=%d wire=%d bytes, waiter=%v", len(c.body), len(c.wire), c.waiter)
+		}
+		p.Park()
+		resumed = p.Now()
+	})
+	k.Go("warden", func(p *sim.Proc) {
+		p.Sleep(3 * sim.Second) // the stale timeout came due at 1 s
+		caller.Unpark()
+	})
+	k.Run()
+	if resumed != sim.Time(3*sim.Second) {
+		t.Errorf("caller resumed at %v, want 3s: the stale timeout woke it", resumed)
+	}
+	if client.Stats().Retransmits != 0 {
+		t.Errorf("%d retransmits", client.Stats().Retransmits)
+	}
+}
+
+// TestTimeoutAcrossRestart: a caller parked on a call when its own host
+// crashes and reboots still has its timeouts delivered — the event holds
+// the call, not the endpoint's table — so it retries, gives up on
+// schedule, and the rebooted endpoint's calls are unaffected.
+func TestTimeoutAcrossRestart(t *testing.T) {
+	k := sim.NewKernel(1)
+	client, server := newPair(k, simnet.Config{PropDelay: sim.Millisecond},
+		Options{CallTimeout: 10 * sim.Millisecond, MaxRetries: 2})
+	server.Register(testProg, tokenHandler)
+	var orphanErr error
+	var orphanDone sim.Time
+	k.Go("orphan", func(p *sim.Proc) {
+		_, orphanErr = client.Call(p, "nowhere", testProg, 1, 1, nil)
+		orphanDone = p.Now()
+	})
+	k.Go("reboot", func(p *sim.Proc) {
+		defer k.Stop()
+		p.Sleep(5 * sim.Millisecond) // the orphan is parked in its first attempt
+		client.Stop()
+		client.Restart()
+		body, err := client.Call(p, "server", testProg, 1, 1, []byte("after reboot"))
+		if err != nil || string(body) != "after reboot" {
+			t.Errorf("call after restart: body %q, err %v", body, err)
+		}
+		p.Sleep(sim.Second)
+	})
+	k.Run()
+	if !errors.Is(orphanErr, ErrTimeout) || orphanDone != sim.Time(70*sim.Millisecond) {
+		t.Errorf("orphaned call: err %v at %v, want timeout at 70ms", orphanErr, orphanDone)
+	}
+	if len(client.pending) != 0 {
+		t.Errorf("%d calls still pending", len(client.pending))
 	}
 }
 

@@ -543,14 +543,18 @@ func (s *SNFSServer) deliverCallback(p *sim.Proc, cb core.Callback) error {
 	defer s.cbSem.Release()
 	s.cbOutstanding.Add(1)
 	defer s.cbOutstanding.Add(-1)
-	s.Tracer().RecordOp("server", trace.Callback, p.Op(), "-> %s %s writeback=%v invalidate=%v",
-		cb.Client, cb.Handle, cb.WriteBack, cb.Invalidate)
+	if tr := s.Tracer(); tr != nil { // variadic args are boxed even for a nil tracer
+		tr.RecordOp("server", trace.Callback, p.Op(), "-> %s %s writeback=%v invalidate=%v",
+			cb.Client, cb.Handle, cb.WriteBack, cb.Invalidate)
+	}
 	if s.Flight() != nil {
 		s.Flight().Recordf(string(s.Endpoint().Addr()), "callback", p.Op(),
 			"-> %s %s writeback=%v invalidate=%v", cb.Client, cb.Handle, cb.WriteBack, cb.Invalidate)
 	}
-	s.auditor.NoteEvent(p.Op(), "callback", cb.Handle, string(cb.Client),
-		fmt.Sprintf("writeback=%v invalidate=%v", cb.WriteBack, cb.Invalidate))
+	if s.auditor != nil {
+		s.auditor.NoteEvent(p.Op(), "callback", cb.Handle, string(cb.Client),
+			fmt.Sprintf("writeback=%v invalidate=%v", cb.WriteBack, cb.Invalidate))
+	}
 	k := cbKey{cb.Handle, cb.Client}
 	s.inCallback[k]++
 	defer func() {

@@ -7,13 +7,42 @@ import (
 	"sync"
 )
 
-// An event is a closure that the kernel runs at a virtual instant. Events
-// run in the scheduler goroutine and must not block; to run blocking code,
-// an event resumes a process (see switchTo).
+// A Target is the typed form of an event: an object its scheduler already
+// owns — a pooled message in flight, a call's state — scheduled in place of
+// a closure that would only capture it, so scheduling allocates nothing.
+// The kernel calls Due in scheduler context at the instant the target was
+// scheduled for; like a closure event it must not block. A target scheduled
+// twice comes due twice: it tells the occasions apart by its own state.
+type Target interface {
+	Due()
+}
+
+// An event is what the kernel runs at a virtual instant: a Target. A
+// closure is one (closure), a process to resume is one (procWake), and
+// neither conversion allocates, both being pointer-shaped. Events run in
+// the scheduler goroutine and must not block; to run blocking code, an
+// event resumes a process (see switchTo).
+//
+// Every schedule takes one seq whatever the event's form, so replacing a
+// closure by the target it captured never changes the (at, seq) pop order.
 type event struct {
 	at  Time
 	seq uint64
-	fn  func()
+	run Target
+}
+
+// closure is an event given as a func.
+type closure func()
+
+func (fn closure) Due() { fn() }
+
+// procWake is a process standing as the event that resumes it. It is a
+// type of its own so that Due is not a method of Proc.
+type procWake Proc
+
+func (w *procWake) Due() {
+	p := (*Proc)(w)
+	p.k.switchTo(p)
 }
 
 // Kernel is a discrete-event simulation scheduler. The zero value is not
@@ -80,20 +109,26 @@ func (k *Kernel) CurrentOp() uint64 {
 	return k.running.op
 }
 
-// schedule enqueues fn to run at time at. It may be called from the
+// schedule enqueues t to come due at time at. It may be called from the
 // scheduler goroutine or from the currently running process.
-func (k *Kernel) schedule(at Time, fn func()) {
+func (k *Kernel) schedule(at Time, t Target) {
 	if at < k.now {
 		at = k.now
 	}
 	k.seq++
-	k.events.push(event{at: at, seq: k.seq, fn: fn})
+	k.events.push(event{at: at, seq: k.seq, run: t})
 }
 
 // After schedules fn to run d from now in scheduler context. fn must not
 // block; to start blocking work, use Go.
 func (k *Kernel) After(d Duration, fn func()) {
-	k.schedule(k.now.Add(d), fn)
+	k.schedule(k.now.Add(d), closure(fn))
+}
+
+// AfterTarget schedules t to come due d from now: After for a caller that
+// already holds the object its closure would capture.
+func (k *Kernel) AfterTarget(d Duration, t Target) {
+	k.schedule(k.now.Add(d), t)
 }
 
 // Go creates a new process named name and schedules it to start
@@ -128,7 +163,7 @@ func (k *Kernel) GoAt(at Time, name string, fn func(p *Proc)) *Proc {
 			fn(p)
 		}
 	}()
-	k.schedule(at, func() { k.switchTo(p) })
+	k.schedule(at, (*procWake)(p))
 	return p
 }
 
@@ -145,7 +180,7 @@ func (k *Kernel) switchTo(p *Proc) {
 
 // wake schedules p to resume at the current instant.
 func (k *Kernel) wake(p *Proc) {
-	k.schedule(k.now, func() { k.switchTo(p) })
+	k.schedule(k.now, (*procWake)(p))
 }
 
 // Run drives the simulation until no events remain or Stop is called.
@@ -156,7 +191,7 @@ func (k *Kernel) Run() Time {
 	for len(k.events) > 0 && !k.stopped {
 		e := k.events.pop()
 		k.now = e.at
-		e.fn()
+		e.run.Due()
 	}
 	k.killAll()
 	return k.now
@@ -173,7 +208,7 @@ func (k *Kernel) RunUntil(t Time) Time {
 		}
 		e := k.events.pop()
 		k.now = e.at
-		e.fn()
+		e.run.Due()
 	}
 	if k.now < t {
 		k.now = t

@@ -21,6 +21,14 @@ func TestSleepAdvancesVirtualTime(t *testing.T) {
 	}
 }
 
+// noteTarget is a typed event that logs its name.
+type noteTarget struct {
+	log  *[]string
+	name string
+}
+
+func (n *noteTarget) Due() { *n.log = append(*n.log, n.name) }
+
 func TestEventOrderingIsDeterministic(t *testing.T) {
 	run := func() []string {
 		k := NewKernel(42)
@@ -50,6 +58,73 @@ func TestEventOrderingIsDeterministic(t *testing.T) {
 	for i := range want {
 		if a[i] != want[i] {
 			t.Fatalf("order %v, want %v", a, want)
+		}
+	}
+
+	// Every form an event takes — closure, typed target, process start,
+	// sleep, and each kind of wake — scheduled for one instant runs in
+	// the order it was scheduled, whichever loop drives the kernel: a
+	// schedule takes one seq whatever it schedules.
+	const at = 5 * Millisecond
+	mixed := func(drive func(k *Kernel, done chan struct{})) []string {
+		k := NewKernel(1)
+		var order []string
+		note := func(name string) func() { return func() { order = append(order, name) } }
+		sig, q, wg, mu := NewSignal(k), NewQueue[int](k), NewWaitGroup(k, 1), NewMutex(k)
+		res, ex := NewResource(k, "r"), NewExecutor(k, "x")
+		done := make(chan struct{})
+		var parked *Proc
+		k.Go("holder", func(p *Proc) { // parks every waiter below before the instant
+			mu.Lock(p)
+			k.Go("signal", func(p *Proc) { sig.Wait(p); note("signal")() })
+			k.Go("queue", func(p *Proc) { q.Get(p); note("queue")() })
+			k.Go("waitgroup", func(p *Proc) { wg.Wait(p); note("waitgroup")() })
+			k.Go("mutex", func(p *Proc) { mu.Lock(p); note("mutex")() })
+			k.Go("park", func(p *Proc) { parked = p; p.Park(); note("park")() })
+			k.Go("sleep", func(p *Proc) { p.Sleep(at); note("sleep")() })
+			k.Go("use", func(p *Proc) { res.Use(p, at); note("use")() })
+			ex.Submit(0, func(p *Proc) {}, nil) // leaves an idle worker behind
+			p.Sleep(at)
+			// The instant. "sleep" and "use" are already scheduled
+			// for it, so they come first; the rest follow in the
+			// order of the lines below.
+			k.After(0, note("closure"))
+			k.AfterTarget(0, &noteTarget{&order, "target"})
+			sig.Fire(nil)
+			k.Go("start", func(p *Proc) { note("start")() })
+			q.Put(1)
+			res.UseAsync(0, note("async"))
+			wg.Done()
+			ex.Submit(0, func(p *Proc) { note("job")() }, nil)
+			mu.Unlock()
+			parked.Unpark()
+			k.After(0, note("closure2"))
+			k.After(Millisecond, func() { close(done) })
+		})
+		drive(k, done)
+		return order
+	}
+	want = []string{"sleep", "use", "closure", "target", "signal", "start", "queue", "async",
+		"waitgroup", "job", "mutex", "park", "closure2"}
+	drivers := []struct {
+		name  string
+		drive func(k *Kernel, done chan struct{})
+	}{
+		{"Run", func(k *Kernel, _ chan struct{}) { k.Run() }},
+		{"RunUntil", func(k *Kernel, _ chan struct{}) {
+			for step := Time(0); step <= Time(at+Millisecond); step += Time(Millisecond / 2) {
+				k.RunUntil(step)
+			}
+		}},
+		{"RunRealtime", func(k *Kernel, done chan struct{}) {
+			halt := realtime(k)
+			<-done
+			halt()
+		}},
+	}
+	for _, d := range drivers {
+		if got := mixed(d.drive); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s: same-instant order %v, want %v", d.name, got, want)
 		}
 	}
 }
@@ -126,29 +201,6 @@ func TestSignalBroadcast(t *testing.T) {
 	k.Run()
 	if woken != 4 {
 		t.Errorf("woke %d waiters, want 4", woken)
-	}
-}
-
-func TestSignalWaitTimeout(t *testing.T) {
-	k := NewKernel(1)
-	s := NewSignal(k)
-	var ok1, ok2 bool
-	k.Go("w1", func(p *Proc) {
-		_, ok1 = s.WaitTimeout(p, 100*Millisecond)
-	})
-	k.Go("w2", func(p *Proc) {
-		_, ok2 = s.WaitTimeout(p, 3*Second)
-	})
-	k.Go("firer", func(p *Proc) {
-		p.Sleep(Second)
-		s.Fire(nil)
-	})
-	k.Run()
-	if ok1 {
-		t.Error("w1 should have timed out before the 1s fire")
-	}
-	if !ok2 {
-		t.Error("w2 should have seen the fire")
 	}
 }
 

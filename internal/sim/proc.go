@@ -58,9 +58,22 @@ func (p *Proc) Sleep(d Duration) {
 	if d < 0 {
 		d = 0
 	}
-	p.k.schedule(p.k.now.Add(d), func() { p.k.switchTo(p) })
+	p.k.schedule(p.k.now.Add(d), (*procWake)(p))
 	p.block()
 }
+
+// Park blocks the process until Unpark. Park and Unpark are what this
+// package's own Queue, Signal and Mutex are built from (block and wake),
+// exported for a wait object that lives in another package and keeps its
+// waiter in a field of its own — an RPC's call state. The caller must have
+// recorded p where whoever ends the wait will find it, and rechecks its
+// condition when Park returns.
+func (p *Proc) Park() { p.block() }
+
+// Unpark schedules a parked process to resume at the current instant. It
+// may be called from scheduler context or from a running process, once per
+// Park.
+func (p *Proc) Unpark() { p.k.wake(p) }
 
 // Spawn starts a new process from within this one.
 func (p *Proc) Spawn(name string, fn func(p *Proc)) *Proc {

@@ -65,7 +65,7 @@ func (k *Kernel) RunRealtime(stop <-chan struct{}) {
 		// Run everything that is due.
 		ran := false
 		for len(k.events) > 0 && k.events[0].at <= k.now {
-			k.popEvent().fn()
+			k.popEvent().run.Due()
 			ran = true
 		}
 		if ran {

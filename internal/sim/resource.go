@@ -71,7 +71,7 @@ func (r *Resource) UseAsync(d Duration, fn func()) Time {
 		r.OnBusy(start, end)
 	}
 	if fn != nil {
-		r.k.schedule(end, fn)
+		r.k.schedule(end, closure(fn))
 	}
 	return end
 }

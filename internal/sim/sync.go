@@ -57,9 +57,12 @@ func (q *Queue[T]) TryGet() (T, bool) {
 	return v, true
 }
 
-// Signal is a one-shot broadcast event: processes wait until it fires.
-// Firing an already-fired signal is a no-op. A fired Signal can carry an
-// arbitrary value for rendezvous-style use (e.g. an RPC reply).
+// Signal is a one-shot broadcast event: any number of processes wait until
+// it fires. Firing an already-fired signal is a no-op. A fired Signal can
+// carry an arbitrary value to its waiters (a fetched block, a run's
+// result). It has no timed wait: the one waiter that needs a deadline, an
+// RPC caller, keeps its wait in the call's own state (rpc.Pending, on
+// Proc.Park) and allocates no signal.
 type Signal struct {
 	k       *Kernel
 	fired   bool
@@ -90,37 +93,6 @@ func (s *Signal) Wait(p *Proc) any {
 		p.block()
 	}
 	return s.value
-}
-
-// WaitTimeout blocks p until the signal fires or d elapses. It reports
-// whether the signal fired.
-func (s *Signal) WaitTimeout(p *Proc, d Duration) (any, bool) {
-	if s.fired {
-		return s.value, true
-	}
-	deadline := s.k.now.Add(d)
-	timedOut := false
-	s.k.schedule(deadline, func() {
-		if !s.fired {
-			timedOut = true
-			// Wake p if it is still on our waiter list.
-			for i, w := range s.waiters {
-				if w == p {
-					s.waiters = append(s.waiters[:i], s.waiters[i+1:]...)
-					s.k.wake(p)
-					break
-				}
-			}
-		}
-	})
-	for !s.fired && !timedOut {
-		s.waiters = append(s.waiters, p)
-		p.block()
-	}
-	if s.fired {
-		return s.value, true
-	}
-	return nil, false
 }
 
 // Mutex is a mutual-exclusion lock for simulation processes. Unlike

@@ -64,6 +64,13 @@ func (t *Task) After(d Duration, fn func()) {
 // blocked* closures, not by the number of tasks — the quantity that
 // stays small when think time dominates. The free list is LIFO and all
 // hand-offs go through the event heap, so scheduling is deterministic.
+//
+// Handing a job to an idle worker allocates nothing: the worker is woken
+// by a typed event, not a closure. What a submission costs the host is
+// therefore what its caller builds for it, and a caller on a hot path
+// builds nothing per job — it binds job and done once and keeps what
+// varies (an RPC endpoint's accepted call, say) in a queue of its own
+// that the job reads when it starts. Jobs start in Submit order.
 type Executor struct {
 	k       *Kernel
 	name    string

@@ -127,11 +127,19 @@ func TestExecutorOpAttribution(t *testing.T) {
 	}
 }
 
-// TestTaskDeterministicInterleave: two kernels running the same mix of
-// task callbacks and executor jobs produce identical event interleavings
-// (observed through a log of (time, label) pairs).
+// thinkTimer is a client's think time as a typed event: it submits the
+// client's next job when it comes due.
+type thinkTimer struct{ submit func() }
+
+func (t *thinkTimer) Due() { t.submit() }
+
+// TestTaskDeterministicInterleave: kernels running the same mix of task
+// callbacks, typed timers and executor jobs produce identical event
+// interleavings (observed through a log of (time, label) pairs), whether
+// driven by Run or stepped through the same span by RunUntil, and whether
+// a think timer is a closure or the typed target that replaces it.
 func TestTaskDeterministicInterleave(t *testing.T) {
-	run := func() []string {
+	run := func(drive func(k *Kernel), typed func(c int) bool) []string {
 		k := NewKernel(7)
 		ex := NewExecutor(k, "t")
 		var log []string
@@ -139,32 +147,52 @@ func TestTaskDeterministicInterleave(t *testing.T) {
 			c := c
 			steps := 0
 			var step func()
+			job := func(p *Proc) { p.Sleep(Duration(1+c) * Millisecond) }
+			done := func() {
+				log = append(log, fmt.Sprintf("%d:%d@%d", c, steps, k.Now()))
+				steps++
+				if steps < 4 {
+					step()
+				}
+			}
+			timer := &thinkTimer{submit: func() { ex.Submit(0, job, done) }}
 			step = func() {
 				think := Duration(k.Rand().Int63n(int64(10 * Millisecond)))
-				k.After(think, func() {
-					ex.Submit(0, func(p *Proc) {
-						p.Sleep(Duration(1+c) * Millisecond)
-					}, func() {
-						log = append(log, fmt.Sprintf("%d:%d@%d", c, steps, k.Now()))
-						steps++
-						if steps < 4 {
-							step()
-						}
-					})
-				})
+				if typed(c) {
+					k.AfterTarget(think, timer)
+				} else {
+					k.After(think, timer.submit)
+				}
 			}
 			step()
 		}
-		k.Run()
+		drive(k)
 		return log
 	}
-	a, b := run(), run()
-	if len(a) != len(b) || len(a) != 32 {
-		t.Fatalf("log lengths %d vs %d, want 32", len(a), len(b))
+	byRun := func(k *Kernel) { k.Run() }
+	byRunUntil := func(k *Kernel) {
+		for step := Time(0); step < Time(Second); step += Time(700 * Microsecond) {
+			k.RunUntil(step)
+		}
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("interleaving diverged at %d: %s vs %s", i, a[i], b[i])
+	closures := func(int) bool { return false }
+	a := run(byRun, closures)
+	if len(a) != 32 {
+		t.Fatalf("log length %d, want 32", len(a))
+	}
+	for name, b := range map[string][]string{
+		"Run again":         run(byRun, closures),
+		"RunUntil":          run(byRunUntil, closures),
+		"targets":           run(byRun, func(int) bool { return true }),
+		"targets, RunUntil": run(byRunUntil, func(c int) bool { return c%2 == 0 }),
+	} {
+		if len(b) != len(a) {
+			t.Fatalf("%s: log length %d, want %d", name, len(b), len(a))
+		}
+		for i := range a {
+			if a[i] != b[i] {
+				t.Fatalf("%s: interleaving diverged at %d: %s vs %s", name, i, a[i], b[i])
+			}
 		}
 	}
 }
@@ -192,5 +220,69 @@ func TestHeapOrdering(t *testing.T) {
 			}
 		}
 		prev, first = e, false
+	}
+}
+
+// TestWakeupsAllocateNothing holds what the typed event bought: putting a
+// process to sleep, through a resource, waking it from a signal, and
+// handing a pre-bound job to an idle executor worker all schedule a
+// pointer the kernel's caller already owns, so none of them allocates.
+func TestWakeupsAllocateNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	const runs = 100
+	k := NewKernel(1)
+	res, ex := NewResource(k, "cpu"), NewExecutor(k, "x")
+	// One parked waiter per signal, made ahead: a Signal is one-shot, and
+	// its first Wait allocates the waiter list.
+	sigs := make([]*Signal, runs+1) // AllocsPerRun warms up with one extra run
+	woken := 0
+	for i := range sigs {
+		sig := NewSignal(k)
+		sigs[i] = sig
+		k.Go("waiter", func(p *Proc) {
+			sig.Wait(p)
+			woken++
+			p.Sleep(3600 * Second)
+		})
+	}
+	jobs := 0
+	job := func(p *Proc) { jobs++; p.Sleep(Microsecond) }
+	measured := map[string]float64{}
+	k.Go("driver", func(p *Proc) {
+		defer k.Stop()
+		p.Sleep(Microsecond) // the waiters park, a first job leaves its worker idle
+		ex.Submit(0, job, nil)
+		p.Sleep(Millisecond)
+		next := 0
+		for _, c := range []struct {
+			name string
+			op   func()
+		}{
+			{"Proc.Sleep", func() { p.Sleep(Microsecond) }},
+			{"Resource.Use", func() { res.Use(p, Microsecond) }},
+			{"Signal.Fire and the wake", func() {
+				sigs[next].Fire(nil)
+				next++
+				p.Sleep(Microsecond) // the waiter runs, and sleeps in its turn
+			}},
+			{"Executor.Submit onto an idle worker", func() {
+				ex.Submit(0, job, nil)
+				p.Sleep(Millisecond) // the job runs and its worker parks again
+			}},
+		} {
+			measured[c.name] = testing.AllocsPerRun(runs, c.op)
+		}
+	})
+	k.Run()
+	for name, allocs := range measured {
+		if allocs != 0 {
+			t.Errorf("%s allocates %v objects, want 0", name, allocs)
+		}
+	}
+	if len(measured) != 4 || woken != runs+1 || jobs != runs+2 || ex.Spawned() != 1 {
+		t.Errorf("measured %d cases, woke %d of %d waiters, ran %d of %d jobs on %d workers: the cases did not run as written",
+			len(measured), woken, runs+1, jobs, runs+2, ex.Spawned())
 	}
 }

@@ -65,6 +65,20 @@ type Network struct {
 	ports map[Addr]*Port
 	cuts  map[cutKey]bool
 	stats Stats
+	// free holds the flights not in use; it grows to the most messages
+	// ever in flight together.
+	free []*flight
+}
+
+// flight is a message in flight: one object carries it through both hops
+// — the link's completion, then the propagation delay — as the event's
+// target, and goes back to its network's free list when the message has
+// been handed over. Only the network holds a *flight; a receiver gets the
+// Message by value.
+type flight struct {
+	n      *Network
+	msg    Message
+	onWire bool // the link hop is done: the next Due is the arrival
 }
 
 // New returns a network on kernel k with the given cost model.
@@ -128,37 +142,65 @@ func (n *Network) Send(from, to Addr, payload []byte) {
 		n.stats.Cut++
 		return
 	}
-	n.transmit(Message{From: from, To: to, Payload: payload})
+	n.transmit(from, to, payload)
 	if n.cfg.DupProb > 0 && n.k.Rand().Float64() < n.cfg.DupProb {
 		// The duplicate serializes on the link like any transmission
-		// and so arrives strictly after the original.
+		// and so arrives strictly after the original. It flies in an
+		// object of its own.
 		n.stats.Duplicated++
-		n.transmit(Message{From: from, To: to, Payload: payload})
+		n.transmit(from, to, payload)
 	}
 }
 
 // transmit occupies the link for the message's serialization time and
-// schedules its delivery.
-func (n *Network) transmit(msg Message) {
+// schedules a flight to come due when the link is done with it.
+func (n *Network) transmit(from, to Addr, payload []byte) {
 	var xmit sim.Duration
 	if n.cfg.BytesPerSec > 0 {
-		xmit = sim.Duration(int64(len(msg.Payload)) * int64(sim.Second) / n.cfg.BytesPerSec)
+		xmit = sim.Duration(int64(len(payload)) * int64(sim.Second) / n.cfg.BytesPerSec)
 	}
-	n.link.UseAsync(xmit, func() {
-		n.k.After(n.cfg.PropDelay, func() {
-			port, ok := n.ports[msg.To]
-			if !ok {
-				n.stats.Dropped++
-				return
-			}
-			n.stats.Delivered++
-			if port.handler != nil {
-				port.handler(msg)
-				return
-			}
-			port.q.Put(msg)
-		})
-	})
+	var f *flight
+	if last := len(n.free) - 1; last >= 0 {
+		f, n.free = n.free[last], n.free[:last]
+	} else {
+		f = &flight{n: n}
+	}
+	f.msg = Message{From: from, To: to, Payload: payload}
+	done := n.link.UseAsync(xmit, nil)
+	n.k.AfterTarget(done.Sub(n.k.Now()), f)
+}
+
+// Due is the flight's two events. The arrival is scheduled only when the
+// link hop runs, not at Send: it takes its place among that instant's
+// events as it always has, so same-instant ties resolve as before.
+func (f *flight) Due() {
+	n := f.n
+	if !f.onWire {
+		f.onWire = true
+		n.k.AfterTarget(n.cfg.PropDelay, f)
+		return
+	}
+	n.deliver(f.msg)
+	// Back on the free list the flight references nothing: a payload
+	// left here would stay reachable until the slot's next use.
+	f.msg, f.onWire = Message{}, false
+	n.free = append(n.free, f)
+}
+
+// deliver hands an arrived message to its port, if the address is still
+// claimed.
+func (n *Network) deliver(msg Message) {
+	port, ok := n.ports[msg.To]
+	if !ok {
+		n.stats.Dropped++
+		return
+	}
+	n.stats.Delivered++
+	if port.handler != nil {
+		port.handler(msg)
+		return
+	}
+	port.q.Put(msg)
 }
 
 // Cut severs the from→to direction: messages from `from` to `to` are
@@ -212,4 +254,13 @@ func (p *Port) Pending() int { return p.q.Len() }
 // sim.Executor). Event delivery is what lets a fleet-scale world run one
 // RPC endpoint per client without one parked dispatcher goroutine per
 // client.
+//
+// fn receives the Message by value, and that copy is all it gets. It may
+// keep the Payload slice, views decoded from it, and the From and To
+// addresses for as long as it likes, read-only: the payload is the
+// sender's frozen buffer (DESIGN.md §14), never the network's, and is not
+// reused. It may not keep anything of the network's own: the object the
+// message flew in is cleared and recycled the moment fn returns, which is
+// why fn is not given its address, and a handler must not be changed to
+// take one.
 func (p *Port) SetHandler(fn func(Message)) { p.handler = fn }

@@ -351,3 +351,65 @@ func TestCutBothIsSymmetric(t *testing.T) {
 		t.Errorf("stats %+v, want Cut=2 Delivered=2", s)
 	}
 }
+
+// TestSendDeliverAllocatesNothing: once the free list holds as many
+// flights as are ever in the air together, a message goes from Send
+// through both hops to a port handler without an allocation — the
+// handler's own Send included.
+func TestSendDeliverAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	k := sim.NewKernel(1)
+	n := New(k, Config{PropDelay: sim.Millisecond, BytesPerSec: 1_250_000})
+	payload := make([]byte, 128)
+	echoed := 0
+	n.Listen("a").SetHandler(func(m Message) { echoed++ })
+	n.Listen("b").SetHandler(func(m Message) { n.Send(m.To, m.From, m.Payload) })
+	allocs := testing.AllocsPerRun(100, func() {
+		n.Send("a", "b", payload)
+		n.Send("a", "b", payload)
+		k.Run()
+	})
+	if allocs != 0 {
+		t.Errorf("two messages sent, delivered and answered allocate %v objects, want 0", allocs)
+	}
+	if echoed != 2*101 || len(n.free) != 3 {
+		t.Errorf("%d echoes came back through %d flights, want %d through 3", echoed, len(n.free), 2*101)
+	}
+}
+
+// TestLandedFlightHoldsNothing: a flight on the free list must not keep
+// its last message — the payload is a wire image, 8 KiB+ for a WRITE, and
+// would stay reachable until the flight's next use. However the message
+// ended: handed to a handler, queued on a port, duplicated, or dropped at
+// an address nobody listens on.
+func TestLandedFlightHoldsNothing(t *testing.T) {
+	k := sim.NewKernel(1)
+	n := New(k, Config{PropDelay: sim.Millisecond, DupProb: 1})
+	var handled []Message
+	n.Listen("handler").SetHandler(func(m Message) { handled = append(handled, m) })
+	queue := n.Listen("queue")
+	payload := make([]byte, 8192)
+	for _, to := range []Addr{"handler", "queue", "nobody"} {
+		n.Send("a", to, payload)
+	}
+	k.Run()
+	if len(n.free) != 6 {
+		t.Fatalf("%d flights on the free list, want 6: three messages, each duplicated in a flight of its own", len(n.free))
+	}
+	for i, f := range n.free {
+		if f.msg.Payload != nil || f.msg.From != "" || f.msg.To != "" || f.onWire {
+			t.Errorf("landed flight %d still holds %+v (onWire=%v)", i, f.msg, f.onWire)
+		}
+	}
+	// What the receivers were given is theirs: by value, payload intact.
+	if len(handled) != 2 || queue.Pending() != 2 {
+		t.Fatalf("handler got %d messages, queue holds %d, want 2 and 2", len(handled), queue.Pending())
+	}
+	for _, m := range handled {
+		if m.From != "a" || m.To != "handler" || &m.Payload[0] != &payload[0] {
+			t.Errorf("handler's message %+v is not the one sent", m)
+		}
+	}
+}
