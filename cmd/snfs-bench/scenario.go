@@ -2,7 +2,7 @@ package main
 
 import (
 	"fmt"
-	"io"
+	"sort"
 
 	"spritelynfs/internal/harness"
 	"spritelynfs/internal/scenario"
@@ -11,8 +11,7 @@ import (
 
 // scenarioKnee is the slowdown bound defining the sustainable client
 // count of the scenario sweep: the largest fleet whose mean op latency
-// stays within this factor of the base point's. The CI scenario job
-// checks the knees in BENCH_scenario.json against it.
+// stays within this factor of the base point's.
 const scenarioKnee = 1.5
 
 // scenarioSweepThink is the per-client think-time mean used by the knee
@@ -63,66 +62,42 @@ type scenarioPointJSON struct {
 	ExecWorkers int `json:"exec_workers"`
 }
 
+// scenarioClients are the populations of the knee sweep.
+var scenarioClients = []int{16, 1000, 2000, 4000}
+
 // scenarioExperiment is the fleet-scale load experiment: an audited
 // small-N smoke pass over every named scenario under both protocols,
-// then a web-asset knee sweep over -scenario-clients populations,
-// NFS vs SNFS. Self-checking: every smoke run must complete all its
-// ops with zero errors, and the sweep's base point must too.
-func scenarioExperiment(w io.Writer, pm harness.Params) error {
-	doc := scenarioJSON{
-		Experiment:  "scenario",
-		Scenario:    "web-asset",
-		MaxSlowdown: scenarioKnee,
-		Protocols:   map[string]scenarioProtoJSON{},
+// then a web-asset knee sweep over the counts populations, NFS vs SNFS.
+// Every run is a world of its own, so they all go out together, the
+// largest populations first. Self-checking: every smoke run must complete
+// all its ops with zero errors, and the sweep's base point must too.
+func scenarioExperiment(e *env, counts []int) error {
+	w := e.w
+	protos := []harness.Proto{harness.NFS, harness.SNFS}
+	type job struct {
+		pr  harness.Proto
+		pm  harness.Params
+		cfg scenario.Config
 	}
-
+	var jobs []job
 	// Phase 1: audited smoke at small N, all scenarios, both protocols.
-	fmt.Fprintln(w, "Scenario smoke (8 clients, audited SNFS):")
 	for _, name := range scenario.Names() {
-		for _, pr := range []harness.Proto{harness.NFS, harness.SNFS} {
+		for _, pr := range protos {
 			cfg, err := scenario.Named(name)
 			if err != nil {
 				return err
 			}
 			cfg.Clients, cfg.Ops = 8, 10
-			spm := pm
-			audited := pr == harness.SNFS
-			if audited {
-				spm.Audit = true
-			}
-			res, err := scenario.Run(pr, spm, cfg)
-			if err != nil {
-				return fmt.Errorf("smoke %s/%s: %w", name, pr, err)
-			}
-			if res.Errors != 0 {
-				return fmt.Errorf("smoke %s/%s: %d op errors", name, pr, res.Errors)
-			}
-			if res.Ops != int64(cfg.Clients*cfg.Ops) {
-				return fmt.Errorf("smoke %s/%s: %d of %d ops completed", name, pr, res.Ops, cfg.Clients*cfg.Ops)
-			}
-			doc.Smoke = append(doc.Smoke, scenarioSmokeJSON{
-				Scenario: name, Proto: pr.String(), Clients: cfg.Clients,
-				Ops: res.Ops, Errors: res.Errors, Audited: audited,
-			})
-			fmt.Fprintf(w, "  %-10s %-4s  %3d ops  mean %7.1f ms  p95 %7.1f ms\n",
-				name, pr, res.Ops, res.MeanLatencyUs/1000, res.P95LatencyUs/1000)
+			spm := e.pm
+			spm.Audit = spm.Audit || pr == harness.SNFS
+			jobs = append(jobs, job{pr, spm, cfg})
 		}
 	}
-
+	nsmoke := len(jobs)
 	// Phase 2: the knee sweep. Same per-client demand at every
 	// population; the knee is where aggregate demand outruns the
 	// server.
-	counts, err := parseCounts(scenarioClientsFlag)
-	if err != nil {
-		return fmt.Errorf("-scenario-clients: %w", err)
-	}
-	fmt.Fprintf(w, "\nweb-asset knee sweep (think %s, %d ops/client):\n",
-		scenarioSweepThink, scenarioSweepOps)
-	fmt.Fprintf(w, "%-5s %8s %12s %12s %10s %8s %8s %7s\n",
-		"proto", "clients", "mean-lat", "p95-lat", "slowdown", "srv-cpu", "ops/s", "workers")
-	for _, pr := range []harness.Proto{harness.NFS, harness.SNFS} {
-		pj := scenarioProtoJSON{}
-		var base float64
+	for _, pr := range protos {
 		for _, n := range counts {
 			cfg, err := scenario.Named("web-asset")
 			if err != nil {
@@ -130,16 +105,61 @@ func scenarioExperiment(w io.Writer, pm harness.Params) error {
 			}
 			cfg.Clients, cfg.Ops = n, scenarioSweepOps
 			cfg.Gen.ThinkMean = scenarioSweepThink
-			res, err := scenario.Run(pr, pm, cfg)
-			if err != nil {
-				return fmt.Errorf("sweep %s n=%d: %w", pr, n, err)
-			}
-			if base == 0 {
-				base = res.MeanLatencyUs
-				if res.Errors != 0 {
-					return fmt.Errorf("sweep %s base point n=%d: %d op errors", pr, n, res.Errors)
-				}
-			}
+			jobs = append(jobs, job{pr, e.pm, cfg})
+		}
+	}
+	order := make([]int, len(jobs))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return jobs[order[a]].cfg.Clients > jobs[order[b]].cfg.Clients })
+	results := make([]scenario.Result, len(jobs))
+	if err := e.pm.Each(len(jobs), func(k int) (err error) {
+		j := jobs[order[k]]
+		if results[order[k]], err = scenario.Run(j.pr, j.pm, j.cfg); err != nil {
+			err = fmt.Errorf("%s/%s n=%d: %w", j.cfg.Name, j.pr, j.cfg.Clients, err)
+		}
+		return err
+	}); err != nil {
+		return err
+	}
+
+	doc := scenarioJSON{
+		Experiment:  "scenario",
+		Scenario:    "web-asset",
+		MaxSlowdown: scenarioKnee,
+		Protocols:   map[string]scenarioProtoJSON{},
+	}
+	fmt.Fprintln(w, "Scenario smoke (8 clients, audited SNFS):")
+	for i, j := range jobs[:nsmoke] {
+		res := results[i]
+		if res.Errors != 0 {
+			return fmt.Errorf("smoke %s/%s: %d op errors", j.cfg.Name, j.pr, res.Errors)
+		}
+		if res.Ops != int64(j.cfg.Clients*j.cfg.Ops) {
+			return fmt.Errorf("smoke %s/%s: %d of %d ops completed", j.cfg.Name, j.pr, res.Ops, j.cfg.Clients*j.cfg.Ops)
+		}
+		doc.Smoke = append(doc.Smoke, scenarioSmokeJSON{
+			Scenario: j.cfg.Name, Proto: j.pr.String(), Clients: j.cfg.Clients,
+			Ops: res.Ops, Errors: res.Errors, Audited: j.pr == harness.SNFS,
+		})
+		fmt.Fprintf(w, "  %-10s %-4s  %3d ops  mean %7.1f ms  p95 %7.1f ms\n",
+			j.cfg.Name, j.pr, res.Ops, res.MeanLatencyUs/1000, res.P95LatencyUs/1000)
+	}
+
+	fmt.Fprintf(w, "\nweb-asset knee sweep (think %s, %d ops/client):\n",
+		scenarioSweepThink, scenarioSweepOps)
+	fmt.Fprintf(w, "%-5s %8s %12s %12s %10s %8s %8s %7s\n",
+		"proto", "clients", "mean-lat", "p95-lat", "slowdown", "srv-cpu", "ops/s", "workers")
+	for pi, pr := range protos {
+		pj := scenarioProtoJSON{}
+		sweep := results[nsmoke+pi*len(counts):][:len(counts)]
+		base := sweep[0].MeanLatencyUs
+		if sweep[0].Errors != 0 {
+			return fmt.Errorf("sweep %s base point n=%d: %d op errors", pr, counts[0], sweep[0].Errors)
+		}
+		for i, n := range counts {
+			res := sweep[i]
 			slow := res.MeanLatencyUs / base
 			fmt.Fprintf(w, "%-5s %8d %10.1fms %10.1fms %9.2fx %7.0f%% %8.1f %7d\n",
 				pr, n, res.MeanLatencyUs/1000, res.P95LatencyUs/1000, slow,
@@ -165,6 +185,5 @@ func scenarioExperiment(w io.Writer, pm harness.Params) error {
 		fmt.Fprintf(w, "%s: sustains %d clients within %.2fx of the %d-client mean\n",
 			pr, pj.SustainableClients, scenarioKnee, counts[0])
 	}
-
-	return writeOutput(w, "\nCSV", "BENCH_scenario.json", asJSON(doc))
+	return e.create("BENCH_scenario.json", asJSON(doc))
 }

@@ -15,14 +15,12 @@
 //	snfscli -addr localhost:2049 stats -watch 2s         (live deltas and rates)
 //	snfscli -addr localhost:2049 audit                   (protocol-audit report)
 //	snfscli -addr localhost:2049 shardmap                (federation shard map, if sharded)
-//	snfscli -http localhost:9090 top                     (top-style watch over /vars)
 //	snfscli -http localhost:9090 slowops                 (critical-path breakdown + slowest ops)
 //	snfscli -http localhost:9090 slowops 17              (span tree of captured op 17)
 //	snfscli -http localhost:9090 view                    (per-shard view: primary, backup, repl lag)
 //
 // stats -watch polls the metrics RPC and renders per-interval deltas and
-// rates. top needs snfsd -http: it polls the observability plane's /vars
-// endpoint and renders a refreshing load screen (no NFS connection).
+// rates. slowops and view need snfsd -http (no NFS connection).
 //
 // Pointed at a member of a sharded federation (snfsd -shard-map), stats
 // renders a per-shard section instead: each member is dialed for its own
@@ -33,6 +31,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"sort"
@@ -43,7 +42,6 @@ import (
 	"spritelynfs/internal/proto"
 	"spritelynfs/internal/rpc"
 	"spritelynfs/internal/span"
-	"spritelynfs/internal/tsdb"
 	"spritelynfs/internal/xdr"
 )
 
@@ -53,7 +51,7 @@ type cli struct {
 
 func main() {
 	addr := flag.String("addr", "localhost:2049", "snfsd address")
-	httpAddr := flag.String("http", "localhost:9090", "snfsd observability-plane address (for top)")
+	httpAddr := flag.String("http", "localhost:9090", "snfsd observability-plane address (for slowops and view)")
 	watch := flag.Duration("watch", 0, "with stats: refresh every interval, showing deltas and rates")
 	flag.Parse()
 	args := flag.Args()
@@ -61,18 +59,10 @@ func main() {
 		usage()
 	}
 
-	// top and slowops talk HTTP only — no NFS connection to make or
-	// keep alive.
-	if args[0] == "top" {
-		interval := *watch
-		if interval <= 0 {
-			interval = 2 * time.Second
-		}
-		top(*httpAddr, interval)
-		return
-	}
+	// slowops and view talk HTTP only — no NFS connection to make or keep
+	// alive.
 	if args[0] == "slowops" {
-		slowops(*httpAddr, args[1:])
+		slowops(os.Stdout, *httpAddr, args[1:])
 		return
 	}
 	if args[0] == "view" {
@@ -136,7 +126,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: snfscli [-addr host:port] [-http host:port] [-watch interval] ls|cat|put|stat|mkdir|rm|state|dump|stats|audit|shardmap|view|top|slowops <args>")
+	fmt.Fprintln(os.Stderr, "usage: snfscli [-addr host:port] [-http host:port] [-watch interval] ls|cat|put|stat|mkdir|rm|state|dump|stats|audit|shardmap|view|slowops <args>")
 	os.Exit(2)
 }
 
@@ -433,7 +423,7 @@ func (c *cli) statsWatch(interval time.Duration) {
 		cur := parseProm(text)
 		now := time.Now()
 		if prev != nil {
-			renderWatch(prev, cur, now.Sub(prevAt))
+			renderWatch(os.Stdout, prev, cur, now.Sub(prevAt))
 		} else {
 			fmt.Printf("watching %d samples; first window closes in %s\n", len(cur), interval)
 		}
@@ -442,10 +432,10 @@ func (c *cli) statsWatch(interval time.Duration) {
 	}
 }
 
-func renderWatch(prev, cur map[string]float64, dt time.Duration) {
-	fmt.Printf("\x1b[H\x1b[2J%s  (%.1fs window; changed samples only)\n\n",
+func renderWatch(w io.Writer, prev, cur map[string]float64, dt time.Duration) {
+	fmt.Fprintf(w, "\x1b[H\x1b[2J%s  (%.1fs window; changed samples only)\n\n",
 		time.Now().Format("15:04:05"), dt.Seconds())
-	fmt.Printf("%-64s %14s %12s %12s\n", "metric", "value", "delta", "rate/s")
+	fmt.Fprintf(w, "%-64s %14s %12s %12s\n", "metric", "value", "delta", "rate/s")
 	quiet := 0
 	for _, n := range sortedKeys(cur) {
 		d := cur[n] - prev[n]
@@ -453,9 +443,9 @@ func renderWatch(prev, cur map[string]float64, dt time.Duration) {
 			quiet++
 			continue
 		}
-		fmt.Printf("%-64s %14.6g %+12.6g %12.6g\n", n, cur[n], d, d/dt.Seconds())
+		fmt.Fprintf(w, "%-64s %14.6g %+12.6g %12.6g\n", n, cur[n], d, d/dt.Seconds())
 	}
-	fmt.Printf("\n%d samples unchanged\n", quiet)
+	fmt.Fprintf(w, "\n%d samples unchanged\n", quiet)
 }
 
 // parseProm flattens Prometheus text output into sample -> value,
@@ -479,35 +469,6 @@ func parseProm(text string) map[string]float64 {
 	return out
 }
 
-// top renders a refreshing load screen from the observability plane's
-// /vars endpoint: the server gauges, the busiest counters by rate over
-// the window, and the latency histograms. Needs snfsd -http.
-func top(addr string, interval time.Duration) {
-	url := "http://" + addr + "/vars"
-	var prev tsdb.Vars
-	prevAt := time.Now()
-	first := true
-	for {
-		v, err := fetchVars(url)
-		if err != nil {
-			fatal("top: %v (is snfsd running with -http?)", err)
-		}
-		now := time.Now()
-		if !first {
-			renderTop(addr, prev, v, now.Sub(prevAt))
-		} else {
-			fmt.Printf("snfs top: polling %s every %s\n", url, interval)
-		}
-		prev, prevAt, first = v, now, false
-		time.Sleep(interval)
-	}
-}
-
-func fetchVars(url string) (tsdb.Vars, error) {
-	var v tsdb.Vars
-	return v, fetchJSON(url, &v)
-}
-
 func fetchJSON(url string, v any) error {
 	resp, err := http.Get(url)
 	if err != nil {
@@ -524,13 +485,13 @@ func fetchJSON(url string, v any) error {
 // operations capture from the observability plane (/slowops), or one
 // captured span tree (/spans/<op>) when an op ID is given. Needs snfsd
 // running with -spans and -http.
-func slowops(addr string, args []string) {
+func slowops(w io.Writer, addr string, args []string) {
 	if len(args) > 0 {
 		var so span.SlowOp
 		if err := fetchJSON("http://"+addr+"/spans/"+args[0], &so); err != nil {
 			fatal("slowops: %v (is snfsd running with -spans and -http?)", err)
 		}
-		renderSpanTree(so)
+		renderSpanTree(w, so)
 		return
 	}
 	var s span.Summary
@@ -538,14 +499,14 @@ func slowops(addr string, args []string) {
 		fatal("slowops: %v (is snfsd running with -spans and -http?)", err)
 	}
 	if s.Ops == 0 && s.BackgroundRoots == 0 {
-		fmt.Println("no operations recorded yet (is snfsd running with -spans?)")
+		fmt.Fprintln(w, "no operations recorded yet (is snfsd running with -spans?)")
 		return
 	}
-	s.Render(os.Stdout)
+	s.Render(w)
 	if len(s.SlowOps) > 0 {
-		fmt.Println("\nslowest operations (snfscli slowops <op> for the span tree):")
+		fmt.Fprintln(w, "\nslowest operations (snfscli slowops <op> for the span tree):")
 		for _, so := range s.SlowOps {
-			fmt.Printf("  op %-8d %-10s %-10s %10.3fms  %d spans\n",
+			fmt.Fprintf(w, "  op %-8d %-10s %-10s %10.3fms  %d spans\n",
 				so.Op, so.Host, so.Name, float64(so.DurUS)/1000, len(so.Spans))
 		}
 	}
@@ -553,56 +514,18 @@ func slowops(addr string, args []string) {
 
 // renderSpanTree prints one captured operation as an indented tree with
 // per-span durations and offsets from the root.
-func renderSpanTree(so span.SlowOp) {
-	fmt.Printf("op %d: %s/%s %.3fms\n", so.Op, so.Host, so.Name, float64(so.DurUS)/1000)
+func renderSpanTree(w io.Writer, so span.SlowOp) {
+	fmt.Fprintf(w, "op %d: %s/%s %.3fms\n", so.Op, so.Host, so.Name, float64(so.DurUS)/1000)
 	for _, sp := range so.Spans {
-		fmt.Printf("  %s%-10s %-12s %-10s +%9.3fms %9.3fms\n",
+		fmt.Fprintf(w, "  %s%-10s %-12s %-10s +%9.3fms %9.3fms\n",
 			strings.Repeat("  ", sp.Depth), sp.Kind, sp.Name, sp.Host,
 			float64(sp.StartUS-so.StartUS)/1000, float64(sp.EndUS-sp.StartUS)/1000)
 	}
 	if len(so.CatsUS) > 0 {
-		fmt.Println("attribution:")
+		fmt.Fprintln(w, "attribution:")
 		for _, k := range sortedKeys(so.CatsUS) {
-			fmt.Printf("  %-12s %9.3fms\n", k, float64(so.CatsUS[k])/1000)
+			fmt.Fprintf(w, "  %-12s %9.3fms\n", k, float64(so.CatsUS[k])/1000)
 		}
-	}
-}
-
-func renderTop(addr string, prev, cur tsdb.Vars, dt time.Duration) {
-	fmt.Printf("\x1b[H\x1b[2Jsnfs top — %s — %s (%.1fs window)\n\n",
-		addr, time.Now().Format("15:04:05"), dt.Seconds())
-	fmt.Println("gauges:")
-	for _, n := range sortedKeys(cur.Gauges) {
-		fmt.Printf("  %-62s %14.6g\n", n, cur.Gauges[n])
-	}
-	type rated struct {
-		name string
-		cur  int64
-		rate float64
-	}
-	var rates []rated
-	for n, v := range cur.Counters {
-		if r := float64(v-prev.Counters[n]) / dt.Seconds(); r > 0 {
-			rates = append(rates, rated{n, v, r})
-		}
-	}
-	sort.Slice(rates, func(i, j int) bool { return rates[i].rate > rates[j].rate })
-	fmt.Println("\nbusiest counters:")
-	if len(rates) == 0 {
-		fmt.Println("  (idle)")
-	}
-	for i, r := range rates {
-		if i == 15 {
-			fmt.Printf("  ... and %d more\n", len(rates)-i)
-			break
-		}
-		fmt.Printf("  %-62s %12d %9.1f/s\n", r.name, r.cur, r.rate)
-	}
-	fmt.Println("\nlatency histograms (cumulative, µs):")
-	for _, n := range sortedKeys(cur.Histograms) {
-		h := cur.Histograms[n]
-		fmt.Printf("  %-62s n=%-8d +%-6d p50=%-8.0f p99=%.0f\n",
-			n, h.Count, h.Count-prev.Histograms[n].Count, h.P50, h.P99)
 	}
 }
 
@@ -672,16 +595,22 @@ func (c *cli) clusterStats(m proto.ShardMap) {
 			conn.Close()
 			continue
 		}
-		if v, ok := promGauge(r.Text, "snfs_server_state_table_size"); ok {
-			fmt.Printf("  state table: %.0f entries\n", v)
-		}
-		if v, ok := promGauge(r.Text, "snfs_server_cpu_utilization"); ok {
-			fmt.Printf("  cpu: %.1f%% busy\n", v*100)
-		}
-		if v, ok := promGauge(r.Text, "snfs_server_disk_utilization"); ok {
-			fmt.Printf("  disk: %.1f%% busy\n", v*100)
-		}
+		shardSummary(os.Stdout, r.Text)
 		conn.Close()
+	}
+}
+
+// shardSummary condenses one member's Prometheus text to the three
+// numbers the per-shard section shows.
+func shardSummary(w io.Writer, text string) {
+	if v, ok := promGauge(text, "snfs_server_state_table_size"); ok {
+		fmt.Fprintf(w, "  state table: %.0f entries\n", v)
+	}
+	if v, ok := promGauge(text, "snfs_server_cpu_utilization"); ok {
+		fmt.Fprintf(w, "  cpu: %.1f%% busy\n", v*100)
+	}
+	if v, ok := promGauge(text, "snfs_server_disk_utilization"); ok {
+		fmt.Fprintf(w, "  disk: %.1f%% busy\n", v*100)
 	}
 }
 

@@ -184,6 +184,13 @@ func main() {
 		}
 	}
 
+	// Shutdown signals are caught before service is announced, so whoever
+	// reads the "serving" line may stop the daemon gracefully at once.
+	// SIGTERM as well as SIGINT: a shell that starts the daemon with `&`
+	// leaves SIGINT ignored in it, and `kill` sends SIGTERM.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		log.Fatalf("snfsd: %v", err)
@@ -302,8 +309,6 @@ func main() {
 	}()
 
 	stop := make(chan struct{})
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt)
 	go func() {
 		<-sig
 		log.Printf("snfsd: shutting down")

@@ -643,9 +643,6 @@ func (f *snfsFile) Attr(p *sim.Proc) (proto.Fattr, error) {
 	return f.c.fileAttr(p, f.n)
 }
 
-// Epoch returns the last server epoch observed by the keepalive daemon.
-func (c *SNFSClient) Epoch() uint64 { return c.epoch }
-
 // Lock acquires an advisory whole-file lock on rel (the §2.2 mechanism
 // for serializing write-shared access), polling with backoff until
 // granted. Exclusive locks conflict with everything; shared locks

@@ -163,27 +163,24 @@ func ClusterScaleExperiment(pm Params, shardCounts, clientCounts []int) (map[int
 			fmt.Sprintf("%dsh srvCPU", m),
 			fmt.Sprintf("%dsh srvDisk", m))
 	}
+	pts := make([]ScalePoint, len(clientCounts)*len(shardCounts))
+	err := pm.Each(len(pts), func(i int) (err error) {
+		n, m := clientCounts[i/len(shardCounts)], shardCounts[i%len(shardCounts)]
+		if pts[i], err = RunClusterScale(n, m, pm); err != nil {
+			err = fmt.Errorf("cluster scale m=%d n=%d: %w", m, n, err)
+		}
+		return err
+	})
+	if err != nil {
+		return nil, nil, err
+	}
 	t := stats.NewTable("Cluster scale: N active clients across M SNFS shards (per-client compile-like workload)", cols...)
 	out := map[int][]ScalePoint{}
-	base := map[int]float64{}
-	for _, n := range clientCounts {
+	for ci, n := range clientCounts {
 		row := []string{fmt.Sprintf("%d", n)}
-		for _, m := range shardCounts {
-			pt, err := RunClusterScale(n, m, pm)
-			if err != nil {
-				return nil, nil, fmt.Errorf("cluster scale m=%d n=%d: %w", m, n, err)
-			}
-			if n == clientCounts[0] {
-				base[m] = pt.Elapsed.Seconds()
-			}
-			if base[m] > 0 {
-				pt.Slowdown = pt.Elapsed.Seconds() / base[m]
-			}
-			out[m] = append(out[m], pt)
-			row = append(row,
-				fmt.Sprintf("%.1fs (x%.2f)", pt.Elapsed.Seconds(), pt.Slowdown),
-				fmt.Sprintf("%.0f%%", pt.ServerCPU*100),
-				fmt.Sprintf("%.0f%%", pt.ServerDisk*100))
+		for mi, m := range shardCounts {
+			row = append(row, sweepCells(&pts[ci*len(shardCounts)+mi], pts[mi])...)
+			out[m] = append(out[m], pts[ci*len(shardCounts)+mi])
 		}
 		t.AddRow(row...)
 	}

@@ -33,6 +33,9 @@ type AndrewRun struct {
 	// Spans holds the critical-path breakdown and slow-op capture over
 	// the timed phases (nil unless Params.Spans is set).
 	Spans *span.Summary
+	// Trace holds the events of the timed phases (nil unless
+	// AndrewOptions.Trace is set).
+	Trace *trace.Tracer
 }
 
 // Label names the configuration the way Table 5-1 does.
@@ -47,11 +50,37 @@ func (r AndrewRun) Label() string {
 	return fmt.Sprintf("%s, %s", r.Proto, where)
 }
 
+// AndrewOptions select what one Andrew run records beyond the op counts.
+type AndrewOptions struct {
+	// Series records the server time series behind Figures 5-1/5-2.
+	Series bool
+	// Trace attaches a tracer at measurement start, sized to hold the
+	// whole timed run, so it can be exported (trace.WriteChrome).
+	Trace bool
+	// SteadyState mirrors the paper's measurement discipline: "we ran the
+	// SNFS benchmarks several times in a row (rather than interleaving
+	// them with NFS benchmark runs) so that NFS would not be charged for
+	// writes incurred by SNFS". Two back-to-back trials run in one world
+	// and the SECOND is measured — the update daemon's deferred
+	// write-backs from trial one land inside trial two's window, exactly
+	// as in the paper's steady state.
+	SteadyState bool
+}
+
+// traceCapacity holds every event of a full-size traced Andrew run.
+const traceCapacity = 200000
+
 // RunAndrew executes the Andrew benchmark under one configuration.
 func RunAndrew(pr Proto, tmpRemote bool, pm Params, withSeries bool) (AndrewRun, error) {
+	return RunAndrewOpt(pr, tmpRemote, pm, AndrewOptions{Series: withSeries})
+}
+
+// RunAndrewOpt is RunAndrew with the recording spelled out: set up the
+// tree, let the disks drain, take the op-count baseline, arm the
+// instruments, run the timed phases, and diff.
+func RunAndrewOpt(pr Proto, tmpRemote bool, pm Params, opt AndrewOptions) (AndrewRun, error) {
 	w := Build(pr, tmpRemote, pm)
 	run := AndrewRun{Proto: pr, TmpRemote: tmpRemote}
-	var series *server.Series
 	err := w.Run(func(p *sim.Proc) error {
 		if err := workload.SetupAndrew(p, w.NS, pm.Andrew); err != nil {
 			return err
@@ -60,53 +89,26 @@ func RunAndrew(pr Proto, tmpRemote bool, pm Params, withSeries bool) (AndrewRun,
 		// timed phases idle (the paper likewise ran trials back to
 		// back, charging each protocol only its own traffic).
 		p.Sleep(40 * sim.Second)
+		cfg := pm.Andrew
+		if opt.SteadyState {
+			// Trial 1 (warm-up; its deferred writes will bill trial 2),
+			// then re-point the tree names so trial 2 rebuilds from scratch.
+			if _, err := workload.RunAndrew(p, w.NS, cfg); err != nil {
+				return err
+			}
+			cfg.DstDir += "2"
+		}
 		base := w.ClientOps().Clone()
-		if withSeries {
-			series = w.EnableSeries(pm.Bucket)
+		if opt.Series {
+			run.Series = w.EnableSeries(pm.Bucket)
+		}
+		if opt.Trace {
+			run.Trace = w.EnableTrace(traceCapacity)
 		}
 		run.Metrics = w.EnableMetrics()
 		if pm.SampleInterval > 0 {
 			run.Timeline = w.StartSampler(run.Metrics, pm.SampleInterval, pm.SampleCapacity).Timeline()
 		}
-		run.Start = p.Now()
-		res, err := workload.RunAndrew(p, w.NS, pm.Andrew)
-		if err != nil {
-			return err
-		}
-		run.Result = res
-		run.Ops = w.ClientOps().Diff(base)
-		run.CPUUtil = w.ServerCPUUtilization()
-		return nil
-	})
-	run.Spans = w.spanSummary(0, 1)
-	run.Series = series
-	return run, err
-}
-
-// RunAndrewSteadyState mirrors the paper's measurement discipline: "we
-// ran the SNFS benchmarks several times in a row (rather than
-// interleaving them with NFS benchmark runs) so that NFS would not be
-// charged for writes incurred by SNFS". Two back-to-back trials run in
-// one world and the SECOND trial's operations are counted — the update
-// daemon's deferred write-backs from trial one land inside trial two's
-// window, exactly as in the paper's steady state.
-func RunAndrewSteadyState(pr Proto, tmpRemote bool, pm Params) (AndrewRun, error) {
-	w := Build(pr, tmpRemote, pm)
-	run := AndrewRun{Proto: pr, TmpRemote: tmpRemote}
-	err := w.Run(func(p *sim.Proc) error {
-		if err := workload.SetupAndrew(p, w.NS, pm.Andrew); err != nil {
-			return err
-		}
-		p.Sleep(40 * sim.Second)
-		// Trial 1 (warm-up; its deferred writes will bill trial 2).
-		if _, err := workload.RunAndrew(p, w.NS, pm.Andrew); err != nil {
-			return err
-		}
-		// Re-point the tree names so trial 2 rebuilds from scratch.
-		cfg := pm.Andrew
-		cfg.DstDir = pm.Andrew.DstDir + "2"
-		base := w.ClientOps().Clone()
-		run.Metrics = w.EnableMetrics()
 		run.Start = p.Now()
 		res, err := workload.RunAndrew(p, w.NS, cfg)
 		if err != nil {
@@ -117,79 +119,39 @@ func RunAndrewSteadyState(pr Proto, tmpRemote bool, pm Params) (AndrewRun, error
 		run.CPUUtil = w.ServerCPUUtilization()
 		return nil
 	})
+	run.Spans = w.spanSummary(0, 1)
 	return run, err
 }
 
-// Table52SteadyState is Table 5-2 with the paper's trial discipline.
-func Table52SteadyState(pm Params) ([]AndrewRun, *stats.Table, error) {
-	configs := []struct {
-		pr  Proto
-		tmp bool
-	}{
-		{NFS, false},
-		{SNFS, false},
-		{NFS, true},
-		{SNFS, true},
-	}
+// andrewConfig is one column of Tables 5-1/5-2.
+type andrewConfig struct {
+	pr  Proto
+	tmp bool
+}
+
+// remoteConfigs are Table 5-2's four columns.
+var remoteConfigs = []andrewConfig{{NFS, false}, {SNFS, false}, {NFS, true}, {SNFS, true}}
+
+// andrewRuns runs the benchmark once per configuration.
+func andrewRuns(configs []andrewConfig, pm Params, opt AndrewOptions) ([]AndrewRun, error) {
 	var runs []AndrewRun
 	for _, c := range configs {
-		r, err := RunAndrewSteadyState(c.pr, c.tmp, pm)
+		r, err := RunAndrewOpt(c.pr, c.tmp, pm, opt)
 		if err != nil {
-			return nil, nil, fmt.Errorf("%s: %w", r.Label(), err)
+			return nil, fmt.Errorf("%s: %w", r.Label(), err)
 		}
 		runs = append(runs, r)
 	}
-	t := stats.NewTable("Table 5-2 (steady state: second of two back-to-back trials)",
-		append([]string{"Operation"}, labels(runs)...)...)
-	for _, op := range table52Ops {
-		any := false
-		for _, r := range runs {
-			if r.Ops.Get(op) > 0 {
-				any = true
-			}
-		}
-		if !any {
-			continue
-		}
-		row := []string{op}
-		for _, r := range runs {
-			row = append(row, fmt.Sprintf("%d", r.Ops.Get(op)))
-		}
-		t.AddRow(row...)
-	}
-	row := []string{"Total"}
-	for _, r := range runs {
-		row = append(row, fmt.Sprintf("%d", r.Ops.Total()))
-	}
-	t.AddRow(row...)
-	row = []string{"Data transfer (read+write)"}
-	for _, r := range runs {
-		row = append(row, fmt.Sprintf("%d", r.Ops.Sum("read", "write")))
-	}
-	t.AddRow(row...)
-	return runs, t, nil
+	return runs, nil
 }
 
 // Table51 regenerates Table 5-1: Andrew elapsed times for the five
 // configurations.
 func Table51(pm Params) ([]AndrewRun, *stats.Table, error) {
-	configs := []struct {
-		pr  Proto
-		tmp bool
-	}{
-		{Local, false},
-		{NFS, false},
-		{NFS, true},
-		{SNFS, false},
-		{SNFS, true},
-	}
-	var runs []AndrewRun
-	for _, c := range configs {
-		r, err := RunAndrew(c.pr, c.tmp, pm, false)
-		if err != nil {
-			return nil, nil, fmt.Errorf("%s: %w", r.Label(), err)
-		}
-		runs = append(runs, r)
+	runs, err := andrewRuns([]andrewConfig{{Local, false}, {NFS, false}, {NFS, true}, {SNFS, false}, {SNFS, true}},
+		pm, AndrewOptions{})
+	if err != nil {
+		return nil, nil, err
 	}
 	t := stats.NewTable("Table 5-1: Andrew benchmark elapsed time (simulated seconds)",
 		append([]string{"Phase"}, labels(runs)...)...)
@@ -218,6 +180,45 @@ func labels(runs []AndrewRun) []string {
 
 // table52Ops is the operation breakdown the paper reports.
 var table52Ops = []string{"lookup", "getattr", "open", "close", "read", "write", "create", "remove", "setattr", "mkdir", "readdir", "rename", "statfs"}
+
+// Table52 regenerates Table 5-2: RPC call counts for the Andrew
+// benchmark under the four remote configurations.
+func Table52(pm Params) ([]AndrewRun, *stats.Table, error) {
+	return opCountTable("Table 5-2: RPC calls for Andrew benchmark", pm, AndrewOptions{})
+}
+
+// Table52SteadyState is Table 5-2 with the paper's trial discipline.
+func Table52SteadyState(pm Params) ([]AndrewRun, *stats.Table, error) {
+	return opCountTable("Table 5-2 (steady state: second of two back-to-back trials)",
+		pm, AndrewOptions{SteadyState: true})
+}
+
+// opCountTable runs the four remote configurations and tabulates their
+// RPC calls by procedure (those any run made), in total, and for data.
+func opCountTable(title string, pm Params, opt AndrewOptions) ([]AndrewRun, *stats.Table, error) {
+	runs, err := andrewRuns(remoteConfigs, pm, opt)
+	if err != nil {
+		return nil, nil, err
+	}
+	t := stats.NewTable(title, append([]string{"Operation"}, labels(runs)...)...)
+	addRow := func(name string, count func(*stats.Ops) int64, always bool) {
+		row := []string{name}
+		for _, r := range runs {
+			n := count(r.Ops)
+			always = always || n > 0
+			row = append(row, fmt.Sprintf("%d", n))
+		}
+		if always {
+			t.AddRow(row...)
+		}
+	}
+	for _, op := range table52Ops {
+		addRow(op, func(o *stats.Ops) int64 { return o.Get(op) }, false)
+	}
+	addRow("Total", (*stats.Ops).Total, true)
+	addRow("Data transfer (read+write)", func(o *stats.Ops) int64 { return o.Sum("read", "write") }, true)
+	return runs, t, nil
+}
 
 // LatencyTable renders per-procedure client RPC latency percentiles for a
 // set of runs, read out of each run's metrics registry. Procedures with no
@@ -257,86 +258,6 @@ func LatencyTable(runs []AndrewRun) *stats.Table {
 		t.AddRow(row...)
 	}
 	return t
-}
-
-// RunAndrewTraced is RunAndrew with a tracer attached at measurement
-// start, sized to hold the whole timed run, so the trace can be exported
-// (e.g. as Chrome trace-event JSON via trace.WriteChrome).
-func RunAndrewTraced(pr Proto, tmpRemote bool, pm Params) (AndrewRun, *trace.Tracer, error) {
-	w := Build(pr, tmpRemote, pm)
-	run := AndrewRun{Proto: pr, TmpRemote: tmpRemote}
-	var tr *trace.Tracer
-	err := w.Run(func(p *sim.Proc) error {
-		if err := workload.SetupAndrew(p, w.NS, pm.Andrew); err != nil {
-			return err
-		}
-		p.Sleep(40 * sim.Second)
-		base := w.ClientOps().Clone()
-		tr = w.EnableTrace(pm.traceCap())
-		run.Metrics = w.EnableMetrics()
-		run.Start = p.Now()
-		res, err := workload.RunAndrew(p, w.NS, pm.Andrew)
-		if err != nil {
-			return err
-		}
-		run.Result = res
-		run.Ops = w.ClientOps().Diff(base)
-		run.CPUUtil = w.ServerCPUUtilization()
-		return nil
-	})
-	run.Spans = w.spanSummary(0, 1)
-	return run, tr, err
-}
-
-// Table52 regenerates Table 5-2: RPC call counts for the Andrew
-// benchmark under the four remote configurations.
-func Table52(pm Params) ([]AndrewRun, *stats.Table, error) {
-	configs := []struct {
-		pr  Proto
-		tmp bool
-	}{
-		{NFS, false},
-		{SNFS, false},
-		{NFS, true},
-		{SNFS, true},
-	}
-	var runs []AndrewRun
-	for _, c := range configs {
-		r, err := RunAndrew(c.pr, c.tmp, pm, false)
-		if err != nil {
-			return nil, nil, fmt.Errorf("%s: %w", r.Label(), err)
-		}
-		runs = append(runs, r)
-	}
-	t := stats.NewTable("Table 5-2: RPC calls for Andrew benchmark",
-		append([]string{"Operation"}, labels(runs)...)...)
-	for _, op := range table52Ops {
-		any := false
-		for _, r := range runs {
-			if r.Ops.Get(op) > 0 {
-				any = true
-			}
-		}
-		if !any {
-			continue
-		}
-		row := []string{op}
-		for _, r := range runs {
-			row = append(row, fmt.Sprintf("%d", r.Ops.Get(op)))
-		}
-		t.AddRow(row...)
-	}
-	row := []string{"Total"}
-	for _, r := range runs {
-		row = append(row, fmt.Sprintf("%d", r.Ops.Total()))
-	}
-	t.AddRow(row...)
-	row = []string{"Data transfer (read+write)"}
-	for _, r := range runs {
-		row = append(row, fmt.Sprintf("%d", r.Ops.Sum("read", "write")))
-	}
-	t.AddRow(row...)
-	return runs, t, nil
 }
 
 // Figure is the data behind Figures 5-1/5-2: per-bucket server CPU
@@ -398,7 +319,7 @@ func (f Figure) Render(w io.Writer, title string) {
 			f.Seconds[i], f.CPU[i], f.Calls[i], f.Reads[i], f.Writes[i])
 	}
 	stats.Chart(w, "shape (each row scaled to its own max):",
-		fmt.Sprintf("0 .. %.0f seconds", f.Seconds[len(f.Seconds)-1]+f.Run.Result.Total.Seconds()*0),
+		fmt.Sprintf("0 .. %.0f seconds", f.Seconds[len(f.Seconds)-1]),
 		map[string][]float64{
 			"cpu":    f.CPU,
 			"calls":  f.Calls,
@@ -496,11 +417,13 @@ func Table54(pm Params) (*stats.Table, error) {
 	return t, nil
 }
 
-func addOpsRow(t *stats.Table, size, version string, ops *stats.Ops) {
+// addOpsRow adds a row of the sort RPC tables: two label cells, then the
+// read, write, other and total call counts.
+func addOpsRow(t *stats.Table, a, b string, ops *stats.Ops) {
 	reads := ops.Get("read")
 	writes := ops.Get("write")
 	others := ops.Total() - reads - writes
-	t.AddRow(size, version, fmt.Sprintf("%d", reads), fmt.Sprintf("%d", writes),
+	t.AddRow(a, b, fmt.Sprintf("%d", reads), fmt.Sprintf("%d", writes),
 		fmt.Sprintf("%d", others), fmt.Sprintf("%d", ops.Total()))
 }
 
@@ -541,11 +464,7 @@ func Table56(pm Params) (*stats.Table, error) {
 			if !update {
 				upd = "no"
 			}
-			reads := r.Ops.Get("read")
-			writes := r.Ops.Get("write")
-			others := r.Ops.Total() - reads - writes
-			t.AddRow(pr.String(), upd, fmt.Sprintf("%d", reads), fmt.Sprintf("%d", writes),
-				fmt.Sprintf("%d", others), fmt.Sprintf("%d", r.Ops.Total()))
+			addOpsRow(t, pr.String(), upd, r.Ops)
 		}
 	}
 	return t, nil

@@ -410,7 +410,7 @@ func TestSteadyStateAccountsDeferredWrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	steady, err := RunAndrewSteadyState(SNFS, false, pm)
+	steady, err := RunAndrewOpt(SNFS, false, pm, AndrewOptions{SteadyState: true})
 	if err != nil {
 		t.Fatal(err)
 	}

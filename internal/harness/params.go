@@ -98,9 +98,6 @@ type Params struct {
 	// AuditSinkFor, when non-nil, supplies a separate journal sink per
 	// shard in cluster worlds (falls back to the shared AuditSink).
 	AuditSinkFor func(shard int) io.Writer
-	// TraceCapacity sizes the trace ring the experiments attach when
-	// tracing is requested (0 = 200000 events).
-	TraceCapacity int
 
 	// SampleInterval arms the time-series sampler: the experiment
 	// runners sample every metrics registry on the sim clock at this
@@ -187,14 +184,6 @@ func (pm Params) dumpFlightOnViolation(in cluster.Instruments) {
 	if pm.FlightSink != nil {
 		in.FlightDumpOnViolation(func(trigger string) { in.Flight.WriteText(pm.FlightSink, trigger) })
 	}
-}
-
-// traceCap returns the effective trace ring capacity.
-func (pm Params) traceCap() int {
-	if pm.TraceCapacity > 0 {
-		return pm.TraceCapacity
-	}
-	return 200000
 }
 
 // Default returns the calibrated parameter set.

@@ -180,38 +180,48 @@ func ScaleExperiment(pm Params, counts []int) (map[Proto][]ScalePoint, *stats.Ta
 	if len(counts) == 0 {
 		counts = []int{1, 2, 4, 8, 16}
 	}
+	// The NFS sweep runs with the unstable WRITE + COMMIT pipeline and
+	// server write gathering armed: that is the NFS-side answer to the
+	// disk-arm bottleneck. SNFS keeps its measured configuration — its
+	// CLOSED-DIRTY delayed write-back already keeps data traffic off the
+	// server, and the extra COMMIT round trips only slow it down.
+	protos := []Proto{NFS, SNFS}
+	pts := make([]ScalePoint, len(counts)*len(protos))
+	err := pm.Each(len(pts), func(i int) (err error) {
+		n, pr := counts[i/len(protos)], protos[i%len(protos)]
+		ppm := pm
+		ppm.UnstableWrites = pr == NFS
+		if pts[i], err = RunScale(pr, n, ppm); err != nil {
+			err = fmt.Errorf("scale %s n=%d: %w", pr, n, err)
+		}
+		return err
+	})
+	if err != nil {
+		return nil, nil, err
+	}
 	out := map[Proto][]ScalePoint{}
 	t := stats.NewTable("Scale: N active clients, one server (per-client compile-like workload)",
 		"Clients", "NFS elapsed", "NFS srvCPU", "NFS srvDisk", "SNFS elapsed", "SNFS srvCPU", "SNFS srvDisk")
-	base := map[Proto]float64{}
-	for _, n := range counts {
+	for ci, n := range counts {
 		row := []string{fmt.Sprintf("%d", n)}
-		for _, pr := range []Proto{NFS, SNFS} {
-			// The NFS sweep runs with the unstable WRITE + COMMIT
-			// pipeline and server write gathering armed: that is the
-			// NFS-side answer to the disk-arm bottleneck. SNFS keeps
-			// its measured configuration — its CLOSED-DIRTY delayed
-			// write-back already keeps data traffic off the server,
-			// and the extra COMMIT round trips only slow it down.
-			ppm := pm
-			ppm.UnstableWrites = pr == NFS
-			pt, err := RunScale(pr, n, ppm)
-			if err != nil {
-				return nil, nil, fmt.Errorf("scale %s n=%d: %w", pr, n, err)
-			}
-			if n == counts[0] {
-				base[pr] = pt.Elapsed.Seconds()
-			}
-			if base[pr] > 0 {
-				pt.Slowdown = pt.Elapsed.Seconds() / base[pr]
-			}
-			out[pr] = append(out[pr], pt)
-			row = append(row,
-				fmt.Sprintf("%.1fs (x%.2f)", pt.Elapsed.Seconds(), pt.Slowdown),
-				fmt.Sprintf("%.0f%%", pt.ServerCPU*100),
-				fmt.Sprintf("%.0f%%", pt.ServerDisk*100))
+		for pi, pr := range protos {
+			row = append(row, sweepCells(&pts[ci*len(protos)+pi], pts[pi])...)
+			out[pr] = append(out[pr], pts[ci*len(protos)+pi])
 		}
 		t.AddRow(row...)
 	}
 	return out, t, nil
+}
+
+// sweepCells fills in pt's slowdown against base, the first point of its
+// series, and formats its three table cells.
+func sweepCells(pt *ScalePoint, base ScalePoint) []string {
+	if base.Elapsed > 0 {
+		pt.Slowdown = pt.Elapsed.Seconds() / base.Elapsed.Seconds()
+	}
+	return []string{
+		fmt.Sprintf("%.1fs (x%.2f)", pt.Elapsed.Seconds(), pt.Slowdown),
+		fmt.Sprintf("%.0f%%", pt.ServerCPU*100),
+		fmt.Sprintf("%.0f%%", pt.ServerDisk*100),
+	}
 }

@@ -79,9 +79,6 @@ func (m *Media) Store() *Store { return m.store }
 // Disk returns the underlying simulated disk.
 func (m *Media) Disk() *disk.Disk { return m.d }
 
-// Cache returns the buffer cache (for stats inspection).
-func (m *Media) Cache() *cache.Cache { return m.c }
-
 // Sched returns the write-gathering scheduler (for stats inspection).
 func (m *Media) Sched() *disk.Scheduler { return m.sched }
 

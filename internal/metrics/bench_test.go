@@ -15,13 +15,6 @@ func BenchmarkNilHistogramObserve(b *testing.B) {
 	}
 }
 
-func BenchmarkNilCounterInc(b *testing.B) {
-	var c *Counter
-	for i := 0; i < b.N; i++ {
-		c.Inc()
-	}
-}
-
 func BenchmarkNilRegistryHistogram(b *testing.B) {
 	var r *Registry
 	for i := 0; i < b.N; i++ {
@@ -35,13 +28,6 @@ func BenchmarkHistogramObserve(b *testing.B) {
 	var h Histogram
 	for i := 0; i < b.N; i++ {
 		h.Observe(int64(i))
-	}
-}
-
-func BenchmarkCounterInc(b *testing.B) {
-	var c Counter
-	for i := 0; i < b.N; i++ {
-		c.Inc()
 	}
 }
 

@@ -1,10 +1,11 @@
 // Package metrics is the measurement layer beneath the paper's evaluation
-// machinery: counters, gauges, and log-bucketed latency histograms that
-// the RPC, server, and client layers record into, plus a Prometheus-style
-// text exposition for daemons and the harness.
+// machinery: gauges read from the instrumented structure at exposition
+// time and log-bucketed latency histograms that the RPC, server, and
+// client layers record into, plus a Prometheus-style text exposition for
+// daemons and the harness.
 //
-// Like trace.Tracer, every type is nil-safe: recording to a nil *Counter,
-// *Gauge, *Histogram, or *Registry is a no-op costing one nil check, so
+// Like trace.Tracer, every type is nil-safe: recording to a nil
+// *Histogram or *Registry is a no-op costing one nil check, so
 // instrumented hot paths pay nothing when metrics are off.
 //
 // Unlike the sim-kernel structures, everything here is safe for concurrent
@@ -15,72 +16,12 @@ package metrics
 import (
 	"fmt"
 	"io"
-	"math"
 	"math/bits"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 )
-
-// Counter is a monotonically increasing count.
-type Counter struct {
-	v atomic.Int64
-}
-
-// Inc adds one; safe on a nil counter.
-func (c *Counter) Inc() { c.Add(1) }
-
-// Add adds n; safe on a nil counter.
-func (c *Counter) Add(n int64) {
-	if c == nil {
-		return
-	}
-	c.v.Add(n)
-}
-
-// Value returns the current count (0 for nil).
-func (c *Counter) Value() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.v.Load()
-}
-
-// Gauge is an instantaneous value.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set stores v; safe on a nil gauge.
-func (g *Gauge) Set(v float64) {
-	if g == nil {
-		return
-	}
-	g.bits.Store(math.Float64bits(v))
-}
-
-// Add adjusts the gauge by d; safe on a nil gauge.
-func (g *Gauge) Add(d float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		val := math.Float64frombits(old) + d
-		if g.bits.CompareAndSwap(old, math.Float64bits(val)) {
-			return
-		}
-	}
-}
-
-// Value returns the current value (0 for nil).
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return math.Float64frombits(g.bits.Load())
-}
 
 // histBuckets is the number of power-of-two buckets. Bucket i holds
 // values whose bit length is i — the range [2^(i-1), 2^i-1] — with bucket
@@ -341,8 +282,6 @@ func (s HistSnapshot) Quantile(q float64) float64 {
 // to record to — the disabled configuration costs one nil check per site.
 type Registry struct {
 	mu       sync.Mutex
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
 	gaugeFns map[string]func() float64
 	hists    map[string]*Histogram
 	helps    map[string]string
@@ -351,8 +290,6 @@ type Registry struct {
 // New returns an empty registry.
 func New() *Registry {
 	return &Registry{
-		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
 		gaugeFns: make(map[string]func() float64),
 		hists:    make(map[string]*Histogram),
 		helps:    make(map[string]string),
@@ -368,36 +305,6 @@ func (r *Registry) Help(name, text string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.helps[baseOf(name)] = text
-}
-
-// Counter returns (creating if needed) the counter with the given name.
-func (r *Registry) Counter(name string) *Counter {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c, ok := r.counters[name]
-	if !ok {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
-}
-
-// Gauge returns (creating if needed) the gauge with the given name.
-func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
 }
 
 // GaugeFunc registers fn as the source for a gauge read at exposition
@@ -437,24 +344,6 @@ func (r *Registry) FindHistogram(name string) *Histogram {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.hists[name]
-}
-
-// ReadGauge reads a set or registered gauge by name.
-func (r *Registry) ReadGauge(name string) (float64, bool) {
-	if r == nil {
-		return 0, false
-	}
-	r.mu.Lock()
-	g, gok := r.gauges[name]
-	fn, fok := r.gaugeFns[name]
-	r.mu.Unlock()
-	if fok {
-		return fn(), true
-	}
-	if gok {
-		return g.Value(), true
-	}
-	return 0, false
 }
 
 // HistogramNames returns the registered histogram names, sorted.
@@ -525,29 +414,21 @@ func series(name, suffix, le string) string {
 // text exposition without further synchronization. Gauge funcs have
 // already been evaluated into Gauges.
 type Snapshot struct {
-	Counters map[string]int64        `json:"counters"`
-	Gauges   map[string]float64      `json:"gauges"`
-	Hists    map[string]HistSnapshot `json:"histograms,omitempty"`
+	Gauges map[string]float64      `json:"gauges"`
+	Hists  map[string]HistSnapshot `json:"histograms,omitempty"`
 }
 
 // Snapshot copies the registry's current state. Safe on a nil registry
 // (returns empty maps) and safe to call while recorders run.
 func (r *Registry) Snapshot() Snapshot {
 	s := Snapshot{
-		Counters: map[string]int64{},
-		Gauges:   map[string]float64{},
-		Hists:    map[string]HistSnapshot{},
+		Gauges: map[string]float64{},
+		Hists:  map[string]HistSnapshot{},
 	}
 	if r == nil {
 		return s
 	}
 	r.mu.Lock()
-	for n, c := range r.counters {
-		s.Counters[n] = c.Value()
-	}
-	for n, g := range r.gauges {
-		s.Gauges[n] = g.Value()
-	}
 	fns := make(map[string]func() float64, len(r.gaugeFns))
 	for n, fn := range r.gaugeFns {
 		fns[n] = fn
@@ -600,10 +481,6 @@ func (r *Registry) WriteProm(w io.Writer) {
 			}
 			fmt.Fprintf(w, "# TYPE %s %s\n", base, kind)
 		}
-	}
-	for _, n := range sortedKeys(snap.Counters) {
-		writeType(n, "counter")
-		fmt.Fprintf(w, "%s %d\n", n, snap.Counters[n])
 	}
 	for _, n := range sortedKeys(snap.Gauges) {
 		writeType(n, "gauge")

@@ -6,46 +6,8 @@ import (
 	"testing"
 )
 
-func TestCounterGauge(t *testing.T) {
-	r := New()
-	c := r.Counter("ops_total")
-	c.Inc()
-	c.Add(4)
-	if got := c.Value(); got != 5 {
-		t.Fatalf("counter = %d, want 5", got)
-	}
-	if c2 := r.Counter("ops_total"); c2 != c {
-		t.Fatalf("same name returned a different counter")
-	}
-	g := r.Gauge("depth")
-	g.Set(3.5)
-	g.Add(-1.5)
-	if got := g.Value(); got != 2 {
-		t.Fatalf("gauge = %g, want 2", got)
-	}
-	if v, ok := r.ReadGauge("depth"); !ok || v != 2 {
-		t.Fatalf("ReadGauge = %g,%v", v, ok)
-	}
-	r.GaugeFunc("fn_gauge", func() float64 { return 42 })
-	if v, ok := r.ReadGauge("fn_gauge"); !ok || v != 42 {
-		t.Fatalf("ReadGauge(fn) = %g,%v", v, ok)
-	}
-}
-
 func TestNilSafety(t *testing.T) {
 	var r *Registry
-	c := r.Counter("x")
-	c.Inc()
-	c.Add(3)
-	if c.Value() != 0 {
-		t.Fatal("nil counter should read 0")
-	}
-	g := r.Gauge("y")
-	g.Set(1)
-	g.Add(1)
-	if g.Value() != 0 {
-		t.Fatal("nil gauge should read 0")
-	}
 	h := r.Histogram("z")
 	h.Observe(7)
 	if h.Count() != 0 || h.Quantile(0.5) != 0 || h.Max() != 0 || h.Mean() != 0 {
@@ -53,7 +15,7 @@ func TestNilSafety(t *testing.T) {
 	}
 	h.Merge(nil)
 	r.GaugeFunc("f", func() float64 { return 1 })
-	if _, ok := r.ReadGauge("f"); ok {
+	if len(r.Snapshot().Gauges) != 0 {
 		t.Fatal("nil registry should not have gauges")
 	}
 	if r.FindHistogram("z") != nil || r.HistogramNames() != nil {
@@ -144,9 +106,8 @@ func TestLabel(t *testing.T) {
 
 func TestWriteProm(t *testing.T) {
 	r := New()
-	r.Counter("snfs_ops_total").Add(7)
+	r.GaugeFunc("snfs_ops_total", func() float64 { return 7 })
 	r.Help("snfs_ops_total", "Total operations served.")
-	r.Gauge("snfs_depth").Set(2)
 	r.GaugeFunc("snfs_table_size", func() float64 { return 11 })
 	h := r.Histogram(Label("snfs_lat_us", "proc", "read"))
 	r.Help(Label("snfs_lat_us", "proc", "read"), "Latency in microseconds.")
@@ -157,9 +118,8 @@ func TestWriteProm(t *testing.T) {
 	out := sb.String()
 	for _, want := range []string{
 		"# HELP snfs_ops_total Total operations served.",
-		"# TYPE snfs_ops_total counter",
+		"# TYPE snfs_ops_total gauge",
 		"snfs_ops_total 7",
-		"snfs_depth 2",
 		"snfs_table_size 11",
 		"# HELP snfs_lat_us Latency in microseconds.",
 		"# TYPE snfs_lat_us histogram",
@@ -185,10 +145,10 @@ func TestWriteProm(t *testing.T) {
 // are contiguous, and # HELP/# TYPE precede the family's first sample.
 func TestWritePromFormat(t *testing.T) {
 	r := New()
-	r.Counter("a_total").Add(1)
-	r.Help("a_total", "A counter.")
-	r.Gauge(Label("b_gauge", "host", "s0")).Set(1.5)
-	r.Gauge(Label("b_gauge", "host", "s1")).Set(2.5)
+	r.GaugeFunc("a_total", func() float64 { return 1 })
+	r.Help("a_total", "A cumulative gauge.")
+	r.GaugeFunc(Label("b_gauge", "host", "s0"), func() float64 { return 1.5 })
+	r.GaugeFunc(Label("b_gauge", "host", "s1"), func() float64 { return 2.5 })
 	r.Histogram("c_us").Observe(10)
 	var sb strings.Builder
 	r.WriteProm(&sb)
@@ -205,7 +165,7 @@ func TestWritePromFormat(t *testing.T) {
 			base := fields[2]
 			if strings.HasPrefix(line, "# TYPE ") {
 				switch fields[3] {
-				case "counter", "gauge", "histogram":
+				case "gauge", "histogram":
 				default:
 					t.Fatalf("bad type %q in %q", fields[3], line)
 				}
@@ -257,14 +217,11 @@ func TestWritePromFormat(t *testing.T) {
 
 func TestSnapshot(t *testing.T) {
 	r := New()
-	r.Counter("ops_total").Add(3)
-	r.Gauge("depth").Set(7)
+	depth := 7.0
+	r.GaugeFunc("depth", func() float64 { return depth })
 	r.GaugeFunc("fn", func() float64 { return 9 })
 	r.Histogram("lat_us").Observe(100)
 	s := r.Snapshot()
-	if s.Counters["ops_total"] != 3 {
-		t.Fatalf("snapshot counter = %d", s.Counters["ops_total"])
-	}
 	if s.Gauges["depth"] != 7 || s.Gauges["fn"] != 9 {
 		t.Fatalf("snapshot gauges = %v", s.Gauges)
 	}
@@ -272,13 +229,14 @@ func TestSnapshot(t *testing.T) {
 		t.Fatalf("snapshot hist = %+v", s.Hists["lat_us"])
 	}
 	// Snapshots are copies: later recording must not alter them.
-	r.Counter("ops_total").Add(5)
-	if s.Counters["ops_total"] != 3 {
-		t.Fatal("snapshot aliased live counter")
+	depth = 12
+	r.Histogram("lat_us").Observe(5)
+	if s.Gauges["depth"] != 7 || s.Hists["lat_us"].Count != 1 {
+		t.Fatal("snapshot aliased live metrics")
 	}
 	var nilReg *Registry
 	ns := nilReg.Snapshot()
-	if len(ns.Counters) != 0 || len(ns.Gauges) != 0 || len(ns.Hists) != 0 {
+	if len(ns.Gauges) != 0 || len(ns.Hists) != 0 {
 		t.Fatal("nil registry snapshot should be empty")
 	}
 }
@@ -326,12 +284,8 @@ func TestConcurrentWriters(t *testing.T) {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			c := r.Counter("c_total")
-			g := r.Gauge("g")
 			h := r.Histogram("h_us")
 			for i := 0; i < perWorker; i++ {
-				c.Inc()
-				g.Add(1)
 				h.Observe(int64(i%1000 + id))
 				if i%100 == 0 {
 					// Metric creation racing with use.
@@ -351,9 +305,6 @@ func TestConcurrentWriters(t *testing.T) {
 	}()
 	wg.Wait()
 	<-done
-	if got := r.Counter("c_total").Value(); got != workers*perWorker {
-		t.Fatalf("counter = %d, want %d", got, workers*perWorker)
-	}
 	wantObs := int64(workers * (perWorker + perWorker/100))
 	if got := r.Histogram("h_us").Count(); got != wantObs {
 		t.Fatalf("histogram count = %d, want %d", got, wantObs)

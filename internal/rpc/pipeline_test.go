@@ -27,11 +27,7 @@ func TestPipelinedCallsOverlap(t *testing.T) {
 			if pipelined {
 				var calls [depth]*Pending
 				for i := range calls {
-					c, err := client.Start(p, "server", testProg, 1, uint32(i), &proto.StatusReply{Status: proto.Status(i)})
-					if err != nil {
-						t.Errorf("start %d: %v", i, err)
-					}
-					calls[i] = c
+					calls[i] = client.Start(p, "server", testProg, 1, uint32(i), &proto.StatusReply{Status: proto.Status(i)})
 				}
 				for i, c := range calls {
 					body, err := c.Wait(p)
@@ -193,7 +189,7 @@ func TestDrainedBacklogSlotIsCleared(t *testing.T) {
 		defer k.Stop()
 		var calls [3]*Pending
 		for i := range calls {
-			calls[i], _ = client.Start(p, "server", testProg, 1, 1, &proto.WriteArgs{Data: make([]byte, 8192)})
+			calls[i] = client.Start(p, "server", testProg, 1, 1, &proto.WriteArgs{Data: make([]byte, 8192)})
 		}
 		for i, c := range calls {
 			if _, err := c.Wait(p); err != nil {
@@ -238,7 +234,7 @@ func TestPipelinedCallsCollectedOutOfOrder(t *testing.T) {
 			defer k.Stop()
 			var calls [depth]*Pending
 			for i := range calls {
-				calls[i], _ = client.Start(p, "server", testProg, 1, uint32(i), &proto.StatusReply{Status: proto.Status(100 + i)})
+				calls[i] = client.Start(p, "server", testProg, 1, uint32(i), &proto.StatusReply{Status: proto.Status(100 + i)})
 			}
 			for _, i := range order {
 				body, err := calls[i].Wait(p)

@@ -103,14 +103,6 @@ func statusErr(s Status) error {
 	}
 }
 
-// Caller issues RPCs. Protocol code (NFS and SNFS clients, and the SNFS
-// server's callback path) depends only on this interface, so it runs
-// unchanged over the simulated network or TCP. The returned body may be a
-// view of the delivered reply image: read it, copy what must change.
-type Caller interface {
-	Call(ctx sim.Ctx, to simnet.Addr, prog, vers, proc uint32, args []byte) ([]byte, error)
-}
-
 // Handler services calls to one program. It runs on a server worker and
 // may itself block (disk access, nested RPCs).
 type Handler func(p *sim.Proc, from simnet.Addr, proc uint32, args []byte) ([]byte, Status)
@@ -412,20 +404,17 @@ func (e *Endpoint) Restart() {
 }
 
 // Call issues an RPC to program prog procedure proc at to, retransmitting
-// on timeout, and returns the reply body. ctx must be a *sim.Proc.
-func (e *Endpoint) Call(ctx sim.Ctx, to simnet.Addr, prog, vers, proc uint32, args []byte) ([]byte, error) {
-	return e.CallEx(ctx, to, prog, vers, proc, args, e.opts.CallTimeout, e.opts.MaxRetries)
+// on timeout, and returns the reply body. The body may be a view of the
+// delivered reply image: read it, copy what must change.
+func (e *Endpoint) Call(p *sim.Proc, to simnet.Addr, prog, vers, proc uint32, args []byte) ([]byte, error) {
+	return e.CallEx(p, to, prog, vers, proc, args, e.opts.CallTimeout, e.opts.MaxRetries)
 }
 
 // CallEx is Call with an explicit per-attempt timeout and retry budget.
 // The SNFS server uses a tight budget for callbacks: a callback to a dead
 // client must be abandoned before the opener that triggered it times out
 // (§3.2).
-func (e *Endpoint) CallEx(ctx sim.Ctx, to simnet.Addr, prog, vers, proc uint32, args []byte, callTimeout sim.Duration, maxRetries int) ([]byte, error) {
-	p, ok := ctx.(*sim.Proc)
-	if !ok {
-		return nil, fmt.Errorf("rpc: simulated endpoint requires a *sim.Proc context, got %T", ctx)
-	}
+func (e *Endpoint) CallEx(p *sim.Proc, to simnet.Addr, prog, vers, proc uint32, args []byte, callTimeout sim.Duration, maxRetries int) ([]byte, error) {
 	sp := e.Spans.Begin(p, string(e.addr), callSpanKind(prog), procTraceName(prog, proc))
 	defer sp.End()
 	return e.start(p, to, prog, vers, proc, nil, args, callTimeout, maxRetries).wait(p)
@@ -434,17 +423,13 @@ func (e *Endpoint) CallEx(ctx sim.Ctx, to simnet.Addr, prog, vers, proc uint32, 
 // CallMsg is Call with the arguments encoded straight from m into the
 // pooled wire buffer, skipping the intermediate proto.Marshal allocation.
 // The wire image is byte-identical to Call(..., proto.Marshal(m)).
-func (e *Endpoint) CallMsg(ctx sim.Ctx, to simnet.Addr, prog, vers, proc uint32, m proto.Message) ([]byte, error) {
-	return e.CallMsgEx(ctx, to, prog, vers, proc, m, e.opts.CallTimeout, e.opts.MaxRetries)
+func (e *Endpoint) CallMsg(p *sim.Proc, to simnet.Addr, prog, vers, proc uint32, m proto.Message) ([]byte, error) {
+	return e.CallMsgEx(p, to, prog, vers, proc, m, e.opts.CallTimeout, e.opts.MaxRetries)
 }
 
 // CallMsgEx is CallMsg with an explicit per-attempt timeout and retry
 // budget (see CallEx).
-func (e *Endpoint) CallMsgEx(ctx sim.Ctx, to simnet.Addr, prog, vers, proc uint32, m proto.Message, callTimeout sim.Duration, maxRetries int) ([]byte, error) {
-	p, ok := ctx.(*sim.Proc)
-	if !ok {
-		return nil, fmt.Errorf("rpc: simulated endpoint requires a *sim.Proc context, got %T", ctx)
-	}
+func (e *Endpoint) CallMsgEx(p *sim.Proc, to simnet.Addr, prog, vers, proc uint32, m proto.Message, callTimeout sim.Duration, maxRetries int) ([]byte, error) {
 	sp := e.Spans.Begin(p, string(e.addr), callSpanKind(prog), procTraceName(prog, proc))
 	defer sp.End()
 	return e.start(p, to, prog, vers, proc, m, nil, callTimeout, maxRetries).wait(p)
@@ -456,12 +441,8 @@ func (e *Endpoint) CallMsgEx(ctx sim.Ctx, to simnet.Addr, prog, vers, proc uint3
 // outstanding per endpoint — replies are multiplexed by xid — so a
 // client can pipeline N requests on one connection instead of paying a
 // full round trip each.
-func (e *Endpoint) Start(ctx sim.Ctx, to simnet.Addr, prog, vers, proc uint32, m proto.Message) (*Pending, error) {
-	p, ok := ctx.(*sim.Proc)
-	if !ok {
-		return nil, fmt.Errorf("rpc: simulated endpoint requires a *sim.Proc context, got %T", ctx)
-	}
-	return e.start(p, to, prog, vers, proc, m, nil, e.opts.CallTimeout, e.opts.MaxRetries), nil
+func (e *Endpoint) Start(p *sim.Proc, to simnet.Addr, prog, vers, proc uint32, m proto.Message) *Pending {
+	return e.start(p, to, prog, vers, proc, m, nil, e.opts.CallTimeout, e.opts.MaxRetries)
 }
 
 // callSpanKind classifies a call for the span recorder.
@@ -607,11 +588,7 @@ func (c *Pending) await(p *sim.Proc, d sim.Duration) bool {
 // on timeout exactly as Call does. It records the whole-call span as an
 // explicit interval (pipelined calls complete out of order, so the
 // recorder's nested Begin/End discipline does not apply).
-func (c *Pending) Wait(ctx sim.Ctx) ([]byte, error) {
-	p, ok := ctx.(*sim.Proc)
-	if !ok {
-		return nil, fmt.Errorf("rpc: simulated endpoint requires a *sim.Proc context, got %T", ctx)
-	}
+func (c *Pending) Wait(p *sim.Proc) ([]byte, error) {
 	body, err := c.wait(p)
 	c.e.Spans.Add(p, string(c.e.addr), callSpanKind(c.prog), procTraceName(c.prog, c.proc), c.issued, c.e.k.Now())
 	return body, err

@@ -764,11 +764,7 @@ func TestStaleTimeoutWakesNobody(t *testing.T) {
 	var caller *sim.Proc
 	k.Go("caller", func(p *sim.Proc) {
 		caller = p
-		c, err := client.Start(p, "server", testProg, 1, 1, &proto.WriteArgs{Data: make([]byte, 8192)})
-		if err != nil {
-			t.Error(err)
-			return
-		}
+		c := client.Start(p, "server", testProg, 1, 1, &proto.WriteArgs{Data: make([]byte, 8192)})
 		body, err := c.Wait(p)
 		if err != nil || len(body) < 8192 {
 			t.Errorf("call: %d-byte body, err %v", len(body), err)

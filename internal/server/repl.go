@@ -57,8 +57,6 @@ type Replicator struct {
 	acked   uint64 // highest sequence number the backup confirmed
 	gap     bool   // records were dropped; the backup can no longer sync
 	stopped bool   // demoted: discard everything
-	dropped int64
-	batches int64
 }
 
 // StartReplication begins streaming this server's consistency state,
@@ -99,7 +97,6 @@ func (r *Replicator) enqueue(rec proto.ReplRecord) {
 	}
 	r.lastSeq++
 	if r.q.Len() >= replQueueMax {
-		r.dropped++
 		r.gap = true
 		return
 	}
@@ -181,9 +178,6 @@ func (r *Replicator) Status() (synced bool, lag uint32) {
 // Lag returns the number of records assigned but not yet confirmed.
 func (r *Replicator) Lag() int { return int(r.lastSeq - r.acked) }
 
-// Dropped returns how many records overflowed the queue.
-func (r *Replicator) Dropped() int64 { return r.dropped }
-
 // Stop shuts the stream down for good: demotion, or the viewservice
 // declaring the backup dead. Queued records are abandoned.
 func (r *Replicator) Stop() { r.stopped = true }
@@ -261,7 +255,6 @@ func (r *Replicator) send(p *sim.Proc, batch []proto.ReplRecord) bool {
 		if rep.Applied > r.acked {
 			r.acked = rep.Applied
 		}
-		r.batches++
 		return true
 	case proto.ErrDemoted:
 		r.stopped = true

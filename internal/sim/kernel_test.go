@@ -409,13 +409,3 @@ func TestTimeArithmetic(t *testing.T) {
 		t.Errorf("Milliseconds wrong")
 	}
 }
-
-func TestRealCtxMonotonic(t *testing.T) {
-	c := NewRealCtx()
-	a := c.Now()
-	c.Sleep(Millisecond)
-	b := c.Now()
-	if b < a {
-		t.Errorf("real clock went backwards: %v -> %v", a, b)
-	}
-}

@@ -27,9 +27,6 @@ func NewResource(k *Kernel, name string) *Resource {
 	return &Resource{k: k, name: name}
 }
 
-// Name returns the resource name.
-func (r *Resource) Name() string { return r.name }
-
 // Use occupies the resource for service time d, blocking p through any
 // queueing delay plus the service itself. It returns the queueing delay
 // experienced.

@@ -26,18 +26,6 @@ func (k *Kernel) NewTask(name string) *Task {
 	return &Task{k: k, name: name}
 }
 
-// Name returns the task's name, for tracing.
-func (t *Task) Name() string { return t.name }
-
-// Kernel returns the owning kernel.
-func (t *Task) Kernel() *Kernel { return t.k }
-
-// Now returns the current virtual time.
-func (t *Task) Now() Time { return t.k.now }
-
-// Op returns the task's current causal operation ID (0 = none).
-func (t *Task) Op() uint64 { return t.op }
-
 // BeginOp mints a fresh causal operation ID at a logical operation
 // boundary, mirroring Proc.BeginOp. Work the task hands to an Executor
 // inherits the ID.

@@ -98,11 +98,9 @@ func (n *Network) Stats() Stats { return n.stats }
 // LinkUtilization reports the fraction of elapsed time the link was busy.
 func (n *Network) LinkUtilization() float64 { return n.link.Utilization() }
 
-// Port is a host's receive endpoint.
+// Port is a host's receive endpoint: the handler arriving messages are
+// handed to.
 type Port struct {
-	addr    Addr
-	net     *Network
-	q       *sim.Queue[Message]
 	handler func(Message)
 }
 
@@ -112,7 +110,7 @@ func (n *Network) Listen(addr Addr) *Port {
 	if _, ok := n.ports[addr]; ok {
 		panic(fmt.Sprintf("simnet: address %q already in use", addr))
 	}
-	p := &Port{addr: addr, net: n, q: sim.NewQueue[Message](n.k)}
+	p := &Port{}
 	n.ports[addr] = p
 	return p
 }
@@ -187,20 +185,16 @@ func (f *flight) Due() {
 	n.free = append(n.free, f)
 }
 
-// deliver hands an arrived message to its port, if the address is still
-// claimed.
+// deliver hands an arrived message to its port's handler, if the address
+// is still claimed and has one.
 func (n *Network) deliver(msg Message) {
-	port, ok := n.ports[msg.To]
-	if !ok {
+	port := n.ports[msg.To]
+	if port == nil || port.handler == nil {
 		n.stats.Dropped++
 		return
 	}
 	n.stats.Delivered++
-	if port.handler != nil {
-		port.handler(msg)
-		return
-	}
-	port.q.Put(msg)
+	port.handler(msg)
 }
 
 // Cut severs the from→to direction: messages from `from` to `to` are
@@ -238,22 +232,12 @@ func (n *Network) HealBoth(a, b Addr) {
 	n.Heal(b, a)
 }
 
-// Addr returns the port's address.
-func (p *Port) Addr() Addr { return p.addr }
-
-// Recv blocks proc until a message arrives and returns it.
-func (p *Port) Recv(proc *sim.Proc) Message { return p.q.Get(proc) }
-
-// Pending reports queued, undelivered-to-consumer messages.
-func (p *Port) Pending() int { return p.q.Len() }
-
-// SetHandler switches the port to event delivery: each arriving message
-// is handed to fn at its delivery instant, in scheduler context, instead
-// of being queued for a Recv-ing process. fn must not block; receivers
-// that need blocking service hand the message off (e.g. to a
-// sim.Executor). Event delivery is what lets a fleet-scale world run one
-// RPC endpoint per client without one parked dispatcher goroutine per
-// client.
+// SetHandler sets the port's receiver: each arriving message is handed to
+// fn at its delivery instant, in scheduler context (until one is set,
+// arrivals are dropped). fn must not block; receivers that need blocking
+// service hand the message off (e.g. to a sim.Executor). Event delivery is
+// what lets a fleet-scale world run one RPC endpoint per client without
+// one parked dispatcher goroutine per client.
 //
 // fn receives the Message by value, and that copy is all it gets. It may
 // keep the Payload slice, views decoded from it, and the From and To

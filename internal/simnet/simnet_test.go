@@ -9,11 +9,9 @@ import (
 func TestDeliveryLatency(t *testing.T) {
 	k := sim.NewKernel(1)
 	n := New(k, Config{PropDelay: sim.Millisecond, BytesPerSec: 1000_000})
-	port := n.Listen("b")
 	var arrived sim.Time
-	k.Go("recv", func(p *sim.Proc) {
-		m := port.Recv(p)
-		arrived = p.Now()
+	n.Listen("b").SetHandler(func(m Message) {
+		arrived = k.Now()
 		if string(m.Payload) != "hi" || m.From != "a" || m.To != "b" {
 			t.Errorf("bad message %+v", m)
 		}
@@ -33,14 +31,8 @@ func TestLinkSerialization(t *testing.T) {
 	k := sim.NewKernel(1)
 	// 1000 bytes/sec: a 1000-byte message takes 1s on the wire.
 	n := New(k, Config{BytesPerSec: 1000})
-	port := n.Listen("b")
 	var arrivals []sim.Time
-	k.Go("recv", func(p *sim.Proc) {
-		for i := 0; i < 2; i++ {
-			port.Recv(p)
-			arrivals = append(arrivals, p.Now())
-		}
-	})
+	n.Listen("b").SetHandler(func(Message) { arrivals = append(arrivals, k.Now()) })
 	k.Go("send", func(p *sim.Proc) {
 		n.Send("a", "b", make([]byte, 1000))
 		n.Send("a", "b", make([]byte, 1000)) // must queue behind the first
@@ -73,14 +65,8 @@ func TestSendToUnknownAddressDropped(t *testing.T) {
 func TestDropEveryInjectsLoss(t *testing.T) {
 	k := sim.NewKernel(1)
 	n := New(k, Config{DropEvery: 3})
-	port := n.Listen("b")
 	received := 0
-	k.Go("recv", func(p *sim.Proc) {
-		for {
-			port.Recv(p)
-			received++
-		}
-	})
+	n.Listen("b").SetHandler(func(Message) { received++ })
 	k.Go("send", func(p *sim.Proc) {
 		for i := 0; i < 9; i++ {
 			n.Send("a", "b", []byte("x"))
@@ -103,14 +89,8 @@ func TestDropEveryInjectsLoss(t *testing.T) {
 func TestProbabilisticLossAndDup(t *testing.T) {
 	k := sim.NewKernel(42)
 	n := New(k, Config{LossProb: 0.2, DupProb: 0.1})
-	port := n.Listen("b")
 	received := 0
-	k.Go("recv", func(p *sim.Proc) {
-		for {
-			port.Recv(p)
-			received++
-		}
-	})
+	n.Listen("b").SetHandler(func(Message) { received++ })
 	k.Go("send", func(p *sim.Proc) {
 		for i := 0; i < 2000; i++ {
 			n.Send("a", "b", []byte("x"))
@@ -163,28 +143,26 @@ func TestDuplicateListenPanics(t *testing.T) {
 	n.Listen("a")
 }
 
-// TestUnlistenQueuedStillReadable: Unlisten stops future deliveries but
-// must not discard messages already delivered into the port's queue —
-// the receiver owns those and can still drain them.
-func TestUnlistenQueuedStillReadable(t *testing.T) {
+// TestUnlistenKeepsWhatWasDelivered: Unlisten stops future deliveries but
+// takes back nothing already handed to the port's handler — the receiver
+// owns those messages, in arrival order.
+func TestUnlistenKeepsWhatWasDelivered(t *testing.T) {
 	k := sim.NewKernel(1)
 	n := New(k, Config{PropDelay: sim.Millisecond})
-	port := n.Listen("b")
 	var got []string
+	n.Listen("b").SetHandler(func(m Message) { got = append(got, string(m.Payload)) })
 	k.Go("main", func(p *sim.Proc) {
 		n.Send("a", "b", []byte("one"))
 		n.Send("a", "b", []byte("two"))
-		p.Sleep(10 * sim.Millisecond) // both land in the queue
-		n.Unlisten("b")
-		if pend := port.Pending(); pend != 2 {
-			t.Errorf("%d pending after Unlisten, want 2", pend)
+		p.Sleep(10 * sim.Millisecond) // both have landed
+		if len(got) != 2 {
+			t.Errorf("%d delivered before Unlisten, want 2", len(got))
 		}
-		got = append(got, string(port.Recv(p).Payload))
-		got = append(got, string(port.Recv(p).Payload))
+		n.Unlisten("b")
 	})
 	k.Run()
 	if len(got) != 2 || got[0] != "one" || got[1] != "two" {
-		t.Errorf("drained %q after Unlisten", got)
+		t.Errorf("handler holds %q after Unlisten", got)
 	}
 	if s := n.Stats(); s.Delivered != 2 || s.Dropped != 0 {
 		t.Errorf("stats %+v, want 2 delivered 0 dropped", s)
@@ -194,22 +172,23 @@ func TestUnlistenQueuedStillReadable(t *testing.T) {
 // TestRelistenSameAddress: releasing an address frees it for a new
 // Listen (a server restart), and because delivery resolves the port at
 // arrival time, a message in flight across the handoff lands in the NEW
-// port's queue — the old port sees nothing.
+// port's handler — the old port sees nothing.
 func TestRelistenSameAddress(t *testing.T) {
 	k := sim.NewKernel(1)
 	n := New(k, Config{PropDelay: 10 * sim.Millisecond})
-	old := n.Listen("b")
+	oldGot := 0
+	n.Listen("b").SetHandler(func(Message) { oldGot++ })
 	var payload string
 	k.Go("main", func(p *sim.Proc) {
 		n.Send("a", "b", []byte("handoff"))
 		n.Unlisten("b")
-		port := n.Listen("b") // must not panic: the address is free again
-		payload = string(port.Recv(p).Payload)
-		if old.Pending() != 0 {
-			t.Errorf("old port got %d messages after Unlisten", old.Pending())
-		}
+		// Must not panic: the address is free again.
+		n.Listen("b").SetHandler(func(m Message) { payload = string(m.Payload) })
 	})
 	k.Run()
+	if oldGot != 0 {
+		t.Errorf("old port got %d messages after Unlisten", oldGot)
+	}
 	if payload != "handoff" {
 		t.Errorf("new port read %q", payload)
 	}
@@ -236,21 +215,9 @@ func TestUnlistenDropsSubsequent(t *testing.T) {
 func TestOneWayCut(t *testing.T) {
 	k := sim.NewKernel(1)
 	n := New(k, Config{PropDelay: sim.Millisecond})
-	pa := n.Listen("a")
-	pb := n.Listen("b")
 	var atB, atA int
-	k.Go("recvB", func(p *sim.Proc) {
-		for {
-			pb.Recv(p)
-			atB++
-		}
-	})
-	k.Go("recvA", func(p *sim.Proc) {
-		for {
-			pa.Recv(p)
-			atA++
-		}
-	})
+	n.Listen("a").SetHandler(func(Message) { atA++ })
+	n.Listen("b").SetHandler(func(Message) { atB++ })
 	k.Go("drive", func(p *sim.Proc) {
 		n.Cut("a", "b")
 		n.Send("a", "b", []byte("lost"))  // cut direction
@@ -274,14 +241,8 @@ func TestOneWayCut(t *testing.T) {
 func TestCutForHealsOnSchedule(t *testing.T) {
 	k := sim.NewKernel(1)
 	n := New(k, Config{})
-	pb := n.Listen("b")
 	var arrivals []sim.Time
-	k.Go("recv", func(p *sim.Proc) {
-		for {
-			pb.Recv(p)
-			arrivals = append(arrivals, p.Now())
-		}
-	})
+	n.Listen("b").SetHandler(func(Message) { arrivals = append(arrivals, k.Now()) })
 	k.Go("drive", func(p *sim.Proc) {
 		n.CutFor("a", "b", sim.Second, 0) // zero jitter: heals at exactly 1s
 		n.Send("a", "b", []byte("x"))     // t=0: cut
@@ -304,11 +265,11 @@ func TestCutForJitterIsSeededAndBounded(t *testing.T) {
 	healAt := func(seed int64) sim.Time {
 		k := sim.NewKernel(seed)
 		n := New(k, Config{})
-		pb := n.Listen("b")
 		var got sim.Time
-		k.Go("recv", func(p *sim.Proc) {
-			pb.Recv(p)
-			got = p.Now()
+		n.Listen("b").SetHandler(func(Message) {
+			if got == 0 {
+				got = k.Now()
+			}
 		})
 		k.Go("drive", func(p *sim.Proc) {
 			n.CutFor("a", "b", sim.Second, sim.Second)
@@ -335,8 +296,8 @@ func TestCutForJitterIsSeededAndBounded(t *testing.T) {
 func TestCutBothIsSymmetric(t *testing.T) {
 	k := sim.NewKernel(1)
 	n := New(k, Config{})
-	n.Listen("a")
-	n.Listen("b")
+	n.Listen("a").SetHandler(func(Message) {})
+	n.Listen("b").SetHandler(func(Message) {})
 	k.Go("drive", func(p *sim.Proc) {
 		n.CutBoth("a", "b")
 		n.Send("a", "b", []byte("x"))
@@ -382,16 +343,16 @@ func TestSendDeliverAllocatesNothing(t *testing.T) {
 // TestLandedFlightHoldsNothing: a flight on the free list must not keep
 // its last message — the payload is a wire image, 8 KiB+ for a WRITE, and
 // would stay reachable until the flight's next use. However the message
-// ended: handed to a handler, queued on a port, duplicated, or dropped at
-// an address nobody listens on.
+// ended: handed to a handler, duplicated, or dropped at a port without a
+// handler or an address nobody listens on.
 func TestLandedFlightHoldsNothing(t *testing.T) {
 	k := sim.NewKernel(1)
 	n := New(k, Config{PropDelay: sim.Millisecond, DupProb: 1})
 	var handled []Message
 	n.Listen("handler").SetHandler(func(m Message) { handled = append(handled, m) })
-	queue := n.Listen("queue")
+	n.Listen("mute")
 	payload := make([]byte, 8192)
-	for _, to := range []Addr{"handler", "queue", "nobody"} {
+	for _, to := range []Addr{"handler", "mute", "nobody"} {
 		n.Send("a", to, payload)
 	}
 	k.Run()
@@ -404,8 +365,8 @@ func TestLandedFlightHoldsNothing(t *testing.T) {
 		}
 	}
 	// What the receivers were given is theirs: by value, payload intact.
-	if len(handled) != 2 || queue.Pending() != 2 {
-		t.Fatalf("handler got %d messages, queue holds %d, want 2 and 2", len(handled), queue.Pending())
+	if s := n.Stats(); len(handled) != 2 || s.Delivered != 2 || s.Dropped != 4 {
+		t.Fatalf("handler got %d messages, stats %+v, want 2 delivered and 4 dropped", len(handled), s)
 	}
 	for _, m := range handled {
 		if m.From != "a" || m.To != "handler" || &m.Payload[0] != &payload[0] {

@@ -105,9 +105,6 @@ func NewTimeSeries(bucket sim.Duration) *TimeSeries {
 	return &TimeSeries{bucket: bucket}
 }
 
-// Bucket returns the bucket width.
-func (ts *TimeSeries) Bucket() sim.Duration { return ts.bucket }
-
 func (ts *TimeSeries) grow(idx int) {
 	for len(ts.vals) <= idx {
 		ts.vals = append(ts.vals, 0)

@@ -107,8 +107,19 @@ func (t *Tracer) WriteChrome(w io.Writer) error {
 		}
 	}
 	// Serves still open when the trace ended (handler running at dump
-	// time) surface as instants so they are not silently lost.
+	// time) surface as instants so they are not silently lost — oldest
+	// first, so the file is a function of the trace and not of map order.
+	unmatched := make([]*span, 0, len(pending))
 	for _, sp := range pending {
+		unmatched = append(unmatched, sp)
+	}
+	sort.Slice(unmatched, func(i, j int) bool {
+		if unmatched[i].start != unmatched[j].start {
+			return unmatched[i].start < unmatched[j].start
+		}
+		return unmatched[i].host < unmatched[j].host
+	})
+	for _, sp := range unmatched {
 		instants = append(instants, instantFor(sp.host, pids[sp.host], RPCServe, sp.detail, sp.start))
 	}
 
@@ -122,6 +133,7 @@ func (t *Tracer) WriteChrome(w io.Writer) error {
 		ts       sim.Time
 	}
 	flows := map[uint64][]flowRef{} // causal op ID → spans carrying it
+	var flowOps []uint64            // the IDs, in first-span order
 	for _, sp := range spans {
 		hostLanes := lanes[sp.host]
 		lane := -1
@@ -148,13 +160,17 @@ func (t *Tracer) WriteChrome(w io.Writer) error {
 			Args: args,
 		})
 		if sp.op != 0 {
+			if flows[sp.op] == nil {
+				flowOps = append(flowOps, sp.op)
+			}
 			flows[sp.op] = append(flows[sp.op], flowRef{pid: pids[sp.host], tid: lane + 1, ts: sp.start})
 		}
 	}
 	// Flow events chain the spans that share a causal op ID — an open's
 	// serve, the callback it fans out, and the write-back that callback
 	// forces render as one arrow-linked chain instead of unrelated boxes.
-	for op, refs := range flows {
+	for _, op := range flowOps {
+		refs := flows[op]
 		if len(refs) < 2 {
 			continue
 		}

@@ -130,14 +130,13 @@ type HistVar struct {
 
 // Vars is the /vars document schema.
 type Vars struct {
-	Counters   map[string]int64   `json:"counters"`
 	Gauges     map[string]float64 `json:"gauges"`
 	Histograms map[string]HistVar `json:"histograms"`
 }
 
 // varsDoc converts a registry snapshot into the /vars form.
 func varsDoc(s metrics.Snapshot) Vars {
-	v := Vars{Counters: s.Counters, Gauges: s.Gauges, Histograms: map[string]HistVar{}}
+	v := Vars{Gauges: s.Gauges, Histograms: map[string]HistVar{}}
 	for n, h := range s.Hists {
 		v.Histograms[n] = HistVar{
 			Count: h.Count, Sum: h.Sum, Max: h.Max,

@@ -37,11 +37,12 @@ func get(t *testing.T, h http.Handler, path string) *httptest.ResponseRecorder {
 
 func TestPlaneEndpoints(t *testing.T) {
 	h, reg, smp, fr := testPlane(t)
-	reg.Counter("snfs_ops_total").Add(3)
-	reg.Gauge("depth").Set(2)
+	ops := 3.0
+	reg.GaugeFunc("snfs_ops_total", func() float64 { return ops })
+	reg.GaugeFunc("depth", func() float64 { return 2 })
 	reg.Histogram("lat_us").Observe(100)
 	smp.Sample(0)
-	reg.Counter("snfs_ops_total").Add(7)
+	ops += 7
 	smp.Sample(sim.Time(sim.Second))
 	fr.Record("server", "rpc", 9, "read")
 
@@ -58,7 +59,7 @@ func TestPlaneEndpoints(t *testing.T) {
 		t.Fatalf("/metrics content type = %q", ct)
 	}
 	if !strings.Contains(rec.Body.String(), "snfs_ops_total 10") {
-		t.Fatalf("/metrics missing counter:\n%s", rec.Body.String())
+		t.Fatalf("/metrics missing total:\n%s", rec.Body.String())
 	}
 
 	rec = get(t, h, "/vars")
@@ -66,7 +67,7 @@ func TestPlaneEndpoints(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &vars); err != nil {
 		t.Fatalf("/vars not JSON: %v", err)
 	}
-	if vars.Counters["snfs_ops_total"] != 10 || vars.Gauges["depth"] != 2 {
+	if vars.Gauges["snfs_ops_total"] != 10 || vars.Gauges["depth"] != 2 {
 		t.Fatalf("/vars = %+v", vars)
 	}
 	if hv := vars.Histograms["lat_us"]; hv.Count != 1 || hv.Sum != 100 {

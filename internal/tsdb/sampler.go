@@ -10,8 +10,6 @@ import (
 
 // Sampler periodically diffs registry snapshots into timeline series:
 //
-//   - every counter yields a "<name>:rate" series (increments per second
-//     over the window, tolerant of counter resets);
 //   - every gauge yields a "<name>" value series, and gauges whose base
 //     name ends in _total or _seconds (cumulative values exported as
 //     gauge funcs — RPC totals, CPU/disk busy seconds) additionally
@@ -105,19 +103,12 @@ func (s *Sampler) Sample(at sim.Time) {
 		if dt <= 0 {
 			continue
 		}
-		for name, cur := range snap.Counters {
-			inc := cur - w.last.Counters[name]
-			if inc < 0 {
-				inc = cur // counter reset: count the post-reset value
-			}
-			s.tl.Add(w.prefix+name+":rate", KindRate, at, float64(inc)/dt)
-		}
 		for name, cur := range snap.Gauges {
 			s.tl.Add(w.prefix+name, KindGauge, at, cur)
 			if cumulativeGauge(name) {
 				inc := cur - w.last.Gauges[name]
 				if inc < 0 {
-					inc = cur
+					inc = cur // reset: count the post-reset value
 				}
 				s.tl.Add(w.prefix+name+":rate", KindRate, at, inc/dt)
 			}

@@ -1,6 +1,6 @@
 // Package tsdb is the time-series layer of the observability plane: a
 // periodic Sampler diffs metrics.Registry snapshots into fixed-capacity
-// ring-buffer series (counter rates, gauge values, histogram quantiles
+// ring-buffer series (gauge values and rates, histogram quantiles
 // per window), and a FlightRecorder keeps a bounded lock-cheap ring of
 // recent protocol events for post-mortems.
 //

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"spritelynfs/internal/metrics"
@@ -70,11 +71,20 @@ func TestPointJSONRoundtrip(t *testing.T) {
 	}
 }
 
+// total registers name on reg as a cumulative total exported through a
+// gauge func — the only way the system exports one — and returns the
+// count behind it.
+func total(reg *metrics.Registry, name string) *atomic.Int64 {
+	n := new(atomic.Int64)
+	reg.GaugeFunc(name, func() float64 { return float64(n.Load()) })
+	return n
+}
+
 func TestSamplerCounterRates(t *testing.T) {
 	reg := metrics.New()
 	s := NewSampler(64)
 	s.Watch("", reg)
-	c := reg.Counter("ops_total")
+	c := total(reg, "ops_total")
 
 	c.Add(10)
 	s.Sample(1 * sim.Time(sim.Second)) // primes the diff base
@@ -96,17 +106,12 @@ func TestSamplerCounterRates(t *testing.T) {
 }
 
 func TestSamplerCounterReset(t *testing.T) {
-	// Two registries sharing a prefix is how a reset reaches a sampler
-	// in practice (a registry swap); simulate with watch order: prime on
-	// a large value, then present a smaller one via a fresh registry.
+	// A gauge func exporting a cumulative total can restart (a server
+	// reboot, a registry swap).
 	regA := metrics.New()
-	regA.Counter("ops_total").Add(1000)
 	s := NewSampler(64)
 	s.Watch("", regA)
 	s.Sample(1 * sim.Time(sim.Second))
-	// The same watched registry can't shrink a Counter, but a gauge func
-	// exporting a cumulative total can restart. Model the counter reset
-	// through the gauge path and the histogram path below.
 	regA.GaugeFunc("rpc_client_calls_total", func() float64 { return 50 })
 	s.Sample(2 * sim.Time(sim.Second))
 	// Prime saw no gauge; second sample creates it. Third sample shrinks.
@@ -130,12 +135,13 @@ func TestSamplerCounterReset(t *testing.T) {
 
 func TestSamplerGauges(t *testing.T) {
 	reg := metrics.New()
-	reg.Gauge("depth").Set(3)
+	depth := 3.0
+	reg.GaugeFunc("depth", func() float64 { return depth })
 	reg.GaugeFunc("cpu_busy_seconds", func() float64 { return 1.5 })
 	s := NewSampler(64)
 	s.Watch("", reg)
 	s.Sample(0)
-	reg.Gauge("depth").Set(5)
+	depth = 5
 	s.Sample(2 * sim.Time(sim.Second))
 	if pts := s.Timeline().Points("depth"); len(pts) != 1 || pts[0].V != 5 {
 		t.Fatalf("gauge points = %+v", pts)
@@ -188,14 +194,15 @@ func TestSamplerHistogramWindow(t *testing.T) {
 
 func TestSamplerPrefixes(t *testing.T) {
 	a, b := metrics.New(), metrics.New()
-	a.Counter("ops_total").Add(1)
-	b.Counter("ops_total").Add(2)
+	ca, cb := total(a, "ops_total"), total(b, "ops_total")
+	ca.Add(1)
+	cb.Add(2)
 	s := NewSampler(64)
 	s.Watch("shard0/", a)
 	s.Watch("shard1/", b)
 	s.Sample(0)
-	a.Counter("ops_total").Add(4)
-	b.Counter("ops_total").Add(8)
+	ca.Add(4)
+	cb.Add(8)
 	s.Sample(1 * sim.Time(sim.Second))
 	if pts := s.Timeline().Points("shard0/ops_total:rate"); len(pts) != 1 || pts[0].V != 4 {
 		t.Fatalf("shard0 rate = %+v", pts)
@@ -212,7 +219,7 @@ func TestConcurrentSampleAndRead(t *testing.T) {
 	reg := metrics.New()
 	s := NewSampler(128)
 	s.Watch("", reg)
-	c := reg.Counter("ops_total")
+	c := total(reg, "ops_total")
 	h := reg.Histogram("lat_us")
 
 	var wg sync.WaitGroup
@@ -226,7 +233,7 @@ func TestConcurrentSampleAndRead(t *testing.T) {
 				return
 			default:
 			}
-			c.Inc()
+			c.Add(1)
 			h.Observe(int64(i % 1000))
 		}
 	}()

@@ -49,9 +49,6 @@ func StartPinger(k *sim.Kernel, ep *rpc.Endpoint, cfg PingerConfig) *Pinger {
 	return pg
 }
 
-// ViewSeen returns the highest view number this server has acknowledged.
-func (pg *Pinger) ViewSeen() uint64 { return pg.seen }
-
 func (pg *Pinger) loop(p *sim.Proc) {
 	for {
 		p.Sleep(pg.cfg.Interval)

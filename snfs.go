@@ -21,9 +21,9 @@
 //
 // The experiment entry points (Table51 .. Table56, RunFigure) each build
 // fresh worlds and return both raw measurements and a rendered table;
-// cmd/snfs-bench wraps them, and bench_test.go exposes them as Go
-// benchmarks. See DESIGN.md for the system inventory and EXPERIMENTS.md
-// for paper-vs-measured notes.
+// cmd/snfs-bench's registry wraps them and its test holds their output
+// against results/. See DESIGN.md for the system inventory and
+// EXPERIMENTS.md for paper-vs-measured notes.
 package spritelynfs
 
 import (
