@@ -1,0 +1,124 @@
+package spritelynfs
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"os"
+	"path/filepath"
+	"reflect"
+	"regexp"
+	"strconv"
+	"strings"
+	"testing"
+
+	"spritelynfs/internal/cluster"
+	"spritelynfs/internal/harness"
+	"spritelynfs/internal/localfs"
+)
+
+// TestStructuralCeilings holds the repository's structural counts at
+// ceilings, so that none of them grows by accident: a number may fall but
+// not rise. A change that lowers a number lowers its ceiling here in the
+// same change, so the room it made cannot be spent quietly later.
+func TestStructuralCeilings(t *testing.T) {
+	ci, err := os.ReadFile(".github/workflows/ci.yml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, chargeRead := reflect.TypeOf(&localfs.Media{}).MethodByName("ChargeRead")
+	for _, c := range []struct {
+		what     string
+		got, max int
+	}{
+		// Modes and instruments are configuration surface: every field
+		// doubles a test matrix or wires another sink.
+		{"harness.Params fields", reflect.TypeOf(harness.Params{}).NumField(), 34},
+		{"cluster.Instruments fields", reflect.TypeOf(cluster.Instruments{}).NumField(), 4},
+		{"snfsd flags", countFlags(t, "cmd/snfsd"), 13},
+		// The protocol core stays free of the observability stack.
+		{"internal/core importing internal/trace", b2i(imports(t, "internal/core")["spritelynfs/internal/trace"]), 0},
+		{"ci.yml lines", strings.Count(string(ci), "\n"), 62},
+		{"ci.yml jobs", countJobs(string(ci)), 2},
+		// One read path: Media.ReadAt reads, holds and charges together.
+		{"exported localfs.Media.ChargeRead", b2i(chargeRead), 0},
+	} {
+		if c.got > c.max {
+			t.Errorf("%s: %d, above its ceiling of %d", c.what, c.got, c.max)
+		}
+	}
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// countFlags counts the flags the non-test files of dir define on the
+// flag package's command line.
+func countFlags(t *testing.T, dir string) int {
+	define := regexp.MustCompile(`^(Bool|Duration|Float64|Func|Int|Int64|String|TextVar|Uint|Uint64|Var|BoolFunc)(Var)?$`)
+	n := 0
+	for _, f := range parseDir(t, dir, 0) {
+		ast.Inspect(f, func(node ast.Node) bool {
+			if call, ok := node.(*ast.CallExpr); ok {
+				if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
+					if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "flag" && define.MatchString(sel.Sel.Name) {
+						n++
+					}
+				}
+			}
+			return true
+		})
+	}
+	return n
+}
+
+// imports returns the set of module packages that dir's non-test files
+// import, directly or through other module packages.
+func imports(t *testing.T, dir string) map[string]bool {
+	const module = "spritelynfs/"
+	seen := map[string]bool{}
+	var walk func(dir string)
+	walk = func(dir string) {
+		for _, f := range parseDir(t, dir, parser.ImportsOnly) {
+			for _, spec := range f.Imports {
+				path, _ := strconv.Unquote(spec.Path.Value)
+				if strings.HasPrefix(path, module) && !seen[path] {
+					seen[path] = true
+					walk(strings.TrimPrefix(path, module))
+				}
+			}
+		}
+	}
+	walk(dir)
+	return seen
+}
+
+func parseDir(t *testing.T, dir string, mode parser.Mode) []*ast.File {
+	t.Helper()
+	names, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil || len(names) == 0 {
+		t.Fatalf("no Go files in %s (%v)", dir, err)
+	}
+	var files []*ast.File
+	for _, name := range names {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), name, nil, mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, f)
+	}
+	return files
+}
+
+// countJobs counts the job keys under a workflow's top-level jobs: map.
+func countJobs(workflow string) int {
+	_, jobs, _ := strings.Cut(workflow, "\njobs:\n")
+	return len(regexp.MustCompile(`(?m)^  [\w-]+:\s*$`).FindAllString(jobs, -1))
+}

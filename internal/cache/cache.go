@@ -40,6 +40,9 @@ type Block struct {
 	// partial; the write policy for partial blocks differs from full
 	// ones in the NFS client).
 	Len int
+	// Frozen means Data aliases bytes someone else holds (a delivered
+	// reply image, a write-back in flight): copy before writing.
+	Frozen bool
 }
 
 // Stats counts cache activity.
@@ -113,7 +116,7 @@ func (c *Cache) Contains(key Key) bool {
 func (c *Cache) Insert(key Key, data []byte, length int) (*Block, []*Block) {
 	if el, ok := c.blocks[key]; ok {
 		b := el.Value.(*Block)
-		b.Data = data
+		b.Data, b.Frozen = data, false
 		if length > b.Len {
 			b.Len = length
 		}

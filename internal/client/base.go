@@ -28,6 +28,7 @@
 package client
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 
@@ -748,7 +749,10 @@ func (b *Base) readdirAttrs(p *sim.Proc, h proto.Handle) ([]proto.DirEntry, erro
 // fetchBlock reads one whole block from the server into the cache and
 // returns it, waiting instead of duplicating the RPC when a fetch is
 // already in flight. The block's Len reflects how many bytes the server
-// had.
+// had. When the server returned a whole block, the cached Data is a view
+// of the frozen reply image, marked Frozen, and writeToCache copies it
+// before the first write; a short block is copied into a zero-padded
+// buffer, so Data is always a block long.
 func (b *Base) fetchBlock(p *sim.Proc, n *node, blk int64) (*cache.Block, error) {
 	sp := b.span(p, span.Cache, "fetch")
 	defer sp.End()
@@ -779,9 +783,16 @@ func (b *Base) fetchBlock(p *sim.Proc, n *node, blk int64) (*cache.Block, error)
 		// the data just fetched.
 		b.attrs.ingest(n, rattr, p.Now())
 	}
-	buf := make([]byte, bs)
-	copy(buf, data)
+	frozen := len(data) >= bs
+	var buf []byte
+	if frozen {
+		buf = data[:bs:bs]
+	} else {
+		buf = make([]byte, bs)
+		copy(buf, data)
+	}
 	blkPtr, evicted := b.cache.Insert(key, buf, len(data))
+	blkPtr.Frozen = frozen
 	b.flushEvicted(p, evicted)
 	return blkPtr, nil
 }
@@ -807,10 +818,10 @@ func (b *Base) flushEvicted(p *sim.Proc, evicted []*cache.Block) {
 	}
 }
 
-// assembleRead serves [off, off+count) from cached blocks, fetching
-// misses, honoring the node's size view. fetch reports whether misses may
-// be cached (false forces direct server reads — the SNFS uncachable
-// path uses its own code, so fetch here is always true).
+// assembleRead serves [off, off+count) from cached blocks, fetching and
+// caching misses, honoring the node's size view. readAhead starts a
+// prefetch of the block after each miss. (The SNFS uncachable path reads
+// the server directly and does not come here.)
 func (b *Base) assembleRead(p *sim.Proc, n *node, off int64, count int, readAhead bool) ([]byte, error) {
 	size := n.size
 	if off >= size {
@@ -918,6 +929,10 @@ func (b *Base) writeToCache(p *sim.Proc, n *node, off int64, data []byte, markDi
 				b.flushEvicted(p, evicted)
 			}
 		}
+		if cb.Frozen {
+			// The only write into a cached block: copy on write.
+			cb.Data, cb.Frozen = bytes.Clone(cb.Data), false
+		}
 		copy(cb.Data[cur-blkStart:segEnd-blkStart], data[cur-off:segEnd-off])
 		if int(segEnd-blkStart) > cb.Len {
 			cb.Len = int(segEnd - blkStart)
@@ -964,8 +979,9 @@ func (b *Base) pushBlockAsync(p *sim.Proc, n *node, blk int64) error {
 		return b.flushBlockSync(p, n, blk)
 	}
 	n.pending.Add(1)
-	data := make([]byte, cb.Len)
-	copy(data, cb.Data[:cb.Len])
+	// The biod sends the block's own bytes; the next write copies them.
+	data := cb.Data[:cb.Len:cb.Len]
+	cb.Frozen = true
 	b.cache.MarkClean(key)
 	off := blk * int64(b.cfg.BlockSize)
 	op := p.Op()

@@ -384,6 +384,51 @@ func TestSNFSConcurrentWriteSharingIsConsistent(t *testing.T) {
 	})
 }
 
+// tapCalls routes a client's calls through the address "tap", which hands
+// each call of procedure proc to seen — its wire image, and a decoder
+// positioned at its arguments — and forwards it to the server; replies
+// return to the client directly.
+func (w *world) tapCalls(proc uint32, seen func(wire []byte, args *xdr.Decoder)) {
+	w.net.Listen("tap").SetHandler(func(m simnet.Message) {
+		d := xdr.NewDecoder(m.Payload)
+		for i := 0; i < 4; i++ {
+			d.Uint32() // xid, call, prog, vers
+		}
+		if d.Uint32() == proc {
+			d.Uint64() // op
+			seen(m.Payload, d)
+		}
+		w.net.Send(m.From, "server", m.Payload)
+	})
+}
+
+// replayRead takes over the address from and retransmits its captured
+// READ call, returning the data of the reply the server's duplicate cache
+// answers with.
+func (w *world) replayRead(t *testing.T, p *sim.Proc, from simnet.Addr, readCall []byte) []byte {
+	t.Helper()
+	var replay []byte
+	w.net.Unlisten(from)
+	w.net.Listen(from).SetHandler(func(m simnet.Message) { replay = m.Payload })
+	w.net.Send(from, "server", readCall)
+	p.Sleep(sim.Second)
+	if replay == nil {
+		t.Fatal("no replayed reply")
+	}
+	if hits := w.snfs.Endpoint().Stats().DupHits; hits != 1 {
+		t.Errorf("DupHits = %d, want 1: the retransmission was not answered from the duplicate cache", hits)
+	}
+	d := xdr.NewDecoder(replay)
+	d.Uint32() // xid
+	d.Uint32() // reply
+	d.Uint32() // status
+	r := proto.DecodeReadReply(d)
+	if d.Err() != nil {
+		t.Fatalf("replayed READ reply: %v", d.Err())
+	}
+	return r.Data
+}
+
 // TestSNFSUncachableReadOwnsItsBytes covers the one place a decoded view
 // of a delivered payload reaches code that may write to it. A write-shared
 // read bypasses the block cache and hands the application the READ
@@ -393,19 +438,8 @@ func TestSNFSConcurrentWriteSharingIsConsistent(t *testing.T) {
 // must still carry the file's bytes.
 func TestSNFSUncachableReadOwnsItsBytes(t *testing.T) {
 	w := newWorld(1, true, 4, server.SNFSOptions{})
-	// The reader reaches the server through a tap that keeps the wire
-	// image of its READ call; replies return to the reader directly.
 	var readCall []byte
-	w.net.Listen("tap").SetHandler(func(m simnet.Message) {
-		d := xdr.NewDecoder(m.Payload)
-		for i := 0; i < 4; i++ {
-			d.Uint32() // xid, call, prog, vers
-		}
-		if d.Uint32() == proto.ProcRead {
-			readCall = m.Payload
-		}
-		w.net.Send(m.From, "server", m.Payload)
-	})
+	w.tapCalls(proto.ProcRead, func(wire []byte, _ *xdr.Decoder) { readCall = wire })
 	ep, cfg := w.clientConfig("clientA")
 	cfg.Server = "tap"
 	a := client.NewSNFS(w.k, ep, cfg, client.SNFSOptions{})
@@ -430,25 +464,81 @@ func TestSNFSUncachableReadOwnsItsBytes(t *testing.T) {
 		for i := range got {
 			got[i] = 0xff
 		}
-		// Take over the reader's address and retransmit its READ.
-		var replay []byte
-		w.net.Unlisten("clientA")
-		w.net.Listen("clientA").SetHandler(func(m simnet.Message) { replay = m.Payload })
-		w.net.Send("clientA", "server", readCall)
-		p.Sleep(sim.Second)
-		if replay == nil {
-			t.Error("no replayed reply")
-			return
+		if !bytes.Equal(w.replayRead(t, p, "clientA", readCall), want) {
+			t.Error("replayed READ reply corrupted by the application writing into its read result")
 		}
-		d := xdr.NewDecoder(replay)
-		d.Uint32() // xid
-		d.Uint32() // reply
-		d.Uint32() // status
-		if r := proto.DecodeReadReply(d); d.Err() != nil || !bytes.Equal(r.Data, want) {
-			t.Errorf("replayed READ reply corrupted by the application writing into its read result (decode err %v)", d.Err())
+	})
+}
+
+// TestSNFSCachedBlockIsCopiedOnWrite covers the client half of the
+// copy-on-write rule: a whole block a READ fetched is cached as a view of
+// the reply image, which the server's duplicate cache resends. Write into
+// the cached block (an SNFS delayed write), replay the READ by hand, and
+// the replay must still carry the file's bytes, while the client reads
+// back its own write.
+func TestSNFSCachedBlockIsCopiedOnWrite(t *testing.T) {
+	w := newWorld(1, true, 4, server.SNFSOptions{})
+	var readCall []byte
+	w.tapCalls(proto.ProcRead, func(wire []byte, _ *xdr.Decoder) { readCall = wire })
+	ep, cfg := w.clientConfig("clientA")
+	cfg.Server = "tap"
+	a := client.NewSNFS(w.k, ep, cfg, client.SNFSOptions{})
+	b := w.addSNFS("clientB", client.SNFSOptions{})
+	run(t, w.k, func(p *sim.Proc) {
+		want := fill(4096, 'r')
+		writeThrough(t, p, b, "f", want) // A's open calls the dirty block back
+		fa, err := a.Open(p, "f", vfs.ReadWrite, 0)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if hits := w.snfs.Endpoint().Stats().DupHits; hits != 1 {
-			t.Errorf("DupHits = %d, want 1: the retransmission was not answered from the duplicate cache", hits)
+		if got, err := fa.ReadAt(p, 0, 4096); err != nil || !bytes.Equal(got, want) || readCall == nil {
+			t.Fatalf("read: err=%v, %d bytes, READ seen on the wire: %v", err, len(got), readCall != nil)
+		}
+		mine := fill(100, 'm')
+		if _, err := fa.WriteAt(p, 0, mine); err != nil || a.Ops().Get("write") != 0 {
+			t.Fatalf("delayed write into the cached block: err=%v, %d write RPCs", err, a.Ops().Get("write"))
+		}
+		if !bytes.Equal(w.replayRead(t, p, "clientA", readCall), want) {
+			t.Error("replayed READ reply corrupted by a write into the cached block")
+		}
+		got, err := fa.ReadAt(p, 0, 4096)
+		if err != nil || !bytes.Equal(got, append(mine, want[len(mine):]...)) {
+			t.Errorf("the client does not read back its own write (err %v)", err)
+		}
+	})
+}
+
+// TestNFSBiodSendsTheBlockItWasHanded: a write-through hands a whole block
+// to a biod without copying it, and the block is frozen; a second write
+// to the block before the biod runs copies it first. The server receives
+// the first version, then the second.
+func TestNFSBiodSendsTheBlockItWasHanded(t *testing.T) {
+	w := newWorld(1, false, 4, server.SNFSOptions{})
+	var sent [][]byte
+	w.tapCalls(proto.ProcWrite, func(_ []byte, d *xdr.Decoder) { sent = append(sent, proto.DecodeWriteArgs(d).Data) })
+	ep, cfg := w.clientConfig("clientA")
+	cfg.Server = "tap"
+	c := client.NewNFS(w.k, ep, cfg, client.NFSOptions{})
+	first, second := fill(4096, 'a'), fill(4096, 'b')
+	run(t, w.k, func(p *sim.Proc) {
+		f, err := c.Open(p, "f", vfs.WriteOnly|vfs.Create, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Neither write yields, so the first biod has not run when the
+		// second write lands in the block it was handed.
+		f.WriteAt(p, 0, first)
+		f.WriteAt(p, 0, second)
+		if err := f.Close(p); err != nil {
+			t.Fatal(err)
+		}
+		if len(sent) != 2 || !bytes.Equal(sent[0], first) || !bytes.Equal(sent[1], second) {
+			t.Errorf("the server received %d WRITEs, want the first version and then the second", len(sent))
+		}
+		st := w.media.Store()
+		a, _ := st.Lookup(st.Root(), "f")
+		if data, _ := st.ReadAt(a.Ino, 0, 4096); !bytes.Equal(data, second) {
+			t.Error("the server's file does not hold the second version")
 		}
 	})
 }

@@ -96,10 +96,27 @@ func (m *Media) blockRange(off int64, n int) (int64, int64) {
 	return off / bs, (off + int64(n) - 1) / bs
 }
 
-// ChargeRead charges p for reading n bytes of file ino at off: blocks
+// ReadAt reads up to n bytes of file ino at off and charges p for them.
+// The result is the store's view of the file (Store.ReadAt), held across
+// the disk wait: a write or truncate that lands during it moves the file
+// to a fresh array, so the view keeps the bytes of the read instant. Once
+// ReadAt returns, the view is valid until the file's next mutation.
+func (m *Media) ReadAt(p *sim.Proc, ino uint64, off int64, n int) ([]byte, error) {
+	data, err := m.store.ReadAt(ino, off, n)
+	if err != nil || len(data) == 0 {
+		return data, err
+	}
+	in := m.store.inodes[ino]
+	in.held++
+	m.chargeRead(p, ino, off, len(data))
+	in.held--
+	return data, nil
+}
+
+// chargeRead charges p for reading n bytes of file ino at off: blocks
 // resident in the buffer cache are free, missing blocks pay one disk
 // access per contiguous run plus transfer time and become resident.
-func (m *Media) ChargeRead(p *sim.Proc, ino uint64, off int64, n int) {
+func (m *Media) chargeRead(p *sim.Proc, ino uint64, off int64, n int) {
 	first, last := m.blockRange(off, n)
 	bs := m.store.BlockSize()
 	missRun := 0

@@ -1,6 +1,7 @@
 package localfs
 
 import (
+	"bytes"
 	"testing"
 
 	"spritelynfs/internal/disk"
@@ -17,17 +18,55 @@ func TestReadMissThenHit(t *testing.T) {
 	k := sim.NewKernel(1)
 	m := newTestMedia(k, 1<<20)
 	k.Go("r", func(p *sim.Proc) {
-		m.ChargeRead(p, 5, 0, 8192) // two blocks, both miss
+		m.chargeRead(p, 5, 0, 8192) // two blocks, both miss
 		if m.Disk().Stats().Reads != 1 {
 			t.Errorf("contiguous miss run should be one disk op, got %d", m.Disk().Stats().Reads)
 		}
 		before := m.Disk().Stats().Reads
-		m.ChargeRead(p, 5, 0, 8192) // both hit now
+		m.chargeRead(p, 5, 0, 8192) // both hit now
 		if m.Disk().Stats().Reads != before {
 			t.Error("cache hit went to disk")
 		}
 	})
 	k.Run()
+}
+
+// TestMediaReadAtKeepsTheReadInstant races a write against a read parked
+// on the disk: the write lands during the wait, moving the file to a fresh
+// array, so the read returns the bytes of its read instant and the file
+// holds the new ones. Once the read returns, writes land in place again.
+func TestMediaReadAtKeepsTheReadInstant(t *testing.T) {
+	k := sim.NewKernel(1)
+	m := newTestMedia(k, 1<<20)
+	st := m.Store()
+	a, _ := st.Create(st.Root(), "f", 0o644)
+	old, fresh := bytes.Repeat([]byte{'o'}, 4096), bytes.Repeat([]byte{'n'}, 4096)
+	st.WriteAt(a.Ino, 0, old)
+	var got []byte
+	var wroteAt, readAt sim.Time
+	k.Go("reader", func(p *sim.Proc) {
+		got, _ = m.ReadAt(p, a.Ino, 0, 4096) // a miss: parks on the disk
+		readAt = p.Now()
+	})
+	k.Go("writer", func(p *sim.Proc) {
+		p.Sleep(sim.Millisecond)
+		st.WriteAt(a.Ino, 0, fresh)
+		wroteAt = p.Now()
+	})
+	k.Run()
+	if m.Disk().Stats().Reads != 1 || wroteAt >= readAt {
+		t.Fatalf("the write at %v did not land inside the read's disk wait (read returned at %v, %d disk reads)",
+			wroteAt, readAt, m.Disk().Stats().Reads)
+	}
+	if !bytes.Equal(got, old) {
+		t.Errorf("the read returned bytes written during its disk wait")
+	}
+	if now, _ := st.ReadAt(a.Ino, 0, 4096); !bytes.Equal(now, fresh) {
+		t.Errorf("the file lost the write that landed during the read")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { st.WriteAt(a.Ino, 0, old) }); allocs != 0 {
+		t.Errorf("a write after the read returned allocates %.0f objects, want 0: the hold was not released", allocs)
+	}
 }
 
 func TestSyncWriteChargesDisk(t *testing.T) {

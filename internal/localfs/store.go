@@ -80,6 +80,10 @@ type inode struct {
 	names   []string          // directory entry order for readdir
 	parent  uint64            // directories: parent inode
 	target  string            // symlinks
+	// held counts the Media.ReadAt calls holding a view of data across
+	// their disk wait; while it is nonzero, a mutation moves data to a
+	// fresh array first.
+	held int
 }
 
 // Store is the inode and namespace layer.
@@ -403,25 +407,35 @@ func (s *Store) Rename(srcDir uint64, srcName string, dstDir uint64, dstName str
 	return nil
 }
 
-// grow extends in.data to size bytes, zeros past the old length. Capacity
-// at least doubles when it must move, so a file appended to block by block
-// is copied O(n) bytes in all rather than once per append; a shrink leaves
-// stale bytes inside the capacity, which are cleared as they are re-exposed.
-func (in *inode) grow(size int64) {
-	old := len(in.data)
-	if size <= int64(cap(in.data)) {
+// resize sets in.data to size bytes, zeros past the old length; WriteAt
+// and Truncate call it before they touch the data. The array moves when it must grow past its capacity, which at
+// least doubles, so a file appended to block by block is copied O(n) bytes
+// in all rather than once per append. It also moves when a Media.ReadAt
+// holds a view of it, so the view keeps the bytes of its read instant. A
+// shrink leaves stale bytes inside the capacity, which are cleared as they
+// are re-exposed.
+func (in *inode) resize(size int64) {
+	old := int64(len(in.data))
+	if in.held == 0 && size <= int64(cap(in.data)) {
 		in.data = in.data[:size]
-		clear(in.data[old:])
+		if size > old {
+			clear(in.data[old:])
+		}
 		return
 	}
-	grown := make([]byte, size, max(size, 2*int64(cap(in.data))))
-	copy(grown, in.data)
-	in.data = grown
+	c := int64(cap(in.data))
+	if size > c {
+		c = max(size, 2*c)
+	}
+	moved := make([]byte, size, c)
+	copy(moved, in.data)
+	in.data = moved
 }
 
 // ReadAt reads up to n bytes of file ino at offset off. Reads at or past
-// end-of-file return an empty slice. The result is a snapshot the caller
-// owns: the server holds it across the disk wait that follows the read.
+// end-of-file return an empty slice. The result is a read-only view of the
+// file, valid until its next mutation: a caller that keeps it longer, or
+// writes to it, copies (Media.ReadAt holds it across its disk wait).
 func (s *Store) ReadAt(ino uint64, off int64, n int) ([]byte, error) {
 	in, err := s.get(ino)
 	if err != nil {
@@ -440,9 +454,7 @@ func (s *Store) ReadAt(ino uint64, off int64, n int) ([]byte, error) {
 	if end > in.attr.Size {
 		end = in.attr.Size
 	}
-	out := make([]byte, end-off)
-	copy(out, in.data[off:end])
-	return out, nil
+	return in.data[off:end:end], nil
 }
 
 // WriteAt writes data to file ino at offset off, extending it as needed,
@@ -459,9 +471,7 @@ func (s *Store) WriteAt(ino uint64, off int64, data []byte) (Attr, error) {
 		return Attr{}, ErrInval
 	}
 	end := off + int64(len(data))
-	if end > int64(len(in.data)) {
-		in.grow(end)
-	}
+	in.resize(max(end, int64(len(in.data))))
 	copy(in.data[off:end], data)
 	if end > in.attr.Size {
 		in.attr.Size = end
@@ -484,11 +494,7 @@ func (s *Store) Truncate(ino uint64, size int64) (Attr, error) {
 	if size < 0 {
 		return Attr{}, ErrInval
 	}
-	if size <= int64(len(in.data)) {
-		in.data = in.data[:size]
-	} else {
-		in.grow(size)
-	}
+	in.resize(size)
 	in.attr.Size = size
 	now := s.clock()
 	in.attr.Mtime = now

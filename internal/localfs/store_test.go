@@ -261,22 +261,23 @@ func TestShrinkThenGrowExposesZeros(t *testing.T) {
 	}
 }
 
-// TestReadAtReturnsSnapshot pins ReadAt's result as the caller's own: the
-// server reads at one instant and holds the bytes across the disk wait
-// that follows, so a later write must not show through them, and writing
-// into them must not reach the file.
-func TestReadAtReturnsSnapshot(t *testing.T) {
+// TestReadAtReturnsAView pins Store.ReadAt's result as a view of the file,
+// capped at its end, and the other half of the rule: with no Media.ReadAt
+// holding the file, a write lands in place and allocates nothing.
+func TestReadAtReturnsAView(t *testing.T) {
 	s, _ := newTestStore()
 	a, _ := s.Create(s.Root(), "f", 0o644)
 	s.WriteAt(a.Ino, 0, []byte("hello world"))
-	got, _ := s.ReadAt(a.Ino, 0, 100)
-	s.WriteAt(a.Ino, 0, []byte("HELLO"))
-	if string(got) != "hello world" {
-		t.Errorf("a write after the read changed its result: %q", got)
+	got, _ := s.ReadAt(a.Ino, 0, 5)
+	if string(got) != "hello" || cap(got) != len(got) {
+		t.Fatalf("read %q with capacity %d, want \"hello\" capped at 5", got, cap(got))
 	}
-	copy(got, "XXXXX")
-	if again, _ := s.ReadAt(a.Ino, 0, 100); string(again) != "HELLO world" {
-		t.Errorf("writing into a read result changed the file: %q", again)
+	upper := []byte("HELLO")
+	if allocs := testing.AllocsPerRun(100, func() { s.WriteAt(a.Ino, 0, upper) }); allocs != 0 {
+		t.Errorf("an unheld overwrite allocates %.0f objects, want 0", allocs)
+	}
+	if string(got) != "HELLO" {
+		t.Errorf("the view reads %q after an unheld write, want the file's bytes \"HELLO\"", got)
 	}
 }
 

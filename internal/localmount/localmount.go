@@ -11,6 +11,8 @@
 package localmount
 
 import (
+	"bytes"
+
 	"spritelynfs/internal/localfs"
 	"spritelynfs/internal/proto"
 	"spritelynfs/internal/sim"
@@ -275,14 +277,12 @@ type file struct {
 
 // ReadAt implements vfs.File.
 func (fl *file) ReadAt(p *sim.Proc, off int64, n int) ([]byte, error) {
-	data, err := fl.fs.store().ReadAt(fl.ino, off, n)
+	data, err := fl.fs.media.ReadAt(p, fl.ino, off, n)
 	if err != nil {
 		return nil, err
 	}
-	if len(data) > 0 {
-		fl.fs.media.ChargeRead(p, fl.ino, off, len(data))
-	}
-	return data, nil
+	// data is a view of the file; the application owns its bytes.
+	return bytes.Clone(data), nil
 }
 
 // WriteAt implements vfs.File with the delayed-write policy.

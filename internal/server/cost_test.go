@@ -38,7 +38,7 @@ func TestConfigFillCostRule(t *testing.T) {
 // 8 KiB READ, not 1 µs plus the default 2 ms for the data.
 func TestStatedCostIsChargedLiterally(t *testing.T) {
 	const reads, bs = 16, 8192
-	r := newRigWith(Config{FSID: 1, CPUPerOp: 1}, true, SNFSOptions{})
+	r := newRigWith(Config{FSID: 1, CPUPerOp: 1}, sim.Millisecond, true, SNFSOptions{})
 	r.run(t, func(p *sim.Proc) {
 		body := r.call(t, p, proto.ProcCreate, &proto.CreateArgs{Dir: r.root(), Name: "f", Mode: 0o644})
 		h := proto.DecodeHandleReply(xdr.NewDecoder(body)).Handle

@@ -470,12 +470,11 @@ func (b *Base) serveCommon(p *sim.Proc, proc uint32, args []byte) (body proto.Me
 		if st != proto.OK {
 			return &proto.ReadReply{Status: st}, rpc.StatusOK, true
 		}
-		data, err := b.media.Store().ReadAt(a.Handle.Ino, a.Offset, int(a.Count))
+		// data is a view of the file: the reply is encoded with no yield
+		// after this return, except under serveHybrid, which copies it.
+		data, err := b.media.ReadAt(p, a.Handle.Ino, a.Offset, int(a.Count))
 		if err != nil {
 			return &proto.ReadReply{Status: proto.StatusFromErr(err)}, rpc.StatusOK, true
-		}
-		if len(data) > 0 {
-			b.media.ChargeRead(p, a.Handle.Ino, a.Offset, len(data))
 		}
 		return &proto.ReadReply{Status: proto.OK, Attr: b.fattr(attr), Data: data}, rpc.StatusOK, true
 

@@ -25,15 +25,16 @@ type rig struct {
 }
 
 func newRig(useSNFS bool, opts SNFSOptions) *rig {
-	return newRigWith(Config{FSID: 1}, useSNFS, opts)
+	return newRigWith(Config{FSID: 1}, sim.Millisecond, useSNFS, opts)
 }
 
-func newRigWith(cfg Config, useSNFS bool, opts SNFSOptions) *rig {
+// newRigWith is newRig with a stated server Config and disk access time.
+func newRigWith(cfg Config, diskAccess sim.Duration, useSNFS bool, opts SNFSOptions) *rig {
 	k := sim.NewKernel(1)
 	net := simnet.New(k, simnet.Config{PropDelay: sim.Millisecond})
 	sep := rpc.NewEndpoint(k, net, "server", rpc.Options{Workers: 4})
 	st := localfs.NewStore(k.Now, 4096)
-	media := localfs.NewMedia(st, disk.New(k, "d", disk.Params{AccessTime: sim.Millisecond}), 1, 1<<20)
+	media := localfs.NewMedia(st, disk.New(k, "d", disk.Params{AccessTime: diskAccess}), 1, 1<<20)
 	r := &rig{k: k, net: net}
 	if useSNFS {
 		r.snfs = NewSNFS(k, sep, media, cfg, opts)

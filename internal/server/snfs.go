@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"fmt"
 	"sync/atomic"
 
@@ -524,6 +525,11 @@ func (s *SNFSServer) serveHybrid(p *sim.Proc, from simnet.Addr, proc uint32, arg
 	}
 	lk.Unlock()
 	body, st, _ := s.serveCommon(p, proc, args)
+	if r, ok := body.(*proto.ReadReply); ok {
+		// The reply waits on the lock below, and its data is a view of
+		// the file that a write may change meanwhile.
+		r.Data = bytes.Clone(r.Data)
+	}
 	lk.Lock(p)
 	s.table.Close(h, cid, isWrite)
 	lk.Unlock()
