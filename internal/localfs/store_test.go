@@ -281,6 +281,29 @@ func TestReadAtReturnsAView(t *testing.T) {
 	}
 }
 
+// TestReadAtReturnsSnapshot pins the half of the rule a held view rests
+// on: the server reads at one instant and holds the view across the disk
+// wait that follows (Media.ReadAt), so neither a write nor a truncate that
+// lands during the hold shows through it, and the file still takes both.
+func TestReadAtReturnsSnapshot(t *testing.T) {
+	s, _ := newTestStore()
+	a, _ := s.Create(s.Root(), "f", 0o644)
+	s.WriteAt(a.Ino, 0, []byte("hello world"))
+	got, _ := s.ReadAt(a.Ino, 0, 100)
+	in := s.inodes[a.Ino]
+	in.held++ // as Media.ReadAt does across its disk wait
+	s.WriteAt(a.Ino, 0, []byte("HELLO"))
+	s.Truncate(a.Ino, 5)
+	s.Truncate(a.Ino, 11)
+	in.held--
+	if string(got) != "hello world" {
+		t.Errorf("a write and truncate during the hold changed the view: %q", got)
+	}
+	if now, _ := s.ReadAt(a.Ino, 0, 100); string(now) != "HELLO\x00\x00\x00\x00\x00\x00" {
+		t.Errorf("the file reads %q after the held write and truncates", now)
+	}
+}
+
 func TestMtimeAdvancesOnWrite(t *testing.T) {
 	s, now := newTestStore()
 	a, _ := s.Create(s.Root(), "f", 0o644)
