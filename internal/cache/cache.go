@@ -233,8 +233,12 @@ func (c *Cache) DirtyBlocks(fs uint32, ino uint64) []*Block {
 }
 
 // DirtyOlderThan returns every dirty block whose DirtyAt is at or before
-// cutoff, across all files, in ascending (fs, ino, block) order.
+// cutoff, across all files, in ascending (fs, ino, block) order. A cache
+// with no dirty block returns nil without walking its blocks.
 func (c *Cache) DirtyOlderThan(cutoff sim.Time) []*Block {
+	if c.ndirty == 0 {
+		return nil
+	}
 	var out []*Block
 	for el := c.lru.Front(); el != nil; el = el.Next() {
 		b := el.Value.(*Block)
@@ -246,8 +250,12 @@ func (c *Cache) DirtyOlderThan(cutoff sim.Time) []*Block {
 	return out
 }
 
-// AllDirty returns every dirty block in ascending order.
+// AllDirty returns every dirty block in ascending order, or nil at once
+// when there is none.
 func (c *Cache) AllDirty() []*Block {
+	if c.ndirty == 0 {
+		return nil
+	}
 	var out []*Block
 	for el := c.lru.Front(); el != nil; el = el.Next() {
 		b := el.Value.(*Block)

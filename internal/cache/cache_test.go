@@ -96,6 +96,30 @@ func TestDirtyOlderThan(t *testing.T) {
 	}
 }
 
+// TestCleanCacheScansNothing: a fleet's sync sweep asks every client cache
+// for its dirty blocks every pass, and most have none. A cache whose blocks
+// are all clean — never dirtied, or cleaned again — answers nil and
+// allocates nothing.
+func TestCleanCacheScansNothing(t *testing.T) {
+	c := New(0)
+	for i := int64(0); i < 64; i++ {
+		c.Insert(key(1, i), nil, 0)
+	}
+	c.MarkDirty(key(1, 3), 1)
+	c.MarkClean(key(1, 3))
+	for name, scan := range map[string]func() []*Block{
+		"AllDirty":       c.AllDirty,
+		"DirtyOlderThan": func() []*Block { return c.DirtyOlderThan(sim.Time(sim.Second)) },
+	} {
+		if got := scan(); got != nil {
+			t.Errorf("%s on a clean cache = %v, want nil", name, got)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { scan() }); allocs != 0 {
+			t.Errorf("%s on a clean cache allocates %.0f objects, want 0", name, allocs)
+		}
+	}
+}
+
 func TestCancelDirtyLeavesCleanBlocks(t *testing.T) {
 	c := New(0)
 	c.Insert(key(7, 0), nil, 0)

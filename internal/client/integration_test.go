@@ -543,6 +543,53 @@ func TestNFSBiodSendsTheBlockItWasHanded(t *testing.T) {
 	})
 }
 
+// TestServerKeepsWholePageWriteAsItsPage: the server keeps an aligned
+// 8 KiB WRITE's data as its file's page, a view of the frozen call image,
+// with no copy. A second client's partial WRITE into that page copies it
+// first: the first call's wire image, which the network and the sender's
+// retransmissions hold, does not change, and the file reads back both
+// writes.
+func TestServerKeepsWholePageWriteAsItsPage(t *testing.T) {
+	w := newWorld(1, false, 4, server.SNFSOptions{})
+	var wire, image, sent []byte
+	w.tapCalls(proto.ProcWrite, func(m []byte, d *xdr.Decoder) {
+		if wire == nil {
+			wire, image, sent = m, bytes.Clone(m), proto.DecodeWriteArgs(d).Data
+		}
+	})
+	ep, cfg := w.clientConfig("clientA")
+	cfg.Server, cfg.BlockSize = "tap", 8192
+	a := client.NewNFS(w.k, ep, cfg, client.NFSOptions{})
+	b := w.addNFS("clientB", client.NFSOptions{})
+	run(t, w.k, func(p *sim.Proc) {
+		whole := fill(8192, 'a')
+		writeThrough(t, p, a, "f", whole)
+		st := w.media.Store()
+		attr, _ := st.Lookup(st.Root(), "f")
+		if page, _ := st.ReadAt(attr.Ino, 0, 8192); len(sent) != 8192 || len(page) != 8192 || &page[0] != &sent[0] {
+			t.Fatal("the server did not keep the whole-page WRITE's call image as its page")
+		}
+		fb, err := b.Open(p, "f", vfs.WriteOnly, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		patch := fill(100, 'b')
+		if _, err := fb.WriteAt(p, 10, patch); err != nil {
+			t.Fatal(err)
+		}
+		if err := fb.Close(p); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(wire, image) {
+			t.Error("a partial WRITE into the kept page wrote through the first call's wire image")
+		}
+		want := append(append(whole[:10:10], patch...), whole[110:]...)
+		if data, _ := st.ReadAt(attr.Ino, 0, 8192); !bytes.Equal(data, want) {
+			t.Error("the file does not read back both writes")
+		}
+	})
+}
+
 func TestSNFSVersionInvalidatesStaleCache(t *testing.T) {
 	// A caches the file; B rewrites it (open-for-write bumps the
 	// version); A's reopen sees a version mismatch and refetches.

@@ -477,6 +477,8 @@ func copyTree(src, dst *localfs.Store, sdir, ddir uint64, name string) error {
 			if err != nil {
 				return err
 			}
+			// WriteAt, not WriteFrozen: data may be a view of a source
+			// page that a later write changes in place.
 			if _, err := dst.WriteAt(da.Ino, 0, data); err != nil {
 				return err
 			}

@@ -9,10 +9,11 @@ import (
 	"spritelynfs/internal/vfs"
 )
 
-// heapCost runs f and reports the heap objects it allocated, and how many
-// of them were block-sized: 8 KiB and up, as far as MemStats itemises
-// size classes (18 KiB — an 8 KiB block behind any RPC header fits).
-func heapCost(f func()) (objects, blocks uint64) {
+// heapCost runs f and reports the heap objects and bytes it allocated, and
+// how many of the objects were block-sized: 8 KiB and up, as far as
+// MemStats itemises size classes (18 KiB — an 8 KiB block behind any RPC
+// header fits). Larger objects show in the bytes only.
+func heapCost(f func()) (objects, blocks, bytes uint64) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	f()
@@ -22,7 +23,7 @@ func heapCost(f func()) (objects, blocks uint64) {
 			blocks += c.Mallocs - before.BySize[i].Mallocs
 		}
 	}
-	return after.Mallocs - before.Mallocs, blocks
+	return after.Mallocs - before.Mallocs, blocks, after.TotalAlloc - before.TotalAlloc
 }
 
 // TestDataPathAllocationBudgets holds the 8 KiB data path to one block
@@ -51,7 +52,7 @@ func TestDataPathAllocationBudgets(t *testing.T) {
 		// reports the per-op averages rounded down, as
 		// testing.AllocsPerRun does: a pool refill after a collection
 		// is not a regression.
-		each := func(op func(i int) error) (objects, blks uint64) {
+		each := func(op func(i int) error) (objects, blks, size uint64) {
 			pass := func() {
 				w.InvalidateClientCache()
 				for i := 0; i < blocks && err == nil; i++ {
@@ -62,8 +63,8 @@ func TestDataPathAllocationBudgets(t *testing.T) {
 				}
 			}
 			pass()
-			objects, blks = heapCost(pass)
-			return objects / blocks, blks / blocks
+			objects, blks, size = heapCost(pass)
+			return objects / blocks, blks / blocks, size / blocks
 		}
 
 		// A read miss: the reply wire image and the caller's result. The
@@ -73,7 +74,7 @@ func TestDataPathAllocationBudgets(t *testing.T) {
 		// copies, 25 while the round trip's bookkeeping allocated):
 		// beside the blocks, the call image, its Pending, and what the
 		// client, its cache and the server's handler make for a READ.
-		objects, blks := each(func(i int) error {
+		objects, blks, _ := each(func(i int) error {
 			data, err := f.ReadAt(p, int64(i)*bs, bs)
 			if err == nil && len(data) != bs {
 				t.Errorf("short read: %d bytes", len(data))
@@ -84,16 +85,42 @@ func TestDataPathAllocationBudgets(t *testing.T) {
 			t.Errorf("NFS 8 KiB read miss allocates %d block-sized objects of %d, budget 2 of 11", blks, objects)
 		}
 
-		// A write-through: the cache block and the call wire image (the
-		// server writes into the file in place, and a biod sends the
-		// frozen cache block itself). 15 objects in all (32 before).
+		// A write-through: the cache block and the call wire image (a
+		// biod sends the frozen cache block itself, and the server keeps
+		// the call image's whole page as its file's page). 15 objects in
+		// all (32 before).
 		data := bytes.Repeat([]byte{0xa5}, bs)
-		objects, blks = each(func(i int) error {
+		objects, blks, _ = each(func(i int) error {
 			_, err := f.WriteAt(p, int64(i)*bs, data)
 			return err
 		})
 		if blks > 2 || objects > 16 {
 			t.Errorf("NFS 8 KiB write-through allocates %d block-sized objects of %d, budget 2 of 16", blks, objects)
+		}
+
+		// An appending write-through, into a file created afresh each
+		// pass, so every WRITE extends the server's copy: the same two
+		// blocks, since the store takes the call image's page as the
+		// file's. A store that grows by copying shows only in the bytes —
+		// arrays past 32 KiB are not itemised — so they are held too:
+		// 18,900 B per op (38,700 while a file was one doubling array).
+		var g vfs.File
+		_, blks, size := each(func(i int) error {
+			if i == 0 {
+				var err error
+				if g, err = w.NS.Open(p, "/data/g", vfs.WriteOnly|vfs.Create|vfs.Truncate, 0o644); err != nil {
+					return err
+				}
+			}
+			_, err := g.WriteAt(p, int64(i)*bs, data)
+			if err == nil && i == blocks-1 {
+				err = g.Close(p)
+			}
+			return err
+		})
+		if blks > 2 || size > 3*bs {
+			t.Errorf("NFS 8 KiB appending write-through allocates %d block-sized objects and %d B, budget 2 and %d B",
+				blks, size, 3*bs)
 		}
 		if err != nil {
 			return err

@@ -98,8 +98,8 @@ func (m *Media) blockRange(off int64, n int) (int64, int64) {
 
 // ReadAt reads up to n bytes of file ino at off and charges p for them.
 // The result is the store's view of the file (Store.ReadAt), held across
-// the disk wait: a write or truncate that lands during it moves the file
-// to a fresh array, so the view keeps the bytes of the read instant. Once
+// the disk wait: a write or truncate that lands during it copies the page
+// it touches first, so the view keeps the bytes of the read instant. Once
 // ReadAt returns, the view is valid until the file's next mutation.
 func (m *Media) ReadAt(p *sim.Proc, ino uint64, off int64, n int) ([]byte, error) {
 	data, err := m.store.ReadAt(ino, off, n)

@@ -2,6 +2,7 @@ package localfs
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"spritelynfs/internal/disk"
@@ -32,8 +33,8 @@ func TestReadMissThenHit(t *testing.T) {
 }
 
 // TestMediaReadAtKeepsTheReadInstant races a write against a read parked
-// on the disk: the write lands during the wait, moving the file to a fresh
-// array, so the read returns the bytes of its read instant and the file
+// on the disk: the write lands during the wait, copying the page it
+// touches, so the read returns the bytes of its read instant and the file
 // holds the new ones. Once the read returns, writes land in place again.
 func TestMediaReadAtKeepsTheReadInstant(t *testing.T) {
 	k := sim.NewKernel(1)
@@ -66,6 +67,50 @@ func TestMediaReadAtKeepsTheReadInstant(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, func() { st.WriteAt(a.Ino, 0, old) }); allocs != 0 {
 		t.Errorf("a write after the read returned allocates %.0f objects, want 0: the hold was not released", allocs)
+	}
+}
+
+// TestHeldWriteCopiesOnlyItsPage: while a read of a 64 KiB file waits on
+// the disk, a write to another page copies that page and not the file,
+// and a write into the page the read holds a view of leaves the view with
+// the bytes of its read instant.
+func TestHeldWriteCopiesOnlyItsPage(t *testing.T) {
+	k := sim.NewKernel(1)
+	m := newTestMedia(k, 1<<20)
+	st := m.Store()
+	a, _ := st.Create(st.Root(), "f", 0o644)
+	old := bytes.Repeat([]byte{'o'}, 64<<10)
+	st.WriteAt(a.Ino, 0, old)
+	var got []byte
+	var allocated uint64
+	var wroteAt, readAt sim.Time
+	k.Go("reader", func(p *sim.Proc) {
+		got, _ = m.ReadAt(p, a.Ino, 0, pageSize) // a miss: parks on the disk
+		readAt = p.Now()
+	})
+	k.Go("writer", func(p *sim.Proc) {
+		p.Sleep(sim.Millisecond)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		st.WriteAt(a.Ino, 5*pageSize+100, []byte("other page"))
+		runtime.ReadMemStats(&after)
+		allocated = after.TotalAlloc - before.TotalAlloc
+		st.WriteAt(a.Ino, 100, []byte("held page"))
+		wroteAt = p.Now()
+	})
+	k.Run()
+	if m.Disk().Stats().Reads != 1 || wroteAt >= readAt {
+		t.Fatalf("the writes at %v did not land inside the read's disk wait (read returned at %v)", wroteAt, readAt)
+	}
+	if allocated < pageSize || allocated >= 2*pageSize {
+		t.Errorf("a write to another page during the hold allocated %d B, want one %d B page", allocated, pageSize)
+	}
+	if !bytes.Equal(got, old[:pageSize]) {
+		t.Errorf("the held view changed under a write to its page")
+	}
+	now, _ := st.ReadAt(a.Ino, 0, 64<<10)
+	if string(now[100:109]) != "held page" || string(now[5*pageSize+100:5*pageSize+110]) != "other page" {
+		t.Errorf("the file lost a write that landed during the hold")
 	}
 }
 

@@ -13,6 +13,7 @@ package localfs
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"spritelynfs/internal/sim"
 )
@@ -72,17 +73,42 @@ type Dirent struct {
 	Ino  uint64
 }
 
+// pageSize is the size of a file page: the testbed's 8 KiB transfer size,
+// so an aligned READ falls in one page and an aligned WRITE fills one. It
+// is not the block size, which prices the disk and the buffer cache.
+const pageSize = 8192
+
+// zeroPage is what a hole reads as. Like every view, it is read-only.
+var zeroPage [pageSize]byte
+
+// page is one pageSize span of a regular file. Bytes past the file's size
+// are zero, in every page.
+type page struct {
+	b []byte // pageSize bytes; nil is a hole, reading as zeros
+	// frozen means b aliases bytes someone else holds (a delivered call
+	// image): copy before writing.
+	frozen bool
+}
+
+// bytes returns the page's contents, read-only.
+func (pg page) bytes() []byte {
+	if pg.b == nil {
+		return zeroPage[:]
+	}
+	return pg.b
+}
+
 // inode is the in-memory on-"disk" object.
 type inode struct {
 	attr    Attr
-	data    []byte            // regular files
+	pages   []page            // regular files: exactly the pages Size covers
 	entries map[string]uint64 // directories
 	names   []string          // directory entry order for readdir
 	parent  uint64            // directories: parent inode
 	target  string            // symlinks
-	// held counts the Media.ReadAt calls holding a view of data across
-	// their disk wait; while it is nonzero, a mutation moves data to a
-	// fresh array first.
+	// held counts the Media.ReadAt calls holding a view of a page across
+	// their disk wait; while it is nonzero, a mutation copies the page it
+	// touches first.
 	held int
 }
 
@@ -231,8 +257,7 @@ func (s *Store) Create(dir uint64, name string, mode uint32) (Attr, error) {
 		if in.attr.Type == TypeDirectory {
 			return Attr{}, ErrIsDir
 		}
-		in.data = nil
-		in.attr.Size = 0
+		in.truncate(0)
 		now := s.clock()
 		in.attr.Mtime = now
 		in.attr.Ctime = now
@@ -407,35 +432,45 @@ func (s *Store) Rename(srcDir uint64, srcName string, dstDir uint64, dstName str
 	return nil
 }
 
-// resize sets in.data to size bytes, zeros past the old length; WriteAt
-// and Truncate call it before they touch the data. The array moves when it must grow past its capacity, which at
-// least doubles, so a file appended to block by block is copied O(n) bytes
-// in all rather than once per append. It also moves when a Media.ReadAt
-// holds a view of it, so the view keeps the bytes of its read instant. A
-// shrink leaves stale bytes inside the capacity, which are cleared as they
-// are re-exposed.
-func (in *inode) resize(size int64) {
-	old := int64(len(in.data))
-	if in.held == 0 && size <= int64(cap(in.data)) {
-		in.data = in.data[:size]
-		if size > old {
-			clear(in.data[old:])
-		}
-		return
+// pagesFor returns the number of pages size bytes span.
+func pagesFor(size int64) int { return int((size + pageSize - 1) / pageSize) }
+
+// truncate sets the file's size. A shrink drops the pages past the new
+// size, cleared so they can be collected, and zeroes the tail of the new
+// last page; a growth extends the page table with holes, sized once.
+func (in *inode) truncate(size int64) {
+	if n := pagesFor(size); n < len(in.pages) {
+		clear(in.pages[n:])
+		in.pages = in.pages[:n]
+	} else {
+		in.pages = slices.Grow(in.pages, n-len(in.pages))[:n]
 	}
-	c := int64(cap(in.data))
-	if size > c {
-		c = max(size, 2*c)
+	if last, tail := int(size/pageSize), size%pageSize; size < in.attr.Size && tail != 0 && in.pages[last].b != nil {
+		clear(in.writable(last)[tail:])
 	}
-	moved := make([]byte, size, c)
-	copy(moved, in.data)
-	in.data = moved
+	in.attr.Size = size
+}
+
+// writable returns page i's bytes for writing. A hole gets a fresh page,
+// and a page someone else may hold a view of — a frozen one, or any page
+// of a file a Media.ReadAt holds — is copied first, so the view keeps the
+// bytes it had; otherwise the write lands in place.
+func (in *inode) writable(i int) []byte {
+	pg := &in.pages[i]
+	if pg.b == nil || pg.frozen || in.held > 0 {
+		b := make([]byte, pageSize)
+		copy(b, pg.b)
+		*pg = page{b: b}
+	}
+	return pg.b
 }
 
 // ReadAt reads up to n bytes of file ino at offset off. Reads at or past
-// end-of-file return an empty slice. The result is a read-only view of the
-// file, valid until its next mutation: a caller that keeps it longer, or
-// writes to it, copies (Media.ReadAt holds it across its disk wait).
+// end-of-file return an empty slice. A read that falls in one page — every
+// aligned 8 KiB READ does — returns a read-only view of the file, valid
+// until its next mutation: a caller that keeps it longer, or writes to it,
+// copies (Media.ReadAt holds it across its disk wait). A read that spans
+// pages returns a fresh copy.
 func (s *Store) ReadAt(ino uint64, off int64, n int) ([]byte, error) {
 	in, err := s.get(ino)
 	if err != nil {
@@ -450,16 +485,35 @@ func (s *Store) ReadAt(ino uint64, off int64, n int) ([]byte, error) {
 	if off >= in.attr.Size {
 		return nil, nil
 	}
-	end := off + int64(n)
-	if end > in.attr.Size {
-		end = in.attr.Size
+	end := min(off+int64(n), in.attr.Size)
+	if lo := off % pageSize; end-off <= pageSize-lo {
+		hi := lo + end - off
+		return in.pages[off/pageSize].bytes()[lo:hi:hi], nil
 	}
-	return in.data[off:end:end], nil
+	out := make([]byte, end-off)
+	for done := 0; done < len(out); {
+		at := off + int64(done)
+		done += copy(out[done:], in.pages[at/pageSize].bytes()[at%pageSize:])
+	}
+	return out, nil
 }
 
 // WriteAt writes data to file ino at offset off, extending it as needed,
-// and returns the resulting attributes.
+// and returns the resulting attributes. It copies data, which stays the
+// caller's.
 func (s *Store) WriteAt(ino uint64, off int64, data []byte) (Attr, error) {
+	return s.write(ino, off, data, false)
+}
+
+// WriteFrozen is WriteAt for bytes under the frozen-payload rule
+// (DESIGN.md §14), such as a decoded view of a delivered call image:
+// nobody writes through them again. A whole, aligned page of data becomes
+// the file's page, frozen, with no copy; the rest is copied.
+func (s *Store) WriteFrozen(ino uint64, off int64, data []byte) (Attr, error) {
+	return s.write(ino, off, data, true)
+}
+
+func (s *Store) write(ino uint64, off int64, data []byte, frozen bool) (Attr, error) {
 	in, err := s.get(ino)
 	if err != nil {
 		return Attr{}, err
@@ -470,11 +524,19 @@ func (s *Store) WriteAt(ino uint64, off int64, data []byte) (Attr, error) {
 	if off < 0 {
 		return Attr{}, ErrInval
 	}
-	end := off + int64(len(data))
-	in.resize(max(end, int64(len(in.data))))
-	copy(in.data[off:end], data)
-	if end > in.attr.Size {
-		in.attr.Size = end
+	if end := off + int64(len(data)); end > in.attr.Size {
+		in.truncate(end)
+	}
+	for len(data) > 0 {
+		i, lo := int(off/pageSize), int(off%pageSize)
+		n := min(len(data), pageSize-lo)
+		if frozen && n == pageSize {
+			in.pages[i] = page{b: data[:n:n], frozen: true}
+		} else {
+			copy(in.writable(i)[lo:], data[:n])
+		}
+		off += int64(n)
+		data = data[n:]
 	}
 	now := s.clock()
 	in.attr.Mtime = now
@@ -494,8 +556,7 @@ func (s *Store) Truncate(ino uint64, size int64) (Attr, error) {
 	if size < 0 {
 		return Attr{}, ErrInval
 	}
-	in.resize(size)
-	in.attr.Size = size
+	in.truncate(size)
 	now := s.clock()
 	in.attr.Mtime = now
 	in.attr.Ctime = now

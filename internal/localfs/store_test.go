@@ -206,10 +206,11 @@ func TestTruncate(t *testing.T) {
 	}
 }
 
-// TestAppendGrowthIsLinear appends 512 blocks of 8 KiB to one file: file
-// data grows geometrically, so the store allocates a small multiple of the
-// final size in all — not a fresh exact-size array per append, which
-// copies the file 512 times over (~256× the final size).
+// TestAppendGrowthIsLinear appends 512 blocks of 8 KiB to one file: each
+// append fills a page of its own and the page table grows geometrically,
+// so the store allocates a small multiple of the final size in all — not a
+// fresh exact-size array per append, which copies the file 512 times over
+// (~256× the final size).
 func TestAppendGrowthIsLinear(t *testing.T) {
 	const blocks, bs = 512, 8192
 	s, _ := newTestStore()
@@ -231,10 +232,10 @@ func TestAppendGrowthIsLinear(t *testing.T) {
 	}
 }
 
-// TestShrinkThenGrowExposesZeros covers the hazard geometric growth
-// introduces: a shrink leaves the old bytes inside the capacity, and a
-// later extension — by a write past the end or by Truncate — must expose
-// zeros there, not the stale contents.
+// TestShrinkThenGrowExposesZeros covers the hazard of a shrink inside a
+// page: the page keeps its bytes past the new size unless the shrink
+// clears them, and a later extension — by a write past the end or by
+// Truncate — must expose zeros there, not the stale contents.
 func TestShrinkThenGrowExposesZeros(t *testing.T) {
 	for _, grow := range []struct {
 		name string

@@ -488,7 +488,9 @@ func (b *Base) serveCommon(p *sim.Proc, proc uint32, args []byte) (body proto.Me
 		if _, st := b.handle(a.Handle); st != proto.OK {
 			return &proto.WriteReply{Status: st}, rpc.StatusOK, true
 		}
-		attr, err := b.media.Store().WriteAt(a.Handle.Ino, a.Offset, a.Data)
+		// a.Data is a view of the frozen call image: the store keeps a
+		// whole page of it as the file's page, with no copy.
+		attr, err := b.media.Store().WriteFrozen(a.Handle.Ino, a.Offset, a.Data)
 		if err != nil {
 			return &proto.WriteReply{Status: proto.StatusFromErr(err)}, rpc.StatusOK, true
 		}
