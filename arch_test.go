@@ -42,11 +42,42 @@ func TestStructuralCeilings(t *testing.T) {
 		{"ci.yml jobs", countJobs(string(ci)), 2},
 		// One read path: Media.ReadAt reads, holds and charges together.
 		{"exported localfs.Media.ChargeRead", b2i(chargeRead), 0},
+		// One description per message: its XDR method both encodes and
+		// decodes it. The named decoders left are the benchmark's.
+		{"internal/proto non-test lines", countLines(t, "internal/proto"), 1441},
+		{"exported proto.Decode* functions", countDecoders(t, "internal/proto"), 5},
 	} {
 		if c.got > c.max {
 			t.Errorf("%s: %d, above its ceiling of %d", c.what, c.got, c.max)
 		}
 	}
+}
+
+// countLines counts the lines of dir's non-test Go files.
+func countLines(t *testing.T, dir string) int {
+	n := 0
+	for _, name := range goFiles(t, dir) {
+		data, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n += strings.Count(string(data), "\n")
+	}
+	return n
+}
+
+// countDecoders counts the exported functions named Decode* that dir's
+// non-test files declare.
+func countDecoders(t *testing.T, dir string) int {
+	n := 0
+	for _, f := range parseDir(t, dir, 0) {
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil && strings.HasPrefix(fn.Name.Name, "Decode") {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 func b2i(b bool) int {
@@ -99,15 +130,8 @@ func imports(t *testing.T, dir string) map[string]bool {
 
 func parseDir(t *testing.T, dir string, mode parser.Mode) []*ast.File {
 	t.Helper()
-	names, err := filepath.Glob(filepath.Join(dir, "*.go"))
-	if err != nil || len(names) == 0 {
-		t.Fatalf("no Go files in %s (%v)", dir, err)
-	}
 	var files []*ast.File
-	for _, name := range names {
-		if strings.HasSuffix(name, "_test.go") {
-			continue
-		}
+	for _, name := range goFiles(t, dir) {
 		f, err := parser.ParseFile(token.NewFileSet(), name, nil, mode)
 		if err != nil {
 			t.Fatal(err)
@@ -115,6 +139,22 @@ func parseDir(t *testing.T, dir string, mode parser.Mode) []*ast.File {
 		files = append(files, f)
 	}
 	return files
+}
+
+// goFiles lists dir's non-test Go files.
+func goFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	names, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil || len(names) == 0 {
+		t.Fatalf("no Go files in %s (%v)", dir, err)
+	}
+	var out []string
+	for _, name := range names {
+		if !strings.HasSuffix(name, "_test.go") {
+			out = append(out, name)
+		}
+	}
+	return out
 }
 
 // countJobs counts the job keys under a workflow's top-level jobs: map.

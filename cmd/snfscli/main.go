@@ -135,6 +135,20 @@ func fatal(format string, args ...any) {
 	os.Exit(1)
 }
 
+// decodeAs decodes a reply body as a T, exiting on one that does not
+// decode.
+func decodeAs[T any, P interface {
+	*T
+	proto.Message
+}](body []byte) T {
+	var m T
+	c := xdr.NewDecoder(body).Codec()
+	if P(&m).XDR(c); c.Err() != nil {
+		fatal("undecodable %T reply: %v", m, c.Err())
+	}
+	return m
+}
+
 func arg(args []string, i int, def string) string {
 	if i < len(args) {
 		return args[i]
@@ -162,7 +176,7 @@ func (c *cli) root() proto.Handle {
 	if err != nil {
 		fatal("mountroot: %v", err)
 	}
-	r := proto.DecodeHandleReply(xdr.NewDecoder(body))
+	r := decodeAs[proto.HandleReply](body)
 	if r.Status != proto.OK {
 		fatal("mountroot: %v", r.Status)
 	}
@@ -179,7 +193,7 @@ func (c *cli) walk(path string) (proto.Handle, proto.Fattr) {
 			continue
 		}
 		body := c.call(proto.ProcLookup, &proto.DirOpArgs{Dir: h, Name: comp})
-		r := proto.DecodeHandleReply(xdr.NewDecoder(body))
+		r := decodeAs[proto.HandleReply](body)
 		if r.Status != proto.OK {
 			fatal("lookup %q: %v", comp, r.Status)
 		}
@@ -202,7 +216,7 @@ func (c *cli) walkParent(path string) (proto.Handle, string) {
 func (c *cli) ls(path string) {
 	h, _ := c.walk(path)
 	body := c.call(proto.ProcReaddir, &proto.HandleArgs{Handle: h})
-	r := proto.DecodeReaddirReply(xdr.NewDecoder(body))
+	r := decodeAs[proto.ReaddirReply](body)
 	if r.Status != proto.OK {
 		fatal("readdir: %v", r.Status)
 	}
@@ -216,7 +230,7 @@ func (c *cli) cat(path string) {
 	var off int64
 	for off < attr.Size {
 		body := c.call(proto.ProcRead, &proto.ReadArgs{Handle: h, Offset: off, Count: 8192})
-		r := proto.DecodeReadReply(xdr.NewDecoder(body))
+		r := decodeAs[proto.ReadReply](body)
 		if r.Status != proto.OK {
 			fatal("read: %v", r.Status)
 		}
@@ -231,12 +245,12 @@ func (c *cli) cat(path string) {
 func (c *cli) put(path, contents string) {
 	dir, name := c.walkParent(path)
 	body := c.call(proto.ProcCreate, &proto.CreateArgs{Dir: dir, Name: name, Mode: 0o644})
-	r := proto.DecodeHandleReply(xdr.NewDecoder(body))
+	r := decodeAs[proto.HandleReply](body)
 	if r.Status != proto.OK {
 		fatal("create: %v", r.Status)
 	}
 	wbody := c.call(proto.ProcWrite, &proto.WriteArgs{Handle: r.Handle, Offset: 0, Data: []byte(contents)})
-	wr := proto.DecodeWriteReply(xdr.NewDecoder(wbody))
+	wr := decodeAs[proto.WriteReply](wbody)
 	if wr.Status != proto.OK {
 		fatal("write: %v", wr.Status)
 	}
@@ -256,7 +270,7 @@ func (c *cli) stat(path string) {
 func (c *cli) mkdir(path string) {
 	dir, name := c.walkParent(path)
 	body := c.call(proto.ProcMkdir, &proto.CreateArgs{Dir: dir, Name: name, Mode: 0o755})
-	r := proto.DecodeHandleReply(xdr.NewDecoder(body))
+	r := decodeAs[proto.HandleReply](body)
 	if r.Status != proto.OK {
 		fatal("mkdir: %v", r.Status)
 	}
@@ -266,7 +280,7 @@ func (c *cli) mkdir(path string) {
 func (c *cli) rm(path string) {
 	dir, name := c.walkParent(path)
 	body := c.call(proto.ProcRemove, &proto.DirOpArgs{Dir: dir, Name: name})
-	r := proto.DecodeStatusReply(xdr.NewDecoder(body))
+	r := decodeAs[proto.StatusReply](body)
 	if r.Status != proto.OK {
 		fatal("remove: %v", r.Status)
 	}
@@ -286,7 +300,7 @@ func (c *cli) state(path string) {
 	if err != nil {
 		fatal("open: %v", err)
 	}
-	r := proto.DecodeOpenReply(xdr.NewDecoder(body))
+	r := decodeAs[proto.OpenReply](body)
 	if r.Status != proto.OK && r.Status != proto.ErrInconsistent {
 		fatal("open: %v", r.Status)
 	}
@@ -297,7 +311,7 @@ func (c *cli) state(path string) {
 	if err != nil {
 		fatal("close: %v", err)
 	}
-	cr := proto.DecodeStatusReply(xdr.NewDecoder(cbody))
+	cr := decodeAs[proto.StatusReply](cbody)
 	fmt.Printf("close %s: %v\n", path, cr.Status)
 }
 
@@ -309,7 +323,7 @@ func (c *cli) fetchShardMap() proto.ShardMap {
 	if err != nil {
 		return proto.ShardMap{}
 	}
-	r := proto.DecodeShardMapReply(xdr.NewDecoder(body))
+	r := decodeAs[proto.ShardMapReply](body)
 	if r.Status != proto.OK {
 		return proto.ShardMap{}
 	}
@@ -402,7 +416,7 @@ func (c *cli) metricsText() (string, bool) {
 	if err != nil {
 		fatal("metrics: %v", err)
 	}
-	r := proto.DecodeMetricsReply(xdr.NewDecoder(body))
+	r := decodeAs[proto.MetricsReply](body)
 	if r.Status != proto.OK {
 		fatal("metrics: %v", r.Status)
 	}
@@ -589,7 +603,7 @@ func (c *cli) clusterStats(m proto.ShardMap) {
 			conn.Close()
 			continue
 		}
-		r := proto.DecodeMetricsReply(xdr.NewDecoder(body))
+		r := decodeAs[proto.MetricsReply](body)
 		if r.Status != proto.OK {
 			fmt.Printf("  metrics: %v\n", r.Status)
 			conn.Close()
@@ -646,7 +660,7 @@ func (c *cli) audit() {
 	if err != nil {
 		fatal("audit: %v", err)
 	}
-	r := proto.DecodeAuditReply(xdr.NewDecoder(body))
+	r := decodeAs[proto.AuditReply](body)
 	if r.Status != proto.OK {
 		fatal("audit: %v", r.Status)
 	}
@@ -663,7 +677,7 @@ func (c *cli) dump() {
 	if err != nil {
 		fatal("dumpstate: %v", err)
 	}
-	r := proto.DecodeDumpStateReply(xdr.NewDecoder(body))
+	r := decodeAs[proto.DumpStateReply](body)
 	if r.Status != proto.OK {
 		fatal("dumpstate: %v", r.Status)
 	}

@@ -168,7 +168,7 @@ func drive(addr string, i int) error {
 	c.OnCall = func(prog, proc uint32, args []byte) ([]byte, rpc.Status) {
 		return proto.Marshal(&proto.StatusReply{Status: proto.OK}), rpc.StatusOK
 	}
-	call := func(proc uint32, m proto.Message) *xdr.Decoder {
+	call := func(proc uint32, m, reply proto.Message) {
 		var args []byte
 		if m != nil {
 			args = proto.Marshal(m)
@@ -177,12 +177,13 @@ func drive(addr string, i int) error {
 		if cerr != nil && err == nil {
 			err = fmt.Errorf("%s: %w", proto.ProcName(proto.ProgNFS, proc), cerr)
 		}
-		return xdr.NewDecoder(body)
+		reply.XDR(xdr.NewDecoder(body).Codec())
 	}
-	root := proto.DecodeHandleReply(call(proto.ProcMountRoot, nil))
-	demo := proto.DecodeHandleReply(call(proto.ProcLookup, &proto.DirOpArgs{Dir: root.Handle, Name: "demo"}))
+	var root, demo, f proto.HandleReply
+	call(proto.ProcMountRoot, nil, &root)
+	call(proto.ProcLookup, &proto.DirOpArgs{Dir: root.Handle, Name: "demo"}, &demo)
 	name := fmt.Sprintf("client%d.dat", i)
-	f := proto.DecodeHandleReply(call(proto.ProcCreate, &proto.CreateArgs{Dir: demo.Handle, Name: name, Mode: 0o644}))
+	call(proto.ProcCreate, &proto.CreateArgs{Dir: demo.Handle, Name: name, Mode: 0o644}, &f)
 	if err != nil {
 		return err
 	}
@@ -191,15 +192,21 @@ func drive(addr string, i int) error {
 	}
 	for round := 0; round < 15 && err == nil; round++ {
 		block := bytes.Repeat([]byte{byte('a' + round)}, 8192)
-		steps := []proto.Status{
-			proto.DecodeOpenReply(call(proto.ProcOpen, &proto.OpenArgs{Handle: f.Handle, WriteMode: true})).Status,
-			proto.DecodeWriteReply(call(proto.ProcWrite, &proto.WriteArgs{Handle: f.Handle, Data: block})).Status,
-		}
-		rd := proto.DecodeReadReply(call(proto.ProcRead, &proto.ReadArgs{Handle: f.Handle, Count: 8192}))
-		steps = append(steps, rd.Status,
-			proto.DecodeAttrReply(call(proto.ProcGetattr, &proto.HandleArgs{Handle: f.Handle})).Status,
-			proto.DecodeHandleReply(call(proto.ProcLookup, &proto.DirOpArgs{Dir: demo.Handle, Name: name})).Status,
-			proto.DecodeStatusReply(call(proto.ProcClose, &proto.CloseArgs{Handle: f.Handle, WriteMode: true})).Status)
+		var (
+			open proto.OpenReply
+			wr   proto.WriteReply
+			rd   proto.ReadReply
+			ga   proto.AttrReply
+			lk   proto.HandleReply
+			cl   proto.StatusReply
+		)
+		call(proto.ProcOpen, &proto.OpenArgs{Handle: f.Handle, WriteMode: true}, &open)
+		call(proto.ProcWrite, &proto.WriteArgs{Handle: f.Handle, Data: block}, &wr)
+		call(proto.ProcRead, &proto.ReadArgs{Handle: f.Handle, Count: 8192}, &rd)
+		call(proto.ProcGetattr, &proto.HandleArgs{Handle: f.Handle}, &ga)
+		call(proto.ProcLookup, &proto.DirOpArgs{Dir: demo.Handle, Name: name}, &lk)
+		call(proto.ProcClose, &proto.CloseArgs{Handle: f.Handle, WriteMode: true}, &cl)
+		steps := []proto.Status{open.Status, wr.Status, rd.Status, ga.Status, lk.Status, cl.Status}
 		for _, st := range steps {
 			if st != proto.OK && err == nil {
 				err = fmt.Errorf("round %d: status %v", round, st)

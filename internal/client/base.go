@@ -320,7 +320,8 @@ func (b *Base) lookupRPC(p *sim.Proc, dir proto.Handle, name string) (proto.Hand
 	if err != nil {
 		return proto.Handle{}, proto.Fattr{}, err
 	}
-	r := proto.DecodeHandleReply(xdr.NewDecoder(body))
+	var r proto.HandleReply
+	r.XDR(xdr.NewDecoder(body).Codec())
 	if r.Status != proto.OK {
 		return proto.Handle{}, proto.Fattr{}, r.Status.Err()
 	}
@@ -367,7 +368,8 @@ func (b *Base) readlinkRPC(p *sim.Proc, h proto.Handle) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	r := proto.DecodeReadlinkReply(xdr.NewDecoder(body))
+	var r proto.ReadlinkReply
+	r.XDR(xdr.NewDecoder(body).Codec())
 	if r.Status != proto.OK {
 		return "", r.Status.Err()
 	}
@@ -457,7 +459,8 @@ func (b *Base) walkCompsPath(p *sim.Proc, dir proto.Handle, comps []string, need
 	if err != nil {
 		return proto.Handle{}, proto.Fattr{}, err
 	}
-	r := proto.DecodeLookupPathReply(xdr.NewDecoder(body))
+	var r proto.LookupPathReply
+	r.XDR(xdr.NewDecoder(body).Codec())
 	if r.Status != proto.OK {
 		return proto.Handle{}, proto.Fattr{}, r.Status.Err()
 	}
@@ -592,7 +595,8 @@ func (b *Base) readRPC(p *sim.Proc, h proto.Handle, off int64, count int) ([]byt
 	if err != nil {
 		return nil, proto.Fattr{}, err
 	}
-	r := proto.DecodeReadReply(xdr.NewDecoder(body))
+	var r proto.ReadReply
+	r.XDR(xdr.NewDecoder(body).Codec())
 	if r.Status != proto.OK {
 		return nil, proto.Fattr{}, r.Status.Err()
 	}
@@ -606,7 +610,8 @@ func (b *Base) writeRPC(p *sim.Proc, h proto.Handle, off int64, data []byte) (pr
 	if err != nil {
 		return proto.Fattr{}, err
 	}
-	r := proto.DecodeWriteReply(xdr.NewDecoder(body))
+	var r proto.WriteReply
+	r.XDR(xdr.NewDecoder(body).Codec())
 	if r.Status != proto.OK {
 		return proto.Fattr{}, r.Status.Err()
 	}
@@ -625,7 +630,8 @@ func (b *Base) writeBack(p *sim.Proc, n *node, off int64, data []byte) (proto.Fa
 	if err != nil {
 		return proto.Fattr{}, err
 	}
-	r := proto.DecodeWriteReply(xdr.NewDecoder(body))
+	var r proto.WriteReply
+	r.XDR(xdr.NewDecoder(body).Codec())
 	if r.Status != proto.OK {
 		return proto.Fattr{}, r.Status.Err()
 	}
@@ -659,7 +665,8 @@ func (b *Base) commit(p *sim.Proc, n *node) error {
 	if err != nil {
 		return err
 	}
-	r := proto.DecodeCommitReply(xdr.NewDecoder(body))
+	var r proto.CommitReply
+	r.XDR(xdr.NewDecoder(body).Codec())
 	if r.Status == proto.ErrStale {
 		n.unstable, n.unstableVerifier = nil, 0
 		return nil
@@ -694,7 +701,8 @@ func (b *Base) getattrRPC(p *sim.Proc, h proto.Handle) (proto.Fattr, error) {
 	if err != nil {
 		return proto.Fattr{}, err
 	}
-	r := proto.DecodeAttrReply(xdr.NewDecoder(body))
+	var r proto.AttrReply
+	r.XDR(xdr.NewDecoder(body).Codec())
 	if r.Status != proto.OK {
 		return proto.Fattr{}, r.Status.Err()
 	}
@@ -717,9 +725,12 @@ func (b *Base) ingestWcc(p *sim.Proc, wcc []proto.WccData) {
 // StatusReply otherwise. Wcc attributes feed the attribute cache.
 func (b *Base) decodeWcc(p *sim.Proc, body []byte) proto.Status {
 	if !b.cfg.AttrExtensions {
-		return proto.DecodeStatusReply(xdr.NewDecoder(body)).Status
+		var r proto.StatusReply
+		r.XDR(xdr.NewDecoder(body).Codec())
+		return r.Status
 	}
-	r := proto.DecodeWccReply(xdr.NewDecoder(body))
+	var r proto.WccReply
+	r.XDR(xdr.NewDecoder(body).Codec())
 	b.ingestWcc(p, r.Wcc)
 	return r.Status
 }
@@ -731,7 +742,8 @@ func (b *Base) readdirAttrs(p *sim.Proc, h proto.Handle) ([]proto.DirEntry, erro
 	if err != nil {
 		return nil, err
 	}
-	r := proto.DecodeReaddirAttrsReply(xdr.NewDecoder(body))
+	var r proto.ReaddirAttrsReply
+	r.XDR(xdr.NewDecoder(body).Codec())
 	if r.Status != proto.OK {
 		return nil, r.Status.Err()
 	}
@@ -1134,7 +1146,8 @@ func (b *Base) list(p *sim.Proc, h proto.Handle) ([]proto.DirEntry, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := proto.DecodeReaddirReply(xdr.NewDecoder(body))
+	var r proto.ReaddirReply
+	r.XDR(xdr.NewDecoder(body).Codec())
 	if r.Status != proto.OK {
 		return nil, r.Status.Err()
 	}
@@ -1172,7 +1185,8 @@ func (b *Base) create(p *sim.Proc, rel string, mode uint32) (*node, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := proto.DecodeHandleReply(xdr.NewDecoder(body))
+	var r proto.HandleReply
+	r.XDR(xdr.NewDecoder(body).Codec())
 	if r.Status != proto.OK {
 		return nil, r.Status.Err()
 	}
@@ -1191,7 +1205,8 @@ func (b *Base) truncate(p *sim.Proc, n *node) error {
 	if err != nil {
 		return err
 	}
-	r := proto.DecodeAttrReply(xdr.NewDecoder(body))
+	var r proto.AttrReply
+	r.XDR(xdr.NewDecoder(body).Codec())
 	if r.Status != proto.OK {
 		return r.Status.Err()
 	}
@@ -1222,7 +1237,8 @@ func (b *Base) Mkdir(p *sim.Proc, rel string, mode uint32) error {
 	if err != nil {
 		return err
 	}
-	r := proto.DecodeHandleReply(xdr.NewDecoder(body))
+	var r proto.HandleReply
+	r.XDR(xdr.NewDecoder(body).Codec())
 	if r.Status == proto.OK && b.nameSet != nil {
 		b.nameSet(dir, name, r.Handle)
 	}
@@ -1285,11 +1301,12 @@ func (b *Base) Rmdir(p *sim.Proc, rel string) error {
 		return err
 	}
 	b.invalidateDirCache()
-	st := proto.DecodeStatusReply(xdr.NewDecoder(body)).Status
-	if st == proto.OK && b.nameSet != nil {
+	var r proto.StatusReply
+	r.XDR(xdr.NewDecoder(body).Codec())
+	if r.Status == proto.OK && b.nameSet != nil {
 		b.nameSet(dir, name, proto.Handle{})
 	}
-	return st.Err()
+	return r.Status.Err()
 }
 
 // Rename implements vfs.FS.
@@ -1343,7 +1360,9 @@ func (b *Base) Link(p *sim.Proc, oldrel, newrel string) error {
 	if err != nil {
 		return err
 	}
-	return proto.DecodeStatusReply(xdr.NewDecoder(body)).Status.Err()
+	var r proto.StatusReply
+	r.XDR(xdr.NewDecoder(body).Codec())
+	return r.Status.Err()
 }
 
 // Symlink creates a symbolic link at linkrel pointing to target.
@@ -1357,7 +1376,9 @@ func (b *Base) Symlink(p *sim.Proc, target, linkrel string) error {
 	if err != nil {
 		return err
 	}
-	return proto.DecodeHandleReply(xdr.NewDecoder(body)).Status.Err()
+	var r proto.HandleReply
+	r.XDR(xdr.NewDecoder(body).Codec())
+	return r.Status.Err()
 }
 
 // Readlink returns the target of the symlink at rel (final component not

@@ -388,7 +388,7 @@ func TestSNFSConcurrentWriteSharingIsConsistent(t *testing.T) {
 // each call of procedure proc to seen — its wire image, and a decoder
 // positioned at its arguments — and forwards it to the server; replies
 // return to the client directly.
-func (w *world) tapCalls(proc uint32, seen func(wire []byte, args *xdr.Decoder)) {
+func (w *world) tapCalls(proc uint32, seen func(wire []byte, args xdr.Codec)) {
 	w.net.Listen("tap").SetHandler(func(m simnet.Message) {
 		d := xdr.NewDecoder(m.Payload)
 		for i := 0; i < 4; i++ {
@@ -396,7 +396,7 @@ func (w *world) tapCalls(proc uint32, seen func(wire []byte, args *xdr.Decoder))
 		}
 		if d.Uint32() == proc {
 			d.Uint64() // op
-			seen(m.Payload, d)
+			seen(m.Payload, d.Codec())
 		}
 		w.net.Send(m.From, "server", m.Payload)
 	})
@@ -422,8 +422,8 @@ func (w *world) replayRead(t *testing.T, p *sim.Proc, from simnet.Addr, readCall
 	d.Uint32() // xid
 	d.Uint32() // reply
 	d.Uint32() // status
-	r := proto.DecodeReadReply(d)
-	if d.Err() != nil {
+	var r proto.ReadReply
+	if r.XDR(d.Codec()); d.Err() != nil {
 		t.Fatalf("replayed READ reply: %v", d.Err())
 	}
 	return r.Data
@@ -439,7 +439,7 @@ func (w *world) replayRead(t *testing.T, p *sim.Proc, from simnet.Addr, readCall
 func TestSNFSUncachableReadOwnsItsBytes(t *testing.T) {
 	w := newWorld(1, true, 4, server.SNFSOptions{})
 	var readCall []byte
-	w.tapCalls(proto.ProcRead, func(wire []byte, _ *xdr.Decoder) { readCall = wire })
+	w.tapCalls(proto.ProcRead, func(wire []byte, _ xdr.Codec) { readCall = wire })
 	ep, cfg := w.clientConfig("clientA")
 	cfg.Server = "tap"
 	a := client.NewSNFS(w.k, ep, cfg, client.SNFSOptions{})
@@ -479,7 +479,7 @@ func TestSNFSUncachableReadOwnsItsBytes(t *testing.T) {
 func TestSNFSCachedBlockIsCopiedOnWrite(t *testing.T) {
 	w := newWorld(1, true, 4, server.SNFSOptions{})
 	var readCall []byte
-	w.tapCalls(proto.ProcRead, func(wire []byte, _ *xdr.Decoder) { readCall = wire })
+	w.tapCalls(proto.ProcRead, func(wire []byte, _ xdr.Codec) { readCall = wire })
 	ep, cfg := w.clientConfig("clientA")
 	cfg.Server = "tap"
 	a := client.NewSNFS(w.k, ep, cfg, client.SNFSOptions{})
@@ -515,7 +515,11 @@ func TestSNFSCachedBlockIsCopiedOnWrite(t *testing.T) {
 func TestNFSBiodSendsTheBlockItWasHanded(t *testing.T) {
 	w := newWorld(1, false, 4, server.SNFSOptions{})
 	var sent [][]byte
-	w.tapCalls(proto.ProcWrite, func(_ []byte, d *xdr.Decoder) { sent = append(sent, proto.DecodeWriteArgs(d).Data) })
+	w.tapCalls(proto.ProcWrite, func(_ []byte, c xdr.Codec) {
+		var a proto.WriteArgs
+		a.XDR(c)
+		sent = append(sent, a.Data)
+	})
 	ep, cfg := w.clientConfig("clientA")
 	cfg.Server = "tap"
 	c := client.NewNFS(w.k, ep, cfg, client.NFSOptions{})
@@ -552,9 +556,11 @@ func TestNFSBiodSendsTheBlockItWasHanded(t *testing.T) {
 func TestServerKeepsWholePageWriteAsItsPage(t *testing.T) {
 	w := newWorld(1, false, 4, server.SNFSOptions{})
 	var wire, image, sent []byte
-	w.tapCalls(proto.ProcWrite, func(m []byte, d *xdr.Decoder) {
+	w.tapCalls(proto.ProcWrite, func(m []byte, c xdr.Codec) {
 		if wire == nil {
-			wire, image, sent = m, bytes.Clone(m), proto.DecodeWriteArgs(d).Data
+			var a proto.WriteArgs
+			a.XDR(c)
+			wire, image, sent = m, bytes.Clone(m), a.Data
 		}
 	})
 	ep, cfg := w.clientConfig("clientA")

@@ -39,7 +39,8 @@ func (c *RFSClient) serveCallback(p *sim.Proc, from simnet.Addr, proc uint32, ar
 	if proc != proto.CbProcCallback {
 		return nil, rpc.StatusProcUnavail
 	}
-	a := proto.DecodeCallbackArgs(xdr.NewDecoder(args))
+	var a proto.CallbackArgs
+	a.XDR(xdr.NewDecoder(args).Codec())
 	c.CallbacksServed++
 	c.Tracer().Record(c.host(), trace.Callback, "<- rfs invalidate %s", a.Handle)
 	if n, ok := c.nodes[a.Handle.Ino]; ok && n.h == a.Handle {
@@ -67,7 +68,8 @@ func (c *RFSClient) openRPC(p *sim.Proc, n *node, write bool) error {
 	if err != nil {
 		return err
 	}
-	reply := proto.DecodeOpenReply(xdr.NewDecoder(body))
+	var reply proto.OpenReply
+	reply.XDR(xdr.NewDecoder(body).Codec())
 	if reply.Status != proto.OK {
 		return reply.Status.Err()
 	}

@@ -146,7 +146,8 @@ func (c *SNFSClient) serveCallback(p *sim.Proc, from simnet.Addr, proc uint32, a
 	if proc != proto.CbProcCallback {
 		return nil, rpc.StatusProcUnavail
 	}
-	a := proto.DecodeCallbackArgs(xdr.NewDecoder(args))
+	var a proto.CallbackArgs
+	a.XDR(xdr.NewDecoder(args).Codec())
 	c.CallbacksServed++
 	tr := c.Tracer()
 	if tr != nil { // variadic args are boxed even for a nil tracer
@@ -223,7 +224,8 @@ func (c *SNFSClient) nameCachePut(p *sim.Proc, dir proto.Handle, name string, h 
 		if err != nil {
 			return
 		}
-		r := proto.DecodeOpenReply(xdr.NewDecoder(body))
+		var r proto.OpenReply
+		r.XDR(xdr.NewDecoder(body).Codec())
 		if r.Status != proto.OK || !r.CacheEnabled {
 			return // can't cache this directory right now
 		}
@@ -360,7 +362,8 @@ func (c *SNFSClient) keepaliveDaemon(p *sim.Proc) {
 		if err != nil {
 			continue // server unreachable; keep probing
 		}
-		r := proto.DecodeServerInfoReply(xdr.NewDecoder(body))
+		var r proto.ServerInfoReply
+		r.XDR(xdr.NewDecoder(body).Codec())
 		if r.Status != proto.OK {
 			continue
 		}
@@ -442,7 +445,8 @@ func (c *SNFSClient) reopenWithRetry(p *sim.Proc, args *proto.ReopenArgs) (proto
 		if err != nil {
 			continue
 		}
-		r := proto.DecodeOpenReply(xdr.NewDecoder(body))
+		var r proto.OpenReply
+		r.XDR(xdr.NewDecoder(body).Codec())
 		switch r.Status {
 		case proto.ErrGrace, proto.ErrNotHome:
 			// Transient during a reboot or failover window; back off and
@@ -463,7 +467,8 @@ func (c *SNFSClient) openRPC(p *sim.Proc, n *node, write bool) error {
 		if err != nil {
 			return err
 		}
-		reply = proto.DecodeOpenReply(xdr.NewDecoder(body))
+		reply = proto.OpenReply{}
+		reply.XDR(xdr.NewDecoder(body).Codec())
 		if reply.Status == proto.ErrGrace {
 			if attempt > 100 {
 				return reply.Status.Err()
@@ -659,7 +664,8 @@ func (c *SNFSClient) Lock(p *sim.Proc, rel string, exclusive bool) error {
 		if err != nil {
 			return err
 		}
-		r := proto.DecodeLockReply(xdr.NewDecoder(body))
+		var r proto.LockReply
+		r.XDR(xdr.NewDecoder(body).Codec())
 		if r.Status != proto.OK {
 			return r.Status.Err()
 		}
@@ -684,5 +690,7 @@ func (c *SNFSClient) Unlock(p *sim.Proc, rel string) error {
 	if err != nil {
 		return err
 	}
-	return proto.DecodeLockReply(xdr.NewDecoder(body)).Status.Err()
+	var r proto.LockReply
+	r.XDR(xdr.NewDecoder(body).Codec())
+	return r.Status.Err()
 }

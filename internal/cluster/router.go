@@ -107,8 +107,8 @@ func (r *Router) refreshFromView(p *sim.Proc) {
 	if err != nil {
 		return
 	}
-	rep := proto.DecodeViewGetReply(xdr.NewDecoder(body))
-	if rep.Status == proto.OK {
+	var rep proto.ViewGetReply
+	if rep.XDR(xdr.NewDecoder(body).Codec()); rep.Status == proto.OK {
 		r.InstallMap(rep.Map)
 	}
 }
@@ -158,8 +158,8 @@ func (r *Router) refreshMap(p *sim.Proc, via int) error {
 	if err != nil {
 		return fmt.Errorf("cluster: shard map refetch from %s: %w", r.addrs[via], err)
 	}
-	reply := proto.DecodeShardMapReply(xdr.NewDecoder(body))
-	if reply.Status != proto.OK {
+	var reply proto.ShardMapReply
+	if reply.XDR(xdr.NewDecoder(body).Codec()); reply.Status != proto.OK {
 		return reply.Status.Err()
 	}
 	r.InstallMap(reply.Map)

@@ -2,72 +2,85 @@ package proto
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"spritelynfs/internal/xdr"
 )
 
-// fuzzCodecs names every proto message decoder paired with a seed value
-// of its type. The fuzzer indexes into this table, so the corpus covers
-// every wire format the RPC layer can carry — messages.go, repl.go, and
-// shardmap.go alike.
-var fuzzCodecs = []struct {
-	name string
-	dec  func(d *xdr.Decoder) Message
-	seed Message
-}{
-	{"StatusReply", func(d *xdr.Decoder) Message { m := DecodeStatusReply(d); return &m }, &StatusReply{Status: ErrStale}},
-	{"AttrReply", func(d *xdr.Decoder) Message { m := DecodeAttrReply(d); return &m }, &AttrReply{}},
-	{"HandleReply", func(d *xdr.Decoder) Message { m := DecodeHandleReply(d); return &m }, &HandleReply{}},
-	{"HandleArgs", func(d *xdr.Decoder) Message { m := DecodeHandleArgs(d); return &m }, &HandleArgs{}},
-	{"SetattrArgs", func(d *xdr.Decoder) Message { m := DecodeSetattrArgs(d); return &m }, &SetattrArgs{}},
-	{"DirOpArgs", func(d *xdr.Decoder) Message { m := DecodeDirOpArgs(d); return &m }, &DirOpArgs{Name: "file07.c"}},
-	{"CreateArgs", func(d *xdr.Decoder) Message { m := DecodeCreateArgs(d); return &m }, &CreateArgs{Name: "new.c"}},
-	{"RenameArgs", func(d *xdr.Decoder) Message { m := DecodeRenameArgs(d); return &m }, &RenameArgs{SrcName: "a", DstName: "b"}},
-	{"ReadArgs", func(d *xdr.Decoder) Message { m := DecodeReadArgs(d); return &m }, &ReadArgs{Count: 8192}},
-	{"ReadReply", func(d *xdr.Decoder) Message { m := DecodeReadReply(d); return &m }, &ReadReply{Status: OK, Data: []byte("payload bytes")}},
-	{"WriteArgs", func(d *xdr.Decoder) Message { m := DecodeWriteArgs(d); return &m }, &WriteArgs{Offset: 4096, Data: bytes.Repeat([]byte{0xa5}, 100), Unstable: true}},
-	{"WriteReply", func(d *xdr.Decoder) Message { m := DecodeWriteReply(d); return &m }, &WriteReply{Status: OK, Committed: true, Verifier: 7}},
-	{"CommitArgs", func(d *xdr.Decoder) Message { m := DecodeCommitArgs(d); return &m }, &CommitArgs{}},
-	{"CommitReply", func(d *xdr.Decoder) Message { m := DecodeCommitReply(d); return &m }, &CommitReply{Status: OK}},
-	{"ReaddirReply", func(d *xdr.Decoder) Message { m := DecodeReaddirReply(d); return &m }, &ReaddirReply{Status: OK, Entries: []DirEntry{{Name: "f", Fileid: 3}}}},
-	{"StatfsReply", func(d *xdr.Decoder) Message { m := DecodeStatfsReply(d); return &m }, &StatfsReply{}},
-	{"OpenArgs", func(d *xdr.Decoder) Message { m := DecodeOpenArgs(d); return &m }, &OpenArgs{}},
-	{"OpenReply", func(d *xdr.Decoder) Message { m := DecodeOpenReply(d); return &m }, &OpenReply{Status: OK}},
-	{"CloseArgs", func(d *xdr.Decoder) Message { m := DecodeCloseArgs(d); return &m }, &CloseArgs{}},
-	{"CallbackArgs", func(d *xdr.Decoder) Message { m := DecodeCallbackArgs(d); return &m }, &CallbackArgs{}},
-	{"ReopenArgs", func(d *xdr.Decoder) Message { m := DecodeReopenArgs(d); return &m }, &ReopenArgs{}},
-	{"ServerInfoReply", func(d *xdr.Decoder) Message { m := DecodeServerInfoReply(d); return &m }, &ServerInfoReply{Status: OK}},
-	{"DumpStateReply", func(d *xdr.Decoder) Message { m := DecodeDumpStateReply(d); return &m }, &DumpStateReply{Status: OK}},
-	{"LockArgs", func(d *xdr.Decoder) Message { m := DecodeLockArgs(d); return &m }, &LockArgs{}},
-	{"LockReply", func(d *xdr.Decoder) Message { m := DecodeLockReply(d); return &m }, &LockReply{Status: OK}},
-	{"LinkArgs", func(d *xdr.Decoder) Message { m := DecodeLinkArgs(d); return &m }, &LinkArgs{ToName: "ln"}},
-	{"SymlinkArgs", func(d *xdr.Decoder) Message { m := DecodeSymlinkArgs(d); return &m }, &SymlinkArgs{Name: "s", Target: "/t"}},
-	{"ReadlinkReply", func(d *xdr.Decoder) Message { m := DecodeReadlinkReply(d); return &m }, &ReadlinkReply{Status: OK, Target: "/t"}},
-	{"MetricsReply", func(d *xdr.Decoder) Message { m := DecodeMetricsReply(d); return &m }, &MetricsReply{Status: OK}},
-	{"AuditReply", func(d *xdr.Decoder) Message { m := DecodeAuditReply(d); return &m }, &AuditReply{Status: OK}},
-	{"WccReply", func(d *xdr.Decoder) Message { m := DecodeWccReply(d); return &m }, &WccReply{Status: OK, Wcc: []WccData{{}}}},
-	{"LookupPathArgs", func(d *xdr.Decoder) Message { m := DecodeLookupPathArgs(d); return &m }, &LookupPathArgs{Names: []string{"usr", "lib"}}},
-	{"LookupPathReply", func(d *xdr.Decoder) Message { m := DecodeLookupPathReply(d); return &m }, &LookupPathReply{Status: OK}},
-	{"ReaddirAttrsReply", func(d *xdr.Decoder) Message { m := DecodeReaddirAttrsReply(d); return &m }, &ReaddirAttrsReply{Status: OK, Entries: []DirEntryAttrs{{Name: "f"}}}},
-	{"ReplRecord", func(d *xdr.Decoder) Message { m := DecodeReplRecord(d); return &m }, &ReplRecord{Seq: 9, Kind: ReplDup, From: "c1", Xid: 4, Wire: []byte{1, 2, 3, 4}}},
-	{"ReplStreamArgs", func(d *xdr.Decoder) Message { m := DecodeReplStreamArgs(d); return &m }, &ReplStreamArgs{Shard: 1, Epoch: 2, Verifier: 3, Records: []ReplRecord{{Seq: 1, Kind: ReplWrite, Ino: 7, Length: 10}}}},
-	{"ReplStreamReply", func(d *xdr.Decoder) Message { m := DecodeReplStreamReply(d); return &m }, &ReplStreamReply{Status: OK, Applied: 12}},
-	{"ReplSyncArgs", func(d *xdr.Decoder) Message { m := DecodeReplSyncArgs(d); return &m }, &ReplSyncArgs{Shard: 1, Seq: 40}},
-	{"ReplSyncReply", func(d *xdr.Decoder) Message { m := DecodeReplSyncReply(d); return &m }, &ReplSyncReply{Status: OK, Applied: 40, Synced: true}},
-	{"View", func(d *xdr.Decoder) Message { m := DecodeView(d); return &m }, &View{Num: 3, Primary: "s0", Backup: "s1"}},
-	{"ViewPingArgs", func(d *xdr.Decoder) Message { m := DecodeViewPingArgs(d); return &m }, &ViewPingArgs{Shard: 0, Addr: "s0", ViewSeen: 3, Synced: true}},
-	{"ViewPingReply", func(d *xdr.Decoder) Message { m := DecodeViewPingReply(d); return &m }, &ViewPingReply{Status: OK, View: View{Num: 1, Primary: "s0"}, Map: ShardMap{Version: 1, Servers: []string{"s0"}}}},
-	{"ShardView", func(d *xdr.Decoder) Message { m := DecodeShardView(d); return &m }, &ShardView{Shard: 2, View: View{Num: 5}}},
-	{"ViewGetArgs", func(d *xdr.Decoder) Message { m := ViewGetArgs{}; _ = d; return &m }, &ViewGetArgs{}},
-	{"ViewGetReply", func(d *xdr.Decoder) Message { m := DecodeViewGetReply(d); return &m }, &ViewGetReply{Status: OK, Views: []ShardView{{Shard: 0, View: View{Num: 1, Primary: "s0", Backup: "s1"}}}, Map: ShardMap{Version: 2, Servers: []string{"s0", "s1"}, Assignments: []ShardAssignment{{Prefix: "/src", Shard: 1}}}}},
-	{"ShardMap", func(d *xdr.Decoder) Message { m := DecodeShardMap(d); return &m }, &ShardMap{Version: 4, Servers: []string{"a", "b"}, Assignments: []ShardAssignment{{Prefix: "/x", Shard: 0}}}},
-	{"ShardMapArgs", func(d *xdr.Decoder) Message { m := ShardMapArgs{}; _ = d; return &m }, &ShardMapArgs{}},
-	{"ShardMapReply", func(d *xdr.Decoder) Message { m := DecodeShardMapReply(d); return &m }, &ShardMapReply{Status: OK, Map: ShardMap{Version: 1, Servers: []string{"s"}}}},
+// fuzzSeeds holds a valid value of every type with an XDR method, so the
+// corpus covers every wire format the RPC layer can carry. The fuzzer
+// indexes into it; TestFuzzSeedsCoverEveryXDRType keeps it complete.
+var fuzzSeeds = []Message{
+	&StatusReply{Status: ErrStale},
+	&AttrReply{},
+	&HandleReply{},
+	&HandleArgs{},
+	&SetattrArgs{},
+	&DirOpArgs{Name: "file07.c"},
+	&CreateArgs{Name: "new.c"},
+	&RenameArgs{SrcName: "a", DstName: "b"},
+	&ReadArgs{Count: 8192},
+	&ReadReply{Status: OK, Data: []byte("payload bytes")},
+	&WriteArgs{Offset: 4096, Data: bytes.Repeat([]byte{0xa5}, 100), Unstable: true},
+	&WriteReply{Status: OK, Committed: true, Verifier: 7},
+	&CommitArgs{},
+	&CommitReply{Status: OK},
+	&ReaddirReply{Status: OK, Entries: []DirEntry{{Name: "f", Fileid: 3}}},
+	&StatfsReply{},
+	&OpenArgs{},
+	&OpenReply{Status: OK},
+	&CloseArgs{},
+	&CallbackArgs{},
+	&ReopenArgs{},
+	&ServerInfoReply{Status: OK},
+	&DumpStateReply{Status: OK},
+	&LockArgs{},
+	&LockReply{Status: OK},
+	&LinkArgs{ToName: "ln"},
+	&SymlinkArgs{Name: "s", Target: "/t"},
+	&ReadlinkReply{Status: OK, Target: "/t"},
+	&MetricsReply{Status: OK},
+	&AuditReply{Status: OK},
+	&WccReply{Status: OK, Wcc: []WccData{{}}},
+	&LookupPathArgs{Names: []string{"usr", "lib"}},
+	&LookupPathReply{Status: OK},
+	&ReaddirAttrsReply{Status: OK, Entries: []DirEntryAttrs{{Name: "f"}}},
+	&ReplRecord{Seq: 9, Kind: ReplDup, From: "c1", Xid: 4, Wire: []byte{1, 2, 3, 4}},
+	&ReplStreamArgs{Shard: 1, Epoch: 2, Verifier: 3, Records: []ReplRecord{{Seq: 1, Kind: ReplWrite, Ino: 7, Length: 10}}},
+	&ReplStreamReply{Status: OK, Applied: 12},
+	&ReplSyncArgs{Shard: 1, Seq: 40},
+	&ReplSyncReply{Status: OK, Applied: 40, Synced: true},
+	&View{Num: 3, Primary: "s0", Backup: "s1"},
+	&ViewPingArgs{Shard: 0, Addr: "s0", ViewSeen: 3, Synced: true},
+	&ViewPingReply{Status: OK, View: View{Num: 1, Primary: "s0"}, Map: ShardMap{Version: 1, Servers: []string{"s0"}}},
+	&ShardView{Shard: 2, View: View{Num: 5}},
+	&ViewGetArgs{},
+	&ViewGetReply{Status: OK, Views: []ShardView{{Shard: 0, View: View{Num: 1, Primary: "s0", Backup: "s1"}}}, Map: ShardMap{Version: 2, Servers: []string{"s0", "s1"}, Assignments: []ShardAssignment{{Prefix: "/src", Shard: 1}}}},
+	&ShardMap{Version: 4, Servers: []string{"a", "b"}, Assignments: []ShardAssignment{{Prefix: "/x", Shard: 0}}},
+	&ShardMapArgs{},
+	&ShardMapReply{Status: OK, Map: ShardMap{Version: 1, Servers: []string{"s"}}},
+	&Handle{FSID: 1, Ino: 42, Gen: 7},
+	&Fattr{Type: 1, Mode: 0o644, Size: 8192, Fileid: 42},
+	func() *Status { s := ErrNotHome; return &s }(),
 }
 
-// FuzzDecodeMessage feeds arbitrary bytes to every proto decoder. Two
-// properties must hold for any input: decoding never panics (no
+// typeName names m's type.
+func typeName(m Message) string { return reflect.TypeOf(m).Elem().Name() }
+
+// zeroOf returns a new zero value of m's type.
+func zeroOf(m Message) Message { return reflect.New(reflect.TypeOf(m).Elem()).Interface().(Message) }
+
+// decodeInto decodes data into m and returns the number of bytes it left
+// unread and the decoder's error.
+func decodeInto(m Message, data []byte) (left int, err error) {
+	d := xdr.NewDecoder(data)
+	m.XDR(d.Codec())
+	return d.Remaining(), d.Err()
+}
+
+// FuzzDecodeMessage feeds arbitrary bytes to every message's XDR method.
+// Two properties must hold for any input: decoding never panics (no
 // out-of-bounds reads through the zero-copy views, no allocation driven
 // by a corrupt length field), and decoding is *stable* — re-encoding the
 // decoded value and decoding it again reproduces the same wire image
@@ -75,8 +88,8 @@ var fuzzCodecs = []struct {
 // encoding of every message type, so mutation starts from structurally
 // interesting inputs rather than pure noise.
 func FuzzDecodeMessage(f *testing.F) {
-	for i, c := range fuzzCodecs {
-		f.Add(i, Marshal(c.seed))
+	for i, m := range fuzzSeeds {
+		f.Add(i, Marshal(m))
 	}
 	f.Add(0, []byte{})
 	f.Add(1, []byte{0xff, 0xff, 0xff, 0xff})
@@ -84,20 +97,17 @@ func FuzzDecodeMessage(f *testing.F) {
 		if idx < 0 {
 			idx = -(idx + 1)
 		}
-		c := fuzzCodecs[idx%len(fuzzCodecs)]
+		seed := fuzzSeeds[idx%len(fuzzSeeds)]
 
-		var d xdr.Decoder
-		d.Reset(data)
-		m1 := c.dec(&d)
-
+		m1 := zeroOf(seed)
+		decodeInto(m1, data)
 		// Whatever the decoder made of the input, encoding it and
 		// decoding the result must be a fixed point.
 		enc1 := Marshal(m1)
-		d.Reset(enc1)
-		m2 := c.dec(&d)
-		enc2 := Marshal(m2)
-		if !bytes.Equal(enc1, enc2) {
-			t.Fatalf("%s: decode not stable:\n first %x\nsecond %x", c.name, enc1, enc2)
+		m2 := zeroOf(seed)
+		decodeInto(m2, enc1)
+		if enc2 := Marshal(m2); !bytes.Equal(enc1, enc2) {
+			t.Fatalf("%s: decode not stable:\n first %x\nsecond %x", typeName(seed), enc1, enc2)
 		}
 	})
 }
@@ -106,17 +116,15 @@ func FuzzDecodeMessage(f *testing.F) {
 // every seed message survives Marshal → decode → Marshal byte-identically
 // (so the fuzzer's stability check starts from a known-good fixed point).
 func TestFuzzSeedsRoundTrip(t *testing.T) {
-	for _, c := range fuzzCodecs {
-		wire := Marshal(c.seed)
-		var d xdr.Decoder
-		d.Reset(wire)
-		m := c.dec(&d)
-		if d.Err() != nil {
-			t.Errorf("%s: decode of own encoding failed: %v", c.name, d.Err())
+	for _, seed := range fuzzSeeds {
+		wire := Marshal(seed)
+		m := zeroOf(seed)
+		if left, err := decodeInto(m, wire); err != nil || left != 0 {
+			t.Errorf("%s: decode of own encoding: %v, %d bytes left", typeName(seed), err, left)
 			continue
 		}
 		if again := Marshal(m); !bytes.Equal(again, wire) {
-			t.Errorf("%s: re-encode differs:\n was %x\n got %x", c.name, wire, again)
+			t.Errorf("%s: re-encode differs:\n was %x\n got %x", typeName(seed), wire, again)
 		}
 	}
 }

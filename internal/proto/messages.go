@@ -2,17 +2,39 @@ package proto
 
 import "spritelynfs/internal/xdr"
 
-// Message is implemented by every argument and reply type.
+// Message is implemented by every argument and reply type: its one XDR
+// method both encodes and decodes it (xdr.Codec).
 type Message interface {
-	Encode(e *xdr.Encoder)
+	XDR(c xdr.Codec)
 }
 
 // Marshal encodes m into a fresh buffer.
 func Marshal(m Message) []byte {
 	e := xdr.NewEncoder()
-	m.Encode(e)
+	m.XDR(e.Codec())
 	return e.Bytes()
 }
+
+// The named decoders and (*WriteArgs).Encode are the benchmark's: bench/
+// calls them, and they go once it calls XDR instead.
+
+// DecodeHandleReply reads a HandleReply.
+func DecodeHandleReply(d *xdr.Decoder) (r HandleReply) { r.XDR(d.Codec()); return }
+
+// DecodeAttrReply reads an AttrReply.
+func DecodeAttrReply(d *xdr.Decoder) (r AttrReply) { r.XDR(d.Codec()); return }
+
+// DecodeReadReply reads a ReadReply.
+func DecodeReadReply(d *xdr.Decoder) (r ReadReply) { r.XDR(d.Codec()); return }
+
+// DecodeWriteReply reads a WriteReply.
+func DecodeWriteReply(d *xdr.Decoder) (r WriteReply) { r.XDR(d.Codec()); return }
+
+// DecodeWriteArgs reads WriteArgs.
+func DecodeWriteArgs(d *xdr.Decoder) (a WriteArgs) { a.XDR(d.Codec()); return }
+
+// Encode writes m.
+func (m *WriteArgs) Encode(e *xdr.Encoder) { m.XDR(e.Codec()) }
 
 // ---- generic replies ----
 
@@ -21,12 +43,7 @@ type StatusReply struct {
 	Status Status
 }
 
-func (m *StatusReply) Encode(e *xdr.Encoder) { e.Uint32(uint32(m.Status)) }
-
-// DecodeStatusReply reads a StatusReply.
-func DecodeStatusReply(d *xdr.Decoder) StatusReply {
-	return StatusReply{Status: Status(d.Uint32())}
-}
+func (m *StatusReply) XDR(c xdr.Codec) { m.Status.XDR(c) }
 
 // AttrReply carries a status plus attributes (getattr, setattr, write).
 type AttrReply struct {
@@ -34,20 +51,10 @@ type AttrReply struct {
 	Attr   Fattr
 }
 
-func (m *AttrReply) Encode(e *xdr.Encoder) {
-	e.Uint32(uint32(m.Status))
-	if m.Status == OK {
-		m.Attr.Encode(e)
+func (m *AttrReply) XDR(c xdr.Codec) {
+	if m.Status.XDR(c); m.Status == OK {
+		m.Attr.XDR(c)
 	}
-}
-
-// DecodeAttrReply reads an AttrReply.
-func DecodeAttrReply(d *xdr.Decoder) AttrReply {
-	r := AttrReply{Status: Status(d.Uint32())}
-	if r.Status == OK {
-		r.Attr = DecodeFattr(d)
-	}
-	return r
 }
 
 // HandleReply carries a status plus handle and attributes (lookup, create,
@@ -58,22 +65,11 @@ type HandleReply struct {
 	Attr   Fattr
 }
 
-func (m *HandleReply) Encode(e *xdr.Encoder) {
-	e.Uint32(uint32(m.Status))
-	if m.Status == OK {
-		m.Handle.Encode(e)
-		m.Attr.Encode(e)
+func (m *HandleReply) XDR(c xdr.Codec) {
+	if m.Status.XDR(c); m.Status == OK {
+		m.Handle.XDR(c)
+		m.Attr.XDR(c)
 	}
-}
-
-// DecodeHandleReply reads a HandleReply.
-func DecodeHandleReply(d *xdr.Decoder) HandleReply {
-	r := HandleReply{Status: Status(d.Uint32())}
-	if r.Status == OK {
-		r.Handle = DecodeHandle(d)
-		r.Attr = DecodeFattr(d)
-	}
-	return r
 }
 
 // ---- per-procedure arguments and replies ----
@@ -83,12 +79,7 @@ type HandleArgs struct {
 	Handle Handle
 }
 
-func (m *HandleArgs) Encode(e *xdr.Encoder) { m.Handle.Encode(e) }
-
-// DecodeHandleArgs reads HandleArgs.
-func DecodeHandleArgs(d *xdr.Decoder) HandleArgs {
-	return HandleArgs{Handle: DecodeHandle(d)}
-}
+func (m *HandleArgs) XDR(c xdr.Codec) { m.Handle.XDR(c) }
 
 // SetattrArgs changes size and/or mode.
 type SetattrArgs struct {
@@ -99,60 +90,31 @@ type SetattrArgs struct {
 	Mode    uint32
 }
 
-func (m *SetattrArgs) Encode(e *xdr.Encoder) {
-	m.Handle.Encode(e)
-	e.Bool(m.SetSize)
-	e.Int64(m.Size)
-	e.Bool(m.SetMode)
-	e.Uint32(m.Mode)
-}
-
-// DecodeSetattrArgs reads SetattrArgs.
-func DecodeSetattrArgs(d *xdr.Decoder) SetattrArgs {
-	return SetattrArgs{
-		Handle:  DecodeHandle(d),
-		SetSize: d.Bool(),
-		Size:    d.Int64(),
-		SetMode: d.Bool(),
-		Mode:    d.Uint32(),
-	}
+func (m *SetattrArgs) XDR(c xdr.Codec) {
+	m.Handle.XDR(c)
+	c.Bool(&m.SetSize)
+	c.Int64(&m.Size)
+	c.Bool(&m.SetMode)
+	c.Uint32(&m.Mode)
 }
 
 // DirOpArgs names an entry in a directory (lookup, remove, rmdir).
 //
 // WantAttr asks the server for post-op wcc attributes in the reply
 // (remove/rmdir answer with a WccReply instead of a bare StatusReply).
-// It is encoded as an optional trailing flag — absent when false — so a
-// vintage request is byte-identical and an old server simply ignores
-// requests it never sees.
+// It is an optional trailing flag (xdr.Codec.OptionalBool), so a vintage
+// request is byte-identical and an old server simply ignores requests it
+// never sees.
 type DirOpArgs struct {
 	Dir      Handle
 	Name     string
 	WantAttr bool
 }
 
-func (m *DirOpArgs) Encode(e *xdr.Encoder) {
-	m.Dir.Encode(e)
-	e.String(m.Name)
-	if m.WantAttr {
-		e.Bool(true)
-	}
-}
-
-// DecodeDirOpArgs reads DirOpArgs (without the optional trailing
-// want-attr flag; callers that honor wcc call DecodeWantAttr after).
-func DecodeDirOpArgs(d *xdr.Decoder) DirOpArgs {
-	return DirOpArgs{Dir: DecodeHandle(d), Name: d.String()}
-}
-
-// DecodeWantAttr reads the optional trailing want-attr flag of
-// DirOpArgs/RenameArgs/CloseArgs: absent (a vintage request) means
-// false.
-func DecodeWantAttr(d *xdr.Decoder) bool {
-	if d.Err() != nil || d.Remaining() < 4 {
-		return false
-	}
-	return d.Bool()
+func (m *DirOpArgs) XDR(c xdr.Codec) {
+	m.Dir.XDR(c)
+	c.String(&m.Name)
+	c.OptionalBool(&m.WantAttr)
 }
 
 // CreateArgs makes a file or directory.
@@ -162,15 +124,10 @@ type CreateArgs struct {
 	Mode uint32
 }
 
-func (m *CreateArgs) Encode(e *xdr.Encoder) {
-	m.Dir.Encode(e)
-	e.String(m.Name)
-	e.Uint32(m.Mode)
-}
-
-// DecodeCreateArgs reads CreateArgs.
-func DecodeCreateArgs(d *xdr.Decoder) CreateArgs {
-	return CreateArgs{Dir: DecodeHandle(d), Name: d.String(), Mode: d.Uint32()}
+func (m *CreateArgs) XDR(c xdr.Codec) {
+	m.Dir.XDR(c)
+	c.String(&m.Name)
+	c.Uint32(&m.Mode)
 }
 
 // RenameArgs moves a directory entry. WantAttr (optional trailing flag,
@@ -183,24 +140,12 @@ type RenameArgs struct {
 	WantAttr bool
 }
 
-func (m *RenameArgs) Encode(e *xdr.Encoder) {
-	m.SrcDir.Encode(e)
-	e.String(m.SrcName)
-	m.DstDir.Encode(e)
-	e.String(m.DstName)
-	if m.WantAttr {
-		e.Bool(true)
-	}
-}
-
-// DecodeRenameArgs reads RenameArgs.
-func DecodeRenameArgs(d *xdr.Decoder) RenameArgs {
-	return RenameArgs{
-		SrcDir:  DecodeHandle(d),
-		SrcName: d.String(),
-		DstDir:  DecodeHandle(d),
-		DstName: d.String(),
-	}
+func (m *RenameArgs) XDR(c xdr.Codec) {
+	m.SrcDir.XDR(c)
+	c.String(&m.SrcName)
+	m.DstDir.XDR(c)
+	c.String(&m.DstName)
+	c.OptionalBool(&m.WantAttr)
 }
 
 // ReadArgs reads a byte range.
@@ -210,46 +155,31 @@ type ReadArgs struct {
 	Count  uint32
 }
 
-func (m *ReadArgs) Encode(e *xdr.Encoder) {
-	m.Handle.Encode(e)
-	e.Int64(m.Offset)
-	e.Uint32(m.Count)
-}
-
-// DecodeReadArgs reads ReadArgs.
-func DecodeReadArgs(d *xdr.Decoder) ReadArgs {
-	return ReadArgs{Handle: DecodeHandle(d), Offset: d.Int64(), Count: d.Uint32()}
+func (m *ReadArgs) XDR(c xdr.Codec) {
+	m.Handle.XDR(c)
+	c.Int64(&m.Offset)
+	c.Uint32(&m.Count)
 }
 
 // ReadReply returns file data plus fresh attributes.
+//
+// Decoded, Data is a zero-copy, read-only view of the reply image
+// (xdr.Codec.OpaqueRef). On the simulated transport the image is GC-owned
+// and frozen — the sender's duplicate cache may resend it — so callers may
+// retain the view but must copy what they mean to change or hand to an
+// application; a transport that pools or reuses its receive buffers must
+// copy the body before recycling (see DESIGN.md §13, §14).
 type ReadReply struct {
 	Status Status
 	Attr   Fattr
 	Data   []byte
 }
 
-func (m *ReadReply) Encode(e *xdr.Encoder) {
-	e.Uint32(uint32(m.Status))
-	if m.Status == OK {
-		m.Attr.Encode(e)
-		e.Opaque(m.Data)
+func (m *ReadReply) XDR(c xdr.Codec) {
+	if m.Status.XDR(c); m.Status == OK {
+		m.Attr.XDR(c)
+		c.OpaqueRef(&m.Data)
 	}
-}
-
-// DecodeReadReply reads a ReadReply. Data is a zero-copy, read-only view
-// into the decoder's buffer (xdr.Decoder.OpaqueRef). On the simulated
-// transport the wire image is GC-owned and frozen — the sender's
-// duplicate cache may resend it — so callers may retain the view but
-// must copy what they mean to change or hand to an application; a
-// transport that pools or reuses its receive buffers must copy the body
-// before recycling (see DESIGN.md §13, §14).
-func DecodeReadReply(d *xdr.Decoder) ReadReply {
-	r := ReadReply{Status: Status(d.Uint32())}
-	if r.Status == OK {
-		r.Attr = DecodeFattr(d)
-		r.Data = d.OpaqueRef()
-	}
-	return r
 }
 
 // WriteArgs writes a byte range. By default (Unstable false) the server
@@ -257,6 +187,11 @@ func DecodeReadReply(d *xdr.Decoder) ReadReply {
 // contract of §2.1. With Unstable set, the server may buffer the data in
 // memory and reply immediately; the client keeps its copy until a COMMIT
 // under the same write verifier succeeds.
+//
+// Decoded, Data is a zero-copy view of the frozen call image: the server
+// keeps it as the file's page (localfs.Store.WriteFrozen), so no WRITE
+// pays a payload copy at decode. A handler that changes the data must
+// copy it (see DESIGN.md §13, §14).
 type WriteArgs struct {
 	Handle   Handle
 	Offset   int64
@@ -264,20 +199,11 @@ type WriteArgs struct {
 	Unstable bool
 }
 
-func (m *WriteArgs) Encode(e *xdr.Encoder) {
-	m.Handle.Encode(e)
-	e.Int64(m.Offset)
-	e.Opaque(m.Data)
-	e.Bool(m.Unstable)
-}
-
-// DecodeWriteArgs reads WriteArgs. Data is a zero-copy view into the
-// decoder's buffer: the server consumes it within the handler
-// (localfs.Store.WriteAt copies into the file), so no WRITE ever pays a
-// payload copy at decode. A handler that needs the data past its return
-// must copy (see DESIGN.md §13).
-func DecodeWriteArgs(d *xdr.Decoder) WriteArgs {
-	return WriteArgs{Handle: DecodeHandle(d), Offset: d.Int64(), Data: d.OpaqueRef(), Unstable: d.Bool()}
+func (m *WriteArgs) XDR(c xdr.Codec) {
+	m.Handle.XDR(c)
+	c.Int64(&m.Offset)
+	c.OpaqueRef(&m.Data)
+	c.Bool(&m.Unstable)
 }
 
 // WriteReply answers a WRITE: attributes after the write, whether the
@@ -291,24 +217,12 @@ type WriteReply struct {
 	Verifier  uint64
 }
 
-func (m *WriteReply) Encode(e *xdr.Encoder) {
-	e.Uint32(uint32(m.Status))
-	if m.Status == OK {
-		m.Attr.Encode(e)
-		e.Bool(m.Committed)
-		e.Uint64(m.Verifier)
+func (m *WriteReply) XDR(c xdr.Codec) {
+	if m.Status.XDR(c); m.Status == OK {
+		m.Attr.XDR(c)
+		c.Bool(&m.Committed)
+		c.Uint64(&m.Verifier)
 	}
-}
-
-// DecodeWriteReply reads a WriteReply.
-func DecodeWriteReply(d *xdr.Decoder) WriteReply {
-	r := WriteReply{Status: Status(d.Uint32())}
-	if r.Status == OK {
-		r.Attr = DecodeFattr(d)
-		r.Committed = d.Bool()
-		r.Verifier = d.Uint64()
-	}
-	return r
 }
 
 // CommitArgs asks the server to force every unstable write it holds for
@@ -318,12 +232,7 @@ type CommitArgs struct {
 	Handle Handle
 }
 
-func (m *CommitArgs) Encode(e *xdr.Encoder) { m.Handle.Encode(e) }
-
-// DecodeCommitArgs reads CommitArgs.
-func DecodeCommitArgs(d *xdr.Decoder) CommitArgs {
-	return CommitArgs{Handle: DecodeHandle(d)}
-}
+func (m *CommitArgs) XDR(c xdr.Codec) { m.Handle.XDR(c) }
 
 // CommitReply carries the write verifier under which the commit ran. If
 // it differs from the verifier the client recorded when it sent the
@@ -334,20 +243,10 @@ type CommitReply struct {
 	Verifier uint64
 }
 
-func (m *CommitReply) Encode(e *xdr.Encoder) {
-	e.Uint32(uint32(m.Status))
-	if m.Status == OK {
-		e.Uint64(m.Verifier)
+func (m *CommitReply) XDR(c xdr.Codec) {
+	if m.Status.XDR(c); m.Status == OK {
+		c.Uint64(&m.Verifier)
 	}
-}
-
-// DecodeCommitReply reads a CommitReply.
-func DecodeCommitReply(d *xdr.Decoder) CommitReply {
-	r := CommitReply{Status: Status(d.Uint32())}
-	if r.Status == OK {
-		r.Verifier = d.Uint64()
-	}
-	return r
 }
 
 // DirEntry is one readdir result entry.
@@ -363,32 +262,15 @@ type ReaddirReply struct {
 	Entries []DirEntry
 }
 
-func (m *ReaddirReply) Encode(e *xdr.Encoder) {
-	e.Uint32(uint32(m.Status))
-	if m.Status == OK {
-		e.Uint32(uint32(len(m.Entries)))
-		for _, ent := range m.Entries {
-			e.String(ent.Name)
-			e.Uint64(ent.Fileid)
-		}
+func (m *ReaddirReply) XDR(c xdr.Codec) {
+	if m.Status.XDR(c); m.Status != OK {
+		return
 	}
-}
-
-// DecodeReaddirReply reads a ReaddirReply.
-func DecodeReaddirReply(d *xdr.Decoder) ReaddirReply {
-	r := ReaddirReply{Status: Status(d.Uint32())}
-	if r.Status != OK {
-		return r
+	xdr.Count(c, &m.Entries, 1<<20)
+	for i := range m.Entries {
+		c.String(&m.Entries[i].Name)
+		c.Uint64(&m.Entries[i].Fileid)
 	}
-	n := d.Uint32()
-	if n > 1<<20 {
-		return ReaddirReply{Status: ErrIO}
-	}
-	r.Entries = make([]DirEntry, 0, min(n, 1024))
-	for i := uint32(0); i < n && d.Err() == nil; i++ {
-		r.Entries = append(r.Entries, DirEntry{Name: d.String(), Fileid: d.Uint64()})
-	}
-	return r
 }
 
 // StatfsReply reports file system capacity.
@@ -399,24 +281,12 @@ type StatfsReply struct {
 	BytesUsed int64
 }
 
-func (m *StatfsReply) Encode(e *xdr.Encoder) {
-	e.Uint32(uint32(m.Status))
-	if m.Status == OK {
-		e.Uint32(m.BlockSize)
-		e.Int64(m.Blocks)
-		e.Int64(m.BytesUsed)
+func (m *StatfsReply) XDR(c xdr.Codec) {
+	if m.Status.XDR(c); m.Status == OK {
+		c.Uint32(&m.BlockSize)
+		c.Int64(&m.Blocks)
+		c.Int64(&m.BytesUsed)
 	}
-}
-
-// DecodeStatfsReply reads a StatfsReply.
-func DecodeStatfsReply(d *xdr.Decoder) StatfsReply {
-	r := StatfsReply{Status: Status(d.Uint32())}
-	if r.Status == OK {
-		r.BlockSize = d.Uint32()
-		r.Blocks = d.Int64()
-		r.BytesUsed = d.Int64()
-	}
-	return r
 }
 
 // ---- Spritely NFS extensions ----
@@ -427,19 +297,15 @@ type OpenArgs struct {
 	WriteMode bool // the open intends to write
 }
 
-func (m *OpenArgs) Encode(e *xdr.Encoder) {
-	m.Handle.Encode(e)
-	e.Bool(m.WriteMode)
-}
-
-// DecodeOpenArgs reads OpenArgs.
-func DecodeOpenArgs(d *xdr.Decoder) OpenArgs {
-	return OpenArgs{Handle: DecodeHandle(d), WriteMode: d.Bool()}
+func (m *OpenArgs) XDR(c xdr.Codec) {
+	m.Handle.XDR(c)
+	c.Bool(&m.WriteMode)
 }
 
 // OpenReply tells the client whether it may cache the file, carries the
 // version numbers used to validate a cache retained across close/reopen,
 // and piggybacks the attributes so no separate getattr is needed (§3.1).
+// An ErrInconsistent reply carries the body too (§3.2).
 type OpenReply struct {
 	Status       Status
 	CacheEnabled bool
@@ -448,26 +314,13 @@ type OpenReply struct {
 	Attr         Fattr
 }
 
-func (m *OpenReply) Encode(e *xdr.Encoder) {
-	e.Uint32(uint32(m.Status))
-	if m.Status == OK || m.Status == ErrInconsistent {
-		e.Bool(m.CacheEnabled)
-		e.Uint32(m.Version)
-		e.Uint32(m.PrevVersion)
-		m.Attr.Encode(e)
+func (m *OpenReply) XDR(c xdr.Codec) {
+	if m.Status.XDR(c); m.Status == OK || m.Status == ErrInconsistent {
+		c.Bool(&m.CacheEnabled)
+		c.Uint32(&m.Version)
+		c.Uint32(&m.PrevVersion)
+		m.Attr.XDR(c)
 	}
-}
-
-// DecodeOpenReply reads an OpenReply.
-func DecodeOpenReply(d *xdr.Decoder) OpenReply {
-	r := OpenReply{Status: Status(d.Uint32())}
-	if r.Status == OK || r.Status == ErrInconsistent {
-		r.CacheEnabled = d.Bool()
-		r.Version = d.Uint32()
-		r.PrevVersion = d.Uint32()
-		r.Attr = DecodeFattr(d)
-	}
-	return r
 }
 
 // CloseArgs tells the server the client is done with the handle; the
@@ -481,17 +334,10 @@ type CloseArgs struct {
 	WantAttr  bool
 }
 
-func (m *CloseArgs) Encode(e *xdr.Encoder) {
-	m.Handle.Encode(e)
-	e.Bool(m.WriteMode)
-	if m.WantAttr {
-		e.Bool(true)
-	}
-}
-
-// DecodeCloseArgs reads CloseArgs.
-func DecodeCloseArgs(d *xdr.Decoder) CloseArgs {
-	return CloseArgs{Handle: DecodeHandle(d), WriteMode: d.Bool()}
+func (m *CloseArgs) XDR(c xdr.Codec) {
+	m.Handle.XDR(c)
+	c.Bool(&m.WriteMode)
+	c.OptionalBool(&m.WantAttr)
 }
 
 // CallbackArgs is the server-to-client request (§3.2): write back dirty
@@ -504,21 +350,11 @@ type CallbackArgs struct {
 	Release    bool
 }
 
-func (m *CallbackArgs) Encode(e *xdr.Encoder) {
-	m.Handle.Encode(e)
-	e.Bool(m.WriteBack)
-	e.Bool(m.Invalidate)
-	e.Bool(m.Release)
-}
-
-// DecodeCallbackArgs reads CallbackArgs.
-func DecodeCallbackArgs(d *xdr.Decoder) CallbackArgs {
-	return CallbackArgs{
-		Handle:     DecodeHandle(d),
-		WriteBack:  d.Bool(),
-		Invalidate: d.Bool(),
-		Release:    d.Bool(),
-	}
+func (m *CallbackArgs) XDR(c xdr.Codec) {
+	m.Handle.XDR(c)
+	c.Bool(&m.WriteBack)
+	c.Bool(&m.Invalidate)
+	c.Bool(&m.Release)
 }
 
 // ---- crash-recovery extensions ----
@@ -534,23 +370,12 @@ type ReopenArgs struct {
 	HasDirty bool   // the client holds dirty blocks for the file
 }
 
-func (m *ReopenArgs) Encode(e *xdr.Encoder) {
-	m.Handle.Encode(e)
-	e.Uint32(m.Readers)
-	e.Uint32(m.Writers)
-	e.Uint32(m.Version)
-	e.Bool(m.HasDirty)
-}
-
-// DecodeReopenArgs reads ReopenArgs.
-func DecodeReopenArgs(d *xdr.Decoder) ReopenArgs {
-	return ReopenArgs{
-		Handle:   DecodeHandle(d),
-		Readers:  d.Uint32(),
-		Writers:  d.Uint32(),
-		Version:  d.Uint32(),
-		HasDirty: d.Bool(),
-	}
+func (m *ReopenArgs) XDR(c xdr.Codec) {
+	m.Handle.XDR(c)
+	c.Uint32(&m.Readers)
+	c.Uint32(&m.Writers)
+	c.Uint32(&m.Version)
+	c.Bool(&m.HasDirty)
 }
 
 // ServerInfoReply identifies the server incarnation; a changed epoch
@@ -561,15 +386,10 @@ type ServerInfoReply struct {
 	InGrace bool // server is in its recovery grace period
 }
 
-func (m *ServerInfoReply) Encode(e *xdr.Encoder) {
-	e.Uint32(uint32(m.Status))
-	e.Uint64(m.Epoch)
-	e.Bool(m.InGrace)
-}
-
-// DecodeServerInfoReply reads a ServerInfoReply.
-func DecodeServerInfoReply(d *xdr.Decoder) ServerInfoReply {
-	return ServerInfoReply{Status: Status(d.Uint32()), Epoch: d.Uint64(), InGrace: d.Bool()}
+func (m *ServerInfoReply) XDR(c xdr.Codec) {
+	m.Status.XDR(c)
+	c.Uint64(&m.Epoch)
+	c.Bool(&m.InGrace)
 }
 
 // ---- administrative dump (SNFS) ----
@@ -600,65 +420,29 @@ type DumpStateReply struct {
 	Entries []DumpEntry
 }
 
-func (m *DumpStateReply) Encode(e *xdr.Encoder) {
-	e.Uint32(uint32(m.Status))
-	if m.Status != OK {
+func (m *DumpStateReply) XDR(c xdr.Codec) {
+	if m.Status.XDR(c); m.Status != OK {
 		return
 	}
-	e.Uint64(m.Epoch)
-	e.Uint32(uint32(len(m.Entries)))
-	for _, ent := range m.Entries {
-		ent.Handle.Encode(e)
-		e.Uint32(ent.State)
-		e.String(ent.StateName)
-		e.Uint32(ent.Version)
-		e.String(ent.LastWriter)
-		e.Bool(ent.Inconsistent)
-		e.Uint32(uint32(len(ent.Clients)))
-		for _, c := range ent.Clients {
-			e.String(c.Client)
-			e.Uint32(c.Readers)
-			e.Uint32(c.Writers)
-			e.Bool(c.Caching)
+	c.Uint64(&m.Epoch)
+	xdr.Count(c, &m.Entries, 1<<20)
+	for i := range m.Entries {
+		ent := &m.Entries[i]
+		ent.Handle.XDR(c)
+		c.Uint32(&ent.State)
+		c.String(&ent.StateName)
+		c.Uint32(&ent.Version)
+		c.String(&ent.LastWriter)
+		c.Bool(&ent.Inconsistent)
+		xdr.Count(c, &ent.Clients, 1<<16)
+		for j := range ent.Clients {
+			cl := &ent.Clients[j]
+			c.String(&cl.Client)
+			c.Uint32(&cl.Readers)
+			c.Uint32(&cl.Writers)
+			c.Bool(&cl.Caching)
 		}
 	}
-}
-
-// DecodeDumpStateReply reads a DumpStateReply.
-func DecodeDumpStateReply(d *xdr.Decoder) DumpStateReply {
-	r := DumpStateReply{Status: Status(d.Uint32())}
-	if r.Status != OK {
-		return r
-	}
-	r.Epoch = d.Uint64()
-	n := d.Uint32()
-	if n > 1<<20 {
-		return DumpStateReply{Status: ErrIO}
-	}
-	for i := uint32(0); i < n && d.Err() == nil; i++ {
-		ent := DumpEntry{
-			Handle:       DecodeHandle(d),
-			State:        d.Uint32(),
-			StateName:    d.String(),
-			Version:      d.Uint32(),
-			LastWriter:   d.String(),
-			Inconsistent: d.Bool(),
-		}
-		m := d.Uint32()
-		if m > 1<<16 {
-			return DumpStateReply{Status: ErrIO}
-		}
-		for j := uint32(0); j < m && d.Err() == nil; j++ {
-			ent.Clients = append(ent.Clients, DumpClient{
-				Client:  d.String(),
-				Readers: d.Uint32(),
-				Writers: d.Uint32(),
-				Caching: d.Bool(),
-			})
-		}
-		r.Entries = append(r.Entries, ent)
-	}
-	return r
 }
 
 // ---- advisory locking extension ----
@@ -669,14 +453,9 @@ type LockArgs struct {
 	Exclusive bool
 }
 
-func (m *LockArgs) Encode(e *xdr.Encoder) {
-	m.Handle.Encode(e)
-	e.Bool(m.Exclusive)
-}
-
-// DecodeLockArgs reads LockArgs.
-func DecodeLockArgs(d *xdr.Decoder) LockArgs {
-	return LockArgs{Handle: DecodeHandle(d), Exclusive: d.Bool()}
+func (m *LockArgs) XDR(c xdr.Codec) {
+	m.Handle.XDR(c)
+	c.Bool(&m.Exclusive)
 }
 
 // LockReply reports whether the lock was granted (a denial is not an
@@ -686,14 +465,9 @@ type LockReply struct {
 	Granted bool
 }
 
-func (m *LockReply) Encode(e *xdr.Encoder) {
-	e.Uint32(uint32(m.Status))
-	e.Bool(m.Granted)
-}
-
-// DecodeLockReply reads a LockReply.
-func DecodeLockReply(d *xdr.Decoder) LockReply {
-	return LockReply{Status: Status(d.Uint32()), Granted: d.Bool()}
+func (m *LockReply) XDR(c xdr.Codec) {
+	m.Status.XDR(c)
+	c.Bool(&m.Granted)
 }
 
 // ---- links (RFC 1094 procedures 5, 12, 13) ----
@@ -705,15 +479,10 @@ type LinkArgs struct {
 	ToName string
 }
 
-func (m *LinkArgs) Encode(e *xdr.Encoder) {
-	m.From.Encode(e)
-	m.ToDir.Encode(e)
-	e.String(m.ToName)
-}
-
-// DecodeLinkArgs reads LinkArgs.
-func DecodeLinkArgs(d *xdr.Decoder) LinkArgs {
-	return LinkArgs{From: DecodeHandle(d), ToDir: DecodeHandle(d), ToName: d.String()}
+func (m *LinkArgs) XDR(c xdr.Codec) {
+	m.From.XDR(c)
+	m.ToDir.XDR(c)
+	c.String(&m.ToName)
 }
 
 // SymlinkArgs creates a symbolic link.
@@ -723,15 +492,10 @@ type SymlinkArgs struct {
 	Target string
 }
 
-func (m *SymlinkArgs) Encode(e *xdr.Encoder) {
-	m.Dir.Encode(e)
-	e.String(m.Name)
-	e.String(m.Target)
-}
-
-// DecodeSymlinkArgs reads SymlinkArgs.
-func DecodeSymlinkArgs(d *xdr.Decoder) SymlinkArgs {
-	return SymlinkArgs{Dir: DecodeHandle(d), Name: d.String(), Target: d.String()}
+func (m *SymlinkArgs) XDR(c xdr.Codec) {
+	m.Dir.XDR(c)
+	c.String(&m.Name)
+	c.String(&m.Target)
 }
 
 // ReadlinkReply returns a symlink's target.
@@ -740,20 +504,10 @@ type ReadlinkReply struct {
 	Target string
 }
 
-func (m *ReadlinkReply) Encode(e *xdr.Encoder) {
-	e.Uint32(uint32(m.Status))
-	if m.Status == OK {
-		e.String(m.Target)
+func (m *ReadlinkReply) XDR(c xdr.Codec) {
+	if m.Status.XDR(c); m.Status == OK {
+		c.String(&m.Target)
 	}
-}
-
-// DecodeReadlinkReply reads a ReadlinkReply.
-func DecodeReadlinkReply(d *xdr.Decoder) ReadlinkReply {
-	r := ReadlinkReply{Status: Status(d.Uint32())}
-	if r.Status == OK {
-		r.Target = d.String()
-	}
-	return r
 }
 
 // MetricsReply returns the server's metrics registry as Prometheus-style
@@ -763,20 +517,10 @@ type MetricsReply struct {
 	Text   string
 }
 
-func (m *MetricsReply) Encode(e *xdr.Encoder) {
-	e.Uint32(uint32(m.Status))
-	if m.Status == OK {
-		e.String(m.Text)
+func (m *MetricsReply) XDR(c xdr.Codec) {
+	if m.Status.XDR(c); m.Status == OK {
+		c.String(&m.Text)
 	}
-}
-
-// DecodeMetricsReply reads a MetricsReply.
-func DecodeMetricsReply(d *xdr.Decoder) MetricsReply {
-	r := MetricsReply{Status: Status(d.Uint32())}
-	if r.Status == OK {
-		r.Text = d.String()
-	}
-	return r
 }
 
 // AuditReply returns the server's protocol-audit report as text
@@ -786,20 +530,10 @@ type AuditReply struct {
 	Text   string
 }
 
-func (m *AuditReply) Encode(e *xdr.Encoder) {
-	e.Uint32(uint32(m.Status))
-	if m.Status == OK {
-		e.String(m.Text)
+func (m *AuditReply) XDR(c xdr.Codec) {
+	if m.Status.XDR(c); m.Status == OK {
+		c.String(&m.Text)
 	}
-}
-
-// DecodeAuditReply reads an AuditReply.
-func DecodeAuditReply(d *xdr.Decoder) AuditReply {
-	r := AuditReply{Status: Status(d.Uint32())}
-	if r.Status == OK {
-		r.Text = d.String()
-	}
-	return r
 }
 
 // ---- post-op attributes and compound lookup ----
@@ -823,31 +557,17 @@ type WccReply struct {
 	Wcc    []WccData
 }
 
-func (m *WccReply) Encode(e *xdr.Encoder) {
-	e.Uint32(uint32(m.Status))
-	e.Uint32(uint32(len(m.Wcc)))
-	for _, w := range m.Wcc {
-		w.Handle.Encode(e)
-		w.Attr.Encode(e)
-	}
-}
-
-// DecodeWccReply reads a WccReply.
-func DecodeWccReply(d *xdr.Decoder) WccReply {
-	r := WccReply{Status: Status(d.Uint32())}
-	if d.Err() != nil || d.Remaining() == 0 {
+func (m *WccReply) XDR(c xdr.Codec) {
+	if m.Status.XDR(c); c.AtEnd() {
 		// A bare StatusReply (a server that ignored the want-attr
 		// flag, or a shard redirect) is a WccReply with no records.
-		return r
+		return
 	}
-	n := d.Uint32()
-	if n > 16 {
-		return WccReply{Status: ErrIO}
+	xdr.Count(c, &m.Wcc, 16)
+	for i := range m.Wcc {
+		m.Wcc[i].Handle.XDR(c)
+		m.Wcc[i].Attr.XDR(c)
 	}
-	for i := uint32(0); i < n; i++ {
-		r.Wcc = append(r.Wcc, WccData{Handle: DecodeHandle(d), Attr: DecodeFattr(d)})
-	}
-	return r
 }
 
 // LookupPathArgs resolves Names in order, each under the previous
@@ -857,26 +577,12 @@ type LookupPathArgs struct {
 	Names []string
 }
 
-func (m *LookupPathArgs) Encode(e *xdr.Encoder) {
-	m.Dir.Encode(e)
-	e.Uint32(uint32(len(m.Names)))
-	for _, n := range m.Names {
-		e.String(n)
+func (m *LookupPathArgs) XDR(c xdr.Codec) {
+	m.Dir.XDR(c)
+	xdr.Count(c, &m.Names, 1<<12)
+	for i := range m.Names {
+		c.String(&m.Names[i])
 	}
-}
-
-// DecodeLookupPathArgs reads LookupPathArgs.
-func DecodeLookupPathArgs(d *xdr.Decoder) LookupPathArgs {
-	a := LookupPathArgs{Dir: DecodeHandle(d)}
-	n := d.Uint32()
-	if n > 1<<12 {
-		d.Raw() // poison: consume the rest so Err callers see garbage
-		return LookupPathArgs{}
-	}
-	for i := uint32(0); i < n && d.Err() == nil; i++ {
-		a.Names = append(a.Names, d.String())
-	}
-	return a
 }
 
 // LookupPathReply reports how far the server's walk got. Resolved
@@ -893,26 +599,13 @@ type LookupPathReply struct {
 	Attr     Fattr
 }
 
-func (m *LookupPathReply) Encode(e *xdr.Encoder) {
-	e.Uint32(uint32(m.Status))
-	if m.Status == OK {
-		e.Uint32(m.Resolved)
-		m.Handle.Encode(e)
-		m.Parent.Encode(e)
-		m.Attr.Encode(e)
+func (m *LookupPathReply) XDR(c xdr.Codec) {
+	if m.Status.XDR(c); m.Status == OK {
+		c.Uint32(&m.Resolved)
+		m.Handle.XDR(c)
+		m.Parent.XDR(c)
+		m.Attr.XDR(c)
 	}
-}
-
-// DecodeLookupPathReply reads a LookupPathReply.
-func DecodeLookupPathReply(d *xdr.Decoder) LookupPathReply {
-	r := LookupPathReply{Status: Status(d.Uint32())}
-	if r.Status == OK {
-		r.Resolved = d.Uint32()
-		r.Handle = DecodeHandle(d)
-		r.Parent = DecodeHandle(d)
-		r.Attr = DecodeFattr(d)
-	}
-	return r
 }
 
 // DirEntryAttrs is one ReaddirAttrs result entry: the plain readdir
@@ -930,35 +623,14 @@ type ReaddirAttrsReply struct {
 	Entries []DirEntryAttrs
 }
 
-func (m *ReaddirAttrsReply) Encode(e *xdr.Encoder) {
-	e.Uint32(uint32(m.Status))
-	if m.Status == OK {
-		e.Uint32(uint32(len(m.Entries)))
-		for _, ent := range m.Entries {
-			e.String(ent.Name)
-			ent.Handle.Encode(e)
-			ent.Attr.Encode(e)
-		}
+func (m *ReaddirAttrsReply) XDR(c xdr.Codec) {
+	if m.Status.XDR(c); m.Status != OK {
+		return
 	}
-}
-
-// DecodeReaddirAttrsReply reads a ReaddirAttrsReply.
-func DecodeReaddirAttrsReply(d *xdr.Decoder) ReaddirAttrsReply {
-	r := ReaddirAttrsReply{Status: Status(d.Uint32())}
-	if r.Status != OK {
-		return r
+	xdr.Count(c, &m.Entries, 1<<20)
+	for i := range m.Entries {
+		c.String(&m.Entries[i].Name)
+		m.Entries[i].Handle.XDR(c)
+		m.Entries[i].Attr.XDR(c)
 	}
-	n := d.Uint32()
-	if n > 1<<20 {
-		return ReaddirAttrsReply{Status: ErrIO}
-	}
-	r.Entries = make([]DirEntryAttrs, 0, min(n, 1024))
-	for i := uint32(0); i < n && d.Err() == nil; i++ {
-		r.Entries = append(r.Entries, DirEntryAttrs{
-			Name:   d.String(),
-			Handle: DecodeHandle(d),
-			Attr:   DecodeFattr(d),
-		})
-	}
-	return r
 }

@@ -277,6 +277,9 @@ const (
 	ErrDemoted Status = 10005
 )
 
+// XDR codes s.
+func (s *Status) XDR(c xdr.Codec) { c.Uint32((*uint32)(s)) }
+
 func (s Status) String() string {
 	switch s {
 	case OK:
@@ -403,16 +406,11 @@ func (h Handle) Less(o Handle) bool {
 
 func (h Handle) String() string { return fmt.Sprintf("fh(%d:%d.%d)", h.FSID, h.Ino, h.Gen) }
 
-// Encode writes h.
-func (h Handle) Encode(e *xdr.Encoder) {
-	e.Uint32(h.FSID)
-	e.Uint64(h.Ino)
-	e.Uint32(h.Gen)
-}
-
-// DecodeHandle reads a Handle.
-func DecodeHandle(d *xdr.Decoder) Handle {
-	return Handle{FSID: d.Uint32(), Ino: d.Uint64(), Gen: d.Uint32()}
+// XDR codes h.
+func (h *Handle) XDR(c xdr.Codec) {
+	c.Uint32(&h.FSID)
+	c.Uint64(&h.Ino)
+	c.Uint32(&h.Gen)
 }
 
 // Fattr is the wire attribute record.
@@ -433,36 +431,19 @@ type Fattr struct {
 // IsDir reports whether the attributes describe a directory.
 func (f Fattr) IsDir() bool { return f.Type == uint32(localfs.TypeDirectory) }
 
-// Encode writes f.
-func (f Fattr) Encode(e *xdr.Encoder) {
-	e.Uint32(f.Type)
-	e.Uint32(f.Mode)
-	e.Uint32(f.Nlink)
-	e.Int64(f.Size)
-	e.Int64(f.Blocks)
-	e.Uint32(f.BlockSize)
-	e.Uint64(f.Fileid)
-	e.Uint32(f.Gen)
-	e.Int64(f.Atime)
-	e.Int64(f.Mtime)
-	e.Int64(f.Ctime)
-}
-
-// DecodeFattr reads an Fattr.
-func DecodeFattr(d *xdr.Decoder) Fattr {
-	return Fattr{
-		Type:      d.Uint32(),
-		Mode:      d.Uint32(),
-		Nlink:     d.Uint32(),
-		Size:      d.Int64(),
-		Blocks:    d.Int64(),
-		BlockSize: d.Uint32(),
-		Fileid:    d.Uint64(),
-		Gen:       d.Uint32(),
-		Atime:     d.Int64(),
-		Mtime:     d.Int64(),
-		Ctime:     d.Int64(),
-	}
+// XDR codes f.
+func (f *Fattr) XDR(c xdr.Codec) {
+	c.Uint32(&f.Type)
+	c.Uint32(&f.Mode)
+	c.Uint32(&f.Nlink)
+	c.Int64(&f.Size)
+	c.Int64(&f.Blocks)
+	c.Uint32(&f.BlockSize)
+	c.Uint64(&f.Fileid)
+	c.Uint32(&f.Gen)
+	c.Int64(&f.Atime)
+	c.Int64(&f.Mtime)
+	c.Int64(&f.Ctime)
 }
 
 // FattrFromAttr converts a localfs attribute record for the wire.

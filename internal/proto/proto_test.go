@@ -8,15 +8,11 @@ import (
 	"testing/quick"
 
 	"spritelynfs/internal/localfs"
-	"spritelynfs/internal/xdr"
 )
 
 func TestHandleRoundTrip(t *testing.T) {
 	h := Handle{FSID: 3, Ino: 0xdeadbeefcafe, Gen: 77}
-	e := xdr.NewEncoder()
-	h.Encode(e)
-	got := DecodeHandle(xdr.NewDecoder(e.Bytes()))
-	if got != h {
+	if got := roundTrip(t, &h); *got != h {
 		t.Errorf("round trip %+v -> %+v", h, got)
 	}
 }
@@ -27,24 +23,20 @@ func TestFattrRoundTrip(t *testing.T) {
 		BlockSize: 4096, Fileid: 12345, Gen: 9,
 		Atime: 1, Mtime: 2, Ctime: 3,
 	}
-	e := xdr.NewEncoder()
-	f.Encode(e)
-	got := DecodeFattr(xdr.NewDecoder(e.Bytes()))
-	if got != f {
+	if got := roundTrip(t, &f); *got != f {
 		t.Errorf("round trip mismatch:\n  in  %+v\n  out %+v", f, got)
 	}
 }
 
-func roundTrip[T Message](t *testing.T, in T, decode func(*xdr.Decoder) T) T {
+// roundTrip encodes in and decodes the image into a fresh value.
+func roundTrip[T any, P interface {
+	*T
+	Message
+}](t *testing.T, in P) P {
 	t.Helper()
-	buf := Marshal(in)
-	d := xdr.NewDecoder(buf)
-	out := decode(d)
-	if d.Err() != nil {
-		t.Fatalf("decode error: %v", d.Err())
-	}
-	if d.Remaining() != 0 {
-		t.Fatalf("%T: %d bytes left over", in, d.Remaining())
+	out := P(new(T))
+	if left, err := decodeInto(out, Marshal(in)); err != nil || left != 0 {
+		t.Fatalf("%T: %v, %d bytes left over", in, err, left)
 	}
 	return out
 }
@@ -53,104 +45,68 @@ func TestMessageRoundTrips(t *testing.T) {
 	h := Handle{FSID: 1, Ino: 42, Gen: 7}
 	fa := Fattr{Type: 1, Size: 100, Fileid: 42, BlockSize: 4096}
 
-	if got := roundTrip(t, &OpenArgs{Handle: h, WriteMode: true}, func(d *xdr.Decoder) *OpenArgs {
-		v := DecodeOpenArgs(d)
-		return &v
-	}); got.Handle != h || !got.WriteMode {
+	if got := roundTrip(t, &OpenArgs{Handle: h, WriteMode: true}); got.Handle != h || !got.WriteMode {
 		t.Errorf("OpenArgs: %+v", got)
 	}
 
 	or := &OpenReply{Status: OK, CacheEnabled: true, Version: 9, PrevVersion: 8, Attr: fa}
-	if got := roundTrip(t, or, func(d *xdr.Decoder) *OpenReply {
-		v := DecodeOpenReply(d)
-		return &v
-	}); *got != *or {
+	if got := roundTrip(t, or); *got != *or {
 		t.Errorf("OpenReply: %+v", got)
 	}
 
 	// Non-OK replies omit the body entirely.
 	bad := &OpenReply{Status: ErrStale, CacheEnabled: true, Version: 5}
-	got := roundTrip(t, bad, func(d *xdr.Decoder) *OpenReply {
-		v := DecodeOpenReply(d)
-		return &v
-	})
+	got := roundTrip(t, bad)
 	if got.Status != ErrStale || got.CacheEnabled || got.Version != 0 {
 		t.Errorf("error OpenReply carried a body: %+v", got)
 	}
 
 	// ErrInconsistent replies DO carry the body (§3.2).
 	inc := &OpenReply{Status: ErrInconsistent, CacheEnabled: false, Version: 5, PrevVersion: 4, Attr: fa}
-	if got := roundTrip(t, inc, func(d *xdr.Decoder) *OpenReply {
-		v := DecodeOpenReply(d)
-		return &v
-	}); *got != *inc {
+	if got := roundTrip(t, inc); *got != *inc {
 		t.Errorf("inconsistent OpenReply: %+v", got)
 	}
 
 	ca := &CallbackArgs{Handle: h, WriteBack: true, Invalidate: false, Release: true}
-	if got := roundTrip(t, ca, func(d *xdr.Decoder) *CallbackArgs {
-		v := DecodeCallbackArgs(d)
-		return &v
-	}); *got != *ca {
+	if got := roundTrip(t, ca); *got != *ca {
 		t.Errorf("CallbackArgs: %+v", got)
 	}
 
 	wa := &WriteArgs{Handle: h, Offset: 8192, Data: []byte("block data")}
-	gw := roundTrip(t, wa, func(d *xdr.Decoder) *WriteArgs {
-		v := DecodeWriteArgs(d)
-		return &v
-	})
+	gw := roundTrip(t, wa)
 	if gw.Handle != h || gw.Offset != 8192 || !bytes.Equal(gw.Data, wa.Data) {
 		t.Errorf("WriteArgs: %+v", gw)
 	}
 
 	rr := &ReadReply{Status: OK, Attr: fa, Data: []byte("xyz")}
-	gr := roundTrip(t, rr, func(d *xdr.Decoder) *ReadReply {
-		v := DecodeReadReply(d)
-		return &v
-	})
+	gr := roundTrip(t, rr)
 	if gr.Status != OK || !bytes.Equal(gr.Data, rr.Data) || gr.Attr != fa {
 		t.Errorf("ReadReply: %+v", gr)
 	}
 
 	dr := &ReaddirReply{Status: OK, Entries: []DirEntry{{"a", 1}, {"b", 2}}}
-	gd := roundTrip(t, dr, func(d *xdr.Decoder) *ReaddirReply {
-		v := DecodeReaddirReply(d)
-		return &v
-	})
+	gd := roundTrip(t, dr)
 	if len(gd.Entries) != 2 || gd.Entries[1].Name != "b" || gd.Entries[1].Fileid != 2 {
 		t.Errorf("ReaddirReply: %+v", gd)
 	}
 
 	ra := &RenameArgs{SrcDir: h, SrcName: "x", DstDir: Handle{FSID: 1, Ino: 9}, DstName: "y"}
-	if got := roundTrip(t, ra, func(d *xdr.Decoder) *RenameArgs {
-		v := DecodeRenameArgs(d)
-		return &v
-	}); *got != *ra {
+	if got := roundTrip(t, ra); *got != *ra {
 		t.Errorf("RenameArgs: %+v", got)
 	}
 
 	sa := &SetattrArgs{Handle: h, SetSize: true, Size: 0, SetMode: false, Mode: 0}
-	if got := roundTrip(t, sa, func(d *xdr.Decoder) *SetattrArgs {
-		v := DecodeSetattrArgs(d)
-		return &v
-	}); *got != *sa {
+	if got := roundTrip(t, sa); *got != *sa {
 		t.Errorf("SetattrArgs: %+v", got)
 	}
 
 	ro := &ReopenArgs{Handle: h, Readers: 2, Writers: 1, Version: 44, HasDirty: true}
-	if got := roundTrip(t, ro, func(d *xdr.Decoder) *ReopenArgs {
-		v := DecodeReopenArgs(d)
-		return &v
-	}); *got != *ro {
+	if got := roundTrip(t, ro); *got != *ro {
 		t.Errorf("ReopenArgs: %+v", got)
 	}
 
 	si := &ServerInfoReply{Status: OK, Epoch: 99, InGrace: true}
-	if got := roundTrip(t, si, func(d *xdr.Decoder) *ServerInfoReply {
-		v := DecodeServerInfoReply(d)
-		return &v
-	}); *got != *si {
+	if got := roundTrip(t, si); *got != *si {
 		t.Errorf("ServerInfoReply: %+v", got)
 	}
 }
@@ -213,9 +169,9 @@ func TestProcNames(t *testing.T) {
 func TestQuickHandleRoundTrip(t *testing.T) {
 	f := func(fsid uint32, ino uint64, gen uint32) bool {
 		h := Handle{FSID: fsid, Ino: ino, Gen: gen}
-		e := xdr.NewEncoder()
-		h.Encode(e)
-		return DecodeHandle(xdr.NewDecoder(e.Bytes())) == h
+		var got Handle
+		_, err := decodeInto(&got, Marshal(&h))
+		return err == nil && got == h
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -225,9 +181,8 @@ func TestQuickHandleRoundTrip(t *testing.T) {
 func TestQuickWriteArgsRoundTrip(t *testing.T) {
 	f := func(ino uint64, off int64, data []byte) bool {
 		in := &WriteArgs{Handle: Handle{Ino: ino}, Offset: off, Data: data}
-		d := xdr.NewDecoder(Marshal(in))
-		out := DecodeWriteArgs(d)
-		if d.Err() != nil {
+		var out WriteArgs
+		if _, err := decodeInto(&out, Marshal(in)); err != nil {
 			return false
 		}
 		return out.Handle.Ino == ino && out.Offset == off &&
@@ -266,11 +221,7 @@ func TestDumpStateReplyRoundTrip(t *testing.T) {
 			{Handle: Handle{FSID: 1, Ino: 6, Gen: 1}, StateName: "CLOSED"},
 		},
 	}
-	d := xdr.NewDecoder(Marshal(in))
-	out := DecodeDumpStateReply(d)
-	if d.Err() != nil || d.Remaining() != 0 {
-		t.Fatalf("decode: %v, %d left", d.Err(), d.Remaining())
-	}
+	out := roundTrip(t, in)
 	if out.Epoch != 7 || len(out.Entries) != 2 {
 		t.Fatalf("out %+v", out)
 	}
@@ -282,8 +233,7 @@ func TestDumpStateReplyRoundTrip(t *testing.T) {
 		t.Errorf("client %+v", e.Clients[1])
 	}
 	// Error replies carry no body.
-	bad := &DumpStateReply{Status: ErrIO, Epoch: 9}
-	out2 := DecodeDumpStateReply(xdr.NewDecoder(Marshal(bad)))
+	out2 := roundTrip(t, &DumpStateReply{Status: ErrIO, Epoch: 9})
 	if out2.Status != ErrIO || out2.Epoch != 0 {
 		t.Errorf("error reply %+v", out2)
 	}
@@ -293,43 +243,28 @@ func TestCommitPipelineMessages(t *testing.T) {
 	h := Handle{FSID: 1, Ino: 42, Gen: 7}
 
 	wa := &WriteArgs{Handle: h, Offset: 4096, Data: []byte("unstable"), Unstable: true}
-	gw := roundTrip(t, wa, func(d *xdr.Decoder) *WriteArgs {
-		v := DecodeWriteArgs(d)
-		return &v
-	})
+	gw := roundTrip(t, wa)
 	if gw.Handle != h || gw.Offset != 4096 || !gw.Unstable || !bytes.Equal(gw.Data, wa.Data) {
 		t.Errorf("WriteArgs: %+v", gw)
 	}
 
 	wr := &WriteReply{Status: OK, Attr: Fattr{Size: 4104, Mtime: 3}, Committed: false, Verifier: 5}
-	if got := roundTrip(t, wr, func(d *xdr.Decoder) *WriteReply {
-		v := DecodeWriteReply(d)
-		return &v
-	}); *got != *wr {
+	if got := roundTrip(t, wr); *got != *wr {
 		t.Errorf("WriteReply: %+v", got)
 	}
 	// Error replies carry no body after the status.
 	werr := &WriteReply{Status: ErrStale, Verifier: 99}
-	if got := roundTrip(t, werr, func(d *xdr.Decoder) *WriteReply {
-		v := DecodeWriteReply(d)
-		return &v
-	}); got.Status != ErrStale || got.Verifier != 0 {
+	if got := roundTrip(t, werr); got.Status != ErrStale || got.Verifier != 0 {
 		t.Errorf("error WriteReply: %+v", got)
 	}
 
 	ca := &CommitArgs{Handle: h}
-	if got := roundTrip(t, ca, func(d *xdr.Decoder) *CommitArgs {
-		v := DecodeCommitArgs(d)
-		return &v
-	}); *got != *ca {
+	if got := roundTrip(t, ca); *got != *ca {
 		t.Errorf("CommitArgs: %+v", got)
 	}
 
 	cr := &CommitReply{Status: OK, Verifier: 12}
-	if got := roundTrip(t, cr, func(d *xdr.Decoder) *CommitReply {
-		v := DecodeCommitReply(d)
-		return &v
-	}); *got != *cr {
+	if got := roundTrip(t, cr); *got != *cr {
 		t.Errorf("CommitReply: %+v", got)
 	}
 }

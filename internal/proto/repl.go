@@ -54,51 +54,28 @@ type ReplRecord struct {
 	Wire []byte
 }
 
-func (r *ReplRecord) Encode(e *xdr.Encoder) {
-	e.Uint64(r.Seq)
-	e.Uint32(r.Kind)
-	e.String(r.Event)
-	r.Handle.Encode(e)
-	e.String(r.Client)
-	e.Uint32(r.To)
-	e.Uint32(r.Version)
-	e.Uint32(r.Readers)
-	e.Uint32(r.Writers)
-	e.String(r.LastWriter)
-	e.Bool(r.HasDirty)
-	e.Bool(r.Dropped)
-	e.Uint64(r.Ino)
-	e.Int64(r.Offset)
-	e.Uint32(r.Length)
-	e.Bool(r.Unstable)
-	e.String(r.From)
-	e.Uint32(r.Xid)
-	e.Opaque(r.Wire)
-}
-
-// DecodeReplRecord reads a ReplRecord.
-func DecodeReplRecord(d *xdr.Decoder) ReplRecord {
-	return ReplRecord{
-		Seq:        d.Uint64(),
-		Kind:       d.Uint32(),
-		Event:      d.String(),
-		Handle:     DecodeHandle(d),
-		Client:     d.String(),
-		To:         d.Uint32(),
-		Version:    d.Uint32(),
-		Readers:    d.Uint32(),
-		Writers:    d.Uint32(),
-		LastWriter: d.String(),
-		HasDirty:   d.Bool(),
-		Dropped:    d.Bool(),
-		Ino:        d.Uint64(),
-		Offset:     d.Int64(),
-		Length:     d.Uint32(),
-		Unstable:   d.Bool(),
-		From:       d.String(),
-		Xid:        d.Uint32(),
-		Wire:       d.Opaque(),
-	}
+// XDR codes r. Decoded, Wire is a copy: a backup keeps it in its
+// duplicate cache (rpc.Endpoint.SeedDup) long after the batch is gone.
+func (r *ReplRecord) XDR(c xdr.Codec) {
+	c.Uint64(&r.Seq)
+	c.Uint32(&r.Kind)
+	c.String(&r.Event)
+	r.Handle.XDR(c)
+	c.String(&r.Client)
+	c.Uint32(&r.To)
+	c.Uint32(&r.Version)
+	c.Uint32(&r.Readers)
+	c.Uint32(&r.Writers)
+	c.String(&r.LastWriter)
+	c.Bool(&r.HasDirty)
+	c.Bool(&r.Dropped)
+	c.Uint64(&r.Ino)
+	c.Int64(&r.Offset)
+	c.Uint32(&r.Length)
+	c.Bool(&r.Unstable)
+	c.String(&r.From)
+	c.Uint32(&r.Xid)
+	c.Opaque(&r.Wire)
 }
 
 // ReplStreamArgs is one batch of the primary→backup replication stream.
@@ -111,27 +88,14 @@ type ReplStreamArgs struct {
 	Records  []ReplRecord
 }
 
-func (m *ReplStreamArgs) Encode(e *xdr.Encoder) {
-	e.Uint32(m.Shard)
-	e.Uint64(m.Epoch)
-	e.Uint64(m.Verifier)
-	e.Uint32(uint32(len(m.Records)))
+func (m *ReplStreamArgs) XDR(c xdr.Codec) {
+	c.Uint32(&m.Shard)
+	c.Uint64(&m.Epoch)
+	c.Uint64(&m.Verifier)
+	xdr.Count(c, &m.Records, 1<<20)
 	for i := range m.Records {
-		m.Records[i].Encode(e)
+		m.Records[i].XDR(c)
 	}
-}
-
-// DecodeReplStreamArgs reads ReplStreamArgs.
-func DecodeReplStreamArgs(d *xdr.Decoder) ReplStreamArgs {
-	m := ReplStreamArgs{Shard: d.Uint32(), Epoch: d.Uint64(), Verifier: d.Uint64()}
-	n := d.Uint32()
-	if n > 1<<20 {
-		return ReplStreamArgs{}
-	}
-	for ; n > 0 && d.Err() == nil; n-- {
-		m.Records = append(m.Records, DecodeReplRecord(d))
-	}
-	return m
 }
 
 // ReplStreamReply acks a stream batch. Status ErrDemoted means the
@@ -143,21 +107,12 @@ type ReplStreamReply struct {
 	Map     ShardMap
 }
 
-func (m *ReplStreamReply) Encode(e *xdr.Encoder) {
-	e.Uint32(uint32(m.Status))
-	e.Uint64(m.Applied)
+func (m *ReplStreamReply) XDR(c xdr.Codec) {
+	m.Status.XDR(c)
+	c.Uint64(&m.Applied)
 	if m.Status == ErrDemoted {
-		m.Map.Encode(e)
+		m.Map.XDR(c)
 	}
-}
-
-// DecodeReplStreamReply reads a ReplStreamReply.
-func DecodeReplStreamReply(d *xdr.Decoder) ReplStreamReply {
-	r := ReplStreamReply{Status: Status(d.Uint32()), Applied: d.Uint64()}
-	if r.Status == ErrDemoted {
-		r.Map = DecodeShardMap(d)
-	}
-	return r
 }
 
 // ReplSyncArgs asks the backup whether it has applied through Seq.
@@ -166,14 +121,9 @@ type ReplSyncArgs struct {
 	Seq   uint64
 }
 
-func (m *ReplSyncArgs) Encode(e *xdr.Encoder) {
-	e.Uint32(m.Shard)
-	e.Uint64(m.Seq)
-}
-
-// DecodeReplSyncArgs reads ReplSyncArgs.
-func DecodeReplSyncArgs(d *xdr.Decoder) ReplSyncArgs {
-	return ReplSyncArgs{Shard: d.Uint32(), Seq: d.Uint64()}
+func (m *ReplSyncArgs) XDR(c xdr.Codec) {
+	c.Uint32(&m.Shard)
+	c.Uint64(&m.Seq)
 }
 
 // ReplSyncReply reports the backup's replication progress.
@@ -183,15 +133,10 @@ type ReplSyncReply struct {
 	Synced  bool // Applied >= the Seq asked about, with no gap
 }
 
-func (m *ReplSyncReply) Encode(e *xdr.Encoder) {
-	e.Uint32(uint32(m.Status))
-	e.Uint64(m.Applied)
-	e.Bool(m.Synced)
-}
-
-// DecodeReplSyncReply reads a ReplSyncReply.
-func DecodeReplSyncReply(d *xdr.Decoder) ReplSyncReply {
-	return ReplSyncReply{Status: Status(d.Uint32()), Applied: d.Uint64(), Synced: d.Bool()}
+func (m *ReplSyncReply) XDR(c xdr.Codec) {
+	m.Status.XDR(c)
+	c.Uint64(&m.Applied)
+	c.Bool(&m.Synced)
 }
 
 // View is one numbered (primary, backup) assignment for a shard. Views
@@ -203,15 +148,10 @@ type View struct {
 	Backup  string
 }
 
-func (v *View) Encode(e *xdr.Encoder) {
-	e.Uint64(v.Num)
-	e.String(v.Primary)
-	e.String(v.Backup)
-}
-
-// DecodeView reads a View.
-func DecodeView(d *xdr.Decoder) View {
-	return View{Num: d.Uint64(), Primary: d.String(), Backup: d.String()}
+func (v *View) XDR(c xdr.Codec) {
+	c.Uint64(&v.Num)
+	c.String(&v.Primary)
+	c.String(&v.Backup)
 }
 
 // ViewPingArgs is a server's periodic liveness report to the viewservice.
@@ -223,20 +163,12 @@ type ViewPingArgs struct {
 	Lag      uint32 // primaries: replication records queued, not yet acked
 }
 
-func (m *ViewPingArgs) Encode(e *xdr.Encoder) {
-	e.Uint32(m.Shard)
-	e.String(m.Addr)
-	e.Uint64(m.ViewSeen)
-	e.Bool(m.Synced)
-	e.Uint32(m.Lag)
-}
-
-// DecodeViewPingArgs reads ViewPingArgs.
-func DecodeViewPingArgs(d *xdr.Decoder) ViewPingArgs {
-	return ViewPingArgs{
-		Shard: d.Uint32(), Addr: d.String(), ViewSeen: d.Uint64(),
-		Synced: d.Bool(), Lag: d.Uint32(),
-	}
+func (m *ViewPingArgs) XDR(c xdr.Codec) {
+	c.Uint32(&m.Shard)
+	c.String(&m.Addr)
+	c.Uint64(&m.ViewSeen)
+	c.Bool(&m.Synced)
+	c.Uint32(&m.Lag)
 }
 
 // ViewPingReply carries the shard's current view and the cluster map.
@@ -246,22 +178,11 @@ type ViewPingReply struct {
 	Map    ShardMap
 }
 
-func (m *ViewPingReply) Encode(e *xdr.Encoder) {
-	e.Uint32(uint32(m.Status))
-	if m.Status == OK {
-		m.View.Encode(e)
-		m.Map.Encode(e)
+func (m *ViewPingReply) XDR(c xdr.Codec) {
+	if m.Status.XDR(c); m.Status == OK {
+		m.View.XDR(c)
+		m.Map.XDR(c)
 	}
-}
-
-// DecodeViewPingReply reads a ViewPingReply.
-func DecodeViewPingReply(d *xdr.Decoder) ViewPingReply {
-	r := ViewPingReply{Status: Status(d.Uint32())}
-	if r.Status == OK {
-		r.View = DecodeView(d)
-		r.Map = DecodeShardMap(d)
-	}
-	return r
 }
 
 // ShardView is one shard's row in a ViewGetReply.
@@ -272,22 +193,17 @@ type ShardView struct {
 	Lag    uint32
 }
 
-func (v *ShardView) Encode(e *xdr.Encoder) {
-	e.Uint32(v.Shard)
-	v.View.Encode(e)
-	e.Bool(v.Synced)
-	e.Uint32(v.Lag)
-}
-
-// DecodeShardView reads a ShardView.
-func DecodeShardView(d *xdr.Decoder) ShardView {
-	return ShardView{Shard: d.Uint32(), View: DecodeView(d), Synced: d.Bool(), Lag: d.Uint32()}
+func (v *ShardView) XDR(c xdr.Codec) {
+	c.Uint32(&v.Shard)
+	v.View.XDR(c)
+	c.Bool(&v.Synced)
+	c.Uint32(&v.Lag)
 }
 
 // ViewGetArgs is the (empty) argument of ViewProcGet.
 type ViewGetArgs struct{}
 
-func (m *ViewGetArgs) Encode(e *xdr.Encoder) {}
+func (m *ViewGetArgs) XDR(xdr.Codec) {}
 
 // ViewGetReply is the whole control-plane picture: every shard's view
 // plus the current map. Clients use it to heal onto a new primary when
@@ -298,31 +214,13 @@ type ViewGetReply struct {
 	Map    ShardMap
 }
 
-func (m *ViewGetReply) Encode(e *xdr.Encoder) {
-	e.Uint32(uint32(m.Status))
-	if m.Status != OK {
+func (m *ViewGetReply) XDR(c xdr.Codec) {
+	if m.Status.XDR(c); m.Status != OK {
 		return
 	}
-	e.Uint32(uint32(len(m.Views)))
+	xdr.Count(c, &m.Views, 1<<20)
 	for i := range m.Views {
-		m.Views[i].Encode(e)
+		m.Views[i].XDR(c)
 	}
-	m.Map.Encode(e)
-}
-
-// DecodeViewGetReply reads a ViewGetReply.
-func DecodeViewGetReply(d *xdr.Decoder) ViewGetReply {
-	r := ViewGetReply{Status: Status(d.Uint32())}
-	if r.Status != OK {
-		return r
-	}
-	n := d.Uint32()
-	if n > 1<<20 {
-		return ViewGetReply{Status: ErrIO}
-	}
-	for ; n > 0 && d.Err() == nil; n-- {
-		r.Views = append(r.Views, DecodeShardView(d))
-	}
-	r.Map = DecodeShardMap(d)
-	return r
+	m.Map.XDR(c)
 }

@@ -83,38 +83,24 @@ func (m *ShardMap) Validate() error {
 	return nil
 }
 
-// Encode writes m.
-func (m *ShardMap) Encode(e *xdr.Encoder) {
-	e.Uint32(m.Version)
-	e.Uint32(uint32(len(m.Servers)))
-	for _, s := range m.Servers {
-		e.String(s)
+// XDR codes m.
+func (m *ShardMap) XDR(c xdr.Codec) {
+	c.Uint32(&m.Version)
+	xdr.Count(c, &m.Servers, 1<<16)
+	for i := range m.Servers {
+		c.String(&m.Servers[i])
 	}
-	e.Uint32(uint32(len(m.Assignments)))
-	for _, a := range m.Assignments {
-		e.String(a.Prefix)
-		e.Uint32(a.Shard)
+	xdr.Count(c, &m.Assignments, 1<<16)
+	for i := range m.Assignments {
+		c.String(&m.Assignments[i].Prefix)
+		c.Uint32(&m.Assignments[i].Shard)
 	}
-}
-
-// DecodeShardMap reads a ShardMap.
-func DecodeShardMap(d *xdr.Decoder) ShardMap {
-	m := ShardMap{Version: d.Uint32()}
-	// Stop on decode error: a corrupt count must not drive a loop of
-	// appends long after the buffer is exhausted.
-	for n := d.Uint32(); n > 0 && d.Err() == nil; n-- {
-		m.Servers = append(m.Servers, d.String())
-	}
-	for n := d.Uint32(); n > 0 && d.Err() == nil; n-- {
-		m.Assignments = append(m.Assignments, ShardAssignment{Prefix: d.String(), Shard: d.Uint32()})
-	}
-	return m
 }
 
 // ShardMapArgs is the (empty) argument of ProcShardMap.
 type ShardMapArgs struct{}
 
-func (m *ShardMapArgs) Encode(e *xdr.Encoder) {}
+func (m *ShardMapArgs) XDR(xdr.Codec) {}
 
 // ShardMapReply carries the server's current shard map.
 type ShardMapReply struct {
@@ -122,18 +108,8 @@ type ShardMapReply struct {
 	Map    ShardMap
 }
 
-func (m *ShardMapReply) Encode(e *xdr.Encoder) {
-	e.Uint32(uint32(m.Status))
-	if m.Status == OK {
-		m.Map.Encode(e)
+func (m *ShardMapReply) XDR(c xdr.Codec) {
+	if m.Status.XDR(c); m.Status == OK {
+		m.Map.XDR(c)
 	}
-}
-
-// DecodeShardMapReply reads a ShardMapReply.
-func DecodeShardMapReply(d *xdr.Decoder) ShardMapReply {
-	r := ShardMapReply{Status: Status(d.Uint32())}
-	if r.Status == OK {
-		r.Map = DecodeShardMap(d)
-	}
-	return r
 }

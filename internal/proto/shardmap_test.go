@@ -3,8 +3,6 @@ package proto
 import (
 	"reflect"
 	"testing"
-
-	"spritelynfs/internal/xdr"
 )
 
 func TestShardMapRoundTrip(t *testing.T) {
@@ -20,25 +18,20 @@ func TestShardMapRoundTrip(t *testing.T) {
 			},
 		},
 	}
-	d := xdr.NewDecoder(Marshal(in))
-	out := DecodeShardMapReply(d)
-	if d.Err() != nil || d.Remaining() != 0 {
-		t.Fatalf("decode: %v, %d left", d.Err(), d.Remaining())
-	}
-	if !reflect.DeepEqual(out, *in) {
-		t.Errorf("round trip:\n  in  %+v\n  out %+v", *in, out)
+	if out := roundTrip(t, in); !reflect.DeepEqual(out, in) {
+		t.Errorf("round trip:\n  in  %+v\n  out %+v", in, out)
 	}
 
 	// Error replies carry no body.
 	bad := &ShardMapReply{Status: ErrIO, Map: in.Map}
-	out2 := DecodeShardMapReply(xdr.NewDecoder(Marshal(bad)))
+	out2 := roundTrip(t, bad)
 	if out2.Status != ErrIO || !out2.Map.IsZero() {
 		t.Errorf("error reply %+v", out2)
 	}
 
 	// An empty map (standalone server) round-trips to zero.
 	empty := &ShardMapReply{Status: OK}
-	out3 := DecodeShardMapReply(xdr.NewDecoder(Marshal(empty)))
+	out3 := roundTrip(t, empty)
 	if out3.Status != OK || !out3.Map.IsZero() {
 		t.Errorf("empty reply %+v", out3)
 	}

@@ -85,7 +85,7 @@ func TestCodecRoundTripAllocs(t *testing.T) {
 	var d xdr.Decoder
 	allocs := testing.AllocsPerRun(200, func() {
 		enc := xdr.GetEncoder()
-		msg.Encode(enc)
+		msg.XDR(enc.Codec())
 		frame.Reset()
 		if err := WriteRecord(&frame, enc.Bytes()); err != nil {
 			t.Fatal(err)
@@ -97,7 +97,8 @@ func TestCodecRoundTripAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		d.Reset(rec)
-		if got := proto.DecodeWriteArgs(&d); d.Err() != nil || !bytes.Equal(got.Data, msg.Data) {
+		var got proto.WriteArgs
+		if got.XDR(d.Codec()); d.Err() != nil || !bytes.Equal(got.Data, msg.Data) {
 			t.Fatalf("decode: err=%v, %d data bytes", d.Err(), len(got.Data))
 		}
 	})

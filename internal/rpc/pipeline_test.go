@@ -242,8 +242,9 @@ func TestPipelinedCallsCollectedOutOfOrder(t *testing.T) {
 					t.Errorf("order %v: wait %d: %v", order, i, err)
 					continue
 				}
-				if got := proto.DecodeStatusReply(xdr.NewDecoder(body)).Status; got != proto.Status(100+i) {
-					t.Errorf("order %v: call %d collected the reply to call %d", order, i, got-100)
+				var r proto.StatusReply
+				if r.XDR(xdr.NewDecoder(body).Codec()); r.Status != proto.Status(100+i) {
+					t.Errorf("order %v: call %d collected the reply to call %d", order, i, r.Status-100)
 				}
 			}
 		})

@@ -114,10 +114,12 @@ type Handler func(p *sim.Proc, from simnet.Addr, proc uint32, args []byte) ([]by
 // proto.Marshal of the same message.
 type MsgHandler func(p *sim.Proc, from simnet.Addr, proc uint32, args []byte) (proto.Message, Status)
 
-// rawBody is a reply body a Handler already encoded.
+// rawBody is a reply body a Handler already encoded. It is only ever
+// encoded: the value receiver keeps the conversion from a Handler's
+// result free of allocation.
 type rawBody []byte
 
-func (b rawBody) Encode(e *xdr.Encoder) { e.Raw(b) }
+func (b rawBody) XDR(c xdr.Codec) { c.Raw((*[]byte)(&b)) }
 
 // Options configures an Endpoint.
 type Options struct {
@@ -501,7 +503,7 @@ func (e *Endpoint) start(p *sim.Proc, to simnet.Addr, prog, vers, proc uint32, m
 	enc.Uint32(proc)
 	enc.Uint64(op)
 	if m != nil {
-		m.Encode(enc)
+		m.XDR(enc.Codec())
 	} else {
 		enc.Raw(args)
 	}
@@ -806,7 +808,7 @@ func (e *Endpoint) sendReply(to simnet.Addr, xid uint32, status Status, body pro
 	enc.Uint32(msgReply)
 	enc.Uint32(uint32(status))
 	if body != nil {
-		body.Encode(enc)
+		body.XDR(enc.Codec())
 	}
 	wire := enc.CopyBytes()
 	enc.Release()

@@ -5,14 +5,13 @@ import (
 
 	"spritelynfs/internal/proto"
 	"spritelynfs/internal/sim"
-	"spritelynfs/internal/xdr"
 )
 
 // createFile makes one file under root and returns its handle.
 func createFile(t *testing.T, r *rig, p *sim.Proc, name string) proto.Handle {
 	t.Helper()
 	body := r.call(t, p, proto.ProcCreate, &proto.CreateArgs{Dir: r.root(), Name: name, Mode: 0o644})
-	cr := proto.DecodeHandleReply(xdr.NewDecoder(body))
+	cr := decodeAs[proto.HandleReply](body)
 	if cr.Status != proto.OK {
 		t.Fatalf("create %s: %v", name, cr.Status)
 	}
@@ -31,7 +30,7 @@ func TestUnstableWriteDefersDisk(t *testing.T) {
 			body := r.call(t, p, proto.ProcWrite, &proto.WriteArgs{
 				Handle: h, Offset: int64(i) * 4096, Data: make([]byte, 4096), Unstable: true,
 			})
-			wr := proto.DecodeWriteReply(xdr.NewDecoder(body))
+			wr := decodeAs[proto.WriteReply](body)
 			if wr.Status != proto.OK {
 				t.Fatalf("unstable write %d: %v", i, wr.Status)
 			}
@@ -48,7 +47,7 @@ func TestUnstableWriteDefersDisk(t *testing.T) {
 
 		// COMMIT gathers all six blocks into one arm operation.
 		body := r.call(t, p, proto.ProcCommit, &proto.CommitArgs{Handle: h})
-		cr := proto.DecodeCommitReply(xdr.NewDecoder(body))
+		cr := decodeAs[proto.CommitReply](body)
 		if cr.Status != proto.OK || cr.Verifier != r.nfs.verifier {
 			t.Fatalf("commit: %+v", cr)
 		}
@@ -69,7 +68,7 @@ func TestCommitVerifierChangesAcrossReboot(t *testing.T) {
 		body := r.call(t, p, proto.ProcWrite, &proto.WriteArgs{
 			Handle: h, Offset: 0, Data: make([]byte, 4096), Unstable: true,
 		})
-		wr := proto.DecodeWriteReply(xdr.NewDecoder(body))
+		wr := decodeAs[proto.WriteReply](body)
 		v0 := wr.Verifier
 
 		dirtyBefore := r.nfs.media.DirtyBlocks()
@@ -83,7 +82,7 @@ func TestCommitVerifierChangesAcrossReboot(t *testing.T) {
 		r.nfs.Reboot()
 
 		body = r.call(t, p, proto.ProcCommit, &proto.CommitArgs{Handle: h})
-		cr := proto.DecodeCommitReply(xdr.NewDecoder(body))
+		cr := decodeAs[proto.CommitReply](body)
 		if cr.Status != proto.OK {
 			t.Fatalf("commit after reboot: %v", cr.Status)
 		}

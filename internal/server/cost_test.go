@@ -5,7 +5,6 @@ import (
 
 	"spritelynfs/internal/proto"
 	"spritelynfs/internal/sim"
-	"spritelynfs/internal/xdr"
 )
 
 // TestConfigFillCostRule pins the rule by which a Config's CPU costs are
@@ -41,12 +40,12 @@ func TestStatedCostIsChargedLiterally(t *testing.T) {
 	r := newRigWith(Config{FSID: 1, CPUPerOp: 1}, sim.Millisecond, true, SNFSOptions{})
 	r.run(t, func(p *sim.Proc) {
 		body := r.call(t, p, proto.ProcCreate, &proto.CreateArgs{Dir: r.root(), Name: "f", Mode: 0o644})
-		h := proto.DecodeHandleReply(xdr.NewDecoder(body)).Handle
+		h := decodeAs[proto.HandleReply](body).Handle
 		r.call(t, p, proto.ProcWrite, &proto.WriteArgs{Handle: h, Data: make([]byte, reads*bs)})
 		before := r.snfs.CPU().BusyTime()
 		for i := 0; i < reads; i++ {
 			body := r.call(t, p, proto.ProcRead, &proto.ReadArgs{Handle: h, Offset: int64(i) * bs, Count: bs})
-			if rr := proto.DecodeReadReply(xdr.NewDecoder(body)); rr.Status != proto.OK || len(rr.Data) != bs {
+			if rr := decodeAs[proto.ReadReply](body); rr.Status != proto.OK || len(rr.Data) != bs {
 				t.Fatalf("read %d: %v, %d bytes", i, rr.Status, len(rr.Data))
 			}
 		}

@@ -101,7 +101,11 @@ func (t *lockTable) drop(h proto.Handle) { delete(t.locks, h) }
 
 // serveLock handles ProcLock and ProcUnlock on the SNFS server.
 func (s *SNFSServer) serveLock(p *sim.Proc, from simnet.Addr, proc uint32, args []byte) (proto.Message, rpc.Status) {
-	a := proto.DecodeLockArgs(xdr.NewDecoder(args))
+	var a proto.LockArgs
+	c := xdr.NewDecoder(args).Codec()
+	if a.XDR(c); c.Err() != nil {
+		return nil, rpc.StatusGarbage
+	}
 	s.chargeCPU(p, 0)
 	s.account(proc)
 	if _, st := s.handle(a.Handle); st != proto.OK {

@@ -7,7 +7,6 @@ import (
 	"spritelynfs/internal/proto"
 	"spritelynfs/internal/rpc"
 	"spritelynfs/internal/sim"
-	"spritelynfs/internal/xdr"
 )
 
 // A READ's reply data is a view of the file (DESIGN.md §14). These tests
@@ -24,7 +23,7 @@ func raceWrite(t *testing.T, p *sim.Proc, from *rpc.Endpoint, h proto.Handle, da
 	if err != nil {
 		t.Fatalf("racing write: %v", err)
 	}
-	wr := proto.DecodeWriteReply(xdr.NewDecoder(body))
+	wr := decodeAs[proto.WriteReply](body)
 	if wr.Status != proto.OK {
 		t.Fatalf("racing write: %v", wr.Status)
 	}
@@ -57,7 +56,7 @@ func TestReadReplyKeepsBytesOfItsDiskWait(t *testing.T) {
 		if wrote == 0 || wrote >= replied {
 			t.Fatalf("the WRITE (applied at %v) did not land before the READ replied at %v", wrote, replied)
 		}
-		if rr := proto.DecodeReadReply(xdr.NewDecoder(body)); rr.Status != proto.OK || !bytes.Equal(rr.Data, old) {
+		if rr := decodeAs[proto.ReadReply](body); rr.Status != proto.OK || !bytes.Equal(rr.Data, old) {
 			t.Errorf("READ reply (status %v) carries bytes a WRITE wrote during its disk wait", rr.Status)
 		}
 		if now, _ := st.ReadAt(a.Ino, 0, 4096); !bytes.Equal(now, fresh) {
@@ -80,7 +79,7 @@ func TestHybridReadReplyKeepsItsReadInstant(t *testing.T) {
 	old, fresh := bytes.Repeat([]byte{'o'}, 4096), bytes.Repeat([]byte{'n'}, 4096)
 	r.run(t, func(p *sim.Proc) {
 		body := r.call(t, p, proto.ProcCreate, &proto.CreateArgs{Dir: r.root(), Name: "f", Mode: 0o644})
-		h := proto.DecodeHandleReply(xdr.NewDecoder(body)).Handle
+		h := decodeAs[proto.HandleReply](body).Handle
 		r.call(t, p, proto.ProcWrite, &proto.WriteArgs{Handle: h, Data: old}) // resident: the READ has no disk wait
 		// The writer holds an open, so its WRITEs bypass the hybrid path.
 		if _, err := writer.Call(p, "server", proto.ProgNFS, proto.VersNFS, proto.ProcOpen,
@@ -105,7 +104,7 @@ func TestHybridReadReplyKeepsItsReadInstant(t *testing.T) {
 		if reply == nil || wrote == 0 {
 			t.Fatal("no READ reply")
 		}
-		if rr := proto.DecodeReadReply(xdr.NewDecoder(reply)); rr.Status != proto.OK || !bytes.Equal(rr.Data, old) {
+		if rr := decodeAs[proto.ReadReply](reply); rr.Status != proto.OK || !bytes.Equal(rr.Data, old) {
 			t.Errorf("hybrid READ reply (status %v) carries bytes written while it waited for the lock", rr.Status)
 		}
 		if now, _ := r.snfs.media.Store().ReadAt(h.Ino, 0, 4096); !bytes.Equal(now, fresh) {

@@ -196,7 +196,8 @@ func (r *Replicator) Sync(p *sim.Proc) bool {
 			body, err := r.ep.CallMsgEx(p, r.backup, proto.ProgNFS, proto.VersNFS, proto.ProcReplSync,
 				args, 200*sim.Millisecond, 1)
 			if err == nil {
-				rep := proto.DecodeReplSyncReply(xdr.NewDecoder(body))
+				var rep proto.ReplSyncReply
+				rep.XDR(xdr.NewDecoder(body).Codec())
 				if rep.Status == proto.OK && rep.Synced {
 					return true
 				}
@@ -248,7 +249,8 @@ func (r *Replicator) send(p *sim.Proc, batch []proto.ReplRecord) bool {
 	if err != nil {
 		return false
 	}
-	rep := proto.DecodeReplStreamReply(xdr.NewDecoder(body))
+	var rep proto.ReplStreamReply
+	rep.XDR(xdr.NewDecoder(body).Codec())
 	switch rep.Status {
 	case proto.OK:
 		if rep.Applied > r.acked {
@@ -295,14 +297,18 @@ func (e *mirrorEntry) client(c string) *mirrorClient {
 // server has itself become the shard's primary (per its own, newer map),
 // it refuses with ErrDemoted and returns the map, so a partitioned old
 // primary self-demotes instead of split-braining.
-func (s *SNFSServer) serveReplStream(p *sim.Proc, from simnet.Addr, args []byte) proto.Message {
-	a := proto.DecodeReplStreamArgs(xdr.NewDecoder(args))
+func (s *SNFSServer) serveReplStream(p *sim.Proc, from simnet.Addr, args []byte) (proto.Message, rpc.Status) {
+	var a proto.ReplStreamArgs
+	c := xdr.NewDecoder(args).Codec()
+	if a.XDR(c); c.Err() != nil {
+		return nil, rpc.StatusGarbage
+	}
 	s.chargeCPU(p, 0)
 	s.account(proto.ProcReplStream)
 	if s.isOwner() {
 		return &proto.ReplStreamReply{
 			Status: proto.ErrDemoted, Applied: s.replApplied, Map: s.shardMap,
-		}
+		}, rpc.StatusOK
 	}
 	if a.Epoch > s.primEpoch {
 		s.primEpoch = a.Epoch
@@ -344,21 +350,25 @@ func (s *SNFSServer) serveReplStream(p *sim.Proc, from simnet.Addr, args []byte)
 	for _, ino := range stableInos {
 		s.media.CommitFile(p, ino)
 	}
-	return &proto.ReplStreamReply{Status: proto.OK, Applied: s.replApplied}
+	return &proto.ReplStreamReply{Status: proto.OK, Applied: s.replApplied}, rpc.StatusOK
 }
 
 // serveReplSync answers the primary's barrier probe.
-func (s *SNFSServer) serveReplSync(p *sim.Proc, from simnet.Addr, args []byte) proto.Message {
-	a := proto.DecodeReplSyncArgs(xdr.NewDecoder(args))
+func (s *SNFSServer) serveReplSync(p *sim.Proc, from simnet.Addr, args []byte) (proto.Message, rpc.Status) {
+	var a proto.ReplSyncArgs
+	c := xdr.NewDecoder(args).Codec()
+	if a.XDR(c); c.Err() != nil {
+		return nil, rpc.StatusGarbage
+	}
 	s.chargeCPU(p, 0)
 	s.account(proto.ProcReplSync)
 	if s.isOwner() {
-		return &proto.ReplSyncReply{Status: proto.ErrDemoted, Applied: s.replApplied}
+		return &proto.ReplSyncReply{Status: proto.ErrDemoted, Applied: s.replApplied}, rpc.StatusOK
 	}
 	return &proto.ReplSyncReply{
 		Status: proto.OK, Applied: s.replApplied,
 		Synced: !s.replGap && s.replApplied >= a.Seq,
-	}
+	}, rpc.StatusOK
 }
 
 // applyMirror folds one transition record into the mirror.

@@ -104,35 +104,40 @@ func NewRFS(k *sim.Kernel, ep *rpc.Endpoint, media *localfs.Media, cfg Config) *
 func (s *RFSServer) serve(p *sim.Proc, from simnet.Addr, proc uint32, args []byte) (proto.Message, rpc.Status) {
 	switch proc {
 	case proto.ProcOpen:
-		return s.serveOpen(p, from, args), rpc.StatusOK
+		return s.serveOpen(p, from, args)
 	case proto.ProcClose:
-		return s.serveClose(p, from, args), rpc.StatusOK
+		return s.serveClose(p, from, args)
+	}
+	var a callArgs
+	if st := a.decode(proc, args); st != rpc.StatusOK {
+		return nil, st
+	}
+	switch proc {
 	case proto.ProcWrite:
 		// The defining RFS move: invalidate the other caching
 		// clients *when the write occurs*, then execute it.
-		s.invalidateForWrite(p, from, args)
+		s.invalidateForWrite(p, from, a.write.Handle)
 	case proto.ProcRead:
 		// A read after invalidation refills the client's cache; track
 		// it as an invalidation target again.
-		h := proto.DecodeReadArgs(xdr.NewDecoder(args)).Handle
-		if e, ok := s.tab.entries[h]; ok {
+		if e, ok := s.tab.entries[a.read.Handle]; ok {
 			e.cached[core.ClientID(from)] = true
 		}
 	}
-	body, st, handled := s.serveCommon(p, proc, args)
-	if !handled {
-		return nil, rpc.StatusProcUnavail
-	}
-	return body, st
+	return s.serveCommon(p, proc, &a)
 }
 
-func (s *RFSServer) serveOpen(p *sim.Proc, from simnet.Addr, args []byte) proto.Message {
-	a := proto.DecodeOpenArgs(xdr.NewDecoder(args))
+func (s *RFSServer) serveOpen(p *sim.Proc, from simnet.Addr, args []byte) (proto.Message, rpc.Status) {
+	var a proto.OpenArgs
+	c := xdr.NewDecoder(args).Codec()
+	if a.XDR(c); c.Err() != nil {
+		return nil, rpc.StatusGarbage
+	}
 	s.chargeCPU(p, 0)
 	s.account(proto.ProcOpen)
 	attr, st := s.handle(a.Handle)
 	if st != proto.OK {
-		return &proto.OpenReply{Status: st}
+		return &proto.OpenReply{Status: st}, rpc.StatusOK
 	}
 	e := s.tab.get(a.Handle)
 	s.tab.nextVer++ // stamp source (cheap monotonic clock)
@@ -156,11 +161,15 @@ func (s *RFSServer) serveOpen(p *sim.Proc, from simnet.Addr, args []byte) proto.
 		Version:      e.version,
 		PrevVersion:  e.prev,
 		Attr:         s.fattr(attr),
-	}
+	}, rpc.StatusOK
 }
 
-func (s *RFSServer) serveClose(p *sim.Proc, from simnet.Addr, args []byte) proto.Message {
-	a := proto.DecodeCloseArgs(xdr.NewDecoder(args))
+func (s *RFSServer) serveClose(p *sim.Proc, from simnet.Addr, args []byte) (proto.Message, rpc.Status) {
+	var a proto.CloseArgs
+	c := xdr.NewDecoder(args).Codec()
+	if a.XDR(c); c.Err() != nil {
+		return nil, rpc.StatusGarbage
+	}
 	s.chargeCPU(p, 0)
 	s.account(proto.ProcClose)
 	if e, ok := s.tab.entries[a.Handle]; ok {
@@ -175,13 +184,12 @@ func (s *RFSServer) serveClose(p *sim.Proc, from simnet.Addr, args []byte) proto
 		// stays set); version validation covers reopen after
 		// eviction of the entry.
 	}
-	return &proto.StatusReply{Status: proto.OK}
+	return &proto.StatusReply{Status: proto.OK}, rpc.StatusOK
 }
 
 // invalidateForWrite sends invalidate callbacks to every caching client
 // other than the writer, before the write executes.
-func (s *RFSServer) invalidateForWrite(p *sim.Proc, from simnet.Addr, args []byte) {
-	h := proto.DecodeWriteArgs(xdr.NewDecoder(args)).Handle
+func (s *RFSServer) invalidateForWrite(p *sim.Proc, from simnet.Addr, h proto.Handle) {
 	e, ok := s.tab.entries[h]
 	if !ok {
 		return

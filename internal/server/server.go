@@ -274,11 +274,95 @@ func (b *Base) RootHandle() proto.Handle {
 	return b.toHandle(attr)
 }
 
+// callArgs is a call's arguments, decoded once where the call is
+// dispatched: the field of its procedure's argument type is filled, and
+// every other field stays zero.
+type callArgs struct {
+	file    proto.HandleArgs // getattr, readdir, readdirattrs, readlink, statfs
+	setattr proto.SetattrArgs
+	dirOp   proto.DirOpArgs // lookup, remove, rmdir
+	read    proto.ReadArgs
+	write   proto.WriteArgs
+	commit  proto.CommitArgs
+	create  proto.CreateArgs // create, mkdir
+	rename  proto.RenameArgs
+	path    proto.LookupPathArgs
+	link    proto.LinkArgs
+	symlink proto.SymlinkArgs
+}
+
+// decode fills a from the arguments of one of the procedures serveCommon
+// executes. It answers PROC_UNAVAIL for any other procedure, and
+// GARBAGE_ARGS for arguments that do not decode.
+func (a *callArgs) decode(proc uint32, args []byte) rpc.Status {
+	c := xdr.NewDecoder(args).Codec()
+	switch proc {
+	case proto.ProcNull, proto.ProcMountRoot, proto.ProcMetrics, proto.ProcShardMap:
+	case proto.ProcGetattr, proto.ProcReaddir, proto.ProcReaddirAttrs, proto.ProcReadlink, proto.ProcStatfs:
+		a.file.XDR(c)
+	case proto.ProcSetattr:
+		a.setattr.XDR(c)
+	case proto.ProcLookup, proto.ProcRemove, proto.ProcRmdir:
+		a.dirOp.XDR(c)
+	case proto.ProcRead:
+		a.read.XDR(c)
+	case proto.ProcWrite:
+		a.write.XDR(c)
+	case proto.ProcCommit:
+		a.commit.XDR(c)
+	case proto.ProcCreate, proto.ProcMkdir:
+		a.create.XDR(c)
+	case proto.ProcRename:
+		a.rename.XDR(c)
+	case proto.ProcLookupPath:
+		a.path.XDR(c)
+	case proto.ProcLink:
+		a.link.XDR(c)
+	case proto.ProcSymlink:
+		a.symlink.XDR(c)
+	default:
+		return rpc.StatusProcUnavail
+	}
+	if c.Err() != nil {
+		return rpc.StatusGarbage
+	}
+	return rpc.StatusOK
+}
+
 // dirName is one (directory handle, entry name) pair a namespace
 // operation touches.
 type dirName struct {
 	dir  proto.Handle
 	name string
+}
+
+// dirNames returns the (directory, name) pairs a namespace call names:
+// two for a rename, one for the other namespace procedures, none for the
+// rest.
+func (a *callArgs) dirNames(proc uint32) (names [2]dirName, n int) {
+	switch proc {
+	case proto.ProcLookup, proto.ProcRemove, proto.ProcRmdir:
+		names[0] = dirName{a.dirOp.Dir, a.dirOp.Name}
+	case proto.ProcCreate, proto.ProcMkdir:
+		names[0] = dirName{a.create.Dir, a.create.Name}
+	case proto.ProcSymlink:
+		names[0] = dirName{a.symlink.Dir, a.symlink.Name}
+	case proto.ProcLink:
+		names[0] = dirName{a.link.ToDir, a.link.ToName}
+	case proto.ProcRename:
+		names = [2]dirName{{a.rename.SrcDir, a.rename.SrcName}, {a.rename.DstDir, a.rename.DstName}}
+		return names, 2
+	case proto.ProcLookupPath:
+		if len(a.path.Names) == 0 {
+			return names, 0
+		}
+		// Only the first component can be a root-level name; the rest
+		// resolve under handles this shard already owns.
+		names[0] = dirName{a.path.Dir, a.path.Names[0]}
+	default:
+		return names, 0
+	}
+	return names, 1
 }
 
 // routeCheck is the shard route guard: when the server is part of a
@@ -289,44 +373,13 @@ type dirName struct {
 // reached through handles that exist only on the owning shard (a
 // migrated subtree's old handles answer ErrStale, sending the client
 // back through a guarded lookup).
-func (b *Base) routeCheck(p *sim.Proc, proc uint32, args []byte) (proto.Message, bool) {
+func (b *Base) routeCheck(p *sim.Proc, proc uint32, a *callArgs) (proto.Message, bool) {
 	if b.shardMap.IsZero() {
 		return nil, false
 	}
-	d := xdr.NewDecoder(args)
-	var names []dirName
-	switch proc {
-	case proto.ProcLookup, proto.ProcRemove, proto.ProcRmdir:
-		a := proto.DecodeDirOpArgs(d)
-		names = []dirName{{a.Dir, a.Name}}
-	case proto.ProcCreate, proto.ProcMkdir:
-		a := proto.DecodeCreateArgs(d)
-		names = []dirName{{a.Dir, a.Name}}
-	case proto.ProcSymlink:
-		a := proto.DecodeSymlinkArgs(d)
-		names = []dirName{{a.Dir, a.Name}}
-	case proto.ProcLink:
-		a := proto.DecodeLinkArgs(d)
-		names = []dirName{{a.ToDir, a.ToName}}
-	case proto.ProcRename:
-		a := proto.DecodeRenameArgs(d)
-		names = []dirName{{a.SrcDir, a.SrcName}, {a.DstDir, a.DstName}}
-	case proto.ProcLookupPath:
-		a := proto.DecodeLookupPathArgs(d)
-		if len(a.Names) == 0 {
-			return nil, false
-		}
-		// Only the first component can be a root-level name; the rest
-		// resolve under handles this shard already owns.
-		names = []dirName{{a.Dir, a.Names[0]}}
-	default:
-		return nil, false
-	}
-	if d.Err() != nil {
-		return nil, false // the real decode path reports the garbage
-	}
+	names, n := a.dirNames(proc)
 	root := b.media.Store().Root()
-	for _, nm := range names {
+	for _, nm := range names[:n] {
 		if nm.dir.FSID != b.cfg.FSID || nm.dir.Ino != root {
 			continue
 		}
@@ -397,176 +450,128 @@ func (b *Base) replCommit(ino uint64) {
 	}
 }
 
-// serveCommon executes the NFS file procedures shared by both servers.
-// It reports handled=false for procedures outside the common set.
-func (b *Base) serveCommon(p *sim.Proc, proc uint32, args []byte) (body proto.Message, st rpc.Status, handled bool) {
-	d := xdr.NewDecoder(args)
+// serveCommon executes one of the NFS file procedures every server
+// shares, on arguments decode accepted.
+func (b *Base) serveCommon(p *sim.Proc, proc uint32, a *callArgs) (proto.Message, rpc.Status) {
+	// The CPU charge scales with the data a READ or WRITE moves; every
+	// other call leaves both fields zero.
+	b.chargeCPU(p, int(a.read.Count)+len(a.write.Data))
+	b.account(proc)
 	switch proc {
 	case proto.ProcNull:
-		b.chargeCPU(p, 0)
-		b.account(proc)
-		return nil, rpc.StatusOK, true
+		return nil, rpc.StatusOK
 
 	case proto.ProcGetattr:
-		a := proto.DecodeHandleArgs(d)
-		if d.Err() != nil {
-			return nil, rpc.StatusGarbage, true
-		}
-		b.chargeCPU(p, 0)
-		b.account(proc)
-		attr, st := b.handle(a.Handle)
-		return &proto.AttrReply{Status: st, Attr: b.fattr(attr)}, rpc.StatusOK, true
+		attr, st := b.handle(a.file.Handle)
+		return &proto.AttrReply{Status: st, Attr: b.fattr(attr)}, rpc.StatusOK
 
 	case proto.ProcSetattr:
-		a := proto.DecodeSetattrArgs(d)
-		if d.Err() != nil {
-			return nil, rpc.StatusGarbage, true
-		}
-		b.chargeCPU(p, 0)
-		b.account(proc)
-		attr, st := b.handle(a.Handle)
+		attr, st := b.handle(a.setattr.Handle)
 		if st != proto.OK {
-			return &proto.AttrReply{Status: st}, rpc.StatusOK, true
+			return &proto.AttrReply{Status: st}, rpc.StatusOK
 		}
 		store := b.media.Store()
 		var err error
-		if a.SetSize {
-			attr, err = store.Truncate(a.Handle.Ino, a.Size)
+		if a.setattr.SetSize {
+			attr, err = store.Truncate(a.setattr.Handle.Ino, a.setattr.Size)
 			if err == nil {
 				b.media.ChargeMeta(p)
 			}
 		}
-		if err == nil && a.SetMode {
-			attr, err = store.SetMode(a.Handle.Ino, a.Mode)
+		if err == nil && a.setattr.SetMode {
+			attr, err = store.SetMode(a.setattr.Handle.Ino, a.setattr.Mode)
 		}
-		return &proto.AttrReply{Status: proto.StatusFromErr(err), Attr: b.fattr(attr)}, rpc.StatusOK, true
+		return &proto.AttrReply{Status: proto.StatusFromErr(err), Attr: b.fattr(attr)}, rpc.StatusOK
 
 	case proto.ProcLookup:
-		a := proto.DecodeDirOpArgs(d)
-		if d.Err() != nil {
-			return nil, rpc.StatusGarbage, true
+		if _, st := b.handle(a.dirOp.Dir); st != proto.OK {
+			return &proto.HandleReply{Status: st}, rpc.StatusOK
 		}
-		b.chargeCPU(p, 0)
-		b.account(proc)
-		if _, st := b.handle(a.Dir); st != proto.OK {
-			return &proto.HandleReply{Status: st}, rpc.StatusOK, true
-		}
-		attr, err := b.media.Store().Lookup(a.Dir.Ino, a.Name)
+		attr, err := b.media.Store().Lookup(a.dirOp.Dir.Ino, a.dirOp.Name)
 		if err != nil {
-			return &proto.HandleReply{Status: proto.StatusFromErr(err)}, rpc.StatusOK, true
+			return &proto.HandleReply{Status: proto.StatusFromErr(err)}, rpc.StatusOK
 		}
 		return &proto.HandleReply{
 			Status: proto.OK, Handle: b.toHandle(attr), Attr: b.fattr(attr),
-		}, rpc.StatusOK, true
+		}, rpc.StatusOK
 
 	case proto.ProcRead:
-		a := proto.DecodeReadArgs(d)
-		if d.Err() != nil {
-			return nil, rpc.StatusGarbage, true
-		}
-		b.chargeCPU(p, int(a.Count))
-		b.account(proc)
-		attr, st := b.handle(a.Handle)
+		attr, st := b.handle(a.read.Handle)
 		if st != proto.OK {
-			return &proto.ReadReply{Status: st}, rpc.StatusOK, true
+			return &proto.ReadReply{Status: st}, rpc.StatusOK
 		}
 		// data is a view of the file: the reply is encoded with no yield
 		// after this return, except under serveHybrid, which copies it.
-		data, err := b.media.ReadAt(p, a.Handle.Ino, a.Offset, int(a.Count))
+		data, err := b.media.ReadAt(p, a.read.Handle.Ino, a.read.Offset, int(a.read.Count))
 		if err != nil {
-			return &proto.ReadReply{Status: proto.StatusFromErr(err)}, rpc.StatusOK, true
+			return &proto.ReadReply{Status: proto.StatusFromErr(err)}, rpc.StatusOK
 		}
-		return &proto.ReadReply{Status: proto.OK, Attr: b.fattr(attr), Data: data}, rpc.StatusOK, true
+		return &proto.ReadReply{Status: proto.OK, Attr: b.fattr(attr), Data: data}, rpc.StatusOK
 
 	case proto.ProcWrite:
-		a := proto.DecodeWriteArgs(d)
-		if d.Err() != nil {
-			return nil, rpc.StatusGarbage, true
+		if _, st := b.handle(a.write.Handle); st != proto.OK {
+			return &proto.WriteReply{Status: st}, rpc.StatusOK
 		}
-		b.chargeCPU(p, len(a.Data))
-		b.account(proc)
-		if _, st := b.handle(a.Handle); st != proto.OK {
-			return &proto.WriteReply{Status: st}, rpc.StatusOK, true
-		}
-		// a.Data is a view of the frozen call image: the store keeps a
+		// a.write.Data is a view of the frozen call image: the store keeps a
 		// whole page of it as the file's page, with no copy.
-		attr, err := b.media.Store().WriteFrozen(a.Handle.Ino, a.Offset, a.Data)
+		attr, err := b.media.Store().WriteFrozen(a.write.Handle.Ino, a.write.Offset, a.write.Data)
 		if err != nil {
-			return &proto.WriteReply{Status: proto.StatusFromErr(err)}, rpc.StatusOK, true
+			return &proto.WriteReply{Status: proto.StatusFromErr(err)}, rpc.StatusOK
 		}
-		if a.Unstable {
+		if a.write.Unstable {
 			// NFSv3-style fast path: the data lands dirty in the
 			// server buffer cache and the reply goes out with no disk
 			// activity. Durability waits for a COMMIT (which gathers
 			// the dirty blocks into merged arm operations) and is only
 			// promised under the verifier carried here.
 			b.unstableWrites++
-			b.media.ChargeWriteUnstable(p.Now(), a.Handle.Ino, a.Offset, len(a.Data))
-			b.replWrite(a.Handle.Ino, a.Offset, len(a.Data), true)
+			b.media.ChargeWriteUnstable(p.Now(), a.write.Handle.Ino, a.write.Offset, len(a.write.Data))
+			b.replWrite(a.write.Handle.Ino, a.write.Offset, len(a.write.Data), true)
 			return &proto.WriteReply{
 				Status: proto.OK, Attr: b.fattr(attr), Committed: false, Verifier: b.verifier,
-			}, rpc.StatusOK, true
+			}, rpc.StatusOK
 		}
 		// The defining NFS server property: data reaches stable
 		// storage before the reply (§2.1).
-		b.media.ChargeWriteSync(p, a.Handle.Ino, a.Offset, len(a.Data))
-		b.replWrite(a.Handle.Ino, a.Offset, len(a.Data), false)
+		b.media.ChargeWriteSync(p, a.write.Handle.Ino, a.write.Offset, len(a.write.Data))
+		b.replWrite(a.write.Handle.Ino, a.write.Offset, len(a.write.Data), false)
 		return &proto.WriteReply{
 			Status: proto.OK, Attr: b.fattr(attr), Committed: true, Verifier: b.verifier,
-		}, rpc.StatusOK, true
+		}, rpc.StatusOK
 
 	case proto.ProcCommit:
-		a := proto.DecodeCommitArgs(d)
-		if d.Err() != nil {
-			return nil, rpc.StatusGarbage, true
-		}
-		b.chargeCPU(p, 0)
-		b.account(proc)
-		if _, st := b.handle(a.Handle); st != proto.OK {
-			return &proto.CommitReply{Status: st}, rpc.StatusOK, true
+		if _, st := b.handle(a.commit.Handle); st != proto.OK {
+			return &proto.CommitReply{Status: st}, rpc.StatusOK
 		}
 		b.commits++
-		b.committedBlocks += int64(b.media.CommitFile(p, a.Handle.Ino))
-		b.replCommit(a.Handle.Ino)
-		return &proto.CommitReply{Status: proto.OK, Verifier: b.verifier}, rpc.StatusOK, true
+		b.committedBlocks += int64(b.media.CommitFile(p, a.commit.Handle.Ino))
+		b.replCommit(a.commit.Handle.Ino)
+		return &proto.CommitReply{Status: proto.OK, Verifier: b.verifier}, rpc.StatusOK
 
 	case proto.ProcCreate:
-		a := proto.DecodeCreateArgs(d)
-		if d.Err() != nil {
-			return nil, rpc.StatusGarbage, true
+		if _, st := b.handle(a.create.Dir); st != proto.OK {
+			return &proto.HandleReply{Status: st}, rpc.StatusOK
 		}
-		b.chargeCPU(p, 0)
-		b.account(proc)
-		if _, st := b.handle(a.Dir); st != proto.OK {
-			return &proto.HandleReply{Status: st}, rpc.StatusOK, true
-		}
-		attr, err := b.media.Store().Create(a.Dir.Ino, a.Name, a.Mode)
+		attr, err := b.media.Store().Create(a.create.Dir.Ino, a.create.Name, a.create.Mode)
 		if err != nil {
-			return &proto.HandleReply{Status: proto.StatusFromErr(err)}, rpc.StatusOK, true
+			return &proto.HandleReply{Status: proto.StatusFromErr(err)}, rpc.StatusOK
 		}
 		b.media.ChargeMeta(p)
 		return &proto.HandleReply{
 			Status: proto.OK, Handle: b.toHandle(attr), Attr: b.fattr(attr),
-		}, rpc.StatusOK, true
+		}, rpc.StatusOK
 
 	case proto.ProcRemove:
-		a := proto.DecodeDirOpArgs(d)
-		wantAttr := proto.DecodeWantAttr(d)
-		if d.Err() != nil {
-			return nil, rpc.StatusGarbage, true
-		}
-		b.chargeCPU(p, 0)
-		b.account(proc)
 		reply := func(st proto.Status) proto.Message {
-			if wantAttr {
-				return b.wccReply(st, a.Dir)
+			if a.dirOp.WantAttr {
+				return b.wccReply(st, a.dirOp.Dir)
 			}
 			return &proto.StatusReply{Status: st}
 		}
-		if _, st := b.handle(a.Dir); st != proto.OK {
-			return reply(st), rpc.StatusOK, true
+		if _, st := b.handle(a.dirOp.Dir); st != proto.OK {
+			return reply(st), rpc.StatusOK
 		}
-		removed, err := b.media.Store().Remove(a.Dir.Ino, a.Name)
+		removed, err := b.media.Store().Remove(a.dirOp.Dir.Ino, a.dirOp.Name)
 		if err == nil {
 			b.media.ChargeMeta(p)
 			if removed.Nlink <= 1 {
@@ -578,117 +583,86 @@ func (b *Base) serveCommon(p *sim.Proc, proc uint32, args []byte) (body proto.Me
 				b.fileRemoved(b.toHandle(removed))
 			}
 		}
-		return reply(proto.StatusFromErr(err)), rpc.StatusOK, true
+		return reply(proto.StatusFromErr(err)), rpc.StatusOK
 
 	case proto.ProcRename:
-		a := proto.DecodeRenameArgs(d)
-		wantAttr := proto.DecodeWantAttr(d)
-		if d.Err() != nil {
-			return nil, rpc.StatusGarbage, true
-		}
-		b.chargeCPU(p, 0)
-		b.account(proc)
 		reply := func(st proto.Status) proto.Message {
-			if wantAttr {
-				return b.wccReply(st, a.SrcDir, a.DstDir)
+			if a.rename.WantAttr {
+				return b.wccReply(st, a.rename.SrcDir, a.rename.DstDir)
 			}
 			return &proto.StatusReply{Status: st}
 		}
-		if _, st := b.handle(a.SrcDir); st != proto.OK {
-			return reply(st), rpc.StatusOK, true
+		if _, st := b.handle(a.rename.SrcDir); st != proto.OK {
+			return reply(st), rpc.StatusOK
 		}
-		if _, st := b.handle(a.DstDir); st != proto.OK {
-			return reply(st), rpc.StatusOK, true
+		if _, st := b.handle(a.rename.DstDir); st != proto.OK {
+			return reply(st), rpc.StatusOK
 		}
 		// If the destination exists it will be replaced; its state
 		// entry (SNFS) must go.
-		if old, err := b.media.Store().Lookup(a.DstDir.Ino, a.DstName); err == nil {
+		if old, err := b.media.Store().Lookup(a.rename.DstDir.Ino, a.rename.DstName); err == nil {
 			defer func() {
 				b.fileRemoved(b.toHandle(old))
 			}()
 		}
-		err := b.media.Store().Rename(a.SrcDir.Ino, a.SrcName, a.DstDir.Ino, a.DstName)
+		err := b.media.Store().Rename(a.rename.SrcDir.Ino, a.rename.SrcName, a.rename.DstDir.Ino, a.rename.DstName)
 		if err == nil {
 			b.media.ChargeMeta(p)
 		}
-		return reply(proto.StatusFromErr(err)), rpc.StatusOK, true
+		return reply(proto.StatusFromErr(err)), rpc.StatusOK
 
 	case proto.ProcMkdir:
-		a := proto.DecodeCreateArgs(d)
-		if d.Err() != nil {
-			return nil, rpc.StatusGarbage, true
+		if _, st := b.handle(a.create.Dir); st != proto.OK {
+			return &proto.HandleReply{Status: st}, rpc.StatusOK
 		}
-		b.chargeCPU(p, 0)
-		b.account(proc)
-		if _, st := b.handle(a.Dir); st != proto.OK {
-			return &proto.HandleReply{Status: st}, rpc.StatusOK, true
-		}
-		attr, err := b.media.Store().Mkdir(a.Dir.Ino, a.Name, a.Mode)
+		attr, err := b.media.Store().Mkdir(a.create.Dir.Ino, a.create.Name, a.create.Mode)
 		if err != nil {
-			return &proto.HandleReply{Status: proto.StatusFromErr(err)}, rpc.StatusOK, true
+			return &proto.HandleReply{Status: proto.StatusFromErr(err)}, rpc.StatusOK
 		}
 		b.media.ChargeMeta(p)
 		return &proto.HandleReply{
 			Status: proto.OK, Handle: b.toHandle(attr), Attr: b.fattr(attr),
-		}, rpc.StatusOK, true
+		}, rpc.StatusOK
 
 	case proto.ProcRmdir:
-		a := proto.DecodeDirOpArgs(d)
-		if d.Err() != nil {
-			return nil, rpc.StatusGarbage, true
+		if _, st := b.handle(a.dirOp.Dir); st != proto.OK {
+			return &proto.StatusReply{Status: st}, rpc.StatusOK
 		}
-		b.chargeCPU(p, 0)
-		b.account(proc)
-		if _, st := b.handle(a.Dir); st != proto.OK {
-			return &proto.StatusReply{Status: st}, rpc.StatusOK, true
-		}
-		err := b.media.Store().Rmdir(a.Dir.Ino, a.Name)
+		err := b.media.Store().Rmdir(a.dirOp.Dir.Ino, a.dirOp.Name)
 		if err == nil {
 			b.media.ChargeMeta(p)
 		}
-		return &proto.StatusReply{Status: proto.StatusFromErr(err)}, rpc.StatusOK, true
+		return &proto.StatusReply{Status: proto.StatusFromErr(err)}, rpc.StatusOK
 
 	case proto.ProcReaddir:
-		a := proto.DecodeHandleArgs(d)
-		if d.Err() != nil {
-			return nil, rpc.StatusGarbage, true
+		if _, st := b.handle(a.file.Handle); st != proto.OK {
+			return &proto.ReaddirReply{Status: st}, rpc.StatusOK
 		}
-		b.chargeCPU(p, 0)
-		b.account(proc)
-		if _, st := b.handle(a.Handle); st != proto.OK {
-			return &proto.ReaddirReply{Status: st}, rpc.StatusOK, true
-		}
-		ents, err := b.media.Store().Readdir(a.Handle.Ino)
+		ents, err := b.media.Store().Readdir(a.file.Handle.Ino)
 		if err != nil {
-			return &proto.ReaddirReply{Status: proto.StatusFromErr(err)}, rpc.StatusOK, true
+			return &proto.ReaddirReply{Status: proto.StatusFromErr(err)}, rpc.StatusOK
 		}
 		out := make([]proto.DirEntry, len(ents))
 		for i, e := range ents {
 			out[i] = proto.DirEntry{Name: e.Name, Fileid: e.Ino}
 		}
-		return &proto.ReaddirReply{Status: proto.OK, Entries: out}, rpc.StatusOK, true
+		return &proto.ReaddirReply{Status: proto.OK, Entries: out}, rpc.StatusOK
 
 	case proto.ProcLookupPath:
-		a := proto.DecodeLookupPathArgs(d)
-		if d.Err() != nil {
-			return nil, rpc.StatusGarbage, true
-		}
-		b.chargeCPU(p, 0)
-		b.account(proc)
-		dattr, st := b.handle(a.Dir)
+		dattr, st := b.handle(a.path.Dir)
 		if st != proto.OK {
-			return &proto.LookupPathReply{Status: st}, rpc.StatusOK, true
+			return &proto.LookupPathReply{Status: st}, rpc.StatusOK
 		}
 		// Walk as many components as the path allows, stopping early
 		// at a symbolic link: expansion is the client's job (it knows
 		// the link's directory for relative targets — Parent).
 		store := b.media.Store()
-		parent, cur, curAttr := a.Dir, a.Dir, dattr
+		parent, cur, curAttr := a.path.Dir, a.path.Dir, dattr
 		resolved := uint32(0)
-		for _, name := range a.Names {
+		for _, name := range a.path.Names {
 			next, err := store.Lookup(cur.Ino, name)
 			if err != nil {
-				return &proto.LookupPathReply{Status: proto.StatusFromErr(err)}, rpc.StatusOK, true
+				return &proto.LookupPathReply{Status: proto.StatusFromErr(err)}, rpc.StatusOK
 			}
 			parent, cur, curAttr = cur, b.toHandle(next), next
 			resolved++
@@ -699,21 +673,15 @@ func (b *Base) serveCommon(p *sim.Proc, proc uint32, args []byte) (body proto.Me
 		return &proto.LookupPathReply{
 			Status: proto.OK, Resolved: resolved,
 			Handle: cur, Parent: parent, Attr: b.fattr(curAttr),
-		}, rpc.StatusOK, true
+		}, rpc.StatusOK
 
 	case proto.ProcReaddirAttrs:
-		a := proto.DecodeHandleArgs(d)
-		if d.Err() != nil {
-			return nil, rpc.StatusGarbage, true
+		if _, st := b.handle(a.file.Handle); st != proto.OK {
+			return &proto.ReaddirAttrsReply{Status: st}, rpc.StatusOK
 		}
-		b.chargeCPU(p, 0)
-		b.account(proc)
-		if _, st := b.handle(a.Handle); st != proto.OK {
-			return &proto.ReaddirAttrsReply{Status: st}, rpc.StatusOK, true
-		}
-		ents, err := b.media.Store().Readdir(a.Handle.Ino)
+		ents, err := b.media.Store().Readdir(a.file.Handle.Ino)
 		if err != nil {
-			return &proto.ReaddirAttrsReply{Status: proto.StatusFromErr(err)}, rpc.StatusOK, true
+			return &proto.ReaddirAttrsReply{Status: proto.StatusFromErr(err)}, rpc.StatusOK
 		}
 		out := make([]proto.DirEntryAttrs, 0, len(ents))
 		for _, e := range ents {
@@ -725,94 +693,64 @@ func (b *Base) serveCommon(p *sim.Proc, proc uint32, args []byte) (body proto.Me
 				Name: e.Name, Handle: b.toHandle(ea), Attr: b.fattr(ea),
 			})
 		}
-		return &proto.ReaddirAttrsReply{Status: proto.OK, Entries: out}, rpc.StatusOK, true
+		return &proto.ReaddirAttrsReply{Status: proto.OK, Entries: out}, rpc.StatusOK
 
 	case proto.ProcReadlink:
-		a := proto.DecodeHandleArgs(d)
-		if d.Err() != nil {
-			return nil, rpc.StatusGarbage, true
+		if _, st := b.handle(a.file.Handle); st != proto.OK {
+			return &proto.ReadlinkReply{Status: st}, rpc.StatusOK
 		}
-		b.chargeCPU(p, 0)
-		b.account(proc)
-		if _, st := b.handle(a.Handle); st != proto.OK {
-			return &proto.ReadlinkReply{Status: st}, rpc.StatusOK, true
-		}
-		target, err := b.media.Store().Readlink(a.Handle.Ino)
+		target, err := b.media.Store().Readlink(a.file.Handle.Ino)
 		if err != nil {
-			return &proto.ReadlinkReply{Status: proto.StatusFromErr(err)}, rpc.StatusOK, true
+			return &proto.ReadlinkReply{Status: proto.StatusFromErr(err)}, rpc.StatusOK
 		}
-		return &proto.ReadlinkReply{Status: proto.OK, Target: target}, rpc.StatusOK, true
+		return &proto.ReadlinkReply{Status: proto.OK, Target: target}, rpc.StatusOK
 
 	case proto.ProcLink:
-		a := proto.DecodeLinkArgs(d)
-		if d.Err() != nil {
-			return nil, rpc.StatusGarbage, true
+		if _, st := b.handle(a.link.From); st != proto.OK {
+			return &proto.StatusReply{Status: st}, rpc.StatusOK
 		}
-		b.chargeCPU(p, 0)
-		b.account(proc)
-		if _, st := b.handle(a.From); st != proto.OK {
-			return &proto.StatusReply{Status: st}, rpc.StatusOK, true
+		if _, st := b.handle(a.link.ToDir); st != proto.OK {
+			return &proto.StatusReply{Status: st}, rpc.StatusOK
 		}
-		if _, st := b.handle(a.ToDir); st != proto.OK {
-			return &proto.StatusReply{Status: st}, rpc.StatusOK, true
-		}
-		_, err := b.media.Store().Link(a.ToDir.Ino, a.ToName, a.From.Ino)
+		_, err := b.media.Store().Link(a.link.ToDir.Ino, a.link.ToName, a.link.From.Ino)
 		if err == nil {
 			b.media.ChargeMeta(p)
 		}
-		return &proto.StatusReply{Status: proto.StatusFromErr(err)}, rpc.StatusOK, true
+		return &proto.StatusReply{Status: proto.StatusFromErr(err)}, rpc.StatusOK
 
 	case proto.ProcSymlink:
-		a := proto.DecodeSymlinkArgs(d)
-		if d.Err() != nil {
-			return nil, rpc.StatusGarbage, true
+		if _, st := b.handle(a.symlink.Dir); st != proto.OK {
+			return &proto.HandleReply{Status: st}, rpc.StatusOK
 		}
-		b.chargeCPU(p, 0)
-		b.account(proc)
-		if _, st := b.handle(a.Dir); st != proto.OK {
-			return &proto.HandleReply{Status: st}, rpc.StatusOK, true
-		}
-		attr, err := b.media.Store().Symlink(a.Dir.Ino, a.Name, a.Target)
+		attr, err := b.media.Store().Symlink(a.symlink.Dir.Ino, a.symlink.Name, a.symlink.Target)
 		if err != nil {
-			return &proto.HandleReply{Status: proto.StatusFromErr(err)}, rpc.StatusOK, true
+			return &proto.HandleReply{Status: proto.StatusFromErr(err)}, rpc.StatusOK
 		}
 		b.media.ChargeMeta(p)
 		return &proto.HandleReply{
 			Status: proto.OK, Handle: b.toHandle(attr), Attr: b.fattr(attr),
-		}, rpc.StatusOK, true
+		}, rpc.StatusOK
 
 	case proto.ProcMountRoot:
-		b.chargeCPU(p, 0)
-		b.account(proc)
 		attr, err := b.media.Store().GetAttr(b.media.Store().Root())
 		if err != nil {
-			return &proto.HandleReply{Status: proto.StatusFromErr(err)}, rpc.StatusOK, true
+			return &proto.HandleReply{Status: proto.StatusFromErr(err)}, rpc.StatusOK
 		}
 		return &proto.HandleReply{
 			Status: proto.OK, Handle: b.toHandle(attr), Attr: b.fattr(attr),
-		}, rpc.StatusOK, true
+		}, rpc.StatusOK
 
 	case proto.ProcMetrics:
-		b.chargeCPU(p, 0)
-		b.account(proc)
 		var sb strings.Builder
 		b.metrics.WriteProm(&sb)
-		return &proto.MetricsReply{Status: proto.OK, Text: sb.String()}, rpc.StatusOK, true
+		return &proto.MetricsReply{Status: proto.OK, Text: sb.String()}, rpc.StatusOK
 
 	case proto.ProcShardMap:
-		b.chargeCPU(p, 0)
-		b.account(proc)
-		return &proto.ShardMapReply{Status: proto.OK, Map: b.shardMap}, rpc.StatusOK, true
+		return &proto.ShardMapReply{Status: proto.OK, Map: b.shardMap}, rpc.StatusOK
 
 	case proto.ProcStatfs:
-		a := proto.DecodeHandleArgs(d)
-		if d.Err() != nil {
-			return nil, rpc.StatusGarbage, true
-		}
-		b.chargeCPU(p, 0)
-		b.account(proc)
-		if _, st := b.handle(a.Handle); st != proto.OK {
-			return &proto.StatfsReply{Status: st}, rpc.StatusOK, true
+		if _, st := b.handle(a.file.Handle); st != proto.OK {
+			return &proto.StatfsReply{Status: st}, rpc.StatusOK
 		}
 		st := b.media.Store()
 		return &proto.StatfsReply{
@@ -820,9 +758,9 @@ func (b *Base) serveCommon(p *sim.Proc, proc uint32, args []byte) (body proto.Me
 			BlockSize: uint32(st.BlockSize()),
 			Blocks:    1 << 20,
 			BytesUsed: st.TotalBytes(),
-		}, rpc.StatusOK, true
+		}, rpc.StatusOK
 	}
-	return nil, rpc.StatusProcUnavail, false
+	return nil, rpc.StatusProcUnavail // decode passes only the procedures above
 }
 
 // wccReply builds a remove/rename/close reply carrying post-op
@@ -894,12 +832,12 @@ func (s *NFSServer) serve(p *sim.Proc, from simnet.Addr, proc uint32, args []byt
 	if body, rejected := s.ownerCheck(p, proc); rejected {
 		return body, rpc.StatusOK
 	}
-	if body, rejected := s.routeCheck(p, proc, args); rejected {
+	var a callArgs
+	if st := a.decode(proc, args); st != rpc.StatusOK {
+		return nil, st
+	}
+	if body, rejected := s.routeCheck(p, proc, &a); rejected {
 		return body, rpc.StatusOK
 	}
-	body, st, handled := s.serveCommon(p, proc, args)
-	if !handled {
-		return nil, rpc.StatusProcUnavail
-	}
-	return body, st
+	return s.serveCommon(p, proc, &a)
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"spritelynfs/internal/core"
@@ -80,14 +81,14 @@ func TestNFSServerFileLifecycle(t *testing.T) {
 		root := r.root()
 		// create
 		body := r.call(t, p, proto.ProcCreate, &proto.CreateArgs{Dir: root, Name: "f", Mode: 0o644})
-		cr := proto.DecodeHandleReply(xdr.NewDecoder(body))
+		cr := decodeAs[proto.HandleReply](body)
 		if cr.Status != proto.OK {
 			t.Fatalf("create: %v", cr.Status)
 		}
 		// write
 		data := []byte("persistent bytes")
 		body = r.call(t, p, proto.ProcWrite, &proto.WriteArgs{Handle: cr.Handle, Offset: 0, Data: data})
-		wr := proto.DecodeWriteReply(xdr.NewDecoder(body))
+		wr := decodeAs[proto.WriteReply](body)
 		if wr.Status != proto.OK || wr.Attr.Size != int64(len(data)) {
 			t.Fatalf("write: %+v", wr)
 		}
@@ -96,30 +97,30 @@ func TestNFSServerFileLifecycle(t *testing.T) {
 		}
 		// lookup
 		body = r.call(t, p, proto.ProcLookup, &proto.DirOpArgs{Dir: root, Name: "f"})
-		lr := proto.DecodeHandleReply(xdr.NewDecoder(body))
+		lr := decodeAs[proto.HandleReply](body)
 		if lr.Status != proto.OK || lr.Handle != cr.Handle {
 			t.Fatalf("lookup: %+v", lr)
 		}
 		// read
 		body = r.call(t, p, proto.ProcRead, &proto.ReadArgs{Handle: cr.Handle, Offset: 0, Count: 100})
-		rr := proto.DecodeReadReply(xdr.NewDecoder(body))
+		rr := decodeAs[proto.ReadReply](body)
 		if rr.Status != proto.OK || !bytes.Equal(rr.Data, data) {
 			t.Fatalf("read: %+v", rr)
 		}
 		// getattr
 		body = r.call(t, p, proto.ProcGetattr, &proto.HandleArgs{Handle: cr.Handle})
-		ga := proto.DecodeAttrReply(xdr.NewDecoder(body))
+		ga := decodeAs[proto.AttrReply](body)
 		if ga.Status != proto.OK || ga.Attr.Size != int64(len(data)) {
 			t.Fatalf("getattr: %+v", ga)
 		}
 		// remove
 		body = r.call(t, p, proto.ProcRemove, &proto.DirOpArgs{Dir: root, Name: "f"})
-		if st := proto.DecodeStatusReply(xdr.NewDecoder(body)).Status; st != proto.OK {
+		if st := decodeAs[proto.StatusReply](body).Status; st != proto.OK {
 			t.Fatalf("remove: %v", st)
 		}
 		// stale after remove
 		body = r.call(t, p, proto.ProcGetattr, &proto.HandleArgs{Handle: cr.Handle})
-		if st := proto.DecodeAttrReply(xdr.NewDecoder(body)).Status; st != proto.ErrStale {
+		if st := decodeAs[proto.AttrReply](body).Status; st != proto.ErrStale {
 			t.Errorf("getattr after remove: %v, want ESTALE", st)
 		}
 	})
@@ -130,7 +131,7 @@ func TestNFSServerWriteIsSynchronousWithDisk(t *testing.T) {
 	r.run(t, func(p *sim.Proc) {
 		root := r.root()
 		body := r.call(t, p, proto.ProcCreate, &proto.CreateArgs{Dir: root, Name: "f", Mode: 0o644})
-		cr := proto.DecodeHandleReply(xdr.NewDecoder(body))
+		cr := decodeAs[proto.HandleReply](body)
 		before := r.nfs.media.Disk().Stats().Writes
 		r.call(t, p, proto.ProcWrite, &proto.WriteArgs{Handle: cr.Handle, Offset: 0, Data: make([]byte, 8192)})
 		after := r.nfs.media.Disk().Stats().Writes
@@ -156,32 +157,71 @@ func TestServerStaleHandles(t *testing.T) {
 	r.run(t, func(p *sim.Proc) {
 		bad := proto.Handle{FSID: 1, Ino: 999, Gen: 1}
 		body := r.call(t, p, proto.ProcGetattr, &proto.HandleArgs{Handle: bad})
-		if st := proto.DecodeAttrReply(xdr.NewDecoder(body)).Status; st != proto.ErrStale {
+		if st := decodeAs[proto.AttrReply](body).Status; st != proto.ErrStale {
 			t.Errorf("bogus ino: %v", st)
 		}
 		wrongGen := r.root()
 		wrongGen.Gen += 7
 		body = r.call(t, p, proto.ProcGetattr, &proto.HandleArgs{Handle: wrongGen})
-		if st := proto.DecodeAttrReply(xdr.NewDecoder(body)).Status; st != proto.ErrStale {
+		if st := decodeAs[proto.AttrReply](body).Status; st != proto.ErrStale {
 			t.Errorf("wrong generation: %v", st)
 		}
 		wrongFS := r.root()
 		wrongFS.FSID = 42
 		body = r.call(t, p, proto.ProcGetattr, &proto.HandleArgs{Handle: wrongFS})
-		if st := proto.DecodeAttrReply(xdr.NewDecoder(body)).Status; st != proto.ErrStale {
+		if st := decodeAs[proto.AttrReply](body).Status; st != proto.ErrStale {
 			t.Errorf("wrong fsid: %v", st)
 		}
 	})
 }
 
+// TestServerGarbageArgs: a call whose arguments do not decode is answered
+// GARBAGE_ARGS, by every handler, and changes no server state. Cut short
+// after its handle, a CLOSE used to be served as a read-mode close and a
+// LOCK granted as a shared one; a truncated replication batch applied a
+// half-decoded record; and an oversized LOOKUPPATH was walked from the
+// zero handle.
 func TestServerGarbageArgs(t *testing.T) {
-	r := newRig(false, SNFSOptions{})
-	r.run(t, func(p *sim.Proc) {
-		_, err := r.cli.Call(p, "server", proto.ProgNFS, proto.VersNFS, proto.ProcRead, []byte{1, 2})
-		if err != rpc.ErrGarbage {
-			t.Errorf("truncated args: %v, want GARBAGE_ARGS", err)
-		}
-	})
+	for _, snfs := range []bool{false, true} {
+		r := newRig(snfs, SNFSOptions{})
+		r.run(t, func(p *sim.Proc) {
+			garbage := func(what string, proc uint32, args []byte) {
+				t.Helper()
+				if _, err := r.cli.Call(p, "server", proto.ProgNFS, proto.VersNFS, proc, args); err != rpc.ErrGarbage {
+					t.Errorf("%s: %v, want GARBAGE_ARGS", what, err)
+				}
+			}
+			garbage("truncated READ", proto.ProcRead, []byte{1, 2})
+			tooLong := &proto.LookupPathArgs{Dir: r.root(), Names: make([]string, 1<<12+1)}
+			garbage("LOOKUPPATH of 4,097 names", proto.ProcLookupPath, proto.Marshal(tooLong))
+			if !snfs {
+				return
+			}
+
+			cr := decodeAs[proto.HandleReply](r.call(t, p, proto.ProcCreate, &proto.CreateArgs{Dir: r.root(), Name: "f", Mode: 0o644}))
+			r.call(t, p, proto.ProcOpen, &proto.OpenArgs{Handle: cr.Handle, WriteMode: true})
+			handleOnly := proto.Marshal(&proto.HandleArgs{Handle: cr.Handle})
+			for _, proc := range []uint32{proto.ProcOpen, proto.ProcClose, proto.ProcReopen, proto.ProcLock} {
+				garbage(proto.ProcName(proto.ProgNFS, proc)+" cut short after its handle", proc, handleOnly)
+			}
+			if got := r.snfs.Table().State(cr.Handle); got != core.StateOneWriter {
+				t.Errorf("state after the garbage calls: %v, want ONE-WRITER", got)
+			}
+
+			// A backup applies the stream; the map names another primary.
+			r.snfs.SetShardMap(proto.ShardMap{Version: 1, Servers: []string{"primary"}}, 0)
+			batch := proto.Marshal(&proto.ReplStreamArgs{Shard: 0, Epoch: 1, Verifier: 1,
+				Records: []proto.ReplRecord{{Seq: 1, Kind: proto.ReplWrite, Ino: cr.Handle.Ino, Length: 8192}}})
+			garbage("ReplStream batch cut short", proto.ProcReplStream, batch[:len(batch)-12])
+			huge := proto.Marshal(&proto.ReplStreamArgs{Shard: 0, Epoch: 1, Verifier: 1})
+			binary.BigEndian.PutUint32(huge[len(huge)-4:], 1<<20+1)
+			garbage("ReplStream batch of 1<<20+1 records", proto.ProcReplStream, huge)
+			garbage("ReplSync cut short", proto.ProcReplSync, []byte{0, 0, 0, 0})
+			if r.snfs.replApplied != 0 {
+				t.Errorf("garbage batches advanced the backup to seq %d", r.snfs.replApplied)
+			}
+		})
+	}
 }
 
 func TestSNFSServerOpenCloseStateTable(t *testing.T) {
@@ -189,10 +229,10 @@ func TestSNFSServerOpenCloseStateTable(t *testing.T) {
 	r.run(t, func(p *sim.Proc) {
 		root := r.root()
 		body := r.call(t, p, proto.ProcCreate, &proto.CreateArgs{Dir: root, Name: "f", Mode: 0o644})
-		cr := proto.DecodeHandleReply(xdr.NewDecoder(body))
+		cr := decodeAs[proto.HandleReply](body)
 
 		body = r.call(t, p, proto.ProcOpen, &proto.OpenArgs{Handle: cr.Handle, WriteMode: true})
-		or := proto.DecodeOpenReply(xdr.NewDecoder(body))
+		or := decodeAs[proto.OpenReply](body)
 		if or.Status != proto.OK || !or.CacheEnabled || or.Version == 0 {
 			t.Fatalf("open: %+v", or)
 		}
@@ -200,7 +240,7 @@ func TestSNFSServerOpenCloseStateTable(t *testing.T) {
 			t.Errorf("state %v, want ONE-WRITER", got)
 		}
 		body = r.call(t, p, proto.ProcClose, &proto.CloseArgs{Handle: cr.Handle, WriteMode: true})
-		if st := proto.DecodeStatusReply(xdr.NewDecoder(body)).Status; st != proto.OK {
+		if st := decodeAs[proto.StatusReply](body).Status; st != proto.OK {
 			t.Fatalf("close: %v", st)
 		}
 		if got := r.snfs.Table().State(cr.Handle); got != core.StateClosedDirty {
@@ -214,7 +254,7 @@ func TestSNFSServerRemoveDropsStateEntry(t *testing.T) {
 	r.run(t, func(p *sim.Proc) {
 		root := r.root()
 		body := r.call(t, p, proto.ProcCreate, &proto.CreateArgs{Dir: root, Name: "f", Mode: 0o644})
-		cr := proto.DecodeHandleReply(xdr.NewDecoder(body))
+		cr := decodeAs[proto.HandleReply](body)
 		r.call(t, p, proto.ProcOpen, &proto.OpenArgs{Handle: cr.Handle, WriteMode: true})
 		r.call(t, p, proto.ProcClose, &proto.CloseArgs{Handle: cr.Handle, WriteMode: true})
 		if r.snfs.Table().Len() != 1 {
@@ -231,10 +271,10 @@ func TestSNFSServerRenameOverDropsVictimEntry(t *testing.T) {
 	r := newRig(true, SNFSOptions{})
 	r.run(t, func(p *sim.Proc) {
 		root := r.root()
-		a := proto.DecodeHandleReply(xdr.NewDecoder(
-			r.call(t, p, proto.ProcCreate, &proto.CreateArgs{Dir: root, Name: "a", Mode: 0o644})))
-		b := proto.DecodeHandleReply(xdr.NewDecoder(
-			r.call(t, p, proto.ProcCreate, &proto.CreateArgs{Dir: root, Name: "b", Mode: 0o644})))
+		a := decodeAs[proto.HandleReply](
+			r.call(t, p, proto.ProcCreate, &proto.CreateArgs{Dir: root, Name: "a", Mode: 0o644}))
+		b := decodeAs[proto.HandleReply](
+			r.call(t, p, proto.ProcCreate, &proto.CreateArgs{Dir: root, Name: "b", Mode: 0o644}))
 		// Open/close b so it has a state entry.
 		r.call(t, p, proto.ProcOpen, &proto.OpenArgs{Handle: b.Handle, WriteMode: true})
 		r.call(t, p, proto.ProcClose, &proto.CloseArgs{Handle: b.Handle, WriteMode: true})
@@ -254,24 +294,24 @@ func TestSNFSServerGracePeriodRejectsOpens(t *testing.T) {
 	r.run(t, func(p *sim.Proc) {
 		root := r.root()
 		body := r.call(t, p, proto.ProcCreate, &proto.CreateArgs{Dir: root, Name: "f", Mode: 0o644})
-		cr := proto.DecodeHandleReply(xdr.NewDecoder(body))
+		cr := decodeAs[proto.HandleReply](body)
 		r.snfs.Crash()
 		r.snfs.Reboot()
 		if !r.snfs.InGrace() {
 			t.Fatal("not in grace after reboot")
 		}
 		body = r.call(t, p, proto.ProcOpen, &proto.OpenArgs{Handle: cr.Handle})
-		if st := proto.DecodeOpenReply(xdr.NewDecoder(body)).Status; st != proto.ErrGrace {
+		if st := decodeAs[proto.OpenReply](body).Status; st != proto.ErrGrace {
 			t.Errorf("open during grace: %v, want EGRACE", st)
 		}
 		// Reopens ARE accepted during grace.
 		body = r.call(t, p, proto.ProcReopen, &proto.ReopenArgs{Handle: cr.Handle, Readers: 1, Version: 3})
-		if st := proto.DecodeOpenReply(xdr.NewDecoder(body)).Status; st != proto.OK {
+		if st := decodeAs[proto.OpenReply](body).Status; st != proto.OK {
 			t.Errorf("reopen during grace: %v", st)
 		}
 		p.Sleep(6 * sim.Second)
 		body = r.call(t, p, proto.ProcOpen, &proto.OpenArgs{Handle: cr.Handle})
-		if st := proto.DecodeOpenReply(xdr.NewDecoder(body)).Status; st != proto.OK {
+		if st := decodeAs[proto.OpenReply](body).Status; st != proto.OK {
 			t.Errorf("open after grace: %v", st)
 		}
 	})
@@ -281,11 +321,11 @@ func TestSNFSServerEpochAdvancesAcrossReboot(t *testing.T) {
 	r := newRig(true, SNFSOptions{GraceDur: sim.Second})
 	r.run(t, func(p *sim.Proc) {
 		body := r.call(t, p, proto.ProcServerInfo, nil)
-		e1 := proto.DecodeServerInfoReply(xdr.NewDecoder(body)).Epoch
+		e1 := decodeAs[proto.ServerInfoReply](body).Epoch
 		r.snfs.Crash()
 		r.snfs.Reboot()
 		body = r.call(t, p, proto.ProcServerInfo, nil)
-		info := proto.DecodeServerInfoReply(xdr.NewDecoder(body))
+		info := decodeAs[proto.ServerInfoReply](body)
 		if info.Epoch != e1+1 {
 			t.Errorf("epoch %d after reboot, want %d", info.Epoch, e1+1)
 		}
@@ -299,7 +339,7 @@ func TestMountRoot(t *testing.T) {
 	r := newRig(true, SNFSOptions{})
 	r.run(t, func(p *sim.Proc) {
 		body := r.call(t, p, proto.ProcMountRoot, nil)
-		mr := proto.DecodeHandleReply(xdr.NewDecoder(body))
+		mr := decodeAs[proto.HandleReply](body)
 		if mr.Status != proto.OK || mr.Handle != r.root() || !mr.Attr.IsDir() {
 			t.Errorf("mountroot: %+v", mr)
 		}
@@ -312,7 +352,7 @@ func TestServerSeriesRecording(t *testing.T) {
 	r.run(t, func(p *sim.Proc) {
 		root := r.root()
 		body := r.call(t, p, proto.ProcCreate, &proto.CreateArgs{Dir: root, Name: "f", Mode: 0o644})
-		cr := proto.DecodeHandleReply(xdr.NewDecoder(body))
+		cr := decodeAs[proto.HandleReply](body)
 		for i := 0; i < 5; i++ {
 			r.call(t, p, proto.ProcWrite, &proto.WriteArgs{Handle: cr.Handle, Offset: 0, Data: make([]byte, 4096)})
 			r.call(t, p, proto.ProcRead, &proto.ReadArgs{Handle: cr.Handle, Offset: 0, Count: 4096})
@@ -344,11 +384,11 @@ func TestSetattrTruncate(t *testing.T) {
 	r := newRig(false, SNFSOptions{})
 	r.run(t, func(p *sim.Proc) {
 		root := r.root()
-		cr := proto.DecodeHandleReply(xdr.NewDecoder(
-			r.call(t, p, proto.ProcCreate, &proto.CreateArgs{Dir: root, Name: "f", Mode: 0o644})))
+		cr := decodeAs[proto.HandleReply](
+			r.call(t, p, proto.ProcCreate, &proto.CreateArgs{Dir: root, Name: "f", Mode: 0o644}))
 		r.call(t, p, proto.ProcWrite, &proto.WriteArgs{Handle: cr.Handle, Offset: 0, Data: make([]byte, 10000)})
 		body := r.call(t, p, proto.ProcSetattr, &proto.SetattrArgs{Handle: cr.Handle, SetSize: true, Size: 100})
-		sr := proto.DecodeAttrReply(xdr.NewDecoder(body))
+		sr := decodeAs[proto.AttrReply](body)
 		if sr.Status != proto.OK || sr.Attr.Size != 100 {
 			t.Errorf("setattr: %+v", sr)
 		}
@@ -363,12 +403,12 @@ func TestReaddirAndStatfs(t *testing.T) {
 			r.call(t, p, proto.ProcCreate, &proto.CreateArgs{Dir: root, Name: name, Mode: 0o644})
 		}
 		body := r.call(t, p, proto.ProcReaddir, &proto.HandleArgs{Handle: root})
-		dr := proto.DecodeReaddirReply(xdr.NewDecoder(body))
+		dr := decodeAs[proto.ReaddirReply](body)
 		if dr.Status != proto.OK || len(dr.Entries) != 2 {
 			t.Errorf("readdir: %+v", dr)
 		}
 		body = r.call(t, p, proto.ProcStatfs, &proto.HandleArgs{Handle: root})
-		sf := proto.DecodeStatfsReply(xdr.NewDecoder(body))
+		sf := decodeAs[proto.StatfsReply](body)
 		if sf.Status != proto.OK || sf.BlockSize != 4096 {
 			t.Errorf("statfs: %+v", sf)
 		}
@@ -379,11 +419,11 @@ func TestSNFSDumpState(t *testing.T) {
 	r := newRig(true, SNFSOptions{})
 	r.run(t, func(p *sim.Proc) {
 		root := r.root()
-		cr := proto.DecodeHandleReply(xdr.NewDecoder(
-			r.call(t, p, proto.ProcCreate, &proto.CreateArgs{Dir: root, Name: "f", Mode: 0o644})))
+		cr := decodeAs[proto.HandleReply](
+			r.call(t, p, proto.ProcCreate, &proto.CreateArgs{Dir: root, Name: "f", Mode: 0o644}))
 		r.call(t, p, proto.ProcOpen, &proto.OpenArgs{Handle: cr.Handle, WriteMode: true})
 		body := r.call(t, p, proto.ProcDumpState, nil)
-		dr := proto.DecodeDumpStateReply(xdr.NewDecoder(body))
+		dr := decodeAs[proto.DumpStateReply](body)
 		if dr.Status != proto.OK || dr.Epoch != 1 {
 			t.Fatalf("dump: %+v", dr)
 		}
@@ -408,7 +448,7 @@ func TestSNFSReclaimsOnFullTable(t *testing.T) {
 	// The rig's "cli" endpoint serves no callback program; register one.
 	callbacks := 0
 	r.cli.Register(proto.ProgCallback, func(p *sim.Proc, from simnet.Addr, proc uint32, args []byte) ([]byte, rpc.Status) {
-		if a := proto.DecodeCallbackArgs(xdr.NewDecoder(args)); a.WriteBack {
+		if a := decodeAs[proto.CallbackArgs](args); a.WriteBack {
 			callbacks++
 		}
 		return proto.Marshal(&proto.StatusReply{Status: proto.OK}), rpc.StatusOK
@@ -417,8 +457,8 @@ func TestSNFSReclaimsOnFullTable(t *testing.T) {
 		root := r.root()
 		var hs []proto.Handle
 		for _, name := range []string{"a", "b", "c"} {
-			cr := proto.DecodeHandleReply(xdr.NewDecoder(
-				r.call(t, p, proto.ProcCreate, &proto.CreateArgs{Dir: root, Name: name, Mode: 0o644})))
+			cr := decodeAs[proto.HandleReply](
+				r.call(t, p, proto.ProcCreate, &proto.CreateArgs{Dir: root, Name: name, Mode: 0o644}))
 			hs = append(hs, cr.Handle)
 		}
 		// Two files written and closed fill the table with CLOSED-DIRTY
@@ -430,8 +470,8 @@ func TestSNFSReclaimsOnFullTable(t *testing.T) {
 		if got := r.snfs.Table().Len(); got != 2 {
 			t.Fatalf("table len %d, want 2 (full)", got)
 		}
-		or := proto.DecodeOpenReply(xdr.NewDecoder(
-			r.call(t, p, proto.ProcOpen, &proto.OpenArgs{Handle: hs[2]})))
+		or := decodeAs[proto.OpenReply](
+			r.call(t, p, proto.ProcOpen, &proto.OpenArgs{Handle: hs[2]}))
 		if or.Status != proto.OK {
 			t.Fatalf("open on a full table: %v, want OK after reclaim", or.Status)
 		}
@@ -469,17 +509,17 @@ func TestRFSServerDirect(t *testing.T) {
 	k.Go("test", func(p *sim.Proc) {
 		defer k.Stop()
 		root := srv.RootHandle()
-		cr := proto.DecodeHandleReply(xdr.NewDecoder(
-			call(p, proto.ProcCreate, &proto.CreateArgs{Dir: root, Name: "f", Mode: 0o644})))
-		or := proto.DecodeOpenReply(xdr.NewDecoder(
-			call(p, proto.ProcOpen, &proto.OpenArgs{Handle: cr.Handle, WriteMode: false})))
+		cr := decodeAs[proto.HandleReply](
+			call(p, proto.ProcCreate, &proto.CreateArgs{Dir: root, Name: "f", Mode: 0o644}))
+		or := decodeAs[proto.OpenReply](
+			call(p, proto.ProcOpen, &proto.OpenArgs{Handle: cr.Handle, WriteMode: false}))
 		if or.Status != proto.OK || !or.CacheEnabled {
 			t.Fatalf("rfs open: %+v (readers always cache under RFS)", or)
 		}
 		v1 := or.Version
 		// A write-mode open bumps the version.
-		or2 := proto.DecodeOpenReply(xdr.NewDecoder(
-			call(p, proto.ProcOpen, &proto.OpenArgs{Handle: cr.Handle, WriteMode: true})))
+		or2 := decodeAs[proto.OpenReply](
+			call(p, proto.ProcOpen, &proto.OpenArgs{Handle: cr.Handle, WriteMode: true}))
 		if or2.Version <= v1 || or2.PrevVersion != v1 {
 			t.Errorf("version not bumped: %d -> %+v", v1, or2)
 		}
@@ -498,4 +538,14 @@ func TestRFSServerDirect(t *testing.T) {
 		}
 	})
 	k.Run()
+}
+
+// decodeAs decodes body as a T.
+func decodeAs[T any, P interface {
+	*T
+	proto.Message
+}](body []byte) T {
+	var m T
+	P(&m).XDR(xdr.NewDecoder(body).Codec())
+	return m
 }

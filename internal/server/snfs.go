@@ -241,9 +241,9 @@ func (s *SNFSServer) serve(p *sim.Proc, from simnet.Addr, proc uint32, args []by
 	// must still answer (ErrDemoted) so a partitioned old primary learns.
 	switch proc {
 	case proto.ProcReplStream:
-		return s.serveReplStream(p, from, args), rpc.StatusOK
+		return s.serveReplStream(p, from, args)
 	case proto.ProcReplSync:
-		return s.serveReplSync(p, from, args), rpc.StatusOK
+		return s.serveReplSync(p, from, args)
 	}
 	if body, rejected := s.ownerCheck(p, proc); rejected {
 		return body, rpc.StatusOK
@@ -251,11 +251,11 @@ func (s *SNFSServer) serve(p *sim.Proc, from simnet.Addr, proc uint32, args []by
 	s.noteHealed(from, proc)
 	switch proc {
 	case proto.ProcOpen:
-		return s.serveOpen(p, from, args), rpc.StatusOK
+		return s.serveOpen(p, from, args)
 	case proto.ProcClose:
-		return s.serveClose(p, from, args), rpc.StatusOK
+		return s.serveClose(p, from, args)
 	case proto.ProcReopen:
-		return s.serveReopen(p, from, args), rpc.StatusOK
+		return s.serveReopen(p, from, args)
 	case proto.ProcServerInfo:
 		s.chargeCPU(p, 0)
 		s.account(proc)
@@ -275,83 +275,62 @@ func (s *SNFSServer) serve(p *sim.Proc, from simnet.Addr, proc uint32, args []by
 	case proto.ProcLock, proto.ProcUnlock:
 		return s.serveLock(p, from, proc, args)
 	}
+	var a callArgs
+	if st := a.decode(proc, args); st != rpc.StatusOK {
+		return nil, st
+	}
 	// The shard route guard runs before the hybrid/name-cache hooks so a
 	// misrouted operation is bounced without delivering any callbacks.
-	if body, rejected := s.routeCheck(p, proc, args); rejected {
+	if body, rejected := s.routeCheck(p, proc, &a); rejected {
 		return body, rpc.StatusOK
 	}
-	if proc == proto.ProcCommit && s.auditor != nil {
-		// Journal commits: the durability point the no-lost-committed-
-		// data check pivots on.
-		h := proto.DecodeCommitArgs(xdr.NewDecoder(args)).Handle
-		s.auditor.NoteEvent(p.Op(), "commit", h, string(from),
-			fmt.Sprintf("verifier %d, epoch %d", s.verifier, s.epoch))
-	}
 	if s.auditor != nil {
-		// Journal the compound procedures so the audit trail shows the
-		// attribute observations they hand the client.
+		// Journal commits, the durability point the no-lost-committed-
+		// data check pivots on, and the compound procedures, so the audit
+		// trail shows the attribute observations they hand the client.
 		switch proc {
+		case proto.ProcCommit:
+			s.auditor.NoteEvent(p.Op(), "commit", a.commit.Handle, string(from),
+				fmt.Sprintf("verifier %d, epoch %d", s.verifier, s.epoch))
 		case proto.ProcLookupPath:
-			a := proto.DecodeLookupPathArgs(xdr.NewDecoder(args))
-			s.auditor.NoteEvent(p.Op(), "lookuppath", a.Dir, string(from),
-				fmt.Sprintf("%d components", len(a.Names)))
+			s.auditor.NoteEvent(p.Op(), "lookuppath", a.path.Dir, string(from),
+				fmt.Sprintf("%d components", len(a.path.Names)))
 		case proto.ProcReaddirAttrs:
-			a := proto.DecodeHandleArgs(xdr.NewDecoder(args))
-			s.auditor.NoteEvent(p.Op(), "readdirattrs", a.Handle, string(from), "")
+			s.auditor.NoteEvent(p.Op(), "readdirattrs", a.file.Handle, string(from), "")
 		}
 	}
 	if s.opts.Hybrid {
-		if body, st, done := s.serveHybrid(p, from, proc, args); done {
+		if body, st, done := s.serveHybrid(p, from, proc, &a); done {
 			return body, st
 		}
 	}
-	if s.opts.NameCacheProtocol {
-		s.invalidateNameCaches(p, from, proc, args)
+	if s.opts.NameCacheProtocol && proc != proto.ProcLookup && proc != proto.ProcLookupPath {
+		s.invalidateNameCaches(p, from, proc, &a)
 	}
 	if proc == proto.ProcCreate {
 		// A create over an existing file truncates it in place (same
 		// inode): clients caching the old contents — including a last
 		// writer holding dirty blocks — must drop them first, or a
 		// later write-back would resurrect the dead data.
-		s.truncateOnCreate(p, from, args)
+		s.truncateOnCreate(p, from, &a.create)
 	}
-	body, st, handled := s.serveCommon(p, proc, args)
-	if !handled {
-		return nil, rpc.StatusProcUnavail
-	}
-	return body, st
+	return s.serveCommon(p, proc, &a)
 }
 
 // invalidateNameCaches runs before a namespace mutation: every other
 // client holding a caching read-open on the affected directory is called
 // back to drop its cached name translations (§7 extension). The mutation
 // itself then proceeds normally.
-func (s *SNFSServer) invalidateNameCaches(p *sim.Proc, from simnet.Addr, proc uint32, args []byte) {
-	var dirs []proto.Handle
-	d := xdr.NewDecoder(args)
-	switch proc {
-	case proto.ProcCreate, proto.ProcMkdir:
-		dirs = append(dirs, proto.DecodeCreateArgs(d).Dir)
-	case proto.ProcSymlink:
-		dirs = append(dirs, proto.DecodeSymlinkArgs(d).Dir)
-	case proto.ProcLink:
-		dirs = append(dirs, proto.DecodeLinkArgs(d).ToDir)
-	case proto.ProcRemove, proto.ProcRmdir:
-		dirs = append(dirs, proto.DecodeDirOpArgs(d).Dir)
-	case proto.ProcRename:
-		a := proto.DecodeRenameArgs(d)
-		dirs = append(dirs, a.SrcDir)
-		if a.DstDir != a.SrcDir {
-			dirs = append(dirs, a.DstDir)
-		}
-	default:
-		return
+func (s *SNFSServer) invalidateNameCaches(p *sim.Proc, from simnet.Addr, proc uint32, a *callArgs) {
+	names, n := a.dirNames(proc)
+	if n == 2 && names[1].dir == names[0].dir {
+		n = 1 // a rename within one directory
 	}
 	cid := core.ClientID(from)
-	for _, dir := range dirs {
-		lk := s.lockFor(dir)
+	for _, nm := range names[:n] {
+		lk := s.lockFor(nm.dir)
 		lk.Lock(p)
-		cbs := s.table.InvalidateReaders(dir, cid)
+		cbs := s.table.InvalidateReaders(nm.dir, cid)
 		for _, cb := range cbs {
 			if err := s.deliverCallback(p, cb); err != nil {
 				s.clientDead(cb.Client)
@@ -363,8 +342,7 @@ func (s *SNFSServer) invalidateNameCaches(p *sim.Proc, from simnet.Addr, proc ui
 
 // truncateOnCreate delivers invalidations for a create that will
 // truncate an existing file.
-func (s *SNFSServer) truncateOnCreate(p *sim.Proc, from simnet.Addr, args []byte) {
-	a := proto.DecodeCreateArgs(xdr.NewDecoder(args))
+func (s *SNFSServer) truncateOnCreate(p *sim.Proc, from simnet.Addr, a *proto.CreateArgs) {
 	existing, err := s.media.Store().Lookup(a.Dir.Ino, a.Name)
 	if err != nil {
 		return // fresh create: nothing cached anywhere
@@ -380,15 +358,19 @@ func (s *SNFSServer) truncateOnCreate(p *sim.Proc, from simnet.Addr, args []byte
 	}
 }
 
-func (s *SNFSServer) serveOpen(p *sim.Proc, from simnet.Addr, args []byte) proto.Message {
-	a := proto.DecodeOpenArgs(xdr.NewDecoder(args))
+func (s *SNFSServer) serveOpen(p *sim.Proc, from simnet.Addr, args []byte) (proto.Message, rpc.Status) {
+	var a proto.OpenArgs
+	c := xdr.NewDecoder(args).Codec()
+	if a.XDR(c); c.Err() != nil {
+		return nil, rpc.StatusGarbage
+	}
 	s.chargeCPU(p, 0)
 	s.account(proto.ProcOpen)
 	if _, st := s.handle(a.Handle); st != proto.OK {
-		return &proto.OpenReply{Status: st}
+		return &proto.OpenReply{Status: st}, rpc.StatusOK
 	}
 	if s.InGrace() {
-		return &proto.OpenReply{Status: proto.ErrGrace}
+		return &proto.OpenReply{Status: proto.ErrGrace}, rpc.StatusOK
 	}
 	lk := s.lockFor(a.Handle)
 	lk.Lock(p)
@@ -407,7 +389,7 @@ func (s *SNFSServer) serveOpen(p *sim.Proc, from simnet.Addr, args []byte) proto
 		}
 		res = s.table.Open(a.Handle, cid, a.WriteMode)
 		if res.TableFull {
-			return &proto.OpenReply{Status: proto.ErrTableFull}
+			return &proto.OpenReply{Status: proto.ErrTableFull}, rpc.StatusOK
 		}
 	}
 	inconsistent := res.Inconsistent
@@ -426,7 +408,7 @@ func (s *SNFSServer) serveOpen(p *sim.Proc, from simnet.Addr, args []byte) proto
 	// reflected (size, mtime).
 	attr, st := s.handle(a.Handle)
 	if st != proto.OK {
-		return &proto.OpenReply{Status: st}
+		return &proto.OpenReply{Status: st}, rpc.StatusOK
 	}
 	status := proto.OK
 	if inconsistent {
@@ -438,35 +420,41 @@ func (s *SNFSServer) serveOpen(p *sim.Proc, from simnet.Addr, args []byte) proto
 		Version:      res.Version,
 		PrevVersion:  res.PrevVersion,
 		Attr:         s.fattr(attr),
-	}
+	}, rpc.StatusOK
 }
 
-func (s *SNFSServer) serveClose(p *sim.Proc, from simnet.Addr, args []byte) proto.Message {
-	d := xdr.NewDecoder(args)
-	a := proto.DecodeCloseArgs(d)
-	wantAttr := proto.DecodeWantAttr(d)
+func (s *SNFSServer) serveClose(p *sim.Proc, from simnet.Addr, args []byte) (proto.Message, rpc.Status) {
+	var a proto.CloseArgs
+	c := xdr.NewDecoder(args).Codec()
+	if a.XDR(c); c.Err() != nil {
+		return nil, rpc.StatusGarbage
+	}
 	s.chargeCPU(p, 0)
 	s.account(proto.ProcClose)
 	lk := s.lockFor(a.Handle)
 	lk.Lock(p)
 	defer lk.Unlock()
 	s.table.Close(a.Handle, core.ClientID(from), a.WriteMode)
-	if wantAttr {
+	if a.WantAttr {
 		// Post-op attributes save the getattr that commonly trails a
 		// close; journaled so the audit can correlate client views.
 		s.auditor.NoteEvent(p.Op(), "close-wcc", a.Handle, string(from), "")
-		return s.wccReply(proto.OK, a.Handle)
+		return s.wccReply(proto.OK, a.Handle), rpc.StatusOK
 	}
-	return &proto.StatusReply{Status: proto.OK}
+	return &proto.StatusReply{Status: proto.OK}, rpc.StatusOK
 }
 
-func (s *SNFSServer) serveReopen(p *sim.Proc, from simnet.Addr, args []byte) proto.Message {
-	a := proto.DecodeReopenArgs(xdr.NewDecoder(args))
+func (s *SNFSServer) serveReopen(p *sim.Proc, from simnet.Addr, args []byte) (proto.Message, rpc.Status) {
+	var a proto.ReopenArgs
+	c := xdr.NewDecoder(args).Codec()
+	if a.XDR(c); c.Err() != nil {
+		return nil, rpc.StatusGarbage
+	}
 	s.chargeCPU(p, 0)
 	s.account(proto.ProcReopen)
 	attr, st := s.handle(a.Handle)
 	if st != proto.OK {
-		return &proto.OpenReply{Status: st}
+		return &proto.OpenReply{Status: st}, rpc.StatusOK
 	}
 	lk := s.lockFor(a.Handle)
 	lk.Lock(p)
@@ -479,7 +467,7 @@ func (s *SNFSServer) serveReopen(p *sim.Proc, from simnet.Addr, args []byte) pro
 		Version:      s.table.Version(a.Handle),
 		PrevVersion:  s.table.Version(a.Handle),
 		Attr:         s.fattr(attr),
-	}
+	}, rpc.StatusOK
 }
 
 // serveHybrid implements §6.1: a data or attribute access from a client
@@ -488,21 +476,18 @@ func (s *SNFSServer) serveReopen(p *sim.Proc, from simnet.Addr, args []byte) pro
 // NFS traffic — and the NFS client sees post-write-back attributes.
 // Writes from a file's last writer (delayed write-back and callback-
 // forced flushes arrive without an open) are exempt.
-func (s *SNFSServer) serveHybrid(p *sim.Proc, from simnet.Addr, proc uint32, args []byte) (proto.Message, rpc.Status, bool) {
+func (s *SNFSServer) serveHybrid(p *sim.Proc, from simnet.Addr, proc uint32, a *callArgs) (proto.Message, rpc.Status, bool) {
 	var h proto.Handle
 	var isWrite bool
-	d := xdr.NewDecoder(args)
 	switch proc {
 	case proto.ProcRead:
-		h = proto.DecodeReadArgs(d).Handle
+		h = a.read.Handle
 	case proto.ProcWrite:
-		h = proto.DecodeWriteArgs(d).Handle
-		isWrite = true
+		h, isWrite = a.write.Handle, true
 	case proto.ProcGetattr:
-		h = proto.DecodeHandleArgs(d).Handle
+		h = a.file.Handle
 	case proto.ProcSetattr:
-		h = proto.DecodeSetattrArgs(d).Handle
-		isWrite = true
+		h, isWrite = a.setattr.Handle, true
 	default:
 		return nil, rpc.StatusOK, false
 	}
@@ -524,7 +509,7 @@ func (s *SNFSServer) serveHybrid(p *sim.Proc, from simnet.Addr, proc uint32, arg
 		}
 	}
 	lk.Unlock()
-	body, st, _ := s.serveCommon(p, proc, args)
+	body, st := s.serveCommon(p, proc, a)
 	if r, ok := body.(*proto.ReadReply); ok {
 		// The reply waits on the lock below, and its data is a view of
 		// the file that a write may change meanwhile.
@@ -583,7 +568,8 @@ func (s *SNFSServer) deliverCallback(p *sim.Proc, cb core.Callback) error {
 	if err != nil {
 		return err
 	}
-	r := proto.DecodeStatusReply(xdr.NewDecoder(body))
+	var r proto.StatusReply
+	r.XDR(xdr.NewDecoder(body).Codec())
 	if r.Status != proto.OK {
 		return fmt.Errorf("callback to %s: %s", cb.Client, r.Status)
 	}

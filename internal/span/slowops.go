@@ -63,17 +63,10 @@ func (r *Recorder) offer(t *trace, dur sim.Duration, cats [kindCount]sim.Duratio
 	if len(r.heap) >= r.topK && int64(dur) <= r.heap[0].DurUS {
 		return
 	}
-	so := captureTrace(t, dur, cats)
 	if len(r.heap) >= r.topK {
-		evicted := heap.Pop(&r.heap).(*SlowOp)
-		if evicted.Op != 0 && r.captured[evicted.Op] == evicted {
-			delete(r.captured, evicted.Op)
-		}
+		heap.Pop(&r.heap)
 	}
-	heap.Push(&r.heap, so)
-	if so.Op != 0 {
-		r.captured[so.Op] = so
-	}
+	heap.Push(&r.heap, captureTrace(t, dur, cats))
 }
 
 // captureTrace copies a finalized trace into its JSON form.
@@ -128,17 +121,24 @@ func (r *Recorder) SlowOps() []SlowOp {
 }
 
 // Lookup returns the captured tree for a causal op ID, if it won a slot.
+// Op IDs minted by separate TCP clients can coincide; then it is the
+// slowest of their trees.
 func (r *Recorder) Lookup(op uint64) (SlowOp, bool) {
-	if r == nil {
+	if r == nil || op == 0 {
 		return SlowOp{}, false
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	so, ok := r.captured[op]
-	if !ok {
+	var found *SlowOp
+	for _, so := range r.heap {
+		if so.Op == op && (found == nil || so.DurUS > found.DurUS) {
+			found = so
+		}
+	}
+	if found == nil {
 		return SlowOp{}, false
 	}
-	return *so, true
+	return *found, true
 }
 
 // Component is one row of the rendered breakdown.

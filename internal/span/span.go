@@ -134,7 +134,6 @@ type Recorder struct {
 
 	agg                Agg
 	heap               opHeap
-	captured           map[uint64]*SlowOp // op → captured winner
 	windowLo, windowHi sim.Time
 	haveWindow         bool
 
@@ -152,12 +151,11 @@ func NewRecorder(clock func() sim.Time, topK int) *Recorder {
 		topK = DefaultTopK
 	}
 	return &Recorder{
-		clock:    clock,
-		topK:     topK,
-		stacks:   map[*sim.Proc]*stack{},
-		byOp:     map[uint64]*trace{},
-		captured: map[uint64]*SlowOp{},
-		hists:    map[string]*metrics.Histogram{},
+		clock:  clock,
+		topK:   topK,
+		stacks: map[*sim.Proc]*stack{},
+		byOp:   map[uint64]*trace{},
+		hists:  map[string]*metrics.Histogram{},
 	}
 }
 

@@ -139,6 +139,28 @@ func TestTopKEviction(t *testing.T) {
 	}
 }
 
+// TestLookupSharedOp: two TCP clients can send the same op ID. Evicting
+// the cheaper of two trees under one op must leave the other findable.
+func TestLookupSharedOp(t *testing.T) {
+	k := sim.NewKernel(1)
+	r := NewRecorder(k.Now, 2)
+	k.Go("clients", func(p *sim.Proc) {
+		for _, run := range []struct {
+			op uint64
+			ms int
+		}{{7, 10}, {7, 1}, {8, 5}} {
+			p.SetOp(run.op)
+			h := r.Begin(p, "server", Serve, "getattr")
+			p.Sleep(sim.Duration(run.ms) * sim.Millisecond)
+			h.End()
+		}
+	})
+	k.Run()
+	if so, ok := r.Lookup(7); !ok || so.DurUS != 10000 {
+		t.Errorf("Lookup(7) = %dus, %v; want the 10 ms tree", so.DurUS, ok)
+	}
+}
+
 // TestBackgroundRoots checks daemon-rooted and orphan work stays out of
 // the syscall aggregate (it is concurrent, not part of any op's path).
 func TestBackgroundRoots(t *testing.T) {

@@ -72,8 +72,8 @@ func (pg *Pinger) loop(p *sim.Proc) {
 		if err != nil {
 			continue
 		}
-		r := proto.DecodeViewPingReply(xdr.NewDecoder(body))
-		if r.Status != proto.OK {
+		var r proto.ViewPingReply
+		if r.XDR(xdr.NewDecoder(body).Codec()); r.Status != proto.OK {
 			continue
 		}
 		if r.View.Num > pg.seen {

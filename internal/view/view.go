@@ -158,7 +158,11 @@ func (s *Service) Changes(shard uint32) uint64 {
 func (s *Service) serve(p *sim.Proc, from simnet.Addr, proc uint32, args []byte) (proto.Message, rpc.Status) {
 	switch proc {
 	case proto.ViewProcPing:
-		a := proto.DecodeViewPingArgs(xdr.NewDecoder(args))
+		var a proto.ViewPingArgs
+		c := xdr.NewDecoder(args).Codec()
+		if a.XDR(c); c.Err() != nil {
+			return nil, rpc.StatusGarbage
+		}
 		st, ok := s.shards[a.Shard]
 		if !ok {
 			return &proto.ViewPingReply{Status: proto.ErrInval}, rpc.StatusOK

@@ -274,3 +274,95 @@ func TestMaxItemSharedLimit(t *testing.T) {
 		t.Error("OpaqueRef accepted an item above MaxItem")
 	}
 }
+
+// sample is described once, as codec calls; encode and decode share it.
+type sample struct {
+	a     uint32
+	b     uint64
+	c     int64
+	flag  bool
+	s     string
+	view  []byte
+	owned []byte
+	opt   bool
+	list  []string
+	rest  []byte
+}
+
+func (m *sample) xdr(c Codec) {
+	c.Uint32(&m.a)
+	c.Uint64(&m.b)
+	c.Int64(&m.c)
+	c.Bool(&m.flag)
+	c.String(&m.s)
+	c.OpaqueRef(&m.view)
+	c.Opaque(&m.owned)
+	Count(c, &m.list, 4)
+	for i := range m.list {
+		c.String(&m.list[i])
+	}
+	c.OptionalBool(&m.opt)
+	if !c.AtEnd() {
+		c.Raw(&m.rest)
+	}
+}
+
+func TestCodecRoundTrip(t *testing.T) {
+	in := sample{a: 7, b: math.MaxUint64, c: math.MinInt64, flag: true, s: "name.c",
+		view: []byte{1, 2, 3}, owned: []byte{4, 5}, opt: true, list: []string{"x", "yz"}, rest: []byte{9}}
+	e := NewEncoder()
+	in.xdr(e.Codec())
+	wire := e.Bytes()
+
+	var out sample
+	d := NewDecoder(wire)
+	out.xdr(d.Codec())
+	if d.Err() != nil || d.Remaining() != 0 {
+		t.Fatalf("decode: %v, %d bytes left", d.Err(), d.Remaining())
+	}
+	if out.a != in.a || out.b != in.b || out.c != in.c || !out.flag || out.s != in.s || !out.opt ||
+		!bytes.Equal(out.view, in.view) || !bytes.Equal(out.owned, in.owned) ||
+		len(out.list) != 2 || out.list[1] != "yz" || !bytes.Equal(out.rest, in.rest) {
+		t.Fatalf("round trip:\n  in  %+v\n  out %+v", in, out)
+	}
+	wire[len(wire)-1] = 8 // the raw tail, a view
+	wire[40] = 99         // the first OpaqueRef byte
+	wire[48] = 98         // the first Opaque byte, copied out
+	if out.rest[0] != 8 || out.view[0] != 99 || out.owned[0] != 4 {
+		t.Error("OpaqueRef and Raw must alias the image, Opaque must copy it")
+	}
+}
+
+func TestCodecOptionalBool(t *testing.T) {
+	unset := NewEncoder()
+	(&sample{}).xdr(unset.Codec())
+	set := NewEncoder()
+	(&sample{opt: true}).xdr(set.Codec())
+	if grew := set.Len() - unset.Len(); grew != 4 {
+		t.Errorf("a set flag adds %d bytes, want 4 (and an unset one none)", grew)
+	}
+	for _, e := range []*Encoder{unset, set} {
+		var out sample
+		d := NewDecoder(e.Bytes())
+		out.xdr(d.Codec())
+		if d.Err() != nil || out.opt != (e == set) {
+			t.Errorf("flag decoded as %v (%v), want %v", out.opt, d.Err(), e == set)
+		}
+	}
+}
+
+func TestCodecCountRejectsCorruptLengths(t *testing.T) {
+	for _, tc := range []struct {
+		n    uint32
+		want error
+	}{{5, ErrTooLong}, {3, ErrShortBuffer}} {
+		e := NewEncoder()
+		e.Uint32(tc.n)
+		e.String("ab") // 8 bytes: room for two elements at most
+		d := NewDecoder(e.Bytes())
+		var list []string
+		if Count(d.Codec(), &list, 4); len(list) != 0 || !errors.Is(d.Err(), tc.want) {
+			t.Errorf("count %d: made %d elements, %v; want none, %v", tc.n, len(list), d.Err(), tc.want)
+		}
+	}
+}
