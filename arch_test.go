@@ -40,7 +40,7 @@ func TestStructuralCeilings(t *testing.T) {
 		{"internal/core importing internal/trace", b2i(imports(t, "internal/core")["spritelynfs/internal/trace"]), 0},
 		{"ci.yml lines", strings.Count(string(ci), "\n"), 62},
 		{"ci.yml jobs", countJobs(string(ci)), 2},
-		// One read path: Media.ReadAt reads, holds and charges together.
+		// One read path: Media.ReadAt reads, freezes and charges together.
 		{"exported localfs.Media.ChargeRead", b2i(chargeRead), 0},
 		// One description per message: its XDR method both encodes and
 		// decodes it. The named decoders left are the benchmark's.

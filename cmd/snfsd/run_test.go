@@ -157,8 +157,10 @@ func readWhenDone(t *testing.T, path, want string) string {
 }
 
 // drive is one client's traffic: mount, lookup, then rounds of open for
-// write, an 8 KiB write read back, getattr, lookup and close on a file of
-// its own.
+// write, an 8 KiB write, two unaligned writes each read back, getattr,
+// lookup and close on a file of its own. A READ reply's data is the
+// server's page, which the connection's writer reads off the loop, and
+// the second unaligned write lands in the page the first read handed out.
 func drive(addr string, i int) error {
 	c, err := rpc.DialTCP(addr)
 	if err != nil {
@@ -193,27 +195,34 @@ func drive(addr string, i int) error {
 	for round := 0; round < 15 && err == nil; round++ {
 		block := bytes.Repeat([]byte{byte('a' + round)}, 8192)
 		var (
-			open proto.OpenReply
-			wr   proto.WriteReply
-			rd   proto.ReadReply
-			ga   proto.AttrReply
-			lk   proto.HandleReply
-			cl   proto.StatusReply
+			open          proto.OpenReply
+			wr, wr1, wr2  proto.WriteReply
+			rd1, rd2      proto.ReadReply
+			ga            proto.AttrReply
+			lk            proto.HandleReply
+			cl            proto.StatusReply
+			patch1, want1 = []byte("first"), bytes.Clone(block)
 		)
+		copy(want1[10:], patch1)
+		patch2, want2 := []byte("second"), bytes.Clone(want1)
+		copy(want2[21:], patch2)
 		call(proto.ProcOpen, &proto.OpenArgs{Handle: f.Handle, WriteMode: true}, &open)
 		call(proto.ProcWrite, &proto.WriteArgs{Handle: f.Handle, Data: block}, &wr)
-		call(proto.ProcRead, &proto.ReadArgs{Handle: f.Handle, Count: 8192}, &rd)
+		call(proto.ProcWrite, &proto.WriteArgs{Handle: f.Handle, Offset: 10, Data: patch1}, &wr1)
+		call(proto.ProcRead, &proto.ReadArgs{Handle: f.Handle, Count: 8192}, &rd1)
+		call(proto.ProcWrite, &proto.WriteArgs{Handle: f.Handle, Offset: 21, Data: patch2}, &wr2)
+		call(proto.ProcRead, &proto.ReadArgs{Handle: f.Handle, Count: 8192}, &rd2)
 		call(proto.ProcGetattr, &proto.HandleArgs{Handle: f.Handle}, &ga)
 		call(proto.ProcLookup, &proto.DirOpArgs{Dir: demo.Handle, Name: name}, &lk)
 		call(proto.ProcClose, &proto.CloseArgs{Handle: f.Handle, WriteMode: true}, &cl)
-		steps := []proto.Status{open.Status, wr.Status, rd.Status, ga.Status, lk.Status, cl.Status}
+		steps := []proto.Status{open.Status, wr.Status, wr1.Status, rd1.Status, wr2.Status, rd2.Status, ga.Status, lk.Status, cl.Status}
 		for _, st := range steps {
 			if st != proto.OK && err == nil {
 				err = fmt.Errorf("round %d: status %v", round, st)
 			}
 		}
-		if err == nil && !bytes.Equal(rd.Data, block) {
-			err = fmt.Errorf("round %d: read back %d bytes, not the block written", round, len(rd.Data))
+		if err == nil && (!bytes.Equal(rd1.Data, want1) || !bytes.Equal(rd2.Data, want2)) {
+			err = fmt.Errorf("round %d: read back %d and %d bytes, not the file's", round, len(rd1.Data), len(rd2.Data))
 		}
 	}
 	return err

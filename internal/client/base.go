@@ -589,14 +589,19 @@ func (b *Base) key(ino uint64, blk int64) cache.Key {
 }
 
 // readRPC fetches [off, off+count) from the server and returns data plus
-// the attributes piggybacked on the reply.
+// the attributes piggybacked on the reply. The reply's data is its image's
+// tail, so data is the server's frozen page itself, not a copy.
 func (b *Base) readRPC(p *sim.Proc, h proto.Handle, off int64, count int) ([]byte, proto.Fattr, error) {
-	body, err := b.call(p, proto.ProcRead, &proto.ReadArgs{Handle: h, Offset: off, Count: uint32(count)})
+	b.ops.Inc(proto.ProcName(proto.ProgNFS, proto.ProcRead))
+	body, tail, err := b.ep.CallTail(p, b.cfg.Server, proto.ProgNFS, proto.VersNFS, proto.ProcRead,
+		&proto.ReadArgs{Handle: h, Offset: off, Count: uint32(count)})
 	if err != nil {
 		return nil, proto.Fattr{}, err
 	}
+	var d xdr.Decoder
+	d.ResetTail(body, tail)
 	var r proto.ReadReply
-	r.XDR(xdr.NewDecoder(body).Codec())
+	r.XDR(d.Codec())
 	if r.Status != proto.OK {
 		return nil, proto.Fattr{}, r.Status.Err()
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"spritelynfs/internal/cache"
 	"spritelynfs/internal/client"
 	"spritelynfs/internal/disk"
 	"spritelynfs/internal/localfs"
@@ -407,18 +408,19 @@ func (w *world) tapCalls(proc uint32, seen func(wire []byte, args xdr.Codec)) {
 // answers with.
 func (w *world) replayRead(t *testing.T, p *sim.Proc, from simnet.Addr, readCall []byte) []byte {
 	t.Helper()
-	var replay []byte
+	var replay simnet.Message
 	w.net.Unlisten(from)
-	w.net.Listen(from).SetHandler(func(m simnet.Message) { replay = m.Payload })
+	w.net.Listen(from).SetHandler(func(m simnet.Message) { replay = m })
 	w.net.Send(from, "server", readCall)
 	p.Sleep(sim.Second)
-	if replay == nil {
+	if replay.Payload == nil {
 		t.Fatal("no replayed reply")
 	}
 	if hits := w.snfs.Endpoint().Stats().DupHits; hits != 1 {
 		t.Errorf("DupHits = %d, want 1: the retransmission was not answered from the duplicate cache", hits)
 	}
-	d := xdr.NewDecoder(replay)
+	var d xdr.Decoder
+	d.ResetTail(replay.Payload, replay.Tail)
 	d.Uint32() // xid
 	d.Uint32() // reply
 	d.Uint32() // status
@@ -592,6 +594,57 @@ func TestServerKeepsWholePageWriteAsItsPage(t *testing.T) {
 		want := append(append(whole[:10:10], patch...), whole[110:]...)
 		if data, _ := st.ReadAt(attr.Ino, 0, 8192); !bytes.Equal(data, want) {
 			t.Error("the file does not read back both writes")
+		}
+	})
+}
+
+// TestReadPageIsTheClientsCachedBlock: a READ reply carries the server's
+// page itself, as its image's tail, and the client caches it, so client A's
+// cache block and the server's file share one page. The store froze the
+// page when the READ read it: client B's unaligned WRITE into the block
+// copies the page, A's block keeps the bytes of the read instant, and the
+// file reads B's.
+func TestReadPageIsTheClientsCachedBlock(t *testing.T) {
+	w := newWorld(1, false, 4, server.SNFSOptions{})
+	ep, cfg := w.clientConfig("clientA")
+	cfg.BlockSize = 8192
+	a := client.NewNFS(w.k, ep, cfg, client.NFSOptions{})
+	b := w.addNFS("clientB", client.NFSOptions{})
+	run(t, w.k, func(p *sim.Proc) {
+		// B writes 4 KiB blocks, which the server copies into the page:
+		// no call image holds it.
+		whole := fill(8192, 'a')
+		writeThrough(t, p, b, "f", whole)
+		fa, err := a.Open(p, "f", vfs.ReadOnly, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := fa.ReadAt(p, 0, 8192); err != nil || !bytes.Equal(got, whole) {
+			t.Fatalf("A's read: %d bytes, %v", len(got), err)
+		}
+		st := w.media.Store()
+		attr, _ := st.Lookup(st.Root(), "f")
+		cb, ok := a.Cache().Lookup(cache.Key{FS: cfg.Root.FSID, Ino: attr.Ino})
+		if page, _ := st.ReadAt(attr.Ino, 0, 8192); !ok || len(cb.Data) != 8192 || &cb.Data[0] != &page[0] {
+			t.Fatal("A's cache block is not the server's page")
+		}
+		fb, err := b.Open(p, "f", vfs.WriteOnly, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		patch := fill(100, 'b')
+		if _, err := fb.WriteAt(p, 10, patch); err != nil {
+			t.Fatal(err)
+		}
+		if err := fb.Close(p); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(cb.Data, whole) {
+			t.Error("B's WRITE changed A's cached block: the server wrote into the page A holds")
+		}
+		want := append(append(whole[:10:10], patch...), whole[110:]...)
+		if data, _ := st.ReadAt(attr.Ino, 0, 8192); !bytes.Equal(data, want) {
+			t.Error("the server's file does not read B's WRITE")
 		}
 	})
 }

@@ -67,13 +67,14 @@ func TestDataPathAllocationBudgets(t *testing.T) {
 			return objects / blocks, blks / blocks, size / blocks
 		}
 
-		// A read miss: the reply wire image and the caller's result. The
-		// server replies with a held view of its file and the client
-		// caches a view of the reply image, copy-on-write. 9 objects in
-		// all (11 while the store's snapshot and the cache block were
-		// copies, 25 while the round trip's bookkeeping allocated):
-		// beside the blocks, the call image, its Pending, and what the
-		// client, its cache and the server's handler make for a READ.
+		// A read miss: the caller's result. The server replies with the
+		// page of its file, frozen by the read, as the reply image's
+		// tail, and the client caches that page, copy-on-write. 9 objects
+		// in all, as while the reply image copied the page (11 while the
+		// store's snapshot and the cache block were copies, 25 while the
+		// round trip's bookkeeping allocated): beside the block, the
+		// reply's head, the call image, its Pending, and what the client,
+		// its cache and the server's handler make for a READ.
 		objects, blks, _ := each(func(i int) error {
 			data, err := f.ReadAt(p, int64(i)*bs, bs)
 			if err == nil && len(data) != bs {
@@ -81,8 +82,8 @@ func TestDataPathAllocationBudgets(t *testing.T) {
 			}
 			return err
 		})
-		if blks > 2 || objects > 11 {
-			t.Errorf("NFS 8 KiB read miss allocates %d block-sized objects of %d, budget 2 of 11", blks, objects)
+		if blks > 1 || objects > 11 {
+			t.Errorf("NFS 8 KiB read miss allocates %d block-sized objects of %d, budget 1 of 11", blks, objects)
 		}
 
 		// A write-through: the cache block and the call wire image (a

@@ -97,20 +97,16 @@ func (m *Media) blockRange(off int64, n int) (int64, int64) {
 }
 
 // ReadAt reads up to n bytes of file ino at off and charges p for them.
-// The result is the store's view of the file (Store.ReadAt), held across
-// the disk wait: a write or truncate that lands during it copies the page
-// it touches first, so the view keeps the bytes of the read instant. Once
-// ReadAt returns, the view is valid until the file's next mutation.
+// The result is the store's view of the file (Store.ReadAt), taken before
+// the disk wait and frozen: a write or truncate that lands during the wait,
+// or at any time after, copies the page first, so the view keeps the bytes
+// of the read instant.
 func (m *Media) ReadAt(p *sim.Proc, ino uint64, off int64, n int) ([]byte, error) {
 	data, err := m.store.ReadAt(ino, off, n)
-	if err != nil || len(data) == 0 {
-		return data, err
+	if err == nil && len(data) > 0 {
+		m.chargeRead(p, ino, off, len(data))
 	}
-	in := m.store.inodes[ino]
-	in.held++
-	m.chargeRead(p, ino, off, len(data))
-	in.held--
-	return data, nil
+	return data, err
 }
 
 // chargeRead charges p for reading n bytes of file ino at off: blocks

@@ -18,7 +18,7 @@ const (
 	opTruncate
 	opCreate // Create over the existing name: truncate to zero
 	opRead
-	opHold // take a view and hold it as Media.ReadAt does, or release one
+	opHold // take a view and keep it, as a READ reply does, or check and drop one
 	opKinds
 )
 
@@ -29,7 +29,7 @@ var edges = []int64{0, 0, 1, -1, 100, -100, pageSize / 2, 8191}
 // lengths straddle one and two pages; 0 extends a file without data.
 var lengths = []int{0, 1, 5, 100, pageSize - 1, pageSize, pageSize, pageSize + 1, 2 * pageSize, 3*pageSize - 7}
 
-// heldView is a view taken under a hold, with the bytes it read.
+// heldView is a view kept past later ops, with the bytes it read.
 type heldView struct{ got, want []byte }
 
 // runStoreOps applies the ops encoded in ops to one file and checks every
@@ -41,7 +41,6 @@ func runStoreOps(t *testing.T, ops []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := s.inodes[a.Ino]
 	var model []byte
 	var holds []heldView
 	// frozen keeps every buffer handed to WriteFrozen beside a copy: the
@@ -88,7 +87,6 @@ func runStoreOps(t *testing.T, ops []byte) {
 			if len(holds) > 0 && ops[i+3]%2 == 1 {
 				h := holds[len(holds)-1]
 				holds = holds[:len(holds)-1]
-				in.held--
 				if !bytes.Equal(h.got, h.want) {
 					t.Fatalf("op %d: a held view lost the bytes of its read instant", i/4)
 				}
@@ -97,7 +95,6 @@ func runStoreOps(t *testing.T, ops []byte) {
 			var got []byte
 			got, err = s.ReadAt(a.Ino, off, n)
 			holds = append(holds, heldView{got, bytes.Clone(window(model, off, n))})
-			in.held++
 		}
 		if err != nil {
 			t.Fatalf("op %d (kind %d, off %d, len %d): %v", i/4, kind, off, n, err)
@@ -117,6 +114,7 @@ func runStoreOps(t *testing.T, ops []byte) {
 	if attr, _ := s.GetAttr(a.Ino); attr.Size != int64(len(model)) || !bytes.Equal(got, model) {
 		t.Fatalf("the file is %d bytes and differs from the model's %d", attr.Size, len(model))
 	}
+	in := s.inodes[a.Ino]
 	if len(in.pages) != pagesFor(in.attr.Size) {
 		t.Fatalf("%d pages for %d bytes", len(in.pages), in.attr.Size)
 	}
@@ -137,8 +135,8 @@ func window(model []byte, off int64, n int) []byte {
 
 // TestStoreMatchesFlatModel runs seeded random op sequences — writes
 // copied and frozen, truncates that shrink and grow, creates over the file,
-// reads and holds, at offsets on and around page edges — against the flat
-// model.
+// reads and views kept across later ops, at offsets on and around page
+// edges — against the flat model.
 func TestStoreMatchesFlatModel(t *testing.T) {
 	for seed := int64(1); seed <= 300; seed++ {
 		ops := make([]byte, 4*120)
@@ -153,8 +151,8 @@ func FuzzStoreMatchesFlatModel(f *testing.F) {
 	for _, seed := range [][]byte{
 		// A whole frozen page, a partial write into it, a read of it.
 		{opWriteFrozen, 0, 0, 5, opWrite, 0, 4, 3, opRead, 0, 0, 5},
-		// A held view of a frozen page across a write, a shrink and a
-		// grow, released after.
+		// A view of a frozen page kept across a write, a shrink and a
+		// grow, checked after.
 		{opWriteFrozen, 1, 0, 8, opHold, 1, 0, 5, opWrite, 1, 2, 3, opTruncate, 1, 4, 0, opTruncate, 3, 0, 0, opHold, 0, 0, 1},
 		// A sparse write past the end, then a read across the hole.
 		{opWrite, 6, 3, 4, opRead, 0, 0, 8},

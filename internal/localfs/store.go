@@ -86,7 +86,7 @@ var zeroPage [pageSize]byte
 type page struct {
 	b []byte // pageSize bytes; nil is a hole, reading as zeros
 	// frozen means b aliases bytes someone else holds (a delivered call
-	// image): copy before writing.
+	// image, or a view a read handed out): copy before writing.
 	frozen bool
 }
 
@@ -106,10 +106,6 @@ type inode struct {
 	names   []string          // directory entry order for readdir
 	parent  uint64            // directories: parent inode
 	target  string            // symlinks
-	// held counts the Media.ReadAt calls holding a view of a page across
-	// their disk wait; while it is nonzero, a mutation copies the page it
-	// touches first.
-	held int
 }
 
 // Store is the inode and namespace layer.
@@ -452,12 +448,12 @@ func (in *inode) truncate(size int64) {
 }
 
 // writable returns page i's bytes for writing. A hole gets a fresh page,
-// and a page someone else may hold a view of — a frozen one, or any page
-// of a file a Media.ReadAt holds — is copied first, so the view keeps the
-// bytes it had; otherwise the write lands in place.
+// and a frozen page — one someone else may hold a view of — is copied
+// first, so the view keeps the bytes it had; otherwise the write lands in
+// place.
 func (in *inode) writable(i int) []byte {
 	pg := &in.pages[i]
-	if pg.b == nil || pg.frozen || in.held > 0 {
+	if pg.b == nil || pg.frozen {
 		b := make([]byte, pageSize)
 		copy(b, pg.b)
 		*pg = page{b: b}
@@ -467,10 +463,11 @@ func (in *inode) writable(i int) []byte {
 
 // ReadAt reads up to n bytes of file ino at offset off. Reads at or past
 // end-of-file return an empty slice. A read that falls in one page — every
-// aligned 8 KiB READ does — returns a read-only view of the file, valid
-// until its next mutation: a caller that keeps it longer, or writes to it,
-// copies (Media.ReadAt holds it across its disk wait). A read that spans
-// pages returns a fresh copy.
+// aligned 8 KiB READ does — returns a read-only view of the page and
+// freezes it: a later write copies the page first, so the view keeps the
+// bytes of the read instant for as long as anyone holds it, a READ reply
+// and the client cache that keeps it included. A read that spans pages
+// returns a fresh copy.
 func (s *Store) ReadAt(ino uint64, off int64, n int) ([]byte, error) {
 	in, err := s.get(ino)
 	if err != nil {
@@ -488,7 +485,9 @@ func (s *Store) ReadAt(ino uint64, off int64, n int) ([]byte, error) {
 	end := min(off+int64(n), in.attr.Size)
 	if lo := off % pageSize; end-off <= pageSize-lo {
 		hi := lo + end - off
-		return in.pages[off/pageSize].bytes()[lo:hi:hi], nil
+		pg := &in.pages[off/pageSize]
+		pg.frozen = true
+		return pg.bytes()[lo:hi:hi], nil
 	}
 	out := make([]byte, end-off)
 	for done := 0; done < len(out); {

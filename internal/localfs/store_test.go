@@ -263,8 +263,10 @@ func TestShrinkThenGrowExposesZeros(t *testing.T) {
 }
 
 // TestReadAtReturnsAView pins Store.ReadAt's result as a view of the file,
-// capped at its end, and the other half of the rule: with no Media.ReadAt
-// holding the file, a write lands in place and allocates nothing.
+// capped at its end, and frozen: the write that follows copies the page, so
+// the view keeps "hello" while the file reads "HELLO", and only that first
+// write pays — the page it made is nobody else's, so a second overwrite
+// lands in place and allocates nothing.
 func TestReadAtReturnsAView(t *testing.T) {
 	s, _ := newTestStore()
 	a, _ := s.Create(s.Root(), "f", 0o644)
@@ -273,35 +275,42 @@ func TestReadAtReturnsAView(t *testing.T) {
 	if string(got) != "hello" || cap(got) != len(got) {
 		t.Fatalf("read %q with capacity %d, want \"hello\" capped at 5", got, cap(got))
 	}
-	upper := []byte("HELLO")
-	if allocs := testing.AllocsPerRun(100, func() { s.WriteAt(a.Ino, 0, upper) }); allocs != 0 {
-		t.Errorf("an unheld overwrite allocates %.0f objects, want 0", allocs)
+	page := &s.inodes[a.Ino].pages[0].b[0]
+	if &got[0] != page {
+		t.Fatal("the read returned a copy, not a view of the page")
 	}
-	if string(got) != "HELLO" {
-		t.Errorf("the view reads %q after an unheld write, want the file's bytes \"HELLO\"", got)
+	s.WriteAt(a.Ino, 0, []byte("HELLO"))
+	if string(got) != "hello" {
+		t.Errorf("the view reads %q after a write, want its read-instant bytes \"hello\"", got)
+	}
+	if now, _ := s.ReadAt(a.Ino, 0, 11); string(now) != "HELLO world" {
+		t.Errorf("the file reads %q, want \"HELLO world\"", now)
+	}
+	upper := []byte("HELLO")
+	s.WriteAt(a.Ino, 0, upper) // copies the page the read above froze
+	if allocs := testing.AllocsPerRun(100, func() { s.WriteAt(a.Ino, 0, upper) }); allocs != 0 {
+		t.Errorf("a second overwrite allocates %.0f objects, want 0", allocs)
 	}
 }
 
-// TestReadAtReturnsSnapshot pins the half of the rule a held view rests
-// on: the server reads at one instant and holds the view across the disk
-// wait that follows (Media.ReadAt), so neither a write nor a truncate that
-// lands during the hold shows through it, and the file still takes both.
+// TestReadAtReturnsSnapshot pins the half of the rule a view rests on:
+// the server reads at one instant and keeps the view — across the disk
+// wait that follows (Media.ReadAt), and in the reply and the client cache
+// after — so neither a write nor a truncate that lands later shows through
+// it, and the file still takes both.
 func TestReadAtReturnsSnapshot(t *testing.T) {
 	s, _ := newTestStore()
 	a, _ := s.Create(s.Root(), "f", 0o644)
 	s.WriteAt(a.Ino, 0, []byte("hello world"))
 	got, _ := s.ReadAt(a.Ino, 0, 100)
-	in := s.inodes[a.Ino]
-	in.held++ // as Media.ReadAt does across its disk wait
 	s.WriteAt(a.Ino, 0, []byte("HELLO"))
 	s.Truncate(a.Ino, 5)
 	s.Truncate(a.Ino, 11)
-	in.held--
 	if string(got) != "hello world" {
-		t.Errorf("a write and truncate during the hold changed the view: %q", got)
+		t.Errorf("a write and truncate after the read changed the view: %q", got)
 	}
 	if now, _ := s.ReadAt(a.Ino, 0, 100); string(now) != "HELLO\x00\x00\x00\x00\x00\x00" {
-		t.Errorf("the file reads %q after the held write and truncates", now)
+		t.Errorf("the file reads %q after the write and truncates", now)
 	}
 }
 

@@ -3,6 +3,7 @@ package proto
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"testing"
 
 	"spritelynfs/internal/xdr"
@@ -73,8 +74,12 @@ func zeroOf(m Message) Message { return reflect.New(reflect.TypeOf(m).Elem()).In
 
 // decodeInto decodes data into m and returns the number of bytes it left
 // unread and the decoder's error.
-func decodeInto(m Message, data []byte) (left int, err error) {
-	d := xdr.NewDecoder(data)
+func decodeInto(m Message, data []byte) (left int, err error) { return decodeSplit(m, data, nil) }
+
+// decodeSplit is decodeInto for an image sent as a head and a tail.
+func decodeSplit(m Message, head, tail []byte) (left int, err error) {
+	var d xdr.Decoder
+	d.ResetTail(head, tail)
 	m.XDR(d.Codec())
 	return d.Remaining(), d.Err()
 }
@@ -87,20 +92,45 @@ func decodeInto(m Message, data []byte) (left int, err error) {
 // (encode∘decode is idempotent). The corpus is seeded with a valid
 // encoding of every message type, so mutation starts from structurally
 // interesting inputs rather than pure noise.
+//
+// The input is an image in two parts, data and a tail (xdr.Codec.Tail),
+// which is empty in the whole-message seeds. A ReadReply, the message
+// whose data goes out as a tail, that decodes from the two parts without
+// error must also decode, to the same value, from the joined bytes.
 func FuzzDecodeMessage(f *testing.F) {
 	for i, m := range fuzzSeeds {
-		f.Add(i, Marshal(m))
+		f.Add(i, Marshal(m), []byte{})
 	}
-	f.Add(0, []byte{})
-	f.Add(1, []byte{0xff, 0xff, 0xff, 0xff})
-	f.Fuzz(func(t *testing.T, idx int, data []byte) {
+	f.Add(0, []byte{}, []byte{})
+	f.Add(1, []byte{0xff, 0xff, 0xff, 0xff}, []byte{})
+	// Split-image seeds: a ReadReply whose data is the tail, and one whose
+	// tail disagrees with its length word.
+	read := slices.IndexFunc(fuzzSeeds, func(m Message) bool { _, ok := m.(*ReadReply); return ok })
+	for _, n := range []int{4, 8192} {
+		e := xdr.NewEncoder()
+		(&ReadReply{Status: OK, Data: bytes.Repeat([]byte{0x5a}, n)}).XDR(e.Codec())
+		head, tail := e.Image()
+		f.Add(read, head, tail)
+		f.Add(read, head, tail[:n-1])
+	}
+	f.Fuzz(func(t *testing.T, idx int, data, tail []byte) {
 		if idx < 0 {
 			idx = -(idx + 1)
 		}
 		seed := fuzzSeeds[idx%len(fuzzSeeds)]
 
 		m1 := zeroOf(seed)
-		decodeInto(m1, data)
+		left, err := decodeSplit(m1, data, tail)
+		if r, ok := m1.(*ReadReply); ok {
+			if len(r.Data) > len(data)+len(tail) {
+				t.Fatalf("ReadReply decoded %d bytes of data from a %d+%d-byte image", len(r.Data), len(data), len(tail))
+			}
+			if joined := zeroOf(seed); err == nil && left == 0 && len(tail) > 0 {
+				if _, jerr := decodeInto(joined, append(data[:len(data):len(data)], tail...)); jerr != nil || !reflect.DeepEqual(m1, joined) {
+					t.Fatalf("a split image decodes to %+v, joined to %+v (%v)", m1, joined, jerr)
+				}
+			}
+		}
 		// Whatever the decoder made of the input, encoding it and
 		// decoding the result must be a fixed point.
 		enc1 := Marshal(m1)

@@ -163,12 +163,12 @@ func (m *ReadArgs) XDR(c xdr.Codec) {
 
 // ReadReply returns file data plus fresh attributes.
 //
-// Decoded, Data is a zero-copy, read-only view of the reply image
-// (xdr.Codec.OpaqueRef). On the simulated transport the image is GC-owned
-// and frozen — the sender's duplicate cache may resend it — so callers may
-// retain the view but must copy what they mean to change or hand to an
-// application; a transport that pools or reuses its receive buffers must
-// copy the body before recycling (see DESIGN.md §13, §14).
+// Data, the last field, is the image's tail (xdr.Codec.Tail): the server
+// sends its store's page, which the read froze, by reference, with the
+// wire bytes of an inline opaque. Decoded, Data is a zero-copy, read-only
+// view of the tail or of the image, frozen (a duplicate cache may resend
+// it): keep it, but copy what you change or hand to an application; a
+// transport that reuses receive buffers copies first (DESIGN.md §13, §14).
 type ReadReply struct {
 	Status Status
 	Attr   Fattr
@@ -178,7 +178,7 @@ type ReadReply struct {
 func (m *ReadReply) XDR(c xdr.Codec) {
 	if m.Status.XDR(c); m.Status == OK {
 		m.Attr.XDR(c)
-		c.OpaqueRef(&m.Data)
+		c.Tail(&m.Data)
 	}
 }
 

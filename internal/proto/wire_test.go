@@ -2,7 +2,9 @@ package proto
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"go/ast"
 	"go/parser"
@@ -11,6 +13,10 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"spritelynfs/internal/localfs"
+	"spritelynfs/internal/sim"
+	"spritelynfs/internal/xdr"
 )
 
 var statusType = reflect.TypeOf(Status(0))
@@ -159,5 +165,62 @@ func TestFuzzSeedsCoverEveryXDRType(t *testing.T) {
 	}
 	if methods != len(fuzzSeeds) {
 		t.Errorf("%d XDR methods, %d fuzz seeds", methods, len(fuzzSeeds))
+	}
+}
+
+// TestSplitImageIsTheSameMessage: a ReadReply's data goes out as its
+// image's tail. For data on and around the alignment and page edges, and
+// for a hole (the store's shared zero page), the split image is
+// proto.Marshal's bytes, its tail is the data itself exactly when the data
+// is aligned and non-empty, and it decodes to what the joined bytes decode
+// to. A tail that disagrees with its length word fails the decoder with
+// xdr.ErrShortBuffer and leaves no view past it.
+func TestSplitImageIsTheSameMessage(t *testing.T) {
+	st := localfs.NewStore(func() sim.Time { return 0 }, 4096)
+	a, _ := st.Create(st.Root(), "hole", 0o644)
+	st.Truncate(a.Ino, 8192)
+	hole, _ := st.ReadAt(a.Ino, 0, 8192)
+	cases := []struct {
+		name string
+		data []byte
+	}{{"hole", hole}}
+	for _, n := range []int{0, 1, 4095, 4096, 8192} {
+		data := make([]byte, n)
+		for i := range data {
+			data[i] = byte(i * 7)
+		}
+		cases = append(cases, struct {
+			name string
+			data []byte
+		}{fmt.Sprintf("%d bytes", n), data})
+	}
+	for _, c := range cases {
+		m := &ReadReply{Status: OK, Attr: Fattr{Fileid: 42, Size: 8192}, Data: c.data}
+		e := xdr.NewEncoder()
+		m.XDR(e.Codec())
+		head, tail := e.Image()
+		if !bytes.Equal(append(head, tail...), Marshal(m)) {
+			t.Errorf("%s: head‖tail differs from proto.Marshal", c.name)
+		}
+		if aligned := len(c.data) > 0 && len(c.data)%4 == 0; aligned != (tail != nil) || aligned && &tail[0] != &c.data[0] {
+			t.Errorf("%s: a %d-byte tail; want the data itself exactly when it is aligned and non-empty", c.name, len(tail))
+		}
+		var split, joined ReadReply
+		if _, err := decodeSplit(&split, head, tail); err != nil {
+			t.Errorf("%s: split decode: %v", c.name, err)
+		}
+		if _, err := decodeInto(&joined, Marshal(m)); err != nil || !reflect.DeepEqual(split, joined) || !bytes.Equal(split.Data, c.data) {
+			t.Errorf("%s: the split image decodes to %d bytes of data, the joined one to %d (%v)", c.name, len(split.Data), len(joined.Data), err)
+		}
+		if tail == nil {
+			continue
+		}
+		for _, bad := range [][]byte{tail[:len(tail)-4], append(tail[:len(tail):len(tail)], 0, 0, 0, 0)} {
+			var r ReadReply
+			if _, err := decodeSplit(&r, head, bad); !errors.Is(err, xdr.ErrShortBuffer) || r.Data != nil {
+				t.Errorf("%s: a %d-byte tail for a %d-byte item decodes %d bytes, err %v; want xdr.ErrShortBuffer and no data",
+					c.name, len(bad), len(tail), len(r.Data), err)
+			}
+		}
 	}
 }

@@ -19,7 +19,8 @@ type dupKey struct {
 type dupEntry struct {
 	key   dupKey
 	state dupState
-	wire  []byte // full encoded reply message
+	// the encoded reply message, head‖tail (xdr.Encoder.Image)
+	head, tail []byte
 }
 
 // dupCache remembers recently executed calls so that a retransmission of a
@@ -45,12 +46,13 @@ func newDupCache(max int, evicted *int64) dupCache {
 	return dupCache{max: max, evicted: evicted}
 }
 
-func (c *dupCache) lookup(from simnet.Addr, xid uint32) (dupState, []byte) {
+func (c *dupCache) lookup(from simnet.Addr, xid uint32) (state dupState, head, tail []byte) {
 	i, ok := c.slot[dupKey{from, xid}]
 	if !ok {
-		return dupNew, nil
+		return dupNew, nil, nil
 	}
-	return c.ring[i].state, c.ring[i].wire
+	e := &c.ring[i]
+	return e.state, e.head, e.tail
 }
 
 func (c *dupCache) start(from simnet.Addr, xid uint32) {
@@ -72,19 +74,20 @@ func (c *dupCache) start(from simnet.Addr, xid uint32) {
 		*c.evicted++
 	}
 	// Overwritten whole: the recycled slot lets go of the evicted
-	// call's reply image now, not when this call finishes.
+	// call's reply image, head and tail, now, not when this call finishes.
 	*e = dupEntry{key: k, state: dupInProgress}
 	c.slot[k] = c.oldest
 	c.oldest = (c.oldest + 1) % len(c.ring)
 }
 
 // finish records the completed call's reply wire image: the transmitted
-// buffer itself, which is frozen once sent (receivers decode read-only
-// views of it and copy what they mean to change), so a replay resends it
-// as is. A no-op if the entry was evicted while the call executed.
-func (c *dupCache) finish(from simnet.Addr, xid uint32, wire []byte) {
+// head and tail themselves, which are frozen once sent (receivers decode
+// read-only views of them and copy what they mean to change), so a replay
+// resends them as they are. A no-op if the entry was evicted while the
+// call executed.
+func (c *dupCache) finish(from simnet.Addr, xid uint32, head, tail []byte) {
 	if i, ok := c.slot[dupKey{from, xid}]; ok {
-		c.ring[i].state = dupDone
-		c.ring[i].wire = wire
+		e := &c.ring[i]
+		e.state, e.head, e.tail = dupDone, head, tail
 	}
 }

@@ -92,15 +92,18 @@ func TestCallMsgMatchesMarshalledCall(t *testing.T) {
 }
 
 // TestDupCacheReplaysRecordedImage pins what the duplicate cache promises
-// now that a transmitted buffer is frozen: a retransmission of a completed
+// now that a transmitted image is frozen: a retransmission of a completed
 // call is answered, without re-execution, by resending the very image the
 // first reply went out in — no private copy at finish, none per replay.
+// The reply is a READ's, so the image is a head and a tail, the tail the
+// handler's data itself, and the replay carries both, byte for byte.
 func TestDupCacheReplaysRecordedImage(t *testing.T) {
 	k := sim.NewKernel(1)
 	client, server := newPair(k, simnet.Config{PropDelay: sim.Millisecond}, Options{})
-	payload := []byte("stable reply payload")
-	server.Register(testProg, func(p *sim.Proc, from simnet.Addr, proc uint32, args []byte) ([]byte, Status) {
-		return payload, StatusOK
+	page := bytes.Repeat([]byte("page"), 2048)
+	want := proto.Marshal(&proto.ReadReply{Status: proto.OK, Data: page})
+	server.RegisterMsg(testProg, func(p *sim.Proc, from simnet.Addr, proc uint32, args []byte) (proto.Message, Status) {
+		return &proto.ReadReply{Status: proto.OK, Data: page}, StatusOK
 	})
 	k.Go("caller", func(p *sim.Proc) {
 		defer k.Stop()
@@ -109,8 +112,12 @@ func TestDupCacheReplaysRecordedImage(t *testing.T) {
 			t.Errorf("call: %v", err)
 			return
 		}
-		if !bytes.Equal(body, payload) {
-			t.Errorf("first reply %q, want %q", body, payload)
+		if !bytes.Equal(body, want) {
+			t.Errorf("first reply is %d bytes, want the %d of proto.Marshal", len(body), len(want))
+		}
+		state, head, tail := server.dup.lookup(client.addr, 1)
+		if state != dupDone || len(tail) != len(page) || &tail[0] != &page[0] {
+			t.Fatalf("the recorded image's tail is %d bytes, want the handler's page itself", len(tail))
 		}
 		// Hand-retransmit the same call (same from, same xid).
 		enc := xdr.NewEncoder()
@@ -127,12 +134,11 @@ func TestDupCacheReplaysRecordedImage(t *testing.T) {
 			t.Error("no replayed reply")
 			return
 		}
-		replay := again.body
-		if !bytes.Equal(replay, payload) {
-			t.Errorf("replayed reply %q, want %q", replay, payload)
+		if replay := join(again.body, again.tail); !bytes.Equal(replay, body) {
+			t.Errorf("replayed reply differs from the first: %d bytes, want %d", len(replay), len(body))
 		}
-		if &replay[0] != &body[0] {
-			t.Error("replay is a copy: want the transmitted image recorded and resent as is")
+		if &again.body[0] != &head[len(head)-len(again.body)] || &again.tail[0] != &tail[0] {
+			t.Error("replay is a copy: want the transmitted head and tail recorded and resent as they are")
 		}
 		if server.Stats().DupHits != 1 {
 			t.Errorf("DupHits = %d, want 1", server.Stats().DupHits)
@@ -145,21 +151,21 @@ func TestDupCacheReplaysRecordedImage(t *testing.T) {
 }
 
 // TestDupCacheFinishRecordsImage pins the unit-level contract of finish:
-// it records the slice it is handed — the transmitted image — and
-// allocates nothing doing so.
+// it records the slices it is handed — the transmitted head and tail —
+// and allocates nothing doing so.
 func TestDupCacheFinishRecordsImage(t *testing.T) {
 	c := newDupCache(4, nil)
 	c.start("cl", 7)
-	wire := []byte{1, 2, 3, 4}
-	if n := testing.AllocsPerRun(100, func() { c.finish("cl", 7, wire) }); n != 0 {
+	head, tail := []byte{1, 2, 3, 4}, []byte{5, 6, 7, 8}
+	if n := testing.AllocsPerRun(100, func() { c.finish("cl", 7, head, tail) }); n != 0 {
 		t.Errorf("finish allocates %v objects, want 0", n)
 	}
-	state, cached := c.lookup("cl", 7)
-	if state != dupDone || &cached[0] != &wire[0] {
-		t.Errorf("state=%v cached=%x: want done and the recorded slice itself", state, cached)
+	state, gotHead, gotTail := c.lookup("cl", 7)
+	if state != dupDone || &gotHead[0] != &head[0] || &gotTail[0] != &tail[0] {
+		t.Errorf("state=%v head=%x tail=%x: want done and the recorded slices themselves", state, gotHead, gotTail)
 	}
-	c.finish("cl", 8, wire) // evicted (never started): a no-op, not a panic
-	if state, _ := c.lookup("cl", 8); state != dupNew {
+	c.finish("cl", 8, head, tail) // evicted (never started): a no-op, not a panic
+	if state, _, _ := c.lookup("cl", 8); state != dupNew {
 		t.Errorf("finish of an unknown entry created one: state=%v", state)
 	}
 }
@@ -258,13 +264,13 @@ func TestPipelinedCallsCollectedOutOfOrder(t *testing.T) {
 
 // TestRecycledDupSlotDropsImage: a full duplicate cache starts a new call
 // in its oldest slot. The slot must come back empty — the evicted call's
-// reply image, 8 KiB+ for a READ, let go at once and not when the new
-// call finishes, which for a slow handler is much later.
+// reply image, head and an 8 KiB tail for a READ, let go at once and not
+// when the new call finishes, which for a slow handler is much later.
 func TestRecycledDupSlotDropsImage(t *testing.T) {
 	c := newDupCache(2, nil)
 	for xid := uint32(1); xid <= 2; xid++ {
 		c.start("a", xid)
-		c.finish("a", xid, make([]byte, 8192))
+		c.finish("a", xid, make([]byte, 100), make([]byte, 8192))
 	}
 	if allocs := testing.AllocsPerRun(100, func() {
 		c.start("a", 3) // recycles xid 1's slot the first time round, then finds itself
@@ -277,12 +283,13 @@ func TestRecycledDupSlotDropsImage(t *testing.T) {
 	for i, e := range c.ring {
 		switch e.key.xid {
 		case 3:
-			if e.state != dupInProgress || e.wire != nil {
-				t.Errorf("recycled slot %d: state %v, %d-byte image of the evicted call", i, e.state, len(e.wire))
+			if e.state != dupInProgress || e.head != nil || e.tail != nil {
+				t.Errorf("recycled slot %d: state %v, the evicted call's %d-byte head and %d-byte tail",
+					i, e.state, len(e.head), len(e.tail))
 			}
 		case 2:
-			if e.state != dupDone || len(e.wire) != 8192 {
-				t.Errorf("slot %d: the surviving call lost its image (state %v, %d bytes)", i, e.state, len(e.wire))
+			if e.state != dupDone || len(e.head) != 100 || len(e.tail) != 8192 {
+				t.Errorf("slot %d: the surviving call lost its image (state %v, %d+%d bytes)", i, e.state, len(e.head), len(e.tail))
 			}
 		default:
 			t.Errorf("slot %d holds xid %d", i, e.key.xid)

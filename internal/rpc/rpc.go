@@ -241,10 +241,11 @@ type Endpoint struct {
 	// one server's retry window).
 	Reroute func(to simnet.Addr) simnet.Addr
 	// OnServed, when set, observes every completed handler invocation
-	// with the reply wire image (the one transmitted and recorded in the
-	// duplicate cache: read-only). The replication stream uses it to
-	// forward dup entries of non-idempotent calls to the backup.
-	OnServed func(from simnet.Addr, xid, prog, vers, proc uint32, wire []byte)
+	// with the reply wire image, head‖tail (the one transmitted and
+	// recorded in the duplicate cache: read-only). The replication stream
+	// uses it to forward dup entries of non-idempotent calls to the
+	// backup, and joins the two parts only for those.
+	OnServed func(from simnet.Addr, xid, prog, vers, proc uint32, head, tail []byte)
 	// met, when set via SetMetrics, records per-procedure latency
 	// histograms. Kept behind one pointer so the disabled hot path pays
 	// a single nil check.
@@ -399,7 +400,9 @@ func (e *Endpoint) Restart() {
 
 // Call issues an RPC to program prog procedure proc at to, retransmitting
 // on timeout, and returns the reply body. The body may be a view of the
-// delivered reply image: read it, copy what must change.
+// delivered reply image: read it, copy what must change. A reply that
+// came as a head and a tail is returned joined, in a buffer of its own
+// (CallTail leaves the two apart).
 func (e *Endpoint) Call(p *sim.Proc, to simnet.Addr, prog, vers, proc uint32, args []byte) ([]byte, error) {
 	return e.CallEx(p, to, prog, vers, proc, args, e.opts.CallTimeout, e.opts.MaxRetries)
 }
@@ -411,7 +414,8 @@ func (e *Endpoint) Call(p *sim.Proc, to simnet.Addr, prog, vers, proc uint32, ar
 func (e *Endpoint) CallEx(p *sim.Proc, to simnet.Addr, prog, vers, proc uint32, args []byte, callTimeout sim.Duration, maxRetries int) ([]byte, error) {
 	sp := e.Spans.Begin(p, string(e.addr), callSpanKind(prog), procTraceName(prog, proc))
 	defer sp.End()
-	return e.start(p, to, prog, vers, proc, nil, args, callTimeout, maxRetries).wait(p)
+	body, tail, err := e.start(p, to, prog, vers, proc, nil, args, callTimeout, maxRetries).wait(p)
+	return join(body, tail), err
 }
 
 // CallMsg is Call with the arguments encoded straight from m into the
@@ -426,7 +430,25 @@ func (e *Endpoint) CallMsg(p *sim.Proc, to simnet.Addr, prog, vers, proc uint32,
 func (e *Endpoint) CallMsgEx(p *sim.Proc, to simnet.Addr, prog, vers, proc uint32, m proto.Message, callTimeout sim.Duration, maxRetries int) ([]byte, error) {
 	sp := e.Spans.Begin(p, string(e.addr), callSpanKind(prog), procTraceName(prog, proc))
 	defer sp.End()
-	return e.start(p, to, prog, vers, proc, m, nil, callTimeout, maxRetries).wait(p)
+	body, tail, err := e.start(p, to, prog, vers, proc, m, nil, callTimeout, maxRetries).wait(p)
+	return join(body, tail), err
+}
+
+// CallTail is CallMsg for a caller that decodes a two-part reply image
+// itself: the reply body is body‖tail (tail nil for a reply sent whole),
+// and the two are left apart, so a READ's data is the server's frozen
+// page and not a copy joined behind the header. Decode them with
+// xdr.Decoder.ResetTail.
+func (e *Endpoint) CallTail(p *sim.Proc, to simnet.Addr, prog, vers, proc uint32, m proto.Message) (body, tail []byte, err error) {
+	sp := e.Spans.Begin(p, string(e.addr), callSpanKind(prog), procTraceName(prog, proc))
+	defer sp.End()
+	return e.start(p, to, prog, vers, proc, m, nil, e.opts.CallTimeout, e.opts.MaxRetries).wait(p)
+}
+
+// join returns head‖tail: head itself when there is no tail, and a buffer
+// of its own otherwise, since head is a view of a frozen image.
+func join(head, tail []byte) []byte {
+	return append(head[:len(head):len(head)], tail...)
 }
 
 // Start issues an RPC without waiting for its reply: the call is encoded
@@ -473,13 +495,14 @@ type Pending struct {
 	// The reply slot, and the wait on it. The kernel's events cannot be
 	// withdrawn, so a call that completes leaves its last timeout event
 	// on the heap, pointing here, until it comes due and finds replied
-	// set; wait therefore drops body and wire as it returns, and the
-	// stale event pins only this struct.
+	// set; wait therefore drops body, tail and wire as it returns, and
+	// the stale event pins only this struct.
 	replied  bool
 	timedOut bool // this attempt's timeout came due before a reply
 	status   Status
 	waiter   *sim.Proc // the caller, while parked in await
 	body     []byte    // a view of the delivered reply image
+	tail     []byte    // the image's tail, behind body
 }
 
 // start encodes and transmits the first attempt of a call. The wire
@@ -528,11 +551,11 @@ func (e *Endpoint) start(p *sim.Proc, to simnet.Addr, prog, vers, proc uint32, m
 // Only the first reply counts: a duplicate made by the network, or the
 // answer to a retransmission that crossed the first answer, finds the slot
 // full and is dropped.
-func (c *Pending) deliver(status Status, body []byte) {
+func (c *Pending) deliver(status Status, body, tail []byte) {
 	if c.replied {
 		return
 	}
-	c.replied, c.status, c.body = true, status, body
+	c.replied, c.status, c.body, c.tail = true, status, body, tail
 	c.wake()
 }
 
@@ -583,13 +606,14 @@ func (c *Pending) await(p *sim.Proc, d sim.Duration) bool {
 // explicit interval (pipelined calls complete out of order, so the
 // recorder's nested Begin/End discipline does not apply).
 func (c *Pending) Wait(p *sim.Proc) ([]byte, error) {
-	body, err := c.wait(p)
+	body, tail, err := c.wait(p)
 	c.e.Spans.Add(p, string(c.e.addr), callSpanKind(c.prog), procTraceName(c.prog, c.proc), c.issued, c.e.k.Now())
-	return body, err
+	return join(body, tail), err
 }
 
-// wait runs the timeout/retransmit loop for an already-transmitted call.
-func (c *Pending) wait(p *sim.Proc) ([]byte, error) {
+// wait runs the timeout/retransmit loop for an already-transmitted call,
+// and returns the reply body in its two parts.
+func (c *Pending) wait(p *sim.Proc) (body, tail []byte, err error) {
 	e := c.e
 	defer delete(e.pending, c.xid)
 	// The backoff cap never shrinks an explicitly generous first timeout
@@ -623,12 +647,12 @@ func (c *Pending) wait(p *sim.Proc) ([]byte, error) {
 				}
 				e.met.observeCall(c.prog, c.proc, e.k.Now().Sub(c.issued), attempt > 0, exop)
 			}
-			body := c.body
-			c.body, c.wire = nil, nil
+			body, tail := c.body, c.tail
+			c.body, c.tail, c.wire = nil, nil, nil
 			if err := statusErr(c.status); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
-			return body, nil
+			return body, tail, nil
 		}
 		// The whole timed-out attempt window is retransmit backoff.
 		e.Spans.Add(p, string(e.addr), span.Retrans, procTraceName(c.prog, c.proc), c.sent, e.k.Now())
@@ -644,7 +668,7 @@ func (c *Pending) wait(p *sim.Proc) ([]byte, error) {
 		}
 	}
 	e.stats.Timeouts++
-	return nil, fmt.Errorf("%w: %s -> %s prog %d proc %d", ErrTimeout, e.addr, c.to, c.prog, c.proc)
+	return nil, nil, fmt.Errorf("%w: %s -> %s prog %d proc %d", ErrTimeout, e.addr, c.to, c.prog, c.proc)
 }
 
 // handleMsg routes one incoming message: a reply into its call's Pending,
@@ -670,7 +694,7 @@ func (e *Endpoint) handleMsg(m simnet.Message) {
 			return // corrupt reply; let the caller time out
 		}
 		if c, ok := e.pending[xid]; ok {
-			c.deliver(status, body)
+			c.deliver(status, body, m.Tail)
 		}
 	case msgCall:
 		prog := d.Uint32()
@@ -682,12 +706,12 @@ func (e *Endpoint) handleMsg(m simnet.Message) {
 			e.sendReply(m.From, xid, StatusGarbage, nil)
 			return
 		}
-		switch state, cached := e.dup.lookup(m.From, xid); state {
+		switch state, head, tail := e.dup.lookup(m.From, xid); state {
 		case dupDone:
 			// Retransmit of a completed call: resend the
 			// recorded image, as is, without re-executing.
 			e.stats.DupHits++
-			e.net.Send(e.addr, m.From, cached)
+			e.net.SendTail(e.addr, m.From, head, tail)
 		case dupInProgress:
 			// Still executing; drop and let the client
 			// retry again later.
@@ -763,10 +787,10 @@ func (e *Endpoint) serveOne(p *sim.Proc, req request) {
 	}
 	// Encoded with no yield since the handler returned; the transmitted
 	// image is frozen, so the duplicate cache and observers share it.
-	wire := e.sendReply(req.from, req.xid, status, body)
-	e.dup.finish(req.from, req.xid, wire)
+	head, tail := e.sendReply(req.from, req.xid, status, body)
+	e.dup.finish(req.from, req.xid, head, tail)
 	if e.OnServed != nil {
-		e.OnServed(req.from, req.xid, req.prog, req.vers, req.proc, wire)
+		e.OnServed(req.from, req.xid, req.prog, req.vers, req.proc, head, tail)
 	}
 	if e.Tracer != nil {
 		e.Tracer.RecordOp(string(e.addr), trace.RPCReply, req.op, "-> %s %s xid=%d",
@@ -789,20 +813,22 @@ func (e *Endpoint) serveOne(p *sim.Proc, req request) {
 // dead primary computed instead of a re-execution. Existing entries are
 // left alone (the local execution's reply wins).
 func (e *Endpoint) SeedDup(from simnet.Addr, xid uint32, wire []byte) {
-	if state, _ := e.dup.lookup(from, xid); state != dupNew {
+	if state, _, _ := e.dup.lookup(from, xid); state != dupNew {
 		return
 	}
 	e.dup.start(from, xid)
-	e.dup.finish(from, xid, wire)
+	e.dup.finish(from, xid, wire, nil)
 }
 
-// sendReply encodes header and body into one wire image, transmits it and
-// returns it. From here on the image is frozen (see start).
-func (e *Endpoint) sendReply(to simnet.Addr, xid uint32, status Status, body proto.Message) []byte {
-	// Pooled encoder, one exact-size copy out: the simulated network
-	// retains the payload until delivery, so the transmitted buffer must
-	// be GC-owned — but the encoder's grow-as-you-go scratch space is
-	// recycled.
+// sendReply encodes header and body into one wire image, head and tail,
+// transmits it and returns it. From here on the image is frozen (see
+// start).
+func (e *Endpoint) sendReply(to simnet.Addr, xid uint32, status Status, body proto.Message) (head, tail []byte) {
+	// Pooled encoder, one exact-size copy of the head out: the simulated
+	// network retains the payload until delivery, so the transmitted
+	// buffer must be GC-owned — but the encoder's grow-as-you-go scratch
+	// space is recycled. The tail, a READ's data, goes by reference: it
+	// is the store's page, which the read froze.
 	enc := xdr.GetEncoder()
 	enc.Uint32(xid)
 	enc.Uint32(msgReply)
@@ -810,10 +836,10 @@ func (e *Endpoint) sendReply(to simnet.Addr, xid uint32, status Status, body pro
 	if body != nil {
 		body.XDR(enc.Codec())
 	}
-	wire := enc.CopyBytes()
+	head, tail = enc.Image()
 	enc.Release()
-	e.net.Send(e.addr, to, wire)
-	return wire
+	e.net.SendTail(e.addr, to, head, tail)
+	return head, tail
 }
 
 // procTraceName formats program/procedure pairs for trace output.

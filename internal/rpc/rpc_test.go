@@ -592,17 +592,17 @@ func TestDupCacheEviction(t *testing.T) {
 	var evicted int64
 	c := newDupCache(2, &evicted)
 	c.start("a", 1)
-	c.finish("a", 1, []byte("r1"))
+	c.finish("a", 1, []byte("r1"), nil)
 	c.start("a", 2)
-	c.finish("a", 2, []byte("r2"))
+	c.finish("a", 2, []byte("r2"), nil)
 	c.start("a", 3) // evicts xid 1
-	if s, _ := c.lookup("a", 1); s != dupNew {
+	if s, _, _ := c.lookup("a", 1); s != dupNew {
 		t.Error("xid 1 should have been evicted")
 	}
-	if s, w := c.lookup("a", 2); s != dupDone || string(w) != "r2" {
+	if s, w, _ := c.lookup("a", 2); s != dupDone || string(w) != "r2" {
 		t.Error("xid 2 should be cached")
 	}
-	if s, _ := c.lookup("a", 3); s != dupInProgress {
+	if s, _, _ := c.lookup("a", 3); s != dupInProgress {
 		t.Error("xid 3 should be in progress")
 	}
 	if evicted != 1 {
@@ -613,8 +613,8 @@ func TestDupCacheEviction(t *testing.T) {
 func TestDupCacheKeyedByClient(t *testing.T) {
 	c := newDupCache(10, nil)
 	c.start("a", 1)
-	c.finish("a", 1, []byte("for-a"))
-	if s, _ := c.lookup("b", 1); s != dupNew {
+	c.finish("a", 1, []byte("for-a"), nil)
+	if s, _, _ := c.lookup("b", 1); s != dupNew {
 		t.Error("xid 1 from a different client must not hit the cache")
 	}
 }

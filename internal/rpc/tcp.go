@@ -209,11 +209,11 @@ func (g *Gateway) handle(conn net.Conn) {
 	// Attach the virtual host inside the simulation; what the server
 	// sends it is queued for the connection's writer at its delivery
 	// instant, in scheduler context.
-	out := make(chan []byte, outQueue)
+	out := make(chan simnet.Message, outQueue)
 	g.k.Inject(func() {
 		g.net.Listen(vaddr).SetHandler(func(m simnet.Message) {
 			select {
-			case out <- m.Payload:
+			case out <- m:
 			default:
 				// The peer has stopped reading. It is a reliable
 				// stream whose client never retransmits, so a message
@@ -250,35 +250,40 @@ func (g *Gateway) handle(conn net.Conn) {
 const writeBatch = 64
 
 // writeRecords is a connection's writer: it frames the messages queued
-// on out and writes everything that is queued when it looks as one
-// vectored write. The messages are frozen wire images (DESIGN.md §14),
-// read here and never written. It closes the connection when done
-// closes or a write fails.
-func writeRecords(conn net.Conn, out <-chan []byte, done <-chan struct{}) {
+// on out, each one record of head‖tail, and writes everything that is
+// queued when it looks as one vectored write. The messages are frozen
+// wire images (DESIGN.md §14) — a READ reply's tail is the store's page,
+// which the read froze — read here and never written. It closes the
+// connection when done closes or a write fails.
+func writeRecords(conn net.Conn, out <-chan simnet.Message, done <-chan struct{}) {
 	defer conn.Close()
 	var (
 		hdrs [writeBatch][4]byte
-		vec  [2 * writeBatch][]byte
+		vec  [3 * writeBatch][]byte
 		bufs net.Buffers
 	)
 	for {
 		select {
-		case payload := <-out:
-			n := 0
+		case m := <-out:
+			n, v := 0, 0
 		drain:
 			for {
-				binary.BigEndian.PutUint32(hdrs[n][:], uint32(len(payload)))
-				vec[2*n], vec[2*n+1] = hdrs[n][:], payload
+				binary.BigEndian.PutUint32(hdrs[n][:], uint32(len(m.Payload)+len(m.Tail)))
+				vec[v], vec[v+1] = hdrs[n][:], m.Payload
+				if v += 2; m.Tail != nil {
+					vec[v] = m.Tail
+					v++
+				}
 				if n++; n == writeBatch {
 					break
 				}
 				select {
-				case payload = <-out:
+				case m = <-out:
 				default:
 					break drain
 				}
 			}
-			bufs = vec[:2*n]
+			bufs = vec[:v]
 			if _, err := bufs.WriteTo(conn); err != nil {
 				return
 			}

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"spritelynfs/internal/proto"
 	"spritelynfs/internal/sim"
 	"spritelynfs/internal/simnet"
 	"spritelynfs/internal/xdr"
@@ -422,6 +423,46 @@ func TestConcurrentCallersShareOneConnection(t *testing.T) {
 				}
 				if !bytes.Equal(body, args) {
 					t.Errorf("caller %d call %d: %d bytes of %#x came back for %d of %#x", g, i, len(body), body[:min(1, len(body))], len(args), args[:min(1, len(args))])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestGatewayFramesReplyTails: a READ reply leaves the server as a head and
+// a tail, its data by reference (xdr.Codec.Tail), and the gateway frames
+// the two as one record in its vectored writes. Many goroutines share one
+// connection, so a write carries replies with tails beside replies
+// without, and data from empty through unaligned to several read buffers
+// long: every caller must decode its own bytes. Under -race the
+// connection's writer reads each tail beside the event loop.
+func TestGatewayFramesReplyTails(t *testing.T) {
+	addr := startLive(t, 4, func(ep *Endpoint) {
+		ep.RegisterMsg(testProg, func(_ *sim.Proc, _ simnet.Addr, _ uint32, args []byte) (proto.Message, Status) {
+			return &proto.ReadReply{Status: proto.OK, Data: args}, StatusOK // a view of the frozen call record
+		})
+	})
+	c, err := DialTCP(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	sizes := []int{0, 8192, 1, 4096, 4095, 3 * readBufSize}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 30; i++ {
+				data := bytes.Repeat([]byte{byte(g*30 + i)}, sizes[(g+i)%len(sizes)])
+				body, err := c.Call(testProg, 1, 1, data)
+				var r proto.ReadReply
+				d := xdr.NewDecoder(body)
+				if r.XDR(d.Codec()); err != nil || d.Err() != nil || d.Remaining() != 0 || !bytes.Equal(r.Data, data) {
+					t.Errorf("caller %d call %d: %d bytes back for %d (call %v, decode %v, %d left)",
+						g, i, len(r.Data), len(data), err, d.Err(), d.Remaining())
 					return
 				}
 			}

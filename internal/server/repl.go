@@ -145,12 +145,14 @@ func (r *Replicator) noteCommit(ino uint64) {
 // noteServed is the endpoint's OnServed hook: replicate the dupcache
 // entry of every non-idempotent reply, so a retransmission arriving after
 // failover is answered from the backup's cache instead of re-executed.
-func (r *Replicator) noteServed(from simnet.Addr, xid, prog, vers, proc uint32, wire []byte) {
+// Only a kept reply has its head and tail joined, so a READ's, which may
+// carry a page as its tail, is never copied here.
+func (r *Replicator) noteServed(from simnet.Addr, xid, prog, vers, proc uint32, head, tail []byte) {
 	if prog != proto.ProgNFS || !nonIdempotent(proc) {
 		return
 	}
 	r.enqueue(proto.ReplRecord{
-		Kind: proto.ReplDup, From: string(from), Xid: xid, Wire: wire,
+		Kind: proto.ReplDup, From: string(from), Xid: xid, Wire: append(head[:len(head):len(head)], tail...),
 	})
 }
 

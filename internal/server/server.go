@@ -500,8 +500,8 @@ func (b *Base) serveCommon(p *sim.Proc, proc uint32, a *callArgs) (proto.Message
 		if st != proto.OK {
 			return &proto.ReadReply{Status: st}, rpc.StatusOK
 		}
-		// data is a view of the file: the reply is encoded with no yield
-		// after this return, except under serveHybrid, which copies it.
+		// data is a view of the file, frozen: a later write copies the
+		// page, so the reply's tail is this page as it was read.
 		data, err := b.media.ReadAt(p, a.read.Handle.Ino, a.read.Offset, int(a.read.Count))
 		if err != nil {
 			return &proto.ReadReply{Status: proto.StatusFromErr(err)}, rpc.StatusOK

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"fmt"
 	"sync/atomic"
 
@@ -509,12 +508,9 @@ func (s *SNFSServer) serveHybrid(p *sim.Proc, from simnet.Addr, proc uint32, a *
 		}
 	}
 	lk.Unlock()
+	// A READ reply's data is a view the store froze, so the reply keeps
+	// its read instant across the lock wait below.
 	body, st := s.serveCommon(p, proc, a)
-	if r, ok := body.(*proto.ReadReply); ok {
-		// The reply waits on the lock below, and its data is a view of
-		// the file that a write may change meanwhile.
-		r.Data = bytes.Clone(r.Data)
-	}
 	lk.Lock(p)
 	s.table.Close(h, cid, isWrite)
 	lk.Unlock()

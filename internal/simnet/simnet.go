@@ -13,11 +13,15 @@ import (
 // Addr identifies a host endpoint on the network.
 type Addr string
 
-// Message is a datagram in flight or delivered to a port.
+// Message is a datagram in flight or delivered to a port. Its bytes are
+// Payload followed by Tail: a sender may hand a message's last part over
+// by reference (xdr.Encoder.Image) instead of copying it behind the rest.
+// Tail is nil for a message sent whole.
 type Message struct {
 	From    Addr
 	To      Addr
 	Payload []byte
+	Tail    []byte
 }
 
 // Config holds the network cost model.
@@ -122,9 +126,14 @@ func (n *Network) Unlisten(addr Addr) { delete(n.ports, addr) }
 // transmission occupies the shared link for its serialization time and the
 // message arrives PropDelay after the transmission completes. Messages to
 // unclaimed addresses are silently dropped, like datagrams to a dead host.
-func (n *Network) Send(from, to Addr, payload []byte) {
+func (n *Network) Send(from, to Addr, payload []byte) { n.SendTail(from, to, payload, nil) }
+
+// SendTail is Send for a message in two parts, head‖tail, delivered as
+// Message.Payload and Message.Tail. It is counted and serialized as the
+// one message it is.
+func (n *Network) SendTail(from, to Addr, head, tail []byte) {
 	n.stats.Sent++
-	n.stats.Bytes += int64(len(payload))
+	n.stats.Bytes += int64(len(head) + len(tail))
 	if n.cfg.DropEvery > 0 && n.stats.Sent%n.cfg.DropEvery == 0 {
 		n.stats.Dropped++
 		return
@@ -140,22 +149,23 @@ func (n *Network) Send(from, to Addr, payload []byte) {
 		n.stats.Cut++
 		return
 	}
-	n.transmit(from, to, payload)
+	msg := Message{From: from, To: to, Payload: head, Tail: tail}
+	n.transmit(msg)
 	if n.cfg.DupProb > 0 && n.k.Rand().Float64() < n.cfg.DupProb {
 		// The duplicate serializes on the link like any transmission
 		// and so arrives strictly after the original. It flies in an
 		// object of its own.
 		n.stats.Duplicated++
-		n.transmit(from, to, payload)
+		n.transmit(msg)
 	}
 }
 
 // transmit occupies the link for the message's serialization time and
 // schedules a flight to come due when the link is done with it.
-func (n *Network) transmit(from, to Addr, payload []byte) {
+func (n *Network) transmit(msg Message) {
 	var xmit sim.Duration
 	if n.cfg.BytesPerSec > 0 {
-		xmit = sim.Duration(int64(len(payload)) * int64(sim.Second) / n.cfg.BytesPerSec)
+		xmit = sim.Duration(int64(len(msg.Payload)+len(msg.Tail)) * int64(sim.Second) / n.cfg.BytesPerSec)
 	}
 	var f *flight
 	if last := len(n.free) - 1; last >= 0 {
@@ -163,7 +173,7 @@ func (n *Network) transmit(from, to Addr, payload []byte) {
 	} else {
 		f = &flight{n: n}
 	}
-	f.msg = Message{From: from, To: to, Payload: payload}
+	f.msg = msg
 	done := n.link.UseAsync(xmit, nil)
 	n.k.AfterTarget(done.Sub(n.k.Now()), f)
 }
@@ -240,10 +250,10 @@ func (n *Network) HealBoth(a, b Addr) {
 // one parked dispatcher goroutine per client.
 //
 // fn receives the Message by value, and that copy is all it gets. It may
-// keep the Payload slice, views decoded from it, and the From and To
-// addresses for as long as it likes, read-only: the payload is the
-// sender's frozen buffer (DESIGN.md §14), never the network's, and is not
-// reused. It may not keep anything of the network's own: the object the
+// keep the Payload and Tail slices, views decoded from them, and the From
+// and To addresses for as long as it likes, read-only: they are the
+// sender's frozen buffers (DESIGN.md §14), never the network's, and are
+// not reused. It may not keep anything of the network's own: the object the
 // message flew in is cleared and recycled the moment fn returns, which is
 // why fn is not given its address, and a handler must not be changed to
 // take one.

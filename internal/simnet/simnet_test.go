@@ -49,6 +49,26 @@ func TestLinkSerialization(t *testing.T) {
 	}
 }
 
+// TestSendTailIsOneMessage: a message sent as a head and a tail is
+// counted, serialized and delivered as the one message it is, its two
+// parts handed over as they were sent.
+func TestSendTailIsOneMessage(t *testing.T) {
+	k := sim.NewKernel(1)
+	n := New(k, Config{BytesPerSec: 1000})
+	head, tail := make([]byte, 12), make([]byte, 988)
+	var got Message
+	var arrived sim.Time
+	n.Listen("b").SetHandler(func(m Message) { got, arrived = m, k.Now() })
+	n.SendTail("a", "b", head, tail)
+	k.Run()
+	if arrived != sim.Time(sim.Second) || n.Stats().Bytes != 1000 {
+		t.Errorf("arrived at %v after %d bytes, want 1s and the 1000 of head and tail", arrived, n.Stats().Bytes)
+	}
+	if &got.Payload[0] != &head[0] || &got.Tail[0] != &tail[0] || len(got.Payload) != 12 || len(got.Tail) != 988 {
+		t.Errorf("delivered a %d-byte payload and a %d-byte tail, want the head and tail sent", len(got.Payload), len(got.Tail))
+	}
+}
+
 func TestSendToUnknownAddressDropped(t *testing.T) {
 	k := sim.NewKernel(1)
 	n := New(k, Config{})
@@ -341,8 +361,9 @@ func TestSendDeliverAllocatesNothing(t *testing.T) {
 }
 
 // TestLandedFlightHoldsNothing: a flight on the free list must not keep
-// its last message — the payload is a wire image, 8 KiB+ for a WRITE, and
-// would stay reachable until the flight's next use. However the message
+// its last message — the payload is a wire image, 8 KiB+ for a WRITE, the
+// tail a READ reply's page, and either would stay reachable until the
+// flight's next use. However the message
 // ended: handed to a handler, duplicated, or dropped at a port without a
 // handler or an address nobody listens on.
 func TestLandedFlightHoldsNothing(t *testing.T) {
@@ -351,16 +372,16 @@ func TestLandedFlightHoldsNothing(t *testing.T) {
 	var handled []Message
 	n.Listen("handler").SetHandler(func(m Message) { handled = append(handled, m) })
 	n.Listen("mute")
-	payload := make([]byte, 8192)
+	payload, tail := make([]byte, 100), make([]byte, 8192)
 	for _, to := range []Addr{"handler", "mute", "nobody"} {
-		n.Send("a", to, payload)
+		n.SendTail("a", to, payload, tail)
 	}
 	k.Run()
 	if len(n.free) != 6 {
 		t.Fatalf("%d flights on the free list, want 6: three messages, each duplicated in a flight of its own", len(n.free))
 	}
 	for i, f := range n.free {
-		if f.msg.Payload != nil || f.msg.From != "" || f.msg.To != "" || f.onWire {
+		if f.msg.Payload != nil || f.msg.Tail != nil || f.msg.From != "" || f.msg.To != "" || f.onWire {
 			t.Errorf("landed flight %d still holds %+v (onWire=%v)", i, f.msg, f.onWire)
 		}
 	}
@@ -369,7 +390,7 @@ func TestLandedFlightHoldsNothing(t *testing.T) {
 		t.Fatalf("handler got %d messages, stats %+v, want 2 delivered and 4 dropped", len(handled), s)
 	}
 	for _, m := range handled {
-		if m.From != "a" || m.To != "handler" || &m.Payload[0] != &payload[0] {
+		if m.From != "a" || m.To != "handler" || &m.Payload[0] != &payload[0] || &m.Tail[0] != &tail[0] {
 			t.Errorf("handler's message %+v is not the one sent", m)
 		}
 	}

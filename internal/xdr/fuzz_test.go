@@ -12,11 +12,15 @@ import (
 // for byte with the copying path, and re-encoding the decoded values
 // reproduces the original wire image. Aliasing bugs in the zero-copy
 // path — views with the wrong bounds, padding miscounted, state leaking
-// across Reset — surface as mismatches here.
+// across Reset — surface as mismatches here. The blob also goes out as a
+// split image's tail (Codec.Tail), which must be the same message.
 func FuzzXDRRoundTrip(f *testing.F) {
 	f.Add(uint32(42), int64(-7), "name.c", []byte{1, 2, 3}, []byte{9, 8, 7, 6}, true)
 	f.Add(uint32(0), int64(0), "", []byte{}, []byte{}, false)
 	f.Add(uint32(0xffffffff), int64(1<<62), "日本語", bytes.Repeat([]byte{0xab}, 8192), []byte{0}, true)
+	// Split-image seeds: blobs that go out as a tail.
+	f.Add(uint32(6), int64(8192), "", []byte{1, 2, 3, 4}, []byte{}, false)
+	f.Add(uint32(6), int64(0), "read", bytes.Repeat([]byte{0x5a}, 4096), []byte{}, true)
 	f.Fuzz(func(t *testing.T, a uint32, b int64, s string, blob, tail []byte, flag bool) {
 		e := NewEncoder()
 		e.Uint32(a)
@@ -78,6 +82,28 @@ func FuzzXDRRoundTrip(f *testing.F) {
 		if !bytes.Equal(r.Bytes(), wire) {
 			t.Fatal("re-encode differs from original wire image")
 		}
+
+		// The blob as a split image's tail: the same bytes as inline, and
+		// the same value decoded from the two parts or the joined bytes.
+		inline := NewEncoder()
+		inline.Uint32(a)
+		inline.Opaque(blob)
+		split := NewEncoder()
+		split.Uint32(a)
+		split.Codec().Tail(&blob)
+		head, tl := split.Image()
+		if !bytes.Equal(append(head, tl...), inline.Bytes()) || !bytes.Equal(split.CopyBytes(), inline.Bytes()) {
+			t.Fatal("split image differs from the inline encoding")
+		}
+		for _, parts := range [][2][]byte{{head, tl}, {inline.Bytes(), nil}} {
+			var got []byte
+			var y Decoder
+			y.ResetTail(parts[0], parts[1])
+			y.Uint32()
+			if y.Codec().Tail(&got); y.Err() != nil || !bytes.Equal(got, blob) {
+				t.Fatalf("Tail decode of a %d+%d-byte image: %v", len(parts[0]), len(parts[1]), y.Err())
+			}
+		}
 	})
 }
 
@@ -91,6 +117,11 @@ func FuzzDecodeGarbage(f *testing.F) {
 	e.Uint32(3)
 	e.Opaque([]byte("abc"))
 	f.Add(e.Bytes())
+	// Split-image seeds: a length word, then the tail — agreeing, short,
+	// and long.
+	f.Add([]byte{0, 0, 0, 8, 1, 2, 3, 4, 5, 6, 7, 8})
+	f.Add([]byte{0, 0, 0, 8, 1, 2, 3, 4})
+	f.Add([]byte{0, 0, 0, 3, 1, 2, 3, 4, 5, 6, 7, 8})
 	f.Fuzz(func(t *testing.T, garbage []byte) {
 		d := NewDecoder(garbage)
 		d.Uint32()
@@ -110,6 +141,15 @@ func FuzzDecodeGarbage(f *testing.F) {
 		z.RawRef()
 		if z.Remaining() < 0 {
 			t.Fatal("negative remaining")
+		}
+
+		// The first word as a split image's head, the rest as its tail.
+		h := min(len(garbage), 4)
+		var y Decoder
+		y.ResetTail(garbage[:h], garbage[h:])
+		var v []byte
+		if y.Codec().Tail(&v); len(v) > len(garbage)-h || (y.Err() != nil) != (v == nil) {
+			t.Fatalf("Tail decoded %d bytes of a %d-byte tail, err %v", len(v), len(garbage)-h, y.Err())
 		}
 	})
 }

@@ -30,9 +30,12 @@ const MaxItem = 1 << 24
 // maxItem is the historical private name for MaxItem.
 const maxItem = MaxItem
 
-// Encoder appends XDR-encoded values to a byte slice.
+// Encoder appends XDR-encoded values to a byte slice. A message's last
+// field may instead be kept by reference as the image's tail
+// (Codec.Tail): the message is then buf followed by tail.
 type Encoder struct {
-	buf []byte
+	buf  []byte
+	tail []byte
 }
 
 // NewEncoder returns an encoder with an empty buffer.
@@ -60,35 +63,52 @@ func (e *Encoder) Release() {
 	if cap(e.buf) > maxPooledBuf {
 		e.buf = nil
 	}
+	e.tail = nil // the pool never pins a page
 	encPool.Put(e)
 }
 
-// Bytes returns the encoded buffer. The slice aliases the encoder's
-// internal storage: it is valid until the next Reset, SetBuffer, or
-// Release.
-func (e *Encoder) Bytes() []byte { return e.buf }
+// Bytes returns the encoded message, a tail appended to the buffer. The
+// slice aliases the encoder's internal storage: it is valid until the
+// next Reset, SetBuffer, or Release.
+func (e *Encoder) Bytes() []byte {
+	if e.tail != nil {
+		e.buf, e.tail = append(e.buf, e.tail...), nil
+	}
+	return e.buf
+}
 
 // CopyBytes returns the encoded message in a fresh, exactly-sized
 // allocation the caller owns — the explicit copy point for encoded
 // messages that outlive a pooled encoder (e.g. handed to the simulated
-// network, which retains payloads until delivery).
+// network, which retains payloads until delivery). It is head‖tail of
+// Image, joined.
 func (e *Encoder) CopyBytes() []byte {
-	out := make([]byte, len(e.buf))
-	copy(out, e.buf)
+	out := make([]byte, len(e.buf)+len(e.tail))
+	copy(out[copy(out, e.buf):], e.tail)
 	return out
 }
 
-// Len returns the number of encoded bytes.
-func (e *Encoder) Len() int { return len(e.buf) }
+// Image returns the encoded message as an exact-size copy of the buffer
+// the caller owns, and the tail, by reference, nil if there is none: the
+// message is head‖tail. The tail is whatever Codec.Tail was handed, so it
+// is only as frozen as the bytes its caller kept.
+func (e *Encoder) Image() (head, tail []byte) {
+	head = make([]byte, len(e.buf))
+	copy(head, e.buf)
+	return head, e.tail
+}
 
-// Reset discards the buffer contents, retaining capacity.
-func (e *Encoder) Reset() { e.buf = e.buf[:0] }
+// Len returns the number of encoded bytes, the tail's included.
+func (e *Encoder) Len() int { return len(e.buf) + len(e.tail) }
+
+// Reset discards the buffer contents, retaining capacity, and the tail.
+func (e *Encoder) Reset() { e.buf, e.tail = e.buf[:0], nil }
 
 // SetBuffer directs subsequent encoding to append into buf (starting at
 // length zero, reusing its capacity) — append-into-caller-buffer
 // encoding for callers that manage their own storage. Bytes returns the
 // possibly-regrown buffer.
-func (e *Encoder) SetBuffer(buf []byte) { e.buf = buf[:0] }
+func (e *Encoder) SetBuffer(buf []byte) { e.buf, e.tail = buf[:0], nil }
 
 // Uint32 encodes a 32-bit unsigned integer.
 func (e *Encoder) Uint32(v uint32) {
@@ -144,13 +164,15 @@ func (e *Encoder) String(s string) { e.Opaque([]byte(s)) }
 // length is implied by the message boundary).
 func (e *Encoder) Raw(b []byte) { e.buf = append(e.buf, b...) }
 
-// Decoder consumes XDR-encoded values from a byte slice. Decoding methods
-// record the first error; callers may check Err once after a batch of
-// reads rather than after every field.
+// Decoder consumes XDR-encoded values from a byte slice, and from a tail
+// when the image came in two parts (ResetTail). Decoding methods record
+// the first error; callers may check Err once after a batch of reads
+// rather than after every field.
 type Decoder struct {
-	buf []byte
-	off int
-	err error
+	buf  []byte
+	off  int
+	err  error
+	tail []byte
 }
 
 // NewDecoder returns a decoder reading from buf.
@@ -161,10 +183,12 @@ func NewDecoder(buf []byte) *Decoder { return &Decoder{buf: buf} }
 //
 //	var d xdr.Decoder
 //	d.Reset(wire)
-func (d *Decoder) Reset(buf []byte) {
-	d.buf = buf
-	d.off = 0
-	d.err = nil
+func (d *Decoder) Reset(buf []byte) { d.ResetTail(buf, nil) }
+
+// ResetTail is Reset for an image sent as a head and a tail (Encoder.Image):
+// buf is the head, and the item Codec.Tail decodes is tail.
+func (d *Decoder) ResetTail(buf, tail []byte) {
+	*d = Decoder{buf: buf, tail: tail}
 }
 
 // Err returns the first decoding error, if any.
