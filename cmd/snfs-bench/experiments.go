@@ -346,12 +346,13 @@ func clusterSmoke(e *env) error {
 	}
 
 	work := func(p *sim.Proc, ns *vfs.Namespace, dir, phase string) error {
+		buf := make([]byte, pm.TransferSize)
 		for j := 0; j < 4; j++ {
 			path := fmt.Sprintf("%s/%s%d.dat", dir, phase, j)
 			if err := ns.WriteFile(p, path, 24*1024, pm.TransferSize); err != nil {
 				return err
 			}
-			if _, err := ns.ReadFile(p, path, pm.TransferSize); err != nil {
+			if _, err := ns.ReadFile(p, path, buf); err != nil {
 				return err
 			}
 		}
@@ -380,7 +381,7 @@ func clusterSmoke(e *env) error {
 		if err := phase(p, "post"); err != nil {
 			return err
 		}
-		if _, err := namespaces[2].ReadFile(p, dirs[0]+"/pre0.dat", pm.TransferSize); err != nil {
+		if _, err := namespaces[2].ReadFile(p, dirs[0]+"/pre0.dat", make([]byte, pm.TransferSize)); err != nil {
 			return fmt.Errorf("pre-rebalance data after migration: %w", err)
 		}
 		return nil

@@ -42,7 +42,7 @@ func main() {
 		// The plain NFS client reads the same file through the hybrid
 		// server: the implicit open forces the SNFS client's
 		// write-back before the read is served.
-		got, err := nfsNS.ReadFile(p, "/data/report.txt", 8192)
+		got, err := nfsNS.ReadFile(p, "/data/report.txt", make([]byte, 8192))
 		if err != nil {
 			return err
 		}

@@ -33,12 +33,13 @@ func increment(cp *snfs.Proc, c *client.SNFSClient, useLock bool) error {
 		return err
 	}
 	defer f.Close(cp)
-	data, err := f.ReadAt(cp, 0, 1)
-	if err != nil || len(data) != 1 {
+	var b [1]byte
+	if n, err := f.ReadInto(cp, b[:], 0); err != nil || n != 1 {
 		return fmt.Errorf("read: %v", err)
 	}
 	cp.Sleep(40 * snfs.Millisecond) // "compute" between read and write
-	_, err = f.WriteAt(cp, 0, []byte{data[0] + 1})
+	b[0]++
+	_, err = f.WriteAt(cp, 0, b[:])
 	return err
 }
 
@@ -69,11 +70,11 @@ func runRace(useLock bool) (final int, err error) {
 			return err
 		}
 		defer f.Close(p)
-		data, err := f.ReadAt(p, 0, 1)
-		if err != nil {
+		var b [1]byte
+		if _, err := f.ReadInto(p, b[:], 0); err != nil {
 			return err
 		}
-		final = int(data[0])
+		final = int(b[0])
 		return nil
 	})
 	return final, err

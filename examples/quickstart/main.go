@@ -41,12 +41,13 @@ func main() {
 		if err != nil {
 			return err
 		}
-		data, err := g.ReadAt(p, 0, 4096)
+		buf := make([]byte, 4096)
+		n, err := g.ReadInto(p, buf, 0)
 		if err != nil {
 			return err
 		}
 		g.Close(p)
-		fmt.Printf("read back %d bytes: %q\n", len(data), string(data))
+		fmt.Printf("read back %d bytes: %q\n", n, string(buf[:n]))
 		fmt.Printf("after reopen+read:  %v\n", world.ClientOps())
 
 		// The update daemon (or an explicit sync) pushes the delayed

@@ -48,7 +48,7 @@ func main() {
 		// The moment of truth: a second client reads the file. The
 		// recovered CLOSED-DIRTY state must call the writer back for
 		// its dirty blocks first.
-		n, err := readerNS.ReadFile(p, "/data/journal.dat", 8192)
+		n, err := readerNS.ReadFile(p, "/data/journal.dat", make([]byte, 8192))
 		if err != nil {
 			return err
 		}

@@ -35,11 +35,12 @@ func putRecord(p *snfs.Proc, f snfs.File, id int, version uint32) error {
 
 // getRecord reads record id and returns its version stamp.
 func getRecord(p *snfs.Proc, f snfs.File, id int) (uint32, error) {
-	rec, err := f.ReadAt(p, int64(id*recordSize), recordSize)
+	var rec [recordSize]byte
+	n, err := f.ReadInto(p, rec[:], int64(id*recordSize))
 	if err != nil {
 		return 0, err
 	}
-	if len(rec) < 8 {
+	if n < 8 {
 		return 0, nil
 	}
 	return binary.BigEndian.Uint32(rec[4:]), nil

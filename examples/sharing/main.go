@@ -44,8 +44,9 @@ func demoNFS() error {
 			return err
 		}
 		defer f.Close(p)
-		first, _ := f.ReadAt(p, 0, 64)
-		fmt.Printf("  reader opens and reads:        %d bytes (version 1)\n", len(first))
+		buf := make([]byte, 256)
+		first, _ := f.ReadInto(p, buf[:64], 0)
+		fmt.Printf("  reader opens and reads:        %d bytes (version 1)\n", first)
 
 		// The writer overwrites while the reader holds the file open.
 		if err := writerNS.WriteFile(p, "/data/shared.txt", 128, 128); err != nil {
@@ -53,12 +54,12 @@ func demoNFS() error {
 		}
 		fmt.Println("  writer rewrites the file (128 bytes, version 2)")
 
-		stale, _ := f.ReadAt(p, 0, 256)
-		fmt.Printf("  reader re-reads immediately:   %d bytes  <-- STALE (cached)\n", len(stale))
+		stale, _ := f.ReadInto(p, buf, 0)
+		fmt.Printf("  reader re-reads immediately:   %d bytes  <-- STALE (cached)\n", stale)
 
 		p.Sleep(200 * snfs.Second)
-		fresh, _ := f.ReadAt(p, 0, 256)
-		fmt.Printf("  reader re-reads after 200s:    %d bytes  (probe finally noticed)\n", len(fresh))
+		fresh, _ := f.ReadInto(p, buf, 0)
+		fmt.Printf("  reader re-reads after 200s:    %d bytes  (probe finally noticed)\n", fresh)
 		return nil
 	})
 }
@@ -78,8 +79,9 @@ func demoSNFS() error {
 			return err
 		}
 		defer f.Close(p)
-		first, _ := f.ReadAt(p, 0, 64)
-		fmt.Printf("  reader opens and reads:        %d bytes (version 1)\n", len(first))
+		buf := make([]byte, 256)
+		first, _ := f.ReadInto(p, buf[:64], 0)
+		fmt.Printf("  reader opens and reads:        %d bytes (version 1)\n", first)
 
 		// The writer opens for write WHILE the reader holds the file:
 		// the server makes the file write-shared, calls the reader
@@ -93,8 +95,8 @@ func demoSNFS() error {
 		}
 		fmt.Println("  writer opens for write and writes 128 bytes (write-shared now)")
 
-		fresh, _ := f.ReadAt(p, 0, 256)
-		fmt.Printf("  reader re-reads immediately:   %d bytes  <-- CURRENT (no staleness)\n", len(fresh))
+		fresh, _ := f.ReadInto(p, buf, 0)
+		fmt.Printf("  reader re-reads immediately:   %d bytes  <-- CURRENT (no staleness)\n", fresh)
 		fmt.Printf("  callbacks served by reader:    %d\n", world.SNFSCli.CallbacksServed)
 		fmt.Printf("  server write-share transitions: %d\n", world.SNFSSrv.Table().Stats().WriteShares)
 		_ = writerCli

@@ -835,21 +835,21 @@ func (b *Base) flushEvicted(p *sim.Proc, evicted []*cache.Block) {
 	}
 }
 
-// assembleRead serves [off, off+count) from cached blocks, fetching and
-// caching misses, honoring the node's size view. readAhead starts a
-// prefetch of the block after each miss. (The SNFS uncachable path reads
-// the server directly and does not come here.)
-func (b *Base) assembleRead(p *sim.Proc, n *node, off int64, count int, readAhead bool) ([]byte, error) {
+// assembleRead copies [off, off+len(b)) into b from cached blocks,
+// fetching and caching misses, honoring the node's size view, and returns
+// the count copied. readAhead starts a prefetch of the block after each
+// miss. (The SNFS uncachable path reads the server directly and does not
+// come here.)
+func (b *Base) assembleRead(p *sim.Proc, n *node, buf []byte, off int64, readAhead bool) (int, error) {
 	size := n.size
 	if off >= size {
-		return nil, nil
+		return 0, nil
 	}
-	end := off + int64(count)
+	end := off + int64(len(buf))
 	if end > size {
 		end = size
 	}
 	bs := int64(b.cfg.BlockSize)
-	out := make([]byte, 0, end-off)
 	for cur := off; cur < end; {
 		blk := cur / bs
 		blkOff := cur % bs
@@ -862,7 +862,7 @@ func (b *Base) assembleRead(p *sim.Proc, n *node, off int64, count int, readAhea
 			var err error
 			cb, err = b.fetchBlock(p, n, blk)
 			if err != nil {
-				return nil, err
+				return 0, err
 			}
 			if readAhead {
 				b.readAhead(n, blk+1)
@@ -870,10 +870,10 @@ func (b *Base) assembleRead(p *sim.Proc, n *node, off int64, count int, readAhea
 		}
 		// Bytes beyond cb.Len are zeros (sparse or locally
 		// extended); cb.Data is always blockSize long.
-		out = append(out, cb.Data[blkOff:blkEnd]...)
+		copy(buf[cur-off:], cb.Data[blkOff:blkEnd])
 		cur = blk*bs + blkEnd
 	}
-	return out, nil
+	return int(end - off), nil
 }
 
 // readAhead prefetches block blk of n asynchronously if it is within the

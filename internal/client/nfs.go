@@ -150,13 +150,19 @@ type nfsFile struct {
 // Handle exposes the protocol-level handle (audit.Handled).
 func (f *nfsFile) Handle() proto.Handle { return f.n.h }
 
-// ReadAt implements vfs.File.
-func (f *nfsFile) ReadAt(p *sim.Proc, off int64, count int) ([]byte, error) {
+// ReadInto implements vfs.File.
+func (f *nfsFile) ReadInto(p *sim.Proc, b []byte, off int64) (int, error) {
 	p.BeginOp()
 	if err := f.c.revalidate(p, f.n, false); err != nil {
-		return nil, err
+		return 0, err
 	}
-	return f.c.assembleRead(p, f.n, off, count, f.c.cfg.ReadAhead)
+	return f.c.assembleRead(p, f.n, b, off, f.c.cfg.ReadAhead)
+}
+
+// ReadAt implements vfs.File; it stays only for bench/probes.go, until
+// ROADMAP's benchmark item (vi).
+func (f *nfsFile) ReadAt(p *sim.Proc, off int64, n int) ([]byte, error) {
+	return vfs.ReadAt(p, f, off, n)
 }
 
 // WriteAt implements vfs.File: write-through, the partial tail block

@@ -124,15 +124,21 @@ type rfsFile struct {
 	closed bool
 }
 
-// ReadAt implements vfs.File: cached reads, no probes — the server's
+// ReadInto implements vfs.File: cached reads, no probes — the server's
 // invalidations keep the cache honest. After an invalidation the
 // attributes (hence the size bound for reads) are refetched once.
-func (f *rfsFile) ReadAt(p *sim.Proc, off int64, count int) ([]byte, error) {
+func (f *rfsFile) ReadInto(p *sim.Proc, b []byte, off int64) (int, error) {
 	p.BeginOp()
 	if _, _, err := f.c.attrs.get(p, f.n, false); err != nil {
-		return nil, err
+		return 0, err
 	}
-	return f.c.assembleRead(p, f.n, off, count, f.c.cfg.ReadAhead)
+	return f.c.assembleRead(p, f.n, b, off, f.c.cfg.ReadAhead)
+}
+
+// ReadAt implements vfs.File; it stays only for bench/probes.go, until
+// ROADMAP's benchmark item (vi).
+func (f *rfsFile) ReadAt(p *sim.Proc, off int64, n int) ([]byte, error) {
+	return vfs.ReadAt(p, f, off, n)
 }
 
 // WriteAt implements vfs.File: strict write-through — every write is

@@ -573,23 +573,29 @@ type snfsFile struct {
 // Handle exposes the protocol-level handle (audit.Handled).
 func (f *snfsFile) Handle() proto.Handle { return f.n.h }
 
-// ReadAt implements vfs.File. Cachable files read through the block
+// ReadInto implements vfs.File. Cachable files read through the block
 // cache with read-ahead; uncachable (write-shared) files go straight to
 // the server with read-ahead disabled (§4.2.1).
-func (f *snfsFile) ReadAt(p *sim.Proc, off int64, count int) ([]byte, error) {
+func (f *snfsFile) ReadInto(p *sim.Proc, b []byte, off int64) (int, error) {
 	p.BeginOp()
 	if f.n.rec.Caching {
-		return f.c.assembleRead(p, f.n, off, count, f.c.cfg.ReadAhead)
+		return f.c.assembleRead(p, f.n, b, off, f.c.cfg.ReadAhead)
 	}
-	data, attr, err := f.c.readRPC(p, f.n.h, off, count)
+	data, attr, err := f.c.readRPC(p, f.n.h, off, len(b))
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	f.c.attrs.ingest(f.n, attr, p.Now())
 	f.n.size = attr.Size
 	// data is a view of the server's frozen reply image, which its
-	// duplicate cache may resend; the application gets bytes of its own.
-	return append([]byte(nil), data...), nil
+	// duplicate cache may resend; the application gets a copy in b.
+	return copy(b, data), nil
+}
+
+// ReadAt implements vfs.File; it stays only for bench/probes.go, until
+// ROADMAP's benchmark item (vi).
+func (f *snfsFile) ReadAt(p *sim.Proc, off int64, n int) ([]byte, error) {
+	return vfs.ReadAt(p, f, off, n)
 }
 
 // WriteAt implements vfs.File. Cachable files use pure delayed write —

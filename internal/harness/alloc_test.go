@@ -67,23 +67,26 @@ func TestDataPathAllocationBudgets(t *testing.T) {
 			return objects / blocks, blks / blocks, size / blocks
 		}
 
-		// A read miss: the caller's result. The server replies with the
-		// page of its file, frozen by the read, as the reply image's
-		// tail, and the client caches that page, copy-on-write. 9 objects
-		// in all, as while the reply image copied the page (11 while the
-		// store's snapshot and the cache block were copies, 25 while the
-		// round trip's bookkeeping allocated): beside the block, the
+		// A read miss copies into the caller's buffer, and allocates no
+		// block at all (one, the caller's result, while ReadAt returned
+		// a fresh slice). The server replies with the page of its file,
+		// frozen by the read, as the reply image's tail, and the client
+		// caches that page, copy-on-write. 8 objects in all (9 with the
+		// result, 11 while the store's snapshot and the cache block were
+		// copies, 25 while the round trip's bookkeeping allocated): the
 		// reply's head, the call image, its Pending, and what the client,
 		// its cache and the server's handler make for a READ.
-		objects, blks, _ := each(func(i int) error {
-			data, err := f.ReadAt(p, int64(i)*bs, bs)
-			if err == nil && len(data) != bs {
-				t.Errorf("short read: %d bytes", len(data))
+		buf := make([]byte, bs)
+		read := func(i int) error {
+			n, err := f.ReadInto(p, buf, int64(i)*bs)
+			if err == nil && n != bs {
+				t.Errorf("short read: %d bytes", n)
 			}
 			return err
-		})
-		if blks > 1 || objects > 11 {
-			t.Errorf("NFS 8 KiB read miss allocates %d block-sized objects of %d, budget 1 of 11", blks, objects)
+		}
+		objects, blks, _ := each(read)
+		if blks > 0 || objects > 10 {
+			t.Errorf("NFS 8 KiB read miss allocates %d block-sized objects of %d, budget 0 of 10", blks, objects)
 		}
 
 		// A write-through: the cache block and the call wire image (a
@@ -125,6 +128,36 @@ func TestDataPathAllocationBudgets(t *testing.T) {
 		}
 		if err != nil {
 			return err
+		}
+		return f.Close(p)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// An SNFS cached read hit copies from the block cache into the
+	// caller's buffer: no RPC, no result, nothing allocated.
+	w = Build(SNFS, true, Default())
+	err = w.Run(func(p *sim.Proc) error {
+		if err := w.NS.WriteFile(p, "/data/f", blocks*bs, bs); err != nil {
+			return err // the delayed writes leave every block cached
+		}
+		f, err := w.NS.Open(p, "/data/f", vfs.ReadOnly, 0)
+		if err != nil {
+			return err
+		}
+		buf := make([]byte, bs)
+		pass := func() {
+			for i := 0; i < blocks && err == nil; i++ {
+				var n int
+				if n, err = f.ReadInto(p, buf, int64(i)*bs); err == nil && n != bs {
+					t.Errorf("short read: %d bytes", n)
+				}
+			}
+		}
+		pass()
+		if objects, _, _ := heapCost(pass); objects/blocks > 0 || err != nil {
+			t.Errorf("SNFS 8 KiB cached read hit allocates %d objects (%v), budget 0", objects/blocks, err)
 		}
 		return f.Close(p)
 	})

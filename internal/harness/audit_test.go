@@ -29,7 +29,7 @@ func TestAuditCleanAcrossSharingAndCrash(t *testing.T) {
 		if err := w.NS.WriteFile(p, "/data/shared", 32*1024, 8192); err != nil {
 			return err
 		}
-		if _, err := readerNS.ReadFile(p, "/data/shared", 8192); err != nil {
+		if _, err := readerNS.ReadFile(p, "/data/shared", make([]byte, 8192)); err != nil {
 			return err
 		}
 		// Write sharing: both clients hold the file, one writes.
@@ -60,7 +60,7 @@ func TestAuditCleanAcrossSharingAndCrash(t *testing.T) {
 		p.Sleep(500 * sim.Millisecond)
 		w.SNFSSrv.Reboot()
 		p.Sleep(4 * sim.Second)
-		if _, err := w.NS.ReadFile(p, "/data/shared", 8192); err != nil {
+		if _, err := w.NS.ReadFile(p, "/data/shared", make([]byte, 8192)); err != nil {
 			return err
 		}
 		return w.NS.WriteFile(p, "/data/post", 16*1024, 8192)
@@ -100,7 +100,7 @@ func TestAuditDetectsInjectedStaleRead(t *testing.T) {
 		if err := w.NS.WriteFile(p, "/data/victim", 16*1024, 8192); err != nil {
 			return err
 		}
-		if _, err := w.NS.ReadFile(p, "/data/victim", 8192); err != nil {
+		if _, err := w.NS.ReadFile(p, "/data/victim", make([]byte, 8192)); err != nil {
 			return err
 		}
 		// The rogue rewrites the file behind the protocol's back.
@@ -115,7 +115,7 @@ func TestAuditDetectsInjectedStaleRead(t *testing.T) {
 			return err
 		}
 		// The SNFS client's cached copy is now stale, and nothing told it.
-		_, err = w.NS.ReadFile(p, "/data/victim", 8192)
+		_, err = w.NS.ReadFile(p, "/data/victim", make([]byte, 8192))
 		return err
 	})
 	if err == nil {

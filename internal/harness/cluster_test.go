@@ -50,7 +50,7 @@ func TestClusterRedirectsAfterRebalance(t *testing.T) {
 		if err := cw.Cluster.Rebalance(p, "/a", 1); err != nil {
 			return err
 		}
-		if _, err := ns.ReadFile(p, "/a/f", pm.TransferSize); err != nil {
+		if _, err := ns.ReadFile(p, "/a/f", make([]byte, pm.TransferSize)); err != nil {
 			return err
 		}
 		return nil

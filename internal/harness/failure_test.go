@@ -132,7 +132,7 @@ func TestServerCrashDuringWorkload(t *testing.T) {
 		if err := w.NS.WriteFile(p, "/data/post.dat", 16*1024, 8192); err != nil {
 			return err
 		}
-		n, err := w.NS.ReadFile(p, "/data/pre.dat", 8192)
+		n, err := w.NS.ReadFile(p, "/data/pre.dat", make([]byte, 8192))
 		if err != nil {
 			return err
 		}
@@ -142,7 +142,7 @@ func TestServerCrashDuringWorkload(t *testing.T) {
 		// The recovered state still protects consistency: a second
 		// client reading pre.dat forces A's write-back.
 		_, readerNS := w.AddSNFSClient("late-reader", pm.SNFS)
-		rn, err := readerNS.ReadFile(p, "/data/pre.dat", 8192)
+		rn, err := readerNS.ReadFile(p, "/data/pre.dat", make([]byte, 8192))
 		if err != nil {
 			return err
 		}
@@ -168,7 +168,7 @@ func TestClientCrashDuringSharing(t *testing.T) {
 		}
 		dirtyCli.Endpoint().Stop() // crash with dirty blocks
 		// The surviving client's open gets the §3.2 warning but works.
-		n, err := w.NS.ReadFile(p, "/data/f", 8192)
+		n, err := w.NS.ReadFile(p, "/data/f", make([]byte, 8192))
 		if err != nil {
 			return err
 		}

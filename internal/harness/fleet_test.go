@@ -27,7 +27,7 @@ func TestFleetServesOps(t *testing.T) {
 		p.Sleep(10 * sim.Second)
 		for i, fc := range f.Clients {
 			path := fmt.Sprintf("/data/f%d", i)
-			n, err := fc.NS.ReadFile(p, path, 8*1024)
+			n, err := fc.NS.ReadFile(p, path, make([]byte, 8*1024))
 			if err != nil {
 				return fmt.Errorf("client %d read: %w", i, err)
 			}
@@ -57,7 +57,7 @@ func TestFleetCrossClientConsistency(t *testing.T) {
 		if err := a.WriteFile(p, "/data/shared", 8*1024, 8*1024); err != nil {
 			return err
 		}
-		n, err := b.ReadFile(p, "/data/shared", 8*1024)
+		n, err := b.ReadFile(p, "/data/shared", make([]byte, 8*1024))
 		if err != nil {
 			return err
 		}

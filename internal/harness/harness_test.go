@@ -39,7 +39,7 @@ func TestBuildAllProtocols(t *testing.T) {
 				if err := w.NS.WriteFile(p, "/data/x", 10000, 8192); err != nil {
 					return err
 				}
-				n, err := w.NS.ReadFile(p, "/data/x", 8192)
+				n, err := w.NS.ReadFile(p, "/data/x", make([]byte, 8192))
 				if err != nil {
 					return err
 				}
@@ -378,7 +378,7 @@ func TestTraceCapturesProtocolTimeline(t *testing.T) {
 			return err
 		}
 		// Reader forces the CLOSED-DIRTY write-back callback.
-		if _, err := readerNS.ReadFile(p, "/data/f", 8192); err != nil {
+		if _, err := readerNS.ReadFile(p, "/data/f", make([]byte, 8192)); err != nil {
 			return err
 		}
 		return nil

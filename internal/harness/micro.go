@@ -163,7 +163,7 @@ func Ablations(pm Params) (*stats.Table, error) {
 				return err
 			}
 			base := w.ClientOps().Clone()
-			if _, err := w.NS.ReadFile(p, "/data/f.dat", pm.TransferSize); err != nil {
+			if _, err := w.NS.ReadFile(p, "/data/f.dat", make([]byte, pm.TransferSize)); err != nil {
 				return err
 			}
 			reads = w.ClientOps().Diff(base).Get("read")
@@ -229,6 +229,7 @@ func Ablations(pm Params) (*stats.Table, error) {
 				if err := w.NS.Mkdir(p, pmv.Andrew.DstDir, 0o755); err != nil {
 					return err
 				}
+				buf := make([]byte, pmv.Andrew.ChunkSize)
 				for d := 0; d < pmv.Andrew.Dirs; d++ {
 					if err := w.NS.Mkdir(p, fmt.Sprintf("%s/dir%02d", pmv.Andrew.DstDir, d), 0o755); err != nil {
 						return err
@@ -236,7 +237,7 @@ func Ablations(pm Params) (*stats.Table, error) {
 					for f := 0; f < pmv.Andrew.FilesPerDir; f++ {
 						src := fmt.Sprintf("%s/dir%02d/f%02d.c", pmv.Andrew.SrcDir, d, f)
 						dst := fmt.Sprintf("%s/dir%02d/f%02d.c", pmv.Andrew.DstDir, d, f)
-						if _, err := w.NS.CopyFile(p, src, dst, pmv.Andrew.ChunkSize); err != nil {
+						if _, err := w.NS.CopyFile(p, src, dst, buf); err != nil {
 							return err
 						}
 					}
@@ -278,18 +279,19 @@ func Ablations(pm Params) (*stats.Table, error) {
 			if err != nil {
 				return err
 			}
+			buf := make([]byte, pm.TransferSize)
 			var off int64
 			for {
-				data, err := f.ReadAt(p, off, pm.TransferSize)
+				n, err := f.ReadInto(p, buf, off)
 				if err != nil {
 					return err
 				}
-				if len(data) == 0 {
+				if n == 0 {
 					break
 				}
-				off += int64(len(data))
+				off += int64(n)
 				p.Sleep(10 * sim.Millisecond) // process the chunk
-				if len(data) < pm.TransferSize {
+				if n < len(buf) {
 					break
 				}
 			}

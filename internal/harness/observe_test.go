@@ -34,7 +34,7 @@ func TestViolationTriggersFlightDump(t *testing.T) {
 		if err := w.NS.WriteFile(p, "/data/victim", 16*1024, 8192); err != nil {
 			return err
 		}
-		if _, err := w.NS.ReadFile(p, "/data/victim", 8192); err != nil {
+		if _, err := w.NS.ReadFile(p, "/data/victim", make([]byte, 8192)); err != nil {
 			return err
 		}
 		f, err := rogueNS.Open(p, "/data/victim", vfs.WriteOnly, 0)
@@ -51,7 +51,7 @@ func TestViolationTriggersFlightDump(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		_, err = w.NS.ReadFile(p, "/data/victim", 8192)
+		_, err = w.NS.ReadFile(p, "/data/victim", make([]byte, 8192))
 		return err
 	})
 	if err == nil {

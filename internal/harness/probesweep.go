@@ -87,15 +87,16 @@ func probeRun(pr Proto, pm Params) (probes int64, stale, fresh int, err error) {
 		}
 		defer rf.Close(p)
 		base := readerOps("getattr")
+		buf := make([]byte, 4096)
 		for i := 0; i < 120; i++ {
 			p.Sleep(500 * sim.Millisecond)
-			data, err := rf.ReadAt(p, 0, 4096)
+			n, err := rf.ReadInto(p, buf, 0)
 			if err != nil {
 				return err
 			}
 			got := uint32(0)
-			if len(data) >= 4 {
-				got = binary.BigEndian.Uint32(data)
+			if n >= 4 {
+				got = binary.BigEndian.Uint32(buf)
 			}
 			if got == version {
 				fresh++

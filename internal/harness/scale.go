@@ -98,6 +98,7 @@ func SustainableClients(pts []ScalePoint, maxSlowdown float64) int {
 // the common case the protocols are built for).
 func scaleWorkload(p *sim.Proc, ns *vfs.Namespace, dir string, pm Params) error {
 	chunk := pm.TransferSize
+	buf := make([]byte, chunk)
 	if err := ns.Mkdir(p, dir, 0o755); err != nil {
 		return err
 	}
@@ -105,7 +106,7 @@ func scaleWorkload(p *sim.Proc, ns *vfs.Namespace, dir string, pm Params) error 
 		return err
 	}
 	for i := 0; i < 6; i++ {
-		if _, err := ns.ReadFile(p, dir+"/hdr.h", chunk); err != nil {
+		if _, err := ns.ReadFile(p, dir+"/hdr.h", buf); err != nil {
 			return err
 		}
 		p.Sleep(500 * sim.Millisecond) // compute
@@ -113,7 +114,7 @@ func scaleWorkload(p *sim.Proc, ns *vfs.Namespace, dir string, pm Params) error 
 		if err := ns.WriteFile(p, tmp, 24*1024, chunk); err != nil {
 			return err
 		}
-		if _, err := ns.ReadFile(p, tmp, chunk); err != nil {
+		if _, err := ns.ReadFile(p, tmp, buf); err != nil {
 			return err
 		}
 		if err := ns.Remove(p, tmp); err != nil {

@@ -69,7 +69,7 @@ func touch(p *sim.Proc, nss []*vfs.Namespace, dirs []string, pm Params) error {
 			if err := ns.WriteFile(p, path, 12*1024, pm.TransferSize); err != nil {
 				return err
 			}
-			if _, err := ns.ReadFile(p, path, pm.TransferSize); err != nil {
+			if _, err := ns.ReadFile(p, path, make([]byte, pm.TransferSize)); err != nil {
 				return err
 			}
 			ns.SyncAll(p)

@@ -91,6 +91,7 @@ func RunWriteShare(pr Proto, pm Params) (WriteShareResult, error) {
 		}
 		base := readerOps()
 		var latency sim.Duration
+		buf := make([]byte, blockLen)
 		p.Sleep(pollPeriod / 2)
 		for i := 0; i < polls; i++ {
 			p.Sleep(pollPeriod)
@@ -101,10 +102,11 @@ func RunWriteShare(pr Proto, pm Params) (WriteShareResult, error) {
 			// e.g. locking). Anything older is a stale read.
 			tagBefore := currentTag
 			before := p.Now()
-			data, err := rf.ReadAt(p, 0, blockLen)
+			n, err := rf.ReadInto(p, buf, 0)
 			if err != nil {
 				return err
 			}
+			data := buf[:n]
 			latency += p.Now().Sub(before)
 			res.Reads++
 			if !bytes.Equal(data, tagBlock(tagBefore)) && !bytes.Equal(data, tagBlock(tagBefore+1)) {

@@ -11,8 +11,6 @@
 package localmount
 
 import (
-	"bytes"
-
 	"spritelynfs/internal/localfs"
 	"spritelynfs/internal/proto"
 	"spritelynfs/internal/sim"
@@ -275,14 +273,20 @@ type file struct {
 	ino uint64
 }
 
-// ReadAt implements vfs.File.
-func (fl *file) ReadAt(p *sim.Proc, off int64, n int) ([]byte, error) {
-	data, err := fl.fs.media.ReadAt(p, fl.ino, off, n)
+// ReadInto implements vfs.File.
+func (fl *file) ReadInto(p *sim.Proc, b []byte, off int64) (int, error) {
+	data, err := fl.fs.media.ReadAt(p, fl.ino, off, len(b))
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	// data is a view of the file; the application owns its bytes.
-	return bytes.Clone(data), nil
+	// data is a view of the file; the application gets a copy in b.
+	return copy(b, data), nil
+}
+
+// ReadAt implements vfs.File; it stays only for bench/probes.go, until
+// ROADMAP's benchmark item (vi).
+func (fl *file) ReadAt(p *sim.Proc, off int64, n int) ([]byte, error) {
+	return vfs.ReadAt(p, fl, off, n)
 }
 
 // WriteAt implements vfs.File with the delayed-write policy.

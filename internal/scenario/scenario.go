@@ -204,6 +204,9 @@ func Run(pr harness.Proto, pm harness.Params, cfg Config) (Result, error) {
 			fc := f.Client(c)
 			gen := workload.NewGen(pm.Seed, c, cfg.Gen)
 			task := k.NewTask(string(fc.Name))
+			// The client's read buffer: one op is in flight per client,
+			// so its reads share one chunk, allocated on the first.
+			var buf []byte
 			i := 0
 			var step func()
 			step = func() {
@@ -220,7 +223,7 @@ func Run(pr harness.Proto, pm harness.Params, cfg Config) (Result, error) {
 				task.After(op.Think, func() {
 					start := k.Now()
 					f.Exec.Submit(task.BeginOp(), func(wp *sim.Proc) {
-						if err := execOp(wp, f, c, cfg, op); err != nil {
+						if err := execOp(wp, f, c, cfg, op, &buf); err != nil {
 							res.Errors++
 						}
 					}, func() {
@@ -277,8 +280,8 @@ func sharedPath(i int) string { return fmt.Sprintf("/data/s%05d", i) }
 func privatePath(c, i int) string { return fmt.Sprintf("/data/c%04d-p%d", c, i) }
 
 // execOp runs one generated op against client c's namespace on a pooled
-// process.
-func execOp(p *sim.Proc, f *harness.Fleet, c int, cfg Config, op workload.Op) error {
+// process; a read goes through *buf, the client's, allocating it first.
+func execOp(p *sim.Proc, f *harness.Fleet, c int, cfg Config, op workload.Op, buf *[]byte) error {
 	fc := f.Client(c)
 	var path string
 	if op.Shared {
@@ -287,7 +290,10 @@ func execOp(p *sim.Proc, f *harness.Fleet, c int, cfg Config, op workload.Op) er
 		path = privatePath(c, op.File)
 	}
 	if op.Kind == workload.OpRead {
-		_, err := fc.NS.ReadFile(p, path, cfg.ChunkBytes)
+		if *buf == nil {
+			*buf = make([]byte, cfg.ChunkBytes)
+		}
+		_, err := fc.NS.ReadFile(p, path, *buf)
 		return err
 	}
 	return fc.NS.WriteFile(p, path, cfg.FileBytes, cfg.ChunkBytes)

@@ -70,10 +70,25 @@ type FS interface {
 
 // File is an open file.
 type File interface {
-	// ReadAt reads up to n bytes at off; a short or empty result means
-	// end of file.
+	// ReadInto reads up to len(b) bytes at off into b and returns the
+	// count: the one read path, as read(2) copies from the block cache
+	// into a buffer the process owns (io.ReaderAt's shape, with the
+	// process). n < len(b) with a nil error means end of file; at or
+	// past it, n is 0. The caller owns b: an implementation does not
+	// keep it and fills it with copies, so writing into b afterwards
+	// reaches no cache and no file, and a later write to the file does
+	// not change b.
+	ReadInto(p *sim.Proc, b []byte, off int64) (int, error)
+	// ReadAt reads up to n bytes at off into a fresh buffer; a short or
+	// empty result means end of file. Every implementation is one call
+	// of the package's ReadAt over its ReadInto. It stays only for
+	// bench/probes.go, until ROADMAP's benchmark item (vi) moves that
+	// probe onto ReadInto.
 	ReadAt(p *sim.Proc, off int64, n int) ([]byte, error)
-	// WriteAt writes data at off.
+	// WriteAt writes data at off. It neither writes into data nor keeps
+	// it past the call: the file and any cache take copies, so the
+	// caller may reuse data, or share one read-only buffer among many
+	// writes.
 	WriteAt(p *sim.Proc, off int64, data []byte) (int, error)
 	// Close releases the open; for NFS this is where pending writes
 	// are synchronously flushed.
@@ -82,6 +97,18 @@ type File interface {
 	Sync(p *sim.Proc) error
 	// Attr returns current attributes.
 	Attr(p *sim.Proc) (proto.Fattr, error)
+}
+
+// ReadAt runs f.ReadInto on a fresh n-byte buffer and returns the bytes
+// read, nil on error: File.ReadAt's old shape, kept only for
+// bench/probes.go until ROADMAP's benchmark item (vi).
+func ReadAt(p *sim.Proc, f File, off int64, n int) ([]byte, error) {
+	b := make([]byte, n)
+	m, err := f.ReadInto(p, b, off)
+	if err != nil {
+		return nil, err
+	}
+	return b[:m], nil
 }
 
 // SplitPath breaks an FS-relative slash path into components; empty and
@@ -269,8 +296,17 @@ func (ns *Namespace) SyncAll(p *sim.Proc) {
 
 // ---- convenience helpers used heavily by workloads ----
 
-// WriteFile creates (truncating) path and writes data through it in
-// chunkSize pieces, then closes.
+// zeroChunk is the read-only chunk WriteFile writes from, shared by every
+// call: WriteAt neither writes into nor keeps what it is handed.
+var zeroChunk [64 << 10]byte
+
+// errEmptyBuffer refuses a whole-file read through an empty buffer, which
+// would make no progress.
+var errEmptyBuffer = errors.New("vfs: empty read buffer")
+
+// WriteFile creates (truncating) path and writes size zero bytes through
+// it in chunkSize pieces, then closes. Chunks up to 64 KiB come from one
+// shared zero chunk; a larger chunk allocates its own.
 func (ns *Namespace) WriteFile(p *sim.Proc, path string, size int, chunkSize int) error {
 	f, err := ns.Open(p, path, WriteOnly|Create|Truncate, 0o644)
 	if err != nil {
@@ -279,7 +315,10 @@ func (ns *Namespace) WriteFile(p *sim.Proc, path string, size int, chunkSize int
 	if chunkSize <= 0 {
 		chunkSize = 8192
 	}
-	buf := make([]byte, chunkSize)
+	buf := zeroChunk[:]
+	if chunkSize > len(buf) {
+		buf = make([]byte, chunkSize)
+	}
 	off := int64(0)
 	for remaining := size; remaining > 0; {
 		n := chunkSize
@@ -296,33 +335,38 @@ func (ns *Namespace) WriteFile(p *sim.Proc, path string, size int, chunkSize int
 	return f.Close(p)
 }
 
-// ReadFile opens path and reads it sequentially to the end in chunkSize
-// pieces, returning the number of bytes read.
-func (ns *Namespace) ReadFile(p *sim.Proc, path string, chunkSize int) (int64, error) {
+// ReadFile opens path and reads it sequentially to the end through buf,
+// len(buf) bytes at a time, returning the number of bytes read. buf is
+// the caller's, reused across calls; it holds the file's last chunk.
+func (ns *Namespace) ReadFile(p *sim.Proc, path string, buf []byte) (int64, error) {
+	if len(buf) == 0 {
+		return 0, errEmptyBuffer
+	}
 	f, err := ns.Open(p, path, ReadOnly, 0)
 	if err != nil {
 		return 0, err
 	}
-	if chunkSize <= 0 {
-		chunkSize = 8192
-	}
 	var off int64
 	for {
-		data, err := f.ReadAt(p, off, chunkSize)
+		n, err := f.ReadInto(p, buf, off)
 		if err != nil {
 			f.Close(p)
 			return off, err
 		}
-		off += int64(len(data))
-		if len(data) < chunkSize {
+		off += int64(n)
+		if n < len(buf) {
 			break
 		}
 	}
 	return off, f.Close(p)
 }
 
-// CopyFile reads src and writes it to dst in chunkSize pieces.
-func (ns *Namespace) CopyFile(p *sim.Proc, src, dst string, chunkSize int) (int64, error) {
+// CopyFile reads src and writes it to dst through buf, len(buf) bytes at
+// a time.
+func (ns *Namespace) CopyFile(p *sim.Proc, src, dst string, buf []byte) (int64, error) {
+	if len(buf) == 0 {
+		return 0, errEmptyBuffer
+	}
 	in, err := ns.Open(p, src, ReadOnly, 0)
 	if err != nil {
 		return 0, err
@@ -332,27 +376,24 @@ func (ns *Namespace) CopyFile(p *sim.Proc, src, dst string, chunkSize int) (int6
 		in.Close(p)
 		return 0, err
 	}
-	if chunkSize <= 0 {
-		chunkSize = 8192
-	}
 	var off int64
 	for {
-		data, err := in.ReadAt(p, off, chunkSize)
+		n, err := in.ReadInto(p, buf, off)
 		if err != nil {
 			in.Close(p)
 			out.Close(p)
 			return off, err
 		}
-		if len(data) == 0 {
+		if n == 0 {
 			break
 		}
-		if _, err := out.WriteAt(p, off, data); err != nil {
+		if _, err := out.WriteAt(p, off, buf[:n]); err != nil {
 			in.Close(p)
 			out.Close(p)
 			return off, err
 		}
-		off += int64(len(data))
-		if len(data) < chunkSize {
+		off += int64(n)
+		if n < len(buf) {
 			break
 		}
 	}

@@ -176,6 +176,9 @@ func RunAndrew(p *sim.Proc, ns *vfs.Namespace, cfg AndrewConfig) (AndrewResult, 
 	var res AndrewResult
 	start := p.Now()
 	mark := start
+	// One read buffer serves every read of the run, as a process reuses
+	// its own buffer across read(2) calls.
+	buf := chunkBuf(cfg.ChunkSize)
 
 	phase := func(i int, fn func() error) error {
 		if err := fn(); err != nil {
@@ -210,7 +213,7 @@ func RunAndrew(p *sim.Proc, ns *vfs.Namespace, cfg AndrewConfig) (AndrewResult, 
 			for f := 0; f < cfg.FilesPerDir; f++ {
 				src := cfg.fileName(cfg.SrcDir, d, f)
 				dst := cfg.fileName(cfg.DstDir, d, f)
-				if _, err := ns.CopyFile(p, src, dst, cfg.ChunkSize); err != nil {
+				if _, err := ns.CopyFile(p, src, dst, buf); err != nil {
 					return err
 				}
 			}
@@ -249,7 +252,7 @@ func RunAndrew(p *sim.Proc, ns *vfs.Namespace, cfg AndrewConfig) (AndrewResult, 
 	err = phase(3, func() error {
 		for d := 0; d < cfg.Dirs; d++ {
 			for f := 0; f < cfg.FilesPerDir; f++ {
-				if _, err := ns.ReadFile(p, cfg.fileName(cfg.DstDir, d, f), cfg.ChunkSize); err != nil {
+				if _, err := ns.ReadFile(p, cfg.fileName(cfg.DstDir, d, f), buf); err != nil {
 					return err
 				}
 			}
@@ -273,7 +276,7 @@ func RunAndrew(p *sim.Proc, ns *vfs.Namespace, cfg AndrewConfig) (AndrewResult, 
 		objTotal := 0
 		for d := 0; d < cfg.Dirs; d++ {
 			for f := 0; f < cfg.FilesPerDir; f++ {
-				objSize, err := cfg.CompileOne(p, ns, d, f)
+				objSize, err := cfg.CompileOne(p, ns, d, f, buf)
 				if err != nil {
 					return err
 				}
@@ -282,13 +285,13 @@ func RunAndrew(p *sim.Proc, ns *vfs.Namespace, cfg AndrewConfig) (AndrewResult, 
 		}
 		// Link: exec ld, read every object, compute, write the
 		// executable.
-		if _, err := ns.ReadFile(p, cfg.linkerName(), cfg.ChunkSize); err != nil {
+		if _, err := ns.ReadFile(p, cfg.linkerName(), buf); err != nil {
 			return err
 		}
 		for d := 0; d < cfg.Dirs; d++ {
 			for f := 0; f < cfg.FilesPerDir; f++ {
 				obj := fmt.Sprintf("%s/dir%02d/f%02d.o", cfg.DstDir, d, f)
-				if _, err := ns.ReadFile(p, obj, cfg.ChunkSize); err != nil {
+				if _, err := ns.ReadFile(p, obj, buf); err != nil {
 					return err
 				}
 			}
@@ -306,9 +309,9 @@ func RunAndrew(p *sim.Proc, ns *vfs.Namespace, cfg AndrewConfig) (AndrewResult, 
 
 // CompileOne runs the modelled compiler pipeline for one source file
 // (cpp: source+headers -> /tmp .i; ccom: .i -> /tmp .s; as: .s -> .o)
-// and returns the object size. It is the unit the parallel-make
-// experiment fans out.
-func (cfg *AndrewConfig) CompileOne(p *sim.Proc, ns *vfs.Namespace, d, f int) (int, error) {
+// and returns the object size, reading through buf, the caller's. It is
+// the unit the parallel-make experiment fans out.
+func (cfg *AndrewConfig) CompileOne(p *sim.Proc, ns *vfs.Namespace, d, f int, buf []byte) (int, error) {
 	size := cfg.fileSize(d, f)
 	cpu := func(frac float64) {
 		d := sim.Duration(frac * float64(cfg.CompileCPUPerKB) * float64(size) / 1024)
@@ -322,14 +325,14 @@ func (cfg *AndrewConfig) CompileOne(p *sim.Proc, ns *vfs.Namespace, d, f int) (i
 		if pass >= len(cfg.BinSizes) {
 			return nil
 		}
-		_, err := ns.ReadFile(p, cfg.binName(pass), cfg.ChunkSize)
+		_, err := ns.ReadFile(p, cfg.binName(pass), buf)
 		return err
 	}
 	// cpp: exec the pass, read source + headers, write the .i.
 	if err := exec(0); err != nil {
 		return 0, err
 	}
-	if _, err := ns.ReadFile(p, cfg.fileName(cfg.DstDir, d, f), cfg.ChunkSize); err != nil {
+	if _, err := ns.ReadFile(p, cfg.fileName(cfg.DstDir, d, f), buf); err != nil {
 		return 0, err
 	}
 	headerBytes := 0
@@ -338,7 +341,7 @@ func (cfg *AndrewConfig) CompileOne(p *sim.Proc, ns *vfs.Namespace, d, f int) (i
 		if i > 0 {
 			h = (d*cfg.FilesPerDir + f*i) % cfg.Headers
 		}
-		if _, err := ns.ReadFile(p, cfg.headerName(h), cfg.ChunkSize); err != nil {
+		if _, err := ns.ReadFile(p, cfg.headerName(h), buf); err != nil {
 			return 0, err
 		}
 		headerBytes += cfg.HeaderSize
@@ -352,7 +355,7 @@ func (cfg *AndrewConfig) CompileOne(p *sim.Proc, ns *vfs.Namespace, d, f int) (i
 	if err := exec(1); err != nil {
 		return 0, err
 	}
-	if _, err := ns.ReadFile(p, tmpI, cfg.ChunkSize); err != nil {
+	if _, err := ns.ReadFile(p, tmpI, buf); err != nil {
 		return 0, err
 	}
 	cpu(0.6)
@@ -367,7 +370,7 @@ func (cfg *AndrewConfig) CompileOne(p *sim.Proc, ns *vfs.Namespace, d, f int) (i
 	if err := exec(2); err != nil {
 		return 0, err
 	}
-	if _, err := ns.ReadFile(p, tmpS, cfg.ChunkSize); err != nil {
+	if _, err := ns.ReadFile(p, tmpS, buf); err != nil {
 		return 0, err
 	}
 	cpu(0.2)
@@ -380,6 +383,15 @@ func (cfg *AndrewConfig) CompileOne(p *sim.Proc, ns *vfs.Namespace, d, f int) (i
 		return 0, err
 	}
 	return objSize, nil
+}
+
+// chunkBuf returns a read buffer of chunk bytes, 8 KiB when chunk is not
+// positive.
+func chunkBuf(chunk int) []byte {
+	if chunk <= 0 {
+		chunk = 8192
+	}
+	return make([]byte, chunk)
 }
 
 // ParallelMake runs the Make phase's compiles with nprocs concurrent
@@ -413,12 +425,13 @@ func ParallelMake(p *sim.Proc, ns *vfs.Namespace, cfg AndrewConfig, nprocs int) 
 		i := i
 		k.Go(fmt.Sprintf("make-j%d", i), func(wp *sim.Proc) {
 			defer wg.Done()
+			buf := chunkBuf(cfg.ChunkSize) // each worker reads through its own
 			for {
 				j, ok := queue.TryGet()
 				if !ok {
 					return
 				}
-				if _, err := cfg.CompileOne(wp, ns, j.d, j.f); err != nil {
+				if _, err := cfg.CompileOne(wp, ns, j.d, j.f, buf); err != nil {
 					errs[i] = err
 					return
 				}

@@ -76,6 +76,7 @@ func RunSort(p *sim.Proc, ns *vfs.Namespace, cfg SortConfig) (SortResult, error)
 	var runSizes []int
 	off := int64(0)
 	seq := 0
+	buf := chunkBuf(cfg.ChunkSize)
 	for remaining := cfg.InputSize; remaining > 0; {
 		n := cfg.MemBuffer
 		if remaining < n {
@@ -83,20 +84,20 @@ func RunSort(p *sim.Proc, ns *vfs.Namespace, cfg SortConfig) (SortResult, error)
 		}
 		// Read one buffer.
 		for got := 0; got < n; {
-			c := cfg.ChunkSize
+			c := len(buf)
 			if n-got < c {
 				c = n - got
 			}
-			data, err := in.ReadAt(p, off, c)
+			m, err := in.ReadInto(p, buf[:c], off)
 			if err != nil {
 				in.Close(p)
 				return res, err
 			}
-			if len(data) == 0 {
+			if m == 0 {
 				break
 			}
-			got += len(data)
-			off += int64(len(data))
+			got += m
+			off += int64(m)
 		}
 		compute(n)
 		name := fmt.Sprintf("%s/st%04d", cfg.TmpDir, seq)
@@ -164,7 +165,7 @@ func RunSort(p *sim.Proc, ns *vfs.Namespace, cfg SortConfig) (SortResult, error)
 	}
 	if len(runs) == 1 && runs[0] != cfg.OutputPath {
 		// Single initial run: copy it to the output.
-		if _, err := ns.CopyFile(p, runs[0], cfg.OutputPath, cfg.ChunkSize); err != nil {
+		if _, err := ns.CopyFile(p, runs[0], cfg.OutputPath, buf); err != nil {
 			return res, err
 		}
 		if err := ns.Remove(p, runs[0]); err != nil {
@@ -198,24 +199,25 @@ func mergeGroup(p *sim.Proc, ns *vfs.Namespace, cfg SortConfig, group []string, 
 	remaining := make([]int, len(group))
 	copy(remaining, sizes)
 	active := len(group)
-	buf := make([]byte, cfg.ChunkSize)
+	// One buffer: each chunk is read into it and written out from it.
+	buf := chunkBuf(cfg.ChunkSize)
 	for active > 0 {
 		for i := range files {
 			if remaining[i] <= 0 {
 				continue
 			}
-			c := cfg.ChunkSize
+			c := len(buf)
 			if remaining[i] < c {
 				c = remaining[i]
 			}
-			data, err := files[i].ReadAt(p, offsets[i], c)
+			n, err := files[i].ReadInto(p, buf[:c], offsets[i])
 			if err != nil {
 				closeAll(p, files, out)
 				return err
 			}
-			n := len(data)
 			if n == 0 {
 				n = c // sparse temp files read as zeros
+				clear(buf[:n])
 			}
 			offsets[i] += int64(n)
 			remaining[i] -= n

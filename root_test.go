@@ -52,7 +52,7 @@ func TestPublicAPIMultiClient(t *testing.T) {
 		if err := world.NS.WriteFile(p, "/data/x", 10000, 8192); err != nil {
 			return err
 		}
-		n, err := otherNS.ReadFile(p, "/data/x", 8192)
+		n, err := otherNS.ReadFile(p, "/data/x", make([]byte, 8192))
 		if err != nil {
 			return err
 		}

@@ -15,7 +15,8 @@
 //	    if err := world.NS.WriteFile(p, "/data/hello", 4096, 8192); err != nil {
 //	        return err
 //	    }
-//	    _, err := world.NS.ReadFile(p, "/data/hello", 8192)
+//	    buf := make([]byte, 8192) // the caller's read buffer, reused per chunk
+//	    _, err := world.NS.ReadFile(p, "/data/hello", buf)
 //	    return err
 //	})
 //
