@@ -6,13 +6,19 @@
 // what the delayed-write policies (30-second sync, age-based write-back,
 // infinite delay) and the delete-before-writeback optimization operate on.
 //
+// As in the Unix buffer pool, every block carries its own links: one pair
+// places it in the cache's LRU list, the other in its file's chain. So a
+// resident block costs one object, and moving it, dropping it or walking a
+// file's blocks allocates nothing.
+//
 // The cache is a passive data structure: eviction returns any displaced
 // dirty blocks to the caller, which decides how (and in which simulated
 // process) to write them back.
 package cache
 
 import (
-	"container/list"
+	"cmp"
+	"slices"
 
 	"spritelynfs/internal/sim"
 )
@@ -43,6 +49,12 @@ type Block struct {
 	// Frozen means Data aliases bytes someone else holds (a delivered
 	// reply image, a write-back in flight): copy before writing.
 	Frozen bool
+
+	// prev and next link the block into the cache's LRU list, next toward
+	// the least recently used; filePrev and fileNext into its file's
+	// chain. All four are nil once the block has left the cache.
+	prev, next         *Block
+	filePrev, fileNext *Block
 }
 
 // Stats counts cache activity.
@@ -58,11 +70,14 @@ type Stats struct {
 // Cache is a fixed-capacity LRU block cache.
 type Cache struct {
 	capacity int // maximum resident blocks; <=0 means unbounded
-	blocks   map[Key]*list.Element
-	lru      *list.List // front = most recent
-	perFile  map[fileKey]map[int64]*list.Element
-	ndirty   int
-	stats    Stats
+	blocks   map[Key]*Block
+	// lru is the list's sentinel: lru.next is the most recently used
+	// block, lru.prev the least.
+	lru Block
+	// perFile maps a file to the head of its chain of resident blocks.
+	perFile map[fileKey]*Block
+	ndirty  int
+	stats   Stats
 }
 
 type fileKey struct {
@@ -73,19 +88,20 @@ type fileKey struct {
 // New returns a cache holding at most capacity blocks (unbounded if
 // capacity <= 0).
 func New(capacity int) *Cache {
-	return &Cache{
+	c := &Cache{
 		capacity: capacity,
-		blocks:   make(map[Key]*list.Element),
-		lru:      list.New(),
-		perFile:  make(map[fileKey]map[int64]*list.Element),
+		blocks:   make(map[Key]*Block),
+		perFile:  make(map[fileKey]*Block),
 	}
+	c.lru.next, c.lru.prev = &c.lru, &c.lru
+	return c
 }
 
 // Stats returns a snapshot of the counters.
 func (c *Cache) Stats() Stats { return c.stats }
 
 // Len reports the number of resident blocks.
-func (c *Cache) Len() int { return c.lru.Len() }
+func (c *Cache) Len() int { return len(c.blocks) }
 
 // DirtyCount reports the number of dirty resident blocks.
 func (c *Cache) DirtyCount() int { return c.ndirty }
@@ -93,14 +109,14 @@ func (c *Cache) DirtyCount() int { return c.ndirty }
 // Lookup returns the block for key if resident, updating recency and the
 // hit/miss counters.
 func (c *Cache) Lookup(key Key) (*Block, bool) {
-	el, ok := c.blocks[key]
+	b, ok := c.blocks[key]
 	if !ok {
 		c.stats.Misses++
 		return nil, false
 	}
 	c.stats.Hits++
-	c.lru.MoveToFront(el)
-	return el.Value.(*Block), true
+	c.moveToFront(b)
+	return b, true
 }
 
 // Contains reports residency without touching recency or counters.
@@ -114,39 +130,35 @@ func (c *Cache) Contains(key Key) bool {
 // The returned block pointer is the resident block, whose fields (Dirty,
 // Data) the caller may update in place.
 func (c *Cache) Insert(key Key, data []byte, length int) (*Block, []*Block) {
-	if el, ok := c.blocks[key]; ok {
-		b := el.Value.(*Block)
+	if b, ok := c.blocks[key]; ok {
 		b.Data, b.Frozen = data, false
 		if length > b.Len {
 			b.Len = length
 		}
-		c.lru.MoveToFront(el)
+		c.moveToFront(b)
 		return b, nil
 	}
 	b := &Block{Key: key, Data: data, Len: length}
-	el := c.lru.PushFront(b)
-	c.blocks[key] = el
+	c.blocks[key] = b
+	c.pushFront(b)
 	fk := fileKey{key.FS, key.Ino}
-	m := c.perFile[fk]
-	if m == nil {
-		m = make(map[int64]*list.Element)
-		c.perFile[fk] = m
+	if head := c.perFile[fk]; head != nil {
+		head.filePrev, b.fileNext = b, head
 	}
-	m[key.Block] = el
+	c.perFile[fk] = b
 
 	var evicted []*Block
-	for c.capacity > 0 && c.lru.Len() > c.capacity {
-		back := c.lru.Back()
-		if back == el {
+	for c.capacity > 0 && len(c.blocks) > c.capacity {
+		back := c.lru.prev
+		if back == b {
 			break // never evict the block just inserted
 		}
-		vb := back.Value.(*Block)
 		c.remove(back)
 		c.stats.Evictions++
-		if vb.Dirty {
+		if back.Dirty {
 			c.stats.DirtyEvict++
 		}
-		evicted = append(evicted, vb)
+		evicted = append(evicted, back)
 	}
 	return b, evicted
 }
@@ -154,11 +166,10 @@ func (c *Cache) Insert(key Key, data []byte, length int) (*Block, []*Block) {
 // MarkDirty marks the resident block dirty, recording now as its dirty
 // time if it was clean. It reports whether the block was resident.
 func (c *Cache) MarkDirty(key Key, now sim.Time) bool {
-	el, ok := c.blocks[key]
+	b, ok := c.blocks[key]
 	if !ok {
 		return false
 	}
-	b := el.Value.(*Block)
 	b.Gen++
 	if !b.Dirty {
 		b.Dirty = true
@@ -170,12 +181,9 @@ func (c *Cache) MarkDirty(key Key, now sim.Time) bool {
 
 // MarkClean clears the dirty bit after a successful write-back.
 func (c *Cache) MarkClean(key Key) {
-	if el, ok := c.blocks[key]; ok {
-		b := el.Value.(*Block)
-		if b.Dirty {
-			b.Dirty = false
-			c.ndirty--
-		}
+	if b, ok := c.blocks[key]; ok && b.Dirty {
+		b.Dirty = false
+		c.ndirty--
 	}
 }
 
@@ -183,23 +191,41 @@ func (c *Cache) MarkClean(key Key) {
 // stays dirty if it was written again after generation gen was sent, for
 // that newer data is still owed to the server.
 func (c *Cache) MarkCleanIf(key Key, gen uint64) {
-	if el, ok := c.blocks[key]; ok && el.Value.(*Block).Gen == gen {
+	if b, ok := c.blocks[key]; ok && b.Gen == gen {
 		c.MarkClean(key)
 	}
 }
 
-// remove unlinks el from every index. It does not touch stats.
-func (c *Cache) remove(el *list.Element) {
-	b := el.Value.(*Block)
-	c.lru.Remove(el)
-	delete(c.blocks, b.Key)
-	fk := fileKey{b.Key.FS, b.Key.Ino}
-	if m, ok := c.perFile[fk]; ok {
-		delete(m, b.Key.Block)
-		if len(m) == 0 {
-			delete(c.perFile, fk)
-		}
+func (c *Cache) pushFront(b *Block) {
+	b.prev, b.next = &c.lru, c.lru.next
+	c.lru.next.prev = b
+	c.lru.next = b
+}
+
+func (c *Cache) moveToFront(b *Block) {
+	if c.lru.next == b {
+		return
 	}
+	b.prev.next, b.next.prev = b.next, b.prev
+	c.pushFront(b)
+}
+
+// remove unlinks b from every index. It does not touch stats.
+func (c *Cache) remove(b *Block) {
+	b.prev.next, b.next.prev = b.next, b.prev
+	delete(c.blocks, b.Key)
+	if b.fileNext != nil {
+		b.fileNext.filePrev = b.filePrev
+	}
+	switch fk := (fileKey{b.Key.FS, b.Key.Ino}); {
+	case b.filePrev != nil:
+		b.filePrev.fileNext = b.fileNext
+	case b.fileNext != nil:
+		c.perFile[fk] = b.fileNext // b was the head
+	default:
+		delete(c.perFile, fk) // b was the file's only block
+	}
+	b.prev, b.next, b.filePrev, b.fileNext = nil, nil, nil, nil
 	if b.Dirty {
 		c.ndirty--
 	}
@@ -208,15 +234,11 @@ func (c *Cache) remove(el *list.Element) {
 // FileBlocks returns the resident blocks of one file in ascending block
 // order.
 func (c *Cache) FileBlocks(fs uint32, ino uint64) []*Block {
-	m := c.perFile[fileKey{fs, ino}]
-	if len(m) == 0 {
-		return nil
+	var out []*Block
+	for b := c.perFile[fileKey{fs, ino}]; b != nil; b = b.fileNext {
+		out = append(out, b)
 	}
-	out := make([]*Block, 0, len(m))
-	for _, el := range m {
-		out = append(out, el.Value.(*Block))
-	}
-	sortBlocks(out)
+	slices.SortFunc(out, byKey)
 	return out
 }
 
@@ -224,12 +246,27 @@ func (c *Cache) FileBlocks(fs uint32, ino uint64) []*Block {
 // block order.
 func (c *Cache) DirtyBlocks(fs uint32, ino uint64) []*Block {
 	var out []*Block
-	for _, b := range c.FileBlocks(fs, ino) {
+	for b := c.perFile[fileKey{fs, ino}]; b != nil; b = b.fileNext {
 		if b.Dirty {
 			out = append(out, b)
 		}
 	}
+	slices.SortFunc(out, byKey)
 	return out
+}
+
+// HasDirty reports whether any resident block of the file is dirty,
+// without building the list DirtyBlocks returns.
+func (c *Cache) HasDirty(fs uint32, ino uint64) bool {
+	if c.ndirty == 0 {
+		return false
+	}
+	for b := c.perFile[fileKey{fs, ino}]; b != nil; b = b.fileNext {
+		if b.Dirty {
+			return true
+		}
+	}
+	return false
 }
 
 // DirtyOlderThan returns every dirty block whose DirtyAt is at or before
@@ -240,13 +277,12 @@ func (c *Cache) DirtyOlderThan(cutoff sim.Time) []*Block {
 		return nil
 	}
 	var out []*Block
-	for el := c.lru.Front(); el != nil; el = el.Next() {
-		b := el.Value.(*Block)
+	for b := c.lru.next; b != &c.lru; b = b.next {
 		if b.Dirty && b.DirtyAt <= cutoff {
 			out = append(out, b)
 		}
 	}
-	sortBlocksFull(out)
+	slices.SortFunc(out, byKey)
 	return out
 }
 
@@ -257,13 +293,12 @@ func (c *Cache) AllDirty() []*Block {
 		return nil
 	}
 	var out []*Block
-	for el := c.lru.Front(); el != nil; el = el.Next() {
-		b := el.Value.(*Block)
+	for b := c.lru.next; b != &c.lru; b = b.next {
 		if b.Dirty {
 			out = append(out, b)
 		}
 	}
-	sortBlocksFull(out)
+	slices.SortFunc(out, byKey)
 	return out
 }
 
@@ -272,15 +307,15 @@ func (c *Cache) AllDirty() []*Block {
 // cancelled (the delete-before-writeback path) — callers that must not
 // lose data should write dirty blocks back first.
 func (c *Cache) InvalidateFile(fs uint32, ino uint64) int {
-	m := c.perFile[fileKey{fs, ino}]
 	n := 0
-	for _, el := range m {
-		b := el.Value.(*Block)
+	for b := c.perFile[fileKey{fs, ino}]; b != nil; {
+		next := b.fileNext
 		if b.Dirty {
 			c.stats.Cancelled++
 		}
-		c.remove(el)
+		c.remove(b)
 		n++
+		b = next
 	}
 	c.stats.Invalidated += int64(n)
 	return n
@@ -291,10 +326,14 @@ func (c *Cache) InvalidateFile(fs uint32, ino uint64) int {
 // cancelled. Clean blocks stay resident.
 func (c *Cache) CancelDirty(fs uint32, ino uint64) int {
 	n := 0
-	for _, b := range c.DirtyBlocks(fs, ino) {
-		c.stats.Cancelled++
-		c.remove(c.blocks[b.Key])
-		n++
+	for b := c.perFile[fileKey{fs, ino}]; b != nil; {
+		next := b.fileNext
+		if b.Dirty {
+			c.stats.Cancelled++
+			c.remove(b)
+			n++
+		}
+		b = next
 	}
 	return n
 }
@@ -302,42 +341,30 @@ func (c *Cache) CancelDirty(fs uint32, ino uint64) int {
 // InvalidateAll empties the cache (client crash simulation), returning the
 // number of dropped blocks.
 func (c *Cache) InvalidateAll() int {
-	n := c.lru.Len()
-	for _, el := range c.blocks {
-		if el.Value.(*Block).Dirty {
+	n := len(c.blocks)
+	for b := c.lru.next; b != &c.lru; {
+		next := b.next
+		if b.Dirty {
 			c.stats.Cancelled++
 		}
+		b.prev, b.next, b.filePrev, b.fileNext = nil, nil, nil, nil
+		b = next
 	}
-	c.blocks = make(map[Key]*list.Element)
-	c.perFile = make(map[fileKey]map[int64]*list.Element)
-	c.lru.Init()
+	clear(c.blocks)
+	clear(c.perFile)
+	c.lru.next, c.lru.prev = &c.lru, &c.lru
 	c.ndirty = 0
 	c.stats.Invalidated += int64(n)
 	return n
 }
 
-func sortBlocks(bs []*Block) {
-	// Insertion sort: per-file block lists are short-lived and small.
-	for i := 1; i < len(bs); i++ {
-		for j := i; j > 0 && bs[j].Key.Block < bs[j-1].Key.Block; j-- {
-			bs[j], bs[j-1] = bs[j-1], bs[j]
-		}
+// byKey orders blocks by (fs, ino, block).
+func byKey(a, b *Block) int {
+	if a.Key.FS != b.Key.FS {
+		return cmp.Compare(a.Key.FS, b.Key.FS)
 	}
-}
-
-func sortBlocksFull(bs []*Block) {
-	less := func(a, b *Block) bool {
-		if a.Key.FS != b.Key.FS {
-			return a.Key.FS < b.Key.FS
-		}
-		if a.Key.Ino != b.Key.Ino {
-			return a.Key.Ino < b.Key.Ino
-		}
-		return a.Key.Block < b.Key.Block
+	if a.Key.Ino != b.Key.Ino {
+		return cmp.Compare(a.Key.Ino, b.Key.Ino)
 	}
-	for i := 1; i < len(bs); i++ {
-		for j := i; j > 0 && less(bs[j], bs[j-1]); j-- {
-			bs[j], bs[j-1] = bs[j-1], bs[j]
-		}
-	}
+	return cmp.Compare(a.Key.Block, b.Key.Block)
 }

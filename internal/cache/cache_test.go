@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"container/list"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -202,45 +204,384 @@ func TestInvalidateAll(t *testing.T) {
 	}
 }
 
-// Property: the dirty count always equals the number of blocks reporting
-// Dirty, and residency never exceeds capacity, across random operation
-// sequences.
+// TestCacheOpsAllocateNothing: a block carries its own LRU and file-chain
+// links, so every operation on resident blocks — and dropping a file —
+// allocates nothing, and a new block costs the Block itself and the slice
+// of what it evicted.
+func TestCacheOpsAllocateNothing(t *testing.T) {
+	const runs = 100
+	c := New(256)
+	for i := int64(0); i < 256; i++ {
+		c.Insert(key(1, i), nil, 4096)
+	}
+	i := int64(0)
+	next := func() Key { i = (i + 1) % 256; return key(1, i) }
+	for _, tc := range []struct {
+		name string
+		op   func()
+	}{
+		{"Lookup", func() { c.Lookup(next()) }},
+		{"MarkDirty", func() { c.MarkDirty(next(), 1) }},
+		{"MarkClean", func() { c.MarkClean(next()) }},
+		{"HasDirty", func() { c.HasDirty(1, 1) }},
+		{"re-Insert of a resident key", func() { c.Insert(next(), nil, 4096) }},
+	} {
+		if allocs := testing.AllocsPerRun(runs, tc.op); allocs != 0 {
+			t.Errorf("%s allocates %.0f objects, want 0", tc.name, allocs)
+		}
+	}
+
+	// One file per run, AllocsPerRun's warm-up included.
+	files := New(0)
+	for ino := uint64(0); ino <= runs; ino++ {
+		for blk := int64(0); blk < 4; blk++ {
+			files.Insert(key(ino, blk), nil, 4096)
+		}
+	}
+	ino := uint64(0)
+	if allocs := testing.AllocsPerRun(runs, func() {
+		files.InvalidateFile(1, ino)
+		ino++
+	}); allocs != 0 {
+		t.Errorf("InvalidateFile allocates %.0f objects, want 0", allocs)
+	}
+
+	fresh := int64(256)
+	if allocs := testing.AllocsPerRun(runs, func() {
+		fresh++
+		if _, ev := c.Insert(key(1, fresh), nil, 4096); len(ev) != 1 {
+			t.Fatalf("a new block in a full cache evicted %d", len(ev))
+		}
+	}); allocs > 2 {
+		t.Errorf("a new Insert into a full cache allocates %.0f objects, want at most 2 (the Block and the evicted slice)", allocs)
+	}
+}
+
+// refCache is the cache as it was before its blocks carried their own
+// links: a container/list LRU and a map per file. TestQuickInvariants
+// holds the intrusive cache to it.
+type refCache struct {
+	capacity int
+	blocks   map[Key]*list.Element
+	lru      *list.List // front = most recent
+	perFile  map[fileKey]map[int64]*list.Element
+	ndirty   int
+	stats    Stats
+}
+
+func newRefCache(capacity int) *refCache {
+	return &refCache{
+		capacity: capacity,
+		blocks:   make(map[Key]*list.Element),
+		lru:      list.New(),
+		perFile:  make(map[fileKey]map[int64]*list.Element),
+	}
+}
+
+func (c *refCache) Lookup(key Key) (*Block, bool) {
+	el, ok := c.blocks[key]
+	if !ok {
+		c.stats.Misses++
+		return nil, false
+	}
+	c.stats.Hits++
+	c.lru.MoveToFront(el)
+	return el.Value.(*Block), true
+}
+
+func (c *refCache) Insert(key Key, data []byte, length int) (*Block, []*Block) {
+	if el, ok := c.blocks[key]; ok {
+		b := el.Value.(*Block)
+		b.Data, b.Frozen = data, false
+		if length > b.Len {
+			b.Len = length
+		}
+		c.lru.MoveToFront(el)
+		return b, nil
+	}
+	b := &Block{Key: key, Data: data, Len: length}
+	el := c.lru.PushFront(b)
+	c.blocks[key] = el
+	fk := fileKey{key.FS, key.Ino}
+	m := c.perFile[fk]
+	if m == nil {
+		m = make(map[int64]*list.Element)
+		c.perFile[fk] = m
+	}
+	m[key.Block] = el
+	var evicted []*Block
+	for c.capacity > 0 && c.lru.Len() > c.capacity {
+		back := c.lru.Back()
+		if back == el {
+			break
+		}
+		vb := back.Value.(*Block)
+		c.remove(back)
+		c.stats.Evictions++
+		if vb.Dirty {
+			c.stats.DirtyEvict++
+		}
+		evicted = append(evicted, vb)
+	}
+	return b, evicted
+}
+
+func (c *refCache) MarkDirty(key Key, now sim.Time) bool {
+	el, ok := c.blocks[key]
+	if !ok {
+		return false
+	}
+	b := el.Value.(*Block)
+	b.Gen++
+	if !b.Dirty {
+		b.Dirty = true
+		b.DirtyAt = now
+		c.ndirty++
+	}
+	return true
+}
+
+func (c *refCache) MarkClean(key Key) {
+	if el, ok := c.blocks[key]; ok {
+		b := el.Value.(*Block)
+		if b.Dirty {
+			b.Dirty = false
+			c.ndirty--
+		}
+	}
+}
+
+func (c *refCache) MarkCleanIf(key Key, gen uint64) {
+	if el, ok := c.blocks[key]; ok && el.Value.(*Block).Gen == gen {
+		c.MarkClean(key)
+	}
+}
+
+func (c *refCache) remove(el *list.Element) {
+	b := el.Value.(*Block)
+	c.lru.Remove(el)
+	delete(c.blocks, b.Key)
+	fk := fileKey{b.Key.FS, b.Key.Ino}
+	if m, ok := c.perFile[fk]; ok {
+		delete(m, b.Key.Block)
+		if len(m) == 0 {
+			delete(c.perFile, fk)
+		}
+	}
+	if b.Dirty {
+		c.ndirty--
+	}
+}
+
+func (c *refCache) FileBlocks(fs uint32, ino uint64) []*Block {
+	m := c.perFile[fileKey{fs, ino}]
+	if len(m) == 0 {
+		return nil
+	}
+	out := make([]*Block, 0, len(m))
+	for _, el := range m {
+		out = append(out, el.Value.(*Block))
+	}
+	refSort(out)
+	return out
+}
+
+func (c *refCache) DirtyBlocks(fs uint32, ino uint64) []*Block {
+	var out []*Block
+	for _, b := range c.FileBlocks(fs, ino) {
+		if b.Dirty {
+			out = append(out, b)
+		}
+	}
+	return out
+}
+
+func (c *refCache) DirtyOlderThan(cutoff sim.Time) []*Block {
+	var out []*Block
+	for el := c.lru.Front(); el != nil; el = el.Next() {
+		if b := el.Value.(*Block); b.Dirty && b.DirtyAt <= cutoff {
+			out = append(out, b)
+		}
+	}
+	refSort(out)
+	return out
+}
+
+func (c *refCache) AllDirty() []*Block {
+	var out []*Block
+	for el := c.lru.Front(); el != nil; el = el.Next() {
+		if b := el.Value.(*Block); b.Dirty {
+			out = append(out, b)
+		}
+	}
+	refSort(out)
+	return out
+}
+
+func (c *refCache) InvalidateFile(fs uint32, ino uint64) int {
+	n := 0
+	for _, el := range c.perFile[fileKey{fs, ino}] {
+		if el.Value.(*Block).Dirty {
+			c.stats.Cancelled++
+		}
+		c.remove(el)
+		n++
+	}
+	c.stats.Invalidated += int64(n)
+	return n
+}
+
+func (c *refCache) CancelDirty(fs uint32, ino uint64) int {
+	n := 0
+	for _, b := range c.DirtyBlocks(fs, ino) {
+		c.stats.Cancelled++
+		c.remove(c.blocks[b.Key])
+		n++
+	}
+	return n
+}
+
+func (c *refCache) InvalidateAll() int {
+	n := c.lru.Len()
+	for _, el := range c.blocks {
+		if el.Value.(*Block).Dirty {
+			c.stats.Cancelled++
+		}
+	}
+	c.blocks = make(map[Key]*list.Element)
+	c.perFile = make(map[fileKey]map[int64]*list.Element)
+	c.lru.Init()
+	c.ndirty = 0
+	c.stats.Invalidated += int64(n)
+	return n
+}
+
+// refSort orders blocks by (fs, ino, block) with the insertion sort the
+// reference cache used.
+func refSort(bs []*Block) {
+	less := func(a, b *Block) bool {
+		if a.Key.FS != b.Key.FS {
+			return a.Key.FS < b.Key.FS
+		}
+		if a.Key.Ino != b.Key.Ino {
+			return a.Key.Ino < b.Key.Ino
+		}
+		return a.Key.Block < b.Key.Block
+	}
+	for i := 1; i < len(bs); i++ {
+		for j := i; j > 0 && less(bs[j], bs[j-1]); j-- {
+			bs[j], bs[j-1] = bs[j-1], bs[j]
+		}
+	}
+}
+
+// blockState is what the model comparison reads of a block: everything
+// but Data and the links.
+type blockState struct {
+	Key     Key
+	Dirty   bool
+	DirtyAt sim.Time
+	Gen     uint64
+	Len     int
+}
+
+func states(bs []*Block) []blockState {
+	out := make([]blockState, len(bs))
+	for i, b := range bs {
+		out[i] = blockState{b.Key, b.Dirty, b.DirtyAt, b.Gen, b.Len}
+	}
+	return out
+}
+
+// Property: driven by the same random sequence at capacity 8, the
+// intrusive cache agrees with refCache after every operation — what it
+// evicts and in which order (the order write-backs leave in, which the
+// virtual clock follows), what each call returns, every file's blocks,
+// the dirty scans, HasDirty, the counters — and its dirty count matches
+// its blocks while residency stays within capacity.
 func TestQuickInvariants(t *testing.T) {
 	type op struct {
 		Kind byte
 		Ino  uint8
 		Blk  uint8
+		Len  uint8
 	}
+	const inos = 4
 	f := func(ops []op) bool {
-		c := New(8)
+		c, ref := New(8), newRefCache(8)
 		for i, o := range ops {
-			k := Key{FS: 1, Ino: uint64(o.Ino % 4), Block: int64(o.Blk % 8)}
-			switch o.Kind % 5 {
-			case 0:
-				c.Insert(k, nil, 0)
-			case 1:
-				c.MarkDirty(k, sim.Time(i))
-			case 2:
+			k := Key{FS: 1, Ino: uint64(o.Ino % inos), Block: int64(o.Blk % 8)}
+			now := sim.Time(i)
+			var got, want any
+			switch o.Kind % 12 {
+			case 0, 1, 2:
+				_, ev := c.Insert(k, nil, int(o.Len))
+				_, rev := ref.Insert(k, nil, int(o.Len))
+				got, want = states(ev), states(rev)
+			case 3, 4:
+				b, ok := c.Lookup(k)
+				rb, rok := ref.Lookup(k)
+				got, want = ok, rok
+				if ok && rok {
+					got, want = states([]*Block{b}), states([]*Block{rb})
+				}
+			case 5, 6:
+				got, want = c.MarkDirty(k, now), ref.MarkDirty(k, now)
+			case 7:
 				c.MarkClean(k)
-			case 3:
-				c.CancelDirty(k.FS, k.Ino)
-			case 4:
-				c.Lookup(k)
+				ref.MarkClean(k)
+			case 8:
+				// Half the time the generation the block holds, so the
+				// clean takes.
+				gen := uint64(o.Len % 4)
+				if rb, ok := ref.blocks[k]; ok && o.Len%2 == 0 {
+					gen = rb.Value.(*Block).Gen
+				}
+				c.MarkCleanIf(k, gen)
+				ref.MarkCleanIf(k, gen)
+			case 9:
+				got, want = c.InvalidateFile(k.FS, k.Ino), ref.InvalidateFile(k.FS, k.Ino)
+			case 10:
+				got, want = c.CancelDirty(k.FS, k.Ino), ref.CancelDirty(k.FS, k.Ino)
+			case 11:
+				if o.Blk%16 == 0 {
+					got, want = c.InvalidateAll(), ref.InvalidateAll()
+				} else {
+					cut := sim.Time(int(o.Len) % (i + 1))
+					got, want = states(c.DirtyOlderThan(cut)), states(ref.DirtyOlderThan(cut))
+				}
 			}
-			if c.capacity > 0 && c.Len() > c.capacity {
+			if !reflect.DeepEqual(got, want) {
+				t.Logf("op %d %+v: got %v, reference %v", i, o, got, want)
+				return false
+			}
+			if !reflect.DeepEqual(states(c.AllDirty()), states(ref.AllDirty())) ||
+				!reflect.DeepEqual(states(c.DirtyOlderThan(now/2)), states(ref.DirtyOlderThan(now/2))) {
+				t.Logf("op %d %+v: dirty scans differ", i, o)
 				return false
 			}
 			n := 0
-			for _, ino := range []uint64{0, 1, 2, 3} {
+			for ino := uint64(0); ino < inos; ino++ {
+				if !reflect.DeepEqual(states(c.FileBlocks(1, ino)), states(ref.FileBlocks(1, ino))) ||
+					!reflect.DeepEqual(states(c.DirtyBlocks(1, ino)), states(ref.DirtyBlocks(1, ino))) ||
+					c.HasDirty(1, ino) != (len(ref.DirtyBlocks(1, ino)) > 0) {
+					t.Logf("op %d %+v: file %d differs", i, o, ino)
+					return false
+				}
 				n += len(c.DirtyBlocks(1, ino))
 			}
-			if n != c.DirtyCount() {
+			if c.Stats() != ref.stats || c.Len() != ref.lru.Len() || c.DirtyCount() != ref.ndirty {
+				t.Logf("op %d %+v: stats %+v len %d dirty %d, reference %+v %d %d",
+					i, o, c.Stats(), c.Len(), c.DirtyCount(), ref.stats, ref.lru.Len(), ref.ndirty)
+				return false
+			}
+			if c.Len() > c.capacity || n != c.DirtyCount() {
 				return false
 			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
 	}
 }

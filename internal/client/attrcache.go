@@ -158,7 +158,7 @@ func (ac *attrCache) observedChange(n *node, a proto.Fattr) {
 	if ac.policy != attrPolicyProbe || !n.attrInit || a.Mtime == n.attr.Mtime {
 		return
 	}
-	hasPending := len(ac.b.cache.DirtyBlocks(ac.b.cfg.Root.FSID, n.h.Ino)) > 0 ||
+	hasPending := ac.b.cache.HasDirty(ac.b.cfg.Root.FSID, n.h.Ino) ||
 		n.pending.Pending() > 0
 	if !hasPending {
 		ac.b.cache.InvalidateFile(ac.b.cfg.Root.FSID, n.h.Ino)

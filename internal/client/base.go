@@ -30,6 +30,7 @@ package client
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 
 	"spritelynfs/internal/cache"
@@ -114,7 +115,7 @@ type node struct {
 	// the right moment).
 	opens int
 	// pending tracks in-flight asynchronous write-throughs (NFS).
-	pending *sim.WaitGroup
+	pending sim.WaitGroup
 	// werr records the first asynchronous write error, surfaced at the
 	// next close or sync.
 	werr error
@@ -143,15 +144,17 @@ type Base struct {
 	// fetching tracks blocks with an RPC in flight (read-ahead or a
 	// concurrent reader), so a second reader waits for the existing
 	// fetch instead of duplicating it — the "buffer busy" state of the
-	// Unix buffer cache.
+	// Unix buffer cache. A key maps to nil until a second reader waits:
+	// the signal is made then, by that reader.
 	fetching map[cache.Key]*sim.Signal
-	// lastDirPath/lastDir are a one-entry directory cache modelling
+	// lastDirComps/lastDir are a one-entry directory cache modelling
 	// the process's current directory: path walks re-resolving the
 	// directory just used skip its lookups, as namei starting from
 	// u.u_cdir did. (Neither protocol caches name translations beyond
 	// this by default — the paper's vintage didn't, and notes lookups
-	// are roughly half of all calls.)
-	lastDirPath  string
+	// are roughly half of all calls.) lastDirComps is the cache's own
+	// copy of the components, rewritten only when they change.
+	lastDirComps []string
 	lastDir      proto.Handle
 	lastDirValid bool
 
@@ -295,7 +298,7 @@ func (b *Base) call(p *sim.Proc, proc uint32, args proto.Message) ([]byte, error
 func (b *Base) getNode(h proto.Handle) *node {
 	n, ok := b.nodes[h.Ino]
 	if !ok || n.h != h {
-		n = &node{h: h, pending: sim.NewWaitGroup(b.k, 0)}
+		n = &node{h: h}
 		b.nodes[h.Ino] = n
 	}
 	return n
@@ -307,7 +310,7 @@ func (b *Base) setAttr(n *node, a proto.Fattr, now sim.Time) {
 	n.attr = a
 	n.attrTime = now
 	n.attrInit = true
-	if b.cache.DirtyCount() == 0 || len(b.cache.DirtyBlocks(b.cfg.Root.FSID, n.h.Ino)) == 0 {
+	if !b.cache.HasDirty(b.cfg.Root.FSID, n.h.Ino) {
 		n.size = a.Size
 	} else if a.Size > n.size {
 		n.size = a.Size
@@ -388,15 +391,14 @@ func (b *Base) resolveDir(p *sim.Proc, comps []string) (proto.Handle, error) {
 	if len(comps) == 0 {
 		return b.cfg.Root, nil
 	}
-	path := joinComps(comps)
-	if b.lastDirValid && path == b.lastDirPath {
+	if b.lastDirValid && slices.Equal(comps, b.lastDirComps) {
 		return b.lastDir, nil
 	}
 	cur, _, err := b.walkComps(p, b.cfg.Root, comps, false, maxSymlinkDepth)
 	if err != nil {
 		return proto.Handle{}, err
 	}
-	b.lastDirPath = path
+	b.lastDirComps = append(b.lastDirComps[:0], comps...)
 	b.lastDir = cur
 	b.lastDirValid = true
 	return cur, nil
@@ -494,21 +496,6 @@ func (b *Base) walkCompsPath(p *sim.Proc, dir proto.Handle, comps []string, need
 		return b.walkComps(p, next, spliced, needAttr, depth-1)
 	}
 	return r.Handle, r.Attr, nil
-}
-
-func joinComps(comps []string) string {
-	n := 0
-	for _, c := range comps {
-		n += len(c) + 1
-	}
-	buf := make([]byte, 0, n)
-	for i, c := range comps {
-		if i > 0 {
-			buf = append(buf, '/')
-		}
-		buf = append(buf, c...)
-	}
-	return string(buf)
 }
 
 // invalidateDirCache drops the cwd cache (after namespace surgery).
@@ -774,19 +761,31 @@ func (b *Base) fetchBlock(p *sim.Proc, n *node, blk int64) (*cache.Block, error)
 	sp := b.span(p, span.Cache, "fetch")
 	defer sp.End()
 	key := b.key(n.h.Ino, blk)
-	if sig, busy := b.fetching[key]; busy {
+	// At most one fetch of a key is in flight: a reader waits while there
+	// is one, then looks again, since the fetch may have failed or its
+	// block been evicted at once, and another waiter may have started the
+	// next fetch by the time this one runs.
+	for {
+		sig, busy := b.fetching[key]
+		if !busy {
+			break
+		}
+		if sig == nil {
+			sig = new(sim.Signal)
+			b.fetching[key] = sig
+		}
 		sig.Wait(p)
 		if cb, ok := b.cache.Lookup(key); ok {
 			return cb, nil
 		}
-		// The other fetch failed or the block was immediately
-		// evicted; fall through and fetch ourselves.
 	}
-	sig := sim.NewSignal(b.k)
-	b.fetching[key] = sig
+	b.fetching[key] = nil
 	defer func() {
+		sig := b.fetching[key]
 		delete(b.fetching, key)
-		sig.Fire(nil)
+		if sig != nil {
+			sig.Fire(nil)
+		}
 	}()
 	bs := b.cfg.BlockSize
 	off := blk * int64(bs)

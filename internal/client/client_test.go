@@ -254,7 +254,8 @@ func TestConcurrentReadersShareInFlightFetch(t *testing.T) {
 		c.SyncPass(p)
 		c.Cache().InvalidateAll()
 		base := c.Ops().Get("read")
-		wg := sim.NewWaitGroup(w.k, 2)
+		var wg sim.WaitGroup
+		wg.Add(2)
 		for i := 0; i < 2; i++ {
 			w.k.Go("reader", func(rp *sim.Proc) {
 				defer wg.Done()

@@ -1231,7 +1231,8 @@ func TestLockingSerializesCounterIncrements(t *testing.T) {
 		run(t, w.k, func(p *sim.Proc) {
 			writeThrough(t, p, a, "counter", []byte{0})
 			a.SyncPass(p)
-			wg := sim.NewWaitGroup(w.k, 2)
+			var wg sim.WaitGroup
+			wg.Add(2)
 			incr := func(c *client.SNFSClient) func(*sim.Proc) {
 				return func(cp *sim.Proc) {
 					defer wg.Done()
@@ -1489,7 +1490,8 @@ func TestSNFSRewriteDuringWritebackIsNotLost(t *testing.T) {
 			t.Fatal(err)
 		}
 		f.WriteAt(p, 0, fill(4096, 'a'))
-		pass := sim.NewWaitGroup(w.k, 1)
+		var pass sim.WaitGroup
+		pass.Add(1)
 		w.k.Go("update", func(dp *sim.Proc) {
 			defer pass.Done()
 			c.SyncPass(dp)

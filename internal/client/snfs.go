@@ -388,7 +388,7 @@ func (c *SNFSClient) recover(p *sim.Proc) {
 			// COMMIT sees the new verifier and redrives them.
 			c.commit(p, n)
 		}
-		dirty := len(c.cache.DirtyBlocks(c.cfg.Root.FSID, n.h.Ino)) > 0
+		dirty := c.cache.HasDirty(c.cfg.Root.FSID, n.h.Ino)
 		readers, writers := n.rec.Readers, n.rec.Writers
 		if n.rec.DelayedClose {
 			// The server believed this file open; re-register it

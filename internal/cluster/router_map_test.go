@@ -69,7 +69,8 @@ func TestRouterNeverInstallsOlderMap(t *testing.T) {
 	versions := []uint32{7, 2, 9, 4, 8, 3, 6, 5}
 	k.Go("installers", func(p *sim.Proc) {
 		defer k.Stop()
-		wg := sim.NewWaitGroup(k, len(versions))
+		var wg sim.WaitGroup
+		wg.Add(len(versions))
 		for i, v := range versions {
 			v := v
 			k.Go(fmt.Sprintf("install-v%d", v), func(ip *sim.Proc) {

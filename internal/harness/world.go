@@ -387,7 +387,8 @@ func (w *World) Run(fn func(p *sim.Proc) error) error {
 // of its own named name+i, waits on p for all of them, and returns the
 // lowest-numbered failure.
 func (w *World) RunEach(p *sim.Proc, n int, name string, fn func(cp *sim.Proc, i int) error) error {
-	wg := sim.NewWaitGroup(w.K, n)
+	var wg sim.WaitGroup
+	wg.Add(n)
 	errs := make([]error, n)
 	for i := 0; i < n; i++ {
 		i := i

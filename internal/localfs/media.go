@@ -295,7 +295,7 @@ func (m *Media) gatherSync(p *sim.Proc) {
 	m.gateLeader = true
 	for {
 		sig := m.gateSig
-		m.gateSig = sim.NewSignal(p.Kernel())
+		m.gateSig = new(sim.Signal)
 		m.gateWaiters = 0
 		m.flushBatch(p)
 		if sig != nil {

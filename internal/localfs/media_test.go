@@ -302,7 +302,8 @@ func TestGatherGroupCommitsMeta(t *testing.T) {
 	})
 	m := NewMedia(st, d, 1, 1<<20)
 	m.Gather = true
-	wg := sim.NewWaitGroup(k, 8)
+	var wg sim.WaitGroup
+	wg.Add(8)
 	for i := 0; i < 8; i++ {
 		k.Go("meta", func(p *sim.Proc) {
 			defer wg.Done()
@@ -335,7 +336,8 @@ func TestGatherCommitsShareSweep(t *testing.T) {
 	now := sim.Time(0)
 	m.ChargeWriteUnstable(now, 7, 0, 3*4096)
 	m.ChargeWriteUnstable(now, 9, 0, 3*4096)
-	wg := sim.NewWaitGroup(k, 2)
+	var wg sim.WaitGroup
+	wg.Add(2)
 	for _, ino := range []uint64{7, 9} {
 		ino := ino
 		k.Go("commit", func(p *sim.Proc) {

@@ -82,7 +82,8 @@ func TestConcurrentCallsMatchReplies(t *testing.T) {
 		return e.Bytes(), StatusOK
 	})
 	results := make(map[uint32]uint32)
-	wg := sim.NewWaitGroup(k, 4)
+	var wg sim.WaitGroup
+	wg.Add(4)
 	for i := uint32(1); i <= 4; i++ {
 		proc := i
 		k.Go("caller", func(p *sim.Proc) {
@@ -314,7 +315,8 @@ func peakInService(t *testing.T, reboot bool) int {
 		server.Stop()
 		server.Restart()
 	}
-	wg := sim.NewWaitGroup(k, 6)
+	var wg sim.WaitGroup
+	wg.Add(6)
 	for i := 0; i < 6; i++ {
 		k.Go("caller", func(p *sim.Proc) {
 			if _, err := client.Call(p, "server", testProg, 1, 1, nil); err != nil {
@@ -353,7 +355,8 @@ func TestStopDiscardsQueuedCalls(t *testing.T) {
 		p.Sleep(10 * sim.Millisecond)
 		return nil, StatusOK
 	})
-	wg := sim.NewWaitGroup(k, 3)
+	var wg sim.WaitGroup
+	wg.Add(3)
 	for i := 0; i < 3; i++ {
 		k.Go("caller", func(p *sim.Proc) {
 			client.Call(p, "server", testProg, 1, 1, nil)
@@ -393,7 +396,8 @@ func TestHandedCallKeepsItsProcess(t *testing.T) {
 			p.Sleep(sim.Millisecond)
 			return nil, StatusOK
 		})
-		wg := sim.NewWaitGroup(k, 3)
+		var wg sim.WaitGroup
+		wg.Add(3)
 		for _, c := range []struct {
 			token string
 			at    sim.Duration
@@ -560,7 +564,8 @@ func TestServiceTiming(t *testing.T) {
 				return args, StatusOK
 			})
 			var times []sim.Time
-			wg := sim.NewWaitGroup(k, c.callers)
+			var wg sim.WaitGroup
+			wg.Add(c.callers)
 			for i := 1; i <= c.callers; i++ {
 				proc := uint32(i)
 				k.Go("caller", func(p *sim.Proc) {
@@ -636,7 +641,8 @@ func TestStressManyClientsWithLoss(t *testing.T) {
 	const clients, calls = 8, 40
 	failures := 0
 	wrong := 0
-	wg := sim.NewWaitGroup(k, clients)
+	var wg sim.WaitGroup
+	wg.Add(clients)
 	for c := 0; c < clients; c++ {
 		name := simnet.Addr(fmt.Sprintf("c%d", c))
 		ep := NewEndpoint(k, n, name, Options{CallTimeout: 50 * sim.Millisecond, MaxRetries: 8})

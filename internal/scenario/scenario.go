@@ -177,17 +177,26 @@ func Run(pr harness.Proto, pm harness.Params, cfg Config) (Result, error) {
 	})
 	k := f.W.K
 
-	res := Result{Scenario: cfg.Name, Proto: pr.String(), Clients: cfg.Clients}
-	lats := make([]int64, 0, cfg.Clients*cfg.Ops)
+	r := &fleetRun{
+		f:    f,
+		k:    k,
+		cfg:  cfg,
+		res:  Result{Scenario: cfg.Name, Proto: pr.String(), Clients: cfg.Clients},
+		lats: make([]int64, 0, cfg.Clients*cfg.Ops),
+		// The shared population's names, formatted once.
+		shared: make([]string, cfg.SharedFiles),
+	}
+	for i := range r.shared {
+		r.shared[i] = fmt.Sprintf("/data/s%05d", i)
+	}
 	var measureStart sim.Time
-	done := sim.NewSignal(k)
 
 	err := f.W.Run(func(p *sim.Proc) error {
 		// Setup (untimed): materialize the shared population on the
 		// server through the world's own measurement client.
-		for i := 0; i < cfg.SharedFiles; i++ {
-			if err := f.W.NS.WriteFile(p, sharedPath(i), cfg.FileBytes, cfg.ChunkBytes); err != nil {
-				return fmt.Errorf("scenario setup %s: %w", sharedPath(i), err)
+		for _, path := range r.shared {
+			if err := f.W.NS.WriteFile(p, path, cfg.FileBytes, cfg.ChunkBytes); err != nil {
+				return fmt.Errorf("scenario setup %s: %w", path, err)
 			}
 		}
 		if f.W.SNFSCli != nil {
@@ -198,51 +207,22 @@ func Run(pr harness.Proto, pm harness.Params, cfg Config) (Result, error) {
 		}
 
 		measureStart = k.Now()
-		remaining := cfg.Clients
+		r.remaining = cfg.Clients
 		for c := 0; c < cfg.Clients; c++ {
-			c := c
-			fc := f.Client(c)
-			gen := workload.NewGen(pm.Seed, c, cfg.Gen)
-			task := k.NewTask(string(fc.Name))
-			// The client's read buffer: one op is in flight per client,
-			// so its reads share one chunk, allocated on the first.
-			var buf []byte
-			i := 0
-			var step func()
-			step = func() {
-				if i >= cfg.Ops {
-					remaining--
-					if remaining == 0 {
-						done.Fire(nil)
-					}
-					return
-				}
-				seq := i
-				i++
-				op := gen.Next()
-				task.After(op.Think, func() {
-					start := k.Now()
-					f.Exec.Submit(task.BeginOp(), func(wp *sim.Proc) {
-						if err := execOp(wp, f, c, cfg, op, &buf); err != nil {
-							res.Errors++
-						}
-					}, func() {
-						lats = append(lats, int64(k.Now().Sub(start)))
-						res.Ops++
-						if cfg.Trace {
-							res.OpTrace = append(res.OpTrace,
-								fmt.Sprintf("c%04d #%03d %s done@%d", c, seq, op, int64(k.Now())))
-						}
-						step()
-					})
-				})
+			d := &clientLoop{
+				r:    r,
+				c:    c,
+				gen:  workload.NewGen(pm.Seed, c, cfg.Gen),
+				task: k.NewTask(string(f.Client(c).Name)),
 			}
-			step()
+			d.submitFn, d.execFn, d.completeFn = d.submit, d.exec, d.complete
+			d.step()
 		}
-		done.Wait(p)
+		r.done.Wait(p)
 		f.SyncAllClients(p)
 		return nil
 	})
+	res, lats := r.res, r.lats
 	if err != nil {
 		return res, err
 	}
@@ -273,28 +253,103 @@ func Run(pr harness.Proto, pm harness.Params, cfg Config) (Result, error) {
 	return res, nil
 }
 
-// sharedPath names shared population member i.
-func sharedPath(i int) string { return fmt.Sprintf("/data/s%05d", i) }
+// fleetRun is what a Run's clients share: the fleet, the totals they add
+// to, and the count of clients still running.
+type fleetRun struct {
+	f         *harness.Fleet
+	k         *sim.Kernel
+	cfg       Config
+	res       Result
+	lats      []int64
+	shared    []string // shared population member i's path
+	remaining int
+	done      sim.Signal // fired when the last client finishes
+}
+
+// clientLoop is one client's state machine. A client has one op in flight,
+// so the op, its sequence number and its start instant live here, and
+// the three callbacks that carry an op from think time through the
+// executor to completion are bound once, at set-up: an op allocates no
+// closure.
+type clientLoop struct {
+	r     *fleetRun
+	c     int
+	gen   *workload.Gen
+	task  *sim.Task
+	seq   int // ops begun so far; the one in flight is seq-1
+	op    workload.Op
+	start sim.Time
+	// buf is the client's read buffer: its reads share one chunk,
+	// allocated on the first.
+	buf []byte
+
+	submitFn   func()
+	execFn     func(p *sim.Proc)
+	completeFn func()
+}
+
+// step draws the client's next op and schedules it after its think time,
+// or retires the client once it has run cfg.Ops.
+func (d *clientLoop) step() {
+	r := d.r
+	if d.seq >= r.cfg.Ops {
+		r.remaining--
+		if r.remaining == 0 {
+			r.done.Fire(nil)
+		}
+		return
+	}
+	d.seq++
+	d.op = d.gen.Next()
+	d.task.After(d.op.Think, d.submitFn)
+}
+
+// submit hands the op to the fleet's executor when its think time ends.
+func (d *clientLoop) submit() {
+	d.start = d.r.k.Now()
+	d.r.f.Exec.Submit(d.task.BeginOp(), d.execFn, d.completeFn)
+}
+
+// exec runs the op on a pooled process.
+func (d *clientLoop) exec(p *sim.Proc) {
+	if err := d.execOp(p); err != nil {
+		d.r.res.Errors++
+	}
+}
+
+// complete records the op's latency and starts the next.
+func (d *clientLoop) complete() {
+	r := d.r
+	now := r.k.Now()
+	r.lats = append(r.lats, int64(now.Sub(d.start)))
+	r.res.Ops++
+	if r.cfg.Trace {
+		r.res.OpTrace = append(r.res.OpTrace,
+			fmt.Sprintf("c%04d #%03d %s done@%d", d.c, d.seq-1, d.op, int64(now)))
+	}
+	d.step()
+}
 
 // privatePath names client c's private file serial i.
 func privatePath(c, i int) string { return fmt.Sprintf("/data/c%04d-p%d", c, i) }
 
-// execOp runs one generated op against client c's namespace on a pooled
-// process; a read goes through *buf, the client's, allocating it first.
-func execOp(p *sim.Proc, f *harness.Fleet, c int, cfg Config, op workload.Op, buf *[]byte) error {
-	fc := f.Client(c)
+// execOp runs the client's op against its namespace; a read goes through
+// the client's buffer, allocating it first.
+func (d *clientLoop) execOp(p *sim.Proc) error {
+	r, op := d.r, d.op
+	fc := r.f.Client(d.c)
 	var path string
 	if op.Shared {
-		path = sharedPath(op.File % cfg.SharedFiles)
+		path = r.shared[op.File%r.cfg.SharedFiles]
 	} else {
-		path = privatePath(c, op.File)
+		path = privatePath(d.c, op.File)
 	}
 	if op.Kind == workload.OpRead {
-		if *buf == nil {
-			*buf = make([]byte, cfg.ChunkBytes)
+		if d.buf == nil {
+			d.buf = make([]byte, r.cfg.ChunkBytes)
 		}
-		_, err := fc.NS.ReadFile(p, path, *buf)
+		_, err := fc.NS.ReadFile(p, path, d.buf)
 		return err
 	}
-	return fc.NS.WriteFile(p, path, cfg.FileBytes, cfg.ChunkBytes)
+	return fc.NS.WriteFile(p, path, r.cfg.FileBytes, r.cfg.ChunkBytes)
 }

@@ -70,7 +70,10 @@ func TestEventOrderingIsDeterministic(t *testing.T) {
 		k := NewKernel(1)
 		var order []string
 		note := func(name string) func() { return func() { order = append(order, name) } }
-		sig, q, wg, mu := NewSignal(k), NewQueue[int](k), NewWaitGroup(k, 1), NewMutex(k)
+		var sig Signal
+		var wg WaitGroup
+		wg.Add(1)
+		q, mu := NewQueue[int](k), NewMutex(k)
 		res, ex := NewResource(k, "r"), NewExecutor(k, "x")
 		done := make(chan struct{})
 		var parked *Proc
@@ -183,7 +186,7 @@ func TestQueueMultipleWaitersFIFO(t *testing.T) {
 
 func TestSignalBroadcast(t *testing.T) {
 	k := NewKernel(1)
-	s := NewSignal(k)
+	s := new(Signal)
 	woken := 0
 	for i := 0; i < 4; i++ {
 		k.Go("w", func(p *Proc) {
@@ -359,7 +362,8 @@ func TestAfterRunsEvent(t *testing.T) {
 
 func TestWaitGroup(t *testing.T) {
 	k := NewKernel(1)
-	wg := NewWaitGroup(k, 3)
+	var wg WaitGroup
+	wg.Add(3)
 	var joined Time
 	for i := 1; i <= 3; i++ {
 		d := Duration(i) * Second

@@ -63,15 +63,15 @@ func (q *Queue[T]) TryGet() (T, bool) {
 // result). It has no timed wait: the one waiter that needs a deadline, an
 // RPC caller, keeps its wait in the call's own state (rpc.Pending, on
 // Proc.Park) and allocates no signal.
+//
+// The zero value is an unfired signal, ready to use, so a signal can live
+// inside the state it guards. Like WaitGroup it needs no kernel of its
+// own: each waiter is woken on the kernel it runs on.
 type Signal struct {
-	k       *Kernel
 	fired   bool
 	value   any
 	waiters []*Proc
 }
-
-// NewSignal returns an unfired signal bound to kernel k.
-func NewSignal(k *Kernel) *Signal { return &Signal{k: k} }
 
 // Fire marks the signal fired with value v and wakes all waiters.
 func (s *Signal) Fire(v any) {
@@ -81,7 +81,7 @@ func (s *Signal) Fire(v any) {
 	s.fired = true
 	s.value = v
 	for _, p := range s.waiters {
-		s.k.wake(p)
+		p.k.wake(p)
 	}
 	s.waiters = nil
 }
@@ -175,16 +175,12 @@ func (s *Semaphore) Release() {
 }
 
 // WaitGroup tracks a set of processes and lets another process wait for
-// all of them to call Done.
+// all of them to call Done. As with sync.WaitGroup, the zero value is a
+// group with nothing pending: Add counts work in, and waiters are woken on
+// their own kernel.
 type WaitGroup struct {
-	k       *Kernel
 	n       int
 	waiters []*Proc
-}
-
-// NewWaitGroup returns a wait group with an initial count of n.
-func NewWaitGroup(k *Kernel, n int) *WaitGroup {
-	return &WaitGroup{k: k, n: n}
 }
 
 // Add increases the pending count by delta.
@@ -198,7 +194,7 @@ func (w *WaitGroup) Done() {
 	}
 	if w.n == 0 {
 		for _, p := range w.waiters {
-			w.k.wake(p)
+			p.k.wake(p)
 		}
 		w.waiters = nil
 	}

@@ -16,7 +16,7 @@ func TestKillAllCreationOrder(t *testing.T) {
 			i := i
 			k.Go(fmt.Sprintf("blocked%d", i), func(p *Proc) {
 				defer func() { order = append(order, i) }()
-				NewSignal(k).Wait(p) // never fires
+				new(Signal).Wait(p) // never fires
 			})
 		}
 		k.Run()
@@ -41,11 +41,11 @@ func TestKillAllSpawnsDuringTeardown(t *testing.T) {
 			if !respawned {
 				respawned = true
 				k.Go("respawn", func(p2 *Proc) {
-					NewSignal(k).Wait(p2)
+					new(Signal).Wait(p2)
 				})
 			}
 		}()
-		NewSignal(k).Wait(p)
+		new(Signal).Wait(p)
 	})
 	k.Run()
 	if len(k.procs) != 0 {
@@ -235,12 +235,12 @@ func TestWakeupsAllocateNothing(t *testing.T) {
 	k := NewKernel(1)
 	res, ex := NewResource(k, "cpu"), NewExecutor(k, "x")
 	// One parked waiter per signal, made ahead: a Signal is one-shot, and
-	// its first Wait allocates the waiter list.
-	sigs := make([]*Signal, runs+1) // AllocsPerRun warms up with one extra run
+	// its first Wait allocates the waiter list. The signals are zero
+	// values in one array, as a signal embedded in its owner's state is.
+	sigs := make([]Signal, runs+1) // AllocsPerRun warms up with one extra run
 	woken := 0
 	for i := range sigs {
-		sig := NewSignal(k)
-		sigs[i] = sig
+		sig := &sigs[i]
 		k.Go("waiter", func(p *Proc) {
 			sig.Wait(p)
 			woken++

@@ -65,7 +65,8 @@ func TestCrossProcParenting(t *testing.T) {
 	k.Go("client", func(p *sim.Proc) {
 		op := p.BeginOp()
 		root := r.Begin(p, "client", Syscall, "write")
-		wg := sim.NewWaitGroup(k, 1)
+		var wg sim.WaitGroup
+		wg.Add(1)
 		k.Go("worker", func(wp *sim.Proc) {
 			defer wg.Done()
 			wp.SetOp(op)
@@ -207,7 +208,8 @@ func TestRekeyAdoptsOp(t *testing.T) {
 		child := r.Begin(p, "client", Cache, "fetch") // triggers the rekey
 		p.Sleep(1 * sim.Millisecond)
 		child.End()
-		wg := sim.NewWaitGroup(k, 1)
+		var wg sim.WaitGroup
+		wg.Add(1)
 		k.Go("worker", func(wp *sim.Proc) {
 			defer wg.Done()
 			wp.SetOp(op)

@@ -419,7 +419,8 @@ func ParallelMake(p *sim.Proc, ns *vfs.Namespace, cfg AndrewConfig, nprocs int) 
 		queue.Put(j)
 	}
 	start := p.Now()
-	wg := sim.NewWaitGroup(k, nprocs)
+	var wg sim.WaitGroup
+	wg.Add(nprocs)
 	errs := make([]error, nprocs)
 	for i := 0; i < nprocs; i++ {
 		i := i
