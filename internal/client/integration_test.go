@@ -1156,6 +1156,35 @@ func TestRFSVersionValidationAcrossReopen(t *testing.T) {
 	})
 }
 
+// TestTruncatedCallbackIsGarbage: a callback whose arguments do not decode
+// is answered GARBAGE_ARGS and not served. Served, it was a zero-handle
+// callback answered OK, so the server took a write-back for done.
+func TestTruncatedCallbackIsGarbage(t *testing.T) {
+	snfsWorld := newWorld(1, true, 4, server.SNFSOptions{})
+	sc := snfsWorld.addSNFS("clientA", client.SNFSOptions{})
+	rfsWorld, _ := newRFSWorld(1)
+	rc := rfsWorld.addRFS("clientA")
+	for _, c := range []struct {
+		name   string
+		w      *world
+		served func() int64
+	}{
+		{"snfs", snfsWorld, func() int64 { return sc.CallbacksServed }},
+		{"rfs", rfsWorld, func() int64 { return rc.CallbacksServed }},
+	} {
+		args := proto.Marshal(&proto.CallbackArgs{Handle: c.w.root, WriteBack: true, Invalidate: true})
+		run(t, c.w.k, func(p *sim.Proc) {
+			_, err := c.w.srvEP.Call(p, "clientA", proto.ProgCallback, 1, proto.CbProcCallback, args[:len(args)-4])
+			if err != rpc.ErrGarbage {
+				t.Errorf("%s: a truncated callback answered %v, want GARBAGE_ARGS", c.name, err)
+			}
+			if n := c.served(); n != 0 {
+				t.Errorf("%s: %d callbacks served, want 0", c.name, n)
+			}
+		})
+	}
+}
+
 func TestDelayedCloseRevokedByWriteShare(t *testing.T) {
 	// A holds a delayed close (the server still counts it as a reader);
 	// B opens for write, which makes the file write-shared and revokes

@@ -40,7 +40,10 @@ func (c *RFSClient) serveCallback(p *sim.Proc, from simnet.Addr, proc uint32, ar
 		return nil, rpc.StatusProcUnavail
 	}
 	var a proto.CallbackArgs
-	a.XDR(xdr.NewDecoder(args).Codec())
+	d := xdr.NewDecoder(args).Codec()
+	if a.XDR(d); d.Err() != nil {
+		return nil, rpc.StatusGarbage
+	}
 	c.CallbacksServed++
 	c.Tracer().Record(c.host(), trace.Callback, "<- rfs invalidate %s", a.Handle)
 	if n, ok := c.nodes[a.Handle.Ino]; ok && n.h == a.Handle {

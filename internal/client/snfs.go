@@ -147,7 +147,10 @@ func (c *SNFSClient) serveCallback(p *sim.Proc, from simnet.Addr, proc uint32, a
 		return nil, rpc.StatusProcUnavail
 	}
 	var a proto.CallbackArgs
-	a.XDR(xdr.NewDecoder(args).Codec())
+	d := xdr.NewDecoder(args).Codec()
+	if a.XDR(d); d.Err() != nil {
+		return nil, rpc.StatusGarbage
+	}
 	c.CallbacksServed++
 	tr := c.Tracer()
 	if tr != nil { // variadic args are boxed even for a nil tracer

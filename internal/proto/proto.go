@@ -142,94 +142,101 @@ const (
 	CbProcCallback = 1
 )
 
+// ProcInfo is one procedure's row in its program's table.
+type ProcInfo struct {
+	// Name labels the procedure in operation counts, metrics and traces.
+	Name string
+	// Control marks the control plane: a demoted server still answers
+	// these (they are how a caller refetches the map and how the
+	// replication stream keeps flowing), and none of them is a client
+	// healing onto a promoted primary.
+	Control bool
+	// NonIdempotent marks a procedure whose re-execution can change the
+	// outcome: its duplicate-cache entries are replicated to the backup.
+	NonIdempotent bool
+}
+
+// program is one RPC program's procedure table, indexed by procedure
+// number, and the prefix that names a number with no row.
+type program struct {
+	procs  []ProcInfo
+	prefix string
+}
+
+var (
+	nfsProgram = program{prefix: "proc", procs: []ProcInfo{
+		ProcNull:         {Name: "null", Control: true},
+		ProcGetattr:      {Name: "getattr"},
+		ProcSetattr:      {Name: "setattr", NonIdempotent: true},
+		ProcLookup:       {Name: "lookup"},
+		ProcReadlink:     {Name: "readlink"},
+		ProcRead:         {Name: "read"},
+		ProcWrite:        {Name: "write"},
+		ProcCreate:       {Name: "create", NonIdempotent: true},
+		ProcRemove:       {Name: "remove", NonIdempotent: true},
+		ProcRename:       {Name: "rename", NonIdempotent: true},
+		ProcLink:         {Name: "link", NonIdempotent: true},
+		ProcSymlink:      {Name: "symlink", NonIdempotent: true},
+		ProcMkdir:        {Name: "mkdir", NonIdempotent: true},
+		ProcRmdir:        {Name: "rmdir", NonIdempotent: true},
+		ProcReaddir:      {Name: "readdir"},
+		ProcStatfs:       {Name: "statfs"},
+		ProcOpen:         {Name: "open", NonIdempotent: true},
+		ProcClose:        {Name: "close", NonIdempotent: true},
+		ProcReopen:       {Name: "reopen"},
+		ProcServerInfo:   {Name: "serverinfo", Control: true},
+		ProcMountRoot:    {Name: "mountroot", Control: true},
+		ProcDumpState:    {Name: "dumpstate", Control: true},
+		ProcLock:         {Name: "lock", NonIdempotent: true},
+		ProcUnlock:       {Name: "unlock", NonIdempotent: true},
+		ProcMetrics:      {Name: "metrics", Control: true},
+		ProcAudit:        {Name: "audit", Control: true},
+		ProcShardMap:     {Name: "shardmap", Control: true},
+		ProcCommit:       {Name: "commit"},
+		ProcLookupPath:   {Name: "lookuppath"},
+		ProcReaddirAttrs: {Name: "readdirattrs"},
+		ProcReplStream:   {Name: "replstream", Control: true},
+		ProcReplSync:     {Name: "replsync", Control: true},
+	}}
+	callbackProgram = program{prefix: "cb", procs: []ProcInfo{
+		CbProcNull:     {Name: "cbnull"},
+		CbProcCallback: {Name: "callback"},
+	}}
+	viewProgram = program{prefix: "view", procs: []ProcInfo{
+		ViewProcPing: {Name: "viewping"},
+		ViewProcGet:  {Name: "viewget"},
+	}}
+)
+
+// programOf returns prog's table; any number but the callback and view
+// programs reads as ProgNFS.
+func programOf(prog uint32) *program {
+	if prog == ProgCallback {
+		return &callbackProgram
+	}
+	if prog == ProgView {
+		return &viewProgram
+	}
+	return &nfsProgram
+}
+
+// LookupProc returns the row of a (program, procedure) pair, and false
+// for a procedure number its program does not define.
+func LookupProc(prog, proc uint32) (ProcInfo, bool) {
+	t := programOf(prog).procs
+	if proc >= uint32(len(t)) || t[proc].Name == "" {
+		return ProcInfo{}, false
+	}
+	return t[proc], true
+}
+
 // ProcName returns a human-readable name for a (program, procedure) pair,
 // used in operation-count tables.
 func ProcName(prog, proc uint32) string {
-	if prog == ProgCallback {
-		switch proc {
-		case CbProcNull:
-			return "cbnull"
-		case CbProcCallback:
-			return "callback"
-		}
-		return fmt.Sprintf("cb%d", proc)
+	if r, ok := LookupProc(prog, proc); ok {
+		return r.Name
 	}
-	if prog == ProgView {
-		switch proc {
-		case ViewProcPing:
-			return "viewping"
-		case ViewProcGet:
-			return "viewget"
-		}
-		return fmt.Sprintf("view%d", proc)
-	}
-	switch proc {
-	case ProcNull:
-		return "null"
-	case ProcGetattr:
-		return "getattr"
-	case ProcSetattr:
-		return "setattr"
-	case ProcLookup:
-		return "lookup"
-	case ProcRead:
-		return "read"
-	case ProcWrite:
-		return "write"
-	case ProcCreate:
-		return "create"
-	case ProcRemove:
-		return "remove"
-	case ProcRename:
-		return "rename"
-	case ProcMkdir:
-		return "mkdir"
-	case ProcRmdir:
-		return "rmdir"
-	case ProcReaddir:
-		return "readdir"
-	case ProcStatfs:
-		return "statfs"
-	case ProcReadlink:
-		return "readlink"
-	case ProcLink:
-		return "link"
-	case ProcSymlink:
-		return "symlink"
-	case ProcOpen:
-		return "open"
-	case ProcClose:
-		return "close"
-	case ProcReopen:
-		return "reopen"
-	case ProcServerInfo:
-		return "serverinfo"
-	case ProcMountRoot:
-		return "mountroot"
-	case ProcDumpState:
-		return "dumpstate"
-	case ProcLock:
-		return "lock"
-	case ProcUnlock:
-		return "unlock"
-	case ProcMetrics:
-		return "metrics"
-	case ProcAudit:
-		return "audit"
-	case ProcCommit:
-		return "commit"
-	case ProcShardMap:
-		return "shardmap"
-	case ProcLookupPath:
-		return "lookuppath"
-	case ProcReaddirAttrs:
-		return "readdirattrs"
-	case ProcReplStream:
-		return "replstream"
-	case ProcReplSync:
-		return "replsync"
-	}
-	return fmt.Sprintf("proc%d", proc)
+	return fmt.Sprintf("%s%d", programOf(prog).prefix, proc)
 }
 
 // Status is the NFS-level result code carried in every reply.
@@ -280,40 +287,17 @@ const (
 // XDR codes s.
 func (s *Status) XDR(c xdr.Codec) { c.Uint32((*uint32)(s)) }
 
+var statusNames = map[Status]string{
+	OK: "OK", ErrPerm: "EPERM", ErrNoEnt: "ENOENT", ErrIO: "EIO",
+	ErrExist: "EEXIST", ErrXDev: "EXDEV", ErrNotDir: "ENOTDIR",
+	ErrIsDir: "EISDIR", ErrInval: "EINVAL", ErrNotEmpty: "ENOTEMPTY",
+	ErrStale: "ESTALE", ErrInconsistent: "EINCONSISTENT", ErrGrace: "EGRACE",
+	ErrTableFull: "ETABLEFULL", ErrNotHome: "ENOTHOME", ErrDemoted: "EDEMOTED",
+}
+
 func (s Status) String() string {
-	switch s {
-	case OK:
-		return "OK"
-	case ErrPerm:
-		return "EPERM"
-	case ErrNoEnt:
-		return "ENOENT"
-	case ErrIO:
-		return "EIO"
-	case ErrExist:
-		return "EEXIST"
-	case ErrXDev:
-		return "EXDEV"
-	case ErrNotDir:
-		return "ENOTDIR"
-	case ErrIsDir:
-		return "EISDIR"
-	case ErrInval:
-		return "EINVAL"
-	case ErrNotEmpty:
-		return "ENOTEMPTY"
-	case ErrStale:
-		return "ESTALE"
-	case ErrInconsistent:
-		return "EINCONSISTENT"
-	case ErrGrace:
-		return "EGRACE"
-	case ErrTableFull:
-		return "ETABLEFULL"
-	case ErrNotHome:
-		return "ENOTHOME"
-	case ErrDemoted:
-		return "EDEMOTED"
+	if name, ok := statusNames[s]; ok {
+		return name
 	}
 	return fmt.Sprintf("Status(%d)", uint32(s))
 }

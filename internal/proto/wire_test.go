@@ -11,6 +11,7 @@ import (
 	"go/token"
 	"os"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -133,12 +134,6 @@ func TestWireImagesAreGolden(t *testing.T) {
 // fails on any receiver type fuzzSeeds lacks, so a new message is fuzzed,
 // round-tripped and pinned by registration, not by remembering a list.
 func TestFuzzSeedsCoverEveryXDRType(t *testing.T) {
-	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", func(fi os.FileInfo) bool {
-		return !strings.HasSuffix(fi.Name(), "_test.go")
-	}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	seeded := map[string]bool{}
 	for _, m := range fuzzSeeds {
 		if seeded[typeName(m)] {
@@ -147,7 +142,7 @@ func TestFuzzSeedsCoverEveryXDRType(t *testing.T) {
 		seeded[typeName(m)] = true
 	}
 	methods := 0
-	for _, file := range pkgs["proto"].Files {
+	for _, file := range packageFiles(t) {
 		for _, decl := range file.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
 			if !ok || fn.Recv == nil || fn.Name.Name != "XDR" {
@@ -166,6 +161,74 @@ func TestFuzzSeedsCoverEveryXDRType(t *testing.T) {
 	if methods != len(fuzzSeeds) {
 		t.Errorf("%d XDR methods, %d fuzz seeds", methods, len(fuzzSeeds))
 	}
+}
+
+// TestEveryProcedureHasARow parses the package's constants and fails on a
+// procedure with no row in its program's table, or a status with no name:
+// operation counts, metric labels and results tables would show a number.
+func TestEveryProcedureHasARow(t *testing.T) {
+	programs := map[string]uint32{"Proc": ProgNFS, "CbProc": ProgCallback, "ViewProc": ProgView}
+	procs, statuses := 0, 0
+	for _, file := range packageFiles(t) {
+		for _, decl := range file.Decls {
+			gd, ok := decl.(*ast.GenDecl)
+			if !ok || gd.Tok != token.CONST {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				vs := spec.(*ast.ValueSpec)
+				typ, _ := vs.Type.(*ast.Ident)
+				for i, id := range vs.Names {
+					prog, isProc := uint32(0), false
+					for prefix, p := range programs {
+						if strings.HasPrefix(id.Name, prefix) {
+							prog, isProc = p, true
+						}
+					}
+					isStatus := typ != nil && typ.Name == "Status"
+					if !isProc && !isStatus {
+						continue
+					}
+					var v uint64
+					var err error
+					lit, ok := vs.Values[i].(*ast.BasicLit)
+					if ok {
+						v, err = strconv.ParseUint(lit.Value, 0, 32)
+					}
+					if !ok || err != nil {
+						t.Errorf("%s: not a number literal", id.Name)
+						continue
+					}
+					if isStatus {
+						statuses++
+						if _, ok := statusNames[Status(v)]; !ok {
+							t.Errorf("status %s has no name", id.Name)
+						}
+						continue
+					}
+					procs++
+					if _, ok := LookupProc(prog, uint32(v)); !ok {
+						t.Errorf("procedure %s has no row", id.Name)
+					}
+				}
+			}
+		}
+	}
+	if procs == 0 || statuses == 0 {
+		t.Errorf("found %d procedures and %d statuses", procs, statuses)
+	}
+}
+
+// packageFiles parses the package's non-test files.
+func packageFiles(t *testing.T) map[string]*ast.File {
+	t.Helper()
+	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", func(fi os.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pkgs["proto"].Files
 }
 
 // TestSplitImageIsTheSameMessage: a ReadReply's data goes out as its

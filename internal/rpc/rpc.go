@@ -412,7 +412,7 @@ func (e *Endpoint) Call(p *sim.Proc, to simnet.Addr, prog, vers, proc uint32, ar
 // client must be abandoned before the opener that triggered it times out
 // (§3.2).
 func (e *Endpoint) CallEx(p *sim.Proc, to simnet.Addr, prog, vers, proc uint32, args []byte, callTimeout sim.Duration, maxRetries int) ([]byte, error) {
-	sp := e.Spans.Begin(p, string(e.addr), callSpanKind(prog), procTraceName(prog, proc))
+	sp := e.Spans.Begin(p, string(e.addr), callSpanKind(prog), proto.ProcName(prog, proc))
 	defer sp.End()
 	body, tail, err := e.start(p, to, prog, vers, proc, nil, args, callTimeout, maxRetries).wait(p)
 	return join(body, tail), err
@@ -428,7 +428,7 @@ func (e *Endpoint) CallMsg(p *sim.Proc, to simnet.Addr, prog, vers, proc uint32,
 // CallMsgEx is CallMsg with an explicit per-attempt timeout and retry
 // budget (see CallEx).
 func (e *Endpoint) CallMsgEx(p *sim.Proc, to simnet.Addr, prog, vers, proc uint32, m proto.Message, callTimeout sim.Duration, maxRetries int) ([]byte, error) {
-	sp := e.Spans.Begin(p, string(e.addr), callSpanKind(prog), procTraceName(prog, proc))
+	sp := e.Spans.Begin(p, string(e.addr), callSpanKind(prog), proto.ProcName(prog, proc))
 	defer sp.End()
 	body, tail, err := e.start(p, to, prog, vers, proc, m, nil, callTimeout, maxRetries).wait(p)
 	return join(body, tail), err
@@ -440,7 +440,7 @@ func (e *Endpoint) CallMsgEx(p *sim.Proc, to simnet.Addr, prog, vers, proc uint3
 // page and not a copy joined behind the header. Decode them with
 // xdr.Decoder.ResetTail.
 func (e *Endpoint) CallTail(p *sim.Proc, to simnet.Addr, prog, vers, proc uint32, m proto.Message) (body, tail []byte, err error) {
-	sp := e.Spans.Begin(p, string(e.addr), callSpanKind(prog), procTraceName(prog, proc))
+	sp := e.Spans.Begin(p, string(e.addr), callSpanKind(prog), proto.ProcName(prog, proc))
 	defer sp.End()
 	return e.start(p, to, prog, vers, proc, m, nil, e.opts.CallTimeout, e.opts.MaxRetries).wait(p)
 }
@@ -535,7 +535,7 @@ func (e *Endpoint) start(p *sim.Proc, to simnet.Addr, prog, vers, proc uint32, m
 
 	if e.Tracer != nil { // variadic args are boxed even for a nil tracer
 		e.Tracer.RecordOp(string(e.addr), trace.RPCCall, op, "-> %s %s xid=%d (%dB)",
-			to, procTraceName(prog, proc), xid, len(wire)-callHeaderLen)
+			to, proto.ProcName(prog, proc), xid, len(wire)-callHeaderLen)
 	}
 	c := &Pending{
 		e: e, to: to, prog: prog, vers: vers, proc: proc, xid: xid, op: op,
@@ -607,7 +607,7 @@ func (c *Pending) await(p *sim.Proc, d sim.Duration) bool {
 // recorder's nested Begin/End discipline does not apply).
 func (c *Pending) Wait(p *sim.Proc) ([]byte, error) {
 	body, tail, err := c.wait(p)
-	c.e.Spans.Add(p, string(c.e.addr), callSpanKind(c.prog), procTraceName(c.prog, c.proc), c.issued, c.e.k.Now())
+	c.e.Spans.Add(p, string(c.e.addr), callSpanKind(c.prog), proto.ProcName(c.prog, c.proc), c.issued, c.e.k.Now())
 	return join(body, tail), err
 }
 
@@ -635,7 +635,7 @@ func (c *Pending) wait(p *sim.Proc) (body, tail []byte, err error) {
 			}
 			e.stats.Retransmits++
 			e.Tracer.RecordOp(string(e.addr), trace.RPCRetry, c.op, "-> %s %s xid=%d attempt=%d",
-				c.to, procTraceName(c.prog, c.proc), c.xid, attempt)
+				c.to, proto.ProcName(c.prog, c.proc), c.xid, attempt)
 			c.sent = e.k.Now()
 			e.net.Send(e.addr, c.to, c.wire)
 		}
@@ -655,7 +655,7 @@ func (c *Pending) wait(p *sim.Proc) (body, tail []byte, err error) {
 			return body, tail, nil
 		}
 		// The whole timed-out attempt window is retransmit backoff.
-		e.Spans.Add(p, string(e.addr), span.Retrans, procTraceName(c.prog, c.proc), c.sent, e.k.Now())
+		e.Spans.Add(p, string(e.addr), span.Retrans, proto.ProcName(c.prog, c.proc), c.sent, e.k.Now())
 		// Exponential backoff, capped; jitter (off by default) is applied
 		// to the waited timeout only, so it never compounds.
 		backoff *= 2
@@ -772,12 +772,12 @@ func (e *Endpoint) serveOne(p *sim.Proc, req request) {
 			// trace and still shows up in the slow-op capture.
 			exop = p.BeginOp()
 		}
-		sp = e.Spans.Begin(p, string(e.addr), span.Serve, procTraceName(req.prog, req.proc))
+		sp = e.Spans.Begin(p, string(e.addr), span.Serve, proto.ProcName(req.prog, req.proc))
 		e.Spans.Add(p, string(e.addr), span.SrvQueue, "queue", req.enq, e.k.Now())
 	}
 	if e.Tracer != nil {
 		e.Tracer.RecordOp(string(e.addr), trace.RPCServe, req.op, "<- %s %s xid=%d (%dB)",
-			req.from, procTraceName(req.prog, req.proc), req.xid, len(req.args))
+			req.from, proto.ProcName(req.prog, req.proc), req.xid, len(req.args))
 	}
 	h, ok := e.progs[req.prog]
 	var body proto.Message
@@ -794,7 +794,7 @@ func (e *Endpoint) serveOne(p *sim.Proc, req request) {
 	}
 	if e.Tracer != nil {
 		e.Tracer.RecordOp(string(e.addr), trace.RPCReply, req.op, "-> %s %s xid=%d",
-			req.from, procTraceName(req.prog, req.proc), req.xid)
+			req.from, proto.ProcName(req.prog, req.proc), req.xid)
 	}
 	sp.End()
 	p.SetOp(0)
@@ -840,9 +840,4 @@ func (e *Endpoint) sendReply(to simnet.Addr, xid uint32, status Status, body pro
 	enc.Release()
 	e.net.SendTail(e.addr, to, head, tail)
 	return head, tail
-}
-
-// procTraceName formats program/procedure pairs for trace output.
-func procTraceName(prog, proc uint32) string {
-	return proto.ProcName(prog, proc)
 }

@@ -3,10 +3,7 @@ package server
 import (
 	"spritelynfs/internal/core"
 	"spritelynfs/internal/proto"
-	"spritelynfs/internal/rpc"
-	"spritelynfs/internal/sim"
 	"spritelynfs/internal/simnet"
-	"spritelynfs/internal/xdr"
 )
 
 // lockTable is the SNFS server's advisory lock manager — the "other
@@ -100,24 +97,14 @@ func (t *lockTable) clientDead(c core.ClientID) {
 func (t *lockTable) drop(h proto.Handle) { delete(t.locks, h) }
 
 // serveLock handles ProcLock and ProcUnlock on the SNFS server.
-func (s *SNFSServer) serveLock(p *sim.Proc, from simnet.Addr, proc uint32, args []byte) (proto.Message, rpc.Status) {
-	var a proto.LockArgs
-	c := xdr.NewDecoder(args).Codec()
-	if a.XDR(c); c.Err() != nil {
-		return nil, rpc.StatusGarbage
-	}
-	s.chargeCPU(p, 0)
-	s.account(proc)
+func (s *SNFSServer) serveLock(from simnet.Addr, proc uint32, a *proto.LockArgs) proto.Message {
 	if _, st := s.handle(a.Handle); st != proto.OK {
-		return &proto.LockReply{Status: st}, rpc.StatusOK
+		return &proto.LockReply{Status: st}
 	}
 	cid := core.ClientID(from)
-	switch proc {
-	case proto.ProcLock:
-		granted := s.locksTab.acquire(a.Handle, cid, a.Exclusive)
-		return &proto.LockReply{Status: proto.OK, Granted: granted}, rpc.StatusOK
-	default: // ProcUnlock
+	if proc == proto.ProcUnlock {
 		s.locksTab.release(a.Handle, cid)
-		return &proto.LockReply{Status: proto.OK, Granted: true}, rpc.StatusOK
+		return &proto.LockReply{Status: proto.OK, Granted: true}
 	}
+	return &proto.LockReply{Status: proto.OK, Granted: s.locksTab.acquire(a.Handle, cid, a.Exclusive)}
 }

@@ -148,24 +148,12 @@ func (r *Replicator) noteCommit(ino uint64) {
 // Only a kept reply has its head and tail joined, so a READ's, which may
 // carry a page as its tail, is never copied here.
 func (r *Replicator) noteServed(from simnet.Addr, xid, prog, vers, proc uint32, head, tail []byte) {
-	if prog != proto.ProgNFS || !nonIdempotent(proc) {
+	if info, _ := proto.LookupProc(prog, proc); prog != proto.ProgNFS || !info.NonIdempotent {
 		return
 	}
 	r.enqueue(proto.ReplRecord{
 		Kind: proto.ReplDup, From: string(from), Xid: xid, Wire: append(head[:len(head):len(head)], tail...),
 	})
-}
-
-// nonIdempotent reports whether re-executing proc can change the outcome
-// (the procedures whose dupcache entries are worth replicating).
-func nonIdempotent(proc uint32) bool {
-	switch proc {
-	case proto.ProcCreate, proto.ProcRemove, proto.ProcRename, proto.ProcMkdir,
-		proto.ProcRmdir, proto.ProcLink, proto.ProcSymlink, proto.ProcSetattr,
-		proto.ProcOpen, proto.ProcClose, proto.ProcLock, proto.ProcUnlock:
-		return true
-	}
-	return false
 }
 
 // Status reports replication health for the viewservice ping: synced
@@ -299,18 +287,9 @@ func (e *mirrorEntry) client(c string) *mirrorClient {
 // server has itself become the shard's primary (per its own, newer map),
 // it refuses with ErrDemoted and returns the map, so a partitioned old
 // primary self-demotes instead of split-braining.
-func (s *SNFSServer) serveReplStream(p *sim.Proc, from simnet.Addr, args []byte) (proto.Message, rpc.Status) {
-	var a proto.ReplStreamArgs
-	c := xdr.NewDecoder(args).Codec()
-	if a.XDR(c); c.Err() != nil {
-		return nil, rpc.StatusGarbage
-	}
-	s.chargeCPU(p, 0)
-	s.account(proto.ProcReplStream)
+func (s *SNFSServer) serveReplStream(p *sim.Proc, a *proto.ReplStreamArgs) proto.Message {
 	if s.isOwner() {
-		return &proto.ReplStreamReply{
-			Status: proto.ErrDemoted, Applied: s.replApplied, Map: s.shardMap,
-		}, rpc.StatusOK
+		return &proto.ReplStreamReply{Status: proto.ErrDemoted, Applied: s.replApplied, Map: s.shardMap}
 	}
 	if a.Epoch > s.primEpoch {
 		s.primEpoch = a.Epoch
@@ -352,25 +331,18 @@ func (s *SNFSServer) serveReplStream(p *sim.Proc, from simnet.Addr, args []byte)
 	for _, ino := range stableInos {
 		s.media.CommitFile(p, ino)
 	}
-	return &proto.ReplStreamReply{Status: proto.OK, Applied: s.replApplied}, rpc.StatusOK
+	return &proto.ReplStreamReply{Status: proto.OK, Applied: s.replApplied}
 }
 
 // serveReplSync answers the primary's barrier probe.
-func (s *SNFSServer) serveReplSync(p *sim.Proc, from simnet.Addr, args []byte) (proto.Message, rpc.Status) {
-	var a proto.ReplSyncArgs
-	c := xdr.NewDecoder(args).Codec()
-	if a.XDR(c); c.Err() != nil {
-		return nil, rpc.StatusGarbage
-	}
-	s.chargeCPU(p, 0)
-	s.account(proto.ProcReplSync)
+func (s *SNFSServer) serveReplSync(a *proto.ReplSyncArgs) proto.Message {
 	if s.isOwner() {
-		return &proto.ReplSyncReply{Status: proto.ErrDemoted, Applied: s.replApplied}, rpc.StatusOK
+		return &proto.ReplSyncReply{Status: proto.ErrDemoted, Applied: s.replApplied}
 	}
 	return &proto.ReplSyncReply{
 		Status: proto.OK, Applied: s.replApplied,
 		Synced: !s.replGap && s.replApplied >= a.Seq,
-	}, rpc.StatusOK
+	}
 }
 
 // applyMirror folds one transition record into the mirror.
@@ -520,18 +492,3 @@ func (s *SNFSServer) HealedAt() (sim.Time, bool) { return s.healedAt, s.healed }
 
 // ReplSynced reports whether the mirrored stream has been gap-free.
 func (s *SNFSServer) ReplSynced() bool { return !s.replGap }
-
-// noteHealed stamps the first post-promotion data RPC.
-func (s *SNFSServer) noteHealed(from simnet.Addr, proc uint32) {
-	if !s.promoted || s.healed {
-		return
-	}
-	switch proc {
-	case proto.ProcNull, proto.ProcServerInfo, proto.ProcDumpState, proto.ProcAudit,
-		proto.ProcMetrics, proto.ProcShardMap, proto.ProcMountRoot:
-		return // control plane: not a client healing onto this primary
-	}
-	s.healed = true
-	s.healedAt = s.k.Now()
-	s.record(trace.Crash, 0, "healed: first %s from %s after promotion", proto.ProcName(proto.ProgNFS, proc), from)
-}

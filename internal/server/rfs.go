@@ -10,7 +10,6 @@ import (
 	"spritelynfs/internal/sim"
 	"spritelynfs/internal/simnet"
 	"spritelynfs/internal/trace"
-	"spritelynfs/internal/xdr"
 )
 
 // RFSServer implements the System V Remote File Sharing consistency
@@ -101,18 +100,20 @@ func NewRFS(k *sim.Kernel, ep *rpc.Endpoint, media *localfs.Media, cfg Config) *
 	return s
 }
 
+// rfsProcs are the procedures the RFS server implements: NFS's, plus
+// open and close.
+var rfsProcs = commonProcs | procsOf(proto.ProcOpen, proto.ProcClose)
+
 func (s *RFSServer) serve(p *sim.Proc, from simnet.Addr, proc uint32, args []byte) (proto.Message, rpc.Status) {
+	var a callArgs
+	if body, st, done := s.admit(p, from, proc, args, rfsProcs, &a); done {
+		return body, st
+	}
 	switch proc {
 	case proto.ProcOpen:
-		return s.serveOpen(p, from, args)
+		return s.serveOpen(from, &a.open), rpc.StatusOK
 	case proto.ProcClose:
-		return s.serveClose(p, from, args)
-	}
-	var a callArgs
-	if st := a.decode(proc, args); st != rpc.StatusOK {
-		return nil, st
-	}
-	switch proc {
+		return s.serveClose(from, &a.close), rpc.StatusOK
 	case proto.ProcWrite:
 		// The defining RFS move: invalidate the other caching
 		// clients *when the write occurs*, then execute it.
@@ -127,17 +128,10 @@ func (s *RFSServer) serve(p *sim.Proc, from simnet.Addr, proc uint32, args []byt
 	return s.serveCommon(p, proc, &a)
 }
 
-func (s *RFSServer) serveOpen(p *sim.Proc, from simnet.Addr, args []byte) (proto.Message, rpc.Status) {
-	var a proto.OpenArgs
-	c := xdr.NewDecoder(args).Codec()
-	if a.XDR(c); c.Err() != nil {
-		return nil, rpc.StatusGarbage
-	}
-	s.chargeCPU(p, 0)
-	s.account(proto.ProcOpen)
+func (s *RFSServer) serveOpen(from simnet.Addr, a *proto.OpenArgs) proto.Message {
 	attr, st := s.handle(a.Handle)
 	if st != proto.OK {
-		return &proto.OpenReply{Status: st}, rpc.StatusOK
+		return &proto.OpenReply{Status: st}
 	}
 	e := s.tab.get(a.Handle)
 	s.tab.nextVer++ // stamp source (cheap monotonic clock)
@@ -161,17 +155,10 @@ func (s *RFSServer) serveOpen(p *sim.Proc, from simnet.Addr, args []byte) (proto
 		Version:      e.version,
 		PrevVersion:  e.prev,
 		Attr:         s.fattr(attr),
-	}, rpc.StatusOK
+	}
 }
 
-func (s *RFSServer) serveClose(p *sim.Proc, from simnet.Addr, args []byte) (proto.Message, rpc.Status) {
-	var a proto.CloseArgs
-	c := xdr.NewDecoder(args).Codec()
-	if a.XDR(c); c.Err() != nil {
-		return nil, rpc.StatusGarbage
-	}
-	s.chargeCPU(p, 0)
-	s.account(proto.ProcClose)
+func (s *RFSServer) serveClose(from simnet.Addr, a *proto.CloseArgs) proto.Message {
 	if e, ok := s.tab.entries[a.Handle]; ok {
 		cid := core.ClientID(from)
 		if e.opens[cid] > 0 {
@@ -184,7 +171,7 @@ func (s *RFSServer) serveClose(p *sim.Proc, from simnet.Addr, args []byte) (prot
 		// stays set); version validation covers reopen after
 		// eviction of the entry.
 	}
-	return &proto.StatusReply{Status: proto.OK}, rpc.StatusOK
+	return &proto.StatusReply{Status: proto.OK}
 }
 
 // invalidateForWrite sends invalidate callbacks to every caching client

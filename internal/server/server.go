@@ -85,6 +85,10 @@ type Base struct {
 	// this shard's backup (see repl.go). Nil on standalone servers,
 	// backups, and primaries without a backup.
 	repl *Replicator
+	// The failover milestones of a backup that took over its shard (see
+	// Promote), and of the first data-plane call it then served.
+	promoted, healed     bool
+	promotedAt, healedAt sim.Time
 
 	// verifier is the write verifier returned on WRITE and COMMIT: it
 	// changes exactly when the server reboots (it is the crash epoch),
@@ -274,30 +278,77 @@ func (b *Base) RootHandle() proto.Handle {
 	return b.toHandle(attr)
 }
 
-// callArgs is a call's arguments, decoded once where the call is
-// dispatched: the field of its procedure's argument type is filled, and
-// every other field stays zero.
-type callArgs struct {
-	file    proto.HandleArgs // getattr, readdir, readdirattrs, readlink, statfs
-	setattr proto.SetattrArgs
-	dirOp   proto.DirOpArgs // lookup, remove, rmdir
-	read    proto.ReadArgs
-	write   proto.WriteArgs
-	commit  proto.CommitArgs
-	create  proto.CreateArgs // create, mkdir
-	rename  proto.RenameArgs
-	path    proto.LookupPathArgs
-	link    proto.LinkArgs
-	symlink proto.SymlinkArgs
+// procSet is a set of ProgNFS procedure numbers.
+type procSet uint64
+
+func procsOf(procs ...uint32) (s procSet) {
+	for _, proc := range procs {
+		s |= 1 << proc
+	}
+	return s
 }
 
-// decode fills a from the arguments of one of the procedures serveCommon
-// executes. It answers PROC_UNAVAIL for any other procedure, and
-// GARBAGE_ARGS for arguments that do not decode.
+func (s procSet) has(proc uint32) bool { return proc < 64 && s&(1<<proc) != 0 }
+
+// commonProcs are the procedures serveCommon executes: all a plain NFS
+// server implements, and what every other server builds on.
+var commonProcs = procsOf(proto.ProcNull, proto.ProcGetattr, proto.ProcSetattr,
+	proto.ProcLookup, proto.ProcReadlink, proto.ProcRead, proto.ProcWrite,
+	proto.ProcCreate, proto.ProcRemove, proto.ProcRename, proto.ProcLink,
+	proto.ProcSymlink, proto.ProcMkdir, proto.ProcRmdir, proto.ProcReaddir,
+	proto.ProcStatfs, proto.ProcMountRoot, proto.ProcMetrics, proto.ProcShardMap,
+	proto.ProcCommit, proto.ProcLookupPath, proto.ProcReaddirAttrs)
+
+// admit takes a call through the steps every server shares, in order: a
+// procedure outside serves is refused PROC_UNAVAIL, free of charge; the
+// owner guard; the one decode of the arguments into a; the route guard;
+// and, for a guard's refusal or a procedure serveCommon does not execute,
+// the call's CPU charge and count. done reports that the call ends here,
+// answered body and st.
+func (b *Base) admit(p *sim.Proc, from simnet.Addr, proc uint32, args []byte, serves procSet, a *callArgs) (body proto.Message, st rpc.Status, done bool) {
+	if !serves.has(proc) {
+		return nil, rpc.StatusProcUnavail, true
+	}
+	if body, done = b.ownerCheck(from, proc); !done {
+		if st := a.decode(proc, args); st != rpc.StatusOK {
+			return nil, st, true
+		}
+		body, done = b.routeCheck(proc, a)
+	}
+	if done || !commonProcs.has(proc) {
+		b.chargeCPU(p, 0)
+		b.account(proc)
+	}
+	return body, rpc.StatusOK, done
+}
+
+// callArgs is a call's arguments, decoded once, in admit: the field of its
+// procedure's argument type is filled, and every other field stays zero.
+type callArgs struct {
+	file       proto.HandleArgs // getattr, readdir, readdirattrs, readlink, statfs
+	setattr    proto.SetattrArgs
+	dirOp      proto.DirOpArgs // lookup, remove, rmdir
+	read       proto.ReadArgs
+	write      proto.WriteArgs
+	commit     proto.CommitArgs
+	create     proto.CreateArgs // create, mkdir
+	rename     proto.RenameArgs
+	path       proto.LookupPathArgs
+	link       proto.LinkArgs
+	symlink    proto.SymlinkArgs
+	open       proto.OpenArgs
+	close      proto.CloseArgs
+	reopen     proto.ReopenArgs
+	lock       proto.LockArgs // lock, unlock
+	replStream proto.ReplStreamArgs
+	replSync   proto.ReplSyncArgs
+}
+
+// decode fills a from proc's arguments, and answers GARBAGE_ARGS for
+// arguments that do not decode. A procedure that takes none reads nothing.
 func (a *callArgs) decode(proc uint32, args []byte) rpc.Status {
 	c := xdr.NewDecoder(args).Codec()
 	switch proc {
-	case proto.ProcNull, proto.ProcMountRoot, proto.ProcMetrics, proto.ProcShardMap:
 	case proto.ProcGetattr, proto.ProcReaddir, proto.ProcReaddirAttrs, proto.ProcReadlink, proto.ProcStatfs:
 		a.file.XDR(c)
 	case proto.ProcSetattr:
@@ -320,8 +371,18 @@ func (a *callArgs) decode(proc uint32, args []byte) rpc.Status {
 		a.link.XDR(c)
 	case proto.ProcSymlink:
 		a.symlink.XDR(c)
-	default:
-		return rpc.StatusProcUnavail
+	case proto.ProcOpen:
+		a.open.XDR(c)
+	case proto.ProcClose:
+		a.close.XDR(c)
+	case proto.ProcReopen:
+		a.reopen.XDR(c)
+	case proto.ProcLock, proto.ProcUnlock:
+		a.lock.XDR(c)
+	case proto.ProcReplStream:
+		a.replStream.XDR(c)
+	case proto.ProcReplSync:
+		a.replSync.XDR(c)
 	}
 	if c.Err() != nil {
 		return rpc.StatusGarbage
@@ -373,7 +434,7 @@ func (a *callArgs) dirNames(proc uint32) (names [2]dirName, n int) {
 // reached through handles that exist only on the owning shard (a
 // migrated subtree's old handles answer ErrStale, sending the client
 // back through a guarded lookup).
-func (b *Base) routeCheck(p *sim.Proc, proc uint32, a *callArgs) (proto.Message, bool) {
+func (b *Base) routeCheck(proc uint32, a *callArgs) (proto.Message, bool) {
 	if b.shardMap.IsZero() {
 		return nil, false
 	}
@@ -384,8 +445,6 @@ func (b *Base) routeCheck(p *sim.Proc, proc uint32, a *callArgs) (proto.Message,
 			continue
 		}
 		if b.shardMap.Owner(nm.name) != b.shardID {
-			b.chargeCPU(p, 0)
-			b.account(proc)
 			return notHomeReply(proc), true
 		}
 	}
@@ -418,22 +477,29 @@ func (b *Base) isOwner() bool {
 // ownerCheck is the demotion guard: when a newer map says another server
 // owns this shard — this server is a backup, or a primary that has been
 // failed over — every data-plane call is bounced with ErrNotHome so the
-// caller refetches the map and heals onto the real primary. Control and
-// replication procedures pass: they are how the map gets refetched and
-// how the stream keeps flowing.
-func (b *Base) ownerCheck(p *sim.Proc, proc uint32) (proto.Message, bool) {
-	if b.isOwner() {
+// caller refetches the map and heals onto the real primary. Control-plane
+// procedures pass: they are how the map gets refetched and how the
+// replication stream keeps flowing. A data-plane call the owner serves is
+// the heal stamp's.
+func (b *Base) ownerCheck(from simnet.Addr, proc uint32) (proto.Message, bool) {
+	if info, _ := proto.LookupProc(proto.ProgNFS, proc); info.Control {
 		return nil, false
 	}
-	switch proc {
-	case proto.ProcNull, proto.ProcServerInfo, proto.ProcDumpState, proto.ProcAudit,
-		proto.ProcMetrics, proto.ProcShardMap, proto.ProcMountRoot,
-		proto.ProcReplStream, proto.ProcReplSync:
-		return nil, false
+	if !b.isOwner() {
+		return notHomeReply(proc), true
 	}
-	b.chargeCPU(p, 0)
-	b.account(proc)
-	return notHomeReply(proc), true
+	b.noteHealed(from, proc)
+	return nil, false
+}
+
+// noteHealed stamps the first data-plane call a promoted primary serves.
+func (b *Base) noteHealed(from simnet.Addr, proc uint32) {
+	if !b.promoted || b.healed {
+		return
+	}
+	b.healed = true
+	b.healedAt = b.k.Now()
+	b.record(trace.Crash, 0, "healed: first %s from %s after promotion", proto.ProcName(proto.ProgNFS, proc), from)
 }
 
 // replWrite forwards one charged write to the backup, if replicating.
@@ -760,7 +826,7 @@ func (b *Base) serveCommon(p *sim.Proc, proc uint32, a *callArgs) (proto.Message
 			BytesUsed: st.TotalBytes(),
 		}, rpc.StatusOK
 	}
-	return nil, rpc.StatusProcUnavail // decode passes only the procedures above
+	return nil, rpc.StatusProcUnavail // admit passes only commonProcs here
 }
 
 // wccReply builds a remove/rename/close reply carrying post-op
@@ -829,15 +895,9 @@ func (s *NFSServer) Reboot() {
 }
 
 func (s *NFSServer) serve(p *sim.Proc, from simnet.Addr, proc uint32, args []byte) (proto.Message, rpc.Status) {
-	if body, rejected := s.ownerCheck(p, proc); rejected {
-		return body, rpc.StatusOK
-	}
 	var a callArgs
-	if st := a.decode(proc, args); st != rpc.StatusOK {
-		return nil, st
-	}
-	if body, rejected := s.routeCheck(p, proc, &a); rejected {
-		return body, rpc.StatusOK
+	if body, st, done := s.admit(p, from, proc, args, commonProcs, &a); done {
+		return body, st
 	}
 	return s.serveCommon(p, proc, &a)
 }

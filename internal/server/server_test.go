@@ -23,6 +23,7 @@ type rig struct {
 	cli  *rpc.Endpoint
 	nfs  *NFSServer
 	snfs *SNFSServer
+	rfs  *RFSServer
 }
 
 func newRig(useSNFS bool, opts SNFSOptions) *rig {
@@ -31,27 +32,48 @@ func newRig(useSNFS bool, opts SNFSOptions) *rig {
 
 // newRigWith is newRig with a stated server Config and disk access time.
 func newRigWith(cfg Config, diskAccess sim.Duration, useSNFS bool, opts SNFSOptions) *rig {
+	return newRigServing(diskAccess, func(r *rig, ep *rpc.Endpoint, media *localfs.Media) {
+		if useSNFS {
+			r.snfs = NewSNFS(r.k, ep, media, cfg, opts)
+		} else {
+			r.nfs = NewNFS(r.k, ep, media, cfg)
+		}
+	})
+}
+
+// newRFSRig is newRig with an RFS server.
+func newRFSRig() *rig {
+	return newRigServing(sim.Millisecond, func(r *rig, ep *rpc.Endpoint, media *localfs.Media) {
+		r.rfs = NewRFS(r.k, ep, media, Config{FSID: 1})
+	})
+}
+
+// newRigServing builds the rig around the server that serve starts on the
+// server endpoint.
+func newRigServing(diskAccess sim.Duration, serve func(r *rig, ep *rpc.Endpoint, media *localfs.Media)) *rig {
 	k := sim.NewKernel(1)
 	net := simnet.New(k, simnet.Config{PropDelay: sim.Millisecond})
 	sep := rpc.NewEndpoint(k, net, "server", rpc.Options{Workers: 4})
 	st := localfs.NewStore(k.Now, 4096)
 	media := localfs.NewMedia(st, disk.New(k, "d", disk.Params{AccessTime: diskAccess}), 1, 1<<20)
 	r := &rig{k: k, net: net}
-	if useSNFS {
-		r.snfs = NewSNFS(k, sep, media, cfg, opts)
-	} else {
-		r.nfs = NewNFS(k, sep, media, cfg)
-	}
+	serve(r, sep, media)
 	r.cli = rpc.NewEndpoint(k, net, "cli", rpc.Options{Workers: 2})
 	return r
 }
 
-func (r *rig) root() proto.Handle {
-	if r.nfs != nil {
-		return r.nfs.RootHandle()
+// base returns the machinery of whichever server the rig runs.
+func (r *rig) base() *Base {
+	switch {
+	case r.nfs != nil:
+		return r.nfs.Base
+	case r.snfs != nil:
+		return r.snfs.Base
 	}
-	return r.snfs.RootHandle()
+	return r.rfs.Base
 }
+
+func (r *rig) root() proto.Handle { return r.base().RootHandle() }
 
 func (r *rig) call(t *testing.T, p *sim.Proc, procNum uint32, m proto.Message) []byte {
 	t.Helper()
@@ -180,21 +202,51 @@ func TestServerStaleHandles(t *testing.T) {
 // after its handle, a CLOSE used to be served as a read-mode close and a
 // LOCK granted as a shared one; a truncated replication batch applied a
 // half-decoded record; and an oversized LOOKUPPATH was walked from the
-// zero handle.
+// zero handle. A procedure a server does not implement is answered
+// PROC_UNAVAIL free of charge: that answer is how a hybrid client detects
+// a plain server (§6.1), and it costs the server no CPU and counts no op.
 func TestServerGarbageArgs(t *testing.T) {
-	for _, snfs := range []bool{false, true} {
-		r := newRig(snfs, SNFSOptions{})
+	noArgs := procsOf(proto.ProcNull, proto.ProcServerInfo, proto.ProcMountRoot, proto.ProcDumpState,
+		proto.ProcMetrics, proto.ProcAudit, proto.ProcShardMap)
+	for _, c := range []struct {
+		name   string
+		rig    func() *rig
+		serves procSet
+	}{
+		{"nfs", func() *rig { return newRig(false, SNFSOptions{}) }, commonProcs},
+		{"snfs", func() *rig { return newRig(true, SNFSOptions{}) }, snfsProcs},
+		{"rfs", newRFSRig, rfsProcs},
+	} {
+		r := c.rig()
 		r.run(t, func(p *sim.Proc) {
 			garbage := func(what string, proc uint32, args []byte) {
 				t.Helper()
 				if _, err := r.cli.Call(p, "server", proto.ProgNFS, proto.VersNFS, proc, args); err != rpc.ErrGarbage {
-					t.Errorf("%s: %v, want GARBAGE_ARGS", what, err)
+					t.Errorf("%s %s: %v, want GARBAGE_ARGS", c.name, what, err)
 				}
 			}
-			garbage("truncated READ", proto.ProcRead, []byte{1, 2})
+			for proc := uint32(0); proc < 64; proc++ {
+				if _, ok := proto.LookupProc(proto.ProgNFS, proc); !ok {
+					continue
+				}
+				name := proto.ProcName(proto.ProgNFS, proc)
+				if c.serves.has(proc) {
+					if !noArgs.has(proc) {
+						garbage(name+" on a 2-byte body", proc, []byte{1, 2})
+					}
+					continue
+				}
+				ops, busy := r.base().Ops().Total(), r.base().CPU().BusyTime()
+				if _, err := r.cli.Call(p, "server", proto.ProgNFS, proto.VersNFS, proc, []byte{1, 2}); err != rpc.ErrProcUnavail {
+					t.Errorf("%s %s: %v, want PROC_UNAVAIL", c.name, name, err)
+				}
+				if r.base().Ops().Total() != ops || r.base().CPU().BusyTime() != busy {
+					t.Errorf("%s %s: refusing it counted an op or charged CPU", c.name, name)
+				}
+			}
 			tooLong := &proto.LookupPathArgs{Dir: r.root(), Names: make([]string, 1<<12+1)}
 			garbage("LOOKUPPATH of 4,097 names", proto.ProcLookupPath, proto.Marshal(tooLong))
-			if !snfs {
+			if r.snfs == nil {
 				return
 			}
 

@@ -67,10 +67,6 @@ type SNFSServer struct {
 	replGap      bool
 	primEpoch    uint64
 	primVerifier uint64
-	promoted     bool
-	promotedAt   sim.Time
-	healed       bool
-	healedAt     sim.Time
 }
 
 type cbKey struct {
@@ -234,54 +230,39 @@ func (s *SNFSServer) Reboot() {
 	s.record(trace.Crash, 0, "server reboot (epoch %d, grace until %v)", s.epoch, s.graceUntil)
 }
 
+// snfsProcs are the procedures the Spritely server implements: every one
+// in ProgNFS's table.
+var snfsProcs = commonProcs | procsOf(proto.ProcOpen, proto.ProcClose, proto.ProcReopen,
+	proto.ProcServerInfo, proto.ProcDumpState, proto.ProcAudit, proto.ProcLock, proto.ProcUnlock,
+	proto.ProcReplStream, proto.ProcReplSync)
+
 func (s *SNFSServer) serve(p *sim.Proc, from simnet.Addr, proc uint32, args []byte) (proto.Message, rpc.Status) {
-	// The replication stream is handled ahead of the ownership guard: a
-	// backup is by definition not its shard's owner, and a new primary
-	// must still answer (ErrDemoted) so a partitioned old primary learns.
-	switch proc {
-	case proto.ProcReplStream:
-		return s.serveReplStream(p, from, args)
-	case proto.ProcReplSync:
-		return s.serveReplSync(p, from, args)
+	// admit runs the shard route guard before the hybrid/name-cache hooks
+	// below, so a misrouted operation is bounced without delivering any
+	// callbacks.
+	var a callArgs
+	if body, st, done := s.admit(p, from, proc, args, snfsProcs, &a); done {
+		return body, st
 	}
-	if body, rejected := s.ownerCheck(p, proc); rejected {
-		return body, rpc.StatusOK
-	}
-	s.noteHealed(from, proc)
 	switch proc {
 	case proto.ProcOpen:
-		return s.serveOpen(p, from, args)
+		return s.serveOpen(p, from, &a.open), rpc.StatusOK
 	case proto.ProcClose:
-		return s.serveClose(p, from, args)
+		return s.serveClose(p, from, &a.close), rpc.StatusOK
 	case proto.ProcReopen:
-		return s.serveReopen(p, from, args)
+		return s.serveReopen(p, from, &a.reopen), rpc.StatusOK
+	case proto.ProcLock, proto.ProcUnlock:
+		return s.serveLock(from, proc, &a.lock), rpc.StatusOK
+	case proto.ProcReplStream:
+		return s.serveReplStream(p, &a.replStream), rpc.StatusOK
+	case proto.ProcReplSync:
+		return s.serveReplSync(&a.replSync), rpc.StatusOK
 	case proto.ProcServerInfo:
-		s.chargeCPU(p, 0)
-		s.account(proc)
-		return &proto.ServerInfoReply{
-			Status: proto.OK, Epoch: s.epoch, InGrace: s.InGrace(),
-		}, rpc.StatusOK
+		return &proto.ServerInfoReply{Status: proto.OK, Epoch: s.epoch, InGrace: s.InGrace()}, rpc.StatusOK
 	case proto.ProcDumpState:
-		s.chargeCPU(p, 0)
-		s.account(proc)
 		return s.dumpState(), rpc.StatusOK
 	case proto.ProcAudit:
-		s.chargeCPU(p, 0)
-		s.account(proc)
-		return &proto.AuditReply{
-			Status: proto.OK, Text: s.auditor.Summary(),
-		}, rpc.StatusOK
-	case proto.ProcLock, proto.ProcUnlock:
-		return s.serveLock(p, from, proc, args)
-	}
-	var a callArgs
-	if st := a.decode(proc, args); st != rpc.StatusOK {
-		return nil, st
-	}
-	// The shard route guard runs before the hybrid/name-cache hooks so a
-	// misrouted operation is bounced without delivering any callbacks.
-	if body, rejected := s.routeCheck(p, proc, &a); rejected {
-		return body, rpc.StatusOK
+		return &proto.AuditReply{Status: proto.OK, Text: s.auditor.Summary()}, rpc.StatusOK
 	}
 	if s.auditor != nil {
 		// Journal commits, the durability point the no-lost-committed-
@@ -357,19 +338,12 @@ func (s *SNFSServer) truncateOnCreate(p *sim.Proc, from simnet.Addr, a *proto.Cr
 	}
 }
 
-func (s *SNFSServer) serveOpen(p *sim.Proc, from simnet.Addr, args []byte) (proto.Message, rpc.Status) {
-	var a proto.OpenArgs
-	c := xdr.NewDecoder(args).Codec()
-	if a.XDR(c); c.Err() != nil {
-		return nil, rpc.StatusGarbage
-	}
-	s.chargeCPU(p, 0)
-	s.account(proto.ProcOpen)
+func (s *SNFSServer) serveOpen(p *sim.Proc, from simnet.Addr, a *proto.OpenArgs) proto.Message {
 	if _, st := s.handle(a.Handle); st != proto.OK {
-		return &proto.OpenReply{Status: st}, rpc.StatusOK
+		return &proto.OpenReply{Status: st}
 	}
 	if s.InGrace() {
-		return &proto.OpenReply{Status: proto.ErrGrace}, rpc.StatusOK
+		return &proto.OpenReply{Status: proto.ErrGrace}
 	}
 	lk := s.lockFor(a.Handle)
 	lk.Lock(p)
@@ -388,7 +362,7 @@ func (s *SNFSServer) serveOpen(p *sim.Proc, from simnet.Addr, args []byte) (prot
 		}
 		res = s.table.Open(a.Handle, cid, a.WriteMode)
 		if res.TableFull {
-			return &proto.OpenReply{Status: proto.ErrTableFull}, rpc.StatusOK
+			return &proto.OpenReply{Status: proto.ErrTableFull}
 		}
 	}
 	inconsistent := res.Inconsistent
@@ -407,7 +381,7 @@ func (s *SNFSServer) serveOpen(p *sim.Proc, from simnet.Addr, args []byte) (prot
 	// reflected (size, mtime).
 	attr, st := s.handle(a.Handle)
 	if st != proto.OK {
-		return &proto.OpenReply{Status: st}, rpc.StatusOK
+		return &proto.OpenReply{Status: st}
 	}
 	status := proto.OK
 	if inconsistent {
@@ -419,17 +393,10 @@ func (s *SNFSServer) serveOpen(p *sim.Proc, from simnet.Addr, args []byte) (prot
 		Version:      res.Version,
 		PrevVersion:  res.PrevVersion,
 		Attr:         s.fattr(attr),
-	}, rpc.StatusOK
+	}
 }
 
-func (s *SNFSServer) serveClose(p *sim.Proc, from simnet.Addr, args []byte) (proto.Message, rpc.Status) {
-	var a proto.CloseArgs
-	c := xdr.NewDecoder(args).Codec()
-	if a.XDR(c); c.Err() != nil {
-		return nil, rpc.StatusGarbage
-	}
-	s.chargeCPU(p, 0)
-	s.account(proto.ProcClose)
+func (s *SNFSServer) serveClose(p *sim.Proc, from simnet.Addr, a *proto.CloseArgs) proto.Message {
 	lk := s.lockFor(a.Handle)
 	lk.Lock(p)
 	defer lk.Unlock()
@@ -438,22 +405,15 @@ func (s *SNFSServer) serveClose(p *sim.Proc, from simnet.Addr, args []byte) (pro
 		// Post-op attributes save the getattr that commonly trails a
 		// close; journaled so the audit can correlate client views.
 		s.auditor.NoteEvent(p.Op(), "close-wcc", a.Handle, string(from), "")
-		return s.wccReply(proto.OK, a.Handle), rpc.StatusOK
+		return s.wccReply(proto.OK, a.Handle)
 	}
-	return &proto.StatusReply{Status: proto.OK}, rpc.StatusOK
+	return &proto.StatusReply{Status: proto.OK}
 }
 
-func (s *SNFSServer) serveReopen(p *sim.Proc, from simnet.Addr, args []byte) (proto.Message, rpc.Status) {
-	var a proto.ReopenArgs
-	c := xdr.NewDecoder(args).Codec()
-	if a.XDR(c); c.Err() != nil {
-		return nil, rpc.StatusGarbage
-	}
-	s.chargeCPU(p, 0)
-	s.account(proto.ProcReopen)
+func (s *SNFSServer) serveReopen(p *sim.Proc, from simnet.Addr, a *proto.ReopenArgs) proto.Message {
 	attr, st := s.handle(a.Handle)
 	if st != proto.OK {
-		return &proto.OpenReply{Status: st}, rpc.StatusOK
+		return &proto.OpenReply{Status: st}
 	}
 	lk := s.lockFor(a.Handle)
 	lk.Lock(p)
@@ -466,7 +426,7 @@ func (s *SNFSServer) serveReopen(p *sim.Proc, from simnet.Addr, args []byte) (pr
 		Version:      s.table.Version(a.Handle),
 		PrevVersion:  s.table.Version(a.Handle),
 		Attr:         s.fattr(attr),
-	}, rpc.StatusOK
+	}
 }
 
 // serveHybrid implements §6.1: a data or attribute access from a client
