@@ -16,6 +16,7 @@ import (
 	"spritelynfs/internal/cluster"
 	"spritelynfs/internal/harness"
 	"spritelynfs/internal/localfs"
+	"spritelynfs/internal/sim"
 )
 
 // TestStructuralCeilings holds the repository's structural counts at
@@ -28,13 +29,15 @@ func TestStructuralCeilings(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, chargeRead := reflect.TypeOf(&localfs.Media{}).MethodByName("ChargeRead")
+	_, onBusy := reflect.TypeOf(sim.Resource{}).FieldByName("OnBusy")
 	for _, c := range []struct {
 		what     string
 		got, max int
 	}{
 		// Modes and instruments are configuration surface: every field
 		// doubles a test matrix or wires another sink.
-		{"harness.Params fields", reflect.TypeOf(harness.Params{}).NumField(), 34},
+		{"harness.Params fields", reflect.TypeOf(harness.Params{}).NumField(), 30},
+		{"cluster.Config fields", reflect.TypeOf(cluster.Config{}).NumField(), 10},
 		{"cluster.Instruments fields", reflect.TypeOf(cluster.Instruments{}).NumField(), 4},
 		{"snfsd flags", countFlags(t, "cmd/snfsd"), 13},
 		// The protocol core stays free of the observability stack.
@@ -58,6 +61,10 @@ func TestStructuralCeilings(t *testing.T) {
 		// state it guards: neither needs an object of its own.
 		{"container/list imports outside tests", countImporters(t, "container/list"), 0},
 		{"sim.NewSignal/sim.NewWaitGroup declarations", countFuncs(t, "internal/sim", "NewSignal", "NewWaitGroup"), 0},
+		// One time series: Figures 5-1/5-2 are a view of the sampled
+		// timeline, not a second recorder fed by the server and the CPU.
+		{"stats.TimeSeries/server.Series/Resource.OnBusy declarations",
+			countTypes(t, "internal/stats", "TimeSeries") + countTypes(t, "internal/server", "Series") + b2i(onBusy), 0},
 	} {
 		if c.got > c.max {
 			t.Errorf("%s: %d, above its ceiling of %d", c.what, c.got, c.max)
@@ -141,6 +148,21 @@ func countFuncs(t *testing.T, dir string, names ...string) int {
 				n++
 			}
 		}
+	}
+	return n
+}
+
+// countTypes counts the types named any of names that dir's non-test
+// files declare.
+func countTypes(t *testing.T, dir string, names ...string) int {
+	n := 0
+	for _, f := range parseDir(t, dir, 0) {
+		ast.Inspect(f, func(node ast.Node) bool {
+			if ts, ok := node.(*ast.TypeSpec); ok && slices.Contains(names, ts.Name.Name) {
+				n++
+			}
+			return true
+		})
 	}
 	return n
 }

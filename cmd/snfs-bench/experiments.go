@@ -199,7 +199,7 @@ func rpcExperiment(e *env) error {
 	fmt.Fprintln(w, "(armed = post-op attribute piggybacking + READDIRPLUS-style readdir + compound lookup)")
 	fmt.Fprintln(w)
 	for _, pr := range []harness.Proto{harness.NFS, harness.SNFS} {
-		vrun, err := harness.RunAndrew(pr, true, e.pm, false)
+		vrun, err := harness.RunAndrew(pr, true, e.pm)
 		if err != nil {
 			return fmt.Errorf("%s vintage: %w", pr, err)
 		}
@@ -208,7 +208,7 @@ func rpcExperiment(e *env) error {
 		if pr == harness.SNFS {
 			armedPM.Audit = true // certify the savings break nothing
 		}
-		arun, err := harness.RunAndrew(pr, true, armedPM, false)
+		arun, err := harness.RunAndrew(pr, true, armedPM)
 		if err != nil {
 			return fmt.Errorf("%s armed: %w", pr, err)
 		}
@@ -455,8 +455,6 @@ func failoverExperiment(e *env) error {
 	pm := e.pm
 	pm.Audit = true // certify the takeover preserves consistency
 	pm.Backups = true
-	pm.ViewInterval = 100 * sim.Millisecond
-	pm.ViewDeadPings = 5
 	// Size the ring to hold the whole run (~21k events per shard), so the
 	// promotion and heal records survive to the post-run dump.
 	pm.FlightCapacity = 32768

@@ -74,11 +74,6 @@ type Config struct {
 	// viewservice that promotes the backup when the primary stops
 	// pinging. Clients heal through the usual map-refetch machinery.
 	Backups bool
-	// ViewInterval is the viewservice ping/tick period (0 = 100 ms).
-	ViewInterval sim.Duration
-	// ViewDeadPings is how many missed pings declare a server dead
-	// (0 = 5).
-	ViewDeadPings int
 	// ViewLog, when set, receives one text line per view change.
 	ViewLog io.Writer
 }
@@ -202,11 +197,6 @@ func (c *Cluster) EnableMetrics() {
 // replication stream feeding it, the viewservice, and both members'
 // pingers.
 func (c *Cluster) buildBackups() {
-	cfg := c.cfg
-	interval := cfg.ViewInterval
-	if interval == 0 {
-		interval = 100 * sim.Millisecond
-	}
 	for _, sh := range c.shards {
 		// The primary's spec with the primary's Store — the durable bytes
 		// survive either machine — and its auditor and event ring;
@@ -217,11 +207,10 @@ func (c *Cluster) buildBackups() {
 	c.viewAddr = "viewsvc"
 	vep := rpc.NewEndpoint(c.k, c.net, c.viewAddr, rpc.Options{Workers: 2})
 	c.view = view.NewService(c.k, vep, c, view.Config{
-		Interval:  interval,
-		DeadPings: cfg.ViewDeadPings,
-		Log:       cfg.ViewLog,
-		OnEvent:   c.onViewEvent,
+		Log:     c.cfg.ViewLog,
+		OnEvent: c.onViewEvent,
 	})
+	interval := c.view.Interval()
 	for _, sh := range c.shards {
 		sh := sh
 		backup := sh.Backup.SNFS

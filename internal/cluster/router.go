@@ -72,7 +72,7 @@ func (c *Cluster) NewRouter(host simnet.Addr) *Router {
 			Instruments{Spans: c.cfg.Spans, Auditor: sh.Auditor}))
 	}
 	if c.view != nil {
-		r.enableFailover(c.viewAddr, c.cfg.ViewInterval)
+		r.enableFailover(c.viewAddr, c.view.Interval())
 	}
 	return r
 }
@@ -83,9 +83,6 @@ func (c *Cluster) NewRouter(host simnet.Addr) *Router {
 // the map converges even when no in-flight call is around to earn an
 // ErrNotHome redirect.
 func (r *Router) enableFailover(viewsvc simnet.Addr, interval sim.Duration) {
-	if interval == 0 {
-		interval = 100 * sim.Millisecond
-	}
 	r.viewsvc = viewsvc
 	for i, h := range r.hosts {
 		i := i

@@ -81,6 +81,9 @@ func (d *Disk) Utilization() float64 { return d.res.Utilization() }
 // BusyTime reports cumulative arm busy time.
 func (d *Disk) BusyTime() sim.Duration { return d.res.BusyTime() }
 
+// Backlog reports how far the arm's queued work extends past now.
+func (d *Disk) Backlog() sim.Duration { return d.res.Backlog() }
+
 func (d *Disk) opCost(bytes int) sim.Duration {
 	c := d.p.AccessTime
 	if d.p.BytesPerSec > 0 {

@@ -144,7 +144,7 @@ func TestAuditedExperimentStaysClean(t *testing.T) {
 	if _, _, err := WriteShareExperiment(pm); err != nil {
 		t.Fatalf("audited write-share experiment: %v", err)
 	}
-	if _, err := RunAndrew(SNFS, true, pm, false); err != nil {
+	if _, err := RunAndrew(SNFS, true, pm); err != nil {
 		t.Fatalf("audited Andrew benchmark: %v", err)
 	}
 }

@@ -45,8 +45,6 @@ func BuildCluster(nshards int, assignments map[string]uint32, pm Params) (*World
 		FlightCapacity: pm.FlightCapacity,
 		Spans:          w.Spans,
 		Backups:        pm.Backups,
-		ViewInterval:   pm.ViewInterval,
-		ViewDeadPings:  pm.ViewDeadPings,
 		ViewLog:        pm.ViewLog,
 	})
 	if err != nil {
@@ -111,7 +109,7 @@ func RunClusterScale(nclients, nshards int, pm Params) (ScalePoint, error) {
 		// Servers only: nclients × nshards client hosts' worth of series
 		// would not fit the sampler's budget.
 		w.Cluster.EnableMetrics()
-		pt.Timeline = w.StartSampler(nil, pm.SampleInterval, pm.SampleCapacity).Timeline()
+		pt.Timeline = w.StartSampler(nil, pm.SampleInterval).Timeline()
 	}
 
 	var elapsed sim.Duration

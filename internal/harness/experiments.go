@@ -3,9 +3,10 @@ package harness
 import (
 	"fmt"
 	"io"
+	"math"
+	"strings"
 
 	"spritelynfs/internal/metrics"
-	"spritelynfs/internal/server"
 	"spritelynfs/internal/sim"
 	"spritelynfs/internal/span"
 	"spritelynfs/internal/stats"
@@ -20,9 +21,11 @@ type AndrewRun struct {
 	TmpRemote bool
 	Result    workload.AndrewResult
 	Ops       *stats.Ops
-	Series    *server.Series
-	CPUUtil   float64
-	Start     sim.Time // when the timed phases began (series offset)
+	// ServerOps and ServerCPU are the server's side of the timed phases:
+	// the calls it served and its CPU busy time (empty for Local).
+	ServerOps *stats.Ops
+	ServerCPU sim.Duration
+	Start     sim.Time // when the timed phases began
 	// Metrics holds the world's registry, enabled at measurement start:
 	// per-procedure RPC latency histograms plus server and client
 	// gauges frozen at end of run.
@@ -52,8 +55,6 @@ func (r AndrewRun) Label() string {
 
 // AndrewOptions select what one Andrew run records beyond the op counts.
 type AndrewOptions struct {
-	// Series records the server time series behind Figures 5-1/5-2.
-	Series bool
 	// Trace attaches a tracer at measurement start, sized to hold the
 	// whole timed run, so it can be exported (trace.WriteChrome).
 	Trace bool
@@ -71,8 +72,8 @@ type AndrewOptions struct {
 const traceCapacity = 200000
 
 // RunAndrew executes the Andrew benchmark under one configuration.
-func RunAndrew(pr Proto, tmpRemote bool, pm Params, withSeries bool) (AndrewRun, error) {
-	return RunAndrewOpt(pr, tmpRemote, pm, AndrewOptions{Series: withSeries})
+func RunAndrew(pr Proto, tmpRemote bool, pm Params) (AndrewRun, error) {
+	return RunAndrewOpt(pr, tmpRemote, pm, AndrewOptions{})
 }
 
 // RunAndrewOpt is RunAndrew with the recording spelled out: set up the
@@ -98,16 +99,13 @@ func RunAndrewOpt(pr Proto, tmpRemote bool, pm Params, opt AndrewOptions) (Andre
 			}
 			cfg.DstDir += "2"
 		}
-		base := w.ClientOps().Clone()
-		if opt.Series {
-			run.Series = w.EnableSeries(pm.Bucket)
-		}
+		base, srvBase, busy := w.ClientOps().Clone(), w.serverOps().Clone(), w.serverBusy()
 		if opt.Trace {
 			run.Trace = w.EnableTrace(traceCapacity)
 		}
 		run.Metrics = w.EnableMetrics()
 		if pm.SampleInterval > 0 {
-			run.Timeline = w.StartSampler(run.Metrics, pm.SampleInterval, pm.SampleCapacity).Timeline()
+			run.Timeline = w.StartSampler(run.Metrics, pm.SampleInterval).Timeline()
 		}
 		run.Start = p.Now()
 		res, err := workload.RunAndrew(p, w.NS, cfg)
@@ -116,7 +114,8 @@ func RunAndrewOpt(pr Proto, tmpRemote bool, pm Params, opt AndrewOptions) (Andre
 		}
 		run.Result = res
 		run.Ops = w.ClientOps().Diff(base)
-		run.CPUUtil = w.ServerCPUUtilization()
+		run.ServerOps = w.serverOps().Diff(srvBase)
+		run.ServerCPU = w.serverBusy() - busy
 		return nil
 	})
 	run.Spans = w.spanSummary(0, 1)
@@ -271,43 +270,72 @@ type Figure struct {
 	Writes  []float64
 }
 
-// RunFigure produces Figure 5-1 (NFS) or 5-2 (SNFS).
+// figBucket is the paper's bucket for Figures 5-1/5-2.
+const figBucket = 5 * sim.Second
+
+// RunFigure produces Figure 5-1 (NFS) or 5-2 (SNFS), a view of the
+// timeline of an Andrew run sampled at figBucket: one row per window, from
+// the one holding the run's start to the last in which the server counted
+// a call. Every row is divided by the whole bucket, the first and last
+// (partial) windows' too.
 func RunFigure(pr Proto, pm Params) (Figure, error) {
-	run, err := RunAndrew(pr, true, pm, true)
+	pm.SampleInterval = figBucket
+	run, err := RunAndrew(pr, true, pm)
 	if err != nil {
 		return Figure{}, err
 	}
 	f := Figure{Run: run}
-	if run.Series == nil {
-		return f, fmt.Errorf("no series recorded")
-	}
-	skip := int(int64(run.Start) / int64(pm.Bucket))
-	nb := len(run.Series.Calls.Values())
-	grow := func(vals []float64) []float64 {
-		out := make([]float64, 0, nb)
-		for i := skip; i < nb; i++ {
-			if i < len(vals) {
-				out = append(out, vals[i])
-			} else {
-				out = append(out, 0)
+	const calls = `snfs_server_calls_total{host="server",`
+	var cpu, total, reads, writes []float64
+	for _, s := range run.Timeline.Dump().Series {
+		switch {
+		case s.Name == `snfs_server_cpu_busy_seconds{host="server"}:rate`:
+			cpu = windowed(s.Points, run.Start, float64(sim.Second))
+		case strings.HasPrefix(s.Name, calls) && strings.HasSuffix(s.Name, ":rate"):
+			n := windowed(s.Points, run.Start, 1)
+			if total == nil {
+				total = make([]float64, len(n))
+			}
+			for i, c := range n {
+				total[i] += c
+			}
+			switch s.Name {
+			case calls + `proc="read"}:rate`:
+				reads = n
+			case calls + `proc="write"}:rate`:
+				writes = n
 			}
 		}
-		return out
 	}
-	bucketSec := pm.Bucket.Seconds()
-	cpu := grow(run.Series.CPU.Values())
-	for i := range cpu {
-		cpu[i] /= bucketSec // busy seconds per bucket -> utilization
+	rows := len(total)
+	for rows > 0 && total[rows-1] == 0 {
+		rows--
 	}
-	f.CPU = cpu
-	f.Calls = grow(run.Series.Calls.Rate())
-	f.Reads = grow(run.Series.Reads.Rate())
-	f.Writes = grow(run.Series.Writes.Rate())
-	f.Seconds = make([]float64, len(f.Calls))
-	for i := range f.Seconds {
-		f.Seconds[i] = float64(i) * bucketSec
+	if rows == 0 {
+		return f, fmt.Errorf("no calls sampled")
+	}
+	bucket := figBucket.Seconds()
+	for i := 0; i < rows; i++ {
+		f.Seconds = append(f.Seconds, float64(i)*bucket)
+		f.CPU = append(f.CPU, cpu[i]/bucket)
+		f.Calls = append(f.Calls, total[i]/bucket)
+		f.Reads = append(f.Reads, reads[i]/bucket)
+		f.Writes = append(f.Writes, writes[i]/bucket)
 	}
 	return f, nil
+}
+
+// windowed is what each window of a rate series held: each point's rate
+// times the width of the window it closes (the first opens at from),
+// rounded to the whole units the server counts in, perSecond of them to
+// the second — calls, or microseconds of busy time.
+func windowed(pts []tsdb.Point, from sim.Time, perSecond float64) []float64 {
+	out := make([]float64, len(pts))
+	for i, pt := range pts {
+		out[i] = math.Round(pt.V*pt.T.Sub(from).Seconds()*perSecond) / perSecond
+		from = pt.T
+	}
+	return out
 }
 
 // Render prints the figure as CSV plus an ASCII strip chart.
@@ -338,7 +366,6 @@ type SortRun struct {
 	Update    bool // update daemon enabled
 	Result    workload.SortResult
 	Ops       *stats.Ops
-	CPUUtil   float64
 }
 
 // RunSort executes the sort benchmark: the whole namespace (input,
@@ -371,7 +398,6 @@ func RunSort(pr Proto, inputSize int, update bool, pm Params) (SortRun, error) {
 		}
 		run.Result = res
 		run.Ops = w.ClientOps().Diff(base)
-		run.CPUUtil = w.ServerCPUUtilization()
 		return nil
 	})
 	return run, err

@@ -14,8 +14,6 @@ func failoverParams(viewLog *bytes.Buffer) Params {
 	pm := Default()
 	pm.Audit = true
 	pm.Backups = true
-	pm.ViewInterval = 100 * sim.Millisecond
-	pm.ViewDeadPings = 5
 	pm.ViewLog = viewLog
 	return pm
 }

@@ -40,7 +40,7 @@ func TestAndrewSurvivesMessageLoss(t *testing.T) {
 	pm := fastParams()
 	pm.Net.DropEvery = 31
 	for _, pr := range []Proto{NFS, SNFS} {
-		if _, err := RunAndrew(pr, true, pm, false); err != nil {
+		if _, err := RunAndrew(pr, true, pm); err != nil {
 			t.Fatalf("%s Andrew under loss: %v", pr, err)
 		}
 	}

@@ -148,7 +148,7 @@ func TestFleetTimelineBudget(t *testing.T) {
 	f := BuildFleet(SNFS, pm, FleetOptions{Clients: 256})
 	r := metrics.New()
 	f.EnableMetrics(r)
-	smp := f.W.StartSampler(r, 500*sim.Millisecond, 64)
+	smp := f.W.StartSampler(r, 500*sim.Millisecond)
 	err := f.W.Run(func(p *sim.Proc) error {
 		for i := 0; i < 32; i++ {
 			if err := f.Client(i*8).NS.WriteFile(p, fmt.Sprintf("/data/t%d", i), 4096, 4096); err != nil {

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -167,6 +168,49 @@ func TestFigureShape(t *testing.T) {
 	}
 }
 
+// TestFigureConservesServedCalls: a figure loses nothing the server
+// counted. Its rows times the bucket add up to the calls, reads and
+// writes the server served over the timed phases (callbacks it issued are
+// not served calls) and to the CPU busy time accrued in them, and its
+// first row is the bucket holding the run's start.
+func TestFigureConservesServedCalls(t *testing.T) {
+	for _, pr := range []Proto{NFS, SNFS} {
+		f, err := RunFigure(pr, fastParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := func(row []float64) float64 {
+			s := 0.0
+			for _, v := range row {
+				s += v * figBucket.Seconds()
+			}
+			return s
+		}
+		ops := f.Run.ServerOps
+		for _, c := range []struct {
+			row  string
+			got  float64
+			want int64
+		}{
+			{"calls", sum(f.Calls), ops.Total() - ops.Get("callback")},
+			{"reads", sum(f.Reads), ops.Get("read")},
+			{"writes", sum(f.Writes), ops.Get("write")},
+		} {
+			if math.Round(c.got) != float64(c.want) || math.Abs(c.got-float64(c.want)) > 1e-6 {
+				t.Errorf("%s: %s add up to %.6f, the server served %d", pr, c.row, c.got, c.want)
+			}
+		}
+		if got, want := sum(f.CPU), f.Run.ServerCPU.Seconds(); math.Abs(got-want) > 1e-9 {
+			t.Errorf("%s: cpu adds up to %.9f s, the server was busy %.9f s", pr, got, want)
+		}
+		cpu := seriesPoints(f.Run.Timeline, `snfs_server_cpu_busy_seconds{host="server"}:rate`)
+		first := sim.Time(int64(f.Run.Start) / int64(figBucket) * int64(figBucket)).Add(figBucket)
+		if len(cpu) == 0 || cpu[0].T != first {
+			t.Errorf("%s: first window does not close at %v, the bucket after the start %v", pr, first, f.Run.Start)
+		}
+	}
+}
+
 // TestTable53Shape asserts the sort results: SNFS roughly twice as fast
 // as NFS on the larger inputs and close to local.
 func TestTable53Shape(t *testing.T) {
@@ -256,11 +300,11 @@ func TestTable55Shape(t *testing.T) {
 // simulation is deterministic).
 func TestAndrewDeterminism(t *testing.T) {
 	pm := fastParams()
-	a, err := RunAndrew(SNFS, true, pm, false)
+	a, err := RunAndrew(SNFS, true, pm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunAndrew(SNFS, true, pm, false)
+	b, err := RunAndrew(SNFS, true, pm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,7 +450,7 @@ func TestTraceCapturesProtocolTimeline(t *testing.T) {
 // trial's deferred write-backs, so it exceeds a single cold trial's.
 func TestSteadyStateAccountsDeferredWrites(t *testing.T) {
 	pm := fastParams()
-	cold, err := RunAndrew(SNFS, false, pm, false)
+	cold, err := RunAndrew(SNFS, false, pm)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package harness
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -136,6 +137,73 @@ func TestScaleTimelineTracksRun(t *testing.T) {
 	if !served {
 		t.Error("no RPC service rate series shows traffic")
 	}
+}
+
+// TestScaleTimelineClosesLastWindow: the sampler's windows cover the
+// whole run, the last, partial one included, even where the interval does
+// not divide the run. The CPU-busy rate times the window widths adds up
+// to the server's busy time.
+func TestScaleTimelineClosesLastWindow(t *testing.T) {
+	pm := fastParams()
+	pm.SampleInterval = 300 * sim.Millisecond
+	pt, err := RunScale(SNFS, 2, pm)
+	if err != nil {
+		t.Fatalf("scale point: %v", err)
+	}
+	if pt.Elapsed%pm.SampleInterval == 0 {
+		t.Fatalf("the interval divides the %v run; pick another", pt.Elapsed)
+	}
+	cpu := seriesPoints(pt.Timeline, `snfs_server_cpu_busy_seconds{host="server"}:rate`)
+	if len(cpu) == 0 {
+		t.Fatal("no cpu-busy rate series")
+	}
+	if end := sim.Time(pt.Elapsed); cpu[len(cpu)-1].T != end {
+		t.Errorf("last point at %v, want the run's end %v", cpu[len(cpu)-1].T, end)
+	}
+	busy := pt.ServerCPU * pt.Elapsed.Seconds()
+	if got := windowSum(cpu, 0); math.Abs(got-busy) > 1e-6 {
+		t.Errorf("cpu-busy windows sum to %.6f s, server busy %.6f s", got, busy)
+	}
+}
+
+// TestBusyRateCountsServiceDone: a burst queues 3.5 windows' worth of CPU
+// work at once. The busy-seconds rate counts service as it happens, so no
+// window reads above 1.0, and the windows add up to the CPU's busy time.
+func TestBusyRateCountsServiceDone(t *testing.T) {
+	w := Build(NFS, true, fastParams())
+	tl := w.StartSampler(w.EnableMetrics(), 100*sim.Millisecond).Timeline()
+	cpu := w.srv.Base.CPU()
+	err := w.Run(func(p *sim.Proc) error {
+		p.Sleep(150 * sim.Millisecond)
+		for i := 0; i < 35; i++ {
+			cpu.UseAsync(10*sim.Millisecond, nil)
+		}
+		p.Sleep(sim.Second)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts := seriesPoints(tl, `snfs_server_cpu_busy_seconds{host="server"}:rate`)
+	for _, pt := range pts {
+		if pt.V > 1+1e-9 {
+			t.Errorf("window ending %v: cpu-busy rate %.3f, above 1", pt.T, pt.V)
+		}
+	}
+	if got, want := windowSum(pts, 0), cpu.BusyTime().Seconds(); math.Abs(got-want) > 1e-9 {
+		t.Errorf("cpu-busy windows sum to %.6f s, busy time %.6f s", got, want)
+	}
+}
+
+// windowSum adds up a rate series' windows, each point's rate times the
+// width of the window it closes, the first opening at from.
+func windowSum(pts []tsdb.Point, from sim.Time) float64 {
+	sum := 0.0
+	for _, pt := range pts {
+		sum += pt.V * pt.T.Sub(from).Seconds()
+		from = pt.T
+	}
+	return sum
 }
 
 // TestClusterTimelinePrefixesShards checks the federation sampler keeps

@@ -83,9 +83,6 @@ type Params struct {
 	SortMergeOrder int
 	SortCPUPerKB   sim.Duration
 
-	// Bucket is the time-series bucket for Figures 5-1/5-2.
-	Bucket sim.Duration
-
 	// Audit arms the protocol auditor on SNFS worlds: every state-table
 	// transition is replayed through a shadow Table 4-1 machine and every
 	// client read is checked against a write ledger. World.Run fails if
@@ -103,8 +100,6 @@ type Params struct {
 	// timeline.json by snfs-bench). 0 (the default) disables sampling
 	// entirely, keeping the paper-fidelity tables byte-identical.
 	SampleInterval sim.Duration
-	// SampleCapacity bounds each timeline series ring (0 = 1024).
-	SampleCapacity int
 	// FlightCapacity arms an event ring of this many events per server
 	// (per shard in cluster worlds), its black box: served calls, state
 	// transitions, callbacks, crashes and failover milestones. 0 (the
@@ -121,11 +116,6 @@ type Params struct {
 	// a viewservice that promotes it when the primary stops pinging (see
 	// cluster.Config.Backups). Off by default.
 	Backups bool
-	// ViewInterval is the viewservice ping/tick period (0 = 100 ms).
-	ViewInterval sim.Duration
-	// ViewDeadPings is how many missed pings declare a server dead
-	// (0 = 5).
-	ViewDeadPings int
 	// ViewLog, when non-nil, receives one text line per view change.
 	ViewLog io.Writer
 
@@ -220,6 +210,5 @@ func Default() Params {
 		SortMemBuffer:     128 * 1024,
 		SortMergeOrder:    4,
 		SortCPUPerKB:      6 * sim.Millisecond,
-		Bucket:            5 * sim.Second,
 	}
 }

@@ -147,7 +147,7 @@ func RunScale(pr Proto, nclients int, pm Params) (ScalePoint, error) {
 		// The whole run is the measurement window, so sampling starts
 		// with the world: the timeline shows the ramp, the plateau where
 		// every client is in its compile loop, and the drain.
-		smp := w.StartSampler(w.EnableMetrics(), pm.SampleInterval, pm.SampleCapacity)
+		smp := w.StartSampler(w.EnableMetrics(), pm.SampleInterval)
 		pt.Timeline = smp.Timeline()
 	}
 

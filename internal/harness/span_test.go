@@ -77,7 +77,7 @@ func TestScaleSpansOff(t *testing.T) {
 func TestAndrewSpanBreakdown(t *testing.T) {
 	pm := Default()
 	pm.Spans = true
-	run, err := RunAndrew(SNFS, true, pm, false)
+	run, err := RunAndrew(SNFS, true, pm)
 	if err != nil {
 		t.Fatal(err)
 	}

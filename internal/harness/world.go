@@ -76,6 +76,9 @@ type World struct {
 	clients []*cluster.ClientHost
 	late    cluster.Instruments
 	params  Params
+	// sampler is the one StartSampler armed (nil for none); Run takes its
+	// last sample.
+	sampler *tsdb.Sampler
 }
 
 // ClientOps returns the client's RPC counters (empty for Local).
@@ -86,12 +89,22 @@ func (w *World) ClientOps() *stats.Ops {
 	return stats.NewOps()
 }
 
-// EnableSeries starts recording the server time series for the figures.
-func (w *World) EnableSeries(bucket sim.Duration) *server.Series {
+// serverOps returns the server's served-call counters (empty for Local).
+func (w *World) serverOps() *stats.Ops {
 	if w.srv != nil {
-		return w.srv.Base.EnableSeries(bucket)
+		return w.srv.Base.Ops()
 	}
-	return nil
+	return stats.NewOps()
+}
+
+// serverBusy returns the server CPU's busy time so far, its queued
+// backlog not counted (0 for Local).
+func (w *World) serverBusy() sim.Duration {
+	if w.srv == nil {
+		return 0
+	}
+	cpu := w.srv.Base.CPU()
+	return cpu.BusyTime() - cpu.Backlog()
 }
 
 // ServerCPUUtilization reports cumulative server CPU utilization.
@@ -340,14 +353,17 @@ const SamplerSeriesBudget = 2048
 
 // StartSampler arms the time-series sampler on a running world: reg
 // (the registry EnableMetrics returned; nil for none) and every server
-// host's registry that is not reg are sampled by a "tsdb-sampler" process
-// on the sim clock every interval, for the life of the world, into a
-// budget-capped timeline with the given per-series capacity. A host's own
-// series are prefixed with its address ("shard<i>/") so per-shard hot
-// spots stay visible in one timeline — the measurement the load-driven
-// rebalancing work consumes. Call it at measurement start.
-func (w *World) StartSampler(reg *metrics.Registry, interval sim.Duration, capacity int) *tsdb.Sampler {
-	smp := tsdb.NewSampler(capacity)
+// host's registry that is not reg are sampled into a budget-capped
+// timeline. The first sample is taken now, the next by a "tsdb-sampler"
+// process on the sim clock at every multiple of interval, and the last by
+// Run when the workload returns: the windows cover the run from now to
+// its end, and all but the first and the last are whole, aligned
+// intervals. A host's own series are prefixed with its address
+// ("shard<i>/") so per-shard hot spots stay visible in one timeline — the
+// measurement the load-driven rebalancing work consumes. Call it at
+// measurement start, at most once per world.
+func (w *World) StartSampler(reg *metrics.Registry, interval sim.Duration) *tsdb.Sampler {
+	smp := tsdb.NewSampler(0)
 	smp.LimitSeries(SamplerSeriesBudget)
 	smp.Watch("", reg)
 	for _, h := range w.servers {
@@ -355,9 +371,11 @@ func (w *World) StartSampler(reg *metrics.Registry, interval sim.Duration, capac
 			smp.Watch(string(h.Addr)+"/", h.Metrics)
 		}
 	}
+	smp.Sample(w.K.Now())
+	w.sampler = smp
 	w.K.Go("tsdb-sampler", func(p *sim.Proc) {
 		for {
-			p.Sleep(interval)
+			p.Sleep(interval - sim.Duration(p.Now())%interval)
 			smp.Sample(p.Now())
 		}
 	})
@@ -365,13 +383,16 @@ func (w *World) StartSampler(reg *metrics.Registry, interval sim.Duration, capac
 }
 
 // Run executes fn as the main workload process and stops the world when
-// it returns, reporting any error fn produced. With auditing armed, any
-// invariant violation any server's auditor recorded fails the run.
+// it returns, reporting any error fn produced; an armed sampler takes its
+// last sample then, closing the run's last, partial window. With auditing
+// armed, any invariant violation any server's auditor recorded fails the
+// run.
 func (w *World) Run(fn func(p *sim.Proc) error) error {
 	var err error
 	w.K.Go("workload", func(p *sim.Proc) {
 		defer w.K.Stop()
 		err = fn(p)
+		w.sampler.Sample(p.Now())
 	})
 	w.K.Run()
 	if err == nil {

@@ -48,14 +48,6 @@ func (c *Config) fill() {
 	}
 }
 
-// Series is the set of per-server time series behind Figures 5-1/5-2.
-type Series struct {
-	Calls  *stats.TimeSeries // all RPC arrivals
-	Reads  *stats.TimeSeries // read arrivals
-	Writes *stats.TimeSeries // write arrivals
-	CPU    *stats.TimeSeries // CPU busy-time per bucket (seconds)
-}
-
 // Base is the machinery shared by the NFS and SNFS servers.
 type Base struct {
 	k     *sim.Kernel
@@ -64,7 +56,6 @@ type Base struct {
 	cpu   *sim.Resource
 	cfg   Config
 	ops   *stats.Ops
-	ser   *Series
 	// onRemoved, when set, observes file removals (the SNFS server
 	// drops the file's state entry).
 	onRemoved func(proto.Handle)
@@ -153,8 +144,11 @@ func (b *Base) EnableMetrics(r *metrics.Registry) {
 	b.metrics = r
 	b.ep.SetMetrics(r)
 	host := string(b.ep.Addr())
+	// The busy-seconds gauges count service up to now: a resource's
+	// BusyTime already holds its queued backlog, whose rate over a window
+	// in which a queue forms would read above 1.0.
 	r.GaugeFunc(metrics.Label("snfs_server_cpu_busy_seconds", "host", host),
-		func() float64 { return b.cpu.BusyTime().Seconds() })
+		func() float64 { return (b.cpu.BusyTime() - b.cpu.Backlog()).Seconds() })
 	r.GaugeFunc(metrics.Label("snfs_server_cpu_utilization", "host", host),
 		func() float64 { return b.cpu.Utilization() })
 	r.GaugeFunc(metrics.Label("snfs_server_disk_utilization", "host", host),
@@ -163,7 +157,19 @@ func (b *Base) EnableMetrics(r *metrics.Registry) {
 	// _seconds gauge into a windowed rate, which for this one reads
 	// directly as disk-busy fraction over the window.
 	r.GaugeFunc(metrics.Label("snfs_server_disk_busy_seconds", "host", host),
-		func() float64 { return b.media.Disk().BusyTime().Seconds() })
+		func() float64 {
+			d := b.media.Disk()
+			return (d.BusyTime() - d.Backlog()).Seconds()
+		})
+	// Served calls by procedure, counted as account counts them: their
+	// rates are the call, read and write rows of Figures 5-1/5-2. Every
+	// procedure number is below 64, the range of a procSet.
+	for proc := uint32(0); proc < 64; proc++ {
+		if info, ok := proto.LookupProc(proto.ProgNFS, proc); ok {
+			r.GaugeFunc(metrics.Label("snfs_server_calls_total", "host", host, "proc", info.Name),
+				func() float64 { return float64(b.ops.Get(info.Name)) })
+		}
+	}
 	r.GaugeFunc(metrics.Label("snfs_server_disk_queue_delay_seconds", "host", host),
 		func() float64 {
 			ds := b.media.Disk().Stats()
@@ -187,6 +193,7 @@ func (b *Base) EnableMetrics(r *metrics.Registry) {
 	r.Help("snfs_server_cpu_utilization", "Server CPU busy fraction since start.")
 	r.Help("snfs_server_disk_utilization", "Server disk arm busy fraction since start.")
 	r.Help("snfs_server_disk_busy_seconds", "Cumulative server disk arm busy time in seconds.")
+	r.Help("snfs_server_calls_total", "Calls served, by procedure.")
 	r.Help("snfs_server_disk_queue_delay_seconds", "Cumulative time requests spent queued for the disk arm.")
 	r.Help("snfs_server_disk_gather_ratio", "Block writes carried per arm operation (1.0 = no gathering).")
 	r.Help("snfs_server_unstable_writes_total", "WRITE calls acknowledged unstable (not yet durable).")
@@ -203,35 +210,9 @@ func (b *Base) CPU() *sim.Resource { return b.cpu }
 // Endpoint returns the server's RPC endpoint.
 func (b *Base) Endpoint() *rpc.Endpoint { return b.ep }
 
-// EnableSeries starts recording the Figure 5-1/5-2 time series with the
-// given bucket width.
-func (b *Base) EnableSeries(bucket sim.Duration) *Series {
-	b.ser = &Series{
-		Calls:  stats.NewTimeSeries(bucket),
-		Reads:  stats.NewTimeSeries(bucket),
-		Writes: stats.NewTimeSeries(bucket),
-		CPU:    stats.NewTimeSeries(bucket),
-	}
-	b.cpu.OnBusy = func(start, end sim.Time) {
-		b.ser.CPU.AddInterval(start, end)
-	}
-	return b.ser
-}
-
-// account records one serviced call for stats and series.
+// account counts one served call, when its CPU charge has completed.
 func (b *Base) account(proc uint32) {
-	name := proto.ProcName(proto.ProgNFS, proc)
-	b.ops.Inc(name)
-	if b.ser != nil {
-		now := b.k.Now()
-		b.ser.Calls.Add(now, 1)
-		switch proc {
-		case proto.ProcRead:
-			b.ser.Reads.Add(now, 1)
-		case proto.ProcWrite:
-			b.ser.Writes.Add(now, 1)
-		}
-	}
+	b.ops.Inc(proto.ProcName(proto.ProgNFS, proc))
 }
 
 // chargeCPU occupies the server CPU for the call's compute cost.

@@ -3,11 +3,13 @@ package server
 import (
 	"bytes"
 	"encoding/binary"
+	"strings"
 	"testing"
 
 	"spritelynfs/internal/core"
 	"spritelynfs/internal/disk"
 	"spritelynfs/internal/localfs"
+	"spritelynfs/internal/metrics"
 	"spritelynfs/internal/proto"
 	"spritelynfs/internal/rpc"
 	"spritelynfs/internal/sim"
@@ -398,9 +400,12 @@ func TestMountRoot(t *testing.T) {
 	})
 }
 
-func TestServerSeriesRecording(t *testing.T) {
+// TestServerCallsTotalGauges: the server exports what it served, one
+// snfs_server_calls_total gauge per procedure, counted as Ops counts it.
+func TestServerCallsTotalGauges(t *testing.T) {
 	r := newRig(false, SNFSOptions{})
-	ser := r.nfs.EnableSeries(sim.Second)
+	reg := metrics.New()
+	r.nfs.EnableMetrics(reg)
 	r.run(t, func(p *sim.Proc) {
 		root := r.root()
 		body := r.call(t, p, proto.ProcCreate, &proto.CreateArgs{Dir: root, Name: "f", Mode: 0o644})
@@ -410,24 +415,22 @@ func TestServerSeriesRecording(t *testing.T) {
 			r.call(t, p, proto.ProcRead, &proto.ReadArgs{Handle: cr.Handle, Offset: 0, Count: 4096})
 		}
 	})
-	calls, reads, writes := 0.0, 0.0, 0.0
-	for _, v := range ser.Calls.Values() {
-		calls += v
+	gauges := reg.Snapshot().Gauges
+	calls := 0.0
+	for name, v := range gauges {
+		if strings.HasPrefix(name, "snfs_server_calls_total{") {
+			calls += v
+		}
 	}
-	for _, v := range ser.Reads.Values() {
-		reads += v
-	}
-	for _, v := range ser.Writes.Values() {
-		writes += v
-	}
+	reads := gauges[`snfs_server_calls_total{host="server",proc="read"}`]
+	writes := gauges[`snfs_server_calls_total{host="server",proc="write"}`]
 	if calls != 11 || reads != 5 || writes != 5 {
-		t.Errorf("series calls=%v reads=%v writes=%v, want 11/5/5", calls, reads, writes)
+		t.Errorf("calls_total calls=%v reads=%v writes=%v, want 11/5/5", calls, reads, writes)
 	}
-	cpuBusy := 0.0
-	for _, v := range ser.CPU.Values() {
-		cpuBusy += v
+	if int64(calls) != r.nfs.Ops().Total() {
+		t.Errorf("calls_total sums to %v, Ops to %d", calls, r.nfs.Ops().Total())
 	}
-	if cpuBusy <= 0 {
+	if gauges[`snfs_server_cpu_busy_seconds{host="server"}`] <= 0 {
 		t.Error("no CPU busy time recorded")
 	}
 }

@@ -6,9 +6,7 @@ package sim
 // service completes. Because requests are served in arrival order and the
 // resource is work-conserving, queueing delay emerges naturally.
 //
-// Utilization is recorded as total busy time and, optionally, via a
-// per-interval hook so callers can build time series (as the paper does
-// for server CPU load in Figures 5-1 and 5-2).
+// Utilization is recorded as total busy time.
 type Resource struct {
 	k      *Kernel
 	name   string
@@ -16,10 +14,6 @@ type Resource struct {
 
 	// Busy accounting.
 	busy Duration
-
-	// OnBusy, if set, is invoked once per service with the interval
-	// during which the resource was occupied by that request.
-	OnBusy func(start, end Time)
 }
 
 // NewResource returns an idle resource named name.
@@ -42,9 +36,6 @@ func (r *Resource) Use(p *Proc, d Duration) Duration {
 	end := start.Add(d)
 	r.freeAt = end
 	r.busy += d
-	if r.OnBusy != nil && d > 0 {
-		r.OnBusy(start, end)
-	}
 	p.Sleep(end.Sub(now))
 	return start.Sub(now)
 }
@@ -64,16 +55,14 @@ func (r *Resource) UseAsync(d Duration, fn func()) Time {
 	end := start.Add(d)
 	r.freeAt = end
 	r.busy += d
-	if r.OnBusy != nil && d > 0 {
-		r.OnBusy(start, end)
-	}
 	if fn != nil {
 		r.k.schedule(end, closure(fn))
 	}
 	return end
 }
 
-// BusyTime returns the cumulative busy time.
+// BusyTime returns the cumulative busy time, counting the queued service
+// of the backlog as already done.
 func (r *Resource) BusyTime() Duration { return r.busy }
 
 // Utilization returns busy time as a fraction of the elapsed time since

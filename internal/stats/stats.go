@@ -1,6 +1,6 @@
 // Package stats collects and presents the measurements the paper reports:
-// per-procedure RPC operation counts (Tables 5-2, 5-4, 5-6), time series
-// of call rates and server CPU utilization (Figures 5-1, 5-2), and
+// per-procedure RPC operation counts (Tables 5-2, 5-4, 5-6), the
+// correlation of server CPU load with call rates (Figures 5-1, 5-2), and
 // aligned-text tables and ASCII charts for the benchmark harness output.
 package stats
 
@@ -10,8 +10,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-
-	"spritelynfs/internal/sim"
 )
 
 // Ops counts operations by name.
@@ -86,87 +84,6 @@ func (o *Ops) String() string {
 		fmt.Fprintf(&b, "%s=%d", n, o.m[n])
 	}
 	return b.String()
-}
-
-// TimeSeries accumulates values into fixed-width virtual-time buckets.
-type TimeSeries struct {
-	bucket sim.Duration
-	vals   []float64
-}
-
-// NewTimeSeries returns a series with the given bucket width.
-func NewTimeSeries(bucket sim.Duration) *TimeSeries {
-	if bucket <= 0 {
-		bucket = 5 * sim.Second
-	}
-	return &TimeSeries{bucket: bucket}
-}
-
-func (ts *TimeSeries) grow(idx int) {
-	for len(ts.vals) <= idx {
-		ts.vals = append(ts.vals, 0)
-	}
-}
-
-// Add accumulates v into the bucket containing t.
-func (ts *TimeSeries) Add(t sim.Time, v float64) {
-	idx := int(int64(t) / int64(ts.bucket))
-	if idx < 0 {
-		idx = 0
-	}
-	ts.grow(idx)
-	ts.vals[idx] += v
-}
-
-// AddInterval spreads the interval [start, end) across the buckets it
-// overlaps, adding the overlap duration (in seconds) to each. Used for
-// resource busy-time accounting: dividing each bucket by the bucket width
-// yields utilization.
-func (ts *TimeSeries) AddInterval(start, end sim.Time) {
-	if end <= start {
-		return
-	}
-	b := int64(ts.bucket)
-	for t := start; t < end; {
-		idx := int(int64(t) / b)
-		bucketEnd := sim.Time((int64(idx) + 1) * b)
-		segEnd := end
-		if bucketEnd < segEnd {
-			segEnd = bucketEnd
-		}
-		ts.grow(idx)
-		ts.vals[idx] += segEnd.Sub(t).Seconds()
-		t = segEnd
-	}
-}
-
-// Values returns the bucket values (the slice is shared; do not mutate).
-func (ts *TimeSeries) Values() []float64 { return ts.vals }
-
-// Rate returns per-second rates: each bucket divided by the bucket width.
-func (ts *TimeSeries) Rate() []float64 {
-	out := make([]float64, len(ts.vals))
-	den := ts.bucket.Seconds()
-	for i, v := range ts.vals {
-		out[i] = v / den
-	}
-	return out
-}
-
-// Mean returns the average bucket value over the first n buckets (all if
-// n <= 0 or n > len).
-func (ts *TimeSeries) Mean(n int) float64 {
-	if n <= 0 || n > len(ts.vals) {
-		n = len(ts.vals)
-	}
-	if n == 0 {
-		return 0
-	}
-	var s float64
-	for _, v := range ts.vals[:n] {
-		s += v
-	}
-	return s / float64(n)
 }
 
 // Correlation returns the Pearson correlation of two series over their

@@ -4,8 +4,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-
-	"spritelynfs/internal/sim"
 )
 
 func incN(o *Ops, name string, n int) {
@@ -60,95 +58,6 @@ func TestOpsString(t *testing.T) {
 	o.Inc("a")
 	if s := o.String(); s != "a=1 b=1" {
 		t.Errorf("String() = %q", s)
-	}
-}
-
-func TestTimeSeriesAdd(t *testing.T) {
-	ts := NewTimeSeries(sim.Second)
-	ts.Add(sim.Time(500*sim.Millisecond), 1)
-	ts.Add(sim.Time(999*sim.Millisecond), 2)
-	ts.Add(sim.Time(1000*sim.Millisecond), 4)
-	vals := ts.Values()
-	if len(vals) != 2 || vals[0] != 3 || vals[1] != 4 {
-		t.Errorf("values %v", vals)
-	}
-	rates := ts.Rate()
-	if rates[0] != 3 || rates[1] != 4 {
-		t.Errorf("rates %v", rates)
-	}
-}
-
-func TestTimeSeriesAddIntervalSplitsBuckets(t *testing.T) {
-	ts := NewTimeSeries(sim.Second)
-	// 0.5s .. 2.5s busy: 0.5s in bucket 0, 1s in bucket 1, 0.5s in 2.
-	ts.AddInterval(sim.Time(500*sim.Millisecond), sim.Time(2500*sim.Millisecond))
-	vals := ts.Values()
-	want := []float64{0.5, 1.0, 0.5}
-	if len(vals) != 3 {
-		t.Fatalf("values %v", vals)
-	}
-	for i := range want {
-		if math.Abs(vals[i]-want[i]) > 1e-9 {
-			t.Errorf("bucket %d = %v, want %v", i, vals[i], want[i])
-		}
-	}
-}
-
-func TestTimeSeriesAddIntervalBoundaries(t *testing.T) {
-	// Interval starting exactly on a bucket boundary.
-	ts := NewTimeSeries(sim.Second)
-	ts.AddInterval(sim.Time(sim.Second), sim.Time(1500*sim.Millisecond))
-	vals := ts.Values()
-	if len(vals) != 2 || vals[0] != 0 || math.Abs(vals[1]-0.5) > 1e-9 {
-		t.Errorf("start-on-boundary values %v", vals)
-	}
-
-	// Interval ending exactly on a bucket boundary: nothing spills into
-	// the next bucket.
-	ts = NewTimeSeries(sim.Second)
-	ts.AddInterval(sim.Time(500*sim.Millisecond), sim.Time(sim.Second))
-	vals = ts.Values()
-	if len(vals) != 1 || math.Abs(vals[0]-0.5) > 1e-9 {
-		t.Errorf("end-on-boundary values %v", vals)
-	}
-
-	// Interval spanning whole buckets exactly: each gets one full second.
-	ts = NewTimeSeries(sim.Second)
-	ts.AddInterval(sim.Time(sim.Second), sim.Time(4*sim.Second))
-	vals = ts.Values()
-	want := []float64{0, 1, 1, 1}
-	if len(vals) != len(want) {
-		t.Fatalf("aligned-span values %v", vals)
-	}
-	for i := range want {
-		if math.Abs(vals[i]-want[i]) > 1e-9 {
-			t.Errorf("aligned-span bucket %d = %v, want %v", i, vals[i], want[i])
-		}
-	}
-
-	// Empty and inverted intervals record nothing.
-	ts = NewTimeSeries(sim.Second)
-	ts.AddInterval(sim.Time(sim.Second), sim.Time(sim.Second))
-	ts.AddInterval(sim.Time(2*sim.Second), sim.Time(sim.Second))
-	if len(ts.Values()) != 0 {
-		t.Errorf("degenerate intervals recorded %v", ts.Values())
-	}
-}
-
-func TestTimeSeriesMean(t *testing.T) {
-	ts := NewTimeSeries(sim.Second)
-	ts.Add(0, 2)
-	ts.Add(sim.Time(sim.Second), 4)
-	ts.Add(sim.Time(2*sim.Second), 6)
-	if m := ts.Mean(0); m != 4 {
-		t.Errorf("Mean(all) = %v", m)
-	}
-	if m := ts.Mean(2); m != 3 {
-		t.Errorf("Mean(2) = %v", m)
-	}
-	empty := NewTimeSeries(sim.Second)
-	if empty.Mean(0) != 0 {
-		t.Error("empty mean")
 	}
 }
 

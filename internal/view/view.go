@@ -100,6 +100,9 @@ func NewService(k *sim.Kernel, ep *rpc.Endpoint, store MapStore, cfg Config) *Se
 	return s
 }
 
+// Interval returns the ping period the service expects.
+func (s *Service) Interval() sim.Duration { return s.cfg.Interval }
+
 // Register installs shard's initial view (number 1). Both members are
 // treated as just-seen so the tick daemon does not declare them dead
 // before their first ping.

@@ -77,7 +77,7 @@ func TestPublicAPIExperimentEntryPoints(t *testing.T) {
 	if _, err := RunSort(RFS, 128*1024, true, pm); err != nil {
 		t.Errorf("RunSort(RFS): %v", err)
 	}
-	run, err := RunAndrew(SNFS, true, pm, false)
+	run, err := RunAndrew(SNFS, true, pm)
 	if err != nil {
 		t.Errorf("RunAndrew: %v", err)
 	}
