@@ -5,6 +5,7 @@ import (
 	"go/parser"
 	"go/token"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"reflect"
 	"regexp"
@@ -65,6 +66,11 @@ func TestStructuralCeilings(t *testing.T) {
 		// timeline, not a second recorder fed by the server and the CPU.
 		{"stats.TimeSeries/server.Series/Resource.OnBusy declarations",
 			countTypes(t, "internal/stats", "TimeSeries") + countTypes(t, "internal/server", "Series") + b2i(onBusy), 0},
+		// A message is encoded by a static call in the frame that built
+		// it (rpc.Encode, Endpoint.CallXDR), so no argument or reply
+		// struct reaches the heap on a round trip. A StatusError is an
+		// error path's.
+		{"&proto.T{…} escaping to the heap in the RPC packages (StatusError excepted)", countEscapingMessages(t), 0},
 	} {
 		if c.got > c.max {
 			t.Errorf("%s: %d, above its ceiling of %d", c.what, c.got, c.max)
@@ -120,6 +126,31 @@ func countReadAtAdapters(t *testing.T) int {
 					}
 				}
 			}
+		}
+	}
+	return n
+}
+
+// escapingMessage matches the compiler's report of a proto composite
+// literal that leaves its frame.
+var escapingMessage = regexp.MustCompile(`&proto\.(\w+)\{.*\} escapes to heap`)
+
+// countEscapingMessages counts, in the escape analysis of the packages a
+// round trip runs through, the proto messages allocated on the heap.
+func countEscapingMessages(t *testing.T) int {
+	goTool, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("no go command to run the escape analysis")
+	}
+	out, err := exec.Command(goTool, "build", "-gcflags=-m", "./internal/server", "./internal/client",
+		"./internal/rpc", "./internal/view", "./internal/cluster").CombinedOutput()
+	if err != nil {
+		t.Fatalf("go build -gcflags=-m: %v\n%s", err, out)
+	}
+	n := 0
+	for _, m := range escapingMessage.FindAllStringSubmatch(string(out), -1) {
+		if m[1] != "StatusError" {
+			n++
 		}
 	}
 	return n

@@ -286,12 +286,19 @@ func (b *Base) Retarget(to simnet.Addr) { b.cfg.Server = to }
 // Server returns the address the client currently targets.
 func (b *Base) Server() simnet.Addr { return b.cfg.Server }
 
-// call issues one RPC to the server, counting it. CallMsg encodes args
-// straight into the endpoint's pooled wire buffer (byte-identical to
-// proto.Marshal, without the intermediate allocation).
-func (b *Base) call(p *sim.Proc, proc uint32, args proto.Message) ([]byte, error) {
+// call issues one RPC to the server, counting it. args is the XDR method
+// value of the arguments, which are encoded straight into the endpoint's
+// pooled wire buffer and so stay in the caller's frame (rpc.CallXDR).
+func (b *Base) call(p *sim.Proc, proc uint32, args func(xdr.Codec)) ([]byte, error) {
 	b.ops.Inc(proto.ProcName(proto.ProgNFS, proc))
-	return b.ep.CallMsg(p, b.cfg.Server, proto.ProgNFS, proto.VersNFS, proc, args)
+	return b.ep.CallXDR(p, b.cfg.Server, proto.ProgNFS, proto.VersNFS, proc, args)
+}
+
+// statusReply answers a callback with a bare status, encoded at once
+// (rpc.Encode).
+func statusReply(st proto.Status) (rpc.Reply, rpc.Status) {
+	r := proto.StatusReply{Status: st}
+	return rpc.Encode(r.XDR), rpc.StatusOK
 }
 
 // getNode returns (creating if needed) the node for a handle.
@@ -319,7 +326,7 @@ func (b *Base) setAttr(n *node, a proto.Fattr, now sim.Time) {
 
 // lookupRPC resolves one name in one directory.
 func (b *Base) lookupRPC(p *sim.Proc, dir proto.Handle, name string) (proto.Handle, proto.Fattr, error) {
-	body, err := b.call(p, proto.ProcLookup, &proto.DirOpArgs{Dir: dir, Name: name})
+	body, err := b.call(p, proto.ProcLookup, (&proto.DirOpArgs{Dir: dir, Name: name}).XDR)
 	if err != nil {
 		return proto.Handle{}, proto.Fattr{}, err
 	}
@@ -367,7 +374,7 @@ func (b *Base) lookup(p *sim.Proc, dir proto.Handle, name string, needAttr bool)
 
 // readlinkRPC fetches a symlink's target.
 func (b *Base) readlinkRPC(p *sim.Proc, h proto.Handle) (string, error) {
-	body, err := b.call(p, proto.ProcReadlink, &proto.HandleArgs{Handle: h})
+	body, err := b.call(p, proto.ProcReadlink, (&proto.HandleArgs{Handle: h}).XDR)
 	if err != nil {
 		return "", err
 	}
@@ -457,7 +464,7 @@ func (b *Base) walkComps(p *sim.Proc, dir proto.Handle, comps []string, needAttr
 // stops early at a symbolic link, which the client expands and splices
 // exactly like the per-component walker.
 func (b *Base) walkCompsPath(p *sim.Proc, dir proto.Handle, comps []string, needAttr bool, depth int) (proto.Handle, proto.Fattr, error) {
-	body, err := b.call(p, proto.ProcLookupPath, &proto.LookupPathArgs{Dir: dir, Names: comps})
+	body, err := b.call(p, proto.ProcLookupPath, (&proto.LookupPathArgs{Dir: dir, Names: comps}).XDR)
 	if err != nil {
 		return proto.Handle{}, proto.Fattr{}, err
 	}
@@ -581,7 +588,7 @@ func (b *Base) key(ino uint64, blk int64) cache.Key {
 func (b *Base) readRPC(p *sim.Proc, h proto.Handle, off int64, count int) ([]byte, proto.Fattr, error) {
 	b.ops.Inc(proto.ProcName(proto.ProgNFS, proto.ProcRead))
 	body, tail, err := b.ep.CallTail(p, b.cfg.Server, proto.ProgNFS, proto.VersNFS, proto.ProcRead,
-		&proto.ReadArgs{Handle: h, Offset: off, Count: uint32(count)})
+		(&proto.ReadArgs{Handle: h, Offset: off, Count: uint32(count)}).XDR)
 	if err != nil {
 		return nil, proto.Fattr{}, err
 	}
@@ -598,7 +605,7 @@ func (b *Base) readRPC(p *sim.Proc, h proto.Handle, off int64, count int) ([]byt
 // writeRPC sends [off, off+len(data)) to the server as a stable write:
 // the data is on the server's disk when the reply arrives.
 func (b *Base) writeRPC(p *sim.Proc, h proto.Handle, off int64, data []byte) (proto.Fattr, error) {
-	body, err := b.call(p, proto.ProcWrite, &proto.WriteArgs{Handle: h, Offset: off, Data: data})
+	body, err := b.call(p, proto.ProcWrite, (&proto.WriteArgs{Handle: h, Offset: off, Data: data}).XDR)
 	if err != nil {
 		return proto.Fattr{}, err
 	}
@@ -618,7 +625,7 @@ func (b *Base) writeBack(p *sim.Proc, n *node, off int64, data []byte) (proto.Fa
 	if !b.cfg.UnstableWrites {
 		return b.writeRPC(p, n.h, off, data)
 	}
-	body, err := b.call(p, proto.ProcWrite, &proto.WriteArgs{Handle: n.h, Offset: off, Data: data, Unstable: true})
+	body, err := b.call(p, proto.ProcWrite, (&proto.WriteArgs{Handle: n.h, Offset: off, Data: data, Unstable: true}).XDR)
 	if err != nil {
 		return proto.Fattr{}, err
 	}
@@ -653,7 +660,7 @@ func (b *Base) commit(p *sim.Proc, n *node) error {
 	if len(n.unstable) == 0 {
 		return nil
 	}
-	body, err := b.call(p, proto.ProcCommit, &proto.CommitArgs{Handle: n.h})
+	body, err := b.call(p, proto.ProcCommit, (&proto.CommitArgs{Handle: n.h}).XDR)
 	if err != nil {
 		return err
 	}
@@ -689,7 +696,7 @@ func (b *Base) commit(p *sim.Proc, n *node) error {
 // getattrRPC fetches fresh attributes. Only the attribute-cache layer
 // calls this; everyone else goes through attrs.get.
 func (b *Base) getattrRPC(p *sim.Proc, h proto.Handle) (proto.Fattr, error) {
-	body, err := b.call(p, proto.ProcGetattr, &proto.HandleArgs{Handle: h})
+	body, err := b.call(p, proto.ProcGetattr, (&proto.HandleArgs{Handle: h}).XDR)
 	if err != nil {
 		return proto.Fattr{}, err
 	}
@@ -730,7 +737,7 @@ func (b *Base) decodeWcc(p *sim.Proc, body []byte) proto.Status {
 // readdirAttrs lists a directory READDIRPLUS-style, priming the
 // attribute cache with every entry's attributes (piggybacking armed).
 func (b *Base) readdirAttrs(p *sim.Proc, h proto.Handle) ([]proto.DirEntry, error) {
-	body, err := b.call(p, proto.ProcReaddirAttrs, &proto.HandleArgs{Handle: h})
+	body, err := b.call(p, proto.ProcReaddirAttrs, (&proto.HandleArgs{Handle: h}).XDR)
 	if err != nil {
 		return nil, err
 	}
@@ -1130,9 +1137,9 @@ func (b *Base) fileAttr(p *sim.Proc, n *node) (proto.Fattr, error) {
 
 // closeRPC reports a close to a server that tracks opens.
 func (b *Base) closeRPC(p *sim.Proc, h proto.Handle, write bool) error {
-	body, err := b.call(p, proto.ProcClose, &proto.CloseArgs{
+	body, err := b.call(p, proto.ProcClose, (&proto.CloseArgs{
 		Handle: h, WriteMode: write, WantAttr: b.cfg.AttrExtensions,
-	})
+	}).XDR)
 	if err != nil {
 		return err
 	}
@@ -1146,7 +1153,7 @@ func (b *Base) list(p *sim.Proc, h proto.Handle) ([]proto.DirEntry, error) {
 	if b.cfg.AttrExtensions {
 		return b.readdirAttrs(p, h)
 	}
-	body, err := b.call(p, proto.ProcReaddir, &proto.HandleArgs{Handle: h})
+	body, err := b.call(p, proto.ProcReaddir, (&proto.HandleArgs{Handle: h}).XDR)
 	if err != nil {
 		return nil, err
 	}
@@ -1185,7 +1192,7 @@ func (b *Base) create(p *sim.Proc, rel string, mode uint32) (*node, error) {
 	if err != nil {
 		return nil, err
 	}
-	body, err := b.call(p, proto.ProcCreate, &proto.CreateArgs{Dir: dir, Name: name, Mode: mode})
+	body, err := b.call(p, proto.ProcCreate, (&proto.CreateArgs{Dir: dir, Name: name, Mode: mode}).XDR)
 	if err != nil {
 		return nil, err
 	}
@@ -1205,7 +1212,7 @@ func (b *Base) create(p *sim.Proc, rel string, mode uint32) (*node, error) {
 
 // truncate is the truncate arm of an open.
 func (b *Base) truncate(p *sim.Proc, n *node) error {
-	body, err := b.call(p, proto.ProcSetattr, &proto.SetattrArgs{Handle: n.h, SetSize: true, Size: 0})
+	body, err := b.call(p, proto.ProcSetattr, (&proto.SetattrArgs{Handle: n.h, SetSize: true, Size: 0}).XDR)
 	if err != nil {
 		return err
 	}
@@ -1237,7 +1244,7 @@ func (b *Base) Mkdir(p *sim.Proc, rel string, mode uint32) error {
 	if err != nil {
 		return err
 	}
-	body, err := b.call(p, proto.ProcMkdir, &proto.CreateArgs{Dir: dir, Name: name, Mode: mode})
+	body, err := b.call(p, proto.ProcMkdir, (&proto.CreateArgs{Dir: dir, Name: name, Mode: mode}).XDR)
 	if err != nil {
 		return err
 	}
@@ -1271,9 +1278,9 @@ func (b *Base) Remove(p *sim.Proc, rel string) error {
 	if lastLink && b.cancelOnRemove {
 		b.cache.CancelDirty(b.cfg.Root.FSID, h.Ino)
 	}
-	body, err := b.call(p, proto.ProcRemove, &proto.DirOpArgs{
+	body, err := b.call(p, proto.ProcRemove, (&proto.DirOpArgs{
 		Dir: dir, Name: name, WantAttr: b.cfg.AttrExtensions,
-	})
+	}).XDR)
 	if err != nil {
 		return err
 	}
@@ -1300,7 +1307,7 @@ func (b *Base) Rmdir(p *sim.Proc, rel string) error {
 	if err != nil {
 		return err
 	}
-	body, err := b.call(p, proto.ProcRmdir, &proto.DirOpArgs{Dir: dir, Name: name})
+	body, err := b.call(p, proto.ProcRmdir, (&proto.DirOpArgs{Dir: dir, Name: name}).XDR)
 	if err != nil {
 		return err
 	}
@@ -1324,10 +1331,10 @@ func (b *Base) Rename(p *sim.Proc, oldrel, newrel string) error {
 	if err != nil {
 		return err
 	}
-	body, err := b.call(p, proto.ProcRename, &proto.RenameArgs{
+	body, err := b.call(p, proto.ProcRename, (&proto.RenameArgs{
 		SrcDir: sdir, SrcName: sname, DstDir: ddir, DstName: dname,
 		WantAttr: b.cfg.AttrExtensions,
-	})
+	}).XDR)
 	if err != nil {
 		return err
 	}
@@ -1360,7 +1367,7 @@ func (b *Base) Link(p *sim.Proc, oldrel, newrel string) error {
 	if err != nil {
 		return err
 	}
-	body, err := b.call(p, proto.ProcLink, &proto.LinkArgs{From: from, ToDir: dir, ToName: name})
+	body, err := b.call(p, proto.ProcLink, (&proto.LinkArgs{From: from, ToDir: dir, ToName: name}).XDR)
 	if err != nil {
 		return err
 	}
@@ -1376,7 +1383,7 @@ func (b *Base) Symlink(p *sim.Proc, target, linkrel string) error {
 	if err != nil {
 		return err
 	}
-	body, err := b.call(p, proto.ProcSymlink, &proto.SymlinkArgs{Dir: dir, Name: name, Target: target})
+	body, err := b.call(p, proto.ProcSymlink, (&proto.SymlinkArgs{Dir: dir, Name: name, Target: target}).XDR)
 	if err != nil {
 		return err
 	}

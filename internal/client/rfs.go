@@ -27,25 +27,27 @@ func NewRFS(k *sim.Kernel, ep *rpc.Endpoint, cfg Config) *RFSClient {
 	c := &RFSClient{Base: newBase(k, ep, cfg)}
 	// No probes: cached attributes hold until a callback clears them.
 	c.attrs.policy = attrPolicyProtocol
-	ep.RegisterMsg(proto.ProgCallback, c.serveCallback)
+	ep.Serve(proto.ProgCallback, c.serveCallback)
 	return c
 }
 
 // serveCallback handles the server's invalidate-on-write messages.
-func (c *RFSClient) serveCallback(p *sim.Proc, from simnet.Addr, proc uint32, args []byte) (proto.Message, rpc.Status) {
+func (c *RFSClient) serveCallback(p *sim.Proc, from simnet.Addr, proc uint32, args []byte) (rpc.Reply, rpc.Status) {
 	if proc == proto.CbProcNull {
-		return &proto.StatusReply{Status: proto.OK}, rpc.StatusOK
+		return statusReply(proto.OK)
 	}
 	if proc != proto.CbProcCallback {
-		return nil, rpc.StatusProcUnavail
+		return rpc.Reply{}, rpc.StatusProcUnavail
 	}
 	var a proto.CallbackArgs
 	d := xdr.NewDecoder(args).Codec()
 	if a.XDR(d); d.Err() != nil {
-		return nil, rpc.StatusGarbage
+		return rpc.Reply{}, rpc.StatusGarbage
 	}
 	c.CallbacksServed++
-	c.Tracer().Record(c.host(), trace.Callback, "<- rfs invalidate %s", a.Handle)
+	if tr := c.Tracer(); tr != nil { // variadic args are boxed even for a nil tracer
+		tr.Record(c.host(), trace.Callback, "<- rfs invalidate %s", a.Handle)
+	}
 	if n, ok := c.nodes[a.Handle.Ino]; ok && n.h == a.Handle {
 		// RFS clients hold no delayed data beyond partial write
 		// tails, and only the writer has those; an invalidation
@@ -62,12 +64,12 @@ func (c *RFSClient) serveCallback(p *sim.Proc, from simnet.Addr, proc uint32, ar
 		// Attributes may be stale now too.
 		n.attrInit = false
 	}
-	return &proto.StatusReply{Status: proto.OK}, rpc.StatusOK
+	return statusReply(proto.OK)
 }
 
 // openRPC registers an open and reconciles the version numbers.
 func (c *RFSClient) openRPC(p *sim.Proc, n *node, write bool) error {
-	body, err := c.call(p, proto.ProcOpen, &proto.OpenArgs{Handle: n.h, WriteMode: write})
+	body, err := c.call(p, proto.ProcOpen, (&proto.OpenArgs{Handle: n.h, WriteMode: write}).XDR)
 	if err != nil {
 		return err
 	}

@@ -122,7 +122,7 @@ func NewSNFS(k *sim.Kernel, ep *rpc.Endpoint, cfg Config, opts SNFSOptions) *SNF
 	}
 	c.attrs.policy = attrPolicyProtocol
 	c.cancelOnRemove = true
-	ep.RegisterMsg(proto.ProgCallback, c.serveCallback)
+	ep.Serve(proto.ProgCallback, c.serveCallback)
 	if opts.NameCache {
 		c.nameGet = c.nameCacheGet
 		c.namePut = c.nameCachePut
@@ -139,17 +139,17 @@ func NewSNFS(k *sim.Kernel, ep *rpc.Endpoint, cfg Config, opts SNFSOptions) *SNF
 }
 
 // serveCallback handles server-to-client consistency requests (§4.2.2).
-func (c *SNFSClient) serveCallback(p *sim.Proc, from simnet.Addr, proc uint32, args []byte) (proto.Message, rpc.Status) {
+func (c *SNFSClient) serveCallback(p *sim.Proc, from simnet.Addr, proc uint32, args []byte) (rpc.Reply, rpc.Status) {
 	if proc == proto.CbProcNull {
-		return &proto.StatusReply{Status: proto.OK}, rpc.StatusOK
+		return statusReply(proto.OK)
 	}
 	if proc != proto.CbProcCallback {
-		return nil, rpc.StatusProcUnavail
+		return rpc.Reply{}, rpc.StatusProcUnavail
 	}
 	var a proto.CallbackArgs
 	d := xdr.NewDecoder(args).Codec()
 	if a.XDR(d); d.Err() != nil {
-		return nil, rpc.StatusGarbage
+		return rpc.Reply{}, rpc.StatusGarbage
 	}
 	c.CallbacksServed++
 	tr := c.Tracer()
@@ -163,13 +163,13 @@ func (c *SNFSClient) serveCallback(p *sim.Proc, from simnet.Addr, proc uint32, a
 			c.revokeLease(a.Handle)
 		}
 		// Nothing else cached for that file: success.
-		return &proto.StatusReply{Status: proto.OK}, rpc.StatusOK
+		return statusReply(proto.OK)
 	}
 	if a.WriteBack {
 		// The callback must not return until the dirty blocks are
 		// back at the server (§3.2).
 		if err := c.flushFile(p, n); err != nil {
-			return &proto.StatusReply{Status: proto.ErrIO}, rpc.StatusOK
+			return statusReply(proto.ErrIO)
 		}
 	}
 	writeBack, invalidate := n.rec.ApplyCallback(a)
@@ -189,7 +189,7 @@ func (c *SNFSClient) serveCallback(p *sim.Proc, from simnet.Addr, proc uint32, a
 		n.rec.DelayedClose = false
 		c.closeRPC(p, n.h, n.rec.DelayedWriteMode)
 	}
-	return &proto.StatusReply{Status: proto.OK}, rpc.StatusOK
+	return statusReply(proto.OK)
 }
 
 // nameCacheGet serves a translation from the protocol-protected name
@@ -223,7 +223,7 @@ func (c *SNFSClient) nameCachePut(p *sim.Proc, dir proto.Handle, name string, h 
 			}
 			dn.oweClose--
 		}
-		body, err := c.call(p, proto.ProcOpen, &proto.OpenArgs{Handle: dir})
+		body, err := c.call(p, proto.ProcOpen, (&proto.OpenArgs{Handle: dir}).XDR)
 		if err != nil {
 			return
 		}
@@ -444,7 +444,7 @@ func (c *SNFSClient) reopenWithRetry(p *sim.Proc, args *proto.ReopenArgs) (proto
 				delay = c.opts.RecoverMaxBackoff
 			}
 		}
-		body, err := c.call(p, proto.ProcReopen, args)
+		body, err := c.call(p, proto.ProcReopen, args.XDR)
 		if err != nil {
 			continue
 		}
@@ -466,7 +466,7 @@ func (c *SNFSClient) reopenWithRetry(p *sim.Proc, args *proto.ReopenArgs) (proto
 func (c *SNFSClient) openRPC(p *sim.Proc, n *node, write bool) error {
 	var reply proto.OpenReply
 	for attempt := 0; ; attempt++ {
-		body, err := c.call(p, proto.ProcOpen, &proto.OpenArgs{Handle: n.h, WriteMode: write})
+		body, err := c.call(p, proto.ProcOpen, (&proto.OpenArgs{Handle: n.h, WriteMode: write}).XDR)
 		if err != nil {
 			return err
 		}
@@ -669,7 +669,7 @@ func (c *SNFSClient) Lock(p *sim.Proc, rel string, exclusive bool) error {
 	}
 	backoff := 10 * sim.Millisecond
 	for {
-		body, err := c.call(p, proto.ProcLock, &proto.LockArgs{Handle: h, Exclusive: exclusive})
+		body, err := c.call(p, proto.ProcLock, (&proto.LockArgs{Handle: h, Exclusive: exclusive}).XDR)
 		if err != nil {
 			return err
 		}
@@ -695,7 +695,7 @@ func (c *SNFSClient) Unlock(p *sim.Proc, rel string) error {
 	if err != nil {
 		return err
 	}
-	body, err := c.call(p, proto.ProcUnlock, &proto.LockArgs{Handle: h})
+	body, err := c.call(p, proto.ProcUnlock, (&proto.LockArgs{Handle: h}).XDR)
 	if err != nil {
 		return err
 	}

@@ -99,8 +99,9 @@ func (r *Router) enableFailover(viewsvc simnet.Addr, interval sim.Duration) {
 // refreshFromView pulls the current map from the viewservice. Errors are
 // ignored: the next poll, or the Reroute/ErrNotHome machinery, retries.
 func (r *Router) refreshFromView(p *sim.Proc) {
-	body, err := r.hosts[0].Base.Endpoint().CallMsgEx(p, r.viewsvc, proto.ProgView, 1, proto.ViewProcGet,
-		&proto.ViewGetArgs{}, 500*sim.Millisecond, 0)
+	var args proto.ViewGetArgs
+	body, err := r.hosts[0].Base.Endpoint().CallXDREx(p, r.viewsvc, proto.ProgView, 1, proto.ViewProcGet,
+		args.XDR, 500*sim.Millisecond, 0)
 	if err != nil {
 		return
 	}
@@ -150,8 +151,9 @@ func (r *Router) TotalOps() int64 {
 // answered ErrNotHome, so it holds a newer map than ours). The map is
 // only replaced by a strictly newer version.
 func (r *Router) refreshMap(p *sim.Proc, via int) error {
-	body, err := r.hosts[via].Base.Endpoint().Call(p, r.addrs[via], proto.ProgNFS, proto.VersNFS,
-		proto.ProcShardMap, proto.Marshal(&proto.ShardMapArgs{}))
+	var args proto.ShardMapArgs
+	body, err := r.hosts[via].Base.Endpoint().CallXDR(p, r.addrs[via], proto.ProgNFS, proto.VersNFS,
+		proto.ProcShardMap, args.XDR)
 	if err != nil {
 		return fmt.Errorf("cluster: shard map refetch from %s: %w", r.addrs[via], err)
 	}

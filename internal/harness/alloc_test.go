@@ -71,13 +71,14 @@ func TestDataPathAllocationBudgets(t *testing.T) {
 		// block at all (one, the caller's result, while ReadAt returned
 		// a fresh slice). The server replies with the page of its file,
 		// frozen by the read, as the reply image's tail, and the client
-		// caches that page, copy-on-write. 6 objects in all: the call
-		// image, its Pending, the reply's head, the client's ReadArgs and
-		// the server's ReadReply (each boxed as a proto.Message), and the
-		// cache Block. (8 while the block had a list element and every
-		// fetch a Signal, 9 with the result, 11 while the store's
-		// snapshot and the cache block were copies, 25 while the round
-		// trip's bookkeeping allocated.)
+		// caches that page, copy-on-write. 3 objects in all: the call's
+		// Pending, which holds its 56-byte image, the reply's head, and
+		// the cache Block. (6 while the image was an object of its own
+		// and the client's ReadArgs and the server's ReadReply were each
+		// boxed as a proto.Message, 8 while the block had a list element
+		// and every fetch a Signal, 9 with the result, 11 while the
+		// store's snapshot and the cache block were copies, 25 while the
+		// round trip's bookkeeping allocated.)
 		buf := make([]byte, bs)
 		read := func(i int) error {
 			n, err := f.ReadInto(p, buf, int64(i)*bs)
@@ -87,23 +88,25 @@ func TestDataPathAllocationBudgets(t *testing.T) {
 			return err
 		}
 		objects, blks, _ := each(read)
-		if blks > 0 || objects > 6 {
-			t.Errorf("NFS 8 KiB read miss allocates %d block-sized objects of %d, budget 0 of 6", blks, objects)
+		if blks > 0 || objects > 3 {
+			t.Errorf("NFS 8 KiB read miss allocates %d block-sized objects of %d, budget 0 of 3", blks, objects)
 		}
 
 		// A write-through: the cache block and the call wire image (a
 		// biod sends the frozen cache block itself, and the server keeps
-		// the call image's whole page as its file's page). 12 objects in
-		// all (15 while the block had a list element and each reply's
-		// attributes built a sorted list of the file's dirty blocks to
-		// ask whether it had any; 32 before).
+		// the call image's whole page as its file's page). 10 objects in
+		// all (12 while the client's WriteArgs and the server's
+		// WriteReply were each boxed as a proto.Message, 15 while the
+		// block had a list element and each reply's attributes built a
+		// sorted list of the file's dirty blocks to ask whether it had
+		// any; 32 before).
 		data := bytes.Repeat([]byte{0xa5}, bs)
 		objects, blks, _ = each(func(i int) error {
 			_, err := f.WriteAt(p, int64(i)*bs, data)
 			return err
 		})
-		if blks > 2 || objects > 12 {
-			t.Errorf("NFS 8 KiB write-through allocates %d block-sized objects of %d, budget 2 of 12", blks, objects)
+		if blks > 2 || objects > 10 {
+			t.Errorf("NFS 8 KiB write-through allocates %d block-sized objects of %d, budget 2 of 10", blks, objects)
 		}
 
 		// An appending write-through, into a file created afresh each

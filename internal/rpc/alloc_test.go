@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"spritelynfs/internal/proto"
@@ -14,13 +15,13 @@ import (
 // the floor under every server and client operation — with every
 // instrument off: an instrument that is off costs nothing here, and
 // neither does the bookkeeping. What is left is what DESIGN.md §14 says
-// cannot be handed on: the call's wire image, its Pending, the reply's
-// wire image.
+// cannot be handed on: the call's Pending, which holds its small wire
+// image, and the reply's head.
 func TestNullRoundTripAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under -race")
 	}
-	const budget = 4 // 3 measured; 16 with a signal, closures and a dup entry per call
+	const budget = 2 // 3 while the call image was an object of its own; 16 with a signal, closures and a dup entry per call
 	for _, pool := range pools {
 		k := sim.NewKernel(1)
 		client, server := newPair(k, simnet.Config{PropDelay: sim.Millisecond}, Options{Exec: pool.exec(k)})
@@ -43,16 +44,45 @@ func TestNullRoundTripAllocs(t *testing.T) {
 	}
 }
 
+// TestRetransmitAllocatesNothing: a retransmission resends the call's
+// frozen image, and with every instrument off it allocates nothing, so a
+// call nobody answers costs as much with four retransmissions as with one.
+func TestRetransmitAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	var allocs [2]float64
+	for i, retries := range []int{1, 4} {
+		k := sim.NewKernel(1)
+		client, _ := newPair(k, simnet.Config{PropDelay: sim.Millisecond}, Options{MaxRetries: retries})
+		k.Go("caller", func(p *sim.Proc) {
+			defer k.Stop()
+			allocs[i] = testing.AllocsPerRun(50, func() {
+				if _, err := client.Call(p, "nowhere", testProg, 1, 1, nil); !errors.Is(err, ErrTimeout) {
+					t.Errorf("call to nowhere: %v, want a timeout", err)
+				}
+			})
+		})
+		k.Run()
+	}
+	if allocs[0] != allocs[1] {
+		t.Errorf("an unanswered call allocates %v objects with 1 retransmission and %v with 4", allocs[0], allocs[1])
+	}
+}
+
 // TestLiveNullRoundTripAllocs budgets the same exchange on the live path:
 // DialTCP, the gateway, Inject, an endpoint under RunRealtime and back,
 // every goroutine's allocations counted. The server half of the
 // simulated exchange is in here, plus the record and the Inject closure
-// at the gateway and the reply channel and TCPPending at the client.
+// at the gateway and the reply channel and TCPPending at the client. A
+// null handler's reply was never a boxed message, and the gateway's call
+// has no Pending, so encoding in the handler's frame removed nothing
+// here.
 func TestLiveNullRoundTripAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under -race")
 	}
-	const budget = 7 // 6 measured; 13 while the server half allocated its bookkeeping
+	const budget = 6 // 13 while the server half allocated its bookkeeping
 	c, err := DialTCP(startLive(t, 2, nullProg))
 	if err != nil {
 		t.Fatal(err)

@@ -27,7 +27,7 @@ func TestPipelinedCallsOverlap(t *testing.T) {
 			if pipelined {
 				var calls [depth]*Pending
 				for i := range calls {
-					calls[i] = client.Start(p, "server", testProg, 1, uint32(i), &proto.StatusReply{Status: proto.Status(i)})
+					calls[i] = client.Start(p, "server", testProg, 1, uint32(i), (&proto.StatusReply{Status: proto.Status(i)}).XDR)
 				}
 				for i, c := range calls {
 					body, err := c.Wait(p)
@@ -102,8 +102,9 @@ func TestDupCacheReplaysRecordedImage(t *testing.T) {
 	client, server := newPair(k, simnet.Config{PropDelay: sim.Millisecond}, Options{})
 	page := bytes.Repeat([]byte("page"), 2048)
 	want := proto.Marshal(&proto.ReadReply{Status: proto.OK, Data: page})
-	server.RegisterMsg(testProg, func(p *sim.Proc, from simnet.Addr, proc uint32, args []byte) (proto.Message, Status) {
-		return &proto.ReadReply{Status: proto.OK, Data: page}, StatusOK
+	server.Serve(testProg, func(p *sim.Proc, from simnet.Addr, proc uint32, args []byte) (Reply, Status) {
+		r := proto.ReadReply{Status: proto.OK, Data: page}
+		return Encode(r.XDR), StatusOK
 	})
 	k.Go("caller", func(p *sim.Proc) {
 		defer k.Stop()
@@ -195,7 +196,7 @@ func TestDrainedBacklogSlotIsCleared(t *testing.T) {
 		defer k.Stop()
 		var calls [3]*Pending
 		for i := range calls {
-			calls[i] = client.Start(p, "server", testProg, 1, 1, &proto.WriteArgs{Data: make([]byte, 8192)})
+			calls[i] = client.Start(p, "server", testProg, 1, 1, (&proto.WriteArgs{Data: make([]byte, 8192)}).XDR)
 		}
 		for i, c := range calls {
 			if _, err := c.Wait(p); err != nil {
@@ -240,7 +241,7 @@ func TestPipelinedCallsCollectedOutOfOrder(t *testing.T) {
 			defer k.Stop()
 			var calls [depth]*Pending
 			for i := range calls {
-				calls[i] = client.Start(p, "server", testProg, 1, uint32(i), &proto.StatusReply{Status: proto.Status(100 + i)})
+				calls[i] = client.Start(p, "server", testProg, 1, uint32(i), (&proto.StatusReply{Status: proto.Status(100 + i)}).XDR)
 			}
 			for _, i := range order {
 				body, err := calls[i].Wait(p)

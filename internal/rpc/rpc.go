@@ -12,12 +12,14 @@
 // wait in that queue until a finishing process takes them, before it
 // parks.
 //
-// What a round trip leaves behind is its two wire images, the caller's
-// Pending and the handler's own argument and reply structs. The rest of
-// the bookkeeping is kept in objects that already exist: the Pending is
-// the reply slot, the waiter and the timeout event's target; accepted
-// calls and duplicate-cache entries sit by value in rings; the service
-// job is one method value per endpoint. See DESIGN.md §14.
+// What a round trip allocates is the caller's Pending, which holds a
+// small call image in itself, and the reply's head. Arguments and replies
+// are encoded by static calls in the frames that built them, so neither
+// message leaves its stack. The rest of the bookkeeping is kept in
+// objects that already exist: the Pending is the reply slot, the waiter
+// and the timeout event's target; accepted calls and duplicate-cache
+// entries sit by value in rings; the service job is one method value per
+// endpoint. See DESIGN.md §14.
 //
 // Two transports implement the layer: the simulated network (this file,
 // used by all experiments) and a real TCP transport (tcp.go, used by the
@@ -32,6 +34,7 @@
 package rpc
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -103,20 +106,46 @@ func statusErr(s Status) error {
 	}
 }
 
-// Handler services calls to one program. It runs on a server worker and
-// may itself block (disk access, nested RPCs).
+// Service services calls to one program. It runs on a server worker and
+// may itself block (disk access, nested RPCs). It returns its reply body
+// already encoded, by Encode (the zero Reply for an empty body).
+type Service func(p *sim.Proc, from simnet.Addr, proc uint32, args []byte) (Reply, Status)
+
+// Handler is a Service that returns its reply body as bytes (Register).
 type Handler func(p *sim.Proc, from simnet.Addr, proc uint32, args []byte) ([]byte, Status)
 
-// MsgHandler is a Handler that returns its reply as a message (nil for an
-// empty body), which the endpoint encodes straight behind the reply
-// header at the instant the handler returns — the reply-side mirror of
-// CallMsg. The wire image is byte-identical to a Handler returning
-// proto.Marshal of the same message.
-type MsgHandler func(p *sim.Proc, from simnet.Addr, proc uint32, args []byte) (proto.Message, Status)
+// replyHeaderLen is the size of the reply message header (xid, type,
+// status).
+const replyHeaderLen = 3 * 4
 
-// rawBody is a reply body a Handler already encoded. It is only ever
-// encoded: the value receiver keeps the conversion from a Handler's
-// result free of allocation.
+// Reply is a reply image begun where its handler built the reply: a
+// pooled encoder holding the reply header, whose xid and status sendReply
+// fills in, and the body behind it. The zero Reply is an empty body.
+type Reply struct{ enc *xdr.Encoder }
+
+// Encode encodes a reply body at once, through body: the XDR method value
+// of a message in the handler's own frame, as in
+//
+//	r := proto.AttrReply{Status: proto.OK, Attr: attr}
+//	return rpc.Encode(r.XDR), rpc.StatusOK
+//
+// A method value passed here stays on the stack, and so does its
+// message; a message returned as a proto.Message is boxed on the heap.
+// A nil body is an empty one. What the image holds by reference (a
+// READ's data, Codec.Tail) must be frozen from here on.
+func Encode(body func(xdr.Codec)) Reply {
+	enc := xdr.GetEncoder()
+	enc.Uint32(0) // xid
+	enc.Uint32(msgReply)
+	enc.Uint32(0) // status
+	if body != nil {
+		body(enc.Codec())
+	}
+	return Reply{enc}
+}
+
+// rawBody is a body its owner already encoded. It is only ever encoded:
+// the value receiver keeps the conversion from bytes free of allocation.
 type rawBody []byte
 
 func (b rawBody) XDR(c xdr.Codec) { c.Raw((*[]byte)(&b)) }
@@ -210,7 +239,7 @@ type Endpoint struct {
 	opts    Options
 	nextXID uint32
 	pending map[uint32]*Pending
-	progs   map[uint32]MsgHandler
+	progs   map[uint32]Service
 	exec    *sim.Executor
 	limit   int // calls in service at once; 0 = unbounded (shared pool)
 	serving int // calls in service now, counting the handed ones
@@ -338,7 +367,7 @@ func NewEndpoint(k *sim.Kernel, net *simnet.Network, addr simnet.Addr, opts Opti
 		addr:    addr,
 		opts:    opts,
 		pending: make(map[uint32]*Pending),
-		progs:   make(map[uint32]MsgHandler),
+		progs:   make(map[uint32]Service),
 		exec:    opts.Exec,
 	}
 	e.job = e.serve
@@ -359,14 +388,14 @@ func (e *Endpoint) Stats() Stats { return e.stats }
 // Workers returns the service pool size.
 func (e *Endpoint) Workers() int { return e.opts.Workers }
 
-// RegisterMsg installs h as the handler for program prog.
-func (e *Endpoint) RegisterMsg(prog uint32, h MsgHandler) { e.progs[prog] = h }
+// Serve installs s as the service for program prog.
+func (e *Endpoint) Serve(prog uint32, s Service) { e.progs[prog] = s }
 
-// Register installs a handler that encodes its own reply body.
+// Register installs a handler that returns its reply body as bytes.
 func (e *Endpoint) Register(prog uint32, h Handler) {
-	e.RegisterMsg(prog, func(p *sim.Proc, from simnet.Addr, proc uint32, args []byte) (proto.Message, Status) {
+	e.Serve(prog, func(p *sim.Proc, from simnet.Addr, proc uint32, args []byte) (Reply, Status) {
 		body, st := h(p, from, proc, args)
-		return rawBody(body), st
+		return Encode(rawBody(body).XDR), st
 	})
 }
 
@@ -404,45 +433,45 @@ func (e *Endpoint) Restart() {
 // came as a head and a tail is returned joined, in a buffer of its own
 // (CallTail leaves the two apart).
 func (e *Endpoint) Call(p *sim.Proc, to simnet.Addr, prog, vers, proc uint32, args []byte) ([]byte, error) {
-	return e.CallEx(p, to, prog, vers, proc, args, e.opts.CallTimeout, e.opts.MaxRetries)
+	return e.CallXDR(p, to, prog, vers, proc, rawBody(args).XDR)
 }
 
-// CallEx is Call with an explicit per-attempt timeout and retry budget.
-// The SNFS server uses a tight budget for callbacks: a callback to a dead
-// client must be abandoned before the opener that triggered it times out
-// (§3.2).
-func (e *Endpoint) CallEx(p *sim.Proc, to simnet.Addr, prog, vers, proc uint32, args []byte, callTimeout sim.Duration, maxRetries int) ([]byte, error) {
-	sp := e.Spans.Begin(p, string(e.addr), callSpanKind(prog), proto.ProcName(prog, proc))
-	defer sp.End()
-	body, tail, err := e.start(p, to, prog, vers, proc, nil, args, callTimeout, maxRetries).wait(p)
-	return join(body, tail), err
-}
-
-// CallMsg is Call with the arguments encoded straight from m into the
-// pooled wire buffer, skipping the intermediate proto.Marshal allocation.
-// The wire image is byte-identical to Call(..., proto.Marshal(m)).
+// CallMsg is CallXDR for a message already boxed as a proto.Message.
 func (e *Endpoint) CallMsg(p *sim.Proc, to simnet.Addr, prog, vers, proc uint32, m proto.Message) ([]byte, error) {
-	return e.CallMsgEx(p, to, prog, vers, proc, m, e.opts.CallTimeout, e.opts.MaxRetries)
+	return e.CallXDR(p, to, prog, vers, proc, m.XDR)
 }
 
-// CallMsgEx is CallMsg with an explicit per-attempt timeout and retry
-// budget (see CallEx).
-func (e *Endpoint) CallMsgEx(p *sim.Proc, to simnet.Addr, prog, vers, proc uint32, m proto.Message, callTimeout sim.Duration, maxRetries int) ([]byte, error) {
-	sp := e.Spans.Begin(p, string(e.addr), callSpanKind(prog), proto.ProcName(prog, proc))
-	defer sp.End()
-	body, tail, err := e.start(p, to, prog, vers, proc, m, nil, callTimeout, maxRetries).wait(p)
+// CallXDR is Call with the arguments encoded by args straight into the
+// pooled wire buffer: args is the XDR method value of a message in the
+// caller's frame (a.XDR), which keeps the message on the stack, as Encode
+// does for a reply.
+func (e *Endpoint) CallXDR(p *sim.Proc, to simnet.Addr, prog, vers, proc uint32, args func(xdr.Codec)) ([]byte, error) {
+	return e.CallXDREx(p, to, prog, vers, proc, args, e.opts.CallTimeout, e.opts.MaxRetries)
+}
+
+// CallXDREx is CallXDR with an explicit per-attempt timeout and retry
+// budget. The SNFS server uses a tight budget for callbacks: a callback to
+// a dead client must be abandoned before the opener that triggered it
+// times out (§3.2).
+func (e *Endpoint) CallXDREx(p *sim.Proc, to simnet.Addr, prog, vers, proc uint32, args func(xdr.Codec), callTimeout sim.Duration, maxRetries int) ([]byte, error) {
+	body, tail, err := e.call(p, to, prog, vers, proc, args, callTimeout, maxRetries)
 	return join(body, tail), err
 }
 
-// CallTail is CallMsg for a caller that decodes a two-part reply image
+// CallTail is CallXDR for a caller that decodes a two-part reply image
 // itself: the reply body is body‖tail (tail nil for a reply sent whole),
 // and the two are left apart, so a READ's data is the server's frozen
 // page and not a copy joined behind the header. Decode them with
 // xdr.Decoder.ResetTail.
-func (e *Endpoint) CallTail(p *sim.Proc, to simnet.Addr, prog, vers, proc uint32, m proto.Message) (body, tail []byte, err error) {
+func (e *Endpoint) CallTail(p *sim.Proc, to simnet.Addr, prog, vers, proc uint32, args func(xdr.Codec)) (body, tail []byte, err error) {
+	return e.call(p, to, prog, vers, proc, args, e.opts.CallTimeout, e.opts.MaxRetries)
+}
+
+// call is the one synchronous call path, inside its whole-call span.
+func (e *Endpoint) call(p *sim.Proc, to simnet.Addr, prog, vers, proc uint32, args func(xdr.Codec), callTimeout sim.Duration, maxRetries int) (body, tail []byte, err error) {
 	sp := e.Spans.Begin(p, string(e.addr), callSpanKind(prog), proto.ProcName(prog, proc))
 	defer sp.End()
-	return e.start(p, to, prog, vers, proc, m, nil, e.opts.CallTimeout, e.opts.MaxRetries).wait(p)
+	return e.start(p, to, prog, vers, proc, args, callTimeout, maxRetries).wait(p)
 }
 
 // join returns head‖tail: head itself when there is no tail, and a buffer
@@ -456,9 +485,9 @@ func join(head, tail []byte) []byte {
 // owns the retransmit schedule) in Wait. Any number of calls may be
 // outstanding per endpoint — replies are multiplexed by xid — so a
 // client can pipeline N requests on one connection instead of paying a
-// full round trip each.
-func (e *Endpoint) Start(p *sim.Proc, to simnet.Addr, prog, vers, proc uint32, m proto.Message) *Pending {
-	return e.start(p, to, prog, vers, proc, m, nil, e.opts.CallTimeout, e.opts.MaxRetries)
+// full round trip each. args encodes the arguments, as for CallXDR.
+func (e *Endpoint) Start(p *sim.Proc, to simnet.Addr, prog, vers, proc uint32, args func(xdr.Codec)) *Pending {
+	return e.start(p, to, prog, vers, proc, args, e.opts.CallTimeout, e.opts.MaxRetries)
 }
 
 // callSpanKind classifies a call for the span recorder.
@@ -473,11 +502,18 @@ func callSpanKind(prog uint32) span.Kind {
 // vers, proc, op).
 const callHeaderLen = 5*4 + 8
 
+// inlineImage is the largest call image a Pending holds in itself. It
+// takes the calls that are most of the traffic — GETATTR, LOOKUP, READ,
+// OPEN and CLOSE are 44 to 60 bytes — and keeps a Pending in the size
+// class of the Pending and image it replaces.
+const inlineImage = 64
+
 // Pending is one in-flight call: the handle Start returns, and all the
 // state the call has. It is the entry in the endpoint's xid table, the
 // slot the reply is delivered into, the record of who is parked waiting
-// for it, and the target of the attempt's timeout event, so a call costs
-// this one object beside its wire image. Wait collects a call once.
+// for it, the target of the attempt's timeout event, and, for an image of
+// up to inlineImage bytes, the call's wire image, so such a call costs
+// this one object. Wait collects a call once.
 type Pending struct {
 	e       *Endpoint
 	to      simnet.Addr
@@ -503,20 +539,28 @@ type Pending struct {
 	waiter   *sim.Proc // the caller, while parked in await
 	body     []byte    // a view of the delivered reply image
 	tail     []byte    // the image's tail, behind body
+
+	inline [inlineImage]byte // wire, when it fits
 }
 
 // start encodes and transmits the first attempt of a call. The wire
-// image is built in a pooled encoder and copied out exactly once: the
-// simulated network retains payloads until (possibly duplicated)
-// delivery and the retransmit loop resends the same image, so the call's
-// buffer must be GC-owned rather than pool-recycled. Once sent it is
-// frozen: nobody writes through it or through a view decoded from it.
-// That image and the Pending are all a call allocates here.
-func (e *Endpoint) start(p *sim.Proc, to simnet.Addr, prog, vers, proc uint32, m proto.Message, args []byte, callTimeout sim.Duration, maxRetries int) *Pending {
+// image is built in a pooled encoder and copied out exactly once, into
+// the Pending itself when it fits and into a buffer of its own when it
+// does not: the simulated network retains payloads until (possibly
+// duplicated) delivery and the retransmit loop resends the same image,
+// so the call's buffer must be GC-owned rather than pool-recycled. Once
+// sent it is frozen: nobody writes through it or through a view decoded
+// from it. The Pending, and a large image, are all a call allocates here.
+func (e *Endpoint) start(p *sim.Proc, to simnet.Addr, prog, vers, proc uint32, args func(xdr.Codec), callTimeout sim.Duration, maxRetries int) *Pending {
 	e.nextXID++
 	xid := e.nextXID
 	e.stats.CallsSent++
 	op := p.Op()
+	c := &Pending{
+		e: e, to: to, prog: prog, vers: vers, proc: proc, xid: xid, op: op,
+		timeout: callTimeout, retries: maxRetries,
+		issued: e.k.Now(), sent: e.k.Now(),
+	}
 
 	enc := xdr.GetEncoder()
 	enc.Uint32(xid)
@@ -525,25 +569,20 @@ func (e *Endpoint) start(p *sim.Proc, to simnet.Addr, prog, vers, proc uint32, m
 	enc.Uint32(vers)
 	enc.Uint32(proc)
 	enc.Uint64(op)
-	if m != nil {
-		m.XDR(enc.Codec())
+	args(enc.Codec())
+	if n := enc.Len(); n <= len(c.inline) {
+		c.wire = c.inline[:copy(c.inline[:], enc.Bytes()):n]
 	} else {
-		enc.Raw(args)
+		c.wire = enc.CopyBytes()
 	}
-	wire := enc.CopyBytes()
 	enc.Release()
 
 	if e.Tracer != nil { // variadic args are boxed even for a nil tracer
 		e.Tracer.RecordOp(string(e.addr), trace.RPCCall, op, "-> %s %s xid=%d (%dB)",
-			to, proto.ProcName(prog, proc), xid, len(wire)-callHeaderLen)
-	}
-	c := &Pending{
-		e: e, to: to, prog: prog, vers: vers, proc: proc, xid: xid, op: op,
-		wire: wire, timeout: callTimeout, retries: maxRetries,
-		issued: e.k.Now(), sent: e.k.Now(),
+			to, proto.ProcName(prog, proc), xid, len(c.wire)-callHeaderLen)
 	}
 	e.pending[xid] = c
-	e.net.Send(e.addr, to, wire)
+	e.net.Send(e.addr, to, c.wire)
 	return c
 }
 
@@ -628,14 +667,18 @@ func (c *Pending) wait(p *sim.Proc) (body, tail []byte, err error) {
 		if attempt > 0 {
 			if e.Reroute != nil {
 				if alt := e.Reroute(c.to); alt != "" && alt != c.to {
-					e.Tracer.RecordOp(string(e.addr), trace.RPCRetry, c.op, "~> rerouting %s -> %s xid=%d",
-						c.to, alt, c.xid)
+					if e.Tracer != nil {
+						e.Tracer.RecordOp(string(e.addr), trace.RPCRetry, c.op, "~> rerouting %s -> %s xid=%d",
+							c.to, alt, c.xid)
+					}
 					c.to = alt
 				}
 			}
 			e.stats.Retransmits++
-			e.Tracer.RecordOp(string(e.addr), trace.RPCRetry, c.op, "-> %s %s xid=%d attempt=%d",
-				c.to, proto.ProcName(c.prog, c.proc), c.xid, attempt)
+			if e.Tracer != nil {
+				e.Tracer.RecordOp(string(e.addr), trace.RPCRetry, c.op, "-> %s %s xid=%d attempt=%d",
+					c.to, proto.ProcName(c.prog, c.proc), c.xid, attempt)
+			}
 			c.sent = e.k.Now()
 			e.net.Send(e.addr, c.to, c.wire)
 		}
@@ -703,7 +746,7 @@ func (e *Endpoint) handleMsg(m simnet.Message) {
 		op := d.Uint64()
 		args := d.RawRef()
 		if d.Err() != nil {
-			e.sendReply(m.From, xid, StatusGarbage, nil)
+			e.sendReply(m.From, xid, StatusGarbage, Reply{})
 			return
 		}
 		switch state, head, tail := e.dup.lookup(m.From, xid); state {
@@ -779,14 +822,14 @@ func (e *Endpoint) serveOne(p *sim.Proc, req request) {
 		e.Tracer.RecordOp(string(e.addr), trace.RPCServe, req.op, "<- %s %s xid=%d (%dB)",
 			req.from, proto.ProcName(req.prog, req.proc), req.xid, len(req.args))
 	}
-	h, ok := e.progs[req.prog]
-	var body proto.Message
+	s, ok := e.progs[req.prog]
+	var body Reply
 	status := StatusProgUnavail
 	if ok {
-		body, status = h(p, req.from, req.proc, req.args)
+		body, status = s(p, req.from, req.proc, req.args)
 	}
-	// Encoded with no yield since the handler returned; the transmitted
-	// image is frozen, so the duplicate cache and observers share it.
+	// The transmitted image is frozen, so the duplicate cache and
+	// observers share it.
 	head, tail := e.sendReply(req.from, req.xid, status, body)
 	e.dup.finish(req.from, req.xid, head, tail)
 	if e.OnServed != nil {
@@ -820,24 +863,22 @@ func (e *Endpoint) SeedDup(from simnet.Addr, xid uint32, wire []byte) {
 	e.dup.finish(from, xid, wire, nil)
 }
 
-// sendReply encodes header and body into one wire image, head and tail,
-// transmits it and returns it. From here on the image is frozen (see
-// start).
-func (e *Endpoint) sendReply(to simnet.Addr, xid uint32, status Status, body proto.Message) (head, tail []byte) {
-	// Pooled encoder, one exact-size copy of the head out: the simulated
-	// network retains the payload until delivery, so the transmitted
-	// buffer must be GC-owned — but the encoder's grow-as-you-go scratch
-	// space is recycled. The tail, a READ's data, goes by reference: it
-	// is the store's page, which the read froze.
-	enc := xdr.GetEncoder()
-	enc.Uint32(xid)
-	enc.Uint32(msgReply)
-	enc.Uint32(uint32(status))
-	if body != nil {
-		body.XDR(enc.Codec())
+// sendReply completes body's header with xid and status, transmits the
+// wire image, head and tail, and returns it. From here on the image is
+// frozen (see start).
+func (e *Endpoint) sendReply(to simnet.Addr, xid uint32, status Status, body Reply) (head, tail []byte) {
+	// One exact-size copy of the head out of the pooled encoder: the
+	// simulated network retains the payload until delivery, so the
+	// transmitted buffer must be GC-owned — but the encoder's
+	// grow-as-you-go scratch space is recycled. The tail, a READ's data,
+	// goes by reference: it is the store's page, which the read froze.
+	if body.enc == nil {
+		body = Encode(nil)
 	}
-	head, tail = enc.Image()
-	enc.Release()
+	head, tail = body.enc.Image()
+	body.enc.Release()
+	binary.BigEndian.PutUint32(head, xid)
+	binary.BigEndian.PutUint32(head[replyHeaderLen-4:], uint32(status))
 	e.net.SendTail(e.addr, to, head, tail)
 	return head, tail
 }

@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"testing"
@@ -770,7 +771,7 @@ func TestStaleTimeoutWakesNobody(t *testing.T) {
 	var caller *sim.Proc
 	k.Go("caller", func(p *sim.Proc) {
 		caller = p
-		c := client.Start(p, "server", testProg, 1, 1, &proto.WriteArgs{Data: make([]byte, 8192)})
+		c := client.Start(p, "server", testProg, 1, 1, (&proto.WriteArgs{Data: make([]byte, 8192)}).XDR)
 		body, err := c.Wait(p)
 		if err != nil || len(body) < 8192 {
 			t.Errorf("call: %d-byte body, err %v", len(body), err)
@@ -791,6 +792,63 @@ func TestStaleTimeoutWakesNobody(t *testing.T) {
 	}
 	if client.Stats().Retransmits != 0 {
 		t.Errorf("%d retransmits", client.Stats().Retransmits)
+	}
+}
+
+// TestCallImageAcrossInlineBoundary: a call image of up to inlineImage
+// bytes lives in its Pending, a larger one in a buffer of its own, and
+// either is the one frozen image every attempt resends. Each call's first
+// attempt is cut, so the image the server sees is the retransmitted one,
+// and the network delivers every message twice, so the server's port
+// sees each image again after the handler has run: every delivery must
+// carry the arguments the caller encoded, byte for byte.
+func TestCallImageAcrossInlineBoundary(t *testing.T) {
+	k := sim.NewKernel(1)
+	net := simnet.New(k, simnet.Config{PropDelay: sim.Millisecond, DupProb: 1})
+	opts := Options{CallTimeout: 10 * sim.Millisecond, MaxRetries: 2}
+	client := NewEndpoint(k, net, "client", opts)
+	server := NewEndpoint(k, net, "server", opts)
+	server.Register(testProg, tokenHandler)
+	var delivered [][]byte // the arguments of every call image the port delivered
+	server.port.SetHandler(func(m simnet.Message) {
+		var d xdr.Decoder
+		d.Reset(m.Payload)
+		if d.Uint32(); d.Uint32() == msgCall {
+			delivered = append(delivered, bytes.Clone(m.Payload[callHeaderLen:]))
+		}
+		server.handleMsg(m)
+	})
+	const word = 4
+	sizes := []int{inlineImage - callHeaderLen, inlineImage - callHeaderLen + word}
+	k.Go("caller", func(p *sim.Proc) {
+		defer k.Stop()
+		for i, n := range sizes {
+			args := bytes.Repeat([]byte{byte(0xa0 + i)}, n)
+			delivered = delivered[:0]
+			net.Cut("client", "server")
+			c := client.Start(p, "server", testProg, 1, 1, rawBody(args).XDR)
+			net.Heal("client", "server")
+			if inline := &c.wire[0] == &c.inline[0]; inline != (len(c.wire) <= inlineImage) {
+				t.Errorf("%d-byte image: held inline %v", len(c.wire), inline)
+			}
+			body, err := c.Wait(p)
+			if err != nil || !bytes.Equal(body, args) {
+				t.Errorf("%d-byte image: reply %x, err %v", callHeaderLen+n, body, err)
+			}
+			p.Sleep(10 * sim.Millisecond) // the duplicate lands
+			if len(delivered) != 2 {
+				t.Errorf("%d-byte image: %d deliveries, want the retransmission and its duplicate", callHeaderLen+n, len(delivered))
+			}
+			for j, got := range delivered {
+				if !bytes.Equal(got, args) {
+					t.Errorf("%d-byte image: delivery %d carries %x, want %x", callHeaderLen+n, j, got, args)
+				}
+			}
+		}
+	})
+	k.Run()
+	if st := client.Stats(); st.Retransmits != int64(len(sizes)) || st.Timeouts != 0 {
+		t.Errorf("%d retransmits and %d timeouts, want one retransmit per call", st.Retransmits, st.Timeouts)
 	}
 }
 

@@ -440,8 +440,9 @@ func TestConcurrentCallersShareOneConnection(t *testing.T) {
 // connection's writer reads each tail beside the event loop.
 func TestGatewayFramesReplyTails(t *testing.T) {
 	addr := startLive(t, 4, func(ep *Endpoint) {
-		ep.RegisterMsg(testProg, func(_ *sim.Proc, _ simnet.Addr, _ uint32, args []byte) (proto.Message, Status) {
-			return &proto.ReadReply{Status: proto.OK, Data: args}, StatusOK // a view of the frozen call record
+		ep.Serve(testProg, func(_ *sim.Proc, _ simnet.Addr, _ uint32, args []byte) (Reply, Status) {
+			r := proto.ReadReply{Status: proto.OK, Data: args} // a view of the frozen call record
+			return Encode(r.XDR), StatusOK
 		})
 	})
 	c, err := DialTCP(addr)

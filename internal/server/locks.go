@@ -3,6 +3,7 @@ package server
 import (
 	"spritelynfs/internal/core"
 	"spritelynfs/internal/proto"
+	"spritelynfs/internal/rpc"
 	"spritelynfs/internal/simnet"
 )
 
@@ -97,14 +98,14 @@ func (t *lockTable) clientDead(c core.ClientID) {
 func (t *lockTable) drop(h proto.Handle) { delete(t.locks, h) }
 
 // serveLock handles ProcLock and ProcUnlock on the SNFS server.
-func (s *SNFSServer) serveLock(from simnet.Addr, proc uint32, a *proto.LockArgs) proto.Message {
+func (s *SNFSServer) serveLock(from simnet.Addr, proc uint32, a *proto.LockArgs) rpc.Reply {
 	if _, st := s.handle(a.Handle); st != proto.OK {
-		return &proto.LockReply{Status: st}
+		return rpc.Encode((&proto.LockReply{Status: st}).XDR)
 	}
 	cid := core.ClientID(from)
 	if proc == proto.ProcUnlock {
 		s.locksTab.release(a.Handle, cid)
-		return &proto.LockReply{Status: proto.OK, Granted: true}
+		return rpc.Encode((&proto.LockReply{Status: proto.OK, Granted: true}).XDR)
 	}
-	return &proto.LockReply{Status: proto.OK, Granted: s.locksTab.acquire(a.Handle, cid, a.Exclusive)}
+	return rpc.Encode((&proto.LockReply{Status: proto.OK, Granted: s.locksTab.acquire(a.Handle, cid, a.Exclusive)}).XDR)
 }

@@ -182,9 +182,9 @@ func (r *Replicator) Sync(p *sim.Proc) bool {
 			return false
 		}
 		if r.acked >= target {
-			args := &proto.ReplSyncArgs{Shard: r.shard, Seq: target}
-			body, err := r.ep.CallMsgEx(p, r.backup, proto.ProgNFS, proto.VersNFS, proto.ProcReplSync,
-				args, 200*sim.Millisecond, 1)
+			args := proto.ReplSyncArgs{Shard: r.shard, Seq: target}
+			body, err := r.ep.CallXDREx(p, r.backup, proto.ProgNFS, proto.VersNFS, proto.ProcReplSync,
+				args.XDR, 200*sim.Millisecond, 1)
 			if err == nil {
 				var rep proto.ReplSyncReply
 				rep.XDR(xdr.NewDecoder(body).Codec())
@@ -231,11 +231,11 @@ func (r *Replicator) sender(p *sim.Proc) {
 // send transmits one batch; true means the batch is settled (acked, or
 // the stream is over).
 func (r *Replicator) send(p *sim.Proc, batch []proto.ReplRecord) bool {
-	args := &proto.ReplStreamArgs{
+	args := proto.ReplStreamArgs{
 		Shard: r.shard, Epoch: r.epoch(), Verifier: r.verifier(), Records: batch,
 	}
-	body, err := r.ep.CallMsgEx(p, r.backup, proto.ProgNFS, proto.VersNFS, proto.ProcReplStream,
-		args, 500*sim.Millisecond, 1)
+	body, err := r.ep.CallXDREx(p, r.backup, proto.ProgNFS, proto.VersNFS, proto.ProcReplStream,
+		args.XDR, 500*sim.Millisecond, 1)
 	if err != nil {
 		return false
 	}
@@ -287,9 +287,9 @@ func (e *mirrorEntry) client(c string) *mirrorClient {
 // server has itself become the shard's primary (per its own, newer map),
 // it refuses with ErrDemoted and returns the map, so a partitioned old
 // primary self-demotes instead of split-braining.
-func (s *SNFSServer) serveReplStream(p *sim.Proc, a *proto.ReplStreamArgs) proto.Message {
+func (s *SNFSServer) serveReplStream(p *sim.Proc, a *proto.ReplStreamArgs) rpc.Reply {
 	if s.isOwner() {
-		return &proto.ReplStreamReply{Status: proto.ErrDemoted, Applied: s.replApplied, Map: s.shardMap}
+		return rpc.Encode((&proto.ReplStreamReply{Status: proto.ErrDemoted, Applied: s.replApplied, Map: s.shardMap}).XDR)
 	}
 	if a.Epoch > s.primEpoch {
 		s.primEpoch = a.Epoch
@@ -331,18 +331,18 @@ func (s *SNFSServer) serveReplStream(p *sim.Proc, a *proto.ReplStreamArgs) proto
 	for _, ino := range stableInos {
 		s.media.CommitFile(p, ino)
 	}
-	return &proto.ReplStreamReply{Status: proto.OK, Applied: s.replApplied}
+	return rpc.Encode((&proto.ReplStreamReply{Status: proto.OK, Applied: s.replApplied}).XDR)
 }
 
 // serveReplSync answers the primary's barrier probe.
-func (s *SNFSServer) serveReplSync(a *proto.ReplSyncArgs) proto.Message {
+func (s *SNFSServer) serveReplSync(a *proto.ReplSyncArgs) rpc.Reply {
 	if s.isOwner() {
-		return &proto.ReplSyncReply{Status: proto.ErrDemoted, Applied: s.replApplied}
+		return rpc.Encode((&proto.ReplSyncReply{Status: proto.ErrDemoted, Applied: s.replApplied}).XDR)
 	}
-	return &proto.ReplSyncReply{
+	return rpc.Encode((&proto.ReplSyncReply{
 		Status: proto.OK, Applied: s.replApplied,
 		Synced: !s.replGap && s.replApplied >= a.Seq,
-	}
+	}).XDR)
 }
 
 // applyMirror folds one transition record into the mirror.

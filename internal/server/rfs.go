@@ -96,7 +96,7 @@ func NewRFS(k *sim.Kernel, ep *rpc.Endpoint, media *localfs.Media, cfg Config) *
 		cbSem: sim.NewSemaphore(k, maxInt(1, ep.Workers()-1)),
 	}
 	s.onRemoved = func(h proto.Handle) { delete(s.tab.entries, h) }
-	ep.RegisterMsg(proto.ProgNFS, s.serve)
+	ep.Serve(proto.ProgNFS, s.serve)
 	return s
 }
 
@@ -104,7 +104,7 @@ func NewRFS(k *sim.Kernel, ep *rpc.Endpoint, media *localfs.Media, cfg Config) *
 // open and close.
 var rfsProcs = commonProcs | procsOf(proto.ProcOpen, proto.ProcClose)
 
-func (s *RFSServer) serve(p *sim.Proc, from simnet.Addr, proc uint32, args []byte) (proto.Message, rpc.Status) {
+func (s *RFSServer) serve(p *sim.Proc, from simnet.Addr, proc uint32, args []byte) (rpc.Reply, rpc.Status) {
 	var a callArgs
 	if body, st, done := s.admit(p, from, proc, args, rfsProcs, &a); done {
 		return body, st
@@ -128,10 +128,10 @@ func (s *RFSServer) serve(p *sim.Proc, from simnet.Addr, proc uint32, args []byt
 	return s.serveCommon(p, proc, &a)
 }
 
-func (s *RFSServer) serveOpen(from simnet.Addr, a *proto.OpenArgs) proto.Message {
+func (s *RFSServer) serveOpen(from simnet.Addr, a *proto.OpenArgs) rpc.Reply {
 	attr, st := s.handle(a.Handle)
 	if st != proto.OK {
-		return &proto.OpenReply{Status: st}
+		return rpc.Encode((&proto.OpenReply{Status: st}).XDR)
 	}
 	e := s.tab.get(a.Handle)
 	s.tab.nextVer++ // stamp source (cheap monotonic clock)
@@ -149,16 +149,16 @@ func (s *RFSServer) serveOpen(from simnet.Addr, a *proto.OpenArgs) proto.Message
 	e.opens[cid]++
 	e.cached[cid] = true
 	// Every client may cache under RFS; writes are what invalidate.
-	return &proto.OpenReply{
+	return rpc.Encode((&proto.OpenReply{
 		Status:       proto.OK,
 		CacheEnabled: true,
 		Version:      e.version,
 		PrevVersion:  e.prev,
 		Attr:         s.fattr(attr),
-	}
+	}).XDR)
 }
 
-func (s *RFSServer) serveClose(from simnet.Addr, a *proto.CloseArgs) proto.Message {
+func (s *RFSServer) serveClose(from simnet.Addr, a *proto.CloseArgs) rpc.Reply {
 	if e, ok := s.tab.entries[a.Handle]; ok {
 		cid := core.ClientID(from)
 		if e.opens[cid] > 0 {
@@ -171,7 +171,7 @@ func (s *RFSServer) serveClose(from simnet.Addr, a *proto.CloseArgs) proto.Messa
 		// stays set); version validation covers reopen after
 		// eviction of the entry.
 	}
-	return &proto.StatusReply{Status: proto.OK}
+	return rpc.Encode((&proto.StatusReply{Status: proto.OK}).XDR)
 }
 
 // invalidateForWrite sends invalidate callbacks to every caching client
@@ -200,8 +200,9 @@ func (s *RFSServer) invalidateForWrite(p *sim.Proc, from simnet.Addr, h proto.Ha
 		if s.tracer != nil {
 			s.record(trace.Callback, p.Op(), "rfs invalidate -> %s %s", cid, h)
 		}
-		_, err := s.ep.CallMsgEx(p, simnet.Addr(cid), proto.ProgCallback, 1, proto.CbProcCallback,
-			&proto.CallbackArgs{Handle: h, Invalidate: true}, sim.Second, 2)
+		args := proto.CallbackArgs{Handle: h, Invalidate: true}
+		_, err := s.ep.CallXDREx(p, simnet.Addr(cid), proto.ProgCallback, 1, proto.CbProcCallback,
+			args.XDR, sim.Second, 2)
 		s.cbSem.Release()
 		if err != nil {
 			// Dead client: it cannot read its stale cache anyway.

@@ -286,13 +286,13 @@ var commonProcs = procsOf(proto.ProcNull, proto.ProcGetattr, proto.ProcSetattr,
 // and, for a guard's refusal or a procedure serveCommon does not execute,
 // the call's CPU charge and count. done reports that the call ends here,
 // answered body and st.
-func (b *Base) admit(p *sim.Proc, from simnet.Addr, proc uint32, args []byte, serves procSet, a *callArgs) (body proto.Message, st rpc.Status, done bool) {
+func (b *Base) admit(p *sim.Proc, from simnet.Addr, proc uint32, args []byte, serves procSet, a *callArgs) (body rpc.Reply, st rpc.Status, done bool) {
 	if !serves.has(proc) {
-		return nil, rpc.StatusProcUnavail, true
+		return rpc.Reply{}, rpc.StatusProcUnavail, true
 	}
 	if body, done = b.ownerCheck(from, proc); !done {
 		if st := a.decode(proc, args); st != rpc.StatusOK {
-			return nil, st, true
+			return rpc.Reply{}, st, true
 		}
 		body, done = b.routeCheck(proc, a)
 	}
@@ -415,9 +415,9 @@ func (a *callArgs) dirNames(proc uint32) (names [2]dirName, n int) {
 // reached through handles that exist only on the owning shard (a
 // migrated subtree's old handles answer ErrStale, sending the client
 // back through a guarded lookup).
-func (b *Base) routeCheck(proc uint32, a *callArgs) (proto.Message, bool) {
+func (b *Base) routeCheck(proc uint32, a *callArgs) (rpc.Reply, bool) {
 	if b.shardMap.IsZero() {
-		return nil, false
+		return rpc.Reply{}, false
 	}
 	names, n := a.dirNames(proc)
 	root := b.media.Store().Root()
@@ -429,20 +429,20 @@ func (b *Base) routeCheck(proc uint32, a *callArgs) (proto.Message, bool) {
 			return notHomeReply(proc), true
 		}
 	}
-	return nil, false
+	return rpc.Reply{}, false
 }
 
-// notHomeReply builds the proc's reply shape carrying ErrNotHome.
-func notHomeReply(proc uint32) proto.Message {
+// notHomeReply encodes the proc's reply shape carrying ErrNotHome.
+func notHomeReply(proc uint32) rpc.Reply {
 	switch proc {
 	case proto.ProcLookup, proto.ProcCreate, proto.ProcMkdir, proto.ProcSymlink:
-		return &proto.HandleReply{Status: proto.ErrNotHome}
+		return rpc.Encode((&proto.HandleReply{Status: proto.ErrNotHome}).XDR)
 	case proto.ProcLookupPath:
-		return &proto.LookupPathReply{Status: proto.ErrNotHome}
+		return rpc.Encode((&proto.LookupPathReply{Status: proto.ErrNotHome}).XDR)
 	case proto.ProcOpen, proto.ProcReopen:
-		return &proto.OpenReply{Status: proto.ErrNotHome}
+		return rpc.Encode((&proto.OpenReply{Status: proto.ErrNotHome}).XDR)
 	default: // remove, rmdir, rename, link, and the status-first data procs
-		return &proto.StatusReply{Status: proto.ErrNotHome}
+		return rpc.Encode((&proto.StatusReply{Status: proto.ErrNotHome}).XDR)
 	}
 }
 
@@ -462,15 +462,15 @@ func (b *Base) isOwner() bool {
 // procedures pass: they are how the map gets refetched and how the
 // replication stream keeps flowing. A data-plane call the owner serves is
 // the heal stamp's.
-func (b *Base) ownerCheck(from simnet.Addr, proc uint32) (proto.Message, bool) {
+func (b *Base) ownerCheck(from simnet.Addr, proc uint32) (rpc.Reply, bool) {
 	if info, _ := proto.LookupProc(proto.ProgNFS, proc); info.Control {
-		return nil, false
+		return rpc.Reply{}, false
 	}
 	if !b.isOwner() {
 		return notHomeReply(proc), true
 	}
 	b.noteHealed(from, proc)
-	return nil, false
+	return rpc.Reply{}, false
 }
 
 // noteHealed stamps the first data-plane call a promoted primary serves.
@@ -497,25 +497,31 @@ func (b *Base) replCommit(ino uint64) {
 	}
 }
 
+// reply is a handler's successful answer: its body encoded at once, in
+// the handler's frame, through the XDR method value of a message that
+// therefore stays on the stack, as in reply((&proto.AttrReply{…}).XDR).
+func reply(body func(xdr.Codec)) (rpc.Reply, rpc.Status) { return rpc.Encode(body), rpc.StatusOK }
+
 // serveCommon executes one of the NFS file procedures every server
-// shares, on arguments decode accepted.
-func (b *Base) serveCommon(p *sim.Proc, proc uint32, a *callArgs) (proto.Message, rpc.Status) {
+// shares, on arguments decode accepted. Each reply is encoded where it is
+// returned, so what a READ reply holds by reference is the page as read.
+func (b *Base) serveCommon(p *sim.Proc, proc uint32, a *callArgs) (rpc.Reply, rpc.Status) {
 	// The CPU charge scales with the data a READ or WRITE moves; every
 	// other call leaves both fields zero.
 	b.chargeCPU(p, int(a.read.Count)+len(a.write.Data))
 	b.account(proc)
 	switch proc {
 	case proto.ProcNull:
-		return nil, rpc.StatusOK
+		return rpc.Reply{}, rpc.StatusOK
 
 	case proto.ProcGetattr:
 		attr, st := b.handle(a.file.Handle)
-		return &proto.AttrReply{Status: st, Attr: b.fattr(attr)}, rpc.StatusOK
+		return reply((&proto.AttrReply{Status: st, Attr: b.fattr(attr)}).XDR)
 
 	case proto.ProcSetattr:
 		attr, st := b.handle(a.setattr.Handle)
 		if st != proto.OK {
-			return &proto.AttrReply{Status: st}, rpc.StatusOK
+			return reply((&proto.AttrReply{Status: st}).XDR)
 		}
 		store := b.media.Store()
 		var err error
@@ -528,42 +534,42 @@ func (b *Base) serveCommon(p *sim.Proc, proc uint32, a *callArgs) (proto.Message
 		if err == nil && a.setattr.SetMode {
 			attr, err = store.SetMode(a.setattr.Handle.Ino, a.setattr.Mode)
 		}
-		return &proto.AttrReply{Status: proto.StatusFromErr(err), Attr: b.fattr(attr)}, rpc.StatusOK
+		return reply((&proto.AttrReply{Status: proto.StatusFromErr(err), Attr: b.fattr(attr)}).XDR)
 
 	case proto.ProcLookup:
 		if _, st := b.handle(a.dirOp.Dir); st != proto.OK {
-			return &proto.HandleReply{Status: st}, rpc.StatusOK
+			return reply((&proto.HandleReply{Status: st}).XDR)
 		}
 		attr, err := b.media.Store().Lookup(a.dirOp.Dir.Ino, a.dirOp.Name)
 		if err != nil {
-			return &proto.HandleReply{Status: proto.StatusFromErr(err)}, rpc.StatusOK
+			return reply((&proto.HandleReply{Status: proto.StatusFromErr(err)}).XDR)
 		}
-		return &proto.HandleReply{
+		return reply((&proto.HandleReply{
 			Status: proto.OK, Handle: b.toHandle(attr), Attr: b.fattr(attr),
-		}, rpc.StatusOK
+		}).XDR)
 
 	case proto.ProcRead:
 		attr, st := b.handle(a.read.Handle)
 		if st != proto.OK {
-			return &proto.ReadReply{Status: st}, rpc.StatusOK
+			return reply((&proto.ReadReply{Status: st}).XDR)
 		}
 		// data is a view of the file, frozen: a later write copies the
 		// page, so the reply's tail is this page as it was read.
 		data, err := b.media.ReadAt(p, a.read.Handle.Ino, a.read.Offset, int(a.read.Count))
 		if err != nil {
-			return &proto.ReadReply{Status: proto.StatusFromErr(err)}, rpc.StatusOK
+			return reply((&proto.ReadReply{Status: proto.StatusFromErr(err)}).XDR)
 		}
-		return &proto.ReadReply{Status: proto.OK, Attr: b.fattr(attr), Data: data}, rpc.StatusOK
+		return reply((&proto.ReadReply{Status: proto.OK, Attr: b.fattr(attr), Data: data}).XDR)
 
 	case proto.ProcWrite:
 		if _, st := b.handle(a.write.Handle); st != proto.OK {
-			return &proto.WriteReply{Status: st}, rpc.StatusOK
+			return reply((&proto.WriteReply{Status: st}).XDR)
 		}
 		// a.write.Data is a view of the frozen call image: the store keeps a
 		// whole page of it as the file's page, with no copy.
 		attr, err := b.media.Store().WriteFrozen(a.write.Handle.Ino, a.write.Offset, a.write.Data)
 		if err != nil {
-			return &proto.WriteReply{Status: proto.StatusFromErr(err)}, rpc.StatusOK
+			return reply((&proto.WriteReply{Status: proto.StatusFromErr(err)}).XDR)
 		}
 		if a.write.Unstable {
 			// NFSv3-style fast path: the data lands dirty in the
@@ -574,49 +580,49 @@ func (b *Base) serveCommon(p *sim.Proc, proc uint32, a *callArgs) (proto.Message
 			b.unstableWrites++
 			b.media.ChargeWriteUnstable(p.Now(), a.write.Handle.Ino, a.write.Offset, len(a.write.Data))
 			b.replWrite(a.write.Handle.Ino, a.write.Offset, len(a.write.Data), true)
-			return &proto.WriteReply{
+			return reply((&proto.WriteReply{
 				Status: proto.OK, Attr: b.fattr(attr), Committed: false, Verifier: b.verifier,
-			}, rpc.StatusOK
+			}).XDR)
 		}
 		// The defining NFS server property: data reaches stable
 		// storage before the reply (§2.1).
 		b.media.ChargeWriteSync(p, a.write.Handle.Ino, a.write.Offset, len(a.write.Data))
 		b.replWrite(a.write.Handle.Ino, a.write.Offset, len(a.write.Data), false)
-		return &proto.WriteReply{
+		return reply((&proto.WriteReply{
 			Status: proto.OK, Attr: b.fattr(attr), Committed: true, Verifier: b.verifier,
-		}, rpc.StatusOK
+		}).XDR)
 
 	case proto.ProcCommit:
 		if _, st := b.handle(a.commit.Handle); st != proto.OK {
-			return &proto.CommitReply{Status: st}, rpc.StatusOK
+			return reply((&proto.CommitReply{Status: st}).XDR)
 		}
 		b.commits++
 		b.committedBlocks += int64(b.media.CommitFile(p, a.commit.Handle.Ino))
 		b.replCommit(a.commit.Handle.Ino)
-		return &proto.CommitReply{Status: proto.OK, Verifier: b.verifier}, rpc.StatusOK
+		return reply((&proto.CommitReply{Status: proto.OK, Verifier: b.verifier}).XDR)
 
 	case proto.ProcCreate:
 		if _, st := b.handle(a.create.Dir); st != proto.OK {
-			return &proto.HandleReply{Status: st}, rpc.StatusOK
+			return reply((&proto.HandleReply{Status: st}).XDR)
 		}
 		attr, err := b.media.Store().Create(a.create.Dir.Ino, a.create.Name, a.create.Mode)
 		if err != nil {
-			return &proto.HandleReply{Status: proto.StatusFromErr(err)}, rpc.StatusOK
+			return reply((&proto.HandleReply{Status: proto.StatusFromErr(err)}).XDR)
 		}
 		b.media.ChargeMeta(p)
-		return &proto.HandleReply{
+		return reply((&proto.HandleReply{
 			Status: proto.OK, Handle: b.toHandle(attr), Attr: b.fattr(attr),
-		}, rpc.StatusOK
+		}).XDR)
 
 	case proto.ProcRemove:
-		reply := func(st proto.Status) proto.Message {
+		answer := func(st proto.Status) (rpc.Reply, rpc.Status) {
 			if a.dirOp.WantAttr {
-				return b.wccReply(st, a.dirOp.Dir)
+				return b.wccReply(st, a.dirOp.Dir), rpc.StatusOK
 			}
-			return &proto.StatusReply{Status: st}
+			return reply((&proto.StatusReply{Status: st}).XDR)
 		}
 		if _, st := b.handle(a.dirOp.Dir); st != proto.OK {
-			return reply(st), rpc.StatusOK
+			return answer(st)
 		}
 		removed, err := b.media.Store().Remove(a.dirOp.Dir.Ino, a.dirOp.Name)
 		if err == nil {
@@ -630,23 +636,23 @@ func (b *Base) serveCommon(p *sim.Proc, proc uint32, a *callArgs) (proto.Message
 				b.fileRemoved(b.toHandle(removed))
 			}
 		}
-		return reply(proto.StatusFromErr(err)), rpc.StatusOK
+		return answer(proto.StatusFromErr(err))
 
 	case proto.ProcRename:
-		reply := func(st proto.Status) proto.Message {
+		answer := func(st proto.Status) (rpc.Reply, rpc.Status) {
 			if a.rename.WantAttr {
-				return b.wccReply(st, a.rename.SrcDir, a.rename.DstDir)
+				return b.wccReply(st, a.rename.SrcDir, a.rename.DstDir), rpc.StatusOK
 			}
-			return &proto.StatusReply{Status: st}
+			return reply((&proto.StatusReply{Status: st}).XDR)
 		}
 		if _, st := b.handle(a.rename.SrcDir); st != proto.OK {
-			return reply(st), rpc.StatusOK
+			return answer(st)
 		}
 		if _, st := b.handle(a.rename.DstDir); st != proto.OK {
-			return reply(st), rpc.StatusOK
+			return answer(st)
 		}
 		// If the destination exists it will be replaced; its state
-		// entry (SNFS) must go.
+		// entry (SNFS) must go, after the reply is encoded.
 		if old, err := b.media.Store().Lookup(a.rename.DstDir.Ino, a.rename.DstName); err == nil {
 			defer func() {
 				b.fileRemoved(b.toHandle(old))
@@ -656,49 +662,49 @@ func (b *Base) serveCommon(p *sim.Proc, proc uint32, a *callArgs) (proto.Message
 		if err == nil {
 			b.media.ChargeMeta(p)
 		}
-		return reply(proto.StatusFromErr(err)), rpc.StatusOK
+		return answer(proto.StatusFromErr(err))
 
 	case proto.ProcMkdir:
 		if _, st := b.handle(a.create.Dir); st != proto.OK {
-			return &proto.HandleReply{Status: st}, rpc.StatusOK
+			return reply((&proto.HandleReply{Status: st}).XDR)
 		}
 		attr, err := b.media.Store().Mkdir(a.create.Dir.Ino, a.create.Name, a.create.Mode)
 		if err != nil {
-			return &proto.HandleReply{Status: proto.StatusFromErr(err)}, rpc.StatusOK
+			return reply((&proto.HandleReply{Status: proto.StatusFromErr(err)}).XDR)
 		}
 		b.media.ChargeMeta(p)
-		return &proto.HandleReply{
+		return reply((&proto.HandleReply{
 			Status: proto.OK, Handle: b.toHandle(attr), Attr: b.fattr(attr),
-		}, rpc.StatusOK
+		}).XDR)
 
 	case proto.ProcRmdir:
 		if _, st := b.handle(a.dirOp.Dir); st != proto.OK {
-			return &proto.StatusReply{Status: st}, rpc.StatusOK
+			return reply((&proto.StatusReply{Status: st}).XDR)
 		}
 		err := b.media.Store().Rmdir(a.dirOp.Dir.Ino, a.dirOp.Name)
 		if err == nil {
 			b.media.ChargeMeta(p)
 		}
-		return &proto.StatusReply{Status: proto.StatusFromErr(err)}, rpc.StatusOK
+		return reply((&proto.StatusReply{Status: proto.StatusFromErr(err)}).XDR)
 
 	case proto.ProcReaddir:
 		if _, st := b.handle(a.file.Handle); st != proto.OK {
-			return &proto.ReaddirReply{Status: st}, rpc.StatusOK
+			return reply((&proto.ReaddirReply{Status: st}).XDR)
 		}
 		ents, err := b.media.Store().Readdir(a.file.Handle.Ino)
 		if err != nil {
-			return &proto.ReaddirReply{Status: proto.StatusFromErr(err)}, rpc.StatusOK
+			return reply((&proto.ReaddirReply{Status: proto.StatusFromErr(err)}).XDR)
 		}
 		out := make([]proto.DirEntry, len(ents))
 		for i, e := range ents {
 			out[i] = proto.DirEntry{Name: e.Name, Fileid: e.Ino}
 		}
-		return &proto.ReaddirReply{Status: proto.OK, Entries: out}, rpc.StatusOK
+		return reply((&proto.ReaddirReply{Status: proto.OK, Entries: out}).XDR)
 
 	case proto.ProcLookupPath:
 		dattr, st := b.handle(a.path.Dir)
 		if st != proto.OK {
-			return &proto.LookupPathReply{Status: st}, rpc.StatusOK
+			return reply((&proto.LookupPathReply{Status: st}).XDR)
 		}
 		// Walk as many components as the path allows, stopping early
 		// at a symbolic link: expansion is the client's job (it knows
@@ -709,7 +715,7 @@ func (b *Base) serveCommon(p *sim.Proc, proc uint32, a *callArgs) (proto.Message
 		for _, name := range a.path.Names {
 			next, err := store.Lookup(cur.Ino, name)
 			if err != nil {
-				return &proto.LookupPathReply{Status: proto.StatusFromErr(err)}, rpc.StatusOK
+				return reply((&proto.LookupPathReply{Status: proto.StatusFromErr(err)}).XDR)
 			}
 			parent, cur, curAttr = cur, b.toHandle(next), next
 			resolved++
@@ -717,18 +723,18 @@ func (b *Base) serveCommon(p *sim.Proc, proc uint32, a *callArgs) (proto.Message
 				break
 			}
 		}
-		return &proto.LookupPathReply{
+		return reply((&proto.LookupPathReply{
 			Status: proto.OK, Resolved: resolved,
 			Handle: cur, Parent: parent, Attr: b.fattr(curAttr),
-		}, rpc.StatusOK
+		}).XDR)
 
 	case proto.ProcReaddirAttrs:
 		if _, st := b.handle(a.file.Handle); st != proto.OK {
-			return &proto.ReaddirAttrsReply{Status: st}, rpc.StatusOK
+			return reply((&proto.ReaddirAttrsReply{Status: st}).XDR)
 		}
 		ents, err := b.media.Store().Readdir(a.file.Handle.Ino)
 		if err != nil {
-			return &proto.ReaddirAttrsReply{Status: proto.StatusFromErr(err)}, rpc.StatusOK
+			return reply((&proto.ReaddirAttrsReply{Status: proto.StatusFromErr(err)}).XDR)
 		}
 		out := make([]proto.DirEntryAttrs, 0, len(ents))
 		for _, e := range ents {
@@ -740,81 +746,81 @@ func (b *Base) serveCommon(p *sim.Proc, proc uint32, a *callArgs) (proto.Message
 				Name: e.Name, Handle: b.toHandle(ea), Attr: b.fattr(ea),
 			})
 		}
-		return &proto.ReaddirAttrsReply{Status: proto.OK, Entries: out}, rpc.StatusOK
+		return reply((&proto.ReaddirAttrsReply{Status: proto.OK, Entries: out}).XDR)
 
 	case proto.ProcReadlink:
 		if _, st := b.handle(a.file.Handle); st != proto.OK {
-			return &proto.ReadlinkReply{Status: st}, rpc.StatusOK
+			return reply((&proto.ReadlinkReply{Status: st}).XDR)
 		}
 		target, err := b.media.Store().Readlink(a.file.Handle.Ino)
 		if err != nil {
-			return &proto.ReadlinkReply{Status: proto.StatusFromErr(err)}, rpc.StatusOK
+			return reply((&proto.ReadlinkReply{Status: proto.StatusFromErr(err)}).XDR)
 		}
-		return &proto.ReadlinkReply{Status: proto.OK, Target: target}, rpc.StatusOK
+		return reply((&proto.ReadlinkReply{Status: proto.OK, Target: target}).XDR)
 
 	case proto.ProcLink:
 		if _, st := b.handle(a.link.From); st != proto.OK {
-			return &proto.StatusReply{Status: st}, rpc.StatusOK
+			return reply((&proto.StatusReply{Status: st}).XDR)
 		}
 		if _, st := b.handle(a.link.ToDir); st != proto.OK {
-			return &proto.StatusReply{Status: st}, rpc.StatusOK
+			return reply((&proto.StatusReply{Status: st}).XDR)
 		}
 		_, err := b.media.Store().Link(a.link.ToDir.Ino, a.link.ToName, a.link.From.Ino)
 		if err == nil {
 			b.media.ChargeMeta(p)
 		}
-		return &proto.StatusReply{Status: proto.StatusFromErr(err)}, rpc.StatusOK
+		return reply((&proto.StatusReply{Status: proto.StatusFromErr(err)}).XDR)
 
 	case proto.ProcSymlink:
 		if _, st := b.handle(a.symlink.Dir); st != proto.OK {
-			return &proto.HandleReply{Status: st}, rpc.StatusOK
+			return reply((&proto.HandleReply{Status: st}).XDR)
 		}
 		attr, err := b.media.Store().Symlink(a.symlink.Dir.Ino, a.symlink.Name, a.symlink.Target)
 		if err != nil {
-			return &proto.HandleReply{Status: proto.StatusFromErr(err)}, rpc.StatusOK
+			return reply((&proto.HandleReply{Status: proto.StatusFromErr(err)}).XDR)
 		}
 		b.media.ChargeMeta(p)
-		return &proto.HandleReply{
+		return reply((&proto.HandleReply{
 			Status: proto.OK, Handle: b.toHandle(attr), Attr: b.fattr(attr),
-		}, rpc.StatusOK
+		}).XDR)
 
 	case proto.ProcMountRoot:
 		attr, err := b.media.Store().GetAttr(b.media.Store().Root())
 		if err != nil {
-			return &proto.HandleReply{Status: proto.StatusFromErr(err)}, rpc.StatusOK
+			return reply((&proto.HandleReply{Status: proto.StatusFromErr(err)}).XDR)
 		}
-		return &proto.HandleReply{
+		return reply((&proto.HandleReply{
 			Status: proto.OK, Handle: b.toHandle(attr), Attr: b.fattr(attr),
-		}, rpc.StatusOK
+		}).XDR)
 
 	case proto.ProcMetrics:
 		var sb strings.Builder
 		b.metrics.WriteProm(&sb)
-		return &proto.MetricsReply{Status: proto.OK, Text: sb.String()}, rpc.StatusOK
+		return reply((&proto.MetricsReply{Status: proto.OK, Text: sb.String()}).XDR)
 
 	case proto.ProcShardMap:
-		return &proto.ShardMapReply{Status: proto.OK, Map: b.shardMap}, rpc.StatusOK
+		return reply((&proto.ShardMapReply{Status: proto.OK, Map: b.shardMap}).XDR)
 
 	case proto.ProcStatfs:
 		if _, st := b.handle(a.file.Handle); st != proto.OK {
-			return &proto.StatfsReply{Status: st}, rpc.StatusOK
+			return reply((&proto.StatfsReply{Status: st}).XDR)
 		}
 		st := b.media.Store()
-		return &proto.StatfsReply{
+		return reply((&proto.StatfsReply{
 			Status:    proto.OK,
 			BlockSize: uint32(st.BlockSize()),
 			Blocks:    1 << 20,
 			BytesUsed: st.TotalBytes(),
-		}, rpc.StatusOK
+		}).XDR)
 	}
-	return nil, rpc.StatusProcUnavail // admit passes only commonProcs here
+	return rpc.Reply{}, rpc.StatusProcUnavail // admit passes only commonProcs here
 }
 
-// wccReply builds a remove/rename/close reply carrying post-op
+// wccReply encodes a remove/rename/close reply carrying post-op
 // attributes for the handles that still resolve (a removed inode simply
 // contributes no record — the client keeps whatever view it had).
-func (b *Base) wccReply(st proto.Status, hs ...proto.Handle) *proto.WccReply {
-	r := &proto.WccReply{Status: st}
+func (b *Base) wccReply(st proto.Status, hs ...proto.Handle) rpc.Reply {
+	r := proto.WccReply{Status: st}
 	for i, h := range hs {
 		if i > 0 && h == hs[0] {
 			continue // same-directory rename: one record is enough
@@ -823,7 +829,7 @@ func (b *Base) wccReply(st proto.Status, hs ...proto.Handle) *proto.WccReply {
 			r.Wcc = append(r.Wcc, proto.WccData{Handle: h, Attr: b.fattr(a)})
 		}
 	}
-	return r
+	return rpc.Encode(r.XDR)
 }
 
 // fileRemoved notifies the removal hook, if any.
@@ -844,7 +850,7 @@ type NFSServer struct {
 // NewNFS creates an NFS server servicing ProgNFS on ep.
 func NewNFS(k *sim.Kernel, ep *rpc.Endpoint, media *localfs.Media, cfg Config) *NFSServer {
 	s := &NFSServer{Base: newBase(k, ep, media, cfg)}
-	ep.RegisterMsg(proto.ProgNFS, s.serve)
+	ep.Serve(proto.ProgNFS, s.serve)
 	return s
 }
 
@@ -875,7 +881,7 @@ func (s *NFSServer) Reboot() {
 	s.record(trace.Crash, 0, "nfs server reboot (verifier %d)", s.verifier)
 }
 
-func (s *NFSServer) serve(p *sim.Proc, from simnet.Addr, proc uint32, args []byte) (proto.Message, rpc.Status) {
+func (s *NFSServer) serve(p *sim.Proc, from simnet.Addr, proc uint32, args []byte) (rpc.Reply, rpc.Status) {
 	var a callArgs
 	if body, st, done := s.admit(p, from, proc, args, commonProcs, &a); done {
 		return body, st

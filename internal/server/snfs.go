@@ -95,7 +95,7 @@ func NewSNFS(k *sim.Kernel, ep *rpc.Endpoint, media *localfs.Media, cfg Config, 
 		s.locksTab.drop(h)
 	}
 	s.table.Observer = s.observeTransition
-	ep.RegisterMsg(proto.ProgNFS, s.serve)
+	ep.Serve(proto.ProgNFS, s.serve)
 	return s
 }
 
@@ -236,7 +236,7 @@ var snfsProcs = commonProcs | procsOf(proto.ProcOpen, proto.ProcClose, proto.Pro
 	proto.ProcServerInfo, proto.ProcDumpState, proto.ProcAudit, proto.ProcLock, proto.ProcUnlock,
 	proto.ProcReplStream, proto.ProcReplSync)
 
-func (s *SNFSServer) serve(p *sim.Proc, from simnet.Addr, proc uint32, args []byte) (proto.Message, rpc.Status) {
+func (s *SNFSServer) serve(p *sim.Proc, from simnet.Addr, proc uint32, args []byte) (rpc.Reply, rpc.Status) {
 	// admit runs the shard route guard before the hybrid/name-cache hooks
 	// below, so a misrouted operation is bounced without delivering any
 	// callbacks.
@@ -258,11 +258,11 @@ func (s *SNFSServer) serve(p *sim.Proc, from simnet.Addr, proc uint32, args []by
 	case proto.ProcReplSync:
 		return s.serveReplSync(&a.replSync), rpc.StatusOK
 	case proto.ProcServerInfo:
-		return &proto.ServerInfoReply{Status: proto.OK, Epoch: s.epoch, InGrace: s.InGrace()}, rpc.StatusOK
+		return reply((&proto.ServerInfoReply{Status: proto.OK, Epoch: s.epoch, InGrace: s.InGrace()}).XDR)
 	case proto.ProcDumpState:
 		return s.dumpState(), rpc.StatusOK
 	case proto.ProcAudit:
-		return &proto.AuditReply{Status: proto.OK, Text: s.auditor.Summary()}, rpc.StatusOK
+		return reply((&proto.AuditReply{Status: proto.OK, Text: s.auditor.Summary()}).XDR)
 	}
 	if s.auditor != nil {
 		// Journal commits, the durability point the no-lost-committed-
@@ -338,12 +338,12 @@ func (s *SNFSServer) truncateOnCreate(p *sim.Proc, from simnet.Addr, a *proto.Cr
 	}
 }
 
-func (s *SNFSServer) serveOpen(p *sim.Proc, from simnet.Addr, a *proto.OpenArgs) proto.Message {
+func (s *SNFSServer) serveOpen(p *sim.Proc, from simnet.Addr, a *proto.OpenArgs) rpc.Reply {
 	if _, st := s.handle(a.Handle); st != proto.OK {
-		return &proto.OpenReply{Status: st}
+		return rpc.Encode((&proto.OpenReply{Status: st}).XDR)
 	}
 	if s.InGrace() {
-		return &proto.OpenReply{Status: proto.ErrGrace}
+		return rpc.Encode((&proto.OpenReply{Status: proto.ErrGrace}).XDR)
 	}
 	lk := s.lockFor(a.Handle)
 	lk.Lock(p)
@@ -362,7 +362,7 @@ func (s *SNFSServer) serveOpen(p *sim.Proc, from simnet.Addr, a *proto.OpenArgs)
 		}
 		res = s.table.Open(a.Handle, cid, a.WriteMode)
 		if res.TableFull {
-			return &proto.OpenReply{Status: proto.ErrTableFull}
+			return rpc.Encode((&proto.OpenReply{Status: proto.ErrTableFull}).XDR)
 		}
 	}
 	inconsistent := res.Inconsistent
@@ -381,22 +381,22 @@ func (s *SNFSServer) serveOpen(p *sim.Proc, from simnet.Addr, a *proto.OpenArgs)
 	// reflected (size, mtime).
 	attr, st := s.handle(a.Handle)
 	if st != proto.OK {
-		return &proto.OpenReply{Status: st}
+		return rpc.Encode((&proto.OpenReply{Status: st}).XDR)
 	}
 	status := proto.OK
 	if inconsistent {
 		status = proto.ErrInconsistent
 	}
-	return &proto.OpenReply{
+	return rpc.Encode((&proto.OpenReply{
 		Status:       status,
 		CacheEnabled: res.CacheEnabled,
 		Version:      res.Version,
 		PrevVersion:  res.PrevVersion,
 		Attr:         s.fattr(attr),
-	}
+	}).XDR)
 }
 
-func (s *SNFSServer) serveClose(p *sim.Proc, from simnet.Addr, a *proto.CloseArgs) proto.Message {
+func (s *SNFSServer) serveClose(p *sim.Proc, from simnet.Addr, a *proto.CloseArgs) rpc.Reply {
 	lk := s.lockFor(a.Handle)
 	lk.Lock(p)
 	defer lk.Unlock()
@@ -407,26 +407,26 @@ func (s *SNFSServer) serveClose(p *sim.Proc, from simnet.Addr, a *proto.CloseArg
 		s.auditor.NoteEvent(p.Op(), "close-wcc", a.Handle, string(from), "")
 		return s.wccReply(proto.OK, a.Handle)
 	}
-	return &proto.StatusReply{Status: proto.OK}
+	return rpc.Encode((&proto.StatusReply{Status: proto.OK}).XDR)
 }
 
-func (s *SNFSServer) serveReopen(p *sim.Proc, from simnet.Addr, a *proto.ReopenArgs) proto.Message {
+func (s *SNFSServer) serveReopen(p *sim.Proc, from simnet.Addr, a *proto.ReopenArgs) rpc.Reply {
 	attr, st := s.handle(a.Handle)
 	if st != proto.OK {
-		return &proto.OpenReply{Status: st}
+		return rpc.Encode((&proto.OpenReply{Status: st}).XDR)
 	}
 	lk := s.lockFor(a.Handle)
 	lk.Lock(p)
 	defer lk.Unlock()
 	cid := core.ClientID(from)
 	s.table.Recover(a.Handle, cid, a.Readers, a.Writers, a.Version, a.HasDirty)
-	return &proto.OpenReply{
+	return rpc.Encode((&proto.OpenReply{
 		Status:       proto.OK,
 		CacheEnabled: s.table.CachingFor(a.Handle, cid) || (a.HasDirty && a.Readers == 0 && a.Writers == 0),
 		Version:      s.table.Version(a.Handle),
 		PrevVersion:  s.table.Version(a.Handle),
 		Attr:         s.fattr(attr),
-	}
+	}).XDR)
 }
 
 // serveHybrid implements §6.1: a data or attribute access from a client
@@ -435,7 +435,7 @@ func (s *SNFSServer) serveReopen(p *sim.Proc, from simnet.Addr, a *proto.ReopenA
 // NFS traffic — and the NFS client sees post-write-back attributes.
 // Writes from a file's last writer (delayed write-back and callback-
 // forced flushes arrive without an open) are exempt.
-func (s *SNFSServer) serveHybrid(p *sim.Proc, from simnet.Addr, proc uint32, a *callArgs) (proto.Message, rpc.Status, bool) {
+func (s *SNFSServer) serveHybrid(p *sim.Proc, from simnet.Addr, proc uint32, a *callArgs) (rpc.Reply, rpc.Status, bool) {
 	var h proto.Handle
 	var isWrite bool
 	switch proc {
@@ -448,16 +448,16 @@ func (s *SNFSServer) serveHybrid(p *sim.Proc, from simnet.Addr, proc uint32, a *
 	case proto.ProcSetattr:
 		h, isWrite = a.setattr.Handle, true
 	default:
-		return nil, rpc.StatusOK, false
+		return rpc.Reply{}, rpc.StatusOK, false
 	}
 	cid := core.ClientID(from)
 	if s.table.CachingFor(h, cid) || s.hasOpen(h, cid) || s.table.LastWriter(h) == cid ||
 		s.inCallback[cbKey{h, cid}] > 0 {
-		return nil, rpc.StatusOK, false // a participating SNFS client
+		return rpc.Reply{}, rpc.StatusOK, false // a participating SNFS client
 	}
 	if s.table.State(h) == core.StateClosed && s.table.Len() == 0 {
 		// Nothing under SNFS state anywhere: plain NFS op.
-		return nil, rpc.StatusOK, false
+		return rpc.Reply{}, rpc.StatusOK, false
 	}
 	lk := s.lockFor(h)
 	lk.Lock(p)
@@ -511,7 +511,7 @@ func (s *SNFSServer) deliverCallback(p *sim.Proc, cb core.Callback) error {
 		}
 	}()
 	s.ops.Inc("callback")
-	args := &proto.CallbackArgs{
+	args := proto.CallbackArgs{
 		Handle:     cb.Handle,
 		WriteBack:  cb.WriteBack,
 		Invalidate: cb.Invalidate,
@@ -519,7 +519,7 @@ func (s *SNFSServer) deliverCallback(p *sim.Proc, cb core.Callback) error {
 	// Tight retry budget: a callback to a dead client must be declared
 	// failed before the open that triggered it times out at its client
 	// (§3.2: the opener retries harmlessly, but must not give up first).
-	body, err := s.ep.CallMsgEx(p, simnet.Addr(cb.Client), proto.ProgCallback, 1, proto.CbProcCallback, args,
+	body, err := s.ep.CallXDREx(p, simnet.Addr(cb.Client), proto.ProgCallback, 1, proto.CbProcCallback, args.XDR,
 		sim.Second, 2)
 	if err != nil {
 		return err
@@ -557,8 +557,8 @@ func (s *SNFSServer) Expel(p *sim.Proc, h proto.Handle) {
 
 // dumpState snapshots the consistency table for the administrative dump
 // procedure.
-func (s *SNFSServer) dumpState() *proto.DumpStateReply {
-	r := &proto.DumpStateReply{Status: proto.OK, Epoch: s.epoch}
+func (s *SNFSServer) dumpState() rpc.Reply {
+	r := proto.DumpStateReply{Status: proto.OK, Epoch: s.epoch}
 	for _, e := range s.table.Snapshot() {
 		de := proto.DumpEntry{
 			Handle:       e.Handle,
@@ -578,5 +578,5 @@ func (s *SNFSServer) dumpState() *proto.DumpStateReply {
 		}
 		r.Entries = append(r.Entries, de)
 	}
-	return r
+	return rpc.Encode(r.XDR)
 }

@@ -60,15 +60,15 @@ func (pg *Pinger) loop(p *sim.Proc) {
 		if pg.cfg.Status != nil {
 			synced, lag = pg.cfg.Status()
 		}
-		args := &proto.ViewPingArgs{
+		args := proto.ViewPingArgs{
 			Shard: pg.cfg.Shard, Addr: string(pg.cfg.Self),
 			ViewSeen: pg.seen, Synced: synced, Lag: lag,
 		}
 		// One attempt, no retries: the next ping is the retry, and a
 		// backed-off retransmit schedule would just delay failure
 		// detection.
-		body, err := pg.ep.CallMsgEx(p, pg.cfg.Service, proto.ProgView, 1, proto.ViewProcPing,
-			args, pg.cfg.Interval, 0)
+		body, err := pg.ep.CallXDREx(p, pg.cfg.Service, proto.ProgView, 1, proto.ViewProcPing,
+			args.XDR, pg.cfg.Interval, 0)
 		if err != nil {
 			continue
 		}

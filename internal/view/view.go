@@ -95,7 +95,7 @@ type Service struct {
 func NewService(k *sim.Kernel, ep *rpc.Endpoint, store MapStore, cfg Config) *Service {
 	cfg.fill()
 	s := &Service{k: k, ep: ep, store: store, cfg: cfg, shards: make(map[uint32]*shardState)}
-	ep.RegisterMsg(proto.ProgView, s.serve)
+	ep.Serve(proto.ProgView, s.serve)
 	k.Go(string(ep.Addr())+"/view-tick", s.tickDaemon)
 	return s
 }
@@ -158,17 +158,18 @@ func (s *Service) Changes(shard uint32) uint64 {
 }
 
 // serve handles ProgView calls.
-func (s *Service) serve(p *sim.Proc, from simnet.Addr, proc uint32, args []byte) (proto.Message, rpc.Status) {
+func (s *Service) serve(p *sim.Proc, from simnet.Addr, proc uint32, args []byte) (rpc.Reply, rpc.Status) {
 	switch proc {
 	case proto.ViewProcPing:
 		var a proto.ViewPingArgs
 		c := xdr.NewDecoder(args).Codec()
 		if a.XDR(c); c.Err() != nil {
-			return nil, rpc.StatusGarbage
+			return rpc.Reply{}, rpc.StatusGarbage
 		}
 		st, ok := s.shards[a.Shard]
 		if !ok {
-			return &proto.ViewPingReply{Status: proto.ErrInval}, rpc.StatusOK
+			r := proto.ViewPingReply{Status: proto.ErrInval}
+			return rpc.Encode(r.XDR), rpc.StatusOK
 		}
 		m, ok := st.members[a.Addr]
 		if !ok {
@@ -182,11 +183,13 @@ func (s *Service) serve(p *sim.Proc, from simnet.Addr, proc uint32, args []byte)
 			st.acked = true
 			s.logf(p, a.Shard, st.cur, "acked")
 		}
-		return &proto.ViewPingReply{Status: proto.OK, View: st.cur, Map: s.store.Map()}, rpc.StatusOK
+		r := proto.ViewPingReply{Status: proto.OK, View: st.cur, Map: s.store.Map()}
+		return rpc.Encode(r.XDR), rpc.StatusOK
 	case proto.ViewProcGet:
-		return &proto.ViewGetReply{Status: proto.OK, Views: s.Views(), Map: s.store.Map()}, rpc.StatusOK
+		r := proto.ViewGetReply{Status: proto.OK, Views: s.Views(), Map: s.store.Map()}
+		return rpc.Encode(r.XDR), rpc.StatusOK
 	}
-	return nil, rpc.StatusProcUnavail
+	return rpc.Reply{}, rpc.StatusProcUnavail
 }
 
 // tickDaemon scans for dead members once per interval and publishes the
