@@ -53,7 +53,11 @@ func TestStructuralCeilings(t *testing.T) {
 		{"exported proto.Decode* functions", countDecoders(t, "internal/proto"), 5},
 		// One row per procedure: a server decodes a call's arguments in
 		// one place, its shared admission step.
-		{"call-argument decoders (xdr.NewDecoder(args)) in internal/server non-test files", countText(t, "internal/server", "xdr.NewDecoder(args)"), 1},
+		{"call-argument decoders (d.ResetTail(args, tail)) in internal/server non-test files", countText(t, "internal/server", "d.ResetTail(args, tail)"), 1},
+		// A bulk payload is its message's last field and goes by
+		// reference, as the image's tail (xdr.Codec.Tail), never behind a
+		// trailer as an inline view.
+		{"OpaqueRef payload fields in internal/proto non-test files", countText(t, "internal/proto", "OpaqueRef("), 0},
 		// One read path: vfs.File.ReadInto fills the caller's buffer. The
 		// allocating ReadAt(p, off, n) adapters left are the benchmark's.
 		{"ReadAt(p, off, n) adapter methods", countReadAtAdapters(t), 6},

@@ -47,7 +47,8 @@ type Block struct {
 	// ones in the NFS client).
 	Len int
 	// Frozen means Data aliases bytes someone else holds (a delivered
-	// reply image, a write-back in flight): copy before writing.
+	// reply image, or a WRITE's data: in flight, kept as the server's
+	// page or for a COMMIT): copy before writing.
 	Frozen bool
 
 	// prev and next link the block into the cache's LRU list, next toward

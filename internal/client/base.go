@@ -29,7 +29,6 @@ package client
 
 import (
 	"bytes"
-	"fmt"
 	"slices"
 	"sort"
 
@@ -603,7 +602,9 @@ func (b *Base) readRPC(p *sim.Proc, h proto.Handle, off int64, count int) ([]byt
 }
 
 // writeRPC sends [off, off+len(data)) to the server as a stable write:
-// the data is on the server's disk when the reply arrives.
+// the data is on the server's disk when the reply arrives. data is the
+// call image's tail, sent by reference, and must be frozen: a cache block
+// marked Frozen, one that has left the cache, or a copy of the caller's.
 func (b *Base) writeRPC(p *sim.Proc, h proto.Handle, off int64, data []byte) (proto.Fattr, error) {
 	body, err := b.call(p, proto.ProcWrite, (&proto.WriteArgs{Handle: h, Offset: off, Data: data}).XDR)
 	if err != nil {
@@ -620,7 +621,8 @@ func (b *Base) writeRPC(p *sim.Proc, h proto.Handle, off int64, data []byte) (pr
 // writeBack pushes one block-aligned extent to the server on behalf of
 // node n, choosing the pipeline the mount is configured for: a plain
 // stable write, or an unstable write whose data is retained locally
-// until commit() succeeds.
+// until commit() succeeds. data is frozen, as for writeRPC, so the
+// retained data is data itself.
 func (b *Base) writeBack(p *sim.Proc, n *node, off int64, data []byte) (proto.Fattr, error) {
 	if !b.cfg.UnstableWrites {
 		return b.writeRPC(p, n.h, off, data)
@@ -643,9 +645,7 @@ func (b *Base) writeBack(p *sim.Proc, n *node, off int64, data []byte) (proto.Fa
 			// different verifier means a reboot dropped this batch.
 			n.unstableVerifier = r.Verifier
 		}
-		cp := make([]byte, len(data))
-		copy(cp, data)
-		n.unstable[off] = cp
+		n.unstable[off] = data
 	}
 	return r.Attr, nil
 }
@@ -822,7 +822,8 @@ func (b *Base) fetchBlock(p *sim.Proc, n *node, blk int64) (*cache.Block, error)
 
 // flushEvicted writes back dirty blocks displaced by an insertion. The
 // evicting process pays for the writes (as a Unix process taking a buffer
-// must wait for it to be cleaned).
+// must wait for it to be cleaned). An evicted block has left the cache,
+// so nothing writes into its bytes again: they go out as they are.
 func (b *Base) flushEvicted(p *sim.Proc, evicted []*cache.Block) {
 	for _, ev := range evicted {
 		if !ev.Dirty {
@@ -897,7 +898,7 @@ func (b *Base) readAhead(n *node, blk int64) {
 		return
 	}
 	op := b.k.CurrentOp()
-	b.k.Go(fmt.Sprintf("biod-ra/%d.%d", n.h.Ino, blk), func(p *sim.Proc) {
+	b.k.Go("biod-ra", func(p *sim.Proc) {
 		if b.spans != nil {
 			// Tag the prefetcher with the reading syscall's op (spans
 			// armed only) so the read-ahead traces under that op.
@@ -972,6 +973,15 @@ func (b *Base) writeToCache(p *sim.Proc, n *node, off int64, data []byte, markDi
 	return touched, nil
 }
 
+// sendable freezes cb and returns its valid bytes, the data of a WRITE
+// that sends them by reference: the next write into the block copies it
+// first (writeToCache), so what the network, a retransmission, the
+// server's page or the unstable-write record holds stays as sent.
+func sendable(cb *cache.Block) []byte {
+	cb.Frozen = true
+	return cb.Data[:cb.Len:cb.Len]
+}
+
 // flushBlockSync writes one dirty block back synchronously.
 func (b *Base) flushBlockSync(p *sim.Proc, n *node, blk int64) error {
 	key := b.key(n.h.Ino, blk)
@@ -980,7 +990,7 @@ func (b *Base) flushBlockSync(p *sim.Proc, n *node, blk int64) error {
 		return nil
 	}
 	off, gen := blk*int64(b.cfg.BlockSize), cb.Gen
-	attr, err := b.writeBack(p, n, off, cb.Data[:cb.Len])
+	attr, err := b.writeBack(p, n, off, sendable(cb))
 	if err != nil {
 		return err
 	}
@@ -1003,8 +1013,7 @@ func (b *Base) pushBlockAsync(p *sim.Proc, n *node, blk int64) error {
 	}
 	n.pending.Add(1)
 	// The biod sends the block's own bytes; the next write copies them.
-	data := cb.Data[:cb.Len:cb.Len]
-	cb.Frozen = true
+	data := sendable(cb)
 	b.cache.MarkClean(key)
 	off := blk * int64(b.cfg.BlockSize)
 	op := p.Op()
@@ -1099,7 +1108,7 @@ func (b *Base) flushBlocks(p *sim.Proc, blocks []*cache.Block) {
 			continue
 		}
 		off, gen := blk.Key.Block*int64(b.cfg.BlockSize), cur.Gen
-		if _, err := b.writeBack(p, n, off, cur.Data[:cur.Len]); err != nil {
+		if _, err := b.writeBack(p, n, off, sendable(cur)); err != nil {
 			continue
 		}
 		// blocks arrive in file order, so one file's are adjacent.

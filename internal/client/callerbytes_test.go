@@ -14,6 +14,7 @@ import (
 	"spritelynfs/internal/rpc"
 	"spritelynfs/internal/server"
 	"spritelynfs/internal/sim"
+	"spritelynfs/internal/simnet"
 	"spritelynfs/internal/span"
 	"spritelynfs/internal/spanfs"
 	"spritelynfs/internal/vfs"
@@ -54,7 +55,7 @@ func rfsClient(w *world, ep *rpc.Endpoint, cfg client.Config) vfs.FS {
 // tapped builds client A, whose calls pass the tap, and client B with mk.
 func tapped(w *world, mk mkClient) *fileImpl {
 	var lastRead []byte
-	w.tapCalls(proto.ProcRead, func(wire []byte, _ xdr.Codec) { lastRead = wire })
+	w.tapCalls(proto.ProcRead, func(m simnet.Message, _ xdr.Codec) { lastRead = m.Payload })
 	epA, cfgA := w.clientConfig("clientA")
 	cfgA.Server, cfgA.ReadAhead = "tap", false
 	epB, cfgB := w.clientConfig("clientB")

@@ -387,21 +387,27 @@ func TestSNFSConcurrentWriteSharingIsConsistent(t *testing.T) {
 }
 
 // tapCalls routes a client's calls through the address "tap", which hands
-// each call of procedure proc to seen — its wire image, and a decoder
-// positioned at its arguments — and forwards it to the server; replies
-// return to the client directly.
-func (w *world) tapCalls(proc uint32, seen func(wire []byte, args xdr.Codec)) {
+// each call of procedure proc to seen — its message, head and tail, and a
+// decoder positioned at its arguments — and forwards the whole message to
+// the server; replies return to the client directly.
+func (w *world) tapCalls(proc uint32, seen func(m simnet.Message, args xdr.Codec)) {
 	w.net.Listen("tap").SetHandler(func(m simnet.Message) {
-		d := xdr.NewDecoder(m.Payload)
+		var d xdr.Decoder
+		d.ResetTail(m.Payload, m.Tail)
 		for i := 0; i < 4; i++ {
 			d.Uint32() // xid, call, prog, vers
 		}
 		if d.Uint32() == proc {
 			d.Uint64() // op
-			seen(m.Payload, d.Codec())
+			seen(m, d.Codec())
 		}
-		w.net.Send(m.From, "server", m.Payload)
+		w.net.SendTail(m.From, "server", m.Payload, m.Tail)
 	})
+}
+
+// joined returns a copy of m's whole image, head‖tail.
+func joined(m simnet.Message) []byte {
+	return append(bytes.Clone(m.Payload), m.Tail...)
 }
 
 // replayRead takes over the address from and retransmits its captured
@@ -443,7 +449,7 @@ func (w *world) replayRead(t *testing.T, p *sim.Proc, from simnet.Addr, readCall
 func TestSNFSUncachableReadOwnsItsBytes(t *testing.T) {
 	w := newWorld(1, true, 4, server.SNFSOptions{})
 	var readCall []byte
-	w.tapCalls(proto.ProcRead, func(wire []byte, _ xdr.Codec) { readCall = wire })
+	w.tapCalls(proto.ProcRead, func(m simnet.Message, _ xdr.Codec) { readCall = m.Payload })
 	ep, cfg := w.clientConfig("clientA")
 	cfg.Server = "tap"
 	a := client.NewSNFS(w.k, ep, cfg, client.SNFSOptions{})
@@ -484,7 +490,7 @@ func TestSNFSUncachableReadOwnsItsBytes(t *testing.T) {
 func TestSNFSCachedBlockIsCopiedOnWrite(t *testing.T) {
 	w := newWorld(1, true, 4, server.SNFSOptions{})
 	var readCall []byte
-	w.tapCalls(proto.ProcRead, func(wire []byte, _ xdr.Codec) { readCall = wire })
+	w.tapCalls(proto.ProcRead, func(m simnet.Message, _ xdr.Codec) { readCall = m.Payload })
 	ep, cfg := w.clientConfig("clientA")
 	cfg.Server = "tap"
 	a := client.NewSNFS(w.k, ep, cfg, client.SNFSOptions{})
@@ -520,7 +526,7 @@ func TestSNFSCachedBlockIsCopiedOnWrite(t *testing.T) {
 func TestNFSBiodSendsTheBlockItWasHanded(t *testing.T) {
 	w := newWorld(1, false, 4, server.SNFSOptions{})
 	var sent [][]byte
-	w.tapCalls(proto.ProcWrite, func(_ []byte, c xdr.Codec) {
+	w.tapCalls(proto.ProcWrite, func(_ simnet.Message, c xdr.Codec) {
 		var a proto.WriteArgs
 		a.XDR(c)
 		sent = append(sent, a.Data)
@@ -560,12 +566,13 @@ func TestNFSBiodSendsTheBlockItWasHanded(t *testing.T) {
 // writes.
 func TestServerKeepsWholePageWriteAsItsPage(t *testing.T) {
 	w := newWorld(1, false, 4, server.SNFSOptions{})
-	var wire, image, sent []byte
-	w.tapCalls(proto.ProcWrite, func(m []byte, c xdr.Codec) {
-		if wire == nil {
+	var wire simnet.Message
+	var image, sent []byte
+	w.tapCalls(proto.ProcWrite, func(m simnet.Message, c xdr.Codec) {
+		if wire.Payload == nil {
 			var a proto.WriteArgs
 			a.XDR(c)
-			wire, image, sent = m, bytes.Clone(m), a.Data
+			wire, image, sent = m, joined(m), a.Data
 		}
 	})
 	ep, cfg := w.clientConfig("clientA")
@@ -591,7 +598,7 @@ func TestServerKeepsWholePageWriteAsItsPage(t *testing.T) {
 		if err := fb.Close(p); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(wire, image) {
+		if !bytes.Equal(joined(wire), image) {
 			t.Error("a partial WRITE into the kept page wrote through the first call's wire image")
 		}
 		want := append(append(whole[:10:10], patch...), whole[110:]...)
@@ -648,6 +655,101 @@ func TestReadPageIsTheClientsCachedBlock(t *testing.T) {
 		want := append(append(whole[:10:10], patch...), whole[110:]...)
 		if data, _ := st.ReadAt(attr.Ino, 0, 8192); !bytes.Equal(data, want) {
 			t.Error("the server's file does not read B's WRITE")
+		}
+	})
+}
+
+// TestWritePageIsTheClientsCachedBlock: an aligned 8 KiB block goes from
+// client A's cache to the server's file with no copy — the WRITE's data is
+// its call image's tail, and the store keeps it as the page — whether a
+// biod sends it or A sends it itself (flushBlockSync, with the one biod
+// busy). Either way the send froze the block: A's next write into it
+// copies it first, so the server's page keeps the sent bytes until the
+// next write-back, and client B's WRITE into the page copies the page, so
+// A's cached block keeps its bytes.
+func TestWritePageIsTheClientsCachedBlock(t *testing.T) {
+	w := newWorld(1, false, 4, server.SNFSOptions{})
+	ep, cfg := w.clientConfig("clientA")
+	cfg.BlockSize, cfg.Biods = 8192, 1
+	a := client.NewNFS(w.k, ep, cfg, client.NFSOptions{})
+	b := w.addNFS("clientB", client.NFSOptions{})
+	run(t, w.k, func(p *sim.Proc) {
+		fa, err := a.Open(p, "f", vfs.WriteOnly|vfs.Create, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := w.media.Store()
+		attr, _ := st.Lookup(st.Root(), "f")
+		block := func(i int) *cache.Block {
+			cb, ok := a.Cache().Lookup(cache.Key{FS: cfg.Root.FSID, Ino: attr.Ino, Block: int64(i)})
+			if !ok {
+				t.Fatalf("block %d is not cached", i)
+			}
+			return cb
+		}
+		page := func(i int) []byte {
+			data, _ := st.ReadAt(attr.Ino, int64(i)*8192, 8192)
+			return data
+		}
+		write := func(i int, data []byte) {
+			if _, err := fa.WriteAt(p, int64(i)*8192, data); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sync := func() {
+			if err := fa.Sync(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Block 0 goes to the biod; block 1 finds it busy and A sends it
+		// itself.
+		sent := [][]byte{fill(8192, 'a'), fill(8192, 'b')}
+		write(0, sent[0])
+		write(1, sent[1])
+		sync()
+		for i, how := range []string{"the biod", "flushBlockSync"} {
+			if pg, cb := page(i), block(i); len(pg) != 8192 || &pg[0] != &cb.Data[0] || !cb.Frozen {
+				t.Errorf("block %d, sent by %s: the server's page is not A's frozen cached block", i, how)
+			}
+		}
+		// A writes each block again: its biod has not run when the write
+		// returns, and the page still holds what was sent.
+		again := [][]byte{fill(8192, 'c'), fill(8192, 'd')}
+		for i := range again {
+			write(i, again[i])
+			if !bytes.Equal(page(i), sent[i]) {
+				t.Errorf("block %d: A's write changed the server's page before its write-back", i)
+			}
+			sync()
+			if pg, cb := page(i), block(i); !bytes.Equal(pg, again[i]) || &pg[0] != &cb.Data[0] {
+				t.Errorf("block %d: after the write-back the page is not A's new block", i)
+			}
+		}
+		if err := fa.Close(p); err != nil {
+			t.Fatal(err)
+		}
+		// B writes into both pages, which the server copies first.
+		fb, err := b.Open(p, "f", vfs.WriteOnly, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		patch := fill(100, 'e')
+		for i := range again {
+			if _, err := fb.WriteAt(p, int64(i)*8192+10, patch); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := fb.Close(p); err != nil {
+			t.Fatal(err)
+		}
+		for i := range again {
+			if !bytes.Equal(block(i).Data, again[i]) {
+				t.Errorf("block %d: B's WRITE changed A's cached block", i)
+			}
+			want := append(append(again[i][:10:10], patch...), again[i][110:]...)
+			if !bytes.Equal(page(i), want) {
+				t.Errorf("block %d: the server's file does not read B's WRITE", i)
+			}
 		}
 	})
 }

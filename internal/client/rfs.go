@@ -31,8 +31,9 @@ func NewRFS(k *sim.Kernel, ep *rpc.Endpoint, cfg Config) *RFSClient {
 	return c
 }
 
-// serveCallback handles the server's invalidate-on-write messages.
-func (c *RFSClient) serveCallback(p *sim.Proc, from simnet.Addr, proc uint32, args []byte) (rpc.Reply, rpc.Status) {
+// serveCallback handles the server's invalidate-on-write messages. No
+// callback's arguments have a tail (xdr.Codec.Tail).
+func (c *RFSClient) serveCallback(p *sim.Proc, from simnet.Addr, proc uint32, args, _ []byte) (rpc.Reply, rpc.Status) {
 	if proc == proto.CbProcNull {
 		return statusReply(proto.OK)
 	}
@@ -55,7 +56,7 @@ func (c *RFSClient) serveCallback(p *sim.Proc, from simnet.Addr, proc uint32, ar
 		// defensively if anything is dirty.)
 		for _, blk := range c.cache.DirtyBlocks(c.cfg.Root.FSID, n.h.Ino) {
 			off := blk.Key.Block * int64(c.cfg.BlockSize)
-			if _, err := c.writeRPC(p, n.h, off, blk.Data[:blk.Len]); err != nil {
+			if _, err := c.writeRPC(p, n.h, off, sendable(blk)); err != nil {
 				break
 			}
 			c.cache.MarkClean(blk.Key)

@@ -1,6 +1,7 @@
 package client
 
 import (
+	"bytes"
 	"sort"
 
 	"spritelynfs/internal/proto"
@@ -139,7 +140,8 @@ func NewSNFS(k *sim.Kernel, ep *rpc.Endpoint, cfg Config, opts SNFSOptions) *SNF
 }
 
 // serveCallback handles server-to-client consistency requests (§4.2.2).
-func (c *SNFSClient) serveCallback(p *sim.Proc, from simnet.Addr, proc uint32, args []byte) (rpc.Reply, rpc.Status) {
+// No callback's arguments have a tail (xdr.Codec.Tail).
+func (c *SNFSClient) serveCallback(p *sim.Proc, from simnet.Addr, proc uint32, args, _ []byte) (rpc.Reply, rpc.Status) {
 	if proc == proto.CbProcNull {
 		return statusReply(proto.OK)
 	}
@@ -311,7 +313,7 @@ func (c *SNFSClient) flushFile(p *sim.Proc, n *node) error {
 			continue
 		}
 		off, gen := blk.Key.Block*int64(c.cfg.BlockSize), cur.Gen
-		if _, err := c.writeBack(p, n, off, cur.Data[:cur.Len]); err != nil {
+		if _, err := c.writeBack(p, n, off, sendable(cur)); err != nil {
 			return err
 		}
 		c.cache.MarkCleanIf(blk.Key, gen)
@@ -604,7 +606,9 @@ func (f *snfsFile) ReadAt(p *sim.Proc, off int64, n int) ([]byte, error) {
 // WriteAt implements vfs.File. Cachable files use pure delayed write —
 // no RPC at all; a single-writer client might never write to the server
 // during the file's lifetime (§2.2). Uncachable files write through
-// synchronously.
+// synchronously, with a copy of data: the WRITE sends its data by
+// reference, and the server may keep it as its page, while the caller
+// owns data and may change it once WriteAt returns.
 func (f *snfsFile) WriteAt(p *sim.Proc, off int64, data []byte) (int, error) {
 	p.BeginOp()
 	if f.n.rec.Caching {
@@ -613,7 +617,7 @@ func (f *snfsFile) WriteAt(p *sim.Proc, off int64, data []byte) (int, error) {
 		}
 		return len(data), nil
 	}
-	attr, err := f.c.writeRPC(p, f.n.h, off, data)
+	attr, err := f.c.writeRPC(p, f.n.h, off, bytes.Clone(data))
 	if err != nil {
 		return 0, err
 	}

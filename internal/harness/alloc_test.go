@@ -92,10 +92,14 @@ func TestDataPathAllocationBudgets(t *testing.T) {
 			t.Errorf("NFS 8 KiB read miss allocates %d block-sized objects of %d, budget 0 of 3", blks, objects)
 		}
 
-		// A write-through: the cache block and the call wire image (a
-		// biod sends the frozen cache block itself, and the server keeps
-		// the call image's whole page as its file's page). 10 objects in
-		// all (12 while the client's WriteArgs and the server's
+		// A write-through: the cache block, and nothing else block-sized.
+		// A biod sends the frozen cache block itself as the WRITE call
+		// image's tail, behind a head its Pending holds, and the server
+		// keeps that block as its file's page. 7.8 objects in all on
+		// average, so 7 or 8 rounded down: a biod's goroutine is now and
+		// then allocated afresh (10 while the call image was a copy of
+		// the block behind its head and the biod's name was formatted
+		// per spawn, 12 while the client's WriteArgs and the server's
 		// WriteReply were each boxed as a proto.Message, 15 while the
 		// block had a list element and each reply's attributes built a
 		// sorted list of the file's dirty blocks to ask whether it had
@@ -105,16 +109,17 @@ func TestDataPathAllocationBudgets(t *testing.T) {
 			_, err := f.WriteAt(p, int64(i)*bs, data)
 			return err
 		})
-		if blks > 2 || objects > 10 {
-			t.Errorf("NFS 8 KiB write-through allocates %d block-sized objects of %d, budget 2 of 10", blks, objects)
+		if blks > 1 || objects > 8 {
+			t.Errorf("NFS 8 KiB write-through allocates %d block-sized objects of %d, budget 1 of 8", blks, objects)
 		}
 
 		// An appending write-through, into a file created afresh each
-		// pass, so every WRITE extends the server's copy: the same two
-		// blocks, since the store takes the call image's page as the
-		// file's. A store that grows by copying shows only in the bytes —
+		// pass, so every WRITE extends the server's copy: the same one
+		// block, since the store takes the client's block as the file's
+		// page. A store that grows by copying shows only in the bytes —
 		// arrays past 32 KiB are not itemised — so they are held too:
-		// 18,900 B per op (38,700 while a file was one doubling array).
+		// 8,900 B per op (18,900 while the call image copied the block,
+		// 38,700 while a file was one doubling array).
 		var g vfs.File
 		_, blks, size := each(func(i int) error {
 			if i == 0 {
@@ -129,9 +134,9 @@ func TestDataPathAllocationBudgets(t *testing.T) {
 			}
 			return err
 		})
-		if blks > 2 || size > 3*bs {
-			t.Errorf("NFS 8 KiB appending write-through allocates %d block-sized objects and %d B, budget 2 and %d B",
-				blks, size, 3*bs)
+		if blks > 1 || size > 3*bs/2 {
+			t.Errorf("NFS 8 KiB appending write-through allocates %d block-sized objects and %d B, budget 1 and %d B",
+				blks, size, 3*bs/2)
 		}
 		if err != nil {
 			return err

@@ -188,22 +188,22 @@ func (m *ReadReply) XDR(c xdr.Codec) {
 // memory and reply immediately; the client keeps its copy until a COMMIT
 // under the same write verifier succeeds.
 //
-// Decoded, Data is a zero-copy view of the frozen call image: the server
-// keeps it as the file's page (localfs.Store.WriteFrozen), so no WRITE
-// pays a payload copy at decode. A handler that changes the data must
-// copy it (see DESIGN.md §13, §14).
+// In RFC 1813's WRITE3args order, stable before data, Data is last: the
+// call image's tail (xdr.Codec.Tail), the client's frozen cache block by
+// reference, which the server keeps as its file's page (WriteFrozen). A
+// handler copies it to change it (DESIGN.md §13, §14).
 type WriteArgs struct {
 	Handle   Handle
 	Offset   int64
-	Data     []byte
 	Unstable bool
+	Data     []byte
 }
 
 func (m *WriteArgs) XDR(c xdr.Codec) {
 	m.Handle.XDR(c)
 	c.Int64(&m.Offset)
-	c.OpaqueRef(&m.Data)
 	c.Bool(&m.Unstable)
+	c.Tail(&m.Data)
 }
 
 // WriteReply answers a WRITE: attributes after the write, whether the

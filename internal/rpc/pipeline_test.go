@@ -102,7 +102,7 @@ func TestDupCacheReplaysRecordedImage(t *testing.T) {
 	client, server := newPair(k, simnet.Config{PropDelay: sim.Millisecond}, Options{})
 	page := bytes.Repeat([]byte("page"), 2048)
 	want := proto.Marshal(&proto.ReadReply{Status: proto.OK, Data: page})
-	server.Serve(testProg, func(p *sim.Proc, from simnet.Addr, proc uint32, args []byte) (Reply, Status) {
+	server.Serve(testProg, func(p *sim.Proc, from simnet.Addr, proc uint32, args, _ []byte) (Reply, Status) {
 		r := proto.ReadReply{Status: proto.OK, Data: page}
 		return Encode(r.XDR), StatusOK
 	})
@@ -173,9 +173,9 @@ func TestDupCacheFinishRecordsImage(t *testing.T) {
 
 // TestDrainedBacklogSlotIsCleared: taking a call leaves its slot in the
 // queue's ring until the ring comes round to it again. It must be zeroed,
-// or it keeps the served call's args — a view pinning the whole call wire
-// image, 8 KiB+ for a WRITE — reachable from a server whose backlog is
-// rarely empty for long.
+// or it keeps the served call's args and tail — views pinning the call's
+// wire image, a WRITE's 8 KiB tail the sender's block — reachable from a
+// server whose backlog is rarely empty for long.
 func TestDrainedBacklogSlotIsCleared(t *testing.T) {
 	k := sim.NewKernel(1)
 	client, server := newPair(k, simnet.Config{PropDelay: sim.Millisecond}, Options{Workers: 1})
@@ -185,8 +185,8 @@ func TestDrainedBacklogSlotIsCleared(t *testing.T) {
 			p.Sleep(10 * sim.Millisecond)
 			queued = server.queue.n
 			for i := 0; i < queued; i++ {
-				if len(server.queue.at(i).args) < 8192 {
-					t.Errorf("waiting call %d has %d bytes of args", i, len(server.queue.at(i).args))
+				if r := server.queue.at(i); len(r.args)+len(r.tail) < 8192 {
+					t.Errorf("waiting call %d has %d bytes of args and %d of tail", i, len(r.args), len(r.tail))
 				}
 			}
 		}
@@ -212,8 +212,8 @@ func TestDrainedBacklogSlotIsCleared(t *testing.T) {
 		t.Errorf("after the run: %d queued, %d handed, %d serving, want none", server.queue.n, server.handed, server.serving)
 	}
 	for i, r := range server.queue.buf {
-		if r.args != nil {
-			t.Errorf("drained queue slot %d still holds its request's %d-byte args", i, len(r.args))
+		if r.args != nil || r.tail != nil {
+			t.Errorf("drained queue slot %d still holds its request's %d-byte args and %d-byte tail", i, len(r.args), len(r.tail))
 		}
 	}
 }

@@ -3,9 +3,9 @@ package rpc
 // callQueue is an endpoint's FIFO of accepted calls, by value in a ring
 // that is allocated on first use and doubles when full, so a steady
 // arrival rate allocates nothing and a drained backlog is not carried
-// along. A vacated slot is cleared: a request's args are a view of its
-// call's whole wire image, 8 KiB+ for a WRITE, and a stale slot would pin
-// it until the ring came round again.
+// along. A vacated slot is cleared: a request's args and tail are views
+// of its call's wire image, a WRITE's 8 KiB tail the client's cache
+// block, and a stale slot would pin them until the ring came round again.
 type callQueue struct {
 	buf  []request // len is zero or a power of two
 	head int       // index in buf of the oldest call

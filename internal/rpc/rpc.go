@@ -13,13 +13,20 @@
 // parks.
 //
 // What a round trip allocates is the caller's Pending, which holds a
-// small call image in itself, and the reply's head. Arguments and replies
-// are encoded by static calls in the frames that built them, so neither
-// message leaves its stack. The rest of the bookkeeping is kept in
-// objects that already exist: the Pending is the reply slot, the waiter
-// and the timeout event's target; accepted calls and duplicate-cache
-// entries sit by value in rings; the service job is one method value per
-// endpoint. See DESIGN.md §14.
+// small call image head in itself, and the reply's head. Arguments and
+// replies are encoded by static calls in the frames that built them, so
+// neither message leaves its stack. The rest of the bookkeeping is kept
+// in objects that already exist: the Pending is the reply slot, the
+// waiter and the timeout event's target; accepted calls and
+// duplicate-cache entries sit by value in rings; the service job is one
+// method value per endpoint. See DESIGN.md §14.
+//
+// A call, like a reply, may carry a tail: its message's last field, kept
+// by reference (xdr.Codec.Tail) — a WRITE call's data, the client's
+// frozen cache block, and a READ reply's, the server's frozen page. The
+// tail travels beside the head, through retransmissions and the network,
+// to the Service or the caller, which decode the two parts with
+// xdr.Decoder.ResetTail.
 //
 // Two transports implement the layer: the simulated network (this file,
 // used by all experiments) and a real TCP transport (tcp.go, used by the
@@ -107,11 +114,15 @@ func statusErr(s Status) error {
 }
 
 // Service services calls to one program. It runs on a server worker and
-// may itself block (disk access, nested RPCs). It returns its reply body
-// already encoded, by Encode (the zero Reply for an empty body).
-type Service func(p *sim.Proc, from simnet.Addr, proc uint32, args []byte) (Reply, Status)
+// may itself block (disk access, nested RPCs). The arguments are
+// args‖tail, tail nil for a call sent whole; decode them with
+// xdr.Decoder.ResetTail. Both are frozen views of the delivered call
+// image. It returns its reply body already encoded, by Encode (the zero
+// Reply for an empty body).
+type Service func(p *sim.Proc, from simnet.Addr, proc uint32, args, tail []byte) (Reply, Status)
 
-// Handler is a Service that returns its reply body as bytes (Register).
+// Handler is a Service that takes its arguments, and returns its reply
+// body, as bytes (Register).
 type Handler func(p *sim.Proc, from simnet.Addr, proc uint32, args []byte) ([]byte, Status)
 
 // replyHeaderLen is the size of the reply message header (xid, type,
@@ -222,6 +233,7 @@ type request struct {
 	op   uint64   // causal operation ID carried in the call header
 	enq  sim.Time // when handleMsg accepted it (for the srv-queue span)
 	args []byte
+	tail []byte // the call image's tail, behind args
 }
 
 type reply struct {
@@ -391,10 +403,12 @@ func (e *Endpoint) Workers() int { return e.opts.Workers }
 // Serve installs s as the service for program prog.
 func (e *Endpoint) Serve(prog uint32, s Service) { e.progs[prog] = s }
 
-// Register installs a handler that returns its reply body as bytes.
+// Register installs a handler that takes its arguments, and returns its
+// reply body, as bytes: a call that came as a head and a tail is handed
+// over joined, in a buffer of its own.
 func (e *Endpoint) Register(prog uint32, h Handler) {
-	e.Serve(prog, func(p *sim.Proc, from simnet.Addr, proc uint32, args []byte) (Reply, Status) {
-		body, st := h(p, from, proc, args)
+	e.Serve(prog, func(p *sim.Proc, from simnet.Addr, proc uint32, args, tail []byte) (Reply, Status) {
+		body, st := h(p, from, proc, join(args, tail))
 		return Encode(rawBody(body).XDR), st
 	})
 }
@@ -502,37 +516,38 @@ func callSpanKind(prog uint32) span.Kind {
 // vers, proc, op).
 const callHeaderLen = 5*4 + 8
 
-// inlineImage is the largest call image a Pending holds in itself. It
-// takes the calls that are most of the traffic — GETATTR, LOOKUP, READ,
-// OPEN and CLOSE are 44 to 60 bytes — and keeps a Pending in the size
-// class of the Pending and image it replaces.
+// inlineImage is the largest call image head a Pending holds in itself.
+// It takes the calls that are most of the traffic — GETATTR, LOOKUP,
+// READ, OPEN and CLOSE are 44 to 60 bytes, and so is the head of a WRITE
+// whose data is its tail.
 const inlineImage = 64
 
 // Pending is one in-flight call: the handle Start returns, and all the
 // state the call has. It is the entry in the endpoint's xid table, the
 // slot the reply is delivered into, the record of who is parked waiting
-// for it, the target of the attempt's timeout event, and, for an image of
-// up to inlineImage bytes, the call's wire image, so such a call costs
-// this one object. Wait collects a call once.
+// for it, the target of the attempt's timeout event, and, for an image
+// head of up to inlineImage bytes, the call's wire image head, so such a
+// call costs this one object. Wait collects a call once.
 type Pending struct {
-	e       *Endpoint
-	to      simnet.Addr
-	prog    uint32
-	vers    uint32
-	proc    uint32
-	xid     uint32
-	op      uint64
-	wire    []byte
-	timeout sim.Duration
-	retries int
-	issued  sim.Time // when the call was first put on the wire
-	sent    sim.Time // when the current attempt was put on the wire
+	e        *Endpoint
+	to       simnet.Addr
+	prog     uint32
+	vers     uint32
+	proc     uint32
+	xid      uint32
+	op       uint64
+	wire     []byte // the call image's head
+	wireTail []byte // and its tail, nil for a call sent whole
+	timeout  sim.Duration
+	retries  int
+	issued   sim.Time // when the call was first put on the wire
+	sent     sim.Time // when the current attempt was put on the wire
 
 	// The reply slot, and the wait on it. The kernel's events cannot be
 	// withdrawn, so a call that completes leaves its last timeout event
 	// on the heap, pointing here, until it comes due and finds replied
-	// set; wait therefore drops body, tail and wire as it returns, and
-	// the stale event pins only this struct.
+	// set; wait therefore drops body, tail and the wire image as it
+	// returns, and the stale event pins only this struct.
 	replied  bool
 	timedOut bool // this attempt's timeout came due before a reply
 	status   Status
@@ -544,13 +559,15 @@ type Pending struct {
 }
 
 // start encodes and transmits the first attempt of a call. The wire
-// image is built in a pooled encoder and copied out exactly once, into
-// the Pending itself when it fits and into a buffer of its own when it
-// does not: the simulated network retains payloads until (possibly
+// image's head is built in a pooled encoder and copied out exactly once,
+// into the Pending itself when it fits and into a buffer of its own when
+// it does not: the simulated network retains payloads until (possibly
 // duplicated) delivery and the retransmit loop resends the same image,
-// so the call's buffer must be GC-owned rather than pool-recycled. Once
-// sent it is frozen: nobody writes through it or through a view decoded
-// from it. The Pending, and a large image, are all a call allocates here.
+// so the call's buffer must be GC-owned rather than pool-recycled. The
+// tail, a WRITE's data, is not copied at all: it is the caller's, frozen
+// by the caller before the call. Once sent the image is frozen: nobody
+// writes through it or through a view decoded from it. The Pending, and
+// a large head, are all a call allocates here.
 func (e *Endpoint) start(p *sim.Proc, to simnet.Addr, prog, vers, proc uint32, args func(xdr.Codec), callTimeout sim.Duration, maxRetries int) *Pending {
 	e.nextXID++
 	xid := e.nextXID
@@ -570,19 +587,21 @@ func (e *Endpoint) start(p *sim.Proc, to simnet.Addr, prog, vers, proc uint32, a
 	enc.Uint32(proc)
 	enc.Uint64(op)
 	args(enc.Codec())
-	if n := enc.Len(); n <= len(c.inline) {
-		c.wire = c.inline[:copy(c.inline[:], enc.Bytes()):n]
+	head, tail := enc.Parts()
+	if n := len(head); n <= len(c.inline) {
+		c.wire = c.inline[:copy(c.inline[:], head):n]
 	} else {
-		c.wire = enc.CopyBytes()
+		c.wire = append([]byte(nil), head...)
 	}
+	c.wireTail = tail
 	enc.Release()
 
 	if e.Tracer != nil { // variadic args are boxed even for a nil tracer
 		e.Tracer.RecordOp(string(e.addr), trace.RPCCall, op, "-> %s %s xid=%d (%dB)",
-			to, proto.ProcName(prog, proc), xid, len(c.wire)-callHeaderLen)
+			to, proto.ProcName(prog, proc), xid, len(c.wire)+len(c.wireTail)-callHeaderLen)
 	}
 	e.pending[xid] = c
-	e.net.Send(e.addr, to, c.wire)
+	e.net.SendTail(e.addr, to, c.wire, c.wireTail)
 	return c
 }
 
@@ -680,7 +699,7 @@ func (c *Pending) wait(p *sim.Proc) (body, tail []byte, err error) {
 					c.to, proto.ProcName(c.prog, c.proc), c.xid, attempt)
 			}
 			c.sent = e.k.Now()
-			e.net.Send(e.addr, c.to, c.wire)
+			e.net.SendTail(e.addr, c.to, c.wire, c.wireTail)
 		}
 		if c.await(p, timeout) {
 			if e.met != nil {
@@ -691,7 +710,7 @@ func (c *Pending) wait(p *sim.Proc) (body, tail []byte, err error) {
 				e.met.observeCall(c.prog, c.proc, e.k.Now().Sub(c.issued), attempt > 0, exop)
 			}
 			body, tail := c.body, c.tail
-			c.body, c.tail, c.wire = nil, nil, nil
+			c.body, c.tail, c.wire, c.wireTail = nil, nil, nil, nil
 			if err := statusErr(c.status); err != nil {
 				return nil, nil, err
 			}
@@ -761,7 +780,7 @@ func (e *Endpoint) handleMsg(m simnet.Message) {
 			e.stats.DupInProgress++
 		default:
 			e.dup.start(m.From, xid)
-			e.queue.push(request{from: m.From, xid: xid, prog: prog, vers: vers, proc: proc, op: op, enq: e.k.Now(), args: args})
+			e.queue.push(request{from: m.From, xid: xid, prog: prog, vers: vers, proc: proc, op: op, enq: e.k.Now(), args: args, tail: m.Tail})
 			if e.limit > 0 && e.serving == e.limit {
 				return // it waits for a slot
 			}
@@ -820,13 +839,13 @@ func (e *Endpoint) serveOne(p *sim.Proc, req request) {
 	}
 	if e.Tracer != nil {
 		e.Tracer.RecordOp(string(e.addr), trace.RPCServe, req.op, "<- %s %s xid=%d (%dB)",
-			req.from, proto.ProcName(req.prog, req.proc), req.xid, len(req.args))
+			req.from, proto.ProcName(req.prog, req.proc), req.xid, len(req.args)+len(req.tail))
 	}
 	s, ok := e.progs[req.prog]
 	var body Reply
 	status := StatusProgUnavail
 	if ok {
-		body, status = s(p, req.from, req.proc, req.args)
+		body, status = s(p, req.from, req.proc, req.args, req.tail)
 	}
 	// The transmitted image is frozen, so the duplicate cache and
 	// observers share it.

@@ -776,8 +776,8 @@ func TestStaleTimeoutWakesNobody(t *testing.T) {
 		if err != nil || len(body) < 8192 {
 			t.Errorf("call: %d-byte body, err %v", len(body), err)
 		}
-		if c.body != nil || c.wire != nil || c.waiter != nil {
-			t.Errorf("collected call still holds body=%d wire=%d bytes, waiter=%v", len(c.body), len(c.wire), c.waiter)
+		if c.body != nil || c.wire != nil || c.wireTail != nil || c.waiter != nil {
+			t.Errorf("collected call still holds body=%d wire=%d+%d bytes, waiter=%v", len(c.body), len(c.wire), len(c.wireTail), c.waiter)
 		}
 		p.Park()
 		resumed = p.Now()
@@ -795,13 +795,15 @@ func TestStaleTimeoutWakesNobody(t *testing.T) {
 	}
 }
 
-// TestCallImageAcrossInlineBoundary: a call image of up to inlineImage
-// bytes lives in its Pending, a larger one in a buffer of its own, and
-// either is the one frozen image every attempt resends. Each call's first
-// attempt is cut, so the image the server sees is the retransmitted one,
-// and the network delivers every message twice, so the server's port
-// sees each image again after the handler has run: every delivery must
-// carry the arguments the caller encoded, byte for byte.
+// TestCallImageAcrossInlineBoundary: a call image head of up to
+// inlineImage bytes lives in its Pending, a larger one in a buffer of its
+// own, and a WRITE's 8 KiB data is the image's tail, the caller's own
+// bytes behind a 60-byte head; whichever, it is the one frozen image every
+// attempt resends. Each call's first attempt is cut, so the image the
+// server sees is the retransmitted one, and the network delivers every
+// message twice, so the server's port sees each image again after the
+// handler has run: every delivery must carry the arguments the caller
+// encoded, head‖tail, byte for byte.
 func TestCallImageAcrossInlineBoundary(t *testing.T) {
 	k := sim.NewKernel(1)
 	net := simnet.New(k, simnet.Config{PropDelay: sim.Millisecond, DupProb: 1})
@@ -814,40 +816,57 @@ func TestCallImageAcrossInlineBoundary(t *testing.T) {
 		var d xdr.Decoder
 		d.Reset(m.Payload)
 		if d.Uint32(); d.Uint32() == msgCall {
-			delivered = append(delivered, bytes.Clone(m.Payload[callHeaderLen:]))
+			delivered = append(delivered, append(bytes.Clone(m.Payload[callHeaderLen:]), m.Tail...))
 		}
 		server.handleMsg(m)
 	})
 	const word = 4
-	sizes := []int{inlineImage - callHeaderLen, inlineImage - callHeaderLen + word}
+	write := proto.WriteArgs{Handle: proto.Handle{FSID: 1, Ino: 2, Gen: 3}, Offset: 8192, Unstable: true,
+		Data: bytes.Repeat([]byte{0xa5}, 8192)}
+	calls := []struct {
+		args       func(xdr.Codec)
+		want       []byte
+		head, tail int  // the image's head and tail lengths
+		byRefTail  bool // the tail is the caller's bytes
+	}{
+		{rawBody(bytes.Repeat([]byte{0xa0}, inlineImage-callHeaderLen)).XDR, bytes.Repeat([]byte{0xa0}, inlineImage-callHeaderLen), inlineImage, 0, false},
+		{rawBody(bytes.Repeat([]byte{0xa1}, inlineImage-callHeaderLen+word)).XDR, bytes.Repeat([]byte{0xa1}, inlineImage-callHeaderLen+word), inlineImage + word, 0, false},
+		{write.XDR, proto.Marshal(&write), 60, 8192, true},
+	}
 	k.Go("caller", func(p *sim.Proc) {
 		defer k.Stop()
-		for i, n := range sizes {
-			args := bytes.Repeat([]byte{byte(0xa0 + i)}, n)
+		for _, call := range calls {
+			n := call.head + call.tail
 			delivered = delivered[:0]
 			net.Cut("client", "server")
-			c := client.Start(p, "server", testProg, 1, 1, rawBody(args).XDR)
+			c := client.Start(p, "server", testProg, 1, 1, call.args)
 			net.Heal("client", "server")
+			if len(c.wire) != call.head || len(c.wireTail) != call.tail {
+				t.Errorf("%d-byte image: a %d-byte head and a %d-byte tail, want %d and %d", n, len(c.wire), len(c.wireTail), call.head, call.tail)
+			}
 			if inline := &c.wire[0] == &c.inline[0]; inline != (len(c.wire) <= inlineImage) {
-				t.Errorf("%d-byte image: held inline %v", len(c.wire), inline)
+				t.Errorf("%d-byte image: head held inline %v", n, inline)
+			}
+			if call.byRefTail && (len(c.wireTail) == 0 || &c.wireTail[0] != &write.Data[0]) {
+				t.Errorf("%d-byte image: the tail is not the caller's data", n)
 			}
 			body, err := c.Wait(p)
-			if err != nil || !bytes.Equal(body, args) {
-				t.Errorf("%d-byte image: reply %x, err %v", callHeaderLen+n, body, err)
+			if err != nil || !bytes.Equal(body, call.want) {
+				t.Errorf("%d-byte image: reply of %d bytes, err %v", n, len(body), err)
 			}
 			p.Sleep(10 * sim.Millisecond) // the duplicate lands
 			if len(delivered) != 2 {
-				t.Errorf("%d-byte image: %d deliveries, want the retransmission and its duplicate", callHeaderLen+n, len(delivered))
+				t.Errorf("%d-byte image: %d deliveries, want the retransmission and its duplicate", n, len(delivered))
 			}
 			for j, got := range delivered {
-				if !bytes.Equal(got, args) {
-					t.Errorf("%d-byte image: delivery %d carries %x, want %x", callHeaderLen+n, j, got, args)
+				if !bytes.Equal(got, call.want) {
+					t.Errorf("%d-byte image: delivery %d carries %x, want %x", n, j, got, call.want)
 				}
 			}
 		}
 	})
 	k.Run()
-	if st := client.Stats(); st.Retransmits != int64(len(sizes)) || st.Timeouts != 0 {
+	if st := client.Stats(); st.Retransmits != int64(len(calls)) || st.Timeouts != 0 {
 		t.Errorf("%d retransmits and %d timeouts, want one retransmit per call", st.Retransmits, st.Timeouts)
 	}
 }

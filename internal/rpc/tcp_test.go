@@ -440,7 +440,7 @@ func TestConcurrentCallersShareOneConnection(t *testing.T) {
 // connection's writer reads each tail beside the event loop.
 func TestGatewayFramesReplyTails(t *testing.T) {
 	addr := startLive(t, 4, func(ep *Endpoint) {
-		ep.Serve(testProg, func(_ *sim.Proc, _ simnet.Addr, _ uint32, args []byte) (Reply, Status) {
+		ep.Serve(testProg, func(_ *sim.Proc, _ simnet.Addr, _ uint32, args, _ []byte) (Reply, Status) {
 			r := proto.ReadReply{Status: proto.OK, Data: args} // a view of the frozen call record
 			return Encode(r.XDR), StatusOK
 		})

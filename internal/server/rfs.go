@@ -104,9 +104,9 @@ func NewRFS(k *sim.Kernel, ep *rpc.Endpoint, media *localfs.Media, cfg Config) *
 // open and close.
 var rfsProcs = commonProcs | procsOf(proto.ProcOpen, proto.ProcClose)
 
-func (s *RFSServer) serve(p *sim.Proc, from simnet.Addr, proc uint32, args []byte) (rpc.Reply, rpc.Status) {
+func (s *RFSServer) serve(p *sim.Proc, from simnet.Addr, proc uint32, args, tail []byte) (rpc.Reply, rpc.Status) {
 	var a callArgs
-	if body, st, done := s.admit(p, from, proc, args, rfsProcs, &a); done {
+	if body, st, done := s.admit(p, from, proc, args, tail, rfsProcs, &a); done {
 		return body, st
 	}
 	switch proc {

@@ -286,12 +286,12 @@ var commonProcs = procsOf(proto.ProcNull, proto.ProcGetattr, proto.ProcSetattr,
 // and, for a guard's refusal or a procedure serveCommon does not execute,
 // the call's CPU charge and count. done reports that the call ends here,
 // answered body and st.
-func (b *Base) admit(p *sim.Proc, from simnet.Addr, proc uint32, args []byte, serves procSet, a *callArgs) (body rpc.Reply, st rpc.Status, done bool) {
+func (b *Base) admit(p *sim.Proc, from simnet.Addr, proc uint32, args, tail []byte, serves procSet, a *callArgs) (body rpc.Reply, st rpc.Status, done bool) {
 	if !serves.has(proc) {
 		return rpc.Reply{}, rpc.StatusProcUnavail, true
 	}
 	if body, done = b.ownerCheck(from, proc); !done {
-		if st := a.decode(proc, args); st != rpc.StatusOK {
+		if st := a.decode(proc, args, tail); st != rpc.StatusOK {
 			return rpc.Reply{}, st, true
 		}
 		body, done = b.routeCheck(proc, a)
@@ -325,10 +325,15 @@ type callArgs struct {
 	replSync   proto.ReplSyncArgs
 }
 
-// decode fills a from proc's arguments, and answers GARBAGE_ARGS for
-// arguments that do not decode. A procedure that takes none reads nothing.
-func (a *callArgs) decode(proc uint32, args []byte) rpc.Status {
-	c := xdr.NewDecoder(args).Codec()
+// decode fills a from proc's arguments, args‖tail, and answers
+// GARBAGE_ARGS for arguments that do not decode. A procedure that takes
+// none reads nothing. A WRITE's data is the call's tail, when it came as
+// one: the client's frozen cache block, which the store keeps as the
+// file's page.
+func (a *callArgs) decode(proc uint32, args, tail []byte) rpc.Status {
+	var d xdr.Decoder
+	d.ResetTail(args, tail)
+	c := d.Codec()
 	switch proc {
 	case proto.ProcGetattr, proto.ProcReaddir, proto.ProcReaddirAttrs, proto.ProcReadlink, proto.ProcStatfs:
 		a.file.XDR(c)
@@ -881,9 +886,9 @@ func (s *NFSServer) Reboot() {
 	s.record(trace.Crash, 0, "nfs server reboot (verifier %d)", s.verifier)
 }
 
-func (s *NFSServer) serve(p *sim.Proc, from simnet.Addr, proc uint32, args []byte) (rpc.Reply, rpc.Status) {
+func (s *NFSServer) serve(p *sim.Proc, from simnet.Addr, proc uint32, args, tail []byte) (rpc.Reply, rpc.Status) {
 	var a callArgs
-	if body, st, done := s.admit(p, from, proc, args, commonProcs, &a); done {
+	if body, st, done := s.admit(p, from, proc, args, tail, commonProcs, &a); done {
 		return body, st
 	}
 	return s.serveCommon(p, proc, &a)

@@ -236,12 +236,12 @@ var snfsProcs = commonProcs | procsOf(proto.ProcOpen, proto.ProcClose, proto.Pro
 	proto.ProcServerInfo, proto.ProcDumpState, proto.ProcAudit, proto.ProcLock, proto.ProcUnlock,
 	proto.ProcReplStream, proto.ProcReplSync)
 
-func (s *SNFSServer) serve(p *sim.Proc, from simnet.Addr, proc uint32, args []byte) (rpc.Reply, rpc.Status) {
+func (s *SNFSServer) serve(p *sim.Proc, from simnet.Addr, proc uint32, args, tail []byte) (rpc.Reply, rpc.Status) {
 	// admit runs the shard route guard before the hybrid/name-cache hooks
 	// below, so a misrouted operation is bounced without delivering any
 	// callbacks.
 	var a callArgs
-	if body, st, done := s.admit(p, from, proc, args, snfsProcs, &a); done {
+	if body, st, done := s.admit(p, from, proc, args, tail, snfsProcs, &a); done {
 		return body, st
 	}
 	switch proc {

@@ -144,7 +144,7 @@ func (k *Kernel) GoAt(at Time, name string, fn func(p *Proc)) *Proc {
 	p := &Proc{
 		k:      k,
 		id:     k.nextID,
-		name:   fmt.Sprintf("%s#%d", name, k.nextID),
+		name:   name,
 		resume: make(chan struct{}),
 	}
 	k.procs[p] = true

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"fmt"
+	"math"
+	"strconv"
 	"testing"
 )
 
@@ -408,5 +410,38 @@ func TestTimeArithmetic(t *testing.T) {
 	}
 	if (30 * Second).Milliseconds() != 30000 {
 		t.Errorf("Milliseconds wrong")
+	}
+}
+
+// TestSpawnFormatsNoName: a process keeps the name it was given and its
+// id, and Name formats name#id only when asked, so a spawn under a
+// constant name allocates no string. What is left is the Proc, its resume
+// channel and its goroutine's closure. A trial can read one or two higher
+// — the runtime now and then allocates a goroutine afresh — so the budget
+// holds the best of a few.
+func TestSpawnFormatsNoName(t *testing.T) {
+	k := NewKernel(1)
+	var p *Proc
+	k.Go("parent", func(*Proc) {
+		p = k.Go("biod-w", func(*Proc) {})
+	})
+	k.Run()
+	if want := "biod-w#" + strconv.Itoa(p.id); p.Name() != want || p.id != 2 {
+		t.Errorf("Name() = %q (id %d), want %q", p.Name(), p.id, want)
+	}
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	const budget = 3 // 5 while GoAt formatted name#id
+	fn := func(*Proc) {}
+	best := math.Inf(1)
+	for range 5 {
+		best = min(best, testing.AllocsPerRun(200, func() {
+			k.Go("biod-w", fn)
+			k.Run()
+		}))
+	}
+	if best > budget {
+		t.Errorf("a spawn allocates %v objects, budget %d", best, budget)
 	}
 }

@@ -1,20 +1,23 @@
 package sim
 
+import "strconv"
+
 // Proc is a simulation process: a cooperative thread of control scheduled
 // by a Kernel. A Proc also satisfies the Ctx interface used by protocol
 // code that runs both under simulation and in real time.
 type Proc struct {
 	k      *Kernel
-	id     int // creation sequence (drives deterministic teardown order)
-	name   string
+	id     int    // creation sequence (drives deterministic teardown order)
+	name   string // as given to Go; Name adds the id
 	resume chan struct{}
 	killed bool
 	dead   bool
 	op     uint64 // causal operation ID (0 = none)
 }
 
-// Name returns the process's unique name, for tracing.
-func (p *Proc) Name() string { return p.name }
+// Name returns the process's unique name, name#id, for tracing. It is
+// formatted on demand, so spawning a process formats nothing.
+func (p *Proc) Name() string { return p.name + "#" + strconv.Itoa(p.id) }
 
 // Op returns the causal operation ID the process is currently working on
 // behalf of, or 0 if none has been assigned.

@@ -346,7 +346,7 @@ func TestSendDeliverAllocatesNothing(t *testing.T) {
 	payload := make([]byte, 128)
 	echoed := 0
 	n.Listen("a").SetHandler(func(m Message) { echoed++ })
-	n.Listen("b").SetHandler(func(m Message) { n.Send(m.To, m.From, m.Payload) })
+	n.Listen("b").SetHandler(func(m Message) { n.SendTail(m.To, m.From, m.Payload, m.Tail) })
 	allocs := testing.AllocsPerRun(100, func() {
 		n.Send("a", "b", payload)
 		n.Send("a", "b", payload)

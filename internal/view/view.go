@@ -157,8 +157,9 @@ func (s *Service) Changes(shard uint32) uint64 {
 	return 0
 }
 
-// serve handles ProgView calls.
-func (s *Service) serve(p *sim.Proc, from simnet.Addr, proc uint32, args []byte) (rpc.Reply, rpc.Status) {
+// serve handles ProgView calls, none of whose arguments has a tail
+// (xdr.Codec.Tail).
+func (s *Service) serve(p *sim.Proc, from simnet.Addr, proc uint32, args, _ []byte) (rpc.Reply, rpc.Status) {
 	switch proc {
 	case proto.ViewProcPing:
 		var a proto.ViewPingArgs

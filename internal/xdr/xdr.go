@@ -57,8 +57,8 @@ func GetEncoder() *Encoder {
 }
 
 // Release returns e to the pool. The caller must not touch e, or any
-// buffer obtained from Bytes, after Release — copy first (CopyBytes) if
-// the encoded message outlives the encoder.
+// buffer obtained from Bytes or Parts, after Release — copy first (Image)
+// if the encoded message outlives the encoder.
 func (e *Encoder) Release() {
 	if cap(e.buf) > maxPooledBuf {
 		e.buf = nil
@@ -77,17 +77,6 @@ func (e *Encoder) Bytes() []byte {
 	return e.buf
 }
 
-// CopyBytes returns the encoded message in a fresh, exactly-sized
-// allocation the caller owns — the explicit copy point for encoded
-// messages that outlive a pooled encoder (e.g. handed to the simulated
-// network, which retains payloads until delivery). It is head‖tail of
-// Image, joined.
-func (e *Encoder) CopyBytes() []byte {
-	out := make([]byte, len(e.buf)+len(e.tail))
-	copy(out[copy(out, e.buf):], e.tail)
-	return out
-}
-
 // Image returns the encoded message as an exact-size copy of the buffer
 // the caller owns, and the tail, by reference, nil if there is none: the
 // message is head‖tail. The tail is whatever Codec.Tail was handed, so it
@@ -97,6 +86,12 @@ func (e *Encoder) Image() (head, tail []byte) {
 	copy(head, e.buf)
 	return head, e.tail
 }
+
+// Parts returns the encoded message as its two parts, both views: head
+// aliases the encoder's buffer and is valid until the next Reset,
+// SetBuffer or Release, and tail is what Codec.Tail was handed, nil if
+// there is none. The message is head‖tail.
+func (e *Encoder) Parts() (head, tail []byte) { return e.buf, e.tail }
 
 // Len returns the number of encoded bytes, the tail's included.
 func (e *Encoder) Len() int { return len(e.buf) + len(e.tail) }

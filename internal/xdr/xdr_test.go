@@ -231,6 +231,22 @@ func TestSetBufferAppendsIntoCallerBuffer(t *testing.T) {
 	}
 }
 
+func TestImageSurvivesRelease(t *testing.T) {
+	e := GetEncoder()
+	e.String("survives")
+	head, _ := e.Image()
+	alias := e.Bytes()
+	e.Release()
+	// Stomp the pooled buffer through a fresh encoder.
+	f := GetEncoder()
+	f.FixedOpaque(bytes.Repeat([]byte{0xee}, len(alias)+8))
+	defer f.Release()
+	d := NewDecoder(head)
+	if got := d.String(); got != "survives" {
+		t.Errorf("copy mutated after Release: %q", got)
+	}
+}
+
 func TestPooledEncoderRoundTrip(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		e := GetEncoder()
@@ -238,28 +254,12 @@ func TestPooledEncoderRoundTrip(t *testing.T) {
 			t.Fatal("pooled encoder not reset")
 		}
 		e.Uint32(uint32(i))
-		wire := e.CopyBytes()
+		wire := bytes.Clone(e.Bytes())
 		e.Release()
 		d := NewDecoder(wire)
 		if d.Uint32() != uint32(i) {
 			t.Fatalf("iteration %d: pooled round trip corrupt", i)
 		}
-	}
-}
-
-func TestCopyBytesSurvivesRelease(t *testing.T) {
-	e := GetEncoder()
-	e.String("survives")
-	cp := e.CopyBytes()
-	alias := e.Bytes()
-	e.Release()
-	// Stomp the pooled buffer through a fresh encoder.
-	f := GetEncoder()
-	f.FixedOpaque(bytes.Repeat([]byte{0xee}, len(alias)+8))
-	defer f.Release()
-	d := NewDecoder(cp)
-	if got := d.String(); got != "survives" {
-		t.Errorf("copy mutated after Release: %q", got)
 	}
 }
 
