@@ -14,10 +14,14 @@ import (
 	"strings"
 	"testing"
 
+	"spritelynfs/internal/client"
 	"spritelynfs/internal/cluster"
 	"spritelynfs/internal/harness"
 	"spritelynfs/internal/localfs"
+	"spritelynfs/internal/rpc"
+	"spritelynfs/internal/scenario"
 	"spritelynfs/internal/sim"
+	"spritelynfs/internal/view"
 )
 
 // TestStructuralCeilings holds the repository's structural counts at
@@ -38,8 +42,18 @@ func TestStructuralCeilings(t *testing.T) {
 		// Modes and instruments are configuration surface: every field
 		// doubles a test matrix or wires another sink.
 		{"harness.Params fields", reflect.TypeOf(harness.Params{}).NumField(), 30},
-		{"cluster.Config fields", reflect.TypeOf(cluster.Config{}).NumField(), 10},
+		{"cluster.Config fields", reflect.TypeOf(cluster.Config{}).NumField(), 7},
+		// One value, one constant: a setting no driver varies is not a
+		// field.
+		{"rpc.Options fields", reflect.TypeOf(rpc.Options{}).NumField(), 2},
+		{"client.SNFSOptions fields", reflect.TypeOf(client.SNFSOptions{}).NumField(), 5},
+		{"view.Config fields", reflect.TypeOf(view.Config{}).NumField(), 3},
+		{"scenario.Config fields", reflect.TypeOf(scenario.Config{}).NumField(), 7},
+		{"harness.FleetOptions fields", reflect.TypeOf(harness.FleetOptions{}).NumField(), 2},
 		{"cluster.Instruments fields", reflect.TypeOf(cluster.Instruments{}).NumField(), 4},
+		// One server host, one client host: a protocol server or client
+		// is assembled in one place (internal/cluster/host.go).
+		{"server.New*/client.New* without exactly one non-test caller outside bench/", countConstructorsWithoutOneCaller(t), 0},
 		{"snfsd flags", countFlags(t, "cmd/snfsd"), 13},
 		// The protocol core stays free of the observability stack.
 		{"internal/core importing internal/trace", b2i(imports(t, "internal/core")["spritelynfs/internal/trace"]), 0},
@@ -160,6 +174,51 @@ func countEscapingMessages(t *testing.T) int {
 	return n
 }
 
+// countConstructorsWithoutOneCaller counts the exported New* functions of
+// internal/server and internal/client that are not called from exactly
+// one place in the module's non-test files outside bench/, and logs them.
+func countConstructorsWithoutOneCaller(t *testing.T) int {
+	calls := map[string]int{}
+	for _, pkg := range []string{"server", "client"} {
+		for _, f := range parseDir(t, "internal/"+pkg, 0) {
+			for _, decl := range f.Decls {
+				if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil && strings.HasPrefix(fn.Name.Name, "New") {
+					calls[pkg+"."+fn.Name.Name] = 0
+				}
+			}
+		}
+	}
+	for _, f := range moduleFiles(t, 0, "bench") {
+		ast.Inspect(f, func(node ast.Node) bool {
+			call, ok := node.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			name := ""
+			switch fn := call.Fun.(type) {
+			case *ast.SelectorExpr:
+				if pkg, ok := fn.X.(*ast.Ident); ok {
+					name = pkg.Name + "." + fn.Sel.Name
+				}
+			case *ast.Ident: // a call from inside the package
+				name = f.Name.Name + "." + fn.Name
+			}
+			if _, ok := calls[name]; ok {
+				calls[name]++
+			}
+			return true
+		})
+	}
+	n := 0
+	for name, c := range calls {
+		if c != 1 {
+			t.Logf("%s has %d non-test callers outside bench/, want 1", name, c)
+			n++
+		}
+	}
+	return n
+}
+
 // countImporters counts the module's non-test files that import path.
 func countImporters(t *testing.T, path string) int {
 	n := 0
@@ -202,15 +261,16 @@ func countTypes(t *testing.T, dir string, names ...string) int {
 	return n
 }
 
-// moduleFiles parses every non-test Go file of the module.
-func moduleFiles(t *testing.T, mode parser.Mode) []*ast.File {
+// moduleFiles parses every non-test Go file of the module outside the
+// directories skip names.
+func moduleFiles(t *testing.T, mode parser.Mode, skip ...string) []*ast.File {
 	t.Helper()
 	var files []*ast.File
 	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
 		if err != nil || !d.IsDir() {
 			return err
 		}
-		if strings.HasPrefix(d.Name(), ".") && path != "." {
+		if strings.HasPrefix(d.Name(), ".") && path != "." || slices.Contains(skip, path) {
 			return filepath.SkipDir
 		}
 		if names, _ := filepath.Glob(filepath.Join(path, "*.go")); len(names) > 0 {

@@ -232,17 +232,6 @@ func (c *Cache) remove(b *Block) {
 	}
 }
 
-// FileBlocks returns the resident blocks of one file in ascending block
-// order.
-func (c *Cache) FileBlocks(fs uint32, ino uint64) []*Block {
-	var out []*Block
-	for b := c.perFile[fileKey{fs, ino}]; b != nil; b = b.fileNext {
-		out = append(out, b)
-	}
-	slices.SortFunc(out, byKey)
-	return out
-}
-
 // DirtyBlocks returns the dirty resident blocks of one file in ascending
 // block order.
 func (c *Cache) DirtyBlocks(fs uint32, ino uint64) []*Block {

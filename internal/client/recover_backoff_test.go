@@ -10,13 +10,12 @@ import (
 )
 
 // TestRecoverBackoffExactElapsed pins the recovery retry schedule to the
-// tick. With jitter off the timing is fully deterministic: each Reopen
-// attempt against an unreachable server burns the full RPC retransmit
-// budget (1+2+4+8+16 s = 31 s with the default endpoint options), and
-// between attempts the recovery path sleeps its own capped, doubling
-// backoff — here 100 ms then 150 ms (200 ms capped). Three attempts:
+// tick. Each Reopen attempt against an unreachable server burns the whole
+// default RPC schedule (1+2+4+8+16 s = 31 s), and between attempts the
+// recovery path sleeps its own doubling backoff: 200, 400 and 800 ms.
+// Four attempts, then the file is abandoned:
 //
-//	31 s + 100 ms + 31 s + 150 ms + 31 s = 93.25 s
+//	31 s + 200 ms + 31 s + 400 ms + 31 s + 800 ms + 31 s = 125.4 s
 func TestRecoverBackoffExactElapsed(t *testing.T) {
 	k := sim.NewKernel(1)
 	net := simnet.New(k, simnet.Config{PropDelay: 0, BytesPerSec: 0})
@@ -28,11 +27,7 @@ func TestRecoverBackoffExactElapsed(t *testing.T) {
 		Root:      proto.Handle{FSID: 1, Ino: 1, Gen: 1},
 		BlockSize: 4096,
 	}
-	c := NewSNFS(k, ep, cfg, SNFSOptions{
-		RecoverRetries:    2,
-		RecoverBackoff:    100 * sim.Millisecond,
-		RecoverMaxBackoff: 150 * sim.Millisecond,
-	})
+	c := NewSNFS(k, ep, cfg, SNFSOptions{})
 
 	// One file the server believed open: recovery must re-register it.
 	h := proto.Handle{FSID: 1, Ino: 2, Gen: 1}
@@ -48,52 +43,11 @@ func TestRecoverBackoffExactElapsed(t *testing.T) {
 	})
 	k.Run()
 
-	want := 93*sim.Second + 250*sim.Millisecond
+	want := 125*sim.Second + 400*sim.Millisecond
 	if elapsed != want {
 		t.Fatalf("recovery against a dead server took %v, want exactly %v", elapsed, want)
 	}
-}
-
-// TestRecoverBackoffJitterPerturbs verifies the jitter knob actually
-// moves the schedule (and stays within the ± bound of each delay).
-func TestRecoverBackoffJitterPerturbs(t *testing.T) {
-	elapsedWith := func(jitter float64) sim.Duration {
-		k := sim.NewKernel(7)
-		net := simnet.New(k, simnet.Config{})
-		ep := rpc.NewEndpoint(k, net, "c0", rpc.Options{Workers: 1})
-		c := NewSNFS(k, ep, Config{
-			Server: "deadserver", Root: proto.Handle{FSID: 1, Ino: 1, Gen: 1}, BlockSize: 4096,
-		}, SNFSOptions{
-			RecoverRetries:    2,
-			RecoverBackoff:    100 * sim.Millisecond,
-			RecoverMaxBackoff: 150 * sim.Millisecond,
-			RecoverJitter:     jitter,
-		})
-		n := c.getNode(proto.Handle{FSID: 1, Ino: 2, Gen: 1})
-		n.rec.Readers = 1
-		var elapsed sim.Duration
-		k.Go("test-main", func(p *sim.Proc) {
-			defer k.Stop()
-			start := p.Now()
-			c.recover(p)
-			elapsed = p.Now().Sub(start)
-		})
-		k.Run()
-		return elapsed
-	}
-
-	base := elapsedWith(0)
-	jittered := elapsedWith(0.5)
-	if jittered == base {
-		t.Fatal("jitter did not perturb the recovery schedule")
-	}
-	// Both sleeps can move by at most half their nominal length.
-	bound := (100 + 150) * sim.Millisecond / 2
-	diff := jittered - base
-	if diff < 0 {
-		diff = -diff
-	}
-	if diff > bound {
-		t.Fatalf("jitter moved the schedule by %v, beyond the ±%v bound", diff, bound)
+	if st := ep.Stats(); st.CallsSent != 4 || st.Timeouts != 4 {
+		t.Errorf("%d Reopen calls, %d timed out, want 4 and 4: one try and three retries", st.CallsSent, st.Timeouts)
 	}
 }

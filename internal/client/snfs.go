@@ -27,31 +27,9 @@ type SNFSOptions struct {
 	// DelayedClose enables the §6.2 extension: the final local close
 	// is withheld in anticipation of a prompt reopen.
 	DelayedClose bool
-	// DelayedCloseIdle is how long a delayed-close file may sit before
-	// the client spontaneously sends the owed close (0 = 3 minutes).
-	DelayedCloseIdle sim.Duration
 	// KeepaliveInterval, when nonzero, starts a process that pings the
 	// server and triggers state recovery when its epoch changes.
 	KeepaliveInterval sim.Duration
-	// GraceRetry is the delay before retrying an open refused with
-	// ErrGrace (0 = 200 ms).
-	GraceRetry sim.Duration
-	// RecoverRetries is how many extra attempts state recovery gives a
-	// failed re-registration RPC before abandoning that file (0 = 3).
-	// After a crash or failover every client recovers at once, so these
-	// retries back off instead of re-entering the vintage RPC schedule
-	// in lockstep.
-	RecoverRetries int
-	// RecoverBackoff is the delay before the first recovery retry
-	// (0 = 200 ms), doubled per attempt up to RecoverMaxBackoff.
-	RecoverBackoff sim.Duration
-	// RecoverMaxBackoff caps the doubling (0 = 2 s).
-	RecoverMaxBackoff sim.Duration
-	// RecoverJitter, when positive, perturbs each recovery retry delay
-	// by a uniform draw in ±(jitter × delay), desynchronizing the
-	// post-promotion reconnect stampede. Zero keeps recovery timing
-	// deterministic.
-	RecoverJitter float64
 	// NameCache enables the §7 extension: name translations are cached
 	// under the consistency protocol. The client holds a read-open
 	// "lease" on each directory whose entries it caches; the server
@@ -60,23 +38,23 @@ type SNFSOptions struct {
 	NameCache bool
 }
 
-func (o *SNFSOptions) fill() {
-	if o.DelayedCloseIdle == 0 {
-		o.DelayedCloseIdle = 3 * sim.Minute
-	}
-	if o.GraceRetry == 0 {
-		o.GraceRetry = 200 * sim.Millisecond
-	}
-	if o.RecoverRetries == 0 {
-		o.RecoverRetries = 3
-	}
-	if o.RecoverBackoff == 0 {
-		o.RecoverBackoff = 200 * sim.Millisecond
-	}
-	if o.RecoverMaxBackoff == 0 {
-		o.RecoverMaxBackoff = 2 * sim.Second
-	}
-}
+// The client's fixed timings.
+const (
+	// delayedCloseIdle is how long a delayed-close file may sit before
+	// the client spontaneously sends the owed close.
+	delayedCloseIdle = 3 * sim.Minute
+	// graceRetry is the delay before retrying an open refused with
+	// ErrGrace.
+	graceRetry = 200 * sim.Millisecond
+	// recoverRetries is how many extra attempts state recovery gives a
+	// failed re-registration RPC before abandoning that file, and
+	// recoverBackoff the delay before the first, doubled per attempt:
+	// 200, 400 and 800 ms. After a crash or failover every client
+	// recovers at once, so these retries back off instead of re-entering
+	// the RPC schedule in lockstep.
+	recoverRetries = 3
+	recoverBackoff = 200 * sim.Millisecond
+)
 
 // SNFSClient is the Spritely NFS client file system.
 type SNFSClient struct {
@@ -115,7 +93,6 @@ type dirNames struct {
 // registers the callback service (the client must provide RPC service,
 // §3.2) and starts the update and keepalive daemons per opts.
 func NewSNFS(k *sim.Kernel, ep *rpc.Endpoint, cfg Config, opts SNFSOptions) *SNFSClient {
-	opts.fill()
 	c := &SNFSClient{
 		Base:  newBase(k, ep, cfg),
 		opts:  opts,
@@ -348,7 +325,7 @@ func (c *SNFSClient) SyncPass(p *sim.Proc) {
 	c.flushBlocks(p, c.cache.DirtyOlderThan(cutoff))
 	if c.opts.DelayedClose {
 		for _, n := range c.sortedNodes() {
-			if n.rec.DelayedClose && p.Now().Sub(sim.Time(n.rec.ClosedAt)) > c.opts.DelayedCloseIdle {
+			if n.rec.DelayedClose && p.Now().Sub(sim.Time(n.rec.ClosedAt)) > delayedCloseIdle {
 				n.rec.DelayedClose = false
 				c.closeRPC(p, n.h, n.rec.DelayedWriteMode)
 			}
@@ -427,24 +404,17 @@ func (c *SNFSClient) recover(p *sim.Proc) {
 	}
 }
 
-// reopenWithRetry issues one recovery Reopen under the capped, jittered
-// recovery backoff. A whole cluster's clients recover at once after a
-// crash or a backup promotion; retrying on the raw RPC schedule would
-// have them all retransmitting in lockstep against the busiest moment of
-// the new server's life.
+// reopenWithRetry issues one recovery Reopen under the doubling recovery
+// backoff. A whole cluster's clients recover at once after a crash or a
+// backup promotion; retrying on the raw RPC schedule would have them all
+// retransmitting in lockstep against the busiest moment of the new
+// server's life.
 func (c *SNFSClient) reopenWithRetry(p *sim.Proc, args *proto.ReopenArgs) (proto.OpenReply, bool) {
-	delay := c.opts.RecoverBackoff
-	for attempt := 0; attempt <= c.opts.RecoverRetries; attempt++ {
+	delay := recoverBackoff
+	for attempt := 0; attempt <= recoverRetries; attempt++ {
 		if attempt > 0 {
-			d := delay
-			if j := c.opts.RecoverJitter; j > 0 {
-				d += sim.Duration(j * (2*c.k.Rand().Float64() - 1) * float64(delay))
-			}
-			p.Sleep(d)
+			p.Sleep(delay)
 			delay *= 2
-			if delay > c.opts.RecoverMaxBackoff {
-				delay = c.opts.RecoverMaxBackoff
-			}
 		}
 		body, err := c.call(p, proto.ProcReopen, args.XDR)
 		if err != nil {
@@ -478,7 +448,7 @@ func (c *SNFSClient) openRPC(p *sim.Proc, n *node, write bool) error {
 			if attempt > 100 {
 				return reply.Status.Err()
 			}
-			p.Sleep(c.opts.GraceRetry)
+			p.Sleep(graceRetry)
 			continue
 		}
 		break

@@ -22,7 +22,6 @@ import (
 	"io"
 	"strings"
 
-	"spritelynfs/internal/audit"
 	"spritelynfs/internal/localfs"
 	"spritelynfs/internal/metrics"
 	"spritelynfs/internal/proto"
@@ -30,7 +29,6 @@ import (
 	"spritelynfs/internal/server"
 	"spritelynfs/internal/sim"
 	"spritelynfs/internal/simnet"
-	"spritelynfs/internal/span"
 	"spritelynfs/internal/trace"
 	"spritelynfs/internal/view"
 )
@@ -52,20 +50,11 @@ type Config struct {
 	// and Config.Server/Root are set per client).
 	Client ClientSpec
 
-	// Audit arms one protocol auditor per shard.
-	Audit bool
-	// AuditSinkFor, when set with Audit, supplies each shard's journal
-	// sink (nil entries are fine).
-	AuditSinkFor func(shard int) io.Writer
-	// FlightCapacity, when > 0, arms an event ring of this many events per
-	// shard, its black box: each replica's served calls, state
-	// transitions, callbacks and failover milestones, kept for post-mortem
-	// dumps (see Shard.Tracer).
-	FlightCapacity int
-	// Spans, when set, is the world's span recorder: every server and
-	// router client reports to it, so an operation's spans assemble into
-	// one tree across hosts and shards.
-	Spans *span.Recorder
+	// Instruments, when set, gives shard i's primary its instruments
+	// (its backup shares them). It is called once per shard, in shard
+	// order, as the shard is built: whoever owns the world decides which
+	// auditor, event ring and span recorder a shard gets.
+	Instruments func(shard int) Instruments
 
 	// Backups arms primary/backup replication: each shard gets a standby
 	// server (sharing the primary's store — the durable bytes are a
@@ -141,16 +130,9 @@ func New(k *sim.Kernel, net *simnet.Network, cfg Config) (*Cluster, error) {
 	c.m = m
 
 	for i := 0; i < cfg.Shards; i++ {
-		in := Instruments{Spans: cfg.Spans}
-		if cfg.FlightCapacity > 0 {
-			in.Tracer = trace.New(k.Now, cfg.FlightCapacity)
-		}
-		if cfg.Audit {
-			var sink io.Writer
-			if cfg.AuditSinkFor != nil {
-				sink = cfg.AuditSinkFor(i)
-			}
-			in.Auditor = audit.New(k, sink)
+		var in Instruments
+		if cfg.Instruments != nil {
+			in = cfg.Instruments(i)
 		}
 		sh := &Shard{ID: uint32(i), FSID: uint32(1 + i)}
 		sh.ServerHost = c.newHost(sh, ShardAddr(i), nil, in)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"spritelynfs/internal/audit"
 	"spritelynfs/internal/client"
 	"spritelynfs/internal/disk"
 	"spritelynfs/internal/proto"
@@ -30,7 +31,7 @@ func testCluster(t *testing.T, shards int, assign map[string]uint32) (*sim.Kerne
 			Config: client.Config{BlockSize: 8 * 1024, CacheBytes: 16 << 20, ReadAhead: true},
 			SNFS:   client.SNFSOptions{UpdateInterval: 30 * sim.Second},
 		},
-		Audit: true,
+		Instruments: func(int) Instruments { return Instruments{Auditor: audit.New(k, nil)} },
 	})
 	if err != nil {
 		t.Fatalf("cluster: %v", err)
@@ -207,8 +208,8 @@ func TestStaleMapConverges(t *testing.T) {
 		}
 		// The reader still holds map v1 pointing /mv at shard 0; one
 		// NOTHOME redirect must converge it.
-		if reader.MapVersion() != 1 {
-			t.Fatalf("reader map v%d before redirect", reader.MapVersion())
+		if reader.m.Version != 1 {
+			t.Fatalf("reader map v%d before redirect", reader.m.Version)
 		}
 		data, err := readFile(p, reader, "/mv/f.dat", 8192)
 		if err != nil {
@@ -220,16 +221,16 @@ func TestStaleMapConverges(t *testing.T) {
 		if reader.Redirects() != 1 {
 			t.Errorf("reader took %d redirects, want exactly 1", reader.Redirects())
 		}
-		if reader.MapVersion() != 2 {
-			t.Errorf("reader map v%d after redirect, want 2", reader.MapVersion())
+		if reader.m.Version != 2 {
+			t.Errorf("reader map v%d after redirect, want 2", reader.m.Version)
 		}
 		// The writer (also stale) converges on its next touch too —
 		// including through its now-stale cached handles.
 		if err := writeFile(p, writer, "/mv/g.dat", fill(4096, 'g')); err != nil {
 			return err
 		}
-		if writer.MapVersion() != 2 {
-			t.Errorf("writer map v%d after write, want 2", writer.MapVersion())
+		if writer.m.Version != 2 {
+			t.Errorf("writer map v%d after write, want 2", writer.m.Version)
 		}
 		data, err = readFile(p, reader, "/mv/g.dat", 4096)
 		if err != nil {

@@ -69,7 +69,7 @@ func (c *Cluster) NewRouter(host simnet.Addr) *Router {
 		spec.Config.Root = sh.Base.RootHandle()
 		r.addrs = append(r.addrs, sh.Addr)
 		r.hosts = append(r.hosts, NewClientHost(c.k, c.net, spec,
-			Instruments{Spans: c.cfg.Spans, Auditor: sh.Auditor}))
+			Instruments{Spans: sh.Spans, Auditor: sh.Auditor}))
 	}
 	if c.view != nil {
 		r.enableFailover(c.viewAddr, c.view.Interval())
@@ -131,9 +131,6 @@ func (r *Router) InstallMap(m proto.ShardMap) bool {
 
 // Redirects returns how many ErrNotHome bounces this router has healed.
 func (r *Router) Redirects() int64 { return r.redirects.Load() }
-
-// MapVersion returns the cached map's version.
-func (r *Router) MapVersion() uint32 { return r.m.Version }
 
 // Hosts returns the per-shard client hosts (for stats and instruments).
 func (r *Router) Hosts() []*ClientHost { return r.hosts }

@@ -51,8 +51,8 @@ func TestRouterNeverInstallsOlderMap(t *testing.T) {
 	if !r.InstallMap(mapAt(3, "shard0b")) {
 		t.Fatal("router refused a strictly newer map")
 	}
-	if r.MapVersion() != 3 {
-		t.Fatalf("map version %d, want 3", r.MapVersion())
+	if r.m.Version != 3 {
+		t.Fatalf("map version %d, want 3", r.m.Version)
 	}
 	if got := r.hosts[0].Base.Server(); string(got) != "shard0b" {
 		t.Fatalf("shard 0 client targets %q after v3 install, want shard0b", got)
@@ -82,8 +82,8 @@ func TestRouterNeverInstallsOlderMap(t *testing.T) {
 		wg.Wait(p)
 	})
 	k.Run()
-	if r.MapVersion() != 9 {
-		t.Fatalf("after concurrent installs map version %d, want 9", r.MapVersion())
+	if r.m.Version != 9 {
+		t.Fatalf("after concurrent installs map version %d, want 9", r.m.Version)
 	}
 	if got := r.hosts[0].Base.Server(); string(got) != "addr-v9" {
 		t.Fatalf("shard 0 client targets %q, want addr-v9", got)

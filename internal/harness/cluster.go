@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"io"
 
 	"spritelynfs/internal/cluster"
 	"spritelynfs/internal/sim"
@@ -30,28 +29,20 @@ func BuildCluster(nshards int, assignments map[string]uint32, pm Params) (*World
 	if pm.Spans {
 		w.Spans = span.NewRecorder(k.Now, pm.SpanTopK)
 	}
-	sinkFor := pm.AuditSinkFor
-	if sinkFor == nil && pm.AuditSink != nil {
-		shared := pm.AuditSink
-		sinkFor = func(int) io.Writer { return shared }
-	}
 	c, err := cluster.New(k, w.Net, cluster.Config{
-		Shards:         nshards,
-		Assignments:    assignments,
-		Server:         pm.serverHost(SNFS),
-		Client:         pm.clientHost(SNFS),
-		Audit:          pm.Audit,
-		AuditSinkFor:   sinkFor,
-		FlightCapacity: pm.FlightCapacity,
-		Spans:          w.Spans,
-		Backups:        pm.Backups,
-		ViewLog:        pm.ViewLog,
+		Shards:      nshards,
+		Assignments: assignments,
+		Server:      pm.serverHost(SNFS),
+		Client:      pm.clientHost(SNFS),
+		Instruments: func(i int) cluster.Instruments { return pm.serverInstruments(k, w.Spans, i, pm.Audit) },
+		Backups:     pm.Backups,
+		ViewLog:     pm.ViewLog,
 	})
 	if err != nil {
 		return nil, err
 	}
 	for _, sh := range c.Shards() {
-		pm.dumpFlightOnViolation(sh.Instruments)
+		pm.dumpFlightOnViolation(sh.ServerHost)
 	}
 	w.Cluster, w.servers = c, c.Hosts()
 	return w, nil

@@ -69,7 +69,8 @@ func TestScaleCSV(t *testing.T) {
 		{Clients: 4, Shards: 2, Elapsed: 12 * sim.Second, Slowdown: 1.2, ServerCPU: 0.5, ServerDisk: 0.2, TotalRPCs: 170},
 	}
 	var b strings.Builder
-	if err := WriteScaleCSV(&b, "SNFS", pts); err != nil {
+	b.WriteString(ScaleCSVHeader + "\n")
+	if err := AppendScaleCSV(&b, "SNFS", pts); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(b.String()), "\n")
@@ -81,7 +82,7 @@ func TestScaleCSV(t *testing.T) {
 	}
 	// Single-server points (Shards unset) write as one shard.
 	b.Reset()
-	if err := WriteScaleCSV(&b, "NFS", []ScalePoint{{Clients: 2, Elapsed: sim.Second}}); err != nil {
+	if err := AppendScaleCSV(&b, "NFS", []ScalePoint{{Clients: 2, Elapsed: sim.Second}}); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(b.String(), "NFS,1,2,") {

@@ -11,39 +11,19 @@ import (
 
 // FleetOptions sizes a fleet of lightweight client hosts.
 type FleetOptions struct {
-	// Proto selects the client protocol (NFS or SNFS).
-	Proto Proto
-	// Clients is the fleet size.
+	// Clients is the fleet size (0 = 1).
 	Clients int
-	// CacheBytes is the per-client block cache (0 = 256 KiB — a fleet
-	// client models a lightly-provisioned workstation, not the 16 MB
-	// measurement client, and 4,000 of those must fit in one process).
-	CacheBytes int64
-	// ReadAhead enables the one-block read-ahead policy. Off by default:
-	// each prefetch is a transient process, and a scenario's offered
-	// load, not per-client prefetch concurrency, is what a fleet run
-	// measures.
-	ReadAhead bool
 	// SyncInterval, when nonzero on an SNFS fleet, drives delayed-write
 	// flushing from one shared staggered sweep: client i's SyncPass runs
 	// at phase i/N of each interval, on a pooled executor process,
 	// instead of each client parking its own update-daemon process.
 	SyncInterval sim.Duration
-	// Audit wraps every fleet client in the world's protocol auditor
-	// (requires the world to have been built with Params.Audit). Meant
-	// for small-N smoke runs; the auditor's ledger is global, so a
-	// 4,000-client run with auditing on measures the auditor.
-	Audit bool
 }
 
-func (o *FleetOptions) fill() {
-	if o.Clients == 0 {
-		o.Clients = 1
-	}
-	if o.CacheBytes == 0 {
-		o.CacheBytes = 256 << 10
-	}
-}
+// fleetCacheBytes is a fleet client's block cache: a fleet client models
+// a lightly-provisioned workstation, not the 16 MB measurement client,
+// and 4,000 of those must fit in one process.
+const fleetCacheBytes = 256 << 10
 
 // FleetClient is one lightweight client host: an RPC endpoint served from
 // the fleet's executor, a small-cache protocol client with every
@@ -65,11 +45,16 @@ type Fleet struct {
 	Clients []*FleetClient
 }
 
-// NewFleet attaches a fleet of opt.Clients light client stacks to an
-// already-built remote world. The world's own measurement client is left
+// NewFleet attaches a fleet of opt.Clients light client stacks of the
+// world's protocol to an already-built remote world; with the world's
+// auditor armed, every fleet client is witnessed by it (meant for small-N
+// smoke runs: the auditor's ledger is global, so a 4,000-client audited
+// run measures the auditor). The world's own measurement client is left
 // untouched (and typically unused).
 func NewFleet(w *World, opt FleetOptions) *Fleet {
-	opt.fill()
+	if opt.Clients == 0 {
+		opt.Clients = 1
+	}
 	f := &Fleet{
 		W:       w,
 		Exec:    sim.NewExecutor(w.K, "fleet"),
@@ -77,18 +62,20 @@ func NewFleet(w *World, opt FleetOptions) *Fleet {
 	}
 	// Every per-client daemon stays off: delayed writes are flushed by
 	// the shared sweep below, and a fleet run never exercises crash
-	// recovery per client.
+	// recovery per client. Read-ahead is off too: each prefetch is a
+	// transient process, and a scenario's offered load, not per-client
+	// prefetch concurrency, is what a fleet run measures.
 	so := w.params.SNFS
 	so.UpdateInterval = 0
 	so.KeepaliveInterval = 0
-	spec := w.params.clientHost(opt.Proto)
-	spec.Config.CacheBytes, spec.Config.ReadAhead = opt.CacheBytes, opt.ReadAhead
+	spec := w.params.clientHost(w.Proto)
+	spec.Config.CacheBytes, spec.Config.ReadAhead = fleetCacheBytes, false
 	spec.Exec, spec.SNFS = f.Exec, so
 	for i := 0; i < opt.Clients; i++ {
 		spec.Name = simnet.Addr(fmt.Sprintf("c%04d", i))
-		f.Clients = append(f.Clients, w.newClient(spec, opt.Audit))
+		f.Clients = append(f.Clients, w.newClient(spec, w.Auditor != nil))
 	}
-	if opt.Proto == SNFS && opt.SyncInterval > 0 {
+	if w.Proto == SNFS && opt.SyncInterval > 0 {
 		f.startSyncSweep(opt.SyncInterval)
 	}
 	return f
@@ -189,7 +176,6 @@ func BuildFleet(pr Proto, pm Params, opt FleetOptions) *Fleet {
 	pm.SNFS.UpdateInterval = 0
 	pm.SNFS.KeepaliveInterval = 0
 	pm.LocalSyncInterval = 0
-	opt.Proto = pr
 	w := Build(pr, true, pm)
 	return NewFleet(w, opt)
 }

@@ -129,7 +129,7 @@ func TestEndpointsParkNoProcess(t *testing.T) {
 		t.Errorf("world costs %d goroutines with 4 server threads, %d with 64", smallCost, bigCost)
 	}
 	before := runtime.NumGoroutine()
-	NewFleet(big, FleetOptions{Proto: SNFS, Clients: 1000})
+	NewFleet(big, FleetOptions{Clients: 1000})
 	if grew := runtime.NumGoroutine() - before; grew != 0 {
 		t.Errorf("1000 idle fleet clients parked %d goroutines", grew)
 	}

@@ -440,7 +440,11 @@ func TestTraceCapturesProtocolTimeline(t *testing.T) {
 	if len(cbs) == 0 {
 		t.Error("no callback recorded for the write-back")
 	}
-	if got := tr.Grep("CLOSED-DIRTY"); len(got) == 0 {
+	closedDirty := false
+	for _, e := range tr.Filter(trace.State) {
+		closedDirty = closedDirty || strings.Contains(e.Detail, "CLOSED-DIRTY")
+	}
+	if !closedDirty {
 		t.Error("CLOSED-DIRTY transition not in trace")
 	}
 }

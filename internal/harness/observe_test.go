@@ -17,73 +17,89 @@ import (
 // TestAuditDetectsInjectedStaleRead, but with the server's ring armed:
 // the audit violation must automatically dump the black box, and the dump
 // must carry the offending syscall's op ID so the crash report is
-// self-contained.
+// self-contained. With a world ring attached after the build
+// (EnableTrace), the dump must read that ring, the one the server then
+// holds, not the detached ring it was built with.
 func TestViolationTriggersFlightDump(t *testing.T) {
-	pm := fastParams()
-	pm.Audit = true
-	pm.FlightCapacity = 512
-	var box bytes.Buffer
-	pm.FlightSink = &box
-	w := Build(SNFS, true, pm)
-	if w.srv.Tracer == nil {
-		t.Fatal("FlightCapacity set but the server has no ring")
-	}
-	rogue, _ := w.AddNFSClient("rogue", client.NFSOptions{})
-	rogueNS := &vfs.Namespace{}
-	rogueNS.Mount("/", w.Auditor.WrapFS(rogue))
-	err := w.Run(func(p *sim.Proc) error {
-		if err := w.NS.WriteFile(p, "/data/victim", 16*1024, 8192); err != nil {
-			return err
-		}
-		if _, err := w.NS.ReadFile(p, "/data/victim", make([]byte, 8192)); err != nil {
-			return err
-		}
-		f, err := rogueNS.Open(p, "/data/victim", vfs.WriteOnly, 0)
-		if err != nil {
-			return err
-		}
-		if _, err := f.WriteAt(p, 0, bytes.Repeat([]byte("R"), 8192)); err != nil {
-			return err
-		}
-		if err := f.Close(p); err != nil {
-			return err
-		}
-		_, err = rogueNS.Open(p, "/data/victim", vfs.WriteOnly, 0)
-		if err != nil {
-			return err
-		}
-		_, err = w.NS.ReadFile(p, "/data/victim", make([]byte, 8192))
-		return err
-	})
-	if err == nil {
-		t.Fatal("Run returned nil; want the audit violation error")
-	}
-	vs := w.Auditor.Violations()
-	if len(vs) == 0 {
-		t.Fatal("stale read not detected")
-	}
-	dump := box.String()
-	if !strings.Contains(dump, "flight recorder dump") {
-		t.Fatalf("violation did not dump the flight recorder; sink: %q", dump)
-	}
-	if !strings.Contains(dump, "audit violation") {
-		t.Errorf("dump trigger does not name the audit violation: %q", dump)
-	}
-	if want := fmt.Sprintf("op=%d", vs[0].Op); !strings.Contains(dump, want) {
-		t.Errorf("dump missing the offending op ID %s", want)
-	}
-	// The box must hold protocol history, not just the trigger line: the
-	// RPCs and state transitions that led up to the violation.
-	if !strings.Contains(dump, "rpc-serve") {
-		t.Error("dump has no served calls")
-	}
-	if !strings.Contains(dump, "state") {
-		t.Error("dump has no state-transition events")
-	}
-	// One violation, one dump: a second violation in the same run must not
-	// append another (the first box is the one that matters).
-	if n := strings.Count(dump, "flight recorder dump"); n != 1 {
-		t.Errorf("want exactly one dump, got %d", n)
+	for _, worldRing := range []bool{false, true} {
+		t.Run(fmt.Sprintf("EnableTrace=%v", worldRing), func(t *testing.T) {
+			pm := fastParams()
+			pm.Audit = true
+			pm.FlightCapacity = 512
+			var box bytes.Buffer
+			pm.FlightSink = &box
+			w := Build(SNFS, true, pm)
+			if w.srv.Tracer == nil {
+				t.Fatal("FlightCapacity set but the server has no ring")
+			}
+			if worldRing {
+				w.EnableTrace(4096)
+			}
+			rogue, _ := w.AddNFSClient("rogue", client.NFSOptions{})
+			rogueNS := &vfs.Namespace{}
+			rogueNS.Mount("/", w.Auditor.WrapFS(rogue))
+			err := w.Run(func(p *sim.Proc) error {
+				if err := w.NS.WriteFile(p, "/data/victim", 16*1024, 8192); err != nil {
+					return err
+				}
+				if _, err := w.NS.ReadFile(p, "/data/victim", make([]byte, 8192)); err != nil {
+					return err
+				}
+				f, err := rogueNS.Open(p, "/data/victim", vfs.WriteOnly, 0)
+				if err != nil {
+					return err
+				}
+				if _, err := f.WriteAt(p, 0, bytes.Repeat([]byte("R"), 8192)); err != nil {
+					return err
+				}
+				if err := f.Close(p); err != nil {
+					return err
+				}
+				_, err = rogueNS.Open(p, "/data/victim", vfs.WriteOnly, 0)
+				if err != nil {
+					return err
+				}
+				_, err = w.NS.ReadFile(p, "/data/victim", make([]byte, 8192))
+				return err
+			})
+			if err == nil {
+				t.Fatal("Run returned nil; want the audit violation error")
+			}
+			vs := w.Auditor.Violations()
+			if len(vs) == 0 {
+				t.Fatal("stale read not detected")
+			}
+			dump := box.String()
+			header, events, _ := strings.Cut(dump, "\n")
+			if !strings.Contains(header, "flight recorder dump") {
+				t.Fatalf("violation did not dump the flight recorder; sink: %q", dump)
+			}
+			if !strings.Contains(header, "audit violation") {
+				t.Errorf("dump trigger does not name the audit violation: %q", header)
+			}
+			if want := fmt.Sprintf("op=%d", vs[0].Op); !strings.Contains(header, want) {
+				t.Errorf("dump trigger missing the offending op ID %s", want)
+			}
+			// The box must hold protocol history, not just the trigger line:
+			// the RPCs served and the offending file's state transitions,
+			// up to the open the stale read was made under.
+			if !strings.Contains(events, "rpc-serve") {
+				t.Errorf("dump has no served calls:\n%s", dump)
+			}
+			fh := vs[0].Handle.String()
+			history := false
+			for _, line := range strings.Split(events, "\n") {
+				history = history || strings.Contains(line, " state ") && strings.Contains(line, fh)
+			}
+			if !history {
+				t.Errorf("dump has no state transition of %s:\n%s", fh, dump)
+			}
+			// One violation, one dump: a second violation in the same run
+			// must not append another (the first box is the one that matters).
+			if n := strings.Count(dump, "flight recorder dump"); n != 1 {
+				t.Errorf("want exactly one dump, got %d", n)
+			}
+		})
 	}
 }
 

@@ -8,12 +8,15 @@ package harness
 import (
 	"io"
 
+	"spritelynfs/internal/audit"
 	"spritelynfs/internal/client"
 	"spritelynfs/internal/cluster"
 	"spritelynfs/internal/disk"
 	"spritelynfs/internal/server"
 	"spritelynfs/internal/sim"
 	"spritelynfs/internal/simnet"
+	"spritelynfs/internal/span"
+	"spritelynfs/internal/trace"
 	"spritelynfs/internal/workload"
 )
 
@@ -166,11 +169,32 @@ func (pm Params) clientHost(pr Proto) cluster.ClientSpec {
 	return s
 }
 
-// dumpFlightOnViolation makes the first violation in's auditor records
-// dump in's flight ring to pm.FlightSink, when one is configured.
-func (pm Params) dumpFlightOnViolation(in cluster.Instruments) {
+// serverInstruments returns the instruments pm gives server host i of a
+// world whose span recorder is spans (i is the shard; a single server is
+// 0): the recorder, with pm.FlightCapacity an event ring of its own, and
+// with audited an auditor journaling to pm.AuditSinkFor(i), or else to
+// pm.AuditSink.
+func (pm Params) serverInstruments(k *sim.Kernel, spans *span.Recorder, i int, audited bool) cluster.Instruments {
+	in := cluster.Instruments{Spans: spans}
+	if pm.FlightCapacity > 0 {
+		in.Tracer = trace.New(k.Now, pm.FlightCapacity)
+	}
+	if audited {
+		sink := pm.AuditSink
+		if pm.AuditSinkFor != nil {
+			sink = pm.AuditSinkFor(i)
+		}
+		in.Auditor = audit.New(k, sink)
+	}
+	return in
+}
+
+// dumpFlightOnViolation makes the first violation h's auditor records
+// dump to pm.FlightSink, when one is configured, the ring h holds at that
+// moment: its own, or a world ring attached since (World.EnableTrace).
+func (pm Params) dumpFlightOnViolation(h *cluster.ServerHost) {
 	if pm.FlightSink != nil {
-		in.FlightDumpOnViolation(func(trigger string) { in.Tracer.DumpTriggered(pm.FlightSink, trigger) })
+		h.FlightDumpOnViolation(func(trigger string) { h.Tracer.DumpTriggered(pm.FlightSink, trigger) })
 	}
 }
 

@@ -46,21 +46,13 @@ type ScalePoint struct {
 	Spans *span.Summary
 }
 
-// ScaleCSVHeader is the column row WriteScaleCSV emits.
+// ScaleCSVHeader is the column row of a scale CSV.
 const ScaleCSVHeader = "proto,shards,clients,elapsed_s,slowdown,server_cpu,server_disk,total_rpcs"
 
-// WriteScaleCSV writes points as CSV rows under ScaleCSVHeader, labeled
-// with the protocol (or configuration) name. Points from the single-
-// server experiments carry Shards == 0 and are written as 1.
-func WriteScaleCSV(w io.Writer, label string, pts []ScalePoint) error {
-	if _, err := fmt.Fprintln(w, ScaleCSVHeader); err != nil {
-		return err
-	}
-	return AppendScaleCSV(w, label, pts)
-}
-
-// AppendScaleCSV is WriteScaleCSV without the header row, for combining
-// several sweeps into one file.
+// AppendScaleCSV writes points as CSV rows under ScaleCSVHeader, labeled
+// with the protocol (or configuration) name; several sweeps share one
+// file. Points from the single-server experiments carry Shards == 0 and
+// are written as 1.
 func AppendScaleCSV(w io.Writer, label string, pts []ScalePoint) error {
 	for _, pt := range pts {
 		shards := pt.Shards

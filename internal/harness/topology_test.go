@@ -25,7 +25,7 @@ var topologies = []struct {
 	{"2 shards", federation(false)},
 	{"2 shards + backups", federation(true)},
 	{"8-client fleet", func(pm Params) (*World, []*vfs.Namespace, []string, error) {
-		f := BuildFleet(SNFS, pm, FleetOptions{Clients: 8, Audit: pm.Audit})
+		f := BuildFleet(SNFS, pm, FleetOptions{Clients: 8})
 		nss := []*vfs.Namespace{f.W.NS}
 		for _, c := range f.Clients {
 			nss = append(nss, c.NS)

@@ -134,9 +134,9 @@ func (w *World) spanSummary(elapsed sim.Duration, nclients int) *span.Summary {
 
 // EnableTrace attaches one tracer to every host of the world (each
 // server and its endpoint, each full-size client and its endpoint, those
-// added later included) and returns it. The world must not have been
-// built with Params.FlightCapacity: the world ring would replace the
-// servers' own.
+// added later included) and returns it. The world ring replaces the
+// servers' own (Params.FlightCapacity): from now on a violation dump
+// reads it.
 func (w *World) EnableTrace(capacity int) *trace.Tracer {
 	tr := trace.New(w.K.Now, capacity)
 	w.late.Tracer = tr
@@ -248,14 +248,7 @@ func BuildOpt(pr Proto, tmpRemote bool, pm Params, opt BuildOptions) *World {
 		w.NS.Mount("/", local)
 	} else {
 		w.Net = simnet.New(k, pm.Net)
-		in := cluster.Instruments{Spans: w.Spans}
-		if pm.Audit && pr == SNFS {
-			in.Auditor = audit.New(k, pm.AuditSink)
-		}
-		if pm.FlightCapacity > 0 {
-			in.Tracer = trace.New(k.Now, pm.FlightCapacity)
-		}
-		pm.dumpFlightOnViolation(in)
+		in := pm.serverInstruments(k, w.Spans, 0, pm.Audit && pr == SNFS)
 		spec := pm.serverHost(pr)
 		if opt.Server != nil {
 			spec.SNFS = *opt.Server
@@ -264,6 +257,7 @@ func BuildOpt(pr Proto, tmpRemote bool, pm Params, opt BuildOptions) *World {
 			spec.SNFS.NameCacheProtocol = true
 		}
 		w.srv = cluster.NewServerHost(k, w.Net, spec, in)
+		pm.dumpFlightOnViolation(w.srv)
 		w.servers = []*cluster.ServerHost{w.srv}
 		// The paper workloads' directory layout (a federation's is its
 		// shard map's, the daemon's what -populate makes).

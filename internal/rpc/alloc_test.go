@@ -54,11 +54,11 @@ func TestRetransmitAllocatesNothing(t *testing.T) {
 	var allocs [2]float64
 	for i, retries := range []int{1, 4} {
 		k := sim.NewKernel(1)
-		client, _ := newPair(k, simnet.Config{PropDelay: sim.Millisecond}, Options{MaxRetries: retries})
+		client, _ := newPair(k, simnet.Config{PropDelay: sim.Millisecond}, Options{})
 		k.Go("caller", func(p *sim.Proc) {
 			defer k.Stop()
 			allocs[i] = testing.AllocsPerRun(50, func() {
-				if _, err := client.Call(p, "nowhere", testProg, 1, 1, nil); !errors.Is(err, ErrTimeout) {
+				if _, err := (sched{CallTimeout, retries}).call(p, client, "nowhere", 1, nil); !errors.Is(err, ErrTimeout) {
 					t.Errorf("call to nowhere: %v, want a timeout", err)
 				}
 			})

@@ -232,7 +232,7 @@ func TestPipelinedCallsCollectedOutOfOrder(t *testing.T) {
 		k := sim.NewKernel(1)
 		// Every fourth message is lost: call 3 first, then replies.
 		client, server := newPair(k, simnet.Config{PropDelay: sim.Millisecond, DropEvery: 4},
-			Options{Workers: depth, CallTimeout: 50 * sim.Millisecond})
+			Options{Workers: depth})
 		server.Register(testProg, func(p *sim.Proc, from simnet.Addr, proc uint32, args []byte) ([]byte, Status) {
 			p.Sleep(sim.Duration(depth-proc) * sim.Millisecond) // the last call answers first
 			return args, StatusOK

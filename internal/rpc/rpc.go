@@ -161,6 +161,18 @@ type rawBody []byte
 
 func (b rawBody) XDR(c xdr.Codec) { c.Raw((*[]byte)(&b)) }
 
+// The default call schedule: a call waits CallTimeout for its reply,
+// then retransmits up to MaxRetries times, doubling the wait each time —
+// 1, 2, 4, 8 and 16 s, so ErrTimeout comes 31 s after the send. A caller
+// that needs another schedule passes it to CallXDREx.
+const (
+	CallTimeout = sim.Second
+	MaxRetries  = 4
+)
+
+// dupCacheSize bounds the duplicate-request cache.
+const dupCacheSize = 128
+
 // Options configures an Endpoint.
 type Options struct {
 	// Workers is the size of the service thread pool (the paper's "N
@@ -168,49 +180,12 @@ type Options struct {
 	// endpoint's own pool, the rest wait their turn in arrival order.
 	// Zero means 4.
 	Workers int
-	// CallTimeout is the per-attempt reply timeout. Zero means 1 s.
-	CallTimeout sim.Duration
-	// MaxRetries is the number of retransmissions after the first
-	// attempt. Zero means 4.
-	MaxRetries int
-	// DupCacheSize bounds the duplicate-request cache. Zero means 128.
-	DupCacheSize int
-	// MaxBackoff caps the exponentially-doubled per-attempt timeout: a
-	// caller with a generous retry budget stops doubling once it reaches
-	// the cap instead of growing without bound. Zero means 60 s, which
-	// the default 1,2,4,8,16 s schedule never reaches — existing
-	// configurations keep their exact retransmit times.
-	MaxBackoff sim.Duration
-	// BackoffJitter, when positive, perturbs each backed-off timeout by
-	// a uniform draw in ±(jitter × timeout) from the kernel RNG, so
-	// clients that timed out together stop retransmitting in lockstep.
-	// Zero (the default) keeps the schedule fully deterministic, which
-	// the paper-fidelity runs depend on.
-	BackoffJitter float64
 	// Exec says whose pool the service processes come from. Nil gives the
 	// endpoint a private executor held to Workers concurrent calls. A
 	// caller-supplied (typically shared) executor is not held to Workers:
 	// its owner sized it for the whole fleet, and a thousand light clients
 	// then share a few dozen processes instead of parking Workers each.
 	Exec *sim.Executor
-}
-
-func (o *Options) fill() {
-	if o.Workers == 0 {
-		o.Workers = 4
-	}
-	if o.CallTimeout == 0 {
-		o.CallTimeout = sim.Second
-	}
-	if o.MaxRetries == 0 {
-		o.MaxRetries = 4
-	}
-	if o.DupCacheSize <= 0 {
-		o.DupCacheSize = 128
-	}
-	if o.MaxBackoff == 0 {
-		o.MaxBackoff = 60 * sim.Second
-	}
 }
 
 // Stats counts endpoint activity.
@@ -371,7 +346,9 @@ func (m *epMetrics) observeServe(prog, proc uint32, d sim.Duration, op uint64) {
 // processes are created on demand by the executor, up to the peak number
 // of calls ever in service together.
 func NewEndpoint(k *sim.Kernel, net *simnet.Network, addr simnet.Addr, opts Options) *Endpoint {
-	opts.fill()
+	if opts.Workers == 0 {
+		opts.Workers = 4
+	}
 	e := &Endpoint{
 		k:       k,
 		net:     net,
@@ -386,7 +363,7 @@ func NewEndpoint(k *sim.Kernel, net *simnet.Network, addr simnet.Addr, opts Opti
 	if e.exec == nil {
 		e.exec, e.limit = sim.NewExecutor(k, string(addr)+"/rpc"), opts.Workers
 	}
-	e.dup = newDupCache(opts.DupCacheSize, &e.stats.DupEvictions)
+	e.dup = newDupCache(dupCacheSize, &e.stats.DupEvictions)
 	e.port.SetHandler(e.handleMsg)
 	return e
 }
@@ -437,7 +414,7 @@ func (e *Endpoint) Restart() {
 	e.stopped = false
 	e.port = e.net.Listen(e.addr)
 	e.pending = make(map[uint32]*Pending)
-	e.dup = newDupCache(e.opts.DupCacheSize, &e.stats.DupEvictions)
+	e.dup = newDupCache(dupCacheSize, &e.stats.DupEvictions)
 	e.port.SetHandler(e.handleMsg)
 }
 
@@ -460,13 +437,14 @@ func (e *Endpoint) CallMsg(p *sim.Proc, to simnet.Addr, prog, vers, proc uint32,
 // caller's frame (a.XDR), which keeps the message on the stack, as Encode
 // does for a reply.
 func (e *Endpoint) CallXDR(p *sim.Proc, to simnet.Addr, prog, vers, proc uint32, args func(xdr.Codec)) ([]byte, error) {
-	return e.CallXDREx(p, to, prog, vers, proc, args, e.opts.CallTimeout, e.opts.MaxRetries)
+	return e.CallXDREx(p, to, prog, vers, proc, args, CallTimeout, MaxRetries)
 }
 
-// CallXDREx is CallXDR with an explicit per-attempt timeout and retry
-// budget. The SNFS server uses a tight budget for callbacks: a callback to
-// a dead client must be abandoned before the opener that triggered it
-// times out (§3.2).
+// CallXDREx is CallXDR with an explicit schedule in place of the default
+// (CallTimeout, MaxRetries): a first-attempt timeout, doubled for each
+// retransmission, and a retry budget. The SNFS server uses a tight budget
+// for callbacks: a callback to a dead client must be abandoned before the
+// opener that triggered it times out (§3.2).
 func (e *Endpoint) CallXDREx(p *sim.Proc, to simnet.Addr, prog, vers, proc uint32, args func(xdr.Codec), callTimeout sim.Duration, maxRetries int) ([]byte, error) {
 	body, tail, err := e.call(p, to, prog, vers, proc, args, callTimeout, maxRetries)
 	return join(body, tail), err
@@ -478,7 +456,7 @@ func (e *Endpoint) CallXDREx(p *sim.Proc, to simnet.Addr, prog, vers, proc uint3
 // page and not a copy joined behind the header. Decode them with
 // xdr.Decoder.ResetTail.
 func (e *Endpoint) CallTail(p *sim.Proc, to simnet.Addr, prog, vers, proc uint32, args func(xdr.Codec)) (body, tail []byte, err error) {
-	return e.call(p, to, prog, vers, proc, args, e.opts.CallTimeout, e.opts.MaxRetries)
+	return e.call(p, to, prog, vers, proc, args, CallTimeout, MaxRetries)
 }
 
 // call is the one synchronous call path, inside its whole-call span.
@@ -501,7 +479,7 @@ func join(head, tail []byte) []byte {
 // client can pipeline N requests on one connection instead of paying a
 // full round trip each. args encodes the arguments, as for CallXDR.
 func (e *Endpoint) Start(p *sim.Proc, to simnet.Addr, prog, vers, proc uint32, args func(xdr.Codec)) *Pending {
-	return e.start(p, to, prog, vers, proc, args, e.opts.CallTimeout, e.opts.MaxRetries)
+	return e.start(p, to, prog, vers, proc, args, CallTimeout, MaxRetries)
 }
 
 // callSpanKind classifies a call for the span recorder.
@@ -674,13 +652,6 @@ func (c *Pending) Wait(p *sim.Proc) ([]byte, error) {
 func (c *Pending) wait(p *sim.Proc) (body, tail []byte, err error) {
 	e := c.e
 	defer delete(e.pending, c.xid)
-	// The backoff cap never shrinks an explicitly generous first timeout
-	// (callback delivery passes its own).
-	limit := e.opts.MaxBackoff
-	if c.timeout > limit {
-		limit = c.timeout
-	}
-	backoff := c.timeout
 	timeout := c.timeout
 	for attempt := 0; attempt <= c.retries; attempt++ {
 		if attempt > 0 {
@@ -718,16 +689,7 @@ func (c *Pending) wait(p *sim.Proc) (body, tail []byte, err error) {
 		}
 		// The whole timed-out attempt window is retransmit backoff.
 		e.Spans.Add(p, string(e.addr), span.Retrans, proto.ProcName(c.prog, c.proc), c.sent, e.k.Now())
-		// Exponential backoff, capped; jitter (off by default) is applied
-		// to the waited timeout only, so it never compounds.
-		backoff *= 2
-		if backoff > limit {
-			backoff = limit
-		}
-		timeout = backoff
-		if j := e.opts.BackoffJitter; j > 0 {
-			timeout += sim.Duration(j * (2*e.k.Rand().Float64() - 1) * float64(backoff))
-		}
+		timeout *= 2 // exponential backoff
 	}
 	e.stats.Timeouts++
 	return nil, nil, fmt.Errorf("%w: %s -> %s prog %d proc %d", ErrTimeout, e.addr, c.to, c.prog, c.proc)

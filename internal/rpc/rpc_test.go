@@ -10,6 +10,7 @@ import (
 	"spritelynfs/internal/proto"
 	"spritelynfs/internal/sim"
 	"spritelynfs/internal/simnet"
+	"spritelynfs/internal/trace"
 	"spritelynfs/internal/xdr"
 )
 
@@ -22,11 +23,11 @@ func newPair(k *sim.Kernel, cfg simnet.Config, opts Options) (client, server *En
 	return client, server
 }
 
-// echoHandler replies with the args, uppercased procedure number prefixed.
+// echoHandler replies with the args, the procedure number prefixed.
 func echoHandler(p *sim.Proc, from simnet.Addr, proc uint32, args []byte) ([]byte, Status) {
 	e := xdr.NewEncoder()
 	e.Uint32(proc)
-	e.FixedOpaque(args)
+	e.Raw(args)
 	return e.Bytes(), StatusOK
 }
 
@@ -58,7 +59,7 @@ func TestCallReply(t *testing.T) {
 				t.Fatalf("call failed: %v", err)
 			}
 			d := xdr.NewDecoder(got)
-			if d.Uint32() != 7 || string(d.FixedOpaque(4)) != "abcd" {
+			if d.Uint32() != 7 || string(d.RawRef()) != "abcd" {
 				t.Errorf("bad reply %x", got)
 			}
 			if client.Stats().CallsSent != 1 || server.Stats().CallsServed != 1 {
@@ -111,13 +112,12 @@ func TestRetransmissionRecoversFromLoss(t *testing.T) {
 	// Drop every 3rd message: across a run of calls, both requests and
 	// replies get lost; retransmission must recover every call.
 	client, server := newPair(k,
-		simnet.Config{PropDelay: sim.Millisecond, DropEvery: 3},
-		Options{CallTimeout: 100 * sim.Millisecond})
+		simnet.Config{PropDelay: sim.Millisecond, DropEvery: 3}, Options{})
 	server.Register(testProg, echoHandler)
 	failed := 0
 	k.Go("caller", func(p *sim.Proc) {
 		for i := 0; i < 10; i++ {
-			if _, err := client.Call(p, "server", testProg, 1, 1, []byte("x")); err != nil {
+			if _, err := (sched{100 * sim.Millisecond, MaxRetries}).call(p, client, "server", 1, []byte("x")); err != nil {
 				failed++
 			}
 		}
@@ -135,11 +135,11 @@ func TestRetransmissionRecoversFromLoss(t *testing.T) {
 func TestTimeoutWhenServerDead(t *testing.T) {
 	k := sim.NewKernel(1)
 	n := simnet.New(k, simnet.Config{})
-	client := NewEndpoint(k, n, "client", Options{CallTimeout: 10 * sim.Millisecond, MaxRetries: 2})
+	client := NewEndpoint(k, n, "client", Options{})
 	var err error
 	var elapsed sim.Time
 	k.Go("caller", func(p *sim.Proc) {
-		_, err = client.Call(p, "nowhere", testProg, 1, 1, nil)
+		_, err = sched{10 * sim.Millisecond, 2}.call(p, client, "nowhere", 1, nil)
 		elapsed = p.Now()
 		k.Stop()
 	})
@@ -156,71 +156,77 @@ func TestTimeoutWhenServerDead(t *testing.T) {
 	}
 }
 
-// deadCallElapsed runs one call against a dead address under opts and
-// returns how long the caller waited before giving up.
-func deadCallElapsed(t *testing.T, seed int64, opts Options) sim.Time {
+// sched is a call schedule as CallXDREx takes it: the first attempt's
+// timeout, doubled for each retransmission, and how many there are.
+type sched struct {
+	timeout sim.Duration
+	retries int
+}
+
+// call issues a testProg call from e under s.
+func (s sched) call(p *sim.Proc, e *Endpoint, to simnet.Addr, proc uint32, args []byte) ([]byte, error) {
+	return e.CallXDREx(p, to, testProg, 1, proc, rawBody(args).XDR, s.timeout, s.retries)
+}
+
+// deadCall runs one call against a dead address, under s or, with s
+// zero, the default schedule, and returns the instants of every attempt
+// and of the timeout, and the client's counters.
+func deadCall(t *testing.T, s sched) (sends []sim.Time, gaveUp sim.Time, st Stats) {
 	t.Helper()
-	k := sim.NewKernel(seed)
-	n := simnet.New(k, simnet.Config{})
-	client := NewEndpoint(k, n, "client", opts)
+	k := sim.NewKernel(1)
+	client := NewEndpoint(k, simnet.New(k, simnet.Config{}), "client", Options{})
+	client.Tracer = trace.New(k.Now, 0)
 	var err error
-	var elapsed sim.Time
 	k.Go("caller", func(p *sim.Proc) {
-		_, err = client.Call(p, "nowhere", testProg, 1, 1, nil)
-		elapsed = p.Now()
+		if s == (sched{}) {
+			_, err = client.Call(p, "nowhere", testProg, 1, 1, nil)
+		} else {
+			_, err = s.call(p, client, "nowhere", 1, nil)
+		}
+		gaveUp = p.Now()
 		k.Stop()
 	})
 	k.Run()
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("err = %v, want timeout", err)
 	}
-	return elapsed
-}
-
-// TestBackoffCap: once the doubled timeout reaches MaxBackoff it stops
-// growing, so a generous retry budget waits linearly, not exponentially.
-func TestBackoffCap(t *testing.T) {
-	opts := Options{CallTimeout: 10 * sim.Millisecond, MaxRetries: 4,
-		MaxBackoff: 20 * sim.Millisecond}
-	// 10 + 20 + 20 + 20 + 20 ms: the third and later attempts are clamped
-	// (uncapped they would double to 40, 80, 160 for a 310 ms total).
-	if got := deadCallElapsed(t, 1, opts); got != sim.Time(90*sim.Millisecond) {
-		t.Errorf("gave up at %v, want 90ms (capped backoff)", got)
+	for _, e := range client.Tracer.Filter(trace.RPCCall, trace.RPCRetry) {
+		sends = append(sends, e.At)
 	}
+	return sends, gaveUp, client.Stats()
 }
 
-// TestBackoffCapNeverShrinksFirstTimeout: an explicit per-call timeout
-// above the cap (the SNFS callback path passes its own) is honored as-is.
-func TestBackoffCapNeverShrinksFirstTimeout(t *testing.T) {
-	opts := Options{CallTimeout: 50 * sim.Millisecond, MaxRetries: 2,
-		MaxBackoff: 20 * sim.Millisecond}
-	// The limit rises to the first timeout: 50 + 50 + 50 ms.
-	if got := deadCallElapsed(t, 1, opts); got != sim.Time(150*sim.Millisecond) {
-		t.Errorf("gave up at %v, want 150ms (cap floored at CallTimeout)", got)
+// TestDefaultCallSchedule pins the schedule of every call that does not
+// pass its own: the send, then a retransmission after waits of 1, 2, 4
+// and 8 s, and ErrTimeout after the fifth wait, 16 s, 31 s after the send.
+func TestDefaultCallSchedule(t *testing.T) {
+	sends, gaveUp, st := deadCall(t, sched{})
+	want := []sim.Time{0, sim.Time(sim.Second), sim.Time(3 * sim.Second), sim.Time(7 * sim.Second), sim.Time(15 * sim.Second)}
+	if fmt.Sprint(sends) != fmt.Sprint(want) {
+		t.Errorf("attempts at %v, want %v", sends, want)
+	}
+	if gaveUp != sim.Time(31*sim.Second) {
+		t.Errorf("gave up at %v, want 31s", gaveUp)
+	}
+	if st.CallsSent != 1 || st.Retransmits != 4 || st.Timeouts != 1 {
+		t.Errorf("%d sent, %d retransmits, %d timeouts, want 1, 4, 1", st.CallsSent, st.Retransmits, st.Timeouts)
 	}
 }
 
-// TestBackoffJitter: a positive jitter perturbs every backed-off wait by
-// a seeded draw bounded by ±jitter×backoff, stays deterministic for a
-// fixed seed, and zero jitter reproduces the vintage schedule exactly.
-func TestBackoffJitter(t *testing.T) {
-	base := Options{CallTimeout: 10 * sim.Millisecond, MaxRetries: 3}
-	plain := deadCallElapsed(t, 3, base)
-	if plain != sim.Time(150*sim.Millisecond) { // 10 + 20 + 40 + 80
-		t.Fatalf("deterministic schedule gave up at %v, want 150ms", plain)
+// TestExplicitCallSchedule: a schedule passed to CallXDREx replaces the
+// default whole, and doubles the same way: 50, 100 and 200 ms of waits
+// for a 50 ms timeout and two retransmissions.
+func TestExplicitCallSchedule(t *testing.T) {
+	sends, gaveUp, st := deadCall(t, sched{50 * sim.Millisecond, 2})
+	want := []sim.Time{0, sim.Time(50 * sim.Millisecond), sim.Time(150 * sim.Millisecond)}
+	if fmt.Sprint(sends) != fmt.Sprint(want) {
+		t.Errorf("attempts at %v, want %v", sends, want)
 	}
-	jopts := base
-	jopts.BackoffJitter = 0.25
-	jit := deadCallElapsed(t, 3, jopts)
-	if jit == plain {
-		t.Error("jitter left the schedule unperturbed")
+	if gaveUp != sim.Time(350*sim.Millisecond) {
+		t.Errorf("gave up at %v, want 350ms", gaveUp)
 	}
-	// Each backed-off wait moves at most ±25%: total in [115ms, 185ms].
-	if jit < sim.Time(115*sim.Millisecond) || jit > sim.Time(185*sim.Millisecond) {
-		t.Errorf("jittered total %v outside ±25%% envelope [115ms, 185ms]", jit)
-	}
-	if again := deadCallElapsed(t, 3, jopts); again != jit {
-		t.Errorf("same seed gave %v then %v; jitter must be reproducible", jit, again)
+	if st.Retransmits != 2 || st.Timeouts != 1 {
+		t.Errorf("%d retransmits, %d timeouts, want 2, 1", st.Retransmits, st.Timeouts)
 	}
 }
 
@@ -229,8 +235,7 @@ func TestDuplicateCacheSuppressesReexecution(t *testing.T) {
 	// Drop every 3rd message. With a non-idempotent counter handler, the
 	// retransmitted call must not increment twice.
 	client, server := newPair(k,
-		simnet.Config{PropDelay: sim.Millisecond, DropEvery: 3},
-		Options{CallTimeout: 50 * sim.Millisecond})
+		simnet.Config{PropDelay: sim.Millisecond, DropEvery: 3}, Options{})
 	executions := 0
 	server.Register(testProg, func(p *sim.Proc, from simnet.Addr, proc uint32, args []byte) ([]byte, Status) {
 		executions++
@@ -239,7 +244,7 @@ func TestDuplicateCacheSuppressesReexecution(t *testing.T) {
 	calls := 0
 	k.Go("caller", func(p *sim.Proc) {
 		for i := 0; i < 20; i++ {
-			if _, err := client.Call(p, "server", testProg, 1, 1, nil); err == nil {
+			if _, err := (sched{50 * sim.Millisecond, MaxRetries}).call(p, client, "server", 1, nil); err == nil {
 				calls++
 			}
 		}
@@ -257,8 +262,7 @@ func TestDuplicateCacheSuppressesReexecution(t *testing.T) {
 func TestSlowHandlerDuplicateDropped(t *testing.T) {
 	k := sim.NewKernel(1)
 	client, server := newPair(k,
-		simnet.Config{PropDelay: sim.Millisecond},
-		Options{CallTimeout: 20 * sim.Millisecond, MaxRetries: 5})
+		simnet.Config{PropDelay: sim.Millisecond}, Options{})
 	executions := 0
 	server.Register(testProg, func(p *sim.Proc, from simnet.Addr, proc uint32, args []byte) ([]byte, Status) {
 		executions++
@@ -267,7 +271,7 @@ func TestSlowHandlerDuplicateDropped(t *testing.T) {
 	})
 	var err error
 	k.Go("caller", func(p *sim.Proc) {
-		_, err = client.Call(p, "server", testProg, 1, 1, nil)
+		_, err = sched{20 * sim.Millisecond, 5}.call(p, client, "server", 1, nil)
 		k.Stop()
 	})
 	k.Run()
@@ -301,7 +305,7 @@ func TestUnregisteredProgram(t *testing.T) {
 // the server first, and returns the most handlers ever running at once.
 func peakInService(t *testing.T, reboot bool) int {
 	k := sim.NewKernel(1)
-	client, server := newPair(k, simnet.Config{}, Options{Workers: 2, CallTimeout: 10 * sim.Second})
+	client, server := newPair(k, simnet.Config{}, Options{Workers: 2})
 	inside, maxInside := 0, 0
 	server.Register(testProg, func(p *sim.Proc, from simnet.Addr, proc uint32, args []byte) ([]byte, Status) {
 		inside++
@@ -351,7 +355,7 @@ func TestRestartKeepsPoolSize(t *testing.T) {
 func TestStopDiscardsQueuedCalls(t *testing.T) {
 	k := sim.NewKernel(1)
 	client, server := newPair(k, simnet.Config{},
-		Options{Workers: 1, CallTimeout: 100 * sim.Millisecond, MaxRetries: 1})
+		Options{Workers: 1})
 	server.Register(testProg, func(p *sim.Proc, from simnet.Addr, proc uint32, args []byte) ([]byte, Status) {
 		p.Sleep(10 * sim.Millisecond)
 		return nil, StatusOK
@@ -360,7 +364,7 @@ func TestStopDiscardsQueuedCalls(t *testing.T) {
 	wg.Add(3)
 	for i := 0; i < 3; i++ {
 		k.Go("caller", func(p *sim.Proc) {
-			client.Call(p, "server", testProg, 1, 1, nil)
+			sched{100 * sim.Millisecond, 1}.call(p, client, "server", 1, nil)
 			wg.Done()
 		})
 	}
@@ -388,7 +392,7 @@ func TestHandedCallKeepsItsProcess(t *testing.T) {
 	for _, crash := range []bool{false, true} {
 		k := sim.NewKernel(1)
 		client, server := newPair(k, simnet.Config{PropDelay: 10 * sim.Millisecond},
-			Options{Workers: 2, CallTimeout: 100 * sim.Millisecond, MaxRetries: 1})
+			Options{Workers: 2})
 		var started []string
 		ran := map[string]*sim.Proc{}
 		server.Register(testProg, func(p *sim.Proc, from simnet.Addr, proc uint32, args []byte) ([]byte, Status) {
@@ -405,7 +409,7 @@ func TestHandedCallKeepsItsProcess(t *testing.T) {
 		}{{"A", 0}, {"B", sim.Millisecond}, {"C", sim.Millisecond}} {
 			k.Go(c.token, func(p *sim.Proc) {
 				p.Sleep(c.at)
-				client.Call(p, "server", testProg, 1, 1, []byte(c.token))
+				sched{100 * sim.Millisecond, 1}.call(p, client, "server", 1, []byte(c.token))
 				wg.Done()
 			})
 		}
@@ -481,15 +485,14 @@ func TestCallbackFromServerToClient(t *testing.T) {
 
 func TestStopAndRestartEndpoint(t *testing.T) {
 	k := sim.NewKernel(1)
-	client, server := newPair(k, simnet.Config{},
-		Options{CallTimeout: 10 * sim.Millisecond, MaxRetries: 1})
+	client, server := newPair(k, simnet.Config{}, Options{})
 	server.Register(testProg, echoHandler)
 	var errDown, errUp error
 	k.Go("caller", func(p *sim.Proc) {
 		server.Stop()
-		_, errDown = client.Call(p, "server", testProg, 1, 1, nil)
+		_, errDown = sched{10 * sim.Millisecond, 1}.call(p, client, "server", 1, nil)
 		server.Restart()
-		_, errUp = client.Call(p, "server", testProg, 1, 1, nil)
+		_, errUp = sched{10 * sim.Millisecond, 1}.call(p, client, "server", 1, nil)
 		k.Stop()
 	})
 	k.Run()
@@ -508,7 +511,7 @@ func TestRetransmitBridgesOutage(t *testing.T) {
 		t.Run(pool.name, func(t *testing.T) {
 			k := sim.NewKernel(1)
 			n := simnet.New(k, simnet.Config{PropDelay: sim.Millisecond})
-			client := NewEndpoint(k, n, "client", Options{CallTimeout: 100 * sim.Millisecond, MaxRetries: 8})
+			client := NewEndpoint(k, n, "client", Options{})
 			server := NewEndpoint(k, n, "server", Options{Exec: pool.exec(k)})
 			server.Register(testProg, echoHandler)
 			k.Go("crash", func(p *sim.Proc) {
@@ -520,7 +523,7 @@ func TestRetransmitBridgesOutage(t *testing.T) {
 			var err error
 			k.Go("caller", func(p *sim.Proc) {
 				p.Sleep(20 * sim.Millisecond) // issue while the server is down
-				_, err = client.Call(p, "server", testProg, 1, 7, []byte("x"))
+				_, err = sched{100 * sim.Millisecond, 8}.call(p, client, "server", 7, []byte("x"))
 				k.Stop()
 			})
 			k.Run()
@@ -632,7 +635,7 @@ func TestDupCacheKeyedByClient(t *testing.T) {
 func TestStressManyClientsWithLoss(t *testing.T) {
 	k := sim.NewKernel(7)
 	n := simnet.New(k, simnet.Config{PropDelay: sim.Millisecond, BytesPerSec: 1_250_000, DropEvery: 17})
-	server := NewEndpoint(k, n, "server", Options{Workers: 8, CallTimeout: 50 * sim.Millisecond})
+	server := NewEndpoint(k, n, "server", Options{Workers: 8})
 	server.Register(testProg, func(p *sim.Proc, from simnet.Addr, proc uint32, args []byte) ([]byte, Status) {
 		e := xdr.NewEncoder()
 		e.Uint32(proc * 3)
@@ -646,12 +649,12 @@ func TestStressManyClientsWithLoss(t *testing.T) {
 	wg.Add(clients)
 	for c := 0; c < clients; c++ {
 		name := simnet.Addr(fmt.Sprintf("c%d", c))
-		ep := NewEndpoint(k, n, name, Options{CallTimeout: 50 * sim.Millisecond, MaxRetries: 8})
+		ep := NewEndpoint(k, n, name, Options{})
 		k.Go(string(name), func(p *sim.Proc) {
 			defer wg.Done()
 			for i := uint32(1); i <= calls; i++ {
 				token := fmt.Sprintf("%s/%d", name, i)
-				body, err := ep.Call(p, "server", testProg, 1, i, []byte(token))
+				body, err := sched{50 * sim.Millisecond, 8}.call(p, ep, "server", i, []byte(token))
 				if err != nil {
 					failures++
 					continue
@@ -726,8 +729,7 @@ func TestEveryMessageDuplicated(t *testing.T) {
 // is answered with its own body, not the stale one.
 func TestReplyAfterLastTimeout(t *testing.T) {
 	k := sim.NewKernel(1)
-	client, server := newPair(k, simnet.Config{PropDelay: sim.Millisecond},
-		Options{CallTimeout: 10 * sim.Millisecond, MaxRetries: 1})
+	client, server := newPair(k, simnet.Config{PropDelay: sim.Millisecond}, Options{})
 	server.Register(testProg, func(p *sim.Proc, from simnet.Addr, proc uint32, args []byte) ([]byte, Status) {
 		p.Sleep(sim.Duration(proc) * sim.Millisecond)
 		return args, StatusOK
@@ -735,12 +737,12 @@ func TestReplyAfterLastTimeout(t *testing.T) {
 	k.Go("caller", func(p *sim.Proc) {
 		defer k.Stop()
 		// 10 + 20 ms of patience against a 100 ms handler.
-		if _, err := client.Call(p, "server", testProg, 1, 100, []byte("late")); !errors.Is(err, ErrTimeout) {
+		if _, err := (sched{10 * sim.Millisecond, 1}).call(p, client, "server", 100, []byte("late")); !errors.Is(err, ErrTimeout) {
 			t.Errorf("slow call: err %v, want timeout", err)
 		}
 		gaveUp := p.Now()
 		// A call in flight while the late reply lands (at ~102 ms).
-		body, err := client.Call(p, "server", testProg, 1, 0, []byte("prompt"))
+		body, err := sched{10 * sim.Millisecond, 1}.call(p, client, "server", 0, []byte("prompt"))
 		if err != nil || string(body) != "prompt" {
 			t.Errorf("next call: body %q, err %v", body, err)
 		}
@@ -807,7 +809,7 @@ func TestStaleTimeoutWakesNobody(t *testing.T) {
 func TestCallImageAcrossInlineBoundary(t *testing.T) {
 	k := sim.NewKernel(1)
 	net := simnet.New(k, simnet.Config{PropDelay: sim.Millisecond, DupProb: 1})
-	opts := Options{CallTimeout: 10 * sim.Millisecond, MaxRetries: 2}
+	opts := Options{}
 	client := NewEndpoint(k, net, "client", opts)
 	server := NewEndpoint(k, net, "server", opts)
 	server.Register(testProg, tokenHandler)
@@ -877,13 +879,12 @@ func TestCallImageAcrossInlineBoundary(t *testing.T) {
 // schedule, and the rebooted endpoint's calls are unaffected.
 func TestTimeoutAcrossRestart(t *testing.T) {
 	k := sim.NewKernel(1)
-	client, server := newPair(k, simnet.Config{PropDelay: sim.Millisecond},
-		Options{CallTimeout: 10 * sim.Millisecond, MaxRetries: 2})
+	client, server := newPair(k, simnet.Config{PropDelay: sim.Millisecond}, Options{})
 	server.Register(testProg, tokenHandler)
 	var orphanErr error
 	var orphanDone sim.Time
 	k.Go("orphan", func(p *sim.Proc) {
-		_, orphanErr = client.Call(p, "nowhere", testProg, 1, 1, nil)
+		_, orphanErr = sched{10 * sim.Millisecond, 2}.call(p, client, "nowhere", 1, nil)
 		orphanDone = p.Now()
 	})
 	k.Go("reboot", func(p *sim.Proc) {
@@ -891,7 +892,7 @@ func TestTimeoutAcrossRestart(t *testing.T) {
 		p.Sleep(5 * sim.Millisecond) // the orphan is parked in its first attempt
 		client.Stop()
 		client.Restart()
-		body, err := client.Call(p, "server", testProg, 1, 1, []byte("after reboot"))
+		body, err := sched{10 * sim.Millisecond, 2}.call(p, client, "server", 1, []byte("after reboot"))
 		if err != nil || string(body) != "after reboot" {
 			t.Errorf("call after restart: body %q, err %v", body, err)
 		}

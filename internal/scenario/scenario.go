@@ -17,6 +17,14 @@ import (
 	"spritelynfs/internal/workload"
 )
 
+// chunkBytes is the I/O unit, the testbed transfer size, and
+// syncInterval the period of the fleet's shared delayed-write sweep on
+// SNFS.
+const (
+	chunkBytes   = 8 * 1024
+	syncInterval = 5 * sim.Second
+)
+
 // Config shapes one scenario run.
 type Config struct {
 	// Name labels the run (the named presets fill everything below).
@@ -32,16 +40,9 @@ type Config struct {
 	// FileBytes is the size written by every write op (and the initial
 	// size of each shared file).
 	FileBytes int
-	// ChunkBytes is the I/O unit (0 = 8 KiB, the testbed transfer size).
-	ChunkBytes int
 	// Gen carries the popularity/mix/think-time knobs (SharedFiles is
 	// copied in by the engine).
 	Gen workload.GenConfig
-	// CacheBytes is the per-client cache (0 = the fleet default).
-	CacheBytes int64
-	// SyncInterval drives the fleet's shared delayed-write sweep on
-	// SNFS (0 = 5 s).
-	SyncInterval sim.Duration
 	// Trace records one line per completed op (client, op, virtual
 	// completion time) — the byte-comparable determinism artifact.
 	// Meant for small N; a 4,000-client trace is millions of lines.
@@ -60,12 +61,6 @@ func (c *Config) fill() {
 	}
 	if c.FileBytes == 0 {
 		c.FileBytes = 8 * 1024
-	}
-	if c.ChunkBytes == 0 {
-		c.ChunkBytes = 8 * 1024
-	}
-	if c.SyncInterval == 0 {
-		c.SyncInterval = 5 * sim.Second
 	}
 	c.Gen.SharedFiles = c.SharedFiles
 }
@@ -169,12 +164,7 @@ type Result struct {
 // result. The run is fully deterministic for fixed (pm.Seed, cfg).
 func Run(pr harness.Proto, pm harness.Params, cfg Config) (Result, error) {
 	cfg.fill()
-	f := harness.BuildFleet(pr, pm, harness.FleetOptions{
-		Clients:      cfg.Clients,
-		CacheBytes:   cfg.CacheBytes,
-		SyncInterval: cfg.SyncInterval,
-		Audit:        pm.Audit,
-	})
+	f := harness.BuildFleet(pr, pm, harness.FleetOptions{Clients: cfg.Clients, SyncInterval: syncInterval})
 	k := f.W.K
 
 	r := &fleetRun{
@@ -195,7 +185,7 @@ func Run(pr harness.Proto, pm harness.Params, cfg Config) (Result, error) {
 		// Setup (untimed): materialize the shared population on the
 		// server through the world's own measurement client.
 		for _, path := range r.shared {
-			if err := f.W.NS.WriteFile(p, path, cfg.FileBytes, cfg.ChunkBytes); err != nil {
+			if err := f.W.NS.WriteFile(p, path, cfg.FileBytes, chunkBytes); err != nil {
 				return fmt.Errorf("scenario setup %s: %w", path, err)
 			}
 		}
@@ -346,10 +336,10 @@ func (d *clientLoop) execOp(p *sim.Proc) error {
 	}
 	if op.Kind == workload.OpRead {
 		if d.buf == nil {
-			d.buf = make([]byte, r.cfg.ChunkBytes)
+			d.buf = make([]byte, chunkBytes)
 		}
 		_, err := fc.NS.ReadFile(p, path, d.buf)
 		return err
 	}
-	return fc.NS.WriteFile(p, path, r.cfg.FileBytes, r.cfg.ChunkBytes)
+	return fc.NS.WriteFile(p, path, r.cfg.FileBytes, chunkBytes)
 }

@@ -15,7 +15,6 @@ package trace
 import (
 	"fmt"
 	"io"
-	"strings"
 
 	"spritelynfs/internal/sim"
 )
@@ -203,16 +202,4 @@ func (t *Tracer) DumpTriggered(w io.Writer, trigger string) {
 		}
 		fmt.Fprintf(w, "%12.6fs %-10s %-9s%s %s\n", e.At.Seconds(), e.Host, e.Kind, op, e.Detail)
 	}
-}
-
-// Grep returns retained events whose detail — or host, so a host name
-// pulls that machine's whole timeline — contains substr.
-func (t *Tracer) Grep(substr string) []Event {
-	var out []Event
-	for _, e := range t.Events() {
-		if strings.Contains(e.Detail, substr) || strings.Contains(e.Host, substr) {
-			out = append(out, e)
-		}
-	}
-	return out
 }

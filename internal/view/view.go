@@ -38,13 +38,14 @@ type MapStore interface {
 	SetPrimary(shard uint32, addr string)
 }
 
+// deadPings is how many consecutive missed ping intervals declare a
+// server dead.
+const deadPings = 5
+
 // Config tunes the service.
 type Config struct {
 	// Interval is the expected ping period. Zero means 100 ms.
 	Interval sim.Duration
-	// DeadPings is how many consecutive missed intervals declare a
-	// server dead. Zero means 5.
-	DeadPings int
 	// Log, when set, receives one text line per view change.
 	Log io.Writer
 	// OnEvent, when set, observes every view change (flight recorder,
@@ -56,9 +57,6 @@ type Config struct {
 func (c *Config) fill() {
 	if c.Interval == 0 {
 		c.Interval = 100 * sim.Millisecond
-	}
-	if c.DeadPings == 0 {
-		c.DeadPings = 5
 	}
 }
 
@@ -204,7 +202,7 @@ func (s *Service) tickDaemon(p *sim.Proc) {
 
 func (s *Service) tick(p *sim.Proc) {
 	now := p.Now()
-	grace := sim.Duration(s.cfg.DeadPings) * s.cfg.Interval
+	grace := deadPings * s.cfg.Interval
 	ids := make([]uint32, 0, len(s.shards))
 	for id := range s.shards {
 		ids = append(ids, id)

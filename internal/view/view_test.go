@@ -39,7 +39,7 @@ func testbed(t *testing.T, log *strings.Builder) (*sim.Kernel, *Service, *fakeSt
 	net := simnet.New(k, simnet.Config{})
 	store := &fakeStore{m: proto.ShardMap{Version: 1, Servers: []string{"primary"}}}
 	svc := NewService(k, rpc.NewEndpoint(k, net, "viewsvc", rpc.Options{Workers: 2}), store,
-		Config{Interval: 100 * sim.Millisecond, DeadPings: 5, Log: log})
+		Config{Interval: 100 * sim.Millisecond, Log: log})
 	svc.Register(0, "primary", "backup")
 	pr, bk := &replica{synced: true}, &replica{synced: true}
 	for _, m := range []struct {

@@ -108,16 +108,6 @@ func (c Codec) Opaque(v *[]byte) {
 	}
 }
 
-// OpaqueRef is Opaque without the copy: a decoded value is a view of the
-// decoder's buffer, with Decoder.OpaqueRef's aliasing rules.
-func (c Codec) OpaqueRef(v *[]byte) {
-	if c.d != nil {
-		*v = c.d.OpaqueRef()
-	} else {
-		c.e.Opaque(*v)
-	}
-}
-
 // Tail codes variable-length opaque data that is a message's last field,
 // so that it can travel by reference instead of being copied behind the
 // header. Encoding keeps an aligned, non-empty *v as the encoder's tail —
@@ -125,9 +115,9 @@ func (c Codec) OpaqueRef(v *[]byte) {
 // else inline, as Opaque does. Decoding reads the length word and takes
 // the bytes from the decoder's tail if it has one (ResetTail), failing
 // with ErrShortBuffer unless the tail is exactly the item and its padding,
-// or else from the buffer, as OpaqueRef does. Either way the bytes on the
-// wire are those of Opaque, and a decoded value is a view with OpaqueRef's
-// rules.
+// or else from the buffer, as Decoder.OpaqueRef does. Either way the bytes
+// on the wire are those of Opaque, and a decoded value is a view with
+// Decoder.OpaqueRef's rules.
 func (c Codec) Tail(v *[]byte) {
 	switch d := c.d; {
 	case d == nil && len(*v) > 0 && len(*v)%4 == 0:

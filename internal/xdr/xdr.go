@@ -110,9 +110,6 @@ func (e *Encoder) Uint32(v uint32) {
 	e.buf = binary.BigEndian.AppendUint32(e.buf, v)
 }
 
-// Int32 encodes a 32-bit signed integer.
-func (e *Encoder) Int32(v int32) { e.Uint32(uint32(v)) }
-
 // Uint64 encodes a 64-bit unsigned integer (XDR hyper).
 func (e *Encoder) Uint64(v uint64) {
 	e.buf = binary.BigEndian.AppendUint64(e.buf, v)
@@ -141,12 +138,6 @@ func (e *Encoder) pad(n int) {
 // Opaque encodes variable-length opaque data (length-prefixed, padded).
 func (e *Encoder) Opaque(b []byte) {
 	e.Uint32(uint32(len(b)))
-	e.buf = append(e.buf, b...)
-	e.pad(len(b))
-}
-
-// FixedOpaque encodes fixed-length opaque data (no length prefix, padded).
-func (e *Encoder) FixedOpaque(b []byte) {
 	e.buf = append(e.buf, b...)
 	e.pad(len(b))
 }
@@ -220,9 +211,6 @@ func (d *Decoder) Uint32() uint32 {
 	return binary.BigEndian.Uint32(b)
 }
 
-// Int32 decodes a 32-bit signed integer.
-func (d *Decoder) Int32() int32 { return int32(d.Uint32()) }
-
 // Uint64 decodes a 64-bit unsigned integer.
 func (d *Decoder) Uint64() uint64 {
 	b := d.take(8)
@@ -270,29 +258,6 @@ func (d *Decoder) OpaqueRef() []byte {
 		return nil
 	}
 	d.skipPad(int(n))
-	return b
-}
-
-// FixedOpaque decodes n bytes of fixed-length opaque data (plus padding).
-func (d *Decoder) FixedOpaque(n int) []byte {
-	b := d.FixedOpaqueRef(n)
-	if b == nil {
-		return nil
-	}
-	out := make([]byte, len(b))
-	copy(out, b)
-	return out
-}
-
-// FixedOpaqueRef is FixedOpaque without the copy: the returned slice is
-// a view into the decoder's buffer (see OpaqueRef for the aliasing
-// rules).
-func (d *Decoder) FixedOpaqueRef(n int) []byte {
-	b := d.take(n)
-	if b == nil {
-		return nil
-	}
-	d.skipPad(n)
 	return b
 }
 

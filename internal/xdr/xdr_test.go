@@ -11,7 +11,6 @@ import (
 func TestRoundTripScalars(t *testing.T) {
 	e := NewEncoder()
 	e.Uint32(0xdeadbeef)
-	e.Int32(-42)
 	e.Uint64(math.MaxUint64)
 	e.Int64(math.MinInt64)
 	e.Bool(true)
@@ -20,9 +19,6 @@ func TestRoundTripScalars(t *testing.T) {
 	d := NewDecoder(e.Bytes())
 	if v := d.Uint32(); v != 0xdeadbeef {
 		t.Errorf("Uint32 = %x", v)
-	}
-	if v := d.Int32(); v != -42 {
-		t.Errorf("Int32 = %d", v)
 	}
 	if v := d.Uint64(); v != math.MaxUint64 {
 		t.Errorf("Uint64 = %x", v)
@@ -69,19 +65,6 @@ func TestStringRoundTrip(t *testing.T) {
 		if got := d.String(); got != s {
 			t.Errorf("round trip %q -> %q", s, got)
 		}
-	}
-}
-
-func TestFixedOpaque(t *testing.T) {
-	e := NewEncoder()
-	e.FixedOpaque([]byte{1, 2, 3, 4, 5})
-	e.Uint32(9)
-	d := NewDecoder(e.Bytes())
-	if got := d.FixedOpaque(5); !bytes.Equal(got, []byte{1, 2, 3, 4, 5}) {
-		t.Errorf("fixed opaque = %v", got)
-	}
-	if d.Uint32() != 9 {
-		t.Error("alignment after fixed opaque wrong")
 	}
 }
 
@@ -181,22 +164,19 @@ func TestQuickDecoderNeverPanicsOnGarbage(t *testing.T) {
 func TestZeroCopyRefsAliasBuffer(t *testing.T) {
 	e := NewEncoder()
 	e.Opaque([]byte{1, 2, 3, 4})
-	e.FixedOpaque([]byte{5, 6, 7, 8})
 	e.Raw([]byte{9, 10})
 	buf := e.Bytes()
 
 	var d Decoder
 	d.Reset(buf)
 	op := d.OpaqueRef()
-	fo := d.FixedOpaqueRef(4)
 	raw := d.RawRef()
 	if d.Err() != nil {
 		t.Fatalf("err = %v", d.Err())
 	}
-	buf[4] = 99  // first opaque byte
-	buf[8] = 98  // first fixed byte
-	buf[12] = 97 // first raw byte
-	if op[0] != 99 || fo[0] != 98 || raw[0] != 97 {
+	buf[4] = 99 // first opaque byte
+	buf[8] = 97 // first raw byte
+	if op[0] != 99 || raw[0] != 97 {
 		t.Error("refs did not alias the input buffer (copied?)")
 	}
 }
@@ -239,7 +219,7 @@ func TestImageSurvivesRelease(t *testing.T) {
 	e.Release()
 	// Stomp the pooled buffer through a fresh encoder.
 	f := GetEncoder()
-	f.FixedOpaque(bytes.Repeat([]byte{0xee}, len(alias)+8))
+	f.Raw(bytes.Repeat([]byte{0xee}, len(alias)+8))
 	defer f.Release()
 	d := NewDecoder(head)
 	if got := d.String(); got != "survives" {
@@ -282,7 +262,6 @@ type sample struct {
 	c     int64
 	flag  bool
 	s     string
-	view  []byte
 	owned []byte
 	opt   bool
 	list  []string
@@ -295,7 +274,6 @@ func (m *sample) xdr(c Codec) {
 	c.Int64(&m.c)
 	c.Bool(&m.flag)
 	c.String(&m.s)
-	c.OpaqueRef(&m.view)
 	c.Opaque(&m.owned)
 	Count(c, &m.list, 4)
 	for i := range m.list {
@@ -309,7 +287,7 @@ func (m *sample) xdr(c Codec) {
 
 func TestCodecRoundTrip(t *testing.T) {
 	in := sample{a: 7, b: math.MaxUint64, c: math.MinInt64, flag: true, s: "name.c",
-		view: []byte{1, 2, 3}, owned: []byte{4, 5}, opt: true, list: []string{"x", "yz"}, rest: []byte{9}}
+		owned: []byte{4, 5}, opt: true, list: []string{"x", "yz"}, rest: []byte{9}}
 	e := NewEncoder()
 	in.xdr(e.Codec())
 	wire := e.Bytes()
@@ -321,15 +299,14 @@ func TestCodecRoundTrip(t *testing.T) {
 		t.Fatalf("decode: %v, %d bytes left", d.Err(), d.Remaining())
 	}
 	if out.a != in.a || out.b != in.b || out.c != in.c || !out.flag || out.s != in.s || !out.opt ||
-		!bytes.Equal(out.view, in.view) || !bytes.Equal(out.owned, in.owned) ||
+		!bytes.Equal(out.owned, in.owned) ||
 		len(out.list) != 2 || out.list[1] != "yz" || !bytes.Equal(out.rest, in.rest) {
 		t.Fatalf("round trip:\n  in  %+v\n  out %+v", in, out)
 	}
 	wire[len(wire)-1] = 8 // the raw tail, a view
-	wire[40] = 99         // the first OpaqueRef byte
-	wire[48] = 98         // the first Opaque byte, copied out
-	if out.rest[0] != 8 || out.view[0] != 99 || out.owned[0] != 4 {
-		t.Error("OpaqueRef and Raw must alias the image, Opaque must copy it")
+	wire[40] = 98         // the first Opaque byte, copied out
+	if out.rest[0] != 8 || out.owned[0] != 4 {
+		t.Error("Raw must alias the image, Opaque must copy it")
 	}
 }
 
