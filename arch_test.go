@@ -47,7 +47,7 @@ func TestStructuralCeilings(t *testing.T) {
 		// field.
 		{"rpc.Options fields", reflect.TypeOf(rpc.Options{}).NumField(), 2},
 		{"client.SNFSOptions fields", reflect.TypeOf(client.SNFSOptions{}).NumField(), 5},
-		{"view.Config fields", reflect.TypeOf(view.Config{}).NumField(), 3},
+		{"view.Config fields", reflect.TypeOf(view.Config{}).NumField(), 2},
 		{"scenario.Config fields", reflect.TypeOf(scenario.Config{}).NumField(), 7},
 		{"harness.FleetOptions fields", reflect.TypeOf(harness.FleetOptions{}).NumField(), 2},
 		{"cluster.Instruments fields", reflect.TypeOf(cluster.Instruments{}).NumField(), 4},

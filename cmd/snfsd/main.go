@@ -199,9 +199,18 @@ func run(cfg config, stop <-chan struct{}) error {
 	// and server.Config takes a stated cost as written, so this is 1 µs
 	// per RPC and nothing per KB — the least a Config can ask for, the
 	// zero Config being the 1989 server.
+	//
+	// The endpoint's address is internal to the daemon, except that a
+	// federation member's must be its own entry in the shard map: the
+	// server serves data-plane calls only while the map names its
+	// address as the shard's primary.
+	addr := simnet.Addr("server")
+	if !cfg.smap.IsZero() {
+		addr = simnet.Addr(cfg.smap.Servers[cfg.shardID])
+	}
 	host := cluster.NewServerHost(k, network, cluster.ServerSpec{
 		Proto:   cfg.proto,
-		Addr:    "server",
+		Addr:    addr,
 		Workers: cfg.workers,
 		Config:  server.Config{FSID: 1, CPUPerOp: 1, CPUPerKB: 0},
 	}, d.in)
@@ -222,7 +231,7 @@ func run(cfg config, stop <-chan struct{}) error {
 	// and stop does; run returns after them.
 	var serving sync.WaitGroup
 	defer serving.Wait()
-	gw := rpc.NewGateway(k, network, "server")
+	gw := rpc.NewGateway(k, network, addr)
 	serving.Add(2)
 	go func() {
 		defer serving.Done()

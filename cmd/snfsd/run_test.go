@@ -334,3 +334,90 @@ func checkPlane(t *testing.T, base string) {
 	}
 	doc("/debug/pprof/heap", nil)
 }
+
+// TestShardedDaemonsServeData starts a two-member federation, each
+// member with the same -shard-map, and runs ls and a read against each:
+// shard 0 serves the populated /demo, shard 1 a file it owns by the
+// map's /src assignment, written over the wire first. Every call is a
+// data-plane call, which a member serves only while the map names its
+// own address as its shard's primary.
+func TestShardedDaemonsServeData(t *testing.T) {
+	lns := []net.Listener{listen(t), listen(t)}
+	smap, err := cluster.ParseMapSpec(fmt.Sprintf("0=%s,1=%s,/src=1", lns[0].Addr(), lns[1].Addr()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	exited := make(chan error, len(lns))
+	for i, ln := range lns {
+		cfg := config{
+			proto: cluster.SNFS, addr: ln.Addr().String(), workers: 2, populate: true,
+			smap: smap, shardID: uint32(i), ln: ln, dumps: make(chan os.Signal),
+		}
+		go func() { exited <- run(cfg, stop) }()
+	}
+	defer func() {
+		close(stop)
+		for range lns {
+			if err := <-exited; err != nil {
+				t.Errorf("run: %v", err)
+			}
+		}
+	}()
+
+	for i, ln := range lns {
+		c, err := rpc.DialTCP(ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		call := func(proc uint32, m, reply proto.Message) {
+			t.Helper()
+			var args []byte
+			if m != nil {
+				args = proto.Marshal(m)
+			}
+			body, err := c.Call(proto.ProgNFS, proto.VersNFS, proc, args)
+			if err != nil {
+				t.Fatalf("shard %d %s: %v", i, proto.ProcName(proto.ProgNFS, proc), err)
+			}
+			reply.XDR(xdr.NewDecoder(body).Codec())
+		}
+		var root, dir, f proto.HandleReply
+		call(proto.ProcMountRoot, nil, &root)
+		dirName, name, want := "demo", "file0.txt", "hello from snfsd\n"
+		if i == 1 {
+			dir, dirName, name, want = root, "", "src", "hello from shard 1\n"
+			var open proto.OpenReply
+			var wr proto.WriteReply
+			var cl proto.StatusReply
+			call(proto.ProcCreate, &proto.CreateArgs{Dir: root.Handle, Name: name, Mode: 0o644}, &f)
+			call(proto.ProcOpen, &proto.OpenArgs{Handle: f.Handle, WriteMode: true}, &open)
+			call(proto.ProcWrite, &proto.WriteArgs{Handle: f.Handle, Data: []byte(want)}, &wr)
+			call(proto.ProcClose, &proto.CloseArgs{Handle: f.Handle, WriteMode: true}, &cl)
+			if f.Status != proto.OK || open.Status != proto.OK || wr.Status != proto.OK || cl.Status != proto.OK {
+				t.Fatalf("shard 1 create/open/write/close: %v %v %v %v", f.Status, open.Status, wr.Status, cl.Status)
+			}
+		} else {
+			call(proto.ProcLookup, &proto.DirOpArgs{Dir: root.Handle, Name: dirName}, &dir)
+		}
+		var ls proto.ReaddirReply
+		call(proto.ProcReaddir, &proto.HandleArgs{Handle: dir.Handle}, &ls)
+		if root.Status != proto.OK || dir.Status != proto.OK || ls.Status != proto.OK {
+			t.Fatalf("shard %d mount/lookup/readdir: %v %v %v", i, root.Status, dir.Status, ls.Status)
+		}
+		listed := false
+		for _, e := range ls.Entries {
+			listed = listed || e.Name == name
+		}
+		if !listed {
+			t.Errorf("shard %d: ls /%s lists %v, not %s", i, dirName, ls.Entries, name)
+		}
+		var rd proto.ReadReply
+		call(proto.ProcLookup, &proto.DirOpArgs{Dir: dir.Handle, Name: name}, &f)
+		call(proto.ProcRead, &proto.ReadArgs{Handle: f.Handle, Count: 8192}, &rd)
+		if f.Status != proto.OK || rd.Status != proto.OK || string(rd.Data) != want {
+			t.Errorf("shard %d: read /%s/%s: %v %v %q, want %q", i, dirName, name, f.Status, rd.Status, rd.Data, want)
+		}
+	}
+}

@@ -192,14 +192,13 @@ func (c *Cluster) buildBackups() {
 		Log:     c.cfg.ViewLog,
 		OnEvent: c.onViewEvent,
 	})
-	interval := c.view.Interval()
 	for _, sh := range c.shards {
 		sh := sh
 		backup := sh.Backup.SNFS
 		sh.Repl = sh.SNFS.StartReplication(sh.Backup.Addr, nil)
 		c.view.Register(sh.ID, string(sh.Addr), string(sh.Backup.Addr))
 		view.StartPinger(c.k, sh.Base.Endpoint(), view.PingerConfig{
-			Shard: sh.ID, Self: sh.Addr, Service: c.viewAddr, Interval: interval,
+			Shard: sh.ID, Self: sh.Addr, Service: c.viewAddr,
 			Crashed: sh.SNFS.Crashed,
 			Status:  sh.Repl.Status,
 			OnView: func(p *sim.Proc, v proto.View, m proto.ShardMap) bool {
@@ -224,7 +223,7 @@ func (c *Cluster) buildBackups() {
 			},
 		})
 		view.StartPinger(c.k, backup.Endpoint(), view.PingerConfig{
-			Shard: sh.ID, Self: sh.Backup.Addr, Service: c.viewAddr, Interval: interval,
+			Shard: sh.ID, Self: sh.Backup.Addr, Service: c.viewAddr,
 			Crashed: backup.Crashed,
 			Status:  func() (bool, uint32) { return backup.ReplSynced(), 0 },
 			OnView: func(p *sim.Proc, v proto.View, m proto.ShardMap) bool {

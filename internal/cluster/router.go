@@ -9,6 +9,7 @@ import (
 	"spritelynfs/internal/sim"
 	"spritelynfs/internal/simnet"
 	"spritelynfs/internal/vfs"
+	"spritelynfs/internal/view"
 	"spritelynfs/internal/xdr"
 )
 
@@ -72,7 +73,7 @@ func (c *Cluster) NewRouter(host simnet.Addr) *Router {
 			Instruments{Spans: sh.Spans, Auditor: sh.Auditor}))
 	}
 	if c.view != nil {
-		r.enableFailover(c.viewAddr, c.view.Interval())
+		r.enableFailover(c.viewAddr)
 	}
 	return r
 }
@@ -82,7 +83,7 @@ func (c *Cluster) NewRouter(host simnet.Addr) *Router {
 // (the Reroute hook), and a background daemon polls the viewservice so
 // the map converges even when no in-flight call is around to earn an
 // ErrNotHome redirect.
-func (r *Router) enableFailover(viewsvc simnet.Addr, interval sim.Duration) {
+func (r *Router) enableFailover(viewsvc simnet.Addr) {
 	r.viewsvc = viewsvc
 	for i, h := range r.hosts {
 		i := i
@@ -90,7 +91,7 @@ func (r *Router) enableFailover(viewsvc simnet.Addr, interval sim.Duration) {
 	}
 	r.k.Go(string(r.host)+"/view-refresh", func(p *sim.Proc) {
 		for {
-			p.Sleep(2 * interval)
+			p.Sleep(2 * view.PingInterval)
 			r.refreshFromView(p)
 		}
 	})

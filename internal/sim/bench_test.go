@@ -23,10 +23,12 @@ func BenchmarkKernelEvents(b *testing.B) {
 	k.Run()
 }
 
-// BenchmarkProcSwitch measures one full process block/resume cycle (two
-// channel handoffs plus the scheduling event) — what every blocking
-// operation of a Proc-based client costs and what the Task/Executor
-// path exists to avoid for idle clients.
+// BenchmarkProcSwitch measures one full process block/resume cycle (a
+// coroutine yield and resume, with no pass through the Go scheduler,
+// plus the scheduling event) — what every blocking operation of a
+// Proc-based client costs and what the Task/Executor path exists to
+// avoid for idle clients. It read 649 ns while a switch was two channel
+// handoffs between goroutines.
 func BenchmarkProcSwitch(b *testing.B) {
 	k := NewKernel(1)
 	k.Go("switcher", func(p *Proc) {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 	"math/rand"
 	"sort"
 	"sync"
@@ -51,8 +52,8 @@ type Kernel struct {
 	now     Time
 	seq     uint64
 	events  eventHeap
-	parked  chan struct{} // a process signals here when it blocks or exits
 	procs   map[*Proc]bool
+	idle    []*coro // coroutines whose process exited, for GoAt to reuse
 	stopped bool
 	running *Proc // process currently executing, nil when scheduler runs
 	rng     *rand.Rand
@@ -75,7 +76,6 @@ func (k *Kernel) popEvent() event {
 // with seed.
 func NewKernel(seed int64) *Kernel {
 	return &Kernel{
-		parked:   make(chan struct{}),
 		procs:    make(map[*Proc]bool),
 		rng:      rand.New(rand.NewSource(seed)),
 		injectCh: make(chan struct{}, 1),
@@ -132,7 +132,7 @@ func (k *Kernel) AfterTarget(d Duration, t Target) {
 }
 
 // Go creates a new process named name and schedules it to start
-// immediately. The process function runs in its own goroutine but under
+// immediately. The process function runs on its own coroutine but under
 // cooperative scheduling: it only executes while no other process does.
 func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
 	return k.GoAt(k.now, name, fn)
@@ -141,30 +141,70 @@ func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
 // GoAt is Go with an explicit start time.
 func (k *Kernel) GoAt(at Time, name string, fn func(p *Proc)) *Proc {
 	k.nextID++
-	p := &Proc{
-		k:      k,
-		id:     k.nextID,
-		name:   name,
-		resume: make(chan struct{}),
+	p := &Proc{k: k, id: k.nextID, name: name}
+	var c *coro
+	if n := len(k.idle); n > 0 {
+		c = k.idle[n-1]
+		k.idle = k.idle[:n-1]
+	} else {
+		c = k.newCoro()
 	}
+	c.p, c.fn, p.co = p, fn, c
 	k.procs[p] = true
-	go func() {
-		<-p.resume
-		defer func() {
-			if r := recover(); r != nil && r != errKilled {
-				panic(r)
-			}
+	k.schedule(at, (*procWake)(p))
+	return p
+}
+
+// A coro is a pooled runtime coroutine (iter.Pull) that processes run on.
+// The scheduler enters it with next and a blocking process leaves it with
+// yield: a process switch is a direct goroutine handoff, with no pass
+// through the Go scheduler. A coroutine runs one process at a time; when
+// the process exits, the coroutine parks on the kernel's idle list for the
+// next GoAt, so a spawn costs the Proc alone once the pool is warm. The
+// pool lives until killAll stops it at the end of Run.
+type coro struct {
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+	p     *Proc         // the process GoAt gave the coroutine to run next
+	fn    func(p *Proc) // p's body
+}
+
+// newCoro makes a coroutine whose body runs processes until stopped.
+func (k *Kernel) newCoro() *coro {
+	c := new(coro)
+	c.next, c.stop = iter.Pull(func(yield func(struct{}) bool) {
+		c.yield = yield
+		for {
+			p, fn := c.p, c.fn
+			c.p, c.fn = nil, nil
+			p.exec(fn)
 			delete(k.procs, p)
 			p.dead = true
 			k.running = nil
-			k.parked <- struct{}{}
-		}()
-		if !p.killed {
-			fn(p)
+			k.idle = append(k.idle, c)
+			if !yield(struct{}{}) {
+				return
+			}
+		}
+	})
+	return c
+}
+
+// exec runs fn as p, unless p was killed before it started. The kill
+// sentinel is recovered; any other panic is left to unwind the coroutine,
+// and next re-raises it on the scheduler's goroutine, from Run.
+func (p *Proc) exec(fn func(p *Proc)) {
+	defer func() {
+		if p.killed {
+			if r := recover(); r != nil && r != errKilled {
+				panic(r)
+			}
 		}
 	}()
-	k.schedule(at, (*procWake)(p))
-	return p
+	if !p.killed {
+		fn(p)
+	}
 }
 
 // switchTo transfers control to p and waits until p blocks or exits. It
@@ -174,8 +214,7 @@ func (k *Kernel) switchTo(p *Proc) {
 		return
 	}
 	k.running = p
-	p.resume <- struct{}{}
-	<-k.parked
+	p.co.next()
 }
 
 // wake schedules p to resume at the current instant.
@@ -185,8 +224,9 @@ func (k *Kernel) wake(p *Proc) {
 
 // Run drives the simulation until no events remain or Stop is called.
 // It returns the final virtual time. Any processes still blocked when the
-// event queue drains are killed (their goroutines unwound) so a kernel
-// never leaks goroutines.
+// event queue drains are killed (their stacks unwound) and the idle
+// coroutines stopped, so a kernel never leaks goroutines. A panic in a
+// process body surfaces from Run with its original value.
 func (k *Kernel) Run() Time {
 	for len(k.events) > 0 && !k.stopped {
 		e := k.events.pop()
@@ -221,11 +261,12 @@ func (k *Kernel) RunUntil(t Time) Time {
 // unwinding all remaining processes.
 func (k *Kernel) Stop() { k.stopped = true }
 
-// killAll unwinds every live process, in creation order. Called with
-// scheduler in control. The order matters for determinism: unwinding
-// runs each victim's deferred functions, and map iteration order would
-// make any observable teardown effect (final flushes, log lines, trace
-// events) vary run to run even under a fixed seed.
+// killAll unwinds every live process, in creation order, then stops the
+// idle coroutines. Called with scheduler in control. The order matters
+// for determinism: unwinding runs each victim's deferred functions, and
+// map iteration order would make any observable teardown effect (final
+// flushes, log lines, trace events) vary run to run even under a fixed
+// seed.
 func (k *Kernel) killAll() {
 	for len(k.procs) > 0 {
 		victims := make([]*Proc, 0, len(k.procs))
@@ -235,7 +276,7 @@ func (k *Kernel) killAll() {
 			}
 		}
 		if len(victims) == 0 {
-			return
+			break
 		}
 		sort.Slice(victims, func(i, j int) bool { return victims[i].id < victims[j].id })
 		for _, victim := range victims {
@@ -243,13 +284,18 @@ func (k *Kernel) killAll() {
 				continue
 			}
 			victim.killed = true
-			// A process is either parked inside block() waiting on
-			// p.resume, or has been scheduled to start but never ran. In
-			// both cases resuming it lets the kill sentinel propagate.
+			// A process is either parked inside block() or has been
+			// scheduled to start but never ran. In both cases resuming it
+			// lets the kill sentinel propagate.
 			k.switchTo(victim)
 		}
 		// Unwinding may have spawned fresh processes; sweep again.
 	}
+	for _, c := range k.idle {
+		c.stop()
+	}
+	clear(k.idle)
+	k.idle = k.idle[:0]
 }
 
 // errKilled is the sentinel panic value used to unwind killed processes.

@@ -3,8 +3,10 @@ package sim
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"strconv"
 	"testing"
+	"time"
 )
 
 func TestSleepAdvancesVirtualTime(t *testing.T) {
@@ -415,10 +417,7 @@ func TestTimeArithmetic(t *testing.T) {
 
 // TestSpawnFormatsNoName: a process keeps the name it was given and its
 // id, and Name formats name#id only when asked, so a spawn under a
-// constant name allocates no string. What is left is the Proc, its resume
-// channel and its goroutine's closure. A trial can read one or two higher
-// — the runtime now and then allocates a goroutine afresh — so the budget
-// holds the best of a few.
+// constant name allocates no string.
 func TestSpawnFormatsNoName(t *testing.T) {
 	k := NewKernel(1)
 	var p *Proc
@@ -429,10 +428,47 @@ func TestSpawnFormatsNoName(t *testing.T) {
 	if want := "biod-w#" + strconv.Itoa(p.id); p.Name() != want || p.id != 2 {
 		t.Errorf("Name() = %q (id %d), want %q", p.Name(), p.id, want)
 	}
+}
+
+// TestWarmSpawnAllocatesOnlyTheProc: once a process has exited inside a
+// Run, its coroutine waits on the kernel's idle list, and the next spawn
+// takes it. A spawn then allocates the Proc and nothing else (3 objects
+// while each process was a goroutine with a resume channel), whatever
+// the spawner's rate: biod-ra and biod-w spawn one per block.
+func TestWarmSpawnAllocatesOnlyTheProc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under -race")
 	}
-	const budget = 3 // 5 while GoAt formatted name#id
+	const budget = 1
+	k := NewKernel(1)
+	fn := func(*Proc) {}
+	var allocs float64
+	k.Go("parent", func(p *Proc) {
+		allocs = testing.AllocsPerRun(200, func() {
+			k.Go("biod-w", fn)
+			p.Sleep(0) // the child starts, exits and parks its coroutine first
+		})
+	})
+	k.Run()
+	if allocs > budget {
+		t.Errorf("a warm spawn allocates %v objects, budget %d", allocs, budget)
+	}
+}
+
+// TestColdSpawnCost pins what a spawn costs when the idle pool is empty,
+// as it is for the first spawn after Run: Run stops every idle coroutine
+// so that it leaks no goroutine, and the next spawn makes a coroutine
+// afresh (iter.Pull's goroutine and closures, the coro, the Proc). That
+// cost is paid once per pool slot per Run, so the pool's high-water mark
+// bounds it, not the spawn count. A trial can read one or two higher —
+// the runtime now and then allocates a goroutine afresh — so the budget
+// holds the best of a few.
+func TestColdSpawnCost(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	const budget = 14
+	k := NewKernel(1)
 	fn := func(*Proc) {}
 	best := math.Inf(1)
 	for range 5 {
@@ -442,6 +478,67 @@ func TestSpawnFormatsNoName(t *testing.T) {
 		}))
 	}
 	if best > budget {
-		t.Errorf("a spawn allocates %v objects, budget %d", best, budget)
+		t.Errorf("a cold spawn allocates %v objects, budget %d", best, budget)
+	}
+}
+
+// TestProcessPanicSurfacesFromRun: a panic in a process body unwinds the
+// process's coroutine and re-raises from the scheduler's resume, so it
+// leaves Kernel.Run on the caller's goroutine with its original value
+// (not a process goroutine's crash of the whole binary).
+func TestProcessPanicSurfacesFromRun(t *testing.T) {
+	type boom struct{ n int }
+	k := NewKernel(1)
+	k.Go("doomed", func(p *Proc) {
+		p.Sleep(Second)
+		panic(boom{7})
+	})
+	defer func() {
+		if r := recover(); r != (boom{7}) {
+			t.Errorf("Run panicked with %v, want boom{7}", r)
+		}
+		if k.Now() != Time(Second) {
+			t.Errorf("panic surfaced at %v, want 1s", k.Now())
+		}
+	}()
+	k.Run()
+	t.Error("Run returned; want the process's panic")
+}
+
+// TestRunLeavesNoGoroutine: a thousand sequential processes share one
+// pooled coroutine, and Run stops it when the queue drains, so the
+// goroutine count returns to where it started.
+func TestRunLeavesNoGoroutine(t *testing.T) {
+	// Let goroutines still exiting from an earlier test go before
+	// counting.
+	settle := func() int {
+		n := -1
+		for n != runtime.NumGoroutine() {
+			n = runtime.NumGoroutine()
+			time.Sleep(5 * time.Millisecond)
+		}
+		return n
+	}
+	before := settle()
+	k := NewKernel(1)
+	ran := 0
+	k.Go("spawner", func(p *Proc) {
+		for range 1000 {
+			k.Go("child", func(c *Proc) {
+				c.Sleep(Millisecond)
+				ran++
+			})
+			p.Sleep(2 * Millisecond)
+		}
+	})
+	k.Run()
+	if ran != 1000 {
+		t.Fatalf("%d children ran, want 1000", ran)
+	}
+	if len(k.idle) != 0 {
+		t.Errorf("%d idle coroutines after Run, want 0", len(k.idle))
+	}
+	if after := settle(); after > before {
+		t.Errorf("goroutines %d after Run, %d before", after, before)
 	}
 }

@@ -9,7 +9,7 @@ type Proc struct {
 	k      *Kernel
 	id     int    // creation sequence (drives deterministic teardown order)
 	name   string // as given to Go; Name adds the id
-	resume chan struct{}
+	co     *coro  // the coroutine the process runs on
 	killed bool
 	dead   bool
 	op     uint64 // causal operation ID (0 = none)
@@ -49,8 +49,7 @@ func (p *Proc) Now() Time { return p.k.now }
 // list) before calling block.
 func (p *Proc) block() {
 	p.k.running = nil
-	p.k.parked <- struct{}{}
-	<-p.resume
+	p.co.yield(struct{}{})
 	if p.killed {
 		panic(errKilled)
 	}

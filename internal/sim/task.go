@@ -3,14 +3,14 @@ package sim
 import "fmt"
 
 // Task is the lightweight sibling of Proc: a state-machine thread of
-// control that lives entirely on the kernel's event heap and never parks
-// a goroutine. A Proc costs a goroutine (stack, resume channel, two
-// channel handoffs per block); a Task costs one struct, so a world can
+// control that lives entirely on the kernel's event heap and never
+// parks a goroutine. A blocked Proc holds a coroutine, and a coroutine
+// is a goroutine with a stack; a Task costs one struct, so a world can
 // hold thousands of concurrent clients whose idle time — think time
 // between requests, backoff, polling intervals — is just a scheduled
-// callback. When a task must run blocking protocol code (a file op that
-// sleeps through RPCs and disk), it borrows a pooled process from an
-// Executor for exactly the blocking section.
+// callback. When a task must run blocking protocol code (a file op
+// that sleeps through RPCs and disk), it borrows a pooled process from
+// an Executor for exactly the blocking section.
 //
 // Task callbacks run in scheduler context: they must not block, exactly
 // like events scheduled with Kernel.After.
@@ -48,9 +48,12 @@ func (t *Task) After(d Duration, fn func()) {
 // on the free list and the task's completion callback runs.
 //
 // The pool never queues work, so submission adds no modeled latency:
-// the goroutine count is bounded by the maximum number of *concurrently
-// blocked* closures, not by the number of tasks — the quantity that
-// stays small when think time dominates. The free list is LIFO and all
+// the goroutine count is bounded by the maximum number of
+// *concurrently blocked* closures, not by the number of tasks — the
+// quantity that stays small when think time dominates. The kernel
+// pools the coroutines under its processes too, but only those whose
+// process has exited; a worker keeps its process, so a submission to
+// an idle worker spawns nothing. The free list is LIFO and all
 // hand-offs go through the event heap, so scheduling is deterministic.
 //
 // Handing a job to an idle worker allocates nothing: the worker is woken

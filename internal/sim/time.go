@@ -1,7 +1,8 @@
 // Package sim implements a deterministic discrete-event simulation kernel.
 //
-// The kernel schedules cooperative processes (each backed by a goroutine,
-// but with exactly one runnable at any instant) against a virtual clock.
+// The kernel schedules cooperative processes (each running on a pooled
+// runtime coroutine, with exactly one runnable at any instant) against a
+// virtual clock.
 // Processes block by sleeping, by waiting on queues, signals and mutexes,
 // or by using a Resource; the kernel advances virtual time only when every
 // process is blocked. Event ordering is fully deterministic: events fire in

@@ -16,8 +16,6 @@ type PingerConfig struct {
 	Self simnet.Addr
 	// Service is the viewservice's address.
 	Service simnet.Addr
-	// Interval is the ping period (should match the service's).
-	Interval sim.Duration
 	// Crashed, when set, suppresses pings while it returns true — a
 	// crashed host does not ping, which is exactly how the service
 	// learns it died.
@@ -51,7 +49,7 @@ func StartPinger(k *sim.Kernel, ep *rpc.Endpoint, cfg PingerConfig) *Pinger {
 
 func (pg *Pinger) loop(p *sim.Proc) {
 	for {
-		p.Sleep(pg.cfg.Interval)
+		p.Sleep(PingInterval)
 		if pg.cfg.Crashed != nil && pg.cfg.Crashed() {
 			continue
 		}
@@ -68,7 +66,7 @@ func (pg *Pinger) loop(p *sim.Proc) {
 		// backed-off retransmit schedule would just delay failure
 		// detection.
 		body, err := pg.ep.CallXDREx(p, pg.cfg.Service, proto.ProgView, 1, proto.ViewProcPing,
-			args.XDR, pg.cfg.Interval, 0)
+			args.XDR, PingInterval, 0)
 		if err != nil {
 			continue
 		}

@@ -38,26 +38,22 @@ type MapStore interface {
 	SetPrimary(shard uint32, addr string)
 }
 
+// PingInterval is the ping period: every server pings the service this
+// often, and the service scans for dead members as often.
+const PingInterval = 100 * sim.Millisecond
+
 // deadPings is how many consecutive missed ping intervals declare a
 // server dead.
 const deadPings = 5
 
 // Config tunes the service.
 type Config struct {
-	// Interval is the expected ping period. Zero means 100 ms.
-	Interval sim.Duration
 	// Log, when set, receives one text line per view change.
 	Log io.Writer
 	// OnEvent, when set, observes every view change (flight recorder,
 	// timelines, and the cluster's synchronous promotion hook). p is the
 	// publishing process (nil for the registration event).
 	OnEvent func(p *sim.Proc, shard uint32, v proto.View, reason string)
-}
-
-func (c *Config) fill() {
-	if c.Interval == 0 {
-		c.Interval = 100 * sim.Millisecond
-	}
 }
 
 // memberState is what the service remembers about one server address.
@@ -91,15 +87,11 @@ type Service struct {
 
 // NewService attaches the service to ep and starts its tick daemon.
 func NewService(k *sim.Kernel, ep *rpc.Endpoint, store MapStore, cfg Config) *Service {
-	cfg.fill()
 	s := &Service{k: k, ep: ep, store: store, cfg: cfg, shards: make(map[uint32]*shardState)}
 	ep.Serve(proto.ProgView, s.serve)
 	k.Go(string(ep.Addr())+"/view-tick", s.tickDaemon)
 	return s
 }
-
-// Interval returns the ping period the service expects.
-func (s *Service) Interval() sim.Duration { return s.cfg.Interval }
 
 // Register installs shard's initial view (number 1). Both members are
 // treated as just-seen so the tick daemon does not declare them dead
@@ -195,14 +187,14 @@ func (s *Service) serve(p *sim.Proc, from simnet.Addr, proc uint32, args, _ []by
 // next view where the rules allow one.
 func (s *Service) tickDaemon(p *sim.Proc) {
 	for {
-		p.Sleep(s.cfg.Interval)
+		p.Sleep(PingInterval)
 		s.tick(p)
 	}
 }
 
 func (s *Service) tick(p *sim.Proc) {
 	now := p.Now()
-	grace := deadPings * s.cfg.Interval
+	grace := deadPings * PingInterval
 	ids := make([]uint32, 0, len(s.shards))
 	for id := range s.shards {
 		ids = append(ids, id)

@@ -39,7 +39,7 @@ func testbed(t *testing.T, log *strings.Builder) (*sim.Kernel, *Service, *fakeSt
 	net := simnet.New(k, simnet.Config{})
 	store := &fakeStore{m: proto.ShardMap{Version: 1, Servers: []string{"primary"}}}
 	svc := NewService(k, rpc.NewEndpoint(k, net, "viewsvc", rpc.Options{Workers: 2}), store,
-		Config{Interval: 100 * sim.Millisecond, Log: log})
+		Config{Log: log})
 	svc.Register(0, "primary", "backup")
 	pr, bk := &replica{synced: true}, &replica{synced: true}
 	for _, m := range []struct {
@@ -49,9 +49,8 @@ func testbed(t *testing.T, log *strings.Builder) (*sim.Kernel, *Service, *fakeSt
 		m := m
 		StartPinger(k, rpc.NewEndpoint(k, net, m.addr, rpc.Options{Workers: 1}), PingerConfig{
 			Shard: 0, Self: m.addr, Service: "viewsvc",
-			Interval: 100 * sim.Millisecond,
-			Crashed:  func() bool { return m.r.crashed },
-			Status:   func() (bool, uint32) { return m.r.synced, m.r.lag },
+			Crashed: func() bool { return m.r.crashed },
+			Status:  func() (bool, uint32) { return m.r.synced, m.r.lag },
 		})
 	}
 	return k, svc, store, pr, bk
