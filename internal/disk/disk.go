@@ -148,11 +148,11 @@ func (d *Disk) WriteBatch(p *sim.Proc, sizes []int) {
 }
 
 // WriteAsync queues a write of n bytes without blocking anyone (a delayed
-// write being flushed in the background). fn, if non-nil, runs when the
-// write reaches the media.
-func (d *Disk) WriteAsync(n int, fn func()) {
+// write being flushed in the background). done, if non-nil, comes due
+// when the write reaches the media.
+func (d *Disk) WriteAsync(n int, done sim.Target) {
 	d.stats.Writes++
 	d.stats.BytesWritten += int64(n)
 	d.stats.QueueDelayAsync += d.res.Backlog()
-	d.res.UseAsync(d.opCost(n), fn)
+	d.res.UseAsync(d.opCost(n), done)
 }

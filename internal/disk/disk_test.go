@@ -49,20 +49,29 @@ func TestWritesQueueOnArm(t *testing.T) {
 	}
 }
 
+// stamp records the instant it comes due.
+type stamp struct {
+	k  *sim.Kernel
+	at sim.Time
+}
+
+func (s *stamp) Due() { s.at = s.k.Now() }
+
 func TestWriteAsyncDoesNotBlock(t *testing.T) {
 	k := sim.NewKernel(1)
 	d := New(k, "d0", Params{AccessTime: 50 * sim.Millisecond})
-	var callerAt, mediaAt sim.Time
+	var callerAt sim.Time
+	media := &stamp{k: k}
 	k.Go("writer", func(p *sim.Proc) {
-		d.WriteAsync(4096, func() { mediaAt = k.Now() })
+		d.WriteAsync(4096, media)
 		callerAt = p.Now()
 	})
 	k.Run()
 	if callerAt != 0 {
 		t.Errorf("async write blocked the caller until %v", callerAt)
 	}
-	if mediaAt != sim.Time(50*sim.Millisecond) {
-		t.Errorf("media write at %v, want 50ms", mediaAt)
+	if media.at != sim.Time(50*sim.Millisecond) {
+		t.Errorf("media write at %v, want 50ms", media.at)
 	}
 }
 

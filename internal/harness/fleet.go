@@ -89,17 +89,26 @@ func NewFleet(w *World, opt FleetOptions) *Fleet {
 func (f *Fleet) startSyncSweep(interval sim.Duration) {
 	n := len(f.Clients)
 	for i, fc := range f.Clients {
-		c := fc.SNFS
 		offset := sim.Duration(int64(interval) * int64(i) / int64(n))
-		// Bound once per client: a pass submits and reschedules the
-		// same three func values for the life of the fleet.
-		var pass func()
-		job := c.SyncPass
-		again := func() { f.W.K.After(interval, pass) }
-		pass = func() { f.Exec.Submit(0, job, again) }
-		f.W.K.After(offset+interval, pass)
+		s := &syncPass{f: f, job: fc.SNFS.SyncPass, interval: interval}
+		s.again = s.rearm
+		f.W.K.After(offset+interval, s.Due)
 	}
 }
+
+// syncPass is one client's place in the sync sweep, standing as the event
+// that submits its pass. Its job and completion are bound once, so a pass
+// submits and re-arms the same values for the life of the fleet; the
+// re-arm waits in the kernel's lane for the sweep's interval.
+type syncPass struct {
+	f        *Fleet
+	job      func(p *sim.Proc)
+	again    func()
+	interval sim.Duration
+}
+
+func (s *syncPass) Due()   { s.f.Exec.Submit(0, s.job, s.again) }
+func (s *syncPass) rearm() { s.f.W.K.AfterFixed(s.interval, s) }
 
 // Client returns fleet member i.
 func (f *Fleet) Client(i int) *FleetClient { return f.Clients[i] }

@@ -523,8 +523,8 @@ type Pending struct {
 
 	// The reply slot, and the wait on it. The kernel's events cannot be
 	// withdrawn, so a call that completes leaves its last timeout event
-	// on the heap, pointing here, until it comes due and finds replied
-	// set; wait therefore drops body, tail and the wire image as it
+	// in the kernel's lane for that timeout, pointing here, until it
+	// comes due and finds replied set; wait therefore drops body, tail and the wire image as it
 	// returns, and the stale event pins only this struct.
 	replied  bool
 	timedOut bool // this attempt's timeout came due before a reply
@@ -623,13 +623,15 @@ func (t *callTimeout) Due() {
 
 // await parks p until the reply is in the slot or d has passed, and
 // reports whether it is. A reply already delivered (a pipelined call
-// collected late) schedules nothing.
+// collected late) schedules nothing. d is a step of the call's schedule,
+// its first-attempt timeout doubled per retry: a constant, so the timeout
+// waits in the kernel's lane for d (sim.Kernel.AfterFixed).
 func (c *Pending) await(p *sim.Proc, d sim.Duration) bool {
 	if c.replied {
 		return true
 	}
 	c.timedOut = false
-	c.e.k.AfterTarget(d, (*callTimeout)(c))
+	c.e.k.AfterFixed(d, (*callTimeout)(c))
 	for !c.replied && !c.timedOut {
 		c.waiter = p
 		p.Park()
@@ -763,7 +765,7 @@ func (e *Endpoint) handleMsg(m simnet.Message) {
 // first waiting call at that same instant, and only gives its slot back
 // when none waits. It never takes a handed call, though one may be queued
 // ahead of the waiting ones for an instant: that call's own process is
-// already on the event heap, and running it from here instead would move
+// already in the event queue, and running it from here instead would move
 // its handler ahead of every event between the two.
 func (e *Endpoint) serve(p *sim.Proc) {
 	e.handed--

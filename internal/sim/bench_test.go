@@ -2,11 +2,10 @@ package sim
 
 import "testing"
 
-// BenchmarkKernelEvents measures the bare event-heap path: schedule one
-// closure, pop it, run it — no process involved. This is the floor every
-// simulated action pays; the typed 4-ary heap keeps it allocation-free
-// beyond the closure itself (container/heap boxed every event into an
-// `any` on push).
+// BenchmarkKernelEvents measures the bare heap path: schedule one closure
+// a microsecond ahead, pop it, run it — no process involved, and no other
+// event in the heap. The typed heap keeps it allocation-free beyond the
+// closure itself. BenchmarkKernelQueue measures the paths under load.
 func BenchmarkKernelEvents(b *testing.B) {
 	k := NewKernel(1)
 	n := 0
@@ -21,6 +20,58 @@ func BenchmarkKernelEvents(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	k.Run()
+}
+
+// BenchmarkKernelQueue times one event through each structure of the
+// kernel's queue as a fleet world loads it: 1,000 far timers, a fleet's
+// think timers, stay resident in the heap throughout, and a chain of
+// events reschedules itself through one path — the same-instant lane
+// (After(0, …)), a fixed-delay lane (AfterFixed), a resource's lane
+// (UseAsync with a target), or the heap (After at a later instant).
+// BenchmarkKernelEvents, whose heap holds one event, cannot see what a
+// deep heap costs each event.
+func BenchmarkKernelQueue(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		next func(k *Kernel, r *Resource, c *chain)
+	}{
+		{"same-instant", func(k *Kernel, _ *Resource, c *chain) { k.After(0, c.tick) }},
+		{"fixed", func(k *Kernel, _ *Resource, c *chain) { k.AfterFixed(Microsecond, c) }},
+		{"resource", func(_ *Kernel, r *Resource, c *chain) { r.UseAsync(Microsecond, c) }},
+		{"heap", func(k *Kernel, _ *Resource, c *chain) { k.After(Microsecond, c.tick) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			k := NewKernel(1)
+			for i := 0; i < 1000; i++ {
+				k.After(Minute+Duration(i), func() {})
+			}
+			r := NewResource(k, "r")
+			ch := &chain{left: b.N}
+			ch.tick = ch.Due
+			ch.next = func() { c.next(k, r, ch) }
+			ch.stop = k.Stop
+			ch.next()
+			b.ReportAllocs()
+			b.ResetTimer()
+			k.Run()
+		})
+	}
+}
+
+// chain is an event that schedules its successor until left runs out.
+type chain struct {
+	left int
+	tick func() // Due, bound once
+	next func()
+	stop func()
+}
+
+func (c *chain) Due() {
+	if c.left--; c.left > 0 {
+		c.next()
+	} else {
+		c.stop()
+	}
 }
 
 // BenchmarkProcSwitch measures one full process block/resume cycle (a

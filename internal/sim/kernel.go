@@ -24,8 +24,10 @@ type Target interface {
 // the scheduler goroutine and must not block; to run blocking code, an
 // event resumes a process (see switchTo).
 //
-// Every schedule takes one seq whatever the event's form, so replacing a
-// closure by the target it captured never changes the (at, seq) pop order.
+// Every schedule takes one seq whatever the event's form and whichever
+// structure holds it — the heap or a lane — so replacing a closure by the
+// target it captured, or moving an event from the heap to a lane, never
+// changes the (at, seq) pop order.
 type event struct {
 	at  Time
 	seq uint64
@@ -49,9 +51,17 @@ func (w *procWake) Due() {
 // Kernel is a discrete-event simulation scheduler. The zero value is not
 // usable; create kernels with NewKernel.
 type Kernel struct {
-	now     Time
-	seq     uint64
-	events  eventHeap
+	now Time
+	seq uint64
+
+	// The event queue: a heap, and lanes beside it (see lane). Every
+	// pending event is in exactly one of them; next pops the least.
+	heap    eventHeap
+	instant lane    // the same-instant lane
+	fixed   []*lane // the fixed-delay lanes, one per delay, in order of first use
+	lanes   []*lane // the non-empty lanes, in no order
+	opened  int     // lanes that have held an event, read by this package's tests
+
 	procs   map[*Proc]bool
 	idle    []*coro // coroutines whose process exited, for GoAt to reuse
 	stopped bool
@@ -65,11 +75,6 @@ type Kernel struct {
 	injected []func()
 	injectCh chan struct{}
 	turns    uint64 // RunRealtime loop turns, read by this package's tests
-}
-
-// popEvent removes and returns the earliest event.
-func (k *Kernel) popEvent() event {
-	return k.events.pop()
 }
 
 // NewKernel returns a kernel whose deterministic random stream is seeded
@@ -109,14 +114,16 @@ func (k *Kernel) CurrentOp() uint64 {
 	return k.running.op
 }
 
-// schedule enqueues t to come due at time at. It may be called from the
+// schedule enqueues t to come due at time at: in the same-instant lane
+// if at is now (or past), in the heap otherwise. It may be called from the
 // scheduler goroutine or from the currently running process.
 func (k *Kernel) schedule(at Time, t Target) {
-	if at < k.now {
-		at = k.now
+	if at <= k.now {
+		k.push(&k.instant, k.now, t)
+		return
 	}
 	k.seq++
-	k.events.push(event{at: at, seq: k.seq, run: t})
+	k.heap.push(event{at: at, seq: k.seq, run: t})
 }
 
 // After schedules fn to run d from now in scheduler context. fn must not
@@ -125,10 +132,14 @@ func (k *Kernel) After(d Duration, fn func()) {
 	k.schedule(k.now.Add(d), closure(fn))
 }
 
-// AfterTarget schedules t to come due d from now: After for a caller that
-// already holds the object its closure would capture.
-func (k *Kernel) AfterTarget(d Duration, t Target) {
-	k.schedule(k.now.Add(d), t)
+// AfterFixed schedules t to come due d from now, in the kernel's lane for
+// delay d, where a schedule costs O(1) instead of a heap sift. d must be a
+// constant of the caller's program — a configured propagation delay, a
+// timeout — not a value drawn per call: the lane is in time order only
+// because now + d never goes back, and each distinct d opens a lane that
+// every later event pays to scan. A delay that varies goes to After.
+func (k *Kernel) AfterFixed(d Duration, t Target) {
+	k.push(k.fixedLane(d), k.now.Add(d), t)
 }
 
 // Go creates a new process named name and schedules it to start
@@ -219,7 +230,7 @@ func (k *Kernel) switchTo(p *Proc) {
 
 // wake schedules p to resume at the current instant.
 func (k *Kernel) wake(p *Proc) {
-	k.schedule(k.now, (*procWake)(p))
+	k.push(&k.instant, k.now, (*procWake)(p))
 }
 
 // Run drives the simulation until no events remain or Stop is called.
@@ -228,31 +239,15 @@ func (k *Kernel) wake(p *Proc) {
 // coroutines stopped, so a kernel never leaks goroutines. A panic in a
 // process body surfaces from Run with its original value.
 func (k *Kernel) Run() Time {
-	for len(k.events) > 0 && !k.stopped {
-		e := k.events.pop()
+	for !k.stopped {
+		e, ok := k.next(maxTime)
+		if !ok {
+			break
+		}
 		k.now = e.at
 		e.run.Due()
 	}
 	k.killAll()
-	return k.now
-}
-
-// RunUntil drives the simulation until virtual time t, no events remain,
-// or Stop is called. Unlike Run it does not kill blocked processes, so the
-// simulation can be resumed with further Run/RunUntil calls.
-func (k *Kernel) RunUntil(t Time) Time {
-	for len(k.events) > 0 && !k.stopped {
-		if k.events[0].at > t {
-			k.now = t
-			return k.now
-		}
-		e := k.events.pop()
-		k.now = e.at
-		e.run.Due()
-	}
-	if k.now < t {
-		k.now = t
-	}
 	return k.now
 }
 

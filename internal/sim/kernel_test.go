@@ -96,11 +96,11 @@ func TestEventOrderingIsDeterministic(t *testing.T) {
 			// for it, so they come first; the rest follow in the
 			// order of the lines below.
 			k.After(0, note("closure"))
-			k.AfterTarget(0, &noteTarget{&order, "target"})
+			k.AfterFixed(0, &noteTarget{&order, "target"})
 			sig.Fire(nil)
 			k.Go("start", func(p *Proc) { note("start")() })
 			q.Put(1)
-			res.UseAsync(0, note("async"))
+			res.UseAsync(0, &noteTarget{&order, "async"})
 			wg.Done()
 			ex.Submit(0, func(p *Proc) { note("job")() }, nil)
 			mu.Unlock()
@@ -118,11 +118,6 @@ func TestEventOrderingIsDeterministic(t *testing.T) {
 		drive func(k *Kernel, done chan struct{})
 	}{
 		{"Run", func(k *Kernel, _ chan struct{}) { k.Run() }},
-		{"RunUntil", func(k *Kernel, _ chan struct{}) {
-			for step := Time(0); step <= Time(at+Millisecond); step += Time(Millisecond / 2) {
-				k.RunUntil(step)
-			}
-		}},
 		{"RunRealtime", func(k *Kernel, done chan struct{}) {
 			halt := realtime(k)
 			<-done
@@ -299,7 +294,7 @@ func TestResourceUseAsyncOverlapsCaller(t *testing.T) {
 	r := NewResource(k, "disk")
 	var callerDone, asyncDone Time
 	k.Go("u", func(p *Proc) {
-		r.UseAsync(20*Millisecond, func() { asyncDone = k.Now() })
+		r.UseAsync(20*Millisecond, closure(func() { asyncDone = k.Now() }))
 		p.Sleep(Millisecond)
 		callerDone = p.Now()
 	})
@@ -329,28 +324,6 @@ func TestStopKillsBlockedProcesses(t *testing.T) {
 	k.Run()
 	if !cleanedUp {
 		t.Error("blocked daemon was not unwound")
-	}
-}
-
-func TestRunUntilPausesAndResumes(t *testing.T) {
-	k := NewKernel(1)
-	ticks := 0
-	k.Go("ticker", func(p *Proc) {
-		for i := 0; i < 10; i++ {
-			p.Sleep(Second)
-			ticks++
-		}
-	})
-	k.RunUntil(Time(3500 * Millisecond))
-	if ticks != 3 {
-		t.Errorf("ticks at 3.5s = %d, want 3", ticks)
-	}
-	if k.Now() != Time(3500*Millisecond) {
-		t.Errorf("now %v, want 3.5s", k.Now())
-	}
-	k.Run()
-	if ticks != 10 {
-		t.Errorf("final ticks %d, want 10", ticks)
 	}
 }
 

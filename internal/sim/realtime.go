@@ -41,7 +41,7 @@ func (k *Kernel) RunRealtime(stop <-chan struct{}) {
 	timer := time.NewTimer(time.Hour)
 	timer.Stop()
 	defer timer.Stop()
-	var pending []func()
+	var injected []func()
 	for {
 		select {
 		case <-stop:
@@ -52,29 +52,31 @@ func (k *Kernel) RunRealtime(stop <-chan struct{}) {
 		// Fold in externally injected work, handing the drained slice
 		// back for Inject to fill again.
 		k.injectMu.Lock()
-		pending, k.injected = k.injected, pending[:0]
+		injected, k.injected = k.injected, injected[:0]
 		k.injectMu.Unlock()
 		wallNow := Time(time.Since(start).Microseconds())
 		if wallNow > k.now {
 			k.now = wallNow
 		}
-		for i, fn := range pending {
-			pending[i] = nil
+		for i, fn := range injected {
+			injected[i] = nil
 			fn()
 		}
 		// Run everything that is due.
 		ran := false
-		for len(k.events) > 0 && k.events[0].at <= k.now {
-			k.popEvent().run.Due()
+		e, pending := k.next(k.now)
+		for pending && e.run != nil {
+			e.run.Due()
 			ran = true
+			e, pending = k.next(k.now)
 		}
 		if ran {
 			continue // time has passed and injections may have arrived meanwhile
 		}
 		// Wait for the next event, an injection, or stop.
 		var due <-chan time.Time
-		if len(k.events) > 0 {
-			delay := time.Duration(k.events[0].at-k.now) * time.Microsecond
+		if pending {
+			delay := time.Duration(e.at-k.now) * time.Microsecond
 			if delay < timerResolution {
 				runtime.Gosched()
 				continue

@@ -14,49 +14,51 @@ type Resource struct {
 
 	// Busy accounting.
 	busy Duration
+
+	// The completions of Use and UseAsync. Each comes due at the freeAt
+	// it set, and freeAt never goes back, so they wait in a lane.
+	lane lane
 }
 
 // NewResource returns an idle resource named name.
 func NewResource(k *Kernel, name string) *Resource {
-	return &Resource{k: k, name: name}
+	r := &Resource{k: k, name: name}
+	r.lane.res = r
+	return r
+}
+
+// occupy queues service time d behind the backlog and returns the instants
+// the service starts and ends.
+func (r *Resource) occupy(d Duration) (start, end Time) {
+	if d < 0 {
+		d = 0
+	}
+	start = max(r.k.now, r.freeAt)
+	end = start.Add(d)
+	r.freeAt = end
+	r.busy += d
+	return start, end
 }
 
 // Use occupies the resource for service time d, blocking p through any
 // queueing delay plus the service itself. It returns the queueing delay
 // experienced.
 func (r *Resource) Use(p *Proc, d Duration) Duration {
-	if d < 0 {
-		d = 0
-	}
 	now := r.k.now
-	start := now
-	if r.freeAt > start {
-		start = r.freeAt
-	}
-	end := start.Add(d)
-	r.freeAt = end
-	r.busy += d
-	p.Sleep(end.Sub(now))
+	start, end := r.occupy(d)
+	r.k.push(&r.lane, end, (*procWake)(p))
+	p.block()
 	return start.Sub(now)
 }
 
 // UseAsync occupies the resource for service time d without blocking any
 // process; it models work (such as a queued disk write) whose initiator
-// does not wait. The completion instant is returned, and fn (if non-nil)
-// runs at that instant.
-func (r *Resource) UseAsync(d Duration, fn func()) Time {
-	if d < 0 {
-		d = 0
-	}
-	start := r.k.now
-	if r.freeAt > start {
-		start = r.freeAt
-	}
-	end := start.Add(d)
-	r.freeAt = end
-	r.busy += d
-	if fn != nil {
-		r.k.schedule(end, closure(fn))
+// does not wait. The completion instant is returned, and t (if non-nil)
+// comes due at that instant.
+func (r *Resource) UseAsync(d Duration, t Target) Time {
+	_, end := r.occupy(d)
+	if t != nil {
+		r.k.push(&r.lane, end, t)
 	}
 	return end
 }

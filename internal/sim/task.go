@@ -3,7 +3,7 @@ package sim
 import "fmt"
 
 // Task is the lightweight sibling of Proc: a state-machine thread of
-// control that lives entirely on the kernel's event heap and never
+// control that lives entirely in the kernel's event queue and never
 // parks a goroutine. A blocked Proc holds a coroutine, and a coroutine
 // is a goroutine with a stack; a Task costs one struct, so a world can
 // hold thousands of concurrent clients whose idle time — think time
@@ -54,7 +54,7 @@ func (t *Task) After(d Duration, fn func()) {
 // pools the coroutines under its processes too, but only those whose
 // process has exited; a worker keeps its process, so a submission to
 // an idle worker spawns nothing. The free list is LIFO and all
-// hand-offs go through the event heap, so scheduling is deterministic.
+// hand-offs go through the event queue, so scheduling is deterministic.
 //
 // Handing a job to an idle worker allocates nothing: the worker is woken
 // by a typed event, not a closure. What a submission costs the host is
@@ -128,8 +128,8 @@ func (w *execWorker) run(ex *Executor) {
 		ex.active--
 		// Park on the free list before firing the completion callback,
 		// so a done() that immediately submits again reuses this worker
-		// (the wake arrives after the block below — hand-offs stay on
-		// the event heap).
+		// (the wake arrives after the block below — hand-offs stay in
+		// the event queue).
 		ex.idle = append(ex.idle, w)
 		if done != nil {
 			done()

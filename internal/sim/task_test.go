@@ -1,7 +1,10 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -136,10 +139,9 @@ func (t *thinkTimer) Due() { t.submit() }
 // TestTaskDeterministicInterleave: kernels running the same mix of task
 // callbacks, typed timers and executor jobs produce identical event
 // interleavings (observed through a log of (time, label) pairs), whether
-// driven by Run or stepped through the same span by RunUntil, and whether
-// a think timer is a closure or the typed target that replaces it.
+// a think timer is a closure or a typed target scheduled in its place.
 func TestTaskDeterministicInterleave(t *testing.T) {
-	run := func(drive func(k *Kernel), typed func(c int) bool) []string {
+	run := func(typed func(c int) bool) []string {
 		k := NewKernel(7)
 		ex := NewExecutor(k, "t")
 		var log []string
@@ -159,32 +161,25 @@ func TestTaskDeterministicInterleave(t *testing.T) {
 			step = func() {
 				think := Duration(k.Rand().Int63n(int64(10 * Millisecond)))
 				if typed(c) {
-					k.AfterTarget(think, timer)
+					k.schedule(k.now.Add(think), timer)
 				} else {
 					k.After(think, timer.submit)
 				}
 			}
 			step()
 		}
-		drive(k)
+		k.Run()
 		return log
 	}
-	byRun := func(k *Kernel) { k.Run() }
-	byRunUntil := func(k *Kernel) {
-		for step := Time(0); step < Time(Second); step += Time(700 * Microsecond) {
-			k.RunUntil(step)
-		}
-	}
 	closures := func(int) bool { return false }
-	a := run(byRun, closures)
+	a := run(closures)
 	if len(a) != 32 {
 		t.Fatalf("log length %d, want 32", len(a))
 	}
 	for name, b := range map[string][]string{
-		"Run again":         run(byRun, closures),
-		"RunUntil":          run(byRunUntil, closures),
-		"targets":           run(byRun, func(int) bool { return true }),
-		"targets, RunUntil": run(byRunUntil, func(c int) bool { return c%2 == 0 }),
+		"Run again":    run(closures),
+		"targets":      run(func(int) bool { return true }),
+		"some targets": run(func(c int) bool { return c%2 == 0 }),
 	} {
 		if len(b) != len(a) {
 			t.Fatalf("%s: log length %d, want %d", name, len(b), len(a))
@@ -197,36 +192,195 @@ func TestTaskDeterministicInterleave(t *testing.T) {
 	}
 }
 
-// TestHeapOrdering: the typed 4-ary heap pops in exact (time, seq) order
-// across a large randomized fill/drain mix.
-func TestHeapOrdering(t *testing.T) {
-	k := NewKernel(3)
-	var h eventHeap
-	seq := uint64(0)
-	for i := 0; i < 5000; i++ {
-		seq++
-		h.push(event{at: Time(k.rng.Int63n(1000)), seq: seq})
-		if i%3 == 2 {
-			h.pop()
+// logTarget is a typed event that logs its id when it comes due.
+type logTarget struct {
+	log *[]int
+	id  int
+}
+
+func (l *logTarget) Due() { *l.log = append(*l.log, l.id) }
+
+// counter is a typed event that counts the times it comes due.
+type counter int
+
+func (c *counter) Due() { *c++ }
+
+// TestQueueOrdering: the heap and the lanes beside it pop as one queue in
+// exact (at, seq) order. A seeded random mix goes through every entry
+// point — After now and later, AfterFixed at three delays, two resources'
+// Use and UseAsync, Sleep, Unpark and Go — recording each event's (at,
+// seq) as it is scheduled; the ids the events log as they run must come
+// in the order of those records sorted, whether Run or RunRealtime drives
+// the kernel. Delays are tens of microseconds, so the realtime run takes
+// milliseconds of wall time and its late events pile up as due together.
+func TestQueueOrdering(t *testing.T) {
+	type record struct {
+		at  Time
+		seq uint64
+		id  int
+	}
+	mix := func(drive func(k *Kernel, done chan struct{})) (want, got []int) {
+		k := NewKernel(3)
+		rng := rand.New(rand.NewSource(3))
+		res := []*Resource{NewResource(k, "cpu"), NewResource(k, "disk")}
+		fixed := []Duration{5 * Microsecond, 40 * Microsecond, 90 * Microsecond}
+		var recs []record
+		var parked []*Proc
+		wakeID := map[*Proc]int{}
+		done := make(chan struct{})
+		// note records the next schedule, due at at, and returns its id.
+		// Every schedule of the run is noted, so the run must end with
+		// one seq taken per record.
+		note := func(at Time) int {
+			recs = append(recs, record{at, k.seq + 1, len(recs)})
+			return len(recs) - 1
+		}
+		logged := func(id int) func() { return func() { got = append(got, id) } }
+		start := note(0)
+		k.Go("driver", func(p *Proc) {
+			got = append(got, start)
+			for i := 0; i < 3000; i++ {
+				d := Duration(rng.Int63n(60)) * Microsecond
+				now := k.now
+				switch rng.Intn(11) {
+				case 0:
+					k.After(0, logged(note(now)))
+				case 1:
+					k.After(d, logged(note(now.Add(d))))
+				case 2:
+					f := fixed[rng.Intn(len(fixed))]
+					k.AfterFixed(f, &logTarget{&got, note(now.Add(f))})
+				case 3:
+					r := res[rng.Intn(len(res))]
+					r.UseAsync(d, &logTarget{&got, note(max(now, r.freeAt).Add(d))})
+				case 4, 5: // a process that uses a resource, or sleeps
+					r, use := res[rng.Intn(len(res))], rng.Intn(2) == 0
+					id := note(now)
+					k.Go("user", func(p *Proc) {
+						got = append(got, id)
+						if use {
+							wake := note(max(p.Now(), r.freeAt).Add(d))
+							r.Use(p, d)
+							got = append(got, wake)
+						} else {
+							wake := note(p.Now().Add(d))
+							p.Sleep(d)
+							got = append(got, wake)
+						}
+					})
+				case 6: // a process that parks, for a later Unpark
+					id := note(now)
+					k.Go("parker", func(p *Proc) {
+						got = append(got, id)
+						parked = append(parked, p)
+						p.Park()
+						got = append(got, wakeID[p])
+					})
+				case 7:
+					if len(parked) > 0 {
+						j := rng.Intn(len(parked))
+						q := parked[j]
+						parked = append(parked[:j], parked[j+1:]...)
+						wakeID[q] = note(now)
+						q.Unpark()
+					}
+				default: // the driver sleeps, and time moves
+					wake := note(now.Add(d))
+					p.Sleep(d)
+					got = append(got, wake)
+				}
+			}
+			// Outwait every backlog, then end the run.
+			last := k.now
+			for _, r := range recs {
+				last = max(last, r.at)
+			}
+			wake := note(last.Add(Microsecond))
+			p.Sleep(last.Sub(k.now) + Microsecond)
+			got = append(got, wake)
+			close(done)
+		})
+		drive(k, done)
+		if k.seq != uint64(len(recs)) {
+			t.Fatalf("%d schedules took %d seqs, want one each", len(recs), k.seq)
+		}
+		slices.SortFunc(recs, func(a, b record) int {
+			if a.at != b.at {
+				return cmp.Compare(a.at, b.at)
+			}
+			return cmp.Compare(a.seq, b.seq)
+		})
+		for _, r := range recs {
+			want = append(want, r.id)
+		}
+		return want, got
+	}
+	for _, d := range []struct {
+		name  string
+		drive func(k *Kernel, done chan struct{})
+	}{
+		{"Run", func(k *Kernel, _ chan struct{}) { k.Run() }},
+		{"RunRealtime", func(k *Kernel, done chan struct{}) {
+			halt := realtime(k)
+			<-done
+			halt()
+		}},
+	} {
+		want, got := mix(d.drive)
+		if len(want) < 3000 {
+			t.Fatalf("%s: %d events recorded: the mix did not run as written", d.name, len(want))
+		}
+		if !slices.Equal(got, want) {
+			i := 0
+			for i < min(len(got), len(want)) && got[i] == want[i] {
+				i++
+			}
+			t.Errorf("%s: %d events ran, %d recorded; first divergence at %d", d.name, len(got), len(want), i)
 		}
 	}
-	var prev event
-	first := true
-	for len(h) > 0 {
-		e := h.pop()
-		if !first {
-			if e.at < prev.at || (e.at == prev.at && e.seq < prev.seq) {
-				t.Fatalf("pop order violated: (%d,%d) after (%d,%d)", e.at, e.seq, prev.at, prev.seq)
-			}
-		}
-		prev, first = e, false
+}
+
+// TestLanePushBackPanics: a lane holds events in time order only because
+// its instants never go back, so a push that would go back panics, naming
+// the lane and both instants. Only a bug can produce one; here the bug is
+// staged by winding a resource's freeAt, and then the clock, backwards.
+func TestLanePushBackPanics(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		push func(k *Kernel, r *Resource)
+		want string
+	}{
+		{"resource", func(k *Kernel, r *Resource) {
+			r.UseAsync(10*Millisecond, closure(func() {}))
+			r.freeAt = 0
+			r.UseAsync(Millisecond, closure(func() {}))
+		}, `sim: resource "disk" lane pushed back: an event at 0.001000s after one at 0.010000s`},
+		{"fixed delay", func(k *Kernel, _ *Resource) {
+			k.now = 5 * Time(Millisecond)
+			k.AfterFixed(Millisecond, closure(func() {}))
+			k.now = 0
+			k.AfterFixed(Millisecond, closure(func() {}))
+		}, `sim: fixed-delay 0.001000s lane pushed back: an event at 0.001000s after one at 0.006000s`},
+	} {
+		k := NewKernel(1)
+		r := NewResource(k, "disk")
+		func() {
+			defer func() {
+				if got := fmt.Sprint(recover()); got != c.want {
+					t.Errorf("%s: panic %q, want %q", c.name, got, c.want)
+				}
+			}()
+			c.push(k, r)
+		}()
 	}
 }
 
 // TestWakeupsAllocateNothing holds what the typed event bought: putting a
-// process to sleep, through a resource, waking it from a signal, and
-// handing a pre-bound job to an idle executor worker all schedule a
-// pointer the kernel's caller already owns, so none of them allocates.
+// process to sleep, through a resource, waking it from a signal, handing
+// a pre-bound job to an idle executor worker, and a target given to
+// AfterFixed or UseAsync all schedule a pointer the kernel's caller
+// already owns, so none of them allocates. A lane's ring grows on its
+// first push, in AllocsPerRun's warm-up run, and never again here.
 func TestWakeupsAllocateNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under -race")
@@ -249,6 +403,7 @@ func TestWakeupsAllocateNothing(t *testing.T) {
 	}
 	jobs := 0
 	job := func(p *Proc) { jobs++; p.Sleep(Microsecond) }
+	fired := new(counter)
 	measured := map[string]float64{}
 	k.Go("driver", func(p *Proc) {
 		defer k.Stop()
@@ -271,6 +426,14 @@ func TestWakeupsAllocateNothing(t *testing.T) {
 				ex.Submit(0, job, nil)
 				p.Sleep(Millisecond) // the job runs and its worker parks again
 			}},
+			{"Kernel.AfterFixed", func() {
+				k.AfterFixed(Microsecond, fired)
+				p.Sleep(2 * Microsecond)
+			}},
+			{"Resource.UseAsync with a target", func() {
+				res.UseAsync(Microsecond, fired)
+				p.Sleep(2 * Microsecond)
+			}},
 		} {
 			measured[c.name] = testing.AllocsPerRun(runs, c.op)
 		}
@@ -281,8 +444,8 @@ func TestWakeupsAllocateNothing(t *testing.T) {
 			t.Errorf("%s allocates %v objects, want 0", name, allocs)
 		}
 	}
-	if len(measured) != 4 || woken != runs+1 || jobs != runs+2 || ex.Spawned() != 1 {
-		t.Errorf("measured %d cases, woke %d of %d waiters, ran %d of %d jobs on %d workers: the cases did not run as written",
-			len(measured), woken, runs+1, jobs, runs+2, ex.Spawned())
+	if len(measured) != 6 || woken != runs+1 || jobs != runs+2 || ex.Spawned() != 1 || *fired != 2*(runs+1) {
+		t.Errorf("measured %d cases, woke %d of %d waiters, ran %d of %d jobs on %d workers, %d of %d targets came due: the cases did not run as written",
+			len(measured), woken, runs+1, jobs, runs+2, ex.Spawned(), *fired, 2*(runs+1))
 	}
 }

@@ -76,9 +76,10 @@ type Network struct {
 
 // flight is a message in flight: one object carries it through both hops
 // — the link's completion, then the propagation delay — as the event's
-// target, and goes back to its network's free list when the message has
-// been handed over. Only the network holds a *flight; a receiver gets the
-// Message by value.
+// target, first in the link resource's completion lane and then in the
+// kernel's lane for PropDelay (sim.Kernel.AfterFixed), and goes back to
+// its network's free list when the message has been handed over. Only the
+// network holds a *flight; a receiver gets the Message by value.
 type flight struct {
 	n      *Network
 	msg    Message
@@ -160,8 +161,8 @@ func (n *Network) SendTail(from, to Addr, head, tail []byte) {
 	}
 }
 
-// transmit occupies the link for the message's serialization time and
-// schedules a flight to come due when the link is done with it.
+// transmit occupies the link for the message's serialization time, with a
+// flight to come due when the link is done with it.
 func (n *Network) transmit(msg Message) {
 	var xmit sim.Duration
 	if n.cfg.BytesPerSec > 0 {
@@ -174,8 +175,7 @@ func (n *Network) transmit(msg Message) {
 		f = &flight{n: n}
 	}
 	f.msg = msg
-	done := n.link.UseAsync(xmit, nil)
-	n.k.AfterTarget(done.Sub(n.k.Now()), f)
+	n.link.UseAsync(xmit, f)
 }
 
 // Due is the flight's two events. The arrival is scheduled only when the
@@ -185,7 +185,7 @@ func (f *flight) Due() {
 	n := f.n
 	if !f.onWire {
 		f.onWire = true
-		n.k.AfterTarget(n.cfg.PropDelay, f)
+		n.k.AfterFixed(n.cfg.PropDelay, f)
 		return
 	}
 	n.deliver(f.msg)
