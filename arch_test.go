@@ -74,7 +74,11 @@ func TestStructuralCeilings(t *testing.T) {
 		{"OpaqueRef payload fields in internal/proto non-test files", countText(t, "internal/proto", "OpaqueRef("), 0},
 		// One read path: vfs.File.ReadInto fills the caller's buffer. The
 		// allocating ReadAt(p, off, n) adapters left are the benchmark's.
-		{"ReadAt(p, off, n) adapter methods", countReadAtAdapters(t), 6},
+		{"ReadAt(p, off, n) adapter methods", countReadAtAdapters(t), 5},
+		// One place begins a syscall: a root span opens where the op is
+		// minted (client.Base.syscall), or where none is (the local
+		// mount), never in a wrapper around either.
+		{"span Recorder.Root calls in non-test files", countRootCalls(t), 2},
 		// A cached block carries its own LRU and file-chain links, and a
 		// sim.Signal or WaitGroup is usable as a zero value inside the
 		// state it guards: neither needs an object of its own.
@@ -122,6 +126,23 @@ func countDecoders(t *testing.T, dir string) int {
 				n++
 			}
 		}
+	}
+	return n
+}
+
+// countRootCalls counts the calls, in the module's non-test files, of a
+// method named Root with span.Recorder.Root's four arguments.
+func countRootCalls(t *testing.T) int {
+	n := 0
+	for _, f := range moduleFiles(t, 0) {
+		ast.Inspect(f, func(node ast.Node) bool {
+			if call, ok := node.(*ast.CallExpr); ok && len(call.Args) == 4 {
+				if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Root" {
+					n++
+				}
+			}
+			return true
+		})
 	}
 	return n
 }

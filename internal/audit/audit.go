@@ -243,13 +243,17 @@ func (a *Auditor) journal(r record) {
 }
 
 // event journals a protocol event. Caller holds a.mu.
-func (a *Auditor) event(r record) {
+func (a *Auditor) event(r record) { a.journal(a.stamp(r)) }
+
+// stamp counts r as a protocol event and gives it its seq and instant.
+// Caller holds a.mu.
+func (a *Auditor) stamp(r record) record {
 	r.Seq = a.seq
 	a.seq++
 	r.AtUS = int64(a.k.Now())
 	r.Type = "event"
 	a.events++
-	a.journal(r)
+	return r
 }
 
 // NoteEvent records a protocol event that does not pass through the state

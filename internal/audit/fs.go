@@ -77,9 +77,6 @@ type auditFile struct {
 	h     proto.Handle
 }
 
-// Handle lets stacked wrappers (and tests) reach the protocol handle.
-func (f *auditFile) Handle() proto.Handle { return f.h }
-
 func (f *auditFile) ReadInto(p *sim.Proc, b []byte, off int64) (int, error) {
 	start := p.Now()
 	n, err := f.inner.ReadInto(p, b, off)
@@ -97,12 +94,11 @@ func (f *auditFile) ReadAt(p *sim.Proc, off int64, n int) ([]byte, error) {
 
 func (f *auditFile) WriteAt(p *sim.Proc, off int64, data []byte) (int, error) {
 	// Record before the inner call: the server can serve the new bytes
-	// to a concurrent reader while this syscall is still in flight.
-	pw := f.a.WriteBegin(p.Op(), f.h, off, data, p.Now())
+	// to a concurrent reader while this syscall is still in flight. The
+	// op is taken after it, once the client has minted the syscall's.
+	pw := f.a.WriteBegin(f.h, off, data, p.Now())
 	n, err := f.inner.WriteAt(p, off, data)
-	if err == nil {
-		f.a.WriteEnd(pw, p.Now())
-	}
+	f.a.WriteEnd(pw, p.Op(), p.Now(), err == nil)
 	return n, err
 }
 

@@ -67,6 +67,9 @@ func (a *Auditor) ResetLedger(h proto.Handle) {
 // acceptable until WriteEnd closes their windows at the syscall's end.
 type pendingWrite struct {
 	preds []*blockVersion
+	// rec is the write's journal event, stamped with the syscall's start
+	// and journaled by WriteEnd, once the op the syscall minted is known.
+	rec record
 }
 
 // WriteBegin records the start of a write syscall against h: data is
@@ -75,16 +78,15 @@ type pendingWrite struct {
 // WriteEnd when the syscall completes to close the superseded windows —
 // recording at start matters, because the server can serve the new bytes
 // to a concurrent reader before the writer's syscall returns.
-func (a *Auditor) WriteBegin(op uint64, h proto.Handle, off int64, data []byte, start sim.Time) *pendingWrite {
+func (a *Auditor) WriteBegin(h proto.Handle, off int64, data []byte, start sim.Time) *pendingWrite {
 	if a == nil || len(data) == 0 {
 		return nil
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.event(record{Op: op, Event: "write", Handle: h.String(),
-		Detail: writeDetail(off, len(data))})
+	pw := &pendingWrite{rec: a.stamp(record{Event: "write", Handle: h.String(),
+		Detail: writeDetail(off, len(data))})}
 	l := a.ledgerFor(h)
-	pw := &pendingWrite{}
 	for _, seg := range segments(off, len(data)) {
 		img := make([]byte, ledgerBlock)
 		vs := l.blocks[seg.block]
@@ -102,16 +104,24 @@ func (a *Auditor) WriteBegin(op uint64, h proto.Handle, off int64, data []byte, 
 	return pw
 }
 
-// WriteEnd closes the windows of the versions pw superseded: any read
-// starting after end must see the new bytes. Skipping it (a failed write)
-// leaves both old and new versions acceptable — the conservative reading
-// of a write whose outcome is unknown.
-func (a *Auditor) WriteEnd(pw *pendingWrite, end sim.Time) {
+// WriteEnd ends the write syscall pw began, under op, the causal op ID
+// the syscall minted: it journals the write with the seq and instant of
+// its start, so its line can follow lines of later events, and, if the
+// write succeeded, closes the windows of the versions it superseded: any
+// read starting after end must see the new bytes. A failed write leaves
+// both old and new versions acceptable — the conservative reading of a
+// write whose outcome is unknown.
+func (a *Auditor) WriteEnd(pw *pendingWrite, op uint64, end sim.Time, ok bool) {
 	if a == nil || pw == nil {
 		return
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	pw.rec.Op = op
+	a.journal(pw.rec)
+	if !ok {
+		return
+	}
 	for _, v := range pw.preds {
 		v.to = end
 	}
@@ -120,7 +130,7 @@ func (a *Auditor) WriteEnd(pw *pendingWrite, end sim.Time) {
 // NoteWrite records a complete write syscall spanning [start, end] in one
 // call (WriteBegin + WriteEnd).
 func (a *Auditor) NoteWrite(op uint64, h proto.Handle, off int64, data []byte, start, end sim.Time) {
-	a.WriteEnd(a.WriteBegin(op, h, off, data, start), end)
+	a.WriteEnd(a.WriteBegin(h, off, data, start), op, end, true)
 }
 
 // CheckRead verifies a read syscall against the ledger: data was returned

@@ -22,9 +22,10 @@
 //     the server's invalidate-on-write callbacks.
 //
 // All implement vfs.FS, so workloads run identically over any of them.
-// Every vfs.FS and vfs.File entry point mints one causal op ID
-// (sim.Proc.BeginOp) as its first act, so each syscall is one chain in
-// traces, spans and the audit journal.
+// Every vfs.FS and vfs.File entry point begins with Base.syscall, which
+// mints one causal op ID (sim.Proc.BeginOp) and roots the syscall's span
+// tree under it, so each syscall is one chain in traces, spans and the
+// audit journal.
 package client
 
 import (
@@ -246,6 +247,13 @@ func (b *Base) SetSpans(r *span.Recorder) { b.spans = r }
 // are off).
 func (b *Base) span(p *sim.Proc, kind span.Kind, name string) span.Handle {
 	return b.spans.Begin(p, b.host(), kind, name)
+}
+
+// syscall begins a vfs method: it mints the method's causal op ID and
+// opens the method's root span under it, which the method ends when it
+// returns.
+func (b *Base) syscall(p *sim.Proc, name string) span.Handle {
+	return b.spans.Root(p, b.host(), name, p.BeginOp())
 }
 
 // host names this client in trace output.
@@ -1126,7 +1134,7 @@ func (b *Base) flushBlocks(p *sim.Proc, blocks []*cache.Block) {
 // block. (NFS overrides it: its blocks are mostly in flight on the biods,
 // not dirty in the cache.)
 func (b *Base) SyncAll(p *sim.Proc) {
-	p.BeginOp()
+	defer b.syscall(p, "syncall").End()
 	b.flushBlocks(p, b.cache.AllDirty())
 }
 
@@ -1248,7 +1256,7 @@ func (b *Base) emptied(p *sim.Proc, n *node, attr proto.Fattr) {
 
 // Mkdir implements vfs.FS.
 func (b *Base) Mkdir(p *sim.Proc, rel string, mode uint32) error {
-	p.BeginOp()
+	defer b.syscall(p, "mkdir").End()
 	dir, name, err := b.walkParent(p, rel)
 	if err != nil {
 		return err
@@ -1270,7 +1278,7 @@ func (b *Base) Mkdir(p *sim.Proc, rel string, mode uint32) error {
 // is dropped — the temp-file optimization the sort benchmark turns on
 // when those are delayed writes (§4.2.3).
 func (b *Base) Remove(p *sim.Proc, rel string) error {
-	p.BeginOp()
+	defer b.syscall(p, "remove").End()
 	dir, name, err := b.walkParent(p, rel)
 	if err != nil {
 		return err
@@ -1311,7 +1319,7 @@ func (b *Base) Remove(p *sim.Proc, rel string) error {
 
 // Rmdir implements vfs.FS.
 func (b *Base) Rmdir(p *sim.Proc, rel string) error {
-	p.BeginOp()
+	defer b.syscall(p, "rmdir").End()
 	dir, name, err := b.walkParent(p, rel)
 	if err != nil {
 		return err
@@ -1331,7 +1339,7 @@ func (b *Base) Rmdir(p *sim.Proc, rel string) error {
 
 // Rename implements vfs.FS.
 func (b *Base) Rename(p *sim.Proc, oldrel, newrel string) error {
-	p.BeginOp()
+	defer b.syscall(p, "rename").End()
 	sdir, sname, err := b.walkParent(p, oldrel)
 	if err != nil {
 		return err
@@ -1360,14 +1368,14 @@ func (b *Base) Rename(p *sim.Proc, oldrel, newrel string) error {
 
 // Stat implements vfs.FS: path resolution alone delivers attributes.
 func (b *Base) Stat(p *sim.Proc, rel string) (proto.Fattr, error) {
-	p.BeginOp()
+	defer b.syscall(p, "stat").End()
 	_, attr, err := b.walk(p, rel)
 	return attr, err
 }
 
 // Link creates a hard link newrel to the file at oldrel.
 func (b *Base) Link(p *sim.Proc, oldrel, newrel string) error {
-	p.BeginOp()
+	defer b.syscall(p, "link").End()
 	from, _, err := b.walk(p, oldrel)
 	if err != nil {
 		return err
@@ -1387,7 +1395,7 @@ func (b *Base) Link(p *sim.Proc, oldrel, newrel string) error {
 
 // Symlink creates a symbolic link at linkrel pointing to target.
 func (b *Base) Symlink(p *sim.Proc, target, linkrel string) error {
-	p.BeginOp()
+	defer b.syscall(p, "symlink").End()
 	dir, name, err := b.walkParent(p, linkrel)
 	if err != nil {
 		return err
@@ -1404,7 +1412,7 @@ func (b *Base) Symlink(p *sim.Proc, target, linkrel string) error {
 // Readlink returns the target of the symlink at rel (final component not
 // followed).
 func (b *Base) Readlink(p *sim.Proc, rel string) (string, error) {
-	p.BeginOp()
+	defer b.syscall(p, "readlink").End()
 	dir, name, err := b.walkParent(p, rel)
 	if err != nil {
 		return "", err

@@ -16,7 +16,6 @@ import (
 	"spritelynfs/internal/sim"
 	"spritelynfs/internal/simnet"
 	"spritelynfs/internal/span"
-	"spritelynfs/internal/spanfs"
 	"spritelynfs/internal/vfs"
 	"spritelynfs/internal/xdr"
 )
@@ -65,7 +64,8 @@ func tapped(w *world, mk mkClient) *fileImpl {
 }
 
 // fileImpls lists every vfs.File implementation: the three clients (SNFS
-// both cached and write-shared), the local mount, and both wrappers.
+// both cached and write-shared, and with spans armed), the local mount,
+// and the auditor's wrapper.
 var fileImpls = []struct {
 	name  string
 	build func() *fileImpl
@@ -90,10 +90,11 @@ var fileImpls = []struct {
 		fi.a, fi.b = fi.audit.WrapFS(fi.a), fi.audit.WrapFS(fi.b)
 		return fi
 	}},
-	{"spanfs over SNFS", func() *fileImpl {
+	{"SNFS with spans", func() *fileImpl {
 		fi := tapped(newWorld(1, true, 4, server.SNFSOptions{}), snfsClient)
 		r := span.NewRecorder(fi.k.Now, 16)
-		fi.a, fi.b = spanfs.WrapFS(r, "clientA", fi.a), spanfs.WrapFS(r, "clientB", fi.b)
+		fi.a.(*client.SNFSClient).SetSpans(r)
+		fi.b.(*client.SNFSClient).SetSpans(r)
 		return fi
 	}},
 }

@@ -60,7 +60,7 @@ func (c *NFSClient) revalidate(p *sim.Proc, n *node, force bool) error {
 
 // Open implements vfs.FS.
 func (c *NFSClient) Open(p *sim.Proc, rel string, flags vfs.Flags, mode uint32) (vfs.File, error) {
-	p.BeginOp()
+	defer c.syscall(p, "open").End()
 	var n *node
 	if flags&vfs.Create != 0 {
 		var err error
@@ -104,7 +104,7 @@ func (c *NFSClient) openCheck(p *sim.Proc, n *node, wattr proto.Fattr) error {
 // Readdir implements vfs.FS: the GFS open of the directory triggers the
 // usual open-time check, then one readdir call.
 func (c *NFSClient) Readdir(p *sim.Proc, rel string) ([]proto.DirEntry, error) {
-	p.BeginOp()
+	defer c.syscall(p, "readdir").End()
 	h, wattr, err := c.walk(p, rel)
 	if err != nil {
 		return nil, err
@@ -119,7 +119,7 @@ func (c *NFSClient) Readdir(p *sim.Proc, rel string) ([]proto.DirEntry, error) {
 // biods, then one COMMIT per file with unstable data outstanding —
 // instead of the N synchronous waits the stable pipeline pays.
 func (c *NFSClient) SyncAll(p *sim.Proc) {
-	p.BeginOp()
+	defer c.syscall(p, "syncall").End()
 	for _, blk := range c.cache.AllDirty() {
 		n, ok := c.nodes[blk.Key.Ino]
 		if !ok {
@@ -152,7 +152,7 @@ func (f *nfsFile) Handle() proto.Handle { return f.n.h }
 
 // ReadInto implements vfs.File.
 func (f *nfsFile) ReadInto(p *sim.Proc, b []byte, off int64) (int, error) {
-	p.BeginOp()
+	defer f.c.syscall(p, "read").End()
 	if err := f.c.revalidate(p, f.n, false); err != nil {
 		return 0, err
 	}
@@ -168,7 +168,7 @@ func (f *nfsFile) ReadAt(p *sim.Proc, off int64, n int) ([]byte, error) {
 // WriteAt implements vfs.File: write-through, the partial tail block
 // delayed until it fills or the file closes.
 func (f *nfsFile) WriteAt(p *sim.Proc, off int64, data []byte) (int, error) {
-	p.BeginOp()
+	defer f.c.syscall(p, "write").End()
 	return f.c.writeThrough(p, f.n, off, data, false)
 }
 
@@ -176,7 +176,7 @@ func (f *nfsFile) WriteAt(p *sim.Proc, off int64, data []byte) (int, error) {
 // synchronously before close returns (§2.1), and — when the measured
 // bug is enabled — the data cache is invalidated.
 func (f *nfsFile) Close(p *sim.Proc) error {
-	p.BeginOp()
+	defer f.c.syscall(p, "close").End()
 	if f.closed {
 		return nil
 	}
@@ -191,12 +191,12 @@ func (f *nfsFile) Close(p *sim.Proc) error {
 
 // Sync implements vfs.File.
 func (f *nfsFile) Sync(p *sim.Proc) error {
-	p.BeginOp()
+	defer f.c.syscall(p, "sync").End()
 	return f.c.syncFile(p, f.n, "sync")
 }
 
 // Attr implements vfs.File.
 func (f *nfsFile) Attr(p *sim.Proc) (proto.Fattr, error) {
-	p.BeginOp()
+	defer f.c.syscall(p, "attr").End()
 	return f.c.fileAttr(p, f.n)
 }

@@ -88,7 +88,7 @@ func (c *RFSClient) openRPC(p *sim.Proc, n *node, write bool) error {
 
 // Open implements vfs.FS.
 func (c *RFSClient) Open(p *sim.Proc, rel string, flags vfs.Flags, mode uint32) (vfs.File, error) {
-	p.BeginOp()
+	defer c.syscall(p, "open").End()
 	write := flags.Writing()
 	var n *node
 	if flags&vfs.Create != 0 {
@@ -118,7 +118,7 @@ func (c *RFSClient) Open(p *sim.Proc, rel string, flags vfs.Flags, mode uint32) 
 // Readdir implements vfs.FS (the GFS layer opens directories, so RFS
 // pays open/close like SNFS).
 func (c *RFSClient) Readdir(p *sim.Proc, rel string) ([]proto.DirEntry, error) {
-	p.BeginOp()
+	defer c.syscall(p, "readdir").End()
 	return c.listOpened(p, rel, c.openRPC)
 }
 
@@ -134,7 +134,7 @@ type rfsFile struct {
 // invalidations keep the cache honest. After an invalidation the
 // attributes (hence the size bound for reads) are refetched once.
 func (f *rfsFile) ReadInto(p *sim.Proc, b []byte, off int64) (int, error) {
-	p.BeginOp()
+	defer f.c.syscall(p, "read").End()
 	if _, _, err := f.c.attrs.get(p, f.n, false); err != nil {
 		return 0, err
 	}
@@ -154,14 +154,14 @@ func (f *rfsFile) ReadAt(p *sim.Proc, off int64, n int) ([]byte, error) {
 // than lingering, because the server's invalidate-on-write depends on
 // writes actually arriving.
 func (f *rfsFile) WriteAt(p *sim.Proc, off int64, data []byte) (int, error) {
-	p.BeginOp()
+	defer f.c.syscall(p, "write").End()
 	return f.c.writeThrough(p, f.n, off, data, true)
 }
 
 // Close implements vfs.File: flush pending writes synchronously (the NFS
 // policy), then report the close; the read cache is retained.
 func (f *rfsFile) Close(p *sim.Proc) error {
-	p.BeginOp()
+	defer f.c.syscall(p, "close").End()
 	if f.closed {
 		return nil
 	}
@@ -177,13 +177,13 @@ func (f *rfsFile) Close(p *sim.Proc) error {
 
 // Sync implements vfs.File.
 func (f *rfsFile) Sync(p *sim.Proc) error {
-	p.BeginOp()
+	defer f.c.syscall(p, "sync").End()
 	return f.c.syncFile(p, f.n, "sync")
 }
 
 // Attr implements vfs.File: cached attributes, refreshed when an
 // invalidation clears them.
 func (f *rfsFile) Attr(p *sim.Proc) (proto.Fattr, error) {
-	p.BeginOp()
+	defer f.c.syscall(p, "attr").End()
 	return f.c.fileAttr(p, f.n)
 }

@@ -487,7 +487,7 @@ func (c *SNFSClient) openRPC(p *sim.Proc, n *node, write bool) error {
 
 // Open implements vfs.FS.
 func (c *SNFSClient) Open(p *sim.Proc, rel string, flags vfs.Flags, mode uint32) (vfs.File, error) {
-	p.BeginOp()
+	defer c.syscall(p, "open").End()
 	write := flags.Writing()
 	var n *node
 	if flags&vfs.Create != 0 {
@@ -533,7 +533,7 @@ func (c *SNFSClient) Open(p *sim.Proc, rel string, flags vfs.Flags, mode uint32)
 
 // Readdir implements vfs.FS.
 func (c *SNFSClient) Readdir(p *sim.Proc, rel string) ([]proto.DirEntry, error) {
-	p.BeginOp()
+	defer c.syscall(p, "readdir").End()
 	return c.listOpened(p, rel, c.openRPC)
 }
 
@@ -552,7 +552,7 @@ func (f *snfsFile) Handle() proto.Handle { return f.n.h }
 // cache with read-ahead; uncachable (write-shared) files go straight to
 // the server with read-ahead disabled (§4.2.1).
 func (f *snfsFile) ReadInto(p *sim.Proc, b []byte, off int64) (int, error) {
-	p.BeginOp()
+	defer f.c.syscall(p, "read").End()
 	if f.n.rec.Caching {
 		return f.c.assembleRead(p, f.n, b, off, f.c.cfg.ReadAhead)
 	}
@@ -580,7 +580,7 @@ func (f *snfsFile) ReadAt(p *sim.Proc, off int64, n int) ([]byte, error) {
 // reference, and the server may keep it as its page, while the caller
 // owns data and may change it once WriteAt returns.
 func (f *snfsFile) WriteAt(p *sim.Proc, off int64, data []byte) (int, error) {
-	p.BeginOp()
+	defer f.c.syscall(p, "write").End()
 	if f.n.rec.Caching {
 		if _, err := f.c.writeToCache(p, f.n, off, data, true); err != nil {
 			return 0, err
@@ -600,7 +600,7 @@ func (f *snfsFile) WriteAt(p *sim.Proc, off int64, data []byte) (int, error) {
 // under delayed-close); dirty blocks deliberately stay behind in the
 // cache.
 func (f *snfsFile) Close(p *sim.Proc) error {
-	p.BeginOp()
+	defer f.c.syscall(p, "close").End()
 	if f.closed {
 		return nil
 	}
@@ -619,7 +619,7 @@ func (f *snfsFile) Close(p *sim.Proc) error {
 // Sync implements vfs.File: explicit flush for applications that value
 // reliability over performance (§2.2).
 func (f *snfsFile) Sync(p *sim.Proc) error {
-	p.BeginOp()
+	defer f.c.syscall(p, "sync").End()
 	return f.c.flushFile(p, f.n)
 }
 
@@ -627,7 +627,7 @@ func (f *snfsFile) Sync(p *sim.Proc) error {
 // cachable; always fetched from the server for write-shared files
 // (§4.2.1 — the cache's policy enforces this).
 func (f *snfsFile) Attr(p *sim.Proc) (proto.Fattr, error) {
-	p.BeginOp()
+	defer f.c.syscall(p, "attr").End()
 	return f.c.fileAttr(p, f.n)
 }
 

@@ -13,7 +13,6 @@ import (
 	"spritelynfs/internal/sim"
 	"spritelynfs/internal/simnet"
 	"spritelynfs/internal/span"
-	"spritelynfs/internal/spanfs"
 	"spritelynfs/internal/trace"
 	"spritelynfs/internal/vfs"
 )
@@ -56,7 +55,9 @@ func (p Proto) String() string {
 // black box, shared by a shard's two replicas; one auditor per shard; one
 // registry per server whose series carry no host label) and hands them to
 // each host that should feed them. A world ring and per-host rings are
-// never armed together: attaching one replaces the other.
+// never armed together: attaching one replaces the other. A client roots
+// each syscall's spans itself, where the syscall mints its op, so the
+// auditor's is the only wrapper a mount gets.
 type Instruments struct {
 	Metrics *metrics.Registry
 	Spans   *span.Recorder
@@ -64,16 +65,6 @@ type Instruments struct {
 	// Auditor shadows one SNFS server's state table and witnesses its
 	// clients' syscalls; hosts of the other protocols ignore it.
 	Auditor *audit.Auditor
-}
-
-// Mount returns fs as a host mounts it: witnessed by the auditor, then
-// rooted in one span per syscall so the root covers the whole operation.
-// Each wrapper is the identity when its sink is nil.
-func (in Instruments) Mount(host string, fs vfs.FS) vfs.FS {
-	if in.Auditor != nil {
-		fs = in.Auditor.WrapFS(fs)
-	}
-	return spanfs.WrapFS(in.Spans, host, fs)
 }
 
 // FlightDumpOnViolation arranges for the first audit violation (only the
@@ -217,9 +208,10 @@ type ClientSpec struct {
 // ClientHost is one assembled client machine: an RPC endpoint, the
 // protocol client over it, and a namespace with the client at "/". FS is
 // the protocol client itself and Mount what NS mounts (FS beneath the
-// audit and span wrappers); exactly one of NFS, SNFS and RFS is set. With
-// a shared Exec the host's steady-state cost is memory only: goroutines
-// are borrowed for the duration of each blocking operation.
+// auditor's wrapper when one witnesses it); exactly one of NFS, SNFS and
+// RFS is set. With a shared Exec the host's steady-state cost is memory
+// only: goroutines are borrowed for the duration of each blocking
+// operation.
 type ClientHost struct {
 	Name  simnet.Addr
 	Base  *client.Base
@@ -231,8 +223,9 @@ type ClientHost struct {
 	RFS   *client.RFSClient
 }
 
-// NewClientHost assembles a client host on net. Spans and the auditor
-// shape the mount, so they are taken here; Attach arms the rest.
+// NewClientHost assembles a client host on net. The client roots a span
+// per syscall and the auditor wraps the mount, so spans and the auditor
+// are taken here; Attach arms the rest.
 func NewClientHost(k *sim.Kernel, net *simnet.Network, s ClientSpec, in Instruments) *ClientHost {
 	ep := rpc.NewEndpoint(k, net, s.Name, rpc.Options{Workers: 4, Exec: s.Exec})
 	ep.Spans = in.Spans
@@ -251,10 +244,10 @@ func NewClientHost(k *sim.Kernel, net *simnet.Network, s ClientSpec, in Instrume
 		panic(fmt.Sprintf("cluster: no %v client", s.Proto))
 	}
 	h.Base.SetSpans(in.Spans)
-	if h.SNFS == nil {
-		in.Auditor = nil
+	h.Mount = h.FS
+	if in.Auditor != nil && h.SNFS != nil {
+		h.Mount = in.Auditor.WrapFS(h.FS)
 	}
-	h.Mount = in.Mount(string(s.Name), h.FS)
 	h.NS.Mount("/", h.Mount)
 	h.Attach(in)
 	return h

@@ -2,6 +2,8 @@ package harness
 
 import (
 	"bytes"
+	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 
@@ -146,5 +148,60 @@ func TestAuditedExperimentStaysClean(t *testing.T) {
 	}
 	if _, err := RunAndrew(SNFS, true, pm); err != nil {
 		t.Fatalf("audited Andrew benchmark: %v", err)
+	}
+}
+
+// TestJournalWritesCarryTheirOps: an SNFS client opens a file, writes it
+// three times and closes it under the auditor. Each write's journal event
+// carries the op its syscall minted: three distinct ops, none the open's.
+func TestJournalWritesCarryTheirOps(t *testing.T) {
+	pm := fastParams()
+	pm.Audit = true
+	var journal bytes.Buffer
+	pm.AuditSink = &journal
+	w := Build(SNFS, true, pm)
+	var openOp uint64
+	var minted []uint64
+	err := w.Run(func(p *sim.Proc) error {
+		f, err := w.NS.Open(p, "/data/f", vfs.ReadWrite|vfs.Create, 0o644)
+		if err != nil {
+			return err
+		}
+		openOp = p.Op()
+		for i := int64(0); i < 3; i++ {
+			if _, err := f.WriteAt(p, i*8192, bytes.Repeat([]byte("w"), 8192)); err != nil {
+				return err
+			}
+			minted = append(minted, p.Op())
+		}
+		return f.Close(p)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var opens, writes []uint64
+	for _, line := range strings.Split(strings.TrimSpace(journal.String()), "\n") {
+		var r struct {
+			Op    uint64 `json:"op"`
+			Event string `json:"event"`
+		}
+		if err := json.Unmarshal([]byte(line), &r); err != nil {
+			t.Fatalf("journal line %q: %v", line, err)
+		}
+		switch r.Event {
+		case "open":
+			opens = append(opens, r.Op)
+		case "write":
+			writes = append(writes, r.Op)
+		}
+	}
+	if len(opens) != 1 || opens[0] != openOp {
+		t.Errorf("journal opens carry ops %v, want the open's %d", opens, openOp)
+	}
+	if !slices.Equal(writes, minted) {
+		t.Errorf("journal writes carry ops %v, want the ops their syscalls minted %v (the open's is %d)", writes, minted, openOp)
+	}
+	if len(minted) != 3 || minted[0] == openOp || minted[0] == minted[1] || minted[1] == minted[2] {
+		t.Errorf("the writes minted ops %v after the open's %d, want three fresh ones", minted, openOp)
 	}
 }

@@ -57,9 +57,9 @@ func (m *modelFS) read(name string, off, n int) []byte {
 // runModelCheck drives steps random operations through two hosts of
 // protocol pr. nameCache arms the §7 name-cache extension on both sides
 // (SNFS only), so the same namespace churn also exercises lease upkeep;
-// armed mounts both hosts through the audit and span wrappers (with the
-// auditor as a second judge on SNFS), so every vfs.FS and vfs.File method
-// of both wrappers carries the same traffic.
+// armed arms spans on both hosts, so every vfs.FS and vfs.File method
+// roots its span as it carries the traffic, and on SNFS mounts both
+// through the auditor's wrapper, a second judge.
 func runModelCheck(t *testing.T, pr Proto, seed int64, steps int, nameCache, armed bool) {
 	t.Helper()
 	pm := fastParams()
@@ -288,8 +288,8 @@ func TestModelCheckSNFSWithNameCache(t *testing.T) {
 	}
 }
 
-// TestModelCheckArmed repeats the check on every protocol with the audit
-// and span wrappers in the mounts.
+// TestModelCheckArmed repeats the check on every protocol with spans
+// armed and, on SNFS, the auditor's wrapper in the mounts.
 func TestModelCheckArmed(t *testing.T) {
 	for _, pr := range []Proto{NFS, SNFS, RFS, Local} {
 		for seed := int64(20); seed <= 22; seed++ {

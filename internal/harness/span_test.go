@@ -3,6 +3,8 @@ package harness
 import (
 	"strings"
 	"testing"
+
+	"spritelynfs/internal/span"
 )
 
 // TestScaleSpanBreakdown is the acceptance gate for causal span tracing:
@@ -93,5 +95,85 @@ func TestAndrewSpanBreakdown(t *testing.T) {
 	}
 	if s.DiskBusySeconds <= 0 {
 		t.Fatal("disk busy gauge not filled in")
+	}
+}
+
+// syscallRoots runs Andrew with every span tree captured and returns its
+// syscall roots, failing unless the capture holds all of them.
+func syscallRoots(t *testing.T, pr Proto, tmpRemote bool) []span.SlowOp {
+	t.Helper()
+	pm := Default()
+	pm.Spans, pm.SpanTopK = true, 1<<14
+	run, err := RunAndrew(pr, tmpRemote, pm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var roots []span.SlowOp
+	for _, so := range run.Spans.SlowOps {
+		if so.Kind == "syscall" {
+			roots = append(roots, so)
+		}
+	}
+	if int64(len(roots)) != run.Spans.Ops || len(run.Spans.SlowOps) == pm.SpanTopK {
+		t.Fatalf("captured %d syscall roots of %d (%d trees): raise the capture", len(roots), run.Spans.Ops, len(run.Spans.SlowOps))
+	}
+	return roots
+}
+
+// distinctOps fails unless every root with an op ID has its own.
+func distinctOps(t *testing.T, roots []span.SlowOp) {
+	t.Helper()
+	seen := map[uint64]span.SlowOp{}
+	for _, so := range roots {
+		if prev, dup := seen[so.Op]; dup && so.Op != 0 {
+			t.Errorf("op %d keys two roots: %s on %s and %s on %s", so.Op, prev.Name, prev.Host, so.Name, so.Host)
+		}
+		seen[so.Op] = so
+	}
+}
+
+// TestAndrewSyscallRootsCarryDistinctOps: with /tmp remote, every syscall
+// of an Andrew run mints its op where its root span opens, so no two
+// roots share one — and slow ops, exemplars and /spans/<op> name the
+// right tree.
+func TestAndrewSyscallRootsCarryDistinctOps(t *testing.T) {
+	for _, pr := range []Proto{NFS, SNFS} {
+		roots := syscallRoots(t, pr, true)
+		for _, so := range roots {
+			if so.Op == 0 || so.Host != "client" {
+				t.Fatalf("%v: root %s on %s carries op %d, want a minted op on client", pr, so.Name, so.Host, so.Op)
+			}
+		}
+		distinctOps(t, roots)
+	}
+}
+
+// TestLocalSyscallsRootOnLocal: the local mount roots its own syscalls,
+// on host local and keyed by no op (a local syscall mints none), in a
+// world with /tmp local under either protocol and in the Local one.
+func TestLocalSyscallsRootOnLocal(t *testing.T) {
+	for _, c := range []struct {
+		pr     Proto
+		remote bool // whether the world has a client host besides local
+	}{{NFS, true}, {SNFS, true}, {Local, false}} {
+		var local, remote int
+		roots := syscallRoots(t, c.pr, false)
+		for _, so := range roots {
+			switch so.Host {
+			case "local":
+				local++
+				if so.Op != 0 {
+					t.Errorf("%v: local root %s carries op %d, want 0", c.pr, so.Name, so.Op)
+				}
+			case "client":
+				remote++
+			default:
+				t.Errorf("%v: root %s on host %q", c.pr, so.Name, so.Host)
+			}
+		}
+		if local == 0 || (remote > 0) != c.remote {
+			t.Errorf("%v: %d roots on local and %d on client", c.pr, local, remote)
+		}
+		distinctOps(t, roots)
 	}
 }

@@ -242,10 +242,10 @@ func BuildOpt(pr Proto, tmpRemote bool, pm Params, opt BuildOptions) *World {
 	w.LocalMedia.MetaSync = true
 	mkdirs(lst, "data", "tmp", "usr/tmp")
 	w.LocalFS = localmount.New(k, w.LocalMedia)
+	w.LocalFS.Spans = w.Spans
 
-	local := cluster.Instruments{Spans: w.Spans}.Mount("local", w.LocalFS)
 	if pr == Local {
-		w.NS.Mount("/", local)
+		w.NS.Mount("/", w.LocalFS)
 	} else {
 		w.Net = simnet.New(k, pm.Net)
 		in := pm.serverInstruments(k, w.Spans, 0, pm.Audit && pr == SNFS)
@@ -273,26 +273,29 @@ func BuildOpt(pr Proto, tmpRemote bool, pm Params, opt BuildOptions) *World {
 		w.NS = w.cli.NS
 		w.NFSCli, w.SNFSCli, w.RFSCli = w.cli.NFS, w.cli.SNFS, w.cli.RFS
 		if !tmpRemote {
-			w.NS.Mount("/tmp", local)
-			w.NS.Mount("/usr/tmp", local)
+			w.NS.Mount("/tmp", w.LocalFS)
+			w.NS.Mount("/usr/tmp", w.LocalFS)
 		}
 	}
 
 	// The local update daemon (/etc/update): flushes the local disk's
-	// delayed writes. The SNFS client runs its own (per pm.SNFS).
+	// delayed writes. The SNFS client runs its own (per pm.SNFS). A pass
+	// is background work, not a syscall, so it goes to the media below
+	// the mount's root spans.
 	if pm.LocalSyncInterval > 0 {
 		k.Go("etc-update", func(p *sim.Proc) {
 			for {
 				p.Sleep(pm.LocalSyncInterval)
-				w.LocalFS.SyncAll(p)
+				w.LocalMedia.SyncOlderThan(p.Now())
 			}
 		})
 	}
 	return w
 }
 
-// newClient builds a client host of the world's server, mounted through
-// the world's span recorder and, when audited, its auditor.
+// newClient builds a client host of the world's server, rooting its
+// syscalls in the world's span recorder and, when audited, mounted
+// through its auditor.
 func (w *World) newClient(s cluster.ClientSpec, audited bool) *cluster.ClientHost {
 	s.Config.Server = w.srv.Addr
 	s.Config.Root = w.srv.Base.RootHandle()

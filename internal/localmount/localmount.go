@@ -14,6 +14,7 @@ import (
 	"spritelynfs/internal/localfs"
 	"spritelynfs/internal/proto"
 	"spritelynfs/internal/sim"
+	"spritelynfs/internal/span"
 	"spritelynfs/internal/vfs"
 )
 
@@ -21,11 +22,21 @@ import (
 type FS struct {
 	k     *sim.Kernel
 	media *localfs.Media
+	// Spans, when set, roots each syscall in a span on host "local".
+	// The roots carry no op ID: a local syscall mints none, and the
+	// process's own ID is the previous remote syscall's.
+	Spans *span.Recorder
 }
 
 // New returns a local mount over media.
 func New(k *sim.Kernel, media *localfs.Media) *FS {
 	return &FS{k: k, media: media}
+}
+
+// syscall opens a method's root span, which the method ends when it
+// returns.
+func (f *FS) syscall(p *sim.Proc, name string) span.Handle {
+	return f.Spans.Root(p, "local", name, 0)
 }
 
 func (f *FS) store() *localfs.Store { return f.media.Store() }
@@ -95,6 +106,7 @@ func (f *FS) walkParent(rel string) (localfs.Attr, string, error) {
 
 // Open implements vfs.FS.
 func (f *FS) Open(p *sim.Proc, rel string, flags vfs.Flags, mode uint32) (vfs.File, error) {
+	defer f.syscall(p, "open").End()
 	var attr localfs.Attr
 	var err error
 	if flags&vfs.Create != 0 {
@@ -133,6 +145,7 @@ func (f *FS) Open(p *sim.Proc, rel string, flags vfs.Flags, mode uint32) (vfs.Fi
 
 // Mkdir implements vfs.FS.
 func (f *FS) Mkdir(p *sim.Proc, rel string, mode uint32) error {
+	defer f.syscall(p, "mkdir").End()
 	dir, name, err := f.walkParent(rel)
 	if err != nil {
 		return err
@@ -148,6 +161,7 @@ func (f *FS) Mkdir(p *sim.Proc, rel string, mode uint32) error {
 // cancelled (they never reach the disk), but the structural update is
 // still charged.
 func (f *FS) Remove(p *sim.Proc, rel string) error {
+	defer f.syscall(p, "remove").End()
 	dir, name, err := f.walkParent(rel)
 	if err != nil {
 		return err
@@ -165,6 +179,7 @@ func (f *FS) Remove(p *sim.Proc, rel string) error {
 
 // Rmdir implements vfs.FS.
 func (f *FS) Rmdir(p *sim.Proc, rel string) error {
+	defer f.syscall(p, "rmdir").End()
 	dir, name, err := f.walkParent(rel)
 	if err != nil {
 		return err
@@ -178,6 +193,7 @@ func (f *FS) Rmdir(p *sim.Proc, rel string) error {
 
 // Rename implements vfs.FS.
 func (f *FS) Rename(p *sim.Proc, oldrel, newrel string) error {
+	defer f.syscall(p, "rename").End()
 	sdir, sname, err := f.walkParent(oldrel)
 	if err != nil {
 		return err
@@ -195,6 +211,7 @@ func (f *FS) Rename(p *sim.Proc, oldrel, newrel string) error {
 
 // Stat implements vfs.FS.
 func (f *FS) Stat(p *sim.Proc, rel string) (proto.Fattr, error) {
+	defer f.syscall(p, "stat").End()
 	attr, err := f.walk(rel)
 	if err != nil {
 		return proto.Fattr{}, err
@@ -204,6 +221,7 @@ func (f *FS) Stat(p *sim.Proc, rel string) (proto.Fattr, error) {
 
 // Readdir implements vfs.FS.
 func (f *FS) Readdir(p *sim.Proc, rel string) ([]proto.DirEntry, error) {
+	defer f.syscall(p, "readdir").End()
 	attr, err := f.walk(rel)
 	if err != nil {
 		return nil, err
@@ -221,6 +239,7 @@ func (f *FS) Readdir(p *sim.Proc, rel string) ([]proto.DirEntry, error) {
 
 // Link implements vfs.FS.
 func (f *FS) Link(p *sim.Proc, oldrel, newrel string) error {
+	defer f.syscall(p, "link").End()
 	src, err := f.walk(oldrel)
 	if err != nil {
 		return err
@@ -238,6 +257,7 @@ func (f *FS) Link(p *sim.Proc, oldrel, newrel string) error {
 
 // Symlink implements vfs.FS.
 func (f *FS) Symlink(p *sim.Proc, target, linkrel string) error {
+	defer f.syscall(p, "symlink").End()
 	dir, name, err := f.walkParent(linkrel)
 	if err != nil {
 		return err
@@ -251,6 +271,7 @@ func (f *FS) Symlink(p *sim.Proc, target, linkrel string) error {
 
 // Readlink implements vfs.FS (the final component is not followed).
 func (f *FS) Readlink(p *sim.Proc, rel string) (string, error) {
+	defer f.syscall(p, "readlink").End()
 	dir, name, err := f.walkParent(rel)
 	if err != nil {
 		return "", err
@@ -264,6 +285,7 @@ func (f *FS) Readlink(p *sim.Proc, rel string) (string, error) {
 
 // SyncAll implements vfs.FS: flush every delayed write (sync(2)).
 func (f *FS) SyncAll(p *sim.Proc) {
+	defer f.syscall(p, "syncall").End()
 	f.media.SyncOlderThan(p.Now())
 }
 
@@ -275,6 +297,7 @@ type file struct {
 
 // ReadInto implements vfs.File.
 func (fl *file) ReadInto(p *sim.Proc, b []byte, off int64) (int, error) {
+	defer fl.fs.syscall(p, "read").End()
 	data, err := fl.fs.media.ReadAt(p, fl.ino, off, len(b))
 	if err != nil {
 		return 0, err
@@ -291,6 +314,7 @@ func (fl *file) ReadAt(p *sim.Proc, off int64, n int) ([]byte, error) {
 
 // WriteAt implements vfs.File with the delayed-write policy.
 func (fl *file) WriteAt(p *sim.Proc, off int64, data []byte) (int, error) {
+	defer fl.fs.syscall(p, "write").End()
 	if _, err := fl.fs.store().WriteAt(fl.ino, off, data); err != nil {
 		return 0, err
 	}
@@ -300,16 +324,21 @@ func (fl *file) WriteAt(p *sim.Proc, off int64, data []byte) (int, error) {
 
 // Close implements vfs.File. Local closes flush nothing: delayed writes
 // stay in the buffer cache.
-func (fl *file) Close(p *sim.Proc) error { return nil }
+func (fl *file) Close(p *sim.Proc) error {
+	defer fl.fs.syscall(p, "close").End()
+	return nil
+}
 
 // Sync implements vfs.File (fsync).
 func (fl *file) Sync(p *sim.Proc) error {
+	defer fl.fs.syscall(p, "sync").End()
 	fl.fs.media.SyncFile(p, fl.ino)
 	return nil
 }
 
 // Attr implements vfs.File.
 func (fl *file) Attr(p *sim.Proc) (proto.Fattr, error) {
+	defer fl.fs.syscall(p, "attr").End()
 	attr, err := fl.fs.store().GetAttr(fl.ino)
 	if err != nil {
 		return proto.Fattr{}, err

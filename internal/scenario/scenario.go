@@ -200,10 +200,9 @@ func Run(pr harness.Proto, pm harness.Params, cfg Config) (Result, error) {
 		r.remaining = cfg.Clients
 		for c := 0; c < cfg.Clients; c++ {
 			d := &clientLoop{
-				r:    r,
-				c:    c,
-				gen:  workload.NewGen(pm.Seed, c, cfg.Gen),
-				task: k.NewTask(string(f.Client(c).Name)),
+				r:   r,
+				c:   c,
+				gen: workload.NewGen(pm.Seed, c, cfg.Gen),
 			}
 			d.submitFn, d.execFn, d.completeFn = d.submit, d.exec, d.complete
 			d.step()
@@ -265,7 +264,6 @@ type clientLoop struct {
 	r     *fleetRun
 	c     int
 	gen   *workload.Gen
-	task  *sim.Task
 	seq   int // ops begun so far; the one in flight is seq-1
 	op    workload.Op
 	start sim.Time
@@ -291,13 +289,13 @@ func (d *clientLoop) step() {
 	}
 	d.seq++
 	d.op = d.gen.Next()
-	d.task.After(d.op.Think, d.submitFn)
+	d.r.k.After(d.op.Think, d.submitFn)
 }
 
 // submit hands the op to the fleet's executor when its think time ends.
 func (d *clientLoop) submit() {
 	d.start = d.r.k.Now()
-	d.r.f.Exec.Submit(d.task.BeginOp(), d.execFn, d.completeFn)
+	d.r.f.Exec.Submit(d.r.k.NewOpID(), d.execFn, d.completeFn)
 }
 
 // exec runs the op on a pooled process.

@@ -77,7 +77,7 @@ func (c *chain) Due() {
 // BenchmarkProcSwitch measures one full process block/resume cycle (a
 // coroutine yield and resume, with no pass through the Go scheduler,
 // plus the scheduling event) — what every blocking operation of a
-// Proc-based client costs and what the Task/Executor path exists to
+// Proc-based client costs and what the Executor path exists to
 // avoid for idle clients. It read 649 ns while a switch was two channel
 // handoffs between goroutines.
 func BenchmarkProcSwitch(b *testing.B) {
@@ -93,7 +93,7 @@ func BenchmarkProcSwitch(b *testing.B) {
 	k.Run()
 }
 
-// BenchmarkTaskStep measures one state-machine step of a Task client:
+// BenchmarkTaskStep measures one step of a state-machine client:
 // a scheduled callback that submits a trivial closure to an Executor
 // and reschedules itself from the completion callback.
 func BenchmarkTaskStep(b *testing.B) {

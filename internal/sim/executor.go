@@ -2,54 +2,18 @@ package sim
 
 import "fmt"
 
-// Task is the lightweight sibling of Proc: a state-machine thread of
-// control that lives entirely in the kernel's event queue and never
-// parks a goroutine. A blocked Proc holds a coroutine, and a coroutine
-// is a goroutine with a stack; a Task costs one struct, so a world can
-// hold thousands of concurrent clients whose idle time — think time
-// between requests, backoff, polling intervals — is just a scheduled
-// callback. When a task must run blocking protocol code (a file op
-// that sleeps through RPCs and disk), it borrows a pooled process from
-// an Executor for exactly the blocking section.
-//
-// Task callbacks run in scheduler context: they must not block, exactly
-// like events scheduled with Kernel.After.
-type Task struct {
-	k    *Kernel
-	name string
-	op   uint64
-}
-
-// NewTask returns a task handle named name. Creating a task schedules
-// nothing; it is purely an identity for attribution and scheduling.
-func (k *Kernel) NewTask(name string) *Task {
-	return &Task{k: k, name: name}
-}
-
-// BeginOp mints a fresh causal operation ID at a logical operation
-// boundary, mirroring Proc.BeginOp. Work the task hands to an Executor
-// inherits the ID.
-func (t *Task) BeginOp() uint64 {
-	t.op = t.k.NewOpID()
-	return t.op
-}
-
-// After schedules fn to run d from now. fn runs in scheduler context and
-// must not block; blocking work goes through an Executor.
-func (t *Task) After(d Duration, fn func()) {
-	t.k.After(d, fn)
-}
-
 // Executor runs blocking closures on a pool of reusable simulation
-// processes. It is the bridge between state-machine tasks and the
-// blocking protocol stack: a task submits a closure, the executor wakes
+// processes. It is the bridge between the blocking protocol stack and a
+// state-machine client, one that lives in the event queue (its think
+// time, backoff and polling are Kernel.After callbacks) and so holds no
+// process while idle: the client submits a closure, the executor wakes
 // an idle pooled process (or spawns one if none is idle) at the current
 // virtual instant, and when the closure returns the process parks back
-// on the free list and the task's completion callback runs.
+// on the free list and the client's completion callback runs.
 //
 // The pool never queues work, so submission adds no modeled latency:
 // the goroutine count is bounded by the maximum number of
-// *concurrently blocked* closures, not by the number of tasks — the
+// *concurrently blocked* closures, not by the number of clients — the
 // quantity that stays small when think time dominates. The kernel
 // pools the coroutines under its processes too, but only those whose
 // process has exited; a worker keeps its process, so a submission to
@@ -94,8 +58,8 @@ func (ex *Executor) Active() int { return ex.active }
 // tagged with causal operation ID op (0 for none). When job returns,
 // done (if non-nil) runs in the completing process's context at the
 // completion instant; it must not block — it is where a state-machine
-// task schedules its next step. Submit may be called from scheduler
-// context (an event or task callback) or from a running process.
+// client schedules its next step. Submit may be called from scheduler
+// context (an event callback) or from a running process.
 func (ex *Executor) Submit(op uint64, job func(p *Proc), done func()) {
 	ex.active++
 	if n := len(ex.idle); n > 0 {

@@ -117,8 +117,7 @@ func TestExecutorReusesWorkers(t *testing.T) {
 func TestExecutorOpAttribution(t *testing.T) {
 	k := NewKernel(1)
 	ex := NewExecutor(k, "t")
-	task := k.NewTask("client")
-	op := task.BeginOp()
+	op := k.NewOpID()
 	var seen uint64
 	ex.Submit(op, func(p *Proc) {
 		seen = p.Op()

@@ -1,11 +1,11 @@
 // Package span is causal latency attribution for the protocol stack: a
 // per-operation tree of timed intervals built on top of the causal op IDs
 // minted by sim.Proc.BeginOp. Every client syscall becomes a root span
-// (see WrapFS), and the instrumented layers underneath — client cache and
-// attribute-cache work, biod flush waits, RPC wire time and retransmit
-// gaps, server queueing, handler CPU, disk queue delay and arm time,
-// callback round-trips — attach child spans as the operation flows
-// through them, across processes and hosts.
+// (Root, opened where the syscall mints its op), and the instrumented
+// layers underneath — client cache and attribute-cache work, biod flush
+// waits, RPC wire time and retransmit gaps, server queueing, handler CPU,
+// disk queue delay and arm time, callback round-trips — attach child
+// spans as the operation flows through them, across processes and hosts.
 //
 // From the finished trees the Recorder derives three products:
 //
@@ -107,11 +107,10 @@ type node struct {
 
 // trace is one operation's span tree: a root (index 0) plus children.
 type trace struct {
-	id         uint64
-	op         uint64 // causal op ID; lookup key while open
-	registered bool   // byOp[op] == this
-	done       bool
-	nodes      []node
+	id    uint64
+	op    uint64 // causal op ID; lookup key while open
+	done  bool
+	nodes []node
 }
 
 // stack tracks a process's open spans; its top is the parent of the next
@@ -185,23 +184,36 @@ type Handle struct {
 // p if it has one; otherwise, if p carries a causal op ID with an open
 // trace (a server worker or callback handler continuing a client's
 // operation), the innermost open span of that trace; otherwise the new
-// span roots a fresh trace. Safe on a nil recorder.
+// span roots a fresh trace keyed by p's op ID. Safe on a nil recorder.
 func (r *Recorder) Begin(p *sim.Proc, host string, kind Kind, name string) Handle {
 	if r == nil || p == nil {
 		return Handle{}
 	}
+	return r.begin(p, host, kind, name, p.Op())
+}
+
+// Root opens the Syscall span of one syscall: the root of a fresh trace
+// keyed by op, the causal op ID the syscall has just minted, or by none
+// when op is 0 (a local mount's syscalls mint none). Like Begin, it nests
+// under a span p already has open. Safe on a nil recorder.
+func (r *Recorder) Root(p *sim.Proc, host, name string, op uint64) Handle {
+	if r == nil || p == nil {
+		return Handle{}
+	}
+	return r.begin(p, host, Syscall, name, op)
+}
+
+// begin is Begin with the op ID a fresh trace is keyed by.
+func (r *Recorder) begin(p *sim.Proc, host string, kind Kind, name string, op uint64) Handle {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	now := r.clock()
 	t, parent := r.resolve(p)
 	if t == nil {
-		t = &trace{id: r.nextTrace, op: p.Op()}
+		t = &trace{id: r.nextTrace, op: op}
 		r.nextTrace++
-		if t.op != 0 {
-			if _, taken := r.byOp[t.op]; !taken {
-				r.byOp[t.op] = t
-				t.registered = true
-			}
+		if _, taken := r.byOp[op]; op != 0 && !taken {
+			r.byOp[op] = t
 		}
 	}
 	depth := int32(0)
@@ -292,14 +304,7 @@ func (h Handle) End() {
 // (nil, -1) when p has no causal context. Caller holds r.mu.
 func (r *Recorder) resolve(p *sim.Proc) (*trace, int32) {
 	if st := r.stacks[p]; st != nil && len(st.idx) > 0 {
-		t := st.t
-		// Root spans open before the syscall mints its op ID (the vfs
-		// wrapper sits outside the client); adopt the current ID the
-		// first time a child sees it so cross-process lookups resolve.
-		if cur := p.Op(); cur != 0 && cur != t.op {
-			r.rekey(t, cur)
-		}
-		return t, st.idx[len(st.idx)-1]
+		return st.t, st.idx[len(st.idx)-1]
 	}
 	if op := p.Op(); op != 0 {
 		if t := r.byOp[op]; t != nil && !t.done {
@@ -307,19 +312,6 @@ func (r *Recorder) resolve(p *sim.Proc) (*trace, int32) {
 		}
 	}
 	return nil, -1
-}
-
-// rekey moves t to a new causal op ID. Caller holds r.mu.
-func (r *Recorder) rekey(t *trace, op uint64) {
-	if t.registered {
-		delete(r.byOp, t.op)
-		t.registered = false
-	}
-	t.op = op
-	if _, taken := r.byOp[op]; !taken {
-		r.byOp[op] = t
-		t.registered = true
-	}
 }
 
 // innermostOpen returns the deepest open node of t (ties: latest index).
@@ -337,9 +329,8 @@ func innermostOpen(t *trace) int32 {
 // exemplar observation, and slow-op offer. Caller holds r.mu.
 func (r *Recorder) finalize(t *trace) {
 	t.done = true
-	if t.registered {
+	if r.byOp[t.op] == t {
 		delete(r.byOp, t.op)
-		t.registered = false
 	}
 	root := &t.nodes[0]
 	if root.open {

@@ -195,43 +195,6 @@ func TestBackgroundRoots(t *testing.T) {
 	}
 }
 
-// TestRekeyAdoptsOp mirrors the vfs-wrapper shape: the root opens before
-// the client mints the op ID, and the first child begun after minting
-// must rekey the trace so cross-process lookups resolve.
-func TestRekeyAdoptsOp(t *testing.T) {
-	k := sim.NewKernel(1)
-	r := NewRecorder(k.Now, 8)
-	var op uint64
-	k.Go("client", func(p *sim.Proc) {
-		root := r.Begin(p, "client", Syscall, "open") // op still 0
-		op = p.BeginOp()                              // minted by the inner client
-		child := r.Begin(p, "client", Cache, "fetch") // triggers the rekey
-		p.Sleep(1 * sim.Millisecond)
-		child.End()
-		var wg sim.WaitGroup
-		wg.Add(1)
-		k.Go("worker", func(wp *sim.Proc) {
-			defer wg.Done()
-			wp.SetOp(op)
-			sp := r.Begin(wp, "server", Serve, "open")
-			wp.Sleep(1 * sim.Millisecond)
-			sp.End()
-		})
-		wg.Wait(p)
-		root.End()
-		p.SetOp(0)
-	})
-	k.Run()
-
-	so, ok := r.Lookup(op)
-	if !ok {
-		t.Fatalf("trace not captured under adopted op %d", op)
-	}
-	if len(so.Spans) != 3 {
-		t.Fatalf("spans = %d, want 3 (root, fetch, serve in one trace)", len(so.Spans))
-	}
-}
-
 // TestSummarizeAccounts checks the headline identity: components (plus
 // the compute/idle residual) sum to ~100% of wall time.
 func TestSummarizeAccounts(t *testing.T) {
