@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -79,6 +80,10 @@ func TestStructuralCeilings(t *testing.T) {
 		// minted (client.Base.syscall), or where none is (the local
 		// mount), never in a wrapper around either.
 		{"span Recorder.Root calls in non-test files", countRootCalls(t), 2},
+		// One derivation of Table 4-1: a state-table entry's state is
+		// set only by e.state = e.derive().
+		{"state assignments in internal/core other than e.state = e.derive()", countStateSets(t, "internal/core"), 0},
+		{"internal/core non-test lines", countLines(t, "internal/core"), 878},
 		// A cached block carries its own LRU and file-chain links, and a
 		// sim.Signal or WaitGroup is usable as a zero value inside the
 		// state it guards: neither needs an object of its own.
@@ -112,6 +117,36 @@ func countText(t *testing.T, dir, s string) int {
 			t.Fatal(err)
 		}
 		n += strings.Count(string(data), s)
+	}
+	return n
+}
+
+// countStateSets counts the places in dir's non-test files that set a
+// field named state — an assignment or a composite literal's key — other
+// than the statement e.state = e.derive().
+func countStateSets(t *testing.T, dir string) int {
+	n := 0
+	for _, f := range parseDir(t, dir, 0) {
+		ast.Inspect(f, func(node ast.Node) bool {
+			switch x := node.(type) {
+			case *ast.AssignStmt:
+				for i, lhs := range x.Lhs {
+					sel, ok := lhs.(*ast.SelectorExpr)
+					if !ok || sel.Sel.Name != "state" {
+						continue
+					}
+					if len(x.Rhs) != len(x.Lhs) || types.ExprString(lhs) != "e.state" ||
+						types.ExprString(x.Rhs[i]) != "e.derive()" {
+						n++
+					}
+				}
+			case *ast.KeyValueExpr:
+				if key, ok := x.Key.(*ast.Ident); ok && key.Name == "state" {
+					n++
+				}
+			}
+			return true
+		})
 	}
 	return n
 }

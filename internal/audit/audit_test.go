@@ -105,6 +105,29 @@ func TestCorruptTransitionFlagged(t *testing.T) {
 	}
 }
 
+// TestRepeatReadOpenDerived: a repeat read-only open is held to the same
+// derivation as every other event. The sole reader is the recorded last
+// writer and caches, so Table 4-1 derives ONE-RDR-DIRTY; a table that
+// reports ONE-READER -> ONE-READER is flagged.
+func TestRepeatReadOpenDerived(t *testing.T) {
+	h := proto.Handle{FSID: 1, Ino: 9, Gen: 1}
+	a, _ := run(t, func(p *sim.Proc, a *audit.Auditor, _ *core.Table) {
+		a.OnTransition(core.TransitionEvent{
+			Event: "open", Handle: h, Client: "A",
+			From: core.StateClosed, To: core.StateOneReader, Caching: []core.ClientID{"A"},
+		})
+		a.OnTransition(core.TransitionEvent{
+			Event: "open", Handle: h, Client: "A",
+			From: core.StateOneReader, To: core.StateOneReader,
+			LastWriter: "A", Caching: []core.ClientID{"A"},
+		})
+	})
+	vs := a.Violations()
+	if len(vs) != 1 || vs[0].Invariant != audit.InvTransition {
+		t.Fatalf("violations %v, want one %s for the underived ONE-READER", vs, audit.InvTransition)
+	}
+}
+
 // TestVersionRegressionFlagged: a version number moving backwards (or an
 // open-for-write not recording the prior version) breaks the §3.1 cache
 // validation rule.

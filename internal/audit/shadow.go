@@ -115,13 +115,8 @@ func (a *Auditor) checkTransition(op uint64, ev core.TransitionEvent) {
 	}
 
 	// The post-state must match what Table 4-1 derives from the open
-	// counts, the recorded last writer, and the caching grants. A repeat
-	// read-only open is the one transition the table leaves the state
-	// untouched for, so ONE-READER can stay ONE-READER where the
-	// derivation would say otherwise — the edge check above already
-	// constrains that case.
-	if derived := deriveState(e, ev); derived != ev.To &&
-		!(ev.Event == "open" && !ev.Write && ev.To == ev.From) {
+	// counts, the recorded last writer, and the caching grants.
+	if derived := deriveState(e, ev); derived != ev.To {
 		a.violate(op, InvTransition, ev.Handle,
 			"%s: reached %s but Table 4-1 derives %s from the open counts",
 			ev.Event, ev.To, derived)
@@ -134,8 +129,8 @@ func (a *Auditor) checkTransition(op uint64, ev core.TransitionEvent) {
 
 // deriveState recomputes the Table 4-1 state from the shadow's open
 // counts plus the event's post-mutation lastWriter and caching grants —
-// an independent check that the table's own recompute logic agrees with
-// the paper's table.
+// an independent check that the table's own derivation agrees with the
+// paper's table.
 func deriveState(e *shadowEntry, ev core.TransitionEvent) core.FileState {
 	caching := make(map[core.ClientID]bool, len(ev.Caching))
 	for _, c := range ev.Caching {

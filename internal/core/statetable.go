@@ -11,10 +11,16 @@
 // must issue (and await) before replying to the client. Serializing opens
 // of the same file while callbacks are outstanding is the caller's job
 // (the SNFS server holds a per-file lock across the open).
+//
+// Table 4-1 is derived, not transcribed: every method that moves an entry
+// updates its opens, caching grants and recorded last writer, then sets
+// the state from them with entry.derive. Open's per-state switch decides
+// only whom the open calls back and which other clients stop caching.
 package core
 
 import (
 	"fmt"
+	"slices"
 
 	"spritelynfs/internal/proto"
 )
@@ -250,10 +256,10 @@ func (e *entry) client(c ClientID) *clientInfo {
 	return nil
 }
 
-func (e *entry) addClient(c ClientID, caching bool) *clientInfo {
+func (e *entry) addClient(c ClientID) *clientInfo {
 	ci := e.client(c)
 	if ci == nil {
-		ci = &clientInfo{id: c, caching: caching}
+		ci = &clientInfo{id: c}
 		e.clients = append(e.clients, ci)
 	}
 	return ci
@@ -265,6 +271,50 @@ func (e *entry) removeClient(c ClientID) {
 			e.clients = append(e.clients[:i], e.clients[i+1:]...)
 			return
 		}
+	}
+}
+
+func (e *entry) writers() int {
+	n := 0
+	for _, ci := range e.clients {
+		n += ci.writers
+	}
+	return n
+}
+
+// shared reports write sharing: two or more clients, one of them a writer.
+func (e *entry) shared() bool { return len(e.clients) > 1 && e.writers() > 0 }
+
+// derive is Table 4-1: the state the entry's opens, caching grants and
+// recorded last writer imply. It is the only way a state is set.
+func (e *entry) derive() FileState {
+	switch {
+	case len(e.clients) == 0:
+		if e.lastWriter != "" {
+			return StateClosedDirty
+		}
+		return StateClosed
+	case e.writers() > 0:
+		if len(e.clients) == 1 && e.clients[0].caching {
+			return StateOneWriter
+		}
+		return StateWriteShared
+	case len(e.clients) > 1:
+		return StateMultReaders
+	case e.lastWriter == e.clients[0].id && e.clients[0].caching:
+		return StateOneRdrDirty
+	}
+	return StateOneReader
+}
+
+// callBack queues a callback to client to. A write-back brings the last
+// writer's dirty blocks home, so the entry records none afterwards.
+func (e *entry) callBack(res *OpenResult, to ClientID, writeBack, invalidate bool) {
+	res.Callbacks = append(res.Callbacks, Callback{
+		Client: to, Handle: e.handle, WriteBack: writeBack, Invalidate: invalidate,
+	})
+	if writeBack {
+		e.lastWriter = ""
 	}
 }
 
@@ -294,176 +344,67 @@ func (t *Table) Open(h proto.Handle, c ClientID, forWrite bool) OpenResult {
 		t.stats.Inconsistencies++
 	}
 
-	switch e.state {
-	case StateClosed:
-		ci := e.addClient(c, true)
-		if forWrite {
-			t.bump(e)
-			ci.writers++
-			e.state = StateOneWriter
-		} else {
-			ci.readers++
-			e.state = StateOneReader
-		}
-		res.CacheEnabled = true
-
+	// What Table 4-1 varies by state: whom the open calls back, and
+	// which other clients stop caching.
+	switch from {
 	case StateClosedDirty:
-		if c == e.lastWriter {
-			ci := e.addClient(c, true)
-			if forWrite {
-				t.bump(e)
-				ci.writers++
-				e.state = StateOneWriter
-			} else {
-				ci.readers++
-				e.state = StateOneRdrDirty
-			}
-			res.CacheEnabled = true
-		} else {
-			// Another client wants the file: the last writer
-			// must return its dirty blocks first. Its (then
-			// clean) cached copy may be kept — version checking
-			// invalidates it lazily if this open bumps the
-			// version.
-			res.Callbacks = append(res.Callbacks, Callback{
-				Client: e.lastWriter, Handle: h, WriteBack: true,
-			})
-			e.lastWriter = ""
-			ci := e.addClient(c, true)
-			if forWrite {
-				t.bump(e)
-				ci.writers++
-				e.state = StateOneWriter
-			} else {
-				ci.readers++
-				e.state = StateOneReader
-			}
-			res.CacheEnabled = true
+		if c != e.lastWriter {
+			// Another client wants the file: the last writer must
+			// return its dirty blocks first. Its (then clean) cached
+			// copy may be kept — version checking invalidates it
+			// lazily if this open bumps the version.
+			e.callBack(&res, e.lastWriter, true, false)
 		}
-
 	case StateOneReader, StateOneRdrDirty:
-		existing := e.clients[0]
-		dirty := e.state == StateOneRdrDirty
-		if existing.id == c {
-			ci := existing
+		// A reader elsewhere returns its dirty blocks (if it is the
+		// last writer) so the server's copy is current, and stops
+		// caching if this open begins read/write sharing.
+		dirty := from == StateOneRdrDirty
+		if r := e.clients[0]; r.id != c && (forWrite || dirty) {
+			e.callBack(&res, r.id, dirty, forWrite)
 			if forWrite {
-				t.bump(e)
-				ci.writers++
-				e.state = StateOneWriter
-				// The client's own dirty blocks (if this was
-				// ONE-RDR-DIRTY it is the last writer) stay
-				// valid: same client, cache on.
-			} else {
-				ci.readers++
-				// State unchanged (Table 4-1: no transition
-				// for a repeat read-only open).
+				r.caching = false
 			}
-			ci.caching = true // a reopen re-grants caching
-			res.CacheEnabled = true
-		} else if forWrite {
-			// Read/write sharing begins: the existing reader
-			// stops caching (and returns dirty blocks if it is
-			// the last writer).
-			cb := Callback{Client: existing.id, Handle: h, Invalidate: true}
-			if dirty {
-				cb.WriteBack = true
-				e.lastWriter = ""
-			}
-			res.Callbacks = append(res.Callbacks, cb)
-			existing.caching = false
-			t.bump(e)
-			ci := e.addClient(c, false)
-			ci.writers++
-			e.state = StateWriteShared
-			t.stats.WriteShares++
-			res.CacheEnabled = false
-		} else {
-			if dirty {
-				// New reader elsewhere: dirty blocks must
-				// reach the server so its copy is current.
-				res.Callbacks = append(res.Callbacks, Callback{
-					Client: existing.id, Handle: h, WriteBack: true,
-				})
-				e.lastWriter = ""
-			}
-			ci := e.addClient(c, true)
-			ci.readers++
-			e.state = StateMultReaders
-			res.CacheEnabled = true
 		}
-
 	case StateMultReaders:
+		// Write sharing begins: every other reader stops caching.
 		if forWrite {
-			// All other readers must stop caching; the opener
-			// learns cacheEnabled=false from the reply.
 			for _, ci := range e.clients {
 				if ci.id != c {
-					res.Callbacks = append(res.Callbacks, Callback{
-						Client: ci.id, Handle: h, Invalidate: true,
-					})
+					e.callBack(&res, ci.id, false, true)
+					ci.caching = false
 				}
-				ci.caching = false
 			}
-			t.bump(e)
-			ci := e.addClient(c, false)
-			ci.writers++
-			ci.caching = false
-			e.state = StateWriteShared
-			t.stats.WriteShares++
-			res.CacheEnabled = false
-		} else {
-			ci := e.addClient(c, true)
-			ci.readers++
-			ci.caching = true // a reopen re-grants caching
-			res.CacheEnabled = true
 		}
-
 	case StateOneWriter:
-		w := e.clients[0]
-		if w.id == c {
-			if forWrite {
-				t.bump(e)
-				w.writers++
-			} else {
-				w.readers++
-			}
-			res.CacheEnabled = true
-		} else {
-			// A second client arrives while one holds the file
-			// open for write: write sharing. The writer returns
-			// its dirty pages and stops caching (§2.2).
-			res.Callbacks = append(res.Callbacks, Callback{
-				Client: w.id, Handle: h, WriteBack: true, Invalidate: true,
-			})
+		// A second client arrives while one holds the file open for
+		// write: write sharing. The writer returns its dirty pages and
+		// stops caching (§2.2).
+		if w := e.clients[0]; w.id != c {
+			e.callBack(&res, w.id, true, true)
 			w.caching = false
-			if forWrite {
-				t.bump(e)
-			}
-			ci := e.addClient(c, false)
-			if forWrite {
-				ci.writers++
-			} else {
-				ci.readers++
-			}
-			e.state = StateWriteShared
-			t.stats.WriteShares++
-			res.CacheEnabled = false
 		}
+	}
 
-	case StateWriteShared:
-		if forWrite {
-			t.bump(e)
-		}
-		ci := e.addClient(c, false)
-		if forWrite {
-			ci.writers++
-		} else {
-			ci.readers++
-		}
-		res.CacheEnabled = false
+	if forWrite {
+		t.bump(e)
+	}
+	ci := e.addClient(c)
+	if forWrite {
+		ci.writers++
+	} else {
+		ci.readers++
+	}
+	// The opener caches unless the file was or now is write-shared; a
+	// reopen re-grants caching otherwise.
+	ci.caching = from != StateWriteShared && !e.shared()
+	e.state = e.derive()
+	if e.state == StateWriteShared && from != StateWriteShared {
+		t.stats.WriteShares++
 	}
 
 	t.stats.CallbacksIssued += int64(len(res.Callbacks))
+	res.CacheEnabled = ci.caching
 	res.Version = e.version
 	res.PrevVersion = e.prev
 	t.observe(TransitionEvent{
@@ -493,60 +434,23 @@ func (t *Table) Close(h proto.Handle, c ClientID, forWrite bool) {
 		if ci.writers > 0 {
 			ci.writers--
 		}
-	} else {
-		if ci.readers > 0 {
-			ci.readers--
+		if ci.caching {
+			// Table 4-1: a caching writer's close records it as
+			// last writer.
+			e.lastWriter = c
 		}
+	} else if ci.readers > 0 {
+		ci.readers--
 	}
-	wasCachingWriter := forWrite && ci.caching
 	if ci.readers == 0 && ci.writers == 0 {
 		e.removeClient(c)
 	}
-	t.recompute(e, c, wasCachingWriter)
+	e.state = e.derive()
 	t.observe(TransitionEvent{
 		Event: "close", Handle: h, Client: c, Write: forWrite,
 		From: from, To: e.state, Version: e.version, Prev: e.prev,
 		LastWriter: e.lastWriter, Caching: e.cachingIDs(),
 	})
-}
-
-// recompute derives the new state after a close by closer (who was a
-// caching writer for this close if cachingWriter).
-func (t *Table) recompute(e *entry, closer ClientID, cachingWriter bool) {
-	// Classify the remaining opens.
-	nclients := len(e.clients)
-	writers := 0
-	for _, ci := range e.clients {
-		writers += ci.writers
-	}
-	if cachingWriter {
-		// Table 4-1: this client recorded as last writer.
-		e.lastWriter = closer
-	}
-
-	switch {
-	case nclients == 0:
-		if e.lastWriter != "" {
-			e.state = StateClosedDirty
-		} else {
-			e.state = StateClosed
-		}
-	case writers > 0:
-		if nclients == 1 && e.clients[0].caching {
-			e.state = StateOneWriter
-		} else {
-			e.state = StateWriteShared
-		}
-	case nclients == 1:
-		// One remaining client, read-only.
-		if e.lastWriter == e.clients[0].id && e.clients[0].caching {
-			e.state = StateOneRdrDirty
-		} else {
-			e.state = StateOneReader
-		}
-	default:
-		e.state = StateMultReaders
-	}
 }
 
 // newEntry allocates an entry for h, reclaiming closed entries when the
@@ -557,34 +461,46 @@ func (t *Table) recompute(e *entry, closer ClientID, cachingWriter bool) {
 // inside an open for an unrelated file.
 func (t *Table) newEntry(h proto.Handle) (*entry, bool) {
 	if len(t.entries) >= t.maxEntries {
-		if victim := t.oldestInState(StateClosed); victim != nil {
-			delete(t.entries, victim.handle)
-			t.stats.Reclaims++
-			t.observe(TransitionEvent{
-				Event: "reclaim", Handle: victim.handle,
-				From: StateClosed, To: StateClosed,
-				Version: victim.version, Prev: victim.prev, Dropped: true,
-			})
-		} else if len(t.entries) >= t.maxEntries {
+		victims := t.oldest(StateClosed, 1)
+		if len(victims) == 0 {
 			return nil, true
 		}
+		victim := victims[0]
+		delete(t.entries, victim.handle)
+		t.stats.Reclaims++
+		t.observe(TransitionEvent{
+			Event: "reclaim", Handle: victim.handle,
+			From: StateClosed, To: StateClosed,
+			Version: victim.version, Prev: victim.prev, Dropped: true,
+		})
 	}
-	e := &entry{handle: h, state: StateClosed}
+	e := &entry{handle: h}
 	t.entries[h] = e
 	return e, false
 }
 
-func (t *Table) oldestInState(s FileState) *entry {
-	var victim *entry
+// oldest returns up to n entries in state s, least recently touched
+// first. Stamps tie (recovered entries not opened since all carry 0) by
+// handle.
+func (t *Table) oldest(s FileState, n int) []*entry {
+	var out []*entry
 	for _, e := range t.entries {
 		if e.state != s {
 			continue
 		}
-		if victim == nil || e.stamp < victim.stamp {
-			victim = e
+		i := len(out)
+		for i > 0 && (e.stamp < out[i-1].stamp ||
+			e.stamp == out[i-1].stamp && e.handle.Less(out[i-1].handle)) {
+			i--
+		}
+		if i < n {
+			out = slices.Insert(out, i, e)
+			if len(out) > n {
+				out = out[:n]
+			}
 		}
 	}
-	return victim
+	return out
 }
 
 // InvalidateReaders supports the §7 name-cache extension: when a client
@@ -624,32 +540,8 @@ func (t *Table) InvalidateReaders(h proto.Handle, except ClientID) []Callback {
 // Reclaimed.
 func (t *Table) ReclaimCandidates(n int) []Callback {
 	var out []Callback
-	for len(out) < n {
-		var victim *entry
-		for _, e := range t.entries {
-			if e.state != StateClosedDirty {
-				continue
-			}
-			already := false
-			for _, cb := range out {
-				if cb.Handle == e.handle {
-					already = true
-					break
-				}
-			}
-			if already {
-				continue
-			}
-			if victim == nil || e.stamp < victim.stamp {
-				victim = e
-			}
-		}
-		if victim == nil {
-			break
-		}
-		out = append(out, Callback{
-			Client: victim.lastWriter, Handle: victim.handle, WriteBack: true,
-		})
+	for _, e := range t.oldest(StateClosedDirty, n) {
+		out = append(out, Callback{Client: e.lastWriter, Handle: e.handle, WriteBack: true})
 	}
 	t.stats.CallbacksIssued += int64(len(out))
 	return out
@@ -664,7 +556,7 @@ func (t *Table) Reclaimed(h proto.Handle) {
 		return
 	}
 	e.lastWriter = ""
-	e.state = StateClosed
+	e.state = e.derive()
 	dropped := false
 	if len(t.entries) >= t.maxEntries {
 		delete(t.entries, h)
@@ -673,7 +565,7 @@ func (t *Table) Reclaimed(h proto.Handle) {
 	}
 	t.observe(TransitionEvent{
 		Event: "reclaim", Handle: h,
-		From: StateClosedDirty, To: StateClosed, Version: e.version, Prev: e.prev,
+		From: StateClosedDirty, To: e.state, Version: e.version, Prev: e.prev,
 		Dropped: dropped,
 	})
 }
@@ -755,7 +647,7 @@ func (t *Table) ClientDead(c ClientID) []proto.Handle {
 			touched = true
 		}
 		if touched {
-			t.recompute(e, "", false)
+			e.state = e.derive()
 			affected = append(affected, h)
 			t.observe(TransitionEvent{
 				Event: "client-dead", Handle: h, Client: c,
@@ -789,54 +681,27 @@ func (t *Table) Recover(h proto.Handle, c ClientID, readers, writers uint32, ver
 		t.nextVer = version
 	}
 	if readers > 0 || writers > 0 {
-		ci := e.addClient(c, true)
-		ci.readers = int(readers)
-		ci.writers = int(writers)
+		ci := e.addClient(c)
+		ci.readers, ci.writers, ci.caching = int(readers), int(writers), true
 	}
 	if hasDirty && writers == 0 && readers == 0 {
 		e.lastWriter = c
 	}
-	t.recomputeRecovered(e)
+	if e.shared() {
+		// Write sharing discovered during recovery disables caching
+		// for everyone, which the clients learn from their reopen
+		// replies.
+		for _, ci := range e.clients {
+			ci.caching = false
+		}
+	}
+	e.state = e.derive()
 	t.observe(TransitionEvent{
 		Event: "recover", Handle: h, Client: c, Write: writers > 0,
 		From: from, To: e.state, Version: e.version, Prev: e.prev,
 		HasDirty: hasDirty, Readers: readers, Writers: writers,
 		LastWriter: e.lastWriter, Caching: e.cachingIDs(),
 	})
-}
-
-// recomputeRecovered rebuilds the state after recovery registrations.
-// Write sharing discovered during recovery disables caching for everyone,
-// which the clients learn from their reopen replies.
-func (t *Table) recomputeRecovered(e *entry) {
-	writers, readers := 0, 0
-	for _, ci := range e.clients {
-		writers += ci.writers
-		readers += ci.readers
-	}
-	switch {
-	case len(e.clients) == 0:
-		if e.lastWriter != "" {
-			e.state = StateClosedDirty
-		} else {
-			e.state = StateClosed
-		}
-	case writers > 0 && len(e.clients) > 1:
-		e.state = StateWriteShared
-		for _, ci := range e.clients {
-			ci.caching = false
-		}
-	case writers > 0:
-		e.state = StateOneWriter
-	case len(e.clients) == 1:
-		if e.lastWriter == e.clients[0].id {
-			e.state = StateOneRdrDirty
-		} else {
-			e.state = StateOneReader
-		}
-	default:
-		e.state = StateMultReaders
-	}
 }
 
 // ClientSnapshot is one client's registration within an entry snapshot.
@@ -894,13 +759,7 @@ func (t *Table) CachingClients(h proto.Handle) []ClientID {
 	if !ok {
 		return nil
 	}
-	var out []ClientID
-	for _, ci := range e.clients {
-		if ci.caching {
-			out = append(out, ci.id)
-		}
-	}
-	return out
+	return e.cachingIDs()
 }
 
 // HasClient reports whether client c has any open registered for h.

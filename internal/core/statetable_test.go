@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -145,6 +146,28 @@ func TestWriterThenReaderFlushesAndInvalidatesWriter(t *testing.T) {
 	}
 	if tab.State(fh) != StateWriteShared {
 		t.Errorf("state %v", tab.State(fh))
+	}
+}
+
+// A writer called back into WRITE-SHARED returns its dirty blocks with the
+// callback, so it is no longer the last writer: once everyone has closed,
+// the file is CLOSED and a later opener calls nobody back.
+func TestCalledBackWriterIsNotLastWriter(t *testing.T) {
+	tab := NewTable(0)
+	tab.Open(fh, "A", true)
+	tab.Close(fh, "A", true)
+	tab.Open(fh, "A", true)
+	res := tab.Open(fh, "B", false)
+	if len(res.Callbacks) != 1 || !res.Callbacks[0].WriteBack || !res.Callbacks[0].Invalidate {
+		t.Fatalf("callbacks %+v, want writeback+invalidate to A", res.Callbacks)
+	}
+	tab.Close(fh, "B", false)
+	tab.Close(fh, "A", true)
+	if tab.State(fh) != StateClosed || tab.LastWriter(fh) != "" {
+		t.Errorf("state %v lastWriter %q, want CLOSED with none", tab.State(fh), tab.LastWriter(fh))
+	}
+	if res := tab.Open(fh, "C", false); len(res.Callbacks) != 0 {
+		t.Errorf("C's open calls back %+v; A has nothing dirty", res.Callbacks)
 	}
 }
 
@@ -440,6 +463,22 @@ func TestReclaimCandidates(t *testing.T) {
 	}
 }
 
+// Recovered entries not opened since all carry the same stamp; victims
+// among them go lowest handle first, whatever the map's order.
+func TestReclaimCandidatesTieByHandle(t *testing.T) {
+	tab := NewTable(0)
+	for i := uint64(0); i < 20; i++ {
+		tab.Recover(proto.Handle{FSID: 1, Ino: 20 - i, Gen: 1}, "A", 0, 0, 3, true)
+	}
+	var got []uint64
+	for _, cb := range tab.ReclaimCandidates(3) {
+		got = append(got, cb.Handle.Ino)
+	}
+	if !slices.Equal(got, []uint64{1, 2, 3}) {
+		t.Errorf("victims %v, want inos [1 2 3]", got)
+	}
+}
+
 func TestRecoverRebuildsState(t *testing.T) {
 	tab := NewTable(0)
 	tab.Recover(fh, "A", 0, 1, 17, true)
@@ -644,6 +683,20 @@ func TestStatsAccounting(t *testing.T) {
 	}
 	if s.CallbacksIssued != 1 || s.WriteShares != 1 || s.VersionBumps != 1 {
 		t.Errorf("stats %+v", s)
+	}
+}
+
+// WriteShares counts transitions into WRITE-SHARED, not opens of a file
+// already there.
+func TestWriteSharesCountsTransitions(t *testing.T) {
+	tab := NewTable(0)
+	tab.Open(fh, "A", true)
+	tab.Open(fh, "B", false) // into WRITE-SHARED
+	tab.Open(fh, "C", true)  // already there
+	tab.Close(fh, "B", false)
+	tab.Close(fh, "C", true)
+	if got := tab.Stats().WriteShares; got != 1 {
+		t.Errorf("WriteShares %d, want 1", got)
 	}
 }
 

@@ -205,3 +205,34 @@ func TestJournalWritesCarryTheirOps(t *testing.T) {
 		t.Errorf("the writes minted ops %v after the open's %d, want three fresh ones", minted, openOp)
 	}
 }
+
+// TestAuditCleanWhenCalledBackWriterCloses: a client writes a file and
+// closes it (CLOSED-DIRTY), reopens it for write (ONE-WRITER), and a second
+// client's read calls the writer back into WRITE-SHARED. The write-back
+// returns the writer's dirty blocks, so when the writer finally closes the
+// file is CLOSED, not CLOSED-DIRTY — an edge Table 4-1 does not have.
+func TestAuditCleanWhenCalledBackWriterCloses(t *testing.T) {
+	pm := fastParams()
+	pm.Audit = true
+	w := Build(SNFS, true, pm)
+	_, readerNS := w.AddSNFSClient("reader", pm.SNFS)
+	err := w.Run(func(p *sim.Proc) error {
+		if err := w.NS.WriteFile(p, "/data/f", 16*1024, 8192); err != nil {
+			return err
+		}
+		wf, err := w.NS.Open(p, "/data/f", vfs.ReadWrite, 0)
+		if err != nil {
+			return err
+		}
+		if _, err := wf.WriteAt(p, 0, bytes.Repeat([]byte("w"), 8192)); err != nil {
+			return err
+		}
+		if _, err := readerNS.ReadFile(p, "/data/f", make([]byte, 8192)); err != nil {
+			return err
+		}
+		return wf.Close(p)
+	})
+	if err != nil {
+		t.Fatalf("audited run failed: %v", err)
+	}
+}
