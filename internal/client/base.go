@@ -184,6 +184,11 @@ type Base struct {
 	// freshness decision, and piggybacked attribute goes through it.
 	attrs *attrCache
 
+	// callbacks is the protocol's part of the callback service.
+	callbacks callbackHandler
+	// CallbacksServed counts the callbacks the service handled.
+	CallbacksServed int64
+
 	// Unstable-pipeline counters.
 	commitsSent   int64
 	redriveBlocks int64
@@ -306,6 +311,46 @@ func (b *Base) call(p *sim.Proc, proc uint32, args func(xdr.Codec)) ([]byte, err
 func statusReply(st proto.Status) (rpc.Reply, rpc.Status) {
 	r := proto.StatusReply{Status: st}
 	return rpc.Encode(r.XDR), rpc.StatusOK
+}
+
+// callbackHandler is a protocol's part of the callback service: what a
+// callback does to the node it names (nil if this client has none).
+type callbackHandler interface {
+	callback(p *sim.Proc, a proto.CallbackArgs, n *node) proto.Status
+}
+
+// serveCallbacks registers the client's callback service (the client
+// must provide RPC service, §3.2), with h as the protocol's part.
+func (b *Base) serveCallbacks(h callbackHandler) {
+	b.callbacks = h
+	b.ep.Serve(proto.ProgCallback, b.serveCallback)
+}
+
+// serveCallback is the callback service: it decodes a callback, counts
+// and traces it, and hands the protocol the node it names. No callback's
+// arguments have a tail (xdr.Codec.Tail).
+func (b *Base) serveCallback(p *sim.Proc, from simnet.Addr, proc uint32, args, _ []byte) (rpc.Reply, rpc.Status) {
+	if proc == proto.CbProcNull {
+		return statusReply(proto.OK)
+	}
+	if proc != proto.CbProcCallback {
+		return rpc.Reply{}, rpc.StatusProcUnavail
+	}
+	var a proto.CallbackArgs
+	d := xdr.NewDecoder(args).Codec()
+	if a.XDR(d); d.Err() != nil {
+		return rpc.Reply{}, rpc.StatusGarbage
+	}
+	b.CallbacksServed++
+	if tr := b.Tracer(); tr != nil { // variadic args are boxed even for a nil tracer
+		tr.RecordOp(b.host(), trace.Callback, p.Op(), "<- %s writeback=%v invalidate=%v release=%v",
+			a.Handle, a.WriteBack, a.Invalidate, a.Release)
+	}
+	n, ok := b.nodes[a.Handle.Ino]
+	if !ok || n.h != a.Handle {
+		n = nil
+	}
+	return statusReply(b.callbacks.callback(p, a, n))
 }
 
 // getNode returns (creating if needed) the node for a handle.
@@ -1136,6 +1181,52 @@ func (b *Base) flushBlocks(p *sim.Proc, blocks []*cache.Block) {
 func (b *Base) SyncAll(p *sim.Proc) {
 	defer b.syscall(p, "syncall").End()
 	b.flushBlocks(p, b.cache.AllDirty())
+}
+
+// flushFile writes every dirty block of n back synchronously. Each block
+// is re-validated immediately before its write: an invalidation callback
+// (or a delete) arriving while an earlier block's RPC was in flight
+// cancels the rest, and flushing from a stale snapshot would resurrect
+// dead data.
+func (b *Base) flushFile(p *sim.Proc, n *node) error {
+	for _, blk := range b.cache.DirtyBlocks(b.cfg.Root.FSID, n.h.Ino) {
+		cur, ok := b.cache.Lookup(blk.Key)
+		if !ok || !cur.Dirty {
+			continue
+		}
+		off, gen := blk.Key.Block*int64(b.cfg.BlockSize), cur.Gen
+		if _, err := b.writeBack(p, n, off, sendable(cur)); err != nil {
+			return err
+		}
+		b.cache.MarkCleanIf(blk.Key, gen)
+	}
+	// One COMMIT settles the whole write-back: the server lands the
+	// blocks in gathered arm operations instead of one per block.
+	return b.commit(p, n)
+}
+
+// apply carries out what n's consistency record decided, in the order
+// core.Action fixes, and returns a failed write-back's error. With keep,
+// the failure stops it there, the blocks kept: a callback that fails
+// changes nothing. Without, the blocks go anyway: an open stands at the
+// server, and a record that stopped caching keeps no blocks for the
+// update daemon to write home later over newer data.
+func (b *Base) apply(p *sim.Proc, n *node, a core.Action, keep bool) error {
+	var err error
+	if a.Flush {
+		if err = b.flushFile(p, n); err != nil && keep {
+			return err
+		}
+	}
+	if a.Invalidate {
+		dropped := b.cache.InvalidateFile(b.cfg.Root.FSID, n.h.Ino)
+		// Traced when caching ends; a stale copy dropped under a grant
+		// is routine. Variadic args are boxed even for a nil tracer.
+		if tr := b.Tracer(); tr != nil && !n.rec.Caching {
+			tr.Record(b.host(), trace.Cache, "invalidated %d blocks of %s", dropped, n.h)
+		}
+	}
+	return err
 }
 
 // fileAttr returns an open file's attributes through the attribute

@@ -234,11 +234,10 @@ func TestSNFSReaddirListsEntries(t *testing.T) {
 			t.Fatalf("readdir: %v, %v", ents, err)
 		}
 		// Directory opens balance with closes at the server.
-		tab := w.snfs.Table()
-		r, wr := tab.OpenCounts(w.root)
-		_ = wr
-		if r != 0 {
-			t.Errorf("root has %d leftover read opens after readdir", r)
+		for _, e := range w.snfs.Table().Snapshot() {
+			if e.Handle == w.root && len(e.Clients) != 0 {
+				t.Errorf("root has leftover opens after readdir: %+v", e.Clients)
+			}
 		}
 	})
 }

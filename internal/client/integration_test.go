@@ -890,6 +890,32 @@ func TestSNFSCrashRecovery(t *testing.T) {
 	})
 }
 
+// TestSNFSRecoveryForgetsUnregisteredCaches pins a schedule the
+// exhaustive model check (internal/core) found: a rebooted server restarts
+// its version numbers, so a clean cached copy its client did not
+// re-register could validate against a later writer's version and be
+// read stale. Recovery drops such copies (core.FileRecord.Forget).
+func TestSNFSRecoveryForgetsUnregisteredCaches(t *testing.T) {
+	w := newWorld(1, true, 4, server.SNFSOptions{GraceDur: sim.Second})
+	a := w.addSNFS("clientA", client.SNFSOptions{KeepaliveInterval: 500 * sim.Millisecond})
+	b := w.addSNFS("clientB", client.SNFSOptions{})
+	want := fill(4096, 'n')
+	run(t, w.k, func(p *sim.Proc) {
+		writeThrough(t, p, a, "f.dat", fill(4096, 'o'))
+		a.SyncPass(p)
+		readBack(t, p, a, "f.dat", 4096) // cached, clean, at version 1
+		p.Sleep(sim.Second)
+		w.snfs.Crash()
+		p.Sleep(2 * sim.Second)
+		w.snfs.Reboot()
+		p.Sleep(3 * sim.Second)              // A recovers with nothing to re-register
+		writeThrough(t, p, b, "f.dat", want) // a fresh entry: version 1 again
+		if got := readBack(t, p, a, "f.dat", 4096); !bytes.Equal(got, want) {
+			t.Error("A read its stale pre-reboot copy after B's write")
+		}
+	})
+}
+
 func TestSNFSOpenDuringGraceRetries(t *testing.T) {
 	w := newWorld(1, true, 4, server.SNFSOptions{GraceDur: 2 * sim.Second})
 	a := w.addSNFS("clientA", client.SNFSOptions{})
@@ -1254,6 +1280,121 @@ func TestRFSVersionValidationAcrossReopen(t *testing.T) {
 		got := readBack(t, p, a, "f.dat", 8192)
 		if !bytes.Equal(got, fill(8192, 'w')) {
 			t.Error("A's reopen served stale cache despite version bump")
+		}
+	})
+}
+
+// TestRFSInvalidationDuringWriteKeepsTheWrite: an RFS server calls back
+// every other caching client on a write, writers too, and a writer holds
+// the dirty blocks of a write in progress while a read-modify-write fetch
+// yields. An invalidation arriving then writes them back before it
+// discards them; dropped, the write's first block never reached the
+// server.
+func TestRFSInvalidationDuringWriteKeepsTheWrite(t *testing.T) {
+	w, _ := newRFSWorld(1)
+	a := w.addRFS("clientA")
+	b := w.addRFS("clientB")
+	old, mine, theirs := fill(16384, 'o'), fill(6000, 'a'), fill(4096, 'b')
+	run(t, w.k, func(p *sim.Proc) {
+		writeThrough(t, p, b, "f.dat", old)
+		fa, err := a.Open(p, "f.dat", vfs.ReadWrite, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fb, err := b.Open(p, "f.dat", vfs.ReadWrite, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bDone := false
+		w.k.Go("writer-b", func(bp *sim.Proc) {
+			if _, err := fb.WriteAt(bp, 12288, theirs); err != nil {
+				t.Error(err)
+			}
+			if err := fb.Close(bp); err != nil {
+				t.Error(err)
+			}
+			bDone = true
+		})
+		// B's WRITE is on the wire. A's write marks block 0, written
+		// whole, dirty; block 1 is fetched first, and B's write calls A
+		// back meanwhile.
+		p.Sleep(sim.Millisecond)
+		served := a.CallbacksServed
+		if _, err := fa.WriteAt(p, 0, mine); err != nil {
+			t.Fatal(err)
+		}
+		if a.CallbacksServed == served {
+			t.Fatal("precondition: no invalidation reached A during its write")
+		}
+		if err := fa.Close(p); err != nil {
+			t.Fatal(err)
+		}
+		for !bDone {
+			p.Sleep(sim.Millisecond)
+		}
+		st := w.media.Store()
+		attr, err := st.Lookup(st.Root(), "f.dat")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _ := st.ReadAt(attr.Ino, 0, 16384)
+		want := append(append(bytes.Clone(mine), old[6000:12288]...), theirs...)
+		if !bytes.Equal(got, want) {
+			t.Errorf("server copy differs: bytes 0-4095 from A's write lost: %v",
+				!bytes.Equal(got[:4096], mine[:4096]))
+		}
+	})
+}
+
+// TestSNFSFailedCallbackChangesNothing: a callback whose write-back
+// cannot reach the server answers ERR_IO and changes nothing at the
+// client: the dirty blocks stay, and so does the caching they need. (The
+// server takes the failure for a dead client and warns the next opener,
+// §3.2.) Blocks kept behind a record that had stopped caching would be
+// bypassed by the client's next writes and written home over them later.
+func TestSNFSFailedCallbackChangesNothing(t *testing.T) {
+	w := newWorld(1, true, 4, server.SNFSOptions{})
+	a := w.addSNFS("clientA", client.SNFSOptions{})
+	probe, _ := w.clientConfig("probe")
+	run(t, w.k, func(p *sim.Proc) {
+		fa, err := a.Open(p, "f.dat", vfs.ReadWrite|vfs.Create, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fa.WriteAt(p, 0, fill(8192, 'd')); err != nil { // delayed: dirty at A
+			t.Fatal(err)
+		}
+		st := w.media.Store()
+		attr, err := st.Lookup(st.Root(), "f.dat")
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.net.Cut("clientA", "server")
+		args := proto.CallbackArgs{Handle: proto.Handle{FSID: 1, Ino: attr.Ino, Gen: attr.Gen}, WriteBack: true, Invalidate: true}
+		body, err := probe.CallXDREx(p, "clientA", proto.ProgCallback, 1, proto.CbProcCallback, args.XDR, 1000*sim.Second, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var r proto.StatusReply
+		r.XDR(xdr.NewDecoder(body).Codec())
+		if r.Status != proto.ErrIO {
+			t.Fatalf("callback answered %v, want ERR_IO", r.Status)
+		}
+		w.net.Heal("clientA", "server")
+		writes := a.Ops().Get("write")
+		if _, err := fa.WriteAt(p, 0, fill(4096, 'e')); err != nil {
+			t.Fatal(err)
+		}
+		if n := a.Ops().Get("write") - writes; n != 0 {
+			t.Errorf("a write after the failed callback went to the server (%d WRITEs): A stopped caching", n)
+		}
+		if err := fa.Close(p); err != nil {
+			t.Fatal(err)
+		}
+		a.SyncAll(p)
+		got, _ := st.ReadAt(attr.Ino, 0, 8192)
+		if want := append(fill(4096, 'e'), fill(8192, 'd')[4096:]...); !bytes.Equal(got, want) {
+			t.Error("the server's copy lacks A's writes")
 		}
 	})
 }

@@ -1,11 +1,10 @@
 package client
 
 import (
+	"spritelynfs/internal/core"
 	"spritelynfs/internal/proto"
 	"spritelynfs/internal/rpc"
 	"spritelynfs/internal/sim"
-	"spritelynfs/internal/simnet"
-	"spritelynfs/internal/trace"
 	"spritelynfs/internal/vfs"
 	"spritelynfs/internal/xdr"
 )
@@ -15,11 +14,9 @@ import (
 // close) combined with statefulness — open/close RPCs, read caching that
 // survives close under version validation, no attribute probes (the
 // server's invalidate-on-write callbacks make them unnecessary), and a
-// callback service that only ever invalidates.
+// callback service that invalidates.
 type RFSClient struct {
 	*Base
-	// CallbacksServed counts invalidations handled.
-	CallbacksServed int64
 }
 
 // NewRFS creates an RFS client talking to cfg.Server through ep.
@@ -27,45 +24,25 @@ func NewRFS(k *sim.Kernel, ep *rpc.Endpoint, cfg Config) *RFSClient {
 	c := &RFSClient{Base: newBase(k, ep, cfg)}
 	// No probes: cached attributes hold until a callback clears them.
 	c.attrs.policy = attrPolicyProtocol
-	ep.Serve(proto.ProgCallback, c.serveCallback)
+	c.serveCallbacks(c)
 	return c
 }
 
-// serveCallback handles the server's invalidate-on-write messages. No
-// callback's arguments have a tail (xdr.Codec.Tail).
-func (c *RFSClient) serveCallback(p *sim.Proc, from simnet.Addr, proc uint32, args, _ []byte) (rpc.Reply, rpc.Status) {
-	if proc == proto.CbProcNull {
-		return statusReply(proto.OK)
+// callback is RFS's part of the callback service: the server's
+// invalidate-on-write messages, sent to every other caching client,
+// writers too. Caching stays on. A writer's dirty blocks of a write in
+// progress (a read-modify-write fetch yields) go home before the blocks
+// go, and the attributes go stale with them.
+func (c *RFSClient) callback(p *sim.Proc, a proto.CallbackArgs, n *node) proto.Status {
+	if n == nil {
+		return proto.OK
 	}
-	if proc != proto.CbProcCallback {
-		return rpc.Reply{}, rpc.StatusProcUnavail
+	err := c.apply(p, n, core.Action{Flush: true, Invalidate: true}, false)
+	n.attrInit = false
+	if err != nil {
+		return proto.ErrIO
 	}
-	var a proto.CallbackArgs
-	d := xdr.NewDecoder(args).Codec()
-	if a.XDR(d); d.Err() != nil {
-		return rpc.Reply{}, rpc.StatusGarbage
-	}
-	c.CallbacksServed++
-	if tr := c.Tracer(); tr != nil { // variadic args are boxed even for a nil tracer
-		tr.Record(c.host(), trace.Callback, "<- rfs invalidate %s", a.Handle)
-	}
-	if n, ok := c.nodes[a.Handle.Ino]; ok && n.h == a.Handle {
-		// RFS clients hold no delayed data beyond partial write
-		// tails, and only the writer has those; an invalidation
-		// target is a reader, so dropping is safe. (Flush first
-		// defensively if anything is dirty.)
-		for _, blk := range c.cache.DirtyBlocks(c.cfg.Root.FSID, n.h.Ino) {
-			off := blk.Key.Block * int64(c.cfg.BlockSize)
-			if _, err := c.writeRPC(p, n.h, off, sendable(blk)); err != nil {
-				break
-			}
-			c.cache.MarkClean(blk.Key)
-		}
-		c.cache.InvalidateFile(c.cfg.Root.FSID, n.h.Ino)
-		// Attributes may be stale now too.
-		n.attrInit = false
-	}
-	return statusReply(proto.OK)
+	return proto.OK
 }
 
 // openRPC registers an open and reconciles the version numbers.
@@ -79,9 +56,8 @@ func (c *RFSClient) openRPC(p *sim.Proc, n *node, write bool) error {
 	if reply.Status != proto.OK {
 		return reply.Status.Err()
 	}
-	if !n.rec.Open(reply, write) {
-		c.cache.InvalidateFile(c.cfg.Root.FSID, n.h.Ino)
-	}
+	// Every opener may cache: the Action never writes back.
+	c.apply(p, n, n.rec.Open(reply, write), false)
 	c.setAttr(n, reply.Attr, p.Now())
 	return nil
 }

@@ -4,12 +4,11 @@ import (
 	"bytes"
 	"sort"
 
+	"spritelynfs/internal/core"
 	"spritelynfs/internal/proto"
 	"spritelynfs/internal/rpc"
 	"spritelynfs/internal/sim"
-	"spritelynfs/internal/simnet"
 	"spritelynfs/internal/span"
-	"spritelynfs/internal/trace"
 	"spritelynfs/internal/vfs"
 	"spritelynfs/internal/xdr"
 )
@@ -67,8 +66,6 @@ type SNFSClient struct {
 	names map[proto.Handle]*dirNames
 	// Inconsistencies counts opens that returned the §3.2 warning.
 	Inconsistencies int64
-	// CallbacksServed counts callbacks handled.
-	CallbacksServed int64
 	// LocalReopens counts opens satisfied by delayed-close reuse.
 	LocalReopens int64
 	// NameCacheHits counts lookups served from the name cache.
@@ -100,7 +97,7 @@ func NewSNFS(k *sim.Kernel, ep *rpc.Endpoint, cfg Config, opts SNFSOptions) *SNF
 	}
 	c.attrs.policy = attrPolicyProtocol
 	c.cancelOnRemove = true
-	ep.Serve(proto.ProgCallback, c.serveCallback)
+	c.serveCallbacks(c)
 	if opts.NameCache {
 		c.nameGet = c.nameCacheGet
 		c.namePut = c.nameCachePut
@@ -116,59 +113,30 @@ func NewSNFS(k *sim.Kernel, ep *rpc.Endpoint, cfg Config, opts SNFSOptions) *SNF
 	return c
 }
 
-// serveCallback handles server-to-client consistency requests (§4.2.2).
-// No callback's arguments have a tail (xdr.Codec.Tail).
-func (c *SNFSClient) serveCallback(p *sim.Proc, from simnet.Addr, proc uint32, args, _ []byte) (rpc.Reply, rpc.Status) {
-	if proc == proto.CbProcNull {
-		return statusReply(proto.OK)
-	}
-	if proc != proto.CbProcCallback {
-		return rpc.Reply{}, rpc.StatusProcUnavail
-	}
-	var a proto.CallbackArgs
-	d := xdr.NewDecoder(args).Codec()
-	if a.XDR(d); d.Err() != nil {
-		return rpc.Reply{}, rpc.StatusGarbage
-	}
-	c.CallbacksServed++
-	tr := c.Tracer()
-	if tr != nil { // variadic args are boxed even for a nil tracer
-		tr.RecordOp(c.host(), trace.Callback, p.Op(), "<- %s writeback=%v invalidate=%v release=%v",
-			a.Handle, a.WriteBack, a.Invalidate, a.Release)
-	}
-	n, ok := c.nodes[a.Handle.Ino]
-	if !ok || n.h != a.Handle {
-		if a.Invalidate {
-			c.revokeLease(a.Handle)
-		}
-		// Nothing else cached for that file: success.
-		return statusReply(proto.OK)
-	}
-	if a.WriteBack {
-		// The callback must not return until the dirty blocks are
-		// back at the server (§3.2).
-		if err := c.flushFile(p, n); err != nil {
-			return statusReply(proto.ErrIO)
-		}
-	}
-	writeBack, invalidate := n.rec.ApplyCallback(a)
-	_ = writeBack
-	if invalidate {
-		n := c.cache.InvalidateFile(c.cfg.Root.FSID, n.h.Ino)
-		if tr != nil {
-			tr.Record(c.host(), trace.Cache, "invalidated %d blocks of %s", n, a.Handle)
-		}
-	}
-	if invalidate {
-		// A directory lease ends when the server invalidates it
-		// (another client changed the directory, §7 extension).
+// callback is SNFS's part of the callback service (§4.2.2): the record
+// decides what happens to the cached blocks; an invalidation also ends a
+// directory lease (another client changed the directory, §7 extension),
+// and a release settles an owed delayed close.
+func (c *SNFSClient) callback(p *sim.Proc, a proto.CallbackArgs, n *node) proto.Status {
+	if a.Invalidate {
 		c.revokeLease(a.Handle)
+	}
+	if n == nil {
+		return proto.OK // nothing else cached for that file
+	}
+	// The callback does not return until the dirty blocks are back at
+	// the server (§3.2). If they cannot be, it fails and changes nothing:
+	// the blocks stay, and so does the caching they need.
+	caching := n.rec.Caching
+	if err := c.apply(p, n, n.rec.ApplyCallback(a), true); err != nil {
+		n.rec.Caching = caching
+		return proto.ErrIO
 	}
 	if a.Release && n.rec.DelayedClose {
 		n.rec.DelayedClose = false
 		c.closeRPC(p, n.h, n.rec.DelayedWriteMode)
 	}
-	return statusReply(proto.OK)
+	return proto.OK
 }
 
 // nameCacheGet serves a translation from the protocol-protected name
@@ -278,28 +246,6 @@ func (c *SNFSClient) dropNameCache() {
 	c.names = make(map[proto.Handle]*dirNames)
 }
 
-// flushFile writes every dirty block of n back synchronously. Each block
-// is re-validated immediately before its write: an invalidation callback
-// (or a delete) arriving while an earlier block's RPC was in flight
-// cancels the rest, and flushing from a stale snapshot would resurrect
-// dead data.
-func (c *SNFSClient) flushFile(p *sim.Proc, n *node) error {
-	for _, blk := range c.cache.DirtyBlocks(c.cfg.Root.FSID, n.h.Ino) {
-		cur, ok := c.cache.Lookup(blk.Key)
-		if !ok || !cur.Dirty {
-			continue
-		}
-		off, gen := blk.Key.Block*int64(c.cfg.BlockSize), cur.Gen
-		if _, err := c.writeBack(p, n, off, sendable(cur)); err != nil {
-			return err
-		}
-		c.cache.MarkCleanIf(blk.Key, gen)
-	}
-	// One COMMIT settles the whole write-back: the server lands the
-	// blocks in gathered arm operations instead of one per block.
-	return c.commit(p, n)
-}
-
 // updateDaemon periodically writes delayed blocks back (§4.2.3) and
 // settles long-idle delayed closes.
 func (c *SNFSClient) updateDaemon(p *sim.Proc) {
@@ -357,7 +303,8 @@ func (c *SNFSClient) keepaliveDaemon(p *sim.Proc) {
 }
 
 // recover re-registers this client's open and dirty state with a rebooted
-// server (§2.4): the clients together know who caches what.
+// server (§2.4): the clients together know who caches what. A clean copy
+// of any other file is dropped (core.FileRecord.Forget).
 func (c *SNFSClient) recover(p *sim.Proc) {
 	p.BeginOp() // the recovery pass is one causal chain
 	sp := c.span(p, span.Daemon, "recover")
@@ -382,6 +329,7 @@ func (c *SNFSClient) recover(p *sim.Proc) {
 			}
 		}
 		if readers == 0 && writers == 0 && !dirty {
+			c.apply(p, n, n.rec.Forget(), false)
 			continue
 		}
 		args := &proto.ReopenArgs{
@@ -395,12 +343,7 @@ func (c *SNFSClient) recover(p *sim.Proc) {
 		if !ok || r.Status != proto.OK {
 			continue
 		}
-		if !r.CacheEnabled && (readers > 0 || writers > 0) {
-			// Recovery discovered write sharing.
-			c.flushFile(p, n)
-			c.cache.InvalidateFile(c.cfg.Root.FSID, n.h.Ino)
-			n.rec.Caching = false
-		}
+		c.apply(p, n, n.rec.Reopen(r), false)
 	}
 }
 
@@ -462,18 +405,10 @@ func (c *SNFSClient) openRPC(p *sim.Proc, n *node, write bool) error {
 	default:
 		return reply.Status.Err()
 	}
-	cacheValid := n.rec.Open(reply, write)
-	if !cacheValid {
-		c.cache.InvalidateFile(c.cfg.Root.FSID, n.h.Ino)
-	}
-	if !reply.CacheEnabled {
-		// Should be clean already (any transition into write sharing
-		// called us back), but never discard dirty data silently.
-		c.flushFile(p, n)
-		c.cache.InvalidateFile(c.cfg.Root.FSID, n.h.Ino)
-	}
+	act := n.rec.Open(reply, write)
+	c.apply(p, n, act, false)
 	c.attrs.ingest(n, reply.Attr, p.Now())
-	if cacheValid && reply.CacheEnabled {
+	if act == (core.Action{}) {
 		// Our cached view (including delayed writes) remains
 		// authoritative for the file length.
 		if n.size < reply.Attr.Size {

@@ -7,7 +7,6 @@ import "spritelynfs/internal/proto"
 // version number of the cached copy, and local open bookkeeping (needed
 // for the delayed-close extension and for crash recovery reopens).
 type FileRecord struct {
-	Handle proto.Handle
 	// Caching reports whether the server has enabled caching for this
 	// file at this client.
 	Caching bool
@@ -25,14 +24,22 @@ type FileRecord struct {
 	ClosedAt int64
 }
 
-// Open reconciles the record with an open reply. It reports whether the
-// client's cached blocks remain valid under the §3.1 rule: valid if the
-// cache's version matches the latest version or, when opening for write,
-// the previous version (the bump was caused by this very open). The
-// record's version label is advanced to the latest on success.
-func (r *FileRecord) Open(reply proto.OpenReply, forWrite bool) (cacheValid bool) {
-	cacheValid = r.Version == reply.Version ||
-		(forWrite && r.Version == reply.PrevVersion)
+// Action is what a client rule (Open, Reopen, Forget, ApplyCallback) asks
+// of a file's cached blocks, in field order. Invalidate alone drops a
+// stale copy, never written back; the zero Action keeps the blocks.
+type Action struct {
+	Flush      bool // write dirty blocks back, synchronously
+	Invalidate bool // discard the blocks
+}
+
+// Open reconciles the record with an open reply. Under the §3.1 rule the
+// cached blocks stay valid if their version is the latest or, opening for
+// write, the previous one (this open bumped it). An uncachable file
+// should be clean already (write sharing called this client back), but
+// dirty data is never discarded silently: it is written back first.
+func (r *FileRecord) Open(reply proto.OpenReply, forWrite bool) Action {
+	stale := r.Version != reply.Version &&
+		!(forWrite && r.Version == reply.PrevVersion)
 	r.Caching = reply.CacheEnabled
 	r.Version = reply.Version
 	if forWrite {
@@ -41,8 +48,24 @@ func (r *FileRecord) Open(reply proto.OpenReply, forWrite bool) (cacheValid bool
 		r.Readers++
 	}
 	r.DelayedClose = false
-	return cacheValid
+	return Action{Flush: !stale && !reply.CacheEnabled, Invalidate: stale || !reply.CacheEnabled}
 }
+
+// Reopen reconciles the record with a recovery reopen's reply (§2.4):
+// write sharing the rebuilt server finds on a file this client holds open
+// (or owes a delayed close on) ends its caching, as a callback would.
+func (r *FileRecord) Reopen(reply proto.OpenReply) Action {
+	if reply.CacheEnabled || !(r.InUse() || r.DelayedClose) {
+		return Action{}
+	}
+	r.Caching = false
+	return Action{Flush: true, Invalidate: true}
+}
+
+// Forget is the recovery rule for a file this client does not re-register
+// (no open, no dirty block): the rebuilt server restarts its version
+// numbers, so the cached blocks' label can no longer vouch for them.
+func (r *FileRecord) Forget() Action { return Action{Invalidate: true} }
 
 // Close records a local close and reports whether this was the final
 // local open (meaning a close RPC, or a delayed-close mark, is owed to
@@ -52,10 +75,8 @@ func (r *FileRecord) Close(forWrite bool) (final bool) {
 		if r.Writers > 0 {
 			r.Writers--
 		}
-	} else {
-		if r.Readers > 0 {
-			r.Readers--
-		}
+	} else if r.Readers > 0 {
+		r.Readers--
 	}
 	return r.Readers == 0 && r.Writers == 0
 }
@@ -63,12 +84,12 @@ func (r *FileRecord) Close(forWrite bool) (final bool) {
 // InUse reports whether any local process holds the file open.
 func (r *FileRecord) InUse() bool { return r.Readers > 0 || r.Writers > 0 }
 
-// ApplyCallback mutates the record for a received callback and reports
-// what the client must do: flush dirty blocks first (writeBack) and/or
-// drop cached blocks and stop caching (invalidate).
-func (r *FileRecord) ApplyCallback(args proto.CallbackArgs) (writeBack, invalidate bool) {
+// ApplyCallback reconciles the record with a callback (§4.2.2): write
+// dirty blocks back, then, if told to invalidate, discard the blocks and
+// stop caching.
+func (r *FileRecord) ApplyCallback(args proto.CallbackArgs) Action {
 	if args.Invalidate {
 		r.Caching = false
 	}
-	return args.WriteBack, args.Invalidate
+	return Action{Flush: args.WriteBack, Invalidate: args.Invalidate}
 }

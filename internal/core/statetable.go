@@ -169,6 +169,7 @@ type Table struct {
 	maxEntries int
 	entries    map[proto.Handle]*entry
 	nextVer    uint32
+	fresh      uint32 // a new entry's version (forget)
 	nextStamp  uint64
 	stats      Stats
 	// Observer, when set, is called synchronously with every mutation —
@@ -466,17 +467,26 @@ func (t *Table) newEntry(h proto.Handle) (*entry, bool) {
 			return nil, true
 		}
 		victim := victims[0]
-		delete(t.entries, victim.handle)
-		t.stats.Reclaims++
+		t.forget(victim)
 		t.observe(TransitionEvent{
 			Event: "reclaim", Handle: victim.handle,
 			From: StateClosed, To: StateClosed,
 			Version: victim.version, Prev: victim.prev, Dropped: true,
 		})
 	}
-	e := &entry{handle: h}
+	e := &entry{handle: h, version: t.fresh}
 	t.entries[h] = e
 	return e, false
+}
+
+// forget removes a reclaimed entry. Clients may still hold blocks
+// labelled with its version, so entries made from now on start above
+// every version issued: none of those blocks validates against them.
+func (t *Table) forget(e *entry) {
+	delete(t.entries, e.handle)
+	t.stats.Reclaims++
+	t.nextVer++
+	t.fresh = t.nextVer
 }
 
 // oldest returns up to n entries in state s, least recently touched
@@ -485,8 +495,8 @@ func (t *Table) newEntry(h proto.Handle) (*entry, bool) {
 func (t *Table) oldest(s FileState, n int) []*entry {
 	var out []*entry
 	for _, e := range t.entries {
-		if e.state != s {
-			continue
+		if e.state != s || e.inconsistent {
+			continue // a warning for the next opener stays (§3.2)
 		}
 		i := len(out)
 		for i > 0 && (e.stamp < out[i-1].stamp ||
@@ -559,8 +569,7 @@ func (t *Table) Reclaimed(h proto.Handle) {
 	e.state = e.derive()
 	dropped := false
 	if len(t.entries) >= t.maxEntries {
-		delete(t.entries, h)
-		t.stats.Reclaims++
+		t.forget(e)
 		dropped = true
 	}
 	t.observe(TransitionEvent{
@@ -684,7 +693,9 @@ func (t *Table) Recover(h proto.Handle, c ClientID, readers, writers uint32, ver
 		ci := e.addClient(c)
 		ci.readers, ci.writers, ci.caching = int(readers), int(writers), true
 	}
-	if hasDirty && writers == 0 && readers == 0 {
+	if hasDirty && writers == 0 {
+		// A reader may still hold the blocks of its last write-open
+		// (ONE-RDR-DIRTY).
 		e.lastWriter = c
 	}
 	if e.shared() {
@@ -752,16 +763,6 @@ func (t *Table) Snapshot() []EntrySnapshot {
 	return out
 }
 
-// CachingClients returns the clients currently allowed to cache h, for
-// invariant checking in tests.
-func (t *Table) CachingClients(h proto.Handle) []ClientID {
-	e, ok := t.entries[h]
-	if !ok {
-		return nil
-	}
-	return e.cachingIDs()
-}
-
 // HasClient reports whether client c has any open registered for h.
 func (t *Table) HasClient(h proto.Handle, c ClientID) bool {
 	e, ok := t.entries[h]
@@ -779,19 +780,6 @@ func (t *Table) CachingFor(h proto.Handle, c ClientID) bool {
 	}
 	ci := e.client(c)
 	return ci != nil && ci.caching
-}
-
-// OpenCounts reports the total reader and writer open counts for h.
-func (t *Table) OpenCounts(h proto.Handle) (readers, writers int) {
-	e, ok := t.entries[h]
-	if !ok {
-		return 0, 0
-	}
-	for _, ci := range e.clients {
-		readers += ci.readers
-		writers += ci.writers
-	}
-	return readers, writers
 }
 
 // LastWriter reports the client recorded as possibly holding dirty blocks

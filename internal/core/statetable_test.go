@@ -125,7 +125,7 @@ func TestReaderThenWriterInvalidatesReader(t *testing.T) {
 	if tab.State(fh) != StateWriteShared {
 		t.Errorf("state %v", tab.State(fh))
 	}
-	if n := len(tab.CachingClients(fh)); n != 0 {
+	if n := len(tab.entries[fh].cachingIDs()); n != 0 {
 		t.Errorf("%d clients still caching a write-shared file", n)
 	}
 }
@@ -227,7 +227,7 @@ func TestRepeatOpensNoTransition(t *testing.T) {
 	if tab.State(fh) != StateOneReader {
 		t.Errorf("state %v", tab.State(fh))
 	}
-	r, w := tab.OpenCounts(fh)
+	r, w := openCounts(tab, fh)
 	if r != 2 || w != 0 {
 		t.Errorf("counts %d/%d", r, w)
 	}
@@ -502,7 +502,7 @@ func TestRecoverWriteSharingDetected(t *testing.T) {
 	if tab.State(fh) != StateWriteShared {
 		t.Errorf("state %v, want WRITE-SHARED", tab.State(fh))
 	}
-	if len(tab.CachingClients(fh)) != 0 {
+	if len(tab.entries[fh].cachingIDs()) != 0 {
 		t.Error("recovered write-shared file has caching clients")
 	}
 }
@@ -512,6 +512,61 @@ func TestRecoverClosedDirty(t *testing.T) {
 	tab.Recover(fh, "A", 0, 0, 7, true)
 	if tab.State(fh) != StateClosedDirty || tab.LastWriter(fh) != "A" {
 		t.Errorf("state %v lastWriter %q", tab.State(fh), tab.LastWriter(fh))
+	}
+}
+
+// TestRecoverReaderKeepsDirty pins a schedule the exhaustive searches
+// found: A reads, writes and closes its write open (ONE-RDR-DIRTY), the
+// server reboots, and A's reopen reports one reader and dirty blocks. The
+// rebuilt entry must still name A the last writer, so that B's open calls
+// A's blocks back.
+func TestRecoverReaderKeepsDirty(t *testing.T) {
+	tab := NewTable(0)
+	tab.Recover(fh, "A", 1, 0, 7, true)
+	if tab.State(fh) != StateOneRdrDirty || tab.LastWriter(fh) != "A" {
+		t.Fatalf("state %v lastWriter %q, want ONE-RDR-DIRTY and A", tab.State(fh), tab.LastWriter(fh))
+	}
+	res := tab.Open(fh, "B", false)
+	if len(res.Callbacks) != 1 || res.Callbacks[0].Client != "A" || !res.Callbacks[0].WriteBack {
+		t.Errorf("B's open called back %+v, want a write-back to A", res.Callbacks)
+	}
+}
+
+// TestReclaimedEntryStartsAboveEveryVersion pins a schedule
+// TestCachesExhaustive found: A reads the file at version 0 and closes, B
+// writes it and closes, and the table, full, reclaims the entry. A's
+// reopen makes a new entry, whose version must not be one A's stale
+// blocks carry.
+func TestReclaimedEntryStartsAboveEveryVersion(t *testing.T) {
+	tab := NewTable(1)
+	tab.Open(fh, "A", false)
+	tab.Close(fh, "A", false)
+	tab.Open(fh, "B", true)
+	tab.Close(fh, "B", true)
+	for _, cb := range tab.ReclaimCandidates(1) {
+		tab.Reclaimed(cb.Handle)
+	}
+	if tab.Len() != 0 {
+		t.Fatalf("%d entries after reclamation, want 0", tab.Len())
+	}
+	if res := tab.Open(fh, "A", false); res.Version <= 1 {
+		t.Errorf("reopen after reclamation at version %d, which A's or B's blocks may carry", res.Version)
+	}
+}
+
+// TestReclaimKeepsWarning pins a schedule TestCachesExhaustive found: A
+// dies holding dirty blocks, and the full table needs an entry for
+// another file. The file's closed entry holds the warning owed to its
+// next opener (§3.2), so it is not reclaimed.
+func TestReclaimKeepsWarning(t *testing.T) {
+	tab := NewTable(1)
+	tab.Open(fh, "A", true)
+	tab.ClientDead("A")
+	if !tab.Open(proto.Handle{FSID: 1, Ino: 99, Gen: 1}, "B", false).TableFull {
+		t.Error("the warned entry was reclaimed for another file")
+	}
+	if !tab.Open(fh, "B", false).Inconsistent {
+		t.Error("the next opener was not warned")
 	}
 }
 
@@ -549,7 +604,7 @@ func TestQuickConsistencyInvariant(t *testing.T) {
 			}
 
 			// Invariant check.
-			caching := tab.CachingClients(fh)
+			caching := tab.entries[fh].cachingIDs()
 			writers := 0
 			clientsWithOpen := map[ClientID]bool{}
 			for _, rec := range opens {
@@ -575,7 +630,7 @@ func TestQuickConsistencyInvariant(t *testing.T) {
 					}
 				}
 			}
-			r, w := tab.OpenCounts(fh)
+			r, w := openCounts(tab, fh)
 			if w != writers || r != len(opens)-writers {
 				return false
 			}
@@ -763,4 +818,13 @@ func TestDropWithInvalidate(t *testing.T) {
 	if cbs := tab.DropWithInvalidate(fh, "A"); len(cbs) != 0 {
 		t.Errorf("creator received its own invalidation: %+v", cbs)
 	}
+}
+
+// openCounts totals the reader and writer opens h's entry records.
+func openCounts(t *Table, h proto.Handle) (readers, writers int) {
+	for _, ci := range t.entries[h].clients {
+		readers += ci.readers
+		writers += ci.writers
+	}
+	return readers, writers
 }

@@ -216,10 +216,6 @@ func (s *SNFSServer) Reboot() {
 	s.verifier++
 	s.table = core.NewTable(s.opts.TableLimit)
 	s.locksTab = newLockTable()
-	s.onRemoved = func(h proto.Handle) {
-		s.table.Drop(h)
-		s.locksTab.drop(h)
-	}
 	s.locks = make(map[proto.Handle]*sim.Mutex)
 	s.graceUntil = s.k.Now().Add(s.opts.GraceDur)
 	s.ep.Restart()
@@ -451,8 +447,7 @@ func (s *SNFSServer) serveHybrid(p *sim.Proc, from simnet.Addr, proc uint32, a *
 		return rpc.Reply{}, rpc.StatusOK, false
 	}
 	cid := core.ClientID(from)
-	if s.table.CachingFor(h, cid) || s.hasOpen(h, cid) || s.table.LastWriter(h) == cid ||
-		s.inCallback[cbKey{h, cid}] > 0 {
+	if s.table.HasClient(h, cid) || s.table.LastWriter(h) == cid || s.inCallback[cbKey{h, cid}] > 0 {
 		return rpc.Reply{}, rpc.StatusOK, false // a participating SNFS client
 	}
 	if s.table.State(h) == core.StateClosed && s.table.Len() == 0 {
@@ -475,15 +470,6 @@ func (s *SNFSServer) serveHybrid(p *sim.Proc, from simnet.Addr, proc uint32, a *
 	s.table.Close(h, cid, isWrite)
 	lk.Unlock()
 	return body, st, true
-}
-
-// hasOpen reports whether client c has any registered open of h.
-func (s *SNFSServer) hasOpen(h proto.Handle, c core.ClientID) bool {
-	// The table has no direct accessor for this; CachingFor covers the
-	// caching case, and for non-caching (write-shared) participants we
-	// check the open counts via CachingClients' complement. A small
-	// dedicated accessor keeps this honest.
-	return s.table.HasClient(h, c)
 }
 
 // deliverCallback sends one callback RPC to a client and waits for it
