@@ -18,12 +18,12 @@ const committed = "../../results"
 
 // TestExperimentsReproduceResults is what holds the paper tables, the
 // knees, the RPC reductions and the failover bounds: every experiment but
-// the scenario sweep (≈ 30 s; CI's results job and TestScenarioBody cover
-// it) runs at full size into a scratch directory, and every file it writes
-// that has a committed counterpart must match it byte for byte. The
-// self-checking experiments (rpc, clusterscale, clustersmoke, failover)
-// fail the run of their own accord on a missed floor or an audit
-// violation.
+// the scenario sweep (≈ 18 s on two cores; CI's results job and
+// TestScenarioBody cover it) runs at full size into a scratch directory,
+// and every file it writes that has a committed counterpart must match it
+// byte for byte. The self-checking experiments (rpc, clusterscale,
+// clustersmoke, failover) fail the run of their own accord on a missed
+// floor or an audit violation.
 func TestExperimentsReproduceResults(t *testing.T) {
 	dir := t.TempDir()
 	var names []string

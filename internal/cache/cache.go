@@ -35,16 +35,19 @@ type Key struct {
 // configuration keep file contents in their stores; remote client caches
 // keep the bytes here).
 type Block struct {
-	Key     Key
+	Key Key
+	// Data holds the block's bytes from its start, and may be shorter
+	// than a block: bytes past len(Data) read as zero. It is never
+	// shorter than Len.
 	Data    []byte
 	Dirty   bool
 	DirtyAt sim.Time // when the block was first dirtied since last clean
 	// Gen counts the writes into the block (MarkDirty calls): a write-back
 	// cleans only the generation it sent (MarkCleanIf).
 	Gen uint64
-	// Len is the number of valid bytes (blocks at end-of-file may be
-	// partial; the write policy for partial blocks differs from full
-	// ones in the NFS client).
+	// Len is the number of valid bytes, at most len(Data) (blocks at
+	// end-of-file may be partial; the write policy for partial blocks
+	// differs from full ones in the NFS client).
 	Len int
 	// Frozen means Data aliases bytes someone else holds (a delivered
 	// reply image, or a WRITE's data: in flight, kept as the server's
@@ -124,6 +127,13 @@ func (c *Cache) Lookup(key Key) (*Block, bool) {
 func (c *Cache) Contains(key Key) bool {
 	_, ok := c.blocks[key]
 	return ok
+}
+
+// Peek returns the block for key if resident, without touching recency
+// or counters.
+func (c *Cache) Peek(key Key) (*Block, bool) {
+	b, ok := c.blocks[key]
+	return b, ok
 }
 
 // Insert adds or replaces the block for key and returns any blocks evicted

@@ -29,7 +29,6 @@
 package client
 
 import (
-	"bytes"
 	"slices"
 	"sort"
 
@@ -812,11 +811,11 @@ func (b *Base) readdirAttrs(p *sim.Proc, h proto.Handle) ([]proto.DirEntry, erro
 
 // fetchBlock reads one whole block from the server into the cache and
 // returns it, waiting instead of duplicating the RPC when a fetch is
-// already in flight. The block's Len reflects how many bytes the server
-// had. When the server returned a whole block, the cached Data is a view
-// of the frozen reply image, marked Frozen, and writeToCache copies it
-// before the first write; a short block is copied into a zero-padded
-// buffer, so Data is always a block long.
+// already in flight. The cached Data is the view of the frozen reply
+// image, as long as the bytes the server had (Len), marked Frozen, and
+// writeToCache copies it before the first write. A block a local write
+// made resident while the READ was on the wire holds newer bytes than
+// the reply: it stays, and the reply is dropped.
 func (b *Base) fetchBlock(p *sim.Proc, n *node, blk int64) (*cache.Block, error) {
 	sp := b.span(p, span.Cache, "fetch")
 	defer sp.End()
@@ -859,16 +858,12 @@ func (b *Base) fetchBlock(p *sim.Proc, n *node, blk int64) (*cache.Block, error)
 		// the data just fetched.
 		b.attrs.ingest(n, rattr, p.Now())
 	}
-	frozen := len(data) >= bs
-	var buf []byte
-	if frozen {
-		buf = data[:bs:bs]
-	} else {
-		buf = make([]byte, bs)
-		copy(buf, data)
+	if cb, ok := b.cache.Peek(key); ok {
+		return cb, nil
 	}
-	blkPtr, evicted := b.cache.Insert(key, buf, len(data))
-	blkPtr.Frozen = frozen
+	got := min(len(data), bs)
+	blkPtr, evicted := b.cache.Insert(key, data[:got:got], got)
+	blkPtr.Frozen = true
 	b.flushEvicted(p, evicted)
 	return blkPtr, nil
 }
@@ -928,9 +923,13 @@ func (b *Base) assembleRead(p *sim.Proc, n *node, buf []byte, off int64, readAhe
 				b.readAhead(n, blk+1)
 			}
 		}
-		// Bytes beyond cb.Len are zeros (sparse or locally
-		// extended); cb.Data is always blockSize long.
-		copy(buf[cur-off:], cb.Data[blkOff:blkEnd])
+		// Bytes past len(cb.Data) are zeros (sparse, locally
+		// extended, or past the server's end of file).
+		dst := buf[cur-off : blk*bs+blkEnd-off]
+		if blkOff < int64(len(cb.Data)) {
+			dst = dst[copy(dst, cb.Data[blkOff:]):]
+		}
+		clear(dst)
 		cur = blk*bs + blkEnd
 	}
 	return int(end - off), nil
@@ -1000,15 +999,27 @@ func (b *Base) writeToCache(p *sim.Proc, n *node, off int64, data []byte, markDi
 					return nil, err
 				}
 			} else {
-				buf := make([]byte, bs)
+				// A fresh block. A write shorter than a block
+				// (a small file, or a file's last piece) gets
+				// one as long as it reaches into it. A longer
+				// one streams: the next write would grow a
+				// short block at once, so it gets a whole one.
+				size := bs
+				if int64(len(data)) < bs {
+					size = segEnd - blkStart
+				}
 				var evicted []*cache.Block
-				cb, evicted = b.cache.Insert(key, buf, 0)
+				cb, evicted = b.cache.Insert(key, make([]byte, size), 0)
 				b.flushEvicted(p, evicted)
 			}
 		}
-		if cb.Frozen {
-			// The only write into a cached block: copy on write.
-			cb.Data, cb.Frozen = bytes.Clone(cb.Data), false
+		if cb.Frozen || int(segEnd-blkStart) > len(cb.Data) {
+			// The only write into a cached block: a frozen block
+			// is copied first, and a short one grows to a whole
+			// block once a write reaches past its end.
+			whole := make([]byte, bs)
+			copy(whole, cb.Data)
+			cb.Data, cb.Frozen = whole, false
 		}
 		copy(cb.Data[cur-blkStart:segEnd-blkStart], data[cur-off:segEnd-off])
 		if int(segEnd-blkStart) > cb.Len {

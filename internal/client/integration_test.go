@@ -2,6 +2,7 @@ package client_test
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"spritelynfs/internal/cache"
@@ -610,51 +611,165 @@ func TestServerKeepsWholePageWriteAsItsPage(t *testing.T) {
 
 // TestReadPageIsTheClientsCachedBlock: a READ reply carries the server's
 // page itself, as its image's tail, and the client caches it, so client A's
-// cache block and the server's file share one page. The store froze the
-// page when the READ read it: client B's unaligned WRITE into the block
-// copies the page, A's block keeps the bytes of the read instant, and the
-// file reads B's.
+// cache block and the server's file share one page — a whole page, and a
+// short file's last page, which the block holds as it is, 3 KiB long. The
+// store froze the page when the READ read it: client B's unaligned WRITE
+// into the block copies the page, A's block keeps the bytes of the read
+// instant, and the file reads B's.
 func TestReadPageIsTheClientsCachedBlock(t *testing.T) {
+	for _, size := range []int{8192, 3072} {
+		t.Run(fmt.Sprint(size), func(t *testing.T) {
+			w := newWorld(1, false, 4, server.SNFSOptions{})
+			ep, cfg := w.clientConfig("clientA")
+			cfg.BlockSize = 8192
+			a := client.NewNFS(w.k, ep, cfg, client.NFSOptions{})
+			b := w.addNFS("clientB", client.NFSOptions{})
+			run(t, w.k, func(p *sim.Proc) {
+				whole := fill(size, 'a')
+				writeThrough(t, p, b, "f", whole)
+				fa, err := a.Open(p, "f", vfs.ReadOnly, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, err := fa.ReadAt(p, 0, 8192); err != nil || !bytes.Equal(got, whole) {
+					t.Fatalf("A's read: %d bytes, %v", len(got), err)
+				}
+				st := w.media.Store()
+				attr, _ := st.Lookup(st.Root(), "f")
+				cb, ok := a.Cache().Lookup(cache.Key{FS: cfg.Root.FSID, Ino: attr.Ino})
+				if page, _ := st.ReadAt(attr.Ino, 0, 8192); !ok || len(cb.Data) != size || &cb.Data[0] != &page[0] {
+					t.Fatal("A's cache block is not the server's page")
+				}
+				fb, err := b.Open(p, "f", vfs.WriteOnly, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				patch := fill(100, 'b')
+				if _, err := fb.WriteAt(p, 10, patch); err != nil {
+					t.Fatal(err)
+				}
+				if err := fb.Close(p); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(cb.Data, whole) {
+					t.Error("B's WRITE changed A's cached block: the server wrote into the page A holds")
+				}
+				want := append(append(whole[:10:10], patch...), whole[110:]...)
+				if data, _ := st.ReadAt(attr.Ino, 0, 8192); !bytes.Equal(data, want) {
+					t.Error("the server's file does not read B's WRITE")
+				}
+			})
+		})
+	}
+}
+
+// TestReadAheadKeepsACoveringWrite: a write that covers a whole block
+// while the block's read-ahead READ is on the wire makes the block
+// resident, and the READ's reply, older than the write, is dropped: the
+// writer reads its own bytes back, and under SNFS, where the write is
+// delayed, the server ends with them too.
+func TestReadAheadKeepsACoveringWrite(t *testing.T) {
+	for _, useSNFS := range []bool{false, true} {
+		t.Run(map[bool]string{false: "NFS", true: "SNFS"}[useSNFS], func(t *testing.T) {
+			w := newWorld(1, useSNFS, 4, server.SNFSOptions{})
+			var c vfs.FS
+			if useSNFS {
+				c = w.addSNFS("clientB", client.SNFSOptions{})
+			} else {
+				c = w.addNFS("clientB", client.NFSOptions{})
+			}
+			st := w.media.Store()
+			attr, _ := st.Create(st.Root(), "f", 0o644)
+			st.WriteAt(attr.Ino, 0, fill(8192, 'o'))
+			fresh := fill(4096, 'n')
+			run(t, w.k, func(p *sim.Proc) {
+				f, err := c.Open(p, "f", vfs.ReadWrite, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// A miss on block 0 sends block 1's read-ahead, whose
+				// reply is still on the wire when the write lands.
+				if _, err := f.ReadAt(p, 0, 4096); err != nil {
+					t.Fatal(err)
+				}
+				p.Sleep(100 * sim.Microsecond)
+				if _, err := f.WriteAt(p, 4096, fresh); err != nil {
+					t.Fatal(err)
+				}
+				p.Sleep(100 * sim.Millisecond)
+				if got, err := f.ReadAt(p, 4096, 4096); err != nil || !bytes.Equal(got, fresh) {
+					t.Errorf("the writer reads back %d bytes (%v), not its write: the read-ahead's reply replaced it", len(got), err)
+				}
+				if err := f.Sync(p); err != nil {
+					t.Fatal(err)
+				}
+				if got, _ := st.ReadAt(attr.Ino, 4096, 4096); !bytes.Equal(got, fresh) {
+					t.Error("the server does not hold the write")
+				}
+				var reads int64
+				if useSNFS {
+					reads = w.snfs.Ops().Get("read")
+				} else {
+					reads = w.nfs.Ops().Get("read")
+				}
+				if reads != 2 {
+					t.Errorf("the server served %d READs, want 2: block 0 and block 1's read-ahead", reads)
+				}
+			})
+		})
+	}
+}
+
+// TestShortBlockIsTheServersPageUntilWritten: a short file's block, read
+// cold, is the server's short page as it is. A sparse write into a later
+// block leaves the gap reading as zeros, past the short block's end and
+// through the block between; a write into the short block copies it into a
+// whole block of the client's own, and the server's page keeps its bytes.
+func TestShortBlockIsTheServersPageUntilWritten(t *testing.T) {
 	w := newWorld(1, false, 4, server.SNFSOptions{})
-	ep, cfg := w.clientConfig("clientA")
-	cfg.BlockSize = 8192
-	a := client.NewNFS(w.k, ep, cfg, client.NFSOptions{})
-	b := w.addNFS("clientB", client.NFSOptions{})
+	c := w.addNFS("clientA", client.NFSOptions{})
+	st := w.media.Store()
+	attr, _ := st.Create(st.Root(), "f", 0o644)
+	old := fill(3000, 'o')
+	st.WriteFrozen(attr.Ino, 0, old)
 	run(t, w.k, func(p *sim.Proc) {
-		// B writes 4 KiB blocks, which the server copies into the page:
-		// no call image holds it.
-		whole := fill(8192, 'a')
-		writeThrough(t, p, b, "f", whole)
-		fa, err := a.Open(p, "f", vfs.ReadOnly, 0)
+		f, err := c.Open(p, "f", vfs.ReadWrite, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, err := fa.ReadAt(p, 0, 8192); err != nil || !bytes.Equal(got, whole) {
-			t.Fatalf("A's read: %d bytes, %v", len(got), err)
+		if got, err := f.ReadAt(p, 0, 4096); err != nil || !bytes.Equal(got, old) {
+			t.Fatalf("read %d bytes (%v), want the file's 3000", len(got), err)
 		}
-		st := w.media.Store()
-		attr, _ := st.Lookup(st.Root(), "f")
-		cb, ok := a.Cache().Lookup(cache.Key{FS: cfg.Root.FSID, Ino: attr.Ino})
-		if page, _ := st.ReadAt(attr.Ino, 0, 8192); !ok || len(cb.Data) != 8192 || &cb.Data[0] != &page[0] {
-			t.Fatal("A's cache block is not the server's page")
+		key := cache.Key{FS: w.root.FSID, Ino: attr.Ino}
+		cb, ok := c.Cache().Lookup(key)
+		if !ok || len(cb.Data) != len(old) || &cb.Data[0] != &old[0] || !cb.Frozen {
+			t.Fatal("the cached block is not the server's short page")
 		}
-		fb, err := b.Open(p, "f", vfs.WriteOnly, 0)
-		if err != nil {
+		tail := fill(100, 't')
+		if _, err := f.WriteAt(p, 10000, tail); err != nil {
 			t.Fatal(err)
 		}
-		patch := fill(100, 'b')
-		if _, err := fb.WriteAt(p, 10, patch); err != nil {
+		want := append(append(bytes.Clone(old), make([]byte, 10000-len(old))...), tail...)
+		got := bytes.Repeat([]byte{0xff}, 20000) // zeros are the cache's to write
+		if n, err := f.ReadInto(p, got, 0); err != nil || !bytes.Equal(got[:n], want) {
+			t.Fatalf("read %d bytes (%v): the gap does not read as zeros", n, err)
+		}
+		patch := fill(10, 'p')
+		if _, err := f.WriteAt(p, 100, patch); err != nil {
 			t.Fatal(err)
 		}
-		if err := fb.Close(p); err != nil {
+		copy(want[100:], patch)
+		if cb, _ = c.Cache().Lookup(key); len(cb.Data) != 4096 || &cb.Data[0] == &old[0] || cb.Frozen {
+			t.Error("a write into the short block did not copy it into a whole block")
+		}
+		if !bytes.Equal(old, fill(3000, 'o')) {
+			t.Error("a write into the short block wrote through the server's page")
+		}
+		if err := f.Close(p); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(cb.Data, whole) {
-			t.Error("B's WRITE changed A's cached block: the server wrote into the page A holds")
-		}
-		want := append(append(whole[:10:10], patch...), whole[110:]...)
-		if data, _ := st.ReadAt(attr.Ino, 0, 8192); !bytes.Equal(data, want) {
-			t.Error("the server's file does not read B's WRITE")
+		if got, _ := st.ReadAt(attr.Ino, 0, 20000); !bytes.Equal(got, want) {
+			t.Error("the server's file does not read both writes after close")
 		}
 	})
 }

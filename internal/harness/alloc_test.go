@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -138,6 +139,56 @@ func TestDataPathAllocationBudgets(t *testing.T) {
 			t.Errorf("NFS 8 KiB appending write-through allocates %d block-sized objects and %d B, budget 1 and %d B",
 				blks, size, 3*bs/2)
 		}
+
+		// A short file, 3 KiB, one per op: created, written through and
+		// closed, then read back cold. The WRITE's data is the client's
+		// 3 KiB block, which the server keeps as the file's last page,
+		// and the READ's reply is that page, which the client caches as
+		// it is: so the write allocates the block and the open's and
+		// close's round trips (4,000 B; 17,300 while the cache block was
+		// a whole zero-padded block and the server copied a partial
+		// WRITE into a fresh page), and the read no data bytes, 3
+		// objects and 480 B (4 and 8,700 while fetchBlock copied a short
+		// block into a padded one).
+		const short = 3 << 10
+		names := make([]string, blocks)
+		for i := range names {
+			names[i] = fmt.Sprintf("/data/s%d", i)
+		}
+		_, _, size = each(func(i int) error {
+			s, err := w.NS.Open(p, names[i], vfs.WriteOnly|vfs.Create|vfs.Truncate, 0o644)
+			if err == nil {
+				_, err = s.WriteAt(p, 0, data[:short])
+			}
+			if err == nil {
+				err = s.Close(p)
+			}
+			return err
+		})
+		if size > short+2<<10 {
+			t.Errorf("NFS 3 KiB file written through allocates %d B, budget %d B", size, short+2<<10)
+		}
+		shorts := make([]vfs.File, blocks)
+		for i := range shorts {
+			if shorts[i], err = w.NS.Open(p, names[i], vfs.ReadOnly, 0); err != nil {
+				return err
+			}
+		}
+		objects, _, size = each(func(i int) error {
+			n, err := shorts[i].ReadInto(p, buf, 0)
+			if err == nil && n != short {
+				t.Errorf("read %d bytes of a %d-byte file", n, short)
+			}
+			return err
+		})
+		if objects > 3 || size > 1<<10 {
+			t.Errorf("NFS 3 KiB read miss allocates %d objects and %d B, budget 3 and 1,024 B", objects, size)
+		}
+		for _, s := range shorts {
+			if e := s.Close(p); err == nil {
+				err = e
+			}
+		}
 		if err != nil {
 			return err
 		}
@@ -170,6 +221,29 @@ func TestDataPathAllocationBudgets(t *testing.T) {
 		pass()
 		if objects, _, _ := heapCost(pass); objects/blocks > 0 || err != nil {
 			t.Errorf("SNFS 8 KiB cached read hit allocates %d objects (%v), budget 0", objects/blocks, err)
+		}
+
+		// A stream of 8 KiB delayed writes half a block out of line, into
+		// a file created afresh, as a sort's merge writes once one run
+		// ended short: each write ends in a block no write has reached
+		// yet. That block is made whole at once, one block per op and
+		// 8,600 B; a block only as long as the write reached into it was
+		// grown by the next write, 12,600 B.
+		g, err := w.NS.Open(p, "/data/g", vfs.WriteOnly|vfs.Create|vfs.Truncate, 0o644)
+		if err != nil {
+			return err
+		}
+		data := bytes.Repeat([]byte{0xa5}, bs)
+		_, _, size := heapCost(func() {
+			for i := 0; i < blocks && err == nil; i++ {
+				_, err = g.WriteAt(p, bs/2+int64(i)*bs, data)
+			}
+		})
+		if size/blocks > bs+bs/4 || err != nil {
+			t.Errorf("SNFS 8 KiB unaligned appending write allocates %d B (%v), budget %d B", size/blocks, err, bs+bs/4)
+		}
+		if err := g.Close(p); err != nil {
+			return err
 		}
 		return f.Close(p)
 	})

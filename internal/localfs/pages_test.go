@@ -118,8 +118,16 @@ func runStoreOps(t *testing.T, ops []byte) {
 	if len(in.pages) != pagesFor(in.attr.Size) {
 		t.Fatalf("%d pages for %d bytes", len(in.pages), in.attr.Size)
 	}
-	if tail := in.attr.Size % pageSize; tail != 0 {
-		if last := in.pages[len(in.pages)-1].bytes(); !bytes.Equal(last[tail:], zeroPage[tail:]) {
+	// Every page is a hole or whole, but the last may be short if it is
+	// frozen and holds every byte of the file that falls in it (tail).
+	tail := int(in.attr.Size - int64(len(in.pages)-1)*pageSize)
+	for i, pg := range in.pages {
+		if pg.b != nil && len(pg.b) != pageSize && (i < len(in.pages)-1 || !pg.frozen || len(pg.b) < tail) {
+			t.Fatalf("page %d of %d is %d bytes (frozen %v), %d of them the file's", i, len(in.pages), len(pg.b), pg.frozen, tail)
+		}
+	}
+	if len(in.pages) > 0 {
+		if last := in.pages[len(in.pages)-1].bytes(); !bytes.Equal(last[tail:], zeroPage[tail:len(last)]) {
 			t.Fatal("bytes past the end of the file are not zero")
 		}
 	}
@@ -158,6 +166,18 @@ func FuzzStoreMatchesFlatModel(f *testing.F) {
 		{opWrite, 6, 3, 4, opRead, 0, 0, 8},
 		// Shrink into a page, grow past it, and create over the file.
 		{opWrite, 0, 0, 8, opTruncate, 0, 4, 0, opWrite, 2, 0, 1, opRead, 0, 0, 9, opCreate, 0, 0, 0, opRead, 0, 0, 5},
+		// A short frozen WRITE at the end of the file, its view held
+		// across a grow by a write into the same page, checked after.
+		{opWriteFrozen, 0, 0, 3, opRead, 0, 0, 5, opHold, 0, 0, 5, opWrite, 0, 4, 3, opHold, 0, 0, 1, opRead, 0, 0, 5},
+		// The same past the first page, held across a grow by truncate
+		// into the next page, and a write past the end.
+		{opWriteFrozen, 1, 0, 3, opHold, 1, 0, 5, opTruncate, 2, 4, 0, opRead, 0, 0, 9, opHold, 0, 0, 1, opWriteFrozen, 3, 0, 2, opWrite, 4, 0, 1},
+		// A shrink into a short frozen page, then a grow within it, each
+		// with a view held across it.
+		{opWriteFrozen, 0, 0, 4, opHold, 0, 0, 5, opTruncate, 0, 4, 0, opHold, 0, 0, 5, opTruncate, 0, 6, 0, opRead, 0, 0, 5, opHold, 0, 0, 1, opHold, 0, 0, 1},
+		// A short frozen WRITE that ends the file over older bytes, after
+		// one that does not and is copied.
+		{opWrite, 0, 0, 5, opTruncate, 0, 6, 0, opWriteFrozen, 0, 0, 3, opHold, 0, 0, 5, opWriteFrozen, 0, 0, 4, opHold, 0, 0, 1, opRead, 0, 0, 9},
 	} {
 		f.Add(seed)
 	}
@@ -167,4 +187,34 @@ func FuzzStoreMatchesFlatModel(f *testing.F) {
 		}
 		runStoreOps(t, ops)
 	})
+}
+
+// TestShortFrozenWriteIsThePage: a frozen WRITE that starts a page and
+// ends the file, shorter than a page, becomes the file's last page by
+// reference, frozen, at 0 allocations; so does one that extends the file
+// from the start of its short last page, after a shrink that cut the page
+// short.
+func TestShortFrozenWriteIsThePage(t *testing.T) {
+	s, _ := newTestStore()
+	a, _ := s.Create(s.Root(), "f", 0o644)
+	data, longer := bytes.Repeat([]byte{'s'}, 3000), bytes.Repeat([]byte{'l'}, 5000)
+	s.WriteFrozen(a.Ino, pageSize, data) // sizes the page table
+	if allocs := testing.AllocsPerRun(100, func() { s.WriteFrozen(a.Ino, pageSize, data) }); allocs != 0 {
+		t.Errorf("a short frozen WRITE at the end of the file allocates %.0f objects, want 0", allocs)
+	}
+	if pg := s.inodes[a.Ino].pages[1]; len(pg.b) != len(data) || &pg.b[0] != &data[0] || !pg.frozen {
+		t.Fatalf("the last page is %d bytes (frozen %v), not the WRITE's %d", len(pg.b), pg.frozen, len(data))
+	}
+	if got, _ := s.ReadAt(a.Ino, pageSize, pageSize); &got[0] != &data[0] || len(got) != len(data) {
+		t.Fatal("a read of the last page is not a view of the WRITE's bytes")
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		s.Truncate(a.Ino, pageSize+int64(len(data)))
+		s.WriteFrozen(a.Ino, pageSize, longer)
+	}); allocs != 0 {
+		t.Errorf("a shrink into a short page and a frozen WRITE extending it allocate %.0f objects, want 0", allocs)
+	}
+	if pg := s.inodes[a.Ino].pages[1]; &pg.b[0] != &longer[0] || !bytes.Equal(data, bytes.Repeat([]byte{'s'}, 3000)) {
+		t.Fatal("the extending WRITE is not the last page, or the store wrote through the first")
+	}
 }

@@ -82,9 +82,12 @@ const pageSize = 8192
 var zeroPage [pageSize]byte
 
 // page is one pageSize span of a regular file. Bytes past the file's size
-// are zero, in every page.
+// are zero, in every page, and so are bytes past len(b).
 type page struct {
-	b []byte // pageSize bytes; nil is a hole, reading as zeros
+	// b is pageSize bytes, or nil, a hole reading as zeros, or, frozen
+	// only, short: a short page is the file's last page and holds every
+	// byte of the file that falls in it.
+	b []byte
 	// frozen means b aliases bytes someone else holds (a delivered call
 	// image, or a view a read handed out): copy before writing.
 	frozen bool
@@ -432,25 +435,39 @@ func (s *Store) Rename(srcDir uint64, srcName string, dstDir uint64, dstName str
 func pagesFor(size int64) int { return int((size + pageSize - 1) / pageSize) }
 
 // truncate sets the file's size. A shrink drops the pages past the new
-// size, cleared so they can be collected, and zeroes the tail of the new
-// last page; a growth extends the page table with holes, sized once.
+// size, cleared so they can be collected, and ends the new last page at
+// the new size: a frozen page is cut short, any other has its tail
+// zeroed. A growth first makes a short last page whole, since it no longer
+// holds the file's end, then extends the page table with holes, sized
+// once.
 func (in *inode) truncate(size int64) {
+	if last := len(in.pages) - 1; size > in.attr.Size && last >= 0 {
+		if b := in.pages[last].b; b != nil && len(b) < pageSize {
+			in.writable(last)
+		}
+	}
 	if n := pagesFor(size); n < len(in.pages) {
 		clear(in.pages[n:])
 		in.pages = in.pages[:n]
 	} else {
 		in.pages = slices.Grow(in.pages, n-len(in.pages))[:n]
 	}
-	if last, tail := int(size/pageSize), size%pageSize; size < in.attr.Size && tail != 0 && in.pages[last].b != nil {
-		clear(in.writable(last)[tail:])
+	if last, tail := int(size/pageSize), int(size%pageSize); size < in.attr.Size && tail != 0 {
+		switch pg := &in.pages[last]; {
+		case pg.b == nil:
+		case pg.frozen:
+			pg.b = pg.b[:tail:tail]
+		default:
+			clear(pg.b[tail:])
+		}
 	}
 	in.attr.Size = size
 }
 
-// writable returns page i's bytes for writing. A hole gets a fresh page,
-// and a frozen page — one someone else may hold a view of — is copied
-// first, so the view keeps the bytes it had; otherwise the write lands in
-// place.
+// writable returns page i's bytes for writing, pageSize long. A hole gets
+// a fresh page, and a frozen page — one someone else may hold a view of,
+// short or whole — is copied first, so the view keeps the bytes it had;
+// otherwise the write lands in place.
 func (in *inode) writable(i int) []byte {
 	pg := &in.pages[i]
 	if pg.b == nil || pg.frozen {
@@ -506,8 +523,9 @@ func (s *Store) WriteAt(ino uint64, off int64, data []byte) (Attr, error) {
 
 // WriteFrozen is WriteAt for bytes under the frozen-payload rule
 // (DESIGN.md §14), such as a decoded view of a delivered call image:
-// nobody writes through them again. A whole, aligned page of data becomes
-// the file's page, frozen, with no copy; the rest is copied.
+// nobody writes through them again. A span of data that starts a page and
+// fills it, or ends the file, becomes the file's page, frozen, with no
+// copy; the rest is copied.
 func (s *Store) WriteFrozen(ino uint64, off int64, data []byte) (Attr, error) {
 	return s.write(ino, off, data, true)
 }
@@ -524,12 +542,17 @@ func (s *Store) write(ino uint64, off int64, data []byte, frozen bool) (Attr, er
 		return Attr{}, ErrInval
 	}
 	if end := off + int64(len(data)); end > in.attr.Size {
+		if last := int64(len(in.pages)) - 1; frozen && off%pageSize == 0 && off <= last*pageSize {
+			// The write keeps every page it reaches by reference, the
+			// last one too, so the growth need not make it whole first.
+			in.pages[last] = page{}
+		}
 		in.truncate(end)
 	}
 	for len(data) > 0 {
 		i, lo := int(off/pageSize), int(off%pageSize)
 		n := min(len(data), pageSize-lo)
-		if frozen && n == pageSize {
+		if frozen && lo == 0 && (n == pageSize || off+int64(n) == in.attr.Size) {
 			in.pages[i] = page{b: data[:n:n], frozen: true}
 		} else {
 			copy(in.writable(i)[lo:], data[:n])
