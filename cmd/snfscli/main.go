@@ -70,19 +70,11 @@ func main() {
 		return
 	}
 
-	conn, err := rpc.DialTCP(*addr)
+	conn, err := dial(*addr)
 	if err != nil {
 		fatal("connect: %v", err)
 	}
 	defer conn.Close()
-	// Service callbacks: we cache nothing, so every callback succeeds
-	// trivially.
-	conn.OnCall = func(prog, proc uint32, body []byte) ([]byte, rpc.Status) {
-		if prog == proto.ProgCallback {
-			return proto.Marshal(&proto.StatusReply{Status: proto.OK}), rpc.StatusOK
-		}
-		return nil, rpc.StatusProcUnavail
-	}
 	c := &cli{c: conn}
 
 	cmd, rest := args[0], args[1:]
@@ -123,6 +115,22 @@ func main() {
 	default:
 		usage()
 	}
+}
+
+// dial connects to an snfsd and serves the callbacks it sends: snfscli
+// caches nothing, so every callback succeeds trivially.
+func dial(addr string) (*rpc.TCPClient, error) {
+	conn, err := rpc.DialTCP(addr)
+	if err != nil {
+		return nil, err
+	}
+	conn.OnCall = func(prog, proc uint32, body []byte) ([]byte, rpc.Status) {
+		if prog == proto.ProgCallback {
+			return proto.Marshal(&proto.StatusReply{Status: proto.OK}), rpc.StatusOK
+		}
+		return nil, rpc.StatusProcUnavail
+	}
+	return conn, nil
 }
 
 func usage() {
@@ -397,30 +405,31 @@ func (c *cli) stats() {
 		c.clusterStats(m)
 		return
 	}
-	text, ok := c.metricsText()
-	if !ok {
+	text, err := metricsText(c.c)
+	if err == rpc.ErrProcUnavail {
 		fmt.Println("server does not export metrics")
 		return
+	}
+	if err != nil {
+		fatal("metrics: %v", err)
 	}
 	os.Stdout.WriteString(text)
 	attrCacheSection(text)
 }
 
-// metricsText fetches the server's Prometheus text dump; ok is false
-// when the server does not export metrics at all.
-func (c *cli) metricsText() (string, bool) {
-	body, err := c.c.Call(proto.ProgNFS, proto.VersNFS, proto.ProcMetrics, nil)
-	if err == rpc.ErrProcUnavail {
-		return "", false
-	}
+// metricsText fetches the Prometheus text dump of the server at the other
+// end of conn; the error is rpc.ErrProcUnavail when the server does not
+// export metrics at all.
+func metricsText(conn *rpc.TCPClient) (string, error) {
+	body, err := conn.Call(proto.ProgNFS, proto.VersNFS, proto.ProcMetrics, nil)
 	if err != nil {
-		fatal("metrics: %v", err)
+		return "", err
 	}
 	r := decodeAs[proto.MetricsReply](body)
 	if r.Status != proto.OK {
-		fatal("metrics: %v", r.Status)
+		return "", fmt.Errorf("%v", r.Status)
 	}
-	return r.Text, true
+	return r.Text, nil
 }
 
 // statsWatch polls the metrics RPC every interval and renders the deltas:
@@ -430,9 +439,12 @@ func (c *cli) statsWatch(interval time.Duration) {
 	var prev map[string]float64
 	prevAt := time.Now()
 	for {
-		text, ok := c.metricsText()
-		if !ok {
+		text, err := metricsText(c.c)
+		if err == rpc.ErrProcUnavail {
 			fatal("server does not export metrics")
+		}
+		if err != nil {
+			fatal("metrics: %v", err)
 		}
 		cur := parseProm(text)
 		now := time.Now()
@@ -564,9 +576,10 @@ func attrCacheSection(text string) {
 		{"snfs_client_attrcache_ingests_total", "piggyback ingests"},
 		{"snfs_client_attrcache_shared_drops_total", "write-shared drops"},
 	}
+	samples := parseProm(text)
 	var lines []string
 	for _, r := range rows {
-		if v, ok := promGauge(text, r.metric); ok {
+		if v, ok := promGauge(samples, r.metric); ok {
 			lines = append(lines, fmt.Sprintf("  %-18s %.0f", r.label, v))
 		}
 	}
@@ -586,63 +599,42 @@ func (c *cli) clusterStats(m proto.ShardMap) {
 	fmt.Printf("cluster: %d shards, map v%d\n", len(m.Servers), m.Version)
 	for i, addr := range m.Servers {
 		fmt.Printf("\nshard %d @ %s  owns: %s\n", i, addr, strings.Join(shardPrefixes(m, i), " "))
-		conn, err := rpc.DialTCP(addr)
+		conn, err := dial(addr)
 		if err != nil {
 			fmt.Printf("  unreachable: %v\n", err)
 			continue
 		}
-		conn.OnCall = func(prog, proc uint32, body []byte) ([]byte, rpc.Status) {
-			if prog == proto.ProgCallback {
-				return proto.Marshal(&proto.StatusReply{Status: proto.OK}), rpc.StatusOK
-			}
-			return nil, rpc.StatusProcUnavail
-		}
-		body, err := conn.Call(proto.ProgNFS, proto.VersNFS, proto.ProcMetrics, nil)
+		text, err := metricsText(conn)
+		conn.Close()
 		if err != nil {
 			fmt.Printf("  metrics: %v\n", err)
-			conn.Close()
 			continue
 		}
-		r := decodeAs[proto.MetricsReply](body)
-		if r.Status != proto.OK {
-			fmt.Printf("  metrics: %v\n", r.Status)
-			conn.Close()
-			continue
-		}
-		shardSummary(os.Stdout, r.Text)
-		conn.Close()
+		shardSummary(os.Stdout, text)
 	}
 }
 
 // shardSummary condenses one member's Prometheus text to the three
 // numbers the per-shard section shows.
 func shardSummary(w io.Writer, text string) {
-	if v, ok := promGauge(text, "snfs_server_state_table_size"); ok {
+	samples := parseProm(text)
+	if v, ok := promGauge(samples, "snfs_server_state_table_size"); ok {
 		fmt.Fprintf(w, "  state table: %.0f entries\n", v)
 	}
-	if v, ok := promGauge(text, "snfs_server_cpu_utilization"); ok {
+	if v, ok := promGauge(samples, "snfs_server_cpu_utilization"); ok {
 		fmt.Fprintf(w, "  cpu: %.1f%% busy\n", v*100)
 	}
-	if v, ok := promGauge(text, "snfs_server_disk_utilization"); ok {
+	if v, ok := promGauge(samples, "snfs_server_disk_utilization"); ok {
 		fmt.Fprintf(w, "  disk: %.1f%% busy\n", v*100)
 	}
 }
 
-// promGauge extracts the first sample of a metric from Prometheus text
-// output, tolerating labels ("name{host="x"} 0.25") and bare samples.
-func promGauge(text, name string) (float64, bool) {
-	for _, line := range strings.Split(text, "\n") {
-		if !strings.HasPrefix(line, name) {
-			continue
-		}
-		rest := line[len(name):]
-		if len(rest) == 0 || (rest[0] != ' ' && rest[0] != '{') {
-			continue
-		}
-		if i := strings.LastIndexByte(rest, ' '); i >= 0 {
-			if v, err := strconv.ParseFloat(strings.TrimSpace(rest[i+1:]), 64); err == nil {
-				return v, true
-			}
+// promGauge looks a metric up among parseProm's samples, labeled
+// ("name{host="x"}") or bare: the first that matches in sorted order.
+func promGauge(samples map[string]float64, name string) (float64, bool) {
+	for _, k := range sortedKeys(samples) {
+		if k == name || strings.HasPrefix(k, name+"{") {
+			return samples[k], true
 		}
 	}
 	return 0, false

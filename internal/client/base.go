@@ -29,6 +29,7 @@
 package client
 
 import (
+	"cmp"
 	"slices"
 	"sort"
 
@@ -615,16 +616,18 @@ func (b *Base) walkParent(p *sim.Proc, rel string) (proto.Handle, string, error)
 	return dir, comps[len(comps)-1], nil
 }
 
-// sortedNodes returns the known files in ascending ino order: map
-// iteration order is randomized, and the order RPCs are issued in moves
-// the simulated clock, so every loop that talks to the network per node
-// needs a stable order.
-func (b *Base) sortedNodes() []*node {
-	nodes := make([]*node, 0, len(b.nodes))
+// sortedNodes returns the known files keep accepts (all of them when keep
+// is nil) in ascending ino order: map iteration order is randomized, and
+// the order RPCs are issued in moves the simulated clock, so every loop
+// that talks to the network per node needs a stable order.
+func (b *Base) sortedNodes(keep func(*node) bool) []*node {
+	var nodes []*node
 	for _, n := range b.nodes {
-		nodes = append(nodes, n)
+		if keep == nil || keep(n) {
+			nodes = append(nodes, n)
+		}
 	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].h.Ino < nodes[j].h.Ino })
+	slices.SortFunc(nodes, func(x, y *node) int { return cmp.Compare(x.h.Ino, y.h.Ino) })
 	return nodes
 }
 
@@ -653,21 +656,23 @@ func (b *Base) readRPC(p *sim.Proc, h proto.Handle, off int64, count int) ([]byt
 	return r.Data, r.Attr, nil
 }
 
-// writeRPC sends [off, off+len(data)) to the server as a stable write:
-// the data is on the server's disk when the reply arrives. data is the
-// call image's tail, sent by reference, and must be frozen: a cache block
-// marked Frozen, one that has left the cache, or a copy of the caller's.
-func (b *Base) writeRPC(p *sim.Proc, h proto.Handle, off int64, data []byte) (proto.Fattr, error) {
-	body, err := b.call(p, proto.ProcWrite, (&proto.WriteArgs{Handle: h, Offset: off, Data: data}).XDR)
+// writeRPC sends [off, off+len(data)) to the server and returns its
+// reply: a stable write is on the server's disk when the reply arrives, an
+// unstable one (unstable set) may be only in its buffers, as the reply's
+// Committed says. data is the call image's tail, sent by reference, and
+// must be frozen: a cache block marked Frozen, one that has left the
+// cache, or a copy of the caller's.
+func (b *Base) writeRPC(p *sim.Proc, h proto.Handle, off int64, data []byte, unstable bool) (proto.WriteReply, error) {
+	body, err := b.call(p, proto.ProcWrite, (&proto.WriteArgs{Handle: h, Offset: off, Data: data, Unstable: unstable}).XDR)
 	if err != nil {
-		return proto.Fattr{}, err
+		return proto.WriteReply{}, err
 	}
 	var r proto.WriteReply
 	r.XDR(xdr.NewDecoder(body).Codec())
 	if r.Status != proto.OK {
-		return proto.Fattr{}, r.Status.Err()
+		return proto.WriteReply{}, r.Status.Err()
 	}
-	return r.Attr, nil
+	return r, nil
 }
 
 // writeBack pushes one block-aligned extent to the server on behalf of
@@ -676,17 +681,9 @@ func (b *Base) writeRPC(p *sim.Proc, h proto.Handle, off int64, data []byte) (pr
 // until commit() succeeds. data is frozen, as for writeRPC, so the
 // retained data is data itself.
 func (b *Base) writeBack(p *sim.Proc, n *node, off int64, data []byte) (proto.Fattr, error) {
-	if !b.cfg.UnstableWrites {
-		return b.writeRPC(p, n.h, off, data)
-	}
-	body, err := b.call(p, proto.ProcWrite, (&proto.WriteArgs{Handle: n.h, Offset: off, Data: data, Unstable: true}).XDR)
+	r, err := b.writeRPC(p, n.h, off, data, b.cfg.UnstableWrites)
 	if err != nil {
 		return proto.Fattr{}, err
-	}
-	var r proto.WriteReply
-	r.XDR(xdr.NewDecoder(body).Codec())
-	if r.Status != proto.OK {
-		return proto.Fattr{}, r.Status.Err()
 	}
 	if !r.Committed {
 		if n.unstable == nil {
@@ -735,7 +732,7 @@ func (b *Base) commit(p *sim.Proc, n *node) error {
 			"commit verifier %d != %d: redriving %d blocks", r.Verifier, n.unstableVerifier, len(offs))
 		b.redriveBlocks += int64(len(offs))
 		for _, off := range offs {
-			if _, err := b.writeRPC(p, n.h, off, n.unstable[off]); err != nil {
+			if _, err := b.writeRPC(p, n.h, off, n.unstable[off], false); err != nil {
 				return err
 			}
 		}
@@ -1046,21 +1043,79 @@ func sendable(cb *cache.Block) []byte {
 	return cb.Data[:cb.Len:cb.Len]
 }
 
-// flushBlockSync writes one dirty block back synchronously.
-func (b *Base) flushBlockSync(p *sim.Proc, n *node, blk int64) error {
-	key := b.key(n.h.Ino, blk)
+// The write-back. Every dirty block a client sends home from its cache
+// goes through one step, writeBlock; a biod's write-through and an
+// evicted block are sent as they are, with no block left to clean.
+// writeFile composes the step into one file's write-back, which stops at
+// the first failure; writeDirty into one pass over many files, which
+// leaves a failed block dirty and goes on. Close, fsync, callbacks, open
+// actions, the update pass and sync(2) are built from those three.
+
+// writeBlock is the one write-back step. It looks the block up once, just
+// before its write: a callback or a delete arriving while an earlier
+// write was in flight may have cleaned, cancelled or dropped it, and
+// writing from a stale snapshot would resurrect dead data. A dirty block
+// of a file the client has forgotten is marked clean, for it has no home
+// left. Otherwise the block is frozen and sent, only the generation sent
+// is marked clean — a write landing while the WRITE was on the wire keeps
+// the block dirty, that newer data still owed — and the reply's
+// attributes are the client's own. It returns the file written to, or nil
+// when nothing was sent.
+func (b *Base) writeBlock(p *sim.Proc, key cache.Key) (*node, error) {
 	cb, ok := b.cache.Lookup(key)
 	if !ok || !cb.Dirty {
-		return nil
+		return nil, nil
 	}
-	off, gen := blk*int64(b.cfg.BlockSize), cb.Gen
-	attr, err := b.writeBack(p, n, off, sendable(cb))
+	n, ok := b.nodes[key.Ino]
+	if !ok {
+		b.cache.MarkClean(key)
+		return nil, nil
+	}
+	gen := cb.Gen
+	attr, err := b.writeBack(p, n, key.Block*int64(b.cfg.BlockSize), sendable(cb))
 	if err != nil {
-		return err
+		return nil, err
 	}
 	b.cache.MarkCleanIf(key, gen)
 	b.attrs.ingestOwn(n, attr, p.Now())
+	return n, nil
+}
+
+// writeFile writes n's dirty blocks home in block order and stops at the
+// first that fails.
+func (b *Base) writeFile(p *sim.Proc, n *node) error {
+	for _, blk := range b.cache.DirtyBlocks(b.cfg.Root.FSID, n.h.Ino) {
+		if _, err := b.writeBlock(p, blk.Key); err != nil {
+			return err
+		}
+	}
 	return nil
+}
+
+// writeDirty writes the given dirty blocks home, one pass over many
+// files: a block whose write fails stays dirty for the next pass, and the
+// pass goes on. It returns the files written to, in the blocks' order.
+func (b *Base) writeDirty(p *sim.Proc, blocks []*cache.Block) []*node {
+	var written []*node
+	for _, blk := range blocks {
+		n, err := b.writeBlock(p, blk.Key)
+		if n == nil || err != nil {
+			continue
+		}
+		// blocks arrive in file order, so one file's are adjacent.
+		if len(written) == 0 || written[len(written)-1] != n {
+			written = append(written, n)
+		}
+	}
+	return written
+}
+
+// drain waits for n's write-throughs on the biods; what names the
+// biod-wait span.
+func (b *Base) drain(p *sim.Proc, n *node, what string) {
+	bw := b.span(p, span.BiodWait, what)
+	n.pending.Wait(p)
+	bw.End()
 }
 
 // pushBlockAsync hands a completed block to a biod (write-through without
@@ -1073,7 +1128,8 @@ func (b *Base) pushBlockAsync(p *sim.Proc, n *node, blk int64) error {
 		return nil
 	}
 	if !b.biods.TryAcquire() {
-		return b.flushBlockSync(p, n, blk)
+		_, err := b.writeBlock(p, key)
+		return err
 	}
 	n.pending.Add(1)
 	// The biod sends the block's own bytes; the next write copies them.
@@ -1119,7 +1175,7 @@ func (b *Base) writeThrough(p *sim.Proc, n *node, off int64, data []byte, eagerT
 		if cb.Len == b.cfg.BlockSize {
 			err = b.pushBlockAsync(p, n, blk)
 		} else if eagerTail {
-			err = b.flushBlockSync(p, n, blk)
+			_, err = b.writeBlock(p, cb.Key)
 		}
 		if err != nil {
 			return 0, err
@@ -1133,16 +1189,12 @@ func (b *Base) writeThrough(p *sim.Proc, n *node, off int64, data []byte, eagerT
 // COMMIT covers everything that went out unstable — the whole file
 // reaches the disk in gathered arm operations — and the first
 // asynchronous write error surfaces. what names the biod-wait span.
+// Only here does a file's write-back wait for its biods: a callback
+// (apply) must not, for under RFS a biod's WRITE may itself be waiting
+// at the server for this client's answer to the callback.
 func (b *Base) syncFile(p *sim.Proc, n *node, what string) error {
-	var err error
-	for _, blk := range b.cache.DirtyBlocks(b.cfg.Root.FSID, n.h.Ino) {
-		if e := b.flushBlockSync(p, n, blk.Key.Block); e != nil && err == nil {
-			err = e
-		}
-	}
-	bw := b.span(p, span.BiodWait, what)
-	n.pending.Wait(p)
-	bw.End()
+	err := b.writeFile(p, n)
+	b.drain(p, n, what)
 	if e := b.commit(p, n); e != nil && err == nil {
 		err = e
 	}
@@ -1153,67 +1205,32 @@ func (b *Base) syncFile(p *sim.Proc, n *node, what string) error {
 	return err
 }
 
-// flushBlocks is one update pass over the given dirty blocks: each
-// streams to the server, then one COMMIT per touched file lands them in
-// gathered arm operations. Every block is re-validated immediately
-// before its write — a callback or a delete arriving while an earlier
-// write was in flight may have cancelled it — and a block whose write
-// fails stays dirty for the next pass.
-func (b *Base) flushBlocks(p *sim.Proc, blocks []*cache.Block) {
-	var flushed []*node
-	for _, blk := range blocks {
-		cur, ok := b.cache.Lookup(blk.Key)
-		if !ok || !cur.Dirty {
-			continue
-		}
-		n, ok := b.nodes[blk.Key.Ino]
-		if !ok {
-			b.cache.MarkClean(blk.Key)
-			continue
-		}
-		off, gen := blk.Key.Block*int64(b.cfg.BlockSize), cur.Gen
-		if _, err := b.writeBack(p, n, off, sendable(cur)); err != nil {
-			continue
-		}
-		// blocks arrive in file order, so one file's are adjacent.
-		if len(flushed) == 0 || flushed[len(flushed)-1] != n {
-			flushed = append(flushed, n)
-		}
-		b.cache.MarkCleanIf(blk.Key, gen)
+// flushFile writes n's delayed writes home and settles them with one
+// COMMIT: the server lands the blocks in gathered arm operations instead
+// of one per block. It serves apply and the SNFS fsync.
+func (b *Base) flushFile(p *sim.Proc, n *node) error {
+	if err := b.writeFile(p, n); err != nil {
+		return err
 	}
-	for _, n := range flushed {
-		b.commit(p, n)
-	}
+	return b.commit(p, n)
 }
 
-// SyncAll implements vfs.FS as one explicit update pass over every dirty
-// block. (NFS overrides it: its blocks are mostly in flight on the biods,
-// not dirty in the cache.)
+// SyncAll implements vfs.FS, sync(2), for all three protocols: one pass
+// writes every dirty block home, then the files that still have
+// write-throughs on the biods or unstable writes outstanding are drained
+// and committed, in inode order — the NFS client's blocks are mostly in
+// flight, not dirty in the cache, and one COMMIT per file replaces the N
+// synchronous waits the stable pipeline pays.
 func (b *Base) SyncAll(p *sim.Proc) {
 	defer b.syscall(p, "syncall").End()
-	b.flushBlocks(p, b.cache.AllDirty())
-}
-
-// flushFile writes every dirty block of n back synchronously. Each block
-// is re-validated immediately before its write: an invalidation callback
-// (or a delete) arriving while an earlier block's RPC was in flight
-// cancels the rest, and flushing from a stale snapshot would resurrect
-// dead data.
-func (b *Base) flushFile(p *sim.Proc, n *node) error {
-	for _, blk := range b.cache.DirtyBlocks(b.cfg.Root.FSID, n.h.Ino) {
-		cur, ok := b.cache.Lookup(blk.Key)
-		if !ok || !cur.Dirty {
-			continue
-		}
-		off, gen := blk.Key.Block*int64(b.cfg.BlockSize), cur.Gen
-		if _, err := b.writeBack(p, n, off, sendable(cur)); err != nil {
-			return err
-		}
-		b.cache.MarkCleanIf(blk.Key, gen)
+	b.writeDirty(p, b.cache.AllDirty())
+	owed := b.sortedNodes(func(n *node) bool { return n.pending.Pending() > 0 || len(n.unstable) > 0 })
+	for _, n := range owed {
+		b.drain(p, n, "syncall")
 	}
-	// One COMMIT settles the whole write-back: the server lands the
-	// blocks in gathered arm operations instead of one per block.
-	return b.commit(p, n)
+	for _, n := range owed {
+		b.commit(p, n)
+	}
 }
 
 // apply carries out what n's consistency record decided, in the order

@@ -777,7 +777,7 @@ func TestShortBlockIsTheServersPageUntilWritten(t *testing.T) {
 // TestWritePageIsTheClientsCachedBlock: an aligned 8 KiB block goes from
 // client A's cache to the server's file with no copy — the WRITE's data is
 // its call image's tail, and the store keeps it as the page — whether a
-// biod sends it or A sends it itself (flushBlockSync, with the one biod
+// biod sends it or A sends it itself (writeBlock, with the one biod
 // busy). Either way the send froze the block: A's next write into it
 // copies it first, so the server's page keeps the sent bytes until the
 // next write-back, and client B's WRITE into the page copies the page, so
@@ -822,7 +822,7 @@ func TestWritePageIsTheClientsCachedBlock(t *testing.T) {
 		write(0, sent[0])
 		write(1, sent[1])
 		sync()
-		for i, how := range []string{"the biod", "flushBlockSync"} {
+		for i, how := range []string{"the biod", "writeBlock"} {
 			if pg, cb := page(i), block(i); len(pg) != 8192 || &pg[0] != &cb.Data[0] || !cb.Frozen {
 				t.Errorf("block %d, sent by %s: the server's page is not A's frozen cached block", i, how)
 			}
@@ -1864,40 +1864,101 @@ func TestSymlinkConsistencyAcrossClients(t *testing.T) {
 	})
 }
 
-// TestSNFSRewriteDuringWritebackIsNotLost: a block written again while
-// the update daemon's write-back of it is on the wire still owes the
-// server its newer bytes — the returning write-back must not mark it
-// clean. (Found by the harness model check, SNFS seed 9.)
-func TestSNFSRewriteDuringWritebackIsNotLost(t *testing.T) {
-	w := newWorld(1, true, 4, server.SNFSOptions{})
-	c := w.addSNFS("clientA", client.SNFSOptions{})
-	run(t, w.k, func(p *sim.Proc) {
-		f, err := c.Open(p, "f.dat", vfs.WriteOnly|vfs.Create, 0o644)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f.WriteAt(p, 0, fill(4096, 'a'))
-		var pass sim.WaitGroup
-		pass.Add(1)
-		w.k.Go("update", func(dp *sim.Proc) {
-			defer pass.Done()
-			c.SyncPass(dp)
+// TestSyncAllWaitsForWriteThroughs: sync(2) returns only once what was
+// written is at the server, whatever the protocol's write policy — a
+// write-through still on a biod counts as written. One whole block is
+// written into a file kept open, so neither a close nor a partial-block
+// rule sends it.
+func TestSyncAllWaitsForWriteThroughs(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		build func() (*world, vfs.FS)
+	}{
+		{"NFS", func() (*world, vfs.FS) {
+			w := newWorld(1, false, 4, server.SNFSOptions{})
+			return w, w.addNFS("clientA", client.NFSOptions{})
+		}},
+		{"SNFS", func() (*world, vfs.FS) {
+			w := newWorld(1, true, 4, server.SNFSOptions{})
+			return w, w.addSNFS("clientA", client.SNFSOptions{})
+		}},
+		{"RFS", func() (*world, vfs.FS) {
+			w, _ := newRFSWorld(1)
+			return w, w.addRFS("clientA")
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w, c := tc.build()
+			want := fill(4096, 's')
+			run(t, w.k, func(p *sim.Proc) {
+				f, err := c.Open(p, "f.dat", vfs.WriteOnly|vfs.Create, 0o644)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := f.WriteAt(p, 0, want); err != nil {
+					t.Fatal(err)
+				}
+				c.SyncAll(p)
+				st := w.media.Store()
+				a, err := st.Lookup(st.Root(), "f.dat")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, _ := st.ReadAt(a.Ino, 0, 8192); !bytes.Equal(got, want) {
+					t.Errorf("server holds %d of %d bytes after SyncAll", len(got), len(want))
+				}
+				f.Close(p)
+			})
 		})
-		p.Sleep(sim.Millisecond) // the write RPC is in flight
-		if got := c.Ops().Get("write"); got != 1 {
-			t.Fatalf("%d writes on the wire 1 ms into the pass, want 1", got)
-		}
-		f.WriteAt(p, 0, fill(4096, 'b'))
-		pass.Wait(p)
-		c.SyncPass(p)
-		st := w.media.Store()
-		a, err := st.Lookup(st.Root(), "f.dat")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, _ := st.ReadAt(a.Ino, 0, 4096); !bytes.Equal(got, fill(4096, 'b')) {
-			t.Errorf("server holds %q… after two passes, want the rewrite", got[:4])
-		}
-		f.Close(p)
-	})
+	}
+}
+
+// TestSNFSRewriteDuringWritebackIsNotLost: a block written again while
+// a write-back of it is on the wire still owes the server its newer bytes
+// — the returning write-back must not mark it clean, whichever way into
+// the write-back sent it: the update pass, fsync or sync(2). (Found by the
+// harness model check, SNFS seed 9.)
+func TestSNFSRewriteDuringWritebackIsNotLost(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		writeBack func(p *sim.Proc, c *client.SNFSClient, f vfs.File)
+	}{
+		{"SyncPass", func(p *sim.Proc, c *client.SNFSClient, _ vfs.File) { c.SyncPass(p) }},
+		{"Sync", func(p *sim.Proc, _ *client.SNFSClient, f vfs.File) { f.Sync(p) }},
+		{"SyncAll", func(p *sim.Proc, c *client.SNFSClient, _ vfs.File) { c.SyncAll(p) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := newWorld(1, true, 4, server.SNFSOptions{})
+			c := w.addSNFS("clientA", client.SNFSOptions{})
+			run(t, w.k, func(p *sim.Proc) {
+				f, err := c.Open(p, "f.dat", vfs.WriteOnly|vfs.Create, 0o644)
+				if err != nil {
+					t.Fatal(err)
+				}
+				f.WriteAt(p, 0, fill(4096, 'a'))
+				var pass sim.WaitGroup
+				pass.Add(1)
+				w.k.Go("write-back", func(dp *sim.Proc) {
+					defer pass.Done()
+					tc.writeBack(dp, c, f)
+				})
+				p.Sleep(sim.Millisecond) // the write RPC is in flight
+				if got := c.Ops().Get("write"); got != 1 {
+					t.Fatalf("%d writes on the wire 1 ms into the write-back, want 1", got)
+				}
+				f.WriteAt(p, 0, fill(4096, 'b'))
+				pass.Wait(p)
+				c.SyncPass(p)
+				st := w.media.Store()
+				a, err := st.Lookup(st.Root(), "f.dat")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, _ := st.ReadAt(a.Ino, 0, 4096); !bytes.Equal(got, fill(4096, 'b')) {
+					t.Errorf("server holds %q… after two write-backs, want the rewrite", got[:4])
+				}
+				f.Close(p)
+			})
+		})
+	}
 }

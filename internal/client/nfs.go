@@ -4,7 +4,6 @@ import (
 	"spritelynfs/internal/proto"
 	"spritelynfs/internal/rpc"
 	"spritelynfs/internal/sim"
-	"spritelynfs/internal/span"
 	"spritelynfs/internal/vfs"
 )
 
@@ -113,30 +112,6 @@ func (c *NFSClient) Readdir(p *sim.Proc, rel string) ([]proto.DirEntry, error) {
 		return nil, err
 	}
 	return c.list(p, h)
-}
-
-// SyncAll implements vfs.FS: flush delayed partial blocks, wait for the
-// biods, then one COMMIT per file with unstable data outstanding —
-// instead of the N synchronous waits the stable pipeline pays.
-func (c *NFSClient) SyncAll(p *sim.Proc) {
-	defer c.syscall(p, "syncall").End()
-	for _, blk := range c.cache.AllDirty() {
-		n, ok := c.nodes[blk.Key.Ino]
-		if !ok {
-			c.cache.MarkClean(blk.Key)
-			continue
-		}
-		c.flushBlockSync(p, n, blk.Key.Block)
-	}
-	nodes := c.sortedNodes()
-	for _, n := range nodes {
-		sp := c.span(p, span.BiodWait, "syncall")
-		n.pending.Wait(p)
-		sp.End()
-	}
-	for _, n := range nodes {
-		c.commit(p, n)
-	}
 }
 
 // nfsFile is an open NFS file.

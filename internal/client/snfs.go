@@ -268,9 +268,11 @@ func (c *SNFSClient) SyncPass(p *sim.Proc) {
 	}
 	// The aged delayed writes become durable (the update daemon's
 	// contract).
-	c.flushBlocks(p, c.cache.DirtyOlderThan(cutoff))
+	for _, n := range c.writeDirty(p, c.cache.DirtyOlderThan(cutoff)) {
+		c.commit(p, n)
+	}
 	if c.opts.DelayedClose {
-		for _, n := range c.sortedNodes() {
+		for _, n := range c.sortedNodes(nil) {
 			if n.rec.DelayedClose && p.Now().Sub(sim.Time(n.rec.ClosedAt)) > delayedCloseIdle {
 				n.rec.DelayedClose = false
 				c.closeRPC(p, n.h, n.rec.DelayedWriteMode)
@@ -311,7 +313,7 @@ func (c *SNFSClient) recover(p *sim.Proc) {
 	defer sp.End()
 	// Directory leases died with the server's state; start cold.
 	c.dropNameCache()
-	for _, n := range c.sortedNodes() {
+	for _, n := range c.sortedNodes(nil) {
 		if len(n.unstable) > 0 {
 			// Unstable writes acked by the dead incarnation: this
 			// COMMIT sees the new verifier and redrives them.
@@ -522,12 +524,12 @@ func (f *snfsFile) WriteAt(p *sim.Proc, off int64, data []byte) (int, error) {
 		}
 		return len(data), nil
 	}
-	attr, err := f.c.writeRPC(p, f.n.h, off, bytes.Clone(data))
+	r, err := f.c.writeRPC(p, f.n.h, off, bytes.Clone(data), false)
 	if err != nil {
 		return 0, err
 	}
-	f.c.attrs.ingestOwn(f.n, attr, p.Now())
-	f.n.size = attr.Size
+	f.c.attrs.ingestOwn(f.n, r.Attr, p.Now())
+	f.n.size = r.Attr.Size
 	return len(data), nil
 }
 

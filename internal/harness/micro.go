@@ -183,7 +183,7 @@ func Ablations(pm Params) (*stats.Table, error) {
 		pmv.SNFS.NameCache = nc
 		pmv.Andrew.Dirs = 2
 		pmv.Andrew.FilesPerDir = 7
-		w := BuildOpt(SNFS, true, pmv, BuildOptions{NameCacheServer: nc})
+		w := Build(SNFS, true, pmv)
 		var lookups, total int64
 		err := w.Run(func(p *sim.Proc) error {
 			if err := workload.SetupAndrew(p, w.NS, pmv.Andrew); err != nil {

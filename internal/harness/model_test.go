@@ -66,7 +66,7 @@ func runModelCheck(t *testing.T, pr Proto, seed int64, steps int, nameCache, arm
 	pm.SNFS.UpdateInterval = 5 * sim.Second // exercise the update daemon
 	pm.SNFS.NameCache = nameCache
 	pm.Audit, pm.Spans = armed, armed
-	w := BuildOpt(pr, true, pm, BuildOptions{NameCacheServer: nameCache})
+	w := Build(pr, true, pm)
 
 	var namespaces []*vfs.Namespace
 	namespaces = append(namespaces, w.NS)

@@ -215,9 +215,6 @@ type BuildOptions struct {
 	// Server overrides the SNFS server options (hybrid mode, table
 	// limit, grace period).
 	Server *server.SNFSOptions
-	// NameCacheServer enables the server side of the §7 name-cache
-	// protocol (the client side is pm.SNFS.NameCache).
-	NameCacheServer bool
 }
 
 // Build assembles a world for the given protocol and /tmp placement.
@@ -253,7 +250,9 @@ func BuildOpt(pr Proto, tmpRemote bool, pm Params, opt BuildOptions) *World {
 		if opt.Server != nil {
 			spec.SNFS = *opt.Server
 		}
-		if opt.NameCacheServer {
+		if pm.SNFS.NameCache {
+			// The §7 name cache is one protocol: a client that caches
+			// names needs a server that invalidates them.
 			spec.SNFS.NameCacheProtocol = true
 		}
 		w.srv = cluster.NewServerHost(k, w.Net, spec, in)

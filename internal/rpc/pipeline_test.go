@@ -10,41 +10,43 @@ import (
 	"spritelynfs/internal/xdr"
 )
 
-// TestPipelinedCallsOverlap issues N calls with Start before collecting
-// any reply: all N must be on the wire concurrently, so the batch
-// completes in roughly one round trip instead of N.
+// TestPipelinedCallsOverlap: N processes calling at once over one
+// endpoint have all N calls on the wire together, so the batch completes
+// in roughly one round trip instead of the N one caller pays in turn.
 func TestPipelinedCallsOverlap(t *testing.T) {
 	const depth = 8
 	rtt := 2 * 10 * sim.Millisecond
 
-	run := func(pipelined bool) sim.Duration {
+	run := func(concurrent bool) sim.Duration {
 		k := sim.NewKernel(1)
 		client, server := newPair(k, simnet.Config{PropDelay: 10 * sim.Millisecond}, Options{Workers: depth})
 		server.Register(testProg, echoHandler)
+		call := func(p *sim.Proc, i int) {
+			body, err := client.CallMsg(p, "server", testProg, 1, uint32(i), &proto.StatusReply{Status: proto.Status(i)})
+			if err != nil {
+				t.Errorf("call %d: %v", i, err)
+				return
+			}
+			if d := xdr.NewDecoder(body); d.Uint32() != uint32(i) {
+				t.Errorf("call %d: reply for the wrong call", i)
+			}
+		}
 		var elapsed sim.Duration
 		k.Go("caller", func(p *sim.Proc) {
 			start := k.Now()
-			if pipelined {
-				var calls [depth]*Pending
-				for i := range calls {
-					calls[i] = client.Start(p, "server", testProg, 1, uint32(i), (&proto.StatusReply{Status: proto.Status(i)}).XDR)
+			if concurrent {
+				var wg sim.WaitGroup
+				for i := 0; i < depth; i++ {
+					wg.Add(1)
+					k.Go("caller", func(cp *sim.Proc) {
+						defer wg.Done()
+						call(cp, i)
+					})
 				}
-				for i, c := range calls {
-					body, err := c.Wait(p)
-					if err != nil {
-						t.Errorf("wait %d: %v", i, err)
-						continue
-					}
-					d := xdr.NewDecoder(body)
-					if d.Uint32() != uint32(i) {
-						t.Errorf("call %d: reply for the wrong call", i)
-					}
-				}
+				wg.Wait(p)
 			} else {
 				for i := 0; i < depth; i++ {
-					if _, err := client.CallMsg(p, "server", testProg, 1, uint32(i), &proto.StatusReply{Status: proto.Status(i)}); err != nil {
-						t.Errorf("call %d: %v", i, err)
-					}
+					call(p, i)
 				}
 			}
 			elapsed = k.Now().Sub(start)
@@ -60,7 +62,7 @@ func TestPipelinedCallsOverlap(t *testing.T) {
 		t.Errorf("lockstep batch took %v, want >= %v", lockstep, sim.Duration(depth)*rtt)
 	}
 	if pipelined >= 2*rtt {
-		t.Errorf("pipelined batch took %v, want < 2 RTT (%v)", pipelined, 2*rtt)
+		t.Errorf("concurrent batch took %v, want < 2 RTT (%v)", pipelined, 2*rtt)
 	}
 }
 
@@ -196,10 +198,10 @@ func TestDrainedBacklogSlotIsCleared(t *testing.T) {
 		defer k.Stop()
 		var calls [3]*Pending
 		for i := range calls {
-			calls[i] = client.Start(p, "server", testProg, 1, 1, (&proto.WriteArgs{Data: make([]byte, 8192)}).XDR)
+			calls[i] = client.start(p, "server", testProg, 1, 1, (&proto.WriteArgs{Data: make([]byte, 8192)}).XDR, CallTimeout, MaxRetries)
 		}
 		for i, c := range calls {
-			if _, err := c.Wait(p); err != nil {
+			if _, _, err := c.wait(p); err != nil {
 				t.Errorf("call %d: %v", i, err)
 			}
 		}
@@ -218,42 +220,47 @@ func TestDrainedBacklogSlotIsCleared(t *testing.T) {
 	}
 }
 
-// TestPipelinedCallsCollectedOutOfOrder: replies land in whatever order
-// the server finishes, into the Pending of their own xid, whether or not
-// a caller is parked on it yet; Wait may then collect in any order, and a
-// call whose attempt or answer was lost still retransmits from its Wait.
+// TestPipelinedCallsCollectedOutOfOrder: calls of many processes are
+// outstanding at once on one endpoint, and each reply lands in whatever
+// order the server finishes, into the Pending of its own xid and so to
+// its own caller; a call whose attempt or answer was lost still
+// retransmits on its own schedule. order is the order the callers issue
+// their calls in, so xids and finishing order differ from one to the next.
 func TestPipelinedCallsCollectedOutOfOrder(t *testing.T) {
 	const depth = 6
 	for _, order := range [][depth]int{
-		{0, 1, 2, 3, 4, 5}, // parked on the slowest while the others land
-		{5, 4, 3, 2, 1, 0}, // as they land
+		{0, 1, 2, 3, 4, 5}, // the last issued answers first
+		{5, 4, 3, 2, 1, 0}, // as they were issued
 		{3, 0, 5, 1, 4, 2},
 	} {
 		k := sim.NewKernel(1)
-		// Every fourth message is lost: call 3 first, then replies.
+		// Every fourth message is lost: a call first, then replies.
 		client, server := newPair(k, simnet.Config{PropDelay: sim.Millisecond, DropEvery: 4},
 			Options{Workers: depth})
 		server.Register(testProg, func(p *sim.Proc, from simnet.Addr, proc uint32, args []byte) ([]byte, Status) {
 			p.Sleep(sim.Duration(depth-proc) * sim.Millisecond) // the last call answers first
 			return args, StatusOK
 		})
-		k.Go("caller", func(p *sim.Proc) {
+		k.Go("main", func(p *sim.Proc) {
 			defer k.Stop()
-			var calls [depth]*Pending
-			for i := range calls {
-				calls[i] = client.Start(p, "server", testProg, 1, uint32(i), (&proto.StatusReply{Status: proto.Status(100 + i)}).XDR)
+			var wg sim.WaitGroup
+			for j, i := range order {
+				wg.Add(1)
+				k.Go("caller", func(cp *sim.Proc) {
+					defer wg.Done()
+					cp.Sleep(sim.Duration(j) * sim.Microsecond) // issue in order
+					body, err := client.CallMsg(cp, "server", testProg, 1, uint32(i), &proto.StatusReply{Status: proto.Status(100 + i)})
+					if err != nil {
+						t.Errorf("order %v: call %d: %v", order, i, err)
+						return
+					}
+					var r proto.StatusReply
+					if r.XDR(xdr.NewDecoder(body).Codec()); r.Status != proto.Status(100+i) {
+						t.Errorf("order %v: call %d collected the reply to call %d", order, i, r.Status-100)
+					}
+				})
 			}
-			for _, i := range order {
-				body, err := calls[i].Wait(p)
-				if err != nil {
-					t.Errorf("order %v: wait %d: %v", order, i, err)
-					continue
-				}
-				var r proto.StatusReply
-				if r.XDR(xdr.NewDecoder(body).Codec()); r.Status != proto.Status(100+i) {
-					t.Errorf("order %v: call %d collected the reply to call %d", order, i, r.Status-100)
-				}
-			}
+			wg.Wait(p)
 		})
 		k.Run()
 		if st := client.Stats(); st.Retransmits == 0 || st.Timeouts != 0 || len(client.pending) != 0 {

@@ -472,16 +472,6 @@ func join(head, tail []byte) []byte {
 	return append(head[:len(head):len(head)], tail...)
 }
 
-// Start issues an RPC without waiting for its reply: the call is encoded
-// and put on the wire, and the returned Pending collects the reply (and
-// owns the retransmit schedule) in Wait. Any number of calls may be
-// outstanding per endpoint — replies are multiplexed by xid — so a
-// client can pipeline N requests on one connection instead of paying a
-// full round trip each. args encodes the arguments, as for CallXDR.
-func (e *Endpoint) Start(p *sim.Proc, to simnet.Addr, prog, vers, proc uint32, args func(xdr.Codec)) *Pending {
-	return e.start(p, to, prog, vers, proc, args, CallTimeout, MaxRetries)
-}
-
 // callSpanKind classifies a call for the span recorder.
 func callSpanKind(prog uint32) span.Kind {
 	if prog == proto.ProgCallback {
@@ -500,12 +490,14 @@ const callHeaderLen = 5*4 + 8
 // whose data is its tail.
 const inlineImage = 64
 
-// Pending is one in-flight call: the handle Start returns, and all the
-// state the call has. It is the entry in the endpoint's xid table, the
-// slot the reply is delivered into, the record of who is parked waiting
-// for it, the target of the attempt's timeout event, and, for an image
-// head of up to inlineImage bytes, the call's wire image head, so such a
-// call costs this one object. Wait collects a call once.
+// Pending is one in-flight call and all the state it has: start makes
+// it and wait collects it, once, in the caller's process. It is the entry
+// in the endpoint's xid table, the slot the reply is delivered into, the
+// record of who is parked waiting for it, the target of the attempt's
+// timeout event, and, for an image head of up to inlineImage bytes, the
+// call's wire image head, so such a call costs this one object. Calls of
+// many processes are outstanding at once on one endpoint, their replies
+// matched by xid: that is how a client's biods overlap their WRITEs.
 type Pending struct {
 	e        *Endpoint
 	to       simnet.Addr
@@ -622,8 +614,8 @@ func (t *callTimeout) Due() {
 }
 
 // await parks p until the reply is in the slot or d has passed, and
-// reports whether it is. A reply already delivered (a pipelined call
-// collected late) schedules nothing. d is a step of the call's schedule,
+// reports whether it is. A reply already delivered (a call whose start
+// and wait are apart, as in a test) schedules nothing. d is a step of the call's schedule,
 // its first-attempt timeout doubled per retry: a constant, so the timeout
 // waits in the kernel's lane for d (sim.Kernel.AfterFixed).
 func (c *Pending) await(p *sim.Proc, d sim.Duration) bool {
@@ -637,16 +629,6 @@ func (c *Pending) await(p *sim.Proc, d sim.Duration) bool {
 		p.Park()
 	}
 	return c.replied
-}
-
-// Wait collects the reply for a call issued with Start, retransmitting
-// on timeout exactly as Call does. It records the whole-call span as an
-// explicit interval (pipelined calls complete out of order, so the
-// recorder's nested Begin/End discipline does not apply).
-func (c *Pending) Wait(p *sim.Proc) ([]byte, error) {
-	body, tail, err := c.wait(p)
-	c.e.Spans.Add(p, string(c.e.addr), callSpanKind(c.prog), proto.ProcName(c.prog, c.proc), c.issued, c.e.k.Now())
-	return join(body, tail), err
 }
 
 // wait runs the timeout/retransmit loop for an already-transmitted call,

@@ -773,9 +773,9 @@ func TestStaleTimeoutWakesNobody(t *testing.T) {
 	var caller *sim.Proc
 	k.Go("caller", func(p *sim.Proc) {
 		caller = p
-		c := client.Start(p, "server", testProg, 1, 1, (&proto.WriteArgs{Data: make([]byte, 8192)}).XDR)
-		body, err := c.Wait(p)
-		if err != nil || len(body) < 8192 {
+		c := client.start(p, "server", testProg, 1, 1, (&proto.WriteArgs{Data: make([]byte, 8192)}).XDR, CallTimeout, MaxRetries)
+		body, tail, err := c.wait(p)
+		if body = join(body, tail); err != nil || len(body) < 8192 {
 			t.Errorf("call: %d-byte body, err %v", len(body), err)
 		}
 		if c.body != nil || c.wire != nil || c.wireTail != nil || c.waiter != nil {
@@ -841,7 +841,7 @@ func TestCallImageAcrossInlineBoundary(t *testing.T) {
 			n := call.head + call.tail
 			delivered = delivered[:0]
 			net.Cut("client", "server")
-			c := client.Start(p, "server", testProg, 1, 1, call.args)
+			c := client.start(p, "server", testProg, 1, 1, call.args, CallTimeout, MaxRetries)
 			net.Heal("client", "server")
 			if len(c.wire) != call.head || len(c.wireTail) != call.tail {
 				t.Errorf("%d-byte image: a %d-byte head and a %d-byte tail, want %d and %d", n, len(c.wire), len(c.wireTail), call.head, call.tail)
@@ -852,8 +852,8 @@ func TestCallImageAcrossInlineBoundary(t *testing.T) {
 			if call.byRefTail && (len(c.wireTail) == 0 || &c.wireTail[0] != &write.Data[0]) {
 				t.Errorf("%d-byte image: the tail is not the caller's data", n)
 			}
-			body, err := c.Wait(p)
-			if err != nil || !bytes.Equal(body, call.want) {
+			body, tail, err := c.wait(p)
+			if err != nil || !bytes.Equal(join(body, tail), call.want) {
 				t.Errorf("%d-byte image: reply of %d bytes, err %v", n, len(body), err)
 			}
 			p.Sleep(10 * sim.Millisecond) // the duplicate lands

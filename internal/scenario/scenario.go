@@ -189,12 +189,7 @@ func Run(pr harness.Proto, pm harness.Params, cfg Config) (Result, error) {
 				return fmt.Errorf("scenario setup %s: %w", path, err)
 			}
 		}
-		if f.W.SNFSCli != nil {
-			f.W.SNFSCli.SyncAll(p)
-		}
-		if f.W.NFSCli != nil {
-			f.W.NFSCli.SyncAll(p)
-		}
+		f.W.NS.SyncAll(p)
 
 		measureStart = k.Now()
 		r.remaining = cfg.Clients

@@ -61,8 +61,8 @@ func (q *Queue[T]) TryGet() (T, bool) {
 // it fires. Firing an already-fired signal is a no-op. A fired Signal can
 // carry an arbitrary value to its waiters (a fetched block, a run's
 // result). It has no timed wait: the one waiter that needs a deadline, an
-// RPC caller, keeps its wait in the call's own state (rpc.Pending, on
-// Proc.Park) and allocates no signal.
+// RPC caller, parks (Proc.Park) in its call's own state, the rpc
+// package's Pending, and allocates no signal.
 //
 // The zero value is an unfired signal, ready to use, so a signal can live
 // inside the state it guards. Like WaitGroup it needs no kernel of its
