@@ -112,6 +112,14 @@ func TestStructuralCeilings(t *testing.T) {
 		{"MarkCleanIf( calls in internal/client non-test files", countText(t, "internal/client", "MarkCleanIf("), 1},
 		{"SyncAll methods in internal/client", countMethods(t, "internal/client", "SyncAll"), 1},
 		{"proto.ProcWrite in internal/client non-test files", countText(t, "internal/client", "proto.ProcWrite"), 1},
+		// One server life cycle: every protocol's server crashes and
+		// reboots through server.Base, and one Base step delivers every
+		// callback under one Workers-1 semaphore.
+		{"Crash methods in internal/server", countMethods(t, "internal/server", "Crash"), 1},
+		{"Reboot methods in internal/server", countMethods(t, "internal/server", "Reboot"), 1},
+		{"proto.ProgCallback in internal/server non-test files", countText(t, "internal/server", "proto.ProgCallback"), 1},
+		{"sim.NewSemaphore in internal/server non-test files", countText(t, "internal/server", "sim.NewSemaphore"), 1},
+		{"internal/server non-test lines", countLines(t, "internal/server"), 2219},
 		// One way to call inside the simulation: Endpoint.Call; the
 		// start/wait halves it composes stay unexported.
 		{"rpc.Endpoint.Start declarations", countMethods(t, "internal/rpc", "Start", "Endpoint"), 0},

@@ -1123,7 +1123,7 @@ func (b *Base) drain(p *sim.Proc, n *node, what string) {
 // synchronously, as Unix did.
 func (b *Base) pushBlockAsync(p *sim.Proc, n *node, blk int64) error {
 	key := b.key(n.h.Ino, blk)
-	cb, ok := b.cache.Lookup(key)
+	cb, ok := b.cache.Peek(key)
 	if !ok || !cb.Dirty {
 		return nil
 	}
@@ -1167,8 +1167,10 @@ func (b *Base) writeThrough(p *sim.Proc, n *node, off int64, data []byte, eagerT
 	if err != nil {
 		return 0, err
 	}
+	// The blocks were just written: looking at them again is no cache
+	// hit, so the write-through peeks (pushBlockAsync too).
 	for _, blk := range touched {
-		cb, ok := b.cache.Lookup(b.key(n.h.Ino, blk))
+		cb, ok := b.cache.Peek(b.key(n.h.Ino, blk))
 		if !ok || !cb.Dirty {
 			continue
 		}

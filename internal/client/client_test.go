@@ -167,6 +167,29 @@ func TestAppendingWritesNeedNoRMW(t *testing.T) {
 	})
 }
 
+// TestWriteThroughCountsOneLookup: a fresh whole-block NFS write looks
+// its block up once, a miss; the write-through that sends the block just
+// written is no cache hit, so the hit ratio counts reads and writes once.
+func TestWriteThroughCountsOneLookup(t *testing.T) {
+	w := newWorld(1, false, 4, server.SNFSOptions{})
+	c := w.addNFS("clientA", client.NFSOptions{})
+	run(t, w.k, func(p *sim.Proc) {
+		f, err := c.Open(p, "f.dat", vfs.WriteOnly|vfs.Create, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := c.Cache().Stats()
+		if _, err := f.WriteAt(p, 0, fill(4096, 'h')); err != nil {
+			t.Fatal(err)
+		}
+		after := c.Cache().Stats()
+		if misses, hits := after.Misses-before.Misses, after.Hits-before.Hits; misses != 1 || hits != 0 {
+			t.Errorf("one block write counted %d misses and %d hits, want 1 and 0", misses, hits)
+		}
+		f.Close(p)
+	})
+}
+
 func TestCacheEvictionWritesBackDirtyBlocks(t *testing.T) {
 	// A tiny cache forces dirty delayed-write blocks out; the data must
 	// reach the server rather than vanish.

@@ -1399,6 +1399,29 @@ func TestRFSVersionValidationAcrossReopen(t *testing.T) {
 	})
 }
 
+// TestRFSRebootNeverRevalidatesStaleCache: a rebooted RFS server has
+// forgotten which clients cache a file, so a write after the reboot calls
+// nobody back, and RFS has no reopen to re-register A's copy. What keeps
+// A honest is its next open's version check, which holds only if the
+// server never hands out again a version A may still hold.
+func TestRFSRebootNeverRevalidatesStaleCache(t *testing.T) {
+	w, srv := newRFSWorld(1)
+	a := w.addRFS("clientA")
+	b := w.addRFS("clientB")
+	want := fill(4096, 'n')
+	run(t, w.k, func(p *sim.Proc) {
+		writeThrough(t, p, a, "f.dat", fill(4096, 'o'))
+		readBack(t, p, a, "f.dat", 4096) // cached at A
+		srv.Crash()
+		p.Sleep(2 * sim.Second)
+		srv.Reboot()
+		writeThrough(t, p, b, "f.dat", want)
+		if got := readBack(t, p, a, "f.dat", 4096); !bytes.Equal(got, want) {
+			t.Error("A's reopen after the reboot served its stale copy")
+		}
+	})
+}
+
 // TestRFSInvalidationDuringWriteKeepsTheWrite: an RFS server calls back
 // every other caching client on a write, writers too, and a writer holds
 // the dirty blocks of a write in progress while a read-modify-write fetch

@@ -70,10 +70,10 @@ func RunClusterFailover(nclients, nshards, killShard int, target string, killAt 
 				kp.Sleep(killAt)
 				switch target {
 				case "primary":
-					sh.SNFS.Crash()
+					sh.Base.Crash()
 				case "backup":
 					if sh.Backup != nil {
-						sh.Backup.SNFS.Crash()
+						sh.Backup.Base.Crash()
 					}
 				}
 				crashedAt = kp.Now()

@@ -5,6 +5,7 @@ import (
 
 	"spritelynfs/internal/proto"
 	"spritelynfs/internal/sim"
+	"spritelynfs/internal/xdr"
 )
 
 // createFile makes one file under root and returns its handle.
@@ -37,8 +38,8 @@ func TestUnstableWriteDefersDisk(t *testing.T) {
 			if wr.Committed {
 				t.Fatalf("unstable write %d reported committed", i)
 			}
-			if wr.Verifier != r.nfs.verifier {
-				t.Fatalf("write verifier %d, want %d", wr.Verifier, r.nfs.verifier)
+			if wr.Verifier != r.nfs.incarnation {
+				t.Fatalf("write verifier %d, want %d", wr.Verifier, r.nfs.incarnation)
 			}
 		}
 		if got := disk.Stats().Writes; got != before {
@@ -48,7 +49,7 @@ func TestUnstableWriteDefersDisk(t *testing.T) {
 		// COMMIT gathers all six blocks into one arm operation.
 		body := r.call(t, p, proto.ProcCommit, &proto.CommitArgs{Handle: h})
 		cr := decodeAs[proto.CommitReply](body)
-		if cr.Status != proto.OK || cr.Verifier != r.nfs.verifier {
+		if cr.Status != proto.OK || cr.Verifier != r.nfs.incarnation {
 			t.Fatalf("commit: %+v", cr)
 		}
 		if got := disk.Stats().Writes - before; got != 1 {
@@ -61,45 +62,55 @@ func TestUnstableWriteDefersDisk(t *testing.T) {
 	})
 }
 
-func TestCommitVerifierChangesAcrossReboot(t *testing.T) {
-	r := newRig(false, SNFSOptions{})
+// crashAndReboot drives the one life cycle every server has, Base.Crash
+// and Base.Reboot, on r: a crash drops the uncommitted blocks, a crashed
+// server answers no call, and a reboot moves the WRITE/COMMIT verifier by
+// one — for SNFS, ServerInfo's epoch with it, to the same number.
+func crashAndReboot(t *testing.T, r *rig) {
+	t.Helper()
+	b := r.base()
 	r.run(t, func(p *sim.Proc) {
 		h := createFile(t, r, p, "f")
 		body := r.call(t, p, proto.ProcWrite, &proto.WriteArgs{
 			Handle: h, Offset: 0, Data: make([]byte, 4096), Unstable: true,
 		})
-		wr := decodeAs[proto.WriteReply](body)
-		v0 := wr.Verifier
-
-		dirtyBefore := r.nfs.media.DirtyBlocks()
-		if dirtyBefore == 0 {
+		v0 := decodeAs[proto.WriteReply](body).Verifier
+		if b.media.DirtyBlocks() == 0 {
 			t.Fatal("unstable write left no dirty block")
 		}
-		r.nfs.Crash()
-		if r.nfs.media.DirtyBlocks() != 0 {
+
+		b.Crash()
+		if b.media.DirtyBlocks() != 0 {
 			t.Error("crash did not drop uncommitted blocks")
 		}
-		r.nfs.Reboot()
+		if _, err := r.cli.CallXDREx(p, "server", proto.ProgNFS, proto.VersNFS, proto.ProcNull,
+			func(xdr.Codec) {}, 100*sim.Millisecond, 1); err == nil {
+			t.Error("a crashed server answered a call")
+		}
 
+		b.Reboot()
 		body = r.call(t, p, proto.ProcCommit, &proto.CommitArgs{Handle: h})
 		cr := decodeAs[proto.CommitReply](body)
-		if cr.Status != proto.OK {
-			t.Fatalf("commit after reboot: %v", cr.Status)
+		if cr.Status != proto.OK || cr.Verifier != v0+1 {
+			t.Errorf("commit after reboot: %+v, want verifier %d", cr, v0+1)
 		}
-		if cr.Verifier == v0 {
-			t.Errorf("verifier unchanged across reboot (%d): clients cannot detect the loss", v0)
+		if r.snfs != nil {
+			body = r.call(t, p, proto.ProcServerInfo, nil)
+			if e := decodeAs[proto.ServerInfoReply](body).Epoch; e != cr.Verifier {
+				t.Errorf("epoch %d after reboot, want the verifier %d", e, cr.Verifier)
+			}
 		}
 	})
 }
 
+func TestCommitVerifierChangesAcrossReboot(t *testing.T) {
+	crashAndReboot(t, newRig(false, SNFSOptions{}))
+}
+
 func TestSNFSRebootBumpsWriteVerifier(t *testing.T) {
-	r := newRig(true, SNFSOptions{})
-	r.run(t, func(p *sim.Proc) {
-		v0 := r.snfs.verifier
-		r.snfs.Crash()
-		r.snfs.Reboot()
-		if got := r.snfs.verifier; got != v0+1 {
-			t.Errorf("verifier %d after reboot, want %d", got, v0+1)
-		}
-	})
+	crashAndReboot(t, newRig(true, SNFSOptions{}))
+}
+
+func TestRFSCrashAndReboot(t *testing.T) {
+	crashAndReboot(t, newRFSRig())
 }

@@ -37,15 +37,11 @@ const (
 	replBatchMax = 64
 )
 
-// Replicator is the primary side of the stream.
+// Replicator is the primary side of the stream, run from the primary's
+// Base: its endpoint, shard, life and incarnation.
 type Replicator struct {
-	k        *sim.Kernel
-	ep       *rpc.Endpoint
-	backup   simnet.Addr
-	shard    uint32
-	crashed  func() bool
-	epoch    func() uint64
-	verifier func() uint64
+	b      *Base
+	backup simnet.Addr
 	// onDemoted fires when the backup answers ErrDemoted: a newer map
 	// names it primary, and this server must stop streaming and install
 	// the map (self-demotion closes the split-brain window left by a
@@ -64,16 +60,7 @@ type Replicator struct {
 // if non-nil, additionally observes a self-demotion (the newer map is
 // always installed first).
 func (s *SNFSServer) StartReplication(backup simnet.Addr, onDemoted func(proto.ShardMap)) *Replicator {
-	r := &Replicator{
-		k:        s.k,
-		ep:       s.ep,
-		backup:   backup,
-		shard:    s.shardID,
-		crashed:  func() bool { return s.crashed },
-		epoch:    func() uint64 { return s.epoch },
-		verifier: func() uint64 { return s.verifier },
-		q:        sim.NewQueue[proto.ReplRecord](s.k),
-	}
+	r := &Replicator{b: s.Base, backup: backup, q: sim.NewQueue[proto.ReplRecord](s.k)}
 	r.onDemoted = func(m proto.ShardMap) {
 		s.SetShardMap(m, s.shardID)
 		s.record(trace.Crash, 0, "demoted by %s (map v%d)", backup, m.Version)
@@ -91,7 +78,7 @@ func (s *SNFSServer) StartReplication(backup simnet.Addr, onDemoted func(proto.S
 // drops the record but still consumes its sequence number, so the backup
 // detects the hole and reports itself unsynced.
 func (r *Replicator) enqueue(rec proto.ReplRecord) {
-	if r.stopped || (r.crashed != nil && r.crashed()) {
+	if r.stopped || r.b.crashed {
 		return
 	}
 	r.lastSeq++
@@ -182,8 +169,8 @@ func (r *Replicator) Sync(p *sim.Proc) bool {
 			return false
 		}
 		if r.acked >= target {
-			args := proto.ReplSyncArgs{Shard: r.shard, Seq: target}
-			body, err := r.ep.CallXDREx(p, r.backup, proto.ProgNFS, proto.VersNFS, proto.ProcReplSync,
+			args := proto.ReplSyncArgs{Shard: r.b.shardID, Seq: target}
+			body, err := r.b.ep.CallXDREx(p, r.backup, proto.ProgNFS, proto.VersNFS, proto.ProcReplSync,
 				args.XDR, 200*sim.Millisecond, 1)
 			if err == nil {
 				var rep proto.ReplSyncReply
@@ -216,7 +203,7 @@ func (r *Replicator) sender(p *sim.Proc) {
 			batch = append(batch, rec)
 		}
 		for !r.stopped {
-			if r.crashed != nil && r.crashed() {
+			if r.b.crashed {
 				p.Sleep(100 * sim.Millisecond)
 				continue
 			}
@@ -231,10 +218,11 @@ func (r *Replicator) sender(p *sim.Proc) {
 // send transmits one batch; true means the batch is settled (acked, or
 // the stream is over).
 func (r *Replicator) send(p *sim.Proc, batch []proto.ReplRecord) bool {
+	// The message keeps its two fields; both carry the incarnation.
 	args := proto.ReplStreamArgs{
-		Shard: r.shard, Epoch: r.epoch(), Verifier: r.verifier(), Records: batch,
+		Shard: r.b.shardID, Epoch: r.b.incarnation, Verifier: r.b.incarnation, Records: batch,
 	}
-	body, err := r.ep.CallXDREx(p, r.backup, proto.ProgNFS, proto.VersNFS, proto.ProcReplStream,
+	body, err := r.b.ep.CallXDREx(p, r.backup, proto.ProgNFS, proto.VersNFS, proto.ProcReplStream,
 		args.XDR, 500*sim.Millisecond, 1)
 	if err != nil {
 		return false
@@ -291,12 +279,7 @@ func (s *SNFSServer) serveReplStream(p *sim.Proc, a *proto.ReplStreamArgs) rpc.R
 	if s.isOwner() {
 		return rpc.Encode((&proto.ReplStreamReply{Status: proto.ErrDemoted, Applied: s.replApplied, Map: s.shardMap}).XDR)
 	}
-	if a.Epoch > s.primEpoch {
-		s.primEpoch = a.Epoch
-	}
-	if a.Verifier > s.primVerifier {
-		s.primVerifier = a.Verifier
-	}
+	s.primIncarnation = max(s.primIncarnation, a.Epoch)
 	var stableInos []uint64
 	seen := make(map[uint64]bool)
 	for _, rec := range a.Records {
@@ -405,32 +388,21 @@ func (s *SNFSServer) applyMirror(rec proto.ReplRecord) {
 }
 
 // Promote turns this backup into the shard's primary under map m
-// (published by the viewservice as view viewNum). It is a reboot in every
-// protocol-visible way — the audit shadow resets, the epoch and write
-// verifier advance past both incarnations' history so keepalive clients
-// re-register and unstable-write clients redrive — except that the state
-// table is rebuilt immediately from the mirror instead of waiting out a
-// grace period of client reopens.
+// (published by the viewservice as view viewNum). It starts a new
+// incarnation through the step a reboot takes — the audit shadow resets,
+// and the one number that is the epoch and the write verifier advances
+// past both servers' history, so keepalive clients re-register and
+// unstable-write clients redrive — except that the state table is rebuilt
+// at once from the mirror, so no grace window of client reopens is kept.
 func (s *SNFSServer) Promote(p *sim.Proc, m proto.ShardMap, viewNum uint64) {
 	if s.crashed || s.promoted {
 		return
 	}
 	s.promoted = true
-	if s.auditor != nil {
-		// Same contract as a reboot: the shadow resets and the recover
-		// edges replayed below are the legal reconstruction path.
-		s.auditor.ServerRebooted()
-	}
-	if s.primEpoch > s.epoch {
-		s.epoch = s.primEpoch
-	}
-	s.epoch++
-	if s.primVerifier > s.verifier {
-		s.verifier = s.primVerifier
-	}
-	s.verifier++
+	s.newIncarnation(s.primIncarnation)
+	s.graceUntil = 0
 	// Mirrored-unstable data dies exactly like a rebooting server's
-	// buffer cache; the bumped verifier makes the writers redrive it.
+	// buffer cache; the new verifier makes the writers redrive it.
 	s.media.DropDirty()
 	s.SetShardMap(m, s.shardID)
 
@@ -462,7 +434,7 @@ func (s *SNFSServer) Promote(p *sim.Proc, m proto.ShardMap, viewNum uint64) {
 	// Reissue invalidations for write-shared files: every sharer must be
 	// running uncached, and a client that missed the old primary's
 	// callback mid-crash learns it here.
-	reissued := 0
+	var cbs []core.Callback
 	for _, e := range s.table.Snapshot() {
 		if e.State != core.StateWriteShared {
 			continue
@@ -470,17 +442,14 @@ func (s *SNFSServer) Promote(p *sim.Proc, m proto.ShardMap, viewNum uint64) {
 		clients := append([]core.ClientSnapshot(nil), e.Clients...)
 		sort.Slice(clients, func(i, j int) bool { return clients[i].Client < clients[j].Client })
 		for _, c := range clients {
-			cb := core.Callback{Client: c.Client, Handle: e.Handle, Invalidate: true}
-			if err := s.deliverCallback(p, cb); err != nil {
-				s.clientDead(cb.Client)
-			}
-			reissued++
+			cbs = append(cbs, core.Callback{Client: c.Client, Handle: e.Handle, Invalidate: true})
 		}
 	}
+	s.deliver(p, cbs...)
 	s.promotedAt = s.k.Now()
 	s.record(trace.Crash, 0,
-		"promote to primary (view %d, epoch %d, verifier %d, %d entries rebuilt, %d callbacks reissued)",
-		viewNum, s.epoch, s.verifier, len(handles), reissued)
+		"promote to primary (view %d, epoch %d, %d entries rebuilt, %d callbacks reissued)",
+		viewNum, s.incarnation, len(handles), len(cbs))
 }
 
 // Promoted reports whether this server took over its shard, and when.

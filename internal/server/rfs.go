@@ -9,7 +9,6 @@ import (
 	"spritelynfs/internal/rpc"
 	"spritelynfs/internal/sim"
 	"spritelynfs/internal/simnet"
-	"spritelynfs/internal/trace"
 )
 
 // RFSServer implements the System V Remote File Sharing consistency
@@ -25,16 +24,24 @@ import (
 // "RFS provides the same consistency guarantees as Sprite, but because
 // RFS uses the same write policy as NFS, its performance should be
 // closer to that of NFS."
+//
+// A reboot empties the open table. RFS has no reopen protocol, so an open
+// held across a reboot is not re-registered: its client is no longer an
+// invalidation target, and its cached blocks hold until its next open,
+// whose version check refetches them if another client wrote the file.
 type RFSServer struct {
 	*Base
-	tab   *rfsTable
-	cbSem *sim.Semaphore
+	tab *rfsTable
 }
 
 // rfsTable tracks which clients have each file open (and may therefore
 // be caching it), plus the version numbers for reopen validation.
 type rfsTable struct {
 	entries map[proto.Handle]*rfsEntry
+	// nextVer is the version source. A reboot keeps it, as if it were
+	// kept on disk: a client may still hold a version an earlier
+	// incarnation handed out, and a restarted count could hand it out
+	// again for newer contents, validating the stale copy.
 	nextVer uint32
 	max     int
 }
@@ -90,12 +97,9 @@ func (t *rfsTable) get(h proto.Handle) *rfsEntry {
 
 // NewRFS creates an RFS server on ep.
 func NewRFS(k *sim.Kernel, ep *rpc.Endpoint, media *localfs.Media, cfg Config) *RFSServer {
-	s := &RFSServer{
-		Base:  newBase(k, ep, media, cfg),
-		tab:   newRFSTable(0),
-		cbSem: sim.NewSemaphore(k, maxInt(1, ep.Workers()-1)),
-	}
+	s := &RFSServer{Base: newBase(k, ep, media, cfg), tab: newRFSTable(0)}
 	s.onRemoved = func(h proto.Handle) { delete(s.tab.entries, h) }
+	s.onReset = func() { clear(s.tab.entries) }
 	ep.Serve(proto.ProgNFS, s.serve)
 	return s
 }
@@ -195,20 +199,9 @@ func (s *RFSServer) invalidateForWrite(p *sim.Proc, from simnet.Addr, h proto.Ha
 		if !e.cached[cid] {
 			continue // invalidated by a concurrent write meanwhile
 		}
-		s.cbSem.Acquire(p)
-		s.ops.Inc("callback")
-		if s.tracer != nil {
-			s.record(trace.Callback, p.Op(), "rfs invalidate -> %s %s", cid, h)
-		}
-		args := proto.CallbackArgs{Handle: h, Invalidate: true}
-		_, err := s.ep.CallXDREx(p, simnet.Addr(cid), proto.ProgCallback, 1, proto.CbProcCallback,
-			args.XDR, sim.Second, 2)
-		s.cbSem.Release()
-		if err != nil {
+		if err := s.callback(p, core.Callback{Client: cid, Handle: h, Invalidate: true}); err != nil {
 			// Dead client: it cannot read its stale cache anyway.
-			delete(e.cached, cid)
 			delete(e.opens, cid)
-			continue
 		}
 		delete(e.cached, cid)
 	}

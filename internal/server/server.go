@@ -2,9 +2,10 @@
 // (synchronous writes, no per-client state, trivial restart) and the
 // Spritely NFS server (the NFS file operations plus the state-table
 // manager driving open/close/callback consistency, entry reclamation,
-// hybrid NFS coexistence, and crash recovery).
+// hybrid NFS coexistence, and crash recovery), and the RFS server of §2.5
+// between them. All three crash and reboot through Base.
 //
-// Both servers translate RPC requests into operations on a localfs
+// Every server translates RPC requests into operations on a localfs
 // store/media pair — the role the Ultrix GFS + local file system played
 // under the paper's NFS service code (§4.1) — and charge a simulated
 // server CPU for every call, which is what the utilization plots of
@@ -12,8 +13,12 @@
 package server
 
 import (
+	"fmt"
 	"strings"
+	"sync/atomic"
 
+	"spritelynfs/internal/audit"
+	"spritelynfs/internal/core"
 	"spritelynfs/internal/localfs"
 	"spritelynfs/internal/metrics"
 	"spritelynfs/internal/proto"
@@ -48,7 +53,9 @@ func (c *Config) fill() {
 	}
 }
 
-// Base is the machinery shared by the NFS and SNFS servers.
+// Base is the machinery every server shares: the NFS file procedures, the
+// life cycle (Crash, Reboot and the incarnation step a promotion shares
+// with a reboot) and the one callback step.
 type Base struct {
 	k     *sim.Kernel
 	ep    *rpc.Endpoint
@@ -59,6 +66,13 @@ type Base struct {
 	// onRemoved, when set, observes file removals (the SNFS server
 	// drops the file's state entry).
 	onRemoved func(proto.Handle)
+	// onReset, when set, discards the protocol's volatile state as a new
+	// incarnation starts (the SNFS table, lock tables and grace window;
+	// the RFS open table).
+	onReset func()
+	// auditor, when set (SNFS only), journals callbacks and is reset with
+	// every new incarnation.
+	auditor *audit.Auditor
 	// tracer is the event ring the server's protocol events go to: the
 	// world's trace or the host's black box. Nil (off) by default.
 	tracer  *trace.Tracer
@@ -81,11 +95,23 @@ type Base struct {
 	promoted, healed     bool
 	promotedAt, healedAt sim.Time
 
-	// verifier is the write verifier returned on WRITE and COMMIT: it
-	// changes exactly when the server reboots (it is the crash epoch),
-	// so a client holding unstable-write acks from a previous
-	// incarnation sees the mismatch at COMMIT and redrives the data.
-	verifier uint64
+	// crashed is true from Crash to Reboot. incarnation numbers the
+	// server's lives: it starts at 1 and advances with every reboot and
+	// promotion. It is the write verifier WRITE and COMMIT return, so a
+	// client holding unstable-write acks from an earlier life sees the
+	// mismatch at COMMIT and redrives the data, and the epoch ServerInfo
+	// reports, so an SNFS client learns to re-register its opens (§2.4).
+	crashed     bool
+	incarnation uint64
+
+	// The callback step's state (see callback): the Workers-1 permits,
+	// the callbacks in flight, and how many are out to each client for
+	// each file, so SNFS's hybrid path never mistakes a forced write-back
+	// for plain-NFS traffic (which would deadlock on the entry lock held
+	// across the callback).
+	cbSem         *sim.Semaphore
+	cbOutstanding atomic.Int64
+	inCallback    map[cbKey]int
 	// unstable-pipeline counters.
 	unstableWrites  int64
 	commits         int64
@@ -126,14 +152,114 @@ func (b *Base) record(kind trace.Kind, op uint64, format string, args ...any) {
 func newBase(k *sim.Kernel, ep *rpc.Endpoint, media *localfs.Media, cfg Config) *Base {
 	cfg.fill()
 	return &Base{
-		k:        k,
-		ep:       ep,
-		media:    media,
-		cpu:      sim.NewResource(k, string(ep.Addr())+"/cpu"),
-		cfg:      cfg,
-		ops:      stats.NewOps(),
-		verifier: 1,
+		k:           k,
+		ep:          ep,
+		media:       media,
+		cpu:         sim.NewResource(k, string(ep.Addr())+"/cpu"),
+		cfg:         cfg,
+		ops:         stats.NewOps(),
+		incarnation: 1,
+		cbSem:       sim.NewSemaphore(k, max(1, ep.Workers()-1)),
+		inCallback:  make(map[cbKey]int),
 	}
+}
+
+// Epoch returns the server's incarnation number.
+func (b *Base) Epoch() uint64 { return b.incarnation }
+
+// Crashed reports whether the server is down.
+func (b *Base) Crashed() bool { return b.crashed }
+
+// Crash takes the server down, whatever its protocol: the endpoint stops
+// answering, and the buffer cache dies with the machine, so unstable
+// writes no COMMIT has made durable are gone (the new verifier at reboot
+// is how their writers find out). The protocol's own volatile state goes
+// when the next incarnation starts.
+func (b *Base) Crash() {
+	if b.crashed {
+		return
+	}
+	b.crashed = true
+	b.record(trace.Crash, 0, "server crash (epoch %d)", b.incarnation)
+	if lost := b.media.DropDirty(); lost > 0 {
+		b.record(trace.Crash, 0, "crash dropped %d uncommitted dirty blocks", lost)
+	}
+	b.ep.Stop()
+}
+
+// Reboot restarts a crashed server as its next incarnation: NFS has
+// nothing more to recover, an SNFS server rebuilds its table from client
+// reopens during its grace window (§2.4), and RFS clients simply reopen
+// (their version check refetches what changed).
+func (b *Base) Reboot() {
+	if !b.crashed {
+		return
+	}
+	b.crashed = false
+	b.newIncarnation(0)
+	b.ep.Restart()
+	b.record(trace.Crash, 0, "server reboot (epoch %d)", b.incarnation)
+}
+
+// newIncarnation starts the server's next life, numbered past its own and
+// past floor (a promoted backup's is its primary's): the protocol's
+// volatile state is reset, and the auditor's shadow of it.
+func (b *Base) newIncarnation(floor uint64) {
+	b.incarnation = max(b.incarnation, floor) + 1
+	if b.onReset != nil {
+		b.onReset()
+	}
+	b.auditor.ServerRebooted()
+}
+
+// cbKey names one client's copy of one file.
+type cbKey struct {
+	h proto.Handle
+	c core.ClientID
+}
+
+// callback sends one callback RPC and waits for the client's answer,
+// which comes after any write-backs it forces. At most Workers-1
+// callbacks are out at once, the paper's rule against deadlock: a
+// callback holds a worker until the client's write-backs complete, and
+// those are WRITE calls that need a free worker of their own. The retry
+// budget is tight: a callback to a dead client must fail before the call
+// that triggered it times out at its own client (§3.2: the caller retries
+// harmlessly, but must not give up first).
+func (b *Base) callback(p *sim.Proc, cb core.Callback) error {
+	b.cbSem.Acquire(p)
+	defer b.cbSem.Release()
+	b.cbOutstanding.Add(1)
+	defer b.cbOutstanding.Add(-1)
+	if b.tracer != nil {
+		b.record(trace.Callback, p.Op(), "-> %s %s writeback=%v invalidate=%v",
+			cb.Client, cb.Handle, cb.WriteBack, cb.Invalidate)
+	}
+	if b.auditor != nil {
+		b.auditor.NoteEvent(p.Op(), "callback", cb.Handle, string(cb.Client),
+			fmt.Sprintf("writeback=%v invalidate=%v", cb.WriteBack, cb.Invalidate))
+	}
+	k := cbKey{cb.Handle, cb.Client}
+	b.inCallback[k]++
+	defer func() {
+		b.inCallback[k]--
+		if b.inCallback[k] == 0 {
+			delete(b.inCallback, k)
+		}
+	}()
+	b.ops.Inc("callback")
+	args := proto.CallbackArgs{Handle: cb.Handle, WriteBack: cb.WriteBack, Invalidate: cb.Invalidate}
+	body, err := b.ep.CallXDREx(p, simnet.Addr(cb.Client), proto.ProgCallback, 1, proto.CbProcCallback, args.XDR,
+		sim.Second, 2)
+	if err != nil {
+		return err
+	}
+	var r proto.StatusReply
+	r.XDR(xdr.NewDecoder(body).Codec())
+	if r.Status != proto.OK {
+		return fmt.Errorf("callback to %s: %s", cb.Client, r.Status)
+	}
+	return nil
 }
 
 // EnableMetrics attaches a metrics registry: the endpoint records
@@ -586,7 +712,7 @@ func (b *Base) serveCommon(p *sim.Proc, proc uint32, a *callArgs) (rpc.Reply, rp
 			b.media.ChargeWriteUnstable(p.Now(), a.write.Handle.Ino, a.write.Offset, len(a.write.Data))
 			b.replWrite(a.write.Handle.Ino, a.write.Offset, len(a.write.Data), true)
 			return reply((&proto.WriteReply{
-				Status: proto.OK, Attr: b.fattr(attr), Committed: false, Verifier: b.verifier,
+				Status: proto.OK, Attr: b.fattr(attr), Committed: false, Verifier: b.incarnation,
 			}).XDR)
 		}
 		// The defining NFS server property: data reaches stable
@@ -594,7 +720,7 @@ func (b *Base) serveCommon(p *sim.Proc, proc uint32, a *callArgs) (rpc.Reply, rp
 		b.media.ChargeWriteSync(p, a.write.Handle.Ino, a.write.Offset, len(a.write.Data))
 		b.replWrite(a.write.Handle.Ino, a.write.Offset, len(a.write.Data), false)
 		return reply((&proto.WriteReply{
-			Status: proto.OK, Attr: b.fattr(attr), Committed: true, Verifier: b.verifier,
+			Status: proto.OK, Attr: b.fattr(attr), Committed: true, Verifier: b.incarnation,
 		}).XDR)
 
 	case proto.ProcCommit:
@@ -604,7 +730,7 @@ func (b *Base) serveCommon(p *sim.Proc, proc uint32, a *callArgs) (rpc.Reply, rp
 		b.commits++
 		b.committedBlocks += int64(b.media.CommitFile(p, a.commit.Handle.Ino))
 		b.replCommit(a.commit.Handle.Ino)
-		return reply((&proto.CommitReply{Status: proto.OK, Verifier: b.verifier}).XDR)
+		return reply((&proto.CommitReply{Status: proto.OK, Verifier: b.incarnation}).XDR)
 
 	case proto.ProcCreate:
 		if _, st := b.handle(a.create.Dir); st != proto.OK {
@@ -849,7 +975,6 @@ func (b *Base) fileRemoved(h proto.Handle) {
 // which is precisely how a hybrid client detects a plain server (§6.1).
 type NFSServer struct {
 	*Base
-	crashed bool
 }
 
 // NewNFS creates an NFS server servicing ProgNFS on ep.
@@ -857,33 +982,6 @@ func NewNFS(k *sim.Kernel, ep *rpc.Endpoint, media *localfs.Media, cfg Config) *
 	s := &NFSServer{Base: newBase(k, ep, media, cfg)}
 	ep.Serve(proto.ProgNFS, s.serve)
 	return s
-}
-
-// Crash detaches the server from the network. The stateless protocol has
-// no table to lose, but the buffer cache is volatile: unstable writes
-// that were never committed vanish with it.
-func (s *NFSServer) Crash() {
-	if s.crashed {
-		return
-	}
-	s.crashed = true
-	lost := s.media.DropDirty()
-	s.ep.Stop()
-	s.record(trace.Crash, 0, "nfs server crash (verifier %d, %d uncommitted blocks lost)", s.verifier, lost)
-}
-
-// Reboot restarts a crashed server under a new write verifier. Clients
-// comparing the verifier across WRITE and COMMIT replies discover the
-// incarnation change and redrive any unacked-unstable data (§2.4 has no
-// other recovery to do — the protocol is stateless).
-func (s *NFSServer) Reboot() {
-	if !s.crashed {
-		return
-	}
-	s.crashed = false
-	s.verifier++
-	s.ep.Restart()
-	s.record(trace.Crash, 0, "nfs server reboot (verifier %d)", s.verifier)
 }
 
 func (s *NFSServer) serve(p *sim.Proc, from simnet.Addr, proc uint32, args, tail []byte) (rpc.Reply, rpc.Status) {

@@ -539,6 +539,39 @@ func TestSNFSReclaimsOnFullTable(t *testing.T) {
 	})
 }
 
+// TestSNFSDeadCallbackTargetIsDeclaredDead: a client that does not answer
+// the callback of a truncating create, or of Expel, is declared dead —
+// its opens on other files go with it. The rig's "cli" endpoint serves no
+// callback program, so every callback to it fails.
+func TestSNFSDeadCallbackTargetIsDeclaredDead(t *testing.T) {
+	r := newRig(true, SNFSOptions{})
+	other := rpc.NewEndpoint(r.k, r.net, "cli2", rpc.Options{Workers: 2})
+	r.run(t, func(p *sim.Proc) {
+		for _, c := range []struct {
+			name   string
+			called func(h proto.Handle) // the act that calls "cli" back on h
+		}{
+			{"truncating create", func(proto.Handle) {
+				if _, err := other.Call(p, "server", proto.ProgNFS, proto.VersNFS, proto.ProcCreate,
+					proto.Marshal(&proto.CreateArgs{Dir: r.root(), Name: "truncating create", Mode: 0o644})); err != nil {
+					t.Fatal(err)
+				}
+			}},
+			{"expel", func(h proto.Handle) { r.snfs.Expel(p, h) }},
+		} {
+			h := createFile(t, r, p, c.name)
+			held := createFile(t, r, p, c.name+" held")
+			for _, f := range []proto.Handle{h, held} {
+				r.call(t, p, proto.ProcOpen, &proto.OpenArgs{Handle: f, WriteMode: true})
+			}
+			c.called(h)
+			if r.snfs.Table().HasClient(held, "cli") {
+				t.Errorf("%s: the client that failed its callback still holds an open", c.name)
+			}
+		}
+	})
+}
+
 func TestRFSServerDirect(t *testing.T) {
 	k := sim.NewKernel(1)
 	net := simnet.New(k, simnet.Config{PropDelay: sim.Millisecond})

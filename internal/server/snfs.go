@@ -2,7 +2,6 @@ package server
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"spritelynfs/internal/audit"
 	"spritelynfs/internal/core"
@@ -13,7 +12,6 @@ import (
 	"spritelynfs/internal/sim"
 	"spritelynfs/internal/simnet"
 	"spritelynfs/internal/trace"
-	"spritelynfs/internal/xdr"
 )
 
 // SNFSOptions configures the Spritely server beyond the base Config.
@@ -34,44 +32,23 @@ type SNFSOptions struct {
 }
 
 // SNFSServer is the stateful Spritely NFS server: the NFS file procedures
-// plus the open/close/callback consistency machinery of §3 and §4.3.
-//
-// Callback delivery is bounded to Workers-1 concurrent callbacks, the
-// paper's rule for avoiding deadlock: a callback blocks a worker until
-// the client's forced write-backs complete, and those write-backs are
-// WRITE calls that need a free worker of their own.
+// plus the open/close/callback consistency machinery of §3 and §4.3. Its
+// volatile state — the table, both lock tables and the grace window —
+// starts afresh with every incarnation (reset).
 type SNFSServer struct {
 	*Base
 	table      *core.Table
 	locks      map[proto.Handle]*sim.Mutex
-	cbSem      *sim.Semaphore
 	opts       SNFSOptions
-	epoch      uint64
 	graceUntil sim.Time
-	crashed    bool
 	locksTab   *lockTable
-	// inCallback tracks clients currently being called back for a
-	// handle, so their forced write-backs are never mistaken for new
-	// plain-NFS traffic by the hybrid path (that would deadlock
-	// against the entry lock held across the callback).
-	inCallback map[cbKey]int
-	// cbOutstanding counts callbacks currently in flight (issued, reply
-	// not yet received) for the observability gauges.
-	cbOutstanding atomic.Int64
-	auditor       *audit.Auditor
 
 	// Backup role: the event-sourced image of the primary's state table
 	// plus stream progress, consumed by Promote (repl.go).
-	mirror       map[proto.Handle]*mirrorEntry
-	replApplied  uint64
-	replGap      bool
-	primEpoch    uint64
-	primVerifier uint64
-}
-
-type cbKey struct {
-	h proto.Handle
-	c core.ClientID
+	mirror          map[proto.Handle]*mirrorEntry
+	replApplied     uint64
+	replGap         bool
+	primIncarnation uint64
 }
 
 // NewSNFS creates a Spritely NFS server on ep.
@@ -80,23 +57,32 @@ func NewSNFS(k *sim.Kernel, ep *rpc.Endpoint, media *localfs.Media, cfg Config, 
 		opts.GraceDur = 2 * sim.Second
 	}
 	s := &SNFSServer{
-		Base:       newBase(k, ep, media, cfg),
-		table:      core.NewTable(opts.TableLimit),
-		locks:      make(map[proto.Handle]*sim.Mutex),
-		cbSem:      sim.NewSemaphore(k, maxInt(1, ep.Workers()-1)),
-		opts:       opts,
-		epoch:      1,
-		locksTab:   newLockTable(),
-		inCallback: make(map[cbKey]int),
-		mirror:     make(map[proto.Handle]*mirrorEntry),
+		Base:     newBase(k, ep, media, cfg),
+		table:    core.NewTable(opts.TableLimit),
+		locks:    make(map[proto.Handle]*sim.Mutex),
+		opts:     opts,
+		locksTab: newLockTable(),
+		mirror:   make(map[proto.Handle]*mirrorEntry),
 	}
 	s.onRemoved = func(h proto.Handle) {
 		s.table.Drop(h)
 		s.locksTab.drop(h)
 	}
+	s.onReset = s.reset
 	s.table.Observer = s.observeTransition
 	ep.Serve(proto.ProgNFS, s.serve)
 	return s
+}
+
+// reset is the SNFS server's part of a new incarnation: an empty state
+// table and lock tables, and a grace window in which only reopens are
+// served while clients re-register their opens (§2.4).
+func (s *SNFSServer) reset() {
+	s.table = core.NewTable(s.opts.TableLimit)
+	s.table.Observer = s.observeTransition
+	s.locksTab = newLockTable()
+	s.locks = make(map[proto.Handle]*sim.Mutex)
+	s.graceUntil = s.k.Now().Add(s.opts.GraceDur)
 }
 
 // observeTransition is the state table's single Observer slot, fanning
@@ -119,13 +105,6 @@ func (s *SNFSServer) observeTransition(ev core.TransitionEvent) {
 	case "close":
 		s.record(trace.State, s.k.CurrentOp(), "close(%s, %s, write=%v) -> %s", ev.Handle, ev.Client, ev.Write, ev.To)
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // EnableMetrics attaches a metrics registry: the base gauges plus the
@@ -167,17 +146,24 @@ func (s *SNFSServer) clientDead(c core.ClientID) {
 	s.locksTab.clientDead(c)
 }
 
+// deliver sends cbs in order and declares dead every client that does
+// not answer (§3.2). lost reports that one of those owed a write-back:
+// its dirty blocks are gone.
+func (s *SNFSServer) deliver(p *sim.Proc, cbs ...core.Callback) (lost bool) {
+	for _, cb := range cbs {
+		if err := s.callback(p, cb); err != nil {
+			s.clientDead(cb.Client)
+			lost = lost || cb.WriteBack
+		}
+	}
+	return lost
+}
+
 // Table exposes the state table (for tests and stats).
 func (s *SNFSServer) Table() *core.Table { return s.table }
 
-// Epoch returns the server incarnation number.
-func (s *SNFSServer) Epoch() uint64 { return s.epoch }
-
 // InGrace reports whether the server is in its recovery window.
 func (s *SNFSServer) InGrace() bool { return s.k.Now() < s.graceUntil }
-
-// Crashed reports whether the server is currently down.
-func (s *SNFSServer) Crashed() bool { return s.crashed }
 
 func (s *SNFSServer) lockFor(h proto.Handle) *sim.Mutex {
 	m, ok := s.locks[h]
@@ -186,44 +172,6 @@ func (s *SNFSServer) lockFor(h proto.Handle) *sim.Mutex {
 		s.locks[h] = m
 	}
 	return m
-}
-
-// Crash detaches the server from the network, losing all volatile state
-// when it reboots.
-func (s *SNFSServer) Crash() {
-	s.record(trace.Crash, 0, "server crash (epoch %d)", s.epoch)
-	s.crashed = true
-	// The buffer cache dies with the server: unstable writes that no
-	// COMMIT has landed are gone, and the bumped verifier at reboot is
-	// how their writers find out.
-	if lost := s.media.DropDirty(); lost > 0 {
-		s.record(trace.Crash, 0, "crash dropped %d uncommitted dirty blocks", lost)
-	}
-	s.ep.Stop()
-}
-
-// Reboot restarts a crashed server with an empty state table and a fresh
-// epoch, entering the grace period during which clients re-register their
-// opens (§2.4).
-func (s *SNFSServer) Reboot() {
-	if !s.crashed {
-		return
-	}
-	s.crashed = false
-	s.epoch++
-	// The write verifier is the crash epoch: advancing it here is what
-	// turns a reboot into a visible event for unstable-write clients.
-	s.verifier++
-	s.table = core.NewTable(s.opts.TableLimit)
-	s.locksTab = newLockTable()
-	s.locks = make(map[proto.Handle]*sim.Mutex)
-	s.graceUntil = s.k.Now().Add(s.opts.GraceDur)
-	s.ep.Restart()
-	s.table.Observer = s.observeTransition
-	if s.auditor != nil {
-		s.auditor.ServerRebooted()
-	}
-	s.record(trace.Crash, 0, "server reboot (epoch %d, grace until %v)", s.epoch, s.graceUntil)
 }
 
 // snfsProcs are the procedures the Spritely server implements: every one
@@ -254,7 +202,7 @@ func (s *SNFSServer) serve(p *sim.Proc, from simnet.Addr, proc uint32, args, tai
 	case proto.ProcReplSync:
 		return s.serveReplSync(&a.replSync), rpc.StatusOK
 	case proto.ProcServerInfo:
-		return reply((&proto.ServerInfoReply{Status: proto.OK, Epoch: s.epoch, InGrace: s.InGrace()}).XDR)
+		return reply((&proto.ServerInfoReply{Status: proto.OK, Epoch: s.incarnation, InGrace: s.InGrace()}).XDR)
 	case proto.ProcDumpState:
 		return s.dumpState(), rpc.StatusOK
 	case proto.ProcAudit:
@@ -267,7 +215,7 @@ func (s *SNFSServer) serve(p *sim.Proc, from simnet.Addr, proc uint32, args, tai
 		switch proc {
 		case proto.ProcCommit:
 			s.auditor.NoteEvent(p.Op(), "commit", a.commit.Handle, string(from),
-				fmt.Sprintf("verifier %d, epoch %d", s.verifier, s.epoch))
+				fmt.Sprintf("verifier %d, epoch %d", s.incarnation, s.incarnation))
 		case proto.ProcLookupPath:
 			s.auditor.NoteEvent(p.Op(), "lookuppath", a.path.Dir, string(from),
 				fmt.Sprintf("%d components", len(a.path.Names)))
@@ -306,12 +254,7 @@ func (s *SNFSServer) invalidateNameCaches(p *sim.Proc, from simnet.Addr, proc ui
 	for _, nm := range names[:n] {
 		lk := s.lockFor(nm.dir)
 		lk.Lock(p)
-		cbs := s.table.InvalidateReaders(nm.dir, cid)
-		for _, cb := range cbs {
-			if err := s.deliverCallback(p, cb); err != nil {
-				s.clientDead(cb.Client)
-			}
-		}
+		s.deliver(p, s.table.InvalidateReaders(nm.dir, cid)...)
 		lk.Unlock()
 	}
 }
@@ -327,11 +270,7 @@ func (s *SNFSServer) truncateOnCreate(p *sim.Proc, from simnet.Addr, a *proto.Cr
 	lk := s.lockFor(h)
 	lk.Lock(p)
 	defer lk.Unlock()
-	for _, cb := range s.table.DropWithInvalidate(h, core.ClientID(from)) {
-		if err := s.deliverCallback(p, cb); err != nil {
-			s.clientDead(cb.Client)
-		}
-	}
+	s.deliver(p, s.table.DropWithInvalidate(h, core.ClientID(from))...)
 }
 
 func (s *SNFSServer) serveOpen(p *sim.Proc, from simnet.Addr, a *proto.OpenArgs) rpc.Reply {
@@ -351,9 +290,7 @@ func (s *SNFSServer) serveOpen(p *sim.Proc, from simnet.Addr, a *proto.OpenArgs)
 		// Reclaim closed-dirty entries by write-back callbacks
 		// (§4.3.1), then retry once.
 		for _, cb := range s.table.ReclaimCandidates(4) {
-			if err := s.deliverCallback(p, cb); err != nil {
-				s.clientDead(cb.Client)
-			}
+			s.deliver(p, cb)
 			s.table.Reclaimed(cb.Handle)
 		}
 		res = s.table.Open(a.Handle, cid, a.WriteMode)
@@ -361,18 +298,9 @@ func (s *SNFSServer) serveOpen(p *sim.Proc, from simnet.Addr, a *proto.OpenArgs)
 			return rpc.Encode((&proto.OpenReply{Status: proto.ErrTableFull}).XDR)
 		}
 	}
-	inconsistent := res.Inconsistent
-	for _, cb := range res.Callbacks {
-		if err := s.deliverCallback(p, cb); err != nil {
-			// The client serving the callback is down (§3.2):
-			// honor the open, but if dirty data was at stake,
-			// warn the opener.
-			s.clientDead(cb.Client)
-			if cb.WriteBack {
-				inconsistent = true
-			}
-		}
-	}
+	// A client that cannot serve its callback is down (§3.2): the open
+	// is honored, but if dirty data was at stake the opener is warned.
+	inconsistent := s.deliver(p, res.Callbacks...) || res.Inconsistent
 	// Attributes are fetched after callbacks so forced write-backs are
 	// reflected (size, mtime).
 	attr, st := s.handle(a.Handle)
@@ -456,12 +384,7 @@ func (s *SNFSServer) serveHybrid(p *sim.Proc, from simnet.Addr, proc uint32, a *
 	}
 	lk := s.lockFor(h)
 	lk.Lock(p)
-	res := s.table.Open(h, cid, isWrite)
-	for _, cb := range res.Callbacks {
-		if err := s.deliverCallback(p, cb); err != nil {
-			s.clientDead(cb.Client)
-		}
-	}
+	s.deliver(p, s.table.Open(h, cid, isWrite).Callbacks...)
 	lk.Unlock()
 	// A READ reply's data is a view the store froze, so the reply keeps
 	// its read instant across the lock wait below.
@@ -470,52 +393,6 @@ func (s *SNFSServer) serveHybrid(p *sim.Proc, from simnet.Addr, proc uint32, a *
 	s.table.Close(h, cid, isWrite)
 	lk.Unlock()
 	return body, st, true
-}
-
-// deliverCallback sends one callback RPC to a client and waits for it
-// (including any write-backs it triggers), bounded by the Workers-1
-// semaphore.
-func (s *SNFSServer) deliverCallback(p *sim.Proc, cb core.Callback) error {
-	s.cbSem.Acquire(p)
-	defer s.cbSem.Release()
-	s.cbOutstanding.Add(1)
-	defer s.cbOutstanding.Add(-1)
-	if s.tracer != nil {
-		s.record(trace.Callback, p.Op(), "-> %s %s writeback=%v invalidate=%v",
-			cb.Client, cb.Handle, cb.WriteBack, cb.Invalidate)
-	}
-	if s.auditor != nil {
-		s.auditor.NoteEvent(p.Op(), "callback", cb.Handle, string(cb.Client),
-			fmt.Sprintf("writeback=%v invalidate=%v", cb.WriteBack, cb.Invalidate))
-	}
-	k := cbKey{cb.Handle, cb.Client}
-	s.inCallback[k]++
-	defer func() {
-		s.inCallback[k]--
-		if s.inCallback[k] == 0 {
-			delete(s.inCallback, k)
-		}
-	}()
-	s.ops.Inc("callback")
-	args := proto.CallbackArgs{
-		Handle:     cb.Handle,
-		WriteBack:  cb.WriteBack,
-		Invalidate: cb.Invalidate,
-	}
-	// Tight retry budget: a callback to a dead client must be declared
-	// failed before the open that triggered it times out at its client
-	// (§3.2: the opener retries harmlessly, but must not give up first).
-	body, err := s.ep.CallXDREx(p, simnet.Addr(cb.Client), proto.ProgCallback, 1, proto.CbProcCallback, args.XDR,
-		sim.Second, 2)
-	if err != nil {
-		return err
-	}
-	var r proto.StatusReply
-	r.XDR(xdr.NewDecoder(body).Codec())
-	if r.Status != proto.OK {
-		return fmt.Errorf("callback to %s: %s", cb.Client, r.Status)
-	}
-	return nil
 }
 
 // Expel forces every client out of h's cache and drops its consistency
@@ -530,21 +407,20 @@ func (s *SNFSServer) Expel(p *sim.Proc, h proto.Handle) {
 	lk := s.lockFor(h)
 	lk.Lock(p)
 	defer lk.Unlock()
-	for _, cb := range s.table.DropWithInvalidate(h, "") {
+	cbs := s.table.DropWithInvalidate(h, "")
+	for i := range cbs {
 		// Unlike a truncating create, the contents survive the move:
 		// dirty delayed writes must come back before the copy.
-		cb.WriteBack = true
-		if err := s.deliverCallback(p, cb); err != nil {
-			s.clientDead(cb.Client)
-		}
+		cbs[i].WriteBack = true
 	}
+	s.deliver(p, cbs...)
 	s.locksTab.drop(h)
 }
 
 // dumpState snapshots the consistency table for the administrative dump
 // procedure.
 func (s *SNFSServer) dumpState() rpc.Reply {
-	r := proto.DumpStateReply{Status: proto.OK, Epoch: s.epoch}
+	r := proto.DumpStateReply{Status: proto.OK, Epoch: s.incarnation}
 	for _, e := range s.table.Snapshot() {
 		de := proto.DumpEntry{
 			Handle:       e.Handle,
