@@ -58,7 +58,7 @@ func TestStructuralCeilings(t *testing.T) {
 		{"snfsd flags", countFlags(t, "cmd/snfsd"), 13},
 		// The protocol core stays free of the observability stack.
 		{"internal/core importing internal/trace", b2i(imports(t, "internal/core")["spritelynfs/internal/trace"]), 0},
-		{"ci.yml lines", strings.Count(string(ci), "\n"), 64},
+		{"ci.yml lines", strings.Count(string(ci), "\n"), 66},
 		{"ci.yml jobs", countJobs(string(ci)), 2},
 		// One read path: Media.ReadAt reads, freezes and charges together.
 		{"exported localfs.Media.ChargeRead", b2i(chargeRead), 0},
@@ -83,7 +83,7 @@ func TestStructuralCeilings(t *testing.T) {
 		// One derivation of Table 4-1: a state-table entry's state is
 		// set only by e.state = e.derive().
 		{"state assignments in internal/core other than e.state = e.derive()", countStateSets(t, "internal/core"), 0},
-		{"internal/core non-test lines", countLines(t, "internal/core"), 887},
+		{"internal/core non-test lines", countLines(t, "internal/core"), 886},
 		// One client rule for the cache: core.FileRecord decides what every
 		// open, reopen and callback does to the cached blocks, Base.apply
 		// carries it out, and one callback service decodes and counts

@@ -82,6 +82,8 @@ type Cache struct {
 	perFile map[fileKey]*Block
 	ndirty  int
 	stats   Stats
+	// onDirty, when set, runs each time the dirty count rises from 0.
+	onDirty func()
 }
 
 type fileKey struct {
@@ -109,6 +111,11 @@ func (c *Cache) Len() int { return len(c.blocks) }
 
 // DirtyCount reports the number of dirty resident blocks.
 func (c *Cache) DirtyCount() int { return c.ndirty }
+
+// OnFirstDirty sets fn to run whenever a block goes dirty in a cache that
+// held no dirty block, inside the MarkDirty that made it so. fn must not
+// block.
+func (c *Cache) OnFirstDirty(fn func()) { c.onDirty = fn }
 
 // Lookup returns the block for key if resident, updating recency and the
 // hit/miss counters.
@@ -185,7 +192,9 @@ func (c *Cache) MarkDirty(key Key, now sim.Time) bool {
 	if !b.Dirty {
 		b.Dirty = true
 		b.DirtyAt = now
-		c.ndirty++
+		if c.ndirty++; c.ndirty == 1 && c.onDirty != nil {
+			c.onDirty()
+		}
 	}
 	return true
 }

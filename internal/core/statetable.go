@@ -19,6 +19,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -619,11 +620,7 @@ func (t *Table) DropWithInvalidate(h proto.Handle, except ClientID) []Callback {
 		cbs = append(cbs, Callback{Client: c, Handle: h, Invalidate: true})
 	}
 	// Deterministic order for reproducible simulations.
-	for i := 1; i < len(cbs); i++ {
-		for j := i; j > 0 && cbs[j].Client < cbs[j-1].Client; j-- {
-			cbs[j], cbs[j-1] = cbs[j-1], cbs[j]
-		}
-	}
+	slices.SortFunc(cbs, func(a, b Callback) int { return cmp.Compare(a.Client, b.Client) })
 	t.stats.CallbacksIssued += int64(len(cbs))
 	delete(t.entries, h)
 	t.observe(TransitionEvent{
@@ -636,16 +633,22 @@ func (t *Table) DropWithInvalidate(h proto.Handle, except ClientID) []Callback {
 // ClientDead removes client c from every entry, recomputing states. If c
 // was the last writer of a file (its dirty blocks are lost) or held the
 // file open for write while caching, the entry is marked inconsistent so
-// the next opener is warned (§3.2). The affected handles are returned.
+// the next opener is warned (§3.2). The affected handles are returned, and
+// their transitions observed, in handle order.
 func (t *Table) ClientDead(c ClientID) []proto.Handle {
 	var affected []proto.Handle
 	for h, e := range t.entries {
-		touched := false
+		if e.lastWriter == c || e.client(c) != nil {
+			affected = append(affected, h)
+		}
+	}
+	slices.SortFunc(affected, proto.Handle.Compare)
+	for _, h := range affected {
+		e := t.entries[h]
 		from := e.state
 		if e.lastWriter == c {
 			e.lastWriter = ""
 			e.inconsistent = true
-			touched = true
 		}
 		if ci := e.client(c); ci != nil {
 			if ci.writers > 0 && ci.caching {
@@ -653,18 +656,14 @@ func (t *Table) ClientDead(c ClientID) []proto.Handle {
 				e.inconsistent = true
 			}
 			e.removeClient(c)
-			touched = true
 		}
-		if touched {
-			e.state = e.derive()
-			affected = append(affected, h)
-			t.observe(TransitionEvent{
-				Event: "client-dead", Handle: h, Client: c,
-				From: from, To: e.state, Version: e.version, Prev: e.prev,
-				Inconsistent: e.inconsistent,
-				LastWriter:   e.lastWriter, Caching: e.cachingIDs(),
-			})
-		}
+		e.state = e.derive()
+		t.observe(TransitionEvent{
+			Event: "client-dead", Handle: h, Client: c,
+			From: from, To: e.state, Version: e.version, Prev: e.prev,
+			Inconsistent: e.inconsistent,
+			LastWriter:   e.lastWriter, Caching: e.cachingIDs(),
+		})
 	}
 	return affected
 }

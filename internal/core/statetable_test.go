@@ -373,6 +373,43 @@ func TestClientDeadMarksInconsistent(t *testing.T) {
 	}
 }
 
+// TestClientDeadInHandleOrder: a dead client's transitions are observed,
+// and its handles returned, in handle order, whatever order the table's
+// map walk takes — one client touching 40 entries, in three ways.
+func TestClientDeadInHandleOrder(t *testing.T) {
+	tab := NewTable(0)
+	var seen []proto.Handle
+	tab.Observer = func(ev TransitionEvent) {
+		if ev.Event == "client-dead" {
+			seen = append(seen, ev.Handle)
+		}
+	}
+	for i := 0; i < 40; i++ {
+		h := proto.Handle{FSID: uint32(1 + i%2), Ino: uint64(1000 - 7*i), Gen: 1}
+		switch i % 3 {
+		case 0: // open for reading
+			tab.Open(h, "A", false)
+		case 1: // closed dirty: A is the last writer
+			tab.Open(h, "A", true)
+			tab.Close(h, "A", true)
+		default: // read by another client; A is not involved
+			tab.Open(h, "B", false)
+		}
+	}
+	affected := tab.ClientDead("A")
+	if len(affected) != 27 {
+		t.Fatalf("%d handles affected, want 27", len(affected))
+	}
+	if !slices.Equal(seen, affected) {
+		t.Errorf("observed %v, returned %v", seen, affected)
+	}
+	for i := 1; i < len(affected); i++ {
+		if !affected[i-1].Less(affected[i]) {
+			t.Fatalf("handles out of order at %d: %v before %v", i, affected[i-1], affected[i])
+		}
+	}
+}
+
 func TestClientDeadWhileWritingOpen(t *testing.T) {
 	tab := NewTable(0)
 	tab.Open(fh, "A", true)

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 
+	"spritelynfs/internal/cache"
 	"spritelynfs/internal/cluster"
 	"spritelynfs/internal/metrics"
 	"spritelynfs/internal/sim"
@@ -15,8 +16,10 @@ type FleetOptions struct {
 	Clients int
 	// SyncInterval, when nonzero on an SNFS fleet, drives delayed-write
 	// flushing from one shared staggered sweep: client i's SyncPass runs
-	// at phase i/N of each interval, on a pooled executor process,
-	// instead of each client parking its own update-daemon process.
+	// at phase i/N of the interval, on a pooled executor process, instead
+	// of each client parking its own update-daemon process. A client with
+	// no dirty block is passed over until a block goes dirty (see
+	// startSyncSweep).
 	SyncInterval sim.Duration
 }
 
@@ -76,39 +79,105 @@ func NewFleet(w *World, opt FleetOptions) *Fleet {
 		f.Clients = append(f.Clients, w.newClient(spec, w.Auditor != nil))
 	}
 	if w.Proto == SNFS && opt.SyncInterval > 0 {
-		f.startSyncSweep(opt.SyncInterval)
+		f.startSyncSweep(opt.SyncInterval, so.DelayedClose || so.NameCache)
 	}
 	return f
 }
 
-// startSyncSweep schedules each SNFS client's delayed-write flush as a
-// recurring event at phase i/N of the interval — the whole fleet's
-// update-daemon duty carried by timer events and pooled processes, not
-// N parked goroutines, and staggered so the flush load spreads across
-// the interval instead of arriving as a thundering herd.
-func (f *Fleet) startSyncSweep(interval sim.Duration) {
+// startSyncSweep gives each SNFS client a delayed-write flush on its own
+// grid, staggered at phase i/N of the interval so the flush load spreads
+// across it instead of arriving as a thundering herd — the whole fleet's
+// update-daemon duty carried by timer events and pooled processes, not N
+// parked goroutines. A client's grid is last + k·interval, where last is
+// the completion of its last pass, or the build instant plus its phase
+// offset before the first. A pass with nothing to write has no work, so a
+// client's chain of passes sleeps once a pass leaves its cache clean, and
+// the cache's first dirty block wakes it at the first grid instant after
+// now: every pass that writes runs at the instant a pass every interval
+// would have run it, since a pass with nothing to write ends the instant
+// it starts. With delayed closes or the name cache armed, a pass has work
+// even with nothing dirty, and the chain runs every interval.
+func (f *Fleet) startSyncSweep(interval sim.Duration, periodic bool) {
+	k := f.W.K
 	n := len(f.Clients)
 	for i, fc := range f.Clients {
 		offset := sim.Duration(int64(interval) * int64(i) / int64(n))
-		s := &syncPass{f: f, job: fc.SNFS.SyncPass, interval: interval}
-		s.again = s.rearm
-		f.W.K.After(offset+interval, s.Due)
+		s := &syncPass{
+			f: f, job: fc.SNFS.SyncPass, interval: interval,
+			cache: fc.Base.Cache(), periodic: periodic, last: k.Now().Add(offset),
+		}
+		s.again, s.dueFn = s.rearm, s.Due
+		if periodic {
+			k.After(offset+interval, s.dueFn)
+		} else {
+			s.cache.OnFirstDirty(s.dirtied)
+		}
 	}
 }
 
 // syncPass is one client's place in the sync sweep, standing as the event
-// that submits its pass. Its job and completion are bound once, so a pass
+// that submits its pass. Its job and callbacks are bound once, so a pass
 // submits and re-arms the same values for the life of the fleet; the
 // re-arm waits in the kernel's lane for the sweep's interval.
 type syncPass struct {
 	f        *Fleet
 	job      func(p *sim.Proc)
 	again    func()
+	dueFn    func()
 	interval sim.Duration
+	cache    *cache.Cache
+	periodic bool     // passes run whether or not a block is dirty
+	armed    bool     // a pass is due or running
+	last     sim.Time // where the grid starts: the last pass's end
 }
 
-func (s *syncPass) Due()   { s.f.Exec.Submit(0, s.job, s.again) }
-func (s *syncPass) rearm() { s.f.W.K.AfterFixed(s.interval, s) }
+// idle reports whether a pass now would have nothing to do.
+func (s *syncPass) idle() bool { return !s.periodic && s.cache.DirtyCount() == 0 }
+
+// Due submits the pass at its grid instant, unless the blocks that armed
+// it are gone already (written back on close or eviction, or deleted).
+func (s *syncPass) Due() {
+	if s.idle() {
+		s.last, s.armed = s.f.W.K.Now(), false
+		return
+	}
+	s.f.Exec.Submit(0, s.job, s.again)
+}
+
+// rearm runs as a pass ends: the next is due an interval on, if there is
+// still work for it.
+func (s *syncPass) rearm() {
+	s.last = s.f.W.K.Now()
+	if s.idle() {
+		s.armed = false
+		return
+	}
+	s.f.W.K.AfterFixed(s.interval, s)
+}
+
+// dirtied wakes a sleeping chain when its cache's first block goes dirty:
+// the pass is due at the first instant of the grid strictly after now.
+func (s *syncPass) dirtied() {
+	if s.armed {
+		return
+	}
+	s.armed = true
+	now := s.f.W.K.Now()
+	k := max(0, now.Sub(s.last)/s.interval) + 1
+	s.f.W.K.After(s.last.Add(k*s.interval).Sub(now), s.dueFn)
+}
+
+// FleetWork is a fleet's host-work census: its kernel's counts and its
+// executor's submits.
+type FleetWork struct {
+	sim.KernelWork
+	Submits int64
+}
+
+// Work returns the fleet's host-work counts so far.
+func (f *Fleet) Work() FleetWork {
+	return FleetWork{KernelWork: f.W.K.Work(), Submits: f.Exec.Work().Submits}
+}
 
 // Client returns fleet member i.
 func (f *Fleet) Client(i int) *FleetClient { return f.Clients[i] }

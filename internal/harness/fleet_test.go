@@ -3,11 +3,13 @@ package harness
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"spritelynfs/internal/metrics"
 	"spritelynfs/internal/sim"
+	"spritelynfs/internal/trace"
 )
 
 // TestFleetServesOps: every client of a small SNFS fleet writes and
@@ -185,5 +187,59 @@ func TestFleetMetricsCardinality(t *testing.T) {
 	small, big := count(4), count(256)
 	if small != big {
 		t.Errorf("series count scales with fleet size: %d at N=4, %d at N=256", small, big)
+	}
+}
+
+// TestSyncSweepWriteInstants pins the virtual instant at which the server
+// serves each delayed WRITE of a four-client SNFS fleet whose sweep runs
+// every 5 s: client i's grid is i·1.25 s + k·5 s from the build, moved
+// on by the time each pass that writes takes. It covers a block dirtied
+// before its client's first grid instant, one dirtied while its client's
+// pass is writing back, a client clean until long after its first grid
+// instant, and a second write after a pass shifted the grid. The instants
+// were recorded from the sweep that passed every client at every grid
+// instant, dirty or not.
+func TestSyncSweepWriteInstants(t *testing.T) {
+	f := BuildFleet(SNFS, Default(), FleetOptions{Clients: 4, SyncInterval: 5 * sim.Second})
+	tr := f.W.EnableTrace(1 << 12)
+	var errs []error
+	write := func(c int, at sim.Time, path string, size int) {
+		f.W.K.GoAt(at, "writer", func(p *sim.Proc) {
+			if err := f.Client(c).NS.WriteFile(p, path, size, 8*1024); err != nil {
+				errs = append(errs, fmt.Errorf("client %d %s: %w", c, path, err))
+			}
+		})
+	}
+	err := f.W.Run(func(p *sim.Proc) error {
+		write(0, sim.Time(1*sim.Second), "/data/a", 8*1024)
+		write(1, sim.Time(2*sim.Second), "/data/b", 16*1024)
+		write(1, sim.Time(6250*sim.Millisecond+sim.Millisecond), "/data/c", 8*1024)
+		write(2, sim.Time(20100*sim.Millisecond), "/data/d", 8*1024)
+		write(0, sim.Time(31*sim.Second), "/data/e", 8*1024)
+		p.Sleep(45 * sim.Second)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, err := range errs {
+		t.Error(err)
+	}
+	var got []string
+	for _, e := range tr.Filter(trace.RPCServe) {
+		if strings.Contains(e.Detail, " write ") {
+			got = append(got, fmt.Sprintf("%d %s", int64(e.At), strings.Fields(e.Detail)[1]))
+		}
+	}
+	want := []string{
+		"5008601 c0000",  // dirtied at 1 s, first grid instant 5 s
+		"6258601 c0001",  // /data/b, first grid instant 6.25 s
+		"6360432 c0001",  // its second block; the pass ends at 6.434031 s
+		"11434031 c0001", // /data/c, dirtied during that pass
+		"22508601 c0002", // clean until 20.1 s; grid 2.5 s + k·5 s
+		"35082200 c0000", // the 5 s pass ended at 5.0822 s
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("delayed WRITEs served at\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }

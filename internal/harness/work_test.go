@@ -1,0 +1,93 @@
+package harness_test
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+
+	"spritelynfs/internal/harness"
+	"spritelynfs/internal/scenario"
+	"spritelynfs/internal/sim"
+)
+
+// census is the host work of one fleet run: the kernel's counts, the
+// executor's submits, and the RPC calls the fleet's clients sent.
+type census struct {
+	Pops, Switches, Spawns, Submits, Calls int64
+}
+
+// diff renders every count that differs from want as a signed difference.
+func (c census) diff(want census) string {
+	var b strings.Builder
+	for _, f := range []struct {
+		name      string
+		got, want int64
+	}{
+		{"pops", c.Pops, want.Pops},
+		{"switches", c.Switches, want.Switches},
+		{"spawns", c.Spawns, want.Spawns},
+		{"submits", c.Submits, want.Submits},
+		{"calls", c.Calls, want.Calls},
+	} {
+		if f.got != f.want {
+			fmt.Fprintf(&b, " %s %d (%+d)", f.name, f.got, f.got-f.want)
+		}
+	}
+	return b.String()
+}
+
+// TestWorkBudgets pins the host-work census of the fleet benchmark's run
+// (web-asset, 1,000 clients × 10 ops, 30 s mean think time, seed 1) per
+// protocol. The counts are exact for a fixed tree, as virtual time is: a
+// change that moves one changes its pin here and says why. A smaller
+// fleet would not do: its census is mostly the setup that writes the
+// shared population, the same 400 files at any client count. Beside the
+// pins, an SNFS fleet whose clients stay clean for 60 s submits no sync
+// pass: the sweep has work only where a block is dirty.
+func TestWorkBudgets(t *testing.T) {
+	pins := []struct {
+		pr   harness.Proto
+		want census
+	}{
+		{harness.NFS, census{Pops: 361992, Switches: 142160, Spawns: 1227, Submits: 10000, Calls: 40771}},
+		// While the sweep passed every client every interval, dirty or
+		// not: pops 782963, switches 340521, spawns 29, submits 178241.
+		{harness.SNFS, census{Pops: 447188, Switches: 172577, Spawns: 28, Submits: 10298, Calls: 50289}},
+	}
+	for _, pin := range pins {
+		cfg, err := scenario.Named("web-asset")
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Clients, cfg.Ops, cfg.Gen.ThinkMean = 1000, 10, 30*sim.Second
+		res, err := scenario.Run(pin.pr, harness.Default(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := res.Work
+		got := census{w.Pops, w.Switches, w.Spawns, w.Submits, res.CallsSent}
+		if d := got.diff(pin.want); d != "" {
+			t.Errorf("%v fleet census moved:%s", pin.pr, d)
+		}
+		t.Logf("%v: %.2f pops and %.2f switches per RPC", pin.pr,
+			float64(got.Pops)/float64(got.Calls), float64(got.Switches)/float64(got.Calls))
+	}
+
+	// With delayed closes armed a pass has work with nothing dirty, and
+	// each client's runs every interval: 11 each before 60 s.
+	for _, delayedClose := range []bool{false, true} {
+		pm := harness.Default()
+		pm.SNFS.DelayedClose = delayedClose
+		f := harness.BuildFleet(harness.SNFS, pm, harness.FleetOptions{Clients: 4, SyncInterval: 5 * sim.Second})
+		if err := f.W.Run(func(p *sim.Proc) error { p.Sleep(60 * sim.Second); return nil }); err != nil {
+			t.Fatal(err)
+		}
+		want := int64(0)
+		if delayedClose {
+			want = 44
+		}
+		if n := f.Work().Submits; n != want {
+			t.Errorf("4 clean clients (delayed close %v) submitted %d sync passes in 60 s, want %d", delayedClose, n, want)
+		}
+	}
+}

@@ -13,6 +13,7 @@
 package proto
 
 import (
+	"cmp"
 	"fmt"
 
 	"spritelynfs/internal/localfs"
@@ -376,17 +377,14 @@ type Handle struct {
 // IsZero reports whether h is the zero handle.
 func (h Handle) IsZero() bool { return h == Handle{} }
 
-// Less orders handles by (FSID, Ino, Gen): the stable order for loops
+// Compare orders handles by (FSID, Ino, Gen): the stable order for loops
 // that walk a handle-keyed map and talk to the network per entry.
-func (h Handle) Less(o Handle) bool {
-	if h.FSID != o.FSID {
-		return h.FSID < o.FSID
-	}
-	if h.Ino != o.Ino {
-		return h.Ino < o.Ino
-	}
-	return h.Gen < o.Gen
+func (h Handle) Compare(o Handle) int {
+	return cmp.Or(cmp.Compare(h.FSID, o.FSID), cmp.Compare(h.Ino, o.Ino), cmp.Compare(h.Gen, o.Gen))
 }
+
+// Less reports whether h comes before o in Compare's order.
+func (h Handle) Less(o Handle) bool { return h.Compare(o) < 0 }
 
 func (h Handle) String() string { return fmt.Sprintf("fh(%d:%d.%d)", h.FSID, h.Ino, h.Gen) }
 

@@ -156,6 +156,8 @@ type Result struct {
 	// blocking work — the number a per-goroutine design would have
 	// spent ~7 per client on.
 	ExecWorkers int `json:"exec_workers"`
+	// Work is the run's host-work census, setup included.
+	Work harness.FleetWork `json:"-"`
 	// OpTrace is the completion-ordered op log (Config.Trace only).
 	OpTrace []string `json:"-"`
 }
@@ -179,6 +181,16 @@ func Run(pr harness.Proto, pm harness.Params, cfg Config) (Result, error) {
 	for i := range r.shared {
 		r.shared[i] = fmt.Sprintf("/data/s%05d", i)
 	}
+	// Every client's ops, drawn up front from one source reseeded per
+	// client: the streams NewGen draws, without a source per client.
+	ops := make([]workload.Op, cfg.Clients*cfg.Ops)
+	gen := workload.NewGen(pm.Seed, 0, cfg.Gen)
+	for c := 0; c < cfg.Clients; c++ {
+		gen.Reset(pm.Seed, c)
+		for i := c * cfg.Ops; i < (c+1)*cfg.Ops; i++ {
+			ops[i] = gen.Next()
+		}
+	}
 	var measureStart sim.Time
 
 	err := f.W.Run(func(p *sim.Proc) error {
@@ -194,11 +206,7 @@ func Run(pr harness.Proto, pm harness.Params, cfg Config) (Result, error) {
 		measureStart = k.Now()
 		r.remaining = cfg.Clients
 		for c := 0; c < cfg.Clients; c++ {
-			d := &clientLoop{
-				r:   r,
-				c:   c,
-				gen: workload.NewGen(pm.Seed, c, cfg.Gen),
-			}
+			d := &clientLoop{r: r, c: c, ops: ops[c*cfg.Ops : (c+1)*cfg.Ops]}
 			d.submitFn, d.execFn, d.completeFn = d.submit, d.exec, d.complete
 			d.step()
 		}
@@ -232,13 +240,15 @@ func Run(pr harness.Proto, pm harness.Params, cfg Config) (Result, error) {
 	}
 	res.ServerCPUUtil = f.W.ServerCPUUtilization()
 	res.ExecWorkers = f.Exec.Spawned()
+	res.Work = f.Work()
 	s := f.Stats()
 	res.CallsSent, res.Retransmits = s.CallsSent, s.Retransmits
 	return res, nil
 }
 
 // fleetRun is what a Run's clients share: the fleet, the totals they add
-// to, and the count of clients still running.
+// to, the read buffers not in use, and the count of clients still
+// running.
 type fleetRun struct {
 	f         *harness.Fleet
 	k         *sim.Kernel
@@ -246,25 +256,22 @@ type fleetRun struct {
 	res       Result
 	lats      []int64
 	shared    []string // shared population member i's path
+	bufs      [][]byte // chunk-sized read buffers no read holds
 	remaining int
 	done      sim.Signal // fired when the last client finishes
 }
 
 // clientLoop is one client's state machine. A client has one op in flight,
-// so the op, its sequence number and its start instant live here, and
-// the three callbacks that carry an op from think time through the
-// executor to completion are bound once, at set-up: an op allocates no
-// closure.
+// so its ops, the in-flight op's sequence number and its start instant
+// live here, and the three callbacks that carry an op from think time
+// through the executor to completion are bound once, at set-up: an op
+// allocates no closure.
 type clientLoop struct {
 	r     *fleetRun
 	c     int
-	gen   *workload.Gen
-	seq   int // ops begun so far; the one in flight is seq-1
-	op    workload.Op
+	ops   []workload.Op // the client's cfg.Ops ops, in order
+	seq   int           // ops begun so far; the one in flight is seq-1
 	start sim.Time
-	// buf is the client's read buffer: its reads share one chunk,
-	// allocated on the first.
-	buf []byte
 
 	submitFn   func()
 	execFn     func(p *sim.Proc)
@@ -283,8 +290,7 @@ func (d *clientLoop) step() {
 		return
 	}
 	d.seq++
-	d.op = d.gen.Next()
-	d.r.k.After(d.op.Think, d.submitFn)
+	d.r.k.After(d.ops[d.seq-1].Think, d.submitFn)
 }
 
 // submit hands the op to the fleet's executor when its think time ends.
@@ -308,7 +314,7 @@ func (d *clientLoop) complete() {
 	r.res.Ops++
 	if r.cfg.Trace {
 		r.res.OpTrace = append(r.res.OpTrace,
-			fmt.Sprintf("c%04d #%03d %s done@%d", d.c, d.seq-1, d.op, int64(now)))
+			fmt.Sprintf("c%04d #%03d %s done@%d", d.c, d.seq-1, d.ops[d.seq-1], int64(now)))
 	}
 	d.step()
 }
@@ -316,10 +322,11 @@ func (d *clientLoop) complete() {
 // privatePath names client c's private file serial i.
 func privatePath(c, i int) string { return fmt.Sprintf("/data/c%04d-p%d", c, i) }
 
-// execOp runs the client's op against its namespace; a read goes through
-// the client's buffer, allocating it first.
+// execOp runs the client's op against its namespace. A read holds a
+// buffer from the run's free list while it runs, so the buffers number
+// the reads running at once, not the clients.
 func (d *clientLoop) execOp(p *sim.Proc) error {
-	r, op := d.r, d.op
+	r, op := d.r, d.ops[d.seq-1]
 	fc := r.f.Client(d.c)
 	var path string
 	if op.Shared {
@@ -328,10 +335,14 @@ func (d *clientLoop) execOp(p *sim.Proc) error {
 		path = privatePath(d.c, op.File)
 	}
 	if op.Kind == workload.OpRead {
-		if d.buf == nil {
-			d.buf = make([]byte, chunkBytes)
+		var buf []byte
+		if n := len(r.bufs); n > 0 {
+			buf, r.bufs = r.bufs[n-1], r.bufs[:n-1]
+		} else {
+			buf = make([]byte, chunkBytes)
 		}
-		_, err := fc.NS.ReadFile(p, path, d.buf)
+		_, err := fc.NS.ReadFile(p, path, buf)
+		r.bufs = append(r.bufs, buf)
 		return err
 	}
 	return fc.NS.WriteFile(p, path, r.cfg.FileBytes, chunkBytes)

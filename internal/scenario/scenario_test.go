@@ -1,6 +1,9 @@
 package scenario
 
 import (
+	"crypto/sha256"
+	"fmt"
+	"strings"
 	"testing"
 
 	"spritelynfs/internal/harness"
@@ -10,7 +13,10 @@ import (
 
 // TestScenarioDeterminism: the same seed and parameters produce byte-
 // identical op traces — every client's stream, every interleaving,
-// every completion instant.
+// every completion instant — and the trace is the one recorded while
+// each client drew from a source of its own and the sync sweep passed
+// every client every interval (its SHA-256 below; a change that moves
+// simulated behaviour on purpose records the new one).
 func TestScenarioDeterminism(t *testing.T) {
 	run := func() []string {
 		cfg, err := Named("shared-db")
@@ -35,6 +41,10 @@ func TestScenarioDeterminism(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("traces diverge at line %d:\n  %s\n  %s", i, a[i], b[i])
 		}
+	}
+	const want = "0a7fb32070c829fe7f8ff6450809a70c38d17fc30564bf3247c41d8f87e5de68"
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(strings.Join(a, "\n")))); got != want {
+		t.Errorf("op trace moved: SHA-256 %s, want %s; first line %q, last %q", got, want, a[0], a[len(a)-1])
 	}
 }
 

@@ -30,9 +30,18 @@ type Executor struct {
 	k       *Kernel
 	name    string
 	idle    []*execWorker
-	spawned int // workers ever created (the goroutine high-water mark)
-	active  int // closures currently running or blocked
+	spawned int   // workers ever created (the goroutine high-water mark)
+	active  int   // closures currently running or blocked
+	submits int64 // closures ever submitted
 }
+
+// ExecutorWork counts the host work an executor has done (see KernelWork).
+type ExecutorWork struct {
+	Submits int64 // closures submitted
+}
+
+// Work returns the executor's host-work counts so far.
+func (ex *Executor) Work() ExecutorWork { return ExecutorWork{Submits: ex.submits} }
 
 type execWorker struct {
 	p    *Proc
@@ -61,6 +70,7 @@ func (ex *Executor) Active() int { return ex.active }
 // client schedules its next step. Submit may be called from scheduler
 // context (an event callback) or from a running process.
 func (ex *Executor) Submit(op uint64, job func(p *Proc), done func()) {
+	ex.submits++
 	ex.active++
 	if n := len(ex.idle); n > 0 {
 		w := ex.idle[n-1]

@@ -75,7 +75,21 @@ type Kernel struct {
 	injected []func()
 	injectCh chan struct{}
 	turns    uint64 // RunRealtime loop turns, read by this package's tests
+
+	work KernelWork
 }
+
+// KernelWork counts the host work a kernel has done. For a fixed seed and
+// tree each count is exact, as virtual time is, so a change that moves
+// host work shows as a signed count where wall time would wander.
+type KernelWork struct {
+	Pops     int64 // events taken off the queue and run
+	Switches int64 // resumptions of a live process
+	Spawns   int64 // processes created
+}
+
+// Work returns the kernel's host-work counts so far.
+func (k *Kernel) Work() KernelWork { return k.work }
 
 // NewKernel returns a kernel whose deterministic random stream is seeded
 // with seed.
@@ -152,6 +166,7 @@ func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
 // GoAt is Go with an explicit start time.
 func (k *Kernel) GoAt(at Time, name string, fn func(p *Proc)) *Proc {
 	k.nextID++
+	k.work.Spawns++
 	p := &Proc{k: k, id: k.nextID, name: name}
 	var c *coro
 	if n := len(k.idle); n > 0 {
@@ -224,6 +239,7 @@ func (k *Kernel) switchTo(p *Proc) {
 	if p.dead {
 		return
 	}
+	k.work.Switches++
 	k.running = p
 	p.co.next()
 }

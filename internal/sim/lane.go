@@ -133,9 +133,10 @@ func (k *Kernel) next(limit Time) (e event, ok bool) {
 		return event{}, false
 	case top.at > limit:
 		return event{at: top.at}, true
-	case from == nil:
-		return k.heap.pop(), true
-	default:
-		return k.shift(from), true
 	}
+	k.work.Pops++
+	if from == nil {
+		return k.heap.pop(), true
+	}
+	return k.shift(from), true
 }

@@ -93,18 +93,31 @@ type Gen struct {
 // NewGen returns client client's stream for run seed seed.
 func NewGen(seed int64, client int, cfg GenConfig) *Gen {
 	cfg.fill()
-	// SplitMix64-style derivation: decorrelates per-client streams even
-	// for adjacent client indices and small seeds.
-	z := uint64(seed)*0x9E3779B97F4A7C15 + uint64(client+1)*0xBF58476D1CE4E5B9
-	z ^= z >> 30
-	z *= 0x94D049BB133111EB
-	z ^= z >> 27
-	rng := rand.New(rand.NewSource(int64(z)))
+	rng := rand.New(rand.NewSource(streamSeed(seed, client)))
 	return &Gen{
 		cfg:  cfg,
 		rng:  rng,
 		zipf: rand.NewZipf(rng, cfg.ZipfS, cfg.ZipfV, uint64(cfg.SharedFiles-1)),
 	}
+}
+
+// Reset reseeds g, in place, to the stream NewGen(seed, client, cfg) would
+// draw with g's cfg, so one Gen can draw every client's stream in turn
+// without a source per client.
+func (g *Gen) Reset(seed int64, client int) {
+	g.rng.Seed(streamSeed(seed, client))
+	g.private = 0
+}
+
+// streamSeed derives client client's source seed from run seed seed,
+// SplitMix64-style: it decorrelates per-client streams even for adjacent
+// client indices and small seeds.
+func streamSeed(seed int64, client int) int64 {
+	z := uint64(seed)*0x9E3779B97F4A7C15 + uint64(client+1)*0xBF58476D1CE4E5B9
+	z ^= z >> 30
+	z *= 0x94D049BB133111EB
+	z ^= z >> 27
+	return int64(z)
 }
 
 // Next draws the client's next operation.

@@ -224,3 +224,27 @@ func sortConfig(inputSize int) SortConfig {
 		ChunkSize:  8 * 1024,
 	}
 }
+
+// TestGenResetDrawsNewGenStream: a Gen reset to (seed, client), after
+// drawing another client's stream, draws the same 1,000 ops as a fresh
+// NewGen(seed, client) — think times, kinds, Zipf ranks and private
+// serials alike.
+func TestGenResetDrawsNewGenStream(t *testing.T) {
+	cfg := GenConfig{SharedFiles: 400, ZipfS: 1.2, ZipfV: 1, ReadFrac: 0.7, SharedWriteFrac: 0.5, ThinkMean: 30 * sim.Second}
+	g := NewGen(99, 5, cfg)
+	for _, sc := range []struct {
+		seed   int64
+		client int
+	}{{1, 0}, {1, 1}, {1, 999}, {7, 0}, {7, 3}, {-3, 12}} {
+		for i := 0; i < 37; i++ {
+			g.Next() // leave the source and the private serial mid-stream
+		}
+		g.Reset(sc.seed, sc.client)
+		fresh := NewGen(sc.seed, sc.client, cfg)
+		for i := 0; i < 1000; i++ {
+			if got, want := g.Next(), fresh.Next(); got != want {
+				t.Fatalf("seed %d client %d op %d: reset drew %v, NewGen %v", sc.seed, sc.client, i, got, want)
+			}
+		}
+	}
+}
