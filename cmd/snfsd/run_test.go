@@ -421,3 +421,105 @@ func TestShardedDaemonsServeData(t *testing.T) {
 		}
 	}
 }
+
+// TestUnalignedTailsReachTheSocket: a short block whose length is not a
+// multiple of 4 goes from the server's page to the wire by reference,
+// its XDR pad carried apart until the gateway's writer puts it on the
+// socket. Files of 1, 4,097 and 8,191 bytes are written over a TCPClient
+// and read back through it, and then read over a raw connection, where
+// every reply record must be exactly its header and proto.Marshal of its
+// ReadReply: the pad included, nothing after it.
+func TestUnalignedTailsReachTheSocket(t *testing.T) {
+	ln := listen(t)
+	cfg := config{proto: cluster.SNFS, addr: ln.Addr().String(), workers: 2, ln: ln, dumps: make(chan os.Signal)}
+	stop := make(chan struct{})
+	exited := make(chan error, 1)
+	go func() { exited <- run(cfg, stop) }()
+	defer func() {
+		close(stop)
+		if err := <-exited; err != nil {
+			t.Errorf("run: %v", err)
+		}
+	}()
+
+	c, err := rpc.DialTCP(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	call := func(proc uint32, m, reply proto.Message) {
+		t.Helper()
+		var args []byte
+		if m != nil {
+			args = proto.Marshal(m)
+		}
+		body, err := c.Call(proto.ProgNFS, proto.VersNFS, proc, args)
+		if err != nil {
+			t.Fatalf("%s: %v", proto.ProcName(proto.ProgNFS, proc), err)
+		}
+		reply.XDR(xdr.NewDecoder(body).Codec())
+	}
+	var root proto.HandleReply
+	call(proto.ProcMountRoot, nil, &root)
+	sizes := []int{1, 4097, 8191}
+	files := make([]proto.Handle, len(sizes))
+	contents := make([][]byte, len(sizes))
+	for i, n := range sizes {
+		contents[i] = bytes.Repeat([]byte{byte('a' + i)}, n)
+		var f proto.HandleReply
+		var open proto.OpenReply
+		var wr proto.WriteReply
+		var cl proto.StatusReply
+		call(proto.ProcCreate, &proto.CreateArgs{Dir: root.Handle, Name: fmt.Sprintf("f%d", n), Mode: 0o644}, &f)
+		call(proto.ProcOpen, &proto.OpenArgs{Handle: f.Handle, WriteMode: true}, &open)
+		call(proto.ProcWrite, &proto.WriteArgs{Handle: f.Handle, Data: contents[i]}, &wr)
+		call(proto.ProcClose, &proto.CloseArgs{Handle: f.Handle, WriteMode: true}, &cl)
+		if f.Status != proto.OK || open.Status != proto.OK || wr.Status != proto.OK || cl.Status != proto.OK {
+			t.Fatalf("%d bytes: create/open/write/close: %v %v %v %v", n, f.Status, open.Status, wr.Status, cl.Status)
+		}
+		files[i] = f.Handle
+	}
+
+	// A record whose pad is missing, or whose length disagrees with its
+	// bytes, leaves the reader waiting on a stream out of step: the
+	// deadline turns that into a failure.
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	rr := rpc.NewRecordReader(conn)
+	for i, n := range sizes {
+		xid := uint32(100 + i)
+		e := xdr.NewEncoder()
+		for _, w := range []uint32{xid, 0, proto.ProgNFS, proto.VersNFS, proto.ProcRead} { // xid, call, prog, vers, proc
+			e.Uint32(w)
+		}
+		e.Uint64(0) // op
+		(&proto.ReadArgs{Handle: files[i], Count: 8192}).XDR(e.Codec())
+		if err := rpc.WriteRecord(conn, e.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+		rec, err := rr.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var d xdr.Decoder
+		d.Reset(rec)
+		hdr := []uint32{d.Uint32(), d.Uint32(), d.Uint32()} // xid, reply, status
+		var r proto.ReadReply
+		r.XDR(d.Codec())
+		if d.Err() != nil || hdr[0] != xid || hdr[1] != 1 || hdr[2] != uint32(rpc.StatusOK) || r.Status != proto.OK {
+			t.Fatalf("%d bytes: reply header %v, status %v, decode %v", n, hdr, r.Status, d.Err())
+		}
+		want := append(bytes.Clone(rec[:12]), proto.Marshal(&proto.ReadReply{Status: proto.OK, Attr: r.Attr, Data: contents[i]})...)
+		if !bytes.Equal(rec, want) {
+			t.Errorf("%d bytes: the %d-byte record is not its header and proto.Marshal of its reply (%d bytes)", n, len(rec), len(want))
+		}
+		var rd proto.ReadReply
+		if call(proto.ProcRead, &proto.ReadArgs{Handle: files[i], Count: 8192}, &rd); rd.Status != proto.OK || !bytes.Equal(rd.Data, contents[i]) {
+			t.Errorf("%d bytes written over a TCPClient read back through it as %d (%v)", n, len(rd.Data), rd.Status)
+		}
+	}
+}

@@ -406,9 +406,9 @@ func (w *world) tapCalls(proc uint32, seen func(m simnet.Message, args xdr.Codec
 	})
 }
 
-// joined returns a copy of m's whole image, head‖tail.
+// joined returns a copy of m's whole image, head‖tail‖pad.
 func joined(m simnet.Message) []byte {
-	return append(bytes.Clone(m.Payload), m.Tail...)
+	return xdr.Join(bytes.Clone(m.Payload), m.Tail)
 }
 
 // replayRead takes over the address from and retransmits its captured
@@ -781,7 +781,10 @@ func TestShortBlockIsTheServersPageUntilWritten(t *testing.T) {
 // busy). Either way the send froze the block: A's next write into it
 // copies it first, so the server's page keeps the sent bytes until the
 // next write-back, and client B's WRITE into the page copies the page, so
-// A's cached block keeps its bytes.
+// A's cached block keeps its bytes. A short last block whose length is
+// not a multiple of 4, 5,001 bytes, goes the same way, its XDR pad
+// carried apart: the server's page is A's block, and a read miss caches
+// that page itself.
 func TestWritePageIsTheClientsCachedBlock(t *testing.T) {
 	w := newWorld(1, false, 4, server.SNFSOptions{})
 	ep, cfg := w.clientConfig("clientA")
@@ -865,6 +868,35 @@ func TestWritePageIsTheClientsCachedBlock(t *testing.T) {
 			if !bytes.Equal(page(i), want) {
 				t.Errorf("block %d: the server's file does not read B's WRITE", i)
 			}
+		}
+
+		short := fill(5001, 's')
+		fs, err := a.Open(p, "short", vfs.ReadWrite|vfs.Create, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fs.WriteAt(p, 0, short); err != nil {
+			t.Fatal(err)
+		}
+		if err := fs.Sync(p); err != nil {
+			t.Fatal(err)
+		}
+		sattr, _ := st.Lookup(st.Root(), "short")
+		key := cache.Key{FS: cfg.Root.FSID, Ino: sattr.Ino}
+		pg, _ := st.ReadAt(sattr.Ino, 0, 8192)
+		if cb, ok := a.Cache().Lookup(key); !ok || len(pg) != len(short) || &pg[0] != &cb.Data[0] || !cb.Frozen {
+			t.Error("the server's page of the 5,001-byte file is not A's frozen cached block")
+		}
+		a.Cache().InvalidateAll()
+		got := make([]byte, 8192)
+		if n, err := fs.ReadInto(p, got, 0); err != nil || !bytes.Equal(got[:n], short) {
+			t.Fatalf("read back %d bytes (%v), want the file's 5,001", n, err)
+		}
+		if cb, ok := a.Cache().Lookup(key); !ok || len(cb.Data) != len(short) || &cb.Data[0] != &pg[0] {
+			t.Error("a read miss of the 5,001-byte file did not cache the server's page itself")
+		}
+		if err := fs.Close(p); err != nil {
+			t.Fatal(err)
 		}
 	})
 }

@@ -11,16 +11,17 @@ import (
 )
 
 // heapCost runs f and reports the heap objects and bytes it allocated, and
-// how many of the objects were block-sized: 8 KiB and up, as far as
-// MemStats itemises size classes (18 KiB — an 8 KiB block behind any RPC
-// header fits). Larger objects show in the bytes only.
-func heapCost(f func()) (objects, blocks, bytes uint64) {
+// how many of the objects were block-sized: in a size class of block bytes
+// and up, as far as MemStats itemises size classes (18 KiB — an 8 KiB
+// block behind any RPC header fits). Larger objects show in the bytes
+// only.
+func heapCost(block uint32, f func()) (objects, blocks, bytes uint64) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	f()
 	runtime.ReadMemStats(&after)
 	for i, c := range after.BySize {
-		if c.Size >= 8192 {
+		if c.Size >= block {
 			blocks += c.Mallocs - before.BySize[i].Mallocs
 		}
 	}
@@ -53,7 +54,7 @@ func TestDataPathAllocationBudgets(t *testing.T) {
 		// reports the per-op averages rounded down, as
 		// testing.AllocsPerRun does: a pool refill after a collection
 		// is not a regression.
-		each := func(op func(i int) error) (objects, blks, size uint64) {
+		each := func(block uint32, op func(i int) error) (objects, blks, size uint64) {
 			pass := func() {
 				w.InvalidateClientCache()
 				for i := 0; i < blocks && err == nil; i++ {
@@ -64,7 +65,7 @@ func TestDataPathAllocationBudgets(t *testing.T) {
 				}
 			}
 			pass()
-			objects, blks, size = heapCost(pass)
+			objects, blks, size = heapCost(block, pass)
 			return objects / blocks, blks / blocks, size / blocks
 		}
 
@@ -88,7 +89,7 @@ func TestDataPathAllocationBudgets(t *testing.T) {
 			}
 			return err
 		}
-		objects, blks, _ := each(read)
+		objects, blks, _ := each(bs, read)
 		if blks > 0 || objects > 3 {
 			t.Errorf("NFS 8 KiB read miss allocates %d block-sized objects of %d, budget 0 of 3", blks, objects)
 		}
@@ -106,7 +107,7 @@ func TestDataPathAllocationBudgets(t *testing.T) {
 		// sorted list of the file's dirty blocks to ask whether it had
 		// any; 32 before).
 		data := bytes.Repeat([]byte{0xa5}, bs)
-		objects, blks, _ = each(func(i int) error {
+		objects, blks, _ = each(bs, func(i int) error {
 			_, err := f.WriteAt(p, int64(i)*bs, data)
 			return err
 		})
@@ -122,7 +123,7 @@ func TestDataPathAllocationBudgets(t *testing.T) {
 		// 8,900 B per op (18,900 while the call image copied the block,
 		// 38,700 while a file was one doubling array).
 		var g vfs.File
-		_, blks, size := each(func(i int) error {
+		_, blks, size := each(bs, func(i int) error {
 			if i == 0 {
 				var err error
 				if g, err = w.NS.Open(p, "/data/g", vfs.WriteOnly|vfs.Create|vfs.Truncate, 0o644); err != nil {
@@ -140,53 +141,62 @@ func TestDataPathAllocationBudgets(t *testing.T) {
 				blks, size, 3*bs/2)
 		}
 
-		// A short file, 3 KiB, one per op: created, written through and
-		// closed, then read back cold. The WRITE's data is the client's
-		// 3 KiB block, which the server keeps as the file's last page,
-		// and the READ's reply is that page, which the client caches as
-		// it is: so the write allocates the block and the open's and
-		// close's round trips (4,000 B; 17,300 while the cache block was
-		// a whole zero-padded block and the server copied a partial
-		// WRITE into a fresh page), and the read no data bytes, 3
-		// objects and 480 B (4 and 8,700 while fetchBlock copied a short
-		// block into a padded one).
-		const short = 3 << 10
-		names := make([]string, blocks)
-		for i := range names {
-			names[i] = fmt.Sprintf("/data/s%d", i)
-		}
-		_, _, size = each(func(i int) error {
-			s, err := w.NS.Open(p, names[i], vfs.WriteOnly|vfs.Create|vfs.Truncate, 0o644)
-			if err == nil {
-				_, err = s.WriteAt(p, 0, data[:short])
+		// A short file, one per op: created, written through and closed,
+		// then read back cold. The WRITE's data is the client's short
+		// block, which the server keeps as the file's last page, and the
+		// READ's reply is that page, which the client caches as it is: so
+		// the write allocates the block and the open's and close's round
+		// trips, and the read no data bytes, 3 objects and 480 B. At
+		// 3 KiB the write allocates 4,000 B (17,300 while the cache block
+		// was a whole zero-padded block and the server copied a partial
+		// WRITE into a fresh page), and the read 4 objects and 8,700 B
+		// while fetchBlock copied a short block into a padded one. At
+		// 5,001 bytes, not a multiple of 4, the block goes by reference
+		// too, its XDR pad carried apart: nothing but the cache block is
+		// as large as it (while such a block was encoded inline, the
+		// WRITE's call head and the READ reply's head each held a copy,
+		// one more such object on either path, and the server's page and
+		// the client's block were views into them).
+		for _, short := range []int{3 << 10, 5001} {
+			names := make([]string, blocks)
+			for i := range names {
+				names[i] = fmt.Sprintf("/data/s%d-%d", short, i)
 			}
-			if err == nil {
-				err = s.Close(p)
-			}
-			return err
-		})
-		if size > short+2<<10 {
-			t.Errorf("NFS 3 KiB file written through allocates %d B, budget %d B", size, short+2<<10)
-		}
-		shorts := make([]vfs.File, blocks)
-		for i := range shorts {
-			if shorts[i], err = w.NS.Open(p, names[i], vfs.ReadOnly, 0); err != nil {
+			_, blks, size := each(uint32(short), func(i int) error {
+				s, err := w.NS.Open(p, names[i], vfs.WriteOnly|vfs.Create|vfs.Truncate, 0o644)
+				if err == nil {
+					_, err = s.WriteAt(p, 0, data[:short])
+				}
+				if err == nil {
+					err = s.Close(p)
+				}
 				return err
+			})
+			if blks > 1 || size > uint64(short)+2<<10 {
+				t.Errorf("NFS %d-byte file written through allocates %d objects as large as its block and %d B, budget 1 and %d B",
+					short, blks, size, short+2<<10)
 			}
-		}
-		objects, _, size = each(func(i int) error {
-			n, err := shorts[i].ReadInto(p, buf, 0)
-			if err == nil && n != short {
-				t.Errorf("read %d bytes of a %d-byte file", n, short)
+			shorts := make([]vfs.File, blocks)
+			for i := range shorts {
+				if shorts[i], err = w.NS.Open(p, names[i], vfs.ReadOnly, 0); err != nil {
+					return err
+				}
 			}
-			return err
-		})
-		if objects > 3 || size > 1<<10 {
-			t.Errorf("NFS 3 KiB read miss allocates %d objects and %d B, budget 3 and 1,024 B", objects, size)
-		}
-		for _, s := range shorts {
-			if e := s.Close(p); err == nil {
-				err = e
+			objects, blks, size := each(uint32(short), func(i int) error {
+				n, err := shorts[i].ReadInto(p, buf, 0)
+				if err == nil && n != short {
+					t.Errorf("read %d bytes of a %d-byte file", n, short)
+				}
+				return err
+			})
+			if objects > 3 || blks > 0 || size > 1<<10 {
+				t.Errorf("NFS %d-byte read miss allocates %d objects, %d as large as its block, and %d B, budget 3, 0 and 1,024 B",
+					short, objects, blks, size)
+			}
+			for _, s := range shorts {
+				if e := s.Close(p); err == nil {
+					err = e
+				}
 			}
 		}
 		if err != nil {
@@ -219,7 +229,7 @@ func TestDataPathAllocationBudgets(t *testing.T) {
 			}
 		}
 		pass()
-		if objects, _, _ := heapCost(pass); objects/blocks > 0 || err != nil {
+		if objects, _, _ := heapCost(bs, pass); objects/blocks > 0 || err != nil {
 			t.Errorf("SNFS 8 KiB cached read hit allocates %d objects (%v), budget 0", objects/blocks, err)
 		}
 
@@ -234,7 +244,7 @@ func TestDataPathAllocationBudgets(t *testing.T) {
 			return err
 		}
 		data := bytes.Repeat([]byte{0xa5}, bs)
-		_, _, size := heapCost(func() {
+		_, _, size := heapCost(bs, func() {
 			for i := 0; i < blocks && err == nil; i++ {
 				_, err = g.WriteAt(p, bs/2+int64(i)*bs, data)
 			}

@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"spritelynfs/internal/metrics"
+	"spritelynfs/internal/rpc"
 	"spritelynfs/internal/sim"
 	"spritelynfs/internal/span"
 	"spritelynfs/internal/stats"
@@ -39,6 +40,9 @@ type AndrewRun struct {
 	// Trace holds the events of the timed phases (nil unless
 	// AndrewOptions.Trace is set).
 	Trace *trace.Tracer
+	// RPC is the world's wire-image work over the whole run, setup
+	// included (World.RPCWork).
+	RPC rpc.Work
 }
 
 // Label names the configuration the way Table 5-1 does.
@@ -119,6 +123,7 @@ func RunAndrewOpt(pr Proto, tmpRemote bool, pm Params, opt AndrewOptions) (Andre
 		return nil
 	})
 	run.Spans = w.spanSummary(0, 1)
+	run.RPC = w.RPCWork()
 	return run, err
 }
 

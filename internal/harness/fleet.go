@@ -6,6 +6,7 @@ import (
 	"spritelynfs/internal/cache"
 	"spritelynfs/internal/cluster"
 	"spritelynfs/internal/metrics"
+	"spritelynfs/internal/rpc"
 	"spritelynfs/internal/sim"
 	"spritelynfs/internal/simnet"
 )
@@ -167,16 +168,21 @@ func (s *syncPass) dirtied() {
 	s.f.W.K.After(s.last.Add(k*s.interval).Sub(now), s.dueFn)
 }
 
-// FleetWork is a fleet's host-work census: its kernel's counts and its
-// executor's submits.
+// FleetWork is a fleet's host-work census: its kernel's counts, its
+// executor's submits, and its endpoints' wire-image work.
 type FleetWork struct {
 	sim.KernelWork
 	Submits int64
+	RPC     rpc.Work
 }
 
 // Work returns the fleet's host-work counts so far.
 func (f *Fleet) Work() FleetWork {
-	return FleetWork{KernelWork: f.W.K.Work(), Submits: f.Exec.Work().Submits}
+	rw := f.W.RPCWork()
+	for _, fc := range f.Clients {
+		rw = rw.Add(fc.Base.Endpoint().Work())
+	}
+	return FleetWork{KernelWork: f.W.K.Work(), Submits: f.Exec.Work().Submits, RPC: rw}
 }
 
 // Client returns fleet member i.

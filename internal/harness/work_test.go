@@ -6,14 +6,17 @@ import (
 	"testing"
 
 	"spritelynfs/internal/harness"
+	"spritelynfs/internal/rpc"
 	"spritelynfs/internal/scenario"
 	"spritelynfs/internal/sim"
 )
 
 // census is the host work of one fleet run: the kernel's counts, the
-// executor's submits, and the RPC calls the fleet's clients sent.
+// executor's submits, the RPC calls the fleet's clients sent, and the
+// wire-image heads every endpoint built (rpc.Endpoint.Work). A web-asset
+// file is a whole number of words, so no head of a fleet run holds data.
 type census struct {
-	Pops, Switches, Spawns, Submits, Calls int64
+	Pops, Switches, Spawns, Submits, Calls, Heads, HeadBytes int64
 }
 
 // diff renders every count that differs from want as a signed difference.
@@ -28,6 +31,8 @@ func (c census) diff(want census) string {
 		{"spawns", c.Spawns, want.Spawns},
 		{"submits", c.Submits, want.Submits},
 		{"calls", c.Calls, want.Calls},
+		{"heads", c.Heads, want.Heads},
+		{"head bytes", c.HeadBytes, want.HeadBytes},
 	} {
 		if f.got != f.want {
 			fmt.Fprintf(&b, " %s %d (%+d)", f.name, f.got, f.got-f.want)
@@ -49,10 +54,10 @@ func TestWorkBudgets(t *testing.T) {
 		pr   harness.Proto
 		want census
 	}{
-		{harness.NFS, census{Pops: 361992, Switches: 142160, Spawns: 1227, Submits: 10000, Calls: 40771}},
+		{harness.NFS, census{Pops: 361992, Switches: 142160, Spawns: 1227, Submits: 10000, Calls: 40771, Heads: 41972, HeadBytes: 6036820}},
 		// While the sweep passed every client every interval, dirty or
 		// not: pops 782963, switches 340521, spawns 29, submits 178241.
-		{harness.SNFS, census{Pops: 447188, Switches: 172577, Spawns: 28, Submits: 10298, Calls: 50289}},
+		{harness.SNFS, census{Pops: 447188, Switches: 172577, Spawns: 28, Submits: 10298, Calls: 50289, Heads: 52889, HeadBytes: 6890632}},
 	}
 	for _, pin := range pins {
 		cfg, err := scenario.Named("web-asset")
@@ -65,7 +70,7 @@ func TestWorkBudgets(t *testing.T) {
 			t.Fatal(err)
 		}
 		w := res.Work
-		got := census{w.Pops, w.Switches, w.Spawns, w.Submits, res.CallsSent}
+		got := census{w.Pops, w.Switches, w.Spawns, w.Submits, res.CallsSent, w.RPC.Heads, w.RPC.HeadBytes}
 		if d := got.diff(pin.want); d != "" {
 			t.Errorf("%v fleet census moved:%s", pin.pr, d)
 		}
@@ -88,6 +93,36 @@ func TestWorkBudgets(t *testing.T) {
 		}
 		if n := f.Work().Submits; n != want {
 			t.Errorf("4 clean clients (delayed close %v) submitted %d sync passes in 60 s, want %d", delayedClose, n, want)
+		}
+	}
+}
+
+// TestAndrewHeadWork pins the wire-image work (rpc.Endpoint.Work) of one
+// RunAndrew per protocol, /tmp remote, seed 1: the heads built outside a
+// Pending and the bytes copied into heads, setup included. A short block
+// goes out as its message's tail, so no head holds file data: what the
+// heads carry is headers, names and attributes.
+func TestAndrewHeadWork(t *testing.T) {
+	for _, pin := range []struct {
+		pr   harness.Proto
+		want rpc.Work
+	}{
+		// While a tail whose length is not a multiple of 4 was encoded
+		// inline, its WRITE's call head did not fit a Pending, and both
+		// that head and its READ reply's held the data: heads 7358,
+		// 6657 and 7104, head bytes 2904228, 1421844 and 1673428. Every
+		// head now is a reply's, one per call served.
+		{harness.NFS, rpc.Work{Heads: 7153, HeadBytes: 1054520}},
+		{harness.SNFS, rpc.Work{Heads: 6504, HeadBytes: 868596}},
+		{harness.RFS, rpc.Work{Heads: 6899, HeadBytes: 930216}},
+	} {
+		run, err := harness.RunAndrew(pin.pr, true, harness.Default())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := run.RPC; got != pin.want {
+			t.Errorf("%v andrew: heads %d (%+d), head bytes %d (%+d)", pin.pr,
+				got.Heads, got.Heads-pin.want.Heads, got.HeadBytes, got.HeadBytes-pin.want.HeadBytes)
 		}
 	}
 }

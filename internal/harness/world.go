@@ -10,6 +10,7 @@ import (
 	"spritelynfs/internal/localfs"
 	"spritelynfs/internal/localmount"
 	"spritelynfs/internal/metrics"
+	"spritelynfs/internal/rpc"
 	"spritelynfs/internal/server"
 	"spritelynfs/internal/sim"
 	"spritelynfs/internal/simnet"
@@ -130,6 +131,20 @@ func (w *World) spanSummary(elapsed sim.Duration, nclients int) *span.Summary {
 		s.DiskBusySeconds += h.Media.Disk().BusyTime().Seconds()
 	}
 	return s
+}
+
+// RPCWork sums the wire-image work (rpc.Endpoint.Work) of every server
+// host and full-size client host of the world; Fleet.Work adds a fleet's
+// clients.
+func (w *World) RPCWork() rpc.Work {
+	var sum rpc.Work
+	for _, h := range w.servers {
+		sum = sum.Add(h.Base.Endpoint().Work())
+	}
+	for _, c := range w.clients {
+		sum = sum.Add(c.Base.Endpoint().Work())
+	}
+	return sum
 }
 
 // EnableTrace attaches one tracer to every host of the world (each

@@ -106,7 +106,7 @@ func FuzzDecodeMessage(f *testing.F) {
 	// Split-image seeds: a ReadReply whose data is the tail, and one whose
 	// tail disagrees with its length word.
 	read := slices.IndexFunc(fuzzSeeds, func(m Message) bool { _, ok := m.(*ReadReply); return ok })
-	for _, n := range []int{4, 8192} {
+	for _, n := range []int{1, 4, 4097, 8192} {
 		e := xdr.NewEncoder()
 		(&ReadReply{Status: OK, Data: bytes.Repeat([]byte{0x5a}, n)}).XDR(e.Codec())
 		head, tail := e.Image()
@@ -126,7 +126,7 @@ func FuzzDecodeMessage(f *testing.F) {
 				t.Fatalf("ReadReply decoded %d bytes of data from a %d+%d-byte image", len(r.Data), len(data), len(tail))
 			}
 			if joined := zeroOf(seed); err == nil && left == 0 && len(tail) > 0 {
-				if _, jerr := decodeInto(joined, append(data[:len(data):len(data)], tail...)); jerr != nil || !reflect.DeepEqual(m1, joined) {
+				if _, jerr := decodeInto(joined, xdr.Join(data, tail)); jerr != nil || !reflect.DeepEqual(m1, joined) {
 					t.Fatalf("a split image decodes to %+v, joined to %+v (%v)", m1, joined, jerr)
 				}
 			}

@@ -137,7 +137,7 @@ func TestDupCacheReplaysRecordedImage(t *testing.T) {
 			t.Error("no replayed reply")
 			return
 		}
-		if replay := join(again.body, again.tail); !bytes.Equal(replay, body) {
+		if replay := xdr.Join(again.body, again.tail); !bytes.Equal(replay, body) {
 			t.Errorf("replayed reply differs from the first: %d bytes, want %d", len(replay), len(body))
 		}
 		if &again.body[0] != &head[len(head)-len(again.body)] || &again.tail[0] != &tail[0] {

@@ -115,8 +115,8 @@ func statusErr(s Status) error {
 
 // Service services calls to one program. It runs on a server worker and
 // may itself block (disk access, nested RPCs). The arguments are
-// args‖tail, tail nil for a call sent whole; decode them with
-// xdr.Decoder.ResetTail. Both are frozen views of the delivered call
+// args‖tail, the tail's pad implied, tail nil for a call sent whole;
+// decode them with xdr.Decoder.ResetTail. Both are frozen views of the delivered call
 // image. It returns its reply body already encoded, by Encode (the zero
 // Reply for an empty body).
 type Service func(p *sim.Proc, from simnet.Addr, proc uint32, args, tail []byte) (Reply, Status)
@@ -199,6 +199,19 @@ type Stats struct {
 	DupEvictions  int64 // duplicate-cache entries evicted to make room
 }
 
+// Work counts the wire-image heads an endpoint has built. For a fixed
+// seed and tree each count is exact, as sim.KernelWork's are.
+type Work struct {
+	// Heads counts the heads built in a buffer of their own, outside a
+	// Pending: a call head over inlineImage bytes, and every reply head.
+	Heads int64
+	// HeadBytes counts the bytes copied into heads, a Pending's included.
+	HeadBytes int64
+}
+
+// Add returns the sum of w and v.
+func (w Work) Add(v Work) Work { return Work{w.Heads + v.Heads, w.HeadBytes + v.HeadBytes} }
+
 type request struct {
 	from simnet.Addr
 	xid  uint32
@@ -223,8 +236,9 @@ type Endpoint struct {
 	net     *simnet.Network
 	port    *simnet.Port
 	addr    simnet.Addr
-	opts    Options
+	workers int // Options.Workers
 	nextXID uint32
+	stopped bool
 	pending map[uint32]*Pending
 	progs   map[uint32]Service
 	exec    *sim.Executor
@@ -234,12 +248,12 @@ type Endpoint struct {
 	// arrival order: first the handed ones — a process has been woken
 	// for each and they start in that order — then those waiting for a
 	// slot, which exist only while serving == limit.
-	queue   callQueue
-	handed  int
-	job     func(*sim.Proc) // serve, bound once: every submission is this value
-	dup     dupCache
-	stats   Stats
-	stopped bool
+	queue  callQueue
+	handed int
+	job    func(*sim.Proc) // serve, bound once: every submission is this value
+	dup    dupCache
+	stats  Stats
+	work   Work
 	// Tracer, when set, records this endpoint's RPC activity.
 	Tracer *trace.Tracer
 	// Spans, when set, records causal latency spans: wire time and
@@ -257,10 +271,10 @@ type Endpoint struct {
 	// one server's retry window).
 	Reroute func(to simnet.Addr) simnet.Addr
 	// OnServed, when set, observes every completed handler invocation
-	// with the reply wire image, head‖tail (the one transmitted and
+	// with the reply wire image, head and tail (the one transmitted and
 	// recorded in the duplicate cache: read-only). The replication stream
 	// uses it to forward dup entries of non-idempotent calls to the
-	// backup, and joins the two parts only for those.
+	// backup, and joins the two parts (xdr.Join) only for those.
 	OnServed func(from simnet.Addr, xid, prog, vers, proc uint32, head, tail []byte)
 	// met, when set via SetMetrics, records per-procedure latency
 	// histograms. Kept behind one pointer so the disabled hot path pays
@@ -354,7 +368,7 @@ func NewEndpoint(k *sim.Kernel, net *simnet.Network, addr simnet.Addr, opts Opti
 		net:     net,
 		port:    net.Listen(addr),
 		addr:    addr,
-		opts:    opts,
+		workers: opts.Workers,
 		pending: make(map[uint32]*Pending),
 		progs:   make(map[uint32]Service),
 		exec:    opts.Exec,
@@ -374,8 +388,11 @@ func (e *Endpoint) Addr() simnet.Addr { return e.addr }
 // Stats returns a snapshot of the endpoint's counters.
 func (e *Endpoint) Stats() Stats { return e.stats }
 
+// Work returns the endpoint's wire-image work so far.
+func (e *Endpoint) Work() Work { return e.work }
+
 // Workers returns the service pool size.
-func (e *Endpoint) Workers() int { return e.opts.Workers }
+func (e *Endpoint) Workers() int { return e.workers }
 
 // Serve installs s as the service for program prog.
 func (e *Endpoint) Serve(prog uint32, s Service) { e.progs[prog] = s }
@@ -385,7 +402,7 @@ func (e *Endpoint) Serve(prog uint32, s Service) { e.progs[prog] = s }
 // over joined, in a buffer of its own.
 func (e *Endpoint) Register(prog uint32, h Handler) {
 	e.Serve(prog, func(p *sim.Proc, from simnet.Addr, proc uint32, args, tail []byte) (Reply, Status) {
-		body, st := h(p, from, proc, join(args, tail))
+		body, st := h(p, from, proc, xdr.Join(args, tail))
 		return Encode(rawBody(body).XDR), st
 	})
 }
@@ -422,7 +439,7 @@ func (e *Endpoint) Restart() {
 // on timeout, and returns the reply body. The body may be a view of the
 // delivered reply image: read it, copy what must change. A reply that
 // came as a head and a tail is returned joined, in a buffer of its own
-// (CallTail leaves the two apart).
+// (xdr.Join; CallTail leaves the two apart).
 func (e *Endpoint) Call(p *sim.Proc, to simnet.Addr, prog, vers, proc uint32, args []byte) ([]byte, error) {
 	return e.CallXDR(p, to, prog, vers, proc, rawBody(args).XDR)
 }
@@ -447,11 +464,12 @@ func (e *Endpoint) CallXDR(p *sim.Proc, to simnet.Addr, prog, vers, proc uint32,
 // opener that triggered it times out (§3.2).
 func (e *Endpoint) CallXDREx(p *sim.Proc, to simnet.Addr, prog, vers, proc uint32, args func(xdr.Codec), callTimeout sim.Duration, maxRetries int) ([]byte, error) {
 	body, tail, err := e.call(p, to, prog, vers, proc, args, callTimeout, maxRetries)
-	return join(body, tail), err
+	return xdr.Join(body, tail), err
 }
 
 // CallTail is CallXDR for a caller that decodes a two-part reply image
-// itself: the reply body is body‖tail (tail nil for a reply sent whole),
+// itself: the reply body is body‖tail, the tail's pad implied (tail nil
+// for a reply sent whole),
 // and the two are left apart, so a READ's data is the server's frozen
 // page and not a copy joined behind the header. Decode them with
 // xdr.Decoder.ResetTail.
@@ -464,12 +482,6 @@ func (e *Endpoint) call(p *sim.Proc, to simnet.Addr, prog, vers, proc uint32, ar
 	sp := e.Spans.Begin(p, string(e.addr), callSpanKind(prog), proto.ProcName(prog, proc))
 	defer sp.End()
 	return e.start(p, to, prog, vers, proc, args, callTimeout, maxRetries).wait(p)
-}
-
-// join returns head‖tail: head itself when there is no tail, and a buffer
-// of its own otherwise, since head is a view of a frozen image.
-func join(head, tail []byte) []byte {
-	return append(head[:len(head):len(head)], tail...)
 }
 
 // callSpanKind classifies a call for the span recorder.
@@ -562,13 +574,15 @@ func (e *Endpoint) start(p *sim.Proc, to simnet.Addr, prog, vers, proc uint32, a
 		c.wire = c.inline[:copy(c.inline[:], head):n]
 	} else {
 		c.wire = append([]byte(nil), head...)
+		e.work.Heads++
 	}
+	e.work.HeadBytes += int64(len(head))
 	c.wireTail = tail
 	enc.Release()
 
 	if e.Tracer != nil { // variadic args are boxed even for a nil tracer
 		e.Tracer.RecordOp(string(e.addr), trace.RPCCall, op, "-> %s %s xid=%d (%dB)",
-			to, proto.ProcName(prog, proc), xid, len(c.wire)+len(c.wireTail)-callHeaderLen)
+			to, proto.ProcName(prog, proc), xid, xdr.WireLen(c.wire, c.wireTail)-callHeaderLen)
 	}
 	e.pending[xid] = c
 	e.net.SendTail(e.addr, to, c.wire, c.wireTail)
@@ -785,7 +799,7 @@ func (e *Endpoint) serveOne(p *sim.Proc, req request) {
 	}
 	if e.Tracer != nil {
 		e.Tracer.RecordOp(string(e.addr), trace.RPCServe, req.op, "<- %s %s xid=%d (%dB)",
-			req.from, proto.ProcName(req.prog, req.proc), req.xid, len(req.args)+len(req.tail))
+			req.from, proto.ProcName(req.prog, req.proc), req.xid, xdr.WireLen(req.args, req.tail))
 	}
 	s, ok := e.progs[req.prog]
 	var body Reply
@@ -842,6 +856,8 @@ func (e *Endpoint) sendReply(to simnet.Addr, xid uint32, status Status, body Rep
 	}
 	head, tail = body.enc.Image()
 	body.enc.Release()
+	e.work.Heads++
+	e.work.HeadBytes += int64(len(head))
 	binary.BigEndian.PutUint32(head, xid)
 	binary.BigEndian.PutUint32(head[replyHeaderLen-4:], uint32(status))
 	e.net.SendTail(e.addr, to, head, tail)

@@ -775,7 +775,7 @@ func TestStaleTimeoutWakesNobody(t *testing.T) {
 		caller = p
 		c := client.start(p, "server", testProg, 1, 1, (&proto.WriteArgs{Data: make([]byte, 8192)}).XDR, CallTimeout, MaxRetries)
 		body, tail, err := c.wait(p)
-		if body = join(body, tail); err != nil || len(body) < 8192 {
+		if body = xdr.Join(body, tail); err != nil || len(body) < 8192 {
 			t.Errorf("call: %d-byte body, err %v", len(body), err)
 		}
 		if c.body != nil || c.wire != nil || c.wireTail != nil || c.waiter != nil {
@@ -853,7 +853,7 @@ func TestCallImageAcrossInlineBoundary(t *testing.T) {
 				t.Errorf("%d-byte image: the tail is not the caller's data", n)
 			}
 			body, tail, err := c.wait(p)
-			if err != nil || !bytes.Equal(join(body, tail), call.want) {
+			if err != nil || !bytes.Equal(xdr.Join(body, tail), call.want) {
 				t.Errorf("%d-byte image: reply of %d bytes, err %v", n, len(body), err)
 			}
 			p.Sleep(10 * sim.Millisecond) // the duplicate lands

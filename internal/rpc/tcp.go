@@ -250,7 +250,7 @@ func (g *Gateway) handle(conn net.Conn) {
 const writeBatch = 64
 
 // writeRecords is a connection's writer: it frames the messages queued
-// on out, each one record of head‖tail, and writes everything that is
+// on out, each one record of head‖tail‖pad, and writes everything that is
 // queued when it looks as one vectored write. The messages are frozen
 // wire images (DESIGN.md §14) — a READ reply's tail is the store's page,
 // which the read froze — read here and never written. It closes the
@@ -259,7 +259,7 @@ func writeRecords(conn net.Conn, out <-chan simnet.Message, done <-chan struct{}
 	defer conn.Close()
 	var (
 		hdrs [writeBatch][4]byte
-		vec  [3 * writeBatch][]byte
+		vec  [4 * writeBatch][]byte
 		bufs net.Buffers
 	)
 	for {
@@ -268,11 +268,11 @@ func writeRecords(conn net.Conn, out <-chan simnet.Message, done <-chan struct{}
 			n, v := 0, 0
 		drain:
 			for {
-				binary.BigEndian.PutUint32(hdrs[n][:], uint32(len(m.Payload)+len(m.Tail)))
+				binary.BigEndian.PutUint32(hdrs[n][:], uint32(m.Len()))
 				vec[v], vec[v+1] = hdrs[n][:], m.Payload
 				if v += 2; m.Tail != nil {
-					vec[v] = m.Tail
-					v++
+					vec[v], vec[v+1] = m.Tail, xdr.Pad(len(m.Tail))
+					v += 2
 				}
 				if n++; n == writeBatch {
 					break

@@ -139,7 +139,7 @@ func (r *Replicator) noteServed(from simnet.Addr, xid, prog, vers, proc uint32, 
 		return
 	}
 	r.enqueue(proto.ReplRecord{
-		Kind: proto.ReplDup, From: string(from), Xid: xid, Wire: append(head[:len(head):len(head)], tail...),
+		Kind: proto.ReplDup, From: string(from), Xid: xid, Wire: xdr.Join(head, tail),
 	})
 }
 

@@ -8,21 +8,26 @@ import (
 	"fmt"
 
 	"spritelynfs/internal/sim"
+	"spritelynfs/internal/xdr"
 )
 
 // Addr identifies a host endpoint on the network.
 type Addr string
 
 // Message is a datagram in flight or delivered to a port. Its bytes are
-// Payload followed by Tail: a sender may hand a message's last part over
-// by reference (xdr.Encoder.Image) instead of copying it behind the rest.
-// Tail is nil for a message sent whole.
+// Payload followed by Tail and the tail's XDR pad (xdr.Pad): a sender may
+// hand a message's last part over by reference (xdr.Encoder.Image)
+// instead of copying it behind the rest, and the pad travels as a
+// length, not as bytes. Tail is nil for a message sent whole.
 type Message struct {
 	From    Addr
 	To      Addr
 	Payload []byte
 	Tail    []byte
 }
+
+// Len returns the message's length on the wire (xdr.WireLen).
+func (m Message) Len() int { return xdr.WireLen(m.Payload, m.Tail) }
 
 // Config holds the network cost model.
 type Config struct {
@@ -129,12 +134,12 @@ func (n *Network) Unlisten(addr Addr) { delete(n.ports, addr) }
 // unclaimed addresses are silently dropped, like datagrams to a dead host.
 func (n *Network) Send(from, to Addr, payload []byte) { n.SendTail(from, to, payload, nil) }
 
-// SendTail is Send for a message in two parts, head‖tail, delivered as
-// Message.Payload and Message.Tail. It is counted and serialized as the
-// one message it is.
+// SendTail is Send for a message in two parts, head‖tail‖pad, delivered
+// as Message.Payload and Message.Tail. It is counted and serialized as the
+// one message it is, its pad included (Message.Len).
 func (n *Network) SendTail(from, to Addr, head, tail []byte) {
 	n.stats.Sent++
-	n.stats.Bytes += int64(len(head) + len(tail))
+	n.stats.Bytes += int64(xdr.WireLen(head, tail))
 	if n.cfg.DropEvery > 0 && n.stats.Sent%n.cfg.DropEvery == 0 {
 		n.stats.Dropped++
 		return
@@ -166,7 +171,7 @@ func (n *Network) SendTail(from, to Addr, head, tail []byte) {
 func (n *Network) transmit(msg Message) {
 	var xmit sim.Duration
 	if n.cfg.BytesPerSec > 0 {
-		xmit = sim.Duration(int64(len(msg.Payload)+len(msg.Tail)) * int64(sim.Second) / n.cfg.BytesPerSec)
+		xmit = sim.Duration(int64(msg.Len()) * int64(sim.Second) / n.cfg.BytesPerSec)
 	}
 	var f *flight
 	if last := len(n.free) - 1; last >= 0 {

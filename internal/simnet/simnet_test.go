@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"spritelynfs/internal/sim"
+	"spritelynfs/internal/xdr"
 )
 
 func TestDeliveryLatency(t *testing.T) {
@@ -66,6 +67,36 @@ func TestSendTailIsOneMessage(t *testing.T) {
 	}
 	if &got.Payload[0] != &head[0] || &got.Tail[0] != &tail[0] || len(got.Payload) != 12 || len(got.Tail) != 988 {
 		t.Errorf("delivered a %d-byte payload and a %d-byte tail, want the head and tail sent", len(got.Payload), len(got.Tail))
+	}
+}
+
+// TestTailPadIsOnTheWire: a message whose tail is n bytes, 1 to 8, and
+// goes without its XDR pad, counts the bytes and takes the link time of
+// its image joined and padded to a word (xdr.Join) sent whole, and so
+// arrives at the same instant.
+func TestTailPadIsOnTheWire(t *testing.T) {
+	for n := 1; n <= 8; n++ {
+		head, tail := make([]byte, 12), make([]byte, n)
+		var stats [2]Stats
+		var arrived [2]sim.Time
+		for i, split := range []bool{true, false} {
+			k := sim.NewKernel(1)
+			net := New(k, Config{PropDelay: sim.Millisecond, BytesPerSec: 1000})
+			net.Listen("b").SetHandler(func(Message) { arrived[i] = k.Now() })
+			if split {
+				net.SendTail("a", "b", head, tail)
+			} else {
+				net.Send("a", "b", xdr.Join(head, tail))
+			}
+			k.Run()
+			stats[i] = net.Stats()
+		}
+		padded := int64(12 + (n+3)&^3)
+		if stats[0].Bytes != stats[1].Bytes || arrived[0] != arrived[1] || stats[1].Bytes != padded ||
+			arrived[1] != sim.Time(sim.Millisecond+sim.Duration(padded)*sim.Millisecond) {
+			t.Errorf("a %d-byte tail: %d bytes, arrived at %v; sent joined: %d bytes, arrived at %v",
+				n, stats[0].Bytes, arrived[0], stats[1].Bytes, arrived[1])
+		}
 	}
 }
 

@@ -110,17 +110,17 @@ func (c Codec) Opaque(v *[]byte) {
 
 // Tail codes variable-length opaque data that is a message's last field,
 // so that it can travel by reference instead of being copied behind the
-// header. Encoding keeps an aligned, non-empty *v as the encoder's tail —
-// its length word in the buffer, no padding needed — and encodes anything
-// else inline, as Opaque does. Decoding reads the length word and takes
-// the bytes from the decoder's tail if it has one (ResetTail), failing
-// with ErrShortBuffer unless the tail is exactly the item and its padding,
-// or else from the buffer, as Decoder.OpaqueRef does. Either way the bytes
-// on the wire are those of Opaque, and a decoded value is a view with
-// Decoder.OpaqueRef's rules.
+// header. Encoding keeps a non-empty *v as the encoder's tail, its length
+// word in the buffer, and encodes an empty one inline, as Opaque does; the
+// tail's pad is carried apart (Pad). Decoding reads the length word and
+// takes the bytes from the decoder's tail if it has one (ResetTail),
+// failing with ErrShortBuffer unless the tail is exactly the item, its
+// padding implied, or else from the buffer, as Decoder.OpaqueRef does.
+// Either way the bytes on the wire are those of Opaque, and a decoded
+// value is a view with Decoder.OpaqueRef's rules.
 func (c Codec) Tail(v *[]byte) {
 	switch d := c.d; {
-	case d == nil && len(*v) > 0 && len(*v)%4 == 0:
+	case d == nil && len(*v) > 0:
 		c.e.Uint32(uint32(len(*v)))
 		c.e.tail = *v
 	case d == nil:
@@ -132,7 +132,7 @@ func (c Codec) Tail(v *[]byte) {
 		switch {
 		case d.err != nil:
 			*v = nil
-		case (int64(n)+3)&^3 != int64(len(d.tail)):
+		case int64(n) != int64(len(d.tail)):
 			d.err = fmt.Errorf("%w: a %d-byte item in a %d-byte tail", ErrShortBuffer, n, len(d.tail))
 			*v = nil
 		default:

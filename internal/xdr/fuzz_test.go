@@ -2,6 +2,7 @@ package xdr
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 )
 
@@ -13,7 +14,8 @@ import (
 // reproduces the original wire image. Aliasing bugs in the zero-copy
 // path — views with the wrong bounds, padding miscounted, state leaking
 // across Reset — surface as mismatches here. The blob also goes out as a
-// split image's tail (Codec.Tail), which must be the same message.
+// split image's tail (Codec.Tail), its pad carried apart, which must be
+// the same message.
 func FuzzXDRRoundTrip(f *testing.F) {
 	f.Add(uint32(42), int64(-7), "name.c", []byte{1, 2, 3}, []byte{9, 8, 7, 6}, true)
 	f.Add(uint32(0), int64(0), "", []byte{}, []byte{}, false)
@@ -21,6 +23,10 @@ func FuzzXDRRoundTrip(f *testing.F) {
 	// Split-image seeds: blobs that go out as a tail.
 	f.Add(uint32(6), int64(8192), "", []byte{1, 2, 3, 4}, []byte{}, false)
 	f.Add(uint32(6), int64(0), "read", bytes.Repeat([]byte{0x5a}, 4096), []byte{}, true)
+	// Unaligned tails, sent without their pad.
+	for _, n := range []int{1, 3, 4097, 8191} {
+		f.Add(uint32(6), int64(n), "", bytes.Repeat([]byte{0x3c}, n), []byte{}, false)
+	}
 	f.Fuzz(func(t *testing.T, a uint32, b int64, s string, blob, tail []byte, flag bool) {
 		e := NewEncoder()
 		e.Uint32(a)
@@ -77,8 +83,11 @@ func FuzzXDRRoundTrip(f *testing.F) {
 			t.Fatal("re-encode differs from original wire image")
 		}
 
-		// The blob as a split image's tail: the same bytes as inline, and
-		// the same value decoded from the two parts or the joined bytes.
+		// The blob as a split image's tail: the tail is the blob itself
+		// whenever it is non-empty, its pad is carried apart, and the
+		// message on the wire, head‖tail‖pad, is the inline encoding.
+		// The same value decodes from the two parts or the joined bytes,
+		// and a tail a byte short or a byte long fails the decoder.
 		inline := NewEncoder()
 		inline.Uint32(a)
 		inline.Opaque(blob)
@@ -86,7 +95,11 @@ func FuzzXDRRoundTrip(f *testing.F) {
 		split.Uint32(a)
 		split.Codec().Tail(&blob)
 		head, tl := split.Image()
-		if !bytes.Equal(append(head, tl...), inline.Bytes()) || !bytes.Equal(split.Bytes(), inline.Bytes()) {
+		if (len(blob) > 0) != (tl != nil) || len(blob) > 0 && &tl[0] != &blob[0] {
+			t.Fatalf("a %d-byte blob went out as a %d-byte tail; want the blob itself whenever it is non-empty", len(blob), len(tl))
+		}
+		if want := inline.Bytes(); !bytes.Equal(Join(head, tl), want) || split.Len() != len(want) ||
+			WireLen(head, tl) != len(want) || !bytes.Equal(split.Bytes(), want) {
 			t.Fatal("split image differs from the inline encoding")
 		}
 		for _, parts := range [][2][]byte{{head, tl}, {inline.Bytes(), nil}} {
@@ -96,6 +109,18 @@ func FuzzXDRRoundTrip(f *testing.F) {
 			y.Uint32()
 			if y.Codec().Tail(&got); y.Err() != nil || !bytes.Equal(got, blob) {
 				t.Fatalf("Tail decode of a %d+%d-byte image: %v", len(parts[0]), len(parts[1]), y.Err())
+			}
+		}
+		if tl == nil {
+			return
+		}
+		for _, bad := range [][]byte{tl[:len(tl)-1], append(tl[:len(tl):len(tl)], 0)} {
+			var got []byte
+			var y Decoder
+			y.ResetTail(head, bad)
+			y.Uint32()
+			if y.Codec().Tail(&got); !errors.Is(y.Err(), ErrShortBuffer) || got != nil {
+				t.Fatalf("a %d-byte tail for a %d-byte item decoded %d bytes, err %v; want ErrShortBuffer and nothing", len(bad), len(tl), len(got), y.Err())
 			}
 		}
 	})
@@ -116,6 +141,10 @@ func FuzzDecodeGarbage(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 8, 1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add([]byte{0, 0, 0, 8, 1, 2, 3, 4})
 	f.Add([]byte{0, 0, 0, 3, 1, 2, 3, 4, 5, 6, 7, 8})
+	// An unaligned item: its tail exactly, and with the pad it is sent
+	// without.
+	f.Add([]byte{0, 0, 0, 3, 1, 2, 3})
+	f.Add([]byte{0, 0, 0, 3, 1, 2, 3, 0})
 	f.Fuzz(func(t *testing.T, garbage []byte) {
 		d := NewDecoder(garbage)
 		d.Uint32()

@@ -32,10 +32,35 @@ const maxItem = MaxItem
 
 // Encoder appends XDR-encoded values to a byte slice. A message's last
 // field may instead be kept by reference as the image's tail
-// (Codec.Tail): the message is then buf followed by tail.
+// (Codec.Tail): the message is then buf, the tail, and the tail's pad.
 type Encoder struct {
 	buf  []byte
 	tail []byte
+}
+
+// zeros is the pad of every tail. A tail goes by reference without its
+// padding, which RFC 4506 §4.10 makes a function of its length, so
+// nothing holds a tail's pad until a writer puts it on the wire.
+var zeros [3]byte
+
+// Pad returns the zero bytes that follow n bytes of opaque data on the
+// wire, up to a word — an inline item's, or a tail's: a view of one
+// shared array, to be read and never written.
+func Pad(n int) []byte {
+	p := -n & 3
+	return zeros[:p:p]
+}
+
+// WireLen returns the length on the wire of a message sent as a head and
+// a tail (Encoder.Parts, Encoder.Image): the head, the tail, and the
+// tail's pad to a word. A message sent whole is its head.
+func WireLen(head, tail []byte) int { return len(head) + len(tail) + len(Pad(len(tail))) }
+
+// Join returns a message sent as a head and a tail as the one buffer of
+// its wire bytes, head‖tail‖pad: head itself when there is no tail, and a
+// buffer of its own otherwise, since head may be a view of a frozen image.
+func Join(head, tail []byte) []byte {
+	return append(append(head[:len(head):len(head)], tail...), Pad(len(tail))...)
 }
 
 // NewEncoder returns an encoder with an empty buffer.
@@ -67,20 +92,20 @@ func (e *Encoder) Release() {
 	encPool.Put(e)
 }
 
-// Bytes returns the encoded message, a tail appended to the buffer. The
-// slice aliases the encoder's internal storage: it is valid until the
-// next Reset, SetBuffer, or Release.
+// Bytes returns the encoded message, a tail and its pad appended to the
+// buffer. The slice aliases the encoder's internal storage: it is valid
+// until the next Reset, SetBuffer, or Release.
 func (e *Encoder) Bytes() []byte {
 	if e.tail != nil {
-		e.buf, e.tail = append(e.buf, e.tail...), nil
+		e.buf, e.tail = append(append(e.buf, e.tail...), Pad(len(e.tail))...), nil
 	}
 	return e.buf
 }
 
 // Image returns the encoded message as an exact-size copy of the buffer
 // the caller owns, and the tail, by reference, nil if there is none: the
-// message is head‖tail. The tail is whatever Codec.Tail was handed, so it
-// is only as frozen as the bytes its caller kept.
+// message is head‖tail‖Pad(len(tail)). The tail is whatever Codec.Tail
+// was handed, so it is only as frozen as the bytes its caller kept.
 func (e *Encoder) Image() (head, tail []byte) {
 	head = make([]byte, len(e.buf))
 	copy(head, e.buf)
@@ -90,11 +115,11 @@ func (e *Encoder) Image() (head, tail []byte) {
 // Parts returns the encoded message as its two parts, both views: head
 // aliases the encoder's buffer and is valid until the next Reset,
 // SetBuffer or Release, and tail is what Codec.Tail was handed, nil if
-// there is none. The message is head‖tail.
+// there is none. The message is head‖tail‖Pad(len(tail)).
 func (e *Encoder) Parts() (head, tail []byte) { return e.buf, e.tail }
 
-// Len returns the number of encoded bytes, the tail's included.
-func (e *Encoder) Len() int { return len(e.buf) + len(e.tail) }
+// Len returns the message's length on the wire (WireLen).
+func (e *Encoder) Len() int { return WireLen(e.buf, e.tail) }
 
 // Reset discards the buffer contents, retaining capacity, and the tail.
 func (e *Encoder) Reset() { e.buf, e.tail = e.buf[:0], nil }
@@ -127,19 +152,10 @@ func (e *Encoder) Bool(v bool) {
 	}
 }
 
-// pad appends zero bytes up to 4-byte alignment.
-func (e *Encoder) pad(n int) {
-	for n%4 != 0 {
-		e.buf = append(e.buf, 0)
-		n++
-	}
-}
-
 // Opaque encodes variable-length opaque data (length-prefixed, padded).
 func (e *Encoder) Opaque(b []byte) {
 	e.Uint32(uint32(len(b)))
-	e.buf = append(e.buf, b...)
-	e.pad(len(b))
+	e.buf = append(append(e.buf, b...), Pad(len(b))...)
 }
 
 // String encodes a string as variable-length opaque data.
@@ -172,7 +188,8 @@ func NewDecoder(buf []byte) *Decoder { return &Decoder{buf: buf} }
 func (d *Decoder) Reset(buf []byte) { d.ResetTail(buf, nil) }
 
 // ResetTail is Reset for an image sent as a head and a tail (Encoder.Image):
-// buf is the head, and the item Codec.Tail decodes is tail.
+// buf is the head, and the item Codec.Tail decodes is tail, whose pad is
+// implied.
 func (d *Decoder) ResetTail(buf, tail []byte) {
 	*d = Decoder{buf: buf, tail: tail}
 }
@@ -197,7 +214,7 @@ func (d *Decoder) take(n int) []byte {
 }
 
 func (d *Decoder) skipPad(n int) {
-	if pad := (4 - n%4) % 4; pad > 0 {
+	if pad := len(Pad(n)); pad > 0 {
 		d.take(pad)
 	}
 }
