@@ -2,9 +2,11 @@ package spritelynfs
 
 import (
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -64,7 +66,7 @@ func TestStructuralCeilings(t *testing.T) {
 		{"exported localfs.Media.ChargeRead", b2i(chargeRead), 0},
 		// One description per message: its XDR method both encodes and
 		// decodes it. The named decoders left are the benchmark's.
-		{"internal/proto non-test lines", countLines(t, "internal/proto"), 1425},
+		{"internal/proto non-test lines", countLines(t, "internal/proto"), 1409},
 		{"exported proto.Decode* functions", countDecoders(t, "internal/proto"), 5},
 		// One row per procedure: a server decodes a call's arguments in
 		// one place, its shared admission step.
@@ -75,7 +77,7 @@ func TestStructuralCeilings(t *testing.T) {
 		{"OpaqueRef payload fields in internal/proto non-test files", countText(t, "internal/proto", "OpaqueRef("), 0},
 		// One read path: vfs.File.ReadInto fills the caller's buffer. The
 		// allocating ReadAt(p, off, n) adapters left are the benchmark's.
-		{"ReadAt(p, off, n) adapter methods", countReadAtAdapters(t), 5},
+		{"ReadAt(p, off, n) adapter methods", countReadAtAdapters(t), 3},
 		// One place begins a syscall: a root span opens where the op is
 		// minted (client.Base.syscall), or where none is (the local
 		// mount), never in a wrapper around either.
@@ -83,7 +85,7 @@ func TestStructuralCeilings(t *testing.T) {
 		// One derivation of Table 4-1: a state-table entry's state is
 		// set only by e.state = e.derive().
 		{"state assignments in internal/core other than e.state = e.derive()", countStateSets(t, "internal/core"), 0},
-		{"internal/core non-test lines", countLines(t, "internal/core"), 886},
+		{"internal/core non-test lines", countLines(t, "internal/core"), 884},
 		// One client rule for the cache: core.FileRecord decides what every
 		// open, reopen and callback does to the cached blocks, Base.apply
 		// carries it out, and one callback service decodes and counts
@@ -120,6 +122,14 @@ func TestStructuralCeilings(t *testing.T) {
 		{"proto.ProgCallback in internal/server non-test files", countText(t, "internal/server", "proto.ProgCallback"), 1},
 		{"sim.NewSemaphore in internal/server non-test files", countText(t, "internal/server", "sim.NewSemaphore"), 1},
 		{"internal/server non-test lines", countLines(t, "internal/server"), 2219},
+		// One open file: every protocol opens, lists and reads a file
+		// through Base, and what a protocol adds there is a field its
+		// constructor sets.
+		{"types in internal/client implementing vfs.File", countFileTypes(t), 1},
+		{"Open methods in internal/client", countMethods(t, "internal/client", "Open"), 1},
+		{"Readdir methods in internal/client", countMethods(t, "internal/client", "Readdir"), 1},
+		{"proto.ProcOpen in internal/client non-test files", countText(t, "internal/client", "proto.ProcOpen"), 1},
+		{"internal/client non-test lines", countLines(t, "internal/client"), 2502},
 		// One way to call inside the simulation: Endpoint.Call; the
 		// start/wait halves it composes stay unexported.
 		{"rpc.Endpoint.Start declarations", countMethods(t, "internal/rpc", "Start", "Endpoint"), 0},
@@ -128,6 +138,26 @@ func TestStructuralCeilings(t *testing.T) {
 			t.Errorf("%s: %d, above its ceiling of %d", c.what, c.got, c.max)
 		}
 	}
+}
+
+// countFileTypes counts the types internal/client declares whose values
+// or pointers implement vfs.File.
+func countFileTypes(t *testing.T) int {
+	pkg := typeCheck(t, "internal/client")[0].types
+	var file *types.Interface
+	for _, imp := range pkg.Imports() {
+		if imp.Path() == "spritelynfs/internal/vfs" {
+			file = imp.Scope().Lookup("File").Type().Underlying().(*types.Interface)
+		}
+	}
+	n := 0
+	for _, name := range pkg.Scope().Names() {
+		if tn, ok := pkg.Scope().Lookup(name).(*types.TypeName); ok && !types.IsInterface(tn.Type()) &&
+			(types.Implements(tn.Type(), file) || types.Implements(types.NewPointer(tn.Type()), file)) {
+			n++
+		}
+	}
+	return n
 }
 
 // countLines counts the lines of dir's non-test Go files.
@@ -474,4 +504,200 @@ func goFiles(t *testing.T, dir string) []string {
 func countJobs(workflow string) int {
 	_, jobs, _ := strings.Cut(workflow, "\njobs:\n")
 	return len(regexp.MustCompile(`(?m)^  [\w-]+:\s*$`).FindAllString(jobs, -1))
+}
+
+// TestMapRangesAreOrdered holds the determinism contract — every output
+// a function of the seed — at its most common leak: Go randomizes map
+// iteration order. Every range over a map in the non-test code of
+// internal/ either collects into slices that it sorts before acting, or
+// has a row in mapRangeRows saying why its order cannot reach an output.
+// Rows are counted per function, so a row whose loop is gone fails too.
+func TestMapRangesAreOrdered(t *testing.T) {
+	dirs, err := filepath.Glob("internal/*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	unordered := map[string]int{}
+	for _, pkg := range typeCheck(t, dirs...) {
+		for _, f := range pkg.files {
+			for _, decl := range f.Decls {
+				fn, ok := decl.(*ast.FuncDecl)
+				if !ok || fn.Body == nil {
+					continue
+				}
+				name := pkg.types.Name() + "." + funcName(fn)
+				ast.Inspect(fn.Body, func(node ast.Node) bool {
+					var list []ast.Stmt
+					switch x := node.(type) {
+					case *ast.BlockStmt:
+						list = x.List
+					case *ast.CaseClause:
+						list = x.Body
+					case *ast.CommClause:
+						list = x.Body
+					}
+					for i, st := range list {
+						if ls, ok := st.(*ast.LabeledStmt); ok {
+							st = ls.Stmt
+						}
+						rs, ok := st.(*ast.RangeStmt)
+						if !ok {
+							continue
+						}
+						if _, isMap := pkg.info.TypeOf(rs.X).Underlying().(*types.Map); isMap && !sortedAfter(rs, list[i+1:]) {
+							unordered[name]++
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+	rows := map[string]int{}
+	for _, r := range mapRangeRows {
+		if r.reason == "" {
+			t.Errorf("%s: allowlist row without a reason", r.fn)
+		}
+		rows[r.fn]++
+	}
+	for fn, n := range unordered {
+		if rows[fn] != n {
+			t.Errorf("%s: %d map range(s) neither sorted nor listed (%d row(s) in mapRangeRows)", fn, n, rows[fn])
+		}
+	}
+	for fn, n := range rows {
+		if unordered[fn] == 0 {
+			t.Errorf("%s: %d allowlist row(s) for no unsorted map range", fn, n)
+		}
+	}
+}
+
+// mapRangeRows lists the map ranges whose order reaches no output, one row
+// per loop.
+var mapRangeRows = []struct{ fn, reason string }{
+	{"audit.deriveState", "sums the writers; the client it keeps is read only when it is the only one"},
+	{"client.(*Base).EnableMetrics", "a gauge: sums the unstable blocks of every file"},
+	{"core.(*Table).Snapshot", "copies every entry, then sorts the copies by (stamp, handle), a total order"},
+	{"core.(*Table).StateCount", "counts"},
+	{"core.(*Table).oldest", "keeps the n least by (stamp, handle), a total order"},
+	{"localfs.(*Store).TotalBytes", "sums"},
+	{"metrics.(*Registry).Snapshot", "copies the gauge funcs into a map"},
+	{"metrics.(*Registry).Snapshot", "copies the histograms into a map"},
+	{"metrics.(*Registry).Snapshot", "calls every gauge func, each into its own key"},
+	{"metrics.(*Registry).helpTexts", "copies into a map"},
+	{"server.(*lockTable).acquire", "asks whether any holder but the requester exists"},
+	{"server.(*lockTable).clientDead", "each pass changes its own lock and deletes its own key"},
+	{"server.(*rfsTable).get", "takes the least stamp, unique: every open stamps its entry from one counter"},
+	{"stats.(*Ops).Clone", "copies into a map"},
+	{"stats.(*Ops).Diff", "subtracts key by key into a map"},
+	{"stats.(*Ops).Total", "sums"},
+	{"tsdb.varsDoc", "copies into a map"},
+}
+
+// funcName names a function declaration as pkg.Func or pkg.(*T).M.
+func funcName(fn *ast.FuncDecl) string {
+	if fn.Recv == nil {
+		return fn.Name.Name
+	}
+	return "(" + types.ExprString(fn.Recv.List[0].Type) + ")." + fn.Name.Name
+}
+
+// sortedAfter reports whether rs only collects — every statement of its
+// body appends to a slice, perhaps under an if — and a later statement of
+// its block sorts every slice it appended to.
+func sortedAfter(rs *ast.RangeStmt, rest []ast.Stmt) bool {
+	targets := map[string]bool{}
+	var collects func(list []ast.Stmt) bool
+	collects = func(list []ast.Stmt) bool {
+		for _, st := range list {
+			switch x := st.(type) {
+			case *ast.AssignStmt:
+				call, ok := x.Rhs[0].(*ast.CallExpr)
+				if len(x.Lhs) != 1 || !ok || types.ExprString(call.Fun) != "append" ||
+					types.ExprString(call.Args[0]) != types.ExprString(x.Lhs[0]) {
+					return false
+				}
+				targets[types.ExprString(x.Lhs[0])] = true
+			case *ast.IfStmt:
+				if x.Init != nil || x.Else != nil || !collects(x.Body.List) {
+					return false
+				}
+			default:
+				return false
+			}
+		}
+		return true
+	}
+	if !collects(rs.Body.List) || len(targets) == 0 {
+		return false
+	}
+	for _, st := range rest {
+		es, ok := st.(*ast.ExprStmt)
+		if !ok {
+			continue
+		}
+		call, ok := es.X.(*ast.CallExpr)
+		if !ok || len(call.Args) == 0 {
+			continue
+		}
+		fun := types.ExprString(call.Fun)
+		if strings.HasPrefix(fun, "sort.") || strings.HasPrefix(strings.ToLower(fun[strings.LastIndex(fun, ".")+1:]), "sort") {
+			delete(targets, types.ExprString(call.Args[0])) // sort.Slice, slices.SortFunc, sortAssignments, …
+		}
+	}
+	return len(targets) == 0
+}
+
+// typedPackage is one package of internal/, parsed and type-checked.
+type typedPackage struct {
+	types *types.Package
+	info  *types.Info
+	files []*ast.File
+}
+
+// typeCheck parses and type-checks the packages in dirs (non-test
+// files), importing what they import from the build cache's export data:
+// one go list -export, and no package is checked from source twice.
+func typeCheck(t *testing.T, dirs ...string) []typedPackage {
+	t.Helper()
+	goTool, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("no go command to list export data")
+	}
+	args := []string{"list", "-export", "-deps", "-f", "{{.ImportPath}} {{.Export}}"}
+	for _, dir := range dirs {
+		args = append(args, "./"+filepath.ToSlash(dir))
+	}
+	out, err := exec.Command(goTool, args...).Output()
+	if err != nil {
+		t.Fatalf("go list -export: %v", err)
+	}
+	exports := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		if path, file, ok := strings.Cut(line, " "); ok {
+			exports[path] = file
+		}
+	}
+	fset := token.NewFileSet()
+	conf := types.Config{Importer: importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		return os.Open(exports[path])
+	})}
+	var pkgs []typedPackage
+	for _, dir := range dirs {
+		var files []*ast.File
+		for _, name := range goFiles(t, dir) {
+			f, err := parser.ParseFile(fset, name, nil, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			files = append(files, f)
+		}
+		info := &types.Info{Types: map[ast.Expr]types.TypeAndValue{}}
+		pkg, err := conf.Check("spritelynfs/"+filepath.ToSlash(dir), fset, files, info)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkgs = append(pkgs, typedPackage{types: pkg, info: info, files: files})
+	}
+	return pkgs
 }

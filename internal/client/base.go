@@ -1,7 +1,12 @@
 // Package client implements the client file systems the paper compares.
 // Base is the one client file system — name translation, the namespace
-// operations, the block cache and both write pipelines; each protocol
-// adds only its consistency policy:
+// operations, the open path (Open, Readdir and the one open-file type),
+// the block cache and both write pipelines. Each protocol adds only its
+// consistency policy. Inside the shared operations that is a field its
+// constructor sets once (tracksOpens, delaysWrites, eagerTail,
+// delayedClose, invalidateOnClose); the rest — its part of the callback
+// service, its daemons, recovery and the name cache — lives in its own
+// file. The three policies:
 //
 //   - NFSClient: the Ultrix-vintage reference-port behaviour — periodic
 //     attribute probes (adaptive 3–150 s), a getattr consistency check on
@@ -29,6 +34,7 @@
 package client
 
 import (
+	"bytes"
 	"cmp"
 	"slices"
 	"sort"
@@ -158,21 +164,35 @@ type Base struct {
 	lastDir      proto.Handle
 	lastDirValid bool
 
-	// nameGet/namePut, when set (the SNFS §7 name-cache extension),
-	// serve and record name translations around the lookup RPC.
-	// nameSet records this client's own namespace change (a zero handle
-	// means the name is gone) and nameForget drops every translation
-	// cached under a directory; the shared namespace operations call
-	// them after the server accepts the change.
-	nameGet    func(dir proto.Handle, name string) (proto.Handle, bool)
-	namePut    func(p *sim.Proc, dir proto.Handle, name string, h proto.Handle)
-	nameSet    func(dir proto.Handle, name string, h proto.Handle)
-	nameForget func(dir proto.Handle)
-	// cancelOnRemove is set by a client that delays writes: removing a
-	// file's last link cancels its delayed writes (§4.2.3), and does so
-	// before the remove RPC so that a racing update-daemon pass cannot
-	// resurrect them.
-	cancelOnRemove bool
+	// names, when set (the SNFS §7 name-cache extension), serves and
+	// records name translations around the lookup RPC; the shared
+	// namespace operations tell it of this client's own changes after the
+	// server accepts them.
+	names nameCache
+	// What a protocol adds inside the open path and the write-back, each
+	// set once by its constructor and false for the others.
+	//
+	// tracksOpens (SNFS, RFS): the server keeps open state, so an open
+	// and a listing send OPEN, a close sends CLOSE, and the node's record
+	// follows both. Without it (NFS) an open makes the getattr check.
+	tracksOpens bool
+	// delaysWrites (SNFS): a write goes to the cache and stays there
+	// (§2.2), fsync writes the file's dirty blocks home, close sends no
+	// data, a cached read makes no attribute check (the client's own
+	// length, its delayed writes included, is the file's), and removing a
+	// file's last link cancels its delayed writes (§4.2.3) — before the
+	// remove RPC, so that a racing update-daemon pass cannot resurrect
+	// them. Without it a write goes through (writeThrough).
+	delaysWrites bool
+	// eagerTail (RFS) sends a written-through partial tail block at once
+	// instead of holding it until it fills or the file is synced.
+	eagerTail bool
+	// delayedClose (the SNFS §6.2 option) withholds the final close of a
+	// file read with caching on, in anticipation of a prompt reopen.
+	delayedClose bool
+	// invalidateOnClose (the NFS option) drops a file's cached data at
+	// its final close, as the paper's reference port did.
+	invalidateOnClose bool
 
 	tracer *trace.Tracer
 
@@ -188,6 +208,10 @@ type Base struct {
 	callbacks callbackHandler
 	// CallbacksServed counts the callbacks the service handled.
 	CallbacksServed int64
+	// Inconsistencies counts opens that returned the §3.2 warning.
+	Inconsistencies int64
+	// LocalReopens counts opens satisfied by delayed-close reuse.
+	LocalReopens int64
 
 	// Unstable-pipeline counters.
 	commitsSent   int64
@@ -319,6 +343,17 @@ type callbackHandler interface {
 	callback(p *sim.Proc, a proto.CallbackArgs, n *node) proto.Status
 }
 
+// nameCache is a protocol's name cache (Base.names): lookupName serves a
+// translation, cacheName records one the lookup RPC returned, setName
+// records this client's own change (a zero handle means the name is gone)
+// and forgetDir drops every translation cached under a directory.
+type nameCache interface {
+	lookupName(dir proto.Handle, name string) (proto.Handle, bool)
+	cacheName(p *sim.Proc, dir proto.Handle, name string, h proto.Handle)
+	setName(dir proto.Handle, name string, h proto.Handle)
+	forgetDir(dir proto.Handle)
+}
+
 // serveCallbacks registers the client's callback service (the client
 // must provide RPC service, §3.2), with h as the protocol's part.
 func (b *Base) serveCallbacks(h callbackHandler) {
@@ -397,8 +432,8 @@ func (b *Base) lookupRPC(p *sim.Proc, dir proto.Handle, name string) (proto.Hand
 // attributes may be zero; symlinks are never cached, so a cache hit is
 // always a plain file or directory.
 func (b *Base) lookup(p *sim.Proc, dir proto.Handle, name string, needAttr bool) (h proto.Handle, attr proto.Fattr, fromCache bool, err error) {
-	if b.nameGet != nil {
-		if h, ok := b.nameGet(dir, name); ok {
+	if b.names != nil {
+		if h, ok := b.names.lookupName(dir, name); ok {
 			if !needAttr {
 				return h, proto.Fattr{}, true, nil
 			}
@@ -413,8 +448,8 @@ func (b *Base) lookup(p *sim.Proc, dir proto.Handle, name string, needAttr bool)
 		}
 	}
 	h, attr, err = b.lookupRPC(p, dir, name)
-	if err == nil && b.namePut != nil && attr.Type != uint32(localfs.TypeSymlink) {
-		b.namePut(p, dir, name, h)
+	if err == nil && b.names != nil && attr.Type != uint32(localfs.TypeSymlink) {
+		b.names.cacheName(p, dir, name, h)
 	}
 	if err == nil && b.cfg.AttrExtensions && attr.Type != uint32(localfs.TypeSymlink) {
 		// Lookup replies carry server-fresh attributes; the vintage
@@ -466,7 +501,7 @@ func (b *Base) resolveDir(p *sim.Proc, comps []string) (proto.Handle, error) {
 // walkComps walks comps from dir, following symlinks by splicing their
 // targets into the remaining components.
 func (b *Base) walkComps(p *sim.Proc, dir proto.Handle, comps []string, needAttr bool, depth int) (proto.Handle, proto.Fattr, error) {
-	if b.cfg.AttrExtensions && len(comps) > 1 && b.nameGet == nil {
+	if b.cfg.AttrExtensions && len(comps) > 1 && b.names == nil {
 		// Compound resolution: one RPC per symlink-free run. The name
 		// cache keeps the per-component path — its hits are cheaper
 		// than any RPC.
@@ -561,28 +596,16 @@ func (b *Base) walkCompsPath(p *sim.Proc, dir proto.Handle, comps []string, need
 func (b *Base) invalidateDirCache() { b.lastDirValid = false }
 
 // DropDirCache invalidates the one-entry directory cache. Final-
-// component walks already heal a stale cwd themselves (walkFor), but
+// component walks already heal a stale cwd themselves (walk), but
 // operations that send the cached parent handle straight to the server
 // (create, mkdir, remove, rename, ...) surface its ESTALE to the
 // caller; the cluster router drops the cache and retries so the fresh
 // walk from the root can discover a migrated subtree's new home.
 func (b *Base) DropDirCache() { b.invalidateDirCache() }
 
-// walk resolves rel to a handle plus the attributes the final lookup
-// returned.
-func (b *Base) walk(p *sim.Proc, rel string) (proto.Handle, proto.Fattr, error) {
-	return b.walkFor(p, rel, true)
-}
-
-// walkNoAttr resolves rel to a handle when the caller does not need
-// fresh attributes (open paths get them from the open/create reply), so
-// name-cache hits cost nothing.
-func (b *Base) walkNoAttr(p *sim.Proc, rel string) (proto.Handle, error) {
-	h, _, err := b.walkFor(p, rel, false)
-	return h, err
-}
-
-func (b *Base) walkFor(p *sim.Proc, rel string, needAttr bool) (proto.Handle, proto.Fattr, error) {
+// walk resolves rel to a handle, with the attributes the final lookup
+// returned when needAttr is set; without it a name-cache hit costs no RPC.
+func (b *Base) walk(p *sim.Proc, rel string, needAttr bool) (proto.Handle, proto.Fattr, error) {
 	comps := vfs.SplitPath(rel)
 	if len(comps) == 0 {
 		var attr proto.Fattr
@@ -598,7 +621,7 @@ func (b *Base) walkFor(p *sim.Proc, rel string, needAttr bool) (proto.Handle, pr
 	if err != nil && proto.StatusOf(err) == proto.ErrStale && b.lastDirValid {
 		// The cached directory went away; re-resolve from the root.
 		b.invalidateDirCache()
-		return b.walkFor(p, rel, needAttr)
+		return b.walk(p, rel, needAttr)
 	}
 	return h, attr, err
 }
@@ -1259,20 +1282,6 @@ func (b *Base) apply(p *sim.Proc, n *node, a core.Action, keep bool) error {
 	return err
 }
 
-// fileAttr returns an open file's attributes through the attribute
-// cache, with the length this client's own unflushed writes have reached
-// (never for a write-shared file, whose length other writers move).
-func (b *Base) fileAttr(p *sim.Proc, n *node) (proto.Fattr, error) {
-	a, _, err := b.attrs.get(p, n, false)
-	if err != nil {
-		return proto.Fattr{}, err
-	}
-	if n.size > a.Size && !b.attrs.writeShared(n) {
-		a.Size = n.size
-	}
-	return a, nil
-}
-
 // closeRPC reports a close to a server that tracks opens.
 func (b *Base) closeRPC(p *sim.Proc, h proto.Handle, write bool) error {
 	body, err := b.call(p, proto.ProcClose, (&proto.CloseArgs{
@@ -1303,25 +1312,303 @@ func (b *Base) list(p *sim.Proc, h proto.Handle) ([]proto.DirEntry, error) {
 	return r.Entries, nil
 }
 
-// listOpened lists rel as a server that tracks opens sees it: the GFS
-// layer opens directories like files, so open and close RPCs bracket the
-// listing — the source of SNFS's small ScanDir handicap in Table 5-1.
-// open is the caller's open RPC.
-func (b *Base) listOpened(p *sim.Proc, rel string, open func(p *sim.Proc, n *node, write bool) error) ([]proto.DirEntry, error) {
-	h, err := b.walkNoAttr(p, rel)
+// The open path, one for every protocol. Open creates the file or walks
+// to it, then makes the open's consistency step: a client whose server
+// keeps open state sends the OPEN (openRPC), any other checks an
+// existing file's attributes (openCheck); truncation comes last. The
+// file it returns, and what each of its methods does, follow the fields
+// the protocol's constructor set.
+
+// graceRetry is the delay before retrying an open refused with ErrGrace.
+const graceRetry = 200 * sim.Millisecond
+
+// Open implements vfs.FS. A read open of a file whose final close was
+// delayed (§6.2) reuses the open the server still holds, with no RPC; any
+// other open at such a server first settles that owed close.
+func (b *Base) Open(p *sim.Proc, rel string, flags vfs.Flags, mode uint32) (vfs.File, error) {
+	defer b.syscall(p, "open").End()
+	write, create := flags.Writing(), flags&vfs.Create != 0
+	var n *node
+	var wattr proto.Fattr
+	var err error
+	if create {
+		n, err = b.create(p, rel, mode)
+	} else {
+		n, wattr, err = b.walkNode(p, rel)
+	}
 	if err != nil {
 		return nil, err
 	}
-	n := b.getNode(h)
-	if err := open(p, n, false); err != nil {
+	if b.tracksOpens {
+		if n.rec.DelayedClose {
+			n.rec.DelayedClose = false
+			if !write && n.rec.Caching {
+				n.rec.Readers++
+				b.LocalReopens++
+				n.opens++
+				return &file{b: b, n: n}, nil
+			}
+			if err := b.closeRPC(p, n.h, n.rec.DelayedWriteMode); err != nil {
+				return nil, err
+			}
+		}
+		err = b.openRPC(p, n, write)
+	} else if !create {
+		err = b.openCheck(p, n, wattr)
+	}
+	if err != nil {
 		return nil, err
 	}
-	entries, err := b.list(p, h)
+	if flags&vfs.Truncate != 0 && !create && !n.attr.IsDir() {
+		if err := b.truncate(p, n); err != nil {
+			return nil, err
+		}
+	}
+	n.opens++
+	return &file{b: b, n: n, write: write}, nil
+}
+
+// Readdir implements vfs.FS: the GFS layer opens a directory like a file,
+// so the listing follows an open's consistency step — the getattr check,
+// or an OPEN and a CLOSE bracketing it (the source of SNFS's small ScanDir
+// handicap in Table 5-1). The OPEN is the bare one: a listing neither
+// reuses nor settles a delayed close.
+func (b *Base) Readdir(p *sim.Proc, rel string) ([]proto.DirEntry, error) {
+	defer b.syscall(p, "readdir").End()
+	n, wattr, err := b.walkNode(p, rel)
+	if err != nil {
+		return nil, err
+	}
+	if !b.tracksOpens {
+		if err := b.openCheck(p, n, wattr); err != nil {
+			return nil, err
+		}
+		return b.list(p, n.h)
+	}
+	if err := b.openRPC(p, n, false); err != nil {
+		return nil, err
+	}
+	entries, err := b.list(p, n.h)
 	n.rec.Close(false)
-	if cerr := b.closeRPC(p, h, false); cerr != nil && err == nil {
+	if cerr := b.closeRPC(p, n.h, false); cerr != nil && err == nil {
 		err = cerr
 	}
 	return entries, err
+}
+
+// walkNode resolves rel to its node, with the final lookup's attributes
+// when the open-time check may use them: a client that sends an OPEN gets
+// fresher ones from its reply, so its name-cache hits cost nothing.
+func (b *Base) walkNode(p *sim.Proc, rel string) (*node, proto.Fattr, error) {
+	h, wattr, err := b.walk(p, rel, !b.tracksOpens)
+	if err != nil {
+		return nil, proto.Fattr{}, err
+	}
+	return b.getNode(h), wattr, nil
+}
+
+// openCheck is the consistency check made each time a file is opened at a
+// server that keeps no open state (§2.1): a getattr, unless the walk's
+// final-lookup attributes already performed it. With piggybacking armed
+// the lookup reply's attributes are exactly as server-fresh as the
+// getattr would be, and lookup ingested them (with the mtime-invalidate
+// rule) moments ago, so the getattr is pure chatter — the reduction the
+// RPC-count experiment tracks. Root walks synthesize attributes locally
+// and so still need the real check.
+func (b *Base) openCheck(p *sim.Proc, n *node, wattr proto.Fattr) error {
+	if b.cfg.AttrExtensions && n.attrInit && wattr.Fileid == n.h.Ino && n.h != b.cfg.Root {
+		return nil
+	}
+	_, _, err := b.attrs.get(p, n, true)
+	return err
+}
+
+// openRPC registers an open with a server that keeps open state,
+// retrying while a rebooted server's grace period refuses it, and hands
+// the reply to the node's record, the record's Action to apply and the
+// attributes to the attribute cache. ErrInconsistent is the §3.2 warning:
+// the file's last writer died with dirty blocks, and it is usable but
+// possibly stale.
+func (b *Base) openRPC(p *sim.Proc, n *node, write bool) error {
+	var reply proto.OpenReply
+	for attempt := 0; ; attempt++ {
+		var err error
+		if reply, err = b.openCall(p, n.h, write); err != nil {
+			return err
+		}
+		if reply.Status != proto.ErrGrace || attempt > 100 {
+			break
+		}
+		p.Sleep(graceRetry)
+	}
+	switch reply.Status {
+	case proto.OK:
+	case proto.ErrInconsistent:
+		b.Inconsistencies++
+	default:
+		return reply.Status.Err()
+	}
+	act := n.rec.Open(reply, write)
+	b.apply(p, n, act, false)
+	b.attrs.ingest(n, reply.Attr, p.Now())
+	if act == (core.Action{}) {
+		// The cached view, delayed writes included, stays authoritative
+		// for the file length.
+		n.size = max(n.size, reply.Attr.Size)
+	} else {
+		n.size = reply.Attr.Size
+	}
+	return nil
+}
+
+// openCall sends one OPEN and decodes its reply.
+func (b *Base) openCall(p *sim.Proc, h proto.Handle, write bool) (proto.OpenReply, error) {
+	var r proto.OpenReply
+	body, err := b.call(p, proto.ProcOpen, (&proto.OpenArgs{Handle: h, WriteMode: write}).XDR)
+	if err == nil {
+		r.XDR(xdr.NewDecoder(body).Codec())
+	}
+	return r, err
+}
+
+// file is an open file of any protocol.
+type file struct {
+	b      *Base
+	n      *node
+	write  bool
+	closed bool
+}
+
+// Handle exposes the protocol-level handle (audit.Handled).
+func (f *file) Handle() proto.Handle { return f.n.h }
+
+// direct reports whether the server has turned caching off for the file,
+// which it does only to a file that is write-shared (SNFS; the RFS server
+// lets every opener cache): its reads and writes go straight to the
+// server (§4.2.1).
+func (f *file) direct() bool { return f.b.tracksOpens && !f.n.rec.Caching }
+
+// ReadInto implements vfs.File. A cached read goes through the block cache
+// with read-ahead, bounded by the file's length; a client that does not
+// delay writes checks its attributes for that first (after a callback
+// cleared them, or a probe window ran out). A write-shared file is read
+// straight from the server with read-ahead off.
+func (f *file) ReadInto(p *sim.Proc, buf []byte, off int64) (int, error) {
+	b, n := f.b, f.n
+	defer b.syscall(p, "read").End()
+	if f.direct() {
+		data, attr, err := b.readRPC(p, n.h, off, len(buf))
+		if err != nil {
+			return 0, err
+		}
+		b.attrs.ingest(n, attr, p.Now())
+		n.size = attr.Size
+		// data is a view of the server's frozen reply image, which its
+		// duplicate cache may resend; the application gets a copy in buf.
+		return copy(buf, data), nil
+	}
+	if !b.delaysWrites {
+		if _, _, err := b.attrs.get(p, n, false); err != nil {
+			return 0, err
+		}
+	}
+	return b.assembleRead(p, n, buf, off, b.cfg.ReadAhead)
+}
+
+// ReadAt implements vfs.File; it stays only for bench/probes.go, until
+// ROADMAP's benchmark item (vi).
+func (f *file) ReadAt(p *sim.Proc, off int64, n int) ([]byte, error) {
+	return vfs.ReadAt(p, f, off, n)
+}
+
+// WriteAt implements vfs.File. A client that delays writes puts the data
+// in the cache and sends nothing: a single writer might never write to the
+// server during the file's lifetime (§2.2). The others write through. A
+// write-shared file is written synchronously with a copy of data: the
+// WRITE sends its data by reference, and the server may keep it as its
+// page, while the caller owns data and may change it once WriteAt returns.
+func (f *file) WriteAt(p *sim.Proc, off int64, data []byte) (int, error) {
+	b, n := f.b, f.n
+	defer b.syscall(p, "write").End()
+	switch {
+	case f.direct():
+		r, err := b.writeRPC(p, n.h, off, bytes.Clone(data), false)
+		if err != nil {
+			return 0, err
+		}
+		b.attrs.ingestOwn(n, r.Attr, p.Now())
+		n.size = r.Attr.Size
+		return len(data), nil
+	case b.delaysWrites:
+		if _, err := b.writeToCache(p, n, off, data, true); err != nil {
+			return 0, err
+		}
+		return len(data), nil
+	}
+	return b.writeThrough(p, n, off, data, b.eagerTail)
+}
+
+// Close implements vfs.File. A client that writes through finishes the
+// file's write-through first (§2.1); one that delays writes leaves its
+// dirty blocks in the cache. A client whose server keeps open state then
+// reports the close, or, under delayed close, withholds the final close
+// of a file read with caching on.
+func (f *file) Close(p *sim.Proc) error {
+	b, n := f.b, f.n
+	defer b.syscall(p, "close").End()
+	if f.closed {
+		return nil
+	}
+	f.closed = true
+	var err error
+	if !b.delaysWrites {
+		err = b.syncFile(p, n, "close")
+	}
+	n.opens--
+	if b.invalidateOnClose && n.opens <= 0 {
+		b.cache.InvalidateFile(b.cfg.Root.FSID, n.h.Ino)
+	}
+	if !b.tracksOpens {
+		return err
+	}
+	if final := n.rec.Close(f.write); final && b.delayedClose && n.rec.Caching && !f.write {
+		n.rec.DelayedClose = true
+		n.rec.DelayedWriteMode = false
+		n.rec.ClosedAt = int64(p.Now())
+		return err
+	}
+	if cerr := b.closeRPC(p, n.h, f.write); cerr != nil && err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// Sync implements vfs.File, fsync: the file's write-through finished, or
+// its delayed writes sent home — the explicit flush for applications that
+// value reliability over performance (§2.2).
+func (f *file) Sync(p *sim.Proc) error {
+	defer f.b.syscall(p, "sync").End()
+	if f.b.delaysWrites {
+		return f.b.flushFile(p, f.n)
+	}
+	return f.b.syncFile(p, f.n, "sync")
+}
+
+// Attr implements vfs.File through the attribute cache, with the length
+// this client's own unflushed writes have reached (never for a
+// write-shared file, whose attributes are always fetched and whose length
+// other writers move, §4.2.1).
+func (f *file) Attr(p *sim.Proc) (proto.Fattr, error) {
+	b, n := f.b, f.n
+	defer b.syscall(p, "attr").End()
+	a, _, err := b.attrs.get(p, n, false)
+	if err != nil {
+		return proto.Fattr{}, err
+	}
+	if n.size > a.Size && !b.attrs.writeShared(n) {
+		a.Size = n.size
+	}
+	return a, nil
 }
 
 // create is the create arm of an open; it returns the file's node.
@@ -1342,8 +1629,8 @@ func (b *Base) create(p *sim.Proc, rel string, mode uint32) (*node, error) {
 	n := b.getNode(r.Handle)
 	// The server's create truncates a file that already exists.
 	b.emptied(p, n, r.Attr)
-	if b.nameSet != nil {
-		b.nameSet(dir, name, r.Handle)
+	if b.names != nil {
+		b.names.setName(dir, name, r.Handle)
 	}
 	return n, nil
 }
@@ -1388,8 +1675,8 @@ func (b *Base) Mkdir(p *sim.Proc, rel string, mode uint32) error {
 	}
 	var r proto.HandleReply
 	r.XDR(xdr.NewDecoder(body).Codec())
-	if r.Status == proto.OK && b.nameSet != nil {
-		b.nameSet(dir, name, r.Handle)
+	if r.Status == proto.OK && b.names != nil {
+		b.names.setName(dir, name, r.Handle)
 	}
 	return r.Status.Err()
 }
@@ -1413,7 +1700,7 @@ func (b *Base) Remove(p *sim.Proc, rel string) error {
 		return err
 	}
 	lastLink := attr.Nlink <= 1
-	if lastLink && b.cancelOnRemove {
+	if lastLink && b.delaysWrites {
 		b.cache.CancelDirty(b.cfg.Root.FSID, h.Ino)
 	}
 	body, err := b.call(p, proto.ProcRemove, (&proto.DirOpArgs{
@@ -1425,14 +1712,14 @@ func (b *Base) Remove(p *sim.Proc, rel string) error {
 	if st := b.decodeWcc(p, body); st != proto.OK {
 		return st.Err()
 	}
-	if b.nameSet != nil {
-		b.nameSet(dir, name, proto.Handle{})
+	if b.names != nil {
+		b.names.setName(dir, name, proto.Handle{})
 	}
 	if lastLink {
 		b.cache.InvalidateFile(b.cfg.Root.FSID, h.Ino)
 		delete(b.nodes, h.Ino)
-		if b.nameForget != nil {
-			b.nameForget(h) // in case it was a cached directory handle
+		if b.names != nil {
+			b.names.forgetDir(h) // in case it was a cached directory handle
 		}
 	}
 	return nil
@@ -1452,8 +1739,8 @@ func (b *Base) Rmdir(p *sim.Proc, rel string) error {
 	b.invalidateDirCache()
 	var r proto.StatusReply
 	r.XDR(xdr.NewDecoder(body).Codec())
-	if r.Status == proto.OK && b.nameSet != nil {
-		b.nameSet(dir, name, proto.Handle{})
+	if r.Status == proto.OK && b.names != nil {
+		b.names.setName(dir, name, proto.Handle{})
 	}
 	return r.Status.Err()
 }
@@ -1478,11 +1765,11 @@ func (b *Base) Rename(p *sim.Proc, oldrel, newrel string) error {
 	}
 	b.invalidateDirCache()
 	st := b.decodeWcc(p, body)
-	if st == proto.OK && b.nameForget != nil {
+	if st == proto.OK && b.names != nil {
 		// Conservative: forget both directories' translations rather
 		// than compute the moved handle.
-		b.nameForget(sdir)
-		b.nameForget(ddir)
+		b.names.forgetDir(sdir)
+		b.names.forgetDir(ddir)
 	}
 	return st.Err()
 }
@@ -1490,14 +1777,14 @@ func (b *Base) Rename(p *sim.Proc, oldrel, newrel string) error {
 // Stat implements vfs.FS: path resolution alone delivers attributes.
 func (b *Base) Stat(p *sim.Proc, rel string) (proto.Fattr, error) {
 	defer b.syscall(p, "stat").End()
-	_, attr, err := b.walk(p, rel)
+	_, attr, err := b.walk(p, rel, true)
 	return attr, err
 }
 
 // Link creates a hard link newrel to the file at oldrel.
 func (b *Base) Link(p *sim.Proc, oldrel, newrel string) error {
 	defer b.syscall(p, "link").End()
-	from, _, err := b.walk(p, oldrel)
+	from, _, err := b.walk(p, oldrel, true)
 	if err != nil {
 		return err
 	}

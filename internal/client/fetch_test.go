@@ -38,7 +38,7 @@ func TestFailedFetchIsRetriedOnce(t *testing.T) {
 		if err == nil {
 			err = f.Close(p)
 		}
-		h, _, err2 := c.walk(p, "f")
+		h, _, err2 := c.walk(p, "f", true)
 		if err != nil || err2 != nil {
 			t.Fatalf("set-up: %v, %v", err, err2)
 		}

@@ -1,10 +1,8 @@
 package client
 
 import (
-	"spritelynfs/internal/proto"
 	"spritelynfs/internal/rpc"
 	"spritelynfs/internal/sim"
-	"spritelynfs/internal/vfs"
 )
 
 // NFSOptions tunes the NFS client's consistency behaviour.
@@ -23,155 +21,23 @@ type NFSOptions struct {
 	ProbeMax sim.Duration
 }
 
-func (o *NFSOptions) fill() {
-	if o.ProbeMin == 0 {
-		o.ProbeMin = 3 * sim.Second
-	}
-	if o.ProbeMax == 0 {
-		o.ProbeMax = 150 * sim.Second
-	}
-}
-
-// NFSClient is the unmodified NFS client file system.
+// NFSClient is the unmodified NFS client file system: Base with the
+// probe policy for attributes, the open-time getattr check (its server
+// keeps no open state) and write-through, the partial tail delayed.
 type NFSClient struct {
 	*Base
-	opts NFSOptions
 }
 
 // NewNFS creates an NFS client talking to cfg.Server through ep.
 func NewNFS(k *sim.Kernel, ep *rpc.Endpoint, cfg Config, opts NFSOptions) *NFSClient {
-	opts.fill()
-	c := &NFSClient{Base: newBase(k, ep, cfg), opts: opts}
+	c := &NFSClient{Base: newBase(k, ep, cfg)}
 	c.attrs.policy = attrPolicyProbe
-	c.attrs.probeMin = opts.ProbeMin
-	c.attrs.probeMax = opts.ProbeMax
+	if opts.ProbeMin != 0 {
+		c.attrs.probeMin = opts.ProbeMin
+	}
+	if opts.ProbeMax != 0 {
+		c.attrs.probeMax = opts.ProbeMax
+	}
+	c.invalidateOnClose = opts.InvalidateOnClose
 	return c
-}
-
-// revalidate refreshes attributes if the cache interval expired (or force
-// is set — the on-open check). The attribute layer applies the probe
-// policy and invalidates cached data when a third-party mtime change is
-// observed (attrCache.observedChange).
-func (c *NFSClient) revalidate(p *sim.Proc, n *node, force bool) error {
-	_, _, err := c.attrs.get(p, n, force)
-	return err
-}
-
-// Open implements vfs.FS.
-func (c *NFSClient) Open(p *sim.Proc, rel string, flags vfs.Flags, mode uint32) (vfs.File, error) {
-	defer c.syscall(p, "open").End()
-	var n *node
-	if flags&vfs.Create != 0 {
-		var err error
-		if n, err = c.create(p, rel, mode); err != nil {
-			return nil, err
-		}
-	} else {
-		h, wattr, err := c.walk(p, rel)
-		if err != nil {
-			return nil, err
-		}
-		n = c.getNode(h)
-		if err := c.openCheck(p, n, wattr); err != nil {
-			return nil, err
-		}
-		if flags&vfs.Truncate != 0 && !n.attr.IsDir() {
-			if err := c.truncate(p, n); err != nil {
-				return nil, err
-			}
-		}
-	}
-	n.opens++
-	return &nfsFile{c: c, n: n, writing: flags.Writing()}, nil
-}
-
-// openCheck is the consistency check made each time a file is opened
-// (§2.1): a getattr, unless the walk's final-lookup attributes already
-// performed it. With piggybacking armed the lookup reply's attributes are
-// exactly as server-fresh as the getattr would be, and Base.lookup
-// ingested them (with the mtime-invalidate rule) moments ago, so the
-// getattr is pure chatter — the reduction the RPC-count experiment
-// tracks. Root walks synthesize attributes locally and so still need the
-// real check.
-func (c *NFSClient) openCheck(p *sim.Proc, n *node, wattr proto.Fattr) error {
-	if c.cfg.AttrExtensions && n.attrInit && wattr.Fileid == n.h.Ino && n.h != c.cfg.Root {
-		return nil
-	}
-	return c.revalidate(p, n, true)
-}
-
-// Readdir implements vfs.FS: the GFS open of the directory triggers the
-// usual open-time check, then one readdir call.
-func (c *NFSClient) Readdir(p *sim.Proc, rel string) ([]proto.DirEntry, error) {
-	defer c.syscall(p, "readdir").End()
-	h, wattr, err := c.walk(p, rel)
-	if err != nil {
-		return nil, err
-	}
-	if err := c.openCheck(p, c.getNode(h), wattr); err != nil {
-		return nil, err
-	}
-	return c.list(p, h)
-}
-
-// nfsFile is an open NFS file.
-type nfsFile struct {
-	c       *NFSClient
-	n       *node
-	writing bool
-	closed  bool
-}
-
-// Handle exposes the protocol-level handle (audit.Handled).
-func (f *nfsFile) Handle() proto.Handle { return f.n.h }
-
-// ReadInto implements vfs.File.
-func (f *nfsFile) ReadInto(p *sim.Proc, b []byte, off int64) (int, error) {
-	defer f.c.syscall(p, "read").End()
-	if err := f.c.revalidate(p, f.n, false); err != nil {
-		return 0, err
-	}
-	return f.c.assembleRead(p, f.n, b, off, f.c.cfg.ReadAhead)
-}
-
-// ReadAt implements vfs.File; it stays only for bench/probes.go, until
-// ROADMAP's benchmark item (vi).
-func (f *nfsFile) ReadAt(p *sim.Proc, off int64, n int) ([]byte, error) {
-	return vfs.ReadAt(p, f, off, n)
-}
-
-// WriteAt implements vfs.File: write-through, the partial tail block
-// delayed until it fills or the file closes.
-func (f *nfsFile) WriteAt(p *sim.Proc, off int64, data []byte) (int, error) {
-	defer f.c.syscall(p, "write").End()
-	return f.c.writeThrough(p, f.n, off, data, false)
-}
-
-// Close implements vfs.File: all pending write-throughs finish
-// synchronously before close returns (§2.1), and — when the measured
-// bug is enabled — the data cache is invalidated.
-func (f *nfsFile) Close(p *sim.Proc) error {
-	defer f.c.syscall(p, "close").End()
-	if f.closed {
-		return nil
-	}
-	f.closed = true
-	err := f.c.syncFile(p, f.n, "close")
-	f.n.opens--
-	if f.c.opts.InvalidateOnClose && f.n.opens <= 0 {
-		f.c.cache.InvalidateFile(f.c.cfg.Root.FSID, f.n.h.Ino)
-	}
-	return err
-}
-
-// Sync implements vfs.File.
-func (f *nfsFile) Sync(p *sim.Proc) error {
-	defer f.c.syscall(p, "sync").End()
-	return f.c.syncFile(p, f.n, "sync")
-}
-
-// Attr implements vfs.File.
-func (f *nfsFile) Attr(p *sim.Proc) (proto.Fattr, error) {
-	defer f.c.syscall(p, "attr").End()
-	return f.c.fileAttr(p, f.n)
 }

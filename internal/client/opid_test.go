@@ -1,8 +1,10 @@
 package client_test
 
 import (
+	"strings"
 	"testing"
 
+	"spritelynfs/internal/audit"
 	"spritelynfs/internal/client"
 	"spritelynfs/internal/rpc"
 	"spritelynfs/internal/server"
@@ -155,4 +157,144 @@ func TestEverySyscallRootsOneSpan(t *testing.T) {
 			}
 		})
 	}
+}
+
+// handledFS fails the test when an Open returns a file that cannot name
+// its handle (audit.Handled): the auditor passes such a file through
+// unwitnessed.
+type handledFS struct {
+	vfs.FS
+	t *testing.T
+}
+
+func (h handledFS) Open(p *sim.Proc, path string, flags vfs.Flags, mode uint32) (vfs.File, error) {
+	f, err := h.FS.Open(p, path, flags, mode)
+	if _, ok := f.(audit.Handled); err == nil && !ok {
+		h.t.Errorf("Open(%q) returned a %T, which is not audit.Handled", path, f)
+	}
+	return f, err
+}
+
+// rpcsPerCall runs calls in order and returns, for each, the procedures
+// the endpoint traced by tr sent while it ran, in order, space-separated.
+func rpcsPerCall(t *testing.T, k *sim.Kernel, tr *trace.Tracer, calls []vfsCall) []string {
+	t.Helper()
+	got := make([]string, len(calls))
+	run(t, k, func(p *sim.Proc) {
+		for i, sc := range calls {
+			before := tr.Total()
+			if err := sc.call(p); err != nil {
+				t.Fatalf("%s: %v", sc.name, err)
+			}
+			var procs []string
+			for _, ev := range tr.Filter(trace.RPCCall) {
+				if ev.Seq >= before {
+					procs = append(procs, strings.Fields(ev.Detail)[2]) // "-> server <proc> xid=…"
+				}
+			}
+			got[i] = strings.Join(procs, " ")
+		}
+	})
+	return got
+}
+
+// checkRPCs compares the procedures each call sent with the pinned ones.
+func checkRPCs(t *testing.T, calls []vfsCall, got, want []string) {
+	t.Helper()
+	if len(want) != len(calls) {
+		t.Fatalf("%d pinned rows for %d calls; got:\n%q", len(want), len(calls), got)
+	}
+	for i, sc := range calls {
+		if got[i] != want[i] {
+			t.Errorf("%s sent [%s], pinned [%s]", sc.name, got[i], want[i])
+		}
+	}
+}
+
+// TestEverySyscallSendsItsRPCs pins, for each protocol, the procedures
+// every vfs.FS and vfs.File call of vfsCalls sends, in order, as the
+// client endpoint's tracer records them, and requires every file Open
+// returns to name its handle (audit.Handled).
+func TestEverySyscallSendsItsRPCs(t *testing.T) {
+	// One row per call of vfsCalls: Mkdir, Open, File.WriteAt, File.Sync,
+	// File.ReadAt, File.Attr, File.Close, Stat, Readdir, Link, Symlink,
+	// Readlink, Rename, the three Removes, SyncAll and Rmdir. The 100-byte
+	// write is a partial block: NFS holds it until the fsync, RFS sends it
+	// at once, SNFS delays it until the fsync and sends no data at close.
+	want := map[string][]string{
+		"NFS":  {"mkdir", "lookup create", "", "write", "", "", "", "lookup", "lookup getattr readdir", "lookup link", "symlink", "lookup readlink", "rename", "lookup lookup remove", "lookup remove", "lookup remove", "", "rmdir"},
+		"SNFS": {"mkdir", "lookup create open", "", "write", "", "", "close", "lookup", "lookup open readdir close", "lookup link", "symlink", "lookup readlink", "rename", "lookup lookup remove", "lookup remove", "lookup remove", "", "rmdir"},
+		"RFS":  {"mkdir", "lookup create open", "write", "", "", "", "close", "lookup", "lookup open readdir close", "lookup link", "symlink", "lookup readlink", "rename", "lookup lookup remove", "lookup remove", "lookup remove", "", "rmdir"},
+	}
+	for _, pr := range protoClients {
+		t.Run(pr.name, func(t *testing.T) {
+			k, c := pr.mount()
+			tr := trace.New(k.Now, 0)
+			c.Endpoint().Tracer = tr
+			calls := vfsCalls(handledFS{c, t})
+			checkRPCs(t, calls, rpcsPerCall(t, k, tr, calls), want[pr.name])
+		})
+	}
+}
+
+// TestSNFSDelayedCloseSendsNoRPC pins the §6.2 delayed close: the final
+// close of a file read with caching on sends nothing, a read open of it
+// reuses the server's open with no OPEN, and an open for writing settles
+// the owed CLOSE before its own OPEN.
+func TestSNFSDelayedCloseSendsNoRPC(t *testing.T) {
+	w := newWorld(1, true, 4, server.SNFSOptions{})
+	c := w.addSNFS("client", client.SNFSOptions{DelayedClose: true})
+	tr := trace.New(w.k.Now, 0)
+	c.Endpoint().Tracer = tr
+	fs := handledFS{c, t}
+	var f vfs.File
+	open := func(flags vfs.Flags) func(p *sim.Proc) error {
+		return func(p *sim.Proc) (err error) { f, err = fs.Open(p, "f", flags, 0o644); return err }
+	}
+	closeF := func(p *sim.Proc) error { return f.Close(p) }
+	calls := []vfsCall{
+		{"Open (create)", "", open(vfs.WriteOnly | vfs.Create)},
+		{"File.WriteAt", "", func(p *sim.Proc) error { _, err := f.WriteAt(p, 0, fill(100, 'd')); return err }},
+		{"File.Close (writer)", "", closeF},
+		{"Open (read)", "", open(vfs.ReadOnly)},
+		{"File.Close (delayed)", "", closeF},
+		{"Open (read, reuse)", "", open(vfs.ReadOnly)},
+		{"File.ReadAt", "", func(p *sim.Proc) error { _, err := f.ReadAt(p, 0, 100); return err }},
+		{"File.Close (delayed again)", "", closeF},
+		{"Open (write, settles)", "", open(vfs.WriteOnly)},
+		{"File.Close (writer, final)", "", closeF},
+	}
+	checkRPCs(t, calls, rpcsPerCall(t, w.k, tr, calls), []string{
+		"create open", "", "close", "lookup open", "", "lookup", "", "", "lookup close open", "close",
+	})
+	if c.LocalReopens != 1 {
+		t.Errorf("%d local reopens, want 1", c.LocalReopens)
+	}
+}
+
+// TestSNFSWriteSharedGoesDirect pins the uncachable arm (§4.2.1): once a
+// second client opens a file for writing, the first client's reads and
+// writes go straight to the server as READ and WRITE, its attributes are
+// fetched every time, and its delayed write went home in the callback.
+func TestSNFSWriteSharedGoesDirect(t *testing.T) {
+	w := newWorld(1, true, 4, server.SNFSOptions{})
+	a := w.addSNFS("a", client.SNFSOptions{})
+	b := w.addSNFS("b", client.SNFSOptions{})
+	tr := trace.New(w.k.Now, 0)
+	a.Endpoint().Tracer = tr // only a's calls are traced
+	fa, fb := handledFS{a, t}, handledFS{b, t}
+	var f, g vfs.File
+	calls := []vfsCall{
+		{"a Open (create)", "", func(p *sim.Proc) (err error) { f, err = fa.Open(p, "f", vfs.ReadWrite|vfs.Create, 0o644); return err }},
+		{"a File.WriteAt (delayed)", "", func(p *sim.Proc) error { _, err := f.WriteAt(p, 0, fill(100, 'a')); return err }},
+		{"b Open (write: write-shared)", "", func(p *sim.Proc) (err error) { g, err = fb.Open(p, "f", vfs.ReadWrite, 0); return err }},
+		{"a File.ReadAt (direct)", "", func(p *sim.Proc) error { _, err := f.ReadAt(p, 0, 100); return err }},
+		{"a File.WriteAt (direct)", "", func(p *sim.Proc) error { _, err := f.WriteAt(p, 100, fill(100, 'A')); return err }},
+		{"a File.Attr", "", func(p *sim.Proc) error { _, err := f.Attr(p); return err }},
+		{"a File.Close", "", func(p *sim.Proc) error { return f.Close(p) }},
+		{"b File.Close", "", func(p *sim.Proc) error { return g.Close(p) }},
+	}
+	checkRPCs(t, calls, rpcsPerCall(t, w.k, tr, calls), []string{
+		"create open", "", "write", "read", "write", "getattr", "close", "",
+	})
 }

@@ -1,15 +1,12 @@
 package client
 
 import (
-	"bytes"
 	"sort"
 
-	"spritelynfs/internal/core"
 	"spritelynfs/internal/proto"
 	"spritelynfs/internal/rpc"
 	"spritelynfs/internal/sim"
 	"spritelynfs/internal/span"
-	"spritelynfs/internal/vfs"
 	"spritelynfs/internal/xdr"
 )
 
@@ -42,9 +39,6 @@ const (
 	// delayedCloseIdle is how long a delayed-close file may sit before
 	// the client spontaneously sends the owed close.
 	delayedCloseIdle = 3 * sim.Minute
-	// graceRetry is the delay before retrying an open refused with
-	// ErrGrace.
-	graceRetry = 200 * sim.Millisecond
 	// recoverRetries is how many extra attempts state recovery gives a
 	// failed re-registration RPC before abandoning that file, and
 	// recoverBackoff the delay before the first, doubled per attempt:
@@ -61,13 +55,9 @@ type SNFSClient struct {
 	opts SNFSOptions
 	// epoch is the last server incarnation seen by the keepalive.
 	epoch uint64
-	// names is the protocol-protected directory-entry cache (§7
+	// dirs is the protocol-protected directory-entry cache (§7
 	// extension), keyed by directory handle.
-	names map[proto.Handle]*dirNames
-	// Inconsistencies counts opens that returned the §3.2 warning.
-	Inconsistencies int64
-	// LocalReopens counts opens satisfied by delayed-close reuse.
-	LocalReopens int64
+	dirs map[proto.Handle]*dirNames
 	// NameCacheHits counts lookups served from the name cache.
 	NameCacheHits int64
 }
@@ -91,18 +81,17 @@ type dirNames struct {
 // §3.2) and starts the update and keepalive daemons per opts.
 func NewSNFS(k *sim.Kernel, ep *rpc.Endpoint, cfg Config, opts SNFSOptions) *SNFSClient {
 	c := &SNFSClient{
-		Base:  newBase(k, ep, cfg),
-		opts:  opts,
-		names: make(map[proto.Handle]*dirNames),
+		Base: newBase(k, ep, cfg),
+		opts: opts,
+		dirs: make(map[proto.Handle]*dirNames),
 	}
 	c.attrs.policy = attrPolicyProtocol
-	c.cancelOnRemove = true
+	c.tracksOpens = true
+	c.delaysWrites = true
+	c.delayedClose = opts.DelayedClose
 	c.serveCallbacks(c)
 	if opts.NameCache {
-		c.nameGet = c.nameCacheGet
-		c.namePut = c.nameCachePut
-		c.nameSet = c.nameCacheSet
-		c.nameForget = c.nameCacheForget
+		c.names = c
 	}
 	if opts.UpdateInterval > 0 {
 		k.Go(string(ep.Addr())+"/update", c.updateDaemon)
@@ -139,10 +128,10 @@ func (c *SNFSClient) callback(p *sim.Proc, a proto.CallbackArgs, n *node) proto.
 	return proto.OK
 }
 
-// nameCacheGet serves a translation from the protocol-protected name
+// lookupName serves a translation from the protocol-protected name
 // cache; only leased directories are trusted.
-func (c *SNFSClient) nameCacheGet(dir proto.Handle, name string) (proto.Handle, bool) {
-	dn, ok := c.names[dir]
+func (c *SNFSClient) lookupName(dir proto.Handle, name string) (proto.Handle, bool) {
+	dn, ok := c.dirs[dir]
 	if !ok || !dn.leased {
 		return proto.Handle{}, false
 	}
@@ -153,13 +142,13 @@ func (c *SNFSClient) nameCacheGet(dir proto.Handle, name string) (proto.Handle, 
 	return h, ok
 }
 
-// nameCachePut records a translation, acquiring the directory lease (a
+// cacheName records a translation, acquiring the directory lease (a
 // read-open registered at the server) on first use.
-func (c *SNFSClient) nameCachePut(p *sim.Proc, dir proto.Handle, name string, h proto.Handle) {
-	dn, ok := c.names[dir]
+func (c *SNFSClient) cacheName(p *sim.Proc, dir proto.Handle, name string, h proto.Handle) {
+	dn, ok := c.dirs[dir]
 	if !ok {
 		dn = &dirNames{entries: make(map[string]proto.Handle)}
-		c.names[dir] = dn
+		c.dirs[dir] = dn
 	}
 	if !dn.leased {
 		// Settle any close owed from a revoked lease before taking a
@@ -170,13 +159,8 @@ func (c *SNFSClient) nameCachePut(p *sim.Proc, dir proto.Handle, name string, h 
 			}
 			dn.oweClose--
 		}
-		body, err := c.call(p, proto.ProcOpen, (&proto.OpenArgs{Handle: dir}).XDR)
-		if err != nil {
-			return
-		}
-		var r proto.OpenReply
-		r.XDR(xdr.NewDecoder(body).Codec())
-		if r.Status != proto.OK || !r.CacheEnabled {
+		r, err := c.openCall(p, dir, false)
+		if err != nil || r.Status != proto.OK || !r.CacheEnabled {
 			return // can't cache this directory right now
 		}
 		dn.leased = true
@@ -184,11 +168,11 @@ func (c *SNFSClient) nameCachePut(p *sim.Proc, dir proto.Handle, name string, h 
 	dn.entries[name] = h
 }
 
-// nameCacheSet applies a local namespace mutation to our own cache (the
+// setName applies a local namespace mutation to our own cache (the
 // server's invalidation excludes the mutating client); a zero handle
 // means the name was removed.
-func (c *SNFSClient) nameCacheSet(dir proto.Handle, name string, h proto.Handle) {
-	dn, ok := c.names[dir]
+func (c *SNFSClient) setName(dir proto.Handle, name string, h proto.Handle) {
+	dn, ok := c.dirs[dir]
 	if !ok || !dn.leased {
 		return
 	}
@@ -199,12 +183,12 @@ func (c *SNFSClient) nameCacheSet(dir proto.Handle, name string, h proto.Handle)
 	}
 }
 
-// nameCacheForget drops everything cached under dir.
-func (c *SNFSClient) nameCacheForget(dir proto.Handle) { delete(c.names, dir) }
+// forgetDir drops everything cached under dir.
+func (c *SNFSClient) forgetDir(dir proto.Handle) { delete(c.dirs, dir) }
 
 // revokeLease ends a directory lease, remembering the owed close.
 func (c *SNFSClient) revokeLease(dir proto.Handle) {
-	dn, ok := c.names[dir]
+	dn, ok := c.dirs[dir]
 	if !ok {
 		return
 	}
@@ -217,14 +201,14 @@ func (c *SNFSClient) revokeLease(dir proto.Handle) {
 
 // settleLeases sends the balancing closes for revoked leases.
 func (c *SNFSClient) settleLeases(p *sim.Proc) {
-	dirs := make([]proto.Handle, 0, len(c.names))
-	for dir := range c.names {
+	dirs := make([]proto.Handle, 0, len(c.dirs))
+	for dir := range c.dirs {
 		dirs = append(dirs, dir)
 	}
 	// The closes go out in handle order, not map order (see sortedNodes).
 	sort.Slice(dirs, func(i, j int) bool { return dirs[i].Less(dirs[j]) })
 	for _, dir := range dirs {
-		dn, ok := c.names[dir]
+		dn, ok := c.dirs[dir]
 		if !ok {
 			continue // forgotten while an earlier close was in flight
 		}
@@ -235,7 +219,7 @@ func (c *SNFSClient) settleLeases(p *sim.Proc) {
 			dn.oweClose--
 		}
 		if !dn.leased && dn.oweClose == 0 && len(dn.entries) == 0 {
-			delete(c.names, dir)
+			delete(c.dirs, dir)
 		}
 	}
 }
@@ -243,7 +227,7 @@ func (c *SNFSClient) settleLeases(p *sim.Proc) {
 // dropNameCache forgets everything (server reboot, lease loss; the
 // server's state died with it, so no closes are owed).
 func (c *SNFSClient) dropNameCache() {
-	c.names = make(map[proto.Handle]*dirNames)
+	c.dirs = make(map[proto.Handle]*dirNames)
 }
 
 // updateDaemon periodically writes delayed blocks back (§4.2.3) and
@@ -378,203 +362,13 @@ func (c *SNFSClient) reopenWithRetry(p *sim.Proc, args *proto.ReopenArgs) (proto
 	return proto.OpenReply{}, false
 }
 
-// openRPC performs the SNFS open with grace-period retry and reconciles
-// the reply with the local record and cache.
-func (c *SNFSClient) openRPC(p *sim.Proc, n *node, write bool) error {
-	var reply proto.OpenReply
-	for attempt := 0; ; attempt++ {
-		body, err := c.call(p, proto.ProcOpen, (&proto.OpenArgs{Handle: n.h, WriteMode: write}).XDR)
-		if err != nil {
-			return err
-		}
-		reply = proto.OpenReply{}
-		reply.XDR(xdr.NewDecoder(body).Codec())
-		if reply.Status == proto.ErrGrace {
-			if attempt > 100 {
-				return reply.Status.Err()
-			}
-			p.Sleep(graceRetry)
-			continue
-		}
-		break
-	}
-	switch reply.Status {
-	case proto.OK:
-	case proto.ErrInconsistent:
-		// The file's last writer died with dirty blocks; usable but
-		// possibly stale (§3.2).
-		c.Inconsistencies++
-	default:
-		return reply.Status.Err()
-	}
-	act := n.rec.Open(reply, write)
-	c.apply(p, n, act, false)
-	c.attrs.ingest(n, reply.Attr, p.Now())
-	if act == (core.Action{}) {
-		// Our cached view (including delayed writes) remains
-		// authoritative for the file length.
-		if n.size < reply.Attr.Size {
-			n.size = reply.Attr.Size
-		}
-	} else {
-		n.size = reply.Attr.Size
-	}
-	return nil
-}
-
-// Open implements vfs.FS.
-func (c *SNFSClient) Open(p *sim.Proc, rel string, flags vfs.Flags, mode uint32) (vfs.File, error) {
-	defer c.syscall(p, "open").End()
-	write := flags.Writing()
-	var n *node
-	if flags&vfs.Create != 0 {
-		var err error
-		if n, err = c.create(p, rel, mode); err != nil {
-			return nil, err
-		}
-	} else {
-		h, err := c.walkNoAttr(p, rel)
-		if err != nil {
-			return nil, err
-		}
-		n = c.getNode(h)
-	}
-
-	// Delayed-close reuse (§6.2): a read open of a file we still hold
-	// open at the server needs no RPC at all.
-	if c.opts.DelayedClose && n.rec.DelayedClose && !write && n.rec.Caching {
-		n.rec.DelayedClose = false
-		n.rec.Readers++
-		c.LocalReopens++
-		n.opens++
-		return &snfsFile{c: c, n: n, write: false}, nil
-	}
-	if n.rec.DelayedClose {
-		// Settle the owed close before re-opening differently.
-		n.rec.DelayedClose = false
-		if err := c.closeRPC(p, n.h, n.rec.DelayedWriteMode); err != nil {
-			return nil, err
-		}
-	}
-	if err := c.openRPC(p, n, write); err != nil {
-		return nil, err
-	}
-	if flags&vfs.Truncate != 0 && flags&vfs.Create == 0 {
-		if err := c.truncate(p, n); err != nil {
-			return nil, err
-		}
-	}
-	n.opens++
-	return &snfsFile{c: c, n: n, write: write}, nil
-}
-
-// Readdir implements vfs.FS.
-func (c *SNFSClient) Readdir(p *sim.Proc, rel string) ([]proto.DirEntry, error) {
-	defer c.syscall(p, "readdir").End()
-	return c.listOpened(p, rel, c.openRPC)
-}
-
-// snfsFile is an open SNFS file.
-type snfsFile struct {
-	c      *SNFSClient
-	n      *node
-	write  bool
-	closed bool
-}
-
-// Handle exposes the protocol-level handle (audit.Handled).
-func (f *snfsFile) Handle() proto.Handle { return f.n.h }
-
-// ReadInto implements vfs.File. Cachable files read through the block
-// cache with read-ahead; uncachable (write-shared) files go straight to
-// the server with read-ahead disabled (§4.2.1).
-func (f *snfsFile) ReadInto(p *sim.Proc, b []byte, off int64) (int, error) {
-	defer f.c.syscall(p, "read").End()
-	if f.n.rec.Caching {
-		return f.c.assembleRead(p, f.n, b, off, f.c.cfg.ReadAhead)
-	}
-	data, attr, err := f.c.readRPC(p, f.n.h, off, len(b))
-	if err != nil {
-		return 0, err
-	}
-	f.c.attrs.ingest(f.n, attr, p.Now())
-	f.n.size = attr.Size
-	// data is a view of the server's frozen reply image, which its
-	// duplicate cache may resend; the application gets a copy in b.
-	return copy(b, data), nil
-}
-
-// ReadAt implements vfs.File; it stays only for bench/probes.go, until
-// ROADMAP's benchmark item (vi).
-func (f *snfsFile) ReadAt(p *sim.Proc, off int64, n int) ([]byte, error) {
-	return vfs.ReadAt(p, f, off, n)
-}
-
-// WriteAt implements vfs.File. Cachable files use pure delayed write —
-// no RPC at all; a single-writer client might never write to the server
-// during the file's lifetime (§2.2). Uncachable files write through
-// synchronously, with a copy of data: the WRITE sends its data by
-// reference, and the server may keep it as its page, while the caller
-// owns data and may change it once WriteAt returns.
-func (f *snfsFile) WriteAt(p *sim.Proc, off int64, data []byte) (int, error) {
-	defer f.c.syscall(p, "write").End()
-	if f.n.rec.Caching {
-		if _, err := f.c.writeToCache(p, f.n, off, data, true); err != nil {
-			return 0, err
-		}
-		return len(data), nil
-	}
-	r, err := f.c.writeRPC(p, f.n.h, off, bytes.Clone(data), false)
-	if err != nil {
-		return 0, err
-	}
-	f.c.attrs.ingestOwn(f.n, r.Attr, p.Now())
-	f.n.size = r.Attr.Size
-	return len(data), nil
-}
-
-// Close implements vfs.File: report the close to the server (or defer it
-// under delayed-close); dirty blocks deliberately stay behind in the
-// cache.
-func (f *snfsFile) Close(p *sim.Proc) error {
-	defer f.c.syscall(p, "close").End()
-	if f.closed {
-		return nil
-	}
-	f.closed = true
-	f.n.opens--
-	final := f.n.rec.Close(f.write)
-	if f.c.opts.DelayedClose && final && f.n.rec.Caching && !f.write {
-		f.n.rec.DelayedClose = true
-		f.n.rec.DelayedWriteMode = false
-		f.n.rec.ClosedAt = int64(p.Now())
-		return nil
-	}
-	return f.c.closeRPC(p, f.n.h, f.write)
-}
-
-// Sync implements vfs.File: explicit flush for applications that value
-// reliability over performance (§2.2).
-func (f *snfsFile) Sync(p *sim.Proc) error {
-	defer f.c.syscall(p, "sync").End()
-	return f.c.flushFile(p, f.n)
-}
-
-// Attr implements vfs.File: served by the attribute cache while
-// cachable; always fetched from the server for write-shared files
-// (§4.2.1 — the cache's policy enforces this).
-func (f *snfsFile) Attr(p *sim.Proc) (proto.Fattr, error) {
-	defer f.c.syscall(p, "attr").End()
-	return f.c.fileAttr(p, f.n)
-}
-
 // Lock acquires an advisory whole-file lock on rel (the §2.2 mechanism
 // for serializing write-shared access), polling with backoff until
 // granted. Exclusive locks conflict with everything; shared locks
 // conflict with exclusive ones.
 func (c *SNFSClient) Lock(p *sim.Proc, rel string, exclusive bool) error {
 	p.BeginOp()
-	h, err := c.walkNoAttr(p, rel)
+	h, _, err := c.walk(p, rel, false)
 	if err != nil {
 		return err
 	}
@@ -602,7 +396,7 @@ func (c *SNFSClient) Lock(p *sim.Proc, rel string, exclusive bool) error {
 // Unlock releases one advisory lock on rel.
 func (c *SNFSClient) Unlock(p *sim.Proc, rel string) error {
 	p.BeginOp()
-	h, err := c.walkNoAttr(p, rel)
+	h, _, err := c.walk(p, rel, false)
 	if err != nil {
 		return err
 	}

@@ -752,13 +752,11 @@ func (t *Table) Snapshot() []EntrySnapshot {
 		}
 		out = append(out, es)
 	}
-	// Most recently touched first (insertion sort; dumps are small).
-	stampOf := func(h proto.Handle) uint64 { return t.entries[h].stamp }
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && stampOf(out[j].Handle) > stampOf(out[j-1].Handle); j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	// Most recently touched first, then in handle order: entries a
+	// recovery rebuilt share stamp 0.
+	slices.SortFunc(out, func(x, y EntrySnapshot) int {
+		return cmp.Or(cmp.Compare(t.entries[y.Handle].stamp, t.entries[x.Handle].stamp), x.Handle.Compare(y.Handle))
+	})
 	return out
 }
 

@@ -820,6 +820,28 @@ func TestSnapshot(t *testing.T) {
 	}
 }
 
+// TestSnapshotOfRecoveredEntriesInHandleOrder: entries a recovery rebuilt
+// carry no stamp, so recency cannot order them; they follow every
+// stamped entry in handle order, not map order. A promoted backup's
+// reissued invalidations and the state dump read this order.
+func TestSnapshotOfRecoveredEntriesInHandleOrder(t *testing.T) {
+	tab := NewTable(0)
+	for i := 0; i < 40; i++ {
+		h := proto.Handle{FSID: uint32(1 + i%2), Ino: uint64(1000 - 7*i), Gen: 1}
+		tab.Recover(h, "A", 1, 0, 3, false)
+	}
+	tab.Open(fh, "B", false)
+	snap := tab.Snapshot()
+	if len(snap) != 41 || snap[0].Handle != fh {
+		t.Fatalf("%d entries, first %v; want 41, first the stamped %v", len(snap), snap[0].Handle, fh)
+	}
+	for i := 2; i < len(snap); i++ {
+		if !snap[i-1].Handle.Less(snap[i].Handle) {
+			t.Fatalf("recovered entries out of handle order at %d: %v before %v", i, snap[i-1].Handle, snap[i].Handle)
+		}
+	}
+}
+
 func TestDropWithInvalidate(t *testing.T) {
 	tab := NewTable(0)
 	// A holds dirty blocks (CLOSED-DIRTY); B has it open for read.

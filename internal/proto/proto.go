@@ -14,6 +14,7 @@ package proto
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 
 	"spritelynfs/internal/localfs"
@@ -333,37 +334,22 @@ func StatusFromErr(err error) Status {
 	switch {
 	case err == nil:
 		return OK
-	case errorIs(err, localfs.ErrNoEnt):
+	case errors.Is(err, localfs.ErrNoEnt):
 		return ErrNoEnt
-	case errorIs(err, localfs.ErrExist):
+	case errors.Is(err, localfs.ErrExist):
 		return ErrExist
-	case errorIs(err, localfs.ErrNotDir):
+	case errors.Is(err, localfs.ErrNotDir):
 		return ErrNotDir
-	case errorIs(err, localfs.ErrIsDir):
+	case errors.Is(err, localfs.ErrIsDir):
 		return ErrIsDir
-	case errorIs(err, localfs.ErrNotEmpty):
+	case errors.Is(err, localfs.ErrNotEmpty):
 		return ErrNotEmpty
-	case errorIs(err, localfs.ErrStale):
+	case errors.Is(err, localfs.ErrStale):
 		return ErrStale
-	case errorIs(err, localfs.ErrInval):
+	case errors.Is(err, localfs.ErrInval):
 		return ErrInval
 	}
 	return ErrIO
-}
-
-// errorIs is errors.Is without the import weight in hot paths.
-func errorIs(err, target error) bool {
-	for err != nil {
-		if err == target {
-			return true
-		}
-		u, ok := err.(interface{ Unwrap() error })
-		if !ok {
-			return false
-		}
-		err = u.Unwrap()
-	}
-	return false
 }
 
 // Handle identifies a file to the server: filesystem id, inode number,

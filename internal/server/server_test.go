@@ -450,6 +450,37 @@ func TestSetattrTruncate(t *testing.T) {
 	})
 }
 
+// TestSetattrMode drives SETATTR's mode arm: the reply and a later
+// GETATTR carry the new mode and a ctime moved to the instant of the
+// change, and neither the size nor the mtime moves.
+func TestSetattrMode(t *testing.T) {
+	r := newRig(false, SNFSOptions{})
+	r.run(t, func(p *sim.Proc) {
+		cr := decodeAs[proto.HandleReply](
+			r.call(t, p, proto.ProcCreate, &proto.CreateArgs{Dir: r.root(), Name: "f", Mode: 0o644}))
+		r.call(t, p, proto.ProcWrite, &proto.WriteArgs{Handle: cr.Handle, Offset: 0, Data: make([]byte, 100)})
+		before := decodeAs[proto.AttrReply](r.call(t, p, proto.ProcGetattr, &proto.HandleArgs{Handle: cr.Handle})).Attr
+		p.Sleep(sim.Second)
+		changed := int64(p.Now())
+		sr := decodeAs[proto.AttrReply](
+			r.call(t, p, proto.ProcSetattr, &proto.SetattrArgs{Handle: cr.Handle, SetMode: true, Mode: 0o600}))
+		if sr.Status != proto.OK || sr.Attr.Mode != 0o600 {
+			t.Fatalf("setattr: %+v", sr)
+		}
+		ga := decodeAs[proto.AttrReply](r.call(t, p, proto.ProcGetattr, &proto.HandleArgs{Handle: cr.Handle}))
+		a := ga.Attr
+		if ga.Status != proto.OK || a.Mode != 0o600 {
+			t.Fatalf("getattr after setattr: status %v mode %o, want OK 600", ga.Status, a.Mode)
+		}
+		if a.Ctime <= before.Ctime || a.Ctime < changed {
+			t.Errorf("ctime %d, want moved past %d to the change at %d or later", a.Ctime, before.Ctime, changed)
+		}
+		if a.Size != 100 || a.Mtime != before.Mtime {
+			t.Errorf("size %d mtime %d, want 100 and %d unchanged", a.Size, a.Mtime, before.Mtime)
+		}
+	})
+}
+
 func TestReaddirAndStatfs(t *testing.T) {
 	r := newRig(false, SNFSOptions{})
 	r.run(t, func(p *sim.Proc) {

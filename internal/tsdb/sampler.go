@@ -1,6 +1,8 @@
 package tsdb
 
 import (
+	"maps"
+	"slices"
 	"strings"
 	"sync"
 
@@ -103,7 +105,10 @@ func (s *Sampler) Sample(at sim.Time) {
 		if dt <= 0 {
 			continue
 		}
-		for name, cur := range snap.Gauges {
+		// Names go in order: at the series budget, which new series are
+		// created and which dropped follows the order of the adds.
+		for _, name := range slices.Sorted(maps.Keys(snap.Gauges)) {
+			cur := snap.Gauges[name]
 			s.tl.Add(w.prefix+name, KindGauge, at, cur)
 			if cumulativeGauge(name) {
 				inc := cur - w.last.Gauges[name]
@@ -113,8 +118,8 @@ func (s *Sampler) Sample(at sim.Time) {
 				s.tl.Add(w.prefix+name+":rate", KindRate, at, inc/dt)
 			}
 		}
-		for name, cur := range snap.Hists {
-			win := cur.Delta(w.last.Hists[name])
+		for _, name := range slices.Sorted(maps.Keys(snap.Hists)) {
+			win := snap.Hists[name].Delta(w.last.Hists[name])
 			s.tl.Add(w.prefix+name+":rate", KindRate, at, float64(win.Count)/dt)
 			if win.Count > 0 {
 				s.tl.Add(w.prefix+name+":p50", KindP50, at, win.Quantile(0.50))

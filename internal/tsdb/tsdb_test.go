@@ -309,6 +309,13 @@ func TestSamplerSeriesBudget(t *testing.T) {
 	if s.Timeline().Dump().Dropped == 0 {
 		t.Error("no drops recorded despite 100 candidate series")
 	}
+	// The series kept are a function of the names, not of map order: the
+	// first ten in name order.
+	for i, name := range seriesNames(s.Timeline()) {
+		if want := fmt.Sprintf("g{client=%q}", fmt.Sprintf("c%03d", i)); name != want {
+			t.Errorf("series %d is %s, want %s", i, name, want)
+		}
+	}
 }
 
 // seriesNames and seriesPoints read a timeline the way its consumers do,
