@@ -13,10 +13,13 @@ import (
 
 // census is the host work of one fleet run: the kernel's counts, the
 // executor's submits, the RPC calls the fleet's clients sent, and the
-// wire-image heads every endpoint built (rpc.Endpoint.Work). A web-asset
-// file is a whole number of words, so no head of a fleet run holds data.
+// wire-image heads every endpoint built and the Pendings and reply heads
+// it made and reused (rpc.Endpoint.Work). A web-asset file is a whole
+// number of words, so no head of a fleet run holds data.
 type census struct {
 	Pops, Switches, Spawns, Submits, Calls, Heads, HeadBytes int64
+
+	PendingsMade, PendingsReused, HeadsMade, HeadsReused int64
 }
 
 // diff renders every count that differs from want as a signed difference.
@@ -33,6 +36,10 @@ func (c census) diff(want census) string {
 		{"calls", c.Calls, want.Calls},
 		{"heads", c.Heads, want.Heads},
 		{"head bytes", c.HeadBytes, want.HeadBytes},
+		{"pendings made", c.PendingsMade, want.PendingsMade},
+		{"pendings reused", c.PendingsReused, want.PendingsReused},
+		{"heads made", c.HeadsMade, want.HeadsMade},
+		{"heads reused", c.HeadsReused, want.HeadsReused},
 	} {
 		if f.got != f.want {
 			fmt.Fprintf(&b, " %s %d (%+d)", f.name, f.got, f.got-f.want)
@@ -54,10 +61,12 @@ func TestWorkBudgets(t *testing.T) {
 		pr   harness.Proto
 		want census
 	}{
-		{harness.NFS, census{Pops: 361992, Switches: 142160, Spawns: 1227, Submits: 10000, Calls: 40771, Heads: 41972, HeadBytes: 6036820}},
+		{harness.NFS, census{Pops: 361992, Switches: 142160, Spawns: 1227, Submits: 10000, Calls: 40771, Heads: 41972, HeadBytes: 6036820,
+			PendingsMade: 41972, HeadsMade: 41972}},
 		// While the sweep passed every client every interval, dirty or
 		// not: pops 782963, switches 340521, spawns 29, submits 178241.
-		{harness.SNFS, census{Pops: 447188, Switches: 172577, Spawns: 28, Submits: 10298, Calls: 50289, Heads: 52889, HeadBytes: 6890632}},
+		{harness.SNFS, census{Pops: 447188, Switches: 172577, Spawns: 28, Submits: 10298, Calls: 50289, Heads: 52889, HeadBytes: 6890632,
+			PendingsMade: 52889, HeadsMade: 52889}},
 	}
 	for _, pin := range pins {
 		cfg, err := scenario.Named("web-asset")
@@ -70,7 +79,8 @@ func TestWorkBudgets(t *testing.T) {
 			t.Fatal(err)
 		}
 		w := res.Work
-		got := census{w.Pops, w.Switches, w.Spawns, w.Submits, res.CallsSent, w.RPC.Heads, w.RPC.HeadBytes}
+		got := census{w.Pops, w.Switches, w.Spawns, w.Submits, res.CallsSent, w.RPC.Heads, w.RPC.HeadBytes,
+			w.RPC.PendingsMade, w.RPC.PendingsReused, w.RPC.HeadsMade, w.RPC.HeadsReused}
 		if d := got.diff(pin.want); d != "" {
 			t.Errorf("%v fleet census moved:%s", pin.pr, d)
 		}
@@ -99,7 +109,8 @@ func TestWorkBudgets(t *testing.T) {
 
 // TestAndrewHeadWork pins the wire-image work (rpc.Endpoint.Work) of one
 // RunAndrew per protocol, /tmp remote, seed 1: the heads built outside a
-// Pending and the bytes copied into heads, setup included. A short block
+// Pending and the bytes copied into heads, and the Pendings and reply
+// heads made and reused, setup included. A short block
 // goes out as its message's tail, so no head holds file data: what the
 // heads carry is headers, names and attributes.
 func TestAndrewHeadWork(t *testing.T) {
@@ -112,17 +123,19 @@ func TestAndrewHeadWork(t *testing.T) {
 		// that head and its READ reply's held the data: heads 7358,
 		// 6657 and 7104, head bytes 2904228, 1421844 and 1673428. Every
 		// head now is a reply's, one per call served.
-		{harness.NFS, rpc.Work{Heads: 7153, HeadBytes: 1054520}},
-		{harness.SNFS, rpc.Work{Heads: 6504, HeadBytes: 868596}},
-		{harness.RFS, rpc.Work{Heads: 6899, HeadBytes: 930216}},
+		{harness.NFS, rpc.Work{Heads: 7153, HeadBytes: 1054520, PendingsMade: 7153, HeadsMade: 7153}},
+		{harness.SNFS, rpc.Work{Heads: 6504, HeadBytes: 868596, PendingsMade: 6504, HeadsMade: 6504}},
+		{harness.RFS, rpc.Work{Heads: 6899, HeadBytes: 930216, PendingsMade: 6899, HeadsMade: 6899}},
 	} {
 		run, err := harness.RunAndrew(pin.pr, true, harness.Default())
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := run.RPC; got != pin.want {
-			t.Errorf("%v andrew: heads %d (%+d), head bytes %d (%+d)", pin.pr,
-				got.Heads, got.Heads-pin.want.Heads, got.HeadBytes, got.HeadBytes-pin.want.HeadBytes)
+			t.Errorf("%v andrew: heads %d (%+d), head bytes %d (%+d), pendings made %d (%+d) and reused %d (%+d), reply heads made %d (%+d) and reused %d (%+d)", pin.pr,
+				got.Heads, got.Heads-pin.want.Heads, got.HeadBytes, got.HeadBytes-pin.want.HeadBytes,
+				got.PendingsMade, got.PendingsMade-pin.want.PendingsMade, got.PendingsReused, got.PendingsReused-pin.want.PendingsReused,
+				got.HeadsMade, got.HeadsMade-pin.want.HeadsMade, got.HeadsReused, got.HeadsReused-pin.want.HeadsReused)
 		}
 	}
 }

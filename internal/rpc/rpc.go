@@ -199,18 +199,31 @@ type Stats struct {
 	DupEvictions  int64 // duplicate-cache entries evicted to make room
 }
 
-// Work counts the wire-image heads an endpoint has built. For a fixed
-// seed and tree each count is exact, as sim.KernelWork's are.
+// Work counts the wire-image heads an endpoint has built and the
+// round-trip objects it has made. For a fixed seed and tree each count is
+// exact, as sim.KernelWork's are.
 type Work struct {
 	// Heads counts the heads built in a buffer of their own, outside a
 	// Pending: a call head over inlineImage bytes, and every reply head.
 	Heads int64
 	// HeadBytes counts the bytes copied into heads, a Pending's included.
 	HeadBytes int64
+	// PendingsMade counts the Pendings allocated, PendingsReused the
+	// calls started on one taken back from the endpoint's free list.
+	PendingsMade, PendingsReused int64
+	// HeadsMade counts the reply heads allocated, HeadsReused the replies
+	// built in one taken back from the endpoint's free list.
+	HeadsMade, HeadsReused int64
 }
 
 // Add returns the sum of w and v.
-func (w Work) Add(v Work) Work { return Work{w.Heads + v.Heads, w.HeadBytes + v.HeadBytes} }
+func (w Work) Add(v Work) Work {
+	return Work{
+		Heads: w.Heads + v.Heads, HeadBytes: w.HeadBytes + v.HeadBytes,
+		PendingsMade: w.PendingsMade + v.PendingsMade, PendingsReused: w.PendingsReused + v.PendingsReused,
+		HeadsMade: w.HeadsMade + v.HeadsMade, HeadsReused: w.HeadsReused + v.HeadsReused,
+	}
+}
 
 type request struct {
 	from simnet.Addr
@@ -560,6 +573,7 @@ func (e *Endpoint) start(p *sim.Proc, to simnet.Addr, prog, vers, proc uint32, a
 		timeout: callTimeout, retries: maxRetries,
 		issued: e.k.Now(), sent: e.k.Now(),
 	}
+	e.work.PendingsMade++
 
 	enc := xdr.GetEncoder()
 	enc.Uint32(xid)
@@ -857,6 +871,7 @@ func (e *Endpoint) sendReply(to simnet.Addr, xid uint32, status Status, body Rep
 	head, tail = body.enc.Image()
 	body.enc.Release()
 	e.work.Heads++
+	e.work.HeadsMade++
 	e.work.HeadBytes += int64(len(head))
 	binary.BigEndian.PutUint32(head, xid)
 	binary.BigEndian.PutUint32(head[replyHeaderLen-4:], uint32(status))
