@@ -322,12 +322,13 @@ func (b *Base) Retarget(to simnet.Addr) { b.cfg.Server = to }
 // Server returns the address the client currently targets.
 func (b *Base) Server() simnet.Addr { return b.cfg.Server }
 
-// call issues one RPC to the server, counting it. args is the XDR method
-// value of the arguments, which are encoded straight into the endpoint's
-// pooled wire buffer and so stay in the caller's frame (rpc.CallXDR).
-func (b *Base) call(p *sim.Proc, proc uint32, args func(xdr.Codec)) ([]byte, error) {
+// call issues one RPC to the server, counting it. args and reply are the
+// XDR method values of the arguments and of the reply, which are encoded
+// straight into the endpoint's pooled wire buffer and decoded straight
+// from the reply image, and so stay in the caller's frame (rpc.CallXDR).
+func (b *Base) call(p *sim.Proc, proc uint32, args, reply func(xdr.Codec)) error {
 	b.ops.Inc(proto.ProcName(proto.ProgNFS, proc))
-	return b.ep.CallXDR(p, b.cfg.Server, proto.ProgNFS, proto.VersNFS, proc, args)
+	return b.ep.CallXDR(p, b.cfg.Server, proto.ProgNFS, proto.VersNFS, proc, args, reply)
 }
 
 // statusReply answers a callback with a bare status, encoded at once
@@ -413,12 +414,10 @@ func (b *Base) setAttr(n *node, a proto.Fattr, now sim.Time) {
 
 // lookupRPC resolves one name in one directory.
 func (b *Base) lookupRPC(p *sim.Proc, dir proto.Handle, name string) (proto.Handle, proto.Fattr, error) {
-	body, err := b.call(p, proto.ProcLookup, (&proto.DirOpArgs{Dir: dir, Name: name}).XDR)
-	if err != nil {
+	var r proto.HandleReply
+	if err := b.call(p, proto.ProcLookup, (&proto.DirOpArgs{Dir: dir, Name: name}).XDR, r.XDR); err != nil {
 		return proto.Handle{}, proto.Fattr{}, err
 	}
-	var r proto.HandleReply
-	r.XDR(xdr.NewDecoder(body).Codec())
 	if r.Status != proto.OK {
 		return proto.Handle{}, proto.Fattr{}, r.Status.Err()
 	}
@@ -461,12 +460,10 @@ func (b *Base) lookup(p *sim.Proc, dir proto.Handle, name string, needAttr bool)
 
 // readlinkRPC fetches a symlink's target.
 func (b *Base) readlinkRPC(p *sim.Proc, h proto.Handle) (string, error) {
-	body, err := b.call(p, proto.ProcReadlink, (&proto.HandleArgs{Handle: h}).XDR)
-	if err != nil {
+	var r proto.ReadlinkReply
+	if err := b.call(p, proto.ProcReadlink, (&proto.HandleArgs{Handle: h}).XDR, r.XDR); err != nil {
 		return "", err
 	}
-	var r proto.ReadlinkReply
-	r.XDR(xdr.NewDecoder(body).Codec())
 	if r.Status != proto.OK {
 		return "", r.Status.Err()
 	}
@@ -551,12 +548,10 @@ func (b *Base) walkComps(p *sim.Proc, dir proto.Handle, comps []string, needAttr
 // stops early at a symbolic link, which the client expands and splices
 // exactly like the per-component walker.
 func (b *Base) walkCompsPath(p *sim.Proc, dir proto.Handle, comps []string, needAttr bool, depth int) (proto.Handle, proto.Fattr, error) {
-	body, err := b.call(p, proto.ProcLookupPath, (&proto.LookupPathArgs{Dir: dir, Names: comps}).XDR)
-	if err != nil {
+	var r proto.LookupPathReply
+	if err := b.call(p, proto.ProcLookupPath, (&proto.LookupPathArgs{Dir: dir, Names: comps}).XDR, r.XDR); err != nil {
 		return proto.Handle{}, proto.Fattr{}, err
 	}
-	var r proto.LookupPathReply
-	r.XDR(xdr.NewDecoder(body).Codec())
 	if r.Status != proto.OK {
 		return proto.Handle{}, proto.Fattr{}, r.Status.Err()
 	}
@@ -663,16 +658,10 @@ func (b *Base) key(ino uint64, blk int64) cache.Key {
 // the attributes piggybacked on the reply. The reply's data is its image's
 // tail, so data is the server's frozen page itself, not a copy.
 func (b *Base) readRPC(p *sim.Proc, h proto.Handle, off int64, count int) ([]byte, proto.Fattr, error) {
-	b.ops.Inc(proto.ProcName(proto.ProgNFS, proto.ProcRead))
-	body, tail, err := b.ep.CallTail(p, b.cfg.Server, proto.ProgNFS, proto.VersNFS, proto.ProcRead,
-		(&proto.ReadArgs{Handle: h, Offset: off, Count: uint32(count)}).XDR)
-	if err != nil {
+	var r proto.ReadReply
+	if err := b.call(p, proto.ProcRead, (&proto.ReadArgs{Handle: h, Offset: off, Count: uint32(count)}).XDR, r.XDR); err != nil {
 		return nil, proto.Fattr{}, err
 	}
-	var d xdr.Decoder
-	d.ResetTail(body, tail)
-	var r proto.ReadReply
-	r.XDR(d.Codec())
 	if r.Status != proto.OK {
 		return nil, proto.Fattr{}, r.Status.Err()
 	}
@@ -686,12 +675,10 @@ func (b *Base) readRPC(p *sim.Proc, h proto.Handle, off int64, count int) ([]byt
 // must be frozen: a cache block marked Frozen, one that has left the
 // cache, or a copy of the caller's.
 func (b *Base) writeRPC(p *sim.Proc, h proto.Handle, off int64, data []byte, unstable bool) (proto.WriteReply, error) {
-	body, err := b.call(p, proto.ProcWrite, (&proto.WriteArgs{Handle: h, Offset: off, Data: data, Unstable: unstable}).XDR)
-	if err != nil {
+	var r proto.WriteReply
+	if err := b.call(p, proto.ProcWrite, (&proto.WriteArgs{Handle: h, Offset: off, Data: data, Unstable: unstable}).XDR, r.XDR); err != nil {
 		return proto.WriteReply{}, err
 	}
-	var r proto.WriteReply
-	r.XDR(xdr.NewDecoder(body).Codec())
 	if r.Status != proto.OK {
 		return proto.WriteReply{}, r.Status.Err()
 	}
@@ -732,12 +719,10 @@ func (b *Base) commit(p *sim.Proc, n *node) error {
 	if len(n.unstable) == 0 {
 		return nil
 	}
-	body, err := b.call(p, proto.ProcCommit, (&proto.CommitArgs{Handle: n.h}).XDR)
-	if err != nil {
+	var r proto.CommitReply
+	if err := b.call(p, proto.ProcCommit, (&proto.CommitArgs{Handle: n.h}).XDR, r.XDR); err != nil {
 		return err
 	}
-	var r proto.CommitReply
-	r.XDR(xdr.NewDecoder(body).Codec())
 	if r.Status == proto.ErrStale {
 		n.unstable, n.unstableVerifier = nil, 0
 		return nil
@@ -768,12 +753,10 @@ func (b *Base) commit(p *sim.Proc, n *node) error {
 // getattrRPC fetches fresh attributes. Only the attribute-cache layer
 // calls this; everyone else goes through attrs.get.
 func (b *Base) getattrRPC(p *sim.Proc, h proto.Handle) (proto.Fattr, error) {
-	body, err := b.call(p, proto.ProcGetattr, (&proto.HandleArgs{Handle: h}).XDR)
-	if err != nil {
+	var r proto.AttrReply
+	if err := b.call(p, proto.ProcGetattr, (&proto.HandleArgs{Handle: h}).XDR, r.XDR); err != nil {
 		return proto.Fattr{}, err
 	}
-	var r proto.AttrReply
-	r.XDR(xdr.NewDecoder(body).Codec())
 	if r.Status != proto.OK {
 		return proto.Fattr{}, r.Status.Err()
 	}
@@ -791,30 +774,31 @@ func (b *Base) ingestWcc(p *sim.Proc, wcc []proto.WccData) {
 	}
 }
 
-// decodeWcc interprets a remove/rename/close reply: a WccReply when the
-// request asked for post-op attributes (piggybacking armed), a bare
-// StatusReply otherwise. Wcc attributes feed the attribute cache.
-func (b *Base) decodeWcc(p *sim.Proc, body []byte) proto.Status {
+// wccCall issues a remove, rename or close: its reply is a WccReply when
+// the request asked for post-op attributes (piggybacking armed) and a bare
+// StatusReply otherwise. Wcc attributes feed the attribute cache; it
+// returns the reply's status.
+func (b *Base) wccCall(p *sim.Proc, proc uint32, args func(xdr.Codec)) (proto.Status, error) {
 	if !b.cfg.AttrExtensions {
 		var r proto.StatusReply
-		r.XDR(xdr.NewDecoder(body).Codec())
-		return r.Status
+		err := b.call(p, proc, args, r.XDR)
+		return r.Status, err
 	}
 	var r proto.WccReply
-	r.XDR(xdr.NewDecoder(body).Codec())
+	if err := b.call(p, proc, args, r.XDR); err != nil {
+		return r.Status, err
+	}
 	b.ingestWcc(p, r.Wcc)
-	return r.Status
+	return r.Status, nil
 }
 
 // readdirAttrs lists a directory READDIRPLUS-style, priming the
 // attribute cache with every entry's attributes (piggybacking armed).
 func (b *Base) readdirAttrs(p *sim.Proc, h proto.Handle) ([]proto.DirEntry, error) {
-	body, err := b.call(p, proto.ProcReaddirAttrs, (&proto.HandleArgs{Handle: h}).XDR)
-	if err != nil {
+	var r proto.ReaddirAttrsReply
+	if err := b.call(p, proto.ProcReaddirAttrs, (&proto.HandleArgs{Handle: h}).XDR, r.XDR); err != nil {
 		return nil, err
 	}
-	var r proto.ReaddirAttrsReply
-	r.XDR(xdr.NewDecoder(body).Codec())
 	if r.Status != proto.OK {
 		return nil, r.Status.Err()
 	}
@@ -1284,13 +1268,13 @@ func (b *Base) apply(p *sim.Proc, n *node, a core.Action, keep bool) error {
 
 // closeRPC reports a close to a server that tracks opens.
 func (b *Base) closeRPC(p *sim.Proc, h proto.Handle, write bool) error {
-	body, err := b.call(p, proto.ProcClose, (&proto.CloseArgs{
+	st, err := b.wccCall(p, proto.ProcClose, (&proto.CloseArgs{
 		Handle: h, WriteMode: write, WantAttr: b.cfg.AttrExtensions,
 	}).XDR)
 	if err != nil {
 		return err
 	}
-	return b.decodeWcc(p, body).Err()
+	return st.Err()
 }
 
 // list fetches a directory's entries with one RPC: READDIRPLUS-style when
@@ -1300,12 +1284,10 @@ func (b *Base) list(p *sim.Proc, h proto.Handle) ([]proto.DirEntry, error) {
 	if b.cfg.AttrExtensions {
 		return b.readdirAttrs(p, h)
 	}
-	body, err := b.call(p, proto.ProcReaddir, (&proto.HandleArgs{Handle: h}).XDR)
-	if err != nil {
+	var r proto.ReaddirReply
+	if err := b.call(p, proto.ProcReaddir, (&proto.HandleArgs{Handle: h}).XDR, r.XDR); err != nil {
 		return nil, err
 	}
-	var r proto.ReaddirReply
-	r.XDR(xdr.NewDecoder(body).Codec())
 	if r.Status != proto.OK {
 		return nil, r.Status.Err()
 	}
@@ -1323,8 +1305,9 @@ func (b *Base) list(p *sim.Proc, h proto.Handle) ([]proto.DirEntry, error) {
 const graceRetry = 200 * sim.Millisecond
 
 // Open implements vfs.FS. A read open of a file whose final close was
-// delayed (§6.2) reuses the open the server still holds, with no RPC; any
-// other open at such a server first settles that owed close.
+// delayed (§6.2) reuses the open the server still holds, with no RPC,
+// unless it truncates; any other open at such a server first settles that
+// owed close.
 func (b *Base) Open(p *sim.Proc, rel string, flags vfs.Flags, mode uint32) (vfs.File, error) {
 	defer b.syscall(p, "open").End()
 	write, create := flags.Writing(), flags&vfs.Create != 0
@@ -1340,19 +1323,16 @@ func (b *Base) Open(p *sim.Proc, rel string, flags vfs.Flags, mode uint32) (vfs.
 		return nil, err
 	}
 	if b.tracksOpens {
-		if n.rec.DelayedClose {
+		if n.rec.DelayedClose && !write && flags&vfs.Truncate == 0 && n.rec.Caching {
 			n.rec.DelayedClose = false
-			if !write && n.rec.Caching {
-				n.rec.Readers++
-				b.LocalReopens++
-				n.opens++
-				return &file{b: b, n: n}, nil
-			}
-			if err := b.closeRPC(p, n.h, n.rec.DelayedWriteMode); err != nil {
-				return nil, err
-			}
+			n.rec.Readers++
+			b.LocalReopens++
+			n.opens++
+			return &file{b: b, n: n}, nil
 		}
-		err = b.openRPC(p, n, write)
+		if err = b.settleDelayedClose(p, n); err == nil {
+			err = b.openRPC(p, n, write)
+		}
 	} else if !create {
 		err = b.openCheck(p, n, wattr)
 	}
@@ -1371,8 +1351,10 @@ func (b *Base) Open(p *sim.Proc, rel string, flags vfs.Flags, mode uint32) (vfs.
 // Readdir implements vfs.FS: the GFS layer opens a directory like a file,
 // so the listing follows an open's consistency step — the getattr check,
 // or an OPEN and a CLOSE bracketing it (the source of SNFS's small ScanDir
-// handicap in Table 5-1). The OPEN is the bare one: a listing neither
-// reuses nor settles a delayed close.
+// handicap in Table 5-1). The OPEN is the bare one: a listing does not
+// reuse a delayed close, and settles one first, as any open that does
+// not reuse it does: the OPEN's reply would clear it from the record,
+// and the close it owes the server would never be sent.
 func (b *Base) Readdir(p *sim.Proc, rel string) ([]proto.DirEntry, error) {
 	defer b.syscall(p, "readdir").End()
 	n, wattr, err := b.walkNode(p, rel)
@@ -1385,6 +1367,9 @@ func (b *Base) Readdir(p *sim.Proc, rel string) ([]proto.DirEntry, error) {
 		}
 		return b.list(p, n.h)
 	}
+	if err := b.settleDelayedClose(p, n); err != nil {
+		return nil, err
+	}
 	if err := b.openRPC(p, n, false); err != nil {
 		return nil, err
 	}
@@ -1394,6 +1379,16 @@ func (b *Base) Readdir(p *sim.Proc, rel string) ([]proto.DirEntry, error) {
 		err = cerr
 	}
 	return entries, err
+}
+
+// settleDelayedClose sends the CLOSE that n's delayed final close (§6.2)
+// still owes the server, if it owes one.
+func (b *Base) settleDelayedClose(p *sim.Proc, n *node) error {
+	if !n.rec.DelayedClose {
+		return nil
+	}
+	n.rec.DelayedClose = false
+	return b.closeRPC(p, n.h, n.rec.DelayedWriteMode)
 }
 
 // walkNode resolves rel to its node, with the final lookup's attributes
@@ -1464,10 +1459,7 @@ func (b *Base) openRPC(p *sim.Proc, n *node, write bool) error {
 // openCall sends one OPEN and decodes its reply.
 func (b *Base) openCall(p *sim.Proc, h proto.Handle, write bool) (proto.OpenReply, error) {
 	var r proto.OpenReply
-	body, err := b.call(p, proto.ProcOpen, (&proto.OpenArgs{Handle: h, WriteMode: write}).XDR)
-	if err == nil {
-		r.XDR(xdr.NewDecoder(body).Codec())
-	}
+	err := b.call(p, proto.ProcOpen, (&proto.OpenArgs{Handle: h, WriteMode: write}).XDR, r.XDR)
 	return r, err
 }
 
@@ -1617,12 +1609,10 @@ func (b *Base) create(p *sim.Proc, rel string, mode uint32) (*node, error) {
 	if err != nil {
 		return nil, err
 	}
-	body, err := b.call(p, proto.ProcCreate, (&proto.CreateArgs{Dir: dir, Name: name, Mode: mode}).XDR)
-	if err != nil {
+	var r proto.HandleReply
+	if err := b.call(p, proto.ProcCreate, (&proto.CreateArgs{Dir: dir, Name: name, Mode: mode}).XDR, r.XDR); err != nil {
 		return nil, err
 	}
-	var r proto.HandleReply
-	r.XDR(xdr.NewDecoder(body).Codec())
 	if r.Status != proto.OK {
 		return nil, r.Status.Err()
 	}
@@ -1637,12 +1627,10 @@ func (b *Base) create(p *sim.Proc, rel string, mode uint32) (*node, error) {
 
 // truncate is the truncate arm of an open.
 func (b *Base) truncate(p *sim.Proc, n *node) error {
-	body, err := b.call(p, proto.ProcSetattr, (&proto.SetattrArgs{Handle: n.h, SetSize: true, Size: 0}).XDR)
-	if err != nil {
+	var r proto.AttrReply
+	if err := b.call(p, proto.ProcSetattr, (&proto.SetattrArgs{Handle: n.h, SetSize: true, Size: 0}).XDR, r.XDR); err != nil {
 		return err
 	}
-	var r proto.AttrReply
-	r.XDR(xdr.NewDecoder(body).Codec())
 	if r.Status != proto.OK {
 		return r.Status.Err()
 	}
@@ -1669,12 +1657,10 @@ func (b *Base) Mkdir(p *sim.Proc, rel string, mode uint32) error {
 	if err != nil {
 		return err
 	}
-	body, err := b.call(p, proto.ProcMkdir, (&proto.CreateArgs{Dir: dir, Name: name, Mode: mode}).XDR)
-	if err != nil {
+	var r proto.HandleReply
+	if err := b.call(p, proto.ProcMkdir, (&proto.CreateArgs{Dir: dir, Name: name, Mode: mode}).XDR, r.XDR); err != nil {
 		return err
 	}
-	var r proto.HandleReply
-	r.XDR(xdr.NewDecoder(body).Codec())
 	if r.Status == proto.OK && b.names != nil {
 		b.names.setName(dir, name, r.Handle)
 	}
@@ -1703,13 +1689,13 @@ func (b *Base) Remove(p *sim.Proc, rel string) error {
 	if lastLink && b.delaysWrites {
 		b.cache.CancelDirty(b.cfg.Root.FSID, h.Ino)
 	}
-	body, err := b.call(p, proto.ProcRemove, (&proto.DirOpArgs{
+	st, err := b.wccCall(p, proto.ProcRemove, (&proto.DirOpArgs{
 		Dir: dir, Name: name, WantAttr: b.cfg.AttrExtensions,
 	}).XDR)
 	if err != nil {
 		return err
 	}
-	if st := b.decodeWcc(p, body); st != proto.OK {
+	if st != proto.OK {
 		return st.Err()
 	}
 	if b.names != nil {
@@ -1732,13 +1718,11 @@ func (b *Base) Rmdir(p *sim.Proc, rel string) error {
 	if err != nil {
 		return err
 	}
-	body, err := b.call(p, proto.ProcRmdir, (&proto.DirOpArgs{Dir: dir, Name: name}).XDR)
-	if err != nil {
+	var r proto.StatusReply
+	if err := b.call(p, proto.ProcRmdir, (&proto.DirOpArgs{Dir: dir, Name: name}).XDR, r.XDR); err != nil {
 		return err
 	}
 	b.invalidateDirCache()
-	var r proto.StatusReply
-	r.XDR(xdr.NewDecoder(body).Codec())
 	if r.Status == proto.OK && b.names != nil {
 		b.names.setName(dir, name, proto.Handle{})
 	}
@@ -1756,7 +1740,7 @@ func (b *Base) Rename(p *sim.Proc, oldrel, newrel string) error {
 	if err != nil {
 		return err
 	}
-	body, err := b.call(p, proto.ProcRename, (&proto.RenameArgs{
+	st, err := b.wccCall(p, proto.ProcRename, (&proto.RenameArgs{
 		SrcDir: sdir, SrcName: sname, DstDir: ddir, DstName: dname,
 		WantAttr: b.cfg.AttrExtensions,
 	}).XDR)
@@ -1764,7 +1748,6 @@ func (b *Base) Rename(p *sim.Proc, oldrel, newrel string) error {
 		return err
 	}
 	b.invalidateDirCache()
-	st := b.decodeWcc(p, body)
 	if st == proto.OK && b.names != nil {
 		// Conservative: forget both directories' translations rather
 		// than compute the moved handle.
@@ -1792,12 +1775,10 @@ func (b *Base) Link(p *sim.Proc, oldrel, newrel string) error {
 	if err != nil {
 		return err
 	}
-	body, err := b.call(p, proto.ProcLink, (&proto.LinkArgs{From: from, ToDir: dir, ToName: name}).XDR)
-	if err != nil {
+	var r proto.StatusReply
+	if err := b.call(p, proto.ProcLink, (&proto.LinkArgs{From: from, ToDir: dir, ToName: name}).XDR, r.XDR); err != nil {
 		return err
 	}
-	var r proto.StatusReply
-	r.XDR(xdr.NewDecoder(body).Codec())
 	return r.Status.Err()
 }
 
@@ -1808,12 +1789,10 @@ func (b *Base) Symlink(p *sim.Proc, target, linkrel string) error {
 	if err != nil {
 		return err
 	}
-	body, err := b.call(p, proto.ProcSymlink, (&proto.SymlinkArgs{Dir: dir, Name: name, Target: target}).XDR)
-	if err != nil {
+	var r proto.HandleReply
+	if err := b.call(p, proto.ProcSymlink, (&proto.SymlinkArgs{Dir: dir, Name: name, Target: target}).XDR, r.XDR); err != nil {
 		return err
 	}
-	var r proto.HandleReply
-	r.XDR(xdr.NewDecoder(body).Codec())
 	return r.Status.Err()
 }
 

@@ -1541,12 +1541,10 @@ func TestSNFSFailedCallbackChangesNothing(t *testing.T) {
 		}
 		w.net.Cut("clientA", "server")
 		args := proto.CallbackArgs{Handle: proto.Handle{FSID: 1, Ino: attr.Ino, Gen: attr.Gen}, WriteBack: true, Invalidate: true}
-		body, err := probe.CallXDREx(p, "clientA", proto.ProgCallback, 1, proto.CbProcCallback, args.XDR, 1000*sim.Second, 0)
-		if err != nil {
+		var r proto.StatusReply
+		if err := probe.CallXDREx(p, "clientA", proto.ProgCallback, 1, proto.CbProcCallback, args.XDR, r.XDR, 1000*sim.Second, 0); err != nil {
 			t.Fatal(err)
 		}
-		var r proto.StatusReply
-		r.XDR(xdr.NewDecoder(body).Codec())
 		if r.Status != proto.ErrIO {
 			t.Fatalf("callback answered %v, want ERR_IO", r.Status)
 		}

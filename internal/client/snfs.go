@@ -7,7 +7,6 @@ import (
 	"spritelynfs/internal/rpc"
 	"spritelynfs/internal/sim"
 	"spritelynfs/internal/span"
-	"spritelynfs/internal/xdr"
 )
 
 // SNFSOptions tunes the Spritely client.
@@ -121,9 +120,8 @@ func (c *SNFSClient) callback(p *sim.Proc, a proto.CallbackArgs, n *node) proto.
 		n.rec.Caching = caching
 		return proto.ErrIO
 	}
-	if a.Release && n.rec.DelayedClose {
-		n.rec.DelayedClose = false
-		c.closeRPC(p, n.h, n.rec.DelayedWriteMode)
+	if a.Release {
+		c.settleDelayedClose(p, n)
 	}
 	return proto.OK
 }
@@ -258,8 +256,7 @@ func (c *SNFSClient) SyncPass(p *sim.Proc) {
 	if c.opts.DelayedClose {
 		for _, n := range c.sortedNodes(nil) {
 			if n.rec.DelayedClose && p.Now().Sub(sim.Time(n.rec.ClosedAt)) > delayedCloseIdle {
-				n.rec.DelayedClose = false
-				c.closeRPC(p, n.h, n.rec.DelayedWriteMode)
+				c.settleDelayedClose(p, n)
 			}
 		}
 	}
@@ -272,12 +269,10 @@ func (c *SNFSClient) SyncPass(p *sim.Proc) {
 func (c *SNFSClient) keepaliveDaemon(p *sim.Proc) {
 	for {
 		p.Sleep(c.opts.KeepaliveInterval)
-		body, err := c.ep.Call(p, c.cfg.Server, proto.ProgNFS, proto.VersNFS, proto.ProcServerInfo, nil)
-		if err != nil {
+		var r proto.ServerInfoReply
+		if err := c.ep.CallXDR(p, c.cfg.Server, proto.ProgNFS, proto.VersNFS, proto.ProcServerInfo, nil, r.XDR); err != nil {
 			continue // server unreachable; keep probing
 		}
-		var r proto.ServerInfoReply
-		r.XDR(xdr.NewDecoder(body).Codec())
 		if r.Status != proto.OK {
 			continue
 		}
@@ -345,12 +340,10 @@ func (c *SNFSClient) reopenWithRetry(p *sim.Proc, args *proto.ReopenArgs) (proto
 			p.Sleep(delay)
 			delay *= 2
 		}
-		body, err := c.call(p, proto.ProcReopen, args.XDR)
-		if err != nil {
+		var r proto.OpenReply
+		if err := c.call(p, proto.ProcReopen, args.XDR, r.XDR); err != nil {
 			continue
 		}
-		var r proto.OpenReply
-		r.XDR(xdr.NewDecoder(body).Codec())
 		switch r.Status {
 		case proto.ErrGrace, proto.ErrNotHome:
 			// Transient during a reboot or failover window; back off and
@@ -374,12 +367,10 @@ func (c *SNFSClient) Lock(p *sim.Proc, rel string, exclusive bool) error {
 	}
 	backoff := 10 * sim.Millisecond
 	for {
-		body, err := c.call(p, proto.ProcLock, (&proto.LockArgs{Handle: h, Exclusive: exclusive}).XDR)
-		if err != nil {
+		var r proto.LockReply
+		if err := c.call(p, proto.ProcLock, (&proto.LockArgs{Handle: h, Exclusive: exclusive}).XDR, r.XDR); err != nil {
 			return err
 		}
-		var r proto.LockReply
-		r.XDR(xdr.NewDecoder(body).Codec())
 		if r.Status != proto.OK {
 			return r.Status.Err()
 		}
@@ -400,11 +391,9 @@ func (c *SNFSClient) Unlock(p *sim.Proc, rel string) error {
 	if err != nil {
 		return err
 	}
-	body, err := c.call(p, proto.ProcUnlock, (&proto.LockArgs{Handle: h}).XDR)
-	if err != nil {
+	var r proto.LockReply
+	if err := c.call(p, proto.ProcUnlock, (&proto.LockArgs{Handle: h}).XDR, r.XDR); err != nil {
 		return err
 	}
-	var r proto.LockReply
-	r.XDR(xdr.NewDecoder(body).Codec())
 	return r.Status.Err()
 }

@@ -10,7 +10,6 @@ import (
 	"spritelynfs/internal/simnet"
 	"spritelynfs/internal/vfs"
 	"spritelynfs/internal/view"
-	"spritelynfs/internal/xdr"
 )
 
 // maxRedirects bounds one operation's NOTHOME retries. A healthy
@@ -101,13 +100,9 @@ func (r *Router) enableFailover(viewsvc simnet.Addr) {
 // ignored: the next poll, or the Reroute/ErrNotHome machinery, retries.
 func (r *Router) refreshFromView(p *sim.Proc) {
 	var args proto.ViewGetArgs
-	body, err := r.hosts[0].Base.Endpoint().CallXDREx(p, r.viewsvc, proto.ProgView, 1, proto.ViewProcGet,
-		args.XDR, 500*sim.Millisecond, 0)
-	if err != nil {
-		return
-	}
 	var rep proto.ViewGetReply
-	if rep.XDR(xdr.NewDecoder(body).Codec()); rep.Status == proto.OK {
+	if err := r.hosts[0].Base.Endpoint().CallXDREx(p, r.viewsvc, proto.ProgView, 1, proto.ViewProcGet,
+		args.XDR, rep.XDR, 500*sim.Millisecond, 0); err == nil && rep.Status == proto.OK {
 		r.InstallMap(rep.Map)
 	}
 }
@@ -150,13 +145,12 @@ func (r *Router) TotalOps() int64 {
 // only replaced by a strictly newer version.
 func (r *Router) refreshMap(p *sim.Proc, via int) error {
 	var args proto.ShardMapArgs
-	body, err := r.hosts[via].Base.Endpoint().CallXDR(p, r.addrs[via], proto.ProgNFS, proto.VersNFS,
-		proto.ProcShardMap, args.XDR)
-	if err != nil {
+	var reply proto.ShardMapReply
+	if err := r.hosts[via].Base.Endpoint().CallXDR(p, r.addrs[via], proto.ProgNFS, proto.VersNFS,
+		proto.ProcShardMap, args.XDR, reply.XDR); err != nil {
 		return fmt.Errorf("cluster: shard map refetch from %s: %w", r.addrs[via], err)
 	}
-	var reply proto.ShardMapReply
-	if reply.XDR(xdr.NewDecoder(body).Codec()); reply.Status != proto.OK {
+	if reply.Status != proto.OK {
 		return reply.Status.Err()
 	}
 	r.InstallMap(reply.Map)

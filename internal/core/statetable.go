@@ -179,20 +179,18 @@ type Table struct {
 	Observer func(TransitionEvent)
 }
 
-func (t *Table) observe(ev TransitionEvent) {
-	if t.Observer != nil {
-		t.Observer(ev)
+// observe reports a mutation to the Observer. Only then does it list
+// the clients caching e, a live entry (nil for a reclaim or a drop).
+func (t *Table) observe(e *entry, ev TransitionEvent) {
+	if t.Observer == nil {
+		return
 	}
-}
-
-func (e *entry) cachingIDs() []ClientID {
-	var out []ClientID
-	for _, ci := range e.clients {
-		if ci.caching {
-			out = append(out, ci.id)
+	for i := 0; e != nil && i < len(e.clients); i++ {
+		if e.clients[i].caching {
+			ev.Caching = append(ev.Caching, e.clients[i].id)
 		}
 	}
-	return out
+	t.Observer(ev)
 }
 
 // NewTable returns a table bounded to maxEntries (0 means the paper's
@@ -409,11 +407,11 @@ func (t *Table) Open(h proto.Handle, c ClientID, forWrite bool) OpenResult {
 	res.CacheEnabled = ci.caching
 	res.Version = e.version
 	res.PrevVersion = e.prev
-	t.observe(TransitionEvent{
+	t.observe(e, TransitionEvent{
 		Event: "open", Handle: h, Client: c, Write: forWrite,
 		From: from, To: e.state, Version: e.version, Prev: e.prev,
 		CacheEnabled: res.CacheEnabled, Inconsistent: res.Inconsistent,
-		LastWriter: e.lastWriter, Caching: e.cachingIDs(), Callbacks: len(res.Callbacks),
+		LastWriter: e.lastWriter, Callbacks: len(res.Callbacks),
 	})
 	return res
 }
@@ -448,10 +446,10 @@ func (t *Table) Close(h proto.Handle, c ClientID, forWrite bool) {
 		e.removeClient(c)
 	}
 	e.state = e.derive()
-	t.observe(TransitionEvent{
+	t.observe(e, TransitionEvent{
 		Event: "close", Handle: h, Client: c, Write: forWrite,
 		From: from, To: e.state, Version: e.version, Prev: e.prev,
-		LastWriter: e.lastWriter, Caching: e.cachingIDs(),
+		LastWriter: e.lastWriter,
 	})
 }
 
@@ -469,7 +467,7 @@ func (t *Table) newEntry(h proto.Handle) (*entry, bool) {
 		}
 		victim := victims[0]
 		t.forget(victim)
-		t.observe(TransitionEvent{
+		t.observe(nil, TransitionEvent{
 			Event: "reclaim", Handle: victim.handle,
 			From: StateClosed, To: StateClosed,
 			Version: victim.version, Prev: victim.prev, Dropped: true,
@@ -536,10 +534,10 @@ func (t *Table) InvalidateReaders(h proto.Handle, except ClientID) []Callback {
 		cbs = append(cbs, Callback{Client: ci.id, Handle: h, Invalidate: true})
 	}
 	t.stats.CallbacksIssued += int64(len(cbs))
-	t.observe(TransitionEvent{
+	t.observe(e, TransitionEvent{
 		Event: "invalidate", Handle: h, Client: except,
 		From: from, To: e.state, Version: e.version, Prev: e.prev,
-		LastWriter: e.lastWriter, Caching: e.cachingIDs(), Callbacks: len(cbs),
+		LastWriter: e.lastWriter, Callbacks: len(cbs),
 	})
 	return cbs
 }
@@ -573,7 +571,7 @@ func (t *Table) Reclaimed(h proto.Handle) {
 		t.forget(e)
 		dropped = true
 	}
-	t.observe(TransitionEvent{
+	t.observe(nil, TransitionEvent{
 		Event: "reclaim", Handle: h,
 		From: StateClosedDirty, To: e.state, Version: e.version, Prev: e.prev,
 		Dropped: dropped,
@@ -587,7 +585,7 @@ func (t *Table) Drop(h proto.Handle) {
 	e, ok := t.entries[h]
 	delete(t.entries, h)
 	if ok {
-		t.observe(TransitionEvent{
+		t.observe(nil, TransitionEvent{
 			Event: "drop", Handle: h, From: e.state, To: StateClosed,
 			Version: e.version, Prev: e.prev, Dropped: true,
 		})
@@ -623,7 +621,7 @@ func (t *Table) DropWithInvalidate(h proto.Handle, except ClientID) []Callback {
 	slices.SortFunc(cbs, func(a, b Callback) int { return cmp.Compare(a.Client, b.Client) })
 	t.stats.CallbacksIssued += int64(len(cbs))
 	delete(t.entries, h)
-	t.observe(TransitionEvent{
+	t.observe(nil, TransitionEvent{
 		Event: "drop", Handle: h, Client: except, From: e.state, To: StateClosed,
 		Version: e.version, Prev: e.prev, Dropped: true, Callbacks: len(cbs),
 	})
@@ -658,11 +656,11 @@ func (t *Table) ClientDead(c ClientID) []proto.Handle {
 			e.removeClient(c)
 		}
 		e.state = e.derive()
-		t.observe(TransitionEvent{
+		t.observe(e, TransitionEvent{
 			Event: "client-dead", Handle: h, Client: c,
 			From: from, To: e.state, Version: e.version, Prev: e.prev,
 			Inconsistent: e.inconsistent,
-			LastWriter:   e.lastWriter, Caching: e.cachingIDs(),
+			LastWriter:   e.lastWriter,
 		})
 	}
 	return affected
@@ -706,11 +704,11 @@ func (t *Table) Recover(h proto.Handle, c ClientID, readers, writers uint32, ver
 		}
 	}
 	e.state = e.derive()
-	t.observe(TransitionEvent{
+	t.observe(e, TransitionEvent{
 		Event: "recover", Handle: h, Client: c, Write: writers > 0,
 		From: from, To: e.state, Version: e.version, Prev: e.prev,
 		HasDirty: hasDirty, Readers: readers, Writers: writers,
-		LastWriter: e.lastWriter, Caching: e.cachingIDs(),
+		LastWriter: e.lastWriter,
 	})
 }
 

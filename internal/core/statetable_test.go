@@ -887,3 +887,15 @@ func openCounts(t *Table, h proto.Handle) (readers, writers int) {
 	}
 	return readers, writers
 }
+
+// cachingIDs lists the clients caching e, as a transition reports them
+// (Table.observe).
+func (e *entry) cachingIDs() []ClientID {
+	var ids []ClientID
+	for _, ci := range e.clients {
+		if ci.caching {
+			ids = append(ids, ci.id)
+		}
+	}
+	return ids
+}

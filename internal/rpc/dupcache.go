@@ -19,8 +19,10 @@ type dupKey struct {
 type dupEntry struct {
 	key   dupKey
 	state dupState
-	// the encoded reply message, head‖tail (xdr.Encoder.Image)
+	// the encoded reply message, head‖tail (xdr.Encoder.Image), and the
+	// head's owner, which the entry holds (nil for a head nobody recycles)
 	head, tail []byte
+	owner      *replyHead
 }
 
 // dupCache remembers recently executed calls so that a retransmission of a
@@ -46,13 +48,14 @@ func newDupCache(max int, evicted *int64) dupCache {
 	return dupCache{max: max, evicted: evicted}
 }
 
-func (c *dupCache) lookup(from simnet.Addr, xid uint32) (state dupState, head, tail []byte) {
+// lookup returns the entry of (from, xid), whose state is dupNew if there
+// is none.
+func (c *dupCache) lookup(from simnet.Addr, xid uint32) dupEntry {
 	i, ok := c.slot[dupKey{from, xid}]
 	if !ok {
-		return dupNew, nil, nil
+		return dupEntry{state: dupNew}
 	}
-	e := &c.ring[i]
-	return e.state, e.head, e.tail
+	return c.ring[i]
 }
 
 func (c *dupCache) start(from simnet.Addr, xid uint32) {
@@ -75,6 +78,7 @@ func (c *dupCache) start(from simnet.Addr, xid uint32) {
 	}
 	// Overwritten whole: the recycled slot lets go of the evicted
 	// call's reply image, head and tail, now, not when this call finishes.
+	e.owner.Release()
 	*e = dupEntry{key: k, state: dupInProgress}
 	c.slot[k] = c.oldest
 	c.oldest = (c.oldest + 1) % len(c.ring)
@@ -82,12 +86,23 @@ func (c *dupCache) start(from simnet.Addr, xid uint32) {
 
 // finish records the completed call's reply wire image: the transmitted
 // head and tail themselves, which are frozen once sent (receivers decode
-// read-only views of them and copy what they mean to change), so a replay
-// resends them as they are. A no-op if the entry was evicted while the
-// call executed.
-func (c *dupCache) finish(from simnet.Addr, xid uint32, head, tail []byte) {
+// read-only views of them and copy what they mean to keep), so a replay
+// resends them as they are, and holds the head's owner for the slot. A
+// no-op if the entry was evicted while the call executed.
+func (c *dupCache) finish(from simnet.Addr, xid uint32, head, tail []byte, owner *replyHead) {
 	if i, ok := c.slot[dupKey{from, xid}]; ok {
 		e := &c.ring[i]
-		e.state, e.head, e.tail = dupDone, head, tail
+		if owner != nil {
+			owner.Hold()
+		}
+		e.state, e.head, e.tail, e.owner = dupDone, head, tail, owner
 	}
+}
+
+// clear empties the cache, letting go of every recorded head.
+func (c *dupCache) clear() {
+	for _, e := range c.ring {
+		e.owner.Release()
+	}
+	*c = newDupCache(c.max, c.evicted)
 }

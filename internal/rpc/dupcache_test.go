@@ -22,7 +22,7 @@ func TestDupCacheEvictionUnderXidWraparound(t *testing.T) {
 	}
 	for i, xid := range xids {
 		c.start("a", xid)
-		c.finish("a", xid, []byte(fmt.Sprintf("r%d", i)), nil)
+		c.finish("a", xid, []byte(fmt.Sprintf("r%d", i)), nil, nil)
 	}
 
 	// The first four (pre-wrap) insertions were evicted, in order.
@@ -30,15 +30,15 @@ func TestDupCacheEvictionUnderXidWraparound(t *testing.T) {
 		t.Errorf("eviction counter = %d, want %d", evicted, len(xids)-cap)
 	}
 	for _, xid := range xids[:len(xids)-cap] {
-		if s, _, _ := c.lookup("a", xid); s != dupNew {
+		if s := c.lookup("a", xid).state; s != dupNew {
 			t.Errorf("xid %#x survived; want evicted", xid)
 		}
 	}
 	// The last four — including the wrapped xid 0 — are still served.
 	for i, xid := range xids[len(xids)-cap:] {
 		want := fmt.Sprintf("r%d", i+len(xids)-cap)
-		if s, w, _ := c.lookup("a", xid); s != dupDone || string(w) != want {
-			t.Errorf("xid %#x: state=%v reply=%q, want done %q", xid, s, w, want)
+		if ent := c.lookup("a", xid); ent.state != dupDone || string(ent.head) != want {
+			t.Errorf("xid %#x: state=%v reply=%q, want done %q", xid, ent.state, ent.head, want)
 		}
 	}
 	if len(c.slot) != cap || len(c.ring) != cap {

@@ -118,7 +118,8 @@ func TestDupCacheReplaysRecordedImage(t *testing.T) {
 		if !bytes.Equal(body, want) {
 			t.Errorf("first reply is %d bytes, want the %d of proto.Marshal", len(body), len(want))
 		}
-		state, head, tail := server.dup.lookup(client.addr, 1)
+		rec := server.dup.lookup(client.addr, 1)
+		state, head, tail := rec.state, rec.head, rec.tail
 		if state != dupDone || len(tail) != len(page) || &tail[0] != &page[0] {
 			t.Fatalf("the recorded image's tail is %d bytes, want the handler's page itself", len(tail))
 		}
@@ -130,7 +131,7 @@ func TestDupCacheReplaysRecordedImage(t *testing.T) {
 		enc.Uint32(1)
 		enc.Uint32(1)
 		enc.Uint64(0)
-		again := &Pending{e: client}
+		again := &Pending{e: client, refs: 1} // the caller's reference
 		client.pending[1] = again
 		client.net.Send(client.addr, "server", enc.Bytes())
 		if !again.await(p, sim.Second) {
@@ -160,15 +161,16 @@ func TestDupCacheFinishRecordsImage(t *testing.T) {
 	c := newDupCache(4, nil)
 	c.start("cl", 7)
 	head, tail := []byte{1, 2, 3, 4}, []byte{5, 6, 7, 8}
-	if n := testing.AllocsPerRun(100, func() { c.finish("cl", 7, head, tail) }); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { c.finish("cl", 7, head, tail, nil) }); n != 0 {
 		t.Errorf("finish allocates %v objects, want 0", n)
 	}
-	state, gotHead, gotTail := c.lookup("cl", 7)
+	rec := c.lookup("cl", 7)
+	state, gotHead, gotTail := rec.state, rec.head, rec.tail
 	if state != dupDone || &gotHead[0] != &head[0] || &gotTail[0] != &tail[0] {
 		t.Errorf("state=%v head=%x tail=%x: want done and the recorded slices themselves", state, gotHead, gotTail)
 	}
-	c.finish("cl", 8, head, tail) // evicted (never started): a no-op, not a panic
-	if state, _, _ := c.lookup("cl", 8); state != dupNew {
+	c.finish("cl", 8, head, tail, nil) // evicted (never started): a no-op, not a panic
+	if state := c.lookup("cl", 8).state; state != dupNew {
 		t.Errorf("finish of an unknown entry created one: state=%v", state)
 	}
 }
@@ -201,7 +203,7 @@ func TestDrainedBacklogSlotIsCleared(t *testing.T) {
 			calls[i] = client.start(p, "server", testProg, 1, 1, (&proto.WriteArgs{Data: make([]byte, 8192)}).XDR, CallTimeout, MaxRetries)
 		}
 		for i, c := range calls {
-			if _, _, err := c.wait(p); err != nil {
+			if err := c.wait(p); err != nil {
 				t.Errorf("call %d: %v", i, err)
 			}
 		}
@@ -278,7 +280,7 @@ func TestRecycledDupSlotDropsImage(t *testing.T) {
 	c := newDupCache(2, nil)
 	for xid := uint32(1); xid <= 2; xid++ {
 		c.start("a", xid)
-		c.finish("a", xid, make([]byte, 100), make([]byte, 8192))
+		c.finish("a", xid, make([]byte, 100), make([]byte, 8192), nil)
 	}
 	if allocs := testing.AllocsPerRun(100, func() {
 		c.start("a", 3) // recycles xid 1's slot the first time round, then finds itself

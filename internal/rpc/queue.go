@@ -44,10 +44,14 @@ func (q *callQueue) take(i int) request {
 	return r
 }
 
-// truncate drops every call behind the first keep.
+// truncate drops every call behind the first keep, letting each one's
+// image go.
 func (q *callQueue) truncate(keep int) {
 	for q.n > keep {
 		q.n--
+		if r := q.at(q.n); r.held != nil {
+			r.held.Release()
+		}
 		*q.at(q.n) = request{}
 	}
 }

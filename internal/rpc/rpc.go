@@ -12,14 +12,29 @@
 // wait in that queue until a finishing process takes them, before it
 // parks.
 //
-// What a round trip allocates is the caller's Pending, which holds a
-// small call image head in itself, and the reply's head. Arguments and
-// replies are encoded by static calls in the frames that built them, so
-// neither message leaves its stack. The rest of the bookkeeping is kept
-// in objects that already exist: the Pending is the reply slot, the
-// waiter and the timeout event's target; accepted calls and
-// duplicate-cache entries sit by value in rings; the service job is one
-// method value per endpoint. See DESIGN.md §14.
+// A round trip has two objects, the caller's Pending, which holds a small
+// call image head in itself, and the reply's head, and each goes back to
+// a free list of the endpoint that made it when its last holder lets go:
+//
+//	object    holder                      lets go at
+//	Pending   the caller                  done, once the reply is decoded
+//	          each copy in flight         loss, or delivery to the receiver,
+//	          the receiving endpoint      a duplicate-cache answer or drop,
+//	                                      Stop's queue, or serveOne's end
+//	          each timeout event          its Due
+//	head      sendReply's caller          serveOne's end
+//	          each copy in flight         as the call's
+//	          the caller it reaches       done, or at once if unawaited
+//	          the duplicate-cache slot    eviction, or Restart
+//
+// A holder that never lets go (the TCP gateway's writer) leaves the object
+// to the collector. Arguments and replies are encoded, and replies
+// decoded, by static calls in the frames that hold the messages, so no
+// message leaves its stack. The rest of the bookkeeping is kept in objects
+// that already exist: the Pending is the reply slot, the waiter and the
+// timeout event's target; accepted calls and duplicate-cache entries sit
+// by value in rings; the service job is one method value per endpoint.
+// See DESIGN.md §14, which has the table in full.
 //
 // A call, like a reply, may carry a tail: its message's last field, kept
 // by reference (xdr.Codec.Tail) — a WRITE call's data, the client's
@@ -44,6 +59,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"spritelynfs/internal/metrics"
@@ -234,7 +250,8 @@ type request struct {
 	op   uint64   // causal operation ID carried in the call header
 	enq  sim.Time // when handleMsg accepted it (for the srv-queue span)
 	args []byte
-	tail []byte // the call image's tail, behind args
+	tail []byte       // the call image's tail, behind args
+	held simnet.Owner // the delivered copy's reference to args' owner
 }
 
 type reply struct {
@@ -267,6 +284,14 @@ type Endpoint struct {
 	dup    dupCache
 	stats  Stats
 	work   Work
+	// The free lists: Pendings of this endpoint's making whose last
+	// holder has let go, linked through Pending.next, and reply heads, by
+	// head class. They start empty and grow to the most ever held at once.
+	calls *Pending
+	heads [len(headCaps)][]*replyHead
+	// dec decodes a reply into its caller's message (CallXDREx): one at a
+	// time, since decoding never parks.
+	dec xdr.Decoder
 	// Tracer, when set, records this endpoint's RPC activity.
 	Tracer *trace.Tracer
 	// Spans, when set, records causal latency spans: wire time and
@@ -430,7 +455,7 @@ func (e *Endpoint) Register(prog uint32, h Handler) {
 func (e *Endpoint) Stop() {
 	e.stopped = true
 	e.net.Unlisten(e.addr)
-	e.queue.truncate(e.handed)
+	e.queue.truncate(e.handed) // each dropped call lets its image go
 }
 
 // Restart reattaches a stopped endpoint, simulating reboot. Pending state
@@ -444,30 +469,45 @@ func (e *Endpoint) Restart() {
 	e.stopped = false
 	e.port = e.net.Listen(e.addr)
 	e.pending = make(map[uint32]*Pending)
-	e.dup = newDupCache(dupCacheSize, &e.stats.DupEvictions)
+	e.dup.clear()
 	e.port.SetHandler(e.handleMsg)
 }
 
 // Call issues an RPC to program prog procedure proc at to, retransmitting
-// on timeout, and returns the reply body. The body may be a view of the
-// delivered reply image: read it, copy what must change. A reply that
-// came as a head and a tail is returned joined, in a buffer of its own
-// (xdr.Join; CallTail leaves the two apart).
+// on timeout, and returns the reply body, head‖tail‖pad, in a buffer of
+// its own: the reply's head goes back to its endpoint when Call returns.
 func (e *Endpoint) Call(p *sim.Proc, to simnet.Addr, prog, vers, proc uint32, args []byte) ([]byte, error) {
-	return e.CallXDR(p, to, prog, vers, proc, rawBody(args).XDR)
+	return e.callCopy(p, to, prog, vers, proc, rawBody(args).XDR)
 }
 
-// CallMsg is CallXDR for a message already boxed as a proto.Message.
+// CallMsg is Call for arguments already boxed as a proto.Message.
 func (e *Endpoint) CallMsg(p *sim.Proc, to simnet.Addr, prog, vers, proc uint32, m proto.Message) ([]byte, error) {
-	return e.CallXDR(p, to, prog, vers, proc, m.XDR)
+	return e.callCopy(p, to, prog, vers, proc, m.XDR)
 }
 
-// CallXDR is Call with the arguments encoded by args straight into the
-// pooled wire buffer: args is the XDR method value of a message in the
-// caller's frame (a.XDR), which keeps the message on the stack, as Encode
-// does for a reply.
-func (e *Endpoint) CallXDR(p *sim.Proc, to simnet.Addr, prog, vers, proc uint32, args func(xdr.Codec)) ([]byte, error) {
-	return e.CallXDREx(p, to, prog, vers, proc, args, CallTimeout, MaxRetries)
+// callCopy is Call's and CallMsg's one path.
+func (e *Endpoint) callCopy(p *sim.Proc, to simnet.Addr, prog, vers, proc uint32, args func(xdr.Codec)) ([]byte, error) {
+	c, err := e.call(p, to, prog, vers, proc, args, CallTimeout, MaxRetries)
+	var body []byte
+	if err == nil {
+		body = slices.Concat(c.body, c.tail, xdr.Pad(len(c.tail)))
+	}
+	c.done()
+	return body, err
+}
+
+// CallXDR issues an RPC with the default schedule (CallTimeout,
+// MaxRetries). args encodes the arguments straight into the pooled wire
+// buffer and reply decodes the reply body, head‖tail, into the caller's
+// message: each is the XDR method value of a message in the caller's
+// frame (a.XDR, r.XDR), which keeps the message on the stack, as Encode
+// does for a reply. A nil args sends none, a nil reply ignores the body.
+// The caller may keep what reply decodes: every field is a copy but a
+// Tail, and a tail is never a head's bytes (a READ's data is the server's
+// frozen page); the head itself goes back to its endpoint as soon as
+// reply returns.
+func (e *Endpoint) CallXDR(p *sim.Proc, to simnet.Addr, prog, vers, proc uint32, args, reply func(xdr.Codec)) error {
+	return e.CallXDREx(p, to, prog, vers, proc, args, reply, CallTimeout, MaxRetries)
 }
 
 // CallXDREx is CallXDR with an explicit schedule in place of the default
@@ -475,26 +515,25 @@ func (e *Endpoint) CallXDR(p *sim.Proc, to simnet.Addr, prog, vers, proc uint32,
 // retransmission, and a retry budget. The SNFS server uses a tight budget
 // for callbacks: a callback to a dead client must be abandoned before the
 // opener that triggered it times out (§3.2).
-func (e *Endpoint) CallXDREx(p *sim.Proc, to simnet.Addr, prog, vers, proc uint32, args func(xdr.Codec), callTimeout sim.Duration, maxRetries int) ([]byte, error) {
-	body, tail, err := e.call(p, to, prog, vers, proc, args, callTimeout, maxRetries)
-	return xdr.Join(body, tail), err
+func (e *Endpoint) CallXDREx(p *sim.Proc, to simnet.Addr, prog, vers, proc uint32, args, reply func(xdr.Codec), callTimeout sim.Duration, maxRetries int) error {
+	c, err := e.call(p, to, prog, vers, proc, args, callTimeout, maxRetries)
+	if err == nil && reply != nil {
+		e.dec.ResetTail(c.body, c.tail)
+		reply(e.dec.Codec())
+		e.dec = xdr.Decoder{}
+	}
+	c.done()
+	return err
 }
 
-// CallTail is CallXDR for a caller that decodes a two-part reply image
-// itself: the reply body is body‖tail, the tail's pad implied (tail nil
-// for a reply sent whole),
-// and the two are left apart, so a READ's data is the server's frozen
-// page and not a copy joined behind the header. Decode them with
-// xdr.Decoder.ResetTail.
-func (e *Endpoint) CallTail(p *sim.Proc, to simnet.Addr, prog, vers, proc uint32, args func(xdr.Codec)) (body, tail []byte, err error) {
-	return e.call(p, to, prog, vers, proc, args, CallTimeout, MaxRetries)
-}
-
-// call is the one synchronous call path, inside its whole-call span.
-func (e *Endpoint) call(p *sim.Proc, to simnet.Addr, prog, vers, proc uint32, args func(xdr.Codec), callTimeout sim.Duration, maxRetries int) (body, tail []byte, err error) {
+// call is the one synchronous call path, inside its whole-call span: it
+// returns the call with its reply in it, for the caller to read and then
+// let go (Pending.done).
+func (e *Endpoint) call(p *sim.Proc, to simnet.Addr, prog, vers, proc uint32, args func(xdr.Codec), callTimeout sim.Duration, maxRetries int) (*Pending, error) {
 	sp := e.Spans.Begin(p, string(e.addr), callSpanKind(prog), proto.ProcName(prog, proc))
 	defer sp.End()
-	return e.start(p, to, prog, vers, proc, args, callTimeout, maxRetries).wait(p)
+	c := e.start(p, to, prog, vers, proc, args, callTimeout, maxRetries)
+	return c, c.wait(p)
 }
 
 // callSpanKind classifies a call for the span recorder.
@@ -515,14 +554,23 @@ const callHeaderLen = 5*4 + 8
 // whose data is its tail.
 const inlineImage = 64
 
-// Pending is one in-flight call and all the state it has: start makes
-// it and wait collects it, once, in the caller's process. It is the entry
-// in the endpoint's xid table, the slot the reply is delivered into, the
+// Pending is one in-flight call and all the state it has: start takes it
+// from the endpoint's free list or makes it, wait collects the reply into
+// it, and done lets go of it, in the caller's process. It is the entry in
+// the endpoint's xid table, the slot the reply is delivered into, the
 // record of who is parked waiting for it, the target of the attempt's
 // timeout event, and, for an image head of up to inlineImage bytes, the
-// call's wire image head, so such a call costs this one object. Calls of
-// many processes are outstanding at once on one endpoint, their replies
-// matched by xid: that is how a client's biods overlap their WRITEs.
+// call's wire image head, so such a call costs this one object, and none
+// once the endpoint's free list holds one. Calls of many processes are
+// outstanding at once on one endpoint, their replies matched by xid: that
+// is how a client's biods overlap their WRITEs.
+//
+// It goes back to the free list when its last holder lets go (release):
+// the caller, from start until done; the network, for each copy of the
+// image in flight, and the endpoint each copy is delivered to, until it
+// has served or dropped the call; and each timeout event, until it comes
+// due, since the kernel cannot withdraw one and a reused Pending must not
+// be timed out by its previous call's event.
 type Pending struct {
 	e        *Endpoint
 	to       simnet.Addr
@@ -537,43 +585,91 @@ type Pending struct {
 	retries  int
 	issued   sim.Time // when the call was first put on the wire
 	sent     sim.Time // when the current attempt was put on the wire
+	refs     int32    // holders, as above; < 0 once released (frozencheck)
+	next     *Pending // the next free Pending, while on the free list
 
-	// The reply slot, and the wait on it. The kernel's events cannot be
-	// withdrawn, so a call that completes leaves its last timeout event
-	// in the kernel's lane for that timeout, pointing here, until it
-	// comes due and finds replied set; wait therefore drops body, tail and the wire image as it
-	// returns, and the stale event pins only this struct.
+	// The reply slot, and the wait on it.
 	replied  bool
 	timedOut bool // this attempt's timeout came due before a reply
 	status   Status
-	waiter   *sim.Proc // the caller, while parked in await
-	body     []byte    // a view of the delivered reply image
-	tail     []byte    // the image's tail, behind body
+	waiter   *sim.Proc    // the caller, while parked in await
+	body     []byte       // a view of the delivered reply image
+	tail     []byte       // the image's tail, behind body
+	reply    simnet.Owner // body's owner, held until done
 
 	inline [inlineImage]byte // wire, when it fits
+}
+
+// callImage is a Pending standing as the owner of its call image head
+// (simnet.Owner). It is a type of its own so that Hold and Release are
+// not methods of Pending.
+type callImage Pending
+
+// Hold takes a reference for a copy of the call image.
+func (h *callImage) Hold() { (*Pending)(h).hold() }
+
+// Release lets a copy of the call image go.
+func (h *callImage) Release() { (*Pending)(h).release() }
+
+func (c *Pending) hold() {
+	if frozenCheck && c.refs <= 0 {
+		panic("rpc: a released Pending taken up again")
+	}
+	c.refs++
+}
+
+// release drops one reference. The last puts the Pending on its
+// endpoint's free list, holding nothing: no reply, no image, no WRITE
+// data, no waiter.
+func (c *Pending) release() {
+	if frozenCheck && c.refs <= 0 {
+		panic("rpc: a released Pending released again")
+	}
+	if c.refs--; c.refs > 0 {
+		return
+	}
+	e := c.e
+	if frozenCheck {
+		scribble(c.inline[:])
+		c.refs = -1
+		return
+	}
+	*c = Pending{e: e, next: e.calls}
+	e.calls = c
+}
+
+// newPending takes a Pending from the free list, or makes one.
+func (e *Endpoint) newPending() *Pending {
+	if c := e.calls; c != nil {
+		e.calls, c.next = c.next, nil
+		e.work.PendingsReused++
+		return c
+	}
+	e.work.PendingsMade++
+	return &Pending{e: e}
 }
 
 // start encodes and transmits the first attempt of a call. The wire
 // image's head is built in a pooled encoder and copied out exactly once,
 // into the Pending itself when it fits and into a buffer of its own when
-// it does not: the simulated network retains payloads until (possibly
-// duplicated) delivery and the retransmit loop resends the same image,
-// so the call's buffer must be GC-owned rather than pool-recycled. The
+// it does not: the network holds the image until (possibly duplicated)
+// delivery, the server until it has served the call, and the retransmit
+// loop resends the same image, so the head lives as long as the Pending's
+// last holder (inline) or the collector's (a buffer of its own). The
 // tail, a WRITE's data, is not copied at all: it is the caller's, frozen
 // by the caller before the call. Once sent the image is frozen: nobody
-// writes through it or through a view decoded from it. The Pending, and
-// a large head, are all a call allocates here.
+// writes through it or through a view decoded from it until the Pending
+// is released.
 func (e *Endpoint) start(p *sim.Proc, to simnet.Addr, prog, vers, proc uint32, args func(xdr.Codec), callTimeout sim.Duration, maxRetries int) *Pending {
 	e.nextXID++
 	xid := e.nextXID
 	e.stats.CallsSent++
 	op := p.Op()
-	c := &Pending{
-		e: e, to: to, prog: prog, vers: vers, proc: proc, xid: xid, op: op,
-		timeout: callTimeout, retries: maxRetries,
-		issued: e.k.Now(), sent: e.k.Now(),
-	}
-	e.work.PendingsMade++
+	c := e.newPending()
+	c.to, c.prog, c.vers, c.proc, c.xid, c.op = to, prog, vers, proc, xid, op
+	c.timeout, c.retries = callTimeout, maxRetries
+	c.issued, c.sent = e.k.Now(), e.k.Now()
+	c.refs = 1 // the caller's
 
 	enc := xdr.GetEncoder()
 	enc.Uint32(xid)
@@ -582,7 +678,9 @@ func (e *Endpoint) start(p *sim.Proc, to simnet.Addr, prog, vers, proc uint32, a
 	enc.Uint32(vers)
 	enc.Uint32(proc)
 	enc.Uint64(op)
-	args(enc.Codec())
+	if args != nil {
+		args(enc.Codec())
+	}
 	head, tail := enc.Parts()
 	if n := len(head); n <= len(c.inline) {
 		c.wire = c.inline[:copy(c.inline[:], head):n]
@@ -599,19 +697,22 @@ func (e *Endpoint) start(p *sim.Proc, to simnet.Addr, prog, vers, proc uint32, a
 			to, proto.ProcName(prog, proc), xid, xdr.WireLen(c.wire, c.wireTail)-callHeaderLen)
 	}
 	e.pending[xid] = c
-	e.net.SendTail(e.addr, to, c.wire, c.wireTail)
+	e.send(c)
 	return c
 }
 
-// deliver fills the reply slot and wakes the caller if it is parked on it.
-// Only the first reply counts: a duplicate made by the network, or the
-// answer to a retransmission that crossed the first answer, finds the slot
-// full and is dropped.
-func (c *Pending) deliver(status Status, body, tail []byte) {
-	if c.replied {
-		return
-	}
-	c.replied, c.status, c.body, c.tail = true, status, body, tail
+// send transmits one attempt of c, each copy in flight holding c.
+func (e *Endpoint) send(c *Pending) {
+	e.net.SendOwned(e.addr, c.to, c.wire, c.wireTail, (*callImage)(c))
+}
+
+// deliver fills the reply slot, taking over the delivered copy's
+// reference to the reply's head, and wakes the caller if it is parked on
+// it. Only the first reply counts: handleMsg drops a duplicate made by the
+// network, or the answer to a retransmission that crossed the first
+// answer, before it gets here.
+func (c *Pending) deliver(status Status, body, tail []byte, owner simnet.Owner) {
+	c.replied, c.status, c.body, c.tail, c.reply = true, status, body, tail, owner
 	c.wake()
 }
 
@@ -627,18 +728,22 @@ func (c *Pending) wake() {
 // type of its own so that Due is not a method of Pending.
 type callTimeout Pending
 
-// Due ends the attempt await is parked in. At most one timeout event per
-// call is ahead of its attempt — the next is scheduled only after this one
-// came due — so the one way to be stale is to find the call answered, at
-// this instant or long before; what became of the endpoint meanwhile
-// (Stop, Restart) does not matter, the event holds the call itself.
+// Due ends the attempt await is parked in, and lets go of the event's
+// reference. At most one timeout event per call is ahead of its attempt —
+// the next is scheduled only after this one came due — so the one way to
+// be stale is to find the call answered, at this instant or long before;
+// what became of the endpoint meanwhile (Stop, Restart) does not matter,
+// the event holds the call itself.
 func (t *callTimeout) Due() {
 	c := (*Pending)(t)
-	if c.replied {
-		return
+	if frozenCheck && c.refs <= 0 {
+		panic("rpc: a timeout came due on a released Pending")
 	}
-	c.timedOut = true
-	c.wake()
+	if !c.replied {
+		c.timedOut = true
+		c.wake()
+	}
+	c.release()
 }
 
 // await parks p until the reply is in the slot or d has passed, and
@@ -651,6 +756,7 @@ func (c *Pending) await(p *sim.Proc, d sim.Duration) bool {
 		return true
 	}
 	c.timedOut = false
+	c.hold() // the timeout event's
 	c.e.k.AfterFixed(d, (*callTimeout)(c))
 	for !c.replied && !c.timedOut {
 		c.waiter = p
@@ -660,8 +766,8 @@ func (c *Pending) await(p *sim.Proc, d sim.Duration) bool {
 }
 
 // wait runs the timeout/retransmit loop for an already-transmitted call,
-// and returns the reply body in its two parts.
-func (c *Pending) wait(p *sim.Proc) (body, tail []byte, err error) {
+// leaving the reply in the slot for the caller to read before done.
+func (c *Pending) wait(p *sim.Proc) error {
 	e := c.e
 	defer delete(e.pending, c.xid)
 	timeout := c.timeout
@@ -682,7 +788,7 @@ func (c *Pending) wait(p *sim.Proc) (body, tail []byte, err error) {
 					c.to, proto.ProcName(c.prog, c.proc), c.xid, attempt)
 			}
 			c.sent = e.k.Now()
-			e.net.SendTail(e.addr, c.to, c.wire, c.wireTail)
+			e.send(c)
 		}
 		if c.await(p, timeout) {
 			if e.met != nil {
@@ -692,19 +798,27 @@ func (c *Pending) wait(p *sim.Proc) (body, tail []byte, err error) {
 				}
 				e.met.observeCall(c.prog, c.proc, e.k.Now().Sub(c.issued), attempt > 0, exop)
 			}
-			body, tail := c.body, c.tail
-			c.body, c.tail, c.wire, c.wireTail = nil, nil, nil, nil
-			if err := statusErr(c.status); err != nil {
-				return nil, nil, err
-			}
-			return body, tail, nil
+			return statusErr(c.status)
 		}
 		// The whole timed-out attempt window is retransmit backoff.
 		e.Spans.Add(p, string(e.addr), span.Retrans, proto.ProcName(c.prog, c.proc), c.sent, e.k.Now())
 		timeout *= 2 // exponential backoff
 	}
 	e.stats.Timeouts++
-	return nil, nil, fmt.Errorf("%w: %s -> %s prog %d proc %d", ErrTimeout, e.addr, c.to, c.prog, c.proc)
+	return fmt.Errorf("%w: %s -> %s prog %d proc %d", ErrTimeout, e.addr, c.to, c.prog, c.proc)
+}
+
+// done is the caller letting go of a collected call: the reply's head
+// goes back to its endpoint, and the Pending drops what it still points
+// at — the reply, the image, the WRITE's data — so that a stale timeout
+// event or a copy still in flight, which keep the Pending from its free
+// list, pin nothing else.
+func (c *Pending) done() {
+	if c.reply != nil {
+		c.reply.Release()
+	}
+	c.body, c.tail, c.reply, c.wire, c.wireTail = nil, nil, nil, nil, nil
+	c.release()
 }
 
 // handleMsg routes one incoming message: a reply into its call's Pending,
@@ -712,26 +826,32 @@ func (c *Pending) wait(p *sim.Proc) (body, tail []byte, err error) {
 // process woken for it if a slot is free. It is the port's delivery
 // callback, so it runs in scheduler context at the message's delivery
 // instant and never blocks; it allocates nothing of its own.
+//
+// The message comes with the network's reference to its head's owner
+// (simnet.Port.SetHandler), and every view below is decoded from that
+// head, so the reference goes where the views go: into the Pending for a
+// reply its caller will read, into the queue for a call to be served
+// (serveOne lets it go), and nowhere else — a reply nobody waits for, a
+// call answered from the duplicate cache or dropped as in progress, or a
+// corrupt message is let go here.
 func (e *Endpoint) handleMsg(m simnet.Message) {
-	// Zero-copy views into the payload are sound here: the simulated
-	// network hands over a GC-owned buffer it never reuses, so a
-	// handler (or the waiting caller) may retain the view for as
-	// long as it likes — but never write through it: the sender may
-	// resend the same image. See DESIGN.md §13 and §14.
+	// Views into the payload are sound until the reference is let go,
+	// never written through: the sender may resend the same image. See
+	// DESIGN.md §13 and §14.
 	var d xdr.Decoder
 	d.Reset(m.Payload)
 	xid := d.Uint32()
-	mtype := d.Uint32()
-	switch mtype {
+	switch d.Uint32() {
 	case msgReply:
 		status := Status(d.Uint32())
 		body := d.RawRef()
-		if d.Err() != nil {
-			return // corrupt reply; let the caller time out
+		if c, ok := e.pending[xid]; ok && !c.replied && d.Err() == nil {
+			c.deliver(status, body, m.Tail, m.Owner)
+			return
 		}
-		if c, ok := e.pending[xid]; ok {
-			c.deliver(status, body, m.Tail)
-		}
+		// A corrupt reply (the caller times out), a duplicate made by
+		// the network, or the answer to a retransmission that crossed
+		// the first answer.
 	case msgCall:
 		prog := d.Uint32()
 		vers := d.Uint32()
@@ -739,22 +859,23 @@ func (e *Endpoint) handleMsg(m simnet.Message) {
 		op := d.Uint64()
 		args := d.RawRef()
 		if d.Err() != nil {
-			e.sendReply(m.From, xid, StatusGarbage, Reply{})
-			return
+			h, _, _ := e.sendReply(m.From, xid, StatusGarbage, Reply{})
+			h.Release()
+			break
 		}
-		switch state, head, tail := e.dup.lookup(m.From, xid); state {
+		switch ent := e.dup.lookup(m.From, xid); ent.state {
 		case dupDone:
 			// Retransmit of a completed call: resend the
 			// recorded image, as is, without re-executing.
 			e.stats.DupHits++
-			e.net.SendTail(e.addr, m.From, head, tail)
+			e.net.SendOwned(e.addr, m.From, ent.head, ent.tail, ent.owner.image())
 		case dupInProgress:
 			// Still executing; drop and let the client
 			// retry again later.
 			e.stats.DupInProgress++
 		default:
 			e.dup.start(m.From, xid)
-			e.queue.push(request{from: m.From, xid: xid, prog: prog, vers: vers, proc: proc, op: op, enq: e.k.Now(), args: args, tail: m.Tail})
+			e.queue.push(request{from: m.From, xid: xid, prog: prog, vers: vers, proc: proc, op: op, enq: e.k.Now(), args: args, tail: m.Tail, held: m.Owner})
 			if e.limit > 0 && e.serving == e.limit {
 				return // it waits for a slot
 			}
@@ -765,7 +886,11 @@ func (e *Endpoint) handleMsg(m simnet.Message) {
 			e.serving++
 			e.handed++
 			e.exec.Submit(op, e.job, nil)
+			return
 		}
+	}
+	if m.Owner != nil {
+		m.Owner.Release()
 	}
 }
 
@@ -791,7 +916,9 @@ func (e *Endpoint) serve(p *sim.Proc) {
 }
 
 // serveOne runs one call through its handler and sends the reply. p is a
-// pooled executor process; it may block (disk access, nested RPCs).
+// pooled executor process; it may block (disk access, nested RPCs). It
+// lets go of the call's image, and of the reply's head but for the copies
+// in flight and the duplicate cache's, once both are done with.
 func (e *Endpoint) serveOne(p *sim.Proc, req request) {
 	e.stats.CallsServed++
 	start := e.k.Now()
@@ -821,13 +948,19 @@ func (e *Endpoint) serveOne(p *sim.Proc, req request) {
 	if ok {
 		body, status = s(p, req.from, req.proc, req.args, req.tail)
 	}
+	if req.held != nil {
+		req.held.Release()
+	}
 	// The transmitted image is frozen, so the duplicate cache and
-	// observers share it.
-	head, tail := e.sendReply(req.from, req.xid, status, body)
-	e.dup.finish(req.from, req.xid, head, tail)
+	// observers share it; an observer that keeps it copies it, since the
+	// head goes back to this endpoint once the cache and the network are
+	// done with it.
+	h, head, tail := e.sendReply(req.from, req.xid, status, body)
+	e.dup.finish(req.from, req.xid, head, tail, h)
 	if e.OnServed != nil {
 		e.OnServed(req.from, req.xid, req.prog, req.vers, req.proc, head, tail)
 	}
+	h.Release()
 	if e.Tracer != nil {
 		e.Tracer.RecordOp(string(e.addr), trace.RPCReply, req.op, "-> %s %s xid=%d",
 			req.from, proto.ProcName(req.prog, req.proc), req.xid)
@@ -847,34 +980,151 @@ func (e *Endpoint) serveOne(p *sim.Proc, req request) {
 // its cache with the primary's recorded replies, so a client that
 // reroutes a timed-out retransmission after failover gets the answer the
 // dead primary computed instead of a re-execution. Existing entries are
-// left alone (the local execution's reply wins).
+// left alone (the local execution's reply wins). wire is kept as it is:
+// nobody recycles it.
 func (e *Endpoint) SeedDup(from simnet.Addr, xid uint32, wire []byte) {
-	if state, _, _ := e.dup.lookup(from, xid); state != dupNew {
+	if e.dup.lookup(from, xid).state != dupNew {
 		return
 	}
 	e.dup.start(from, xid)
-	e.dup.finish(from, xid, wire, nil)
+	e.dup.finish(from, xid, wire, nil, nil)
 }
 
-// sendReply completes body's header with xid and status, transmits the
-// wire image, head and tail, and returns it. From here on the image is
-// frozen (see start).
-func (e *Endpoint) sendReply(to simnet.Addr, xid uint32, status Status, body Reply) (head, tail []byte) {
-	// One exact-size copy of the head out of the pooled encoder: the
-	// simulated network retains the payload until delivery, so the
-	// transmitted buffer must be GC-owned — but the encoder's
-	// grow-as-you-go scratch space is recycled. The tail, a READ's data,
-	// goes by reference: it is the store's page, which the read froze.
+// sendReply completes body's header with xid and status, copies the head
+// into a reply head of this endpoint's (newHead), transmits it with its
+// tail, and returns the two and the head's owner, held for the caller to
+// release (nil for a head too large to recycle). From here on the image is
+// frozen (see start). The tail, a READ's data, goes by reference: it is
+// the store's page, which the read froze.
+func (e *Endpoint) sendReply(to simnet.Addr, xid uint32, status Status, body Reply) (h *replyHead, head, tail []byte) {
 	if body.enc == nil {
 		body = Encode(nil)
 	}
-	head, tail = body.enc.Image()
+	img, tail := body.enc.Parts()
+	h, head = e.newHead(len(img))
+	copy(head, img)
 	body.enc.Release()
 	e.work.Heads++
-	e.work.HeadsMade++
 	e.work.HeadBytes += int64(len(head))
 	binary.BigEndian.PutUint32(head, xid)
 	binary.BigEndian.PutUint32(head[replyHeaderLen-4:], uint32(status))
-	e.net.SendTail(e.addr, to, head, tail)
-	return head, tail
+	e.net.SendOwned(e.addr, to, head, tail, h.image())
+	return h, head, tail
+}
+
+// headCaps are the byte capacities of the reply head classes. A head is
+// built in an object of the smallest class that holds it, its bytes and
+// its count together — 64, 128, 144, 256, 512 or 1,024 bytes in all, the
+// Go size classes of the 40-byte replyHead plus its bytes — and a larger
+// one, which no fleet or Andrew run builds, in a buffer of its own that
+// is never recycled. The fleet's heads are 16 to 100 bytes.
+var headCaps = [...]int{24, 88, 104, 216, 472, 984}
+
+// replyHead is a reply image head and the count of its holders, in one
+// object with the head's bytes behind it (newHead). It goes back to its
+// endpoint's free list when the last holder lets go: sendReply's caller,
+// until serveOne has recorded and observed it; each copy in flight, and
+// the caller it is delivered to, until its reply is decoded (done); and
+// the duplicate cache's slot, until the slot is recycled or the endpoint
+// restarts. The gateway's writer, which reads heads on a goroutine of its
+// own, never lets go of those it writes: they are the collector's.
+type replyHead struct {
+	e    *Endpoint
+	b    []byte // the object's bytes, at full length
+	refs int32  // holders; < 0 once released (frozencheck)
+}
+
+// newHead returns a head of n bytes and its owner: one from the free
+// list of n's class, or one made, or for an n beyond every class a
+// buffer of its own and no owner.
+func (e *Endpoint) newHead(n int) (*replyHead, []byte) {
+	class := 0
+	for class < len(headCaps) && n > headCaps[class] {
+		class++
+	}
+	if class == len(headCaps) {
+		e.work.HeadsMade++
+		return nil, make([]byte, n)
+	}
+	var h *replyHead
+	if free := e.heads[class]; len(free) > 0 {
+		h = free[len(free)-1]
+		free[len(free)-1] = nil
+		e.heads[class] = free[:len(free)-1]
+		e.work.HeadsReused++
+	} else {
+		h = makeHead(class)
+		h.e = e
+		e.work.HeadsMade++
+	}
+	h.refs = 1
+	return h, h.b[:n]
+}
+
+// makeHead allocates a head of class headCaps[class].
+func makeHead(class int) *replyHead {
+	switch class {
+	case 0:
+		return headWith(func(a *[24]byte) []byte { return a[:] })
+	case 1:
+		return headWith(func(a *[88]byte) []byte { return a[:] })
+	case 2:
+		return headWith(func(a *[104]byte) []byte { return a[:] })
+	case 3:
+		return headWith(func(a *[216]byte) []byte { return a[:] })
+	case 4:
+		return headWith(func(a *[472]byte) []byte { return a[:] })
+	}
+	return headWith(func(a *[984]byte) []byte { return a[:] })
+}
+
+// headWith allocates a replyHead and the array A its bytes are, bytes(a),
+// as one object.
+func headWith[A any](bytes func(*A) []byte) *replyHead {
+	o := new(struct {
+		replyHead
+		a A
+	})
+	o.b = bytes(&o.a)
+	return &o.replyHead
+}
+
+// image returns h as its head's owner, nil for none.
+func (h *replyHead) image() simnet.Owner {
+	if h == nil {
+		return nil
+	}
+	return h
+}
+
+// Hold takes a reference for a copy of the head.
+func (h *replyHead) Hold() {
+	if frozenCheck && h.refs <= 0 {
+		panic("rpc: a released reply head taken up again")
+	}
+	h.refs++
+}
+
+// Release lets a copy of the head go, nil for none; the last puts the
+// head on its endpoint's free list.
+func (h *replyHead) Release() {
+	if h == nil {
+		return
+	}
+	if frozenCheck && h.refs <= 0 {
+		panic("rpc: a released reply head released again")
+	}
+	if h.refs--; h.refs > 0 {
+		return
+	}
+	if frozenCheck {
+		scribble(h.b)
+		h.refs = -1
+		return
+	}
+	class := 0
+	for headCaps[class] != len(h.b) {
+		class++
+	}
+	h.e.heads[class] = append(h.e.heads[class], h)
 }

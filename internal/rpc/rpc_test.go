@@ -165,7 +165,19 @@ type sched struct {
 
 // call issues a testProg call from e under s.
 func (s sched) call(p *sim.Proc, e *Endpoint, to simnet.Addr, proc uint32, args []byte) ([]byte, error) {
-	return e.CallXDREx(p, to, testProg, 1, proc, rawBody(args).XDR, s.timeout, s.retries)
+	var body bodyCopy
+	err := e.CallXDREx(p, to, testProg, 1, proc, rawBody(args).XDR, body.XDR, s.timeout, s.retries)
+	return body, err
+}
+
+// bodyCopy decodes a reply body sent whole into a copy of its own: the
+// head it is decoded from goes back to its endpoint when decoding ends.
+type bodyCopy []byte
+
+func (b *bodyCopy) XDR(c xdr.Codec) {
+	var v []byte
+	c.Raw(&v)
+	*b = bytes.Clone(v)
 }
 
 // deadCall runs one call against a dead address, under s or, with s
@@ -601,17 +613,17 @@ func TestDupCacheEviction(t *testing.T) {
 	var evicted int64
 	c := newDupCache(2, &evicted)
 	c.start("a", 1)
-	c.finish("a", 1, []byte("r1"), nil)
+	c.finish("a", 1, []byte("r1"), nil, nil)
 	c.start("a", 2)
-	c.finish("a", 2, []byte("r2"), nil)
+	c.finish("a", 2, []byte("r2"), nil, nil)
 	c.start("a", 3) // evicts xid 1
-	if s, _, _ := c.lookup("a", 1); s != dupNew {
+	if s := c.lookup("a", 1).state; s != dupNew {
 		t.Error("xid 1 should have been evicted")
 	}
-	if s, w, _ := c.lookup("a", 2); s != dupDone || string(w) != "r2" {
+	if ent := c.lookup("a", 2); ent.state != dupDone || string(ent.head) != "r2" {
 		t.Error("xid 2 should be cached")
 	}
-	if s, _, _ := c.lookup("a", 3); s != dupInProgress {
+	if s := c.lookup("a", 3).state; s != dupInProgress {
 		t.Error("xid 3 should be in progress")
 	}
 	if evicted != 1 {
@@ -622,8 +634,8 @@ func TestDupCacheEviction(t *testing.T) {
 func TestDupCacheKeyedByClient(t *testing.T) {
 	c := newDupCache(10, nil)
 	c.start("a", 1)
-	c.finish("a", 1, []byte("for-a"), nil)
-	if s, _, _ := c.lookup("b", 1); s != dupNew {
+	c.finish("a", 1, []byte("for-a"), nil, nil)
+	if s := c.lookup("b", 1).state; s != dupNew {
 		t.Error("xid 1 from a different client must not hit the cache")
 	}
 }
@@ -774,10 +786,11 @@ func TestStaleTimeoutWakesNobody(t *testing.T) {
 	k.Go("caller", func(p *sim.Proc) {
 		caller = p
 		c := client.start(p, "server", testProg, 1, 1, (&proto.WriteArgs{Data: make([]byte, 8192)}).XDR, CallTimeout, MaxRetries)
-		body, tail, err := c.wait(p)
-		if body = xdr.Join(body, tail); err != nil || len(body) < 8192 {
+		err := c.wait(p)
+		if body := xdr.Join(c.body, c.tail); err != nil || len(body) < 8192 {
 			t.Errorf("call: %d-byte body, err %v", len(body), err)
 		}
+		c.done()
 		if c.body != nil || c.wire != nil || c.wireTail != nil || c.waiter != nil {
 			t.Errorf("collected call still holds body=%d wire=%d+%d bytes, waiter=%v", len(c.body), len(c.wire), len(c.wireTail), c.waiter)
 		}
@@ -852,10 +865,11 @@ func TestCallImageAcrossInlineBoundary(t *testing.T) {
 			if call.byRefTail && (len(c.wireTail) == 0 || &c.wireTail[0] != &write.Data[0]) {
 				t.Errorf("%d-byte image: the tail is not the caller's data", n)
 			}
-			body, tail, err := c.wait(p)
-			if err != nil || !bytes.Equal(xdr.Join(body, tail), call.want) {
-				t.Errorf("%d-byte image: reply of %d bytes, err %v", n, len(body), err)
+			err := c.wait(p)
+			if err != nil || !bytes.Equal(xdr.Join(c.body, c.tail), call.want) {
+				t.Errorf("%d-byte image: reply of %d bytes, err %v", n, len(c.body), err)
 			}
+			c.done()
 			p.Sleep(10 * sim.Millisecond) // the duplicate lands
 			if len(delivered) != 2 {
 				t.Errorf("%d-byte image: %d deliveries, want the retransmission and its duplicate", n, len(delivered))

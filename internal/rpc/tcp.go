@@ -253,7 +253,10 @@ const writeBatch = 64
 // on out, each one record of head‖tail‖pad, and writes everything that is
 // queued when it looks as one vectored write. The messages are frozen
 // wire images (DESIGN.md §14) — a READ reply's tail is the store's page,
-// which the read froze — read here and never written. It closes the
+// which the read froze — read here and never written, and never let go
+// (Message.Owner): a head released to its endpoint's free list could be
+// rebuilt on the event loop while this goroutine writes it, so each one
+// the gateway delivers is left to the collector. It closes the
 // connection when done closes or a write fails.
 func writeRecords(conn net.Conn, out <-chan simnet.Message, done <-chan struct{}) {
 	defer conn.Close()

@@ -5,7 +5,6 @@ import (
 
 	"spritelynfs/internal/proto"
 	"spritelynfs/internal/sim"
-	"spritelynfs/internal/xdr"
 )
 
 // createFile makes one file under root and returns its handle.
@@ -83,8 +82,8 @@ func crashAndReboot(t *testing.T, r *rig) {
 		if b.media.DirtyBlocks() != 0 {
 			t.Error("crash did not drop uncommitted blocks")
 		}
-		if _, err := r.cli.CallXDREx(p, "server", proto.ProgNFS, proto.VersNFS, proto.ProcNull,
-			func(xdr.Codec) {}, 100*sim.Millisecond, 1); err == nil {
+		if err := r.cli.CallXDREx(p, "server", proto.ProgNFS, proto.VersNFS, proto.ProcNull,
+			nil, nil, 100*sim.Millisecond, 1); err == nil {
 			t.Error("a crashed server answered a call")
 		}
 

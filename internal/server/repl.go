@@ -1,6 +1,8 @@
 package server
 
 import (
+	"maps"
+	"slices"
 	"sort"
 
 	"spritelynfs/internal/core"
@@ -69,6 +71,7 @@ func (s *SNFSServer) StartReplication(backup simnet.Addr, onDemoted func(proto.S
 		}
 	}
 	s.repl = r
+	s.observe()
 	s.ep.OnServed = r.noteServed
 	s.k.Go(string(s.ep.Addr())+"/repl-sender", r.sender)
 	return r
@@ -131,15 +134,15 @@ func (r *Replicator) noteCommit(ino uint64) {
 
 // noteServed is the endpoint's OnServed hook: replicate the dupcache
 // entry of every non-idempotent reply, so a retransmission arriving after
-// failover is answered from the backup's cache instead of re-executed.
-// Only a kept reply has its head and tail joined, so a READ's, which may
-// carry a page as its tail, is never copied here.
+// failover is answered from the backup's cache instead of re-executed. A
+// kept reply is copied, head‖tail‖pad (a READ's page never is): its head
+// goes back to the endpoint's free list long before the batch is sent.
 func (r *Replicator) noteServed(from simnet.Addr, xid, prog, vers, proc uint32, head, tail []byte) {
 	if info, _ := proto.LookupProc(prog, proc); prog != proto.ProgNFS || !info.NonIdempotent {
 		return
 	}
 	r.enqueue(proto.ReplRecord{
-		Kind: proto.ReplDup, From: string(from), Xid: xid, Wire: xdr.Join(head, tail),
+		Kind: proto.ReplDup, From: string(from), Xid: xid, Wire: slices.Concat(head, tail, xdr.Pad(len(tail))),
 	})
 }
 
@@ -170,11 +173,9 @@ func (r *Replicator) Sync(p *sim.Proc) bool {
 		}
 		if r.acked >= target {
 			args := proto.ReplSyncArgs{Shard: r.b.shardID, Seq: target}
-			body, err := r.b.ep.CallXDREx(p, r.backup, proto.ProgNFS, proto.VersNFS, proto.ProcReplSync,
-				args.XDR, 200*sim.Millisecond, 1)
-			if err == nil {
-				var rep proto.ReplSyncReply
-				rep.XDR(xdr.NewDecoder(body).Codec())
+			var rep proto.ReplSyncReply
+			if err := r.b.ep.CallXDREx(p, r.backup, proto.ProgNFS, proto.VersNFS, proto.ProcReplSync,
+				args.XDR, rep.XDR, 200*sim.Millisecond, 1); err == nil {
 				if rep.Status == proto.OK && rep.Synced {
 					return true
 				}
@@ -222,13 +223,11 @@ func (r *Replicator) send(p *sim.Proc, batch []proto.ReplRecord) bool {
 	args := proto.ReplStreamArgs{
 		Shard: r.b.shardID, Epoch: r.b.incarnation, Verifier: r.b.incarnation, Records: batch,
 	}
-	body, err := r.b.ep.CallXDREx(p, r.backup, proto.ProgNFS, proto.VersNFS, proto.ProcReplStream,
-		args.XDR, 500*sim.Millisecond, 1)
-	if err != nil {
+	var rep proto.ReplStreamReply
+	if err := r.b.ep.CallXDREx(p, r.backup, proto.ProgNFS, proto.VersNFS, proto.ProcReplStream,
+		args.XDR, rep.XDR, 500*sim.Millisecond, 1); err != nil {
 		return false
 	}
-	var rep proto.ReplStreamReply
-	rep.XDR(xdr.NewDecoder(body).Codec())
 	switch rep.Status {
 	case proto.OK:
 		if rep.Applied > r.acked {
@@ -406,11 +405,7 @@ func (s *SNFSServer) Promote(p *sim.Proc, m proto.ShardMap, viewNum uint64) {
 	s.media.DropDirty()
 	s.SetShardMap(m, s.shardID)
 
-	handles := make([]proto.Handle, 0, len(s.mirror))
-	for h := range s.mirror {
-		handles = append(handles, h)
-	}
-	sort.Slice(handles, func(i, j int) bool { return handles[i].Less(handles[j]) })
+	handles := slices.SortedFunc(maps.Keys(s.mirror), proto.Handle.Compare)
 	for _, h := range handles {
 		ent := s.mirror[h]
 		if ent.lastWriter != "" {
@@ -418,12 +413,7 @@ func (s *SNFSServer) Promote(p *sim.Proc, m proto.ShardMap, viewNum uint64) {
 			// adopts a last writer from a closed, dirty reopen.
 			s.table.Recover(h, core.ClientID(ent.lastWriter), 0, 0, ent.version, true)
 		}
-		names := make([]string, 0, len(ent.clients))
-		for c := range ent.clients {
-			names = append(names, c)
-		}
-		sort.Strings(names)
-		for _, c := range names {
+		for _, c := range slices.Sorted(maps.Keys(ent.clients)) {
 			cl := ent.clients[c]
 			if cl.readers == 0 && cl.writers == 0 {
 				continue

@@ -1,7 +1,7 @@
 package server
 
 import (
-	"sort"
+	"slices"
 
 	"spritelynfs/internal/core"
 	"spritelynfs/internal/localfs"
@@ -190,14 +190,12 @@ func (s *RFSServer) invalidateForWrite(p *sim.Proc, from simnet.Addr, h proto.Ha
 	// the order moves the simulated clock.
 	cids := make([]core.ClientID, 0, len(e.cached))
 	for cid := range e.cached {
-		if cid != writer {
-			cids = append(cids, cid)
-		}
+		cids = append(cids, cid)
 	}
-	sort.Slice(cids, func(i, j int) bool { return cids[i] < cids[j] })
+	slices.Sort(cids)
 	for _, cid := range cids {
-		if !e.cached[cid] {
-			continue // invalidated by a concurrent write meanwhile
+		if cid == writer || !e.cached[cid] {
+			continue // the writer, or invalidated by a concurrent write meanwhile
 		}
 		if err := s.callback(p, core.Callback{Client: cid, Handle: h, Invalidate: true}); err != nil {
 			// Dead client: it cannot read its stale cache anyway.

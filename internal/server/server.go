@@ -69,7 +69,8 @@ type Base struct {
 	// onReset, when set, discards the protocol's volatile state as a new
 	// incarnation starts (the SNFS table, lock tables and grace window;
 	// the RFS open table).
-	onReset func()
+	onReset  func()
+	onTracer func() // when set, follows SetTracer (SNFS: observe)
 	// auditor, when set (SNFS only), journals callbacks and is reset with
 	// every new incarnation.
 	auditor *audit.Auditor
@@ -135,7 +136,11 @@ func (b *Base) SetShardMap(m proto.ShardMap, id uint32) {
 // milestones and (SNFS) state-table opens and closes each leave one
 // record in it, under the endpoint's address. Served calls are the
 // endpoint's to record.
-func (b *Base) SetTracer(t *trace.Tracer) { b.tracer = t }
+func (b *Base) SetTracer(t *trace.Tracer) {
+	if b.tracer = t; b.onTracer != nil {
+		b.onTracer()
+	}
+}
 
 // SetSpans attaches a span recorder: each handler's CPU charge splits
 // into cpu-queue/cpu spans of the serving call's trace (the RPC endpoint
@@ -249,13 +254,11 @@ func (b *Base) callback(p *sim.Proc, cb core.Callback) error {
 	}()
 	b.ops.Inc("callback")
 	args := proto.CallbackArgs{Handle: cb.Handle, WriteBack: cb.WriteBack, Invalidate: cb.Invalidate}
-	body, err := b.ep.CallXDREx(p, simnet.Addr(cb.Client), proto.ProgCallback, 1, proto.CbProcCallback, args.XDR,
-		sim.Second, 2)
-	if err != nil {
+	var r proto.StatusReply
+	if err := b.ep.CallXDREx(p, simnet.Addr(cb.Client), proto.ProgCallback, 1, proto.CbProcCallback, args.XDR, r.XDR,
+		sim.Second, 2); err != nil {
 		return err
 	}
-	var r proto.StatusReply
-	r.XDR(xdr.NewDecoder(body).Codec())
 	if r.Status != proto.OK {
 		return fmt.Errorf("callback to %s: %s", cb.Client, r.Status)
 	}

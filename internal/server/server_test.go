@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"spritelynfs/internal/audit"
 	"spritelynfs/internal/core"
 	"spritelynfs/internal/disk"
 	"spritelynfs/internal/localfs"
@@ -14,6 +15,7 @@ import (
 	"spritelynfs/internal/rpc"
 	"spritelynfs/internal/sim"
 	"spritelynfs/internal/simnet"
+	"spritelynfs/internal/trace"
 	"spritelynfs/internal/xdr"
 )
 
@@ -667,4 +669,33 @@ func decodeAs[T any, P interface {
 	var m T
 	P(&m).XDR(xdr.NewDecoder(body).Codec())
 	return m
+}
+
+// TestTransitionsObservedOnlyWhenConsumed: the SNFS server's state table
+// reports its transitions (and builds each one's list of caching clients)
+// only while the auditor, the replication stream or the event ring is
+// attached; a reboot's fresh table keeps the arrangement.
+func TestTransitionsObservedOnlyWhenConsumed(t *testing.T) {
+	for _, attach := range []struct {
+		name string
+		do   func(s *SNFSServer)
+	}{
+		{"auditor", func(s *SNFSServer) { s.SetAuditor(audit.New(s.k, nil)) }},
+		{"tracer", func(s *SNFSServer) { s.SetTracer(trace.New(s.k.Now, 16)) }},
+		{"replication", func(s *SNFSServer) { s.StartReplication("backup", nil) }},
+	} {
+		r := newRig(true, SNFSOptions{})
+		if r.snfs.table.Observer != nil {
+			t.Fatal("a server with nothing attached observes its state table")
+		}
+		attach.do(r.snfs)
+		if r.snfs.table.Observer == nil {
+			t.Errorf("%s attached, the state table unobserved", attach.name)
+		}
+		r.snfs.Crash()
+		r.snfs.Reboot()
+		if r.snfs.table.Observer == nil {
+			t.Errorf("%s attached, the rebooted state table unobserved", attach.name)
+		}
+	}
 }

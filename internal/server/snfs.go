@@ -69,7 +69,7 @@ func NewSNFS(k *sim.Kernel, ep *rpc.Endpoint, media *localfs.Media, cfg Config, 
 		s.locksTab.drop(h)
 	}
 	s.onReset = s.reset
-	s.table.Observer = s.observeTransition
+	s.onTracer = s.observe
 	ep.Serve(proto.ProgNFS, s.serve)
 	return s
 }
@@ -79,10 +79,19 @@ func NewSNFS(k *sim.Kernel, ep *rpc.Endpoint, media *localfs.Media, cfg Config, 
 // served while clients re-register their opens (§2.4).
 func (s *SNFSServer) reset() {
 	s.table = core.NewTable(s.opts.TableLimit)
-	s.table.Observer = s.observeTransition
+	s.observe()
 	s.locksTab = newLockTable()
 	s.locks = make(map[proto.Handle]*sim.Mutex)
 	s.graceUntil = s.k.Now().Add(s.opts.GraceDur)
+}
+
+// observe fills the state table's Observer slot only while the auditor,
+// the replication stream or the event ring consumes transitions.
+func (s *SNFSServer) observe() {
+	s.table.Observer = nil
+	if s.auditor != nil || s.repl != nil || s.tracer != nil {
+		s.table.Observer = s.observeTransition
+	}
 }
 
 // observeTransition is the state table's single Observer slot, fanning
@@ -136,7 +145,7 @@ func (s *SNFSServer) EnableMetrics(r *metrics.Registry) {
 // transition, and callback fan-out is journaled. Survives Reboot.
 func (s *SNFSServer) SetAuditor(a *audit.Auditor) {
 	s.auditor = a
-	s.table.Observer = s.observeTransition
+	s.observe()
 }
 
 // clientDead records the loss of a client everywhere: state table and

@@ -19,11 +19,29 @@ type Addr string
 // hand a message's last part over by reference (xdr.Encoder.Image)
 // instead of copying it behind the rest, and the pad travels as a
 // length, not as bytes. Tail is nil for a message sent whole.
+//
+// Owner, when set, is the object Payload's bytes live in (SendOwned); nil
+// means Payload is garbage-collected memory nobody recycles.
 type Message struct {
 	From    Addr
 	To      Addr
 	Payload []byte
 	Tail    []byte
+	Owner   Owner
+}
+
+// Owner is a recycled message head: the object whose bytes a Payload is,
+// which counts its holders and goes back to its sender's free list when
+// the last one lets go. The network holds one reference for each copy in
+// flight: it takes it when the copy goes on the link and releases it when
+// the copy is lost at the far end (no port there), or hands it to the
+// port's handler with the delivered Message. A copy dropped before the
+// link (DropEvery, LossProb, a cut) takes none. A holder that never
+// releases leaves the owner to the garbage collector, which is always
+// safe; a release that comes too early never is.
+type Owner interface {
+	Hold()
+	Release()
 }
 
 // Len returns the message's length on the wire (xdr.WireLen).
@@ -132,12 +150,16 @@ func (n *Network) Unlisten(addr Addr) { delete(n.ports, addr) }
 // transmission occupies the shared link for its serialization time and the
 // message arrives PropDelay after the transmission completes. Messages to
 // unclaimed addresses are silently dropped, like datagrams to a dead host.
-func (n *Network) Send(from, to Addr, payload []byte) { n.SendTail(from, to, payload, nil) }
+func (n *Network) Send(from, to Addr, payload []byte) { n.SendOwned(from, to, payload, nil, nil) }
 
 // SendTail is Send for a message in two parts, head‖tail‖pad, delivered
 // as Message.Payload and Message.Tail. It is counted and serialized as the
 // one message it is, its pad included (Message.Len).
-func (n *Network) SendTail(from, to Addr, head, tail []byte) {
+func (n *Network) SendTail(from, to Addr, head, tail []byte) { n.SendOwned(from, to, head, tail, nil) }
+
+// SendOwned is SendTail for a head whose bytes live in owner: every copy
+// that goes on the link holds a reference to it (Owner).
+func (n *Network) SendOwned(from, to Addr, head, tail []byte, owner Owner) {
 	n.stats.Sent++
 	n.stats.Bytes += int64(xdr.WireLen(head, tail))
 	if n.cfg.DropEvery > 0 && n.stats.Sent%n.cfg.DropEvery == 0 {
@@ -155,7 +177,7 @@ func (n *Network) SendTail(from, to Addr, head, tail []byte) {
 		n.stats.Cut++
 		return
 	}
-	msg := Message{From: from, To: to, Payload: head, Tail: tail}
+	msg := Message{From: from, To: to, Payload: head, Tail: tail, Owner: owner}
 	n.transmit(msg)
 	if n.cfg.DupProb > 0 && n.k.Rand().Float64() < n.cfg.DupProb {
 		// The duplicate serializes on the link like any transmission
@@ -167,8 +189,12 @@ func (n *Network) SendTail(from, to Addr, head, tail []byte) {
 }
 
 // transmit occupies the link for the message's serialization time, with a
-// flight to come due when the link is done with it.
+// flight to come due when the link is done with it. The flight holds a
+// reference to the head's owner.
 func (n *Network) transmit(msg Message) {
+	if msg.Owner != nil {
+		msg.Owner.Hold()
+	}
 	var xmit sim.Duration
 	if n.cfg.BytesPerSec > 0 {
 		xmit = sim.Duration(int64(msg.Len()) * int64(sim.Second) / n.cfg.BytesPerSec)
@@ -200,12 +226,16 @@ func (f *flight) Due() {
 	n.free = append(n.free, f)
 }
 
-// deliver hands an arrived message to its port's handler, if the address
-// is still claimed and has one.
+// deliver hands an arrived message to its port's handler, with the
+// flight's reference to its owner, if the address is still claimed and has
+// one; a message lost here lets its reference go.
 func (n *Network) deliver(msg Message) {
 	port := n.ports[msg.To]
 	if port == nil || port.handler == nil {
 		n.stats.Dropped++
+		if msg.Owner != nil {
+			msg.Owner.Release()
+		}
 		return
 	}
 	n.stats.Delivered++
@@ -254,12 +284,21 @@ func (n *Network) HealBoth(a, b Addr) {
 // what lets a fleet-scale world run one RPC endpoint per client without
 // one parked dispatcher goroutine per client.
 //
-// fn receives the Message by value, and that copy is all it gets. It may
-// keep the Payload and Tail slices, views decoded from them, and the From
-// and To addresses for as long as it likes, read-only: they are the
-// sender's frozen buffers (DESIGN.md §14), never the network's, and are
-// not reused. It may not keep anything of the network's own: the object the
-// message flew in is cleared and recycled the moment fn returns, which is
-// why fn is not given its address, and a handler must not be changed to
-// take one.
+// fn receives the Message by value, and that copy is all it gets. Its
+// Payload and Tail are the sender's frozen buffers (DESIGN.md §14), never
+// the network's, read-only. Who keeps them and for how long:
+//
+//	holder                       until
+//	Tail, From, To               as long as fn likes: never reused here
+//	Payload, Owner == nil        as long as fn likes: nobody recycles it
+//	Payload, Owner != nil        fn calls Owner.Release (or never does:
+//	                             then the owner is the collector's)
+//	the flight (network's own)   fn returns: cleared and recycled
+//
+// A Payload with an Owner comes with the flight's reference to it: fn may
+// keep the bytes, and views decoded from them, until it releases that
+// reference and not an instant longer, since the sender may then build
+// another message in them. Nothing of the network's own may be kept,
+// which is why fn is not given the flight's address, and a handler must
+// not be changed to take one.
 func (p *Port) SetHandler(fn func(Message)) { p.handler = fn }

@@ -426,3 +426,51 @@ func TestLandedFlightHoldsNothing(t *testing.T) {
 		}
 	}
 }
+
+// countOwner counts the references a head's owner is given and let go.
+type countOwner struct{ held, released int }
+
+func (o *countOwner) Hold()    { o.held++ }
+func (o *countOwner) Release() { o.released++ }
+
+// TestOwnerHeldPerCopyInFlight: the network takes a reference to a head's
+// owner for each copy it puts on the link, a DupProb duplicate being a
+// second copy, and none for a copy dropped before the link; a copy that
+// lands on a port hands its reference to the handler, with the Message,
+// and one that lands where nobody listens lets it go.
+func TestOwnerHeldPerCopyInFlight(t *testing.T) {
+	for _, tc := range []struct {
+		name               string
+		cfg                Config
+		to                 Addr
+		cut                bool
+		held, released, in int // references taken, let go by the network, handed in
+	}{
+		{name: "delivered", cfg: Config{PropDelay: sim.Millisecond}, to: "b", held: 1, in: 1},
+		{name: "duplicated", cfg: Config{PropDelay: sim.Millisecond, DupProb: 1}, to: "b", held: 2, in: 2},
+		{name: "dead port", cfg: Config{PropDelay: sim.Millisecond}, to: "nobody", held: 1, released: 1},
+		{name: "cut", cfg: Config{PropDelay: sim.Millisecond}, to: "b", cut: true},
+		{name: "lost", cfg: Config{PropDelay: sim.Millisecond, LossProb: 1}, to: "b"},
+		{name: "dropped", cfg: Config{PropDelay: sim.Millisecond, DropEvery: 1}, to: "b"},
+	} {
+		k := sim.NewKernel(1)
+		n := New(k, tc.cfg)
+		var o countOwner
+		in := 0
+		n.Listen("b").SetHandler(func(m Message) {
+			if m.Owner != &o || string(m.Payload) != "head" {
+				t.Errorf("%s: delivered %q with owner %v", tc.name, m.Payload, m.Owner)
+			}
+			in++
+		})
+		if tc.cut {
+			n.Cut("a", "b")
+		}
+		k.Go("send", func(p *sim.Proc) { n.SendOwned("a", tc.to, []byte("head"), nil, &o) })
+		k.Run()
+		if o.held != tc.held || o.released != tc.released || in != tc.in {
+			t.Errorf("%s: %d references taken, %d let go, %d handed in; want %d, %d and %d",
+				tc.name, o.held, o.released, in, tc.held, tc.released, tc.in)
+		}
+	}
+}

@@ -5,7 +5,6 @@ import (
 	"spritelynfs/internal/rpc"
 	"spritelynfs/internal/sim"
 	"spritelynfs/internal/simnet"
-	"spritelynfs/internal/xdr"
 )
 
 // PingerConfig wires one server into the viewservice.
@@ -65,13 +64,9 @@ func (pg *Pinger) loop(p *sim.Proc) {
 		// One attempt, no retries: the next ping is the retry, and a
 		// backed-off retransmit schedule would just delay failure
 		// detection.
-		body, err := pg.ep.CallXDREx(p, pg.cfg.Service, proto.ProgView, 1, proto.ViewProcPing,
-			args.XDR, PingInterval, 0)
-		if err != nil {
-			continue
-		}
 		var r proto.ViewPingReply
-		if r.XDR(xdr.NewDecoder(body).Codec()); r.Status != proto.OK {
+		if err := pg.ep.CallXDREx(p, pg.cfg.Service, proto.ProgView, 1, proto.ViewProcPing,
+			args.XDR, r.XDR, PingInterval, 0); err != nil || r.Status != proto.OK {
 			continue
 		}
 		if r.View.Num > pg.seen {
