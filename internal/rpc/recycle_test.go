@@ -388,3 +388,19 @@ func TestRestartLetsGoOfRecordedHeads(t *testing.T) {
 			h.refs, len(server.heads[0]), len(server.heads[1]))
 	}
 }
+
+// TestHeadClasses: each class's object holds exactly its headCaps bytes,
+// and a head goes to the smallest class that holds it.
+func TestHeadClasses(t *testing.T) {
+	for class, size := range headCaps {
+		if n := len(makeHead(class).b); n != size {
+			t.Errorf("class %d holds %d bytes, want %d", class, n, size)
+		}
+		if got := headClass(size); got != class {
+			t.Errorf("a %d-byte head goes to class %d, want %d", size, got, class)
+		}
+		if got := headClass(size + 1); got != class+1 {
+			t.Errorf("a %d-byte head goes to class %d, want %d", size+1, got, class+1)
+		}
+	}
+}

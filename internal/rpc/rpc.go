@@ -1038,10 +1038,7 @@ type replyHead struct {
 // list of n's class, or one made, or for an n beyond every class a
 // buffer of its own and no owner.
 func (e *Endpoint) newHead(n int) (*replyHead, []byte) {
-	class := 0
-	for class < len(headCaps) && n > headCaps[class] {
-		class++
-	}
+	class := headClass(n)
 	if class == len(headCaps) {
 		e.work.HeadsMade++
 		return nil, make([]byte, n)
@@ -1059,6 +1056,16 @@ func (e *Endpoint) newHead(n int) (*replyHead, []byte) {
 	}
 	h.refs = 1
 	return h, h.b[:n]
+}
+
+// headClass returns the smallest class that holds n bytes, len(headCaps)
+// if none does.
+func headClass(n int) int {
+	class := 0
+	for class < len(headCaps) && n > headCaps[class] {
+		class++
+	}
+	return class
 }
 
 // makeHead allocates a head of class headCaps[class].
@@ -1122,9 +1129,6 @@ func (h *replyHead) Release() {
 		h.refs = -1
 		return
 	}
-	class := 0
-	for headCaps[class] != len(h.b) {
-		class++
-	}
+	class := headClass(len(h.b))
 	h.e.heads[class] = append(h.e.heads[class], h)
 }
