@@ -67,7 +67,7 @@ func TestStructuralCeilings(t *testing.T) {
 		{"exported localfs.Media.ChargeRead", b2i(chargeRead), 0},
 		// One description per message: its XDR method both encodes and
 		// decodes it. The named decoders left are the benchmark's.
-		{"internal/proto non-test lines", countLines(t, "internal/proto"), 1409},
+		{"internal/proto non-test lines", countLines(t, "internal/proto"), 1396},
 		{"exported proto.Decode* functions", countDecoders(t, "internal/proto"), 5},
 		// One row per procedure: a server decodes a call's arguments in
 		// one place, its shared admission step.
@@ -130,7 +130,14 @@ func TestStructuralCeilings(t *testing.T) {
 		{"Open methods in internal/client", countMethods(t, "internal/client", "Open"), 1},
 		{"Readdir methods in internal/client", countMethods(t, "internal/client", "Readdir"), 1},
 		{"proto.ProcOpen in internal/client non-test files", countText(t, "internal/client", "proto.ProcOpen"), 1},
-		{"internal/client non-test lines", countLines(t, "internal/client"), 2502},
+		{"internal/client non-test lines", countLines(t, "internal/client"), 2424},
+		// One path walk: vfs.Walk splices every link's target into the
+		// path, under the one bound, for every file system, and a walk
+		// scans its path in place.
+		{"functions expanding symlinks (a readlink call beside a link bound) in non-test files", countLinkExpansions(t), 1},
+		{"symlink bounds (constants named for one, literals passed as a walk's depth) in non-test files", countLinkBounds(t), 1},
+		{"vfs.SplitPath calls in non-test files", countCalls(t, "SplitPath"), 0},
+		{"internal/localmount non-test lines", countLines(t, "internal/localmount"), 320},
 		// One way to call inside the simulation: Endpoint.Call; the
 		// start/wait halves it composes stay unexported.
 		{"rpc.Endpoint.Start declarations", countMethods(t, "internal/rpc", "Start", "Endpoint"), 0},
@@ -157,6 +164,113 @@ func countFileTypes(t *testing.T) int {
 			(types.Implements(tn.Type(), file) || types.Implements(types.NewPointer(tn.Type()), file)) {
 			n++
 		}
+	}
+	return n
+}
+
+// calleeName is the name a call expression calls: a function's, or a
+// method's or package member's after the dot.
+func calleeName(call *ast.CallExpr) string {
+	switch fn := call.Fun.(type) {
+	case *ast.Ident:
+		return fn.Name
+	case *ast.SelectorExpr:
+		return fn.Sel.Name
+	}
+	return ""
+}
+
+// countCalls counts the calls of functions or methods named name in the
+// module's non-test files.
+func countCalls(t *testing.T, name string) int {
+	n := 0
+	for _, f := range moduleFiles(t, 0) {
+		ast.Inspect(f, func(node ast.Node) bool {
+			if call, ok := node.(*ast.CallExpr); ok && calleeName(call) == name {
+				n++
+			}
+			return true
+		})
+	}
+	return n
+}
+
+// linkBound matches a name for a bound on the symbolic links a walk
+// follows.
+var linkBound = regexp.MustCompile(`(?i)link.*(depth|max)|max.*link`)
+
+// countLinkExpansions counts the functions, in the module's non-test
+// files, that expand a symbolic link into a walk: a call of a readlink
+// beside an identifier naming a depth or a link bound.
+func countLinkExpansions(t *testing.T) int {
+	n := 0
+	for _, f := range moduleFiles(t, 0) {
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Body == nil {
+				continue
+			}
+			readlink, bound := false, false
+			ast.Inspect(fn.Body, func(node ast.Node) bool {
+				switch x := node.(type) {
+				case *ast.CallExpr:
+					readlink = readlink || strings.Contains(strings.ToLower(calleeName(x)), "readlink")
+				case *ast.Ident:
+					bound = bound || strings.Contains(strings.ToLower(x.Name), "depth") || linkBound.MatchString(x.Name)
+				}
+				return true
+			})
+			if readlink && bound {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// countLinkBounds counts the bounds on a walk's symbolic links in the
+// module's non-test files: the constants named for one, and the integer
+// literals passed for a walk function's parameter named depth.
+func countLinkBounds(t *testing.T) int {
+	files := moduleFiles(t, 0)
+	depthArg := map[string][]int{} // a walk's name → its depth parameters' indexes
+	for _, f := range files {
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && strings.Contains(strings.ToLower(fn.Name.Name), "walk") {
+				i := 0
+				for _, field := range fn.Type.Params.List {
+					for _, name := range field.Names {
+						if name.Name == "depth" {
+							depthArg[fn.Name.Name] = append(depthArg[fn.Name.Name], i)
+						}
+						i++
+					}
+				}
+			}
+		}
+	}
+	n := 0
+	for _, f := range files {
+		ast.Inspect(f, func(node ast.Node) bool {
+			switch x := node.(type) {
+			case *ast.GenDecl:
+				for _, spec := range x.Specs {
+					if vs, ok := spec.(*ast.ValueSpec); ok && x.Tok == token.CONST {
+						for _, name := range vs.Names {
+							n += b2i(linkBound.MatchString(name.Name))
+						}
+					}
+				}
+			case *ast.CallExpr:
+				for _, i := range depthArg[calleeName(x)] {
+					if i < len(x.Args) {
+						_, lit := x.Args[i].(*ast.BasicLit)
+						n += b2i(lit)
+					}
+				}
+			}
+			return true
+		})
 	}
 	return n
 }

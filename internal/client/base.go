@@ -153,14 +153,14 @@ type Base struct {
 	// Unix buffer cache. A key maps to nil until a second reader waits:
 	// the signal is made then, by that reader.
 	fetching map[cache.Key]*sim.Signal
-	// lastDirComps/lastDir are a one-entry directory cache modelling
+	// lastDirPath/lastDir are a one-entry directory cache modelling
 	// the process's current directory: path walks re-resolving the
 	// directory just used skip its lookups, as namei starting from
 	// u.u_cdir did. (Neither protocol caches name translations beyond
 	// this by default — the paper's vintage didn't, and notes lookups
-	// are roughly half of all calls.) lastDirComps is the cache's own
-	// copy of the components, rewritten only when they change.
-	lastDirComps []string
+	// are roughly half of all calls.) A path hits when its components
+	// equal lastDirPath's (vfs.SamePath).
+	lastDirPath  string
 	lastDir      proto.Handle
 	lastDirValid bool
 
@@ -470,121 +470,79 @@ func (b *Base) readlinkRPC(p *sim.Proc, h proto.Handle) (string, error) {
 	return r.Target, nil
 }
 
-// maxSymlinkDepth bounds symlink chains during resolution.
-const maxSymlinkDepth = 8
+// resolved is a walk's node: a handle and the attributes its step
+// returned (zero after a name-cache hit that needed none; a directory's
+// type alone for a directory known by its handle).
+type resolved struct {
+	h    proto.Handle
+	attr proto.Fattr
+}
 
-// resolveDir resolves a directory path component-at-a-time via lookup
-// RPCs — the NFS/SNFS name translation the paper identifies as roughly
-// half of all calls — through the one-entry cwd cache. Symlinked
-// components are followed (relative targets against the containing
-// directory, absolute ones against the mount root).
-func (b *Base) resolveDir(p *sim.Proc, comps []string) (proto.Handle, error) {
-	if len(comps) == 0 {
+// dirOf is a directory known by its handle.
+func dirOf(h proto.Handle) resolved {
+	return resolved{h, proto.Fattr{Type: uint32(localfs.TypeDirectory)}}
+}
+
+// walkFrom walks path from dir (vfs.Walk). A step is one LOOKUP through
+// the name cache (lookup), or, with the compound walk armed, no name
+// cache and more than one component left, one LOOKUPPATH (lookupPath):
+// the name cache's hits are cheaper than any RPC. needAttr asks the last
+// step for attributes.
+func (b *Base) walkFrom(p *sim.Proc, dir resolved, path string, needAttr bool) (resolved, error) {
+	return vfs.Walk(dirOf(b.cfg.Root), dir, path, func(dir resolved, path string) (resolved, resolved, string, bool, error) {
+		name, rest := vfs.Next(path)
+		if b.cfg.AttrExtensions && b.names == nil && rest != "" {
+			return b.lookupPath(p, dir.h, path)
+		}
+		h, a, fromCache, err := b.lookup(p, dir.h, name, needAttr && rest == "")
+		return dirOf(dir.h), resolved{h, a}, rest, !fromCache && a.Type == uint32(localfs.TypeSymlink), err
+	}, func(link resolved) (string, error) { return b.readlinkRPC(p, link.h) })
+}
+
+// lookupPath is the compound step: the server walks as many of path's
+// components as it can, stopping early at a symbolic link.
+func (b *Base) lookupPath(p *sim.Proc, dir proto.Handle, path string) (parent, node resolved, rest string, link bool, err error) {
+	var names []string
+	for name, r := vfs.Next(path); name != ""; name, r = vfs.Next(r) {
+		names = append(names, name)
+	}
+	var r proto.LookupPathReply
+	if err = b.call(p, proto.ProcLookupPath, (&proto.LookupPathArgs{Dir: dir, Names: names}).XDR, r.XDR); err == nil {
+		err = r.Status.Err()
+	}
+	link = r.Attr.Type == uint32(localfs.TypeSymlink)
+	if err == nil && (int(r.Resolved) > len(names) || (int(r.Resolved) < len(names) && !link)) {
+		err = proto.ErrIO.Err()
+	}
+	if err != nil {
+		return parent, node, "", false, err
+	}
+	if !link {
+		b.attrs.ingest(b.getNode(r.Handle), r.Attr, p.Now())
+	}
+	rest = path
+	for range r.Resolved {
+		_, rest = vfs.Next(rest)
+	}
+	return dirOf(r.Parent), resolved{r.Handle, r.Attr}, rest, link, nil
+}
+
+// resolveDir resolves a directory path from the root — the NFS/SNFS name
+// translation the paper identifies as roughly half of all calls —
+// through the one-entry cwd cache.
+func (b *Base) resolveDir(p *sim.Proc, path string) (proto.Handle, error) {
+	if name, _ := vfs.Next(path); name == "" {
 		return b.cfg.Root, nil
 	}
-	if b.lastDirValid && slices.Equal(comps, b.lastDirComps) {
+	if b.lastDirValid && vfs.SamePath(path, b.lastDirPath) {
 		return b.lastDir, nil
 	}
-	cur, _, err := b.walkComps(p, b.cfg.Root, comps, false, maxSymlinkDepth)
+	d, err := b.walkFrom(p, dirOf(b.cfg.Root), path, false)
 	if err != nil {
 		return proto.Handle{}, err
 	}
-	b.lastDirComps = append(b.lastDirComps[:0], comps...)
-	b.lastDir = cur
-	b.lastDirValid = true
-	return cur, nil
-}
-
-// walkComps walks comps from dir, following symlinks by splicing their
-// targets into the remaining components.
-func (b *Base) walkComps(p *sim.Proc, dir proto.Handle, comps []string, needAttr bool, depth int) (proto.Handle, proto.Fattr, error) {
-	if b.cfg.AttrExtensions && len(comps) > 1 && b.names == nil {
-		// Compound resolution: one RPC per symlink-free run. The name
-		// cache keeps the per-component path — its hits are cheaper
-		// than any RPC.
-		return b.walkCompsPath(p, dir, comps, needAttr, depth)
-	}
-	cur := dir
-	var attr proto.Fattr
-	for i := 0; i < len(comps); i++ {
-		last := i == len(comps)-1
-		h, a, fromCache, err := b.lookup(p, cur, comps[i], needAttr && last)
-		if err != nil {
-			return proto.Handle{}, proto.Fattr{}, err
-		}
-		if !fromCache && a.Type == uint32(localfs.TypeSymlink) {
-			if depth <= 0 {
-				return proto.Handle{}, proto.Fattr{}, proto.ErrIO.Err()
-			}
-			depth--
-			target, err := b.readlinkRPC(p, h)
-			if err != nil {
-				return proto.Handle{}, proto.Fattr{}, err
-			}
-			rest := comps[i+1:]
-			tcomps := vfs.SplitPath(target)
-			next := cur // relative: resolve against the link's directory
-			if len(target) > 0 && target[0] == '/' {
-				next = b.cfg.Root
-			}
-			spliced := make([]string, 0, len(tcomps)+len(rest))
-			spliced = append(spliced, tcomps...)
-			spliced = append(spliced, rest...)
-			if len(spliced) == 0 {
-				// A symlink to its own directory.
-				cur = next
-				attr = proto.Fattr{Type: uint32(localfs.TypeDirectory)}
-				break
-			}
-			return b.walkComps(p, next, spliced, needAttr, depth)
-		}
-		cur, attr = h, a
-	}
-	return cur, attr, nil
-}
-
-// walkCompsPath resolves comps with one ProcLookupPath round trip per
-// symlink-free run: the server walks as many components as it can and
-// stops early at a symbolic link, which the client expands and splices
-// exactly like the per-component walker.
-func (b *Base) walkCompsPath(p *sim.Proc, dir proto.Handle, comps []string, needAttr bool, depth int) (proto.Handle, proto.Fattr, error) {
-	var r proto.LookupPathReply
-	if err := b.call(p, proto.ProcLookupPath, (&proto.LookupPathArgs{Dir: dir, Names: comps}).XDR, r.XDR); err != nil {
-		return proto.Handle{}, proto.Fattr{}, err
-	}
-	if r.Status != proto.OK {
-		return proto.Handle{}, proto.Fattr{}, r.Status.Err()
-	}
-	if int(r.Resolved) > len(comps) || (int(r.Resolved) < len(comps) && r.Attr.Type != uint32(localfs.TypeSymlink)) {
-		return proto.Handle{}, proto.Fattr{}, proto.ErrIO.Err()
-	}
-	if b.cfg.AttrExtensions && r.Attr.Type != uint32(localfs.TypeSymlink) {
-		b.attrs.ingest(b.getNode(r.Handle), r.Attr, p.Now())
-	}
-	if r.Attr.Type == uint32(localfs.TypeSymlink) {
-		if depth <= 0 {
-			return proto.Handle{}, proto.Fattr{}, proto.ErrIO.Err()
-		}
-		target, err := b.readlinkRPC(p, r.Handle)
-		if err != nil {
-			return proto.Handle{}, proto.Fattr{}, err
-		}
-		rest := comps[r.Resolved:]
-		tcomps := vfs.SplitPath(target)
-		next := r.Parent // relative: resolve against the link's directory
-		if len(target) > 0 && target[0] == '/' {
-			next = b.cfg.Root
-		}
-		spliced := make([]string, 0, len(tcomps)+len(rest))
-		spliced = append(spliced, tcomps...)
-		spliced = append(spliced, rest...)
-		if len(spliced) == 0 {
-			// A symlink to its own directory.
-			return next, proto.Fattr{Type: uint32(localfs.TypeDirectory)}, nil
-		}
-		return b.walkComps(p, next, spliced, needAttr, depth-1)
-	}
-	return r.Handle, r.Attr, nil
+	b.lastDirPath, b.lastDir, b.lastDirValid = path, d.h, true
+	return d.h, nil
 }
 
 // invalidateDirCache drops the cwd cache (after namespace surgery).
@@ -598,40 +556,36 @@ func (b *Base) invalidateDirCache() { b.lastDirValid = false }
 // walk from the root can discover a migrated subtree's new home.
 func (b *Base) DropDirCache() { b.invalidateDirCache() }
 
-// walk resolves rel to a handle, with the attributes the final lookup
-// returned when needAttr is set; without it a name-cache hit costs no RPC.
+// walk resolves rel to a handle, following links in every component, with
+// the attributes the final lookup returned when needAttr is set; without
+// it a name-cache hit costs no RPC.
 func (b *Base) walk(p *sim.Proc, rel string, needAttr bool) (proto.Handle, proto.Fattr, error) {
-	comps := vfs.SplitPath(rel)
-	if len(comps) == 0 {
-		var attr proto.Fattr
-		attr.Type = 2 // the mount root is a directory
-		attr.Fileid = b.cfg.Root.Ino
-		return b.cfg.Root, attr, nil
+	dir, name := vfs.Split(rel)
+	if name == "" {
+		return b.cfg.Root, proto.Fattr{Type: uint32(localfs.TypeDirectory), Fileid: b.cfg.Root.Ino}, nil
 	}
-	dir, err := b.resolveDir(p, comps[:len(comps)-1])
+	d, err := b.resolveDir(p, dir)
 	if err != nil {
 		return proto.Handle{}, proto.Fattr{}, err
 	}
-	h, attr, err := b.walkComps(p, dir, comps[len(comps)-1:], needAttr, maxSymlinkDepth)
+	r, err := b.walkFrom(p, dirOf(d), name, needAttr)
 	if err != nil && proto.StatusOf(err) == proto.ErrStale && b.lastDirValid {
 		// The cached directory went away; re-resolve from the root.
 		b.invalidateDirCache()
 		return b.walk(p, rel, needAttr)
 	}
-	return h, attr, err
+	return r.h, r.attr, err
 }
 
-// walkParent resolves all but the last component.
+// walkParent resolves rel's parent chain, following links, and returns
+// the directory and the last component's name, which it does not look up.
 func (b *Base) walkParent(p *sim.Proc, rel string) (proto.Handle, string, error) {
-	comps := vfs.SplitPath(rel)
-	if len(comps) == 0 {
+	dir, name := vfs.Split(rel)
+	if name == "" {
 		return proto.Handle{}, "", proto.ErrInval.Err()
 	}
-	dir, err := b.resolveDir(p, comps[:len(comps)-1])
-	if err != nil {
-		return proto.Handle{}, "", err
-	}
-	return dir, comps[len(comps)-1], nil
+	d, err := b.resolveDir(p, dir)
+	return d, name, err
 }
 
 // sortedNodes returns the known files keep accepts (all of them when keep

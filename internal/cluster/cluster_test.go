@@ -179,6 +179,74 @@ func TestCrossShardRenameFailsCleanly(t *testing.T) {
 	})
 }
 
+// TestCrossShardSymlinkIsXDev follows absolute links from shard 0: one
+// whose target is homed on shard 1 fails at once with ErrXDev, as a
+// cross-shard rename does, since no map refetch can make shard 0 the
+// target's home; one whose target stays on shard 0 resolves.
+func TestCrossShardSymlinkIsXDev(t *testing.T) {
+	k, c := testCluster(t, 2, map[string]uint32{"/a": 0, "/b": 1})
+	r := c.NewRouter("host1")
+	run(t, k, c, func(p *sim.Proc) error {
+		for _, dir := range []string{"/a", "/b", "/a/tmp"} {
+			if err := r.Mkdir(p, dir, 0o755); err != nil {
+				return err
+			}
+		}
+		for _, f := range []string{"/a/g", "/b/f"} {
+			if err := writeFile(p, r, f, fill(100, f[1])); err != nil {
+				return err
+			}
+		}
+		for _, l := range [][2]string{{"/b/f", "/a/ln"}, {"/b", "/a/dirln"}, {"/a/g", "/a/near"}} {
+			if err := r.Symlink(p, l[0], l[1]); err != nil {
+				return err
+			}
+		}
+		if target, err := r.Readlink(p, "/a/ln"); err != nil || target != "/b/f" {
+			t.Errorf("readlink /a/ln = %q, %v", target, err)
+		}
+		if _, err := readFile(p, r, "/a/ln", 100); proto.StatusOf(err) != proto.ErrXDev {
+			t.Errorf("open through a link into shard 1: %v, want EXDEV", err)
+		}
+		if _, err := r.Stat(p, "/a/dirln/f"); proto.StatusOf(err) != proto.ErrXDev {
+			t.Errorf("stat through a directory link into shard 1: %v, want EXDEV", err)
+		}
+		if data, err := readFile(p, r, "/a/near", 100); err != nil || len(data) != 100 || data[0] != 'a' {
+			t.Errorf("read through a link within shard 0: %d bytes, %v", len(data), err)
+		}
+		if err := r.Rmdir(p, "/a/tmp"); err != nil {
+			t.Errorf("rmdir /a/tmp: %v", err)
+		}
+		if n := r.Redirects(); n != 0 {
+			t.Errorf("%d redirects, want 0: the map was never stale", n)
+		}
+		return nil
+	})
+}
+
+// TestRouterRoutesByTheWalksFirstComponent routes paths whose first
+// component follows "." or empty ones: the router reads a path the way
+// the walk does, so it sends one to the shard the walk will look in.
+func TestRouterRoutesByTheWalksFirstComponent(t *testing.T) {
+	k, c := testCluster(t, 2, map[string]uint32{"/b": 1})
+	r := c.NewRouter("host1")
+	run(t, k, c, func(p *sim.Proc) error {
+		if err := r.Mkdir(p, "./b", 0o755); err != nil {
+			return err
+		}
+		if err := writeFile(p, r, "//./b/f", fill(100, 'b')); err != nil {
+			return err
+		}
+		if data, err := readFile(p, r, "/b/./f", 100); err != nil || len(data) != 100 {
+			t.Errorf("read /b/./f: %d bytes, %v", len(data), err)
+		}
+		if n := r.Redirects(); n != 0 {
+			t.Errorf("%d redirects, want 0: the map was never stale", n)
+		}
+		return nil
+	})
+}
+
 // TestStaleMapConverges rebalances a prefix mid-workload: a router still
 // holding the old map must converge after a single NOTHOME redirect, and
 // dirty delayed writes quiesced by the migration must survive the move.
@@ -283,7 +351,7 @@ func TestParseMapSpec(t *testing.T) {
 	if m.Version != 3 || len(m.Servers) != 2 || m.Servers[1] != "localhost:2050" {
 		t.Errorf("parsed %+v", m)
 	}
-	if m.Lookup("src/lib/a.go") != 1 || m.Lookup("doc") != 0 || m.Lookup("other") != 0 {
+	if m.Owner("src") != 1 || m.Owner("doc") != 0 || m.Owner("other") != 0 {
 		t.Errorf("lookup through parsed map: %+v", m.Assignments)
 	}
 	for _, bad := range []string{

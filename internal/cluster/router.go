@@ -157,9 +157,12 @@ func (r *Router) refreshMap(p *sim.Proc, via int) error {
 	return nil
 }
 
-// shard resolves a path to its home shard under the cached map.
+// shard resolves a path to its home shard under the cached map: its
+// first component's, by the walk's syntax (vfs.Next); the root is shard
+// 0's.
 func (r *Router) shard(path string) int {
-	id := int(r.m.Lookup(path))
+	name, _ := vfs.Next(path)
+	id := int(r.m.Owner(name))
 	if id >= len(r.hosts) {
 		id = 0
 	}
@@ -282,7 +285,7 @@ func (r *Router) Stat(p *sim.Proc, path string) (proto.Fattr, error) {
 // every shard's root listing (deduplicated by name — shard 0 wins, as
 // it owns unassigned names).
 func (r *Router) Readdir(p *sim.Proc, path string) ([]proto.DirEntry, error) {
-	if stripSlashes(path) != "" {
+	if name, _ := vfs.Next(path); name != "" {
 		var ents []proto.DirEntry
 		err := r.do(p, path, func(fs vfs.FS) error {
 			var err error
@@ -313,14 +316,4 @@ func (r *Router) SyncAll(p *sim.Proc) {
 	for _, h := range r.hosts {
 		h.Mount.SyncAll(p)
 	}
-}
-
-func stripSlashes(path string) string {
-	for len(path) > 0 && path[0] == '/' {
-		path = path[1:]
-	}
-	for len(path) > 0 && path[len(path)-1] == '/' {
-		path = path[:len(path)-1]
-	}
-	return path
 }

@@ -28,6 +28,42 @@ func TestParseMapSpecMoreErrorPaths(t *testing.T) {
 	}
 }
 
+// TestRouterShard routes a path by its first component, read by the
+// walk's syntax (vfs.Next): "." and empty components are skipped, and
+// unassigned names and the root belong to shard 0.
+func TestRouterShard(t *testing.T) {
+	r := &Router{hosts: make([]*ClientHost, 2), m: proto.ShardMap{
+		Version: 1,
+		Servers: []string{"a", "b"},
+		Assignments: []proto.ShardAssignment{
+			{Prefix: "/src", Shard: 1},
+			{Prefix: "/doc", Shard: 0},
+		},
+	}}
+	cases := map[string]int{
+		"src":           1,
+		"/src":          1,
+		"src/lib/x.go":  1,
+		"/src/lib/x.go": 1,
+		"./src/x.go":    1,
+		"//./src":       1,
+		"doc":           0,
+		"doc/readme":    0,
+		"other":         0, // unassigned names default to shard 0
+		"":              0, // the root itself
+		"/":             0,
+		"/./":           0,
+	}
+	for path, want := range cases {
+		if got := r.shard(path); got != want {
+			t.Errorf("shard(%q) = %d, want %d", path, got, want)
+		}
+	}
+	if r.m.Owner("src") != 1 || r.m.Owner("doc") != 0 || r.m.Owner("zzz") != 0 {
+		t.Error("Owner mismatch")
+	}
+}
+
 // TestRouterNeverInstallsOlderMap pins the version-monotonicity rule:
 // whatever order refetched maps arrive in — including concurrent
 // refetches racing a failover's address change — the router only ever

@@ -271,3 +271,46 @@ func TestDataPathAllocationBudgets(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestWalkAllocationBudget holds a path walk to the objects of its round
+// trips: the walk scans the path string itself (vfs.Next) and its cwd
+// cache compares components in place (vfs.SamePath), so a Stat whose
+// directory is in the cwd cache allocates only what its one LOOKUP round
+// trip does: the LOOKUP's Pending, which its timeout holds past the pass
+// (2 while vfs.SplitPath built a slice of the path's components).
+func TestWalkAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	if !Recycling {
+		t.Skip("the release checker reuses no Pending and no reply head")
+	}
+	const stats = 64
+	w := Build(NFS, true, Default())
+	err := w.Run(func(p *sim.Proc) error {
+		if err := w.NS.Mkdir(p, "/data/d", 0o755); err != nil {
+			return err
+		}
+		if err := w.NS.WriteFile(p, "/data/d/f", 100, 100); err != nil {
+			return err
+		}
+		var err error
+		stat := func() {
+			for i := 0; i < stats && err == nil; i++ {
+				_, err = w.NS.Stat(p, "/data/d/f")
+			}
+		}
+		stat() // the cwd cache now holds /data/d
+		before := w.RPCWork()
+		objects, _, _ := heapCost(0, stat)
+		pendings := w.RPCWork().PendingsMade - before.PendingsMade
+		if err == nil && (pendings != stats || objects/stats > uint64(pendings)/stats) {
+			t.Errorf("a Stat in the cwd allocates %d objects and makes %d Pendings, budget its round trip's: 1 and 1",
+				objects/stats, pendings/stats)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

@@ -210,7 +210,7 @@ func (w *World) ServerDiskStats() disk.Stats {
 func mkdirs(st *localfs.Store, paths ...string) {
 	for _, path := range paths {
 		cur := st.Root()
-		for _, comp := range vfs.SplitPath(path) {
+		for comp, rest := vfs.Next(path); comp != ""; comp, rest = vfs.Next(rest) {
 			a, err := st.Lookup(cur, comp)
 			if err != nil {
 				a, err = st.Mkdir(cur, comp, 0o755)

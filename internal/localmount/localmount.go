@@ -41,67 +41,40 @@ func (f *FS) syscall(p *sim.Proc, name string) span.Handle {
 
 func (f *FS) store() *localfs.Store { return f.media.Store() }
 
-// walk resolves rel to an inode, following symlinks (relative targets
-// against the containing directory; absolute ones against the FS root).
+// walk resolves rel to an inode, following links in every component.
 func (f *FS) walk(rel string) (localfs.Attr, error) {
-	st := f.store()
-	root, err := st.GetAttr(st.Root())
+	dir, name := vfs.Split(rel)
+	ino, err := f.walkFrom(f.store().Root(), dir)
+	if err == nil {
+		ino, err = f.walkFrom(ino, name)
+	}
 	if err != nil {
 		return localfs.Attr{}, err
 	}
-	return f.walkComps(root, vfs.SplitPath(rel), 8)
+	return f.store().GetAttr(ino)
 }
 
-func (f *FS) walkComps(dir localfs.Attr, comps []string, depth int) (localfs.Attr, error) {
-	st := f.store()
-	cur := dir
-	for i := 0; i < len(comps); i++ {
-		next, err := st.Lookup(cur.Ino, comps[i])
-		if err != nil {
-			return localfs.Attr{}, err
-		}
-		if next.Type == localfs.TypeSymlink {
-			if depth <= 0 {
-				return localfs.Attr{}, localfs.ErrInval
-			}
-			target, err := st.Readlink(next.Ino)
-			if err != nil {
-				return localfs.Attr{}, err
-			}
-			base := cur
-			if len(target) > 0 && target[0] == '/' {
-				base, err = st.GetAttr(st.Root())
-				if err != nil {
-					return localfs.Attr{}, err
-				}
-			}
-			spliced := append(vfs.SplitPath(target), comps[i+1:]...)
-			return f.walkComps(base, spliced, depth-1)
-		}
-		cur = next
+// walkParent resolves rel's parent chain, following links, and returns
+// the directory with the last component's name, which it does not look
+// up.
+func (f *FS) walkParent(rel string) (uint64, string, error) {
+	dir, name := vfs.Split(rel)
+	if name == "" {
+		return 0, "", localfs.ErrInval
 	}
-	return cur, nil
+	ino, err := f.walkFrom(f.store().Root(), dir)
+	return ino, name, err
 }
 
-// walkParent resolves all but the last component, returning the parent
-// attributes and the final name.
-func (f *FS) walkParent(rel string) (localfs.Attr, string, error) {
-	comps := vfs.SplitPath(rel)
-	if len(comps) == 0 {
-		return localfs.Attr{}, "", localfs.ErrInval
-	}
+// walkFrom walks path from the directory dir (vfs.Walk), one store
+// lookup a step.
+func (f *FS) walkFrom(dir uint64, path string) (uint64, error) {
 	st := f.store()
-	cur, err := st.GetAttr(st.Root())
-	if err != nil {
-		return localfs.Attr{}, "", err
-	}
-	for _, comp := range comps[:len(comps)-1] {
-		cur, err = st.Lookup(cur.Ino, comp)
-		if err != nil {
-			return localfs.Attr{}, "", err
-		}
-	}
-	return cur, comps[len(comps)-1], nil
+	return vfs.Walk(st.Root(), dir, path, func(dir uint64, path string) (uint64, uint64, string, bool, error) {
+		name, rest := vfs.Next(path)
+		a, err := st.Lookup(dir, name)
+		return dir, a.Ino, rest, a.Type == localfs.TypeSymlink, err
+	}, st.Readlink)
 }
 
 // Open implements vfs.FS.
@@ -110,14 +83,14 @@ func (f *FS) Open(p *sim.Proc, rel string, flags vfs.Flags, mode uint32) (vfs.Fi
 	var attr localfs.Attr
 	var err error
 	if flags&vfs.Create != 0 {
-		var dir localfs.Attr
+		var dir uint64
 		var name string
 		dir, name, err = f.walkParent(rel)
 		if err != nil {
 			return nil, err
 		}
-		existing, lerr := f.store().Lookup(dir.Ino, name)
-		attr, err = f.store().Create(dir.Ino, name, mode)
+		existing, lerr := f.store().Lookup(dir, name)
+		attr, err = f.store().Create(dir, name, mode)
 		if err != nil {
 			return nil, err
 		}
@@ -150,7 +123,7 @@ func (f *FS) Mkdir(p *sim.Proc, rel string, mode uint32) error {
 	if err != nil {
 		return err
 	}
-	if _, err := f.store().Mkdir(dir.Ino, name, mode); err != nil {
+	if _, err := f.store().Mkdir(dir, name, mode); err != nil {
 		return err
 	}
 	f.media.ChargeMeta(p)
@@ -166,7 +139,7 @@ func (f *FS) Remove(p *sim.Proc, rel string) error {
 	if err != nil {
 		return err
 	}
-	removed, err := f.store().Remove(dir.Ino, name)
+	removed, err := f.store().Remove(dir, name)
 	if err != nil {
 		return err
 	}
@@ -184,7 +157,7 @@ func (f *FS) Rmdir(p *sim.Proc, rel string) error {
 	if err != nil {
 		return err
 	}
-	if err := f.store().Rmdir(dir.Ino, name); err != nil {
+	if err := f.store().Rmdir(dir, name); err != nil {
 		return err
 	}
 	f.media.ChargeMeta(p)
@@ -202,7 +175,7 @@ func (f *FS) Rename(p *sim.Proc, oldrel, newrel string) error {
 	if err != nil {
 		return err
 	}
-	if err := f.store().Rename(sdir.Ino, sname, ddir.Ino, dname); err != nil {
+	if err := f.store().Rename(sdir, sname, ddir, dname); err != nil {
 		return err
 	}
 	f.media.ChargeMeta(p)
@@ -248,7 +221,7 @@ func (f *FS) Link(p *sim.Proc, oldrel, newrel string) error {
 	if err != nil {
 		return err
 	}
-	if _, err := f.store().Link(dir.Ino, name, src.Ino); err != nil {
+	if _, err := f.store().Link(dir, name, src.Ino); err != nil {
 		return err
 	}
 	f.media.ChargeMeta(p)
@@ -262,7 +235,7 @@ func (f *FS) Symlink(p *sim.Proc, target, linkrel string) error {
 	if err != nil {
 		return err
 	}
-	if _, err := f.store().Symlink(dir.Ino, name, target); err != nil {
+	if _, err := f.store().Symlink(dir, name, target); err != nil {
 		return err
 	}
 	f.media.ChargeMeta(p)
@@ -276,7 +249,7 @@ func (f *FS) Readlink(p *sim.Proc, rel string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	attr, err := f.store().Lookup(dir.Ino, name)
+	attr, err := f.store().Lookup(dir, name)
 	if err != nil {
 		return "", err
 	}

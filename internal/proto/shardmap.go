@@ -51,19 +51,6 @@ func (m *ShardMap) Owner(name string) uint32 {
 	return 0
 }
 
-// Lookup resolves a path (absolute or FS-relative) to its home shard by
-// its first component. The root itself ("" or "/") belongs to shard 0.
-func (m *ShardMap) Lookup(path string) uint32 {
-	p := strings.TrimLeft(path, "/")
-	if p == "" {
-		return 0
-	}
-	if i := strings.IndexByte(p, '/'); i >= 0 {
-		p = p[:i]
-	}
-	return m.Owner(p)
-}
-
 // Validate checks structural invariants: single-component prefixes, no
 // duplicate prefixes, shard ids within Servers.
 func (m *ShardMap) Validate() error {

@@ -37,36 +37,6 @@ func TestShardMapRoundTrip(t *testing.T) {
 	}
 }
 
-func TestShardMapLookup(t *testing.T) {
-	m := ShardMap{
-		Version: 1,
-		Servers: []string{"a", "b"},
-		Assignments: []ShardAssignment{
-			{Prefix: "/src", Shard: 1},
-			{Prefix: "/doc", Shard: 0},
-		},
-	}
-	cases := map[string]uint32{
-		"src":           1,
-		"/src":          1,
-		"src/lib/x.go":  1,
-		"/src/lib/x.go": 1,
-		"doc":           0,
-		"doc/readme":    0,
-		"other":         0, // unassigned names default to shard 0
-		"":              0, // the root itself
-		"/":             0,
-	}
-	for path, want := range cases {
-		if got := m.Lookup(path); got != want {
-			t.Errorf("Lookup(%q) = %d, want %d", path, got, want)
-		}
-	}
-	if m.Owner("src") != 1 || m.Owner("doc") != 0 || m.Owner("zzz") != 0 {
-		t.Error("Owner mismatch")
-	}
-}
-
 func TestShardMapValidate(t *testing.T) {
 	ok := ShardMap{Servers: []string{"a", "b"}, Assignments: []ShardAssignment{
 		{Prefix: "/x", Shard: 0}, {Prefix: "/y", Shard: 1},

@@ -9,6 +9,12 @@
 // for directories as well as files; the SNFS client turns them into its
 // open/close RPCs (which is why SNFS pays an extra RPC on directory scans
 // — the ScanDir effect in Table 5-1).
+//
+// It also holds the one path walk, Walk, a component at a time as in GFS;
+// each file system calls it with its own step and readlink. Every
+// component of a parent chain follows links, and the last one does too
+// except in the operations that name an entry itself (Create, Mkdir,
+// Remove, Rmdir, Rename, Link's destination, Symlink, Readlink).
 package vfs
 
 import (
@@ -111,21 +117,104 @@ func ReadAt(p *sim.Proc, f File, off int64, n int) ([]byte, error) {
 	return b[:m], nil
 }
 
-// SplitPath breaks an FS-relative slash path into components; empty and
-// "." components are dropped. The empty path yields no components (the FS
-// root itself).
-func SplitPath(rel string) []string {
-	if rel == "" {
-		return nil
+// MaxLinks bounds the links one walk expands. A parent chain and its last
+// component are walked apart, each under its own bound, so a walk from
+// the cwd cache meets the same bound as one from the root.
+const MaxLinks = 8
+
+// ErrLoop fails a walk that meets more than MaxLinks links: a cycle, or a
+// chain too long to follow.
+var ErrLoop = errors.New("vfs: too many levels of symbolic links")
+
+// trim drops path's leading empty and "." components.
+func trim(path string) string {
+	for path != "" {
+		name, rest, _ := strings.Cut(path, "/")
+		if name != "" && name != "." {
+			break
+		}
+		path = rest
 	}
-	parts := strings.Split(rel, "/")
-	out := parts[:0]
-	for _, c := range parts {
-		if c != "" && c != "." {
-			out = append(out, c)
+	return path
+}
+
+// Next returns path's first component and the path after it, both views
+// of path: name is "" only when no component is left, rest "" when name
+// is the last.
+func Next(path string) (name, rest string) {
+	name, rest, _ = strings.Cut(trim(path), "/")
+	return name, trim(rest)
+}
+
+// Split returns path's last component and its parent chain; name is ""
+// only for the root.
+func Split(path string) (dir, name string) {
+	for {
+		path = strings.TrimRight(path, "/")
+		i := strings.LastIndexByte(path, '/')
+		if dir, name = path[:max(i, 0)], path[i+1:]; name != "." {
+			return dir, name
+		}
+		path = dir
+	}
+}
+
+// SamePath reports whether two paths name the same components.
+func SamePath(a, b string) bool {
+	for {
+		var x, y string
+		x, a = Next(a)
+		y, b = Next(b)
+		if x != y || x == "" {
+			return x == y
 		}
 	}
-	return out
+}
+
+// Walk resolves path from dir a step at a time. A step resolves path's
+// first component in dir, or a run of them: the node reached, the
+// directory holding it, the path left, and whether the node is a link.
+// A link's target (readlink) replaces it in the path: a relative target
+// from the link's directory, an absolute one from root (the file
+// system's, not the namespace's); a link to its own directory is
+// allowed. Walk allocates only a splice with components after the link.
+//
+// The first step after an absolute target restarts at root may fail
+// ErrNotHome: the name is homed on another shard of a federation
+// (DESIGN.md §8), which no map refetch cures. It fails ErrXDev instead,
+// as a rename across shards does.
+func Walk[N any](root, dir N, path string, step func(dir N, path string) (parent, node N, rest string, link bool, err error),
+	readlink func(link N) (string, error)) (N, error) {
+	var zero N
+	links, viaRoot := 0, false
+	for path = trim(path); path != ""; path = trim(path) {
+		parent, node, rest, link, err := step(dir, path)
+		if viaRoot && proto.StatusOf(err) == proto.ErrNotHome {
+			err = proto.ErrXDev.Err()
+		}
+		if err != nil {
+			return zero, err
+		}
+		dir, path, viaRoot = node, rest, false
+		if !link {
+			continue
+		}
+		if links++; links > MaxLinks {
+			return zero, ErrLoop
+		}
+		target, err := readlink(node)
+		if err != nil {
+			return zero, err
+		}
+		dir, path = parent, target
+		if rest != "" {
+			path = target + "/" + rest
+		}
+		if strings.HasPrefix(target, "/") {
+			dir, viaRoot = root, true
+		}
+	}
+	return dir, nil
 }
 
 // mount is one namespace attachment.

@@ -2,6 +2,7 @@ package vfs
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -208,25 +209,119 @@ func TestWriteReadCopyHelpers(t *testing.T) {
 	}
 }
 
-func TestSplitPath(t *testing.T) {
+func TestPathSyntax(t *testing.T) {
 	cases := map[string][]string{
-		"":        nil,
-		"a":       {"a"},
-		"a/b/c":   {"a", "b", "c"},
-		"a//b":    {"a", "b"},
-		"./a/./b": {"a", "b"},
-		"a/b/":    {"a", "b"},
+		"":          nil,
+		".":         nil,
+		"/":         nil,
+		"a":         {"a"},
+		"a/b/c":     {"a", "b", "c"},
+		"a//b":      {"a", "b"},
+		"./a/./b":   {"a", "b"},
+		"a/b/":      {"a", "b"},
+		"/a/b/.":    {"a", "b"},
+		"a/../.b/.": {"a", "..", ".b"},
 	}
 	for in, want := range cases {
-		got := SplitPath(in)
-		if len(got) != len(want) {
-			t.Errorf("SplitPath(%q) = %v, want %v", in, got, want)
+		var got []string
+		for name, rest := Next(in); name != ""; name, rest = Next(rest) {
+			got = append(got, name)
+		}
+		if strings.Join(got, "|") != strings.Join(want, "|") {
+			t.Errorf("Next over %q = %q, want %q", in, got, want)
+		}
+		dir, name := Split(in)
+		if len(want) == 0 {
+			if name != "" {
+				t.Errorf("Split(%q) name = %q, want none", in, name)
+			}
 			continue
 		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Errorf("SplitPath(%q) = %v, want %v", in, got, want)
+		if name != want[len(want)-1] || !SamePath(dir, strings.Join(want[:len(want)-1], "/")) {
+			t.Errorf("Split(%q) = %q, %q", in, dir, name)
+		}
+		if !SamePath(in, strings.Join(want, "/")) || SamePath(in, strings.Join(want, "/")+"/x") {
+			t.Errorf("SamePath(%q) disagrees with its components", in)
+		}
+	}
+}
+
+// treeNode is a node of the tree TestWalk walks: a directory's entries,
+// or a link's target.
+type treeNode struct {
+	name    string
+	entries map[string]*treeNode
+	target  string
+	link    bool
+}
+
+// TestWalk walks a small tree through Walk with a one-component step:
+// relative and absolute links, a link to its own directory, the MaxLinks
+// bound, a cycle, and an absolute link whose root-level name is homed
+// elsewhere.
+func TestWalk(t *testing.T) {
+	dir := func(name string, kids ...*treeNode) *treeNode {
+		n := &treeNode{name: name, entries: map[string]*treeNode{}}
+		for _, k := range kids {
+			n.entries[k.name] = k
+		}
+		return n
+	}
+	link := func(name, target string) *treeNode { return &treeNode{name: name, target: target, link: true} }
+	kids := []*treeNode{
+		dir("d", &treeNode{name: "f"}, link("self", "."), link("up", "..")),
+		link("rel", "d"), link("abs", "/d/f"), link("away", "/remote/f"),
+		link("cyc1", "cyc2"), link("cyc2", "cyc1"),
+	}
+	// c1 → c2 → … → c9 → d/f: c2 is a chain of MaxLinks links, c1 one more.
+	for i := 1; i <= MaxLinks; i++ {
+		kids = append(kids, link(fmt.Sprintf("c%d", i), fmt.Sprintf("c%d", i+1)))
+	}
+	kids = append(kids, link(fmt.Sprintf("c%d", MaxLinks+1), "d/f"))
+	root := dir("/", kids...)
+	root.entries["d"].entries[".."] = root
+	step := func(d *treeNode, path string) (*treeNode, *treeNode, string, bool, error) {
+		name, rest := Next(path)
+		if d.entries == nil {
+			return nil, nil, "", false, proto.ErrNotDir.Err()
+		}
+		if name == "remote" {
+			return nil, nil, "", false, proto.ErrNotHome.Err()
+		}
+		n, ok := d.entries[name]
+		if !ok {
+			return nil, nil, "", false, proto.ErrNoEnt.Err()
+		}
+		return d, n, rest, n.link, nil
+	}
+	readlink := func(n *treeNode) (string, error) { return n.target, nil }
+	for _, c := range []struct {
+		path, want string
+		err        error
+	}{
+		{path: "d/f", want: "f"},
+		{path: "rel/f", want: "f"},
+		{path: "rel", want: "d"},
+		{path: "abs", want: "f"},
+		{path: "d/self/self/f", want: "f"},
+		{path: "d/self", want: "d"},
+		{path: "d/up/d/f", want: "f"},
+		{path: "c2", want: "f"},
+		{path: "c1", err: ErrLoop},
+		{path: "cyc1/f", err: ErrLoop},
+		{path: "d/f/g", err: proto.ErrNotDir.Err()},
+		{path: "away", err: proto.ErrXDev.Err()},
+		{path: "remote/f", err: proto.ErrNotHome.Err()},
+	} {
+		got, err := Walk(root, root, c.path, step, readlink)
+		if c.err != nil {
+			if !errors.Is(err, c.err) && proto.StatusOf(err) != proto.StatusOf(c.err) {
+				t.Errorf("Walk(%q) = %v, want %v", c.path, err, c.err)
 			}
+			continue
+		}
+		if err != nil || got.name != c.want {
+			t.Errorf("Walk(%q) = %v, %v; want %s", c.path, got, err, c.want)
 		}
 	}
 }
