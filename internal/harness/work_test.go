@@ -13,8 +13,9 @@ import (
 
 // census is the host work of one fleet run: the kernel's counts, the
 // executor's submits, the RPC calls the fleet's clients sent, and the
-// wire-image heads every endpoint built and the Pendings and reply heads
-// it made and reused (rpc.Endpoint.Work). A web-asset file is a whole
+// wire-image heads every endpoint built, the Pendings and reply heads it
+// made and reused, and the timeouts that came due on answered calls
+// (rpc.Endpoint.Work). A web-asset file is a whole
 // number of words, so no head of a fleet run holds data.
 type census struct {
 	Pops, Switches, Spawns, Submits, Calls int64
@@ -49,6 +50,7 @@ func (c census) diff(want census) string {
 		{"pendings reused", c.RPC.PendingsReused, want.RPC.PendingsReused},
 		{"reply heads made", c.RPC.HeadsMade, want.RPC.HeadsMade},
 		{"reply heads reused", c.RPC.HeadsReused, want.RPC.HeadsReused},
+		{"stale timeouts", c.RPC.StaleTimeouts, want.RPC.StaleTimeouts},
 	} {
 		if f.got != f.want {
 			fmt.Fprintf(&b, " %s %d (%+d)", f.name, f.got, f.got-f.want)
@@ -74,12 +76,14 @@ func TestWorkBudgets(t *testing.T) {
 		// each was made as often as calls and replies went out: 41,972
 		// and 41,972 under NFS, 52,889 and 52,889 under SNFS, none
 		// reused. The free lists now grow to the most ever held at once.
+		// Every call answered before its timeout leaves the event to come
+		// due on it, stale, and hold its Pending off the free list until then.
 		{harness.NFS, census{Pops: 361992, Switches: 142160, Spawns: 1227, Submits: 10000, Calls: 40771, RPC: rpc.Work{Heads: 41972, HeadBytes: 6036820,
-			PendingsMade: 5697, PendingsReused: 36275, HeadsMade: 228, HeadsReused: 41744}}},
+			PendingsMade: 5697, PendingsReused: 36275, HeadsMade: 228, HeadsReused: 41744, StaleTimeouts: 41968}}},
 		// While the sweep passed every client every interval, dirty or
 		// not: pops 782963, switches 340521, spawns 29, submits 178241.
 		{harness.SNFS, census{Pops: 447188, Switches: 172577, Spawns: 28, Submits: 10298, Calls: 50289, RPC: rpc.Work{Heads: 52889, HeadBytes: 6890632,
-			PendingsMade: 6939, PendingsReused: 45950, HeadsMade: 566, HeadsReused: 52323}}},
+			PendingsMade: 6939, PendingsReused: 45950, HeadsMade: 566, HeadsReused: 52323, StaleTimeouts: 52884}}},
 	}
 	for _, pin := range pins {
 		cfg, err := scenario.Named("web-asset")
@@ -123,8 +127,8 @@ func TestWorkBudgets(t *testing.T) {
 
 // TestAndrewHeadWork pins the wire-image work (rpc.Endpoint.Work) of one
 // RunAndrew per protocol, /tmp remote, seed 1: the heads built outside a
-// Pending and the bytes copied into heads, and the Pendings and reply
-// heads made and reused, setup included. A short block
+// Pending and the bytes copied into heads, the Pendings and reply heads
+// made and reused, and the stale timeouts, setup included. A short block
 // goes out as its message's tail, so no head holds file data: what the
 // heads carry is headers, names and attributes.
 func TestAndrewHeadWork(t *testing.T) {
@@ -138,20 +142,22 @@ func TestAndrewHeadWork(t *testing.T) {
 		// 6657 and 7104, head bytes 2904228, 1421844 and 1673428. Every
 		// head now is a reply's, one per call served. While none was
 		// recycled, each call made its Pending and each reply its head:
-		// 7153, 6504 and 6899 of each.
-		{harness.NFS, rpc.Work{Heads: 7153, HeadBytes: 1054520, PendingsMade: 156, PendingsReused: 6997, HeadsMade: 220, HeadsReused: 6933}},
-		{harness.SNFS, rpc.Work{Heads: 6504, HeadBytes: 868596, PendingsMade: 165, PendingsReused: 6339, HeadsMade: 172, HeadsReused: 6332}},
-		{harness.RFS, rpc.Work{Heads: 6899, HeadBytes: 930216, PendingsMade: 165, PendingsReused: 6734, HeadsMade: 162, HeadsReused: 6737}},
+		// 7153, 6504 and 6899 of each. A timeout comes due on each call
+		// answered before it, stale.
+		{harness.NFS, rpc.Work{Heads: 7153, HeadBytes: 1054520, PendingsMade: 156, PendingsReused: 6997, HeadsMade: 220, HeadsReused: 6933, StaleTimeouts: 7139}},
+		{harness.SNFS, rpc.Work{Heads: 6504, HeadBytes: 868596, PendingsMade: 165, PendingsReused: 6339, HeadsMade: 172, HeadsReused: 6332, StaleTimeouts: 6499}},
+		{harness.RFS, rpc.Work{Heads: 6899, HeadBytes: 930216, PendingsMade: 165, PendingsReused: 6734, HeadsMade: 162, HeadsReused: 6737, StaleTimeouts: 6885}},
 	} {
 		run, err := harness.RunAndrew(pin.pr, true, harness.Default())
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got, want := run.RPC, unrecycled(pin.want); got != want {
-			t.Errorf("%v andrew: heads %d (%+d), head bytes %d (%+d), pendings made %d (%+d) and reused %d (%+d), reply heads made %d (%+d) and reused %d (%+d)", pin.pr,
+			t.Errorf("%v andrew: heads %d (%+d), head bytes %d (%+d), pendings made %d (%+d) and reused %d (%+d), reply heads made %d (%+d) and reused %d (%+d), stale timeouts %d (%+d)", pin.pr,
 				got.Heads, got.Heads-want.Heads, got.HeadBytes, got.HeadBytes-want.HeadBytes,
 				got.PendingsMade, got.PendingsMade-want.PendingsMade, got.PendingsReused, got.PendingsReused-want.PendingsReused,
-				got.HeadsMade, got.HeadsMade-want.HeadsMade, got.HeadsReused, got.HeadsReused-want.HeadsReused)
+				got.HeadsMade, got.HeadsMade-want.HeadsMade, got.HeadsReused, got.HeadsReused-want.HeadsReused,
+				got.StaleTimeouts, got.StaleTimeouts-want.StaleTimeouts)
 		}
 	}
 }

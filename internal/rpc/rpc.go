@@ -230,6 +230,9 @@ type Work struct {
 	// HeadsMade counts the reply heads allocated, HeadsReused the replies
 	// built in one taken back from the endpoint's free list.
 	HeadsMade, HeadsReused int64
+	// StaleTimeouts counts the timeout events that came due on a call
+	// already answered.
+	StaleTimeouts int64
 }
 
 // Add returns the sum of w and v.
@@ -238,6 +241,7 @@ func (w Work) Add(v Work) Work {
 		Heads: w.Heads + v.Heads, HeadBytes: w.HeadBytes + v.HeadBytes,
 		PendingsMade: w.PendingsMade + v.PendingsMade, PendingsReused: w.PendingsReused + v.PendingsReused,
 		HeadsMade: w.HeadsMade + v.HeadsMade, HeadsReused: w.HeadsReused + v.HeadsReused,
+		StaleTimeouts: w.StaleTimeouts + v.StaleTimeouts,
 	}
 }
 
@@ -739,7 +743,9 @@ func (t *callTimeout) Due() {
 	if frozenCheck && c.refs <= 0 {
 		panic("rpc: a timeout came due on a released Pending")
 	}
-	if !c.replied {
+	if c.replied {
+		c.e.work.StaleTimeouts++
+	} else {
 		c.timedOut = true
 		c.wake()
 	}
