@@ -276,8 +276,10 @@ func TestDataPathAllocationBudgets(t *testing.T) {
 // trips: the walk scans the path string itself (vfs.Next) and its cwd
 // cache compares components in place (vfs.SamePath), so a Stat whose
 // directory is in the cwd cache allocates only what its one LOOKUP round
-// trip does: the LOOKUP's Pending, which its timeout holds past the pass
-// (2 while vfs.SplitPath built a slice of the path's components).
+// trip does, which is nothing: the LOOKUP's Pending goes back to the free
+// list as the reply withdraws its timeout, and the next Stat takes it up
+// (1 while the timeout held it past the pass, 2 while vfs.SplitPath built
+// a slice of the path's components).
 func TestWalkAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under -race")
@@ -304,9 +306,9 @@ func TestWalkAllocationBudget(t *testing.T) {
 		before := w.RPCWork()
 		objects, _, _ := heapCost(0, stat)
 		pendings := w.RPCWork().PendingsMade - before.PendingsMade
-		if err == nil && (pendings != stats || objects/stats > uint64(pendings)/stats) {
-			t.Errorf("a Stat in the cwd allocates %d objects and makes %d Pendings, budget its round trip's: 1 and 1",
-				objects/stats, pendings/stats)
+		if err == nil && (pendings != 0 || objects/stats > 0) {
+			t.Errorf("a Stat in the cwd allocates %d objects and makes %d Pendings in %d, budget 0 and 0",
+				objects/stats, pendings, stats)
 		}
 		return err
 	})

@@ -11,15 +11,16 @@ import (
 	"spritelynfs/internal/sim"
 )
 
-// census is the host work of one fleet run: the kernel's counts, the
+// census is the host work of one fleet run: the kernel's counts, events
+// withdrawn included, the
 // executor's submits, the RPC calls the fleet's clients sent, and the
 // wire-image heads every endpoint built, the Pendings and reply heads it
 // made and reused, and the timeouts that came due on answered calls
 // (rpc.Endpoint.Work). A web-asset file is a whole
 // number of words, so no head of a fleet run holds data.
 type census struct {
-	Pops, Switches, Spawns, Submits, Calls int64
-	RPC                                    rpc.Work
+	Pops, Switches, Spawns, Cancelled, Submits, Calls int64
+	RPC                                               rpc.Work
 }
 
 // unrecycled returns w as the release checker counts it: what is reused
@@ -42,6 +43,7 @@ func (c census) diff(want census) string {
 		{"pops", c.Pops, want.Pops},
 		{"switches", c.Switches, want.Switches},
 		{"spawns", c.Spawns, want.Spawns},
+		{"cancelled", c.Cancelled, want.Cancelled},
 		{"submits", c.Submits, want.Submits},
 		{"calls", c.Calls, want.Calls},
 		{"heads", c.RPC.Heads, want.RPC.Heads},
@@ -76,14 +78,23 @@ func TestWorkBudgets(t *testing.T) {
 		// each was made as often as calls and replies went out: 41,972
 		// and 41,972 under NFS, 52,889 and 52,889 under SNFS, none
 		// reused. The free lists now grow to the most ever held at once.
-		// Every call answered before its timeout leaves the event to come
-		// due on it, stale, and hold its Pending off the free list until then.
-		{harness.NFS, census{Pops: 361992, Switches: 142160, Spawns: 1227, Submits: 10000, Calls: 40771, RPC: rpc.Work{Heads: 41972, HeadBytes: 6036820,
-			PendingsMade: 5697, PendingsReused: 36275, HeadsMade: 228, HeadsReused: 41744, StaleTimeouts: 41968}}},
+		// While the kernel could not withdraw an event, every call answered
+		// before its timeout left the event to come due on it, stale, and
+		// hold its Pending off the free list until then: pops 361992 and
+		// 447188, Pendings made 5697 and 6939 (reused 36275 and 45950),
+		// stale timeouts 41968 and 52884. A reply now withdraws its
+		// timeout (Cancelled), so a Pending is held no longer than its
+		// call: Pendings made is the most calls in flight at once, summed
+		// over the endpoints. Each protocol withdraws the timeout of every
+		// call answered, 4 (NFS) and 5 (SNFS) more than came due stale:
+		// those of calls answered in the run's last second, which ended
+		// before they came due.
+		{harness.NFS, census{Pops: 320024, Switches: 142160, Spawns: 1227, Cancelled: 41972, Submits: 10000, Calls: 40771, RPC: rpc.Work{Heads: 41972, HeadBytes: 6036820,
+			PendingsMade: 1186, PendingsReused: 40786, HeadsMade: 228, HeadsReused: 41744}}},
 		// While the sweep passed every client every interval, dirty or
 		// not: pops 782963, switches 340521, spawns 29, submits 178241.
-		{harness.SNFS, census{Pops: 447188, Switches: 172577, Spawns: 28, Submits: 10298, Calls: 50289, RPC: rpc.Work{Heads: 52889, HeadBytes: 6890632,
-			PendingsMade: 6939, PendingsReused: 45950, HeadsMade: 566, HeadsReused: 52323, StaleTimeouts: 52884}}},
+		{harness.SNFS, census{Pops: 394304, Switches: 172577, Spawns: 28, Cancelled: 52889, Submits: 10298, Calls: 50289, RPC: rpc.Work{Heads: 52889, HeadBytes: 6890632,
+			PendingsMade: 1021, PendingsReused: 51868, HeadsMade: 566, HeadsReused: 52323}}},
 	}
 	for _, pin := range pins {
 		cfg, err := scenario.Named("web-asset")
@@ -96,7 +107,7 @@ func TestWorkBudgets(t *testing.T) {
 			t.Fatal(err)
 		}
 		w := res.Work
-		got := census{w.Pops, w.Switches, w.Spawns, w.Submits, res.CallsSent, w.RPC}
+		got := census{w.Pops, w.Switches, w.Spawns, w.Cancelled, w.Submits, res.CallsSent, w.RPC}
 		want := pin.want
 		want.RPC = unrecycled(want.RPC)
 		if d := got.diff(want); d != "" {
@@ -142,11 +153,14 @@ func TestAndrewHeadWork(t *testing.T) {
 		// 6657 and 7104, head bytes 2904228, 1421844 and 1673428. Every
 		// head now is a reply's, one per call served. While none was
 		// recycled, each call made its Pending and each reply its head:
-		// 7153, 6504 and 6899 of each. A timeout comes due on each call
-		// answered before it, stale.
-		{harness.NFS, rpc.Work{Heads: 7153, HeadBytes: 1054520, PendingsMade: 156, PendingsReused: 6997, HeadsMade: 220, HeadsReused: 6933, StaleTimeouts: 7139}},
-		{harness.SNFS, rpc.Work{Heads: 6504, HeadBytes: 868596, PendingsMade: 165, PendingsReused: 6339, HeadsMade: 172, HeadsReused: 6332, StaleTimeouts: 6499}},
-		{harness.RFS, rpc.Work{Heads: 6899, HeadBytes: 930216, PendingsMade: 165, PendingsReused: 6734, HeadsMade: 162, HeadsReused: 6737, StaleTimeouts: 6885}},
+		// 7153, 6504 and 6899 of each. While each answered call's timeout
+		// came due on it, stale (7139, 6499 and 6885 of them), and held
+		// its Pending until then, Pendings made were 156, 165 and 165;
+		// now a reply withdraws the timeout, and they are the most calls
+		// in flight at once.
+		{harness.NFS, rpc.Work{Heads: 7153, HeadBytes: 1054520, PendingsMade: 5, PendingsReused: 7148, HeadsMade: 220, HeadsReused: 6933}},
+		{harness.SNFS, rpc.Work{Heads: 6504, HeadBytes: 868596, PendingsMade: 2, PendingsReused: 6502, HeadsMade: 172, HeadsReused: 6332}},
+		{harness.RFS, rpc.Work{Heads: 6899, HeadBytes: 930216, PendingsMade: 5, PendingsReused: 6894, HeadsMade: 162, HeadsReused: 6737}},
 	} {
 		run, err := harness.RunAndrew(pin.pr, true, harness.Default())
 		if err != nil {

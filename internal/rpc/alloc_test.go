@@ -15,10 +15,10 @@ import (
 // the floor under every server and client operation — with every
 // instrument off: an instrument that is off costs nothing here, and
 // neither does the bookkeeping. The reply's head goes back to the
-// server's free list once the caller has read it, and what is left is the
-// call's Pending, which holds its small wire image: its 1 s timeout event
-// holds it too, and the 200 calls here, 2 ms apart, all come before the
-// first timeout is due (TestPendingWaitsForItsTimeout reuses one).
+// server's free list once the caller has read it, and the call's Pending,
+// which holds its small wire image, goes back to the client's once the
+// reply has withdrawn its timeout and the caller let go, so each call
+// takes up the last one's (TestAnsweredCallFreesItsPending).
 func TestNullRoundTripAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under -race")
@@ -26,7 +26,7 @@ func TestNullRoundTripAllocs(t *testing.T) {
 	if frozenCheck {
 		t.Skip("the release checker reuses no Pending")
 	}
-	const budget = 1 // 2 while each reply made its head; 3 while the call image was an object of its own; 16 with a signal, closures and a dup entry per call
+	const budget = 0 // 1 while the timeout event held the Pending past the call; 2 while each reply made its head; 3 while the call image was an object of its own; 16 with a signal, closures and a dup entry per call
 	for _, pool := range pools {
 		k := sim.NewKernel(1)
 		client, server := newPair(k, simnet.Config{PropDelay: sim.Millisecond}, Options{Exec: pool.exec(k)})

@@ -33,12 +33,12 @@ func released(c *Pending) bool {
 // that no other call's image shares.
 func token(b byte, n int) []byte { return bytes.Repeat([]byte{b}, n) }
 
-// TestPendingWaitsForItsTimeout: a call answered in 2 ms leaves its 1 s
-// timeout event in the kernel, which holds the Pending: the caller's next
-// call makes another, and only once the event has come due is the first
-// back on the free list. Reused before, the event would time out a call
-// that is not its own.
-func TestPendingWaitsForItsTimeout(t *testing.T) {
+// TestAnsweredCallFreesItsPending: a call answered in 2 ms withdraws its
+// 1 s timeout event as the reply lands, so once the caller lets go its
+// Pending is back on the free list, and the caller's next call takes it
+// up at once. No event comes due on it later: nothing is woken, retried
+// or timed out by a timeout that is not its call's.
+func TestAnsweredCallFreesItsPending(t *testing.T) {
 	k := sim.NewKernel(1)
 	client, server := newPair(k, simnet.Config{PropDelay: sim.Millisecond}, Options{})
 	server.Register(testProg, tokenHandler)
@@ -48,22 +48,22 @@ func TestPendingWaitsForItsTimeout(t *testing.T) {
 		if err := first.wait(p); err != nil || p.Now() != sim.Time(2*sim.Millisecond) {
 			t.Fatalf("first call: %v at %v, want an answer at 2ms", err, p.Now())
 		}
+		if first.refs != 1 || first.timer != (sim.Timer{}) {
+			t.Errorf("answered call still holds its timeout (refs %d, timer %v)", first.refs, first.timer)
+		}
 		first.done()
-		if released(first) || first.refs != 1 {
-			t.Errorf("answered call let go with its timeout outstanding (refs %d)", first.refs)
+		if !released(first) {
+			t.Fatalf("answered call not let go (refs %d)", first.refs)
 		}
 		second := client.start(p, "server", testProg, 1, 1, rawBody(token(2, 8)).XDR, CallTimeout, MaxRetries)
-		if second == first {
-			t.Error("the Pending was reused while its timeout event was outstanding")
+		if !frozenCheck && second != first {
+			t.Error("the second call did not reuse the first's Pending")
 		}
 		if err := second.wait(p); err != nil || !bytes.Equal(second.body, token(2, 8)) {
 			t.Errorf("second call: %v, body %x", err, second.body)
 		}
 		second.done()
-		p.Sleep(CallTimeout) // both timeouts come due
-		if !released(first) || !released(second) {
-			t.Fatalf("after their timeouts: first released %v, second %v", released(first), released(second))
-		}
+		p.Sleep(2 * CallTimeout) // past where both timeouts would have come due
 		third := client.start(p, "server", testProg, 1, 1, rawBody(token(3, 8)).XDR, CallTimeout, MaxRetries)
 		if err := third.wait(p); err != nil || !bytes.Equal(third.body, token(3, 8)) {
 			t.Errorf("third call: %v, body %x", err, third.body)
@@ -72,16 +72,19 @@ func TestPendingWaitsForItsTimeout(t *testing.T) {
 		switch {
 		case frozenCheck && !bytes.Equal(first.inline[:], token(0xA5, inlineImage)):
 			t.Errorf("released Pending's image not scribbled: %x", first.inline)
-		case !frozenCheck && third != second:
-			t.Error("the third call did not reuse the last Pending released")
+		case !frozenCheck && third != first:
+			t.Error("the third call did not reuse the one Pending")
 		}
 	})
 	k.Run()
-	if w := client.Work(); !frozenCheck && (w.PendingsMade != 2 || w.PendingsReused != 1) {
-		t.Errorf("Pendings made %d and reused %d, want 2 and 1", w.PendingsMade, w.PendingsReused)
+	if w := client.Work(); !frozenCheck && (w.PendingsMade != 1 || w.PendingsReused != 2) {
+		t.Errorf("Pendings made %d and reused %d, want 1 and 2", w.PendingsMade, w.PendingsReused)
 	}
-	if st := client.Stats(); st.Retransmits != 0 || st.Timeouts != 0 {
-		t.Errorf("%d retransmits, %d timeouts: a stale event timed a call out", st.Retransmits, st.Timeouts)
+	if n := k.Work().Cancelled; n != 3 {
+		t.Errorf("%d timeouts withdrawn, want one per call: 3", n)
+	}
+	if st, w := client.Stats(), client.Work(); st.Retransmits != 0 || st.Timeouts != 0 || w.StaleTimeouts != 0 {
+		t.Errorf("%d retransmits, %d timeouts, %d stale timeouts: an answered call's event came due", st.Retransmits, st.Timeouts, w.StaleTimeouts)
 	}
 }
 
@@ -138,18 +141,29 @@ func TestDuplicateCallAfterReply(t *testing.T) {
 // TestLateDuplicateReexecuted: a duplicate that finds its call evicted
 // from the duplicate cache — here by a seeded entry between the two
 // arrivals, in a cache of one slot — is executed again, by a handler that
-// reads its arguments 50 ms later, after the caller has its answer and has
-// gone on to other calls. The copy in service holds the image, so the
-// late handler reads the arguments the caller sent.
+// reads its arguments 200 ms later, long after the caller has its answer
+// and has gone on to other calls. The copy in service holds the image, so
+// the caller's Pending stays off the free list while it is served, and
+// the late handler reads the arguments the caller sent.
 func TestLateDuplicateReexecuted(t *testing.T) {
 	k := sim.NewKernel(1)
 	client, server := newPair(k, simnet.Config{PropDelay: sim.Millisecond, BytesPerSec: 1_250_000, DupProb: 1}, Options{})
 	server.dup = newDupCache(1, &server.stats.DupEvictions)
 	args := token(9, 40)
+	var c *Pending
 	var seen [][]byte
+	var runs int
+	var answered bool
 	server.Serve(testProg, func(p *sim.Proc, _ simnet.Addr, proc uint32, a, _ []byte) (Reply, Status) {
 		if proc == 1 {
-			p.Sleep(50 * sim.Millisecond)
+			if runs++; runs == 1 {
+				p.Sleep(50 * sim.Millisecond)
+			} else {
+				p.Sleep(200 * sim.Millisecond) // the re-executed copy
+				if !answered || released(c) {
+					t.Errorf("re-executed copy in service: caller answered %v, Pending released %v", answered, released(c))
+				}
+			}
 			seen = append(seen, bytes.Clone(a))
 		}
 		return Encode(nil), StatusOK
@@ -163,9 +177,12 @@ func TestLateDuplicateReexecuted(t *testing.T) {
 	})
 	k.Go("caller", func(p *sim.Proc) {
 		defer k.Stop()
-		if err := client.CallXDR(p, "server", testProg, 1, 1, rawBody(args).XDR, nil); err != nil {
+		c = client.start(p, "server", testProg, 1, 1, rawBody(args).XDR, CallTimeout, MaxRetries)
+		if err := c.wait(p); err != nil {
 			t.Errorf("call: %v", err)
 		}
+		c.done()
+		answered = true
 		for i := 0; i < 4; i++ { // calls that would reuse a Pending let go too early
 			if err := client.CallXDR(p, "server", testProg, 1, 2, rawBody(token(byte(i), 40)).XDR, nil); err != nil {
 				t.Errorf("call %d: %v", i, err)
@@ -182,8 +199,11 @@ func TestLateDuplicateReexecuted(t *testing.T) {
 			t.Errorf("execution %d read %x, want %x", i, a, args)
 		}
 	}
-	if w := client.Work(); !frozenCheck && w.PendingsMade < 2 {
-		t.Errorf("%d Pendings made: the one in service was reused", w.PendingsMade)
+	if !released(c) {
+		t.Errorf("Pending still held once the re-executed copy was served (refs %d)", c.refs)
+	}
+	if w := client.Work(); !frozenCheck && w.PendingsMade != 2 {
+		t.Errorf("%d Pendings made, want 2: the one in service, and one the other calls reuse", w.PendingsMade)
 	}
 }
 

@@ -587,10 +587,11 @@ type Pending struct {
 	wireTail []byte // and its tail, nil for a call sent whole
 	timeout  sim.Duration
 	retries  int
-	issued   sim.Time // when the call was first put on the wire
-	sent     sim.Time // when the current attempt was put on the wire
-	refs     int32    // holders, as above; < 0 once released (frozencheck)
-	next     *Pending // the next free Pending, while on the free list
+	issued   sim.Time  // when the call was first put on the wire
+	sent     sim.Time  // when the current attempt was put on the wire
+	timer    sim.Timer // the attempt's timeout event, until it comes due or is withdrawn
+	refs     int32     // holders, as above; < 0 once released (frozencheck)
+	next     *Pending  // the next free Pending, while on the free list
 
 	// The reply slot, and the wait on it.
 	replied  bool
@@ -711,12 +712,18 @@ func (e *Endpoint) send(c *Pending) {
 }
 
 // deliver fills the reply slot, taking over the delivered copy's
-// reference to the reply's head, and wakes the caller if it is parked on
-// it. Only the first reply counts: handleMsg drops a duplicate made by the
-// network, or the answer to a retransmission that crossed the first
-// answer, before it gets here.
+// reference to the reply's head, withdraws the attempt's timeout event and
+// its reference, and wakes the caller if it is parked on it. Only the
+// first reply counts: handleMsg drops a duplicate made by the network, or
+// the answer to a retransmission that crossed the first answer, before it
+// gets here. The caller still holds the call, so the release is never the
+// last.
 func (c *Pending) deliver(status Status, body, tail []byte, owner simnet.Owner) {
 	c.replied, c.status, c.body, c.tail, c.reply = true, status, body, tail, owner
+	if c.e.k.Cancel(c.timer) {
+		c.release()
+	}
+	c.timer = sim.Timer{}
 	c.wake()
 }
 
@@ -743,6 +750,7 @@ func (t *callTimeout) Due() {
 	if frozenCheck && c.refs <= 0 {
 		panic("rpc: a timeout came due on a released Pending")
 	}
+	c.timer = sim.Timer{}
 	if c.replied {
 		c.e.work.StaleTimeouts++
 	} else {
@@ -763,7 +771,7 @@ func (c *Pending) await(p *sim.Proc, d sim.Duration) bool {
 	}
 	c.timedOut = false
 	c.hold() // the timeout event's
-	c.e.k.AfterFixed(d, (*callTimeout)(c))
+	c.timer = c.e.k.AfterFixed(d, (*callTimeout)(c))
 	for !c.replied && !c.timedOut {
 		c.waiter = p
 		p.Park()

@@ -772,11 +772,10 @@ func TestReplyAfterLastTimeout(t *testing.T) {
 	}
 }
 
-// TestStaleTimeoutWakesNobody: the kernel cannot withdraw an event, so a
-// call answered in 2 ms leaves its 1 s timeout on the heap. When that
-// comes due the caller is long gone — parked on something else, here —
-// and must be left alone; the completed call meanwhile holds neither its
-// reply nor its wire image, which the stale event would otherwise pin.
+// TestStaleTimeoutWakesNobody: a call answered in 2 ms withdraws its 1 s
+// timeout. At 1 s, where the event would have come due, the caller is
+// long gone — parked on something else, here — and must be left alone;
+// the completed call meanwhile holds neither its reply nor its wire image.
 func TestStaleTimeoutWakesNobody(t *testing.T) {
 	k := sim.NewKernel(1)
 	client, server := newPair(k, simnet.Config{PropDelay: sim.Millisecond}, Options{})
@@ -798,15 +797,15 @@ func TestStaleTimeoutWakesNobody(t *testing.T) {
 		resumed = p.Now()
 	})
 	k.Go("warden", func(p *sim.Proc) {
-		p.Sleep(3 * sim.Second) // the stale timeout came due at 1 s
+		p.Sleep(3 * sim.Second) // past 1 s, where the timeout would have come due
 		caller.Unpark()
 	})
 	k.Run()
 	if resumed != sim.Time(3*sim.Second) {
 		t.Errorf("caller resumed at %v, want 3s: the stale timeout woke it", resumed)
 	}
-	if client.Stats().Retransmits != 0 {
-		t.Errorf("%d retransmits", client.Stats().Retransmits)
+	if n, st := k.Work().Cancelled, client.Work().StaleTimeouts; client.Stats().Retransmits != 0 || n != 1 || st != 0 {
+		t.Errorf("%d retransmits, %d timeouts withdrawn, %d stale: want 0, 1 and 0", client.Stats().Retransmits, n, st)
 	}
 }
 

@@ -83,9 +83,10 @@ type Kernel struct {
 // tree each count is exact, as virtual time is, so a change that moves
 // host work shows as a signed count where wall time would wander.
 type KernelWork struct {
-	Pops     int64 // events taken off the queue and run
-	Switches int64 // resumptions of a live process
-	Spawns   int64 // processes created
+	Pops      int64 // events taken off the queue and run
+	Switches  int64 // resumptions of a live process
+	Spawns    int64 // processes created
+	Cancelled int64 // events withdrawn before they came due (Cancel)
 }
 
 // Work returns the kernel's host-work counts so far.
@@ -147,13 +148,14 @@ func (k *Kernel) After(d Duration, fn func()) {
 }
 
 // AfterFixed schedules t to come due d from now, in the kernel's lane for
-// delay d, where a schedule costs O(1) instead of a heap sift. d must be a
+// delay d, where a schedule costs O(1) instead of a heap sift, and so
+// does withdrawing it by the Timer it returns (Cancel). d must be a
 // constant of the caller's program — a configured propagation delay, a
 // timeout — not a value drawn per call: the lane is in time order only
 // because now + d never goes back, and each distinct d opens a lane that
 // every later event pays to scan. A delay that varies goes to After.
-func (k *Kernel) AfterFixed(d Duration, t Target) {
-	k.push(k.fixedLane(d), k.now.Add(d), t)
+func (k *Kernel) AfterFixed(d Duration, t Target) Timer {
+	return k.push(k.fixedLane(d), k.now.Add(d), t)
 }
 
 // Go creates a new process named name and schedules it to start

@@ -23,10 +23,17 @@ const maxTime = Time(math.MaxInt64)
 //     come due at now + d.
 //
 // A push that would go back is a bug in its caller, and panics.
+//
+// An event can be withdrawn in place (Cancel): its slot keeps its instant
+// and seq but loses its target, and is dropped, never run, when it
+// reaches the front. A non-empty lane's front is always live, so next
+// reads it as it would an unwithdrawn one, and every event that survives
+// comes due in the (at, seq) order it had.
 type lane struct {
 	ring []event // a power-of-two length once the lane is first used
 	head int     // index of the front event in ring
-	n    int     // events held
+	n    int     // events held, withdrawn ones behind the front included
+	base uint64  // the position of the front: events removed so far
 	last Time    // the instant of the last push
 	slot int     // index in Kernel.lanes while n > 0
 
@@ -48,10 +55,20 @@ func (l *lane) String() string {
 	}
 }
 
+// A Timer names an event AfterFixed scheduled, for Cancel: its lane and
+// its position there, counted from the lane's first push, so that ring
+// growth, which moves the event's index, leaves the position as it was.
+// The zero Timer names no event.
+type Timer struct {
+	l   *lane
+	pos uint64
+}
+
 // push appends t to come due at at in lane l, or in the same-instant lane
 // when at is now, so a zero-cost service or a zero delay adds no lane to
-// next's scan. It takes one seq, as any schedule does.
-func (k *Kernel) push(l *lane, at Time, t Target) {
+// next's scan. It takes one seq, as any schedule does, and returns the
+// event's Timer.
+func (k *Kernel) push(l *lane, at Time, t Target) Timer {
 	if at <= k.now {
 		l, at = &k.instant, k.now
 	}
@@ -71,6 +88,7 @@ func (k *Kernel) push(l *lane, at Time, t Target) {
 		l.slot = len(k.lanes)
 		k.lanes = append(k.lanes, l)
 	}
+	return Timer{l, l.base + uint64(l.n-1)}
 }
 
 // grow doubles the ring, unwrapping it to start at index 0.
@@ -82,20 +100,53 @@ func (l *lane) grow() {
 	l.ring, l.head = ring, 0
 }
 
-// shift removes and returns l's front event. A lane it empties leaves the
-// kernel's set of non-empty lanes.
+// shift removes and returns l's front event.
 func (k *Kernel) shift(l *lane) event {
 	e := l.ring[l.head]
 	l.ring[l.head].run = nil // release the target for GC
-	l.head = (l.head + 1) & (len(l.ring) - 1)
-	if l.n--; l.n == 0 {
+	k.advance(l)
+	return e
+}
+
+// advance removes l's front event, and the withdrawn ones behind it, so
+// that the front is live again. A lane it empties leaves the kernel's set
+// of non-empty lanes.
+func (k *Kernel) advance(l *lane) {
+	for {
+		l.head = (l.head + 1) & (len(l.ring) - 1)
+		l.base++
+		if l.n--; l.n == 0 || l.ring[l.head].run != nil {
+			break
+		}
+	}
+	if l.n == 0 {
 		last := k.lanes[len(k.lanes)-1]
 		last.slot = l.slot
 		k.lanes[l.slot] = last
 		k.lanes[len(k.lanes)-1] = nil
 		k.lanes = k.lanes[:len(k.lanes)-1]
 	}
-	return e
+}
+
+// Cancel withdraws the event t names, in O(1): it is never run and never
+// counted as a pop, and every other event comes due as it would have. It
+// reports whether it withdrew one: false for the zero Timer, or for an
+// event that has come due or was withdrawn already.
+func (k *Kernel) Cancel(t Timer) bool {
+	l := t.l
+	if l == nil || t.pos < l.base || t.pos-l.base >= uint64(l.n) {
+		return false
+	}
+	e := &l.ring[(l.head+int(t.pos-l.base))&(len(l.ring)-1)]
+	if e.run == nil {
+		return false
+	}
+	e.run = nil
+	k.work.Cancelled++
+	if t.pos == l.base {
+		k.advance(l)
+	}
+	return true
 }
 
 // fixedLane returns the lane of delay d, opening it on first use. A kernel

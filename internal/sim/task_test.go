@@ -374,6 +374,85 @@ func TestLanePushBackPanics(t *testing.T) {
 	}
 }
 
+// TestCancel: an event withdrawn from a fixed-delay lane never runs and
+// is never popped, and every other event runs in the (at, seq) order it
+// had. A driver pushes 150 events into a 100 µs lane, a microsecond apart,
+// each beside one in a 30 µs lane and one in the heap, and withdraws some
+// as it goes: at the lane's front, in its middle and at its back, across
+// the ring's growths to 64 and 128 slots, a run behind the front that
+// goes when the front does, and one that has already come due, which
+// Cancel must refuse, as it must a second withdrawal or the zero Timer.
+// The survivors must run as they did in a run that withdrew nothing.
+func TestCancel(t *testing.T) {
+	const n = 150
+	plan := map[int][]struct {
+		id   int
+		want bool
+	}{
+		5:   {{0, true}, {3, true}, {5, true}},   // front, middle, back
+		40:  {{1, true}, {10, true}, {20, true}}, // the front again, after two growths
+		70:  {{40, true}, {69, true}},            // across the growth to 128
+		120: {{15, false}, {60, true}, {3, false}, {-1, false}},
+		149: {{51, true}, {52, true}, {50, true}}, // 50 is the front: 51 and 52 go with it
+	}
+	run := func(withdraw bool) (got []int, w KernelWork) {
+		k := NewKernel(1)
+		var timers [n]Timer
+		k.Go("driver", func(p *Proc) {
+			for i := 0; i < n; i++ {
+				timers[i] = k.AfterFixed(100*Microsecond, &logTarget{&got, i})
+				k.AfterFixed(30*Microsecond, &logTarget{&got, 1000 + i})
+				k.After(Duration(i%7)*20*Microsecond, closure(func() { got = append(got, 2000+i) }))
+				for _, c := range plan[i] {
+					if !withdraw {
+						continue
+					}
+					var tm Timer
+					if c.id >= 0 {
+						tm = timers[c.id]
+					}
+					if ok := k.Cancel(tm); ok != c.want {
+						t.Errorf("at %v: Cancel of event %d = %v, want %v", p.Now(), c.id, ok, c.want)
+					}
+				}
+				p.Sleep(Microsecond)
+			}
+		})
+		k.Run()
+		return got, k.Work()
+	}
+	all, w0 := run(false)
+	got, w := run(true)
+	var want []int
+	withdrawn := map[int]bool{}
+	for _, cs := range plan {
+		for _, c := range cs {
+			withdrawn[c.id] = withdrawn[c.id] || c.want
+		}
+	}
+	for _, id := range all {
+		if !withdrawn[id] {
+			want = append(want, id)
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("survivors ran out of order:\n got %v\nwant %v", got, want)
+	}
+	if cancelled := int64(len(all) - len(want)); w.Cancelled != cancelled || w.Pops != w0.Pops-cancelled {
+		t.Errorf("%d withdrawn and %d popped, want %d and %d", w.Cancelled, w.Pops, cancelled, w0.Pops-cancelled)
+	}
+
+	// A lane whose one event is withdrawn leaves the set next scans.
+	k := NewKernel(1)
+	tm := k.AfterFixed(Second, closure(func() { t.Error("a withdrawn event ran") }))
+	if !k.Cancel(tm) || len(k.lanes) != 0 || k.Cancel(tm) {
+		t.Errorf("the one event withdrawn: %d lanes left non-empty", len(k.lanes))
+	}
+	if k.Run(); k.Now() != 0 || k.Work().Pops != 0 {
+		t.Errorf("a kernel holding only a withdrawn event ran to %v, %d pops", k.Now(), k.Work().Pops)
+	}
+}
+
 // TestWakeupsAllocateNothing holds what the typed event bought: putting a
 // process to sleep, through a resource, waking it from a signal, handing
 // a pre-bound job to an idle executor worker, and a target given to
