@@ -1541,9 +1541,7 @@ func (f *file) Sync(p *sim.Proc) error {
 }
 
 // Attr implements vfs.File through the attribute cache, with the length
-// this client's own unflushed writes have reached (never for a
-// write-shared file, whose attributes are always fetched and whose length
-// other writers move, §4.2.1).
+// this client's own unflushed writes have reached (ownSize).
 func (f *file) Attr(p *sim.Proc) (proto.Fattr, error) {
 	b, n := f.b, f.n
 	defer b.syscall(p, "attr").End()
@@ -1551,10 +1549,18 @@ func (f *file) Attr(p *sim.Proc) (proto.Fattr, error) {
 	if err != nil {
 		return proto.Fattr{}, err
 	}
+	return b.ownSize(n, a), nil
+}
+
+// ownSize returns a with the length this client's own unflushed writes to
+// n have reached, where that is longer: never for a write-shared file,
+// whose attributes are always fetched and whose length other writers
+// move (§4.2.1).
+func (b *Base) ownSize(n *node, a proto.Fattr) proto.Fattr {
 	if n.size > a.Size && !b.attrs.writeShared(n) {
 		a.Size = n.size
 	}
-	return a, nil
+	return a
 }
 
 // create is the create arm of an open; it returns the file's node.
@@ -1711,10 +1717,19 @@ func (b *Base) Rename(p *sim.Proc, oldrel, newrel string) error {
 	return st.Err()
 }
 
-// Stat implements vfs.FS: path resolution alone delivers attributes.
+// Stat implements vfs.FS: path resolution alone delivers attributes, to
+// which a file with writes of this client's not yet at the server, dirty
+// or in flight, adds the length they reached, as Attr does (ownSize), so
+// stat and fstat agree on a file with delayed writes. Of any other file
+// the server's length stands: the node's may be one another client has
+// since truncated.
 func (b *Base) Stat(p *sim.Proc, rel string) (proto.Fattr, error) {
 	defer b.syscall(p, "stat").End()
-	_, attr, err := b.walk(p, rel, true)
+	h, attr, err := b.walk(p, rel, true)
+	n, ok := b.nodes[h.Ino]
+	if err == nil && ok && n.h == h && (b.cache.HasDirty(b.cfg.Root.FSID, h.Ino) || n.pending.Pending() > 0) {
+		attr = b.ownSize(n, attr)
+	}
 	return attr, err
 }
 

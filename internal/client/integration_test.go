@@ -352,6 +352,57 @@ func TestSNFSSequentialSharingViaCallback(t *testing.T) {
 	})
 }
 
+// TestStatMatchesFstat: a stat of a file this client holds dirty reports
+// the length its writes reached, as fstat (File.Attr) does, open or
+// closed, though the LOOKUP that resolved the path returned the server's
+// shorter one. Once another client has truncated the file, and nothing of
+// it is dirty here, stat reports the server's length again.
+func TestStatMatchesFstat(t *testing.T) {
+	for _, useSNFS := range []bool{false, true} {
+		w := newWorld(1, useSNFS, 4, server.SNFSOptions{})
+		var a, b vfs.FS
+		if useSNFS {
+			a, b = w.addSNFS("clientA", client.SNFSOptions{}), w.addSNFS("clientB", client.SNFSOptions{})
+		} else {
+			a, b = w.addNFS("clientA", client.NFSOptions{}), w.addNFS("clientB", client.NFSOptions{})
+		}
+		name := map[bool]string{false: "NFS", true: "SNFS"}[useSNFS]
+		run(t, w.k, func(p *sim.Proc) {
+			f, err := a.Open(p, "f.dat", vfs.WriteOnly|vfs.Create, 0o644)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.WriteAt(p, 0, fill(5000, 'g')); err != nil {
+				t.Fatal(err)
+			}
+			fa, err := f.Attr(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sa, err := a.Stat(p, "f.dat")
+			if err != nil || sa.Size != fa.Size || fa.Size != 5000 {
+				t.Errorf("%s: open with 5000 bytes written, stat says %d (%v), fstat %d", name, sa.Size, err, fa.Size)
+			}
+			if err := f.Close(p); err != nil {
+				t.Fatal(err)
+			}
+			if sa, err := a.Stat(p, "f.dat"); err != nil || sa.Size != 5000 {
+				t.Errorf("%s: closed, stat says %d (%v), want 5000", name, sa.Size, err)
+			}
+			g, err := b.Open(p, "f.dat", vfs.WriteOnly|vfs.Truncate, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := g.Close(p); err != nil {
+				t.Fatal(err)
+			}
+			if sa, err := a.Stat(p, "f.dat"); err != nil || sa.Size != 0 {
+				t.Errorf("%s: truncated by another client, stat says %d (%v), want 0", name, sa.Size, err)
+			}
+		})
+	}
+}
+
 func TestSNFSConcurrentWriteSharingIsConsistent(t *testing.T) {
 	// The paper's headline guarantee: reader and writer concurrently
 	// open, caching disabled for both, every read sees the latest
@@ -1272,6 +1323,35 @@ func TestSNFSNameCacheOwnMutationsVisible(t *testing.T) {
 		}
 		if _, err := c.Stat(p, "d/c"); err != nil {
 			t.Errorf("own rename dest not visible: %v", err)
+		}
+	})
+}
+
+// TestSNFSNameCacheFailedMutationKeepsDelayedWrites: a mutation that
+// names a regular file as its directory fails ENOTDIR, and must leave the
+// file's version alone: bumped, it would make the writer's next open drop
+// its delayed writes as a stale copy, and the data would never reach the
+// server.
+func TestSNFSNameCacheFailedMutationKeepsDelayedWrites(t *testing.T) {
+	w := newWorld(1, true, 4, server.SNFSOptions{NameCacheProtocol: true})
+	c := w.addSNFS("clientA", client.SNFSOptions{NameCache: true})
+	want := fill(5000, 'n')
+	run(t, w.k, func(p *sim.Proc) {
+		writeThrough(t, p, c, "f", want)
+		if err := c.Mkdir(p, "f/sub", 0o755); err == nil {
+			t.Error("mkdir under a regular file succeeded")
+		}
+		if got := readBack(t, p, c, "f", 10000); !bytes.Equal(got, want) {
+			t.Errorf("read back %d bytes after a failed mkdir under the file, want %d", len(got), len(want))
+		}
+		c.SyncPass(p)
+		st := w.media.Store()
+		a, err := st.Lookup(st.Root(), "f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.Size != int64(len(want)) {
+			t.Errorf("server holds %d bytes of f, want %d", a.Size, len(want))
 		}
 	})
 }

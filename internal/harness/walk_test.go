@@ -94,7 +94,6 @@ func TestPathTable(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			ns.SyncAll(p) // SNFS's delayed write home: a Stat reports the server's size
 			for _, l := range links {
 				if err := ns.Symlink(p, l[1], l[0]); err != nil {
 					return err

@@ -253,7 +253,10 @@ func (s *SNFSServer) serve(p *sim.Proc, from simnet.Addr, proc uint32, args, tai
 // invalidateNameCaches runs before a namespace mutation: every other
 // client holding a caching read-open on the affected directory is called
 // back to drop its cached name translations (§7 extension). The mutation
-// itself then proceeds normally.
+// itself then proceeds normally. A handle that is not a live directory
+// is left alone, as the mutation will fail: bumped, a regular file's
+// version would make its last writer's next open drop its delayed writes
+// as stale.
 func (s *SNFSServer) invalidateNameCaches(p *sim.Proc, from simnet.Addr, proc uint32, a *callArgs) {
 	names, n := a.dirNames(proc)
 	if n == 2 && names[1].dir == names[0].dir {
@@ -261,6 +264,9 @@ func (s *SNFSServer) invalidateNameCaches(p *sim.Proc, from simnet.Addr, proc ui
 	}
 	cid := core.ClientID(from)
 	for _, nm := range names[:n] {
+		if attr, st := s.handle(nm.dir); st != proto.OK || attr.Type != localfs.TypeDirectory {
+			continue
+		}
 		lk := s.lockFor(nm.dir)
 		lk.Lock(p)
 		s.deliver(p, s.table.InvalidateReaders(nm.dir, cid)...)
