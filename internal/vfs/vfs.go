@@ -238,32 +238,46 @@ func (ns *Namespace) Mount(prefix string, fs FS) {
 	ns.mounts = append(ns.mounts, mount{prefix: prefix, fs: fs})
 }
 
-// Resolve maps an absolute path to its mount and FS-relative path.
+// Resolve maps an absolute path to its mount and FS-relative path. A
+// prefix matches whole components, read as a walk reads them (Next), so
+// "//tmp/f", "/./tmp/f" and "/tmp//f" are all under "/tmp", and "/tmpx/f"
+// is not.
 func (ns *Namespace) Resolve(path string) (FS, string, error) {
 	if !strings.HasPrefix(path, "/") {
 		return nil, "", fmt.Errorf("vfs: path %q not absolute", path)
 	}
 	var best *mount
+	var rel string
 	for i := range ns.mounts {
 		m := &ns.mounts[i]
-		if m.prefix == "/" {
-			if best == nil {
-				best = m
-			}
+		if best != nil && len(m.prefix) <= len(best.prefix) {
 			continue
 		}
-		if path == m.prefix || strings.HasPrefix(path, m.prefix+"/") {
-			if best == nil || len(m.prefix) > len(best.prefix) {
-				best = m
-			}
+		if rest, ok := under(path, m.prefix); ok {
+			best, rel = m, rest
 		}
 	}
 	if best == nil {
 		return nil, "", fmt.Errorf("vfs: no mount for %q", path)
 	}
-	rel := strings.TrimPrefix(path, best.prefix)
-	rel = strings.TrimPrefix(rel, "/")
 	return best.fs, rel, nil
+}
+
+// under reports whether path begins with every component of prefix, and
+// returns the path after them.
+func under(path, prefix string) (rest string, ok bool) {
+	rest = trim(path)
+	for {
+		want, more := Next(prefix)
+		if want == "" {
+			return rest, true
+		}
+		var got string
+		if got, rest = Next(rest); got != want {
+			return "", false
+		}
+		prefix = more
+	}
 }
 
 // Open opens an absolute path.

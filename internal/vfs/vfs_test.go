@@ -110,6 +110,14 @@ func TestResolveLongestPrefixWins(t *testing.T) {
 		{"/usr/tmp/y", usrTmpFS, "y"},
 		{"/usr/other", rootFS, "usr/other"},
 		{"/", rootFS, ""},
+		// A prefix matches whole components, as a walk reads them.
+		{"//tmp/f", tmpFS, "f"},
+		{"/./tmp/f", tmpFS, "f"},
+		{"/tmp//f", tmpFS, "f"},
+		{"/tmp/./f", tmpFS, "f"},
+		{"/tmpx/f", rootFS, "tmpx/f"},
+		{"/usr//tmp/y", usrTmpFS, "y"},
+		{"/usr/tmpx/y", rootFS, "usr/tmpx/y"},
 	}
 	for _, c := range cases {
 		fs, rel, err := ns.Resolve(c.path)
