@@ -52,10 +52,6 @@ type attrCache struct {
 	stats    AttrCacheStats
 }
 
-func newAttrCache(b *Base) *attrCache {
-	return &attrCache{b: b, probeMin: 3 * sim.Second, probeMax: 150 * sim.Second}
-}
-
 // writeShared reports whether the file is open and uncachable — the
 // server disabled caching because of concurrent write sharing. A node
 // that is not in use has a zero record and is never write-shared; the
@@ -158,9 +154,7 @@ func (ac *attrCache) observedChange(n *node, a proto.Fattr) {
 	if ac.policy != attrPolicyProbe || !n.attrInit || a.Mtime == n.attr.Mtime {
 		return
 	}
-	hasPending := ac.b.cache.HasDirty(ac.b.cfg.Root.FSID, n.h.Ino) ||
-		n.pending.Pending() > 0
-	if !hasPending {
+	if !ac.b.unflushed(n) {
 		ac.b.cache.InvalidateFile(ac.b.cfg.Root.FSID, n.h.Ino)
 	}
 }

@@ -300,7 +300,7 @@ func newBase(k *sim.Kernel, ep *rpc.Endpoint, cfg Config) *Base {
 		biods:    sim.NewSemaphore(k, cfg.Biods),
 		fetching: make(map[cache.Key]*sim.Signal),
 	}
-	b.attrs = newAttrCache(b)
+	b.attrs = &attrCache{b: b, probeMin: 3 * sim.Second, probeMax: 150 * sim.Second}
 	return b
 }
 
@@ -405,9 +405,7 @@ func (b *Base) setAttr(n *node, a proto.Fattr, now sim.Time) {
 	n.attr = a
 	n.attrTime = now
 	n.attrInit = true
-	if !b.cache.HasDirty(b.cfg.Root.FSID, n.h.Ino) {
-		n.size = a.Size
-	} else if a.Size > n.size {
+	if a.Size > n.size || !b.cache.HasDirty(b.cfg.Root.FSID, n.h.Ino) {
 		n.size = a.Size
 	}
 }
@@ -1540,8 +1538,7 @@ func (f *file) Sync(p *sim.Proc) error {
 	return f.b.syncFile(p, f.n, "sync")
 }
 
-// Attr implements vfs.File through the attribute cache, with the length
-// this client's own unflushed writes have reached (ownSize).
+// Attr implements vfs.File through the attribute cache (ownSize).
 func (f *file) Attr(p *sim.Proc) (proto.Fattr, error) {
 	b, n := f.b, f.n
 	defer b.syscall(p, "attr").End()
@@ -1552,15 +1549,19 @@ func (f *file) Attr(p *sim.Proc) (proto.Fattr, error) {
 	return b.ownSize(n, a), nil
 }
 
-// ownSize returns a with the length this client's own unflushed writes to
-// n have reached, where that is longer: never for a write-shared file,
-// whose attributes are always fetched and whose length other writers
-// move (§4.2.1).
+// ownSize returns a with the length this client's unflushed writes to n
+// reached, where longer: never for a write-shared file, whose length other
+// writers move (§4.2.1), nor one written home, which another may have cut.
 func (b *Base) ownSize(n *node, a proto.Fattr) proto.Fattr {
-	if n.size > a.Size && !b.attrs.writeShared(n) {
+	if n.size > a.Size && !b.attrs.writeShared(n) && b.unflushed(n) {
 		a.Size = n.size
 	}
 	return a
+}
+
+// unflushed reports whether n has dirty blocks or write-throughs in flight.
+func (b *Base) unflushed(n *node) bool {
+	return b.cache.HasDirty(b.cfg.Root.FSID, n.h.Ino) || n.pending.Pending() > 0
 }
 
 // create is the create arm of an open; it returns the file's node.
@@ -1717,17 +1718,12 @@ func (b *Base) Rename(p *sim.Proc, oldrel, newrel string) error {
 	return st.Err()
 }
 
-// Stat implements vfs.FS: path resolution alone delivers attributes, to
-// which a file with writes of this client's not yet at the server, dirty
-// or in flight, adds the length they reached, as Attr does (ownSize), so
-// stat and fstat agree on a file with delayed writes. Of any other file
-// the server's length stands: the node's may be one another client has
-// since truncated.
+// Stat implements vfs.FS: path resolution alone delivers attributes, with
+// a known file's length as Attr gives it (ownSize).
 func (b *Base) Stat(p *sim.Proc, rel string) (proto.Fattr, error) {
 	defer b.syscall(p, "stat").End()
 	h, attr, err := b.walk(p, rel, true)
-	n, ok := b.nodes[h.Ino]
-	if err == nil && ok && n.h == h && (b.cache.HasDirty(b.cfg.Root.FSID, h.Ino) || n.pending.Pending() > 0) {
+	if n := b.nodes[h.Ino]; err == nil && n != nil && n.h == h {
 		attr = b.ownSize(n, attr)
 	}
 	return attr, err

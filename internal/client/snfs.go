@@ -222,12 +222,6 @@ func (c *SNFSClient) settleLeases(p *sim.Proc) {
 	}
 }
 
-// dropNameCache forgets everything (server reboot, lease loss; the
-// server's state died with it, so no closes are owed).
-func (c *SNFSClient) dropNameCache() {
-	c.dirs = make(map[proto.Handle]*dirNames)
-}
-
 // updateDaemon periodically writes delayed blocks back (§4.2.3) and
 // settles long-idle delayed closes.
 func (c *SNFSClient) updateDaemon(p *sim.Proc) {
@@ -290,8 +284,9 @@ func (c *SNFSClient) recover(p *sim.Proc) {
 	p.BeginOp() // the recovery pass is one causal chain
 	sp := c.span(p, span.Daemon, "recover")
 	defer sp.End()
-	// Directory leases died with the server's state; start cold.
-	c.dropNameCache()
+	// Directory leases died with the server's state, and so did the
+	// closes they would owe: start cold.
+	c.dirs = make(map[proto.Handle]*dirNames)
 	for _, n := range c.sortedNodes(nil) {
 		if len(n.unstable) > 0 {
 			// Unstable writes acked by the dead incarnation: this

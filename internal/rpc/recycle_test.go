@@ -149,7 +149,7 @@ func TestLateDuplicateReexecuted(t *testing.T) {
 	k := sim.NewKernel(1)
 	client, server := newPair(k, simnet.Config{PropDelay: sim.Millisecond, BytesPerSec: 1_250_000, DupProb: 1}, Options{})
 	server.dup = newDupCache(1, &server.stats.DupEvictions)
-	args := token(9, 40)
+	args := token(9, 32) // a head of 60 bytes, inside the Pending (inlineImage)
 	var c *Pending
 	var seen [][]byte
 	var runs int
@@ -184,7 +184,7 @@ func TestLateDuplicateReexecuted(t *testing.T) {
 		c.done()
 		answered = true
 		for i := 0; i < 4; i++ { // calls that would reuse a Pending let go too early
-			if err := client.CallXDR(p, "server", testProg, 1, 2, rawBody(token(byte(i), 40)).XDR, nil); err != nil {
+			if err := client.CallXDR(p, "server", testProg, 1, 2, rawBody(token(byte(i), 32)).XDR, nil); err != nil {
 				t.Errorf("call %d: %v", i, err)
 			}
 		}

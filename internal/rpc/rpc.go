@@ -21,7 +21,7 @@
 //	          each copy in flight         loss, or delivery to the receiver,
 //	          the receiving endpoint      a duplicate-cache answer or drop,
 //	                                      Stop's queue, or serveOne's end
-//	          each timeout event          its Due
+//	          the timeout event           its Due, or the reply withdrawing it
 //	head      sendReply's caller          serveOne's end
 //	          each copy in flight         as the call's
 //	          the caller it reaches       done, or at once if unawaited
@@ -572,9 +572,8 @@ const inlineImage = 64
 // It goes back to the free list when its last holder lets go (release):
 // the caller, from start until done; the network, for each copy of the
 // image in flight, and the endpoint each copy is delivered to, until it
-// has served or dropped the call; and each timeout event, until it comes
-// due, since the kernel cannot withdraw one and a reused Pending must not
-// be timed out by its previous call's event.
+// has served or dropped the call; and the attempt's timeout event, until
+// it comes due or the reply withdraws it.
 type Pending struct {
 	e        *Endpoint
 	to       simnet.Addr
@@ -741,10 +740,10 @@ type callTimeout Pending
 
 // Due ends the attempt await is parked in, and lets go of the event's
 // reference. At most one timeout event per call is ahead of its attempt —
-// the next is scheduled only after this one came due — so the one way to
-// be stale is to find the call answered, at this instant or long before;
-// what became of the endpoint meanwhile (Stop, Restart) does not matter,
-// the event holds the call itself.
+// the next is scheduled only after this one came due — and a reply
+// withdraws it, so it never finds the call answered (Work.StaleTimeouts
+// would count it); what became of the endpoint meanwhile (Stop, Restart)
+// does not matter, the event holds the call itself.
 func (t *callTimeout) Due() {
 	c := (*Pending)(t)
 	if frozenCheck && c.refs <= 0 {
@@ -762,9 +761,10 @@ func (t *callTimeout) Due() {
 
 // await parks p until the reply is in the slot or d has passed, and
 // reports whether it is. A reply already delivered (a call whose start
-// and wait are apart, as in a test) schedules nothing. d is a step of the call's schedule,
-// its first-attempt timeout doubled per retry: a constant, so the timeout
-// waits in the kernel's lane for d (sim.Kernel.AfterFixed).
+// and wait are apart, as in a test) schedules nothing. d is a step of the
+// call's schedule, its first-attempt timeout doubled per retry: a
+// constant, so the timeout waits in the kernel's lane for d
+// (sim.Kernel.AfterFixed), where the reply can withdraw it.
 func (c *Pending) await(p *sim.Proc, d sim.Duration) bool {
 	if c.replied {
 		return true
@@ -824,9 +824,8 @@ func (c *Pending) wait(p *sim.Proc) error {
 
 // done is the caller letting go of a collected call: the reply's head
 // goes back to its endpoint, and the Pending drops what it still points
-// at — the reply, the image, the WRITE's data — so that a stale timeout
-// event or a copy still in flight, which keep the Pending from its free
-// list, pin nothing else.
+// at — the reply, the image, the WRITE's data — so that a copy still in
+// flight, which keeps the Pending from its free list, pins nothing else.
 func (c *Pending) done() {
 	if c.reply != nil {
 		c.reply.Release()

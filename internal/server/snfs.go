@@ -148,20 +148,14 @@ func (s *SNFSServer) SetAuditor(a *audit.Auditor) {
 	s.observe()
 }
 
-// clientDead records the loss of a client everywhere: state table and
-// lock table.
-func (s *SNFSServer) clientDead(c core.ClientID) {
-	s.table.ClientDead(c)
-	s.locksTab.clientDead(c)
-}
-
 // deliver sends cbs in order and declares dead every client that does
 // not answer (§3.2). lost reports that one of those owed a write-back:
 // its dirty blocks are gone.
 func (s *SNFSServer) deliver(p *sim.Proc, cbs ...core.Callback) (lost bool) {
 	for _, cb := range cbs {
 		if err := s.callback(p, cb); err != nil {
-			s.clientDead(cb.Client)
+			s.table.ClientDead(cb.Client) // and so does every lock it held
+			s.locksTab.clientDead(cb.Client)
 			lost = lost || cb.WriteBack
 		}
 	}
@@ -254,9 +248,8 @@ func (s *SNFSServer) serve(p *sim.Proc, from simnet.Addr, proc uint32, args, tai
 // client holding a caching read-open on the affected directory is called
 // back to drop its cached name translations (§7 extension). The mutation
 // itself then proceeds normally. A handle that is not a live directory
-// is left alone, as the mutation will fail: bumped, a regular file's
-// version would make its last writer's next open drop its delayed writes
-// as stale.
+// fails the mutation: bumped, a file's version would cost its writer's
+// next open the delayed writes.
 func (s *SNFSServer) invalidateNameCaches(p *sim.Proc, from simnet.Addr, proc uint32, a *callArgs) {
 	names, n := a.dirNames(proc)
 	if n == 2 && names[1].dir == names[0].dir {
