@@ -145,7 +145,6 @@ type Base struct {
 	cfg   Config
 	cache *cache.Cache
 	nodes map[uint64]*node
-	ops   *stats.Ops
 	biods *sim.Semaphore
 	// fetching tracks blocks with an RPC in flight (read-ahead or a
 	// concurrent reader), so a second reader waits for the existing
@@ -213,8 +212,7 @@ type Base struct {
 	// LocalReopens counts opens satisfied by delayed-close reuse.
 	LocalReopens int64
 
-	// Unstable-pipeline counters.
-	commitsSent   int64
+	// redriveBlocks counts the unstable blocks resent after a reboot.
 	redriveBlocks int64
 }
 
@@ -238,7 +236,7 @@ func (b *Base) EnableMetrics(r *metrics.Registry) {
 	r.GaugeFunc(metrics.Label("snfs_client_cache_misses_total", "host", host),
 		func() float64 { return float64(b.cache.Stats().Misses) })
 	r.GaugeFunc(metrics.Label("snfs_client_commits_total", "host", host),
-		func() float64 { return float64(b.commitsSent) })
+		func() float64 { return float64(b.Ops()[proto.ProcCommit]) })
 	r.GaugeFunc(metrics.Label("snfs_client_redrive_blocks_total", "host", host),
 		func() float64 { return float64(b.redriveBlocks) })
 	r.GaugeFunc(metrics.Label("snfs_client_unstable_outstanding", "host", host),
@@ -296,7 +294,6 @@ func newBase(k *sim.Kernel, ep *rpc.Endpoint, cfg Config) *Base {
 		cfg:      cfg,
 		cache:    cache.New(int(cfg.CacheBytes / int64(cfg.BlockSize))),
 		nodes:    make(map[uint64]*node),
-		ops:      stats.NewOps(),
 		biods:    sim.NewSemaphore(k, cfg.Biods),
 		fetching: make(map[cache.Key]*sim.Signal),
 	}
@@ -305,8 +302,8 @@ func newBase(k *sim.Kernel, ep *rpc.Endpoint, cfg Config) *Base {
 }
 
 // Ops returns the client-issued RPC counters (what Tables 5-2/5-4/5-6
-// report).
-func (b *Base) Ops() *stats.Ops { return b.ops }
+// report), which its endpoint keeps.
+func (b *Base) Ops() *stats.Ops { return b.ep.Sent() }
 
 // Cache returns the client block cache (for stats).
 func (b *Base) Cache() *cache.Cache { return b.cache }
@@ -322,12 +319,11 @@ func (b *Base) Retarget(to simnet.Addr) { b.cfg.Server = to }
 // Server returns the address the client currently targets.
 func (b *Base) Server() simnet.Addr { return b.cfg.Server }
 
-// call issues one RPC to the server, counting it. args and reply are the
+// call issues one RPC to the server. args and reply are the
 // XDR method values of the arguments and of the reply, which are encoded
 // straight into the endpoint's pooled wire buffer and decoded straight
 // from the reply image, and so stay in the caller's frame (rpc.CallXDR).
 func (b *Base) call(p *sim.Proc, proc uint32, args, reply func(xdr.Codec)) error {
-	b.ops.Inc(proto.ProcName(proto.ProgNFS, proc))
 	return b.ep.CallXDR(p, b.cfg.Server, proto.ProgNFS, proto.VersNFS, proc, args, reply)
 }
 
@@ -697,7 +693,6 @@ func (b *Base) commit(p *sim.Proc, n *node) error {
 			}
 		}
 	}
-	b.commitsSent++
 	n.unstable, n.unstableVerifier = nil, 0
 	return nil
 }

@@ -131,15 +131,6 @@ func (r *Router) Redirects() int64 { return r.redirects.Load() }
 // Hosts returns the per-shard client hosts (for stats and instruments).
 func (r *Router) Hosts() []*ClientHost { return r.hosts }
 
-// TotalOps sums RPCs issued across all shard clients.
-func (r *Router) TotalOps() int64 {
-	var n int64
-	for _, h := range r.hosts {
-		n += h.Base.Ops().Total()
-	}
-	return n
-}
-
 // refreshMap refetches the shard map from the shard that bounced us (it
 // answered ErrNotHome, so it holds a newer map than ours). The map is
 // only replaced by a strictly newer version.

@@ -127,8 +127,8 @@ func RunClusterScale(nclients, nshards int, pm Params) (ScalePoint, error) {
 		}
 	}
 	pt.Spans = w.spanSummary(elapsed, nclients)
-	for _, r := range w.Routers {
-		pt.TotalRPCs += r.TotalOps()
+	for _, h := range w.clients {
+		pt.TotalRPCs += h.Base.Ops().Total()
 	}
 	return pt, nil
 }

@@ -87,7 +87,7 @@ func (w *World) ClientOps() *stats.Ops {
 	if w.cli != nil {
 		return w.cli.Base.Ops()
 	}
-	return stats.NewOps()
+	return new(stats.Ops)
 }
 
 // serverOps returns the server's served-call counters (empty for Local).
@@ -95,7 +95,7 @@ func (w *World) serverOps() *stats.Ops {
 	if w.srv != nil {
 		return w.srv.Base.Ops()
 	}
-	return stats.NewOps()
+	return new(stats.Ops)
 }
 
 // serverBusy returns the server CPU's busy time so far, its queued

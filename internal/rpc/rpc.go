@@ -67,6 +67,7 @@ import (
 	"spritelynfs/internal/sim"
 	"spritelynfs/internal/simnet"
 	"spritelynfs/internal/span"
+	"spritelynfs/internal/stats"
 	"spritelynfs/internal/trace"
 	"spritelynfs/internal/xdr"
 )
@@ -287,6 +288,7 @@ type Endpoint struct {
 	job    func(*sim.Proc) // serve, bound once: every submission is this value
 	dup    dupCache
 	stats  Stats
+	sent   stats.Ops // the NFS and callback calls started, by procedure
 	work   Work
 	// The free lists: Pendings of this endpoint's making whose last
 	// holder has let go, linked through Pending.next, and reply heads, by
@@ -429,6 +431,9 @@ func (e *Endpoint) Addr() simnet.Addr { return e.addr }
 
 // Stats returns a snapshot of the endpoint's counters.
 func (e *Endpoint) Stats() Stats { return e.stats }
+
+// Sent returns the counts of the NFS and callback calls started, by procedure.
+func (e *Endpoint) Sent() *stats.Ops { return &e.sent }
 
 // Work returns the endpoint's wire-image work so far.
 func (e *Endpoint) Work() Work { return e.work }
@@ -668,6 +673,7 @@ func (e *Endpoint) start(p *sim.Proc, to simnet.Addr, prog, vers, proc uint32, a
 	e.nextXID++
 	xid := e.nextXID
 	e.stats.CallsSent++
+	e.sent.Inc(prog, proc)
 	op := p.Op()
 	c := e.newPending()
 	c.to, c.prog, c.vers, c.proc, c.xid, c.op = to, prog, vers, proc, xid, op

@@ -57,12 +57,12 @@ func (c *Config) fill() {
 // life cycle (Crash, Reboot and the incarnation step a promotion shares
 // with a reboot) and the one callback step.
 type Base struct {
-	k     *sim.Kernel
-	ep    *rpc.Endpoint
-	media *localfs.Media
-	cpu   *sim.Resource
-	cfg   Config
-	ops   *stats.Ops
+	k      *sim.Kernel
+	ep     *rpc.Endpoint
+	media  *localfs.Media
+	cpu    *sim.Resource
+	cfg    Config
+	served stats.Ops // the calls served, by procedure (account)
 	// onRemoved, when set, observes file removals (the SNFS server
 	// drops the file's state entry).
 	onRemoved func(proto.Handle)
@@ -115,7 +115,6 @@ type Base struct {
 	inCallback    map[cbKey]int
 	// unstable-pipeline counters.
 	unstableWrites  int64
-	commits         int64
 	committedBlocks int64
 }
 
@@ -162,7 +161,6 @@ func newBase(k *sim.Kernel, ep *rpc.Endpoint, media *localfs.Media, cfg Config) 
 		media:       media,
 		cpu:         sim.NewResource(k, string(ep.Addr())+"/cpu"),
 		cfg:         cfg,
-		ops:         stats.NewOps(),
 		incarnation: 1,
 		cbSem:       sim.NewSemaphore(k, max(1, ep.Workers()-1)),
 		inCallback:  make(map[cbKey]int),
@@ -252,7 +250,6 @@ func (b *Base) callback(p *sim.Proc, cb core.Callback) error {
 			delete(b.inCallback, k)
 		}
 	}()
-	b.ops.Inc("callback")
 	args := proto.CallbackArgs{Handle: cb.Handle, WriteBack: cb.WriteBack, Invalidate: cb.Invalidate}
 	var r proto.StatusReply
 	if err := b.ep.CallXDREx(p, simnet.Addr(cb.Client), proto.ProgCallback, 1, proto.CbProcCallback, args.XDR, r.XDR,
@@ -290,13 +287,12 @@ func (b *Base) EnableMetrics(r *metrics.Registry) {
 			d := b.media.Disk()
 			return (d.BusyTime() - d.Backlog()).Seconds()
 		})
-	// Served calls by procedure, counted as account counts them: their
-	// rates are the call, read and write rows of Figures 5-1/5-2. Every
-	// procedure number is below 64, the range of a procSet.
-	for proc := uint32(0); proc < 64; proc++ {
+	// Served calls by procedure, as account counts them: their rates are
+	// the call, read and write rows of Figures 5-1/5-2.
+	for proc := range uint32(stats.Callback) {
 		if info, ok := proto.LookupProc(proto.ProgNFS, proc); ok {
 			r.GaugeFunc(metrics.Label("snfs_server_calls_total", "host", host, "proc", info.Name),
-				func() float64 { return float64(b.ops.Get(info.Name)) })
+				func() float64 { return float64(b.served[proc]) })
 		}
 	}
 	r.GaugeFunc(metrics.Label("snfs_server_disk_queue_delay_seconds", "host", host),
@@ -315,7 +311,7 @@ func (b *Base) EnableMetrics(r *metrics.Registry) {
 	r.GaugeFunc(metrics.Label("snfs_server_unstable_writes_total", "host", host),
 		func() float64 { return float64(b.unstableWrites) })
 	r.GaugeFunc(metrics.Label("snfs_server_commits_total", "host", host),
-		func() float64 { return float64(b.commits) })
+		func() float64 { return float64(b.served[proto.ProcCommit]) })
 	r.GaugeFunc(metrics.Label("snfs_server_committed_blocks_total", "host", host),
 		func() float64 { return float64(b.committedBlocks) })
 	r.Help("snfs_server_cpu_busy_seconds", "Cumulative server CPU busy time in seconds.")
@@ -330,8 +326,13 @@ func (b *Base) EnableMetrics(r *metrics.Registry) {
 	r.Help("snfs_server_committed_blocks_total", "Blocks made durable by COMMIT.")
 }
 
-// Ops returns the server-side operation counters.
-func (b *Base) Ops() *stats.Ops { return b.ops }
+// Ops returns the server-side operation counters: the calls served, and
+// the callbacks its endpoint sent.
+func (b *Base) Ops() *stats.Ops {
+	o := b.served
+	o[stats.Callback] = b.ep.Sent()[stats.Callback]
+	return &o
+}
 
 // CPU returns the server CPU resource (for utilization).
 func (b *Base) CPU() *sim.Resource { return b.cpu }
@@ -339,13 +340,9 @@ func (b *Base) CPU() *sim.Resource { return b.cpu }
 // Endpoint returns the server's RPC endpoint.
 func (b *Base) Endpoint() *rpc.Endpoint { return b.ep }
 
-// account counts one served call, when its CPU charge has completed.
-func (b *Base) account(proc uint32) {
-	b.ops.Inc(proto.ProcName(proto.ProgNFS, proc))
-}
-
-// chargeCPU occupies the server CPU for the call's compute cost.
-func (b *Base) chargeCPU(p *sim.Proc, dataBytes int) {
+// account occupies the server CPU for one served call's compute cost,
+// then counts the call: a call is counted when its CPU charge completes.
+func (b *Base) account(p *sim.Proc, proc uint32, dataBytes int) {
 	cost := b.cfg.CPUPerOp + sim.Duration(int64(b.cfg.CPUPerKB)*int64(dataBytes)/1024)
 	t0 := b.k.Now()
 	qd := b.cpu.Use(p, cost)
@@ -354,6 +351,7 @@ func (b *Base) chargeCPU(p *sim.Proc, dataBytes int) {
 		b.spans.Add(p, host, span.CPUQueue, "cpu", t0, t0.Add(qd))
 		b.spans.Add(p, host, span.CPU, "cpu", t0.Add(qd), b.k.Now())
 	}
+	b.served.Inc(proto.ProgNFS, proc)
 }
 
 // handle validates an incoming handle against the store (stale handles
@@ -426,8 +424,7 @@ func (b *Base) admit(p *sim.Proc, from simnet.Addr, proc uint32, args, tail []by
 		body, done = b.routeCheck(proc, a)
 	}
 	if done || !commonProcs.has(proc) {
-		b.chargeCPU(p, 0)
-		b.account(proc)
+		b.account(p, proc, 0)
 	}
 	return body, rpc.StatusOK, done
 }
@@ -642,8 +639,7 @@ func reply(body func(xdr.Codec)) (rpc.Reply, rpc.Status) { return rpc.Encode(bod
 func (b *Base) serveCommon(p *sim.Proc, proc uint32, a *callArgs) (rpc.Reply, rpc.Status) {
 	// The CPU charge scales with the data a READ or WRITE moves; every
 	// other call leaves both fields zero.
-	b.chargeCPU(p, int(a.read.Count)+len(a.write.Data))
-	b.account(proc)
+	b.account(p, proc, int(a.read.Count)+len(a.write.Data))
 	switch proc {
 	case proto.ProcNull:
 		return rpc.Reply{}, rpc.StatusOK
@@ -730,7 +726,6 @@ func (b *Base) serveCommon(p *sim.Proc, proc uint32, a *callArgs) (rpc.Reply, rp
 		if _, st := b.handle(a.commit.Handle); st != proto.OK {
 			return reply((&proto.CommitReply{Status: st}).XDR)
 		}
-		b.commits++
 		b.committedBlocks += int64(b.media.CommitFile(p, a.commit.Handle.Ino))
 		b.replCommit(a.commit.Handle.Ino)
 		return reply((&proto.CommitReply{Status: proto.OK, Verifier: b.incarnation}).XDR)

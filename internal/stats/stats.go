@@ -8,28 +8,53 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strings"
+
+	"spritelynfs/internal/proto"
 )
 
-// Ops counts operations by name.
-type Ops struct {
-	m map[string]int64
+// Ops counts RPCs by procedure, the calls Tables 5-2, 5-4 and 5-6 count:
+// slot i counts NFS procedure i, and slot Callback the callback program's
+// callbacks.
+type Ops [Callback + 1]int64
+
+// Callback is the slot that counts callbacks, past the NFS procedures.
+const Callback = proto.ProcReplSync + 1
+
+// opNames names each slot as proto's table does.
+var opNames = func() (names [Callback + 1]string) {
+	for i := range names {
+		names[i] = proto.ProcName(proto.ProgNFS, uint32(i))
+	}
+	names[Callback] = proto.ProcName(proto.ProgCallback, proto.CbProcCallback)
+	return names
+}()
+
+// Inc adds one to the count of procedure proc of program prog. No slot
+// counts another program's calls or the callback program's null.
+func (o *Ops) Inc(prog, proc uint32) {
+	switch {
+	case prog == proto.ProgNFS && proc < Callback:
+		o[proc]++
+	case prog == proto.ProgCallback && proc == proto.CbProcCallback:
+		o[Callback]++
+	}
 }
 
-// NewOps returns an empty counter set.
-func NewOps() *Ops { return &Ops{m: make(map[string]int64)} }
-
-// Inc adds one to name.
-func (o *Ops) Inc(name string) { o.m[name]++ }
-
 // Get returns the count for name.
-func (o *Ops) Get(name string) int64 { return o.m[name] }
+func (o *Ops) Get(name string) int64 {
+	if i := slices.Index(opNames[:], name); i >= 0 {
+		return o[i]
+	}
+	return 0
+}
 
 // Total returns the sum of all counts.
 func (o *Ops) Total() int64 {
 	var t int64
-	for _, v := range o.m {
+	for _, v := range o {
 		t += v
 	}
 	return t
@@ -39,51 +64,37 @@ func (o *Ops) Total() int64 {
 func (o *Ops) Sum(names ...string) int64 {
 	var t int64
 	for _, n := range names {
-		t += o.m[n]
+		t += o.Get(n)
 	}
 	return t
 }
 
-// Names returns the counted names in sorted order.
-func (o *Ops) Names() []string {
-	out := make([]string, 0, len(o.m))
-	for n := range o.m {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Clone copies the counter set.
 func (o *Ops) Clone() *Ops {
-	c := NewOps()
-	for k, v := range o.m {
-		c.m[k] = v
-	}
-	return c
+	c := *o
+	return &c
 }
 
 // Diff returns o minus base (counts accumulated since base was cloned).
 func (o *Ops) Diff(base *Ops) *Ops {
-	d := NewOps()
-	for k, v := range o.m {
-		if dv := v - base.m[k]; dv != 0 {
-			d.m[k] = dv
-		}
+	d := *o
+	for i, v := range base {
+		d[i] -= v
 	}
-	return d
+	return &d
 }
 
-// String formats the non-zero counts compactly.
+// String formats the non-zero counts compactly, in name order: where one
+// name extends another, it goes on with a letter, which sorts after '='.
 func (o *Ops) String() string {
-	var b strings.Builder
-	for i, n := range o.Names() {
-		if i > 0 {
-			b.WriteByte(' ')
+	var kv []string
+	for i, v := range o {
+		if v != 0 {
+			kv = append(kv, fmt.Sprintf("%s=%d", opNames[i], v))
 		}
-		fmt.Fprintf(&b, "%s=%d", n, o.m[n])
 	}
-	return b.String()
+	sort.Strings(kv)
+	return strings.Join(kv, " ")
 }
 
 // Correlation returns the Pearson correlation of two series over their

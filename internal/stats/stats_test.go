@@ -4,59 +4,66 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"spritelynfs/internal/proto"
 )
 
-func incN(o *Ops, name string, n int) {
-	for i := 0; i < n; i++ {
-		o.Inc(name)
+// TestOps holds the counter set to proto's tables: every procedure the
+// NFS and callback programs name has a slot of its own that its name
+// reads back, Inc allocates nothing, and a clone or a difference is a copy.
+func TestOps(t *testing.T) {
+	for proc := uint32(Callback); proc < 64; proc++ {
+		if info, ok := proto.LookupProc(proto.ProgNFS, proc); ok {
+			t.Errorf("NFS procedure %d (%s) has no slot", proc, info.Name)
+		}
 	}
-}
+	one := func(prog, proc uint32, name string) {
+		var o Ops
+		o.Inc(prog, proc)
+		if o.Get(name) != 1 || o.Total() != 1 || o.String() != name+"=1" {
+			t.Errorf("%s: Get %d, Total %d, String %q", name, o.Get(name), o.Total(), o.String())
+		}
+	}
+	for proc := uint32(0); proc < Callback; proc++ {
+		if info, ok := proto.LookupProc(proto.ProgNFS, proc); ok {
+			one(proto.ProgNFS, proc, info.Name)
+		}
+	}
+	one(proto.ProgCallback, proto.CbProcCallback, "callback")
 
-func TestOpsBasics(t *testing.T) {
-	o := NewOps()
-	o.Inc("read")
-	o.Inc("read")
-	incN(o, "write", 5)
-	if o.Get("read") != 2 || o.Get("write") != 5 || o.Get("absent") != 0 {
-		t.Errorf("counts wrong: %s", o)
+	var o Ops
+	for _, c := range [][2]uint32{{proto.ProgView, proto.ViewProcPing}, {proto.ProgCallback, proto.CbProcNull}, {proto.ProgNFS, 1 << 20}} {
+		o.Inc(c[0], c[1])
 	}
-	if o.Total() != 7 {
-		t.Errorf("total %d", o.Total())
+	if o.Total() != 0 {
+		t.Errorf("uncounted calls counted: %s", &o)
 	}
-	if o.Sum("read", "write") != 7 || o.Sum("read") != 2 {
-		t.Error("Sum wrong")
+	if n := testing.AllocsPerRun(100, func() { o.Inc(proto.ProgNFS, proto.ProcRead) }); n != 0 {
+		t.Errorf("Inc allocates %v", n)
 	}
-	names := o.Names()
-	if len(names) != 2 || names[0] != "read" || names[1] != "write" {
-		t.Errorf("names %v", names)
-	}
-}
 
-func TestOpsCloneAndDiff(t *testing.T) {
-	o := NewOps()
-	incN(o, "read", 3)
+	o = Ops{}
+	for i := 0; i < 3; i++ {
+		o.Inc(proto.ProgNFS, proto.ProcRead)
+	}
+	o.Inc(proto.ProgNFS, proto.ProcLookup)
+	o.Inc(proto.ProgNFS, proto.ProcReaddir)
 	base := o.Clone()
-	incN(o, "read", 4)
-	o.Inc("write")
+	o.Inc(proto.ProgNFS, proto.ProcRead)
+	o.Inc(proto.ProgNFS, proto.ProcWrite)
+	o.Inc(proto.ProgCallback, proto.CbProcCallback)
+	if base.Get("read") != 3 || base.Total() != 5 {
+		t.Errorf("clone aliased: %s", base)
+	}
 	d := o.Diff(base)
-	if d.Get("read") != 4 || d.Get("write") != 1 {
-		t.Errorf("diff %s", d)
+	if s := d.String(); s != "callback=1 read=1 write=1" {
+		t.Errorf("diff %q", s)
 	}
-	// The clone must be independent.
-	if base.Get("read") != 3 {
-		t.Error("clone aliased")
+	d.Inc(proto.ProgNFS, proto.ProcWrite)
+	if o.Get("write") != 1 || o.Sum("read", "write") != 5 || o.Get("absent") != 0 {
+		t.Errorf("diff aliased or counts wrong: %s", &o)
 	}
-	// Zero entries are omitted from the diff.
-	if len(d.Names()) != 2 {
-		t.Errorf("diff names %v", d.Names())
-	}
-}
-
-func TestOpsString(t *testing.T) {
-	o := NewOps()
-	o.Inc("b")
-	o.Inc("a")
-	if s := o.String(); s != "a=1 b=1" {
+	if s := o.String(); s != "callback=1 lookup=1 read=4 readdir=1 write=1" {
 		t.Errorf("String() = %q", s)
 	}
 }
