@@ -10,7 +10,8 @@ import (
 
 // TestOps holds the counter set to proto's tables: every procedure the
 // NFS and callback programs name has a slot of its own that its name
-// reads back, Inc allocates nothing, and a clone or a difference is a copy.
+// reads back, calls outside those tables count nothing, and Inc
+// allocates nothing.
 func TestOps(t *testing.T) {
 	for proc := uint32(Callback); proc < 64; proc++ {
 		if info, ok := proto.LookupProc(proto.ProgNFS, proc); ok {
@@ -41,28 +42,60 @@ func TestOps(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { o.Inc(proto.ProgNFS, proto.ProcRead) }); n != 0 {
 		t.Errorf("Inc allocates %v", n)
 	}
+}
 
-	o = Ops{}
-	for i := 0; i < 3; i++ {
-		o.Inc(proto.ProgNFS, proto.ProcRead)
+func incN(o *Ops, proc uint32, n int) {
+	for i := 0; i < n; i++ {
+		o.Inc(proto.ProgNFS, proc)
 	}
+}
+
+func TestOpsBasics(t *testing.T) {
+	var o Ops
+	incN(&o, proto.ProcRead, 2)
+	incN(&o, proto.ProcWrite, 5)
+	if o.Get("read") != 2 || o.Get("write") != 5 || o.Get("absent") != 0 {
+		t.Errorf("counts wrong: %s", &o)
+	}
+	if o.Total() != 7 {
+		t.Errorf("total %d", o.Total())
+	}
+	if o.Sum("read", "write") != 7 || o.Sum("read") != 2 {
+		t.Error("Sum wrong")
+	}
+}
+
+func TestOpsCloneAndDiff(t *testing.T) {
+	var o Ops
+	incN(&o, proto.ProcRead, 3)
 	o.Inc(proto.ProgNFS, proto.ProcLookup)
 	o.Inc(proto.ProgNFS, proto.ProcReaddir)
 	base := o.Clone()
-	o.Inc(proto.ProgNFS, proto.ProcRead)
+	incN(&o, proto.ProcRead, 4)
 	o.Inc(proto.ProgNFS, proto.ProcWrite)
 	o.Inc(proto.ProgCallback, proto.CbProcCallback)
+	// The clone must be independent.
 	if base.Get("read") != 3 || base.Total() != 5 {
 		t.Errorf("clone aliased: %s", base)
 	}
+	// Zero entries are omitted from the diff.
 	d := o.Diff(base)
-	if s := d.String(); s != "callback=1 read=1 write=1" {
-		t.Errorf("diff %q", s)
+	if d.Get("read") != 4 || d.Get("write") != 1 || d.String() != "callback=1 read=4 write=1" {
+		t.Errorf("diff %s", d)
 	}
 	d.Inc(proto.ProgNFS, proto.ProcWrite)
-	if o.Get("write") != 1 || o.Sum("read", "write") != 5 || o.Get("absent") != 0 {
-		t.Errorf("diff aliased or counts wrong: %s", &o)
+	if o.Get("write") != 1 || o.Sum("read", "write") != 8 {
+		t.Errorf("diff aliased: %s", &o)
 	}
+}
+
+func TestOpsString(t *testing.T) {
+	var o Ops
+	o.Inc(proto.ProgNFS, proto.ProcWrite)
+	o.Inc(proto.ProgCallback, proto.CbProcCallback)
+	incN(&o, proto.ProcRead, 4)
+	o.Inc(proto.ProgNFS, proto.ProcReaddir)
+	o.Inc(proto.ProgNFS, proto.ProcLookup)
 	if s := o.String(); s != "callback=1 lookup=1 read=4 readdir=1 write=1" {
 		t.Errorf("String() = %q", s)
 	}
