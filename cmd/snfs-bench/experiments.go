@@ -11,7 +11,6 @@ import (
 	"spritelynfs/internal/simnet"
 	"spritelynfs/internal/span"
 	"spritelynfs/internal/trace"
-	"spritelynfs/internal/tsdb"
 	"spritelynfs/internal/vfs"
 	"spritelynfs/internal/workload"
 )
@@ -38,9 +37,11 @@ func asBytes(b []byte) func(f io.Writer) error {
 	}
 }
 
-// scaleKnee is the slowdown bound defining the "sustainable" client
-// count of the scale sweeps (the knee of the load curve).
-const scaleKnee = 1.5
+// knee is the slowdown bound defining the "sustainable" client count of
+// every load sweep (scale, cluster scale, scenario): the largest count
+// before the first point over it (harness.SustainableClients), the knee
+// of the load curve.
+const knee = 1.5
 
 // scaleJSON is the machine-readable summary of the scale sweep
 // (BENCH_scale.json).
@@ -79,15 +80,15 @@ func scaleExperiment(e *env) error {
 	t.Render(e.w)
 	fmt.Fprintln(e.w)
 	protos := []harness.Proto{harness.NFS, harness.SNFS}
-	doc := scaleJSON{Experiment: "scale", MaxSlowdown: scaleKnee, Protocols: map[string]scaleProtoJSON{}}
+	doc := scaleJSON{Experiment: "scale", MaxSlowdown: knee, Protocols: map[string]scaleProtoJSON{}}
 	spansDoc := map[string]*span.Summary{}
 	for _, pr := range protos {
 		pj := scaleProtoJSON{
 			UnstableWrites:     pr == harness.NFS,
-			SustainableClients: harness.SustainableClients(out[pr], scaleKnee),
+			SustainableClients: harness.SustainableClients(out[pr], knee),
 		}
 		fmt.Fprintf(e.w, "%s: sustains %d active clients within %.2fx of single-client time\n",
-			pr, pj.SustainableClients, scaleKnee)
+			pr, pj.SustainableClients, knee)
 		for _, pt := range out[pr] {
 			pj.Points = append(pj.Points, scalePointJSON{
 				Clients:    pt.Clients,
@@ -101,7 +102,7 @@ func scaleExperiment(e *env) error {
 		doc.Protocols[pr.String()] = pj
 	}
 	for _, pr := range protos {
-		if s := lastSpans(out[pr]); s != nil {
+		if s := largest(out[pr]).Spans; s != nil {
 			fmt.Fprintf(e.w, "\n%s, largest point (%d clients):\n", pr, s.Clients)
 			s.Render(e.w)
 			spansDoc[pr.String()] = s
@@ -117,7 +118,7 @@ func scaleExperiment(e *env) error {
 		if pr == harness.NFS {
 			name = "timeline-nfs.json"
 		}
-		if tl := lastTimeline(out[pr]); tl != nil {
+		if tl := largest(out[pr]).Timeline; tl != nil {
 			if err := e.create(name, tl.WriteJSON); err != nil {
 				return err
 			}
@@ -264,20 +265,20 @@ func clusterScaleExperiment(e *env) error {
 	fmt.Fprintln(e.w)
 	prev := -1
 	for _, m := range clusterShards {
-		n := harness.SustainableClients(out[m], scaleKnee)
-		fmt.Fprintf(e.w, "%d shard(s): sustains %d active clients within %.2fx of single-client time\n", m, n, scaleKnee)
+		n := harness.SustainableClients(out[m], knee)
+		fmt.Fprintf(e.w, "%d shard(s): sustains %d active clients within %.2fx of single-client time\n", m, n, knee)
 		if prev >= 0 && n < prev {
 			return fmt.Errorf("knee moved in: %d shards sustain %d clients, down from %d", m, n, prev)
 		}
 		prev = n
 	}
 	widest := clusterShards[len(clusterShards)-1]
-	if tl := lastTimeline(out[widest]); tl != nil {
+	if tl := largest(out[widest]).Timeline; tl != nil {
 		if err := e.create("timeline-cluster.json", tl.WriteJSON); err != nil {
 			return err
 		}
 	}
-	if s := lastSpans(out[widest]); s != nil {
+	if s := largest(out[widest]).Spans; s != nil {
 		fmt.Fprintf(e.w, "\n%d shards, largest point (%d clients):\n", widest, s.Clients)
 		s.Render(e.w)
 		if err := e.create("spans-cluster.json", asJSON(s)); err != nil {
@@ -297,27 +298,10 @@ func clusterScaleExperiment(e *env) error {
 	})
 }
 
-// lastTimeline returns the sampled timeline of the largest-client-count
-// point of a sweep, nil when sampling was off (-timeline unset).
-func lastTimeline(pts []harness.ScalePoint) *tsdb.Timeline {
-	for i := len(pts) - 1; i >= 0; i-- {
-		if pts[i].Timeline != nil {
-			return pts[i].Timeline
-		}
-	}
-	return nil
-}
-
-// lastSpans returns the span summary of the largest-client-count point
-// of a sweep, nil when span tracing was off (-spans unset).
-func lastSpans(pts []harness.ScalePoint) *span.Summary {
-	for i := len(pts) - 1; i >= 0; i-- {
-		if pts[i].Spans != nil {
-			return pts[i].Spans
-		}
-	}
-	return nil
-}
+// largest returns the largest-client-count point of a sweep, the one
+// whose Timeline and Spans the sweep writes out (nil with -timeline or
+// -spans unset: every point of a sweep is sampled alike).
+func largest(pts []harness.ScalePoint) harness.ScalePoint { return pts[len(pts)-1] }
 
 // clusterSmoke is the gate for the federation: an audited 3-shard run
 // with a mid-workload rebalance, failing on any audit violation, on a

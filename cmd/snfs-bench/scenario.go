@@ -9,11 +9,6 @@ import (
 	"spritelynfs/internal/sim"
 )
 
-// scenarioKnee is the slowdown bound defining the sustainable client
-// count of the scenario sweep: the largest fleet whose mean op latency
-// stays within this factor of the base point's.
-const scenarioKnee = 1.5
-
 // scenarioSweepThink is the per-client think-time mean used by the knee
 // sweep. Fleet-scale populations are mostly idle — the server saturates
 // on aggregate demand, so a thousand-client sweep needs each client
@@ -127,7 +122,7 @@ func scenarioExperiment(e *env, counts []int) error {
 	doc := scenarioJSON{
 		Experiment:  "scenario",
 		Scenario:    "web-asset",
-		MaxSlowdown: scenarioKnee,
+		MaxSlowdown: knee,
 		Protocols:   map[string]scenarioProtoJSON{},
 	}
 	fmt.Fprintln(w, "Scenario smoke (8 clients, audited SNFS):")
@@ -153,6 +148,7 @@ func scenarioExperiment(e *env, counts []int) error {
 		"proto", "clients", "mean-lat", "p95-lat", "slowdown", "srv-cpu", "ops/s", "workers")
 	for pi, pr := range protos {
 		pj := scenarioProtoJSON{}
+		var curve []harness.ScalePoint
 		sweep := results[nsmoke+pi*len(counts):][:len(counts)]
 		base := sweep[0].MeanLatencyUs
 		if sweep[0].Errors != 0 {
@@ -177,13 +173,12 @@ func scenarioExperiment(e *env, counts []int) error {
 				Retransmits:   res.Retransmits,
 				ExecWorkers:   res.ExecWorkers,
 			})
-			if slow <= scenarioKnee && n > pj.SustainableClients {
-				pj.SustainableClients = n
-			}
+			curve = append(curve, harness.ScalePoint{Clients: n, Slowdown: slow})
 		}
+		pj.SustainableClients = harness.SustainableClients(curve, knee)
 		doc.Protocols[pr.String()] = pj
 		fmt.Fprintf(w, "%s: sustains %d clients within %.2fx of the %d-client mean\n",
-			pr, pj.SustainableClients, scenarioKnee, counts[0])
+			pr, pj.SustainableClients, knee, counts[0])
 	}
 	return e.create("BENCH_scenario.json", asJSON(doc))
 }

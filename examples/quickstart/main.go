@@ -55,10 +55,10 @@ func main() {
 		world.SNFSCli.SyncPass(p)
 		fmt.Printf("after sync:         %v\n", world.ClientOps())
 
-		// Server-side consistency state for the whole run.
-		st := world.SNFSSrv.Table().Stats()
+		// Server-side consistency traffic and state for the whole run.
+		ops := world.SNFSSrv.Ops()
 		fmt.Printf("server state table: opens=%d closes=%d callbacks=%d versionBumps=%d\n",
-			st.Opens, st.Closes, st.CallbacksIssued, st.VersionBumps)
+			ops.Get("open"), ops.Get("close"), ops.Get("callback"), world.SNFSSrv.Table().Stats().VersionBumps)
 		fmt.Printf("simulated elapsed:  %v\n", p.Now())
 		return nil
 	})

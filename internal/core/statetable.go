@@ -130,12 +130,10 @@ type OpenResult struct {
 	TableFull bool
 }
 
-// Stats counts state-table activity.
+// Stats counts state-table activity. The opens, closes and callbacks
+// behind it are counted once, as the server's RPCs (server.Base.Ops).
 type Stats struct {
-	Opens           int64
-	Closes          int64
 	VersionBumps    int64
-	CallbacksIssued int64
 	Reclaims        int64
 	Inconsistencies int64
 	WriteShares     int64 // transitions into WRITE-SHARED
@@ -324,7 +322,6 @@ func (e *entry) callBack(res *OpenResult, to ClientID, writeBack, invalidate boo
 // already been applied; if a callback's client turns out to be dead, the
 // server reports it via ClientDead.
 func (t *Table) Open(h proto.Handle, c ClientID, forWrite bool) OpenResult {
-	t.stats.Opens++
 	e, ok := t.entries[h]
 	if !ok {
 		var full bool
@@ -403,7 +400,6 @@ func (t *Table) Open(h proto.Handle, c ClientID, forWrite bool) OpenResult {
 		t.stats.WriteShares++
 	}
 
-	t.stats.CallbacksIssued += int64(len(res.Callbacks))
 	res.CacheEnabled = ci.caching
 	res.Version = e.version
 	res.PrevVersion = e.prev
@@ -420,7 +416,6 @@ func (t *Table) Open(h proto.Handle, c ClientID, forWrite bool) OpenResult {
 // forWrite must match the mode passed at open (§3.1). Unknown handles and
 // clients are tolerated (a close can race a reclamation or a reboot).
 func (t *Table) Close(h proto.Handle, c ClientID, forWrite bool) {
-	t.stats.Closes++
 	e, ok := t.entries[h]
 	if !ok {
 		return
@@ -533,7 +528,6 @@ func (t *Table) InvalidateReaders(h proto.Handle, except ClientID) []Callback {
 		ci.caching = false
 		cbs = append(cbs, Callback{Client: ci.id, Handle: h, Invalidate: true})
 	}
-	t.stats.CallbacksIssued += int64(len(cbs))
 	t.observe(e, TransitionEvent{
 		Event: "invalidate", Handle: h, Client: except,
 		From: from, To: e.state, Version: e.version, Prev: e.prev,
@@ -552,7 +546,6 @@ func (t *Table) ReclaimCandidates(n int) []Callback {
 	for _, e := range t.oldest(StateClosedDirty, n) {
 		out = append(out, Callback{Client: e.lastWriter, Handle: e.handle, WriteBack: true})
 	}
-	t.stats.CallbacksIssued += int64(len(out))
 	return out
 }
 
@@ -619,7 +612,6 @@ func (t *Table) DropWithInvalidate(h proto.Handle, except ClientID) []Callback {
 	}
 	// Deterministic order for reproducible simulations.
 	slices.SortFunc(cbs, func(a, b Callback) int { return cmp.Compare(a.Client, b.Client) })
-	t.stats.CallbacksIssued += int64(len(cbs))
 	delete(t.entries, h)
 	t.observe(nil, TransitionEvent{
 		Event: "drop", Handle: h, Client: except, From: e.state, To: StateClosed,

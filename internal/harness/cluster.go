@@ -92,7 +92,6 @@ func RunClusterScale(nclients, nshards int, pm Params) (ScalePoint, error) {
 	if err != nil {
 		return ScalePoint{}, err
 	}
-	pt := ScalePoint{Clients: nclients, Shards: nshards}
 	for i := 0; i < nclients; i++ {
 		w.AddRouter(simnet.Addr(fmt.Sprintf("client%d", i)))
 	}
@@ -100,37 +99,8 @@ func RunClusterScale(nclients, nshards int, pm Params) (ScalePoint, error) {
 		// Servers only: nclients × nshards client hosts' worth of series
 		// would not fit the sampler's budget.
 		w.Cluster.EnableMetrics()
-		pt.Timeline = w.StartSampler(nil, pm.SampleInterval).Timeline()
 	}
-
-	var elapsed sim.Duration
-	err = w.Run(func(p *sim.Proc) error {
-		start := p.Now()
-		err := w.RunEach(p, nclients, "scale-client", func(cp *sim.Proc, i int) error {
-			return scaleWorkload(cp, w.NSs[i], dirs[i], pm)
-		})
-		elapsed = p.Now().Sub(start)
-		return err
-	})
-	if err != nil {
-		return pt, err
-	}
-	pt.Elapsed = elapsed
-	// The cluster's bottleneck is its busiest shard: the knee is set by
-	// the max utilization, not the average.
-	for _, sh := range w.Cluster.Shards() {
-		if u := sh.Base.CPU().Utilization(); u > pt.ServerCPU {
-			pt.ServerCPU = u
-		}
-		if u := sh.Media.Disk().Utilization(); u > pt.ServerDisk {
-			pt.ServerDisk = u
-		}
-	}
-	pt.Spans = w.spanSummary(elapsed, nclients)
-	for _, h := range w.clients {
-		pt.TotalRPCs += h.Base.Ops().Total()
-	}
-	return pt, nil
+	return measureScale(w, ScalePoint{Clients: nclients, Shards: nshards}, w.NSs, dirs, nil)
 }
 
 // ClusterScaleExperiment sweeps client counts across shard counts and
@@ -145,33 +115,13 @@ func ClusterScaleExperiment(pm Params, shardCounts, clientCounts []int) (map[int
 		// sweep's range when four shards carry the load.
 		clientCounts = []int{1, 2, 4, 8, 16, 32}
 	}
-	cols := []string{"Clients"}
-	for _, m := range shardCounts {
-		cols = append(cols,
-			fmt.Sprintf("%dsh elapsed", m),
-			fmt.Sprintf("%dsh srvCPU", m),
-			fmt.Sprintf("%dsh srvDisk", m))
-	}
-	pts := make([]ScalePoint, len(clientCounts)*len(shardCounts))
-	err := pm.Each(len(pts), func(i int) (err error) {
-		n, m := clientCounts[i/len(shardCounts)], shardCounts[i%len(shardCounts)]
-		if pts[i], err = RunClusterScale(n, m, pm); err != nil {
-			err = fmt.Errorf("cluster scale m=%d n=%d: %w", m, n, err)
-		}
-		return err
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	t := stats.NewTable("Cluster scale: N active clients across M SNFS shards (per-client compile-like workload)", cols...)
-	out := map[int][]ScalePoint{}
-	for ci, n := range clientCounts {
-		row := []string{fmt.Sprintf("%d", n)}
-		for mi, m := range shardCounts {
-			row = append(row, sweepCells(&pts[ci*len(shardCounts)+mi], pts[mi])...)
-			out[m] = append(out[m], pts[ci*len(shardCounts)+mi])
-		}
-		t.AddRow(row...)
-	}
-	return out, t, nil
+	return scaleGrid(pm, "Cluster scale: N active clients across M SNFS shards (per-client compile-like workload)",
+		clientCounts, shardCounts, func(m int) string { return fmt.Sprintf("%dsh", m) },
+		func(n, m int) (ScalePoint, error) {
+			pt, err := RunClusterScale(n, m, pm)
+			if err != nil {
+				err = fmt.Errorf("cluster scale m=%d n=%d: %w", m, n, err)
+			}
+			return pt, err
+		})
 }

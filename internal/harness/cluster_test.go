@@ -103,4 +103,16 @@ func TestSustainableClients(t *testing.T) {
 	if got := SustainableClients(pts, 1.0); got != 1 {
 		t.Errorf("SustainableClients tight = %d, want 1", got)
 	}
+	// A non-monotone curve, as a bistable overload can draw: the knee is
+	// the last count before the first point over the bound, not the
+	// largest count under it anywhere on the curve.
+	bumpy := []ScalePoint{
+		{Clients: 1, Slowdown: 1.0},
+		{Clients: 2, Slowdown: 1.2},
+		{Clients: 4, Slowdown: 1.8},
+		{Clients: 8, Slowdown: 1.3},
+	}
+	if got := SustainableClients(bumpy, 1.5); got != 2 {
+		t.Errorf("SustainableClients non-monotone = %d, want 2", got)
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"spritelynfs/internal/metrics"
 	"spritelynfs/internal/sim"
 	"spritelynfs/internal/simnet"
 	"spritelynfs/internal/span"
@@ -127,27 +128,42 @@ func RunScale(pr Proto, nclients int, pm Params) (ScalePoint, error) {
 	// Namespaces for every client host: the world's own client plus
 	// nclients-1 additions.
 	namespaces := []*vfs.Namespace{w.NS}
+	dirs := []string{"/data/u00"}
 	for i := 1; i < nclients; i++ {
 		if pr != NFS && pr != SNFS {
 			return pt, fmt.Errorf("scale experiment needs a remote protocol")
 		}
 		h := w.addClient(simnet.Addr(fmt.Sprintf("client%d", i)), pm.clientHost(pr))
 		namespaces = append(namespaces, h.NS)
+		dirs = append(dirs, fmt.Sprintf("/data/u%02d", i))
 	}
 
+	var reg *metrics.Registry
 	if pm.SampleInterval > 0 {
 		// The whole run is the measurement window, so sampling starts
 		// with the world: the timeline shows the ramp, the plateau where
 		// every client is in its compile loop, and the drain.
-		smp := w.StartSampler(w.EnableMetrics(), pm.SampleInterval)
-		pt.Timeline = smp.Timeline()
+		reg = w.EnableMetrics()
 	}
+	return measureScale(w, pt, namespaces, dirs, reg)
+}
 
+// measureScale runs scaleWorkload on every client of w at once, client i
+// in namespaces[i] under dirs[i], and fills in pt: the elapsed time, the
+// busiest server's CPU and disk utilization (a federation's knee is set
+// by its busiest shard, not the average), the span summary and the
+// clients' RPC total. With Params.SampleInterval set, reg and every
+// server host's own registry are sampled over the run.
+func measureScale(w *World, pt ScalePoint, namespaces []*vfs.Namespace, dirs []string, reg *metrics.Registry) (ScalePoint, error) {
+	pm := w.params
+	if pm.SampleInterval > 0 {
+		pt.Timeline = w.StartSampler(reg, pm.SampleInterval).Timeline()
+	}
 	var elapsed sim.Duration
 	err := w.Run(func(p *sim.Proc) error {
 		start := p.Now()
-		err := w.RunEach(p, nclients, "scale-client", func(cp *sim.Proc, i int) error {
-			return scaleWorkload(cp, namespaces[i], fmt.Sprintf("/data/u%02d", i), pm)
+		err := w.RunEach(p, len(dirs), "scale-client", func(cp *sim.Proc, i int) error {
+			return scaleWorkload(cp, namespaces[i], dirs[i], pm)
 		})
 		elapsed = p.Now().Sub(start)
 		return err
@@ -156,11 +172,11 @@ func RunScale(pr Proto, nclients int, pm Params) (ScalePoint, error) {
 		return pt, err
 	}
 	pt.Elapsed = elapsed
-	pt.ServerCPU = w.ServerCPUUtilization()
-	if w.SrvMedia != nil {
-		pt.ServerDisk = w.SrvMedia.Disk().Utilization()
+	for _, h := range w.servers {
+		pt.ServerCPU = max(pt.ServerCPU, h.Base.CPU().Utilization())
+		pt.ServerDisk = max(pt.ServerDisk, h.Media.Disk().Utilization())
 	}
-	pt.Spans = w.spanSummary(elapsed, nclients)
+	pt.Spans = w.spanSummary(elapsed, len(dirs))
 	for _, h := range w.clients {
 		pt.TotalRPCs += h.Base.Ops().Total()
 	}
@@ -178,43 +194,54 @@ func ScaleExperiment(pm Params, counts []int) (map[Proto][]ScalePoint, *stats.Ta
 	// disk-arm bottleneck. SNFS keeps its measured configuration — its
 	// CLOSED-DIRTY delayed write-back already keeps data traffic off the
 	// server, and the extra COMMIT round trips only slow it down.
-	protos := []Proto{NFS, SNFS}
-	pts := make([]ScalePoint, len(counts)*len(protos))
+	return scaleGrid(pm, "Scale: N active clients, one server (per-client compile-like workload)",
+		counts, []Proto{NFS, SNFS}, Proto.String,
+		func(n int, pr Proto) (ScalePoint, error) {
+			ppm := pm
+			ppm.UnstableWrites = pr == NFS
+			pt, err := RunScale(pr, n, ppm)
+			if err != nil {
+				err = fmt.Errorf("scale %s n=%d: %w", pr, n, err)
+			}
+			return pt, err
+		})
+}
+
+// scaleGrid measures one point per client count and series, all at once
+// on pm.Each, and lays them out one row per count with three cells per
+// series: elapsed time with its slowdown against the series' first point,
+// server CPU and server disk. The map holds each series' points in count
+// order.
+func scaleGrid[S comparable](pm Params, title string, counts []int, series []S, name func(S) string,
+	run func(n int, s S) (ScalePoint, error)) (map[S][]ScalePoint, *stats.Table, error) {
+	pts := make([]ScalePoint, len(counts)*len(series))
 	err := pm.Each(len(pts), func(i int) (err error) {
-		n, pr := counts[i/len(protos)], protos[i%len(protos)]
-		ppm := pm
-		ppm.UnstableWrites = pr == NFS
-		if pts[i], err = RunScale(pr, n, ppm); err != nil {
-			err = fmt.Errorf("scale %s n=%d: %w", pr, n, err)
-		}
+		pts[i], err = run(counts[i/len(series)], series[i%len(series)])
 		return err
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	out := map[Proto][]ScalePoint{}
-	t := stats.NewTable("Scale: N active clients, one server (per-client compile-like workload)",
-		"Clients", "NFS elapsed", "NFS srvCPU", "NFS srvDisk", "SNFS elapsed", "SNFS srvCPU", "SNFS srvDisk")
+	cols := []string{"Clients"}
+	for _, s := range series {
+		cols = append(cols, name(s)+" elapsed", name(s)+" srvCPU", name(s)+" srvDisk")
+	}
+	t := stats.NewTable(title, cols...)
+	out := map[S][]ScalePoint{}
 	for ci, n := range counts {
 		row := []string{fmt.Sprintf("%d", n)}
-		for pi, pr := range protos {
-			row = append(row, sweepCells(&pts[ci*len(protos)+pi], pts[pi])...)
-			out[pr] = append(out[pr], pts[ci*len(protos)+pi])
+		for si, s := range series {
+			pt, base := &pts[ci*len(series)+si], pts[si]
+			if base.Elapsed > 0 {
+				pt.Slowdown = pt.Elapsed.Seconds() / base.Elapsed.Seconds()
+			}
+			row = append(row,
+				fmt.Sprintf("%.1fs (x%.2f)", pt.Elapsed.Seconds(), pt.Slowdown),
+				fmt.Sprintf("%.0f%%", pt.ServerCPU*100),
+				fmt.Sprintf("%.0f%%", pt.ServerDisk*100))
+			out[s] = append(out[s], *pt)
 		}
 		t.AddRow(row...)
 	}
 	return out, t, nil
-}
-
-// sweepCells fills in pt's slowdown against base, the first point of its
-// series, and formats its three table cells.
-func sweepCells(pt *ScalePoint, base ScalePoint) []string {
-	if base.Elapsed > 0 {
-		pt.Slowdown = pt.Elapsed.Seconds() / base.Elapsed.Seconds()
-	}
-	return []string{
-		fmt.Sprintf("%.1fs (x%.2f)", pt.Elapsed.Seconds(), pt.Slowdown),
-		fmt.Sprintf("%.0f%%", pt.ServerCPU*100),
-		fmt.Sprintf("%.0f%%", pt.ServerDisk*100),
-	}
 }

@@ -104,7 +104,9 @@ func TestDupCacheReplaysRecordedImage(t *testing.T) {
 	client, server := newPair(k, simnet.Config{PropDelay: sim.Millisecond}, Options{})
 	page := bytes.Repeat([]byte("page"), 2048)
 	want := proto.Marshal(&proto.ReadReply{Status: proto.OK, Data: page})
+	served := 0
 	server.Serve(testProg, func(p *sim.Proc, from simnet.Addr, proc uint32, args, _ []byte) (Reply, Status) {
+		served++
 		r := proto.ReadReply{Status: proto.OK, Data: page}
 		return Encode(r.XDR), StatusOK
 	})
@@ -147,8 +149,8 @@ func TestDupCacheReplaysRecordedImage(t *testing.T) {
 		if server.Stats().DupHits != 1 {
 			t.Errorf("DupHits = %d, want 1", server.Stats().DupHits)
 		}
-		if server.Stats().CallsServed != 1 {
-			t.Errorf("CallsServed = %d, want 1 (replay must not re-execute)", server.Stats().CallsServed)
+		if served != 1 {
+			t.Errorf("%d calls served, want 1 (replay must not re-execute)", served)
 		}
 	})
 	k.Run()

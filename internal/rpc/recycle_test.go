@@ -98,7 +98,8 @@ func TestAnsweredCallFreesItsPending(t *testing.T) {
 func TestDuplicateCallAfterReply(t *testing.T) {
 	k := sim.NewKernel(1)
 	client, server := newPair(k, simnet.Config{PropDelay: sim.Millisecond, BytesPerSec: 1_250_000, DupProb: 1}, Options{})
-	server.Register(testProg, tokenHandler)
+	served := 0
+	server.Register(testProg, counting(&served, tokenHandler))
 	args := token(7, 32)
 	var c *Pending
 	var xid uint32
@@ -107,8 +108,8 @@ func TestDuplicateCallAfterReply(t *testing.T) {
 		if deliveries++; deliveries == 2 {
 			// The duplicate: the reply has gone out, and the caller's
 			// image must still be the one it sent.
-			if server.Stats().CallsServed != 1 || released(c) {
-				t.Errorf("duplicate landed with %d calls served, Pending released %v", server.Stats().CallsServed, released(c))
+			if served != 1 || released(c) {
+				t.Errorf("duplicate landed with %d calls served, Pending released %v", served, released(c))
 			}
 			if !bytes.Equal(m.Payload[callHeaderLen:], args) {
 				t.Errorf("duplicate carries %x", m.Payload[callHeaderLen:])
@@ -127,8 +128,8 @@ func TestDuplicateCallAfterReply(t *testing.T) {
 		p.Sleep(2 * CallTimeout)
 	})
 	k.Run()
-	if st := server.Stats(); deliveries != 2 || st.DupHits != 1 || st.CallsServed != 1 {
-		t.Errorf("%d deliveries, %d dup hits, %d served: want the duplicate answered from the cache", deliveries, st.DupHits, st.CallsServed)
+	if st := server.Stats(); deliveries != 2 || st.DupHits != 1 || served != 1 {
+		t.Errorf("%d deliveries, %d dup hits, %d served: want the duplicate answered from the cache", deliveries, st.DupHits, served)
 	}
 	if !released(c) {
 		t.Errorf("Pending still held (refs %d)", c.refs)
@@ -317,7 +318,8 @@ func TestDupCacheResendsIntactHead(t *testing.T) {
 	client := NewEndpoint(k, net, "client", Options{})
 	other := NewEndpoint(k, net, "other", Options{})
 	server := NewEndpoint(k, net, "server", Options{})
-	server.Register(testProg, tokenHandler)
+	served := 0
+	server.Register(testProg, counting(&served, tokenHandler))
 	args := token(0x11, 20)
 	k.Go("caller", func(p *sim.Proc) {
 		net.Cut("server", "client")
@@ -338,8 +340,8 @@ func TestDupCacheResendsIntactHead(t *testing.T) {
 		p.Sleep(3 * CallTimeout)
 	})
 	k.Run()
-	if st := server.Stats(); st.DupHits != 1 || st.CallsServed != 9 {
-		t.Errorf("%d dup hits, %d served: want the retransmit answered from the cache", st.DupHits, st.CallsServed)
+	if st := server.Stats(); st.DupHits != 1 || served != 9 {
+		t.Errorf("%d dup hits, %d served: want the retransmit answered from the cache", st.DupHits, served)
 	}
 	if w := server.Work(); w.HeadsMade != 9 || w.HeadsReused != 0 {
 		t.Errorf("reply heads made %d, reused %d: want each held by its cache slot", w.HeadsMade, w.HeadsReused)

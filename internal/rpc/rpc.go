@@ -210,7 +210,6 @@ type Stats struct {
 	CallsSent     int64 // distinct calls issued (not counting retransmits)
 	Retransmits   int64
 	Timeouts      int64 // calls that exhausted all retries
-	CallsServed   int64 // handler invocations
 	DupHits       int64 // retransmits answered from the duplicate cache
 	DupInProgress int64 // retransmits dropped because the call was executing
 	DupEvictions  int64 // duplicate-cache entries evicted to make room
@@ -939,7 +938,6 @@ func (e *Endpoint) serve(p *sim.Proc) {
 // lets go of the call's image, and of the reply's head but for the copies
 // in flight and the duplicate cache's, once both are done with.
 func (e *Endpoint) serveOne(p *sim.Proc, req request) {
-	e.stats.CallsServed++
 	start := e.k.Now()
 	// The worker inherits the caller's causal operation ID, so
 	// everything the handler does — disk access, callback fan-out,

@@ -15,7 +15,6 @@ package server
 import (
 	"fmt"
 	"strings"
-	"sync/atomic"
 
 	"spritelynfs/internal/audit"
 	"spritelynfs/internal/core"
@@ -106,13 +105,12 @@ type Base struct {
 	incarnation uint64
 
 	// The callback step's state (see callback): the Workers-1 permits,
-	// the callbacks in flight, and how many are out to each client for
-	// each file, so SNFS's hybrid path never mistakes a forced write-back
-	// for plain-NFS traffic (which would deadlock on the entry lock held
-	// across the callback).
-	cbSem         *sim.Semaphore
-	cbOutstanding atomic.Int64
-	inCallback    map[cbKey]int
+	// those in use being the callbacks in flight, and how many are out to
+	// each client for each file, so SNFS's hybrid path never mistakes a
+	// forced write-back for plain-NFS traffic (which would deadlock on the
+	// entry lock held across the callback).
+	cbSem      *sim.Semaphore
+	inCallback map[cbKey]int
 	// unstable-pipeline counters.
 	unstableWrites  int64
 	committedBlocks int64
@@ -232,8 +230,6 @@ type cbKey struct {
 func (b *Base) callback(p *sim.Proc, cb core.Callback) error {
 	b.cbSem.Acquire(p)
 	defer b.cbSem.Release()
-	b.cbOutstanding.Add(1)
-	defer b.cbOutstanding.Add(-1)
 	if b.tracer != nil {
 		b.record(trace.Callback, p.Op(), "-> %s %s writeback=%v invalidate=%v",
 			cb.Client, cb.Handle, cb.WriteBack, cb.Invalidate)

@@ -572,6 +572,44 @@ func TestSNFSReclaimsOnFullTable(t *testing.T) {
 	})
 }
 
+// TestSNFSCallbackGauges: the callback gauges read their one source.
+// While a callback is in its client's handler, one callback permit is in
+// use and the outstanding gauge reads 1; once answered it reads 0, and the
+// issued total is the endpoint's sent callback count, Ops' "callback".
+func TestSNFSCallbackGauges(t *testing.T) {
+	r := newRig(true, SNFSOptions{})
+	reg := metrics.New()
+	r.snfs.EnableMetrics(reg)
+	gauge := func(name string) float64 { return reg.Snapshot().Gauges[name] }
+	during := -1.0
+	r.cli.Register(proto.ProgCallback, func(p *sim.Proc, from simnet.Addr, proc uint32, args []byte) ([]byte, rpc.Status) {
+		p.Sleep(10 * sim.Millisecond)
+		during = gauge("snfs_server_callbacks_outstanding")
+		return proto.Marshal(&proto.StatusReply{Status: proto.OK}), rpc.StatusOK
+	})
+	other := rpc.NewEndpoint(r.k, r.net, "cli2", rpc.Options{Workers: 2})
+	r.run(t, func(p *sim.Proc) {
+		h := createFile(t, r, p, "f")
+		r.call(t, p, proto.ProcOpen, &proto.OpenArgs{Handle: h, WriteMode: true})
+		// A second client's open write-shares the file: "cli" is called
+		// back to write back and stop caching.
+		if _, err := other.Call(p, "server", proto.ProgNFS, proto.VersNFS, proto.ProcOpen,
+			proto.Marshal(&proto.OpenArgs{Handle: h})); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if during != 1 {
+		t.Errorf("outstanding during the callback = %v, want 1", during)
+	}
+	if got := gauge("snfs_server_callbacks_outstanding"); got != 0 {
+		t.Errorf("outstanding after the callback = %v, want 0", got)
+	}
+	issued, sent := gauge("snfs_server_callbacks_issued_total"), r.snfs.Ops().Get("callback")
+	if sent != 1 || issued != float64(sent) {
+		t.Errorf("callbacks issued %v, sent %d: want 1 and 1", issued, sent)
+	}
+}
+
 // TestSNFSDeadCallbackTargetIsDeclaredDead: a client that does not answer
 // the callback of a truncating create, or of Expel, is declared dead —
 // its opens on other files go with it. The rig's "cli" endpoint serves no

@@ -11,6 +11,7 @@ import (
 	"spritelynfs/internal/rpc"
 	"spritelynfs/internal/sim"
 	"spritelynfs/internal/simnet"
+	"spritelynfs/internal/stats"
 	"spritelynfs/internal/trace"
 )
 
@@ -130,9 +131,9 @@ func (s *SNFSServer) EnableMetrics(r *metrics.Registry) {
 	r.GaugeFunc("snfs_server_state_table_size",
 		func() float64 { return float64(s.table.Len()) })
 	r.GaugeFunc("snfs_server_callbacks_outstanding",
-		func() float64 { return float64(s.cbOutstanding.Load()) })
+		func() float64 { return float64(s.cbSem.InUse()) })
 	r.GaugeFunc("snfs_server_callbacks_issued_total",
-		func() float64 { return float64(s.table.Stats().CallbacksIssued) })
+		func() float64 { return float64(s.ep.Sent()[stats.Callback]) })
 	r.GaugeFunc("snfs_server_reclaims_total",
 		func() float64 { return float64(s.table.Stats().Reclaims) })
 	r.GaugeFunc("snfs_server_inconsistencies_total",
