@@ -721,13 +721,11 @@ func TestDocsNameLiveCode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	metrics := append(bench.EndToEnd, bench.PerLayer...)
 	metric := func(ref string) bool {
-		for _, m := range append(bench.EndToEnd, bench.PerLayer...) {
-			if m.Name == ref || strings.HasPrefix(m.Name, ref+".") {
-				return true
-			}
-		}
-		return false
+		return slices.ContainsFunc(metrics, func(m struct{ Name string }) bool {
+			return m.Name == ref || strings.HasPrefix(m.Name, ref+".")
+		})
 	}
 	hasMember := func(tn *types.TypeName, member string) bool {
 		obj, _, _ := types.LookupFieldOrMethod(tn.Type(), true, tn.Pkg(), member)
