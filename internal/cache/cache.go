@@ -69,6 +69,9 @@ type Stats struct {
 	DirtyEvict  int64 // evictions that forced a write-back
 	Cancelled   int64 // dirty blocks dropped by delete-before-writeback
 	Invalidated int64 // blocks dropped by invalidation (callbacks, opens)
+	// Made counts the blocks allocated for new keys, Reused the new keys
+	// given a block that had left the cache.
+	Made, Reused int64
 }
 
 // Cache is a fixed-capacity LRU block cache.
@@ -157,6 +160,7 @@ func (c *Cache) Insert(key Key, data []byte, length int) (*Block, []*Block) {
 		return b, nil
 	}
 	b := &Block{Key: key, Data: data, Len: length}
+	c.stats.Made++
 	c.blocks[key] = b
 	c.pushFront(b)
 	fk := fileKey{key.FS, key.Ino}

@@ -315,6 +315,7 @@ func (c *refCache) Insert(key Key, data []byte, length int) (*Block, []*Block) {
 		return b, nil
 	}
 	b := &Block{Key: key, Data: data, Len: length}
+	c.stats.Made++
 	el := c.lru.PushFront(b)
 	c.blocks[key] = el
 	fk := fileKey{key.FS, key.Ino}

@@ -169,20 +169,30 @@ func (s *syncPass) dirtied() {
 }
 
 // FleetWork is a fleet's host-work census: its kernel's counts, its
-// executor's submits, and its endpoints' wire-image work.
+// executor's submits, its endpoints' wire-image work, and the cache
+// blocks its clients' caches and its servers' buffer caches made and
+// reused (cache.Stats).
 type FleetWork struct {
 	sim.KernelWork
-	Submits int64
-	RPC     rpc.Work
+	Submits                  int64
+	RPC                      rpc.Work
+	BlocksMade, BlocksReused int64
 }
 
 // Work returns the fleet's host-work counts so far.
 func (f *Fleet) Work() FleetWork {
-	rw := f.W.RPCWork()
-	for _, fc := range f.Clients {
-		rw = rw.Add(fc.Base.Endpoint().Work())
+	fw := FleetWork{KernelWork: f.W.K.Work(), Submits: f.Exec.Work().Submits, RPC: f.W.RPCWork()}
+	count := func(cs cache.Stats) {
+		fw.BlocksMade, fw.BlocksReused = fw.BlocksMade+cs.Made, fw.BlocksReused+cs.Reused
 	}
-	return FleetWork{KernelWork: f.W.K.Work(), Submits: f.Exec.Work().Submits, RPC: rw}
+	for _, fc := range f.Clients {
+		fw.RPC = fw.RPC.Add(fc.Base.Endpoint().Work())
+		count(fc.Base.Cache().Stats())
+	}
+	for _, h := range f.W.servers {
+		count(h.Media.CacheStats())
+	}
+	return fw
 }
 
 // Client returns fleet member i.

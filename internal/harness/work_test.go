@@ -16,11 +16,13 @@ import (
 // executor's submits, the RPC calls the fleet's clients sent, and the
 // wire-image heads every endpoint built, the Pendings and reply heads it
 // made and reused, and the timeouts that came due on answered calls
-// (rpc.Endpoint.Work). A web-asset file is a whole
-// number of words, so no head of a fleet run holds data.
+// (rpc.Endpoint.Work), and the cache blocks the clients' caches and the
+// server's buffer cache made and reused (cache.Stats). A web-asset file
+// is a whole number of words, so no head of a fleet run holds data.
 type census struct {
 	Pops, Switches, Spawns, Cancelled, Submits, Calls int64
 	RPC                                               rpc.Work
+	BlocksMade, BlocksReused                          int64
 }
 
 // unrecycled returns w as the release checker counts it: what is reused
@@ -31,6 +33,16 @@ func unrecycled(w rpc.Work) rpc.Work {
 		w.HeadsMade, w.HeadsReused = w.HeadsMade+w.HeadsReused, 0
 	}
 	return w
+}
+
+// unrecycled returns c as the release checker counts it: the wire's
+// Pendings and reply heads, and the cache's blocks, are all made.
+func (c census) unrecycled() census {
+	c.RPC = unrecycled(c.RPC)
+	if !harness.Recycling {
+		c.BlocksMade, c.BlocksReused = c.BlocksMade+c.BlocksReused, 0
+	}
+	return c
 }
 
 // diff renders every count that differs from want as a signed difference.
@@ -53,6 +65,8 @@ func (c census) diff(want census) string {
 		{"reply heads made", c.RPC.HeadsMade, want.RPC.HeadsMade},
 		{"reply heads reused", c.RPC.HeadsReused, want.RPC.HeadsReused},
 		{"stale timeouts", c.RPC.StaleTimeouts, want.RPC.StaleTimeouts},
+		{"blocks made", c.BlocksMade, want.BlocksMade},
+		{"blocks reused", c.BlocksReused, want.BlocksReused},
 	} {
 		if f.got != f.want {
 			fmt.Fprintf(&b, " %s %d (%+d)", f.name, f.got, f.got-f.want)
@@ -88,13 +102,13 @@ func TestWorkBudgets(t *testing.T) {
 		// over the endpoints. Each protocol withdraws the timeout of every
 		// call answered, 4 (NFS) and 5 (SNFS) more than came due stale:
 		// those of calls answered in the run's last second, which ended
-		// before they came due.
+		// before they came due. Every new key in a cache makes its block.
 		{harness.NFS, census{Pops: 320024, Switches: 142160, Spawns: 1227, Cancelled: 41972, Submits: 10000, Calls: 40771, RPC: rpc.Work{Heads: 41972, HeadBytes: 6036820,
-			PendingsMade: 1186, PendingsReused: 40786, HeadsMade: 228, HeadsReused: 41744}}},
+			PendingsMade: 1186, PendingsReused: 40786, HeadsMade: 228, HeadsReused: 41744}, BlocksMade: 24741}},
 		// While the sweep passed every client every interval, dirty or
 		// not: pops 782963, switches 340521, spawns 29, submits 178241.
 		{harness.SNFS, census{Pops: 394304, Switches: 172577, Spawns: 28, Cancelled: 52889, Submits: 10298, Calls: 50289, RPC: rpc.Work{Heads: 52889, HeadBytes: 6890632,
-			PendingsMade: 1021, PendingsReused: 51868, HeadsMade: 566, HeadsReused: 52323}}},
+			PendingsMade: 1021, PendingsReused: 51868, HeadsMade: 566, HeadsReused: 52323}, BlocksMade: 24002}},
 	}
 	for _, pin := range pins {
 		cfg, err := scenario.Named("web-asset")
@@ -107,10 +121,8 @@ func TestWorkBudgets(t *testing.T) {
 			t.Fatal(err)
 		}
 		w := res.Work
-		got := census{w.Pops, w.Switches, w.Spawns, w.Cancelled, w.Submits, res.CallsSent, w.RPC}
-		want := pin.want
-		want.RPC = unrecycled(want.RPC)
-		if d := got.diff(want); d != "" {
+		got := census{w.Pops, w.Switches, w.Spawns, w.Cancelled, w.Submits, res.CallsSent, w.RPC, w.BlocksMade, w.BlocksReused}
+		if d := got.diff(pin.want.unrecycled()); d != "" {
 			t.Errorf("%v fleet census moved:%s", pin.pr, d)
 		}
 		t.Logf("%v: %.2f pops and %.2f switches per RPC", pin.pr,

@@ -79,6 +79,9 @@ func (m *Media) Store() *Store { return m.store }
 // Disk returns the underlying simulated disk.
 func (m *Media) Disk() *disk.Disk { return m.d }
 
+// CacheStats returns the buffer cache's counters.
+func (m *Media) CacheStats() cache.Stats { return m.c.Stats() }
+
 // Sched returns the write-gathering scheduler (for stats inspection).
 func (m *Media) Sched() *disk.Scheduler { return m.sched }
 
