@@ -9,15 +9,27 @@
 // As in the Unix buffer pool, every block carries its own links: one pair
 // places it in the cache's LRU list, the other in its file's chain. So a
 // resident block costs one object, and moving it, dropping it or walking a
-// file's blocks allocates nothing.
+// file's blocks allocates nothing. A block that leaves the cache (evicted,
+// invalidated, cancelled) is the next block: an eviction's slot takes the
+// new key at once, and a dropped block waits on the cache's free list for
+// the next Insert.
 //
-// The cache is a passive data structure: eviction returns any displaced
-// dirty blocks to the caller, which decides how (and in which simulated
-// process) to write them back.
+// A *Block is therefore the cache's, lent: it is valid only until its
+// holder parks (a simulated process blocks) or calls the cache again.
+// Whatever uses a block later holds a value or a key. Insert hands back
+// the block it evicted by value (Victim), and the dirty-block lists are
+// keys. A dirty victim's bytes are its caller's to write back; the cache
+// never reuses a block's Data. Under the frozencheck build tag a departed
+// block is poisoned instead of reused (a sentinel key, nil Data, Len -1),
+// so a stale holder panics or misses.
+//
+// The cache is a passive data structure: the caller decides how (and in
+// which simulated process) a dirty victim is written back.
 package cache
 
 import (
 	"cmp"
+	"math"
 	"slices"
 
 	"spritelynfs/internal/sim"
@@ -56,9 +68,19 @@ type Block struct {
 
 	// prev and next link the block into the cache's LRU list, next toward
 	// the least recently used; filePrev and fileNext into its file's
-	// chain. All four are nil once the block has left the cache.
+	// chain. Once the block has left the cache, next links the free list
+	// and the others are nil.
 	prev, next         *Block
 	filePrev, fileNext *Block
+}
+
+// Victim is a block Insert evicted, by value. A dirty victim's Data is
+// its caller's, to write back; nothing else holds it.
+type Victim struct {
+	Key   Key
+	Data  []byte
+	Len   int
+	Dirty bool
 }
 
 // Stats counts cache activity.
@@ -83,8 +105,10 @@ type Cache struct {
 	lru Block
 	// perFile maps a file to the head of its chain of resident blocks.
 	perFile map[fileKey]*Block
-	ndirty  int
-	stats   Stats
+	// free heads the blocks that left the cache, linked by next.
+	free   *Block
+	ndirty int
+	stats  Stats
 	// onDirty, when set, runs each time the dirty count rises from 0.
 	onDirty func()
 }
@@ -146,21 +170,39 @@ func (c *Cache) Peek(key Key) (*Block, bool) {
 	return b, ok
 }
 
-// Insert adds or replaces the block for key and returns any blocks evicted
-// to make room; evicted dirty blocks must be written back by the caller.
-// The returned block pointer is the resident block, whose fields (Dirty,
-// Data) the caller may update in place.
-func (c *Cache) Insert(key Key, data []byte, length int) (*Block, []*Block) {
+// Insert adds or replaces the block for key and returns the resident
+// block, whose fields (Dirty, Data) the caller may update in place until
+// it parks or calls the cache again. A new key in a full cache evicts the
+// least recently used block and takes its place: the victim comes back
+// by value, and a dirty one must be written back by the caller.
+func (c *Cache) Insert(key Key, data []byte, length int) (*Block, Victim) {
 	if b, ok := c.blocks[key]; ok {
 		b.Data, b.Frozen = data, false
 		if length > b.Len {
 			b.Len = length
 		}
 		c.moveToFront(b)
-		return b, nil
+		return b, Victim{}
 	}
-	b := &Block{Key: key, Data: data, Len: length}
-	c.stats.Made++
+	var v Victim
+	if c.capacity > 0 && len(c.blocks) >= c.capacity {
+		back := c.lru.prev
+		v = Victim{Key: back.Key, Data: back.Data, Len: back.Len, Dirty: back.Dirty}
+		c.stats.Evictions++
+		if v.Dirty {
+			c.stats.DirtyEvict++
+		}
+		c.remove(back)
+	}
+	b := c.free
+	if b != nil {
+		c.free = b.next
+		c.stats.Reused++
+	} else {
+		b = new(Block)
+		c.stats.Made++
+	}
+	*b = Block{Key: key, Data: data, Len: length}
 	c.blocks[key] = b
 	c.pushFront(b)
 	fk := fileKey{key.FS, key.Ino}
@@ -168,21 +210,7 @@ func (c *Cache) Insert(key Key, data []byte, length int) (*Block, []*Block) {
 		head.filePrev, b.fileNext = b, head
 	}
 	c.perFile[fk] = b
-
-	var evicted []*Block
-	for c.capacity > 0 && len(c.blocks) > c.capacity {
-		back := c.lru.prev
-		if back == b {
-			break // never evict the block just inserted
-		}
-		c.remove(back)
-		c.stats.Evictions++
-		if back.Dirty {
-			c.stats.DirtyEvict++
-		}
-		evicted = append(evicted, back)
-	}
-	return b, evicted
+	return b, v
 }
 
 // MarkDirty marks the resident block dirty, recording now as its dirty
@@ -234,7 +262,8 @@ func (c *Cache) moveToFront(b *Block) {
 	c.pushFront(b)
 }
 
-// remove unlinks b from every index. It does not touch stats.
+// remove unlinks b from every index and frees it. It does not touch
+// stats.
 func (c *Cache) remove(b *Block) {
 	b.prev.next, b.next.prev = b.next, b.prev
 	delete(c.blocks, b.Key)
@@ -249,22 +278,33 @@ func (c *Cache) remove(b *Block) {
 	default:
 		delete(c.perFile, fk) // b was the file's only block
 	}
-	b.prev, b.next, b.filePrev, b.fileNext = nil, nil, nil, nil
 	if b.Dirty {
 		c.ndirty--
 	}
+	c.release(b)
 }
 
-// DirtyBlocks returns the dirty resident blocks of one file in ascending
-// block order.
-func (c *Cache) DirtyBlocks(fs uint32, ino uint64) []*Block {
-	var out []*Block
+// release puts a block that has left every index on the free list, or,
+// under the release checker, poisons it for good.
+func (c *Cache) release(b *Block) {
+	if frozenCheck {
+		*b = Block{Key: departed, Len: -1}
+		return
+	}
+	*b = Block{next: c.free}
+	c.free = b
+}
+
+// DirtyBlocks returns the keys of one file's dirty resident blocks in
+// ascending block order.
+func (c *Cache) DirtyBlocks(fs uint32, ino uint64) []Key {
+	var out []Key
 	for b := c.perFile[fileKey{fs, ino}]; b != nil; b = b.fileNext {
 		if b.Dirty {
-			out = append(out, b)
+			out = append(out, b.Key)
 		}
 	}
-	slices.SortFunc(out, byKey)
+	slices.SortFunc(out, compareKeys)
 	return out
 }
 
@@ -282,38 +322,27 @@ func (c *Cache) HasDirty(fs uint32, ino uint64) bool {
 	return false
 }
 
-// DirtyOlderThan returns every dirty block whose DirtyAt is at or before
-// cutoff, across all files, in ascending (fs, ino, block) order. A cache
-// with no dirty block returns nil without walking its blocks.
-func (c *Cache) DirtyOlderThan(cutoff sim.Time) []*Block {
+// DirtyOlderThan returns the keys of every dirty block whose DirtyAt is
+// at or before cutoff, across all files, in ascending (fs, ino, block)
+// order. A cache with no dirty block returns nil without walking its
+// blocks.
+func (c *Cache) DirtyOlderThan(cutoff sim.Time) []Key {
 	if c.ndirty == 0 {
 		return nil
 	}
-	var out []*Block
+	var out []Key
 	for b := c.lru.next; b != &c.lru; b = b.next {
 		if b.Dirty && b.DirtyAt <= cutoff {
-			out = append(out, b)
+			out = append(out, b.Key)
 		}
 	}
-	slices.SortFunc(out, byKey)
+	slices.SortFunc(out, compareKeys)
 	return out
 }
 
-// AllDirty returns every dirty block in ascending order, or nil at once
-// when there is none.
-func (c *Cache) AllDirty() []*Block {
-	if c.ndirty == 0 {
-		return nil
-	}
-	var out []*Block
-	for b := c.lru.next; b != &c.lru; b = b.next {
-		if b.Dirty {
-			out = append(out, b)
-		}
-	}
-	slices.SortFunc(out, byKey)
-	return out
-}
+// AllDirty returns the keys of every dirty block in ascending order, or
+// nil at once when there is none.
+func (c *Cache) AllDirty() []Key { return c.DirtyOlderThan(sim.Time(math.MaxInt64)) }
 
 // InvalidateFile drops every resident block of the file, dirty or not,
 // and returns how many blocks were dropped. Dirty blocks are counted as
@@ -360,7 +389,7 @@ func (c *Cache) InvalidateAll() int {
 		if b.Dirty {
 			c.stats.Cancelled++
 		}
-		b.prev, b.next, b.filePrev, b.fileNext = nil, nil, nil, nil
+		c.release(b)
 		b = next
 	}
 	clear(c.blocks)
@@ -371,13 +400,17 @@ func (c *Cache) InvalidateAll() int {
 	return n
 }
 
-// byKey orders blocks by (fs, ino, block).
-func byKey(a, b *Block) int {
-	if a.Key.FS != b.Key.FS {
-		return cmp.Compare(a.Key.FS, b.Key.FS)
+// departed is the key of a block the release checker poisoned: no file
+// has this inode.
+var departed = Key{FS: ^uint32(0), Ino: ^uint64(0), Block: -1}
+
+// compareKeys orders keys by (fs, ino, block).
+func compareKeys(a, b Key) int {
+	if a.FS != b.FS {
+		return cmp.Compare(a.FS, b.FS)
 	}
-	if a.Key.Ino != b.Key.Ino {
-		return cmp.Compare(a.Key.Ino, b.Key.Ino)
+	if a.Ino != b.Ino {
+		return cmp.Compare(a.Ino, b.Ino)
 	}
-	return cmp.Compare(a.Key.Block, b.Key.Block)
+	return cmp.Compare(a.Block, b.Block)
 }

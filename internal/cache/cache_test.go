@@ -34,9 +34,9 @@ func TestLRUEviction(t *testing.T) {
 		c.Insert(key(1, i), nil, 0)
 	}
 	c.Lookup(key(1, 0)) // touch block 0; block 1 is now LRU
-	_, evicted := c.Insert(key(1, 3), nil, 0)
-	if len(evicted) != 1 || evicted[0].Key.Block != 1 {
-		t.Fatalf("evicted %v, want block 1", evicted)
+	_, victim := c.Insert(key(1, 3), nil, 0)
+	if c.Stats().Evictions != 1 || victim.Key != key(1, 1) {
+		t.Fatalf("evicted %+v (%d evictions), want block 1", victim, c.Stats().Evictions)
 	}
 	if !c.Contains(key(1, 0)) || !c.Contains(key(1, 2)) || !c.Contains(key(1, 3)) {
 		t.Error("wrong residents after eviction")
@@ -48,9 +48,9 @@ func TestEvictionReturnsDirtyBlocks(t *testing.T) {
 	c.Insert(key(1, 0), nil, 0)
 	c.MarkDirty(key(1, 0), 100)
 	c.Insert(key(1, 1), nil, 0)
-	_, evicted := c.Insert(key(1, 2), nil, 0)
-	if len(evicted) != 1 || !evicted[0].Dirty {
-		t.Fatalf("evicted %+v, want the dirty block", evicted)
+	_, victim := c.Insert(key(1, 2), nil, 0)
+	if victim.Key != key(1, 0) || !victim.Dirty {
+		t.Fatalf("evicted %+v, want the dirty block", victim)
 	}
 	if c.Stats().DirtyEvict != 1 {
 		t.Errorf("DirtyEvict = %d", c.Stats().DirtyEvict)
@@ -73,8 +73,8 @@ func TestDirtyTracking(t *testing.T) {
 	// Re-dirtying must not reset DirtyAt.
 	c.MarkDirty(key(1, 0), sim.Time(50*sim.Second))
 	dirty := c.AllDirty()
-	if len(dirty) != 1 || dirty[0].DirtyAt != sim.Time(5*sim.Second) {
-		t.Errorf("AllDirty = %+v", dirty)
+	if b, _ := c.Peek(key(1, 0)); len(dirty) != 1 || dirty[0] != key(1, 0) || b.DirtyAt != sim.Time(5*sim.Second) {
+		t.Errorf("AllDirty = %+v, block %+v", dirty, b)
 	}
 	c.MarkClean(key(1, 0))
 	if c.DirtyCount() != 0 || len(c.AllDirty()) != 0 {
@@ -92,9 +92,9 @@ func TestDirtyOlderThan(t *testing.T) {
 	if len(old) != 3 {
 		t.Fatalf("got %d old blocks, want 3", len(old))
 	}
-	for i, b := range old {
-		if b.Key.Block != int64(i) {
-			t.Errorf("old[%d] = block %d, want sorted ascending", i, b.Key.Block)
+	for i, k := range old {
+		if k.Block != int64(i) {
+			t.Errorf("old[%d] = block %d, want sorted ascending", i, k.Block)
 		}
 	}
 }
@@ -110,9 +110,9 @@ func TestCleanCacheScansNothing(t *testing.T) {
 	}
 	c.MarkDirty(key(1, 3), 1)
 	c.MarkClean(key(1, 3))
-	for name, scan := range map[string]func() []*Block{
+	for name, scan := range map[string]func() []Key{
 		"AllDirty":       c.AllDirty,
-		"DirtyOlderThan": func() []*Block { return c.DirtyOlderThan(sim.Time(sim.Second)) },
+		"DirtyOlderThan": func() []Key { return c.DirtyOlderThan(sim.Time(sim.Second)) },
 	} {
 		if got := scan(); got != nil {
 			t.Errorf("%s on a clean cache = %v, want nil", name, got)
@@ -162,7 +162,7 @@ func fileBlocks(c *Cache, fs uint32, ino uint64) []*Block {
 	for b := c.perFile[fileKey{fs, ino}]; b != nil; b = b.fileNext {
 		out = append(out, b)
 	}
-	slices.SortFunc(out, byKey)
+	slices.SortFunc(out, func(a, b *Block) int { return compareKeys(a.Key, b.Key) })
 	return out
 }
 
@@ -178,9 +178,9 @@ func TestFileBlocksSorted(t *testing.T) {
 	if len(bs) != 6 {
 		t.Fatalf("len %d", len(bs))
 	}
-	for i, b := range bs {
-		if b.Key.Block != int64(i) {
-			t.Fatalf("blocks out of order: %d at %d", b.Key.Block, i)
+	for i, k := range bs {
+		if k.Block != int64(i) {
+			t.Fatalf("blocks out of order: %d at %d", k.Block, i)
 		}
 	}
 }
@@ -188,11 +188,11 @@ func TestFileBlocksSorted(t *testing.T) {
 func TestInsertExistingUpdatesInPlace(t *testing.T) {
 	c := New(2)
 	b1, _ := c.Insert(key(1, 0), []byte("old"), 3)
-	b2, evicted := c.Insert(key(1, 0), []byte("newer"), 5)
+	b2, victim := c.Insert(key(1, 0), []byte("newer"), 5)
 	if b1 != b2 {
 		t.Error("reinsert allocated a new block")
 	}
-	if evicted != nil {
+	if victim.Key != (Key{}) || c.Stats().Evictions != 0 {
 		t.Error("reinsert evicted")
 	}
 	if string(b2.Data) != "newer" || b2.Len != 5 {
@@ -219,10 +219,54 @@ func TestInvalidateAll(t *testing.T) {
 	}
 }
 
+// TestDepartedBlockIsTheNextBlock: a block that leaves the cache — evicted,
+// invalidated, cancelled or dropped with the rest — is the next new key's
+// block, and an evicted one comes back by value. Under the release checker
+// it is poisoned instead, and the next key gets a block of its own.
+func TestDepartedBlockIsTheNextBlock(t *testing.T) {
+	reused := func(what string, c *Cache, old, next *Block) {
+		t.Helper()
+		s := c.Stats()
+		switch {
+		case frozenCheck && (next == old || old.Key != departed || old.Data != nil || old.Len != -1 || s.Reused != 0):
+			t.Errorf("after %s: departed block %+v reused or not poisoned", what, old)
+		case !frozenCheck && (next != old || s.Reused != 1):
+			t.Errorf("after %s: the next block is not the departed one (%d reused)", what, s.Reused)
+		}
+	}
+
+	c := New(2)
+	data := []byte("dirty bytes")
+	old, _ := c.Insert(key(1, 0), data, len(data))
+	c.MarkDirty(key(1, 0), 7)
+	c.Insert(key(1, 1), nil, 0)
+	next, victim := c.Insert(key(2, 0), nil, 0)
+	if victim.Key != key(1, 0) || !victim.Dirty || victim.Len != len(data) || &victim.Data[0] != &data[0] {
+		t.Errorf("victim %+v, want block 0 of file 1 with its bytes, dirty", victim)
+	}
+	reused("an eviction", c, old, next)
+
+	for _, drop := range []struct {
+		name string
+		fn   func(c *Cache)
+	}{
+		{"InvalidateFile", func(c *Cache) { c.InvalidateFile(1, 2) }},
+		{"CancelDirty", func(c *Cache) { c.CancelDirty(1, 2) }},
+		{"InvalidateAll", func(c *Cache) { c.InvalidateAll() }},
+	} {
+		c := New(0)
+		old, _ := c.Insert(key(2, 0), nil, 0)
+		c.MarkDirty(key(2, 0), 8)
+		drop.fn(c)
+		next, _ := c.Insert(key(3, 0), nil, 0)
+		reused(drop.name, c, old, next)
+	}
+}
+
 // TestCacheOpsAllocateNothing: a block carries its own LRU and file-chain
-// links, so every operation on resident blocks — and dropping a file —
-// allocates nothing, and a new block costs the Block itself and the slice
-// of what it evicted.
+// links, and a departed block is the next one, so every operation on
+// resident blocks, dropping a file, and a new block in a full cache or
+// after a drop allocate nothing.
 func TestCacheOpsAllocateNothing(t *testing.T) {
 	const runs = 100
 	c := New(256)
@@ -261,26 +305,41 @@ func TestCacheOpsAllocateNothing(t *testing.T) {
 		t.Errorf("InvalidateFile allocates %.0f objects, want 0", allocs)
 	}
 
+	if frozenCheck {
+		t.Skip("the release checker makes every block")
+	}
 	fresh := int64(256)
 	if allocs := testing.AllocsPerRun(runs, func() {
 		fresh++
-		if _, ev := c.Insert(key(1, fresh), nil, 4096); len(ev) != 1 {
-			t.Fatalf("a new block in a full cache evicted %d", len(ev))
+		c.Insert(key(1, fresh), nil, 4096)
+	}); allocs != 0 {
+		t.Errorf("a new Insert into a full cache allocates %.0f objects, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(runs, func() {
+		files.InvalidateFile(1, ino)
+		for blk := int64(0); blk < 4; blk++ {
+			files.Insert(key(ino+runs+1, blk), nil, 4096)
 		}
-	}); allocs > 2 {
-		t.Errorf("a new Insert into a full cache allocates %.0f objects, want at most 2 (the Block and the evicted slice)", allocs)
+		ino++
+	}); allocs != 0 {
+		t.Errorf("InvalidateFile and an Insert for each block dropped allocate %.0f objects, want 0", allocs)
+	}
+	if s := c.Stats(); s.Evictions != runs+1 || s.Made != 256 {
+		t.Errorf("%d evictions and %d blocks made, want %d and 256", s.Evictions, s.Made, runs+1)
 	}
 }
 
 // refCache is the cache as it was before its blocks carried their own
-// links: a container/list LRU and a map per file. TestQuickInvariants
-// holds the intrusive cache to it.
+// links: a container/list LRU and a map per file. It keeps no free list,
+// only the count of blocks one would hold. TestQuickInvariants holds the
+// intrusive cache to it.
 type refCache struct {
 	capacity int
 	blocks   map[Key]*list.Element
 	lru      *list.List // front = most recent
 	perFile  map[fileKey]map[int64]*list.Element
 	ndirty   int
+	free     int // blocks that left and were not yet reused
 	stats    Stats
 }
 
@@ -304,7 +363,15 @@ func (c *refCache) Lookup(key Key) (*Block, bool) {
 	return el.Value.(*Block), true
 }
 
-func (c *refCache) Insert(key Key, data []byte, length int) (*Block, []*Block) {
+func (c *refCache) Peek(key Key) (*Block, bool) {
+	el, ok := c.blocks[key]
+	if !ok {
+		return nil, false
+	}
+	return el.Value.(*Block), true
+}
+
+func (c *refCache) Insert(key Key, data []byte, length int) (*Block, Victim) {
 	if el, ok := c.blocks[key]; ok {
 		b := el.Value.(*Block)
 		b.Data, b.Frozen = data, false
@@ -312,10 +379,26 @@ func (c *refCache) Insert(key Key, data []byte, length int) (*Block, []*Block) {
 			b.Len = length
 		}
 		c.lru.MoveToFront(el)
-		return b, nil
+		return b, Victim{}
+	}
+	var v Victim
+	if c.capacity > 0 && c.lru.Len() >= c.capacity {
+		back := c.lru.Back()
+		vb := back.Value.(*Block)
+		v = Victim{Key: vb.Key, Data: vb.Data, Len: vb.Len, Dirty: vb.Dirty}
+		c.remove(back)
+		c.stats.Evictions++
+		if vb.Dirty {
+			c.stats.DirtyEvict++
+		}
+	}
+	if c.free > 0 && !frozenCheck {
+		c.free--
+		c.stats.Reused++
+	} else {
+		c.stats.Made++
 	}
 	b := &Block{Key: key, Data: data, Len: length}
-	c.stats.Made++
 	el := c.lru.PushFront(b)
 	c.blocks[key] = el
 	fk := fileKey{key.FS, key.Ino}
@@ -325,21 +408,7 @@ func (c *refCache) Insert(key Key, data []byte, length int) (*Block, []*Block) {
 		c.perFile[fk] = m
 	}
 	m[key.Block] = el
-	var evicted []*Block
-	for c.capacity > 0 && c.lru.Len() > c.capacity {
-		back := c.lru.Back()
-		if back == el {
-			break
-		}
-		vb := back.Value.(*Block)
-		c.remove(back)
-		c.stats.Evictions++
-		if vb.Dirty {
-			c.stats.DirtyEvict++
-		}
-		evicted = append(evicted, vb)
-	}
-	return b, evicted
+	return b, v
 }
 
 func (c *refCache) MarkDirty(key Key, now sim.Time) bool {
@@ -387,6 +456,7 @@ func (c *refCache) remove(el *list.Element) {
 	if b.Dirty {
 		c.ndirty--
 	}
+	c.free++
 }
 
 func (c *refCache) FileBlocks(fs uint32, ino uint64) []*Block {
@@ -402,17 +472,26 @@ func (c *refCache) FileBlocks(fs uint32, ino uint64) []*Block {
 	return out
 }
 
-func (c *refCache) DirtyBlocks(fs uint32, ino uint64) []*Block {
+// keys returns the keys of bs, in order.
+func keys(bs []*Block) []Key {
+	var out []Key
+	for _, b := range bs {
+		out = append(out, b.Key)
+	}
+	return out
+}
+
+func (c *refCache) DirtyBlocks(fs uint32, ino uint64) []Key {
 	var out []*Block
 	for _, b := range c.FileBlocks(fs, ino) {
 		if b.Dirty {
 			out = append(out, b)
 		}
 	}
-	return out
+	return keys(out)
 }
 
-func (c *refCache) DirtyOlderThan(cutoff sim.Time) []*Block {
+func (c *refCache) DirtyOlderThan(cutoff sim.Time) []Key {
 	var out []*Block
 	for el := c.lru.Front(); el != nil; el = el.Next() {
 		if b := el.Value.(*Block); b.Dirty && b.DirtyAt <= cutoff {
@@ -420,10 +499,10 @@ func (c *refCache) DirtyOlderThan(cutoff sim.Time) []*Block {
 		}
 	}
 	refSort(out)
-	return out
+	return keys(out)
 }
 
-func (c *refCache) AllDirty() []*Block {
+func (c *refCache) AllDirty() []Key {
 	var out []*Block
 	for el := c.lru.Front(); el != nil; el = el.Next() {
 		if b := el.Value.(*Block); b.Dirty {
@@ -431,7 +510,7 @@ func (c *refCache) AllDirty() []*Block {
 		}
 	}
 	refSort(out)
-	return out
+	return keys(out)
 }
 
 func (c *refCache) InvalidateFile(fs uint32, ino uint64) int {
@@ -449,9 +528,9 @@ func (c *refCache) InvalidateFile(fs uint32, ino uint64) int {
 
 func (c *refCache) CancelDirty(fs uint32, ino uint64) int {
 	n := 0
-	for _, b := range c.DirtyBlocks(fs, ino) {
+	for _, k := range c.DirtyBlocks(fs, ino) {
 		c.stats.Cancelled++
-		c.remove(c.blocks[b.Key])
+		c.remove(c.blocks[k])
 		n++
 	}
 	return n
@@ -468,6 +547,7 @@ func (c *refCache) InvalidateAll() int {
 	c.perFile = make(map[fileKey]map[int64]*list.Element)
 	c.lru.Init()
 	c.ndirty = 0
+	c.free += n
 	c.stats.Invalidated += int64(n)
 	return n
 }
@@ -509,12 +589,22 @@ func states(bs []*Block) []blockState {
 	return out
 }
 
+// keyStates reads the state of each listed block, looked up by key.
+func keyStates(peek func(Key) (*Block, bool), keys []Key) []blockState {
+	bs := make([]*Block, len(keys))
+	for i, k := range keys {
+		bs[i], _ = peek(k)
+	}
+	return states(bs)
+}
+
 // Property: driven by the same random sequence at capacity 8, the
-// intrusive cache agrees with refCache after every operation — what it
-// evicts and in which order (the order write-backs leave in, which the
-// virtual clock follows), what each call returns, every file's blocks,
-// the dirty scans, HasDirty, the counters — and its dirty count matches
-// its blocks while residency stays within capacity.
+// intrusive cache agrees with refCache after every operation — the victim
+// of each insert (the order write-backs leave in, which the virtual clock
+// follows), what each call returns, every file's blocks, the dirty scans'
+// keys and the blocks they name, HasDirty, the counters, blocks made and
+// reused among them — and its dirty count matches its blocks while
+// residency stays within capacity.
 func TestQuickInvariants(t *testing.T) {
 	type op struct {
 		Kind byte
@@ -531,9 +621,8 @@ func TestQuickInvariants(t *testing.T) {
 			var got, want any
 			switch o.Kind % 12 {
 			case 0, 1, 2:
-				_, ev := c.Insert(k, nil, int(o.Len))
-				_, rev := ref.Insert(k, nil, int(o.Len))
-				got, want = states(ev), states(rev)
+				_, got = c.Insert(k, nil, int(o.Len))
+				_, want = ref.Insert(k, nil, int(o.Len))
 			case 3, 4:
 				b, ok := c.Lookup(k)
 				rb, rok := ref.Lookup(k)
@@ -564,22 +653,22 @@ func TestQuickInvariants(t *testing.T) {
 					got, want = c.InvalidateAll(), ref.InvalidateAll()
 				} else {
 					cut := sim.Time(int(o.Len) % (i + 1))
-					got, want = states(c.DirtyOlderThan(cut)), states(ref.DirtyOlderThan(cut))
+					got, want = keyStates(c.Peek, c.DirtyOlderThan(cut)), keyStates(ref.Peek, ref.DirtyOlderThan(cut))
 				}
 			}
 			if !reflect.DeepEqual(got, want) {
 				t.Logf("op %d %+v: got %v, reference %v", i, o, got, want)
 				return false
 			}
-			if !reflect.DeepEqual(states(c.AllDirty()), states(ref.AllDirty())) ||
-				!reflect.DeepEqual(states(c.DirtyOlderThan(now/2)), states(ref.DirtyOlderThan(now/2))) {
+			if !reflect.DeepEqual(keyStates(c.Peek, c.AllDirty()), keyStates(ref.Peek, ref.AllDirty())) ||
+				!reflect.DeepEqual(keyStates(c.Peek, c.DirtyOlderThan(now/2)), keyStates(ref.Peek, ref.DirtyOlderThan(now/2))) {
 				t.Logf("op %d %+v: dirty scans differ", i, o)
 				return false
 			}
 			n := 0
 			for ino := uint64(0); ino < inos; ino++ {
 				if !reflect.DeepEqual(states(fileBlocks(c, 1, ino)), states(ref.FileBlocks(1, ino))) ||
-					!reflect.DeepEqual(states(c.DirtyBlocks(1, ino)), states(ref.DirtyBlocks(1, ino))) ||
+					!reflect.DeepEqual(keyStates(c.Peek, c.DirtyBlocks(1, ino)), keyStates(ref.Peek, ref.DirtyBlocks(1, ino))) ||
 					c.HasDirty(1, ino) != (len(ref.DirtyBlocks(1, ino)) > 0) {
 					t.Logf("op %d %+v: file %d differs", i, o, ino)
 					return false

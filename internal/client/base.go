@@ -761,13 +761,13 @@ func (b *Base) readdirAttrs(p *sim.Proc, h proto.Handle) ([]proto.DirEntry, erro
 }
 
 // fetchBlock reads one whole block from the server into the cache and
-// returns it, waiting instead of duplicating the RPC when a fetch is
-// already in flight. The cached Data is the view of the frozen reply
+// returns its bytes, waiting instead of duplicating the RPC when a fetch
+// is already in flight. The cached Data is the view of the frozen reply
 // image, as long as the bytes the server had (Len), marked Frozen, and
 // writeToCache copies it before the first write. A block a local write
 // made resident while the READ was on the wire holds newer bytes than
 // the reply: it stays, and the reply is dropped.
-func (b *Base) fetchBlock(p *sim.Proc, n *node, blk int64) (*cache.Block, error) {
+func (b *Base) fetchBlock(p *sim.Proc, n *node, blk int64) ([]byte, error) {
 	sp := b.span(p, span.Cache, "fetch")
 	defer sp.End()
 	key := b.key(n.h.Ino, blk)
@@ -786,7 +786,7 @@ func (b *Base) fetchBlock(p *sim.Proc, n *node, blk int64) (*cache.Block, error)
 		}
 		sig.Wait(p)
 		if cb, ok := b.cache.Lookup(key); ok {
-			return cb, nil
+			return cb.Data, nil
 		}
 	}
 	b.fetching[key] = nil
@@ -809,35 +809,29 @@ func (b *Base) fetchBlock(p *sim.Proc, n *node, blk int64) (*cache.Block, error)
 		// the data just fetched.
 		b.attrs.ingest(n, rattr, p.Now())
 	}
-	if cb, ok := b.cache.Peek(key); ok {
-		return cb, nil
+	if _, ok := b.cache.Peek(key); !ok {
+		got := min(len(data), bs)
+		data = data[:got:got]
+		cb, victim := b.cache.Insert(key, data, got)
+		cb.Frozen = true
+		b.flushEvicted(p, victim)
 	}
-	got := min(len(data), bs)
-	blkPtr, evicted := b.cache.Insert(key, data[:got:got], got)
-	blkPtr.Frozen = true
-	b.flushEvicted(p, evicted)
-	return blkPtr, nil
+	// The victim's write-back may have parked: what the cache holds now
+	// is the block, a local write's if one landed meanwhile.
+	if cb, ok := b.cache.Peek(key); ok {
+		return cb.Data, nil
+	}
+	return data, nil
 }
 
-// flushEvicted writes back dirty blocks displaced by an insertion. The
-// evicting process pays for the writes (as a Unix process taking a buffer
+// flushEvicted writes back a dirty block displaced by an insertion. The
+// evicting process pays for the write (as a Unix process taking a buffer
 // must wait for it to be cleaned). An evicted block has left the cache,
-// so nothing writes into its bytes again: they go out as they are.
-func (b *Base) flushEvicted(p *sim.Proc, evicted []*cache.Block) {
-	for _, ev := range evicted {
-		if !ev.Dirty {
-			continue
-		}
-		n, ok := b.nodes[ev.Key.Ino]
-		if !ok {
-			continue
-		}
-		off := ev.Key.Block * int64(b.cfg.BlockSize)
-		if _, err := b.writeBack(p, n, off, ev.Data[:ev.Len]); err != nil {
-			// The file may have been removed under us; the data
-			// is gone either way.
-			continue
-		}
+// so nothing writes into its bytes again: they go out as they are. A
+// write-back that fails (the file removed under us) loses them either way.
+func (b *Base) flushEvicted(p *sim.Proc, v cache.Victim) {
+	if n, ok := b.nodes[v.Key.Ino]; ok && v.Dirty {
+		b.writeBack(p, n, v.Key.Block*int64(b.cfg.BlockSize), v.Data[:v.Len])
 	}
 }
 
@@ -863,22 +857,23 @@ func (b *Base) assembleRead(p *sim.Proc, n *node, buf []byte, off int64, readAhe
 		if blk*bs+blkEnd > end {
 			blkEnd = end - blk*bs
 		}
-		cb, ok := b.cache.Lookup(b.key(n.h.Ino, blk))
-		if !ok {
+		var data []byte
+		if cb, ok := b.cache.Lookup(b.key(n.h.Ino, blk)); ok {
+			data = cb.Data
+		} else {
 			var err error
-			cb, err = b.fetchBlock(p, n, blk)
-			if err != nil {
+			if data, err = b.fetchBlock(p, n, blk); err != nil {
 				return 0, err
 			}
 			if readAhead {
 				b.readAhead(n, blk+1)
 			}
 		}
-		// Bytes past len(cb.Data) are zeros (sparse, locally
+		// Bytes past len(data) are zeros (sparse, locally
 		// extended, or past the server's end of file).
 		dst := buf[cur-off : blk*bs+blkEnd-off]
-		if blkOff < int64(len(cb.Data)) {
-			dst = dst[copy(dst, cb.Data[blkOff:]):]
+		if blkOff < int64(len(data)) {
+			dst = dst[copy(dst, data[blkOff:]):]
 		}
 		clear(dst)
 		cur = blk*bs + blkEnd
@@ -934,19 +929,13 @@ func (b *Base) writeToCache(p *sim.Proc, n *node, off int64, data []byte, markDi
 		}
 		key := b.key(n.h.Ino, blk)
 		cb, ok := b.cache.Lookup(key)
-		if !ok {
+		for !ok {
 			// If the block holds server content the write does
 			// not fully cover, fetch it first (read-modify-
 			// write); otherwise start from a zero block.
-			contentEnd := n.size
-			if contentEnd > blkStart+bs {
-				contentEnd = blkStart + bs
-			}
-			needsFetch := contentEnd > blkStart && (cur > blkStart || segEnd < contentEnd)
-			if needsFetch {
-				var err error
-				cb, err = b.fetchBlock(p, n, blk)
-				if err != nil {
+			contentEnd := min(n.size, blkStart+bs)
+			if contentEnd > blkStart && (cur > blkStart || segEnd < contentEnd) {
+				if _, err := b.fetchBlock(p, n, blk); err != nil {
 					return nil, err
 				}
 			} else {
@@ -959,10 +948,13 @@ func (b *Base) writeToCache(p *sim.Proc, n *node, off int64, data []byte, markDi
 				if int64(len(data)) < bs {
 					size = segEnd - blkStart
 				}
-				var evicted []*cache.Block
-				cb, evicted = b.cache.Insert(key, make([]byte, size), 0)
-				b.flushEvicted(p, evicted)
+				_, victim := b.cache.Insert(key, make([]byte, size), 0)
+				b.flushEvicted(p, victim)
 			}
+			// The fetch or the victim's write-back may have parked,
+			// and a callback dropped the block meanwhile: then the
+			// segment takes it again.
+			cb, ok = b.cache.Peek(key)
 		}
 		if cb.Frozen || int(segEnd-blkStart) > len(cb.Data) {
 			// The only write into a cached block: a frozen block
@@ -1038,8 +1030,8 @@ func (b *Base) writeBlock(p *sim.Proc, key cache.Key) (*node, error) {
 // writeFile writes n's dirty blocks home in block order and stops at the
 // first that fails.
 func (b *Base) writeFile(p *sim.Proc, n *node) error {
-	for _, blk := range b.cache.DirtyBlocks(b.cfg.Root.FSID, n.h.Ino) {
-		if _, err := b.writeBlock(p, blk.Key); err != nil {
+	for _, key := range b.cache.DirtyBlocks(b.cfg.Root.FSID, n.h.Ino) {
+		if _, err := b.writeBlock(p, key); err != nil {
 			return err
 		}
 	}
@@ -1049,10 +1041,10 @@ func (b *Base) writeFile(p *sim.Proc, n *node) error {
 // writeDirty writes the given dirty blocks home, one pass over many
 // files: a block whose write fails stays dirty for the next pass, and the
 // pass goes on. It returns the files written to, in the blocks' order.
-func (b *Base) writeDirty(p *sim.Proc, blocks []*cache.Block) []*node {
+func (b *Base) writeDirty(p *sim.Proc, keys []cache.Key) []*node {
 	var written []*node
-	for _, blk := range blocks {
-		n, err := b.writeBlock(p, blk.Key)
+	for _, key := range keys {
+		n, err := b.writeBlock(p, key)
 		if n == nil || err != nil {
 			continue
 		}

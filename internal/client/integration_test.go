@@ -2095,3 +2095,52 @@ func TestSNFSRewriteDuringWritebackIsNotLost(t *testing.T) {
 		})
 	}
 }
+
+// TestSNFSInvalidationDuringEvictionKeepsTheWrite: a write whose block
+// displaces a dirty one waits for that block's write-back, and a callback
+// that arrives meanwhile drops the block the write just took. The write
+// then takes its block again: before, its bytes landed in a block no
+// longer in the cache, the server's copy stayed empty, and WriteAt and
+// Close still returned nil.
+func TestSNFSInvalidationDuringEvictionKeepsTheWrite(t *testing.T) {
+	w := newWorld(1, true, 4, server.SNFSOptions{})
+	ep, cfg := w.clientConfig("clientA")
+	cfg.CacheBytes, cfg.ReadAhead = 2*4096, false
+	a := client.NewSNFS(w.k, ep, cfg, client.SNFSOptions{})
+	b := w.addSNFS("clientB", client.SNFSOptions{})
+	mine := fill(4096, 'y')
+	run(t, w.k, func(p *sim.Proc) {
+		writeThrough(t, p, a, "x", fill(8192, 'x')) // A's cache: two dirty blocks
+		f, err := a.Open(p, "y", vfs.WriteOnly|vfs.Create, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.k.Go("reader-b", func(bp *sim.Proc) {
+			bp.Sleep(sim.Millisecond) // x's block 0 is on its way home
+			if fb, err := b.Open(bp, "y", vfs.ReadOnly, 0); err != nil {
+				t.Error(err)
+			} else {
+				fb.Close(bp)
+			}
+		})
+		served := a.CallbacksServed
+		if _, err := f.WriteAt(p, 0, mine); err != nil {
+			t.Fatal(err)
+		}
+		if a.CallbacksServed == served {
+			t.Fatal("precondition: no callback reached A during its write")
+		}
+		if err := f.Close(p); err != nil {
+			t.Fatal(err)
+		}
+		a.SyncAll(p)
+		st := w.media.Store()
+		attr, err := st.Lookup(st.Root(), "y")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := st.ReadAt(attr.Ino, 0, 8192); !bytes.Equal(got, mine) {
+			t.Errorf("server's y holds %d bytes, want A's %d", len(got), len(mine))
+		}
+	})
+}

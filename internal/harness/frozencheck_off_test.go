@@ -2,6 +2,7 @@
 
 package harness
 
-// Recycling says whether released Pendings and reply heads are reused,
-// as they are but under the release checker (internal/rpc).
+// Recycling says whether released Pendings and reply heads, and the
+// blocks that leave a cache, are reused, as they are but under the
+// release checker (internal/rpc, internal/cache).
 const Recycling = true

@@ -2,6 +2,7 @@
 
 package harness
 
-// Recycling is off under the release checker (internal/rpc): every
-// Pending and reply head is made, none reused.
+// Recycling is off under the release checker (internal/rpc,
+// internal/cache): every Pending, reply head and cache block is made, none
+// reused.
 const Recycling = false

@@ -53,7 +53,9 @@ type Media struct {
 	syncedThrough sim.Time
 }
 
-// NewMedia wraps store with disk d and a buffer cache of cacheBytes.
+// NewMedia wraps store with disk d and a buffer cache of cacheBytes. Every
+// block the cache holds is a whole one: a write-back's bytes are its
+// blocks times the block size.
 func NewMedia(store *Store, d *disk.Disk, fsid uint32, cacheBytes int64) *Media {
 	blocks := 0
 	if cacheBytes > 0 {
@@ -131,8 +133,8 @@ func (m *Media) chargeRead(p *sim.Proc, ino uint64, off int64, n int) {
 			continue
 		}
 		missRun++
-		_, evicted := m.c.Insert(m.key(ino, b), nil, bs)
-		m.writeBackEvicted(evicted)
+		_, victim := m.c.Insert(m.key(ino, b), nil, bs)
+		m.writeBackEvicted(victim)
 	}
 	flush()
 }
@@ -148,8 +150,8 @@ func (m *Media) ChargeWriteSync(p *sim.Proc, ino uint64, off int64, n int) {
 	for b := first; b <= last; b++ {
 		m.d.Write(p, bs)
 		m.c.MarkClean(m.key(ino, b)) // a sync write also cleans any delayed copy
-		_, evicted := m.c.Insert(m.key(ino, b), nil, bs)
-		m.writeBackEvicted(evicted)
+		_, victim := m.c.Insert(m.key(ino, b), nil, bs)
+		m.writeBackEvicted(victim)
 	}
 }
 
@@ -161,9 +163,9 @@ func (m *Media) ChargeWriteDelayed(now sim.Time, ino uint64, off int64, n int) {
 	bs := m.store.BlockSize()
 	for b := first; b <= last; b++ {
 		k := m.key(ino, b)
-		_, evicted := m.c.Insert(k, nil, bs)
+		_, victim := m.c.Insert(k, nil, bs)
 		m.c.MarkDirty(k, now)
-		m.writeBackEvicted(evicted)
+		m.writeBackEvicted(victim)
 	}
 }
 
@@ -186,9 +188,9 @@ func (m *Media) CommitFile(p *sim.Proc, ino uint64) int {
 	if len(dirty) == 0 {
 		return 0
 	}
-	for _, b := range dirty {
-		m.sched.Enqueue(disk.Req{Ino: ino, Block: b.Key.Block, Bytes: b.Len})
-		m.c.MarkClean(b.Key)
+	for _, k := range dirty {
+		m.sched.Enqueue(disk.Req{Ino: ino, Block: k.Block, Bytes: m.store.BlockSize()})
+		m.c.MarkClean(k)
 	}
 	if m.Gather {
 		// Group commit: concurrent COMMITs (and metadata updates)
@@ -213,21 +215,20 @@ func (m *Media) DropDirty() int {
 		if len(dirty) == 0 {
 			break
 		}
-		ino := dirty[0].Key.Ino
+		ino := dirty[0].Ino
 		lost += m.c.CancelDirty(m.fsid, ino)
 		m.c.InvalidateFile(m.fsid, ino)
 	}
 	return lost
 }
 
-// writeBackEvicted pushes evicted dirty blocks to the disk asynchronously
-// (the kernel flushing buffers to reclaim them never blocks the evicting
-// process directly in our model; the disk queue delay is what matters).
-func (m *Media) writeBackEvicted(evicted []*cache.Block) {
-	for _, b := range evicted {
-		if b.Dirty {
-			m.d.WriteAsync(b.Len, nil)
-		}
+// writeBackEvicted pushes an evicted dirty block to the disk
+// asynchronously (the kernel flushing a buffer to reclaim it never blocks
+// the evicting process directly in our model; the disk queue delay is what
+// matters).
+func (m *Media) writeBackEvicted(v cache.Victim) {
+	if v.Dirty {
+		m.d.WriteAsync(v.Len, nil)
 	}
 }
 
@@ -237,12 +238,10 @@ func (m *Media) SyncFile(p *sim.Proc, ino uint64) {
 	if len(dirty) == 0 {
 		return
 	}
-	total := 0
-	for _, b := range dirty {
-		total += b.Len
-		m.c.MarkClean(b.Key)
+	for _, k := range dirty {
+		m.c.MarkClean(k)
 	}
-	m.d.Write(p, total)
+	m.d.Write(p, len(dirty)*m.store.BlockSize())
 }
 
 // SyncOlderThan asynchronously writes back every dirty block dirtied at or
@@ -251,9 +250,9 @@ func (m *Media) SyncFile(p *sim.Proc, ino uint64) {
 // disk operations, as the real sync path's sorted writes do.
 func (m *Media) SyncOlderThan(cutoff sim.Time) int {
 	dirty := m.c.DirtyOlderThan(cutoff)
-	for _, b := range dirty {
-		m.sched.Enqueue(disk.Req{Ino: b.Key.Ino, Block: b.Key.Block, Bytes: b.Len})
-		m.c.MarkClean(b.Key)
+	for _, k := range dirty {
+		m.sched.Enqueue(disk.Req{Ino: k.Ino, Block: k.Block, Bytes: m.store.BlockSize()})
+		m.c.MarkClean(k)
 	}
 	m.sched.FlushAsync()
 	return len(dirty)
