@@ -1474,6 +1474,11 @@ func (f *file) WriteAt(p *sim.Proc, off int64, data []byte) (int, error) {
 		if _, err := b.writeToCache(p, n, off, data, true); err != nil {
 			return 0, err
 		}
+		if f.direct() {
+			// A callback ended caching while the write parked: the
+			// blocks it took again go home and leave, as the callback's did.
+			return len(data), b.apply(p, n, core.Action{Flush: true, Invalidate: true}, false)
+		}
 		return len(data), nil
 	}
 	return b.writeThrough(p, n, off, data, b.eagerTail)

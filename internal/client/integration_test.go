@@ -2099,9 +2099,12 @@ func TestSNFSRewriteDuringWritebackIsNotLost(t *testing.T) {
 // TestSNFSInvalidationDuringEvictionKeepsTheWrite: a write whose block
 // displaces a dirty one waits for that block's write-back, and a callback
 // that arrives meanwhile drops the block the write just took. The write
-// then takes its block again: before, its bytes landed in a block no
+// then takes its block again and, the file being write-shared now, sends
+// it home before WriteAt returns: before, its bytes landed in a block no
 // longer in the cache, the server's copy stayed empty, and WriteAt and
-// Close still returned nil.
+// Close still returned nil. A dirty block kept after the callback would be
+// as wrong: readers, A's own among them, go to the server, and the update
+// pass would send it over A's later writes.
 func TestSNFSInvalidationDuringEvictionKeepsTheWrite(t *testing.T) {
 	w := newWorld(1, true, 4, server.SNFSOptions{})
 	ep, cfg := w.clientConfig("clientA")
@@ -2130,17 +2133,28 @@ func TestSNFSInvalidationDuringEvictionKeepsTheWrite(t *testing.T) {
 		if a.CallbacksServed == served {
 			t.Fatal("precondition: no callback reached A during its write")
 		}
-		if err := f.Close(p); err != nil {
-			t.Fatal(err)
-		}
-		a.SyncAll(p)
 		st := w.media.Store()
 		attr, err := st.Lookup(st.Root(), "y")
 		if err != nil {
 			t.Fatal(err)
 		}
+		// y is write-shared now and read from the server: the write is
+		// there once WriteAt returns, not at the next update pass.
 		if got, _ := st.ReadAt(attr.Ino, 0, 8192); !bytes.Equal(got, mine) {
-			t.Errorf("server's y holds %d bytes, want A's %d", len(got), len(mine))
+			t.Errorf("after WriteAt, server's y holds %d bytes, want A's %d", len(got), len(mine))
+		}
+		// A later write goes straight to the server, and nothing older
+		// is left in A's cache to be written over it.
+		newer := fill(4096, 'z')
+		if _, err := f.WriteAt(p, 0, newer); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(p); err != nil {
+			t.Fatal(err)
+		}
+		a.SyncAll(p)
+		if got, _ := st.ReadAt(attr.Ino, 0, 8192); !bytes.Equal(got, newer) {
+			t.Errorf("after SyncAll, server's y holds %q..., want A's later write", got[:min(len(got), 8)])
 		}
 	})
 }
