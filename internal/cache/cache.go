@@ -94,6 +94,9 @@ type Stats struct {
 	// Made counts the blocks allocated for new keys, Reused the new keys
 	// given a block that had left the cache.
 	Made, Reused int64
+	// BuffersMade counts the buffers Buffer allocated, BuffersReused
+	// those it took from a block that had left the cache.
+	BuffersMade, BuffersReused int64
 }
 
 // Cache is a fixed-capacity LRU block cache.
@@ -211,6 +214,14 @@ func (c *Cache) Insert(key Key, data []byte, length int) (*Block, Victim) {
 	}
 	c.perFile[fk] = b
 	return b, v
+}
+
+// Buffer returns n zero bytes for a block's Data, which the caller
+// writes into: a new block's (Insert), or a resident block's copy or
+// growth.
+func (c *Cache) Buffer(n int) []byte {
+	c.stats.BuffersMade++
+	return make([]byte, n)
 }
 
 // MarkDirty marks the resident block dirty, recording now as its dirty

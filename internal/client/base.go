@@ -948,7 +948,7 @@ func (b *Base) writeToCache(p *sim.Proc, n *node, off int64, data []byte, markDi
 				if int64(len(data)) < bs {
 					size = segEnd - blkStart
 				}
-				_, victim := b.cache.Insert(key, make([]byte, size), 0)
+				_, victim := b.cache.Insert(key, b.cache.Buffer(int(size)), 0)
 				b.flushEvicted(p, victim)
 			}
 			// The fetch or the victim's write-back may have parked,
@@ -960,7 +960,7 @@ func (b *Base) writeToCache(p *sim.Proc, n *node, off int64, data []byte, markDi
 			// The only write into a cached block: a frozen block
 			// is copied first, and a short one grows to a whole
 			// block once a write reaches past its end.
-			whole := make([]byte, bs)
+			whole := b.cache.Buffer(int(bs))
 			copy(whole, cb.Data)
 			cb.Data, cb.Frozen = whole, false
 		}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"strings"
 
+	"spritelynfs/internal/cache"
 	"spritelynfs/internal/metrics"
 	"spritelynfs/internal/rpc"
 	"spritelynfs/internal/sim"
@@ -43,6 +44,9 @@ type AndrewRun struct {
 	// RPC is the world's wire-image work over the whole run, setup
 	// included (World.RPCWork).
 	RPC rpc.Work
+	// Cache is the measurement client's block cache over the whole run,
+	// setup included (zero for Local).
+	Cache cache.Stats
 }
 
 // Label names the configuration the way Table 5-1 does.
@@ -124,6 +128,7 @@ func RunAndrewOpt(pr Proto, tmpRemote bool, pm Params, opt AndrewOptions) (Andre
 	})
 	run.Spans = w.spanSummary(0, 1)
 	run.RPC = w.RPCWork()
+	run.Cache = w.ClientCacheStats()
 	return run, err
 }
 
@@ -371,6 +376,9 @@ type SortRun struct {
 	Update    bool // update daemon enabled
 	Result    workload.SortResult
 	Ops       *stats.Ops
+	// Cache is the client's block cache over the whole run, setup
+	// included (zero for Local).
+	Cache cache.Stats
 }
 
 // RunSort executes the sort benchmark: the whole namespace (input,
@@ -405,6 +413,7 @@ func RunSort(pr Proto, inputSize int, update bool, pm Params) (SortRun, error) {
 		run.Ops = w.ClientOps().Diff(base)
 		return nil
 	})
+	run.Cache = w.ClientCacheStats()
 	return run, err
 }
 

@@ -190,3 +190,51 @@ func TestAndrewHeadWork(t *testing.T) {
 		}
 	}
 }
+
+// buffers is what a client's block cache made and reused of the buffers
+// its blocks' bytes live in (cache.Stats), in one sort and one Andrew run.
+type buffers struct {
+	SortMade, SortReused, AndrewMade, AndrewReused int64
+}
+
+// unrecycled returns b as the release checker counts it: every buffer is
+// made.
+func (b buffers) unrecycled() buffers {
+	if !harness.Recycling {
+		b.SortMade, b.SortReused = b.SortMade+b.SortReused, 0
+		b.AndrewMade, b.AndrewReused = b.AndrewMade+b.AndrewReused, 0
+	}
+	return b
+}
+
+// TestCacheBufferWork pins the buffers the measurement client's cache
+// made and reused over one RunSort (Table 5-3's largest input, update
+// daemon on) and one RunAndrew (/tmp remote) per protocol, seed 1, setup
+// included: one per new block a write makes, and one per copy of a frozen
+// block or growth of a short one that a write forces.
+func TestCacheBufferWork(t *testing.T) {
+	for _, pin := range []struct {
+		pr   harness.Proto
+		want buffers
+	}{
+		// Every buffer is made: a block leaves the cache with its
+		// buffer, which the collector takes.
+		{harness.NFS, buffers{SortMade: 1760, AndrewMade: 629}},
+		{harness.SNFS, buffers{SortMade: 1760, AndrewMade: 629}},
+		{harness.RFS, buffers{SortMade: 1760, AndrewMade: 629}},
+	} {
+		pm := harness.Default()
+		srt, err := harness.RunSort(pin.pr, pm.SortSizes[len(pm.SortSizes)-1], true, pm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		and, err := harness.RunAndrew(pin.pr, true, pm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := buffers{srt.Cache.BuffersMade, srt.Cache.BuffersReused, and.Cache.BuffersMade, and.Cache.BuffersReused}
+		if want := pin.want.unrecycled(); got != want {
+			t.Errorf("%v: buffers %+v, want %+v", pin.pr, got, want)
+		}
+	}
+}

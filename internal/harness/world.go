@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"spritelynfs/internal/audit"
+	"spritelynfs/internal/cache"
 	"spritelynfs/internal/client"
 	"spritelynfs/internal/cluster"
 	"spritelynfs/internal/disk"
@@ -187,6 +188,15 @@ func (w *World) EnableMetrics() *metrics.Registry {
 	// exemplars) join the registry.
 	w.Spans.EnableMetrics(r)
 	return r
+}
+
+// ClientCacheStats returns the remote client's block-cache counters
+// (zero for Local).
+func (w *World) ClientCacheStats() cache.Stats {
+	if w.cli == nil {
+		return cache.Stats{}
+	}
+	return w.cli.Base.Cache().Stats()
 }
 
 // InvalidateClientCache drops the remote client's block cache (to start
