@@ -18,10 +18,19 @@
 // holder parks (a simulated process blocks) or calls the cache again.
 // Whatever uses a block later holds a value or a key. Insert hands back
 // the block it evicted by value (Victim), and the dirty-block lists are
-// keys. A dirty victim's bytes are its caller's to write back; the cache
-// never reuses a block's Data. Under the frozencheck build tag a departed
-// block is poisoned instead of reused (a sentinel key, nil Data, Len -1),
-// so a stale holder panics or misses.
+// keys.
+//
+// The same holds for a block's Data, by the Data rule. A buffer the cache
+// owns — one Buffer handed out and nobody else holds — leaves with its
+// block and is the next buffer Buffer hands out, so bytes read from a
+// block are lent too and are copied before the holder parks or calls the
+// cache. A frozen buffer (Frozen: a reply image, a WRITE in flight, the
+// server's page, an unstable-write record) is shared and is never reused,
+// nor is a dirty victim's, which belongs to whoever writes it back.
+// Under the frozencheck build tag a departed block is poisoned instead of
+// reused (a sentinel key, nil Data, Len -1) and an owned buffer is
+// scribbled (0xDB) and never reused, so a stale holder panics, misses or
+// reads garbage.
 //
 // The cache is a passive data structure: the caller decides how (and in
 // which simulated process) a dirty victim is written back.
@@ -75,7 +84,8 @@ type Block struct {
 }
 
 // Victim is a block Insert evicted, by value. A dirty victim's Data is
-// its caller's, to write back; nothing else holds it.
+// its caller's, to write back; nothing else holds it. A clean victim's
+// Data is nil: its bytes stay with the cache.
 type Victim struct {
 	Key   Key
 	Data  []byte
@@ -108,10 +118,13 @@ type Cache struct {
 	lru Block
 	// perFile maps a file to the head of its chain of resident blocks.
 	perFile map[fileKey]*Block
-	// free heads the blocks that left the cache, linked by next.
-	free   *Block
-	ndirty int
-	stats  Stats
+	// free heads the blocks that left the cache holding no buffer, spares
+	// those that hold one the cache owned (Data) for Buffer to hand out,
+	// nspares long; both are linked by next.
+	free, spares *Block
+	nspares      int
+	ndirty       int
+	stats        Stats
 	// onDirty, when set, runs each time the dirty count rises from 0.
 	onDirty func()
 }
@@ -175,9 +188,11 @@ func (c *Cache) Peek(key Key) (*Block, bool) {
 
 // Insert adds or replaces the block for key and returns the resident
 // block, whose fields (Dirty, Data) the caller may update in place until
-// it parks or calls the cache again. A new key in a full cache evicts the
-// least recently used block and takes its place: the victim comes back
-// by value, and a dirty one must be written back by the caller.
+// it parks or calls the cache again. data becomes the cache's, to reuse
+// once the block leaves, unless the caller marks the block Frozen first.
+// A new key in a full cache evicts the least recently used block and
+// takes its place: the victim comes back by value, and a dirty one must
+// be written back by the caller.
 func (c *Cache) Insert(key Key, data []byte, length int) (*Block, Victim) {
 	if b, ok := c.blocks[key]; ok {
 		b.Data, b.Frozen = data, false
@@ -190,9 +205,11 @@ func (c *Cache) Insert(key Key, data []byte, length int) (*Block, Victim) {
 	var v Victim
 	if c.capacity > 0 && len(c.blocks) >= c.capacity {
 		back := c.lru.prev
-		v = Victim{Key: back.Key, Data: back.Data, Len: back.Len, Dirty: back.Dirty}
+		v = Victim{Key: back.Key, Len: back.Len, Dirty: back.Dirty}
 		c.stats.Evictions++
 		if v.Dirty {
+			// The bytes go with the victim, to be written back.
+			v.Data, back.Data = back.Data, nil
 			c.stats.DirtyEvict++
 		}
 		c.remove(back)
@@ -218,8 +235,22 @@ func (c *Cache) Insert(key Key, data []byte, length int) (*Block, Victim) {
 
 // Buffer returns n zero bytes for a block's Data, which the caller
 // writes into: a new block's (Insert), or a resident block's copy or
-// growth.
+// growth. They are the buffer of the latest departed block whose buffer
+// has room for n, if one does; a spare too short stays for a shorter
+// request.
 func (c *Cache) Buffer(n int) []byte {
+	for link := &c.spares; *link != nil; link = &(*link).next {
+		b := *link
+		if cap(b.Data) < n {
+			continue
+		}
+		data := b.Data[:n]
+		*link, c.nspares = b.next, c.nspares-1
+		b.Data, b.next, c.free = nil, c.free, b
+		clear(data)
+		c.stats.BuffersReused++
+		return data
+	}
 	c.stats.BuffersMade++
 	return make([]byte, n)
 }
@@ -273,7 +304,7 @@ func (c *Cache) moveToFront(b *Block) {
 	c.pushFront(b)
 }
 
-// remove unlinks b from every index and frees it. It does not touch
+// remove unlinks b from every index and releases it. It does not touch
 // stats.
 func (c *Cache) remove(b *Block) {
 	b.prev.next, b.next.prev = b.next, b.prev
@@ -295,15 +326,31 @@ func (c *Cache) remove(b *Block) {
 	c.release(b)
 }
 
-// release puts a block that has left every index on the free list, or,
-// under the release checker, poisons it for good.
+// release puts a block that has left every index on the free list, with
+// its buffer if the cache owned it (neither frozen nor a dirty victim's,
+// which Insert took off) and fewer spares than the cache has room for
+// blocks are held; under the release checker it poisons the block and
+// scribbles the buffer for good.
 func (c *Cache) release(b *Block) {
+	spare := b.Data[:cap(b.Data)]
+	if b.Frozen {
+		spare = nil
+	}
 	if frozenCheck {
+		for i := range spare {
+			spare[i] = 0xDB
+		}
 		*b = Block{Key: departed, Len: -1}
 		return
 	}
-	*b = Block{next: c.free}
-	c.free = b
+	if len(spare) == 0 || (c.capacity > 0 && c.nspares >= c.capacity) {
+		*b = Block{next: c.free}
+		c.free = b
+		return
+	}
+	*b = Block{Data: spare, next: c.spares}
+	c.spares = b
+	c.nspares++
 }
 
 // DirtyBlocks returns the keys of one file's dirty resident blocks in

@@ -2,10 +2,13 @@ package cache
 
 import (
 	"container/list"
+	"fmt"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"spritelynfs/internal/sim"
 )
@@ -263,6 +266,129 @@ func TestDepartedBlockIsTheNextBlock(t *testing.T) {
 	}
 }
 
+// bufID is the identity of d's buffer, nil for one with no room.
+func bufID(d []byte) *byte {
+	if cap(d) == 0 {
+		return nil
+	}
+	return unsafe.SliceData(d)
+}
+
+// TestDepartedBufferIsTheNextBuffer: the buffer of a block that leaves
+// the cache owned — cancelled, invalidated, dropped with the rest, or
+// evicted clean — is the next one Buffer hands out, zeroed; one too short
+// for a request stays for a shorter one, and the spares are at most as
+// many as the blocks the cache holds. A frozen block's buffer and a
+// dirty victim's are never handed out, nor changed. Under the release
+// checker an owned buffer is scribbled instead, and every buffer is made.
+func TestDepartedBufferIsTheNextBuffer(t *testing.T) {
+	const n = 64
+	owned := func(what string, c *Cache, old []byte) {
+		t.Helper()
+		next := c.Buffer(n)
+		switch {
+		case len(next) != n || slices.ContainsFunc(next, func(x byte) bool { return x != 0 }):
+			t.Errorf("after %s: Buffer(%d) is not %d zero bytes", what, n, n)
+		case frozenCheck && (bufID(next) == bufID(old) || slices.ContainsFunc(old, func(x byte) bool { return x != 0xDB })):
+			t.Errorf("after %s: the departed buffer was reused or not scribbled", what)
+		case !frozenCheck && bufID(next) != bufID(old):
+			t.Errorf("after %s: the next buffer is not the departed one", what)
+		}
+	}
+	kept := func(what string, c *Cache, old []byte) {
+		t.Helper()
+		if next := c.Buffer(n); bufID(next) == bufID(old) || slices.ContainsFunc(old, func(x byte) bool { return x != 7 }) {
+			t.Errorf("after %s: a buffer someone else holds was reused or changed", what)
+		}
+	}
+	fill := func(c *Cache, k Key, frozen, dirty bool) []byte {
+		d := c.Buffer(n)
+		for i := range d {
+			d[i] = 7
+		}
+		b, _ := c.Insert(k, d, n)
+		b.Frozen = frozen
+		if dirty {
+			c.MarkDirty(k, 1)
+		}
+		return d
+	}
+
+	for _, drop := range []struct {
+		name string
+		fn   func(c *Cache)
+	}{
+		{"InvalidateFile", func(c *Cache) { c.InvalidateFile(1, 2) }},
+		{"CancelDirty", func(c *Cache) { c.CancelDirty(1, 2) }},
+		{"InvalidateAll", func(c *Cache) { c.InvalidateAll() }},
+	} {
+		c := New(0)
+		old := fill(c, key(2, 0), false, true)
+		drop.fn(c)
+		owned(drop.name, c, old)
+
+		c = New(0)
+		old = fill(c, key(2, 0), true, true)
+		drop.fn(c)
+		kept(drop.name+" of a frozen block", c, old)
+	}
+
+	c := New(1)
+	old := fill(c, key(1, 0), false, false)
+	c.Insert(key(1, 1), nil, 0)
+	owned("a clean eviction", c, old)
+
+	c = New(1)
+	old = fill(c, key(1, 0), false, true)
+	_, victim := c.Insert(key(1, 1), nil, 0)
+	if bufID(victim.Data) != bufID(old) {
+		t.Error("a dirty victim came back without its bytes")
+	}
+	kept("a dirty eviction", c, old)
+
+	// The cache keeps as many spares as it holds blocks, and drops the
+	// buffer of a block that leaves beyond that: the second pair here.
+	c = New(2)
+	for _, size := range []int{1, 2} {
+		for blk := range int64(2) {
+			c.Insert(key(1, blk), c.Buffer(size), size)
+		}
+		c.InvalidateAll()
+	}
+	if c.Buffer(2); c.Stats().BuffersMade != 5 {
+		t.Errorf("%d buffers made, want 5: the spares kept are the first pair's, too short", c.Stats().BuffersMade)
+	}
+
+	c = New(0)
+	short := c.Buffer(3)
+	c.Insert(key(1, 0), short, 3)
+	c.InvalidateFile(1, 1)
+	long := c.Buffer(n)
+	if frozenCheck {
+		return
+	}
+	if again := c.Buffer(3); bufID(long) == bufID(short) || bufID(again) != bufID(short) {
+		t.Error("a spare too short for a request was not kept for a shorter one")
+	}
+	if s := c.Stats(); s.BuffersMade != 2 || s.BuffersReused != 1 {
+		t.Errorf("%d buffers made and %d reused, want 2 and 1", s.BuffersMade, s.BuffersReused)
+	}
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the mean bytes op
+// allocates (runtime.MemStats.TotalAlloc) over runs, after a warm-up run.
+func bytesPerRun(runs int, op func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	op()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		op()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
 // TestCacheOpsAllocateNothing: a block carries its own LRU and file-chain
 // links, and a departed block is the next one, so every operation on
 // resident blocks, dropping a file, and a new block in a full cache or
@@ -327,20 +453,64 @@ func TestCacheOpsAllocateNothing(t *testing.T) {
 	if s := c.Stats(); s.Evictions != runs+1 || s.Made != 256 {
 		t.Errorf("%d evictions and %d blocks made, want %d and 256", s.Evictions, s.Made, runs+1)
 	}
+
+	// A fresh 8 KiB block written after its file's blocks were cancelled
+	// or invalidated takes a departed block and its buffer: no object and
+	// no byte. One file per run, the warm-ups included.
+	for _, drop := range []struct {
+		name string
+		fn   func(c *Cache, ino uint64)
+	}{
+		{"CancelDirty", func(c *Cache, ino uint64) { c.CancelDirty(1, ino) }},
+		{"InvalidateFile", func(c *Cache, ino uint64) { c.InvalidateFile(1, ino) }},
+	} {
+		const bs = 8192
+		bufs, ino := New(0), uint64(0)
+		write := func(ino uint64) {
+			for blk := int64(0); blk < 4; blk++ {
+				bufs.Insert(key(ino, blk), bufs.Buffer(bs), bs)
+				bufs.MarkDirty(key(ino, blk), 1)
+			}
+		}
+		write(ino)
+		op := func() {
+			drop.fn(bufs, ino)
+			ino++
+			write(ino)
+		}
+		if allocs := testing.AllocsPerRun(runs, op); allocs != 0 {
+			t.Errorf("%s and a fresh block for each block dropped allocate %.0f objects, want 0", drop.name, allocs)
+		}
+		if bytes := bytesPerRun(runs, op); bytes != 0 {
+			t.Errorf("%s and a fresh block for each block dropped allocate %d bytes, want 0", drop.name, bytes)
+		}
+		if s := bufs.Stats(); s.BuffersMade != 4 {
+			t.Errorf("%s: %d buffers made, want the first file's 4", drop.name, s.BuffersMade)
+		}
+	}
 }
 
 // refCache is the cache as it was before its blocks carried their own
 // links: a container/list LRU and a map per file. It keeps no free list,
-// only the count of blocks one would hold. TestQuickInvariants holds the
-// intrusive cache to it.
+// only the count of blocks one would hold, and the buffers departed
+// blocks would hold by identity. TestQuickInvariants holds the intrusive
+// cache to it.
 type refCache struct {
 	capacity int
 	blocks   map[Key]*list.Element
 	lru      *list.List // front = most recent
 	perFile  map[fileKey]map[int64]*list.Element
-	ndirty   int
-	free     int // blocks that left and were not yet reused
-	stats    Stats
+	// seq orders a file's blocks as its chain does: newest key first.
+	seq    map[Key]int
+	nseq   int
+	ndirty int
+	free   int // blocks that left holding no buffer, not yet reused
+	// spares are the buffers departed blocks hold, by identity, with their
+	// room; gone are those Buffer must never hand out again: a dirty
+	// victim's, written back, and a frozen block's, shared.
+	spares map[*byte]int
+	gone   map[*byte]bool
+	stats  Stats
 }
 
 func newRefCache(capacity int) *refCache {
@@ -349,6 +519,49 @@ func newRefCache(capacity int) *refCache {
 		blocks:   make(map[Key]*list.Element),
 		lru:      list.New(),
 		perFile:  make(map[fileKey]map[int64]*list.Element),
+		seq:      make(map[Key]int),
+		spares:   make(map[*byte]int),
+		gone:     make(map[*byte]bool),
+	}
+}
+
+// handedOut checks the buffer Buffer returned for n bytes: n zero bytes,
+// held by no resident block, never a dirty victim's or a frozen block's,
+// and either a departed block's, which it takes from the spares, or made
+// when no spare had room.
+func (c *refCache) handedOut(d []byte, n int) error {
+	id := bufID(d)
+	if len(d) != n || slices.ContainsFunc(d, func(x byte) bool { return x != 0 }) {
+		return fmt.Errorf("Buffer(%d) returned %d bytes, not all zero", n, len(d))
+	}
+	if c.gone[id] {
+		return fmt.Errorf("Buffer(%d) handed out a dirty victim's or a frozen block's buffer", n)
+	}
+	for _, el := range c.blocks {
+		if bufID(el.Value.(*Block).Data) == id {
+			return fmt.Errorf("Buffer(%d) handed out block %v's buffer", n, el.Value.(*Block).Key)
+		}
+	}
+	if _, ok := c.spares[id]; ok {
+		delete(c.spares, id)
+		c.free++
+		c.stats.BuffersReused++
+		return nil
+	}
+	for _, room := range c.spares {
+		if room >= n {
+			return fmt.Errorf("Buffer(%d) made a buffer while a spare of %d bytes was free", n, room)
+		}
+	}
+	c.stats.BuffersMade++
+	return nil
+}
+
+// freeze marks the resident block frozen: its buffer is shared for good.
+func (c *refCache) freeze(b *Block) {
+	b.Frozen = true
+	if id := bufID(b.Data); id != nil {
+		c.gone[id] = true
 	}
 }
 
@@ -385,7 +598,13 @@ func (c *refCache) Insert(key Key, data []byte, length int) (*Block, Victim) {
 	if c.capacity > 0 && c.lru.Len() >= c.capacity {
 		back := c.lru.Back()
 		vb := back.Value.(*Block)
-		v = Victim{Key: vb.Key, Data: vb.Data, Len: vb.Len, Dirty: vb.Dirty}
+		v = Victim{Key: vb.Key, Len: vb.Len, Dirty: vb.Dirty}
+		if vb.Dirty {
+			v.Data, vb.Data = vb.Data, nil
+			if id := bufID(v.Data); id != nil {
+				c.gone[id] = true
+			}
+		}
 		c.remove(back)
 		c.stats.Evictions++
 		if vb.Dirty {
@@ -401,6 +620,8 @@ func (c *refCache) Insert(key Key, data []byte, length int) (*Block, Victim) {
 	b := &Block{Key: key, Data: data, Len: length}
 	el := c.lru.PushFront(b)
 	c.blocks[key] = el
+	c.seq[key] = c.nseq
+	c.nseq++
 	fk := fileKey{key.FS, key.Ino}
 	m := c.perFile[fk]
 	if m == nil {
@@ -456,7 +677,30 @@ func (c *refCache) remove(el *list.Element) {
 	if b.Dirty {
 		c.ndirty--
 	}
-	c.free++
+	c.release(b)
+}
+
+// release counts a departed block free, or its buffer a spare if the
+// cache owned it and holds fewer spares than its capacity.
+func (c *refCache) release(b *Block) {
+	id := bufID(b.Data)
+	if id == nil || b.Frozen || frozenCheck || (c.capacity > 0 && len(c.spares) >= c.capacity) {
+		c.free++
+		return
+	}
+	c.spares[id] = cap(b.Data)
+}
+
+// chain returns the file's blocks in its chain's order, newest key first.
+func (c *refCache) chain(fs uint32, ino uint64) []*list.Element {
+	var out []*list.Element
+	for _, el := range c.perFile[fileKey{fs, ino}] {
+		out = append(out, el)
+	}
+	slices.SortFunc(out, func(a, b *list.Element) int {
+		return c.seq[b.Value.(*Block).Key] - c.seq[a.Value.(*Block).Key]
+	})
+	return out
 }
 
 func (c *refCache) FileBlocks(fs uint32, ino uint64) []*Block {
@@ -515,7 +759,7 @@ func (c *refCache) AllDirty() []Key {
 
 func (c *refCache) InvalidateFile(fs uint32, ino uint64) int {
 	n := 0
-	for _, el := range c.perFile[fileKey{fs, ino}] {
+	for _, el := range c.chain(fs, ino) {
 		if el.Value.(*Block).Dirty {
 			c.stats.Cancelled++
 		}
@@ -528,26 +772,29 @@ func (c *refCache) InvalidateFile(fs uint32, ino uint64) int {
 
 func (c *refCache) CancelDirty(fs uint32, ino uint64) int {
 	n := 0
-	for _, k := range c.DirtyBlocks(fs, ino) {
-		c.stats.Cancelled++
-		c.remove(c.blocks[k])
-		n++
+	for _, el := range c.chain(fs, ino) {
+		if el.Value.(*Block).Dirty {
+			c.stats.Cancelled++
+			c.remove(el)
+			n++
+		}
 	}
 	return n
 }
 
 func (c *refCache) InvalidateAll() int {
 	n := c.lru.Len()
-	for _, el := range c.blocks {
-		if el.Value.(*Block).Dirty {
+	for el := c.lru.Front(); el != nil; el = el.Next() {
+		b := el.Value.(*Block)
+		if b.Dirty {
 			c.stats.Cancelled++
 		}
+		c.release(b)
 	}
 	c.blocks = make(map[Key]*list.Element)
 	c.perFile = make(map[fileKey]map[int64]*list.Element)
 	c.lru.Init()
 	c.ndirty = 0
-	c.free += n
 	c.stats.Invalidated += int64(n)
 	return n
 }
@@ -572,19 +819,21 @@ func refSort(bs []*Block) {
 }
 
 // blockState is what the model comparison reads of a block: everything
-// but Data and the links.
+// but the links, and Data by identity.
 type blockState struct {
 	Key     Key
 	Dirty   bool
 	DirtyAt sim.Time
 	Gen     uint64
 	Len     int
+	Frozen  bool
+	Buf     *byte
 }
 
 func states(bs []*Block) []blockState {
 	out := make([]blockState, len(bs))
 	for i, b := range bs {
-		out[i] = blockState{b.Key, b.Dirty, b.DirtyAt, b.Gen, b.Len}
+		out[i] = blockState{b.Key, b.Dirty, b.DirtyAt, b.Gen, b.Len, b.Frozen, bufID(b.Data)}
 	}
 	return out
 }
@@ -601,10 +850,13 @@ func keyStates(peek func(Key) (*Block, bool), keys []Key) []blockState {
 // Property: driven by the same random sequence at capacity 8, the
 // intrusive cache agrees with refCache after every operation — the victim
 // of each insert (the order write-backs leave in, which the virtual clock
-// follows), what each call returns, every file's blocks, the dirty scans'
-// keys and the blocks they name, HasDirty, the counters, blocks made and
-// reused among them — and its dirty count matches its blocks while
-// residency stays within capacity.
+// follows), what each call returns, every file's blocks, their buffers by
+// identity among them, the dirty scans' keys and the blocks they name,
+// HasDirty, the counters, blocks and buffers made and reused among them —
+// and its dirty count matches its blocks while residency stays within
+// capacity. Every buffer Buffer hands out, for a new block or a copy of a
+// resident one, is one no resident block, dirty victim or frozen block
+// holds (refCache.handedOut).
 func TestQuickInvariants(t *testing.T) {
 	type op struct {
 		Kind byte
@@ -619,7 +871,10 @@ func TestQuickInvariants(t *testing.T) {
 			k := Key{FS: 1, Ino: uint64(o.Ino % inos), Block: int64(o.Blk % 8)}
 			now := sim.Time(i)
 			var got, want any
-			switch o.Kind % 12 {
+			// A buffer's length: from 1 byte, so that each has an identity,
+			// to 16.
+			size := 1 + int(o.Len%16)
+			switch o.Kind % 15 {
 			case 0, 1, 2:
 				_, got = c.Insert(k, nil, int(o.Len))
 				_, want = ref.Insert(k, nil, int(o.Len))
@@ -654,6 +909,34 @@ func TestQuickInvariants(t *testing.T) {
 				} else {
 					cut := sim.Time(int(o.Len) % (i + 1))
 					got, want = keyStates(c.Peek, c.DirtyOlderThan(cut)), keyStates(ref.Peek, ref.DirtyOlderThan(cut))
+				}
+			case 12:
+				d := c.Buffer(size)
+				if err := ref.handedOut(d, size); err != nil {
+					t.Logf("op %d %+v: %v", i, o, err)
+					return false
+				}
+				_, got = c.Insert(k, d, size)
+				_, want = ref.Insert(k, d, size)
+			case 13:
+				if b, ok := c.Peek(k); ok {
+					rb, _ := ref.Peek(k)
+					b.Frozen = true
+					ref.freeze(rb)
+				}
+			case 14:
+				// A write into a resident block: a copy into a buffer at
+				// least as long.
+				if b, ok := c.Peek(k); ok {
+					rb, _ := ref.Peek(k)
+					d := c.Buffer(max(size, len(b.Data)))
+					if err := ref.handedOut(d, len(d)); err != nil {
+						t.Logf("op %d %+v: %v", i, o, err)
+						return false
+					}
+					copy(d, b.Data)
+					b.Data, b.Frozen = d, false
+					rb.Data, rb.Frozen = d, false
 				}
 			}
 			if !reflect.DeepEqual(got, want) {

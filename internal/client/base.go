@@ -838,8 +838,9 @@ func (b *Base) flushEvicted(p *sim.Proc, v cache.Victim) {
 // assembleRead copies [off, off+len(b)) into b from cached blocks,
 // fetching and caching misses, honoring the node's size view, and returns
 // the count copied. readAhead starts a prefetch of the block after each
-// miss. (The SNFS uncachable path reads the server directly and does not
-// come here.)
+// miss. A block's bytes are lent (the cache's Data rule): each block's are
+// copied before the next cache call, the prefetch's included. (The SNFS
+// uncachable path reads the server directly and does not come here.)
 func (b *Base) assembleRead(p *sim.Proc, n *node, buf []byte, off int64, readAhead bool) (int, error) {
 	size := n.size
 	if off >= size {
@@ -858,15 +859,13 @@ func (b *Base) assembleRead(p *sim.Proc, n *node, buf []byte, off int64, readAhe
 			blkEnd = end - blk*bs
 		}
 		var data []byte
-		if cb, ok := b.cache.Lookup(b.key(n.h.Ino, blk)); ok {
+		cb, hit := b.cache.Lookup(b.key(n.h.Ino, blk))
+		if hit {
 			data = cb.Data
 		} else {
 			var err error
 			if data, err = b.fetchBlock(p, n, blk); err != nil {
 				return 0, err
-			}
-			if readAhead {
-				b.readAhead(n, blk+1)
 			}
 		}
 		// Bytes past len(data) are zeros (sparse, locally
@@ -876,6 +875,9 @@ func (b *Base) assembleRead(p *sim.Proc, n *node, buf []byte, off int64, readAhe
 			dst = dst[copy(dst, data[blkOff:]):]
 		}
 		clear(dst)
+		if !hit && readAhead {
+			b.readAhead(n, blk+1)
+		}
 		cur = blk*bs + blkEnd
 	}
 	return int(end - off), nil
@@ -912,14 +914,12 @@ func (b *Base) readAhead(n *node, blk int64) {
 
 // writeToCache applies data at off to the cache for node n, performing
 // read-modify-write fetches when a partial write lands on a non-resident
-// block that has server content. It returns the list of block numbers
-// touched. markDirty controls whether touched blocks become dirty (SNFS
-// delayed writes) or stay clean (NFS write-through keeps the cache clean
-// copy while the data goes to the server separately).
-func (b *Base) writeToCache(p *sim.Proc, n *node, off int64, data []byte, markDirty bool) ([]int64, error) {
+// block that has server content, and marks every block it writes dirty:
+// SNFS's delayed writes wait there, and NFS's and RFS's write-through
+// sends them (writeThrough).
+func (b *Base) writeToCache(p *sim.Proc, n *node, off int64, data []byte) error {
 	bs := int64(b.cfg.BlockSize)
 	end := off + int64(len(data))
-	var touched []int64
 	for cur := off; cur < end; {
 		blk := cur / bs
 		blkStart := blk * bs
@@ -936,7 +936,7 @@ func (b *Base) writeToCache(p *sim.Proc, n *node, off int64, data []byte, markDi
 			contentEnd := min(n.size, blkStart+bs)
 			if contentEnd > blkStart && (cur > blkStart || segEnd < contentEnd) {
 				if _, err := b.fetchBlock(p, n, blk); err != nil {
-					return nil, err
+					return err
 				}
 			} else {
 				// A fresh block. A write shorter than a block
@@ -968,16 +968,13 @@ func (b *Base) writeToCache(p *sim.Proc, n *node, off int64, data []byte, markDi
 		if int(segEnd-blkStart) > cb.Len {
 			cb.Len = int(segEnd - blkStart)
 		}
-		if markDirty {
-			b.cache.MarkDirty(key, p.Now())
-		}
-		touched = append(touched, blk)
+		b.cache.MarkDirty(key, p.Now())
 		cur = segEnd
 	}
 	if end > n.size {
 		n.size = end
 	}
-	return touched, nil
+	return nil
 }
 
 // sendable freezes cb and returns its valid bytes, the data of a WRITE
@@ -1109,17 +1106,18 @@ func (b *Base) pushBlockAsync(p *sim.Proc, n *node, blk int64) error {
 // delayed until it fills or the file is synced — unless eagerTail sends
 // it synchronously now.
 func (b *Base) writeThrough(p *sim.Proc, n *node, off int64, data []byte, eagerTail bool) (int, error) {
-	touched, err := b.writeToCache(p, n, off, data, true)
-	if err != nil {
+	if err := b.writeToCache(p, n, off, data); err != nil {
 		return 0, err
 	}
 	// The blocks were just written: looking at them again is no cache
 	// hit, so the write-through peeks (pushBlockAsync too).
-	for _, blk := range touched {
+	bs := int64(b.cfg.BlockSize)
+	for blk := off / bs; blk*bs < off+int64(len(data)); blk++ {
 		cb, ok := b.cache.Peek(b.key(n.h.Ino, blk))
 		if !ok || !cb.Dirty {
 			continue
 		}
+		var err error
 		if cb.Len == b.cfg.BlockSize {
 			err = b.pushBlockAsync(p, n, blk)
 		} else if eagerTail {
@@ -1471,7 +1469,7 @@ func (f *file) WriteAt(p *sim.Proc, off int64, data []byte) (int, error) {
 		n.size = r.Attr.Size
 		return len(data), nil
 	case b.delaysWrites:
-		if _, err := b.writeToCache(p, n, off, data, true); err != nil {
+		if err := b.writeToCache(p, n, off, data); err != nil {
 			return 0, err
 		}
 		if f.direct() {

@@ -1,6 +1,8 @@
 package client
 
 import (
+	"bytes"
+
 	"testing"
 
 	"spritelynfs/internal/disk"
@@ -70,5 +72,77 @@ func TestFailedFetchIsRetriedOnce(t *testing.T) {
 	}
 	if reads != 2 {
 		t.Errorf("server served %d READs, want 2: the failed one and one retry", reads)
+	}
+}
+
+// TestFetchedBytesAreCopiedBeforeAPark: the bytes fetchBlock returns are
+// lent (the cache's Data rule), so a read copies them before it parks.
+// The READ of block 0 is on the wire when a local write makes the block
+// resident, so the fetch drops its reply and returns the write's bytes, a
+// buffer the cache owns. A second process waiting on the fetch then
+// cancels the block, as a remove does, and writes another file, whose
+// fresh block takes the cancelled buffer. The reader must hold the
+// write's bytes: had it parked before its copy, it would hold the other
+// file's, or under the frozencheck tag the scribbled 0xDB.
+func TestFetchedBytesAreCopiedBeforeAPark(t *testing.T) {
+	k := sim.NewKernel(1)
+	net := simnet.New(k, simnet.Config{PropDelay: 500 * sim.Microsecond, BytesPerSec: 1_250_000})
+	media := localfs.NewMedia(localfs.NewStore(k.Now, 4096), disk.New(k, "sd", disk.RA81()), 1, 3500*1024)
+	srv := server.NewSNFS(k, rpc.NewEndpoint(k, net, "server", rpc.Options{Workers: 4}), media, server.Config{FSID: 1}, server.SNFSOptions{})
+	c := NewSNFS(k, rpc.NewEndpoint(k, net, "client", rpc.Options{Workers: 4}),
+		Config{Server: "server", Root: srv.RootHandle(), BlockSize: 4096, ReadAhead: true}, SNFSOptions{})
+	st := media.Store()
+	for _, name := range []string{"f", "g"} {
+		attr, _ := st.Create(st.Root(), name, 0o644)
+		st.WriteAt(attr.Ino, 0, bytes.Repeat([]byte{'s'}, 4096))
+	}
+	written, other := bytes.Repeat([]byte{'w'}, 4096), bytes.Repeat([]byte{'o'}, 4096)
+
+	var got, fetched []byte
+	k.Go("reader", func(p *sim.Proc) {
+		defer k.Stop()
+		f, err := c.Open(p, "f", vfs.ReadWrite, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := c.Open(p, "g", vfs.ReadWrite, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, _, err := c.walk(p, "f", true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := c.getNode(h)
+		c.cache.InvalidateAll()
+		k.Go("writer", func(wp *sim.Proc) {
+			wp.Sleep(100 * sim.Microsecond) // the READ is on the wire
+			if _, err := f.WriteAt(wp, 0, written); err != nil {
+				t.Error(err)
+				return
+			}
+			data, err := c.fetchBlock(wp, n, 0) // waits on the reader's fetch
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			fetched = bytes.Clone(data)
+			c.cache.CancelDirty(c.cfg.Root.FSID, n.h.Ino)
+			if _, err := g.WriteAt(wp, 0, other); err != nil {
+				t.Error(err)
+			}
+		})
+		if got, err = f.ReadAt(p, 0, 4096); err != nil {
+			t.Fatal(err)
+		}
+		p.Sleep(sim.Second)
+	})
+	k.Run()
+
+	if !bytes.Equal(fetched, written) {
+		t.Fatalf("the waiting fetch returned %q…, not the covering write's bytes: the race did not happen", fetched[:min(len(fetched), 8)])
+	}
+	if !bytes.Equal(got, written) {
+		t.Errorf("the reader holds %q…, want the covering write's bytes", got[:min(len(got), 8)])
 	}
 }
