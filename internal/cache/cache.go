@@ -119,10 +119,9 @@ type Cache struct {
 	// perFile maps a file to the head of its chain of resident blocks.
 	perFile map[fileKey]*Block
 	// free heads the blocks that left the cache holding no buffer, spares
-	// those that hold one the cache owned (Data) for Buffer to hand out,
-	// nspares long; both are linked by next.
+	// those that hold one the cache owned (Data) for Buffer to hand out;
+	// both are linked by next.
 	free, spares *Block
-	nspares      int
 	ndirty       int
 	stats        Stats
 	// onDirty, when set, runs each time the dirty count rises from 0.
@@ -245,7 +244,7 @@ func (c *Cache) Buffer(n int) []byte {
 			continue
 		}
 		data := b.Data[:n]
-		*link, c.nspares = b.next, c.nspares-1
+		*link = b.next
 		b.Data, b.next, c.free = nil, c.free, b
 		clear(data)
 		c.stats.BuffersReused++
@@ -326,11 +325,10 @@ func (c *Cache) remove(b *Block) {
 	c.release(b)
 }
 
-// release puts a block that has left every index on the free list, with
-// its buffer if the cache owned it (neither frozen nor a dirty victim's,
-// which Insert took off) and fewer spares than the cache has room for
-// blocks are held; under the release checker it poisons the block and
-// scribbles the buffer for good.
+// release puts a block that has left every index on a free list: the
+// spares if it holds a buffer the cache owned (neither frozen nor a dirty
+// victim's, which Insert took off), free otherwise. Under the release
+// checker it poisons the block and scribbles the buffer for good.
 func (c *Cache) release(b *Block) {
 	spare := b.Data[:cap(b.Data)]
 	if b.Frozen {
@@ -343,14 +341,13 @@ func (c *Cache) release(b *Block) {
 		*b = Block{Key: departed, Len: -1}
 		return
 	}
-	if len(spare) == 0 || (c.capacity > 0 && c.nspares >= c.capacity) {
+	if len(spare) == 0 {
 		*b = Block{next: c.free}
 		c.free = b
 		return
 	}
 	*b = Block{Data: spare, next: c.spares}
 	c.spares = b
-	c.nspares++
 }
 
 // DirtyBlocks returns the keys of one file's dirty resident blocks in

@@ -8,7 +8,6 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
-	"unsafe"
 
 	"spritelynfs/internal/sim"
 )
@@ -271,14 +270,13 @@ func bufID(d []byte) *byte {
 	if cap(d) == 0 {
 		return nil
 	}
-	return unsafe.SliceData(d)
+	return &d[:cap(d)][0]
 }
 
 // TestDepartedBufferIsTheNextBuffer: the buffer of a block that leaves
 // the cache owned — cancelled, invalidated, dropped with the rest, or
 // evicted clean — is the next one Buffer hands out, zeroed; one too short
-// for a request stays for a shorter one, and the spares are at most as
-// many as the blocks the cache holds. A frozen block's buffer and a
+// for a request stays for a shorter one. A frozen block's buffer and a
 // dirty victim's are never handed out, nor changed. Under the release
 // checker an owned buffer is scribbled instead, and every buffer is made.
 func TestDepartedBufferIsTheNextBuffer(t *testing.T) {
@@ -345,19 +343,6 @@ func TestDepartedBufferIsTheNextBuffer(t *testing.T) {
 		t.Error("a dirty victim came back without its bytes")
 	}
 	kept("a dirty eviction", c, old)
-
-	// The cache keeps as many spares as it holds blocks, and drops the
-	// buffer of a block that leaves beyond that: the second pair here.
-	c = New(2)
-	for _, size := range []int{1, 2} {
-		for blk := range int64(2) {
-			c.Insert(key(1, blk), c.Buffer(size), size)
-		}
-		c.InvalidateAll()
-	}
-	if c.Buffer(2); c.Stats().BuffersMade != 5 {
-		t.Errorf("%d buffers made, want 5: the spares kept are the first pair's, too short", c.Stats().BuffersMade)
-	}
 
 	c = New(0)
 	short := c.Buffer(3)
@@ -500,11 +485,8 @@ type refCache struct {
 	blocks   map[Key]*list.Element
 	lru      *list.List // front = most recent
 	perFile  map[fileKey]map[int64]*list.Element
-	// seq orders a file's blocks as its chain does: newest key first.
-	seq    map[Key]int
-	nseq   int
-	ndirty int
-	free   int // blocks that left holding no buffer, not yet reused
+	ndirty   int
+	free     int // blocks that left holding no buffer, not yet reused
 	// spares are the buffers departed blocks hold, by identity, with their
 	// room; gone are those Buffer must never hand out again: a dirty
 	// victim's, written back, and a frozen block's, shared.
@@ -519,7 +501,6 @@ func newRefCache(capacity int) *refCache {
 		blocks:   make(map[Key]*list.Element),
 		lru:      list.New(),
 		perFile:  make(map[fileKey]map[int64]*list.Element),
-		seq:      make(map[Key]int),
 		spares:   make(map[*byte]int),
 		gone:     make(map[*byte]bool),
 	}
@@ -620,8 +601,6 @@ func (c *refCache) Insert(key Key, data []byte, length int) (*Block, Victim) {
 	b := &Block{Key: key, Data: data, Len: length}
 	el := c.lru.PushFront(b)
 	c.blocks[key] = el
-	c.seq[key] = c.nseq
-	c.nseq++
 	fk := fileKey{key.FS, key.Ino}
 	m := c.perFile[fk]
 	if m == nil {
@@ -681,26 +660,14 @@ func (c *refCache) remove(el *list.Element) {
 }
 
 // release counts a departed block free, or its buffer a spare if the
-// cache owned it and holds fewer spares than its capacity.
+// cache owned it.
 func (c *refCache) release(b *Block) {
 	id := bufID(b.Data)
-	if id == nil || b.Frozen || frozenCheck || (c.capacity > 0 && len(c.spares) >= c.capacity) {
+	if id == nil || b.Frozen || frozenCheck {
 		c.free++
 		return
 	}
 	c.spares[id] = cap(b.Data)
-}
-
-// chain returns the file's blocks in its chain's order, newest key first.
-func (c *refCache) chain(fs uint32, ino uint64) []*list.Element {
-	var out []*list.Element
-	for _, el := range c.perFile[fileKey{fs, ino}] {
-		out = append(out, el)
-	}
-	slices.SortFunc(out, func(a, b *list.Element) int {
-		return c.seq[b.Value.(*Block).Key] - c.seq[a.Value.(*Block).Key]
-	})
-	return out
 }
 
 func (c *refCache) FileBlocks(fs uint32, ino uint64) []*Block {
@@ -759,7 +726,7 @@ func (c *refCache) AllDirty() []Key {
 
 func (c *refCache) InvalidateFile(fs uint32, ino uint64) int {
 	n := 0
-	for _, el := range c.chain(fs, ino) {
+	for _, el := range c.perFile[fileKey{fs, ino}] {
 		if el.Value.(*Block).Dirty {
 			c.stats.Cancelled++
 		}
@@ -772,19 +739,17 @@ func (c *refCache) InvalidateFile(fs uint32, ino uint64) int {
 
 func (c *refCache) CancelDirty(fs uint32, ino uint64) int {
 	n := 0
-	for _, el := range c.chain(fs, ino) {
-		if el.Value.(*Block).Dirty {
-			c.stats.Cancelled++
-			c.remove(el)
-			n++
-		}
+	for _, k := range c.DirtyBlocks(fs, ino) {
+		c.stats.Cancelled++
+		c.remove(c.blocks[k])
+		n++
 	}
 	return n
 }
 
 func (c *refCache) InvalidateAll() int {
 	n := c.lru.Len()
-	for el := c.lru.Front(); el != nil; el = el.Next() {
+	for _, el := range c.blocks {
 		b := el.Value.(*Block)
 		if b.Dirty {
 			c.stats.Cancelled++
