@@ -2,7 +2,6 @@ package client
 
 import (
 	"bytes"
-
 	"testing"
 
 	"spritelynfs/internal/disk"
