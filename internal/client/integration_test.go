@@ -1735,156 +1735,6 @@ func TestDelayedCloseFileRemovedByOther(t *testing.T) {
 	})
 }
 
-// ---- advisory locking (§2.2) ----
-
-func TestLockingSerializesCounterIncrements(t *testing.T) {
-	// The canonical lost-update scenario: two clients each increment a
-	// shared counter N times. Without locks even SNFS loses updates
-	// (consistency is not atomicity); with exclusive locks every
-	// increment lands.
-	const perClient = 10
-	for _, useLocks := range []bool{false, true} {
-		w := newWorld(1, true, 4, server.SNFSOptions{})
-		a := w.addSNFS("clientA", client.SNFSOptions{})
-		b := w.addSNFS("clientB", client.SNFSOptions{})
-		var final byte
-		run(t, w.k, func(p *sim.Proc) {
-			writeThrough(t, p, a, "counter", []byte{0})
-			a.SyncPass(p)
-			var wg sim.WaitGroup
-			wg.Add(2)
-			incr := func(c *client.SNFSClient) func(*sim.Proc) {
-				return func(cp *sim.Proc) {
-					defer wg.Done()
-					for i := 0; i < perClient; i++ {
-						if useLocks {
-							if err := c.Lock(cp, "counter", true); err != nil {
-								t.Errorf("lock: %v", err)
-								return
-							}
-						}
-						f, err := c.Open(cp, "counter", vfs.ReadWrite, 0)
-						if err != nil {
-							t.Errorf("open: %v", err)
-							return
-						}
-						data, err := f.ReadAt(cp, 0, 1)
-						if err != nil || len(data) != 1 {
-							t.Errorf("read: %v", err)
-							return
-						}
-						cp.Sleep(40 * sim.Millisecond) // think time widens the race
-						if _, err := f.WriteAt(cp, 0, []byte{data[0] + 1}); err != nil {
-							t.Errorf("write: %v", err)
-							return
-						}
-						if err := f.Close(cp); err != nil {
-							t.Errorf("close: %v", err)
-							return
-						}
-						if useLocks {
-							if err := c.Unlock(cp, "counter"); err != nil {
-								t.Errorf("unlock: %v", err)
-								return
-							}
-						}
-					}
-				}
-			}
-			w.k.Go("incA", incr(a))
-			w.k.Go("incB", incr(b))
-			wg.Wait(p)
-			got := readBack(t, p, a, "counter", 1)
-			if len(got) == 1 {
-				final = got[0]
-			}
-		})
-		if useLocks && final != 2*perClient {
-			t.Errorf("with locks: counter %d, want %d", final, 2*perClient)
-		}
-		if !useLocks && final == 2*perClient {
-			t.Logf("note: unlocked run happened to lose no updates (timing)")
-		}
-	}
-}
-
-func TestSharedLocksCoexistExclusiveDoesNot(t *testing.T) {
-	w := newWorld(1, true, 4, server.SNFSOptions{})
-	a := w.addSNFS("clientA", client.SNFSOptions{})
-	b := w.addSNFS("clientB", client.SNFSOptions{})
-	run(t, w.k, func(p *sim.Proc) {
-		writeThrough(t, p, a, "f", fill(10, 'l'))
-		if err := a.Lock(p, "f", false); err != nil {
-			t.Fatal(err)
-		}
-		// B's shared lock coexists.
-		done := make(chan struct{}, 1)
-		start := p.Now()
-		if err := b.Lock(p, "f", false); err != nil {
-			t.Fatal(err)
-		}
-		// One RPC round trip, no retry backoff.
-		if p.Now().Sub(start) > 50*sim.Millisecond {
-			t.Error("shared lock waited behind another shared lock")
-		}
-		_ = done
-		// B's exclusive upgrade must wait for A's release.
-		acquired := false
-		w.k.Go("upgrader", func(up *sim.Proc) {
-			b.Unlock(up, "f")
-			if err := b.Lock(up, "f", true); err == nil {
-				acquired = true
-			}
-		})
-		p.Sleep(100 * sim.Millisecond)
-		if acquired {
-			t.Error("exclusive lock granted while a shared lock was held")
-		}
-		a.Unlock(p, "f")
-		p.Sleep(500 * sim.Millisecond)
-		if !acquired {
-			t.Error("exclusive lock never granted after release")
-		}
-	})
-}
-
-func TestLocksReleasedWhenClientDies(t *testing.T) {
-	w := newWorld(1, true, 4, server.SNFSOptions{})
-	a := w.addSNFS("clientA", client.SNFSOptions{})
-	b := w.addSNFS("clientB", client.SNFSOptions{})
-	run(t, w.k, func(p *sim.Proc) {
-		writeThrough(t, p, a, "f", fill(10, 'd'))
-		a.SyncPass(p)
-		// B opens the file (and keeps it open), takes the exclusive
-		// lock, and crashes.
-		fb, err := b.Open(p, "f", vfs.ReadOnly, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := fb.ReadAt(p, 0, 10); err != nil {
-			t.Fatal(err)
-		}
-		if err := b.Lock(p, "f", true); err != nil {
-			t.Fatal(err)
-		}
-		b.Endpoint().Stop()
-		// A opens for write: the server's invalidate callback to B
-		// fails, B is declared dead, and its locks are released —
-		// so A's lock acquisition completes.
-		fa, err := a.Open(p, "f", vfs.ReadWrite, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := a.Lock(p, "f", true); err != nil {
-			t.Fatalf("lock after client death: %v", err)
-		}
-		if err := a.Unlock(p, "f"); err != nil {
-			t.Fatal(err)
-		}
-		fa.Close(p)
-	})
-}
-
 // ---- links and symlinks through the protocols ----
 
 func TestSymlinkResolutionThroughClient(t *testing.T) {

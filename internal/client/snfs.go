@@ -349,46 +349,3 @@ func (c *SNFSClient) reopenWithRetry(p *sim.Proc, args *proto.ReopenArgs) (proto
 	}
 	return proto.OpenReply{}, false
 }
-
-// Lock acquires an advisory whole-file lock on rel (the §2.2 mechanism
-// for serializing write-shared access), polling with backoff until
-// granted. Exclusive locks conflict with everything; shared locks
-// conflict with exclusive ones.
-func (c *SNFSClient) Lock(p *sim.Proc, rel string, exclusive bool) error {
-	p.BeginOp()
-	h, _, err := c.walk(p, rel, false)
-	if err != nil {
-		return err
-	}
-	backoff := 10 * sim.Millisecond
-	for {
-		var r proto.LockReply
-		if err := c.call(p, proto.ProcLock, (&proto.LockArgs{Handle: h, Exclusive: exclusive}).XDR, r.XDR); err != nil {
-			return err
-		}
-		if r.Status != proto.OK {
-			return r.Status.Err()
-		}
-		if r.Granted {
-			return nil
-		}
-		p.Sleep(backoff)
-		if backoff < 200*sim.Millisecond {
-			backoff *= 2
-		}
-	}
-}
-
-// Unlock releases one advisory lock on rel.
-func (c *SNFSClient) Unlock(p *sim.Proc, rel string) error {
-	p.BeginOp()
-	h, _, err := c.walk(p, rel, false)
-	if err != nil {
-		return err
-	}
-	var r proto.LockReply
-	if err := c.call(p, proto.ProcUnlock, (&proto.LockArgs{Handle: h}).XDR, r.XDR); err != nil {
-		return err
-	}
-	return r.Status.Err()
-}

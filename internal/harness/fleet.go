@@ -5,7 +5,6 @@ import (
 
 	"spritelynfs/internal/cache"
 	"spritelynfs/internal/cluster"
-	"spritelynfs/internal/metrics"
 	"spritelynfs/internal/rpc"
 	"spritelynfs/internal/sim"
 	"spritelynfs/internal/simnet"
@@ -225,32 +224,6 @@ func (f *Fleet) Stats() FleetStats {
 		s.CacheMisses += cs.Misses
 	}
 	return s
-}
-
-// EnableMetrics registers the fleet's aggregate gauges on r. Unlike
-// World.EnableMetrics — which exports ~15 host-labeled series per client
-// and per-procedure histograms per endpoint — the fleet's cardinality is
-// constant in N: each gauge sums across clients at sample time. A
-// 4,000-client fleet adds the same handful of series as a 4-client one.
-func (f *Fleet) EnableMetrics(r *metrics.Registry) {
-	r.GaugeFunc("snfs_fleet_clients",
-		func() float64 { return float64(len(f.Clients)) })
-	r.GaugeFunc("snfs_fleet_exec_workers",
-		func() float64 { return float64(f.Exec.Spawned()) })
-	r.GaugeFunc("snfs_fleet_exec_active",
-		func() float64 { return float64(f.Exec.Active()) })
-	r.GaugeFunc("snfs_fleet_calls_sent_total",
-		func() float64 { return float64(f.Stats().CallsSent) })
-	r.GaugeFunc("snfs_fleet_retransmits_total",
-		func() float64 { return float64(f.Stats().Retransmits) })
-	r.GaugeFunc("snfs_fleet_cache_blocks",
-		func() float64 { return float64(f.Stats().CacheBlocks) })
-	r.GaugeFunc("snfs_fleet_dirty_blocks",
-		func() float64 { return float64(f.Stats().DirtyBlocks) })
-	r.GaugeFunc("snfs_fleet_cache_hits_total",
-		func() float64 { return float64(f.Stats().CacheHits) })
-	r.GaugeFunc("snfs_fleet_cache_misses_total",
-		func() float64 { return float64(f.Stats().CacheMisses) })
 }
 
 // SyncAllClients flushes every client's delayed writes and (for SNFS)

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"spritelynfs/internal/metrics"
 	"spritelynfs/internal/sim"
 	"spritelynfs/internal/trace"
 )
@@ -138,55 +137,6 @@ func TestEndpointsParkNoProcess(t *testing.T) {
 	for _, w := range []*World{small, big} {
 		w.K.Stop()
 		w.K.Run() // unwind the worlds' daemons
-	}
-}
-
-// TestFleetTimelineBudget: a sampled fleet run stays inside the
-// harness sampler's series budget with room to spare, and drops
-// nothing — the timeline footprint, like the registry's, is constant
-// in client count.
-func TestFleetTimelineBudget(t *testing.T) {
-	pm := Default()
-	f := BuildFleet(SNFS, pm, FleetOptions{Clients: 256})
-	r := metrics.New()
-	f.EnableMetrics(r)
-	smp := f.W.StartSampler(r, 500*sim.Millisecond)
-	err := f.W.Run(func(p *sim.Proc) error {
-		for i := 0; i < 32; i++ {
-			if err := f.Client(i*8).NS.WriteFile(p, fmt.Sprintf("/data/t%d", i), 4096, 4096); err != nil {
-				return err
-			}
-			p.Sleep(250 * sim.Millisecond)
-		}
-		f.SyncAllClients(p)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tl := smp.Timeline()
-	if n := len(seriesNames(tl)); n == 0 || n > SamplerSeriesBudget/2 {
-		t.Errorf("fleet timeline holds %d series, want 1..%d", n, SamplerSeriesBudget/2)
-	}
-	if d := tl.Dump().Dropped; d != 0 {
-		t.Errorf("sampler dropped %d series inside the budget", d)
-	}
-}
-
-// TestFleetMetricsCardinality: the fleet's registry footprint is
-// constant in N — the same series count at 4 clients and at 256.
-func TestFleetMetricsCardinality(t *testing.T) {
-	count := func(n int) int {
-		pm := Default()
-		f := BuildFleet(SNFS, pm, FleetOptions{Clients: n})
-		r := metrics.New()
-		f.EnableMetrics(r)
-		snap := r.Snapshot()
-		return len(snap.Gauges) + len(snap.Hists)
-	}
-	small, big := count(4), count(256)
-	if small != big {
-		t.Errorf("series count scales with fleet size: %d at N=4, %d at N=256", small, big)
 	}
 }
 

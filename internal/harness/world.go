@@ -73,8 +73,8 @@ type World struct {
 	// clients are the full-size client hosts — the measurement client,
 	// every Add*Client, every router's per-shard clients — and late the
 	// instruments armed since construction, which a host added afterwards
-	// must get too. Fleet clients are not here: they report through
-	// Fleet.EnableMetrics's constant-cardinality aggregates.
+	// must get too. Fleet clients are not here: Fleet.Stats sums their
+	// counts.
 	clients []*cluster.ClientHost
 	late    cluster.Instruments
 	params  Params

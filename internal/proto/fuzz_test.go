@@ -36,8 +36,6 @@ var fuzzSeeds = []Message{
 	&ReopenArgs{},
 	&ServerInfoReply{Status: OK},
 	&DumpStateReply{Status: OK},
-	&LockArgs{},
-	&LockReply{Status: OK},
 	&LinkArgs{ToName: "ln"},
 	&SymlinkArgs{Name: "s", Target: "/t"},
 	&ReadlinkReply{Status: OK, Target: "/t"},

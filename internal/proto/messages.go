@@ -445,31 +445,6 @@ func (m *DumpStateReply) XDR(c xdr.Codec) {
 	}
 }
 
-// ---- advisory locking extension ----
-
-// LockArgs requests (or releases) an advisory lock on a file.
-type LockArgs struct {
-	Handle    Handle
-	Exclusive bool
-}
-
-func (m *LockArgs) XDR(c xdr.Codec) {
-	m.Handle.XDR(c)
-	c.Bool(&m.Exclusive)
-}
-
-// LockReply reports whether the lock was granted (a denial is not an
-// error: the client polls).
-type LockReply struct {
-	Status  Status
-	Granted bool
-}
-
-func (m *LockReply) XDR(c xdr.Codec) {
-	m.Status.XDR(c)
-	c.Bool(&m.Granted)
-}
-
 // ---- links (RFC 1094 procedures 5, 12, 13) ----
 
 // LinkArgs creates a hard link to an existing file.

@@ -72,14 +72,6 @@ const (
 	// returns a snapshot of its consistency state table.
 	ProcDumpState = 23
 
-	// ProcLock and ProcUnlock are the advisory locking extension the
-	// paper's §2.2 presumes ("provided that some other mechanism, such
-	// as file locking, serializes the reads and writes"). Locks are
-	// polled, not blocking: a denied request returns Granted=false and
-	// the client retries.
-	ProcLock   = 24
-	ProcUnlock = 25
-
 	// ProcMetrics is an administrative procedure: the server returns
 	// its metrics registry as Prometheus-style text (counters, gauges,
 	// and per-procedure latency histograms).
@@ -189,8 +181,6 @@ var (
 		ProcServerInfo:   {Name: "serverinfo", Control: true},
 		ProcMountRoot:    {Name: "mountroot", Control: true},
 		ProcDumpState:    {Name: "dumpstate", Control: true},
-		ProcLock:         {Name: "lock", NonIdempotent: true},
-		ProcUnlock:       {Name: "unlock", NonIdempotent: true},
 		ProcMetrics:      {Name: "metrics", Control: true},
 		ProcAudit:        {Name: "audit", Control: true},
 		ProcShardMap:     {Name: "shardmap", Control: true},

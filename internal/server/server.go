@@ -442,7 +442,6 @@ type callArgs struct {
 	open       proto.OpenArgs
 	close      proto.CloseArgs
 	reopen     proto.ReopenArgs
-	lock       proto.LockArgs // lock, unlock
 	replStream proto.ReplStreamArgs
 	replSync   proto.ReplSyncArgs
 }
@@ -485,8 +484,6 @@ func (a *callArgs) decode(proc uint32, args, tail []byte) rpc.Status {
 		a.close.XDR(c)
 	case proto.ProcReopen:
 		a.reopen.XDR(c)
-	case proto.ProcLock, proto.ProcUnlock:
-		a.lock.XDR(c)
 	case proto.ProcReplStream:
 		a.replStream.XDR(c)
 	case proto.ProcReplSync:

@@ -203,10 +203,10 @@ func TestServerStaleHandles(t *testing.T) {
 
 // TestServerGarbageArgs: a call whose arguments do not decode is answered
 // GARBAGE_ARGS, by every handler, and changes no server state. Cut short
-// after its handle, a CLOSE used to be served as a read-mode close and a
-// LOCK granted as a shared one; a truncated replication batch applied a
-// half-decoded record; and an oversized LOOKUPPATH was walked from the
-// zero handle. A procedure a server does not implement is answered
+// after its handle, a CLOSE used to be served as a read-mode close; a
+// truncated replication batch applied a half-decoded record; and an
+// oversized LOOKUPPATH was walked from the zero handle. A procedure a
+// server does not implement, or a number no procedure has, is answered
 // PROC_UNAVAIL free of charge: that answer is how a hybrid client detects
 // a plain server (§6.1), and it costs the server no CPU and counts no op.
 func TestServerGarbageArgs(t *testing.T) {
@@ -230,9 +230,6 @@ func TestServerGarbageArgs(t *testing.T) {
 				}
 			}
 			for proc := uint32(0); proc < 64; proc++ {
-				if _, ok := proto.LookupProc(proto.ProgNFS, proc); !ok {
-					continue
-				}
 				name := proto.ProcName(proto.ProgNFS, proc)
 				if c.serves.has(proc) {
 					if !noArgs.has(proc) {
@@ -257,7 +254,7 @@ func TestServerGarbageArgs(t *testing.T) {
 			cr := decodeAs[proto.HandleReply](r.call(t, p, proto.ProcCreate, &proto.CreateArgs{Dir: r.root(), Name: "f", Mode: 0o644}))
 			r.call(t, p, proto.ProcOpen, &proto.OpenArgs{Handle: cr.Handle, WriteMode: true})
 			handleOnly := proto.Marshal(&proto.HandleArgs{Handle: cr.Handle})
-			for _, proc := range []uint32{proto.ProcOpen, proto.ProcClose, proto.ProcReopen, proto.ProcLock} {
+			for _, proc := range []uint32{proto.ProcOpen, proto.ProcClose, proto.ProcReopen} {
 				garbage(proto.ProcName(proto.ProgNFS, proc)+" cut short after its handle", proc, handleOnly)
 			}
 			if got := r.snfs.Table().State(cr.Handle); got != core.StateOneWriter {
@@ -319,6 +316,33 @@ func TestSNFSServerRemoveDropsStateEntry(t *testing.T) {
 		r.call(t, p, proto.ProcRemove, &proto.DirOpArgs{Dir: root, Name: "f"})
 		if r.snfs.Table().Len() != 0 {
 			t.Errorf("state entry survived remove")
+		}
+	})
+}
+
+// TestSNFSServerRemoveAfterRebootDropsStateEntry: a removal drops the
+// entry from the table of the incarnation that serves it. reset replaces
+// the table, so a removal hook bound to the first incarnation's table
+// would leave the entry behind.
+func TestSNFSServerRemoveAfterRebootDropsStateEntry(t *testing.T) {
+	r := newRig(true, SNFSOptions{GraceDur: sim.Second})
+	r.run(t, func(p *sim.Proc) {
+		r.snfs.Crash()
+		r.snfs.Reboot()
+		p.Sleep(2 * sim.Second)
+		root := r.root()
+		cr := decodeAs[proto.HandleReply](
+			r.call(t, p, proto.ProcCreate, &proto.CreateArgs{Dir: root, Name: "f", Mode: 0o644}))
+		if st := decodeAs[proto.OpenReply](
+			r.call(t, p, proto.ProcOpen, &proto.OpenArgs{Handle: cr.Handle, WriteMode: true})).Status; st != proto.OK {
+			t.Fatalf("open after grace: %v", st)
+		}
+		r.call(t, p, proto.ProcClose, &proto.CloseArgs{Handle: cr.Handle, WriteMode: true})
+		r.call(t, p, proto.ProcRemove, &proto.DirOpArgs{Dir: root, Name: "f"})
+		for _, e := range r.snfs.Table().Snapshot() {
+			if e.Handle == cr.Handle {
+				t.Errorf("entry for the removed file survived in the new table: %+v", e)
+			}
 		}
 	})
 }
@@ -641,6 +665,31 @@ func TestSNFSDeadCallbackTargetIsDeclaredDead(t *testing.T) {
 			}
 		}
 	})
+}
+
+func TestRFSTableEviction(t *testing.T) {
+	rt := newRFSTable(2)
+	h := func(i uint64) proto.Handle { return proto.Handle{FSID: 1, Ino: i, Gen: 1} }
+	e1 := rt.get(h(1))
+	e1.stamp = 1
+	e2 := rt.get(h(2))
+	e2.stamp = 2
+	// Both closed (no opens): the third evicts the oldest.
+	rt.get(h(3))
+	if _, ok := rt.entries[h(1)]; ok {
+		t.Error("oldest closed entry not evicted")
+	}
+	if len(rt.entries) != 2 {
+		t.Errorf("table size %d", len(rt.entries))
+	}
+	// Open entries are not evicted.
+	rt2 := newRFSTable(1)
+	e := rt2.get(h(1))
+	e.opens[core.ClientID("A")] = 1
+	rt2.get(h(2))
+	if _, ok := rt2.entries[h(1)]; !ok {
+		t.Error("open entry evicted")
+	}
 }
 
 func TestRFSServerDirect(t *testing.T) {

@@ -34,15 +34,14 @@ type SNFSOptions struct {
 
 // SNFSServer is the stateful Spritely NFS server: the NFS file procedures
 // plus the open/close/callback consistency machinery of §3 and §4.3. Its
-// volatile state — the table, both lock tables and the grace window —
-// starts afresh with every incarnation (reset).
+// volatile state — the state table, the per-file mutexes and the grace
+// window — starts afresh with every incarnation (reset).
 type SNFSServer struct {
 	*Base
 	table      *core.Table
 	locks      map[proto.Handle]*sim.Mutex
 	opts       SNFSOptions
 	graceUntil sim.Time
-	locksTab   *lockTable
 
 	// Backup role: the event-sourced image of the primary's state table
 	// plus stream progress, consumed by Promote (repl.go).
@@ -58,17 +57,15 @@ func NewSNFS(k *sim.Kernel, ep *rpc.Endpoint, media *localfs.Media, cfg Config, 
 		opts.GraceDur = 2 * sim.Second
 	}
 	s := &SNFSServer{
-		Base:     newBase(k, ep, media, cfg),
-		table:    core.NewTable(opts.TableLimit),
-		locks:    make(map[proto.Handle]*sim.Mutex),
-		opts:     opts,
-		locksTab: newLockTable(),
-		mirror:   make(map[proto.Handle]*mirrorEntry),
+		Base:   newBase(k, ep, media, cfg),
+		table:  core.NewTable(opts.TableLimit),
+		locks:  make(map[proto.Handle]*sim.Mutex),
+		opts:   opts,
+		mirror: make(map[proto.Handle]*mirrorEntry),
 	}
-	s.onRemoved = func(h proto.Handle) {
-		s.table.Drop(h)
-		s.locksTab.drop(h)
-	}
+	// A closure, not the method value s.table.Drop: reset replaces the
+	// table, and a method value would keep the first incarnation's.
+	s.onRemoved = func(h proto.Handle) { s.table.Drop(h) }
 	s.onReset = s.reset
 	s.onTracer = s.observe
 	ep.Serve(proto.ProgNFS, s.serve)
@@ -76,12 +73,11 @@ func NewSNFS(k *sim.Kernel, ep *rpc.Endpoint, media *localfs.Media, cfg Config, 
 }
 
 // reset is the SNFS server's part of a new incarnation: an empty state
-// table and lock tables, and a grace window in which only reopens are
+// table and per-file mutexes, and a grace window in which only reopens are
 // served while clients re-register their opens (§2.4).
 func (s *SNFSServer) reset() {
 	s.table = core.NewTable(s.opts.TableLimit)
 	s.observe()
-	s.locksTab = newLockTable()
 	s.locks = make(map[proto.Handle]*sim.Mutex)
 	s.graceUntil = s.k.Now().Add(s.opts.GraceDur)
 }
@@ -155,8 +151,7 @@ func (s *SNFSServer) SetAuditor(a *audit.Auditor) {
 func (s *SNFSServer) deliver(p *sim.Proc, cbs ...core.Callback) (lost bool) {
 	for _, cb := range cbs {
 		if err := s.callback(p, cb); err != nil {
-			s.table.ClientDead(cb.Client) // and so does every lock it held
-			s.locksTab.clientDead(cb.Client)
+			s.table.ClientDead(cb.Client)
 			lost = lost || cb.WriteBack
 		}
 	}
@@ -181,7 +176,7 @@ func (s *SNFSServer) lockFor(h proto.Handle) *sim.Mutex {
 // snfsProcs are the procedures the Spritely server implements: every one
 // in ProgNFS's table.
 var snfsProcs = commonProcs | procsOf(proto.ProcOpen, proto.ProcClose, proto.ProcReopen,
-	proto.ProcServerInfo, proto.ProcDumpState, proto.ProcAudit, proto.ProcLock, proto.ProcUnlock,
+	proto.ProcServerInfo, proto.ProcDumpState, proto.ProcAudit,
 	proto.ProcReplStream, proto.ProcReplSync)
 
 func (s *SNFSServer) serve(p *sim.Proc, from simnet.Addr, proc uint32, args, tail []byte) (rpc.Reply, rpc.Status) {
@@ -199,8 +194,6 @@ func (s *SNFSServer) serve(p *sim.Proc, from simnet.Addr, proc uint32, args, tai
 		return s.serveClose(p, from, &a.close), rpc.StatusOK
 	case proto.ProcReopen:
 		return s.serveReopen(p, from, &a.reopen), rpc.StatusOK
-	case proto.ProcLock, proto.ProcUnlock:
-		return s.serveLock(from, proc, &a.lock), rpc.StatusOK
 	case proto.ProcReplStream:
 		return s.serveReplStream(p, &a.replStream), rpc.StatusOK
 	case proto.ProcReplSync:
@@ -407,7 +400,7 @@ func (s *SNFSServer) serveHybrid(p *sim.Proc, from simnet.Addr, proc uint32, a *
 // Expel forces every client out of h's cache and drops its consistency
 // state: each client with an open or cached copy (including a
 // closed-dirty last writer) is called back to write dirty blocks through
-// and invalidate, and any advisory locks are discarded. The cluster
+// and invalidate. The cluster
 // layer quiesces files this way before migrating a subtree to another
 // shard — after Expel returns, the store holds the only copy of the
 // file's bytes and no client may use a cached block without reopening
@@ -423,7 +416,6 @@ func (s *SNFSServer) Expel(p *sim.Proc, h proto.Handle) {
 		cbs[i].WriteBack = true
 	}
 	s.deliver(p, cbs...)
-	s.locksTab.drop(h)
 }
 
 // dumpState snapshots the consistency table for the administrative dump

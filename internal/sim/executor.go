@@ -31,7 +31,6 @@ type Executor struct {
 	name    string
 	idle    []*execWorker
 	spawned int   // workers ever created (the goroutine high-water mark)
-	active  int   // closures currently running or blocked
 	submits int64 // closures ever submitted
 }
 
@@ -60,9 +59,6 @@ func NewExecutor(k *Kernel, name string) *Executor {
 // goroutine footprint, equal to the peak concurrency ever reached.
 func (ex *Executor) Spawned() int { return ex.spawned }
 
-// Active reports the closures currently running or blocked.
-func (ex *Executor) Active() int { return ex.active }
-
 // Submit runs job on a pooled process at the current virtual instant,
 // tagged with causal operation ID op (0 for none). When job returns,
 // done (if non-nil) runs in the completing process's context at the
@@ -71,7 +67,6 @@ func (ex *Executor) Active() int { return ex.active }
 // context (an event callback) or from a running process.
 func (ex *Executor) Submit(op uint64, job func(p *Proc), done func()) {
 	ex.submits++
-	ex.active++
 	if n := len(ex.idle); n > 0 {
 		w := ex.idle[n-1]
 		ex.idle = ex.idle[:n-1]
@@ -99,7 +94,6 @@ func (w *execWorker) run(ex *Executor) {
 		w.job = nil
 		done := w.done
 		w.done = nil
-		ex.active--
 		// Park on the free list before firing the completion callback,
 		// so a done() that immediately submits again reuses this worker
 		// (the wake arrives after the block below — hand-offs stay in

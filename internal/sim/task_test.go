@@ -107,8 +107,8 @@ func TestExecutorReusesWorkers(t *testing.T) {
 		ex2.Submit(0, func(p *Proc) { p.Sleep(Millisecond) }, nil)
 	}
 	k2.Run()
-	if ex2.Spawned() != 10 || ex2.active != 0 {
-		t.Fatalf("concurrent burst: spawned %d, %d still active, want 10/0", ex2.Spawned(), ex2.active)
+	if ex2.Spawned() != 10 || len(ex2.idle) != 10 {
+		t.Fatalf("concurrent burst: spawned %d, %d back on the free list, want 10/10", ex2.Spawned(), len(ex2.idle))
 	}
 }
 
