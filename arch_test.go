@@ -90,7 +90,7 @@ func TestStructuralCeilings(t *testing.T) {
 		// One derivation of Table 4-1: a state-table entry's state is
 		// set only by e.state = e.derive().
 		{"state assignments in internal/core other than e.state = e.derive()", countStateSets(t, "internal/core"), 0},
-		{"internal/core non-test lines", countLines(t, "internal/core"), 874},
+		{"internal/core non-test lines", countLines(t, "internal/core"), 882},
 		// One client rule for the cache: core.FileRecord decides what every
 		// open, reopen and callback does to the cached blocks, Base.apply
 		// carries it out, and one callback service decodes and counts
@@ -126,7 +126,7 @@ func TestStructuralCeilings(t *testing.T) {
 		{"Reboot methods in internal/server", countMethods(t, "internal/server", "Reboot"), 1},
 		{"proto.ProgCallback in internal/server non-test files", countText(t, "internal/server", "proto.ProgCallback"), 1},
 		{"sim.NewSemaphore in internal/server non-test files", countText(t, "internal/server", "sim.NewSemaphore"), 1},
-		{"internal/server non-test lines", countLines(t, "internal/server"), 2088},
+		{"internal/server non-test lines", countLines(t, "internal/server"), 2097},
 		// One open file: every protocol opens, lists and reads a file
 		// through Base, and what a protocol adds there is a field its
 		// constructor sets.
@@ -134,7 +134,7 @@ func TestStructuralCeilings(t *testing.T) {
 		{"Open methods in internal/client", countMethods(t, "internal/client", "Open"), 1},
 		{"Readdir methods in internal/client", countMethods(t, "internal/client", "Readdir"), 1},
 		{"proto.ProcOpen in internal/client non-test files", countText(t, "internal/client", "proto.ProcOpen"), 1},
-		{"internal/client non-test lines", countLines(t, "internal/client"), 2371},
+		{"internal/client non-test lines", countLines(t, "internal/client"), 2391},
 		// One path walk: vfs.Walk splices every link's target into the
 		// path, under the one bound, for every file system, and a walk
 		// scans its path in place.
@@ -150,6 +150,9 @@ func TestStructuralCeilings(t *testing.T) {
 		// endpoint keep no second count of what those two count.
 		{"core.Stats fields", reflect.TypeOf(core.Stats{}).NumField(), 4},
 		{"rpc.Stats fields", reflect.TypeOf(rpc.Stats{}).NumField(), 6},
+		// The park hook is a test's instrument, not a knob: nothing but
+		// a test sets it.
+		{"(*sim.Kernel).OnPark calls in non-test files", countMethodCalls(t, "(*spritelynfs/internal/sim.Kernel).OnPark"), 0},
 		// One way to call inside the simulation: Endpoint.Call; the
 		// start/wait halves it composes stay unexported.
 		{"rpc.Endpoint.Start declarations", countMethods(t, "internal/rpc", "Start", "Endpoint"), 0},
@@ -170,11 +173,11 @@ func TestStructuralCeilings(t *testing.T) {
 		{"§5 state dump non-test lines", rentLines(t, "internal/server:(*SNFSServer).dumpState"), 25},
 		{"§5 probe-interval sweep non-test lines", rentLines(t, "internal/harness/probesweep.go"), 112},
 		{"§5 scale experiment non-test lines", rentLines(t, "internal/harness/scale.go"), 247},
-		{"§5 RFS non-test lines", rentLines(t, "internal/server/rfs.go", "internal/client/rfs.go", "internal/harness/rfs.go"), 305},
+		{"§5 RFS non-test lines", rentLines(t, "internal/server/rfs.go", "internal/client/rfs.go", "internal/harness/rfs.go"), 315},
 		{"§5 daemon and CLI non-test lines", rentLines(t, "cmd/snfsd", "cmd/snfscli", "internal/rpc/tcp.go", "internal/sim/realtime.go"), 1750},
 		{"§5 trace non-test lines", rentLines(t, "internal/trace"), 464},
 		{"§5 metrics non-test lines", rentLines(t, "internal/metrics"), 470},
-		{"§5 audit non-test lines", rentLines(t, "internal/audit"), 888},
+		{"§5 audit non-test lines", rentLines(t, "internal/audit"), 911},
 		{"§5 sharded federation non-test lines", rentLines(t, "internal/cluster/cluster.go", "internal/cluster/router.go",
 			"internal/cluster/mapspec.go", "internal/proto/shardmap.go", "internal/harness/cluster.go",
 			"internal/server:(*Base).SetShardMap", "internal/server:(*callArgs).dirNames", "internal/server:(*Base).routeCheck",
@@ -182,7 +185,7 @@ func TestStructuralCeilings(t *testing.T) {
 		{"§5 write gathering and COMMIT non-test lines", rentLines(t, "internal/disk/sched.go", "internal/client:(*Base).commit"), 195},
 		{"§5 attribute cache and compound calls non-test lines", rentLines(t, "internal/client/attrcache.go",
 			"internal/client:(*Base).lookupPath", "internal/client:(*Base).ingestWcc", "internal/client:(*Base).wccCall",
-			"internal/client:(*Base).readdirAttrs", "internal/server:(*Base).wccReply"), 249},
+			"internal/client:(*Base).readdirAttrs", "internal/server:(*Base).wccReply"), 253},
 		{"§5 tsdb non-test lines", rentLines(t, "internal/tsdb"), 460},
 		{"§5 span non-test lines", rentLines(t, "internal/span"), 742},
 		{"§5 replicated shards non-test lines", rentLines(t, "internal/view", "internal/server/repl.go", "internal/proto/repl.go",
@@ -830,7 +833,7 @@ func TestDocsNameLiveCode(t *testing.T) {
 	fence := regexp.MustCompile("(?ms)^[ \t]*```.*?^[ \t]*```")
 	span := regexp.MustCompile("`([^`]+)`")
 	name := regexp.MustCompile(`^[A-Za-z_]\w*(\.[A-Za-z_]\w*){1,2}(\(\))?$`)
-	file := regexp.MustCompile(`\.(go|md|json|jsonl|txt|csv|yml|mod|prof|golden)$`)
+	file := regexp.MustCompile(`\.(go|md|json|jsonl|txt|csv|yml|mod|prof|golden|log)$`)
 	dead := map[string]bool{}
 	for _, doc := range []string{"DESIGN.md", "README.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"} {
 		text, err := os.ReadFile(doc)
@@ -952,6 +955,7 @@ func TestMapRangesAreOrdered(t *testing.T) {
 // per loop.
 var mapRangeRows = []struct{ fn, reason string }{
 	{"audit.deriveState", "sums the writers; the client it keeps is read only when it is the only one"},
+	{"audit.(*Auditor).ResetLedger", "filters each block's history on its own"},
 	{"client.(*Base).EnableMetrics", "a gauge: sums the unstable blocks of every file"},
 	{"core.(*Table).Snapshot", "copies every entry, then sorts the copies by (stamp, handle), a total order"},
 	{"core.(*Table).StateCount", "counts"},

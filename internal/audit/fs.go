@@ -27,6 +27,7 @@ type auditFS struct {
 }
 
 func (w *auditFS) Open(p *sim.Proc, path string, flags vfs.Flags, mode uint32) (vfs.File, error) {
+	start := p.Now()
 	f, err := w.inner.Open(p, path, flags, mode)
 	if err != nil {
 		return nil, err
@@ -38,7 +39,7 @@ func (w *auditFS) Open(p *sim.Proc, path string, flags vfs.Flags, mode uint32) (
 	h := hf.Handle()
 	if flags&(vfs.Create|vfs.Truncate) != 0 {
 		// Fresh contents by construction: prior history is void.
-		w.a.ResetLedger(h)
+		w.a.ResetLedger(h, start)
 	}
 	return &auditFile{a: w.a, inner: f, h: h}, nil
 }

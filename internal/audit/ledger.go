@@ -3,6 +3,7 @@ package audit
 import (
 	"bytes"
 	"fmt"
+	"slices"
 
 	"spritelynfs/internal/proto"
 	"spritelynfs/internal/sim"
@@ -49,16 +50,19 @@ func (a *Auditor) ledgerFor(h proto.Handle) *fileLedger {
 	return l
 }
 
-// ResetLedger forgets the write history of h — used when a file is
-// created or truncated through the wrapper (old contents are gone by
-// construction, not by protocol failure).
-func (a *Auditor) ResetLedger(h proto.Handle) {
+// ResetLedger forgets the write history of h from before since, the start
+// of a create or truncate through the wrapper (old contents are gone by
+// construction, not by protocol failure); a write that began since may
+// have landed after the truncation.
+func (a *Auditor) ResetLedger(h proto.Handle, since sim.Time) {
 	if a == nil {
 		return
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	delete(a.ledgers, h)
+	for b, vs := range a.ledgerFor(h).blocks {
+		a.ledgers[h].blocks[b] = slices.DeleteFunc(vs, func(v *blockVersion) bool { return v.from < since })
+	}
 }
 
 // pendingWrite is an in-flight write: its new block versions are already
@@ -67,6 +71,12 @@ func (a *Auditor) ResetLedger(h proto.Handle) {
 // acceptable until WriteEnd closes their windows at the syscall's end.
 type pendingWrite struct {
 	preds []*blockVersion
+	// h, off and data are the write, and mine its versions, one a
+	// touched block.
+	h    proto.Handle
+	off  int64
+	data []byte
+	mine []*blockVersion
 	// rec is the write's journal event, stamped with the syscall's start
 	// and journaled by WriteEnd, once the op the syscall minted is known.
 	rec record
@@ -84,7 +94,7 @@ func (a *Auditor) WriteBegin(h proto.Handle, off int64, data []byte, start sim.T
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	pw := &pendingWrite{rec: a.stamp(record{Event: "write", Handle: h.String(),
+	pw := &pendingWrite{h: h, off: off, data: data, rec: a.stamp(record{Event: "write", Handle: h.String(),
 		Detail: writeDetail(off, len(data))})}
 	l := a.ledgerFor(h)
 	for _, seg := range segments(off, len(data)) {
@@ -95,7 +105,8 @@ func (a *Auditor) WriteBegin(h proto.Handle, off int64, data []byte, start sim.T
 			pw.preds = append(pw.preds, vs[n-1])
 		}
 		copy(img[seg.inBlock:], data[seg.inData:seg.inData+seg.n])
-		vs = append(vs, &blockVersion{from: start, data: img})
+		pw.mine = append(pw.mine, &blockVersion{from: start, data: img})
+		vs = append(vs, pw.mine[len(pw.mine)-1])
 		if len(vs) > maxVersionsPerBlock {
 			vs = vs[len(vs)-maxVersionsPerBlock:]
 		}
@@ -124,6 +135,17 @@ func (a *Auditor) WriteEnd(pw *pendingWrite, op uint64, end sim.Time, ok bool) {
 	}
 	for _, v := range pw.preds {
 		v.to = end
+	}
+	// A write that began while this one was in flight may have landed
+	// first: this one's bytes over its image are as acceptable.
+	l := a.ledgerFor(pw.h)
+	for i, seg := range segments(pw.off, len(pw.data)) {
+		vs := l.blocks[seg.block]
+		if n := len(vs); n > 0 && vs[n-1] != pw.mine[i] {
+			img := bytes.Clone(vs[n-1].data)
+			copy(img[seg.inBlock:], pw.data[seg.inData:seg.inData+seg.n])
+			l.blocks[seg.block] = append(vs, &blockVersion{from: vs[n-1].from, data: img})
+		}
 	}
 }
 

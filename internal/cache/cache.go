@@ -113,9 +113,9 @@ type Stats struct {
 type Cache struct {
 	capacity int // maximum resident blocks; <=0 means unbounded
 	blocks   map[Key]*Block
-	// lru is the list's sentinel: lru.next is the most recently used
-	// block, lru.prev the least.
-	lru Block
+	// mru and lru are the ends of the LRU list: the most recently used
+	// block and the least (nil when the cache is empty).
+	mru, lru *Block
 	// perFile maps a file to the head of its chain of resident blocks.
 	perFile map[fileKey]*Block
 	// free heads the blocks that left the cache holding no buffer, spares
@@ -141,7 +141,6 @@ func New(capacity int) *Cache {
 		blocks:   make(map[Key]*Block),
 		perFile:  make(map[fileKey]*Block),
 	}
-	c.lru.next, c.lru.prev = &c.lru, &c.lru
 	return c
 }
 
@@ -203,7 +202,7 @@ func (c *Cache) Insert(key Key, data []byte, length int) (*Block, Victim) {
 	}
 	var v Victim
 	if c.capacity > 0 && len(c.blocks) >= c.capacity {
-		back := c.lru.prev
+		back := c.lru
 		v = Victim{Key: back.Key, Len: back.Len, Dirty: back.Dirty}
 		c.stats.Evictions++
 		if v.Dirty {
@@ -290,23 +289,40 @@ func (c *Cache) MarkCleanIf(key Key, gen uint64) {
 }
 
 func (c *Cache) pushFront(b *Block) {
-	b.prev, b.next = &c.lru, c.lru.next
-	c.lru.next.prev = b
-	c.lru.next = b
+	b.prev, b.next = nil, c.mru
+	if c.mru != nil {
+		c.mru.prev = b
+	} else {
+		c.lru = b
+	}
+	c.mru = b
 }
 
 func (c *Cache) moveToFront(b *Block) {
-	if c.lru.next == b {
-		return
+	if c.mru != b {
+		c.unlink(b)
+		c.pushFront(b)
 	}
-	b.prev.next, b.next.prev = b.next, b.prev
-	c.pushFront(b)
+}
+
+// unlink takes b out of the LRU list.
+func (c *Cache) unlink(b *Block) {
+	if b.prev != nil {
+		b.prev.next = b.next
+	} else {
+		c.mru = b.next
+	}
+	if b.next != nil {
+		b.next.prev = b.prev
+	} else {
+		c.lru = b.prev
+	}
 }
 
 // remove unlinks b from every index and releases it. It does not touch
 // stats.
 func (c *Cache) remove(b *Block) {
-	b.prev.next, b.next.prev = b.next, b.prev
+	c.unlink(b)
 	delete(c.blocks, b.Key)
 	if b.fileNext != nil {
 		b.fileNext.filePrev = b.filePrev
@@ -386,7 +402,7 @@ func (c *Cache) DirtyOlderThan(cutoff sim.Time) []Key {
 		return nil
 	}
 	var out []Key
-	for b := c.lru.next; b != &c.lru; b = b.next {
+	for b := c.mru; b != nil; b = b.next {
 		if b.Dirty && b.DirtyAt <= cutoff {
 			out = append(out, b.Key)
 		}
@@ -439,7 +455,7 @@ func (c *Cache) CancelDirty(fs uint32, ino uint64) int {
 // number of dropped blocks.
 func (c *Cache) InvalidateAll() int {
 	n := len(c.blocks)
-	for b := c.lru.next; b != &c.lru; {
+	for b := c.mru; b != nil; {
 		next := b.next
 		if b.Dirty {
 			c.stats.Cancelled++
@@ -449,7 +465,7 @@ func (c *Cache) InvalidateAll() int {
 	}
 	clear(c.blocks)
 	clear(c.perFile)
-	c.lru.next, c.lru.prev = &c.lru, &c.lru
+	c.mru, c.lru = nil, nil
 	c.ndirty = 0
 	c.stats.Invalidated += int64(n)
 	return n

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"spritelynfs/internal/sim"
 )
@@ -372,6 +373,16 @@ func bytesPerRun(runs int, op func()) uint64 {
 	}
 	runtime.ReadMemStats(&after)
 	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
+// TestCacheSize: a cache is allocated once per client, and the fleet
+// builds thousands: its list is two links, not a sentinel block, and a
+// field added to it shows here before it moves every cache into a larger
+// size class (152 bytes is in the 160-byte class).
+func TestCacheSize(t *testing.T) {
+	if got := unsafe.Sizeof(Cache{}); got != 152 {
+		t.Errorf("unsafe.Sizeof(Cache{}) = %d, want 152", got)
+	}
 }
 
 // TestCacheOpsAllocateNothing: a block carries its own LRU and file-chain

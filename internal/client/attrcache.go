@@ -131,10 +131,14 @@ func (ac *attrCache) ingestOwn(n *node, a proto.Fattr, now sim.Time) {
 }
 
 // store applies the shared caching rules and installs the attributes.
-// It returns false when the write-shared rule discarded them.
+// It returns false when the write-shared rule discarded them, or when they
+// are older than the node's, a reply overtaken by the client's own write.
 func (ac *attrCache) store(n *node, a proto.Fattr, now sim.Time, ownWrite bool) bool {
 	if ac.writeShared(n) {
 		ac.stats.SharedDrops++
+		return false
+	}
+	if n.attrInit && a.Ctime < n.attr.Ctime {
 		return false
 	}
 	if !ownWrite {

@@ -766,8 +766,11 @@ func (b *Base) readdirAttrs(p *sim.Proc, h proto.Handle) ([]proto.DirEntry, erro
 // image, as long as the bytes the server had (Len), marked Frozen, and
 // writeToCache copies it before the first write. A block a local write
 // made resident while the READ was on the wire holds newer bytes than
-// the reply: it stays, and the reply is dropped.
-func (b *Base) fetchBlock(p *sim.Proc, n *node, blk int64) ([]byte, error) {
+// the reply: it stays, and the reply is dropped. A reply an invalidating
+// callback overtook may predate the change the callback was for: it
+// serves a read, as read before the change, but a read-modify-write (rmw)
+// leaves it uncached and fetches again.
+func (b *Base) fetchBlock(p *sim.Proc, n *node, blk int64, rmw bool) ([]byte, error) {
 	sp := b.span(p, span.Cache, "fetch")
 	defer sp.End()
 	key := b.key(n.h.Ino, blk)
@@ -799,6 +802,7 @@ func (b *Base) fetchBlock(p *sim.Proc, n *node, blk int64) ([]byte, error) {
 	}()
 	bs := b.cfg.BlockSize
 	off := blk * int64(bs)
+	seen := n.rec.Invalidated
 	data, rattr, err := b.readRPC(p, n.h, off, bs)
 	if err != nil {
 		return nil, err
@@ -809,7 +813,7 @@ func (b *Base) fetchBlock(p *sim.Proc, n *node, blk int64) ([]byte, error) {
 		// the data just fetched.
 		b.attrs.ingest(n, rattr, p.Now())
 	}
-	if _, ok := b.cache.Peek(key); !ok {
+	if _, ok := b.cache.Peek(key); !ok && (!rmw || seen == n.rec.Invalidated) {
 		got := min(len(data), bs)
 		data = data[:got:got]
 		cb, victim := b.cache.Insert(key, data, got)
@@ -864,7 +868,7 @@ func (b *Base) assembleRead(p *sim.Proc, n *node, buf []byte, off int64, readAhe
 			data = cb.Data
 		} else {
 			var err error
-			if data, err = b.fetchBlock(p, n, blk); err != nil {
+			if data, err = b.fetchBlock(p, n, blk, false); err != nil {
 				return 0, err
 			}
 		}
@@ -908,7 +912,7 @@ func (b *Base) readAhead(n *node, blk int64) {
 		if b.cache.Contains(key) {
 			return
 		}
-		b.fetchBlock(p, n, blk)
+		b.fetchBlock(p, n, blk, false)
 	})
 }
 
@@ -935,7 +939,7 @@ func (b *Base) writeToCache(p *sim.Proc, n *node, off int64, data []byte) error 
 			// write); otherwise start from a zero block.
 			contentEnd := min(n.size, blkStart+bs)
 			if contentEnd > blkStart && (cur > blkStart || segEnd < contentEnd) {
-				if _, err := b.fetchBlock(p, n, blk); err != nil {
+				if _, err := b.fetchBlock(p, n, blk, true); err != nil {
 					return err
 				}
 			} else {
@@ -1363,6 +1367,7 @@ func (b *Base) openCheck(p *sim.Proc, n *node, wattr proto.Fattr) error {
 // possibly stale.
 func (b *Base) openRPC(p *sim.Proc, n *node, write bool) error {
 	var reply proto.OpenReply
+	opened, invalidated := n.rec.Opened, n.rec.Invalidated
 	for attempt := 0; ; attempt++ {
 		var err error
 		if reply, err = b.openCall(p, n.h, write); err != nil {
@@ -1380,10 +1385,17 @@ func (b *Base) openRPC(p *sim.Proc, n *node, write bool) error {
 	default:
 		return reply.Status.Err()
 	}
+	overtaken := n.rec.Invalidated != invalidated || n.rec.Opened != opened && reply.Version < n.rec.Version
+	if overtaken {
+		// An invalidating callback, or another open's newer reply,
+		// overtook this reply: it grants nothing and names no newer
+		// version, and the blocks go home and leave.
+		reply.CacheEnabled, reply.Version = false, n.rec.Version
+	}
 	act := n.rec.Open(reply, write)
 	b.apply(p, n, act, false)
 	b.attrs.ingest(n, reply.Attr, p.Now())
-	if act == (core.Action{}) {
+	if act == (core.Action{}) || overtaken {
 		// The cached view, delayed writes included, stays authoritative
 		// for the file length.
 		n.size = max(n.size, reply.Attr.Size)
@@ -1576,8 +1588,11 @@ func (b *Base) create(p *sim.Proc, rel string, mode uint32) (*node, error) {
 	return n, nil
 }
 
-// truncate is the truncate arm of an open.
+// truncate is the truncate arm of an open. The delayed writes it makes
+// obsolete go first: a write-back landing after the SETATTR would bring
+// them back.
 func (b *Base) truncate(p *sim.Proc, n *node) error {
+	b.cache.InvalidateFile(b.cfg.Root.FSID, n.h.Ino)
 	var r proto.AttrReply
 	if err := b.call(p, proto.ProcSetattr, (&proto.SetattrArgs{Handle: n.h, SetSize: true, Size: 0}).XDR, r.XDR); err != nil {
 		return err

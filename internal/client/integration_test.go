@@ -714,63 +714,6 @@ func TestReadPageIsTheClientsCachedBlock(t *testing.T) {
 	}
 }
 
-// TestReadAheadKeepsACoveringWrite: a write that covers a whole block
-// while the block's read-ahead READ is on the wire makes the block
-// resident, and the READ's reply, older than the write, is dropped: the
-// writer reads its own bytes back, and under SNFS, where the write is
-// delayed, the server ends with them too.
-func TestReadAheadKeepsACoveringWrite(t *testing.T) {
-	for _, useSNFS := range []bool{false, true} {
-		t.Run(map[bool]string{false: "NFS", true: "SNFS"}[useSNFS], func(t *testing.T) {
-			w := newWorld(1, useSNFS, 4, server.SNFSOptions{})
-			var c vfs.FS
-			if useSNFS {
-				c = w.addSNFS("clientB", client.SNFSOptions{})
-			} else {
-				c = w.addNFS("clientB", client.NFSOptions{})
-			}
-			st := w.media.Store()
-			attr, _ := st.Create(st.Root(), "f", 0o644)
-			st.WriteAt(attr.Ino, 0, fill(8192, 'o'))
-			fresh := fill(4096, 'n')
-			run(t, w.k, func(p *sim.Proc) {
-				f, err := c.Open(p, "f", vfs.ReadWrite, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				// A miss on block 0 sends block 1's read-ahead, whose
-				// reply is still on the wire when the write lands.
-				if _, err := f.ReadAt(p, 0, 4096); err != nil {
-					t.Fatal(err)
-				}
-				p.Sleep(100 * sim.Microsecond)
-				if _, err := f.WriteAt(p, 4096, fresh); err != nil {
-					t.Fatal(err)
-				}
-				p.Sleep(100 * sim.Millisecond)
-				if got, err := f.ReadAt(p, 4096, 4096); err != nil || !bytes.Equal(got, fresh) {
-					t.Errorf("the writer reads back %d bytes (%v), not its write: the read-ahead's reply replaced it", len(got), err)
-				}
-				if err := f.Sync(p); err != nil {
-					t.Fatal(err)
-				}
-				if got, _ := st.ReadAt(attr.Ino, 4096, 4096); !bytes.Equal(got, fresh) {
-					t.Error("the server does not hold the write")
-				}
-				var reads int64
-				if useSNFS {
-					reads = w.snfs.Ops().Get("read")
-				} else {
-					reads = w.nfs.Ops().Get("read")
-				}
-				if reads != 2 {
-					t.Errorf("the server served %d READs, want 2: block 0 and block 1's read-ahead", reads)
-				}
-			})
-		})
-	}
-}
-
 // TestShortBlockIsTheServersPageUntilWritten: a short file's block, read
 // cold, is the server's short page as it is. A sparse write into a later
 // block leaves the gap reading as zeros, past the short block's end and
@@ -1534,68 +1477,6 @@ func TestRFSRebootNeverRevalidatesStaleCache(t *testing.T) {
 	})
 }
 
-// TestRFSInvalidationDuringWriteKeepsTheWrite: an RFS server calls back
-// every other caching client on a write, writers too, and a writer holds
-// the dirty blocks of a write in progress while a read-modify-write fetch
-// yields. An invalidation arriving then writes them back before it
-// discards them; dropped, the write's first block never reached the
-// server.
-func TestRFSInvalidationDuringWriteKeepsTheWrite(t *testing.T) {
-	w, _ := newRFSWorld(1)
-	a := w.addRFS("clientA")
-	b := w.addRFS("clientB")
-	old, mine, theirs := fill(16384, 'o'), fill(6000, 'a'), fill(4096, 'b')
-	run(t, w.k, func(p *sim.Proc) {
-		writeThrough(t, p, b, "f.dat", old)
-		fa, err := a.Open(p, "f.dat", vfs.ReadWrite, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fb, err := b.Open(p, "f.dat", vfs.ReadWrite, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bDone := false
-		w.k.Go("writer-b", func(bp *sim.Proc) {
-			if _, err := fb.WriteAt(bp, 12288, theirs); err != nil {
-				t.Error(err)
-			}
-			if err := fb.Close(bp); err != nil {
-				t.Error(err)
-			}
-			bDone = true
-		})
-		// B's WRITE is on the wire. A's write marks block 0, written
-		// whole, dirty; block 1 is fetched first, and B's write calls A
-		// back meanwhile.
-		p.Sleep(sim.Millisecond)
-		served := a.CallbacksServed
-		if _, err := fa.WriteAt(p, 0, mine); err != nil {
-			t.Fatal(err)
-		}
-		if a.CallbacksServed == served {
-			t.Fatal("precondition: no invalidation reached A during its write")
-		}
-		if err := fa.Close(p); err != nil {
-			t.Fatal(err)
-		}
-		for !bDone {
-			p.Sleep(sim.Millisecond)
-		}
-		st := w.media.Store()
-		attr, err := st.Lookup(st.Root(), "f.dat")
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, _ := st.ReadAt(attr.Ino, 0, 16384)
-		want := append(append(bytes.Clone(mine), old[6000:12288]...), theirs...)
-		if !bytes.Equal(got, want) {
-			t.Errorf("server copy differs: bytes 0-4095 from A's write lost: %v",
-				!bytes.Equal(got[:4096], mine[:4096]))
-		}
-	})
-}
-
 // TestSNFSFailedCallbackChangesNothing: a callback whose write-back
 // cannot reach the server answers ERR_IO and changes nothing at the
 // client: the dirty blocks stay, and so does the caching they need. (The
@@ -1894,117 +1775,4 @@ func TestSyncAllWaitsForWriteThroughs(t *testing.T) {
 			})
 		})
 	}
-}
-
-// TestSNFSRewriteDuringWritebackIsNotLost: a block written again while
-// a write-back of it is on the wire still owes the server its newer bytes
-// — the returning write-back must not mark it clean, whichever way into
-// the write-back sent it: the update pass, fsync or sync(2). (Found by the
-// harness model check, SNFS seed 9.)
-func TestSNFSRewriteDuringWritebackIsNotLost(t *testing.T) {
-	for _, tc := range []struct {
-		name      string
-		writeBack func(p *sim.Proc, c *client.SNFSClient, f vfs.File)
-	}{
-		{"SyncPass", func(p *sim.Proc, c *client.SNFSClient, _ vfs.File) { c.SyncPass(p) }},
-		{"Sync", func(p *sim.Proc, _ *client.SNFSClient, f vfs.File) { f.Sync(p) }},
-		{"SyncAll", func(p *sim.Proc, c *client.SNFSClient, _ vfs.File) { c.SyncAll(p) }},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			w := newWorld(1, true, 4, server.SNFSOptions{})
-			c := w.addSNFS("clientA", client.SNFSOptions{})
-			run(t, w.k, func(p *sim.Proc) {
-				f, err := c.Open(p, "f.dat", vfs.WriteOnly|vfs.Create, 0o644)
-				if err != nil {
-					t.Fatal(err)
-				}
-				f.WriteAt(p, 0, fill(4096, 'a'))
-				var pass sim.WaitGroup
-				pass.Add(1)
-				w.k.Go("write-back", func(dp *sim.Proc) {
-					defer pass.Done()
-					tc.writeBack(dp, c, f)
-				})
-				p.Sleep(sim.Millisecond) // the write RPC is in flight
-				if got := c.Ops().Get("write"); got != 1 {
-					t.Fatalf("%d writes on the wire 1 ms into the write-back, want 1", got)
-				}
-				f.WriteAt(p, 0, fill(4096, 'b'))
-				pass.Wait(p)
-				c.SyncPass(p)
-				st := w.media.Store()
-				a, err := st.Lookup(st.Root(), "f.dat")
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got, _ := st.ReadAt(a.Ino, 0, 4096); !bytes.Equal(got, fill(4096, 'b')) {
-					t.Errorf("server holds %q… after two write-backs, want the rewrite", got[:4])
-				}
-				f.Close(p)
-			})
-		})
-	}
-}
-
-// TestSNFSInvalidationDuringEvictionKeepsTheWrite: a write whose block
-// displaces a dirty one waits for that block's write-back, and a callback
-// that arrives meanwhile drops the block the write just took. The write
-// then takes its block again and, the file being write-shared now, sends
-// it home before WriteAt returns: before, its bytes landed in a block no
-// longer in the cache, the server's copy stayed empty, and WriteAt and
-// Close still returned nil. A dirty block kept after the callback would be
-// as wrong: readers, A's own among them, go to the server, and the update
-// pass would send it over A's later writes.
-func TestSNFSInvalidationDuringEvictionKeepsTheWrite(t *testing.T) {
-	w := newWorld(1, true, 4, server.SNFSOptions{})
-	ep, cfg := w.clientConfig("clientA")
-	cfg.CacheBytes, cfg.ReadAhead = 2*4096, false
-	a := client.NewSNFS(w.k, ep, cfg, client.SNFSOptions{})
-	b := w.addSNFS("clientB", client.SNFSOptions{})
-	mine := fill(4096, 'y')
-	run(t, w.k, func(p *sim.Proc) {
-		writeThrough(t, p, a, "x", fill(8192, 'x')) // A's cache: two dirty blocks
-		f, err := a.Open(p, "y", vfs.WriteOnly|vfs.Create, 0o644)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w.k.Go("reader-b", func(bp *sim.Proc) {
-			bp.Sleep(sim.Millisecond) // x's block 0 is on its way home
-			if fb, err := b.Open(bp, "y", vfs.ReadOnly, 0); err != nil {
-				t.Error(err)
-			} else {
-				fb.Close(bp)
-			}
-		})
-		served := a.CallbacksServed
-		if _, err := f.WriteAt(p, 0, mine); err != nil {
-			t.Fatal(err)
-		}
-		if a.CallbacksServed == served {
-			t.Fatal("precondition: no callback reached A during its write")
-		}
-		st := w.media.Store()
-		attr, err := st.Lookup(st.Root(), "y")
-		if err != nil {
-			t.Fatal(err)
-		}
-		// y is write-shared now and read from the server: the write is
-		// there once WriteAt returns, not at the next update pass.
-		if got, _ := st.ReadAt(attr.Ino, 0, 8192); !bytes.Equal(got, mine) {
-			t.Errorf("after WriteAt, server's y holds %d bytes, want A's %d", len(got), len(mine))
-		}
-		// A later write goes straight to the server, and nothing older
-		// is left in A's cache to be written over it.
-		newer := fill(4096, 'z')
-		if _, err := f.WriteAt(p, 0, newer); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Close(p); err != nil {
-			t.Fatal(err)
-		}
-		a.SyncAll(p)
-		if got, _ := st.ReadAt(attr.Ino, 0, 8192); !bytes.Equal(got, newer) {
-			t.Errorf("after SyncAll, server's y holds %q..., want A's later write", got[:min(len(got), 8)])
-		}
-	})
 }

@@ -43,6 +43,7 @@ func (c *RFSClient) callback(p *sim.Proc, a proto.CallbackArgs, n *node) proto.S
 	}
 	err := c.apply(p, n, core.Action{Flush: true, Invalidate: true}, false)
 	n.attrInit = false
+	n.rec.Invalidated++
 	if err != nil {
 		return proto.ErrIO
 	}

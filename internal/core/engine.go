@@ -19,6 +19,10 @@ type FileRecord struct {
 	// has not been reported to the server (§6.2 extension).
 	DelayedClose     bool
 	DelayedWriteMode bool // the write-mode flag owed to the server
+	// Opened and Invalidated count the open replies and invalidating
+	// callbacks taken, modulo 2^16 (they fill the bools' padding): a
+	// reply one of them overtook may be older.
+	Opened, Invalidated uint16
 	// ClosedAt is when the file entered delayed-close (for spontaneous
 	// close of long-idle files).
 	ClosedAt int64
@@ -42,13 +46,14 @@ func (r *FileRecord) Open(reply proto.OpenReply, forWrite bool) Action {
 		!(forWrite && r.Version == reply.PrevVersion)
 	r.Caching = reply.CacheEnabled
 	r.Version = reply.Version
+	r.Opened++
 	if forWrite {
 		r.Writers++
 	} else {
 		r.Readers++
 	}
 	r.DelayedClose = false
-	return Action{Flush: !stale && !reply.CacheEnabled, Invalidate: stale || !reply.CacheEnabled}
+	return Action{Flush: stale || !reply.CacheEnabled, Invalidate: stale || !reply.CacheEnabled}
 }
 
 // Reopen reconciles the record with a recovery reopen's reply (§2.4):
@@ -90,6 +95,7 @@ func (r *FileRecord) InUse() bool { return r.Readers > 0 || r.Writers > 0 }
 func (r *FileRecord) ApplyCallback(args proto.CallbackArgs) Action {
 	if args.Invalidate {
 		r.Caching = false
+		r.Invalidated++
 	}
 	return Action{Flush: args.WriteBack, Invalidate: args.Invalidate}
 }

@@ -613,6 +613,8 @@ func (t *Table) DropWithInvalidate(h proto.Handle, except ClientID) []Callback {
 	// Deterministic order for reproducible simulations.
 	slices.SortFunc(cbs, func(a, b Callback) int { return cmp.Compare(a.Client, b.Client) })
 	delete(t.entries, h)
+	t.nextVer++ // a closed copy is not called back: start above it (forget)
+	t.fresh = t.nextVer
 	t.observe(nil, TransitionEvent{
 		Event: "drop", Handle: h, Client: except, From: e.state, To: StateClosed,
 		Version: e.version, Prev: e.prev, Dropped: true, Callbacks: len(cbs),

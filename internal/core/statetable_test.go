@@ -33,6 +33,23 @@ func TestOpenWriteFromClosedBumpsVersion(t *testing.T) {
 	}
 }
 
+// TestTruncationLeavesNoVersionBehind: a create that truncates the file
+// calls back its openers and its last writer, not a closed reader, whose
+// clean copy stays labelled with the dropped entry's version. The next
+// entry starts above it, so that reader's read-only open drops the copy.
+func TestTruncationLeavesNoVersionBehind(t *testing.T) {
+	tab := NewTable(0)
+	copied := tab.Open(fh, "A", false).Version
+	tab.Close(fh, "A", false)
+	if cbs := tab.DropWithInvalidate(fh, "B"); len(cbs) != 0 {
+		t.Fatalf("callbacks %+v to a closed reader", cbs)
+	}
+	tab.Open(fh, "B", false)
+	if v := tab.Open(fh, "A", false).Version; v == copied {
+		t.Errorf("the reader's reopen after the truncation validates its copy: version %d again", v)
+	}
+}
+
 func TestSingleWriterLifecycle(t *testing.T) {
 	// Write, close, reopen by the same client: cache stays valid via
 	// the version numbers; no callbacks ever.

@@ -122,6 +122,15 @@ func (s *RFSServer) serve(p *sim.Proc, from simnet.Addr, proc uint32, args, tail
 		// The defining RFS move: invalidate the other caching
 		// clients *when the write occurs*, then execute it.
 		s.invalidateForWrite(p, from, a.write.Handle)
+	case proto.ProcSetattr:
+		if a.setattr.SetSize { // a truncation is a write
+			s.invalidateForWrite(p, from, a.setattr.Handle)
+		}
+	case proto.ProcCreate:
+		// A create over an existing file truncates it.
+		if old, err := s.media.Store().Lookup(a.create.Dir.Ino, a.create.Name); err == nil {
+			s.invalidateForWrite(p, from, s.toHandle(old))
+		}
 	case proto.ProcRead:
 		// A read after invalidation refills the client's cache; track
 		// it as an invalidation target again.

@@ -773,16 +773,16 @@ func (b *Base) serveCommon(p *sim.Proc, proc uint32, a *callArgs) (rpc.Reply, rp
 		if _, st := b.handle(a.rename.DstDir); st != proto.OK {
 			return answer(st)
 		}
-		// If the destination exists it will be replaced; its state
-		// entry (SNFS) must go, after the reply is encoded.
-		if old, err := b.media.Store().Lookup(a.rename.DstDir.Ino, a.rename.DstName); err == nil {
-			defer func() {
-				b.fileRemoved(b.toHandle(old))
-			}()
-		}
+		// A destination the rename replaced loses its state entry
+		// (SNFS), after the reply is encoded; one a failed rename left
+		// keeps it.
+		old, lookErr := b.media.Store().Lookup(a.rename.DstDir.Ino, a.rename.DstName)
 		err := b.media.Store().Rename(a.rename.SrcDir.Ino, a.rename.SrcName, a.rename.DstDir.Ino, a.rename.DstName)
 		if err == nil {
 			b.media.ChargeMeta(p)
+			if lookErr == nil {
+				defer b.fileRemoved(b.toHandle(old))
+			}
 		}
 		return answer(proto.StatusFromErr(err))
 

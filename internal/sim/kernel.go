@@ -76,7 +76,8 @@ type Kernel struct {
 	injectCh chan struct{}
 	turns    uint64 // RunRealtime loop turns, read by this package's tests
 
-	work KernelWork
+	onPark func(p *Proc) // see OnPark; nil but in tests
+	work   KernelWork
 }
 
 // KernelWork counts the host work a kernel has done. For a fixed seed and
@@ -104,6 +105,13 @@ func NewKernel(seed int64) *Kernel {
 
 // Now returns the current virtual time.
 func (k *Kernel) Now() Time { return k.now }
+
+// OnPark makes fn run in every process the kernel resumes from a park,
+// before it goes on: there fn may start another process and park to wait
+// for it, so what that process does lands while the resumed one still
+// waits. fn sees its own parks too. It is a test's instrument, nil
+// otherwise, and a park then costs one nil check.
+func (k *Kernel) OnPark(fn func(p *Proc)) { k.onPark = fn }
 
 // Rand returns the kernel's deterministic random stream. It must only be
 // used from simulation processes or events, never concurrently from outside

@@ -46,12 +46,16 @@ func (p *Proc) Now() Time { return p.k.now }
 
 // block parks the process until the kernel resumes it. The caller must
 // have arranged for a wake-up (a scheduled event or registration on a wait
-// list) before calling block.
+// list) before calling block. Every park of every process comes here, and
+// so does the kernel's park hook (OnPark).
 func (p *Proc) block() {
 	p.k.running = nil
 	p.co.yield(struct{}{})
 	if p.killed {
 		panic(errKilled)
+	}
+	if p.k.onPark != nil {
+		p.k.onPark(p)
 	}
 }
 
