@@ -462,6 +462,7 @@ func (t *Table) newEntry(h proto.Handle) (*entry, bool) {
 		}
 		victim := victims[0]
 		t.forget(victim)
+		t.stats.Reclaims++
 		t.observe(nil, TransitionEvent{
 			Event: "reclaim", Handle: victim.handle,
 			From: StateClosed, To: StateClosed,
@@ -473,12 +474,11 @@ func (t *Table) newEntry(h proto.Handle) (*entry, bool) {
 	return e, false
 }
 
-// forget removes a reclaimed entry. Clients may still hold blocks
+// forget removes e, reclaimed or truncated. Clients may still hold blocks
 // labelled with its version, so entries made from now on start above
 // every version issued: none of those blocks validates against them.
 func (t *Table) forget(e *entry) {
 	delete(t.entries, e.handle)
-	t.stats.Reclaims++
 	t.nextVer++
 	t.fresh = t.nextVer
 }
@@ -562,6 +562,7 @@ func (t *Table) Reclaimed(h proto.Handle) {
 	dropped := false
 	if len(t.entries) >= t.maxEntries {
 		t.forget(e)
+		t.stats.Reclaims++
 		dropped = true
 	}
 	t.observe(nil, TransitionEvent{
@@ -612,9 +613,7 @@ func (t *Table) DropWithInvalidate(h proto.Handle, except ClientID) []Callback {
 	}
 	// Deterministic order for reproducible simulations.
 	slices.SortFunc(cbs, func(a, b Callback) int { return cmp.Compare(a.Client, b.Client) })
-	delete(t.entries, h)
-	t.nextVer++ // a closed copy is not called back: start above it (forget)
-	t.fresh = t.nextVer
+	t.forget(e) // a closed reader's copy is not called back
 	t.observe(nil, TransitionEvent{
 		Event: "drop", Handle: h, Client: except, From: e.state, To: StateClosed,
 		Version: e.version, Prev: e.prev, Dropped: true, Callbacks: len(cbs),

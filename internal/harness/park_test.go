@@ -288,9 +288,9 @@ func TestInterferenceAtEveryPark(t *testing.T) {
 		})
 	}
 	// Model-check scripts: seed 1, and the seeds where the sweep found a
-	// bug seed 1 misses (the stale open's delayed writes, 3; the auditor's
-	// overlapping writes, 5; a failed rename, a truncation's delayed
-	// writes, 19).
+	// bug seed 1 misses (a stale open's delayed writes and RFS's
+	// truncations, 3; the auditor's overlapping writes, 5; a failed rename
+	// and an O_TRUNC open's delayed writes, 19).
 	for _, seed := range []int64{1, 3, 5, 19} {
 		script := drawScript(seed, 20, 2)
 		for _, pr := range []Proto{SNFS, NFS, RFS} {
