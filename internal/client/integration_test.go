@@ -1776,3 +1776,43 @@ func TestSyncAllWaitsForWriteThroughs(t *testing.T) {
 		})
 	}
 }
+
+// fsync's write-back of the block is on the wire when the block is written
+// again: the returning WRITE must leave the rewrite dirty, and the next
+// update pass sends it. The park sweep in the harness runs the same race
+// at every park, with sync(2) and the update pass as well.
+func TestSNFSRewriteDuringWritebackIsNotLost(t *testing.T) {
+	t.Run("Sync", func(t *testing.T) {
+		w := newWorld(1, true, 4, server.SNFSOptions{})
+		c := w.addSNFS("clientA", client.SNFSOptions{})
+		run(t, w.k, func(p *sim.Proc) {
+			f, err := c.Open(p, "f.dat", vfs.WriteOnly|vfs.Create, 0o644)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.WriteAt(p, 0, fill(4096, 'a'))
+			var pass sim.WaitGroup
+			pass.Add(1)
+			w.k.Go("write-back", func(dp *sim.Proc) {
+				defer pass.Done()
+				f.Sync(dp)
+			})
+			p.Sleep(sim.Millisecond) // the write RPC is in flight
+			if got := c.Ops().Get("write"); got != 1 {
+				t.Fatalf("%d writes on the wire 1 ms into the write-back, want 1", got)
+			}
+			f.WriteAt(p, 0, fill(4096, 'b'))
+			pass.Wait(p)
+			c.SyncPass(p)
+			st := w.media.Store()
+			a, err := st.Lookup(st.Root(), "f.dat")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, _ := st.ReadAt(a.Ino, 0, 4096); !bytes.Equal(got, fill(4096, 'b')) {
+				t.Errorf("server holds %q… after two write-backs, want the rewrite", got[:4])
+			}
+			f.Close(p)
+		})
+	})
+}
