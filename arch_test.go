@@ -29,6 +29,7 @@ import (
 	"spritelynfs/internal/rpc"
 	"spritelynfs/internal/scenario"
 	"spritelynfs/internal/sim"
+	"spritelynfs/internal/trace"
 	"spritelynfs/internal/view"
 )
 
@@ -43,6 +44,7 @@ func TestStructuralCeilings(t *testing.T) {
 	}
 	_, chargeRead := reflect.TypeOf(&localfs.Media{}).MethodByName("ChargeRead")
 	_, onBusy := reflect.TypeOf(sim.Resource{}).FieldByName("OnBusy")
+	sinkMethods := countSinkMethods(t, "SetSpans")
 	for _, c := range []struct {
 		what     string
 		got, max int
@@ -58,7 +60,7 @@ func TestStructuralCeilings(t *testing.T) {
 		{"view.Config fields", reflect.TypeOf(view.Config{}).NumField(), 2},
 		{"scenario.Config fields", reflect.TypeOf(scenario.Config{}).NumField(), 7},
 		{"harness.FleetOptions fields", reflect.TypeOf(harness.FleetOptions{}).NumField(), 2},
-		{"cluster.Instruments fields", reflect.TypeOf(cluster.Instruments{}).NumField(), 4},
+		{"trace.Instruments fields", reflect.TypeOf(trace.Instruments{}).NumField(), 4},
 		// One server host, one client host: a protocol server or client
 		// is assembled in one place (internal/cluster/host.go).
 		{"server.New*/client.New* without exactly one non-test caller outside bench/", countConstructorsWithoutOneCaller(t), 0},
@@ -126,7 +128,7 @@ func TestStructuralCeilings(t *testing.T) {
 		{"Reboot methods in internal/server", countMethods(t, "internal/server", "Reboot"), 1},
 		{"proto.ProgCallback in internal/server non-test files", countText(t, "internal/server", "proto.ProgCallback"), 1},
 		{"sim.NewSemaphore in internal/server non-test files", countText(t, "internal/server", "sim.NewSemaphore"), 1},
-		{"internal/server non-test lines", countLines(t, "internal/server"), 2097},
+		{"internal/server non-test lines", countLines(t, "internal/server"), 2092},
 		// One open file: every protocol opens, lists and reads a file
 		// through Base, and what a protocol adds there is a field its
 		// constructor sets.
@@ -134,7 +136,7 @@ func TestStructuralCeilings(t *testing.T) {
 		{"Open methods in internal/client", countMethods(t, "internal/client", "Open"), 1},
 		{"Readdir methods in internal/client", countMethods(t, "internal/client", "Readdir"), 1},
 		{"proto.ProcOpen in internal/client non-test files", countText(t, "internal/client", "proto.ProcOpen"), 1},
-		{"internal/client non-test lines", countLines(t, "internal/client"), 2391},
+		{"internal/client non-test lines", countLines(t, "internal/client"), 2382},
 		// One path walk: vfs.Walk splices every link's target into the
 		// path, under the one bound, for every file system, and a walk
 		// scans its path in place.
@@ -145,17 +147,27 @@ func TestStructuralCeilings(t *testing.T) {
 		// One counter per procedure: an endpoint counts the calls it
 		// starts, a server the calls it serves, each in one place
 		// (Endpoint.start, server.Base.account).
-		{"(*stats.Ops).Inc calls in non-test files", countMethodCalls(t, "(*spritelynfs/internal/stats.Ops).Inc"), 2},
+		{"(*stats.Ops).Inc calls in non-test files", countMethodCalls(t, true, "(*spritelynfs/internal/stats.Ops).Inc"), 2},
 		// One source per reported number: the state table and the
 		// endpoint keep no second count of what those two count.
 		{"core.Stats fields", reflect.TypeOf(core.Stats{}).NumField(), 4},
 		{"rpc.Stats fields", reflect.TypeOf(rpc.Stats{}).NumField(), 6},
 		// The park hook is a test's instrument, not a knob: nothing but
 		// a test sets it.
-		{"(*sim.Kernel).OnPark calls in non-test files", countMethodCalls(t, "(*spritelynfs/internal/sim.Kernel).OnPark"), 0},
+		{"(*sim.Kernel).OnPark calls in non-test files", countMethodCalls(t, true, "(*spritelynfs/internal/sim.Kernel).OnPark"), 0},
 		// One way to call inside the simulation: Endpoint.Call; the
 		// start/wait halves it composes stay unexported.
 		{"rpc.Endpoint.Start declarations", countMethods(t, "internal/rpc", "Start", "Endpoint"), 0},
+		// One event stream: a component takes its sinks through one
+		// Attach, and the setters the benchmark pins are adapters over it
+		// that nothing else calls.
+		{"server.Base.SetSpans and trace.Tracer.RecordOp calls outside bench/", countMethodCalls(t, false,
+			"(*spritelynfs/internal/server.Base).SetSpans", "(*spritelynfs/internal/trace.Tracer).RecordOp"), 0},
+		{"sink-attaching methods of rpc.Endpoint", sinkMethods["rpc.Endpoint"], 1},
+		{"sink-attaching methods of server.Base but the benchmark's SetSpans", sinkMethods["server.Base"], 1},
+		{"sink-attaching methods of client.Base", sinkMethods["client.Base"], 1},
+		{"internal/rpc non-test lines", countLines(t, "internal/rpc"), 1809},
+		{"internal/cluster non-test lines", countLines(t, "internal/cluster"), 1070},
 		// Extensions pay rent: one row per extension of DESIGN §5's rent
 		// table, the lines it owns, so an extension cannot grow unseen.
 		{"§5 delayed close non-test lines", rentLines(t, "internal/client:(*Base).settleDelayedClose"), 9},
@@ -163,7 +175,7 @@ func TestStructuralCeilings(t *testing.T) {
 		{"§5 crash recovery non-test lines", rentLines(t, "internal/server:(*Base).Crash", "internal/server:(*Base).Reboot",
 			"internal/server:(*Base).newIncarnation", "internal/server:(*SNFSServer).InGrace", "internal/server:(*SNFSServer).serveReopen",
 			"internal/client:(*SNFSClient).keepaliveDaemon", "internal/client:(*SNFSClient).recover", "internal/client:(*SNFSClient).reopenWithRetry",
-			"internal/core:(*Table).Recover", "internal/core:(*FileRecord).Reopen"), 202},
+			"internal/core:(*Table).Recover", "internal/core:(*FileRecord).Reopen"), 199},
 		{"§5 name cache non-test lines", rentLines(t, "internal/client:(*SNFSClient).lookupName", "internal/client:(*SNFSClient).cacheName",
 			"internal/client:(*SNFSClient).setName", "internal/client:(*SNFSClient).forgetDir", "internal/client:(*SNFSClient).revokeLease",
 			"internal/client:(*SNFSClient).settleLeases", "internal/server:(*SNFSServer).invalidateNameCaches"), 112},
@@ -175,14 +187,14 @@ func TestStructuralCeilings(t *testing.T) {
 		{"§5 scale experiment non-test lines", rentLines(t, "internal/harness/scale.go"), 247},
 		{"§5 RFS non-test lines", rentLines(t, "internal/server/rfs.go", "internal/client/rfs.go", "internal/harness/rfs.go"), 315},
 		{"§5 daemon and CLI non-test lines", rentLines(t, "cmd/snfsd", "cmd/snfscli", "internal/rpc/tcp.go", "internal/sim/realtime.go"), 1750},
-		{"§5 trace non-test lines", rentLines(t, "internal/trace"), 464},
+		{"§5 trace non-test lines", rentLines(t, "internal/trace"), 460},
 		{"§5 metrics non-test lines", rentLines(t, "internal/metrics"), 470},
 		{"§5 audit non-test lines", rentLines(t, "internal/audit"), 911},
 		{"§5 sharded federation non-test lines", rentLines(t, "internal/cluster/cluster.go", "internal/cluster/router.go",
 			"internal/cluster/mapspec.go", "internal/proto/shardmap.go", "internal/harness/cluster.go",
 			"internal/server:(*Base).SetShardMap", "internal/server:(*callArgs).dirNames", "internal/server:(*Base).routeCheck",
 			"internal/server:notHomeReply"), 1176},
-		{"§5 write gathering and COMMIT non-test lines", rentLines(t, "internal/disk/sched.go", "internal/client:(*Base).commit"), 195},
+		{"§5 write gathering and COMMIT non-test lines", rentLines(t, "internal/disk/sched.go", "internal/client:(*Base).commit"), 192},
 		{"§5 attribute cache and compound calls non-test lines", rentLines(t, "internal/client/attrcache.go",
 			"internal/client:(*Base).lookupPath", "internal/client:(*Base).ingestWcc", "internal/client:(*Base).wccCall",
 			"internal/client:(*Base).readdirAttrs", "internal/server:(*Base).wccReply"), 253},
@@ -190,8 +202,8 @@ func TestStructuralCeilings(t *testing.T) {
 		{"§5 span non-test lines", rentLines(t, "internal/span"), 742},
 		{"§5 replicated shards non-test lines", rentLines(t, "internal/view", "internal/server/repl.go", "internal/proto/repl.go",
 			"internal/harness/failover.go", "internal/server:(*Base).isOwner", "internal/server:(*Base).ownerCheck",
-			"internal/server:(*Base).noteHealed", "internal/server:(*Base).replWrite", "internal/server:(*Base).replCommit"), 1194},
-		{"§5 wire path non-test lines", rentLines(t, "internal/xdr", "internal/rpc/rpc.go", "internal/rpc/queue.go"), 1687},
+			"internal/server:(*Base).noteHealed", "internal/server:(*Base).replWrite", "internal/server:(*Base).replCommit"), 1193},
+		{"§5 wire path non-test lines", rentLines(t, "internal/xdr", "internal/rpc/rpc.go", "internal/rpc/queue.go"), 1677},
 		{"§5 scenario engine non-test lines", rentLines(t, "internal/scenario", "internal/harness/fleet.go", "internal/sim/executor.go",
 			"cmd/snfs-bench/scenario.go"), 888},
 	} {
@@ -201,11 +213,14 @@ func TestStructuralCeilings(t *testing.T) {
 	}
 }
 
-// countMethodCalls counts the calls of method, named as types.Func.FullName
-// names it, in the non-test files of every package under internal/, cmd/,
-// examples/ and bench/.
-func countMethodCalls(t *testing.T, method string) int {
-	dirs := []string{"bench"}
+// countMethodCalls counts the calls of methods, named as
+// types.Func.FullName names them, in the non-test files of every package
+// under internal/, cmd/, examples/ and, with bench, bench/.
+func countMethodCalls(t *testing.T, bench bool, methods ...string) int {
+	var dirs []string
+	if bench {
+		dirs = append(dirs, "bench")
+	}
 	for _, pattern := range []string{"internal/*", "cmd/*", "examples/*"} {
 		matches, err := filepath.Glob(pattern)
 		if err != nil {
@@ -219,7 +234,7 @@ func countMethodCalls(t *testing.T, method string) int {
 			ast.Inspect(f, func(node ast.Node) bool {
 				if call, ok := node.(*ast.CallExpr); ok {
 					if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-						if fn, ok := pkg.info.Uses[sel.Sel].(*types.Func); ok && fn.FullName() == method {
+						if fn, ok := pkg.info.Uses[sel.Sel].(*types.Func); ok && slices.Contains(methods, fn.FullName()) {
 							n++
 						}
 					}
@@ -229,6 +244,35 @@ func countMethodCalls(t *testing.T, method string) int {
 		}
 	}
 	return n
+}
+
+// countSinkMethods counts, for each of rpc.Endpoint, server.Base and
+// client.Base, the exported methods it declares that take an instrument
+// — the trace.Instruments bundle or one of its sinks — but those named in
+// skip.
+func countSinkMethods(t *testing.T, skip ...string) map[string]int {
+	sinks := []string{"spritelynfs/internal/trace.Instruments", "*spritelynfs/internal/metrics.Registry",
+		"*spritelynfs/internal/span.Recorder", "*spritelynfs/internal/trace.Tracer", "*spritelynfs/internal/audit.Auditor"}
+	counts := map[string]int{}
+	pkgs := typeCheck(t, "internal/rpc", "internal/server", "internal/client")
+	for i, typ := range []string{"Endpoint", "Base", "Base"} {
+		named := pkgs[i].types.Scope().Lookup(typ).Type().(*types.Named)
+		key := pkgs[i].types.Name() + "." + typ
+		for m := range named.NumMethods() {
+			fn := named.Method(m)
+			if !fn.Exported() {
+				continue
+			}
+			params := fn.Type().(*types.Signature).Params()
+			for p := range params.Len() {
+				if slices.Contains(sinks, params.At(p).Type().String()) && !slices.Contains(skip, fn.Name()) {
+					counts[key]++
+					break
+				}
+			}
+		}
+	}
+	return counts
 }
 
 // countFileTypes counts the types internal/client declares whose values
@@ -870,11 +914,6 @@ func TestDocsNameLiveCode(t *testing.T) {
 // docNameRows lists the backticked names in the documents that resolve to
 // no code, one row per name, each with the reason the text keeps it.
 var docNameRows = []struct{ name, reason string }{
-	{"Base.EnableSeries", "DESIGN: the second time-series recorder Figures 5-1/5-2 no longer need"},
-	{"Resource.OnBusy", "DESIGN: the hook that fed the deleted second time series"},
-	{"server.Series", "DESIGN: the deleted second time series"},
-	{"stats.TimeSeries", "DESIGN: the deleted second time series"},
-	{"tsdb.FlightRecorder", "DESIGN: the deleted second event ring"},
 	{"Signal.WaitTimeout", "DESIGN: a row of the allocation ledger, the method it removed"},
 	{"sim.NewSignal", "DESIGN: a row of the allocation ledger, the call it removed"},
 	{"sim.Task", "DESIGN: the op-ID wrapper the kernel's callbacks replaced"},
@@ -956,7 +995,7 @@ func TestMapRangesAreOrdered(t *testing.T) {
 var mapRangeRows = []struct{ fn, reason string }{
 	{"audit.deriveState", "sums the writers; the client it keeps is read only when it is the only one"},
 	{"audit.(*Auditor).ResetLedger", "filters each block's history on its own"},
-	{"client.(*Base).EnableMetrics", "a gauge: sums the unstable blocks of every file"},
+	{"client.(*Base).Attach", "a gauge: sums the unstable blocks of every file"},
 	{"core.(*Table).Snapshot", "copies every entry, then sorts the copies by (stamp, handle), a total order"},
 	{"core.(*Table).StateCount", "counts"},
 	{"core.(*Table).oldest", "keeps the n least by (stamp, handle), a total order"},

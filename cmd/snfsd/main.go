@@ -154,7 +154,7 @@ type daemon struct {
 	k    *sim.Kernel
 	stop <-chan struct{}
 	reg  *metrics.Registry
-	in   cluster.Instruments
+	in   trace.Instruments
 }
 
 // run serves cfg.ln (and the plane on cfg.plane) until stop closes, then

@@ -36,8 +36,9 @@ package client
 import (
 	"bytes"
 	"cmp"
+	"fmt"
+	"maps"
 	"slices"
-	"sort"
 
 	"spritelynfs/internal/cache"
 	"spritelynfs/internal/core"
@@ -193,11 +194,8 @@ type Base struct {
 	// its final close, as the paper's reference port did.
 	invalidateOnClose bool
 
-	tracer *trace.Tracer
-
-	// spans, when set, attaches causal latency spans (cache fetches,
-	// attr revalidations, biod waits) to the running operation's trace.
-	spans *span.Recorder
+	// sinks are what Attach armed, each nil (off) by default.
+	sinks trace.Instruments
 
 	// attrs is the unified attribute-cache layer: every getattr,
 	// freshness decision, and piggybacked attribute goes through it.
@@ -216,12 +214,20 @@ type Base struct {
 	redriveBlocks int64
 }
 
-// EnableMetrics attaches a metrics registry: the endpoint records
-// per-procedure call latency (what the client actually waits for), and
-// the cache exports occupancy, dirty-block, write-back-concurrency, and
-// invalidation gauges.
-func (b *Base) EnableMetrics(r *metrics.Registry) {
-	b.ep.SetMetrics(r)
+// Attach arms the client and its endpoint with the non-nil sinks of in:
+// a ring records the client's callbacks, cache drops and commit redrives
+// beside the endpoint's calls; spans take cache fetches, attribute-cache
+// revalidations, biod waits and daemon passes as spans of the owning
+// operation's trace; a registry gets the endpoint's per-procedure call
+// latency (what the client actually waits for) and the cache's
+// occupancy, dirty-block, write-back-concurrency and invalidation gauges.
+func (b *Base) Attach(in trace.Instruments) {
+	b.ep.Attach(in)
+	trace.Arm(&b.sinks, in)
+	r := in.Metrics
+	if r == nil {
+		return
+	}
 	host := b.host()
 	r.GaugeFunc(metrics.Label("snfs_client_cache_blocks", "host", host),
 		func() float64 { return float64(b.cache.Len()) })
@@ -259,28 +265,24 @@ func (b *Base) EnableMetrics(r *metrics.Registry) {
 		func() float64 { return float64(b.attrs.stats.SharedDrops) })
 }
 
-// SetTracer attaches a trace recorder to the client.
-func (b *Base) SetTracer(t *trace.Tracer) { b.tracer = t }
-
-// Tracer returns the attached tracer (possibly nil; nil is recordable).
-func (b *Base) Tracer() *trace.Tracer { return b.tracer }
-
-// SetSpans attaches a span recorder: cache fetches, attribute-cache
-// revalidations, biod waits, and daemon passes become spans of the
-// owning operation's trace.
-func (b *Base) SetSpans(r *span.Recorder) { b.spans = r }
-
 // span opens a child span of p's current operation (no-op when spans
 // are off).
 func (b *Base) span(p *sim.Proc, kind span.Kind, name string) span.Handle {
-	return b.spans.Begin(p, b.host(), kind, name)
+	return b.sinks.Spans.Begin(p, b.host(), kind, name)
 }
 
 // syscall begins a vfs method: it mints the method's causal op ID and
 // opens the method's root span under it, which the method ends when it
 // returns.
 func (b *Base) syscall(p *sim.Proc, name string) span.Handle {
-	return b.spans.Root(p, b.host(), name, p.BeginOp())
+	return b.sinks.Spans.Root(p, b.host(), name, p.BeginOp())
+}
+
+// record notes one client event in the attached ring. Its arguments are
+// boxed and formatted even with no ring, so its callers check the ring
+// first.
+func (b *Base) record(kind trace.Kind, op uint64, format string, args ...any) {
+	b.sinks.Tracer.Add(trace.Event{Host: b.host(), Kind: kind, Op: op, Detail: fmt.Sprintf(format, args...)})
 }
 
 // host names this client in trace output.
@@ -374,8 +376,8 @@ func (b *Base) serveCallback(p *sim.Proc, from simnet.Addr, proc uint32, args, _
 		return rpc.Reply{}, rpc.StatusGarbage
 	}
 	b.CallbacksServed++
-	if tr := b.Tracer(); tr != nil { // variadic args are boxed even for a nil tracer
-		tr.RecordOp(b.host(), trace.Callback, p.Op(), "<- %s writeback=%v invalidate=%v release=%v",
+	if b.sinks.Tracer != nil {
+		b.record(trace.Callback, p.Op(), "<- %s writeback=%v invalidate=%v release=%v",
 			a.Handle, a.WriteBack, a.Invalidate, a.Release)
 	}
 	n, ok := b.nodes[a.Handle.Ino]
@@ -679,13 +681,10 @@ func (b *Base) commit(p *sim.Proc, n *node) error {
 		return r.Status.Err()
 	}
 	if r.Verifier != n.unstableVerifier {
-		offs := make([]int64, 0, len(n.unstable))
-		for off := range n.unstable {
-			offs = append(offs, off)
+		offs := slices.Sorted(maps.Keys(n.unstable))
+		if b.sinks.Tracer != nil {
+			b.record(trace.Crash, 0, "commit verifier %d != %d: redriving %d blocks", r.Verifier, n.unstableVerifier, len(offs))
 		}
-		sort.Slice(offs, func(i, j int) bool { return offs[i] < offs[j] })
-		b.Tracer().Record(b.host(), trace.Crash,
-			"commit verifier %d != %d: redriving %d blocks", r.Verifier, n.unstableVerifier, len(offs))
 		b.redriveBlocks += int64(len(offs))
 		for _, off := range offs {
 			if _, err := b.writeRPC(p, n.h, off, n.unstable[off], false); err != nil {
@@ -903,7 +902,7 @@ func (b *Base) readAhead(n *node, blk int64) {
 	}
 	op := b.k.CurrentOp()
 	b.k.Go("biod-ra", func(p *sim.Proc) {
-		if b.spans != nil {
+		if b.sinks.Spans != nil {
 			// Tag the prefetcher with the reading syscall's op (spans
 			// armed only) so the read-ahead traces under that op.
 			p.SetOp(op)
@@ -1085,7 +1084,7 @@ func (b *Base) pushBlockAsync(p *sim.Proc, n *node, blk int64) error {
 	off := blk * int64(b.cfg.BlockSize)
 	op := p.Op()
 	b.k.Go("biod-w", func(wp *sim.Proc) {
-		if b.spans != nil {
+		if b.sinks.Spans != nil {
 			// Tag the biod with the pushing syscall's op so its
 			// write-back traces under that op (or as background
 			// once the syscall has finished). Only when spans are
@@ -1199,9 +1198,9 @@ func (b *Base) apply(p *sim.Proc, n *node, a core.Action, keep bool) error {
 	if a.Invalidate {
 		dropped := b.cache.InvalidateFile(b.cfg.Root.FSID, n.h.Ino)
 		// Traced when caching ends; a stale copy dropped under a grant
-		// is routine. Variadic args are boxed even for a nil tracer.
-		if tr := b.Tracer(); tr != nil && !n.rec.Caching {
-			tr.Record(b.host(), trace.Cache, "invalidated %d blocks of %s", dropped, n.h)
+		// is routine.
+		if b.sinks.Tracer != nil && !n.rec.Caching {
+			b.record(trace.Cache, 0, "invalidated %d blocks of %s", dropped, n.h)
 		}
 	}
 	return err

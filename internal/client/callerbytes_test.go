@@ -16,6 +16,7 @@ import (
 	"spritelynfs/internal/sim"
 	"spritelynfs/internal/simnet"
 	"spritelynfs/internal/span"
+	"spritelynfs/internal/trace"
 	"spritelynfs/internal/vfs"
 	"spritelynfs/internal/xdr"
 )
@@ -93,8 +94,8 @@ var fileImpls = []struct {
 	{"SNFS with spans", func() *fileImpl {
 		fi := tapped(newWorld(1, true, 4, server.SNFSOptions{}), snfsClient)
 		r := span.NewRecorder(fi.k.Now, 16)
-		fi.a.(*client.SNFSClient).SetSpans(r)
-		fi.b.(*client.SNFSClient).SetSpans(r)
+		fi.a.(*client.SNFSClient).Attach(trace.Instruments{Spans: r})
+		fi.b.(*client.SNFSClient).Attach(trace.Instruments{Spans: r})
 		return fi
 	}},
 }

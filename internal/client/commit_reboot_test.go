@@ -9,6 +9,7 @@ import (
 	"spritelynfs/internal/metrics"
 	"spritelynfs/internal/server"
 	"spritelynfs/internal/sim"
+	"spritelynfs/internal/trace"
 	"spritelynfs/internal/vfs"
 )
 
@@ -16,7 +17,7 @@ import (
 // of its commit-pipeline counters by name.
 func counters(b *client.Base) func(name string) int64 {
 	reg := metrics.New()
-	b.EnableMetrics(reg)
+	b.Attach(trace.Instruments{Metrics: reg})
 	host := string(b.Endpoint().Addr())
 	return func(name string) int64 {
 		return int64(reg.Snapshot().Gauges[metrics.Label(name, "host", host)])
@@ -123,7 +124,7 @@ func TestNFSCommitNoRebootNoRedrive(t *testing.T) {
 func TestSNFSCommitAfterRebootRedrive(t *testing.T) {
 	w := newWorld(1, true, 4, server.SNFSOptions{GraceDur: sim.Second})
 	auditor := audit.New(w.k, nil)
-	w.snfs.SetAuditor(auditor)
+	w.snfs.Attach(trace.Instruments{Auditor: auditor})
 
 	aep, acfg := w.clientConfig("clientA")
 	acfg.UnstableWrites = true

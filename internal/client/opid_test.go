@@ -18,7 +18,7 @@ import (
 type protoClient interface {
 	vfs.FS
 	Endpoint() *rpc.Endpoint
-	SetSpans(r *span.Recorder)
+	Attach(in trace.Instruments)
 }
 
 // protoClients builds one client of each protocol, named "client", over
@@ -124,7 +124,7 @@ func TestEverySyscallRootsOneSpan(t *testing.T) {
 		t.Run(pr.name, func(t *testing.T) {
 			k, c := pr.mount()
 			r := span.NewRecorder(k.Now, 64)
-			c.SetSpans(r)
+			c.Attach(trace.Instruments{Spans: r})
 			calls := vfsCalls(c)
 			ops := make([]uint64, len(calls))
 			run(t, k, func(p *sim.Proc) {

@@ -39,7 +39,7 @@ func TestRecoveryReplaysIdentically(t *testing.T) {
 	replaysIdentically(t, func() string {
 		w := newWorld(7, true, 4, server.SNFSOptions{GraceDur: sim.Second})
 		var journal bytes.Buffer
-		w.snfs.SetAuditor(audit.New(w.k, &journal))
+		w.snfs.Attach(trace.Instruments{Auditor: audit.New(w.k, &journal)})
 		c := w.addSNFS("client", client.SNFSOptions{KeepaliveInterval: 500 * sim.Millisecond})
 		run(t, w.k, func(p *sim.Proc) {
 			for i := 0; i < 12; i++ {
@@ -72,7 +72,7 @@ func TestRFSInvalidationReplaysIdentically(t *testing.T) {
 	replaysIdentically(t, func() string {
 		w, srv := newRFSWorld(7)
 		tr := trace.New(w.k.Now, 0)
-		srv.SetTracer(tr)
+		srv.Attach(trace.Instruments{Tracer: tr})
 		writer := w.addRFS("writer")
 		readers := []*client.RFSClient{w.addRFS("readerA"), w.addRFS("readerB"), w.addRFS("readerC")}
 		run(t, w.k, func(p *sim.Proc) {

@@ -264,11 +264,8 @@ func (c *SNFSClient) keepaliveDaemon(p *sim.Proc) {
 	for {
 		p.Sleep(c.opts.KeepaliveInterval)
 		var r proto.ServerInfoReply
-		if err := c.ep.CallXDR(p, c.cfg.Server, proto.ProgNFS, proto.VersNFS, proto.ProcServerInfo, nil, r.XDR); err != nil {
-			continue // server unreachable; keep probing
-		}
-		if r.Status != proto.OK {
-			continue
+		if err := c.ep.CallXDR(p, c.cfg.Server, proto.ProgNFS, proto.VersNFS, proto.ProcServerInfo, nil, r.XDR); err != nil || r.Status != proto.OK {
+			continue // server unreachable or refusing; keep probing
 		}
 		if c.epoch != 0 && r.Epoch != c.epoch {
 			c.recover(p)
@@ -308,13 +305,8 @@ func (c *SNFSClient) recover(p *sim.Proc) {
 			c.apply(p, n, n.rec.Forget(), false)
 			continue
 		}
-		args := &proto.ReopenArgs{
-			Handle:   n.h,
-			Readers:  uint32(readers),
-			Writers:  uint32(writers),
-			Version:  n.rec.Version,
-			HasDirty: dirty,
-		}
+		args := &proto.ReopenArgs{Handle: n.h, Readers: uint32(readers), Writers: uint32(writers),
+			Version: n.rec.Version, HasDirty: dirty}
 		r, ok := c.reopenWithRetry(p, args)
 		if !ok || r.Status != proto.OK {
 			continue

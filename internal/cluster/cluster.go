@@ -54,7 +54,7 @@ type Config struct {
 	// (its backup shares them). It is called once per shard, in shard
 	// order, as the shard is built: whoever owns the world decides which
 	// auditor, event ring and span recorder a shard gets.
-	Instruments func(shard int) Instruments
+	Instruments func(shard int) trace.Instruments
 
 	// Backups arms primary/backup replication: each shard gets a standby
 	// server (sharing the primary's store — the durable bytes are a
@@ -130,7 +130,7 @@ func New(k *sim.Kernel, net *simnet.Network, cfg Config) (*Cluster, error) {
 	c.m = m
 
 	for i := 0; i < cfg.Shards; i++ {
-		var in Instruments
+		var in trace.Instruments
 		if cfg.Instruments != nil {
 			in = cfg.Instruments(i)
 		}
@@ -146,7 +146,7 @@ func New(k *sim.Kernel, net *simnet.Network, cfg Config) (*Cluster, error) {
 }
 
 // newHost builds one of sh's replicas from the cluster's server spec.
-func (c *Cluster) newHost(sh *Shard, addr simnet.Addr, store *localfs.Store, in Instruments) *ServerHost {
+func (c *Cluster) newHost(sh *Shard, addr simnet.Addr, store *localfs.Store, in trace.Instruments) *ServerHost {
 	spec := c.cfg.Server
 	spec.Addr, spec.Store, spec.Config.FSID = addr, store, sh.FSID
 	h := NewServerHost(c.k, c.net, spec, in)
@@ -160,12 +160,11 @@ func (c *Cluster) newHost(sh *Shard, addr simnet.Addr, store *localfs.Store, in 
 // beside the primary's series.
 func (c *Cluster) EnableMetrics() {
 	for _, sh := range c.shards {
-		sh := sh
-		sh.Attach(Instruments{Metrics: metrics.New()})
+		sh.Attach(trace.Instruments{Metrics: metrics.New()})
 		if sh.Backup == nil {
 			continue
 		}
-		sh.Backup.Attach(Instruments{Metrics: metrics.New()})
+		sh.Backup.Attach(trace.Instruments{Metrics: metrics.New()})
 		sh.Metrics.GaugeFunc("snfs_shard_view_num",
 			func() float64 { return float64(c.view.View(sh.ID).Num) })
 		sh.Metrics.Help("snfs_shard_view_num", "Current view number for this shard.")
@@ -183,8 +182,7 @@ func (c *Cluster) buildBackups() {
 		// The primary's spec with the primary's Store — the durable bytes
 		// survive either machine — and its auditor and event ring;
 		// Promote resets the auditor like a reboot.
-		sh.Backup = c.newHost(sh, BackupAddr(int(sh.ID)), sh.Media.Store(),
-			Instruments{Spans: sh.Spans, Tracer: sh.Tracer, Auditor: sh.Auditor})
+		sh.Backup = c.newHost(sh, BackupAddr(int(sh.ID)), sh.Media.Store(), sh.Instruments)
 	}
 	c.viewAddr = "viewsvc"
 	vep := rpc.NewEndpoint(c.k, c.net, c.viewAddr, rpc.Options{Workers: 2})
@@ -193,7 +191,6 @@ func (c *Cluster) buildBackups() {
 		OnEvent: c.onViewEvent,
 	})
 	for _, sh := range c.shards {
-		sh := sh
 		backup := sh.Backup.SNFS
 		sh.Repl = sh.SNFS.StartReplication(sh.Backup.Addr, nil)
 		c.view.Register(sh.ID, string(sh.Addr), string(sh.Backup.Addr))
@@ -248,8 +245,10 @@ func (c *Cluster) onViewEvent(p *sim.Proc, shard uint32, v proto.View, reason st
 		return
 	}
 	sh := c.shards[shard]
-	sh.Tracer.Record(string(c.viewAddr), trace.Note, "shard %d -> view %d primary=%s backup=%s (%s)",
-		shard, v.Num, v.Primary, v.Backup, reason)
+	if sh.Tracer != nil {
+		sh.Tracer.Add(trace.Event{Host: string(c.viewAddr), Kind: trace.Note, Detail: fmt.Sprintf(
+			"shard %d -> view %d primary=%s backup=%s (%s)", shard, v.Num, v.Primary, v.Backup, reason)})
+	}
 	switch reason {
 	case "primary-dead":
 		if p != nil && sh.Backup != nil && v.Primary == string(sh.Backup.Addr) {

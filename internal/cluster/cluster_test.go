@@ -11,6 +11,7 @@ import (
 	"spritelynfs/internal/server"
 	"spritelynfs/internal/sim"
 	"spritelynfs/internal/simnet"
+	"spritelynfs/internal/trace"
 	"spritelynfs/internal/vfs"
 )
 
@@ -31,7 +32,7 @@ func testCluster(t *testing.T, shards int, assign map[string]uint32) (*sim.Kerne
 			Config: client.Config{BlockSize: 8 * 1024, CacheBytes: 16 << 20, ReadAhead: true},
 			SNFS:   client.SNFSOptions{UpdateInterval: 30 * sim.Second},
 		},
-		Instruments: func(int) Instruments { return Instruments{Auditor: audit.New(k, nil)} },
+		Instruments: func(int) trace.Instruments { return trace.Instruments{Auditor: audit.New(k, nil)} },
 	})
 	if err != nil {
 		t.Fatalf("cluster: %v", err)

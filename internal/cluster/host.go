@@ -3,16 +3,13 @@ package cluster
 import (
 	"fmt"
 
-	"spritelynfs/internal/audit"
 	"spritelynfs/internal/client"
 	"spritelynfs/internal/disk"
 	"spritelynfs/internal/localfs"
-	"spritelynfs/internal/metrics"
 	"spritelynfs/internal/rpc"
 	"spritelynfs/internal/server"
 	"spritelynfs/internal/sim"
 	"spritelynfs/internal/simnet"
-	"spritelynfs/internal/span"
 	"spritelynfs/internal/trace"
 	"spritelynfs/internal/vfs"
 )
@@ -47,43 +44,6 @@ func (p Proto) String() string {
 		return "RFS"
 	}
 	return "?"
-}
-
-// Instruments are the observability sinks a host's layers report to; a
-// nil sink is off. Whoever owns the world creates them (one span recorder
-// per world; one event ring per world, or else one per server host — its
-// black box, shared by a shard's two replicas; one auditor per shard; one
-// registry per server whose series carry no host label) and hands them to
-// each host that should feed them. A world ring and per-host rings are
-// never armed together: attaching one replaces the other. A client roots
-// each syscall's spans itself, where the syscall mints its op, so the
-// auditor's is the only wrapper a mount gets.
-type Instruments struct {
-	Metrics *metrics.Registry
-	Spans   *span.Recorder
-	Tracer  *trace.Tracer
-	// Auditor shadows one SNFS server's state table and witnesses its
-	// clients' syscalls; hosts of the other protocols ignore it.
-	Auditor *audit.Auditor
-}
-
-// FlightDumpOnViolation arranges for the first audit violation (only the
-// first: the ring still holds the events that led there) to call dump
-// with a trigger naming it. The auditor holds its lock during the
-// callback, so dump may read the ring and write a sink but never reenter
-// the auditor. A no-op unless both are armed.
-func (in Instruments) FlightDumpOnViolation(dump func(trigger string)) {
-	if in.Auditor == nil || in.Tracer == nil {
-		return
-	}
-	dumped := false
-	in.Auditor.OnViolation = func(v audit.Violation) {
-		if dumped {
-			return
-		}
-		dumped = true
-		dump(fmt.Sprintf("audit violation op=%d %s: %s", v.Op, v.Invariant, v.Detail))
-	}
 }
 
 // ServerSpec says how one server host differs from another.
@@ -121,13 +81,13 @@ type ServerHost struct {
 	SNFS  *server.SNFSServer
 	RFS   *server.RFSServer
 	// Instruments holds whatever has been attached so far.
-	Instruments
+	trace.Instruments
 }
 
 // NewServerHost assembles a server host on net. The creation order is
 // part of the contract: endpoints and disks register with the kernel as
 // they are made, and that order breaks same-instant ties in every replay.
-func NewServerHost(k *sim.Kernel, net *simnet.Network, s ServerSpec, in Instruments) *ServerHost {
+func NewServerHost(k *sim.Kernel, net *simnet.Network, s ServerSpec, in trace.Instruments) *ServerHost {
 	if s.Workers == 0 {
 		s.Workers = 8
 	}
@@ -159,32 +119,19 @@ func NewServerHost(k *sim.Kernel, net *simnet.Network, s ServerSpec, in Instrume
 // Attach points every layer of the host at the non-nil sinks of in; any
 // of them may be armed after construction (a registry or tracer attached
 // at measurement start keeps set-up traffic out of what it records). The
-// tracer goes to the endpoint, which records every call served, and to
-// the server, which records its protocol events.
-func (h *ServerHost) Attach(in Instruments) {
-	ep := h.Base.Endpoint()
-	if in.Metrics != nil {
-		h.Metrics = in.Metrics
-		if h.SNFS != nil {
-			h.SNFS.EnableMetrics(in.Metrics)
-		} else {
-			h.Base.EnableMetrics(in.Metrics)
-		}
+// server arms its endpoint, and an auditor goes to an SNFS server only.
+func (h *ServerHost) Attach(in trace.Instruments) {
+	if h.SNFS == nil {
+		in.Auditor = nil
 	}
+	trace.Arm(&h.Instruments, in)
 	if in.Spans != nil {
-		h.Spans = in.Spans
-		ep.Spans = in.Spans
 		h.Media.Disk().Spans = in.Spans
-		h.Base.SetSpans(in.Spans)
 	}
-	if in.Tracer != nil {
-		h.Tracer = in.Tracer
-		ep.Tracer = in.Tracer
-		h.Base.SetTracer(in.Tracer)
-	}
-	if in.Auditor != nil && h.SNFS != nil {
-		h.Auditor = in.Auditor
-		h.SNFS.SetAuditor(in.Auditor)
+	if h.SNFS != nil {
+		h.SNFS.Attach(in)
+	} else {
+		h.Base.Attach(in)
 	}
 }
 
@@ -223,12 +170,10 @@ type ClientHost struct {
 	RFS   *client.RFSClient
 }
 
-// NewClientHost assembles a client host on net. The client roots a span
-// per syscall and the auditor wraps the mount, so spans and the auditor
-// are taken here; Attach arms the rest.
-func NewClientHost(k *sim.Kernel, net *simnet.Network, s ClientSpec, in Instruments) *ClientHost {
+// NewClientHost assembles a client host on net. The auditor wraps the
+// mount, so it is taken here only; Attach arms the rest.
+func NewClientHost(k *sim.Kernel, net *simnet.Network, s ClientSpec, in trace.Instruments) *ClientHost {
 	ep := rpc.NewEndpoint(k, net, s.Name, rpc.Options{Workers: 4, Exec: s.Exec})
-	ep.Spans = in.Spans
 	h := &ClientHost{Name: s.Name, NS: &vfs.Namespace{}}
 	switch s.Proto {
 	case NFS:
@@ -243,7 +188,6 @@ func NewClientHost(k *sim.Kernel, net *simnet.Network, s ClientSpec, in Instrume
 	default:
 		panic(fmt.Sprintf("cluster: no %v client", s.Proto))
 	}
-	h.Base.SetSpans(in.Spans)
 	h.Mount = h.FS
 	if in.Auditor != nil && h.SNFS != nil {
 		h.Mount = in.Auditor.WrapFS(h.FS)
@@ -253,15 +197,5 @@ func NewClientHost(k *sim.Kernel, net *simnet.Network, s ClientSpec, in Instrume
 	return h
 }
 
-// Attach arms the sinks a client can take after construction: the
-// endpoint's call-latency histograms and the cache gauges, and the tracer
-// on endpoint and client.
-func (h *ClientHost) Attach(in Instruments) {
-	if in.Metrics != nil {
-		h.Base.EnableMetrics(in.Metrics)
-	}
-	if in.Tracer != nil {
-		h.Base.Endpoint().Tracer = in.Tracer
-		h.Base.SetTracer(in.Tracer)
-	}
-}
+// Attach arms the client and its endpoint with the non-nil sinks of in.
+func (h *ClientHost) Attach(in trace.Instruments) { h.Base.Attach(in) }

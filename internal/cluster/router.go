@@ -8,6 +8,7 @@ import (
 	"spritelynfs/internal/proto"
 	"spritelynfs/internal/sim"
 	"spritelynfs/internal/simnet"
+	"spritelynfs/internal/trace"
 	"spritelynfs/internal/vfs"
 	"spritelynfs/internal/view"
 )
@@ -69,7 +70,7 @@ func (c *Cluster) NewRouter(host simnet.Addr) *Router {
 		spec.Config.Root = sh.Base.RootHandle()
 		r.addrs = append(r.addrs, sh.Addr)
 		r.hosts = append(r.hosts, NewClientHost(c.k, c.net, spec,
-			Instruments{Spans: sh.Spans, Auditor: sh.Auditor}))
+			trace.Instruments{Spans: sh.Spans, Auditor: sh.Auditor}))
 	}
 	if c.view != nil {
 		r.enableFailover(c.viewAddr)
@@ -85,7 +86,6 @@ func (c *Cluster) NewRouter(host simnet.Addr) *Router {
 func (r *Router) enableFailover(viewsvc simnet.Addr) {
 	r.viewsvc = viewsvc
 	for i, h := range r.hosts {
-		i := i
 		h.Base.Endpoint().Reroute = func(simnet.Addr) simnet.Addr { return r.addrs[i] }
 	}
 	r.k.Go(string(r.host)+"/view-refresh", func(p *sim.Proc) {

@@ -8,6 +8,7 @@ import (
 	"spritelynfs/internal/simnet"
 	"spritelynfs/internal/span"
 	"spritelynfs/internal/stats"
+	"spritelynfs/internal/trace"
 	"spritelynfs/internal/vfs"
 )
 
@@ -34,7 +35,7 @@ func BuildCluster(nshards int, assignments map[string]uint32, pm Params) (*World
 		Assignments: assignments,
 		Server:      pm.serverHost(SNFS),
 		Client:      pm.clientHost(SNFS),
-		Instruments: func(i int) cluster.Instruments { return pm.serverInstruments(k, w.Spans, i, pm.Audit) },
+		Instruments: func(i int) trace.Instruments { return pm.serverInstruments(k, w.Spans, i, pm.Audit) },
 		Backups:     pm.Backups,
 		ViewLog:     pm.ViewLog,
 	})

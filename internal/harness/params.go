@@ -174,8 +174,8 @@ func (pm Params) clientHost(pr Proto) cluster.ClientSpec {
 // 0): the recorder, with pm.FlightCapacity an event ring of its own, and
 // with audited an auditor journaling to pm.AuditSinkFor(i), or else to
 // pm.AuditSink.
-func (pm Params) serverInstruments(k *sim.Kernel, spans *span.Recorder, i int, audited bool) cluster.Instruments {
-	in := cluster.Instruments{Spans: spans}
+func (pm Params) serverInstruments(k *sim.Kernel, spans *span.Recorder, i int, audited bool) trace.Instruments {
+	in := trace.Instruments{Spans: spans}
 	if pm.FlightCapacity > 0 {
 		in.Tracer = trace.New(k.Now, pm.FlightCapacity)
 	}

@@ -5,8 +5,10 @@ import (
 	"strings"
 	"testing"
 
-	"spritelynfs/internal/cluster"
+	"spritelynfs/internal/metrics"
 	"spritelynfs/internal/sim"
+	"spritelynfs/internal/simnet"
+	"spritelynfs/internal/trace"
 	"spritelynfs/internal/vfs"
 )
 
@@ -80,8 +82,9 @@ func touch(p *sim.Proc, nss []*vfs.Namespace, dirs []string, pm Params) error {
 
 // TestEveryTopologyGetsEveryInstrument: whichever way the hosts are
 // arranged, arming audit, the ring, spans and metrics reaches every server
-// host — each of its sinks sees traffic — and arming nothing allocates no
-// sink anywhere.
+// host — each of its sinks sees traffic — and every full-size client host
+// (its cache gauges, and its endpoint's calls in a world ring), and
+// arming nothing allocates no sink anywhere.
 func TestEveryTopologyGetsEveryInstrument(t *testing.T) {
 	for _, tp := range topologies {
 		t.Run(tp.name+"/armed", func(t *testing.T) {
@@ -91,8 +94,21 @@ func TestEveryTopologyGetsEveryInstrument(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			w.EnableMetrics()
-			if err := w.Run(func(p *sim.Proc) error { return touch(p, nss, dirs, pm) }); err != nil {
+			reg := w.EnableMetrics()
+			rings := map[simnet.Addr]*trace.Tracer{}
+			for _, h := range w.servers {
+				rings[h.Addr] = h.Tracer
+			}
+			// A second pass runs with a world ring, which every host's
+			// endpoint records into.
+			var ring *trace.Tracer
+			if err := w.Run(func(p *sim.Proc) error {
+				if err := touch(p, nss, dirs, pm); err != nil {
+					return err
+				}
+				ring = w.EnableTrace(1 << 16)
+				return touch(p, nss, dirs, pm)
+			}); err != nil {
 				t.Fatal(err)
 			}
 			spanned := map[string]bool{}
@@ -108,7 +124,7 @@ func TestEveryTopologyGetsEveryInstrument(t *testing.T) {
 				if h.SNFS != nil && h.Auditor.Events() == 0 {
 					t.Errorf("%s: auditor witnessed nothing", h.Addr)
 				}
-				if h.Tracer.Total() == 0 {
+				if rings[h.Addr].Total() == 0 {
 					t.Errorf("%s: event ring is empty", h.Addr)
 				}
 				if !spanned[string(h.Addr)] {
@@ -124,6 +140,27 @@ func TestEveryTopologyGetsEveryInstrument(t *testing.T) {
 					t.Errorf("%s: registry holds no serve-latency sample", h.Addr)
 				}
 			}
+			// The client side: every full-size client host's cache
+			// gauges are in the world's registry, and its endpoint's
+			// calls are in the world ring.
+			if len(w.clients) == 0 {
+				t.Fatal("world has no full-size client hosts")
+			}
+			gauges := reg.Snapshot().Gauges
+			for _, c := range w.clients {
+				if _, ok := gauges[metrics.Label("snfs_client_cache_blocks", "host", string(c.Name))]; !ok {
+					t.Errorf("%s: no cache gauges in the registry", c.Name)
+				}
+			}
+			calls := map[string]int{}
+			for _, e := range ring.Filter(trace.RPCCall) {
+				calls[e.Host]++
+			}
+			for _, c := range w.clients {
+				if calls[string(c.Name)] == 0 {
+					t.Errorf("%s: its endpoint recorded no call into the ring", c.Name)
+				}
+			}
 		})
 		t.Run(tp.name+"/off", func(t *testing.T) {
 			w, nss, dirs, err := tp.build(fastParams())
@@ -134,8 +171,13 @@ func TestEveryTopologyGetsEveryInstrument(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, h := range w.servers {
-				if h.Instruments != (cluster.Instruments{}) {
+				if h.Instruments != (trace.Instruments{}) {
 					t.Errorf("%s: sinks allocated with nothing armed: %+v", h.Addr, h.Instruments)
+				}
+			}
+			for _, c := range w.clients {
+				if in := c.Base.Endpoint().Instruments; in != (trace.Instruments{}) {
+					t.Errorf("%s: sinks allocated with nothing armed: %+v", c.Name, in)
 				}
 			}
 			if w.Spans != nil || w.Auditor != nil {

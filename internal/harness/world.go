@@ -76,7 +76,7 @@ type World struct {
 	// must get too. Fleet clients are not here: Fleet.Stats sums their
 	// counts.
 	clients []*cluster.ClientHost
-	late    cluster.Instruments
+	late    trace.Instruments
 	params  Params
 	// sampler is the one StartSampler armed (nil for none); Run takes its
 	// last sample.
@@ -157,10 +157,10 @@ func (w *World) EnableTrace(capacity int) *trace.Tracer {
 	tr := trace.New(w.K.Now, capacity)
 	w.late.Tracer = tr
 	for _, h := range w.servers {
-		h.Attach(cluster.Instruments{Tracer: tr})
+		h.Attach(trace.Instruments{Tracer: tr})
 	}
 	for _, c := range w.clients {
-		c.Attach(cluster.Instruments{Tracer: tr})
+		c.Attach(trace.Instruments{Tracer: tr})
 	}
 	return tr
 }
@@ -176,13 +176,13 @@ func (w *World) EnableMetrics() *metrics.Registry {
 	r := metrics.New()
 	w.late.Metrics = r
 	if w.srv != nil {
-		w.srv.Attach(cluster.Instruments{Metrics: r})
+		w.srv.Attach(trace.Instruments{Metrics: r})
 	}
 	if w.Cluster != nil {
 		w.Cluster.EnableMetrics()
 	}
 	for _, c := range w.clients {
-		c.Attach(cluster.Instruments{Metrics: r})
+		c.Attach(trace.Instruments{Metrics: r})
 	}
 	// With spans armed, root-span latency histograms (with op-ID
 	// exemplars) join the registry.
@@ -323,7 +323,7 @@ func BuildOpt(pr Proto, tmpRemote bool, pm Params, opt BuildOptions) *World {
 func (w *World) newClient(s cluster.ClientSpec, audited bool) *cluster.ClientHost {
 	s.Config.Server = w.srv.Addr
 	s.Config.Root = w.srv.Base.RootHandle()
-	in := cluster.Instruments{Spans: w.Spans}
+	in := trace.Instruments{Spans: w.Spans}
 	if audited {
 		in.Auditor = w.Auditor
 	}

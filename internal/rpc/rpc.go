@@ -297,12 +297,11 @@ type Endpoint struct {
 	// dec decodes a reply into its caller's message (CallXDREx): one at a
 	// time, since decoding never parks.
 	dec xdr.Decoder
-	// Tracer, when set, records this endpoint's RPC activity.
-	Tracer *trace.Tracer
-	// Spans, when set, records causal latency spans: wire time and
-	// retransmit gaps on the call side, queue wait and serve intervals
-	// on the service side. Nil keeps the hot path at one nil check.
-	Spans *span.Recorder
+	// Instruments are the sinks Attach armed: the ring records every call
+	// sent and served; spans record wire time and retransmit gaps on the
+	// call side, queue wait and serve intervals on the service side. Nil
+	// keeps the hot path at one nil check.
+	trace.Instruments
 	// Reroute, when set, is consulted before each retransmission of a
 	// timed-out call: given the address the call has been going to, it
 	// may return a different one (replicated-shard failover — the old
@@ -319,7 +318,7 @@ type Endpoint struct {
 	// uses it to forward dup entries of non-idempotent calls to the
 	// backup, and joins the two parts (xdr.Join) only for those.
 	OnServed func(from simnet.Addr, xid, prog, vers, proc uint32, head, tail []byte)
-	// met, when set via SetMetrics, records per-procedure latency
+	// met, set when Attach arms a registry, records per-procedure latency
 	// histograms. Kept behind one pointer so the disabled hot path pays
 	// a single nil check.
 	met *epMetrics
@@ -343,13 +342,14 @@ type procKey struct {
 
 func pp(prog, proc uint32) uint64 { return uint64(prog)<<32 | uint64(proc) }
 
-// SetMetrics attaches a metrics registry: the endpoint records one
-// call→reply latency sample per completed call (retransmitted calls in a
-// separately-tagged series) and one serve-duration sample per handler
-// invocation. A nil registry detaches.
-func (e *Endpoint) SetMetrics(r *metrics.Registry) {
+// Attach arms the non-nil sinks of in. A registry gets one call→reply
+// latency sample per completed call (retransmitted calls in a
+// separately-tagged series), one serve-duration sample per handler
+// invocation, and the duplicate cache's gauges.
+func (e *Endpoint) Attach(in trace.Instruments) {
+	trace.Arm(&e.Instruments, in)
+	r := in.Metrics
 	if r == nil {
-		e.met = nil
 		return
 	}
 	e.met = &epMetrics{
@@ -701,10 +701,8 @@ func (e *Endpoint) start(p *sim.Proc, to simnet.Addr, prog, vers, proc uint32, a
 	c.wireTail = tail
 	enc.Release()
 
-	if e.Tracer != nil { // variadic args are boxed even for a nil tracer
-		e.Tracer.RecordOp(string(e.addr), trace.RPCCall, op, "-> %s %s xid=%d (%dB)",
-			to, proto.ProcName(prog, proc), xid, xdr.WireLen(c.wire, c.wireTail)-callHeaderLen)
-	}
+	e.Tracer.Add(trace.Event{Host: string(e.addr), Kind: trace.RPCCall, Op: op, Peer: string(to),
+		Prog: prog, Proc: proc, XID: xid, Bytes: xdr.WireLen(c.wire, c.wireTail) - callHeaderLen})
 	e.pending[xid] = c
 	e.send(c)
 	return c
@@ -794,18 +792,14 @@ func (c *Pending) wait(p *sim.Proc) error {
 		if attempt > 0 {
 			if e.Reroute != nil {
 				if alt := e.Reroute(c.to); alt != "" && alt != c.to {
-					if e.Tracer != nil {
-						e.Tracer.RecordOp(string(e.addr), trace.RPCRetry, c.op, "~> rerouting %s -> %s xid=%d",
-							c.to, alt, c.xid)
-					}
+					e.Tracer.Add(trace.Event{Host: string(e.addr), Kind: trace.RPCRetry, Op: c.op,
+						Peer: string(alt), Rerouted: string(c.to), XID: c.xid})
 					c.to = alt
 				}
 			}
 			e.stats.Retransmits++
-			if e.Tracer != nil {
-				e.Tracer.RecordOp(string(e.addr), trace.RPCRetry, c.op, "-> %s %s xid=%d attempt=%d",
-					c.to, proto.ProcName(c.prog, c.proc), c.xid, attempt)
-			}
+			e.Tracer.Add(trace.Event{Host: string(e.addr), Kind: trace.RPCRetry, Op: c.op, Peer: string(c.to),
+				Prog: c.prog, Proc: c.proc, XID: c.xid, Attempt: attempt})
 			c.sent = e.k.Now()
 			e.send(c)
 		}
@@ -955,10 +949,8 @@ func (e *Endpoint) serveOne(p *sim.Proc, req request) {
 		sp = e.Spans.Begin(p, string(e.addr), span.Serve, proto.ProcName(req.prog, req.proc))
 		e.Spans.Add(p, string(e.addr), span.SrvQueue, "queue", req.enq, e.k.Now())
 	}
-	if e.Tracer != nil {
-		e.Tracer.RecordOp(string(e.addr), trace.RPCServe, req.op, "<- %s %s xid=%d (%dB)",
-			req.from, proto.ProcName(req.prog, req.proc), req.xid, xdr.WireLen(req.args, req.tail))
-	}
+	e.Tracer.Add(trace.Event{Host: string(e.addr), Kind: trace.RPCServe, Op: req.op, Peer: string(req.from),
+		Prog: req.prog, Proc: req.proc, XID: req.xid, Bytes: xdr.WireLen(req.args, req.tail)})
 	s, ok := e.progs[req.prog]
 	var body Reply
 	status := StatusProgUnavail
@@ -978,10 +970,8 @@ func (e *Endpoint) serveOne(p *sim.Proc, req request) {
 		e.OnServed(req.from, req.xid, req.prog, req.vers, req.proc, head, tail)
 	}
 	h.Release()
-	if e.Tracer != nil {
-		e.Tracer.RecordOp(string(e.addr), trace.RPCReply, req.op, "-> %s %s xid=%d",
-			req.from, proto.ProcName(req.prog, req.proc), req.xid)
-	}
+	e.Tracer.Add(trace.Event{Host: string(e.addr), Kind: trace.RPCReply, Op: req.op, Peer: string(req.from),
+		Prog: req.prog, Proc: req.proc, XID: req.xid})
 	sp.End()
 	p.SetOp(0)
 	if e.met != nil {

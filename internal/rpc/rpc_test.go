@@ -939,8 +939,8 @@ func TestMetricsRecordCallAndServe(t *testing.T) {
 	client, server := newPair(k, simnet.Config{PropDelay: sim.Millisecond}, Options{})
 	server.Register(testProg, echoHandler)
 	reg := metrics.New()
-	client.SetMetrics(reg)
-	server.SetMetrics(reg)
+	client.Attach(trace.Instruments{Metrics: reg})
+	server.Attach(trace.Instruments{Metrics: reg})
 	k.Go("caller", func(p *sim.Proc) {
 		if _, err := client.Call(p, "server", testProg, 1, 7, []byte("abcd")); err != nil {
 			t.Errorf("call failed: %v", err)
@@ -965,8 +965,9 @@ func TestMetricsRecordCallAndServe(t *testing.T) {
 	if client.met == nil || client.met.r != reg || server.met.r != reg {
 		t.Error("registry not attached")
 	}
-	client.SetMetrics(nil)
-	if client.met != nil {
-		t.Error("nil SetMetrics did not detach")
+	// A later Attach arms its own sinks and keeps the others.
+	client.Attach(trace.Instruments{Tracer: trace.New(k.Now, 8)})
+	if client.met == nil || client.Metrics != reg || client.Tracer == nil {
+		t.Error("attaching a ring dropped the registry")
 	}
 }

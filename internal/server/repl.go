@@ -65,7 +65,9 @@ func (s *SNFSServer) StartReplication(backup simnet.Addr, onDemoted func(proto.S
 	r := &Replicator{b: s.Base, backup: backup, q: sim.NewQueue[proto.ReplRecord](s.k)}
 	r.onDemoted = func(m proto.ShardMap) {
 		s.SetShardMap(m, s.shardID)
-		s.record(trace.Crash, 0, "demoted by %s (map v%d)", backup, m.Version)
+		if s.sinks.Tracer != nil {
+			s.record(trace.Crash, 0, "demoted by %s (map v%d)", backup, m.Version)
+		}
 		if onDemoted != nil {
 			onDemoted(m)
 		}
@@ -122,9 +124,7 @@ func (r *Replicator) noteTransition(ev core.TransitionEvent) {
 
 // noteWrite queues one charged write.
 func (r *Replicator) noteWrite(ino uint64, off int64, n int, unstable bool) {
-	r.enqueue(proto.ReplRecord{
-		Kind: proto.ReplWrite, Ino: ino, Offset: off, Length: uint32(n), Unstable: unstable,
-	})
+	r.enqueue(proto.ReplRecord{Kind: proto.ReplWrite, Ino: ino, Offset: off, Length: uint32(n), Unstable: unstable})
 }
 
 // noteCommit queues one COMMIT.
@@ -437,9 +437,10 @@ func (s *SNFSServer) Promote(p *sim.Proc, m proto.ShardMap, viewNum uint64) {
 	}
 	s.deliver(p, cbs...)
 	s.promotedAt = s.k.Now()
-	s.record(trace.Crash, 0,
-		"promote to primary (view %d, epoch %d, %d entries rebuilt, %d callbacks reissued)",
-		viewNum, s.incarnation, len(handles), len(cbs))
+	if s.sinks.Tracer != nil {
+		s.record(trace.Crash, 0, "promote to primary (view %d, epoch %d, %d entries rebuilt, %d callbacks reissued)",
+			viewNum, s.incarnation, len(handles), len(cbs))
+	}
 }
 
 // Promoted reports whether this server took over its shard, and when.

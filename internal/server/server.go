@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"strings"
 
-	"spritelynfs/internal/audit"
 	"spritelynfs/internal/core"
 	"spritelynfs/internal/localfs"
 	"spritelynfs/internal/metrics"
@@ -68,19 +67,13 @@ type Base struct {
 	// onReset, when set, discards the protocol's volatile state as a new
 	// incarnation starts (the SNFS table, lock tables and grace window;
 	// the RFS open table).
-	onReset  func()
-	onTracer func() // when set, follows SetTracer (SNFS: observe)
-	// auditor, when set (SNFS only), journals callbacks and is reset with
-	// every new incarnation.
-	auditor *audit.Auditor
-	// tracer is the event ring the server's protocol events go to: the
-	// world's trace or the host's black box. Nil (off) by default.
-	tracer  *trace.Tracer
-	metrics *metrics.Registry
-	// spans, when set, splits each handler's CPU charge into queue-wait
-	// and execution spans of the serving call's trace. Nil (off) by
-	// default.
-	spans *span.Recorder
+	onReset func()
+	// sinks are what Attach armed, each nil (off) by default: the ring
+	// the server's protocol events go to (the world's trace or the
+	// host's black box), the registry METRICS reports, the spans a
+	// handler's CPU charge splits into, and (SNFS only) the auditor that
+	// journals callbacks and is reset with every new incarnation.
+	sinks trace.Instruments
 	// shardMap and shardID make the server a member of a sharded
 	// cluster: namespace operations at the export root that name an
 	// entry owned by another shard are refused with ErrNotHome.
@@ -129,26 +122,14 @@ func (b *Base) SetShardMap(m proto.ShardMap, id uint32) {
 	b.shardID = id
 }
 
-// SetTracer attaches an event ring: crashes, reboots, callbacks, failover
-// milestones and (SNFS) state-table opens and closes each leave one
-// record in it, under the endpoint's address. Served calls are the
-// endpoint's to record.
-func (b *Base) SetTracer(t *trace.Tracer) {
-	if b.tracer = t; b.onTracer != nil {
-		b.onTracer()
-	}
-}
-
-// SetSpans attaches a span recorder: each handler's CPU charge splits
-// into cpu-queue/cpu spans of the serving call's trace (the RPC endpoint
-// and disk carry their own recorder attachments).
-func (b *Base) SetSpans(r *span.Recorder) { b.spans = r }
+// SetSpans attaches a span recorder alone.
+func (b *Base) SetSpans(r *span.Recorder) { b.Attach(trace.Instruments{Spans: r}) }
 
 // record notes one server event in the attached ring under the
-// endpoint's address. Its arguments are boxed even with no ring, so hot
-// paths check the tracer first.
+// endpoint's address. Its arguments are boxed and formatted even with no
+// ring, so its callers check the ring first.
 func (b *Base) record(kind trace.Kind, op uint64, format string, args ...any) {
-	b.tracer.RecordOp(string(b.ep.Addr()), kind, op, format, args...)
+	b.sinks.Tracer.Add(trace.Event{Host: string(b.ep.Addr()), Kind: kind, Op: op, Detail: fmt.Sprintf(format, args...)})
 }
 
 func newBase(k *sim.Kernel, ep *rpc.Endpoint, media *localfs.Media, cfg Config) *Base {
@@ -181,9 +162,12 @@ func (b *Base) Crash() {
 		return
 	}
 	b.crashed = true
-	b.record(trace.Crash, 0, "server crash (epoch %d)", b.incarnation)
-	if lost := b.media.DropDirty(); lost > 0 {
-		b.record(trace.Crash, 0, "crash dropped %d uncommitted dirty blocks", lost)
+	lost := b.media.DropDirty()
+	if b.sinks.Tracer != nil {
+		b.record(trace.Crash, 0, "server crash (epoch %d)", b.incarnation)
+		if lost > 0 {
+			b.record(trace.Crash, 0, "crash dropped %d uncommitted dirty blocks", lost)
+		}
 	}
 	b.ep.Stop()
 }
@@ -199,7 +183,9 @@ func (b *Base) Reboot() {
 	b.crashed = false
 	b.newIncarnation(0)
 	b.ep.Restart()
-	b.record(trace.Crash, 0, "server reboot (epoch %d)", b.incarnation)
+	if b.sinks.Tracer != nil {
+		b.record(trace.Crash, 0, "server reboot (epoch %d)", b.incarnation)
+	}
 }
 
 // newIncarnation starts the server's next life, numbered past its own and
@@ -210,7 +196,7 @@ func (b *Base) newIncarnation(floor uint64) {
 	if b.onReset != nil {
 		b.onReset()
 	}
-	b.auditor.ServerRebooted()
+	b.sinks.Auditor.ServerRebooted()
 }
 
 // cbKey names one client's copy of one file.
@@ -230,12 +216,12 @@ type cbKey struct {
 func (b *Base) callback(p *sim.Proc, cb core.Callback) error {
 	b.cbSem.Acquire(p)
 	defer b.cbSem.Release()
-	if b.tracer != nil {
+	if b.sinks.Tracer != nil {
 		b.record(trace.Callback, p.Op(), "-> %s %s writeback=%v invalidate=%v",
 			cb.Client, cb.Handle, cb.WriteBack, cb.Invalidate)
 	}
-	if b.auditor != nil {
-		b.auditor.NoteEvent(p.Op(), "callback", cb.Handle, string(cb.Client),
+	if b.sinks.Auditor != nil {
+		b.sinks.Auditor.NoteEvent(p.Op(), "callback", cb.Handle, string(cb.Client),
 			fmt.Sprintf("writeback=%v invalidate=%v", cb.WriteBack, cb.Invalidate))
 	}
 	k := cbKey{cb.Handle, cb.Client}
@@ -258,13 +244,20 @@ func (b *Base) callback(p *sim.Proc, cb core.Callback) error {
 	return nil
 }
 
-// EnableMetrics attaches a metrics registry: the endpoint records
-// per-procedure serve latency, and the server exports CPU busy time and
-// disk utilization gauges. The SNFS server adds state-table gauges on top
-// (see SNFSServer.EnableMetrics).
-func (b *Base) EnableMetrics(r *metrics.Registry) {
-	b.metrics = r
-	b.ep.SetMetrics(r)
+// Attach arms the server and its endpoint with the non-nil sinks of in:
+// a ring records crashes, reboots, callbacks and failover milestones
+// under the endpoint's address (served calls are the endpoint's to
+// record); spans split each handler's CPU charge into cpu-queue/cpu spans
+// of the serving call's trace; a registry gets the endpoint's
+// per-procedure serve latency and the server's CPU, disk and call gauges.
+// SNFSServer.Attach adds its state table's consumers.
+func (b *Base) Attach(in trace.Instruments) {
+	b.ep.Attach(in)
+	trace.Arm(&b.sinks, in)
+	r := in.Metrics
+	if r == nil {
+		return
+	}
 	host := string(b.ep.Addr())
 	// The busy-seconds gauges count service up to now: a resource's
 	// BusyTime already holds its queued backlog, whose rate over a window
@@ -342,10 +335,10 @@ func (b *Base) account(p *sim.Proc, proc uint32, dataBytes int) {
 	cost := b.cfg.CPUPerOp + sim.Duration(int64(b.cfg.CPUPerKB)*int64(dataBytes)/1024)
 	t0 := b.k.Now()
 	qd := b.cpu.Use(p, cost)
-	if b.spans != nil {
+	if b.sinks.Spans != nil {
 		host := string(b.ep.Addr())
-		b.spans.Add(p, host, span.CPUQueue, "cpu", t0, t0.Add(qd))
-		b.spans.Add(p, host, span.CPU, "cpu", t0.Add(qd), b.k.Now())
+		b.sinks.Spans.Add(p, host, span.CPUQueue, "cpu", t0, t0.Add(qd))
+		b.sinks.Spans.Add(p, host, span.CPU, "cpu", t0.Add(qd), b.k.Now())
 	}
 	b.served.Inc(proto.ProgNFS, proc)
 }
@@ -602,9 +595,10 @@ func (b *Base) noteHealed(from simnet.Addr, proc uint32) {
 	if !b.promoted || b.healed {
 		return
 	}
-	b.healed = true
-	b.healedAt = b.k.Now()
-	b.record(trace.Crash, 0, "healed: first %s from %s after promotion", proto.ProcName(proto.ProgNFS, proc), from)
+	b.healed, b.healedAt = true, b.k.Now()
+	if b.sinks.Tracer != nil {
+		b.record(trace.Crash, 0, "healed: first %s from %s after promotion", proto.ProcName(proto.ProgNFS, proc), from)
+	}
 }
 
 // replWrite forwards one charged write to the backup, if replicating.
@@ -917,7 +911,7 @@ func (b *Base) serveCommon(p *sim.Proc, proc uint32, a *callArgs) (rpc.Reply, rp
 
 	case proto.ProcMetrics:
 		var sb strings.Builder
-		b.metrics.WriteProm(&sb)
+		b.sinks.Metrics.WriteProm(&sb)
 		return reply((&proto.MetricsReply{Status: proto.OK, Text: sb.String()}).XDR)
 
 	case proto.ProcShardMap:

@@ -431,7 +431,7 @@ func TestMountRoot(t *testing.T) {
 func TestServerCallsTotalGauges(t *testing.T) {
 	r := newRig(false, SNFSOptions{})
 	reg := metrics.New()
-	r.nfs.EnableMetrics(reg)
+	r.nfs.Attach(trace.Instruments{Metrics: reg})
 	r.run(t, func(p *sim.Proc) {
 		root := r.root()
 		body := r.call(t, p, proto.ProcCreate, &proto.CreateArgs{Dir: root, Name: "f", Mode: 0o644})
@@ -603,7 +603,7 @@ func TestSNFSReclaimsOnFullTable(t *testing.T) {
 func TestSNFSCallbackGauges(t *testing.T) {
 	r := newRig(true, SNFSOptions{})
 	reg := metrics.New()
-	r.snfs.EnableMetrics(reg)
+	r.snfs.Attach(trace.Instruments{Metrics: reg})
 	gauge := func(name string) float64 { return reg.Snapshot().Gauges[name] }
 	during := -1.0
 	r.cli.Register(proto.ProgCallback, func(p *sim.Proc, from simnet.Addr, proc uint32, args []byte) ([]byte, rpc.Status) {
@@ -767,8 +767,8 @@ func TestTransitionsObservedOnlyWhenConsumed(t *testing.T) {
 		name string
 		do   func(s *SNFSServer)
 	}{
-		{"auditor", func(s *SNFSServer) { s.SetAuditor(audit.New(s.k, nil)) }},
-		{"tracer", func(s *SNFSServer) { s.SetTracer(trace.New(s.k.Now, 16)) }},
+		{"auditor", func(s *SNFSServer) { s.Attach(trace.Instruments{Auditor: audit.New(s.k, nil)}) }},
+		{"tracer", func(s *SNFSServer) { s.Attach(trace.Instruments{Tracer: trace.New(s.k.Now, 16)}) }},
 		{"replication", func(s *SNFSServer) { s.StartReplication("backup", nil) }},
 	} {
 		r := newRig(true, SNFSOptions{})

@@ -3,7 +3,6 @@ package server
 import (
 	"fmt"
 
-	"spritelynfs/internal/audit"
 	"spritelynfs/internal/core"
 	"spritelynfs/internal/localfs"
 	"spritelynfs/internal/metrics"
@@ -67,7 +66,6 @@ func NewSNFS(k *sim.Kernel, ep *rpc.Endpoint, media *localfs.Media, cfg Config, 
 	// table, and a method value would keep the first incarnation's.
 	s.onRemoved = func(h proto.Handle) { s.table.Drop(h) }
 	s.onReset = s.reset
-	s.onTracer = s.observe
 	ep.Serve(proto.ProgNFS, s.serve)
 	return s
 }
@@ -86,7 +84,7 @@ func (s *SNFSServer) reset() {
 // the replication stream or the event ring consumes transitions.
 func (s *SNFSServer) observe() {
 	s.table.Observer = nil
-	if s.auditor != nil || s.repl != nil || s.tracer != nil {
+	if s.sinks.Auditor != nil || s.repl != nil || s.sinks.Tracer != nil {
 		s.table.Observer = s.observeTransition
 	}
 }
@@ -97,11 +95,11 @@ func (s *SNFSServer) observe() {
 // The ring keeps a line per open and close; the auditor's journal has
 // every transition.
 func (s *SNFSServer) observeTransition(ev core.TransitionEvent) {
-	s.auditor.OnTransition(ev)
+	s.sinks.Auditor.OnTransition(ev)
 	if s.repl != nil {
 		s.repl.noteTransition(ev)
 	}
-	if s.tracer == nil {
+	if s.sinks.Tracer == nil {
 		return
 	}
 	switch ev.Event {
@@ -113,12 +111,18 @@ func (s *SNFSServer) observeTransition(ev core.TransitionEvent) {
 	}
 }
 
-// EnableMetrics attaches a metrics registry: the base gauges plus the
-// state-table view the protocol revolves around — entries per Table 4-1
-// state, table occupancy, outstanding callbacks, and the cumulative
-// reclaim/callback/inconsistency counts.
-func (s *SNFSServer) EnableMetrics(r *metrics.Registry) {
-	s.Base.EnableMetrics(r)
+// Attach arms the base's sinks and the state table's consumers. A
+// registry also gets the state-table view the protocol revolves around —
+// entries per Table 4-1 state, table occupancy, outstanding callbacks,
+// and the cumulative reclaim/callback/inconsistency counts; an auditor
+// is fed every transition and the callback fan-out, and survives Reboot.
+func (s *SNFSServer) Attach(in trace.Instruments) {
+	s.Base.Attach(in)
+	s.observe()
+	r := in.Metrics
+	if r == nil {
+		return
+	}
 	for st := core.StateClosed; st <= core.StateWriteShared; st++ {
 		st := st
 		r.GaugeFunc(metrics.Label("snfs_server_state_entries", "state", st.String()),
@@ -138,12 +142,8 @@ func (s *SNFSServer) EnableMetrics(r *metrics.Registry) {
 		func() float64 { return float64(s.table.Stats().VersionBumps) })
 }
 
-// SetAuditor attaches a protocol auditor: the state table feeds it every
-// transition, and callback fan-out is journaled. Survives Reboot.
-func (s *SNFSServer) SetAuditor(a *audit.Auditor) {
-	s.auditor = a
-	s.observe()
-}
+// EnableMetrics attaches a metrics registry alone.
+func (s *SNFSServer) EnableMetrics(r *metrics.Registry) { s.Attach(trace.Instruments{Metrics: r}) }
 
 // deliver sends cbs in order and declares dead every client that does
 // not answer (§3.2). lost reports that one of those owed a write-back:
@@ -203,21 +203,21 @@ func (s *SNFSServer) serve(p *sim.Proc, from simnet.Addr, proc uint32, args, tai
 	case proto.ProcDumpState:
 		return s.dumpState(), rpc.StatusOK
 	case proto.ProcAudit:
-		return reply((&proto.AuditReply{Status: proto.OK, Text: s.auditor.Summary()}).XDR)
+		return reply((&proto.AuditReply{Status: proto.OK, Text: s.sinks.Auditor.Summary()}).XDR)
 	}
-	if s.auditor != nil {
+	if s.sinks.Auditor != nil {
 		// Journal commits, the durability point the no-lost-committed-
 		// data check pivots on, and the compound procedures, so the audit
 		// trail shows the attribute observations they hand the client.
 		switch proc {
 		case proto.ProcCommit:
-			s.auditor.NoteEvent(p.Op(), "commit", a.commit.Handle, string(from),
+			s.sinks.Auditor.NoteEvent(p.Op(), "commit", a.commit.Handle, string(from),
 				fmt.Sprintf("verifier %d, epoch %d", s.incarnation, s.incarnation))
 		case proto.ProcLookupPath:
-			s.auditor.NoteEvent(p.Op(), "lookuppath", a.path.Dir, string(from),
+			s.sinks.Auditor.NoteEvent(p.Op(), "lookuppath", a.path.Dir, string(from),
 				fmt.Sprintf("%d components", len(a.path.Names)))
 		case proto.ProcReaddirAttrs:
-			s.auditor.NoteEvent(p.Op(), "readdirattrs", a.file.Handle, string(from), "")
+			s.sinks.Auditor.NoteEvent(p.Op(), "readdirattrs", a.file.Handle, string(from), "")
 		}
 	}
 	if s.opts.Hybrid {
@@ -330,7 +330,7 @@ func (s *SNFSServer) serveClose(p *sim.Proc, from simnet.Addr, a *proto.CloseArg
 	if a.WantAttr {
 		// Post-op attributes save the getattr that commonly trails a
 		// close; journaled so the audit can correlate client views.
-		s.auditor.NoteEvent(p.Op(), "close-wcc", a.Handle, string(from), "")
+		s.sinks.Auditor.NoteEvent(p.Op(), "close-wcc", a.Handle, string(from), "")
 		return s.wccReply(proto.OK, a.Handle)
 	}
 	return rpc.Encode((&proto.StatusReply{Status: proto.OK}).XDR)

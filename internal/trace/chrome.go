@@ -1,18 +1,21 @@
 // Chrome trace-event export: the retained ring becomes a JSON file that
 // loads in chrome://tracing or Perfetto (ui.perfetto.dev). Each host gets
 // its own process track; RPC serve intervals (an RPCServe event paired
-// with the RPCReply carrying the same xid on the same host) become
-// duration spans, laid out on as many lanes as overlap requires, and every
-// other event becomes an instant marker.
+// with the RPCReply to the same caller with the same xid on the same
+// host) become duration spans, laid out on as many lanes as overlap
+// requires, and every other event becomes an instant marker.
 package trace
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
+	"slices"
 	"sort"
-	"strings"
 
+	"spritelynfs/internal/proto"
 	"spritelynfs/internal/sim"
 	opspan "spritelynfs/internal/span"
 )
@@ -37,13 +40,10 @@ type chromeFile struct {
 	DisplayTimeUnit string        `json:"displayTimeUnit"`
 }
 
-// span is one matched serve interval awaiting lane assignment.
+// span is one serve interval: the serve's event, and its reply's time.
 type span struct {
-	host       string
-	name       string
-	start, end sim.Time
-	op         uint64
-	detail     string
+	Event
+	end sim.Time
 }
 
 // WriteChrome writes the retained events as Chrome trace-event JSON.
@@ -65,68 +65,48 @@ func (t *Tracer) WriteChrome(w io.Writer) error {
 		return id
 	}
 
+	// Every endpoint numbers its xids from 1, so the caller is part of
+	// the key: two clients' calls with one xid are two serves.
 	type spanKey struct {
-		host string
-		xid  uint64
+		host, peer string
+		xid        uint32
 	}
-	pending := map[spanKey]*span{}
+	pending := map[spanKey]Event{} // serves awaiting their reply
 	var spans []span
 	var instants []chromeEvent
 
 	for _, e := range t.Events() {
 		pid := pidOf(e.Host)
-		switch e.Kind {
-		case RPCServe:
-			if xid, ok := parseXID(e.Detail); ok {
-				// A reused xid with the old serve still unmatched
-				// (dropped reply): flush the stale one as an instant.
-				key := spanKey{e.Host, xid}
-				if old, dup := pending[key]; dup {
-					instants = append(instants, instantFor(e.Host, pid, RPCServe, old.detail, old.start))
-				}
-				pending[key] = &span{
-					host: e.Host, name: serveName(e.Detail),
-					start: e.At, op: e.Op, detail: e.Detail,
-				}
-				continue
+		key := spanKey{e.Host, e.Peer, e.XID}
+		serve, open := pending[key]
+		switch {
+		case e.Kind == RPCServe && e.Peer != "":
+			// A reused key with the old serve still unmatched
+			// (dropped reply): flush the stale one as an instant.
+			if open {
+				instants = append(instants, instantFor(pid, serve))
 			}
-			instants = append(instants, instantFor(e.Host, pid, e.Kind, e.Detail, e.At))
-		case RPCReply:
-			if xid, ok := parseXID(e.Detail); ok {
-				key := spanKey{e.Host, xid}
-				if sp, open := pending[key]; open {
-					sp.end = e.At
-					spans = append(spans, *sp)
-					delete(pending, key)
-					continue
-				}
-			}
-			instants = append(instants, instantFor(e.Host, pid, e.Kind, e.Detail, e.At))
-		default:
-			instants = append(instants, instantFor(e.Host, pid, e.Kind, e.Detail, e.At))
+			pending[key] = e
+			continue
+		case e.Kind == RPCReply && open:
+			spans = append(spans, span{serve, e.At})
+			delete(pending, key)
+			continue
 		}
+		instants = append(instants, instantFor(pid, e))
 	}
 	// Serves still open when the trace ended (handler running at dump
-	// time) surface as instants so they are not silently lost — oldest
-	// first, so the file is a function of the trace and not of map order.
-	unmatched := make([]*span, 0, len(pending))
-	for _, sp := range pending {
-		unmatched = append(unmatched, sp)
-	}
-	sort.Slice(unmatched, func(i, j int) bool {
-		if unmatched[i].start != unmatched[j].start {
-			return unmatched[i].start < unmatched[j].start
-		}
-		return unmatched[i].host < unmatched[j].host
-	})
-	for _, sp := range unmatched {
-		instants = append(instants, instantFor(sp.host, pids[sp.host], RPCServe, sp.detail, sp.start))
+	// time) surface as instants, so they are not silently lost, in
+	// recording order, so the file does not depend on map order.
+	bySeq := func(a, b Event) int { return cmp.Compare(a.Seq, b.Seq) }
+	for _, serve := range slices.SortedFunc(maps.Values(pending), bySeq) {
+		instants = append(instants, instantFor(pids[serve.Host], serve))
 	}
 
 	// Greedy interval partitioning per host: each span takes the lowest
 	// lane that is free at its start, so overlapping serves (concurrent
 	// workers) render side by side instead of falsely nesting.
-	sort.SliceStable(spans, func(i, j int) bool { return spans[i].start < spans[j].start })
+	sort.SliceStable(spans, func(i, j int) bool { return spans[i].At < spans[j].At })
 	lanes := map[string][]sim.Time{} // per host: end time of last span per lane
 	type flowRef struct {
 		pid, tid int
@@ -135,35 +115,29 @@ func (t *Tracer) WriteChrome(w io.Writer) error {
 	flows := map[uint64][]flowRef{} // causal op ID → spans carrying it
 	var flowOps []uint64            // the IDs, in first-span order
 	for _, sp := range spans {
-		hostLanes := lanes[sp.host]
-		lane := -1
-		for i, end := range hostLanes {
-			if end <= sp.start {
-				lane = i
-				break
-			}
-		}
+		hostLanes := lanes[sp.Host]
+		lane := slices.IndexFunc(hostLanes, func(end sim.Time) bool { return end <= sp.At })
 		if lane < 0 {
 			lane = len(hostLanes)
 			hostLanes = append(hostLanes, 0)
 		}
 		hostLanes[lane] = sp.end
-		lanes[sp.host] = hostLanes
-		args := map[string]any{"detail": sp.detail}
-		if sp.op != 0 {
-			args["op"] = sp.op
+		lanes[sp.Host] = hostLanes
+		args := map[string]any{"detail": sp.Detail}
+		if sp.Op != 0 {
+			args["op"] = sp.Op
 		}
 		out.TraceEvents = append(out.TraceEvents, chromeEvent{
-			Name: sp.name, Ph: "X",
-			Ts: float64(sp.start), Dur: float64(sp.end - sp.start),
-			Pid: pids[sp.host], Tid: lane + 1,
+			Name: proto.ProcName(sp.Prog, sp.Proc), Ph: "X",
+			Ts: float64(sp.At), Dur: float64(sp.end - sp.At),
+			Pid: pids[sp.Host], Tid: lane + 1,
 			Args: args,
 		})
-		if sp.op != 0 {
-			if flows[sp.op] == nil {
-				flowOps = append(flowOps, sp.op)
+		if sp.Op != 0 {
+			if flows[sp.Op] == nil {
+				flowOps = append(flowOps, sp.Op)
 			}
-			flows[sp.op] = append(flows[sp.op], flowRef{pid: pids[sp.host], tid: lane + 1, ts: sp.start})
+			flows[sp.Op] = append(flows[sp.Op], flowRef{pid: pids[sp.Host], tid: lane + 1, ts: sp.At})
 		}
 	}
 	// Flow events chain the spans that share a causal op ID — an open's
@@ -191,8 +165,7 @@ func (t *Tracer) WriteChrome(w io.Writer) error {
 	}
 	out.TraceEvents = append(out.TraceEvents, instants...)
 
-	enc := json.NewEncoder(w)
-	return enc.Encode(out)
+	return json.NewEncoder(w).Encode(out)
 }
 
 // WriteChromeSpans writes captured span trees (the slow-op winners of a
@@ -221,39 +194,10 @@ func WriteChromeSpans(w io.Writer, ops []opspan.SlowOp) error {
 	return json.NewEncoder(w).Encode(out)
 }
 
-func instantFor(host string, pid int, k Kind, detail string, at sim.Time) chromeEvent {
+func instantFor(pid int, e Event) chromeEvent {
 	return chromeEvent{
-		Name: k.String(), Ph: "i", S: "t",
-		Ts: float64(at), Pid: pid, Tid: 0,
-		Args: map[string]any{"detail": detail},
+		Name: e.Kind.String(), Ph: "i", S: "t",
+		Ts: float64(e.At), Pid: pid, Tid: 0,
+		Args: map[string]any{"detail": e.Detail},
 	}
-}
-
-// parseXID extracts the xid=N field the RPC layer puts in serve and reply
-// details.
-func parseXID(detail string) (uint64, bool) {
-	i := strings.Index(detail, "xid=")
-	if i < 0 {
-		return 0, false
-	}
-	var v uint64
-	ok := false
-	for _, c := range detail[i+4:] {
-		if c < '0' || c > '9' {
-			break
-		}
-		v = v*10 + uint64(c-'0')
-		ok = true
-	}
-	return v, ok
-}
-
-// serveName pulls the procedure name out of a serve detail line
-// ("<- client read xid=7 (132B)" → "read").
-func serveName(detail string) string {
-	f := strings.Fields(detail)
-	if len(f) >= 3 && f[0] == "<-" {
-		return f[2]
-	}
-	return "rpc-serve"
 }

@@ -9,14 +9,21 @@
 // A Tracer belongs to the goroutine that runs its kernel: recording and
 // reading both happen there (the live daemon reads it on its event loop).
 // Tracers are optional everywhere: a nil *Tracer is safe to record to, so
-// instrumented code pays one nil check when tracing is off.
+// instrumented code pays one nil check when tracing is off. Instruments
+// bundles the ring with the other sinks a component takes in its Attach.
 package trace
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 
+	"spritelynfs/internal/audit"
+	"spritelynfs/internal/metrics"
+	"spritelynfs/internal/proto"
 	"spritelynfs/internal/sim"
+	opspan "spritelynfs/internal/span"
 )
 
 // Kind classifies events.
@@ -35,26 +42,11 @@ const (
 	Note                 // anything else
 )
 
+var kindNames = [...]string{"rpc-call", "rpc-retry", "rpc-serve", "rpc-reply", "state", "callback", "cache", "crash", "note"}
+
 func (k Kind) String() string {
-	switch k {
-	case RPCCall:
-		return "rpc-call"
-	case RPCRetry:
-		return "rpc-retry"
-	case RPCServe:
-		return "rpc-serve"
-	case RPCReply:
-		return "rpc-reply"
-	case State:
-		return "state"
-	case Callback:
-		return "callback"
-	case Cache:
-		return "cache"
-	case Crash:
-		return "crash"
-	case Note:
-		return "note"
+	if int(k) < len(kindNames) {
+		return kindNames[k]
 	}
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
@@ -64,7 +56,9 @@ func (k Kind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
 
 // Event is one trace record. Op, when nonzero, is the causal operation ID
 // of the syscall the event belongs to (see sim.Proc.BeginOp); events that
-// share an Op form one causal chain across hosts.
+// share an Op form one causal chain across hosts. An RPC event carries its
+// call in the fields after Detail and no Detail: Events renders the line
+// from them, so recording one formats nothing.
 type Event struct {
 	Seq    int64    `json:"seq"`
 	At     sim.Time `json:"at_us"`
@@ -72,10 +66,38 @@ type Event struct {
 	Kind   Kind     `json:"kind"`
 	Op     uint64   `json:"op,omitempty"`
 	Detail string   `json:"detail"`
+	// Peer is the other end, the callee of a call or retry and the caller
+	// of a serve or reply; a rerouted retry names the address it leaves
+	// in Rerouted. Attempt numbers a retry; Bytes are a call's argument
+	// bytes, as sent or as served.
+	Peer, Rerouted  string `json:"-"`
+	Prog, Proc, XID uint32 `json:"-"`
+	Attempt, Bytes  int    `json:"-"`
 }
 
 func (e Event) String() string {
 	return fmt.Sprintf("%12.6fs %-10s %-9s %s", e.At.Seconds(), e.Host, e.Kind, e.Detail)
+}
+
+// rendered returns e with an RPC event's Detail formatted from its call.
+func (e Event) rendered() Event {
+	if e.Kind > RPCReply || e.Detail != "" {
+		return e
+	}
+	name := proto.ProcName(e.Prog, e.Proc)
+	switch {
+	case e.Kind == RPCCall:
+		e.Detail = fmt.Sprintf("-> %s %s xid=%d (%dB)", e.Peer, name, e.XID, e.Bytes)
+	case e.Kind == RPCServe:
+		e.Detail = fmt.Sprintf("<- %s %s xid=%d (%dB)", e.Peer, name, e.XID, e.Bytes)
+	case e.Kind == RPCReply:
+		e.Detail = fmt.Sprintf("-> %s %s xid=%d", e.Peer, name, e.XID)
+	case e.Rerouted != "":
+		e.Detail = fmt.Sprintf("~> rerouting %s -> %s xid=%d", e.Rerouted, e.Peer, e.XID)
+	default:
+		e.Detail = fmt.Sprintf("-> %s %s xid=%d attempt=%d", e.Peer, name, e.XID, e.Attempt)
+	}
+	return e
 }
 
 // Tracer records events into a bounded ring buffer. The zero value is not
@@ -96,24 +118,18 @@ func New(clock func() sim.Time, capacity int) *Tracer {
 	return &Tracer{clock: clock, ring: make([]Event, 0, capacity)}
 }
 
-// Record appends an event; safe on a nil tracer.
-func (t *Tracer) Record(host string, kind Kind, format string, args ...any) {
-	t.RecordOp(host, kind, 0, format, args...)
+// Add appends e, numbered and timestamped, over the oldest event once the
+// ring is full; safe on a nil tracer. It formats and boxes nothing: the
+// caller of a protocol event (state, callback, cache, crash, note) that
+// formats its Detail checks for a nil tracer first.
+func (t *Tracer) Add(e Event) {
+	if t != nil {
+		t.add(e)
+	}
 }
 
-// RecordOp is Record with an explicit causal operation ID.
-func (t *Tracer) RecordOp(host string, kind Kind, op uint64, format string, args ...any) {
-	if t == nil {
-		return
-	}
-	e := Event{
-		Seq:    t.total,
-		At:     t.clock(),
-		Host:   host,
-		Kind:   kind,
-		Op:     op,
-		Detail: fmt.Sprintf(format, args...),
-	}
+func (t *Tracer) add(e Event) {
+	e.Seq, e.At = t.total, t.clock()
 	t.total++
 	if len(t.ring) < cap(t.ring) {
 		t.ring = append(t.ring, e)
@@ -121,6 +137,14 @@ func (t *Tracer) RecordOp(host string, kind Kind, op uint64, format string, args
 	}
 	t.ring[t.next] = e
 	t.next = (t.next + 1) % len(t.ring)
+}
+
+// RecordOp adds an event whose detail is formatted from format and args,
+// which are boxed even for a nil tracer.
+func (t *Tracer) RecordOp(host string, kind Kind, op uint64, format string, args ...any) {
+	if t != nil {
+		t.Add(Event{Host: host, Kind: kind, Op: op, Detail: fmt.Sprintf(format, args...)})
+	}
 }
 
 // Total reports how many events were ever recorded (including evicted
@@ -140,32 +164,22 @@ func (t *Tracer) Dropped() int64 {
 	return t.total - int64(len(t.ring))
 }
 
-// Events returns the retained events in chronological order.
-func (t *Tracer) Events() []Event {
+// Events returns the retained events in chronological order, each RPC
+// event's Detail rendered.
+func (t *Tracer) Events() []Event { return t.Filter() }
+
+// Filter returns the retained events of the given kinds (all if none
+// given) in chronological order, each RPC event's Detail rendered.
+func (t *Tracer) Filter(kinds ...Kind) []Event {
 	if t == nil {
 		return nil
 	}
 	out := make([]Event, 0, len(t.ring))
-	out = append(out, t.ring[t.next:]...)
-	out = append(out, t.ring[:t.next]...)
-	return out
-}
-
-// Filter returns retained events of the given kinds (all if none given).
-func (t *Tracer) Filter(kinds ...Kind) []Event {
-	if len(kinds) == 0 {
-		return t.Events()
-	}
-	// Kind is a uint8, so a fixed array covers every possible value with
-	// no per-call allocation (Filter runs per Dump over the whole ring).
-	var want [256]bool
-	for _, k := range kinds {
-		want[k] = true
-	}
-	var out []Event
-	for _, e := range t.Events() {
-		if want[e.Kind] {
-			out = append(out, e)
+	for _, part := range [2][]Event{t.ring[t.next:], t.ring[:t.next]} {
+		for _, e := range part {
+			if len(kinds) == 0 || slices.Contains(kinds, e.Kind) {
+				out = append(out, e.rendered())
+			}
 		}
 	}
 	return out
@@ -173,9 +187,6 @@ func (t *Tracer) Filter(kinds ...Kind) []Event {
 
 // Dump writes the retained events to w, optionally filtered by kind.
 func (t *Tracer) Dump(w io.Writer, kinds ...Kind) {
-	if t == nil {
-		return
-	}
 	evs := t.Filter(kinds...)
 	if dropped := t.Dropped(); dropped > 0 {
 		fmt.Fprintf(w, "(%d earlier events dropped)\n", dropped)
@@ -196,10 +207,51 @@ func (t *Tracer) DumpTriggered(w io.Writer, trigger string) {
 	fmt.Fprintf(w, "=== flight recorder dump (%s): %d retained of %d recorded ===\n",
 		trigger, len(evs), t.total)
 	for _, e := range evs {
-		op := ""
 		if e.Op != 0 {
-			op = fmt.Sprintf(" op=%d", e.Op)
+			e.Detail = fmt.Sprintf("op=%d %s", e.Op, e.Detail)
 		}
-		fmt.Fprintf(w, "%12.6fs %-10s %-9s%s %s\n", e.At.Seconds(), e.Host, e.Kind, op, e.Detail)
+		fmt.Fprintln(w, e)
+	}
+}
+
+// Instruments are the observability sinks a component reports to; a nil
+// sink is off. Whoever owns the world creates them (one span recorder per
+// world; one event ring per world, or else one per server host — its
+// black box, shared by a shard's two replicas; one auditor per shard; one
+// registry per server, whose series carry no host label) and hands them
+// to each component through its one Attach, which arms the non-nil ones.
+type Instruments struct {
+	Metrics *metrics.Registry
+	Spans   *opspan.Recorder
+	Tracer  *Tracer
+	// Auditor shadows one SNFS server's state table and witnesses its
+	// clients' syscalls; the other components ignore it.
+	Auditor *audit.Auditor
+}
+
+// Arm sets the non-nil sinks of in on dst, keeping dst's others.
+func Arm(dst *Instruments, in Instruments) {
+	dst.Metrics = cmp.Or(in.Metrics, dst.Metrics)
+	dst.Spans = cmp.Or(in.Spans, dst.Spans)
+	dst.Tracer = cmp.Or(in.Tracer, dst.Tracer)
+	dst.Auditor = cmp.Or(in.Auditor, dst.Auditor)
+}
+
+// FlightDumpOnViolation arranges for the first audit violation (only the
+// first: the ring still holds the events that led there) to call dump
+// with a trigger naming it. The auditor holds its lock during the
+// callback, so dump may read the ring and write a sink but never reenter
+// the auditor. A no-op unless both are armed.
+func (in Instruments) FlightDumpOnViolation(dump func(trigger string)) {
+	if in.Auditor == nil || in.Tracer == nil {
+		return
+	}
+	dumped := false
+	in.Auditor.OnViolation = func(v audit.Violation) {
+		if dumped {
+			return
+		}
+		dumped = true
+		dump(fmt.Sprintf("audit violation op=%d %s: %s", v.Op, v.Invariant, v.Detail))
 	}
 }

@@ -2,9 +2,12 @@ package trace
 
 import (
 	"encoding/json"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
+	"spritelynfs/internal/proto"
 	"spritelynfs/internal/sim"
 	opspan "spritelynfs/internal/span"
 )
@@ -13,12 +16,22 @@ func fixedClock(t sim.Time) func() sim.Time {
 	return func() sim.Time { return t }
 }
 
+// note adds a protocol event with a ready-made detail.
+func note(tr *Tracer, host string, kind Kind, detail string) {
+	tr.Add(Event{Host: host, Kind: kind, Detail: detail})
+}
+
+// rpc adds a typed RPC event: host's side of a call with peer.
+func rpc(tr *Tracer, host string, kind Kind, peer string, proc, xid uint32) {
+	tr.Add(Event{Host: host, Kind: kind, Peer: peer, Prog: proto.ProgNFS, Proc: proc, XID: xid, Bytes: 4})
+}
+
 func TestRecordAndEvents(t *testing.T) {
 	now := sim.Time(0)
 	tr := New(func() sim.Time { return now }, 10)
-	tr.Record("client", RPCCall, "call %d", 1)
+	note(tr, "client", RPCCall, "call 1")
 	now = sim.Time(sim.Second)
-	tr.Record("server", RPCServe, "serve %d", 1)
+	note(tr, "server", RPCServe, "serve 1")
 	evs := tr.Events()
 	if len(evs) != 2 {
 		t.Fatalf("%d events", len(evs))
@@ -37,7 +50,7 @@ func TestRecordAndEvents(t *testing.T) {
 func TestRingEviction(t *testing.T) {
 	tr := New(fixedClock(0), 3)
 	for i := 0; i < 7; i++ {
-		tr.Record("h", Note, "e%d", i)
+		note(tr, "h", Note, fmt.Sprintf("e%d", i))
 	}
 	evs := tr.Events()
 	if len(evs) != 3 {
@@ -57,7 +70,7 @@ func TestRingEviction(t *testing.T) {
 
 func TestNilTracerSafe(t *testing.T) {
 	var tr *Tracer
-	tr.Record("h", Note, "ignored")
+	tr.Add(Event{Host: "h", Kind: Note, Detail: "ignored"})
 	if tr.Events() != nil || tr.Total() != 0 {
 		t.Error("nil tracer not inert")
 	}
@@ -70,9 +83,9 @@ func TestNilTracerSafe(t *testing.T) {
 
 func TestFilter(t *testing.T) {
 	tr := New(fixedClock(0), 10)
-	tr.Record("client", RPCCall, "open fh(1:5.1)")
-	tr.Record("server", State, "ONE-WRITER")
-	tr.Record("server", Callback, "writeback fh(1:5.1)")
+	note(tr, "client", RPCCall, "open fh(1:5.1)")
+	note(tr, "server", State, "ONE-WRITER")
+	note(tr, "server", Callback, "writeback fh(1:5.1)")
 	if got := tr.Filter(State); len(got) != 1 || got[0].Kind != State {
 		t.Errorf("Filter(State) = %v", got)
 	}
@@ -83,9 +96,9 @@ func TestFilter(t *testing.T) {
 
 func TestDumpFormat(t *testing.T) {
 	tr := New(fixedClock(sim.Time(1500*sim.Millisecond)), 2)
-	tr.Record("client", RPCCall, "one")
-	tr.Record("client", RPCCall, "two")
-	tr.Record("client", RPCCall, "three") // evicts "one"
+	note(tr, "client", RPCCall, "one")
+	note(tr, "client", RPCCall, "two")
+	note(tr, "client", RPCCall, "three") // evicts "one"
 	var b strings.Builder
 	tr.Dump(&b)
 	out := b.String()
@@ -107,7 +120,7 @@ func TestDroppedAtCapacityBoundaries(t *testing.T) {
 	const capacity = 4
 	tr := New(fixedClock(0), capacity)
 	for i := 0; i < capacity; i++ {
-		tr.Record("h", Note, "e%d", i)
+		note(tr, "h", Note, fmt.Sprintf("e%d", i))
 	}
 	if got := tr.Dropped(); got != 0 {
 		t.Fatalf("Dropped at exact capacity = %d, want 0", got)
@@ -116,7 +129,7 @@ func TestDroppedAtCapacityBoundaries(t *testing.T) {
 		t.Fatalf("full ring: %d events, first seq %d", len(evs), evs[0].Seq)
 	}
 
-	tr.Record("h", Note, "e%d", capacity)
+	note(tr, "h", Note, fmt.Sprintf("e%d", capacity))
 	if got := tr.Dropped(); got != 1 {
 		t.Fatalf("Dropped at capacity+1 = %d, want 1", got)
 	}
@@ -127,7 +140,7 @@ func TestDroppedAtCapacityBoundaries(t *testing.T) {
 	}
 
 	for i := capacity + 1; i < 2*capacity; i++ {
-		tr.Record("h", Note, "e%d", i)
+		note(tr, "h", Note, fmt.Sprintf("e%d", i))
 	}
 	if got := tr.Dropped(); got != capacity {
 		t.Fatalf("Dropped at 2×capacity = %d, want %d", got, capacity)
@@ -152,13 +165,13 @@ func TestDroppedAtCapacityBoundaries(t *testing.T) {
 func TestWriteChrome(t *testing.T) {
 	now := sim.Time(0)
 	tr := New(func() sim.Time { return now }, 100)
-	tr.Record("client", RPCCall, "-> server read xid=7 (40B)")
+	rpc(tr, "client", RPCCall, "server", proto.ProcRead, 7)
 	now = 100
-	tr.Record("server", RPCServe, "<- client read xid=7 (40B)")
+	rpc(tr, "server", RPCServe, "client", proto.ProcRead, 7)
 	now = 350
-	tr.Record("server", RPCReply, "-> client read xid=7")
+	rpc(tr, "server", RPCReply, "client", proto.ProcRead, 7)
 	now = 400
-	tr.Record("server", State, "fh(1:5.1) CLOSED -> ONE-READER")
+	note(tr, "server", State, "fh(1:5.1) CLOSED -> ONE-READER")
 
 	var b strings.Builder
 	if err := tr.WriteChrome(&b); err != nil {
@@ -212,40 +225,81 @@ func TestWriteChrome(t *testing.T) {
 	}
 }
 
-// TestChromeOverlappingServes checks lane assignment: two serve spans
-// overlapping in time on one host get distinct tids.
+// TestChromeOverlappingServes checks pairing and lane assignment: each
+// serve pairs with its own reply, and serve spans overlapping in time on
+// one host get distinct tids. Two clients number their xids alike, so
+// the second case's serves share xid 7 and pair only by caller.
 func TestChromeOverlappingServes(t *testing.T) {
-	now := sim.Time(0)
-	tr := New(func() sim.Time { return now }, 100)
-	tr.Record("server", RPCServe, "<- a read xid=1 (4B)")
-	now = 50
-	tr.Record("server", RPCServe, "<- b write xid=2 (4B)")
-	now = 200
-	tr.Record("server", RPCReply, "-> a read xid=1")
-	now = 300
-	tr.Record("server", RPCReply, "-> b write xid=2")
-
-	var b strings.Builder
-	if err := tr.WriteChrome(&b); err != nil {
-		t.Fatal(err)
+	type rec struct {
+		at   sim.Time
+		kind Kind
+		peer string
+		proc uint32
+		xid  uint32
 	}
-	var out struct {
-		TraceEvents []struct {
-			Ph  string `json:"ph"`
-			Tid int    `json:"tid"`
-		} `json:"traceEvents"`
+	type want struct {
+		name    string
+		ts, dur float64
 	}
-	if err := json.Unmarshal([]byte(b.String()), &out); err != nil {
-		t.Fatal(err)
-	}
-	tids := map[int]int{}
-	for _, e := range out.TraceEvents {
-		if e.Ph == "X" {
-			tids[e.Tid]++
-		}
-	}
-	if len(tids) != 2 {
-		t.Errorf("overlapping spans share a lane: %v", tids)
+	for _, c := range []struct {
+		name  string
+		recs  []rec
+		spans []want
+	}{
+		{"one client", []rec{
+			{0, RPCServe, "a", proto.ProcRead, 1},
+			{50, RPCServe, "a", proto.ProcWrite, 2},
+			{200, RPCReply, "a", proto.ProcRead, 1},
+			{300, RPCReply, "a", proto.ProcWrite, 2},
+		}, []want{{"read", 0, 200}, {"write", 50, 250}}},
+		{"two clients, one xid", []rec{
+			{10, RPCServe, "c1", proto.ProcRead, 7},
+			{20, RPCServe, "c2", proto.ProcWrite, 7},
+			{30, RPCReply, "c1", proto.ProcRead, 7},
+			{90, RPCReply, "c2", proto.ProcWrite, 7},
+		}, []want{{"read", 10, 20}, {"write", 20, 70}}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			now := sim.Time(0)
+			tr := New(func() sim.Time { return now }, 100)
+			for _, r := range c.recs {
+				now = r.at
+				rpc(tr, "server", r.kind, r.peer, r.proc, r.xid)
+			}
+			var b strings.Builder
+			if err := tr.WriteChrome(&b); err != nil {
+				t.Fatal(err)
+			}
+			var out struct {
+				TraceEvents []struct {
+					Name string  `json:"name"`
+					Ph   string  `json:"ph"`
+					Ts   float64 `json:"ts"`
+					Dur  float64 `json:"dur"`
+					Tid  int     `json:"tid"`
+				} `json:"traceEvents"`
+			}
+			if err := json.Unmarshal([]byte(b.String()), &out); err != nil {
+				t.Fatal(err)
+			}
+			var got []want
+			tids := map[int]int{}
+			for _, e := range out.TraceEvents {
+				switch e.Ph {
+				case "X":
+					got = append(got, want{e.Name, e.Ts, e.Dur})
+					tids[e.Tid]++
+				case "i":
+					t.Errorf("serve or reply left as an instant: %+v", e)
+				}
+			}
+			if !slices.Equal(got, c.spans) {
+				t.Errorf("spans %v, want %v", got, c.spans)
+			}
+			if len(tids) != 2 {
+				t.Errorf("overlapping spans share a lane: %v", tids)
+			}
+		})
 	}
 }
 
@@ -266,7 +320,7 @@ func TestKindStrings(t *testing.T) {
 // op ID when it has one; a nil ring writes nothing.
 func TestDumpTriggered(t *testing.T) {
 	tr := New(fixedClock(sim.Time(sim.Second)), 2)
-	tr.Record("server", Crash, "server crash (epoch 1)")
+	note(tr, "server", Crash, "server crash (epoch 1)")
 	tr.RecordOp("server", State, 77, "open(fh, client, write=true)")
 	tr.RecordOp("server", Callback, 78, "-> client fh writeback=true")
 	var b strings.Builder
@@ -286,16 +340,17 @@ func TestDumpTriggered(t *testing.T) {
 }
 
 // TestEventJSON pins the /flight record schema: kinds by name, times in
-// microseconds, op omitted when zero.
+// microseconds, op omitted when zero, an RPC event's detail rendered from
+// its call and its call's fields not in the record.
 func TestEventJSON(t *testing.T) {
 	tr := New(fixedClock(1500), 4)
-	tr.RecordOp("shard0", RPCServe, 9, "read xid=1 (12B)")
-	tr.Record("viewsvc", Note, "view 2")
+	tr.Add(Event{Host: "shard0", Kind: RPCServe, Op: 9, Peer: "c", Prog: proto.ProgNFS, Proc: proto.ProcRead, XID: 1, Bytes: 12})
+	note(tr, "viewsvc", Note, "view 2")
 	got, err := json.Marshal(tr.Events())
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := `[{"seq":0,"at_us":1500,"host":"shard0","kind":"rpc-serve","op":9,"detail":"read xid=1 (12B)"},` +
+	want := `[{"seq":0,"at_us":1500,"host":"shard0","kind":"rpc-serve","op":9,"detail":"\u003c- c read xid=1 (12B)"},` +
 		`{"seq":1,"at_us":1500,"host":"viewsvc","kind":"note","detail":"view 2"}]`
 	if string(got) != want {
 		t.Errorf("json = %s\nwant   %s", got, want)
@@ -343,18 +398,66 @@ func TestWriteChromeSpans(t *testing.T) {
 	}
 }
 
-// BenchmarkFilter measures the per-dump kind filter over a full ring
-// (the fixed kind array replaced a map rebuilt on every call).
+// BenchmarkFilter measures the per-dump kind filter over a full ring.
 func BenchmarkFilter(b *testing.B) {
 	tr := New(fixedClock(0), 4096)
 	kinds := []Kind{RPCCall, RPCServe, RPCReply, State, Callback, Cache}
 	for i := 0; i < 4096; i++ {
-		tr.Record("h", kinds[i%len(kinds)], "event %d", i)
+		note(tr, "h", kinds[i%len(kinds)], fmt.Sprintf("event %d", i))
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if got := tr.Filter(State, Callback); len(got) == 0 {
 			b.Fatal("empty filter result")
 		}
+	}
+}
+
+// TestRPCDetails pins each RPC kind's line, rendered on dump from the
+// event's call, and a detail given with an RPC kind left as it is.
+func TestRPCDetails(t *testing.T) {
+	tr := New(fixedClock(0), 8)
+	call := Event{Host: "client", Peer: "server", Prog: proto.ProgNFS, Proc: proto.ProcWrite, XID: 5, Bytes: 8232}
+	for _, e := range []Event{
+		{Kind: RPCCall}, {Kind: RPCRetry, Attempt: 2}, {Kind: RPCRetry, Rerouted: "s0"},
+		{Kind: RPCServe}, {Kind: RPCReply}, {Kind: RPCCall, Detail: "as given"},
+	} {
+		e.Host, e.Peer, e.Prog, e.Proc, e.XID, e.Bytes = call.Host, call.Peer, call.Prog, call.Proc, call.XID, call.Bytes
+		tr.Add(e)
+	}
+	tr.Add(Event{Host: "server", Kind: RPCServe, Peer: "server", Prog: proto.ProgCallback, Proc: proto.CbProcCallback, XID: 1, Bytes: 40})
+	var got []string
+	for _, e := range tr.Events() {
+		got = append(got, e.Detail)
+	}
+	want := []string{
+		"-> server write xid=5 (8232B)",
+		"-> server write xid=5 attempt=2",
+		"~> rerouting s0 -> server xid=5",
+		"<- server write xid=5 (8232B)",
+		"-> server write xid=5",
+		"as given",
+		"<- server callback xid=1 (40B)",
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("details\n%q\nwant\n%q", got, want)
+	}
+}
+
+// TestRecordAllocatesNothing: a typed RPC record boxes and formats
+// nothing, so it allocates nothing into a nil ring or a live one.
+func TestRecordAllocatesNothing(t *testing.T) {
+	live := New(fixedClock(0), 64)
+	for _, tr := range []*Tracer{nil, live} {
+		xid := uint32(0)
+		if n := testing.AllocsPerRun(1000, func() {
+			xid++
+			tr.Add(Event{Host: "client", Kind: RPCCall, Op: 3, Peer: "server", Prog: proto.ProgNFS, Proc: proto.ProcRead, XID: xid, Bytes: 96})
+		}); n != 0 {
+			t.Errorf("live=%v: %v allocations per record, want 0", tr != nil, n)
+		}
+	}
+	if live.Total() == 0 {
+		t.Error("the live ring recorded nothing")
 	}
 }

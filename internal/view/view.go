@@ -131,8 +131,7 @@ func (s *Service) Views() []proto.ShardView {
 		st := s.shards[id]
 		sv := proto.ShardView{Shard: id, View: st.cur}
 		if m, ok := st.members[st.cur.Primary]; ok {
-			sv.Synced = m.synced
-			sv.Lag = m.lag
+			sv.Synced, sv.Lag = m.synced, m.lag
 		}
 		out = append(out, sv)
 	}
@@ -167,9 +166,7 @@ func (s *Service) serve(p *sim.Proc, from simnet.Addr, proc uint32, args, _ []by
 			m = &memberState{}
 			st.members[a.Addr] = m
 		}
-		m.lastSeen = p.Now()
-		m.synced = a.Synced
-		m.lag = a.Lag
+		m.lastSeen, m.synced, m.lag = p.Now(), a.Synced, a.Lag
 		if a.Addr == st.cur.Primary && a.ViewSeen == st.cur.Num && !st.acked {
 			st.acked = true
 			s.logf(p, a.Shard, st.cur, "acked")
