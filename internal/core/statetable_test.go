@@ -763,6 +763,31 @@ func TestQuickCallbacksNeverToOpener(t *testing.T) {
 	}
 }
 
+// TestReturningOpenAllocationBudget holds an open and close of a resident
+// entry by a client that opened it before, read and write, alone and
+// beside a reader that stays, to the objects the table allocates for it:
+// the per-client record of the open.
+func TestReturningOpenAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	tab := NewTable(0)
+	other := proto.Handle{FSID: 1, Ino: 43, Gen: 1}
+	tab.Open(other, "B", false)
+	for _, tc := range []struct {
+		name  string
+		h     proto.Handle
+		write bool
+	}{{"read alone", fh, false}, {"write alone", fh, true}, {"read beside a reader", other, false}} {
+		if allocs := testing.AllocsPerRun(100, func() {
+			tab.Open(tc.h, "A", tc.write)
+			tab.Close(tc.h, "A", tc.write)
+		}); allocs > 1 {
+			t.Errorf("%s: a returning Open+Close allocates %.0f objects, budget 1", tc.name, allocs)
+		}
+	}
+}
+
 func TestStateStrings(t *testing.T) {
 	states := map[FileState]string{
 		StateClosed:      "CLOSED",

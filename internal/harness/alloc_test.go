@@ -316,3 +316,47 @@ func TestWalkAllocationBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestOpenCloseAllocationBudget holds a warm open and close of a cached
+// file, on an NFS world (the open's GETATTR check) and an SNFS one (an
+// OPEN and a CLOSE, through the server's state table), to the objects
+// nothing recycles yet: the client's open file and, under SNFS, the
+// server's per-client record of the open.
+func TestOpenCloseAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	if !Recycling {
+		t.Skip("the release checker reuses no Pending and no reply head")
+	}
+	const opens = 64
+	for _, tc := range []struct {
+		pr     Proto
+		budget uint64
+	}{{NFS, 1}, {SNFS, 2}} {
+		w := Build(tc.pr, true, Default())
+		err := w.Run(func(p *sim.Proc) error {
+			if err := w.NS.WriteFile(p, "/data/f", 8192, 8192); err != nil {
+				return err
+			}
+			var err error
+			cycle := func() {
+				for i := 0; i < opens && err == nil; i++ {
+					var f vfs.File
+					if f, err = w.NS.Open(p, "/data/f", vfs.ReadOnly, 0); err == nil {
+						err = f.Close(p)
+					}
+				}
+			}
+			cycle()
+			objects, _, _ := heapCost(0, cycle)
+			if err == nil && objects/opens > tc.budget {
+				t.Errorf("%s: a warm Open+Close allocates %d objects, budget %d", tc.pr, objects/opens, tc.budget)
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
