@@ -111,19 +111,21 @@ type Stats struct {
 
 // Cache is a fixed-capacity LRU block cache.
 type Cache struct {
-	capacity int // maximum resident blocks; <=0 means unbounded
-	blocks   map[Key]*Block
+	// capacity is the most resident blocks (<=0: unbounded), ndirty how
+	// many of them are dirty; 32 bits each keep Cache in its size class.
+	capacity, ndirty int32
+	blocks           map[Key]*Block
 	// mru and lru are the ends of the LRU list: the most recently used
 	// block and the least (nil when the cache is empty).
 	mru, lru *Block
 	// perFile maps a file to the head of its chain of resident blocks.
 	perFile map[fileKey]*Block
-	// free heads the blocks that left the cache holding no buffer, spares
-	// those that hold one the cache owned (Data) for Buffer to hand out;
-	// both are linked by next.
-	free, spares *Block
-	ndirty       int
-	stats        Stats
+	// free heads the blocks that left the cache, linked by next, for
+	// Insert; spares are the buffers the cache owned (Data) that they
+	// held, the latest last, for Buffer.
+	free   *Block
+	spares [][]byte
+	stats  Stats
 	// onDirty, when set, runs each time the dirty count rises from 0.
 	onDirty func()
 }
@@ -137,7 +139,7 @@ type fileKey struct {
 // capacity <= 0).
 func New(capacity int) *Cache {
 	c := &Cache{
-		capacity: capacity,
+		capacity: int32(min(capacity, math.MaxInt32)),
 		blocks:   make(map[Key]*Block),
 		perFile:  make(map[fileKey]*Block),
 	}
@@ -151,7 +153,7 @@ func (c *Cache) Stats() Stats { return c.stats }
 func (c *Cache) Len() int { return len(c.blocks) }
 
 // DirtyCount reports the number of dirty resident blocks.
-func (c *Cache) DirtyCount() int { return c.ndirty }
+func (c *Cache) DirtyCount() int { return int(c.ndirty) }
 
 // OnFirstDirty sets fn to run whenever a block goes dirty in a cache that
 // held no dirty block, inside the MarkDirty that made it so. fn must not
@@ -201,7 +203,7 @@ func (c *Cache) Insert(key Key, data []byte, length int) (*Block, Victim) {
 		return b, Victim{}
 	}
 	var v Victim
-	if c.capacity > 0 && len(c.blocks) >= c.capacity {
+	if c.capacity > 0 && len(c.blocks) >= int(c.capacity) {
 		back := c.lru
 		v = Victim{Key: back.Key, Len: back.Len, Dirty: back.Dirty}
 		c.stats.Evictions++
@@ -233,18 +235,15 @@ func (c *Cache) Insert(key Key, data []byte, length int) (*Block, Victim) {
 
 // Buffer returns n zero bytes for a block's Data, which the caller
 // writes into: a new block's (Insert), or a resident block's copy or
-// growth. They are the buffer of the latest departed block whose buffer
-// has room for n, if one does; a spare too short stays for a shorter
-// request.
+// growth. They are the latest spare with room for n, if one has; a spare
+// too short stays for a shorter request.
 func (c *Cache) Buffer(n int) []byte {
-	for link := &c.spares; *link != nil; link = &(*link).next {
-		b := *link
-		if cap(b.Data) < n {
+	for i := len(c.spares) - 1; i >= 0; i-- {
+		if cap(c.spares[i]) < n {
 			continue
 		}
-		data := b.Data[:n]
-		*link = b.next
-		b.Data, b.next, c.free = nil, c.free, b
+		data := c.spares[i][:n]
+		c.spares = slices.Delete(c.spares, i, i+1)
 		clear(data)
 		c.stats.BuffersReused++
 		return data
@@ -341,29 +340,27 @@ func (c *Cache) remove(b *Block) {
 	c.release(b)
 }
 
-// release puts a block that has left every index on a free list: the
-// spares if it holds a buffer the cache owned (neither frozen nor a dirty
-// victim's, which Insert took off), free otherwise. Under the release
-// checker it poisons the block and scribbles the buffer for good.
+// release puts a block that has left every index on the free list, and
+// its buffer on the spares if the cache owned it (neither frozen nor a
+// dirty victim's, which Insert took off). Under the release checker it
+// poisons the block and scribbles the buffer for good.
 func (c *Cache) release(b *Block) {
 	spare := b.Data[:cap(b.Data)]
 	if b.Frozen {
 		spare = nil
 	}
-	if frozenCheck {
+	if FrozenCheck {
 		for i := range spare {
 			spare[i] = 0xDB
 		}
 		*b = Block{Key: departed, Len: -1}
 		return
 	}
-	if len(spare) == 0 {
-		*b = Block{next: c.free}
-		c.free = b
-		return
+	if len(spare) > 0 {
+		c.spares = append(c.spares, spare)
 	}
-	*b = Block{Data: spare, next: c.spares}
-	c.spares = b
+	*b = Block{next: c.free}
+	c.free = b
 }
 
 // DirtyBlocks returns the keys of one file's dirty resident blocks in

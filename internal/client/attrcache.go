@@ -64,14 +64,7 @@ func (ac *attrCache) writeShared(n *node) bool {
 // files modified recently are re-checked sooner.
 func (ac *attrCache) probeTimeout(n *node) sim.Duration {
 	age := ac.b.k.Now().Sub(sim.Time(n.attr.Mtime))
-	t := age / 10
-	if t < ac.probeMin {
-		t = ac.probeMin
-	}
-	if t > ac.probeMax {
-		t = ac.probeMax
-	}
-	return t
+	return min(max(age/10, ac.probeMin), ac.probeMax)
 }
 
 // fresh reports whether n's cached attributes may be served without a

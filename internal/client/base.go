@@ -212,6 +212,9 @@ type Base struct {
 
 	// redriveBlocks counts the unstable blocks resent after a reboot.
 	redriveBlocks int64
+	// files heads the closed files, linked by next, that the next opens
+	// take (newFile).
+	files *file
 }
 
 // Attach arms the client and its endpoint with the non-nil sinks of in:
@@ -541,16 +544,14 @@ func (b *Base) resolveDir(p *sim.Proc, path string) (proto.Handle, error) {
 	return d.h, nil
 }
 
-// invalidateDirCache drops the cwd cache (after namespace surgery).
-func (b *Base) invalidateDirCache() { b.lastDirValid = false }
-
-// DropDirCache invalidates the one-entry directory cache. Final-
-// component walks already heal a stale cwd themselves (walk), but
-// operations that send the cached parent handle straight to the server
-// (create, mkdir, remove, rename, ...) surface its ESTALE to the
-// caller; the cluster router drops the cache and retries so the fresh
-// walk from the root can discover a migrated subtree's new home.
-func (b *Base) DropDirCache() { b.invalidateDirCache() }
+// DropDirCache invalidates the one-entry directory cache, as namespace
+// surgery does. Final-component walks already heal a stale cwd
+// themselves (walk), but operations that send the cached parent handle
+// straight to the server (create, mkdir, remove, rename, ...) surface
+// its ESTALE to the caller; the cluster router drops the cache and
+// retries so the fresh walk from the root can discover a migrated
+// subtree's new home.
+func (b *Base) DropDirCache() { b.lastDirValid = false }
 
 // walk resolves rel to a handle, following links in every component, with
 // the attributes the final lookup returned when needAttr is set; without
@@ -567,7 +568,7 @@ func (b *Base) walk(p *sim.Proc, rel string, needAttr bool) (proto.Handle, proto
 	r, err := b.walkFrom(p, dirOf(d), name, needAttr)
 	if err != nil && proto.StatusOf(err) == proto.ErrStale && b.lastDirValid {
 		// The cached directory went away; re-resolve from the root.
-		b.invalidateDirCache()
+		b.DropDirCache()
 		return b.walk(p, rel, needAttr)
 	}
 	return r.h, r.attr, err
@@ -849,18 +850,12 @@ func (b *Base) assembleRead(p *sim.Proc, n *node, buf []byte, off int64, readAhe
 	if off >= size {
 		return 0, nil
 	}
-	end := off + int64(len(buf))
-	if end > size {
-		end = size
-	}
+	end := min(off+int64(len(buf)), size)
 	bs := int64(b.cfg.BlockSize)
 	for cur := off; cur < end; {
 		blk := cur / bs
 		blkOff := cur % bs
-		blkEnd := bs
-		if blk*bs+blkEnd > end {
-			blkEnd = end - blk*bs
-		}
+		blkEnd := min(bs, end-blk*bs)
 		var data []byte
 		cb, hit := b.cache.Lookup(b.key(n.h.Ino, blk))
 		if hit {
@@ -926,10 +921,7 @@ func (b *Base) writeToCache(p *sim.Proc, n *node, off int64, data []byte) error 
 	for cur := off; cur < end; {
 		blk := cur / bs
 		blkStart := blk * bs
-		segEnd := blkStart + bs
-		if segEnd > end {
-			segEnd = end
-		}
+		segEnd := min(blkStart+bs, end)
 		key := b.key(n.h.Ino, blk)
 		cb, ok := b.cache.Lookup(key)
 		for !ok {
@@ -968,15 +960,11 @@ func (b *Base) writeToCache(p *sim.Proc, n *node, off int64, data []byte) error 
 			cb.Data, cb.Frozen = whole, false
 		}
 		copy(cb.Data[cur-blkStart:segEnd-blkStart], data[cur-off:segEnd-off])
-		if int(segEnd-blkStart) > cb.Len {
-			cb.Len = int(segEnd - blkStart)
-		}
+		cb.Len = max(cb.Len, int(segEnd-blkStart))
 		b.cache.MarkDirty(key, p.Now())
 		cur = segEnd
 	}
-	if end > n.size {
-		n.size = end
-	}
+	n.size = max(n.size, end)
 	return nil
 }
 
@@ -1268,7 +1256,7 @@ func (b *Base) Open(p *sim.Proc, rel string, flags vfs.Flags, mode uint32) (vfs.
 			n.rec.Readers++
 			b.LocalReopens++
 			n.opens++
-			return &file{b: b, n: n}, nil
+			return b.newFile(n, false), nil
 		}
 		if err = b.settleDelayedClose(p, n); err == nil {
 			err = b.openRPC(p, n, write)
@@ -1285,7 +1273,20 @@ func (b *Base) Open(p *sim.Proc, rel string, flags vfs.Flags, mode uint32) (vfs.
 		}
 	}
 	n.opens++
-	return &file{b: b, n: n, write: write}, nil
+	return b.newFile(n, write), nil
+}
+
+// newFile lends an open file of n (vfs.File's rule): a closed one the
+// client took back (Close), or a new one.
+func (b *Base) newFile(n *node, write bool) *file {
+	f := b.files
+	if f == nil {
+		f = new(file)
+	} else {
+		b.files = f.next
+	}
+	*f = file{b: b, n: n, write: write}
+	return f
 }
 
 // Readdir implements vfs.FS: the GFS layer opens a directory like a file,
@@ -1411,12 +1412,13 @@ func (b *Base) openCall(p *sim.Proc, h proto.Handle, write bool) (proto.OpenRepl
 	return r, err
 }
 
-// file is an open file of any protocol.
+// file is an open file of any protocol; next links a closed one into
+// its client's free list.
 type file struct {
-	b      *Base
-	n      *node
-	write  bool
-	closed bool
+	b     *Base
+	n     *node
+	write bool
+	next  *file
 }
 
 // Handle exposes the protocol-level handle (audit.Handled).
@@ -1497,14 +1499,16 @@ func (f *file) WriteAt(p *sim.Proc, off int64, data []byte) (int, error) {
 // file's write-through first (§2.1); one that delays writes leaves its
 // dirty blocks in the cache. A client whose server keeps open state then
 // reports the close, or, under delayed close, withholds the final close
-// of a file read with caching on.
+// of a file read with caching on. f goes back to the client at once, and
+// the next open may take it while the close parks; under the release
+// checker it is poisoned instead (nil b and n), so a later call panics.
 func (f *file) Close(p *sim.Proc) error {
-	b, n := f.b, f.n
-	defer b.syscall(p, "close").End()
-	if f.closed {
-		return nil
+	b, n, write := f.b, f.n, f.write
+	*f = file{}
+	if !cache.FrozenCheck {
+		f.next, b.files = b.files, f
 	}
-	f.closed = true
+	defer b.syscall(p, "close").End()
 	var err error
 	if !b.delaysWrites {
 		err = b.syncFile(p, n, "close")
@@ -1516,13 +1520,13 @@ func (f *file) Close(p *sim.Proc) error {
 	if !b.tracksOpens {
 		return err
 	}
-	if final := n.rec.Close(f.write); final && b.delayedClose && n.rec.Caching && !f.write {
+	if final := n.rec.Close(write); final && b.delayedClose && n.rec.Caching && !write {
 		n.rec.DelayedClose = true
 		n.rec.DelayedWriteMode = false
 		n.rec.ClosedAt = int64(p.Now())
 		return err
 	}
-	if cerr := b.closeRPC(p, n.h, f.write); cerr != nil && err == nil {
+	if cerr := b.closeRPC(p, n.h, write); cerr != nil && err == nil {
 		err = cerr
 	}
 	return err
@@ -1687,7 +1691,7 @@ func (b *Base) Rmdir(p *sim.Proc, rel string) error {
 	if err := b.call(p, proto.ProcRmdir, (&proto.DirOpArgs{Dir: dir, Name: name}).XDR, r.XDR); err != nil {
 		return err
 	}
-	b.invalidateDirCache()
+	b.DropDirCache()
 	if r.Status == proto.OK && b.names != nil {
 		b.names.setName(dir, name, proto.Handle{})
 	}
@@ -1712,7 +1716,7 @@ func (b *Base) Rename(p *sim.Proc, oldrel, newrel string) error {
 	if err != nil {
 		return err
 	}
-	b.invalidateDirCache()
+	b.DropDirCache()
 	if st == proto.OK && b.names != nil {
 		// Conservative: forget both directories' translations rather
 		// than compute the moved handle.

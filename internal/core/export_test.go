@@ -33,12 +33,7 @@ func (t *Table) CopyFrom(src *Table) {
 		}
 		clients := d.clients[:0]
 		*d = *e
-		cis := make([]clientInfo, len(e.clients))
-		for i, ci := range e.clients {
-			cis[i] = *ci
-			clients = append(clients, &cis[i])
-		}
-		d.clients = clients
+		d.clients = append(clients, e.clients...)
 	}
 }
 

@@ -100,7 +100,10 @@ type entry struct {
 	state   FileState
 	version uint32
 	prev    uint32 // version before the most recent open-for-write
-	clients []*clientInfo
+	// clients are held by value: a pointer to one (client, addClient)
+	// is valid until the next add or remove, and the array is reused
+	// across opens and closes.
+	clients []clientInfo
 	// lastWriter is the client recorded as possibly holding dirty
 	// blocks (meaningful in CLOSED-DIRTY and ONE-RDR-DIRTY).
 	lastWriter ClientID
@@ -246,30 +249,24 @@ func (t *Table) bump(e *entry) {
 }
 
 func (e *entry) client(c ClientID) *clientInfo {
-	for _, ci := range e.clients {
-		if ci.id == c {
-			return ci
+	for i := range e.clients {
+		if e.clients[i].id == c {
+			return &e.clients[i]
 		}
 	}
 	return nil
 }
 
 func (e *entry) addClient(c ClientID) *clientInfo {
-	ci := e.client(c)
-	if ci == nil {
-		ci = &clientInfo{id: c}
-		e.clients = append(e.clients, ci)
+	if ci := e.client(c); ci != nil {
+		return ci
 	}
-	return ci
+	e.clients = append(e.clients, clientInfo{id: c})
+	return &e.clients[len(e.clients)-1]
 }
 
 func (e *entry) removeClient(c ClientID) {
-	for i, ci := range e.clients {
-		if ci.id == c {
-			e.clients = append(e.clients[:i], e.clients[i+1:]...)
-			return
-		}
-	}
+	e.clients = slices.DeleteFunc(e.clients, func(ci clientInfo) bool { return ci.id == c })
 }
 
 func (e *entry) writers() int {
@@ -357,7 +354,7 @@ func (t *Table) Open(h proto.Handle, c ClientID, forWrite bool) OpenResult {
 		// last writer) so the server's copy is current, and stops
 		// caching if this open begins read/write sharing.
 		dirty := from == StateOneRdrDirty
-		if r := e.clients[0]; r.id != c && (forWrite || dirty) {
+		if r := &e.clients[0]; r.id != c && (forWrite || dirty) {
 			e.callBack(&res, r.id, dirty, forWrite)
 			if forWrite {
 				r.caching = false
@@ -366,8 +363,8 @@ func (t *Table) Open(h proto.Handle, c ClientID, forWrite bool) OpenResult {
 	case StateMultReaders:
 		// Write sharing begins: every other reader stops caching.
 		if forWrite {
-			for _, ci := range e.clients {
-				if ci.id != c {
+			for i := range e.clients {
+				if ci := &e.clients[i]; ci.id != c {
 					e.callBack(&res, ci.id, false, true)
 					ci.caching = false
 				}
@@ -377,7 +374,7 @@ func (t *Table) Open(h proto.Handle, c ClientID, forWrite bool) OpenResult {
 		// A second client arrives while one holds the file open for
 		// write: write sharing. The writer returns its dirty pages and
 		// stops caching (§2.2).
-		if w := e.clients[0]; w.id != c {
+		if w := &e.clients[0]; w.id != c {
 			e.callBack(&res, w.id, true, true)
 			w.caching = false
 		}
@@ -521,7 +518,8 @@ func (t *Table) InvalidateReaders(h proto.Handle, except ClientID) []Callback {
 	from := e.state
 	t.bump(e)
 	var cbs []Callback
-	for _, ci := range e.clients {
+	for i := range e.clients {
+		ci := &e.clients[i]
 		if ci.id == except || !ci.caching {
 			continue
 		}
@@ -692,8 +690,8 @@ func (t *Table) Recover(h proto.Handle, c ClientID, readers, writers uint32, ver
 		// Write sharing discovered during recovery disables caching
 		// for everyone, which the clients learn from their reopen
 		// replies.
-		for _, ci := range e.clients {
-			ci.caching = false
+		for i := range e.clients {
+			e.clients[i].caching = false
 		}
 	}
 	e.state = e.derive()

@@ -74,7 +74,10 @@ type FS interface {
 	SyncAll(p *sim.Proc)
 }
 
-// File is an open file.
+// File is an open file, lent by its FS: after Close it belongs to the
+// FS again, which may hand it to the next Open, so the holder calls none
+// of its methods, Close included, once Close is called. The cache lends
+// a *cache.Block by the same rule.
 type File interface {
 	// ReadInto reads up to len(b) bytes at off into b and returns the
 	// count: the one read path, as read(2) copies from the block cache
